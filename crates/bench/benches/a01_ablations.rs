@@ -155,10 +155,17 @@ fn streaming_inference_ablation(c: &mut Criterion) {
         let parsed = jsonx_syntax::parse_ndjson(&ndjson).unwrap();
         infer_collection(&parsed, Equivalence::Kind)
     };
-    assert_eq!(
-        jsonx::streaming::infer_streaming(&ndjson, Equivalence::Kind).unwrap(),
-        dom
-    );
+    let sequential = jsonx::Run {
+        workers: 1,
+        ..jsonx::Run::default()
+    };
+    let stream = |text: &str| {
+        let (ty, _) = sequential
+            .infer(jsonx::Source::slice(text), Equivalence::Kind)
+            .unwrap();
+        ty
+    };
+    assert_eq!(stream(&ndjson), dom);
     let mut group = c.benchmark_group("a01_inference_path");
     group.bench_function("parse_dom_then_infer", |b| {
         b.iter(|| {
@@ -167,7 +174,7 @@ fn streaming_inference_ablation(c: &mut Criterion) {
         })
     });
     group.bench_function("streaming_events", |b| {
-        b.iter(|| jsonx::streaming::infer_streaming(black_box(&ndjson), Equivalence::Kind).unwrap())
+        b.iter(|| stream(black_box(&ndjson)))
     });
     group.finish();
     println!("(identical results; streaming skips the DOM allocation entirely)");

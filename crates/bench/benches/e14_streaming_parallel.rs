@@ -8,7 +8,7 @@
 //! pipeline against streaming at 1/2/4/8 workers.
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
-use jsonx::{infer_streaming, infer_streaming_parallel, StreamingOptions};
+use jsonx::{Run, Source};
 use jsonx_bench::{banner, criterion};
 use jsonx_core::{infer_collection, Equivalence};
 use jsonx_gen::Corpus;
@@ -22,6 +22,18 @@ fn to_ndjson(docs: &[jsonx_data::Value]) -> String {
         out.push('\n');
     }
     out
+}
+
+/// Fail-fast streaming inference at `workers` threads.
+fn infer_streaming(ndjson: &str, workers: usize) -> jsonx_core::JType {
+    let run = Run {
+        workers,
+        ..Run::default()
+    };
+    let (ty, _) = run
+        .infer(Source::slice(ndjson), Equivalence::Kind)
+        .expect("valid NDJSON");
+    ty
 }
 
 fn main() {
@@ -47,7 +59,8 @@ fn main() {
     );
 
     // Reference: the DOM pipeline over the same bytes (parse + infer).
-    let _ = infer_streaming(&ndjson[..ndjson.len() / 16], Equivalence::Kind);
+    let warm_up = ndjson[..ndjson.len() / 16].rfind('\n').map_or(0, |i| i + 1);
+    let _ = infer_streaming(&ndjson[..warm_up], 1);
     let t = Instant::now();
     let dom_docs = parse_ndjson(&ndjson).expect("valid NDJSON");
     let dom = infer_collection(&dom_docs, Equivalence::Kind);
@@ -55,7 +68,7 @@ fn main() {
     drop(dom_docs);
 
     let t = Instant::now();
-    let streamed = infer_streaming(&ndjson, Equivalence::Kind).expect("valid NDJSON");
+    let streamed = infer_streaming(&ndjson, 1);
     let stream_time = t.elapsed();
     assert_eq!(streamed, dom, "streaming must match the DOM pipeline");
 
@@ -75,12 +88,8 @@ fn main() {
         streamed == dom
     );
     for workers in [1usize, 2, 4, 8] {
-        let opts = StreamingOptions {
-            workers,
-            min_shard_bytes: 4 * 1024,
-        };
         let t = Instant::now();
-        let par = infer_streaming_parallel(&ndjson, Equivalence::Kind, opts).expect("valid NDJSON");
+        let par = infer_streaming(&ndjson, workers);
         let elapsed = t.elapsed();
         println!(
             "{:>12} {:>12.2?} {:>13.2}x {:>10}",
@@ -106,13 +115,7 @@ fn main() {
         group.bench_with_input(
             BenchmarkId::new("stream_workers", workers),
             &workers,
-            |b, &w| {
-                let opts = StreamingOptions {
-                    workers: w,
-                    min_shard_bytes: 4 * 1024,
-                };
-                b.iter(|| infer_streaming_parallel(black_box(&small), Equivalence::Kind, opts))
-            },
+            |b, &w| b.iter(|| infer_streaming(black_box(&small), w)),
         );
     }
     group.finish();

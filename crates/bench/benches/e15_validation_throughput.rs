@@ -13,7 +13,7 @@
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::{parse_ndjson, to_string, to_string_pretty};
-use jsonx::{validate_streaming_parallel, StreamingOptions};
+use jsonx::{Run, Source};
 use jsonx_bench::{banner, criterion};
 use jsonx_data::{json, Value};
 use jsonx_gen::Corpus;
@@ -146,6 +146,16 @@ fn docs_per_sec(n: usize, elapsed: std::time::Duration) -> f64 {
     n as f64 / elapsed.as_secs_f64()
 }
 
+/// The parse + probe pipeline this experiment measures: every record
+/// through the full parser (E18 owns the fast-parse comparison).
+fn full_parser(workers: usize) -> Run<'static> {
+    Run {
+        workers,
+        fast_parse: false,
+        ..Run::default()
+    }
+}
+
 fn main() {
     banner(
         "E15",
@@ -226,12 +236,11 @@ fn main() {
     };
     let mut parallel_rates = Vec::new();
     for workers in [1usize, 2, 4, 8] {
-        let opts = StreamingOptions {
-            workers,
-            min_shard_bytes: 4 * 1024,
-        };
+        let run = full_parser(workers);
         let t = Instant::now();
-        let verdicts = validate_streaming_parallel(&ndjson, &schema, vopts, opts);
+        let (verdicts, _) = run
+            .validate(Source::slice(&ndjson), &schema, vopts)
+            .expect("valid NDJSON");
         let elapsed = t.elapsed();
         assert_eq!(verdicts.len(), reference.len());
         for ((line, v), expected) in verdicts.iter().zip(&reference) {
@@ -296,11 +305,8 @@ fn main() {
             BenchmarkId::new("stream_workers", workers),
             &workers,
             |b, &w| {
-                let opts = StreamingOptions {
-                    workers: w,
-                    min_shard_bytes: 4 * 1024,
-                };
-                b.iter(|| validate_streaming_parallel(black_box(&small), &schema, vopts, opts))
+                let run = full_parser(w);
+                b.iter(|| run.validate(Source::slice(black_box(&small)), &schema, vopts))
             },
         );
     }

@@ -22,10 +22,7 @@ use jsonx::core::{infer_collection, Equivalence};
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::{parse_ndjson, to_string, to_string_pretty};
 use jsonx::translate::Shredder;
-use jsonx::{
-    infer_streaming, infer_validate_streaming_parallel, translate_streaming_parallel,
-    validate_streaming, StreamingOptions,
-};
+use jsonx::{Run, Source};
 use jsonx_bench::{banner, criterion};
 use jsonx_data::{json, Value};
 use jsonx_gen::Corpus;
@@ -67,6 +64,16 @@ fn to_ndjson(docs: &[Value]) -> String {
         out.push('\n');
     }
     out
+}
+
+/// A fail-fast plan on the full parser at `workers` threads (E18 owns
+/// the fast-parse comparison).
+fn plan(workers: usize) -> Run<'static> {
+    Run {
+        workers,
+        fast_parse: false,
+        ..Run::default()
+    }
 }
 
 fn docs_per_sec(n: usize, elapsed: std::time::Duration) -> f64 {
@@ -117,15 +124,10 @@ fn main() {
     );
     let mut translate_rates = Vec::new();
     for workers in [1usize, 2, 4, 8] {
-        let opts = StreamingOptions {
-            workers,
-            min_shard_bytes: 4 * 1024,
-        };
         let t = Instant::now();
-        let sty = jsonx::infer_streaming_parallel(&ndjson, Equivalence::Kind, opts)
-            .expect("well-formed NDJSON");
-        let sh = Shredder::from_type(&sty);
-        let batch = translate_streaming_parallel(&ndjson, &sh, opts).expect("records shred");
+        let (sty, batch, _) = plan(workers)
+            .translate_inferred(Source::slice(&ndjson), Equivalence::Kind)
+            .expect("well-formed records shred");
         let elapsed = t.elapsed();
         assert_eq!(sty, ty, "streaming type must equal DOM type");
         assert_eq!(
@@ -147,8 +149,12 @@ fn main() {
     let vopts = ValidatorOptions::default();
 
     let t = Instant::now();
-    let two_pass_ty = infer_streaming(&ndjson, Equivalence::Kind).expect("well-formed");
-    let two_pass_verdicts = validate_streaming(&ndjson, &schema, vopts);
+    let (two_pass_ty, _) = plan(1)
+        .infer(Source::slice(&ndjson), Equivalence::Kind)
+        .expect("well-formed");
+    let (two_pass_verdicts, _) = plan(1)
+        .validate(Source::slice(&ndjson), &schema, vopts)
+        .expect("well-formed");
     let two_pass_time = t.elapsed();
     let valid = two_pass_verdicts
         .iter()
@@ -172,16 +178,13 @@ fn main() {
     let mut combined_rates = Vec::new();
     let mut combined_seq_secs = f64::NAN;
     for workers in [1usize, 2, 4, 8] {
-        let opts = StreamingOptions {
-            workers,
-            min_shard_bytes: 4 * 1024,
-        };
         let t = Instant::now();
-        let outcome =
-            infer_validate_streaming_parallel(&ndjson, Equivalence::Kind, &schema, vopts, opts);
+        let ((ty, verdicts), _) = plan(workers)
+            .infer_validate(Source::slice(&ndjson), Equivalence::Kind, &schema, vopts)
+            .expect("well-formed");
         let elapsed = t.elapsed();
-        assert_eq!(outcome.ty.as_ref().unwrap(), &two_pass_ty);
-        assert_eq!(outcome.verdicts, two_pass_verdicts);
+        assert_eq!(ty, two_pass_ty);
+        assert_eq!(verdicts, two_pass_verdicts);
         if workers == 1 {
             combined_seq_secs = elapsed.as_secs_f64();
         }
@@ -235,34 +238,29 @@ fn main() {
         })
     });
     for workers in [1usize, 4] {
-        let opts = StreamingOptions {
-            workers,
-            min_shard_bytes: 4 * 1024,
-        };
+        let run = plan(workers);
         group.bench_with_input(
             BenchmarkId::new("stream_shred_workers", workers),
             &workers,
-            |b, _| {
-                b.iter(|| translate_streaming_parallel(black_box(&small), &small_shredder, opts))
-            },
+            |b, _| b.iter(|| run.translate(Source::slice(black_box(&small)), &small_shredder)),
         );
     }
     group.bench_function("two_pass_infer_validate", |b| {
+        let run = plan(1);
         b.iter(|| {
-            let ty = infer_streaming(black_box(&small), Equivalence::Kind);
-            let verdicts = validate_streaming(black_box(&small), &schema, vopts);
+            let ty = run.infer(Source::slice(black_box(&small)), Equivalence::Kind);
+            let verdicts = run.validate(Source::slice(black_box(&small)), &schema, vopts);
             (ty, verdicts)
         })
     });
     group.bench_function("combined_pass_infer_validate", |b| {
-        let opts = StreamingOptions::with_workers(1);
+        let run = plan(1);
         b.iter(|| {
-            infer_validate_streaming_parallel(
-                black_box(&small),
+            run.infer_validate(
+                Source::slice(black_box(&small)),
                 Equivalence::Kind,
                 &schema,
                 vopts,
-                opts,
             )
         })
     });

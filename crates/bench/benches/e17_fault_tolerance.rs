@@ -22,10 +22,7 @@
 use criterion::{black_box, Criterion, Throughput};
 use jsonx::core::Equivalence;
 use jsonx::syntax::{to_string, to_string_pretty};
-use jsonx::{
-    infer_streaming_guarded, infer_streaming_parallel, ErrorPolicy, FaultOptions, ParseLimits,
-    StreamingOptions,
-};
+use jsonx::{ErrorPolicy, FaultOptions, ParseLimits, Run, RunReport, Source, StreamError};
 use jsonx_bench::{banner, criterion};
 use jsonx_data::{json, Value};
 use jsonx_gen::{dirty_ndjson, Corpus, DirtyConfig};
@@ -52,15 +49,24 @@ fn skip_policy() -> FaultOptions {
     }
 }
 
+/// Single-worker streaming inference under `fault`.
+fn infer(
+    ndjson: &str,
+    fault: FaultOptions,
+) -> Result<(jsonx::core::JType, RunReport), StreamError> {
+    let run = Run {
+        workers: 1,
+        fault,
+        ..Run::default()
+    };
+    run.infer(Source::slice(ndjson), Equivalence::Kind)
+}
+
 fn main() {
     banner(
         "E17",
         "fault tolerance: error-policy overhead, dirty-corpus throughput",
     );
-    let opts = StreamingOptions {
-        workers: 1,
-        min_shard_bytes: 4 * 1024,
-    };
 
     // ---- Part 1: policy overhead on a clean corpus --------------------
     let docs = Corpus::Github.generate(100_000);
@@ -75,14 +81,15 @@ fn main() {
     // ~40 MiB corpus pays page faults and cache population that have
     // nothing to do with the policy layer, and charging them to whichever
     // variant happens to run first inflated its "overhead" by ~20 points.
-    black_box(infer_streaming_parallel(&ndjson, Equivalence::Kind, opts).expect("clean"));
-    black_box(
-        infer_streaming_guarded(&ndjson, Equivalence::Kind, opts, FaultOptions::default())
-            .expect("clean"),
-    );
+    black_box(infer(&ndjson, FaultOptions::default()).expect("clean"));
+    black_box(infer(&ndjson, skip_policy()).expect("clean"));
 
+    // Since the run-plan collapse there is one fail-fast path, so the
+    // "legacy" and "guarded" fail-fast rows time the same code: their
+    // difference is this harness's noise floor, which is what the skip
+    // row's overhead has to be read against.
     let t = Instant::now();
-    let legacy_ty = infer_streaming_parallel(&ndjson, Equivalence::Kind, opts).expect("clean");
+    let (legacy_ty, _) = infer(&ndjson, FaultOptions::default()).expect("clean");
     let legacy_time = t.elapsed();
     let legacy_rate = docs_per_sec(docs.len(), legacy_time);
 
@@ -104,8 +111,7 @@ fn main() {
         ("guarded skip", "guarded_skip", skip_policy()),
     ] {
         let t = Instant::now();
-        let (ty, report) =
-            infer_streaming_guarded(&ndjson, Equivalence::Kind, opts, fault).expect("clean");
+        let (ty, report) = infer(&ndjson, fault).expect("clean");
         let elapsed = t.elapsed();
         assert_eq!(ty, legacy_ty, "guarded type must equal legacy type");
         assert_eq!(report.errors.total, 0, "clean corpus rejects nothing");
@@ -136,21 +142,14 @@ fn main() {
     );
 
     let t = Instant::now();
-    let failfast_err = infer_streaming_guarded(
-        &dirty.text,
-        Equivalence::Kind,
-        opts,
-        FaultOptions::default(),
-    )
-    .expect_err("dirty corpus must fail fast");
+    let failfast_err =
+        infer(&dirty.text, FaultOptions::default()).expect_err("dirty corpus must fail fast");
     let abort_time = t.elapsed();
 
     let t = Instant::now();
-    let (skip_ty, report) =
-        infer_streaming_guarded(&dirty.text, Equivalence::Kind, opts, skip_policy())
-            .expect("skip survives");
+    let (skip_ty, report) = infer(&dirty.text, skip_policy()).expect("skip survives");
     let skip_time = t.elapsed();
-    let reference = jsonx::infer_streaming(&dirty.clean_text, Equivalence::Kind).expect("clean");
+    let (reference, _) = infer(&dirty.clean_text, FaultOptions::default()).expect("clean");
     assert_eq!(
         skip_ty, reference,
         "skip type == prefiltered fail-fast type"
@@ -209,32 +208,16 @@ fn main() {
     });
     group.throughput(Throughput::Elements(8_000));
     group.bench_function("legacy_failfast_clean", |b| {
-        b.iter(|| infer_streaming_parallel(black_box(&small), Equivalence::Kind, opts))
+        b.iter(|| infer(black_box(&small), FaultOptions::default()))
     });
     group.bench_function("guarded_failfast_clean", |b| {
-        b.iter(|| {
-            infer_streaming_guarded(
-                black_box(&small),
-                Equivalence::Kind,
-                opts,
-                FaultOptions::default(),
-            )
-        })
+        b.iter(|| infer(black_box(&small), FaultOptions::default()))
     });
     group.bench_function("guarded_skip_clean", |b| {
-        b.iter(|| {
-            infer_streaming_guarded(black_box(&small), Equivalence::Kind, opts, skip_policy())
-        })
+        b.iter(|| infer(black_box(&small), skip_policy()))
     });
     group.bench_function("guarded_skip_dirty_1pct", |b| {
-        b.iter(|| {
-            infer_streaming_guarded(
-                black_box(&small_dirty.text),
-                Equivalence::Kind,
-                opts,
-                skip_policy(),
-            )
-        })
+        b.iter(|| infer(black_box(&small_dirty.text), skip_policy()))
     });
     group.finish();
     c.final_summary();

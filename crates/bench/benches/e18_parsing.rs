@@ -23,10 +23,7 @@ use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::structural::{FieldSet, ScanOptions, StructuralScanner};
 use jsonx::syntax::{to_string, to_string_pretty};
 use jsonx::translate::Shredder;
-use jsonx::{
-    translate_streaming_parallel, translate_streaming_parallel_fast, validate_streaming_parallel,
-    validate_streaming_parallel_fast, StreamingOptions,
-};
+use jsonx::{Run, Source};
 use jsonx_bench::{banner, criterion};
 use jsonx_data::{json, Object, Value};
 use jsonx_gen::Corpus;
@@ -110,20 +107,35 @@ fn report_row(label: &str, n: usize, t: &Timed) {
     let _ = n;
 }
 
-fn time_validate(ndjson: &str, n: usize, schema: &CompiledSchema, opts: StreamingOptions) -> Timed {
+/// The single-worker plan with the fast path on or off — the one knob
+/// this experiment turns.
+fn plan(fast_parse: bool) -> Run<'static> {
+    Run {
+        workers: 1,
+        fast_parse,
+        ..Run::default()
+    }
+}
+
+fn time_validate(ndjson: &str, n: usize, schema: &CompiledSchema) -> Timed {
     let vopts = ValidatorOptions::default();
+    let run = |fast_parse| {
+        plan(fast_parse)
+            .validate(Source::slice(ndjson), schema, vopts)
+            .expect("clean corpus")
+    };
     // Warm both paths before timing (page faults, cache population).
-    let slow = validate_streaming_parallel(ndjson, schema, vopts, opts);
-    let fast = validate_streaming_parallel_fast(ndjson, schema, vopts, opts);
-    assert_eq!(fast, slow, "fast verdicts must equal slow verdicts");
+    assert_eq!(
+        run(true),
+        run(false),
+        "fast verdicts must equal slow verdicts"
+    );
 
     let t = Instant::now();
-    black_box(validate_streaming_parallel(ndjson, schema, vopts, opts));
+    black_box(run(false));
     let slow_rate = docs_per_sec(n, t.elapsed());
     let t = Instant::now();
-    black_box(validate_streaming_parallel_fast(
-        ndjson, schema, vopts, opts,
-    ));
+    black_box(run(true));
     let fast_rate = docs_per_sec(n, t.elapsed());
     Timed {
         slow_rate,
@@ -131,16 +143,19 @@ fn time_validate(ndjson: &str, n: usize, schema: &CompiledSchema, opts: Streamin
     }
 }
 
-fn time_translate(ndjson: &str, n: usize, shredder: &Shredder, opts: StreamingOptions) -> Timed {
-    let slow = translate_streaming_parallel(ndjson, shredder, opts).expect("clean corpus");
-    let fast = translate_streaming_parallel_fast(ndjson, shredder, opts).expect("clean corpus");
-    assert_eq!(fast, slow, "fast batch must equal slow batch");
+fn time_translate(ndjson: &str, n: usize, shredder: &Shredder) -> Timed {
+    let run = |fast_parse| {
+        plan(fast_parse)
+            .translate(Source::slice(ndjson), shredder)
+            .expect("clean corpus")
+    };
+    assert_eq!(run(true), run(false), "fast batch must equal slow batch");
 
     let t = Instant::now();
-    black_box(translate_streaming_parallel(ndjson, shredder, opts).expect("clean corpus"));
+    black_box(run(false));
     let slow_rate = docs_per_sec(n, t.elapsed());
     let t = Instant::now();
-    black_box(translate_streaming_parallel_fast(ndjson, shredder, opts).expect("clean corpus"));
+    black_box(run(true));
     let fast_rate = docs_per_sec(n, t.elapsed());
     Timed {
         slow_rate,
@@ -153,10 +168,6 @@ fn main() {
         "E18",
         "SWAR structural fast path + projection pushdown vs full parsing",
     );
-    let opts = StreamingOptions {
-        workers: 1,
-        min_shard_bytes: 4 * 1024,
-    };
     const N: usize = 100_000;
 
     // ---- standard corpus: GitHub-style events -------------------------
@@ -217,13 +228,13 @@ fn main() {
         "\n{:>22} {:>14} {:>14} {:>10}",
         "pipeline / corpus", "slow docs/s", "fast docs/s", "speedup"
     );
-    let val_std = time_validate(&ndjson, N, &envelope_schema, opts);
+    let val_std = time_validate(&ndjson, N, &envelope_schema);
     report_row("validate / standard", N, &val_std);
-    let tr_std = time_translate(&ndjson, N, &full_shredder, opts);
+    let tr_std = time_translate(&ndjson, N, &full_shredder);
     report_row("translate / standard", N, &tr_std);
-    let val_wide = time_validate(&wide_ndjson, N, &wide_schema, opts);
+    let val_wide = time_validate(&wide_ndjson, N, &wide_schema);
     report_row("validate / wide", N, &val_wide);
-    let tr_wide = time_translate(&wide_ndjson, N, &narrow_shredder, opts);
+    let tr_wide = time_translate(&wide_ndjson, N, &narrow_shredder);
     report_row("translate / wide", N, &tr_wide);
 
     // The acceptance floor: on the wide corpus the fast path must beat
@@ -273,32 +284,27 @@ fn main() {
     let mut c: Criterion = criterion();
     let mut group = c.benchmark_group("e18_parsing");
     group.throughput(Throughput::Elements(8_000));
-    group.bench_function("validate_wide_slow", |b| {
-        b.iter(|| {
-            validate_streaming_parallel(
-                black_box(&small_wide),
-                &wide_schema,
-                ValidatorOptions::default(),
-                opts,
-            )
-        })
-    });
-    group.bench_function("validate_wide_fast", |b| {
-        b.iter(|| {
-            validate_streaming_parallel_fast(
-                black_box(&small_wide),
-                &wide_schema,
-                ValidatorOptions::default(),
-                opts,
-            )
-        })
-    });
-    group.bench_function("translate_wide_slow", |b| {
-        b.iter(|| translate_streaming_parallel(black_box(&small_wide), &narrow_shredder, opts))
-    });
-    group.bench_function("translate_wide_fast", |b| {
-        b.iter(|| translate_streaming_parallel_fast(black_box(&small_wide), &narrow_shredder, opts))
-    });
+    for (name, fast_parse) in [("validate_wide_slow", false), ("validate_wide_fast", true)] {
+        let run = plan(fast_parse);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                run.validate(
+                    Source::slice(black_box(&small_wide)),
+                    &wide_schema,
+                    ValidatorOptions::default(),
+                )
+            })
+        });
+    }
+    for (name, fast_parse) in [
+        ("translate_wide_slow", false),
+        ("translate_wide_fast", true),
+    ] {
+        let run = plan(fast_parse);
+        group.bench_function(name, |b| {
+            b.iter(|| run.translate(Source::slice(black_box(&small_wide)), &narrow_shredder))
+        });
+    }
     group.finish();
     c.final_summary();
 }

@@ -1,16 +1,16 @@
 //! Out-of-core chunked input: newline-aligned byte chunks with sequence
 //! numbers, claimed dynamically by workers.
 //!
-//! A [`ChunkSource`] replaces the static newline pre-split as the unit of
-//! work distribution. Workers *claim* chunks one at a time — a shared
-//! atomic cursor over pre-split descriptors for in-memory input
-//! ([`SliceChunks`]), a guarded incremental reader for input larger than
-//! RAM ([`ReaderChunks`]) — so a straggler chunk delays only the worker
-//! holding it while the rest of the pool keeps draining the queue. Every
+//! A [`ChunkSource`] is the unit of work distribution. Workers *claim*
+//! chunks one at a time — a shared atomic cursor over pre-split
+//! descriptors for in-memory input ([`SliceChunks`]), a guarded
+//! incremental reader for input larger than RAM ([`ReaderChunks`]) — so
+//! a straggler chunk delays only the worker holding it while the rest of
+//! the pool keeps draining the queue. Every
 //! chunk carries its **sequence number** and the global index of its
 //! first line; the engine fuses per-chunk results in sequence order, so
-//! the merge contract (and with it FailFast first-error-line selection
-//! and `RunReport` determinism) is exactly the static-shard one.
+//! the merged result (and with it FailFast first-error-line selection
+//! and `RunReport` determinism) is exactly the sequential fold's.
 //!
 //! Bounded memory: [`ReaderChunks`] hands out owned chunk buffers and
 //! takes them back through [`ChunkSource::recycle`], retaining at most a
@@ -35,39 +35,6 @@ pub const DEFAULT_CHUNK_BYTES: usize = 1 << 20;
 /// chunks means finer-grained stealing (stragglers redistribute better)
 /// at the cost of more claim/merge overhead.
 pub(crate) const CHUNKS_PER_WORKER: usize = 8;
-
-/// Knobs for chunked (work-stealing / out-of-core) dispatch, orthogonal
-/// to the sharding options in
-/// [`PipelineOptions`](crate::PipelineOptions).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChunkOptions {
-    /// Target chunk size in **bytes**; chunks end at the first newline at
-    /// or past the target, so a record longer than the target simply
-    /// yields a bigger chunk (records are never split). `0` means
-    /// automatic: in-memory inputs aim for [`CHUNKS_PER_WORKER`] chunks
-    /// per worker (clamped to `[min_shard_bytes, DEFAULT_CHUNK_BYTES]`),
-    /// readers use [`DEFAULT_CHUNK_BYTES`].
-    pub chunk_bytes: usize,
-    /// Maximum recycled chunk buffers a [`ReaderChunks`] retains
-    /// (`0` = one per worker). Live buffers are additionally bounded by
-    /// the worker count, since each worker holds at most one chunk.
-    pub ring: usize,
-    /// Collect per-worker timing
-    /// ([`WorkerTiming`](crate::WorkerTiming)): chunks claimed, records,
-    /// bytes, busy time and steal counts.
-    pub timing: bool,
-}
-
-impl ChunkOptions {
-    /// An explicit target chunk size in bytes (see
-    /// [`chunk_bytes`](Self::chunk_bytes)).
-    pub fn with_chunk_bytes(chunk_bytes: usize) -> Self {
-        ChunkOptions {
-            chunk_bytes,
-            ..Default::default()
-        }
-    }
-}
 
 /// One claimed unit of work: a newline-aligned run of whole lines.
 #[derive(Debug)]
@@ -141,8 +108,7 @@ pub trait ChunkSource: Sync {
 
 /// Zero-copy chunk source over an in-memory slice: the input is pre-split
 /// into newline-aligned descriptors once, and workers claim them through
-/// a shared atomic cursor — the work-stealing replacement for handing
-/// each worker one big static shard.
+/// a shared atomic cursor.
 pub struct SliceChunks<'a> {
     chunks: Vec<crate::shard::Shard<'a>>,
     cursor: AtomicUsize,

@@ -1,21 +1,17 @@
 //! The fold/merge execution engine.
 //!
-//! Two dispatch strategies share the same [`ShardFold`] contract and the
-//! same sequence-ordered merge:
-//!
-//! - **Static sharding** ([`run_lines_static_caught`]): the input is
-//!   pre-split into one shard per worker and each worker folds exactly
-//!   one shard. Simple, but a straggler shard idles every other worker.
-//! - **Work-stealing chunk dispatch** ([`run_lines_caught`],
-//!   [`run_reader_caught`], [`run_source_caught`]): the input becomes a
-//!   queue of sequence-numbered newline-aligned chunks
-//!   ([`ChunkSource`]) and a fixed pool of workers claims chunks until
-//!   the queue drains, so fast workers steal the share a slow worker
-//!   would have been stuck with. Per-chunk results are extracted with
-//!   [`ShardFold::take`] (worker state survives across the chunks a
-//!   worker claims) and fused **in chunk-sequence order**, which is
-//!   byte-for-byte the static shard order — FailFast first-error-line
-//!   selection and `RunReport` merging are unchanged.
+//! One dispatch strategy: the input becomes a queue of sequence-numbered
+//! newline-aligned chunks ([`ChunkSource`]) and a fixed pool of workers
+//! claims chunks until the queue drains, so fast workers steal the share
+//! a slow worker would have been stuck with. Per-chunk results are
+//! extracted with [`ShardFold::take`] (worker state survives across the
+//! chunks a worker claims) and fused **in chunk-sequence order**, which
+//! is byte-for-byte the order of a sequential scan — FailFast
+//! first-error-line selection and `RunReport` merging never depend on
+//! worker count or scheduling. [`run_source_controlled`] is that
+//! dispatcher; [`run_lines_stealing`] and [`run_reader_caught`] adapt an
+//! in-memory slice and a `BufRead` onto it, and [`run_slice`] is the same
+//! shape over an in-memory `&[T]`.
 //!
 //! ## Record framing contract
 //!
@@ -32,11 +28,9 @@
 //! out of scope for the line-based entry points.
 
 use crate::checkpoint::{CheckpointSink, ChunkMeta};
-use crate::chunk::{ChunkError, ChunkOptions, ChunkSource, ReaderChunks, SliceChunks};
-use crate::chunk::{CHUNKS_PER_WORKER, DEFAULT_CHUNK_BYTES};
+use crate::chunk::{ChunkError, ChunkSource, ReaderChunks, SliceChunks, CHUNKS_PER_WORKER};
 use crate::options::{PipelineOptions, SliceOptions};
 use crate::report::{ShardPanic, WorkerTiming};
-use crate::shard::shard_lines;
 use std::borrow::Cow;
 use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -101,13 +95,13 @@ pub trait ShardFold<Item: ?Sized>: Sync {
 pub struct RunOutcome<Out> {
     /// The shard-order fusion of every shard that completed.
     pub out: Out,
-    /// How many work units (static shards or claimed chunks) the input
-    /// was split into (1 on the sequential path).
+    /// How many work units (claimed chunks) the input was split into
+    /// (1 on the sequential path).
     pub shards: usize,
     /// Shards whose fold panicked, in shard order.
     pub poisoned: Vec<ShardPanic>,
     /// Per-worker dispatch accounting, populated only when the run asked
-    /// for timing ([`ChunkOptions::timing`]); empty otherwise.
+    /// for timing ([`PipelineOptions::timing`]); empty otherwise.
     pub timings: Vec<WorkerTiming>,
     /// Whether a graceful-stop latch ([`RunControl::stop`]) was observed
     /// during the run: workers stopped claiming chunks and drained their
@@ -118,7 +112,7 @@ pub struct RunOutcome<Out> {
 
 /// External control for a dispatched run: an optional per-chunk commit
 /// hook and an optional graceful-stop latch. The default (no sink, no
-/// latch) is the plain [`run_source_caught`] behaviour.
+/// latch) is a plain run to exhaustion.
 pub struct RunControl<'a, Out> {
     /// Called once per successfully folded chunk with its [`ChunkMeta`]
     /// and result, before the result is fused (see [`CheckpointSink`]).
@@ -196,94 +190,56 @@ fn run_lines_sequential<F: ShardFold<str>>(input: &str, fold: &F) -> RunOutcome<
     }
 }
 
-/// Runs `fold` over the lines of `input`, isolating worker panics.
+/// Runs `fold` over the lines of an in-memory `input`, isolating worker
+/// panics.
 ///
 /// Every line — including blank ones — is fed with its global line index,
 /// exactly as a sequential `input.lines().enumerate()` would produce it.
-/// Inputs below the options' shard threshold (or a single worker) run
-/// sequentially on the caller's thread; results are identical either way.
-/// Parallel inputs dispatch through the work-stealing chunk queue (see
-/// [`run_lines_stealing`]) with automatic chunk sizing; the fused result
-/// is identical to the historical static-shard dispatch
-/// ([`run_lines_static_caught`]) because chunks merge in sequence order.
-/// Each chunk's fold (the sequential path counts as one chunk) runs under
-/// `catch_unwind`: a panic poisons only that chunk, and the outcome
-/// records it instead of unwinding the caller.
-pub fn run_lines_caught<F: ShardFold<str>>(
-    input: &str,
-    fold: &F,
-    opts: PipelineOptions,
-) -> RunOutcome<F::Out> {
-    run_lines_stealing(input, fold, opts, ChunkOptions::default())
-}
-
-/// Work-stealing dispatch over an in-memory input: the input is pre-split
-/// into newline-aligned chunks (roughly [`ChunkOptions::chunk_bytes`]
-/// each, or an automatic size targeting [`CHUNKS_PER_WORKER`] chunks per
-/// worker) and a fixed worker pool claims chunks through a shared atomic
-/// cursor until the queue drains. Results fuse in chunk-sequence order,
-/// so the outcome equals [`run_lines_static_caught`] for every worker
-/// count and chunk size.
-///
-/// Sequential fallback: tiny inputs and single-worker runs fold on the
-/// caller's thread exactly like [`run_lines_caught`] — unless timing was
-/// requested, in which case the run always dispatches through the chunk
-/// queue so the timing account exists.
+/// The input is pre-split into newline-aligned chunks
+/// ([`PipelineOptions::chunk_bytes`], or an automatic size) that a fixed
+/// worker pool claims through a shared atomic cursor until the queue
+/// drains; results fuse in chunk-sequence order, so the outcome equals
+/// the sequential fold for every worker count and chunk size. A single
+/// worker, or an automatically sized tiny input, folds on the caller's
+/// thread as one chunk instead — unless timing was requested, in which
+/// case the run always dispatches so the timing account exists. Each
+/// chunk's fold runs under `catch_unwind`: a panic poisons only that
+/// chunk, and the outcome records it instead of unwinding the caller.
 pub fn run_lines_stealing<F: ShardFold<str>>(
     input: &str,
     fold: &F,
     opts: PipelineOptions,
-    chunk: ChunkOptions,
 ) -> RunOutcome<F::Out> {
-    if !chunk.timing && opts.should_run_sequential(input.len()) {
+    if opts.runs_on_caller_thread(input.len()) {
         return run_lines_sequential(input, fold);
     }
-    let workers = opts.effective_workers().max(1);
-    let target = if chunk.chunk_bytes > 0 {
-        chunk.chunk_bytes
-    } else {
-        auto_chunk_bytes(input.len(), workers, opts.min_shard_bytes)
-    };
-    let source = SliceChunks::new(input, target);
-    run_source_caught(&source, fold, workers, chunk.timing)
-        .unwrap_or_else(|_| unreachable!("in-memory chunk sources cannot fail"))
+    let source = SliceChunks::new(input, opts.slice_chunk_bytes(input.len()));
+    run_source_controlled(
+        &source,
+        fold,
+        opts.effective_workers(),
+        opts.timing,
+        RunControl::default(),
+    )
+    .unwrap_or_else(|_| unreachable!("in-memory chunk sources cannot fail"))
 }
 
 /// Out-of-core dispatch: reads NDJSON incrementally from any [`BufRead`]
-/// through a bounded ring of chunk buffers ([`ReaderChunks`]), so peak
-/// resident memory is `O(workers × chunk_bytes)` regardless of input
-/// size. Same worker pool, sequence-ordered merge, and panic isolation
-/// as [`run_lines_stealing`]; returns `Err` on I/O failure or non-UTF-8
+/// through a bounded ring of chunk buffers ([`ReaderChunks`], one
+/// recycled buffer per worker), so peak resident memory is
+/// `O(workers × chunk_bytes)` regardless of input size. Same worker
+/// pool, sequence-ordered merge, and panic isolation as
+/// [`run_lines_stealing`]; returns `Err` on I/O failure or non-UTF-8
 /// input (partial results are discarded — an unreadable input has no
 /// trustworthy line numbering).
 pub fn run_reader_caught<R: BufRead + Send, F: ShardFold<str>>(
     reader: R,
     fold: &F,
     opts: PipelineOptions,
-    chunk: ChunkOptions,
 ) -> Result<RunOutcome<F::Out>, ChunkError> {
-    let workers = opts.effective_workers().max(1);
-    let target = if chunk.chunk_bytes > 0 {
-        chunk.chunk_bytes
-    } else {
-        DEFAULT_CHUNK_BYTES
-    };
-    let ring = if chunk.ring > 0 { chunk.ring } else { workers };
-    let source = ReaderChunks::new(reader, target, ring);
-    run_source_caught(&source, fold, workers, chunk.timing)
-}
-
-/// Automatic chunk sizing for in-memory inputs: aim for
-/// [`CHUNKS_PER_WORKER`] chunks per worker (fine-grained enough that a
-/// straggler redistributes), floored at the options' shard threshold so
-/// chunks stay worth their dispatch overhead, capped at
-/// [`DEFAULT_CHUNK_BYTES`].
-fn auto_chunk_bytes(input_len: usize, workers: usize, min_shard_bytes: usize) -> usize {
-    let floor = min_shard_bytes.max(1);
-    let cap = DEFAULT_CHUNK_BYTES.max(floor);
-    input_len
-        .div_ceil(workers.saturating_mul(CHUNKS_PER_WORKER).max(1))
-        .clamp(floor, cap)
+    let workers = opts.effective_workers();
+    let source = ReaderChunks::new(reader, opts.reader_chunk_bytes(), workers);
+    run_source_controlled(&source, fold, workers, opts.timing, RunControl::default())
 }
 
 /// The work-stealing dispatcher core: a fixed pool of `workers` threads
@@ -292,23 +248,14 @@ fn auto_chunk_bytes(input_len: usize, workers: usize, min_shard_bytes: usize) ->
 /// [`ShardFold::take`]n result in sequence order. A panic poisons only
 /// the chunk being folded (the worker discards its state and re-inits on
 /// its next claim); a source error aborts the run.
-pub fn run_source_caught<S: ChunkSource, F: ShardFold<str>>(
-    source: &S,
-    fold: &F,
-    workers: usize,
-    timing: bool,
-) -> Result<RunOutcome<F::Out>, ChunkError> {
-    run_source_controlled(source, fold, workers, timing, RunControl::default())
-}
-
-/// [`run_source_caught`] with external [`RunControl`]: the same
-/// work-stealing dispatch, plus a per-chunk commit hook (fired on the
-/// claiming worker, after the chunk's fold succeeds and before its
-/// result is fused) and a graceful-stop latch checked before every
-/// claim. When the latch trips, workers finish the chunks they hold and
-/// stop; the outcome carries `interrupted: true` and the fused prefix of
-/// results — which, combined with a [`CheckpointSink`] journal, is what
-/// makes an interrupted run resumable.
+///
+/// [`RunControl`] adds a per-chunk commit hook (fired on the claiming
+/// worker, after the chunk's fold succeeds and before its result is
+/// fused) and a graceful-stop latch checked before every claim. When the
+/// latch trips, workers finish the chunks they hold and stop; the
+/// outcome carries `interrupted: true` and the fused prefix of results —
+/// which, combined with a [`CheckpointSink`] journal, is what makes an
+/// interrupted run resumable.
 pub fn run_source_controlled<S: ChunkSource, F: ShardFold<str>>(
     source: &S,
     fold: &F,
@@ -412,7 +359,7 @@ pub fn run_source_controlled<S: ChunkSource, F: ShardFold<str>>(
             timings.push(acct);
         }
     }
-    // Sequence order *is* shard order: fuse exactly as the static path.
+    // Sequence order is input order: fuse as a sequential scan would.
     results.sort_unstable_by_key(|(seq, _)| *seq);
     let chunk_count = results.len();
     let fair_share = chunk_count.div_ceil(workers);
@@ -429,97 +376,35 @@ pub fn run_source_controlled<S: ChunkSource, F: ShardFold<str>>(
     Ok(outcome)
 }
 
-/// The historical static-shard dispatch: the input is pre-split into one
-/// shard per worker and each worker folds exactly one shard on its own
-/// scoped thread. Kept (a) as the baseline the work-stealing dispatcher
-/// is benchmarked and differentially tested against, and (b) for callers
-/// that specifically want the one-thread-per-shard shape.
-pub fn run_lines_static_caught<F: ShardFold<str>>(
-    input: &str,
-    fold: &F,
-    opts: PipelineOptions,
-) -> RunOutcome<F::Out> {
-    if opts.should_run_sequential(input.len()) {
-        return run_lines_sequential(input, fold);
-    }
-    let shards = shard_lines(input, opts.effective_workers());
-    let shard_count = shards.len();
-    let results: Vec<Result<F::Out, ShardPanic>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .enumerate()
-            .map(|(shard_no, &shard)| {
-                let handle = scope.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let mut state = fold.init();
-                        for (i, line) in shard.text.lines().enumerate() {
-                            fold.feed(&mut state, line, shard.first_line + i);
-                        }
-                        fold.finish(state)
-                    }))
-                });
-                (shard_no, shard.first_line, handle)
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|(shard_no, first_record, h)| {
-                // `join` only fails if a panic escaped `catch_unwind`
-                // (e.g. a panicking Drop of the payload); fold both
-                // failure shapes into the same per-shard error.
-                let caught = h.join().unwrap_or_else(Err);
-                caught.map_err(|payload| ShardPanic {
-                    shard: shard_no,
-                    first_record,
-                    message: panic_message(payload.as_ref()),
-                })
-            })
-            .collect()
-    });
-    collect_outcome(fold, shard_count, results)
-}
-
 /// Runs `fold` over `items`, split into contiguous item chunks claimed by
-/// a work-stealing worker pool, isolating worker panics (see
-/// [`run_lines_caught`] for the panic contract).
+/// a work-stealing worker pool, failing cleanly (with shard provenance)
+/// if any worker panics.
 ///
 /// Chunks hold roughly `len / (workers × CHUNKS_PER_WORKER)` items (never
 /// fewer than `min_chunk`) and are claimed through a shared atomic
 /// cursor; per-chunk results are [`ShardFold::take`]n and fused in chunk
-/// order, so the outcome matches a static split for every worker count.
-pub fn run_slice_caught<T: Sync, F: ShardFold<T>>(
+/// order, so the result matches the sequential fold for every worker
+/// count. Each chunk folds under `catch_unwind`; the first poisoned
+/// chunk (in chunk order) turns the whole run into an `Err` instead of
+/// unwinding the caller or surfacing a degraded result.
+pub fn run_slice<T: Sync, F: ShardFold<T>>(
     items: &[T],
     fold: &F,
     opts: SliceOptions,
-) -> RunOutcome<F::Out> {
+) -> Result<F::Out, ShardPanic> {
     if opts.should_run_sequential(items.len()) {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
+        return catch_unwind(AssertUnwindSafe(|| {
             let mut state = fold.init();
             for (i, item) in items.iter().enumerate() {
                 fold.feed(&mut state, item, i);
             }
             fold.finish(state)
-        }));
-        return match caught {
-            Ok(out) => RunOutcome {
-                out,
-                shards: 1,
-                poisoned: Vec::new(),
-                timings: Vec::new(),
-                interrupted: false,
-            },
-            Err(payload) => RunOutcome {
-                out: fuse_outs(fold, Vec::new()),
-                shards: 1,
-                poisoned: vec![ShardPanic {
-                    shard: 0,
-                    first_record: 0,
-                    message: panic_message(payload.as_ref()),
-                }],
-                timings: Vec::new(),
-                interrupted: false,
-            },
-        };
+        }))
+        .map_err(|payload| ShardPanic {
+            shard: 0,
+            first_record: 0,
+            message: panic_message(payload.as_ref()),
+        });
     }
     let workers = opts.effective_workers().max(1);
     let chunk = items
@@ -575,11 +460,11 @@ pub fn run_slice_caught<T: Sync, F: ShardFold<T>>(
     });
     let mut results: Vec<SeqResult<F::Out>> = per_worker.into_iter().flatten().collect();
     results.sort_unstable_by_key(|(seq, _)| *seq);
-    collect_outcome(
-        fold,
-        chunk_count,
-        results.into_iter().map(|(_, r)| r).collect(),
-    )
+    let outs = results
+        .into_iter()
+        .map(|(_, r)| r)
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(fuse_outs(fold, outs))
 }
 
 /// Splits per-shard results into surviving outputs and panic provenance,
@@ -606,61 +491,12 @@ fn collect_outcome<Item: ?Sized, F: ShardFold<Item>>(
     }
 }
 
-/// Runs `fold` over the lines of `input`, failing cleanly (with shard
-/// provenance) if any worker panics.
-///
-/// This is the fail-fast face of [`run_lines_caught`]: same sharding and
-/// fusion, but a poisoned shard turns the whole run into an `Err` instead
-/// of surfacing a degraded result.
-pub fn run_lines<F: ShardFold<str>>(
-    input: &str,
-    fold: &F,
-    opts: PipelineOptions,
-) -> Result<F::Out, ShardPanic> {
-    let outcome = run_lines_caught(input, fold, opts);
-    match outcome.poisoned.into_iter().next() {
-        None => Ok(outcome.out),
-        Some(first) => Err(first),
-    }
-}
-
-/// Runs `fold` over `items`, failing cleanly (with shard provenance) if
-/// any worker panics — the fail-fast face of [`run_slice_caught`].
-pub fn run_slice<T: Sync, F: ShardFold<T>>(
-    items: &[T],
-    fold: &F,
-    opts: SliceOptions,
-) -> Result<F::Out, ShardPanic> {
-    let outcome = run_slice_caught(items, fold, opts);
-    match outcome.poisoned.into_iter().next() {
-        None => Ok(outcome.out),
-        Some(first) => Err(first),
-    }
-}
-
 /// Shard-order fusion; an empty shard list folds an empty state so the
 /// engine returns the same value the sequential path gives empty input.
 fn fuse_outs<Item: ?Sized, F: ShardFold<Item>>(fold: &F, outs: Vec<F::Out>) -> F::Out {
     outs.into_iter()
         .reduce(|a, b| fold.merge(a, b))
         .unwrap_or_else(|| fold.finish(fold.init()))
-}
-
-/// First-error-line selection for folds whose shard result is
-/// `Result<T, (line, E)>`: successful shards fuse with `merge_ok`, and
-/// among failing shards the **lowest line number** wins — the error a
-/// sequential scan would have hit first.
-pub fn merge_line_results<T, E>(
-    left: Result<T, (usize, E)>,
-    right: Result<T, (usize, E)>,
-    merge_ok: impl FnOnce(T, T) -> T,
-) -> Result<T, (usize, E)> {
-    match (left, right) {
-        (Ok(a), Ok(b)) => Ok(merge_ok(a, b)),
-        (Err(a), Err(b)) => Err(if b.0 < a.0 { b } else { a }),
-        (Err(a), Ok(_)) => Err(a),
-        (Ok(_), Err(b)) => Err(b),
-    }
 }
 
 #[cfg(test)]
@@ -694,27 +530,33 @@ mod tests {
         }
 
         fn merge(&self, left: Self::Out, right: Self::Out) -> Self::Out {
-            merge_line_results(left, right, |a, b| a + b)
+            // Lowest failing line wins — what a sequential scan reports.
+            match (left, right) {
+                (Ok(a), Ok(b)) => Ok(a + b),
+                (Err(a), Err(b)) => Err(if b.0 < a.0 { b } else { a }),
+                (Err(e), Ok(_)) | (Ok(_), Err(e)) => Err(e),
+            }
         }
     }
 
+    /// Explicit tiny chunks force dispatch on the toy inputs below.
     fn opts(workers: usize) -> PipelineOptions {
         PipelineOptions {
             workers,
-            min_shard_bytes: 4,
+            chunk_bytes: 4,
+            timing: false,
         }
     }
 
     #[test]
     fn sharded_sum_equals_sequential_at_every_worker_count() {
         let input: String = (1..=200).map(|i| format!("{i}\n")).collect();
-        let expected = run_lines(&input, &SumFold, opts(1)).unwrap();
+        let expected = run_lines_sequential(&input, &SumFold).out;
         assert_eq!(expected, Ok((1..=200i64).sum()));
-        for workers in [2, 3, 8, 16] {
-            assert_eq!(
-                run_lines(&input, &SumFold, opts(workers)).unwrap(),
-                expected
-            );
+        for workers in [1, 2, 3, 8, 16] {
+            let outcome = run_lines_stealing(&input, &SumFold, opts(workers));
+            assert!(outcome.poisoned.is_empty());
+            assert_eq!(outcome.out, expected);
         }
     }
 
@@ -725,7 +567,7 @@ mod tests {
         lines[7] = "early-bad".into();
         let input = lines.join("\n");
         for workers in [1, 2, 4, 8] {
-            let out = run_lines(&input, &SumFold, opts(workers)).unwrap();
+            let out = run_lines_stealing(&input, &SumFold, opts(workers)).out;
             assert_eq!(out.as_ref().unwrap_err().0, 7, "workers={workers}");
         }
     }
@@ -734,13 +576,16 @@ mod tests {
     fn blank_lines_and_missing_trailing_newline() {
         let input = "1\n\n2\n\n3"; // blank lines, no trailing newline
         for workers in [1, 2, 4] {
-            assert_eq!(run_lines(input, &SumFold, opts(workers)).unwrap(), Ok(6));
+            assert_eq!(
+                run_lines_stealing(input, &SumFold, opts(workers)).out,
+                Ok(6)
+            );
         }
     }
 
     #[test]
     fn empty_input_yields_unit() {
-        assert_eq!(run_lines("", &SumFold, opts(4)).unwrap(), Ok(0));
+        assert_eq!(run_lines_stealing("", &SumFold, opts(4)).out, Ok(0));
     }
 
     /// Slice engine: concatenation-shaped fold keeps input order.
@@ -825,11 +670,11 @@ mod tests {
 
     #[test]
     fn panicking_shard_is_isolated_and_named() {
-        // Enough lines that 4 workers shard; "boom" lands in one shard.
+        // "boom" lands in one of many chunks.
         let mut lines: Vec<String> = (0..100).map(|i| format!("line-{i:04}")).collect();
         lines[60] = "boom".into();
         let input = lines.join("\n");
-        let outcome = run_lines_caught(&input, &PanicOnFold, opts(4));
+        let outcome = run_lines_stealing(&input, &PanicOnFold, opts(4));
         assert!(outcome.shards > 1, "input must actually shard");
         assert_eq!(outcome.poisoned.len(), 1);
         let poisoned = &outcome.poisoned[0];
@@ -843,31 +688,29 @@ mod tests {
     }
 
     #[test]
-    fn run_lines_fails_cleanly_on_panic() {
-        let err = run_lines("boom", &PanicOnFold, opts(1)).unwrap_err();
-        assert_eq!(err.shard, 0);
-        assert!(err.message.contains("injected fold panic"));
-    }
-
-    #[test]
     fn sequential_path_is_panic_isolated_too() {
-        let outcome = run_lines_caught("a\nboom\nb", &PanicOnFold, opts(1));
+        let outcome = run_lines_stealing("a\nboom\nb", &PanicOnFold, opts(1));
         assert_eq!(outcome.shards, 1);
         assert_eq!(outcome.poisoned.len(), 1);
+        assert_eq!(outcome.poisoned[0].shard, 0);
+        assert!(outcome.poisoned[0].message.contains("injected fold panic"));
         assert!(outcome.out.is_empty(), "poisoned shard's output is lost");
     }
 
     #[test]
-    fn stealing_matches_static_across_chunk_sizes() {
+    fn stealing_matches_sequential_across_chunk_sizes() {
         let input: String = (1..=500).map(|i| format!("{i}\n")).collect();
-        let expected = run_lines_static_caught(&input, &SumFold, opts(4)).out;
+        let expected = run_lines_sequential(&input, &SumFold).out;
         for workers in [1, 2, 3, 8] {
             for chunk_bytes in [1usize, 64, 4096, 1 << 20] {
                 let outcome = run_lines_stealing(
                     &input,
                     &SumFold,
-                    opts(workers),
-                    ChunkOptions::with_chunk_bytes(chunk_bytes),
+                    PipelineOptions {
+                        workers,
+                        chunk_bytes,
+                        timing: false,
+                    },
                 );
                 assert_eq!(
                     outcome.out, expected,
@@ -882,12 +725,14 @@ mod tests {
         let mut lines: Vec<String> = (1..=300).map(|i| i.to_string()).collect();
         lines[123] = "bad".into();
         let input = lines.join("\n");
-        let expected = run_lines_caught(&input, &SumFold, opts(3)).out;
+        let expected = run_lines_stealing(&input, &SumFold, opts(3)).out;
         let outcome = run_reader_caught(
             std::io::Cursor::new(input.as_bytes()),
             &SumFold,
-            opts(3),
-            ChunkOptions::with_chunk_bytes(128),
+            PipelineOptions {
+                chunk_bytes: 128,
+                ..opts(3)
+            },
         )
         .unwrap();
         assert_eq!(outcome.out, expected);
@@ -898,12 +743,12 @@ mod tests {
     #[test]
     fn timing_accounts_for_every_chunk() {
         let input: String = (1..=400).map(|i| format!("{i}\n")).collect();
-        let chunk = ChunkOptions {
+        let timed = |workers| PipelineOptions {
+            workers,
             chunk_bytes: 64,
-            ring: 0,
             timing: true,
         };
-        let outcome = run_lines_stealing(&input, &SumFold, opts(3), chunk);
+        let outcome = run_lines_stealing(&input, &SumFold, timed(3));
         assert_eq!(outcome.out, Ok((1..=400i64).sum()));
         assert_eq!(outcome.timings.len(), 3);
         let chunks: usize = outcome.timings.iter().map(|t| t.chunks).sum();
@@ -914,7 +759,7 @@ mod tests {
         assert_eq!(bytes, input.len());
         // With a single worker every chunk lands on worker 0 and its
         // fair share is the whole queue: zero steals by definition.
-        let solo = run_lines_stealing(&input, &SumFold, opts(1), chunk);
+        let solo = run_lines_stealing(&input, &SumFold, timed(1));
         assert_eq!(solo.timings.len(), 1);
         assert_eq!(solo.timings[0].steals, 0);
     }
@@ -924,10 +769,10 @@ mod tests {
         let outcome = run_lines_stealing(
             "1\n2\n",
             &SumFold,
-            opts(2),
-            ChunkOptions {
+            PipelineOptions {
+                workers: 2,
                 timing: true,
-                ..ChunkOptions::default()
+                ..PipelineOptions::default()
             },
         );
         assert_eq!(outcome.out, Ok(3));
@@ -944,10 +789,9 @@ mod tests {
         let outcome = run_lines_stealing(
             &input,
             &PanicOnFold,
-            opts(1),
-            ChunkOptions {
+            PipelineOptions {
+                workers: 1,
                 chunk_bytes: 256,
-                ring: 0,
                 timing: true,
             },
         );
@@ -968,15 +812,17 @@ mod tests {
         let err = run_reader_caught(
             std::io::Cursor::new(bytes),
             &SumFold,
-            opts(2),
-            ChunkOptions::with_chunk_bytes(2),
+            PipelineOptions {
+                chunk_bytes: 2,
+                ..opts(2)
+            },
         )
         .unwrap_err();
         assert!(matches!(err, ChunkError::NotUtf8 { .. }));
     }
 
     #[test]
-    fn slice_panic_is_isolated() {
+    fn slice_panic_fails_cleanly_with_provenance() {
         struct PanicOnNegative;
         impl ShardFold<i32> for PanicOnNegative {
             type State = i64;
@@ -997,25 +843,18 @@ mod tests {
         }
         let mut items: Vec<i32> = (0..400).collect();
         items[350] = -1;
-        let outcome = run_slice_caught(
-            &items,
-            &PanicOnNegative,
-            SliceOptions {
-                workers: 4,
-                min_chunk: 16,
-            },
-        );
-        assert_eq!(outcome.poisoned.len(), 1);
-        assert!(outcome.poisoned[0].first_record <= 350);
-        let err = run_slice(
-            &items,
-            &PanicOnNegative,
-            SliceOptions {
-                workers: 4,
-                min_chunk: 16,
-            },
-        )
-        .unwrap_err();
-        assert!(err.message.contains("negative item"));
+        for workers in [1, 4] {
+            let err = run_slice(
+                &items,
+                &PanicOnNegative,
+                SliceOptions {
+                    workers,
+                    min_chunk: 16,
+                },
+            )
+            .unwrap_err();
+            assert!(err.first_record <= 350);
+            assert!(err.message.contains("negative item"));
+        }
     }
 }

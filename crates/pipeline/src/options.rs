@@ -1,5 +1,7 @@
-//! Worker-count and sequential-fallback options shared by every pipeline
-//! stage.
+//! Worker-count, chunk-size and sequential-fallback options shared by
+//! every pipeline stage — the one place their defaults are resolved.
+
+use crate::chunk::{CHUNKS_PER_WORKER, DEFAULT_CHUNK_BYTES};
 
 /// Resolves a requested worker count: `0` means one worker per available
 /// CPU. This is the single source of truth the whole workspace uses.
@@ -13,27 +15,30 @@ pub fn resolve_workers(requested: usize) -> usize {
     }
 }
 
-/// Options for byte-sharded (NDJSON) pipeline stages — re-exported as
-/// `StreamingOptions` from the facade crate.
-#[derive(Debug, Clone, Copy)]
-pub struct PipelineOptions {
-    /// Number of worker threads (0 = number of available CPUs).
-    pub workers: usize,
-    /// Minimum shard size in **bytes** (not lines or items — contrast
-    /// [`SliceOptions::min_chunk`], which counts items). Inputs shorter
-    /// than twice this run sequentially, on both the static-shard and
-    /// the byte-chunked work-stealing dispatch paths (see
-    /// [`should_run_sequential`](Self::should_run_sequential)).
-    pub min_shard_bytes: usize,
-}
+/// Floor of the automatic chunk size for in-memory input, in bytes:
+/// chunks smaller than this are not worth their dispatch overhead, and an
+/// automatically sized input under twice this runs on the caller's thread.
+const MIN_SHARD_BYTES: usize = 64 * 1024;
 
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        PipelineOptions {
-            workers: 0,
-            min_shard_bytes: 64 * 1024,
-        }
-    }
+/// Options for the line-framed (NDJSON / CSV) pipeline stages.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PipelineOptions {
+    /// Number of worker threads (0 = number of available CPUs). Also the
+    /// number of recycled chunk buffers an out-of-core run retains: each
+    /// worker holds at most one chunk at a time.
+    pub workers: usize,
+    /// Target chunk size in **bytes**; chunks end at the first newline at
+    /// or past the target, so a record longer than the target simply
+    /// yields a bigger chunk (records are never split). `0` means
+    /// automatic: in-memory inputs aim for [`CHUNKS_PER_WORKER`] chunks
+    /// per worker (clamped to `[64 KiB, DEFAULT_CHUNK_BYTES]`), readers
+    /// use [`DEFAULT_CHUNK_BYTES`]. An explicit value chunk-dispatches
+    /// even a tiny in-memory input.
+    pub chunk_bytes: usize,
+    /// Collect per-worker timing
+    /// ([`WorkerTiming`](crate::WorkerTiming)): chunks claimed, records,
+    /// bytes, busy time and steal counts.
+    pub timing: bool,
 }
 
 impl PipelineOptions {
@@ -50,14 +55,39 @@ impl PipelineOptions {
         resolve_workers(self.workers)
     }
 
-    /// Whether an input of `input_len` **bytes** should run on the
-    /// sequential path: a single worker, or an input too small to be
-    /// worth splitting (under `2 × min_shard_bytes`). Both dispatch
-    /// strategies — static shards and byte-chunked work stealing — use
-    /// this same threshold, so the tiny-input fallback picks the
-    /// sequential path regardless of how the input would be split.
-    pub fn should_run_sequential(&self, input_len: usize) -> bool {
-        self.effective_workers().max(1) == 1 || input_len < self.min_shard_bytes.saturating_mul(2)
+    /// The chunk target of an out-of-core run, whose input length is
+    /// unknown up front: the explicit value, else [`DEFAULT_CHUNK_BYTES`].
+    /// Chunk boundaries — and with them a checkpoint journal's record
+    /// sequence — depend only on this and the byte stream.
+    pub fn reader_chunk_bytes(&self) -> usize {
+        if self.chunk_bytes > 0 {
+            self.chunk_bytes
+        } else {
+            DEFAULT_CHUNK_BYTES
+        }
+    }
+
+    /// The chunk target for an in-memory input of `input_len` bytes: the
+    /// explicit value, else fine-grained enough that a straggler
+    /// redistributes ([`CHUNKS_PER_WORKER`] chunks per worker) without
+    /// chunks so small they drown in dispatch overhead.
+    pub(crate) fn slice_chunk_bytes(&self, input_len: usize) -> usize {
+        if self.chunk_bytes > 0 {
+            return self.chunk_bytes;
+        }
+        input_len
+            .div_ceil(self.effective_workers().saturating_mul(CHUNKS_PER_WORKER))
+            .clamp(MIN_SHARD_BYTES, DEFAULT_CHUNK_BYTES)
+    }
+
+    /// Whether an in-memory input of `input_len` **bytes** should fold on
+    /// the caller's thread instead of dispatching: a single worker, or an
+    /// automatically sized input too small to be worth splitting. A timed
+    /// run always dispatches, so the timing account exists.
+    pub(crate) fn runs_on_caller_thread(&self, input_len: usize) -> bool {
+        !self.timing
+            && (self.effective_workers() == 1
+                || (self.chunk_bytes == 0 && input_len < MIN_SHARD_BYTES * 2))
     }
 }
 
@@ -67,9 +97,8 @@ impl PipelineOptions {
 pub struct SliceOptions {
     /// Number of worker threads (0 = number of available CPUs).
     pub workers: usize,
-    /// Minimum **items** per partition (not bytes — contrast
-    /// [`PipelineOptions::min_shard_bytes`]); collections shorter than
-    /// twice this run sequentially.
+    /// Minimum **items** per partition; collections shorter than twice
+    /// this run sequentially.
     pub min_chunk: usize,
 }
 
@@ -117,19 +146,38 @@ mod tests {
     #[test]
     fn defaults_match_historical_values() {
         let p = PipelineOptions::default();
-        assert_eq!((p.workers, p.min_shard_bytes), (0, 64 * 1024));
+        assert_eq!((p.workers, p.chunk_bytes, p.timing), (0, 0, false));
+        assert_eq!(p.reader_chunk_bytes(), DEFAULT_CHUNK_BYTES);
         let s = SliceOptions::default();
         assert_eq!((s.workers, s.min_chunk), (0, 256));
     }
 
     #[test]
-    fn small_inputs_are_sequential() {
-        let p = PipelineOptions {
-            workers: 4,
-            min_shard_bytes: 100,
+    fn small_inputs_are_sequential_unless_chunked_explicitly() {
+        let auto = PipelineOptions::with_workers(4);
+        assert!(auto.runs_on_caller_thread(2 * MIN_SHARD_BYTES - 1));
+        assert!(!auto.runs_on_caller_thread(2 * MIN_SHARD_BYTES));
+        assert_eq!(auto.slice_chunk_bytes(1), MIN_SHARD_BYTES);
+        assert_eq!(auto.slice_chunk_bytes(usize::MAX), DEFAULT_CHUNK_BYTES);
+        let explicit = PipelineOptions {
+            chunk_bytes: 100,
+            ..auto
         };
-        assert!(p.should_run_sequential(199));
-        assert!(!p.should_run_sequential(200));
+        assert!(!explicit.runs_on_caller_thread(10));
+        assert_eq!(explicit.slice_chunk_bytes(10), 100);
+        assert_eq!(explicit.reader_chunk_bytes(), 100);
+        // One worker has nobody to share chunks with.
+        assert!(PipelineOptions {
+            workers: 1,
+            ..explicit
+        }
+        .runs_on_caller_thread(10));
+        let timed = PipelineOptions {
+            workers: 1,
+            timing: true,
+            ..PipelineOptions::default()
+        };
+        assert!(!timed.runs_on_caller_thread(10));
         let s = SliceOptions {
             workers: 4,
             min_chunk: 10,

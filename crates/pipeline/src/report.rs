@@ -168,9 +168,10 @@ impl fmt::Display for ShardPanic {
 impl std::error::Error for ShardPanic {}
 
 /// Per-worker account of a chunked (work-stealing) run, collected only
-/// when timing is requested ([`ChunkOptions::timing`](crate::ChunkOptions)):
-/// how the dynamic dispatcher actually spread the work, and whether any
-/// worker ran ahead of its static share (stole).
+/// when timing is requested
+/// ([`PipelineOptions::timing`](crate::PipelineOptions)): how the
+/// dispatcher actually spread the work, and whether any worker ran ahead
+/// of its fair share (stole).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerTiming {
     /// Worker index (0-based).
@@ -185,7 +186,7 @@ pub struct WorkerTiming {
     /// over the worker's chunks. Stored as a [`std::time::Duration`] so
     /// the report stays `Eq`; derive rates at display time.
     pub busy: std::time::Duration,
-    /// Chunks claimed beyond this worker's static fair share
+    /// Chunks claimed beyond this worker's fair share
     /// (`chunks - ceil(total_chunks / workers)`, floored at 0) — a direct
     /// count of work stolen from slower workers' shares.
     pub steals: usize,
@@ -219,8 +220,7 @@ impl WorkerTiming {
 pub struct RunReport {
     /// Number of non-blank records processed (accepted + rejected).
     pub records: usize,
-    /// Number of work units the input was split into: static shards on
-    /// the pre-split path, claimed chunks on the work-stealing path
+    /// Number of work units (claimed chunks) the input was split into
     /// (1 on the sequential path).
     pub shards: usize,
     /// The merged rejection account.

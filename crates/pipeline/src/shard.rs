@@ -1,7 +1,7 @@
-//! Newline-boundary sharding and chunking.
+//! Newline-boundary chunking.
 
-/// One contiguous newline-aligned piece of an NDJSON input — a worker's
-/// static shard, or one stealable chunk (see [`crate::chunk`]).
+/// One contiguous newline-aligned piece of an NDJSON input — one
+/// stealable chunk (see [`crate::chunk`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shard<'a> {
     /// Zero-based index of the shard's first line in the whole input.
@@ -55,14 +55,6 @@ pub fn chunk_lines(input: &str, target_bytes: usize) -> Vec<Shard<'_>> {
     shards
 }
 
-/// Splits `input` into up to `max_shards` contiguous shards whose
-/// boundaries sit just after a newline — the static pre-split used by the
-/// one-shard-per-worker dispatch path. Same scan as [`chunk_lines`], with
-/// the byte target derived from the shard budget.
-pub fn shard_lines(input: &str, max_shards: usize) -> Vec<Shard<'_>> {
-    chunk_lines(input, input.len().div_ceil(max_shards.max(1)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,11 +72,11 @@ mod tests {
             "a\n\n\nb".to_string(),
             String::new(),
         ] {
-            for workers in [1, 2, 3, 7, 16] {
-                let shards = shard_lines(&input, workers);
+            for pieces in [1, 2, 3, 7, 16] {
+                let shards = chunk_lines(&input, input.len().div_ceil(pieces));
                 let rejoined: String = shards.iter().map(|s| s.text).collect();
-                assert_eq!(rejoined, input, "workers={workers}");
-                assert!(shards.len() <= workers.max(1) || input.is_empty());
+                assert_eq!(rejoined, input, "pieces={pieces}");
+                assert!(shards.len() <= pieces || input.is_empty());
                 let mut expected_line = 0;
                 for (i, shard) in shards.iter().enumerate() {
                     assert_eq!(shard.first_line, expected_line);
@@ -102,12 +94,12 @@ mod tests {
 
     #[test]
     fn empty_input_has_no_shards() {
-        assert!(shard_lines("", 4).is_empty());
+        assert!(chunk_lines("", 4).is_empty());
     }
 
     #[test]
     fn single_line_input_is_one_shard() {
-        let shards = shard_lines("{\"a\": 1}\n", 8);
+        let shards = chunk_lines("{\"a\": 1}\n", 2);
         assert_eq!(shards.len(), 1);
         assert_eq!(shards[0].first_line, 0);
         assert_eq!(shards[0].lines, 1);

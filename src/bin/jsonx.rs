@@ -41,21 +41,14 @@ use jsonx::mison::ProjectedParser;
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::skeleton::Skeleton;
 use jsonx::syntax::{parse, parse_ndjson, to_string, to_string_pretty};
-use jsonx::translate::{flatten_rows, read_jxc_file, rows_as_values, OutputSink, Shredder};
+use jsonx::translate::{flatten_rows, read_jxc_file, rows_as_values, OutputSink};
 use jsonx::Value;
 use jsonx::{
-    infer_streaming_decoded, infer_streaming_guarded, infer_streaming_journaled,
-    infer_streaming_parallel, infer_streaming_source, infer_validate_streaming_decoded,
-    infer_validate_streaming_guarded, infer_validate_streaming_parallel,
-    infer_validate_streaming_source, translate_streaming_decoded, translate_streaming_guarded,
-    translate_streaming_guarded_fast, translate_streaming_journaled, translate_streaming_parallel,
-    translate_streaming_parallel_fast, translate_streaming_source, validate_streaming_decoded,
-    validate_streaming_guarded, validate_streaming_guarded_fast, validate_streaming_journaled,
-    validate_streaming_parallel, validate_streaming_parallel_fast, validate_streaming_source,
-    write_quarantine_file, ChunkOptions, CsvDecoder, ErrorPolicy, FaultOptions, JournalControl,
-    LineVerdict, ParseLimits, RunReport, StreamError, StreamSource, StreamingOptions,
+    write_quarantine_file, CsvDecoder, ErrorPolicy, FaultOptions, Format, JournalControl,
+    LineVerdict, ParseLimits, Run, RunReport, Source, StreamError,
 };
-use std::io::{BufRead, Read, Write as _};
+use std::io::{BufRead, BufReader, Read, Stdin, Write as _};
+use std::path::Path;
 use std::process::ExitCode;
 
 // ---------------------------------------------------------------------------
@@ -683,62 +676,117 @@ impl Opts {
 }
 
 // ---------------------------------------------------------------------------
-// Shared run configuration (fault tolerance, out-of-core, input format)
+// The run plan shared by the streaming commands
 // ---------------------------------------------------------------------------
 
-/// Out-of-core run configuration parsed from the chunk flags.
-struct ChunkCli {
-    /// `--input FILE`: stream this file instead of the positional FILE.
-    input: Option<String>,
-    chunk: ChunkOptions,
+/// Builds the [`Run`] a streaming command executes from the shared flag
+/// tables — workers, the fault-tolerance flags, the out-of-core flags,
+/// fast-parse, and the checkpoint journal — plus whether `--format csv`
+/// was given. Only flags are looked at: every misuse is reported before
+/// any input is opened. [`open_corpus`] completes the plan.
+fn run_plan(opts: &Opts) -> Result<(Run<'_>, bool), CliError> {
+    let workers = parse_flag(opts, "workers")?.unwrap_or(0);
+    let fault = fault_options(opts)?;
+    let chunk_bytes = parse_flag(opts, "chunk-bytes")?.unwrap_or(0);
+    let csv = csv_requested(opts)?;
+    let journal = checkpoint_cli(opts, csv)?;
+    let run = Run {
+        workers,
+        chunk_bytes,
+        timing: opts.has("report-timing"),
+        fault,
+        // On by default; `--no-fast-parse` is the escape hatch (and wins
+        // over an explicit `--fast-parse`).
+        fast_parse: !opts.has("no-fast-parse"),
+        format: Format::Ndjson,
+        journal,
+    };
+    Ok((run, csv))
 }
 
-/// Builds the out-of-core configuration, or `None` when no chunk flag
-/// was given (the in-memory paths keep their exact legacy output).
-fn chunk_cli(opts: &Opts) -> Result<Option<ChunkCli>, CliError> {
-    if !CHUNK_FLAGS.iter().any(|f| opts.has(f.name)) {
-        return Ok(None);
-    }
-    let chunk_bytes: usize = parse_flag(opts, "chunk-bytes")?.unwrap_or(0);
-    Ok(Some(ChunkCli {
-        input: opts.get("input").map(str::to_string),
-        chunk: ChunkOptions {
-            chunk_bytes,
-            timing: opts.has("report-timing"),
-            ..ChunkOptions::default()
-        },
-    }))
+/// Where a streaming command's corpus lives.
+enum Corpus<'o> {
+    /// The positional FILE (or stdin) loaded whole; records start at
+    /// byte `body` — past the header row of a CSV corpus.
+    Text { text: String, body: usize },
+    /// `--input FILE`: streamed out-of-core through a bounded ring of
+    /// chunk buffers, never materialised.
+    File(&'o Path),
+    /// `--input -`: stdin, streamed once.
+    Stdin(BufReader<Stdin>),
 }
 
-/// The reader half of an out-of-core run: `--input FILE` opened for
-/// bounded streaming (`-` streams stdin).
-type BoxedInput = Box<dyn BufRead + Send>;
-
-fn open_input(path: &str) -> Result<BoxedInput, CliError> {
-    if path == "-" {
-        Ok(Box::new(std::io::BufReader::new(std::io::stdin())))
-    } else {
-        let file =
-            std::fs::File::open(path).map_err(|e| CliError::io(format!("reading {path}: {e}")))?;
-        Ok(Box::new(std::io::BufReader::new(file)))
-    }
-}
-
-/// Opens the corpus for a chunk-dispatched run: `--input` streams a
-/// reader out-of-core; otherwise the positional FILE/stdin text is
-/// loaded into `storage` and chunk-dispatched in place.
-fn open_source<'a>(
-    input: Option<&str>,
-    file: Option<&str>,
-    storage: &'a mut String,
-) -> Result<StreamSource<'a, BoxedInput>, CliError> {
-    match input {
-        Some(path) => Ok(StreamSource::Reader(open_input(path)?)),
-        None => {
-            *storage = read_text(file)?;
-            Ok(StreamSource::Slice(storage))
+impl Corpus<'_> {
+    fn source(&mut self) -> Source<'_, &mut BufReader<Stdin>> {
+        match self {
+            Corpus::Text { text, body } => Source::Slice(&text[*body..]),
+            Corpus::File(path) => Source::File(path),
+            Corpus::Stdin(reader) => Source::Reader(reader),
         }
     }
+
+    /// The raw NDJSON text, when it is in memory to re-validate lines of.
+    fn ndjson(&self, csv: bool) -> Option<&str> {
+        match self {
+            Corpus::Text { text, .. } if !csv => Some(text),
+            _ => None,
+        }
+    }
+}
+
+/// How a streaming summary line names its mode.
+fn mode(csv: bool) -> &'static str {
+    if csv {
+        "streaming csv"
+    } else {
+        "streaming"
+    }
+}
+
+/// Opens the corpus a plan runs over. Under `--format csv` the header
+/// row is read here and becomes the plan's record decoder; the remaining
+/// rows then count from record 0.
+fn open_corpus<'o>(opts: &'o Opts, run: &mut Run<'_>, csv: bool) -> Result<Corpus<'o>, CliError> {
+    let header_io = |e: std::io::Error| CliError::io(format!("reading csv header: {e}"));
+    let mut header = String::new();
+    let corpus = match opts.get("input") {
+        None => {
+            let text = read_text(opts.file.as_deref())?;
+            let mut body = 0;
+            if csv {
+                let end = text.find('\n').unwrap_or(text.len());
+                header.push_str(&text[..end]);
+                body = (end + 1).min(text.len());
+            }
+            Corpus::Text { text, body }
+        }
+        Some("-") => {
+            let mut reader = BufReader::new(std::io::stdin());
+            if csv {
+                reader.read_line(&mut header).map_err(header_io)?;
+            }
+            Corpus::Stdin(reader)
+        }
+        Some(path) => {
+            if csv {
+                let file = std::fs::File::open(path)
+                    .map_err(|e| CliError::io(format!("reading {path}: {e}")))?;
+                BufReader::new(file)
+                    .read_line(&mut header)
+                    .map_err(header_io)?;
+            }
+            Corpus::File(Path::new(path))
+        }
+    };
+    if csv {
+        let header = header.trim_end_matches(['\n', '\r']);
+        if header.trim().is_empty() {
+            return Err(CliError::data("csv input has no header row"));
+        }
+        let decoder = CsvDecoder::from_header(header).map_err(|e| format!("csv header: {e}"))?;
+        run.format = Format::Csv(decoder);
+    }
+    Ok(corpus)
 }
 
 /// Whether `--format csv` selected the CSV front-end.
@@ -752,54 +800,17 @@ fn csv_requested(opts: &Opts) -> Result<bool, CliError> {
     }
 }
 
-/// Splits the CSV header row off a source, returning it together with
-/// the remainder (whose record indices then count data rows from 0, as
-/// the decoder expects).
-fn peel_csv_header<R: BufRead + Send>(
-    source: StreamSource<'_, R>,
-) -> Result<(String, StreamSource<'_, R>), CliError> {
-    let (header, rest) = match source {
-        StreamSource::Slice(text) => match text.find('\n') {
-            Some(i) => (text[..i].to_string(), StreamSource::Slice(&text[i + 1..])),
-            None => (text.to_string(), StreamSource::Slice("")),
-        },
-        StreamSource::Reader(mut reader) => {
-            let mut line = String::new();
-            reader
-                .read_line(&mut line)
-                .map_err(|e| CliError::io(format!("reading csv header: {e}")))?;
-            (line, StreamSource::Reader(reader))
-        }
-    };
-    let header = header.trim_end_matches(['\n', '\r']).to_string();
-    if header.trim().is_empty() {
-        return Err(CliError::data("csv input has no header row"));
-    }
-    Ok((header, rest))
-}
-
-/// A CSV decoder for the peeled header, carrying the run's parse limits.
-fn csv_decoder(header: &str, fault: &FaultOptions) -> Result<CsvDecoder, String> {
-    CsvDecoder::from_header(header)
-        .map(|d| d.with_limits(fault.limits))
-        .map_err(|e| format!("csv header: {e}"))
-}
-
-/// Whether the streaming runs should try the SWAR projecting fast path
-/// first. On by default; `--no-fast-parse` is the escape hatch (and wins
-/// over an explicit `--fast-parse`).
-fn fast_parse_enabled(opts: &Opts) -> bool {
-    !opts.has("no-fast-parse")
-}
-
-/// Builds [`FaultOptions`] from the shared fault-tolerance flags, or
-/// `None` when none were given (legacy fail-fast paths).
-fn fault_options(opts: &Opts) -> Result<Option<FaultOptions>, CliError> {
-    if !FAULT_FLAGS.iter().any(|f| opts.has(f.name)) {
-        return Ok(None);
-    }
+/// Builds [`FaultOptions`] from the shared fault-tolerance flags (the
+/// default — fail-fast, default limits — when none were given).
+fn fault_options(opts: &Opts) -> Result<FaultOptions, CliError> {
     let max_errors: Option<usize> = parse_flag(opts, "max-errors")?;
     let policy = match opts.get("on-error").unwrap_or("fail") {
+        "fail" if max_errors.is_some() => {
+            return Err(CliError::usage(
+                "--max-errors needs --on-error skip or --on-error collect \
+                 (the fail policy stops at the first rejected record)",
+            ))
+        }
         "fail" => ErrorPolicy::FailFast,
         "skip" => ErrorPolicy::Skip { max_errors },
         "collect" => ErrorPolicy::Collect {
@@ -818,19 +829,20 @@ fn fault_options(opts: &Opts) -> Result<Option<FaultOptions>, CliError> {
     if let Some(bytes) = parse_flag(opts, "max-line-bytes")? {
         limits = limits.with_max_input_bytes(bytes);
     }
-    Ok(Some(FaultOptions {
+    Ok(FaultOptions {
         policy,
         keep_rejects: opts.has("quarantine"),
         limits,
-    }))
+    })
 }
 
-/// Post-run bookkeeping for a guarded streaming command: writes the
-/// quarantine sidecar when requested, surfaces poisoned shards on
-/// stderr, and returns the `, N rejected` suffix for the summary line.
-fn finish_guarded_run(opts: &Opts, report: &RunReport) -> Result<String, CliError> {
+/// Post-run bookkeeping for a streaming command: writes the quarantine
+/// sidecar when requested, surfaces poisoned shards and `--report-timing`
+/// accounts on stderr, and returns the `, N rejected` suffix every
+/// streaming summary line ends with.
+fn finish_run(opts: &Opts, report: &RunReport) -> Result<String, CliError> {
     if let Some(path) = opts.get("quarantine") {
-        let n = write_quarantine_file(std::path::Path::new(path), report)
+        let n = write_quarantine_file(Path::new(path), report)
             .map_err(|e| CliError::io(format!("writing {path}: {e}")))?;
         eprintln!("» {n} diagnostics quarantined to {path}");
     }
@@ -931,16 +943,18 @@ impl PipeOut {
 // Checkpoint / resume wiring
 // ---------------------------------------------------------------------------
 
-/// Parses and validates `--checkpoint FILE` / `--resume`. Resume seeks
-/// the input by committed byte offset, so the journal requires `--input`
-/// with a regular file (stdin cannot be re-read); the CSV front-end is
-/// refused because its row identity hangs off a peeled header line the
-/// journal's byte accounting does not cover.
-fn checkpoint_cli(
-    opts: &Opts,
-    chunked: &Option<ChunkCli>,
-    csv: bool,
-) -> Result<Option<(String, bool)>, CliError> {
+/// Parses and validates `--checkpoint FILE` / `--resume` into the run's
+/// [`JournalControl`]. Resume seeks the input by committed byte offset,
+/// so the journal requires `--input` with a regular file (stdin cannot
+/// be re-read); the CSV front-end is refused because its row identity
+/// hangs off a header line the journal's byte accounting does not cover.
+///
+/// A journaled run installs the SIGINT/SIGTERM stop latch and wires the
+/// deterministic crash injector (`JSONX_CRASHPOINT`) the kill-and-resume
+/// harness drives. The injector counts commits across the whole run —
+/// translate's two phases share one counter — so `commits:N` always
+/// means the Nth journal record.
+fn checkpoint_cli(opts: &Opts, csv: bool) -> Result<Option<JournalControl<'_>>, CliError> {
     let resume = opts.has("resume");
     let Some(journal) = opts.get("checkpoint") else {
         if resume {
@@ -953,7 +967,7 @@ fn checkpoint_cli(
             "--checkpoint does not support --format csv",
         ));
     }
-    let Some(input) = chunked.as_ref().and_then(|c| c.input.as_deref()) else {
+    let Some(input) = opts.get("input") else {
         return Err(CliError::usage(
             "--checkpoint needs --input FILE (resume seeks the input by byte offset)",
         ));
@@ -970,27 +984,67 @@ fn checkpoint_cli(
             )));
         }
     }
-    Ok(Some((journal.to_string(), resume)))
-}
-
-/// Builds the [`JournalControl`] for a journaled run: installs the
-/// SIGINT/SIGTERM stop latch and wires the deterministic crash injector
-/// (`JSONX_CRASHPOINT`) the kill-and-resume harness drives. The injector
-/// counts commits across the whole run — translate's two phases share
-/// one counter — so `commits:N` always means the Nth journal record.
-fn journal_control(journal: &std::path::Path, resume: bool) -> JournalControl<'_> {
     sig::install();
-    let mut ctrl = JournalControl::new(journal);
+    let mut ctrl = JournalControl::new(Path::new(journal));
     ctrl.resume = resume;
     ctrl.stop = Some(sig::stop_flag());
     if let Some(cp) = jsonx::gen::Crashpoint::from_env() {
-        let total = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let total = std::sync::atomic::AtomicU64::new(0);
         ctrl.after_commit = Some(std::sync::Arc::new(move |_phase_commits| {
             let n = total.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
             cp.observe_commit(n, sig::stop_flag());
         }));
     }
-    ctrl
+    Ok(Some(ctrl))
+}
+
+/// Reads and compiles a schema file; also returns its text, which
+/// fingerprints the schema in a checkpoint journal's header.
+fn load_schema(path: &str) -> Result<(CompiledSchema, String), CliError> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| CliError::io(format!("reading {path}: {e}")))?;
+    let doc = parse(&text).map_err(|e| CliError::data(format!("{path}: {e}")))?;
+    let schema = CompiledSchema::compile(&doc).map_err(|e| e.to_string())?;
+    Ok((schema, text))
+}
+
+/// The one verdict printer: one stdout line per diagnostic of every
+/// invalid document, returning how many documents were invalid. With the
+/// corpus text in memory (`ndjson`) the error-collecting interpreter
+/// re-runs on *just* the invalid lines, so diagnostics match the DOM
+/// path exactly; an out-of-core or CSV run never holds a raw JSON line
+/// to re-validate and reports `doc N: invalid` instead.
+fn print_invalid(
+    verdicts: &[(usize, LineVerdict)],
+    ndjson: Option<&str>,
+    schema: &CompiledSchema,
+    vopts: ValidatorOptions,
+) -> Result<usize, CliError> {
+    let mut out = PipeOut::new();
+    let mut invalid = 0usize;
+    // Verdicts come in line order, so one forward walk finds every line.
+    let mut lines = ndjson.map(|text| text.lines().enumerate());
+    for (line_no, verdict) in verdicts {
+        if verdict.is_valid() {
+            continue;
+        }
+        invalid += 1;
+        let Some(lines) = &mut lines else {
+            out.line(&format!("doc {line_no}: invalid"))?;
+            continue;
+        };
+        let (_, line) = lines
+            .find(|(i, _)| i == line_no)
+            .expect("verdict indices are line numbers of this text");
+        let doc = parse(line).expect("the streaming pass parsed this line");
+        if let Err(errors) = schema.validate_with(&doc, vopts) {
+            for e in errors {
+                out.line(&format!("doc {line_no}: {e}"))?;
+            }
+        }
+    }
+    out.finish()?;
+    Ok(invalid)
 }
 
 // ---------------------------------------------------------------------------
@@ -1007,112 +1061,56 @@ fn cmd_infer(opts: &Opts) -> Result<(), CliError> {
             )))
         }
     };
-    let workers: Option<usize> = parse_flag(opts, "workers")?;
-    let fault = fault_options(opts)?;
-    let chunked = chunk_cli(opts)?;
-    let csv = csv_requested(opts)?;
-    let checkpoint = checkpoint_cli(opts, &chunked, csv)?;
+    if !opts.streaming_requested() {
+        let docs = read_collection(opts.file.as_deref())?;
+        let ty = infer_collection(&docs, equiv);
+        print_inferred_type(opts, &ty)?;
+        eprintln!(
+            "» {} documents (dom), equivalence {}, type size {} nodes",
+            docs.len(),
+            equiv.name(),
+            jsonx::core::type_size(&ty)
+        );
+        return Ok(());
+    }
+    let (mut run, csv) = run_plan(opts)?;
     if let Some(schema_path) = opts.get("validate") {
-        if checkpoint.is_some() {
+        // The combined single pass: one tokenisation per line feeds both
+        // type fusion and the compiled fail-fast validator. Invalid
+        // documents are reported but don't fail the run — the primary
+        // output is still the inferred type.
+        if run.journal.is_some() {
             return Err(CliError::usage(
                 "--checkpoint does not support infer --validate (journal one pass at a time)",
             ));
         }
-        return infer_validate_cli(
-            opts,
-            equiv,
-            schema_path,
-            workers.unwrap_or(0),
-            fault,
-            chunked,
-            csv,
-        );
-    }
-    if csv {
-        // CSV front-end: peel the header, then the decoded engine path.
-        let (input, chunk) = match chunked {
-            Some(c) => (c.input, c.chunk),
-            None => (None, ChunkOptions::default()),
-        };
-        let fault = fault.unwrap_or_default();
-        let sopts = StreamingOptions::with_workers(workers.unwrap_or(0));
-        let mut storage = String::new();
-        let source = open_source(input.as_deref(), opts.file.as_deref(), &mut storage)?;
-        let (header, source) = peel_csv_header(source)?;
-        let decoder = csv_decoder(&header, &fault)?;
-        let (ty, report) = infer_streaming_decoded(source, decoder, equiv, sopts, chunk, fault)
+        let (schema, _) = load_schema(schema_path)?;
+        let vopts = ValidatorOptions::default();
+        let mut corpus = open_corpus(opts, &mut run, csv)?;
+        let ((ty, verdicts), report) = run
+            .infer_validate(corpus.source(), equiv, &schema, vopts)
             .map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
+        let suffix = finish_run(opts, &report)?;
+        let invalid = print_invalid(&verdicts, corpus.ndjson(csv), &schema, vopts)?;
         print_inferred_type(opts, &ty)?;
         eprintln!(
-            "» {} documents (streaming csv), equivalence {}, type size {} nodes{suffix}",
-            report.records - report.errors.total,
+            "» {}/{} documents valid (combined pass{}), equivalence {}, type size {} nodes{suffix}",
+            verdicts.len() - invalid,
+            verdicts.len(),
+            if csv { ", csv" } else { "" },
             equiv.name(),
             jsonx::core::type_size(&ty)
         );
         return Ok(());
     }
-    if let Some(ChunkCli { input, chunk }) = chunked {
-        let fault = fault.unwrap_or_default();
-        let sopts = StreamingOptions::with_workers(workers.unwrap_or(0));
-        let (ty, report) = if let Some((journal, resume)) = &checkpoint {
-            let input = input.as_deref().expect("checkpoint_cli verified --input");
-            let ctrl = journal_control(std::path::Path::new(journal), *resume);
-            infer_streaming_journaled(
-                std::path::Path::new(input),
-                equiv,
-                sopts,
-                chunk,
-                fault,
-                &ctrl,
-            )
-            .map_err(stream_err)?
-        } else {
-            let mut storage = String::new();
-            let source = open_source(input.as_deref(), opts.file.as_deref(), &mut storage)?;
-            infer_streaming_source(source, equiv, sopts, chunk, fault).map_err(stream_err)?
-        };
-        let suffix = finish_guarded_run(opts, &report)?;
-        print_inferred_type(opts, &ty)?;
-        eprintln!(
-            "» {} documents (streaming), equivalence {}, type size {} nodes{suffix}",
-            report.records - report.errors.total,
-            equiv.name(),
-            jsonx::core::type_size(&ty)
-        );
-        return Ok(());
-    }
-    if let Some(fault) = fault {
-        let text = read_text(opts.file.as_deref())?;
-        let sopts = StreamingOptions::with_workers(workers.unwrap_or(0));
-        let (ty, report) =
-            infer_streaming_guarded(&text, equiv, sopts, fault).map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
-        print_inferred_type(opts, &ty)?;
-        eprintln!(
-            "» {} documents (streaming), equivalence {}, type size {} nodes{suffix}",
-            report.records - report.errors.total,
-            equiv.name(),
-            jsonx::core::type_size(&ty)
-        );
-        return Ok(());
-    }
-    let (ty, n_docs, mode) = if opts.streaming_requested() {
-        let text = read_text(opts.file.as_deref())?;
-        let sopts = StreamingOptions::with_workers(workers.unwrap_or(0));
-        let ty = infer_streaming_parallel(&text, equiv, sopts)
-            .map_err(|(line, e)| format!("line {}: {e}", line + 1))?;
-        let n = text.lines().filter(|l| !l.trim().is_empty()).count();
-        (ty, n, "streaming")
-    } else {
-        let docs = read_collection(opts.file.as_deref())?;
-        let ty = infer_collection(&docs, equiv);
-        let n = docs.len();
-        (ty, n, "dom")
-    };
+    let mut corpus = open_corpus(opts, &mut run, csv)?;
+    let (ty, report) = run.infer(corpus.source(), equiv).map_err(stream_err)?;
+    let suffix = finish_run(opts, &report)?;
     print_inferred_type(opts, &ty)?;
     eprintln!(
-        "» {n_docs} documents ({mode}), equivalence {}, type size {} nodes",
+        "» {} documents ({}), equivalence {}, type size {} nodes{suffix}",
+        report.records - report.errors.total,
+        mode(csv),
         equiv.name(),
         jsonx::core::type_size(&ty)
     );
@@ -1139,136 +1137,6 @@ fn print_inferred_type(opts: &Opts, ty: &jsonx::core::JType) -> Result<(), CliEr
     out.finish()
 }
 
-/// The combined single-pass path behind `infer --validate SCHEMA.json`:
-/// one tokenisation per line feeds both type fusion and the compiled
-/// fail-fast validator, with interpreter diagnostics re-run on just the
-/// invalid lines. Invalid documents are reported but don't fail the run —
-/// the primary output is still the inferred type.
-#[allow(clippy::too_many_arguments)]
-fn infer_validate_cli(
-    opts: &Opts,
-    equiv: Equivalence,
-    schema_path: &str,
-    workers: usize,
-    fault: Option<FaultOptions>,
-    chunked: Option<ChunkCli>,
-    csv: bool,
-) -> Result<(), CliError> {
-    let schema_text = std::fs::read_to_string(schema_path)
-        .map_err(|e| CliError::io(format!("reading {schema_path}: {e}")))?;
-    let schema_doc =
-        parse(&schema_text).map_err(|e| CliError::data(format!("{schema_path}: {e}")))?;
-    let schema = CompiledSchema::compile(&schema_doc).map_err(|e| e.to_string())?;
-    let vopts = ValidatorOptions::default();
-    if csv {
-        // CSV combined pass: rows are synthesised records, so invalid
-        // documents report line numbers only.
-        let (input, chunk) = match chunked {
-            Some(c) => (c.input, c.chunk),
-            None => (None, ChunkOptions::default()),
-        };
-        let fault = fault.unwrap_or_default();
-        let sopts = StreamingOptions::with_workers(workers);
-        let mut storage = String::new();
-        let source = open_source(input.as_deref(), opts.file.as_deref(), &mut storage)?;
-        let (header, source) = peel_csv_header(source)?;
-        let decoder = csv_decoder(&header, &fault)?;
-        let ((ty, verdicts), report) = infer_validate_streaming_decoded(
-            source, decoder, equiv, &schema, vopts, sopts, chunk, fault,
-        )
-        .map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
-        let mut out = PipeOut::new();
-        let mut invalid = 0usize;
-        for (line_no, verdict) in &verdicts {
-            if matches!(verdict, LineVerdict::Invalid) {
-                invalid += 1;
-                out.line(&format!("doc {line_no}: invalid"))?;
-            }
-        }
-        out.finish()?;
-        print_inferred_type(opts, &ty)?;
-        eprintln!(
-            "» {}/{} documents valid (combined pass, csv), equivalence {}, type size {} nodes{suffix}",
-            verdicts.len() - invalid,
-            verdicts.len(),
-            equiv.name(),
-            jsonx::core::type_size(&ty)
-        );
-        return Ok(());
-    }
-    if let Some(ChunkCli { input, chunk }) = chunked {
-        // Chunk-dispatched combined pass. The corpus may never be
-        // materialised, so invalid documents report line numbers only
-        // (re-run in-memory for full interpreter diagnostics).
-        let fault = fault.unwrap_or_default();
-        let sopts = StreamingOptions::with_workers(workers);
-        let mut storage = String::new();
-        let source = open_source(input.as_deref(), opts.file.as_deref(), &mut storage)?;
-        let ((ty, verdicts), report) =
-            infer_validate_streaming_source(source, equiv, &schema, vopts, sopts, chunk, fault)
-                .map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
-        let mut out = PipeOut::new();
-        let mut invalid = 0usize;
-        for (line_no, verdict) in &verdicts {
-            if matches!(verdict, LineVerdict::Invalid) {
-                invalid += 1;
-                out.line(&format!("doc {line_no}: invalid"))?;
-            }
-        }
-        out.finish()?;
-        print_inferred_type(opts, &ty)?;
-        eprintln!(
-            "» {}/{} documents valid (combined pass), equivalence {}, type size {} nodes{suffix}",
-            verdicts.len() - invalid,
-            verdicts.len(),
-            equiv.name(),
-            jsonx::core::type_size(&ty)
-        );
-        return Ok(());
-    }
-    let text = read_text(opts.file.as_deref())?;
-    let sopts = StreamingOptions::with_workers(workers);
-    let (ty, verdicts, suffix) = if let Some(fault) = fault {
-        let ((ty, verdicts), report) =
-            infer_validate_streaming_guarded(&text, equiv, &schema, vopts, sopts, fault)
-                .map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
-        (ty, verdicts, suffix)
-    } else {
-        let outcome = infer_validate_streaming_parallel(&text, equiv, &schema, vopts, sopts);
-        let ty = outcome
-            .ty
-            .map_err(|(line, e)| format!("line {}: {e}", line + 1))?;
-        (ty, outcome.verdicts, String::new())
-    };
-    let lines: Vec<&str> = text.lines().collect();
-    let mut out = PipeOut::new();
-    let mut invalid = 0usize;
-    for (line_no, verdict) in &verdicts {
-        if matches!(verdict, LineVerdict::Invalid) {
-            invalid += 1;
-            let doc = parse(lines[*line_no]).expect("combined pass parsed this line");
-            if let Err(errors) = schema.validate_with(&doc, vopts) {
-                for e in errors {
-                    out.line(&format!("doc {line_no}: {e}"))?;
-                }
-            }
-        }
-    }
-    out.finish()?;
-    print_inferred_type(opts, &ty)?;
-    eprintln!(
-        "» {}/{} documents valid (combined pass), equivalence {}, type size {} nodes{suffix}",
-        verdicts.len() - invalid,
-        verdicts.len(),
-        equiv.name(),
-        jsonx::core::type_size(&ty)
-    );
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // validate
 // ---------------------------------------------------------------------------
@@ -1277,210 +1145,42 @@ fn cmd_validate(opts: &Opts) -> Result<(), CliError> {
     let schema_path = opts
         .get("schema")
         .ok_or_else(|| CliError::usage("validate needs --schema SCHEMA.json"))?;
-    let schema_text = std::fs::read_to_string(schema_path)
-        .map_err(|e| CliError::io(format!("reading {schema_path}: {e}")))?;
-    let schema_doc =
-        parse(&schema_text).map_err(|e| CliError::data(format!("{schema_path}: {e}")))?;
-    let schema = CompiledSchema::compile(&schema_doc).map_err(|e| e.to_string())?;
-    // Identifies the schema in a checkpoint journal's header, so a
-    // resume with a different schema is refused instead of mixing
-    // verdicts from two schemas in one output.
-    let schema_tag = jsonx::data::crc32(schema_text.as_bytes());
+    let (schema, schema_text) = load_schema(schema_path)?;
     let vopts = ValidatorOptions {
         enforce_formats: opts.has("formats"),
     };
-    let workers: Option<usize> = parse_flag(opts, "workers")?;
-    let fault = fault_options(opts)?;
-    let chunked = chunk_cli(opts)?;
-    let csv = csv_requested(opts)?;
-    if opts.streaming_requested() {
-        return validate_streaming_cli(
-            opts,
-            &schema,
-            vopts,
-            workers.unwrap_or(0),
-            fault,
-            chunked,
-            csv,
-            schema_tag,
-        );
-    }
-    let docs = read_collection(opts.file.as_deref())?;
-    let mut out = PipeOut::new();
-    let mut invalid = 0usize;
-    for (i, doc) in docs.iter().enumerate() {
-        if let Err(errors) = schema.validate_with(doc, vopts) {
-            invalid += 1;
-            for e in errors {
-                out.line(&format!("doc {i}: {e}"))?;
-            }
+    let (invalid, total, note) = if opts.streaming_requested() {
+        // Fail-fast probe per record on shared workers; diagnostics come
+        // from the interpreter on demand (see `print_invalid`).
+        let (mut run, csv) = run_plan(opts)?;
+        if let Some(journal) = &mut run.journal {
+            // A resume with a different schema is refused instead of
+            // mixing verdicts from two schemas in one output.
+            journal.schema_tag = jsonx::data::crc32(schema_text.as_bytes());
         }
-    }
-    out.finish()?;
-    eprintln!("» {}/{} documents valid", docs.len() - invalid, docs.len());
-    if invalid > 0 {
-        return Err(CliError::data(format!("{invalid} invalid documents")));
-    }
-    Ok(())
-}
-
-/// Streaming validation path: fail-fast probe per line on shared workers,
-/// then the error-collecting interpreter re-runs on *just* the invalid
-/// lines so diagnostics match the DOM path exactly.
-#[allow(clippy::too_many_arguments)]
-fn validate_streaming_cli(
-    opts: &Opts,
-    schema: &CompiledSchema,
-    vopts: ValidatorOptions,
-    workers: usize,
-    fault: Option<FaultOptions>,
-    chunked: Option<ChunkCli>,
-    csv: bool,
-    schema_tag: u32,
-) -> Result<(), CliError> {
-    let checkpoint = checkpoint_cli(opts, &chunked, csv)?;
-    if csv {
-        // CSV rows are synthesised records with no raw JSON line to
-        // re-validate, so invalid documents report line numbers only.
-        let (input, chunk) = match chunked {
-            Some(c) => (c.input, c.chunk),
-            None => (None, ChunkOptions::default()),
-        };
-        let fault = fault.unwrap_or_default();
-        let sopts = StreamingOptions::with_workers(workers);
-        let mut storage = String::new();
-        let source = open_source(input.as_deref(), opts.file.as_deref(), &mut storage)?;
-        let (header, source) = peel_csv_header(source)?;
-        let decoder = csv_decoder(&header, &fault)?;
-        let (verdicts, report) =
-            validate_streaming_decoded(source, decoder, schema, vopts, sopts, chunk, fault)
-                .map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
-        let mut out = PipeOut::new();
-        let mut invalid = 0usize;
-        for (line_no, verdict) in &verdicts {
-            match verdict {
-                LineVerdict::Valid => {}
-                LineVerdict::Invalid => {
-                    invalid += 1;
-                    out.line(&format!("doc {line_no}: invalid"))?;
-                }
-                LineVerdict::Malformed(e) => {
-                    return Err(CliError::data(format!("line {}: {e}", line_no + 1)))
-                }
-            }
-        }
-        out.finish()?;
-        eprintln!(
-            "» {}/{} documents valid (streaming csv){suffix}",
-            verdicts.len() - invalid,
-            verdicts.len()
-        );
-        if invalid > 0 {
-            return Err(CliError::data(format!("{invalid} invalid documents")));
-        }
-        return Ok(());
-    }
-    if let Some(ChunkCli { input, chunk }) = chunked {
-        // Chunk-dispatched path. The corpus may never be materialised,
-        // so invalid documents report line numbers only (re-run
-        // in-memory for full interpreter diagnostics).
-        let fault = fault.unwrap_or_default();
-        let sopts = StreamingOptions::with_workers(workers);
-        let fast = fast_parse_enabled(opts);
-        let (verdicts, report) = if let Some((journal, resume)) = &checkpoint {
-            let input = input.as_deref().expect("checkpoint_cli verified --input");
-            let ctrl = journal_control(std::path::Path::new(journal), *resume);
-            validate_streaming_journaled(
-                std::path::Path::new(input),
-                schema,
-                vopts,
-                sopts,
-                chunk,
-                fault,
-                fast,
-                schema_tag,
-                &ctrl,
-            )
-            .map_err(stream_err)?
-        } else {
-            let mut storage = String::new();
-            let source = open_source(input.as_deref(), opts.file.as_deref(), &mut storage)?;
-            validate_streaming_source(source, schema, vopts, sopts, chunk, fault, fast)
-                .map_err(stream_err)?
-        };
-        let suffix = finish_guarded_run(opts, &report)?;
-        let mut out = PipeOut::new();
-        let mut invalid = 0usize;
-        for (line_no, verdict) in &verdicts {
-            match verdict {
-                LineVerdict::Valid => {}
-                LineVerdict::Invalid => {
-                    invalid += 1;
-                    out.line(&format!("doc {line_no}: invalid"))?;
-                }
-                LineVerdict::Malformed(e) => {
-                    return Err(CliError::data(format!("line {}: {e}", line_no + 1)))
-                }
-            }
-        }
-        out.finish()?;
-        eprintln!(
-            "» {}/{} documents valid (streaming){suffix}",
-            verdicts.len() - invalid,
-            verdicts.len()
-        );
-        if invalid > 0 {
-            return Err(CliError::data(format!("{invalid} invalid documents")));
-        }
-        return Ok(());
-    }
-    let text = read_text(opts.file.as_deref())?;
-    let sopts = StreamingOptions::with_workers(workers);
-    let fast = fast_parse_enabled(opts);
-    let (verdicts, suffix) = if let Some(fault) = fault {
-        let (verdicts, report) = if fast {
-            validate_streaming_guarded_fast(&text, schema, vopts, sopts, fault)
-        } else {
-            validate_streaming_guarded(&text, schema, vopts, sopts, fault)
-        }
-        .map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
-        (verdicts, suffix)
+        let mut corpus = open_corpus(opts, &mut run, csv)?;
+        let (verdicts, report) = run
+            .validate(corpus.source(), &schema, vopts)
+            .map_err(stream_err)?;
+        let suffix = finish_run(opts, &report)?;
+        let invalid = print_invalid(&verdicts, corpus.ndjson(csv), &schema, vopts)?;
+        (invalid, verdicts.len(), format!(" ({}){suffix}", mode(csv)))
     } else {
-        let verdicts = if fast {
-            validate_streaming_parallel_fast(&text, schema, vopts, sopts)
-        } else {
-            validate_streaming_parallel(&text, schema, vopts, sopts)
-        };
-        (verdicts, String::new())
-    };
-    let lines: Vec<&str> = text.lines().collect();
-    let mut out = PipeOut::new();
-    let mut invalid = 0usize;
-    for (line_no, verdict) in &verdicts {
-        match verdict {
-            LineVerdict::Valid => {}
-            LineVerdict::Invalid => {
+        let docs = read_collection(opts.file.as_deref())?;
+        let mut out = PipeOut::new();
+        let mut invalid = 0usize;
+        for (i, doc) in docs.iter().enumerate() {
+            if let Err(errors) = schema.validate_with(doc, vopts) {
                 invalid += 1;
-                let doc = parse(lines[*line_no]).expect("fail-fast path parsed this line");
-                if let Err(errors) = schema.validate_with(&doc, vopts) {
-                    for e in errors {
-                        out.line(&format!("doc {line_no}: {e}"))?;
-                    }
+                for e in errors {
+                    out.line(&format!("doc {i}: {e}"))?;
                 }
             }
-            LineVerdict::Malformed(e) => {
-                return Err(CliError::data(format!("line {}: {e}", line_no + 1)))
-            }
         }
-    }
-    out.finish()?;
-    eprintln!(
-        "» {}/{} documents valid (streaming){suffix}",
-        verdicts.len() - invalid,
-        verdicts.len()
-    );
+        out.finish()?;
+        (invalid, docs.len(), String::new())
+    };
+    eprintln!("» {}/{total} documents valid{note}", total - invalid);
     if invalid > 0 {
         return Err(CliError::data(format!("{invalid} invalid documents")));
     }
@@ -1564,164 +1264,42 @@ fn cmd_convert(opts: &Opts) -> Result<(), CliError> {
 
 /// Schema-driven translation with a streaming columnar path.
 ///
-/// `--streaming` (or `--workers`) shreds newline-bounded shards into
-/// per-worker columnar batches concatenated in shard order — the type is
-/// inferred from the same text by the streaming typer, so no DOM for the
-/// whole collection ever exists. `--format csv` swaps the record decoder
-/// for the CSV front-end on the same engine; `--out FILE` persists the
-/// batch as binary `.jxc`. Other targets fall back to the DOM path
-/// shared with `convert`.
+/// `--streaming` (or `--workers`) shreds newline-bounded chunks into
+/// per-worker columnar batches concatenated in chunk order — the type is
+/// inferred from the same corpus by the streaming typer first, so no DOM
+/// for the whole collection ever exists. `--format csv` swaps the record
+/// decoder for the CSV front-end on the same engine; `--out FILE`
+/// persists the batch as binary `.jxc`; `--checkpoint` journals both
+/// passes into one file (the inferred type is sealed between them), so a
+/// resume lands in whichever pass the run died in. Other targets fall
+/// back to the DOM path shared with `convert`.
 fn cmd_translate(opts: &Opts) -> Result<(), CliError> {
     let target = opts.get("to").unwrap_or("columnar");
     let sink = OutputSink::for_target(target, opts.get("out")).map_err(CliError::Usage)?;
-    let workers: Option<usize> = parse_flag(opts, "workers")?;
-    let fault = fault_options(opts)?;
-    let chunked = chunk_cli(opts)?;
-    let csv = csv_requested(opts)?;
-    let checkpoint = checkpoint_cli(opts, &chunked, csv)?;
-    let streaming = opts.streaming_requested();
-    if streaming && !sink.wants_batch() {
+    if !opts.streaming_requested() {
+        let docs = read_collection(opts.file.as_deref())?;
+        return convert_collection(&sink, &docs);
+    }
+    let (mut run, csv) = run_plan(opts)?;
+    if !sink.wants_batch() {
         return Err(CliError::usage(format!(
             "--streaming supports only columnar, not '{target}'"
         )));
     }
-    if !streaming {
-        let docs = read_collection(opts.file.as_deref())?;
-        return convert_collection(&sink, &docs);
+    if opts.get("input") == Some("-") {
+        return Err(CliError::usage(
+            "translate needs two passes over the corpus; --input - (stdin) cannot be \
+             re-read — pass a regular file",
+        ));
     }
-    let sopts = StreamingOptions::with_workers(workers.unwrap_or(0));
-    if csv {
-        // CSV translation is two decoded passes (type, then shred) over
-        // the same source; `--input -` can't be rewound for the second.
-        let (input, chunk) = match chunked {
-            Some(c) => (c.input, c.chunk),
-            None => (None, ChunkOptions::default()),
-        };
-        if input.as_deref() == Some("-") {
-            return Err(CliError::usage(
-                "translate needs two passes over the corpus; --input - (stdin) cannot be \
-                 re-read — pass a regular file",
-            ));
-        }
-        let fault = fault.unwrap_or_default();
-        let mut storage = String::new();
-        let source = open_source(input.as_deref(), opts.file.as_deref(), &mut storage)?;
-        let (header, source) = peel_csv_header(source)?;
-        let decoder = csv_decoder(&header, &fault)?;
-        let (ty, _) = infer_streaming_decoded(
-            source,
-            decoder.clone(),
-            Equivalence::Kind,
-            sopts,
-            chunk,
-            fault,
-        )
+    let mut corpus = open_corpus(opts, &mut run, csv)?;
+    let (_ty, batch, report) = run
+        .translate_inferred(corpus.source(), Equivalence::Kind)
         .map_err(stream_err)?;
-        let shredder = Shredder::from_type(&ty);
-        let source = match input.as_deref() {
-            Some(path) => StreamSource::Reader(open_input(path)?),
-            None => StreamSource::Slice(&storage),
-        };
-        let (_, source) = peel_csv_header(source)?;
-        let (batch, report) =
-            translate_streaming_decoded(source, decoder, &shredder, sopts, chunk, fault)
-                .map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
-        let out = sink.consume_batch(&batch)?;
-        println!("{}", out.body);
-        eprintln!("» {} (streaming csv){suffix}", out.summary);
-        return Ok(());
-    }
-    if let Some(ChunkCli { input, chunk }) = chunked {
-        // Translation is two passes over the corpus (type, then shred);
-        // out-of-core mode re-opens `--input` so neither pass
-        // materialises it. Stdin can't be rewound for the second pass.
-        if input.as_deref() == Some("-") {
-            return Err(CliError::usage(
-                "translate needs two passes over the corpus; --input - (stdin) cannot be \
-                 re-read — pass a regular file",
-            ));
-        }
-        if let Some((journal, resume)) = &checkpoint {
-            // Journaled translation: both passes commit into one journal
-            // (the inferred type is sealed between them), so a resume
-            // lands in whichever phase the run died in.
-            let input = input.as_deref().expect("checkpoint_cli verified --input");
-            let fault = fault.unwrap_or_default();
-            let ctrl = journal_control(std::path::Path::new(journal), *resume);
-            let (_ty, batch, report) = translate_streaming_journaled(
-                std::path::Path::new(input),
-                Equivalence::Kind,
-                sopts,
-                chunk,
-                fault,
-                fast_parse_enabled(opts),
-                &ctrl,
-            )
-            .map_err(stream_err)?;
-            let suffix = finish_guarded_run(opts, &report)?;
-            let out = sink.consume_batch(&batch)?;
-            println!("{}", out.body);
-            eprintln!("» {} (streaming){suffix}", out.summary);
-            return Ok(());
-        }
-        let fault = fault.unwrap_or_default();
-        let mut storage = String::new();
-        let source = open_source(input.as_deref(), opts.file.as_deref(), &mut storage)?;
-        let (ty, _) = infer_streaming_source(source, Equivalence::Kind, sopts, chunk, fault)
-            .map_err(stream_err)?;
-        let shredder = Shredder::from_type(&ty);
-        let source = match input.as_deref() {
-            Some(path) => StreamSource::Reader(open_input(path)?),
-            None => StreamSource::Slice(&storage),
-        };
-        let (batch, report) = translate_streaming_source(
-            source,
-            &shredder,
-            sopts,
-            chunk,
-            fault,
-            fast_parse_enabled(opts),
-        )
-        .map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
-        let out = sink.consume_batch(&batch)?;
-        println!("{}", out.body);
-        eprintln!("» {} (streaming){suffix}", out.summary);
-        return Ok(());
-    }
-    let text = read_text(opts.file.as_deref())?;
-    if let Some(fault) = fault {
-        // Both passes run under the same policy: a record the typer
-        // rejected is rejected again (and quarantined) by the shredding
-        // pass, so the sidecar reflects what the batch actually dropped.
-        let (ty, _) =
-            infer_streaming_guarded(&text, Equivalence::Kind, sopts, fault).map_err(stream_err)?;
-        let shredder = Shredder::from_type(&ty);
-        let (batch, report) = if fast_parse_enabled(opts) {
-            translate_streaming_guarded_fast(&text, &shredder, sopts, fault)
-        } else {
-            translate_streaming_guarded(&text, &shredder, sopts, fault)
-        }
-        .map_err(stream_err)?;
-        let suffix = finish_guarded_run(opts, &report)?;
-        let out = sink.consume_batch(&batch)?;
-        println!("{}", out.body);
-        eprintln!("» {} (streaming){suffix}", out.summary);
-        return Ok(());
-    }
-    let ty = infer_streaming_parallel(&text, Equivalence::Kind, sopts)
-        .map_err(|(line, e)| format!("line {}: {e}", line + 1))?;
-    let shredder = Shredder::from_type(&ty);
-    let batch = if fast_parse_enabled(opts) {
-        translate_streaming_parallel_fast(&text, &shredder, sopts)
-    } else {
-        translate_streaming_parallel(&text, &shredder, sopts)
-    }
-    .map_err(|(line, e)| format!("line {}: {e}", line + 1))?;
+    let suffix = finish_run(opts, &report)?;
     let out = sink.consume_batch(&batch)?;
     println!("{}", out.body);
-    eprintln!("» {} (streaming)", out.summary);
+    eprintln!("» {} ({}){suffix}", out.summary, mode(csv));
     Ok(())
 }
 

@@ -33,24 +33,22 @@
 //! with a `type` marker record sealing phase 1 — so a kill during either
 //! pass resumes precisely, and the shred layout is reconstructed from
 //! the journal rather than re-inferred.
+//!
+//! There is no journaled runner here: this module holds the journal's
+//! *format* (header fingerprint, chunk-record codecs) and hands the one
+//! executor in [`crate::run`] a [`Session`] whose [`Phase`]s replay a
+//! committed [`Prefix`] before the engine call and supply its commit
+//! sink during it.
 
-use crate::fastpath::{FastJsonDecoder, FastPlan};
-use crate::streaming::{
-    seal_stage_outcome, FaultFold, FaultOptions, InferStage, LineVerdict, RecordStage, ShardYield,
-    StreamError, StreamingOptions, TranslateStage, ValidateStage,
-};
-use jsonx_core::{parse_type, print_type, Equivalence, JType, PrintOptions};
+use crate::streaming::{LineVerdict, ShardYield, StreamError};
+use jsonx_core::{parse_type, print_type, JType, PrintOptions};
 use jsonx_data::{Number, Object, Value};
 use jsonx_pipeline::{
-    read_journal, run_source_controlled, ChunkJournal, ChunkMeta, ChunkOptions, ErrorSummary,
-    JournalWriter, ReaderChunks, RecordDiagnostic, RunControl, RunReport, DEFAULT_CHUNK_BYTES,
+    read_journal, ChunkJournal, ChunkMeta, ErrorSummary, JournalWriter, RecordDiagnostic,
 };
-use jsonx_schema::{CompiledSchema, ValidatorOptions};
 use jsonx_syntax::parse;
-use jsonx_translate::{read_jxc, write_jxc, ColumnarBatch, Shredder};
+use jsonx_translate::{read_jxc, write_jxc, ColumnarBatch};
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{BufReader, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -59,8 +57,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// stale journal refuses cleanly instead of decoding garbage.
 const JOURNAL_VERSION: i64 = 1;
 
-/// How a journaled entry point finds its journal and reacts to stop
-/// requests.
+/// How a journaled [`Run`](crate::Run) finds its journal and reacts to
+/// stop requests.
+#[derive(Clone)]
 pub struct JournalControl<'a> {
     /// Path of the journal file.
     pub journal: &'a Path,
@@ -75,6 +74,10 @@ pub struct JournalControl<'a> {
     /// Called after each journal commit with the running commit count —
     /// the crash/stop injection hook the kill-and-resume harness uses.
     pub after_commit: Option<Arc<dyn Fn(u64) + Send + Sync>>,
+    /// Caller-computed fingerprint of the schema text a validation run
+    /// checks against, baked into the journal header so a resume against
+    /// a different schema refuses. Other stages ignore it.
+    pub schema_tag: u32,
 }
 
 impl<'a> JournalControl<'a> {
@@ -85,6 +88,7 @@ impl<'a> JournalControl<'a> {
             resume: false,
             stop: None,
             after_commit: None,
+            schema_tag: 0,
         }
     }
 }
@@ -213,12 +217,12 @@ fn hex_decode(text: &str) -> Option<Vec<u8>> {
 /// How one stage output round-trips through a journal record. Plain
 /// function pointers so the commit closure handed to [`ChunkJournal`]
 /// stays `'static` without capturing borrowed stage state.
-struct OutCodec<T> {
+pub(crate) struct OutCodec<T> {
     encode: fn(&T) -> Option<Value>,
     decode: fn(&Value) -> Option<T>,
 }
 
-fn infer_codec() -> OutCodec<JType> {
+pub(crate) fn infer_codec() -> OutCodec<JType> {
     OutCodec {
         // The counting printer/parser round-trip is exact (pinned by
         // `counting_round_trip_exact`), so the journaled prefix fuses to
@@ -228,7 +232,7 @@ fn infer_codec() -> OutCodec<JType> {
     }
 }
 
-fn validate_codec() -> OutCodec<Vec<(usize, LineVerdict)>> {
+pub(crate) fn validate_codec() -> OutCodec<Vec<(usize, LineVerdict)>> {
     OutCodec {
         encode: |verdicts| {
             let mut rows = Vec::with_capacity(verdicts.len());
@@ -236,11 +240,6 @@ fn validate_codec() -> OutCodec<Vec<(usize, LineVerdict)>> {
                 let flag = match verdict {
                     LineVerdict::Valid => 1,
                     LineVerdict::Invalid => 0,
-                    // Guarded source runs reject malformed lines to the
-                    // fault layer instead of recording inline verdicts,
-                    // so this arm is unreachable on the journaled path —
-                    // refuse to commit rather than journal a lie.
-                    LineVerdict::Malformed(_) => return None,
                 };
                 rows.push(Value::Arr(vec![num(*record), num(flag)]));
             }
@@ -262,7 +261,7 @@ fn validate_codec() -> OutCodec<Vec<(usize, LineVerdict)>> {
     }
 }
 
-fn translate_codec() -> OutCodec<ColumnarBatch> {
+pub(crate) fn translate_codec() -> OutCodec<ColumnarBatch> {
     OutCodec {
         // A chunk's batch is journaled as its checksummed `.jxc` image;
         // decoding reconstructs the identical batch (layout included),
@@ -288,10 +287,6 @@ fn header_record(stage: &str, chunk_bytes: usize, input_bytes: u64, config: &str
         ("input_bytes", num(input_bytes as usize)),
         ("config", s(config)),
     ])
-}
-
-fn input_err(e: impl std::fmt::Display) -> StreamError {
-    StreamError::Input(e.to_string())
 }
 
 fn journal_err(context: &str, e: impl std::fmt::Display) -> StreamError {
@@ -428,16 +423,8 @@ fn decode_chunk_record<T>(
 }
 
 // ---------------------------------------------------------------------------
-// The journaled runner
+// The journal's face towards the run executor
 // ---------------------------------------------------------------------------
-
-fn effective_chunk_bytes(chunk: &ChunkOptions) -> usize {
-    if chunk.chunk_bytes > 0 {
-        chunk.chunk_bytes
-    } else {
-        DEFAULT_CHUNK_BYTES
-    }
-}
 
 fn input_len(input: &Path) -> Result<u64, StreamError> {
     std::fs::metadata(input)
@@ -445,314 +432,193 @@ fn input_len(input: &Path) -> Result<u64, StreamError> {
         .map_err(|e| StreamError::Input(format!("{}: {e}", input.display())))
 }
 
-/// Runs one stage pass with chunk commits journaled: decodes the
-/// committed prefix, seeks the input past it, streams the tail through
-/// the engine with the journal as commit sink, and fuses prefix + tail
-/// into the same `(out, report)` contract the unjournaled entry points
-/// return. Interruption surfaces as [`StreamError::Interrupted`] *after*
-/// data-level failures, which a resume would deterministically re-hit.
-#[allow(clippy::too_many_arguments)]
-fn run_phase<S: RecordStage>(
-    input: &Path,
-    stage: &S,
-    opts: StreamingOptions,
-    chunk: ChunkOptions,
-    fault: FaultOptions,
-    codec: OutCodec<S::Out>,
+/// One run's open journal: the writer (lent to each pass's commit sink
+/// and handed back when the pass ends) plus the records a resume found
+/// already committed.
+pub(crate) struct Session<'c> {
+    ctrl: &'c JournalControl<'c>,
+    writer: Option<JournalWriter>,
+    committed: Vec<Value>,
+}
+
+impl<'c> Session<'c> {
+    /// Opens (or resumes) the journal for a run of `stage` over `input`.
+    /// The header pins everything the committed chunks depend on — the
+    /// chunk target (`chunk_bytes`, which fixes chunk boundaries), the
+    /// input length, and `config` — so a resume under different settings
+    /// refuses instead of mixing two runs.
+    pub(crate) fn open(
+        ctrl: &'c JournalControl<'c>,
+        input: &Path,
+        stage: &str,
+        chunk_bytes: usize,
+        config: &str,
+    ) -> Result<Session<'c>, StreamError> {
+        let header = header_record(stage, chunk_bytes, input_len(input)?, config);
+        let (writer, committed) = open_session(ctrl, header)?;
+        Ok(Session {
+            ctrl,
+            writer: Some(writer),
+            committed,
+        })
+    }
+
+    /// One pass of the run: the chunk records tagged `phase`, encoded
+    /// and decoded with `codec`.
+    pub(crate) fn phase<T>(&mut self, phase: usize, codec: OutCodec<T>) -> Phase<'_, 'c, T> {
+        Phase {
+            session: self,
+            phase,
+            codec,
+        }
+    }
+
+    /// The type a previous run sealed between translation's two passes,
+    /// if it got that far.
+    pub(crate) fn sealed_type(&self) -> Result<Option<JType>, StreamError> {
+        type_marker(&self.committed)
+            .map(|printed| {
+                parse_type(printed)
+                    .map_err(|e| journal_err("type marker does not parse", format!("{e:?}")))
+            })
+            .transpose()
+    }
+
+    /// Seals phase 1: once this marker is durable, a resume never
+    /// re-infers — the layout is pinned for phase 2 forever.
+    pub(crate) fn seal_type(&mut self, ty: &JType) -> Result<(), StreamError> {
+        let marker = obj(vec![
+            ("kind", s("type")),
+            ("type", s(print_type(ty, PrintOptions::with_counts()))),
+        ]);
+        self.writer
+            .as_mut()
+            .expect("no pass holds the writer between phases")
+            .append(&marker.to_json_string())
+            .map_err(|e| journal_err("writing type marker", e))
+    }
+}
+
+/// What a resume found committed for one pass, already fused.
+pub(crate) struct Prefix<T> {
+    /// The committed chunks' outputs folded in sequence order (`None`
+    /// when nothing was committed).
+    pub(crate) out: Option<T>,
+    pub(crate) chunks: usize,
+    pub(crate) bytes: u64,
+    pub(crate) lines: usize,
+    pub(crate) records: usize,
+    pub(crate) errors: ErrorSummary,
+}
+
+impl<T> Prefix<T> {
+    /// The prefix of a run with no journal, or a fresh one.
+    pub(crate) fn empty() -> Prefix<T> {
+        Prefix {
+            out: None,
+            chunks: 0,
+            bytes: 0,
+            lines: 0,
+            records: 0,
+            errors: ErrorSummary::new(),
+        }
+    }
+}
+
+/// One journaled pass over the input (see [`Session::phase`]).
+pub(crate) struct Phase<'s, 'c, T> {
+    session: &'s mut Session<'c>,
     phase: usize,
-    committed: &[&Value],
-    writer: JournalWriter,
-    ctrl: &JournalControl<'_>,
-) -> Result<(S::Out, RunReport, JournalWriter), StreamError>
-where
-    S::Out: 'static,
-{
-    let fold = FaultFold::new(stage, fault);
-    let cap = fold.retention_cap();
+    codec: OutCodec<T>,
+}
 
-    // Replay the committed prefix: fold chunk outputs in seq order with
-    // the stage's own merge — the same fusion the live run applied.
-    let mut prefix_out: Option<S::Out> = None;
-    let mut bytes = 0u64;
-    let mut lines = 0usize;
-    let mut records = 0usize;
-    let mut errors = ErrorSummary::new();
-    for (idx, rec) in committed.iter().enumerate() {
-        let c = decode_chunk_record(rec, codec.decode).ok_or_else(|| {
-            StreamError::Input(format!(
-                "checkpoint journal: committed chunk record {idx} cannot be decoded \
-                 (incompatible journal version?)"
-            ))
-        })?;
-        if c.seq != idx || c.first_line != lines {
-            return Err(StreamError::Input(format!(
-                "checkpoint journal: committed chunks are not contiguous at record {idx}"
-            )));
+impl<'c, T> Phase<'_, 'c, T> {
+    /// The graceful-stop latch of the run's [`JournalControl`].
+    pub(crate) fn stop(&self) -> Option<&'c AtomicBool> {
+        self.session.ctrl.stop
+    }
+
+    /// Replays the committed prefix: decodes this pass's chunk records
+    /// and folds their outputs in sequence order with `merge` — the
+    /// stage's own fusion, the same the live run applied — re-applying
+    /// the diagnostic retention `cap`.
+    pub(crate) fn replay(
+        &self,
+        merge: impl Fn(T, T) -> T,
+        cap: usize,
+    ) -> Result<Prefix<T>, StreamError> {
+        let mut prefix = Prefix::empty();
+        for (idx, rec) in phase_chunks(&self.session.committed, self.phase)
+            .into_iter()
+            .enumerate()
+        {
+            let c = decode_chunk_record(rec, self.codec.decode).ok_or_else(|| {
+                StreamError::Input(format!(
+                    "checkpoint journal: committed chunk record {idx} cannot be decoded \
+                     (incompatible journal version?)"
+                ))
+            })?;
+            if c.seq != idx || c.first_line != prefix.lines {
+                return Err(StreamError::Input(format!(
+                    "checkpoint journal: committed chunks are not contiguous at record {idx}"
+                )));
+            }
+            prefix.chunks += 1;
+            prefix.bytes += c.bytes as u64;
+            prefix.lines += c.lines;
+            prefix.records += c.records;
+            prefix.errors.merge(c.errors, cap);
+            prefix.out = Some(match prefix.out.take() {
+                Some(acc) => merge(acc, c.out),
+                None => c.out,
+            });
         }
-        bytes += c.bytes as u64;
-        lines += c.lines;
-        records += c.records;
-        errors.merge(c.errors, cap);
-        prefix_out = Some(match prefix_out.take() {
-            Some(acc) => stage.merge(acc, c.out),
-            None => c.out,
+        Ok(prefix)
+    }
+
+    /// The commit sink for the fresh tail of this pass, continuing the
+    /// chunk sequence after `resumed` replayed chunks. Borrows the
+    /// session's writer until [`close`](Self::close) returns it.
+    pub(crate) fn sink(&mut self, resumed: usize) -> ChunkJournal<ShardYield<T>>
+    where
+        T: 'static,
+    {
+        let writer = self
+            .session
+            .writer
+            .take()
+            .expect("one pass holds the writer at a time");
+        let (phase, encode) = (self.phase, self.codec.encode);
+        let sink = ChunkJournal::new(writer, resumed, move |meta: &ChunkMeta, y| {
+            encode_chunk_record(phase, encode, meta, y)
         });
-    }
-    let resumed_chunks = committed.len();
-
-    // Chunk boundaries depend only on bytes and the chunk target, so
-    // seeking to the committed byte total lands exactly on the first
-    // uncommitted chunk's first byte.
-    let mut file =
-        File::open(input).map_err(|e| StreamError::Input(format!("{}: {e}", input.display())))?;
-    if bytes > 0 {
-        file.seek(SeekFrom::Start(bytes)).map_err(input_err)?;
-    }
-    let workers = opts.effective_workers().max(1);
-    let target = effective_chunk_bytes(&chunk);
-    let ring = if chunk.ring > 0 { chunk.ring } else { workers };
-    let source =
-        ReaderChunks::with_offset(BufReader::new(file), target, ring, resumed_chunks, lines);
-
-    let enc = codec.encode;
-    let journal = ChunkJournal::new(writer, resumed_chunks, move |meta: &ChunkMeta, y| {
-        encode_chunk_record(phase, enc, meta, y)
-    });
-    let journal = match &ctrl.after_commit {
-        Some(hook) => {
-            let hook = hook.clone();
-            journal.with_after_commit(move |n| hook(n))
+        match &self.session.ctrl.after_commit {
+            Some(hook) => {
+                let hook = hook.clone();
+                sink.with_after_commit(move |n| hook(n))
+            }
+            None => sink,
         }
-        None => journal,
-    };
-    let control = RunControl {
-        sink: Some(&journal),
-        stop: ctrl.stop,
-    };
-    let outcome =
-        run_source_controlled(&source, &fold, workers, chunk.timing, control).map_err(input_err)?;
-    let (writer, _committed_now) = journal
-        .finish()
-        .map_err(|e| journal_err("commit failed", e))?;
-
-    let tail = outcome.out;
-    errors.merge(tail.errors, cap);
-    let out = match prefix_out {
-        Some(prefix) => stage.merge(prefix, tail.out),
-        None => tail.out,
-    };
-    let report = RunReport {
-        records: records + tail.records,
-        shards: resumed_chunks + outcome.shards,
-        errors,
-        poisoned: outcome.poisoned,
-        timings: outcome.timings,
-    };
-    let (out, report) = seal_stage_outcome(out, tail.halt, report, fault)?;
-    if outcome.interrupted {
-        return Err(StreamError::Interrupted);
     }
-    Ok((out, report, writer))
-}
 
-// ---------------------------------------------------------------------------
-// Public journaled entry points
-// ---------------------------------------------------------------------------
-
-/// Journaled out-of-core streaming inference over an NDJSON file.
-///
-/// Semantics (type, report, errors) are identical to
-/// [`infer_streaming_source`](crate::infer_streaming_source) on the same
-/// file; additionally every committed chunk is durable in
-/// `ctrl.journal`, and with `ctrl.resume` the run continues from the
-/// last committed chunk instead of starting over.
-pub fn infer_streaming_journaled(
-    input: &Path,
-    equiv: Equivalence,
-    opts: StreamingOptions,
-    chunk: ChunkOptions,
-    fault: FaultOptions,
-    ctrl: &JournalControl<'_>,
-) -> Result<(JType, RunReport), StreamError> {
-    let header = header_record(
-        "infer",
-        effective_chunk_bytes(&chunk),
-        input_len(input)?,
-        &format!("equiv={equiv:?} fault={fault:?}"),
-    );
-    let (writer, committed) = open_session(ctrl, header)?;
-    let stage = InferStage {
-        equiv,
-        decoder: jsonx_syntax::JsonDecoder::new().with_limits(fault.limits),
-    };
-    let prefix = phase_chunks(&committed, 1);
-    let (ty, report, _writer) = run_phase(
-        input,
-        &stage,
-        opts,
-        chunk,
-        fault,
-        infer_codec(),
-        1,
-        &prefix,
-        writer,
-        ctrl,
-    )?;
-    Ok((ty, report))
-}
-
-/// Journaled out-of-core streaming validation over an NDJSON file.
-///
-/// Verdicts, reports and errors are identical to
-/// [`validate_streaming_source`](crate::validate_streaming_source) on
-/// the same file (malformed records go to the fault layer, never into
-/// the verdict vector); commits and resume behave as in
-/// [`infer_streaming_journaled`]. `schema_tag` is a caller-computed
-/// fingerprint of the schema text, baked into the journal header so a
-/// resume against a different schema refuses.
-#[allow(clippy::too_many_arguments)]
-pub fn validate_streaming_journaled(
-    input: &Path,
-    schema: &CompiledSchema,
-    options: ValidatorOptions,
-    opts: StreamingOptions,
-    chunk: ChunkOptions,
-    fault: FaultOptions,
-    fast: bool,
-    schema_tag: u32,
-    ctrl: &JournalControl<'_>,
-) -> Result<(Vec<(usize, LineVerdict)>, RunReport), StreamError> {
-    let header = header_record(
-        "validate",
-        effective_chunk_bytes(&chunk),
-        input_len(input)?,
-        // `fast` is deliberately absent: the fast path is
-        // verdict-identical, so a resume may toggle it freely.
-        &format!("schema={schema_tag:08x} options={options:?} fault={fault:?}"),
-    );
-    let (writer, committed) = open_session(ctrl, header)?;
-    let stage = ValidateStage {
-        schema,
-        options,
-        malformed_verdicts: false,
-        decoder: FastJsonDecoder::new(
-            if fast {
-                FastPlan::for_validation(schema, &fault.limits)
-            } else {
-                None
-            },
-            fault.limits,
-        ),
-    };
-    let prefix = phase_chunks(&committed, 1);
-    let (verdicts, report, _writer) = run_phase(
-        input,
-        &stage,
-        opts,
-        chunk,
-        fault,
-        validate_codec(),
-        1,
-        &prefix,
-        writer,
-        ctrl,
-    )?;
-    Ok((verdicts, report))
-}
-
-/// Journaled out-of-core translation over an NDJSON file: the inference
-/// pass and the shredding pass journal into **one** file, phase-tagged,
-/// with a `type` marker sealing phase 1.
-///
-/// A kill during inference resumes inference; a kill during shredding
-/// reconstructs the layout from the marker (no re-inference) and
-/// resumes shredding. The returned report covers the translate pass,
-/// matching the unjournaled CLI behaviour.
-pub fn translate_streaming_journaled(
-    input: &Path,
-    equiv: Equivalence,
-    opts: StreamingOptions,
-    chunk: ChunkOptions,
-    fault: FaultOptions,
-    fast: bool,
-    ctrl: &JournalControl<'_>,
-) -> Result<(JType, ColumnarBatch, RunReport), StreamError> {
-    let header = header_record(
-        "translate",
-        effective_chunk_bytes(&chunk),
-        input_len(input)?,
-        &format!("equiv={equiv:?} fault={fault:?}"),
-    );
-    let (mut writer, committed) = open_session(ctrl, header)?;
-
-    let ty = match type_marker(&committed) {
-        Some(printed) => parse_type(printed)
-            .map_err(|e| journal_err("type marker does not parse", format!("{e:?}")))?,
-        None => {
-            let stage = InferStage {
-                equiv,
-                decoder: jsonx_syntax::JsonDecoder::new().with_limits(fault.limits),
-            };
-            let prefix = phase_chunks(&committed, 1);
-            let (ty, _report, w) = run_phase(
-                input,
-                &stage,
-                opts,
-                chunk,
-                fault,
-                infer_codec(),
-                1,
-                &prefix,
-                writer,
-                ctrl,
-            )?;
-            writer = w;
-            // Seal phase 1: once this marker is durable, a resume never
-            // re-infers — the layout is pinned for phase 2 forever.
-            let marker = obj(vec![
-                ("kind", s("type")),
-                ("type", s(print_type(&ty, PrintOptions::with_counts()))),
-            ]);
-            writer
-                .append(&marker.to_json_string())
-                .map_err(|e| journal_err("writing type marker", e))?;
-            ty
-        }
-    };
-
-    let shredder = Shredder::from_type(&ty);
-    let stage = TranslateStage {
-        shredder: &shredder,
-        decoder: FastJsonDecoder::new(
-            if fast {
-                FastPlan::for_translation(&shredder, &fault.limits)
-            } else {
-                None
-            },
-            fault.limits,
-        ),
-    };
-    let prefix = phase_chunks(&committed, 2);
-    let (batch, report, _writer) = run_phase(
-        input,
-        &stage,
-        opts,
-        chunk,
-        fault,
-        translate_codec(),
-        2,
-        &prefix,
-        writer,
-        ctrl,
-    )?;
-    Ok((ty, batch, report))
+    /// Ends the pass: surfaces any commit failure and returns the writer
+    /// to the session for the next pass or marker.
+    pub(crate) fn close(self, sink: ChunkJournal<ShardYield<T>>) -> Result<(), StreamError> {
+        let (writer, _committed_now) =
+            sink.finish().map_err(|e| journal_err("commit failed", e))?;
+        self.session.writer = Some(writer);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::{infer_streaming_source, translate_streaming_source, StreamSource};
+    use crate::run::{Run, Source};
+    use crate::streaming::FaultOptions;
+    use jsonx_core::Equivalence;
     use jsonx_pipeline::ErrorPolicy;
+    use jsonx_schema::ValidatorOptions;
     use std::io::Write as _;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -797,10 +663,45 @@ mod tests {
         path
     }
 
-    fn small_chunks() -> ChunkOptions {
-        ChunkOptions {
+    /// Small chunks, so the corpora above commit several times.
+    fn plan(workers: usize) -> Run<'static> {
+        Run {
+            workers,
             chunk_bytes: 64,
-            ..ChunkOptions::default()
+            ..Run::default()
+        }
+    }
+
+    fn journaled<'a>(base: &Run<'static>, ctrl: JournalControl<'a>) -> Run<'a> {
+        Run {
+            journal: Some(ctrl),
+            ..base.clone()
+        }
+    }
+
+    /// A control that trips its own stop latch after `commits` commits.
+    /// The flag is leaked so the 'static commit hook can store to it —
+    /// the same wiring the CLI uses for `JSONX_CRASHPOINT=stop:N`. The
+    /// counter spans both phases of a translation, mirroring the CLI
+    /// hook.
+    fn stop_after(journal: &Path, commits: u64) -> JournalControl<'_> {
+        let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+        let seen = AtomicU64::new(0);
+        JournalControl {
+            stop: Some(stop),
+            after_commit: Some(Arc::new(move |_| {
+                if seen.fetch_add(1, Ordering::SeqCst) + 1 >= commits {
+                    stop.store(true, Ordering::SeqCst);
+                }
+            })),
+            ..JournalControl::new(journal)
+        }
+    }
+
+    fn resume(journal: &Path) -> JournalControl<'_> {
+        JournalControl {
+            resume: true,
+            ..JournalControl::new(journal)
         }
     }
 
@@ -810,26 +711,14 @@ mod tests {
         let text = corpus(40);
         let input = write_input(&dir, "in.ndjson", &text);
         let journal = dir.path("run.journal");
-        let opts = StreamingOptions::with_workers(3);
-        let fault = FaultOptions::default();
+        let plain = plan(3);
 
-        let (ty, report) = infer_streaming_journaled(
-            &input,
-            Equivalence::Kind,
-            opts,
-            small_chunks(),
-            fault,
-            &JournalControl::new(&journal),
-        )
-        .unwrap();
-        let (want_ty, want_report) = infer_streaming_source(
-            StreamSource::slice(&text),
-            Equivalence::Kind,
-            opts,
-            small_chunks(),
-            fault,
-        )
-        .unwrap();
+        let (ty, report) = journaled(&plain, JournalControl::new(&journal))
+            .infer(Source::file(&input), Equivalence::Kind)
+            .unwrap();
+        let (want_ty, want_report) = plain
+            .infer(Source::slice(&text), Equivalence::Kind)
+            .unwrap();
         assert_eq!(ty, want_ty);
         assert_eq!(report.records, want_report.records);
         assert!(journal.exists());
@@ -841,65 +730,27 @@ mod tests {
         let text = corpus(60);
         let input = write_input(&dir, "in.ndjson", &text);
         let journal = dir.path("run.journal");
-        let opts = StreamingOptions::with_workers(2);
-        let fault = FaultOptions {
-            policy: ErrorPolicy::Skip { max_errors: None },
-            ..FaultOptions::default()
+        let plain = Run {
+            fault: FaultOptions {
+                policy: ErrorPolicy::Skip { max_errors: None },
+                ..FaultOptions::default()
+            },
+            ..plan(2)
         };
 
-        // Stop after 3 committed chunks. The flag is leaked so the
-        // 'static commit hook can store to it — the same wiring the CLI
-        // uses for `JSONX_CRASHPOINT=stop:N`.
-        let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-        let commits = Arc::new(AtomicU64::new(0));
-        let err = {
-            let commits = commits.clone();
-            let ctrl = JournalControl {
-                journal: &journal,
-                resume: false,
-                stop: Some(stop),
-                after_commit: Some(Arc::new(move |_| {
-                    if commits.fetch_add(1, Ordering::SeqCst) + 1 >= 3 {
-                        stop.store(true, Ordering::SeqCst);
-                    }
-                })),
-            };
-            infer_streaming_journaled(
-                &input,
-                Equivalence::Kind,
-                opts,
-                small_chunks(),
-                fault,
-                &ctrl,
-            )
-            .unwrap_err()
-        };
+        let err = journaled(&plain, stop_after(&journal, 3))
+            .infer(Source::file(&input), Equivalence::Kind)
+            .unwrap_err();
         assert_eq!(err, StreamError::Interrupted);
-        assert!(commits.load(Ordering::SeqCst) >= 3);
+        let committed = read_journal(&journal).unwrap().records.len();
+        assert!(committed > 3, "header + at least 3 chunks, got {committed}");
 
-        let ctrl = JournalControl {
-            journal: &journal,
-            resume: true,
-            stop: None,
-            after_commit: None,
-        };
-        let (ty, report) = infer_streaming_journaled(
-            &input,
-            Equivalence::Kind,
-            opts,
-            small_chunks(),
-            fault,
-            &ctrl,
-        )
-        .unwrap();
-        let (want_ty, want_report) = infer_streaming_source(
-            StreamSource::slice(&text),
-            Equivalence::Kind,
-            opts,
-            small_chunks(),
-            fault,
-        )
-        .unwrap();
+        let (ty, report) = journaled(&plain, resume(&journal))
+            .infer(Source::file(&input), Equivalence::Kind)
+            .unwrap();
+        let (want_ty, want_report) = plain
+            .infer(Source::slice(&text), Equivalence::Kind)
+            .unwrap();
         assert_eq!(ty, want_ty, "resumed type identical to uninterrupted run");
         assert_eq!(report.records, want_report.records);
     }
@@ -910,30 +761,12 @@ mod tests {
         let text = corpus(50);
         let input = write_input(&dir, "in.ndjson", &text);
         let journal = dir.path("run.journal");
-        let opts = StreamingOptions::with_workers(2);
-        let fault = FaultOptions::default();
+        let plain = plan(2);
 
         // Interrupt after 2 commits, then tear the journal's tail.
-        let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-        let ctrl = JournalControl {
-            journal: &journal,
-            resume: false,
-            stop: Some(stop),
-            after_commit: Some(Arc::new(move |n| {
-                if n >= 2 {
-                    stop.store(true, Ordering::SeqCst);
-                }
-            })),
-        };
-        let err = infer_streaming_journaled(
-            &input,
-            Equivalence::Kind,
-            opts,
-            small_chunks(),
-            fault,
-            &ctrl,
-        )
-        .unwrap_err();
+        let err = journaled(&plain, stop_after(&journal, 2))
+            .infer(Source::file(&input), Equivalence::Kind)
+            .unwrap_err();
         assert_eq!(err, StreamError::Interrupted);
         let mut file = std::fs::File::options()
             .append(true)
@@ -942,29 +775,12 @@ mod tests {
         file.write_all(b"00000000 {\"kind\":\"chunk\",\"torn")
             .unwrap();
 
-        let ctrl = JournalControl {
-            journal: &journal,
-            resume: true,
-            stop: None,
-            after_commit: None,
-        };
-        let (ty, _report) = infer_streaming_journaled(
-            &input,
-            Equivalence::Kind,
-            opts,
-            small_chunks(),
-            fault,
-            &ctrl,
-        )
-        .unwrap();
-        let (want_ty, _) = infer_streaming_source(
-            StreamSource::slice(&text),
-            Equivalence::Kind,
-            opts,
-            small_chunks(),
-            fault,
-        )
-        .unwrap();
+        let (ty, _report) = journaled(&plain, resume(&journal))
+            .infer(Source::file(&input), Equivalence::Kind)
+            .unwrap();
+        let (want_ty, _) = plain
+            .infer(Source::slice(&text), Equivalence::Kind)
+            .unwrap();
         assert_eq!(ty, want_ty);
     }
 
@@ -974,35 +790,17 @@ mod tests {
         let text = corpus(10);
         let input = write_input(&dir, "in.ndjson", &text);
         let journal = dir.path("run.journal");
-        let fault = FaultOptions::default();
+        let plain = plan(1);
 
-        infer_streaming_journaled(
-            &input,
-            Equivalence::Kind,
-            StreamingOptions::with_workers(1),
-            small_chunks(),
-            fault,
-            &JournalControl::new(&journal),
-        )
-        .unwrap();
+        journaled(&plain, JournalControl::new(&journal))
+            .infer(Source::file(&input), Equivalence::Kind)
+            .unwrap();
 
         // Same journal, different equivalence: the header no longer
         // matches, so the resume must refuse.
-        let ctrl = JournalControl {
-            journal: &journal,
-            resume: true,
-            stop: None,
-            after_commit: None,
-        };
-        let err = infer_streaming_journaled(
-            &input,
-            Equivalence::Label,
-            StreamingOptions::with_workers(1),
-            small_chunks(),
-            fault,
-            &ctrl,
-        )
-        .unwrap_err();
+        let err = journaled(&plain, resume(&journal))
+            .infer(Source::file(&input), Equivalence::Label)
+            .unwrap_err();
         assert!(
             matches!(&err, StreamError::Input(msg) if msg.contains("different run")),
             "got {err:?}"
@@ -1015,78 +813,88 @@ mod tests {
         let text = corpus(60);
         let input = write_input(&dir, "in.ndjson", &text);
         let journal = dir.path("run.journal");
-        let opts = StreamingOptions::with_workers(2);
-        let fault = FaultOptions::default();
+        let plain = plan(2);
 
         // Stop during phase 2: phase 1 commits ~13 chunks of 64B, so a
         // threshold past that lands the interruption mid-shred.
-        let stop: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
-        let commits = Arc::new(AtomicU64::new(0));
-        let commits_hook = commits.clone();
-        let ctrl = JournalControl {
-            journal: &journal,
-            resume: false,
-            stop: Some(stop),
-            after_commit: Some(Arc::new(move |_| {
-                // The counter spans both phases, mirroring the CLI hook.
-                if commits_hook.fetch_add(1, Ordering::SeqCst) + 1 >= 40 {
-                    stop.store(true, Ordering::SeqCst);
-                }
-            })),
-        };
-        let err = translate_streaming_journaled(
-            &input,
-            Equivalence::Kind,
-            opts,
-            small_chunks(),
-            fault,
-            true,
-            &ctrl,
-        )
-        .unwrap_err();
+        let err = journaled(&plain, stop_after(&journal, 40))
+            .translate_inferred(Source::file(&input), Equivalence::Kind)
+            .unwrap_err();
         assert_eq!(err, StreamError::Interrupted);
 
-        let ctrl = JournalControl {
-            journal: &journal,
-            resume: true,
-            stop: None,
-            after_commit: None,
-        };
-        let (ty, batch, report) = translate_streaming_journaled(
-            &input,
-            Equivalence::Kind,
-            opts,
-            small_chunks(),
-            fault,
-            true,
-            &ctrl,
-        )
-        .unwrap();
-
-        let (want_ty, _) = infer_streaming_source(
-            StreamSource::slice(&text),
-            Equivalence::Kind,
-            opts,
-            small_chunks(),
-            fault,
-        )
-        .unwrap();
-        let shredder = Shredder::from_type(&want_ty);
-        let (want_batch, want_report) = translate_streaming_source(
-            StreamSource::slice(&text),
-            &shredder,
-            opts,
-            small_chunks(),
-            fault,
-            true,
-        )
-        .unwrap();
+        let (ty, batch, report) = journaled(&plain, resume(&journal))
+            .translate_inferred(Source::file(&input), Equivalence::Kind)
+            .unwrap();
+        let (want_ty, want_batch, want_report) = plain
+            .translate_inferred(Source::slice(&text), Equivalence::Kind)
+            .unwrap();
         assert_eq!(ty, want_ty);
         assert_eq!(report.records, want_report.records);
         assert_eq!(
             write_jxc(&batch),
             write_jxc(&want_batch),
             "resumed .jxc bytes identical to uninterrupted run"
+        );
+    }
+
+    /// The header's `config` fingerprint embeds `Debug` output, so
+    /// renaming a `FaultOptions` / `ValidatorOptions` / `ParseLimits`
+    /// field would silently refuse every journal written before the
+    /// rename. These literals are what the parent commit wrote.
+    #[test]
+    fn header_fingerprints_are_pinned() {
+        let dir = TempDir::new("headers");
+        let input = write_input(&dir, "in.ndjson", &corpus(3));
+        let input_bytes = std::fs::metadata(&input).unwrap().len();
+        let schema =
+            jsonx_schema::CompiledSchema::compile(&jsonx_data::json!({"type": "object"})).unwrap();
+        let header_of =
+            |journal: &Path| -> String { read_journal(journal).unwrap().records.remove(0) };
+        const FAULT: &str = "FaultOptions { policy: FailFast, keep_rejects: false, \
+             limits: ParseLimits { max_depth: 128, max_input_bytes: None, \
+             max_string_bytes: None } }";
+        let expect = |stage: &str, config: String| {
+            format!(
+                "{{\"kind\":\"header\",\"v\":1,\"stage\":\"{stage}\",\"chunk_bytes\":64,\
+                 \"input_bytes\":{input_bytes},\"config\":\"{config}\"}}"
+            )
+        };
+
+        let journal = dir.path("infer.journal");
+        journaled(&plan(1), JournalControl::new(&journal))
+            .infer(Source::file(&input), Equivalence::Kind)
+            .unwrap();
+        assert_eq!(
+            header_of(&journal),
+            expect("infer", format!("equiv=Kind fault={FAULT}"))
+        );
+
+        let journal = dir.path("validate.journal");
+        let ctrl = JournalControl {
+            schema_tag: 0xfeed_beef,
+            ..JournalControl::new(&journal)
+        };
+        journaled(&plan(1), ctrl)
+            .validate(Source::file(&input), &schema, ValidatorOptions::default())
+            .unwrap();
+        assert_eq!(
+            header_of(&journal),
+            expect(
+                "validate",
+                format!(
+                    "schema=feedbeef options=ValidatorOptions {{ enforce_formats: false }} \
+                     fault={FAULT}"
+                )
+            )
+        );
+
+        let journal = dir.path("translate.journal");
+        journaled(&plan(1), JournalControl::new(&journal))
+            .translate_inferred(Source::file(&input), Equivalence::Label)
+            .unwrap();
+        assert_eq!(
+            header_of(&journal),
+            expect("translate", format!("equiv=Label fault={FAULT}"))
         );
     }
 }

@@ -23,17 +23,27 @@
 //!   system with typed decoding.
 //! * [`mison`] — Mison-style structural-index parser with projection
 //!   pushdown and a Fad.js-style speculative decoder.
-//! * [`pipeline`] — the generic sharded fold engine behind every parallel
-//!   entry point (newline sharding, scoped workers, shard-order fusion).
+//! * [`pipeline`] — the generic chunked fold engine behind every parallel
+//!   workload (sequence-numbered chunks, a work-stealing worker pool,
+//!   sequence-order fusion).
 //! * [`translate`] — schema-driven translation to columnar batches and an
 //!   Avro-like binary row format.
 //! * [`gen`] — seeded synthetic dataset generators with heterogeneity dials.
 //! * [`serve`] — the resident schema service: validate/infer/translate over
 //!   a line protocol with bounded queues, deadlines, and hot reload.
+//!
+//! The streaming pipeline itself lives in this crate: a [`Run`] describes
+//! one streaming run (workers, chunking, fault policy, fast-parse, record
+//! format, optional checkpoint journal) and its methods —
+//! [`infer`](Run::infer), [`validate`](Run::validate),
+//! [`infer_validate`](Run::infer_validate), [`translate`](Run::translate),
+//! [`translate_inferred`](Run::translate_inferred) — execute it over a
+//! [`Source`] through one path (see [`run`]).
 
 pub mod checkpoint;
 pub(crate) mod fastpath;
 pub mod quarantine;
+pub mod run;
 pub mod streaming;
 
 pub use jsonx_baselines as baselines;
@@ -52,28 +62,18 @@ pub use jsonx_syntax as syntax;
 pub use jsonx_translate as translate;
 pub use jsonx_typelang as typelang;
 
-pub use checkpoint::{
-    infer_streaming_journaled, translate_streaming_journaled, validate_streaming_journaled,
-    JournalControl,
-};
+pub use checkpoint::JournalControl;
 pub use jsonx_data::{json, Kind, Number, Object, Pointer, Value};
 pub use jsonx_pipeline as pipeline;
 pub use jsonx_pipeline::{
-    ChunkOptions, ErrorPolicy, ErrorSummary, RecordDiagnostic, RunReport, ShardPanic, WorkerTiming,
+    ErrorPolicy, ErrorSummary, RecordDiagnostic, RunReport, ShardPanic, WorkerTiming,
 };
 pub use jsonx_syntax::{
     CsvDecoder, EventReceiver, JsonDecoder, ParseLimits, RecordDecoder, ValueBuilder,
 };
 pub use quarantine::{write_quarantine, write_quarantine_file};
+pub use run::{Format, Run, Source};
 pub use streaming::{
-    infer_document_events, infer_streaming, infer_streaming_decoded, infer_streaming_guarded,
-    infer_streaming_parallel, infer_streaming_source, infer_validate_streaming,
-    infer_validate_streaming_decoded, infer_validate_streaming_guarded,
-    infer_validate_streaming_parallel, infer_validate_streaming_source, translate_streaming,
-    translate_streaming_decoded, translate_streaming_guarded, translate_streaming_guarded_fast,
-    translate_streaming_parallel, translate_streaming_parallel_fast, translate_streaming_source,
-    validate_streaming, validate_streaming_decoded, validate_streaming_guarded,
-    validate_streaming_guarded_fast, validate_streaming_parallel, validate_streaming_parallel_fast,
-    validate_streaming_source, FaultOptions, InferValidateOutcome, LineVerdict, RecordIssue,
-    StreamError, StreamSource, StreamTyper, StreamingOptions, TranslateLineError,
+    infer_document_events, FaultOptions, LineVerdict, RecordIssue, StreamError, StreamTyper,
+    TypedVerdicts,
 };

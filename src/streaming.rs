@@ -1,37 +1,36 @@
 //! Streaming pipeline stages over record collections: inference,
 //! validation, combined infer+validate, and schema-driven translation.
 //!
-//! Every parallel entry point here is a thin [`ShardFold`] adapter over
-//! the generic sharded engine of [`jsonx_pipeline`]: newline-boundary
-//! sharding, scoped worker threads, shard-order fusion, first-error-line
-//! selection. Since the decoder-seam refactor the stages are also
-//! **source-agnostic**: each is generic over a [`RecordDecoder`]
-//! (NDJSON via [`JsonDecoder`], the SWAR fast path via the crate-private
-//! `FastJsonDecoder`, CSV via [`jsonx_syntax::CsvDecoder`], …), so the
-//! engine's work stealing, fault tolerance and out-of-core layers never
-//! assume JSON — the `*_decoded` entry points expose this directly. The
-//! stages differ only in their per-worker state and merge:
+//! Every stage here is a [`RecordStage`]: what to do with one record and
+//! how to fuse chunk outputs. [`FaultFold`] wraps a stage in the shared
+//! fault layer (blank-line skipping, the record-size guard, error-policy
+//! bookkeeping) and the one executor in [`crate::run`] drives it on the
+//! chunked engine of [`jsonx_pipeline`]. The stages are
+//! **source-agnostic**: each is generic over a [`RecordDecoder`] (NDJSON
+//! via [`JsonDecoder`](jsonx_syntax::JsonDecoder), the SWAR fast path via
+//! the crate-private `FastJsonDecoder`, CSV via
+//! [`jsonx_syntax::CsvDecoder`], …), so the engine's work stealing, fault
+//! tolerance and out-of-core layers never assume JSON. They differ only
+//! in their per-worker state and merge:
 //!
-//! * [`infer_streaming_parallel`] — a [`StreamTyper`] per worker, types
-//!   fused with the §4.1 monoid (commutative + associative, `Bottom`
-//!   unit), so every worker count reproduces the sequential — and DOM —
-//!   result bit for bit.
-//! * [`validate_streaming_parallel`] — a compiled fail-fast
+//! * inference — a [`StreamTyper`] per worker, types fused with the §4.1
+//!   monoid (commutative + associative, `Bottom` unit), so every worker
+//!   count reproduces the sequential — and DOM — result bit for bit.
+//! * validation — a compiled fail-fast
 //!   [`FastValidator`](jsonx_schema::FastValidator) per worker, per-line
-//!   verdict vectors concatenated in shard order.
-//! * [`infer_validate_streaming_parallel`] — the combined single pass:
-//!   **one tokenisation** per line feeds both the typer and the
-//!   validator ([`StreamTyper::type_and_build`] builds the DOM value for
-//!   the validator from the same raw-event walk that types the line).
-//! * [`translate_streaming_parallel`] — §5's schema-driven translation:
-//!   per-shard Arrow-like columnar batches
-//!   ([`ShredStream`](jsonx_translate::ShredStream)), concatenated in
-//!   shard order into the batch a DOM
+//!   verdict vectors concatenated in chunk order.
+//! * combined infer+validate — the single pass: **one tokenisation** per
+//!   line feeds both the typer and the validator
+//!   ([`StreamTyper::type_and_build_decoded`] builds the DOM value for
+//!   the validator from the same event walk that types the line).
+//! * translation — §5's schema-driven translation: per-chunk Arrow-like
+//!   columnar batches ([`ShredStream`](jsonx_translate::ShredStream)),
+//!   concatenated in chunk order into the batch a DOM
 //!   [`Shredder::shred`](jsonx_translate::Shredder::shred) would build.
 //!
 //! The massive-collection setting of §4.1 is exactly where building a
 //! [`Value`](jsonx_data::Value) per document hurts: the map step only
-//! needs the *types*. [`infer_streaming`] fuses each document's type
+//! needs the *types*. The inference stage fuses each document's type
 //! directly from [`RawEventParser`] events, with memory bounded by
 //! document depth rather than document size. Three things keep the
 //! per-document allocation budget near zero:
@@ -44,32 +43,23 @@
 //! - the container frame stack is reused across documents, so steady-state
 //!   typing of uniform documents performs no stack (re)allocation at all.
 
-use crate::fastpath::{FastJsonDecoder, FastPlan};
 use jsonx_core::{fuse, Equivalence, JType};
 use jsonx_core::{ArrayType, FieldName, FieldType, RecordType};
 use jsonx_data::Value;
-use jsonx_pipeline::{
-    merge_line_results, run_lines, run_lines_stealing, run_reader_caught, ChunkOptions,
-    ErrorPolicy, ErrorSummary, RecordDiagnostic, RunReport, ShardFold, ShardPanic,
-};
+use jsonx_pipeline::{ErrorPolicy, ErrorSummary, RecordDiagnostic, ShardFold, ShardPanic};
 use jsonx_schema::{CompiledSchema, FastValidator, ValidatorOptions};
 use jsonx_syntax::{
-    EventReceiver, JsonDecoder, ParseError, ParseErrorKind, ParseLimits, RawEvent, RawEventParser,
+    EventReceiver, ParseError, ParseErrorKind, ParseLimits, RawEvent, RawEventParser,
     RecordDecoder, RecordLimit, Tee, ValueBuilder,
 };
 use jsonx_translate::{ColumnarBatch, ShredError, ShredStream, Shredder};
 use std::collections::HashSet;
 
-/// Options for the byte-sharded streaming stages — the shared
-/// [`PipelineOptions`](jsonx_pipeline::PipelineOptions) of
-/// `jsonx-pipeline`, kept under this crate's historical name.
-pub use jsonx_pipeline::PipelineOptions as StreamingOptions;
-
 /// A reusable event-stream typing engine.
 ///
 /// One `StreamTyper` types many documents in sequence: its frame stack and
 /// field-name interner persist across [`type_document`](Self::type_document)
-/// calls. Workers in [`infer_streaming_parallel`] each own one.
+/// calls. Each worker of a streaming inference run owns one.
 pub struct StreamTyper {
     equiv: Equivalence,
     limits: ParseLimits,
@@ -214,9 +204,7 @@ impl StreamTyper {
 
     /// Types one document **and** rebuilds its [`Value`] from the same
     /// event walk — one tokenisation feeding two consumers. The built
-    /// value is identical to [`jsonx_syntax::parse`] on the same bytes,
-    /// which is what lets the combined infer+validate pass probe the
-    /// compiled validator without re-parsing.
+    /// value is identical to [`jsonx_syntax::parse`] on the same bytes.
     pub fn type_and_build(&mut self, input: &[u8]) -> Result<(JType, Value), ParseError> {
         let limits = self.limits;
         let mut builder = ValueBuilder::new();
@@ -245,9 +233,9 @@ impl StreamTyper {
 
     /// Types one record through an arbitrary [`RecordDecoder`] — the
     /// source-agnostic face of [`type_document`](Self::type_document).
-    /// With [`JsonDecoder`] this is event-for-event the JSON path; with
-    /// any other decoder the same fusion runs over whatever events the
-    /// source produces.
+    /// With [`JsonDecoder`](jsonx_syntax::JsonDecoder) this is
+    /// event-for-event the JSON path; with any other decoder the same
+    /// fusion runs over whatever events the source produces.
     pub fn type_decoded<D: RecordDecoder>(
         &mut self,
         decoder: &D,
@@ -266,7 +254,9 @@ impl StreamTyper {
     }
 
     /// [`type_and_build`](Self::type_and_build) through an arbitrary
-    /// [`RecordDecoder`]: one decode feeds the typer and the DOM builder.
+    /// [`RecordDecoder`]: one decode feeds the typer and the DOM builder,
+    /// which is what lets the combined infer+validate pass probe the
+    /// compiled validator without re-parsing.
     pub fn type_and_build_decoded<D: RecordDecoder>(
         &mut self,
         decoder: &D,
@@ -373,7 +363,7 @@ impl std::fmt::Display for RecordIssue {
     }
 }
 
-/// How a guarded streaming run failed.
+/// How a streaming run failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StreamError {
     /// Under [`ErrorPolicy::FailFast`]: the first rejected record.
@@ -426,8 +416,8 @@ impl std::fmt::Display for StreamError {
 
 impl std::error::Error for StreamError {}
 
-/// Fault-tolerance settings for the guarded streaming entry points,
-/// orthogonal to the sharding knobs in [`StreamingOptions`].
+/// Fault-tolerance settings of a [`Run`](crate::Run), orthogonal to its
+/// dispatch knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultOptions {
     /// What to do with rejected records.
@@ -610,7 +600,7 @@ impl<'s, S: RecordStage> ShardFold<str> for FaultFold<'s, S> {
         // reusable machinery survives in `inner` while the fault account
         // resets. A halt moves into the chunk's yield — the halted chunk
         // already stopped feeding, and the worker's next chunk starts
-        // clean, exactly like a fresh static shard would.
+        // clean.
         ShardYield {
             out: self.stage.take(&mut state.inner),
             records: std::mem::take(&mut state.records),
@@ -639,124 +629,6 @@ impl<'s, S: RecordStage> ShardFold<str> for FaultFold<'s, S> {
             errors: left.errors,
             halt,
         }
-    }
-}
-
-/// Where a streaming stage reads its NDJSON records from.
-///
-/// `Slice` is the historical in-memory path, dispatched as zero-copy
-/// work-stealing chunks; `Reader` streams out-of-core through a bounded
-/// ring of chunk buffers, so corpora much larger than RAM process with
-/// peak residency around `workers × chunk_bytes`. The type parameter
-/// defaults to [`std::io::Empty`] so slice-only callers can write
-/// `StreamSource::slice(text)` without naming a reader type.
-pub enum StreamSource<'a, R = std::io::Empty> {
-    /// An in-memory NDJSON slice.
-    Slice(&'a str),
-    /// Any buffered reader (file, socket, decompressor).
-    Reader(R),
-}
-
-impl<'a> StreamSource<'a> {
-    /// An in-memory source with the reader type pinned to
-    /// [`std::io::Empty`] — avoids type-annotation noise at call sites
-    /// that never stream.
-    pub fn slice(ndjson: &'a str) -> Self {
-        StreamSource::Slice(ndjson)
-    }
-}
-
-/// Runs a stage under the fault layer and folds the outcome into the
-/// `(result, report)` / [`StreamError`] contract every guarded entry point
-/// shares.
-fn run_stage<S: RecordStage>(
-    ndjson: &str,
-    stage: &S,
-    opts: StreamingOptions,
-    fault: FaultOptions,
-) -> Result<(S::Out, RunReport), StreamError> {
-    run_stage_source(
-        StreamSource::slice(ndjson),
-        stage,
-        opts,
-        ChunkOptions::default(),
-        fault,
-    )
-}
-
-/// [`run_stage`] generalised over input sources and chunk dispatch knobs
-/// — the single execution path every entry point (in-memory or
-/// out-of-core) now funnels through.
-fn run_stage_source<R: std::io::BufRead + Send, S: RecordStage>(
-    source: StreamSource<'_, R>,
-    stage: &S,
-    opts: StreamingOptions,
-    chunk: ChunkOptions,
-    fault: FaultOptions,
-) -> Result<(S::Out, RunReport), StreamError> {
-    let fold = FaultFold::new(stage, fault);
-    let outcome = match source {
-        StreamSource::Slice(ndjson) => run_lines_stealing(ndjson, &fold, opts, chunk),
-        StreamSource::Reader(reader) => run_reader_caught(reader, &fold, opts, chunk)
-            .map_err(|e| StreamError::Input(e.to_string()))?,
-    };
-    let yielded = outcome.out;
-    let report = RunReport {
-        records: yielded.records,
-        shards: outcome.shards,
-        errors: yielded.errors,
-        poisoned: outcome.poisoned,
-        timings: outcome.timings,
-    };
-    seal_stage_outcome(yielded.out, yielded.halt, report, fault)
-}
-
-/// Folds a finished run's halt state and report into the
-/// `(result, report)` / [`StreamError`] contract — shared by the plain
-/// funnel above and the journaled runs in [`crate::checkpoint`], which
-/// build their reports from a resumed prefix plus fresh tail chunks.
-pub(crate) fn seal_stage_outcome<T>(
-    out: T,
-    halt: Option<Halt>,
-    mut report: RunReport,
-    fault: FaultOptions,
-) -> Result<(T, RunReport), StreamError> {
-    if !fault.policy.tolerates() && !report.poisoned.is_empty() {
-        return Err(StreamError::ShardPanicked(report.poisoned.remove(0)));
-    }
-    match halt {
-        Some(Halt::Fault { record, issue }) => Err(StreamError::Record { record, issue }),
-        Some(Halt::TooMany) => Err(StreamError::TooManyErrors {
-            limit: fault.policy.max_errors().unwrap_or(0),
-            seen: report.errors.total,
-        }),
-        None => match fault.policy.max_errors() {
-            // The authoritative bound check is on the *merged* total: each
-            // shard may be under the limit while the run is over it.
-            Some(max) if report.errors.total > max => Err(StreamError::TooManyErrors {
-                limit: max,
-                seen: report.errors.total,
-            }),
-            _ => Ok((out, report)),
-        },
-    }
-}
-
-/// Maps a fail-fast [`StreamError`] back onto the historical
-/// `(line, ParseError)` shape, panicking (with shard provenance) on a
-/// poisoned shard — the legacy entry points cannot carry a panic in their
-/// signatures.
-fn legacy_parse_error<T>(
-    result: Result<(T, RunReport), StreamError>,
-) -> Result<T, (usize, ParseError)> {
-    match result {
-        Ok((out, _report)) => Ok(out),
-        Err(StreamError::Record {
-            record,
-            issue: RecordIssue::Parse(e),
-        }) => Err((record, e)),
-        Err(StreamError::ShardPanicked(p)) => panic!("pipeline {p}"),
-        Err(e) => unreachable!("fail-fast parse stage produced {e:?}"),
     }
 }
 
@@ -813,112 +685,27 @@ impl<D: RecordDecoder> RecordStage for InferStage<D> {
     }
 }
 
-/// Infers the collection type of NDJSON text without building DOMs.
-///
-/// Equivalent to parsing every line and running
-/// [`infer_collection`](jsonx_core::infer_collection) — property-tested in
-/// `tests/streaming_inference.rs` — but allocation stays proportional to
-/// nesting depth. Errors carry the zero-based line index.
-pub fn infer_streaming(ndjson: &str, equiv: Equivalence) -> Result<JType, (usize, ParseError)> {
-    infer_streaming_parallel(ndjson, equiv, StreamingOptions::with_workers(1))
-}
-
 /// Types one document from its event stream.
 pub fn infer_document_events(input: &[u8], equiv: Equivalence) -> Result<JType, ParseError> {
     StreamTyper::new(equiv).type_document(input)
-}
-
-/// Infers the collection type of NDJSON text on parallel workers.
-///
-/// The input is split into contiguous byte-range shards snapped to newline
-/// boundaries; each scoped worker types its shard with a private
-/// [`StreamTyper`], and the per-shard types are fused in shard order.
-/// Because fusion is commutative and associative with `Bottom` as unit,
-/// the result is identical to [`infer_streaming`] — and to the DOM path —
-/// for every worker count. On malformed input the reported line index
-/// matches the sequential path (the first bad line).
-pub fn infer_streaming_parallel(
-    ndjson: &str,
-    equiv: Equivalence,
-    opts: StreamingOptions,
-) -> Result<JType, (usize, ParseError)> {
-    let stage = InferStage {
-        equiv,
-        decoder: JsonDecoder::new(),
-    };
-    legacy_parse_error(run_stage(ndjson, &stage, opts, FaultOptions::default()))
-}
-
-/// Streaming inference under an explicit [error policy](FaultOptions).
-///
-/// Under [`ErrorPolicy::FailFast`] this is [`infer_streaming_parallel`]
-/// returning its [`RunReport`]; under `Skip`/`Collect` rejected records
-/// (malformed JSON, limit violations) are skipped and accounted in the
-/// report, and the inferred type equals what `FailFast` infers on the same
-/// corpus with the rejected lines removed — pinned by
-/// `tests/fault_tolerance.rs` at every worker count.
-pub fn infer_streaming_guarded(
-    ndjson: &str,
-    equiv: Equivalence,
-    opts: StreamingOptions,
-    fault: FaultOptions,
-) -> Result<(JType, RunReport), StreamError> {
-    let stage = InferStage {
-        equiv,
-        decoder: JsonDecoder::new().with_limits(fault.limits),
-    };
-    run_stage(ndjson, &stage, opts, fault)
-}
-
-/// Streaming inference over any [`StreamSource`]: in-memory slices ride
-/// the work-stealing chunk dispatcher, readers stream out-of-core with
-/// bounded resident memory. Semantics (policy, report, inferred type)
-/// are identical to [`infer_streaming_guarded`] on the same bytes.
-pub fn infer_streaming_source<R: std::io::BufRead + Send>(
-    source: StreamSource<'_, R>,
-    equiv: Equivalence,
-    opts: StreamingOptions,
-    chunk: ChunkOptions,
-    fault: FaultOptions,
-) -> Result<(JType, RunReport), StreamError> {
-    let stage = InferStage {
-        equiv,
-        decoder: JsonDecoder::new().with_limits(fault.limits),
-    };
-    run_stage_source(source, &stage, opts, chunk, fault)
-}
-
-/// Streaming inference through an arbitrary [`RecordDecoder`] — the
-/// source-agnostic entry point. [`infer_streaming_source`] is exactly
-/// this with [`JsonDecoder`]; pass a
-/// [`CsvDecoder`](jsonx_syntax::CsvDecoder) (or any other implementation)
-/// and the full engine — work stealing, out-of-core chunking, error
-/// policies, quarantine — runs unchanged over the new source.
-pub fn infer_streaming_decoded<R: std::io::BufRead + Send, D: RecordDecoder>(
-    source: StreamSource<'_, R>,
-    decoder: D,
-    equiv: Equivalence,
-    opts: StreamingOptions,
-    chunk: ChunkOptions,
-    fault: FaultOptions,
-) -> Result<(JType, RunReport), StreamError> {
-    let stage = InferStage { equiv, decoder };
-    run_stage_source(source, &stage, opts, chunk, fault)
 }
 
 // ---------------------------------------------------------------------------
 // Validation stage
 // ---------------------------------------------------------------------------
 
-/// Per-line outcome of streaming NDJSON validation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Per-record outcome of streaming validation. Records that do not
+/// decode never get a verdict: they go to the fault layer
+/// ([`StreamError::Record`] under fail-fast, the [`RunReport`]'s reject
+/// account under a tolerant policy).
+///
+/// [`RunReport`]: jsonx_pipeline::RunReport
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LineVerdict {
-    /// The line parsed and satisfies the schema.
+    /// The record decoded and satisfies the schema.
     Valid,
-    /// The line parsed but violates the schema.
+    /// The record decoded but violates the schema.
     Invalid,
-    /// The line is not well-formed JSON.
-    Malformed(ParseError),
 }
 
 impl LineVerdict {
@@ -929,19 +716,19 @@ impl LineVerdict {
 }
 
 /// The validation stage: one fail-fast [`FastValidator`] per worker,
-/// verdict vectors concatenated in shard order.
-///
-/// Two faces share this stage. The historical one (`malformed_verdicts`)
-/// records malformed lines as inline [`LineVerdict::Malformed`] entries
-/// and never rejects a record; the guarded one rejects malformed lines to
-/// the fault layer, so the verdict vector covers exactly the records that
-/// parsed.
+/// verdict vectors concatenated in chunk order. Each record is probed
+/// with the compiled validation IR (the allocation-free boolean path
+/// behind [`CompiledSchema::is_valid`]); verdicts are **identical** to
+/// running the error-collecting interpreter per document —
+/// property-tested in `tests/streaming_validation.rs` — so callers
+/// wanting diagnostics can re-run [`CompiledSchema::validate`] on just
+/// the invalid lines. Malformed records are rejected to the fault layer,
+/// so the verdict vector covers exactly the records that decoded.
 pub(crate) struct ValidateStage<'s, D> {
     pub(crate) schema: &'s CompiledSchema,
     pub(crate) options: ValidatorOptions,
-    pub(crate) malformed_verdicts: bool,
-    /// How record text becomes a document. The JSON paths pass
-    /// [`FastJsonDecoder`], whose `decode_value` tries the SWAR
+    /// How record text becomes a document. The JSON path passes
+    /// `FastJsonDecoder`, whose `decode_value` tries the SWAR
     /// projecting fast path first and falls back to the full parser —
     /// verdicts are identical either way (the scanner never accepts a
     /// record the parser rejects). Any other decoder plugs in here
@@ -967,22 +754,17 @@ impl<'s, D: RecordDecoder> RecordStage for ValidateStage<'s, D> {
         line: &str,
         record: usize,
     ) -> Result<(), RecordIssue> {
-        match self.decoder.decode_value(scratch, line) {
-            Ok(doc) => {
-                let verdict = if validator.is_valid(&doc) {
-                    LineVerdict::Valid
-                } else {
-                    LineVerdict::Invalid
-                };
-                verdicts.push((record, verdict));
-                Ok(())
-            }
-            Err(e) if self.malformed_verdicts => {
-                verdicts.push((record, LineVerdict::Malformed(e)));
-                Ok(())
-            }
-            Err(e) => Err(RecordIssue::Parse(e)),
-        }
+        let doc = self
+            .decoder
+            .decode_value(scratch, line)
+            .map_err(RecordIssue::Parse)?;
+        let verdict = if validator.is_valid(&doc) {
+            LineVerdict::Valid
+        } else {
+            LineVerdict::Invalid
+        };
+        verdicts.push((record, verdict));
+        Ok(())
     }
 
     fn finish(&self, (_, verdicts, _): Self::State) -> Self::Out {
@@ -1001,338 +783,21 @@ impl<'s, D: RecordDecoder> RecordStage for ValidateStage<'s, D> {
     }
 }
 
-/// Validates an NDJSON collection line by line on the fail-fast path.
-///
-/// Each non-blank line is parsed and probed with the compiled validation IR
-/// (the allocation-free boolean path behind
-/// [`CompiledSchema::is_valid`]); verdicts are **identical** to running the
-/// error-collecting interpreter per document — property-tested in
-/// `tests/streaming_validation.rs` — so callers wanting diagnostics can
-/// re-run [`CompiledSchema::validate`] on just the invalid lines.
-pub fn validate_streaming(
-    ndjson: &str,
-    schema: &CompiledSchema,
-    options: ValidatorOptions,
-) -> Vec<(usize, LineVerdict)> {
-    validate_streaming_parallel(ndjson, schema, options, StreamingOptions::with_workers(1))
-}
-
-/// Validates an NDJSON collection on parallel workers.
-///
-/// Reuses the newline-boundary sharding of
-/// [`infer_streaming_parallel`]: the input splits into contiguous shards
-/// snapped to newline boundaries, each scoped worker owns one fail-fast
-/// validator for its shard, and the per-shard verdict vectors concatenate
-/// in shard order — so the result is *positionally identical* to
-/// [`validate_streaming`] for every worker count. Small inputs (or
-/// `workers == 1`) fall back to the sequential path.
-pub fn validate_streaming_parallel(
-    ndjson: &str,
-    schema: &CompiledSchema,
-    options: ValidatorOptions,
-    opts: StreamingOptions,
-) -> Vec<(usize, LineVerdict)> {
-    validate_parallel_impl(ndjson, schema, options, opts, None)
-}
-
-/// [`validate_streaming_parallel`] with the fused SWAR fast path enabled.
-///
-/// When the compiled schema is projectable
-/// ([`CompiledSchema::root_projection`]), each worker first runs the
-/// word-parallel structural scanner, validating only the fields the
-/// schema can observe; records the scanner declines — and every record of
-/// a non-projectable schema — take the full parser, so the verdict vector
-/// is **identical** to [`validate_streaming_parallel`] at every worker
-/// count (pinned by `tests/parsing_fastpath.rs`).
-pub fn validate_streaming_parallel_fast(
-    ndjson: &str,
-    schema: &CompiledSchema,
-    options: ValidatorOptions,
-    opts: StreamingOptions,
-) -> Vec<(usize, LineVerdict)> {
-    let fast = FastPlan::for_validation(schema, &ParseLimits::default());
-    validate_parallel_impl(ndjson, schema, options, opts, fast)
-}
-
-fn validate_parallel_impl(
-    ndjson: &str,
-    schema: &CompiledSchema,
-    options: ValidatorOptions,
-    opts: StreamingOptions,
-    fast: Option<FastPlan>,
-) -> Vec<(usize, LineVerdict)> {
-    let stage = ValidateStage {
-        schema,
-        options,
-        malformed_verdicts: true,
-        decoder: FastJsonDecoder::new(fast, ParseLimits::default()),
-    };
-    // With malformed lines recorded as inline verdicts, the stage rejects
-    // nothing, so the fail-fast run can only fail on a poisoned shard.
-    match run_stage(ndjson, &stage, opts, FaultOptions::default()) {
-        Ok((verdicts, _report)) => verdicts,
-        Err(StreamError::ShardPanicked(p)) => panic!("pipeline {p}"),
-        Err(e) => unreachable!("verdict-only validation produced {e:?}"),
-    }
-}
-
-/// Streaming validation under an explicit [error policy](FaultOptions).
-///
-/// Unlike [`validate_streaming_parallel`] — which records malformed lines
-/// as inline [`LineVerdict::Malformed`] entries — the guarded face hands
-/// malformed records (and limit violations) to the fault layer: under
-/// `FailFast` the first one aborts the run, under `Skip`/`Collect` they
-/// are accounted in the [`RunReport`] (and quarantinable), and the verdict
-/// vector covers exactly the records that parsed.
-pub fn validate_streaming_guarded(
-    ndjson: &str,
-    schema: &CompiledSchema,
-    options: ValidatorOptions,
-    opts: StreamingOptions,
-    fault: FaultOptions,
-) -> Result<(Vec<(usize, LineVerdict)>, RunReport), StreamError> {
-    validate_guarded_impl(ndjson, schema, options, opts, fault, None)
-}
-
-/// [`validate_streaming_guarded`] with the fused SWAR fast path enabled.
-///
-/// Fast-path acceptance implies well-formedness, so a scanner-accepted
-/// record can never reach the fault layer as a parse reject; declined
-/// records run the full parser whose error kind and offset remain
-/// authoritative. Verdicts, [`RunReport`]s and [`StreamError`]s are
-/// identical to [`validate_streaming_guarded`] under every policy.
-pub fn validate_streaming_guarded_fast(
-    ndjson: &str,
-    schema: &CompiledSchema,
-    options: ValidatorOptions,
-    opts: StreamingOptions,
-    fault: FaultOptions,
-) -> Result<(Vec<(usize, LineVerdict)>, RunReport), StreamError> {
-    let fast = FastPlan::for_validation(schema, &fault.limits);
-    validate_guarded_impl(ndjson, schema, options, opts, fault, fast)
-}
-
-fn validate_guarded_impl(
-    ndjson: &str,
-    schema: &CompiledSchema,
-    options: ValidatorOptions,
-    opts: StreamingOptions,
-    fault: FaultOptions,
-    fast: Option<FastPlan>,
-) -> Result<(Vec<(usize, LineVerdict)>, RunReport), StreamError> {
-    let stage = ValidateStage {
-        schema,
-        options,
-        malformed_verdicts: false,
-        decoder: FastJsonDecoder::new(fast, fault.limits),
-    };
-    run_stage(ndjson, &stage, opts, fault)
-}
-
-/// Streaming validation over any [`StreamSource`]; `fast` enables the
-/// SWAR projecting fast path when the schema supports it (verdicts are
-/// identical either way). Semantics match
-/// [`validate_streaming_guarded`] / [`validate_streaming_guarded_fast`]
-/// on the same bytes; readers stream out-of-core with bounded resident
-/// memory.
-pub fn validate_streaming_source<R: std::io::BufRead + Send>(
-    source: StreamSource<'_, R>,
-    schema: &CompiledSchema,
-    options: ValidatorOptions,
-    opts: StreamingOptions,
-    chunk: ChunkOptions,
-    fault: FaultOptions,
-    fast: bool,
-) -> Result<(Vec<(usize, LineVerdict)>, RunReport), StreamError> {
-    let stage = ValidateStage {
-        schema,
-        options,
-        malformed_verdicts: false,
-        decoder: FastJsonDecoder::new(
-            if fast {
-                FastPlan::for_validation(schema, &fault.limits)
-            } else {
-                None
-            },
-            fault.limits,
-        ),
-    };
-    run_stage_source(source, &stage, opts, chunk, fault)
-}
-
-/// Streaming validation through an arbitrary [`RecordDecoder`]: decoded
-/// records probe the compiled validator exactly as parsed JSON documents
-/// would, with malformed records handed to the fault layer. This is how
-/// a CSV corpus validates against a JSON Schema without any
-/// format-specific validation code.
-pub fn validate_streaming_decoded<R: std::io::BufRead + Send, D: RecordDecoder>(
-    source: StreamSource<'_, R>,
-    decoder: D,
-    schema: &CompiledSchema,
-    options: ValidatorOptions,
-    opts: StreamingOptions,
-    chunk: ChunkOptions,
-    fault: FaultOptions,
-) -> Result<(Vec<(usize, LineVerdict)>, RunReport), StreamError> {
-    let stage = ValidateStage {
-        schema,
-        options,
-        malformed_verdicts: false,
-        decoder,
-    };
-    run_stage_source(source, &stage, opts, chunk, fault)
-}
-
 // ---------------------------------------------------------------------------
 // Combined infer + validate stage (single pass)
 // ---------------------------------------------------------------------------
 
-/// Result of the combined single-pass infer + validate stage.
-#[derive(Debug, Clone)]
-pub struct InferValidateOutcome {
-    /// The collection type — identical to what [`infer_streaming`] returns
-    /// on the same input.
-    pub ty: Result<JType, (usize, ParseError)>,
-    /// Per-line verdicts in input order — `is_valid`-identical to
-    /// [`validate_streaming`] on the same input.
-    pub verdicts: Vec<(usize, LineVerdict)>,
-}
-
-/// The combined stage: one tokenisation per line feeds both the typer and
-/// the compiled validator.
-struct InferValidateFold<'s> {
-    equiv: Equivalence,
-    schema: &'s CompiledSchema,
-    options: ValidatorOptions,
-}
-
-struct InferValidateState<'s> {
-    typer: StreamTyper,
-    validator: FastValidator<'s>,
-    acc: Result<JType, (usize, ParseError)>,
-    verdicts: Vec<(usize, LineVerdict)>,
-}
-
-impl<'s> ShardFold<str> for InferValidateFold<'s> {
-    type State = InferValidateState<'s>;
-    type Out = InferValidateOutcome;
-
-    fn init(&self) -> InferValidateState<'s> {
-        InferValidateState {
-            typer: StreamTyper::new(self.equiv),
-            validator: self.schema.fast_validator_with(self.options),
-            acc: Ok(JType::Bottom),
-            verdicts: Vec::new(),
-        }
-    }
-
-    fn feed(&self, state: &mut InferValidateState<'s>, line: &str, line_no: usize) {
-        if line.trim().is_empty() {
-            return;
-        }
-        match state.typer.type_and_build(line.as_bytes()) {
-            Ok((ty, doc)) => {
-                if let Ok(acc) = &mut state.acc {
-                    let current = std::mem::replace(acc, JType::Bottom);
-                    *acc = fuse(current, ty, self.equiv);
-                }
-                let verdict = if state.validator.is_valid(&doc) {
-                    LineVerdict::Valid
-                } else {
-                    LineVerdict::Invalid
-                };
-                state.verdicts.push((line_no, verdict));
-            }
-            Err(e) => {
-                if state.acc.is_ok() {
-                    state.acc = Err((line_no, e.clone()));
-                }
-                state.verdicts.push((line_no, LineVerdict::Malformed(e)));
-            }
-        }
-    }
-
-    fn finish(&self, state: InferValidateState<'s>) -> InferValidateOutcome {
-        InferValidateOutcome {
-            ty: state.acc,
-            verdicts: state.verdicts,
-        }
-    }
-
-    fn merge(&self, left: InferValidateOutcome, right: InferValidateOutcome) -> Self::Out {
-        let mut verdicts = left.verdicts;
-        verdicts.extend(right.verdicts);
-        InferValidateOutcome {
-            ty: merge_line_results(left.ty, right.ty, |a, b| fuse(a, b, self.equiv)),
-            verdicts,
-        }
-    }
-
-    fn take(&self, state: &mut InferValidateState<'s>) -> InferValidateOutcome {
-        // Typer and validator survive across chunks; the fused type and
-        // the verdict vector are the chunk's output.
-        InferValidateOutcome {
-            ty: std::mem::replace(&mut state.acc, Ok(JType::Bottom)),
-            verdicts: std::mem::take(&mut state.verdicts),
-        }
-    }
-}
-
-/// Infers **and** validates an NDJSON collection in one sequential pass.
-///
-/// Each non-blank line is tokenised once
-/// ([`StreamTyper::type_and_build`]): the raw-event walk types the line
-/// for the fusion fold while rebuilding the document value for the
-/// compiled fail-fast validator. The outcome's type equals
-/// [`infer_streaming`] and its verdicts equal [`validate_streaming`] on
-/// the same input — pinned by `tests/pipeline_equivalence.rs` — for half the
-/// tokenisation work of running the two passes back to back.
-pub fn infer_validate_streaming(
-    ndjson: &str,
-    equiv: Equivalence,
-    schema: &CompiledSchema,
-    options: ValidatorOptions,
-) -> InferValidateOutcome {
-    infer_validate_streaming_parallel(
-        ndjson,
-        equiv,
-        schema,
-        options,
-        StreamingOptions::with_workers(1),
-    )
-}
-
-/// The combined single-pass stage on parallel workers: sharding and merge
-/// semantics of [`infer_streaming_parallel`] and
-/// [`validate_streaming_parallel`] at once, in one pass over the bytes.
-pub fn infer_validate_streaming_parallel(
-    ndjson: &str,
-    equiv: Equivalence,
-    schema: &CompiledSchema,
-    options: ValidatorOptions,
-    opts: StreamingOptions,
-) -> InferValidateOutcome {
-    let fold = InferValidateFold {
-        equiv,
-        schema,
-        options,
-    };
-    match run_lines(ndjson, &fold, opts) {
-        Ok(outcome) => outcome,
-        Err(p) => panic!("pipeline {p}"),
-    }
-}
-
-/// The combined single-pass stage under a tolerant policy: one
-/// tokenisation per accepted record feeds both the typer and the compiled
-/// validator; rejected records appear in neither the type nor the verdict
-/// vector (unlike the legacy combined pass, which records malformed lines
-/// as inline verdicts).
-struct InferValidateStage<'s, D: RecordDecoder> {
-    equiv: Equivalence,
-    schema: &'s CompiledSchema,
-    options: ValidatorOptions,
-    decoder: D,
+/// The combined single-pass stage: one decode per accepted record feeds
+/// both the typer and the compiled validator
+/// ([`StreamTyper::type_and_build_decoded`]), for half the tokenisation
+/// work of running the two passes back to back — with the type and the
+/// verdicts each equal to what the separate stages produce (pinned by
+/// `tests/pipeline_equivalence.rs`). Rejected records appear in neither.
+pub(crate) struct InferValidateStage<'s, D: RecordDecoder> {
+    pub(crate) equiv: Equivalence,
+    pub(crate) schema: &'s CompiledSchema,
+    pub(crate) options: ValidatorOptions,
+    pub(crate) decoder: D,
 }
 
 impl<'s, D: RecordDecoder> RecordStage for InferValidateStage<'s, D> {
@@ -1394,105 +859,27 @@ impl<'s, D: RecordDecoder> RecordStage for InferValidateStage<'s, D> {
     }
 }
 
-/// What a successful guarded combined pass yields: the fused collection
-/// type next to the per-record verdicts (original record indices).
+/// What a successful combined pass yields: the fused collection type
+/// next to the per-record verdicts (original record indices).
 pub type TypedVerdicts = (JType, Vec<(usize, LineVerdict)>);
-
-/// The combined single-pass stage under an explicit
-/// [error policy](FaultOptions): the inferred type and the verdicts both
-/// cover exactly the accepted records, with rejects accounted in the
-/// [`RunReport`].
-pub fn infer_validate_streaming_guarded(
-    ndjson: &str,
-    equiv: Equivalence,
-    schema: &CompiledSchema,
-    options: ValidatorOptions,
-    opts: StreamingOptions,
-    fault: FaultOptions,
-) -> Result<(TypedVerdicts, RunReport), StreamError> {
-    let stage = InferValidateStage {
-        equiv,
-        schema,
-        options,
-        decoder: JsonDecoder::new().with_limits(fault.limits),
-    };
-    run_stage(ndjson, &stage, opts, fault)
-}
-
-/// The combined single-pass stage over any [`StreamSource`]; semantics
-/// match [`infer_validate_streaming_guarded`] on the same bytes, with
-/// readers streamed out-of-core under bounded resident memory.
-pub fn infer_validate_streaming_source<R: std::io::BufRead + Send>(
-    source: StreamSource<'_, R>,
-    equiv: Equivalence,
-    schema: &CompiledSchema,
-    options: ValidatorOptions,
-    opts: StreamingOptions,
-    chunk: ChunkOptions,
-    fault: FaultOptions,
-) -> Result<(TypedVerdicts, RunReport), StreamError> {
-    let stage = InferValidateStage {
-        equiv,
-        schema,
-        options,
-        decoder: JsonDecoder::new().with_limits(fault.limits),
-    };
-    run_stage_source(source, &stage, opts, chunk, fault)
-}
-
-/// The combined single-pass stage through an arbitrary
-/// [`RecordDecoder`]: one decode per accepted record feeds both the
-/// typer and the compiled validator, whatever the source format.
-#[allow(clippy::too_many_arguments)]
-pub fn infer_validate_streaming_decoded<R: std::io::BufRead + Send, D: RecordDecoder>(
-    source: StreamSource<'_, R>,
-    decoder: D,
-    equiv: Equivalence,
-    schema: &CompiledSchema,
-    options: ValidatorOptions,
-    opts: StreamingOptions,
-    chunk: ChunkOptions,
-    fault: FaultOptions,
-) -> Result<(TypedVerdicts, RunReport), StreamError> {
-    let stage = InferValidateStage {
-        equiv,
-        schema,
-        options,
-        decoder,
-    };
-    run_stage_source(source, &stage, opts, chunk, fault)
-}
 
 // ---------------------------------------------------------------------------
 // Schema-driven translation stage (§5)
 // ---------------------------------------------------------------------------
 
-/// Per-line failure of the streaming translation stage.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TranslateLineError {
-    /// The line is not well-formed JSON.
-    Malformed(ParseError),
-    /// The line parsed but is not a JSON object (columnar batches shred
-    /// records only — the streaming face of
-    /// [`ShredError::NotARecord`]).
-    NotARecord,
-}
-
-impl std::fmt::Display for TranslateLineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TranslateLineError::Malformed(e) => write!(f, "{e}"),
-            TranslateLineError::NotARecord => write!(f, "not a JSON object"),
-        }
-    }
-}
-
 /// The translation stage: one [`ShredStream`] per worker over a shared
-/// fixed layout, per-shard batches concatenated in shard order.
+/// fixed layout ([`Shredder::from_type`], typically over a type the
+/// inference stage produced), per-chunk batches concatenated in chunk
+/// order. The batch is identical to parsing every line and shredding the
+/// whole collection with
+/// [`Shredder::shred`](jsonx_translate::Shredder::shred) —
+/// property-tested in `tests/pipeline_equivalence.rs`. Under a tolerant
+/// policy rejected records (malformed, non-record, over a limit) simply
+/// contribute no row.
 pub(crate) struct TranslateStage<'t, D> {
     pub(crate) shredder: &'t Shredder,
-    /// How record text becomes a document. The JSON paths pass
-    /// [`FastJsonDecoder`] (SWAR projection to the shred plan's root
+    /// How record text becomes a document. The JSON path passes
+    /// `FastJsonDecoder` (SWAR projection to the shred plan's root
     /// fields, dotted skipped keys rejected so column paths can't alias,
     /// full-parser fallback — batches row-identical either way); any
     /// other decoder feeds the same shredder unchanged.
@@ -1539,174 +926,40 @@ impl<'t, D: RecordDecoder> RecordStage for TranslateStage<'t, D> {
     }
 }
 
-/// Translates an NDJSON collection into one columnar batch, sequentially.
-///
-/// Schema-driven (§5): `shredder` must carry a fixed layout
-/// ([`Shredder::from_type`], typically over a type inferred by
-/// [`infer_streaming`]). The batch is identical to parsing every line and
-/// shredding the whole collection with
-/// [`Shredder::shred`](jsonx_translate::Shredder::shred) — property-tested
-/// in `tests/pipeline_equivalence.rs`. Errors carry the zero-based line index
-/// of the first offending line.
-pub fn translate_streaming(
-    ndjson: &str,
-    shredder: &Shredder,
-) -> Result<ColumnarBatch, (usize, TranslateLineError)> {
-    translate_streaming_parallel(ndjson, shredder, StreamingOptions::with_workers(1))
-}
-
-/// Streaming schema-driven translation on parallel workers.
-///
-/// Each scoped worker shreds its newline-bounded shard into a private
-/// [`ShredStream`] over the shared layout; per-shard batches concatenate
-/// in shard order, so the batch is row-identical to [`translate_streaming`]
-/// — and to the DOM path — at every worker count.
-pub fn translate_streaming_parallel(
-    ndjson: &str,
-    shredder: &Shredder,
-    opts: StreamingOptions,
-) -> Result<ColumnarBatch, (usize, TranslateLineError)> {
-    translate_parallel_impl(ndjson, shredder, opts, None)
-}
-
-/// [`translate_streaming_parallel`] with the fused SWAR fast path enabled.
-///
-/// When the shredder carries a fixed record layout
-/// ([`Shredder::root_fields`]), each worker first runs the word-parallel
-/// structural scanner projected to the layout's top-level fields; records
-/// it declines — including any with skipped dotted root keys, which could
-/// alias a nested column path — take the full parser. Batches are
-/// row-identical to [`translate_streaming_parallel`] at every worker
-/// count (pinned by `tests/parsing_fastpath.rs`).
-pub fn translate_streaming_parallel_fast(
-    ndjson: &str,
-    shredder: &Shredder,
-    opts: StreamingOptions,
-) -> Result<ColumnarBatch, (usize, TranslateLineError)> {
-    let fast = FastPlan::for_translation(shredder, &ParseLimits::default());
-    translate_parallel_impl(ndjson, shredder, opts, fast)
-}
-
-fn translate_parallel_impl(
-    ndjson: &str,
-    shredder: &Shredder,
-    opts: StreamingOptions,
-    fast: Option<FastPlan>,
-) -> Result<ColumnarBatch, (usize, TranslateLineError)> {
-    let stage = TranslateStage {
-        shredder,
-        decoder: FastJsonDecoder::new(fast, ParseLimits::default()),
-    };
-    match run_stage(ndjson, &stage, opts, FaultOptions::default()) {
-        Ok((batch, _report)) => Ok(batch),
-        Err(StreamError::Record { record, issue }) => Err((
-            record,
-            match issue {
-                RecordIssue::Parse(e) => TranslateLineError::Malformed(e),
-                RecordIssue::NotARecord => TranslateLineError::NotARecord,
-            },
-        )),
-        Err(StreamError::ShardPanicked(p)) => panic!("pipeline {p}"),
-        Err(e) => unreachable!("fail-fast translation produced {e:?}"),
-    }
-}
-
-/// Streaming schema-driven translation under an explicit
-/// [error policy](FaultOptions): under `Skip`/`Collect` rejected records
-/// (malformed JSON, non-record lines, limit violations) simply contribute
-/// no row, and the batch equals what `FailFast` builds on the same corpus
-/// with the rejected lines removed.
-pub fn translate_streaming_guarded(
-    ndjson: &str,
-    shredder: &Shredder,
-    opts: StreamingOptions,
-    fault: FaultOptions,
-) -> Result<(ColumnarBatch, RunReport), StreamError> {
-    translate_guarded_impl(ndjson, shredder, opts, fault, None)
-}
-
-/// [`translate_streaming_guarded`] with the fused SWAR fast path enabled.
-///
-/// Scanner-accepted records are well-formed objects, so they can reach
-/// the fault layer only through the central record-size guard (which runs
-/// before either parser) — never as parse or `NotARecord` rejects.
-/// Batches, [`RunReport`]s and [`StreamError`]s are identical to
-/// [`translate_streaming_guarded`] under every policy.
-pub fn translate_streaming_guarded_fast(
-    ndjson: &str,
-    shredder: &Shredder,
-    opts: StreamingOptions,
-    fault: FaultOptions,
-) -> Result<(ColumnarBatch, RunReport), StreamError> {
-    let fast = FastPlan::for_translation(shredder, &fault.limits);
-    translate_guarded_impl(ndjson, shredder, opts, fault, fast)
-}
-
-fn translate_guarded_impl(
-    ndjson: &str,
-    shredder: &Shredder,
-    opts: StreamingOptions,
-    fault: FaultOptions,
-    fast: Option<FastPlan>,
-) -> Result<(ColumnarBatch, RunReport), StreamError> {
-    let stage = TranslateStage {
-        shredder,
-        decoder: FastJsonDecoder::new(fast, fault.limits),
-    };
-    run_stage(ndjson, &stage, opts, fault)
-}
-
-/// Streaming schema-driven translation over any [`StreamSource`];
-/// `fast` enables the SWAR projecting fast path when the shredder's
-/// layout supports it (batches are row-identical either way). Semantics
-/// match [`translate_streaming_guarded`] /
-/// [`translate_streaming_guarded_fast`] on the same bytes; readers
-/// stream out-of-core with bounded resident memory.
-pub fn translate_streaming_source<R: std::io::BufRead + Send>(
-    source: StreamSource<'_, R>,
-    shredder: &Shredder,
-    opts: StreamingOptions,
-    chunk: ChunkOptions,
-    fault: FaultOptions,
-    fast: bool,
-) -> Result<(ColumnarBatch, RunReport), StreamError> {
-    let stage = TranslateStage {
-        shredder,
-        decoder: FastJsonDecoder::new(
-            if fast {
-                FastPlan::for_translation(shredder, &fault.limits)
-            } else {
-                None
-            },
-            fault.limits,
-        ),
-    };
-    run_stage_source(source, &stage, opts, chunk, fault)
-}
-
-/// Streaming schema-driven translation through an arbitrary
-/// [`RecordDecoder`]: decoded records shred into the fixed columnar
-/// layout exactly as parsed JSON objects would — the path that turns a
-/// CSV corpus into the same [`ColumnarBatch`] (and on-disk `.jxc` file)
-/// as its NDJSON rendering.
-pub fn translate_streaming_decoded<R: std::io::BufRead + Send, D: RecordDecoder>(
-    source: StreamSource<'_, R>,
-    decoder: D,
-    shredder: &Shredder,
-    opts: StreamingOptions,
-    chunk: ChunkOptions,
-    fault: FaultOptions,
-) -> Result<(ColumnarBatch, RunReport), StreamError> {
-    let stage = TranslateStage { shredder, decoder };
-    run_stage_source(source, &stage, opts, chunk, fault)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{Run, Source};
     use jsonx_core::infer_collection;
     use jsonx_data::json;
     use jsonx_syntax::parse_ndjson;
+
+    /// A plan with `workers` threads; a nonzero `chunk_bytes` forces
+    /// chunk dispatch even on the small corpora below.
+    fn plan(workers: usize, chunk_bytes: usize) -> Run<'static> {
+        Run {
+            workers,
+            chunk_bytes,
+            ..Run::default()
+        }
+    }
+
+    fn tolerant(workers: usize, chunk_bytes: usize, policy: ErrorPolicy) -> Run<'static> {
+        Run {
+            fault: FaultOptions {
+                policy,
+                keep_rejects: true,
+                limits: ParseLimits::default(),
+            },
+            ..plan(workers, chunk_bytes)
+        }
+    }
+
+    fn infer_seq(ndjson: &str, equiv: Equivalence) -> Result<JType, StreamError> {
+        plan(1, 0)
+            .infer(Source::slice(ndjson), equiv)
+            .map(|(ty, _)| ty)
+    }
 
     #[test]
     fn matches_dom_inference_on_mixed_documents() {
@@ -1720,7 +973,7 @@ mod tests {
         let docs = parse_ndjson(ndjson).unwrap();
         for equiv in [Equivalence::Kind, Equivalence::Label] {
             let dom = infer_collection(&docs, equiv);
-            let streamed = infer_streaming(ndjson, equiv).unwrap();
+            let streamed = infer_seq(ndjson, equiv).unwrap();
             assert_eq!(streamed, dom, "equiv {equiv:?}");
         }
     }
@@ -1759,17 +1012,24 @@ mod tests {
     }
 
     #[test]
-    fn reports_line_of_malformed_document() {
-        let err = infer_streaming("{\"a\":1}\n{bad\n", Equivalence::Kind).unwrap_err();
-        assert_eq!(err.0, 1);
+    fn failfast_reports_the_parsers_own_error_with_its_line() {
+        let err = infer_seq("{\"a\":1}\n{bad\n", Equivalence::Kind).unwrap_err();
+        let parser_err = StreamTyper::new(Equivalence::Kind)
+            .type_document(b"{bad")
+            .unwrap_err();
+        assert_eq!(
+            err,
+            StreamError::Record {
+                record: 1,
+                issue: RecordIssue::Parse(parser_err),
+            }
+        );
+        assert!(err.to_string().starts_with("line 2: "), "{err}");
     }
 
     #[test]
     fn empty_input_is_bottom() {
-        assert_eq!(
-            infer_streaming("", Equivalence::Kind).unwrap(),
-            JType::Bottom
-        );
+        assert_eq!(infer_seq("", Equivalence::Kind).unwrap(), JType::Bottom);
     }
 
     #[test]
@@ -1801,18 +1061,11 @@ mod tests {
         let docs = parse_ndjson(&ndjson).unwrap();
         for equiv in [Equivalence::Kind, Equivalence::Label] {
             let dom = infer_collection(&docs, equiv);
-            let seq = infer_streaming(&ndjson, equiv).unwrap();
-            assert_eq!(seq, dom);
+            assert_eq!(infer_seq(&ndjson, equiv).unwrap(), dom);
             for workers in [1, 2, 3, 8] {
-                let par = infer_streaming_parallel(
-                    &ndjson,
-                    equiv,
-                    StreamingOptions {
-                        workers,
-                        min_shard_bytes: 256,
-                    },
-                )
-                .unwrap();
+                let (par, _) = plan(workers, 256)
+                    .infer(Source::slice(&ndjson), equiv)
+                    .unwrap();
                 assert_eq!(par, dom, "workers={workers} equiv={equiv:?}");
             }
         }
@@ -1823,33 +1076,28 @@ mod tests {
         let base = corpus_ndjson(500);
         let total = base.lines().count();
         // Corrupt two lines, one early and one late; the early one must win
-        // regardless of which shard fails first.
+        // regardless of which chunk fails first.
         let mut corrupted: Vec<String> = base.lines().map(str::to_string).collect();
         corrupted[40] = "{oops".to_string();
         corrupted[total - 10] = "[1,".to_string();
         let mut ndjson = corrupted.join("\n");
         ndjson.push('\n');
-        let seq_err = infer_streaming(&ndjson, Equivalence::Kind).unwrap_err();
-        let par_err = infer_streaming_parallel(
-            &ndjson,
-            Equivalence::Kind,
-            StreamingOptions {
-                workers: 4,
-                min_shard_bytes: 64,
-            },
-        )
-        .unwrap_err();
-        assert_eq!(seq_err.0, 40);
-        assert_eq!(par_err.0, seq_err.0);
-        assert_eq!(par_err.1.kind, seq_err.1.kind);
+        let seq_err = infer_seq(&ndjson, Equivalence::Kind).unwrap_err();
+        let par_err = plan(4, 64)
+            .infer(Source::slice(&ndjson), Equivalence::Kind)
+            .unwrap_err();
+        assert!(matches!(seq_err, StreamError::Record { record: 40, .. }));
+        assert_eq!(par_err, seq_err);
     }
 
     #[test]
     fn small_inputs_fall_back_to_sequential() {
         let ndjson = corpus_ndjson(10);
-        let par = infer_streaming_parallel(&ndjson, Equivalence::Kind, StreamingOptions::default())
+        let (par, report) = Run::default()
+            .infer(Source::slice(&ndjson), Equivalence::Kind)
             .unwrap();
-        assert_eq!(par, infer_streaming(&ndjson, Equivalence::Kind).unwrap());
+        assert_eq!(report.shards, 1);
+        assert_eq!(par, infer_seq(&ndjson, Equivalence::Kind).unwrap());
     }
 
     #[test]
@@ -1862,40 +1110,37 @@ mod tests {
         let schema = CompiledSchema::compile(&schema_doc).unwrap();
         let vopts = ValidatorOptions::default();
         let ndjson = corpus_ndjson(600);
-        let ty = infer_streaming(&ndjson, Equivalence::Kind).unwrap();
-        let verdicts = validate_streaming(&ndjson, &schema, vopts);
+        let ty = infer_seq(&ndjson, Equivalence::Kind).unwrap();
+        let (verdicts, _) = plan(1, 0)
+            .validate(Source::slice(&ndjson), &schema, vopts)
+            .unwrap();
         for workers in [1, 2, 3, 8] {
-            let combined = infer_validate_streaming_parallel(
-                &ndjson,
-                Equivalence::Kind,
-                &schema,
-                vopts,
-                StreamingOptions {
-                    workers,
-                    min_shard_bytes: 128,
-                },
-            );
-            assert_eq!(combined.ty.as_ref().unwrap(), &ty, "workers={workers}");
-            assert_eq!(combined.verdicts, verdicts, "workers={workers}");
+            let ((cty, cverdicts), _) = plan(workers, 128)
+                .infer_validate(Source::slice(&ndjson), Equivalence::Kind, &schema, vopts)
+                .unwrap();
+            assert_eq!(cty, ty, "workers={workers}");
+            assert_eq!(cverdicts, verdicts, "workers={workers}");
         }
     }
 
     #[test]
-    fn combined_pass_reports_first_error_and_malformed_verdicts() {
+    fn combined_pass_rejects_malformed_lines_to_the_fault_layer() {
         let schema = CompiledSchema::compile(&json!({"type": "object"})).unwrap();
+        let vopts = ValidatorOptions::default();
         let ndjson = "{\"a\": 1}\n{bad\nnot json\n{\"b\": 2}\n";
-        let outcome = infer_validate_streaming(
-            ndjson,
-            Equivalence::Kind,
-            &schema,
-            ValidatorOptions::default(),
+        let err = plan(1, 0)
+            .infer_validate(Source::slice(ndjson), Equivalence::Kind, &schema, vopts)
+            .unwrap_err();
+        assert!(matches!(err, StreamError::Record { record: 1, .. }));
+        let ((_, verdicts), report) = tolerant(1, 0, ErrorPolicy::Collect { max_errors: 10 })
+            .infer_validate(Source::slice(ndjson), Equivalence::Kind, &schema, vopts)
+            .unwrap();
+        assert_eq!(
+            verdicts,
+            vec![(0, LineVerdict::Valid), (3, LineVerdict::Valid)]
         );
-        assert_eq!(outcome.ty.unwrap_err().0, 1);
-        assert_eq!(outcome.verdicts.len(), 4);
-        assert!(outcome.verdicts[0].1.is_valid());
-        assert!(matches!(outcome.verdicts[1].1, LineVerdict::Malformed(_)));
-        assert!(matches!(outcome.verdicts[2].1, LineVerdict::Malformed(_)));
-        assert!(outcome.verdicts[3].1.is_valid());
+        let rejected: Vec<usize> = report.errors.rejects.iter().map(|d| d.record).collect();
+        assert_eq!(rejected, vec![1, 2]);
     }
 
     #[test]
@@ -1906,15 +1151,9 @@ mod tests {
         let shredder = Shredder::from_type(&ty);
         let dom = shredder.clone().shred(&docs).unwrap();
         for workers in [1, 2, 3, 8] {
-            let streamed = translate_streaming_parallel(
-                &ndjson,
-                &shredder,
-                StreamingOptions {
-                    workers,
-                    min_shard_bytes: 128,
-                },
-            )
-            .unwrap();
+            let (streamed, _) = plan(workers, 128)
+                .translate(Source::slice(&ndjson), &shredder)
+                .unwrap();
             assert_eq!(streamed, dom, "workers={workers}");
         }
     }
@@ -1931,28 +1170,17 @@ mod tests {
         );
         let shredder = Shredder::from_type(&docs_ty);
         for workers in [1, 4] {
-            let err = translate_streaming_parallel(
-                &ndjson,
-                &shredder,
-                StreamingOptions {
-                    workers,
-                    min_shard_bytes: 64,
-                },
-            )
-            .unwrap_err();
+            let err = plan(workers, 64)
+                .translate(Source::slice(&ndjson), &shredder)
+                .unwrap_err();
             assert_eq!(
                 err,
-                (20, TranslateLineError::NotARecord),
+                StreamError::Record {
+                    record: 20,
+                    issue: RecordIssue::NotARecord,
+                },
                 "workers={workers}"
             );
-        }
-    }
-
-    fn skip_fault(policy: ErrorPolicy) -> FaultOptions {
-        FaultOptions {
-            policy,
-            keep_rejects: true,
-            limits: ParseLimits::default(),
         }
     }
 
@@ -1967,49 +1195,17 @@ mod tests {
         clean_lines[13].clear();
         clean_lines[55].clear();
         let clean = clean_lines.join("\n") + "\n";
-        let reference = infer_streaming(&clean, Equivalence::Kind).unwrap();
+        let reference = infer_seq(&clean, Equivalence::Kind).unwrap();
         for workers in [1, 2, 4] {
-            let (ty, report) = infer_streaming_guarded(
-                &dirty,
-                Equivalence::Kind,
-                StreamingOptions {
-                    workers,
-                    min_shard_bytes: 64,
-                },
-                skip_fault(ErrorPolicy::Skip { max_errors: None }),
-            )
-            .unwrap();
+            let (ty, report) = tolerant(workers, 64, ErrorPolicy::Skip { max_errors: None })
+                .infer(Source::slice(&dirty), Equivalence::Kind)
+                .unwrap();
             assert_eq!(ty, reference, "workers={workers}");
             assert_eq!(report.errors.total, 2);
             let rejected: Vec<usize> = report.errors.rejects.iter().map(|d| d.record).collect();
             assert_eq!(rejected, vec![13, 55]);
             assert_eq!(report.errors.rejects[0].raw.as_deref(), Some("{broken"));
             assert_eq!(report.records, 100, "rejected lines still count as records");
-        }
-    }
-
-    #[test]
-    fn failfast_guarded_matches_legacy_error() {
-        let mut lines: Vec<String> = corpus_ndjson(50).lines().map(str::to_string).collect();
-        lines[20] = "{oops".into();
-        let ndjson = lines.join("\n") + "\n";
-        let legacy = infer_streaming(&ndjson, Equivalence::Kind).unwrap_err();
-        let guarded = infer_streaming_guarded(
-            &ndjson,
-            Equivalence::Kind,
-            StreamingOptions::with_workers(1),
-            FaultOptions::default(),
-        )
-        .unwrap_err();
-        match guarded {
-            StreamError::Record {
-                record,
-                issue: RecordIssue::Parse(e),
-            } => {
-                assert_eq!(record, legacy.0);
-                assert_eq!(e, legacy.1);
-            }
-            other => panic!("expected record fault, got {other:?}"),
         }
     }
 
@@ -2021,31 +1217,15 @@ mod tests {
         }
         let ndjson = lines.join("\n") + "\n";
         for workers in [1, 3] {
-            let opts = StreamingOptions {
-                workers,
-                min_shard_bytes: 32,
+            let bounded = |max_errors| {
+                tolerant(workers, 32, ErrorPolicy::Skip { max_errors })
+                    .infer(Source::slice(&ndjson), Equivalence::Kind)
             };
             // Bound above the rejection count: run succeeds.
-            let (_, report) = infer_streaming_guarded(
-                &ndjson,
-                Equivalence::Kind,
-                opts,
-                skip_fault(ErrorPolicy::Skip {
-                    max_errors: Some(4),
-                }),
-            )
-            .unwrap();
+            let (_, report) = bounded(Some(4)).unwrap();
             assert_eq!(report.errors.total, 4, "workers={workers}");
             // Bound below: the run fails with TooManyErrors.
-            let err = infer_streaming_guarded(
-                &ndjson,
-                Equivalence::Kind,
-                opts,
-                skip_fault(ErrorPolicy::Skip {
-                    max_errors: Some(3),
-                }),
-            )
-            .unwrap_err();
+            let err = bounded(Some(3)).unwrap_err();
             assert!(
                 matches!(err, StreamError::TooManyErrors { limit: 3, .. }),
                 "workers={workers}, got {err:?}"
@@ -2060,21 +1240,31 @@ mod tests {
             lines[i] = "nope!".into();
         }
         let ndjson = lines.join("\n") + "\n";
-        let (_, report) = infer_streaming_guarded(
-            &ndjson,
-            Equivalence::Kind,
-            StreamingOptions::with_workers(1),
-            FaultOptions {
+        let run = Run {
+            fault: FaultOptions {
                 policy: ErrorPolicy::Collect { max_errors: 100 },
-                keep_rejects: false,
-                limits: ParseLimits::default(),
+                ..FaultOptions::default()
             },
-        )
-        .unwrap();
+            ..plan(1, 0)
+        };
+        let (_, report) = run
+            .infer(Source::slice(&ndjson), Equivalence::Kind)
+            .unwrap();
         assert_eq!(report.errors.rejects.len(), 3);
         assert_eq!(report.errors.dropped, 0);
         // Without keep_rejects the raw lines are not retained.
         assert!(report.errors.rejects.iter().all(|d| d.raw.is_none()));
+    }
+
+    fn skip_with_limits(limits: ParseLimits) -> Run<'static> {
+        Run {
+            fault: FaultOptions {
+                policy: ErrorPolicy::Skip { max_errors: None },
+                keep_rejects: false,
+                limits,
+            },
+            ..plan(1, 0)
+        }
     }
 
     #[test]
@@ -2082,21 +1272,15 @@ mod tests {
         let bomb = "[".repeat(200) + &"]".repeat(200);
         let huge = format!("[{}1]", "1, ".repeat(600));
         let ndjson = format!("{{\"ok\": 1}}\n{bomb}\n{huge}\n{{\"ok\": 2}}\n");
-        let fault = FaultOptions {
-            policy: ErrorPolicy::Skip { max_errors: None },
-            keep_rejects: false,
-            limits: ParseLimits::new()
+        let run = skip_with_limits(
+            ParseLimits::new()
                 .with_max_depth(128)
                 .with_max_input_bytes(1024)
                 .with_max_string_bytes(64),
-        };
-        let (ty, report) = infer_streaming_guarded(
-            &ndjson,
-            Equivalence::Kind,
-            StreamingOptions::with_workers(1),
-            fault,
-        )
-        .unwrap();
+        );
+        let (ty, report) = run
+            .infer(Source::slice(&ndjson), Equivalence::Kind)
+            .unwrap();
         assert_eq!(report.errors.total, 2);
         assert_eq!(report.errors.by_kind["too-deep"], 1);
         assert_eq!(report.errors.by_kind["limit-exceeded-input-bytes"], 1);
@@ -2107,44 +1291,34 @@ mod tests {
     #[test]
     fn string_limit_rejects_on_event_path() {
         let ndjson = format!("{{\"k\": \"{}\"}}\n{{\"k\": \"s\"}}\n", "y".repeat(100));
-        let fault = FaultOptions {
-            policy: ErrorPolicy::Skip { max_errors: None },
-            keep_rejects: false,
-            limits: ParseLimits::new().with_max_string_bytes(16),
-        };
-        let (_, report) = infer_streaming_guarded(
-            &ndjson,
-            Equivalence::Kind,
-            StreamingOptions::with_workers(1),
-            fault,
-        )
-        .unwrap();
+        let run = skip_with_limits(ParseLimits::new().with_max_string_bytes(16));
+        let (_, report) = run
+            .infer(Source::slice(&ndjson), Equivalence::Kind)
+            .unwrap();
         assert_eq!(report.errors.by_kind["limit-exceeded-string-bytes"], 1);
         assert_eq!(report.errors.total, 1);
     }
 
     #[test]
-    fn guarded_validation_rejects_malformed_instead_of_verdicts() {
+    fn validation_rejects_malformed_lines_instead_of_giving_verdicts() {
         let schema = CompiledSchema::compile(&json!({"type": "object"})).unwrap();
         let ndjson = "{\"a\": 1}\n{oops\n[1, 2]\n";
-        let (verdicts, report) = validate_streaming_guarded(
-            ndjson,
-            &schema,
-            ValidatorOptions::default(),
-            StreamingOptions::with_workers(1),
-            skip_fault(ErrorPolicy::Skip { max_errors: None }),
-        )
-        .unwrap();
+        let (verdicts, report) = tolerant(1, 0, ErrorPolicy::Skip { max_errors: None })
+            .validate(Source::slice(ndjson), &schema, ValidatorOptions::default())
+            .unwrap();
         assert_eq!(
             verdicts,
             vec![(0, LineVerdict::Valid), (2, LineVerdict::Invalid)]
         );
         assert_eq!(report.errors.total, 1);
         assert_eq!(report.errors.rejects[0].record, 1);
+        // One verdict entry is an index plus a one-byte tag — no parse
+        // error rides along per record.
+        assert_eq!(std::mem::size_of::<(usize, LineVerdict)>(), 16);
     }
 
     #[test]
-    fn guarded_translation_skips_non_records() {
+    fn tolerant_translation_skips_non_records() {
         let ndjson = corpus_ndjson(30);
         let docs = parse_ndjson(&ndjson).unwrap();
         let ty = infer_collection(&docs, Equivalence::Kind);
@@ -2157,89 +1331,15 @@ mod tests {
         clean[10].clear();
         clean[17].clear();
         let clean = clean.join("\n") + "\n";
-        let reference = translate_streaming(&clean, &shredder).unwrap();
-        let (batch, report) = translate_streaming_guarded(
-            &dirty,
-            &shredder,
-            StreamingOptions::with_workers(1),
-            skip_fault(ErrorPolicy::Skip { max_errors: None }),
-        )
-        .unwrap();
+        let (reference, _) = plan(1, 0)
+            .translate(Source::slice(&clean), &shredder)
+            .unwrap();
+        let (batch, report) = tolerant(1, 0, ErrorPolicy::Skip { max_errors: None })
+            .translate(Source::slice(&dirty), &shredder)
+            .unwrap();
         assert_eq!(batch, reference);
         assert_eq!(report.errors.total, 2);
         assert_eq!(report.errors.by_kind["not-a-record"], 1);
-    }
-
-    /// A stage that panics on a trigger line — the facade-level face of
-    /// the engine's panic isolation.
-    struct PanicStage;
-
-    impl RecordStage for PanicStage {
-        type State = usize;
-        type Out = usize;
-
-        fn init(&self) -> usize {
-            0
-        }
-
-        fn record(&self, seen: &mut usize, line: &str, _record: usize) -> Result<(), RecordIssue> {
-            assert!(!line.contains("boom"), "injected stage panic");
-            *seen += 1;
-            Ok(())
-        }
-
-        fn finish(&self, seen: usize) -> usize {
-            seen
-        }
-
-        fn merge(&self, a: usize, b: usize) -> usize {
-            a + b
-        }
-    }
-
-    #[test]
-    fn panicked_shard_fails_cleanly_under_failfast() {
-        let mut lines: Vec<String> = (0..80).map(|i| format!("{{\"i\": {i}}}")).collect();
-        lines[60] = "{\"i\": \"boom\"}".into();
-        let ndjson = lines.join("\n") + "\n";
-        let err = run_stage(
-            &ndjson,
-            &PanicStage,
-            StreamingOptions {
-                workers: 4,
-                min_shard_bytes: 32,
-            },
-            FaultOptions::default(),
-        )
-        .unwrap_err();
-        match err {
-            StreamError::ShardPanicked(p) => {
-                assert!(p.message.contains("injected stage panic"));
-            }
-            other => panic!("expected shard panic, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn panicked_shard_degrades_gracefully_under_skip() {
-        let mut lines: Vec<String> = (0..80).map(|i| format!("{{\"i\": {i}}}")).collect();
-        lines[60] = "{\"i\": \"boom\"}".into();
-        let ndjson = lines.join("\n") + "\n";
-        let (seen, report) = run_stage(
-            &ndjson,
-            &PanicStage,
-            StreamingOptions {
-                workers: 4,
-                min_shard_bytes: 32,
-            },
-            skip_fault(ErrorPolicy::Skip { max_errors: None }),
-        )
-        .unwrap();
-        assert_eq!(report.poisoned.len(), 1, "one shard poisoned");
-        assert!(report.poisoned[0].message.contains("injected stage panic"));
-        assert!(report.shards > 1);
-        // The surviving shards' records merged.
-        assert!(seen > 0 && seen < 80, "got {seen}");
     }
 
     #[test]

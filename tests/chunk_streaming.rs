@@ -1,20 +1,16 @@
 //! Cross-layer property tests for the chunked work-stealing dispatch:
 //! at every worker count × chunk size — including chunks far smaller
 //! than a record — the stealing engine must be **outcome-identical** to
-//! static sharding and to the sequential reference, for verdicts,
-//! inferred types, columnar batches, reports and quarantine order, on
-//! clean and dirty corpora, from both in-memory slices and out-of-core
-//! readers.
+//! the sequential reference, for verdicts, inferred types, columnar
+//! batches, reports and quarantine order, on clean and dirty corpora,
+//! from both in-memory slices and out-of-core readers.
 
 use jsonx::core::Equivalence;
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::parse;
 use jsonx::translate::Shredder;
-use jsonx::{
-    infer_streaming_source, translate_streaming_source, validate_streaming_source, ChunkOptions,
-    ErrorPolicy, FaultOptions, RunReport, StreamSource, StreamingOptions,
-};
-use jsonx_pipeline::{run_lines_static_caught, run_lines_stealing, PipelineOptions, ShardFold};
+use jsonx::{ErrorPolicy, FaultOptions, Run, RunReport, Source};
+use jsonx_pipeline::{run_lines_stealing, PipelineOptions, ShardFold};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -69,11 +65,15 @@ fn arb_corpus(dirty: bool) -> impl Strategy<Value = String> {
     })
 }
 
-/// Forces parallel dispatch even on tiny proptest corpora.
-fn opts(workers: usize) -> StreamingOptions {
-    StreamingOptions {
+/// A plan under `fault`; a nonzero `chunk_bytes` forces chunk dispatch
+/// even on tiny proptest corpora, `0` with one worker is the sequential
+/// reference.
+fn plan(workers: usize, chunk_bytes: usize, fault: FaultOptions) -> Run<'static> {
+    Run {
         workers,
-        min_shard_bytes: 1,
+        chunk_bytes,
+        fault,
+        ..Run::default()
     }
 }
 
@@ -131,21 +131,23 @@ impl ShardFold<str> for IndexLines {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Engine layer: work-stealing ≡ static sharding for an
+    /// Engine layer: work-stealing ≡ the sequential fold for an
     /// order-sensitive fold, at every worker count × chunk size.
     #[test]
-    fn stealing_matches_static_sharding(ndjson in arb_corpus(true)) {
-        for &w in &WORKERS {
-            let popts = PipelineOptions { workers: w, min_shard_bytes: 1 };
-            let fixed = run_lines_static_caught(&ndjson, &IndexLines, popts);
-            for &cb in &CHUNK_SIZES {
+    fn stealing_matches_sequential_fold(ndjson in arb_corpus(true)) {
+        let mut state = IndexLines.init();
+        for (i, line) in ndjson.lines().enumerate() {
+            IndexLines.feed(&mut state, line, i);
+        }
+        let sequential = IndexLines.finish(state);
+        for &workers in &WORKERS {
+            for &chunk_bytes in &CHUNK_SIZES {
                 let stolen = run_lines_stealing(
                     &ndjson,
                     &IndexLines,
-                    popts,
-                    ChunkOptions::with_chunk_bytes(cb),
+                    PipelineOptions { workers, chunk_bytes, timing: false },
                 );
-                prop_assert_eq!(&stolen.out, &fixed.out);
+                prop_assert_eq!(&stolen.out, &sequential);
                 prop_assert!(stolen.poisoned.is_empty());
             }
         }
@@ -159,16 +161,9 @@ proptest! {
         let schema = tag_schema();
         let vopts = ValidatorOptions::default();
         let fault = collect_fault();
-        let (ref_verdicts, ref_report) = validate_streaming_source(
-            StreamSource::slice(&ndjson),
-            &schema,
-            vopts,
-            opts(1),
-            ChunkOptions::default(),
-            fault,
-            true,
-        )
-        .expect("collect policy under the cap cannot fail");
+        let (ref_verdicts, ref_report) = plan(1, 0, fault)
+            .validate(Source::slice(&ndjson), &schema, vopts)
+            .expect("collect policy under the cap cannot fail");
         // Quarantine order: diagnostics arrive in record order.
         prop_assert!(ref_report
             .errors
@@ -177,30 +172,16 @@ proptest! {
             .all(|w| w[0].record < w[1].record));
         for &w in &WORKERS[1..] {
             for &cb in &CHUNK_SIZES {
-                let (v, r) = validate_streaming_source(
-                    StreamSource::slice(&ndjson),
-                    &schema,
-                    vopts,
-                    opts(w),
-                    ChunkOptions::with_chunk_bytes(cb),
-                    fault,
-                    true,
-                )
-                .unwrap();
+                let (v, r) = plan(w, cb, fault)
+                    .validate(Source::slice(&ndjson), &schema, vopts)
+                    .unwrap();
                 prop_assert_eq!(&v, &ref_verdicts);
                 prop_assert_eq!(normalize(r), normalize(ref_report.clone()));
             }
         }
-        let (v, r) = validate_streaming_source(
-            StreamSource::Reader(Cursor::new(ndjson.clone())),
-            &schema,
-            vopts,
-            opts(3),
-            ChunkOptions::with_chunk_bytes(64),
-            fault,
-            true,
-        )
-        .unwrap();
+        let (v, r) = plan(3, 64, fault)
+            .validate(Source::Reader(Cursor::new(ndjson.clone())), &schema, vopts)
+            .unwrap();
         prop_assert_eq!(&v, &ref_verdicts);
         prop_assert_eq!(normalize(r), normalize(ref_report));
     }
@@ -211,22 +192,10 @@ proptest! {
     #[test]
     fn failfast_first_error_is_dispatch_invariant(ndjson in arb_corpus(true)) {
         let fault = FaultOptions::default();
-        let reference = infer_streaming_source(
-            StreamSource::slice(&ndjson),
-            Equivalence::Kind,
-            opts(1),
-            ChunkOptions::default(),
-            fault,
-        );
+        let reference = plan(1, 0, fault).infer(Source::slice(&ndjson), Equivalence::Kind);
         for &w in &WORKERS[1..] {
             for &cb in &CHUNK_SIZES {
-                let got = infer_streaming_source(
-                    StreamSource::slice(&ndjson),
-                    Equivalence::Kind,
-                    opts(w),
-                    ChunkOptions::with_chunk_bytes(cb),
-                    fault,
-                );
+                let got = plan(w, cb, fault).infer(Source::slice(&ndjson), Equivalence::Kind);
                 match (&reference, &got) {
                     (Ok((ty_a, ra)), Ok((ty_b, rb))) => {
                         prop_assert_eq!(ty_a, ty_b);
@@ -252,48 +221,26 @@ proptest! {
             policy: ErrorPolicy::Skip { max_errors: None },
             ..FaultOptions::default()
         };
-        let (ty, _) = infer_streaming_source(
-            StreamSource::slice(&ndjson),
-            Equivalence::Kind,
-            opts(1),
-            ChunkOptions::default(),
-            fault,
-        )
-        .unwrap();
+        let (ty, _) = plan(1, 0, fault)
+            .infer(Source::slice(&ndjson), Equivalence::Kind)
+            .unwrap();
         let shredder = Shredder::from_type(&ty);
-        let (ref_batch, ref_report) = translate_streaming_source(
-            StreamSource::slice(&ndjson),
-            &shredder,
-            opts(1),
-            ChunkOptions::default(),
-            fault,
-            true,
-        )
-        .unwrap();
+        let (ref_batch, ref_report) = plan(1, 0, fault)
+            .translate(Source::slice(&ndjson), &shredder)
+            .unwrap();
         for &w in &WORKERS[1..] {
             for &cb in &CHUNK_SIZES {
-                let (b, r) = translate_streaming_source(
-                    StreamSource::slice(&ndjson),
-                    &shredder,
-                    opts(w),
-                    ChunkOptions::with_chunk_bytes(cb),
-                    fault,
-                    true,
-                )
-                .unwrap();
+                let (b, r) = plan(w, cb, fault)
+                    .translate(Source::slice(&ndjson), &shredder)
+                    .unwrap();
                 prop_assert_eq!(&b, &ref_batch);
                 prop_assert_eq!(normalize(r), normalize(ref_report.clone()));
             }
         }
-        let (b, r) = translate_streaming_source(
-            StreamSource::Reader(Cursor::new(ndjson.clone())),
-            &shredder,
-            opts(8),
-            ChunkOptions::with_chunk_bytes(64),
-            fault,
-            false,
-        )
-        .unwrap();
+        let slow_parse = Run { fast_parse: false, ..plan(8, 64, fault) };
+        let (b, r) = slow_parse
+            .translate(Source::Reader(Cursor::new(ndjson.clone())), &shredder)
+            .unwrap();
         prop_assert_eq!(&b, &ref_batch);
         prop_assert_eq!(normalize(r), normalize(ref_report));
     }
@@ -306,16 +253,9 @@ fn record_longer_than_chunk_stays_whole() {
     let ndjson =
         "{\"tag\": \"a\"}\n{\"tag\": \"bbbbbbbbbbbbbbbbbbbbbbbbbbbbbb\"}\n{\"tag\": \"c\"}\n";
     let schema = tag_schema();
-    let (verdicts, report) = validate_streaming_source(
-        StreamSource::slice(ndjson),
-        &schema,
-        ValidatorOptions::default(),
-        opts(2),
-        ChunkOptions::with_chunk_bytes(8),
-        collect_fault(),
-        true,
-    )
-    .unwrap();
+    let (verdicts, report) = plan(2, 8, collect_fault())
+        .validate(Source::slice(ndjson), &schema, ValidatorOptions::default())
+        .unwrap();
     assert_eq!(verdicts.len(), 3);
     assert!(verdicts
         .iter()

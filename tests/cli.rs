@@ -6,6 +6,11 @@ use std::process::{Command, Stdio};
 const BIN: &str = env!("CARGO_BIN_EXE_jsonx");
 
 fn run(args: &[&str], stdin: &str) -> (String, String, bool) {
+    let (out, err, code) = run_code(args, stdin);
+    (out, err, code == Some(0))
+}
+
+fn run_code(args: &[&str], stdin: &str) -> (String, String, Option<i32>) {
     let mut child = Command::new(BIN)
         .args(args)
         .stdin(Stdio::piped())
@@ -24,7 +29,7 @@ fn run(args: &[&str], stdin: &str) -> (String, String, bool) {
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.success(),
+        out.status.code(),
     )
 }
 
@@ -364,6 +369,89 @@ fn validate_and_translate_honour_error_policies() {
     assert!(!ok);
     assert!(err.contains("too many"), "{err}");
     let _ = text;
+}
+
+#[test]
+fn max_errors_without_a_tolerant_policy_is_a_usage_error() {
+    // The bound only means something when records may be rejected and
+    // skipped; silently dropping it would hide a typo'd invocation.
+    for args in [
+        &["infer", "--max-errors", "2", "-"][..],
+        &["infer", "--on-error", "fail", "--max-errors", "2", "-"][..],
+        &["translate", "--max-errors", "0", "-"][..],
+    ] {
+        let (out, err, code) = run_code(args, SAMPLE);
+        assert_eq!(code, Some(2), "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?} did work before refusing: {out}");
+        assert!(
+            err.contains("--max-errors") && err.contains("--on-error"),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn every_streaming_summary_ends_with_the_reject_count() {
+    let dir = std::env::temp_dir().join("jsonx-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let schema_path = dir.join("summary-schema.json");
+    std::fs::write(&schema_path, r#"{"type": "object"}"#).unwrap();
+    let schema = schema_path.to_str().unwrap();
+    // No fault, chunk or format flag: the summary still accounts for
+    // rejects, like every flagged run always did.
+    for args in [
+        &["infer", "--streaming", "-"][..],
+        &["infer", "--validate", schema, "-"][..],
+        &["validate", "--schema", schema, "--workers", "2", "-"][..],
+        &["translate", "--streaming", "-"][..],
+    ] {
+        let (_, err, ok) = run(args, SAMPLE);
+        assert!(ok, "{args:?}: {err}");
+        let summary = err.lines().last().unwrap_or_default();
+        assert!(
+            summary.starts_with("» ") && summary.ends_with(", 0 rejected"),
+            "{args:?}: {err}"
+        );
+    }
+    // The DOM paths are the references and keep their own summaries.
+    let (_, err, ok) = run(&["infer", "-"], SAMPLE);
+    assert!(ok);
+    assert!(!err.contains("rejected"), "{err}");
+}
+
+#[test]
+fn failfast_streaming_validation_prints_nothing_before_a_malformed_line() {
+    let dir = std::env::temp_dir().join("jsonx-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let schema_path = dir.join("failfast-schema.json");
+    std::fs::write(&schema_path, r#"{"type": "object", "required": ["id"]}"#).unwrap();
+    let schema = schema_path.to_str().unwrap();
+    // Line 2 is invalid, line 3 malformed: the run fails on line 3 and
+    // the invalid document before it is not reported — in memory exactly
+    // as out-of-core, under CSV, or with an explicit `--on-error fail`.
+    let input = "{\"id\": 1}\n{\"name\": \"x\"}\n{oops\n{\"id\": 4}\n";
+    for args in [
+        &["validate", "--schema", schema, "--streaming", "-"][..],
+        &["validate", "--schema", schema, "--on-error", "fail", "-"][..],
+        &["validate", "--schema", schema, "--input", "-"][..],
+    ] {
+        let (out, err, code) = run_code(args, input);
+        assert_eq!(code, Some(1), "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?}: {out}");
+        assert!(err.contains("line 3: "), "{args:?}: {err}");
+    }
+    // A tolerant policy reports both the invalid document (with full
+    // interpreter diagnostics — the text is in memory) and the reject.
+    let (out, err, code) = run_code(
+        &["validate", "--schema", schema, "--on-error", "skip", "-"],
+        input,
+    );
+    assert_eq!(code, Some(1), "{err}");
+    assert!(out.contains("doc 1: ") && out.contains("required"), "{out}");
+    assert!(
+        err.contains("2/3 documents valid (streaming), 1 rejected"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -8,11 +8,7 @@ use jsonx::core::Equivalence;
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::parse;
 use jsonx::translate::Shredder;
-use jsonx::{
-    infer_streaming_decoded, infer_validate_streaming_decoded, translate_streaming_decoded,
-    validate_streaming_decoded, ChunkOptions, CsvDecoder, ErrorPolicy, FaultOptions, LineVerdict,
-    StreamSource, StreamingOptions,
-};
+use jsonx::{CsvDecoder, ErrorPolicy, FaultOptions, Format, LineVerdict, Run, Source};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
@@ -42,11 +38,15 @@ fn peel(text: &str) -> (CsvDecoder, &str) {
     (CsvDecoder::from_header(header).unwrap(), rest)
 }
 
-/// Small chunks so multi-worker runs genuinely cross chunk boundaries.
-fn small_chunks() -> ChunkOptions {
-    ChunkOptions {
+/// A CSV plan with small chunks, so multi-worker runs genuinely cross
+/// chunk boundaries.
+fn plan(decoder: &CsvDecoder, workers: usize, fault: FaultOptions) -> Run<'static> {
+    Run {
+        workers,
         chunk_bytes: 256,
-        ..ChunkOptions::default()
+        fault,
+        format: Format::Csv(decoder.clone()),
+        ..Run::default()
     }
 }
 
@@ -54,27 +54,15 @@ fn small_chunks() -> ChunkOptions {
 fn csv_inference_is_worker_transparent() {
     let text = corpus();
     let (decoder, rest) = peel(&text);
-    let reference = infer_streaming_decoded(
-        StreamSource::slice(rest),
-        decoder.clone(),
-        Equivalence::Kind,
-        StreamingOptions::with_workers(1),
-        small_chunks(),
-        FaultOptions::default(),
-    )
-    .unwrap();
+    let reference = plan(&decoder, 1, FaultOptions::default())
+        .infer(Source::slice(rest), Equivalence::Kind)
+        .unwrap();
     assert_eq!(reference.1.records, 240);
     assert!(reference.1.is_clean());
     for workers in WORKER_COUNTS {
-        let (ty, report) = infer_streaming_decoded(
-            StreamSource::slice(rest),
-            decoder.clone(),
-            Equivalence::Kind,
-            StreamingOptions::with_workers(workers),
-            small_chunks(),
-            FaultOptions::default(),
-        )
-        .unwrap();
+        let (ty, report) = plan(&decoder, workers, FaultOptions::default())
+            .infer(Source::slice(rest), Equivalence::Kind)
+            .unwrap();
         assert_eq!(ty, reference.0, "inference diverged at {workers} workers");
         assert_eq!(report.records, reference.1.records);
     }
@@ -94,16 +82,9 @@ fn csv_validation_is_worker_transparent() {
     let schema = CompiledSchema::compile(&schema_doc).unwrap();
     let mut reference: Option<Vec<(usize, LineVerdict)>> = None;
     for workers in WORKER_COUNTS {
-        let (verdicts, report) = validate_streaming_decoded(
-            StreamSource::slice(rest),
-            decoder.clone(),
-            &schema,
-            ValidatorOptions::default(),
-            StreamingOptions::with_workers(workers),
-            small_chunks(),
-            FaultOptions::default(),
-        )
-        .unwrap();
+        let (verdicts, report) = plan(&decoder, workers, FaultOptions::default())
+            .validate(Source::slice(rest), &schema, ValidatorOptions::default())
+            .unwrap();
         assert_eq!(report.records, 240);
         assert!(
             verdicts
@@ -124,27 +105,18 @@ fn csv_combined_infer_validate_matches_separate_passes() {
     let (decoder, rest) = peel(&text);
     let schema_doc = parse(r#"{"type": "object", "required": ["id"]}"#).unwrap();
     let schema = CompiledSchema::compile(&schema_doc).unwrap();
-    let (ty_alone, _) = infer_streaming_decoded(
-        StreamSource::slice(rest),
-        decoder.clone(),
-        Equivalence::Kind,
-        StreamingOptions::with_workers(2),
-        small_chunks(),
-        FaultOptions::default(),
-    )
-    .unwrap();
-    for workers in WORKER_COUNTS {
-        let ((ty, verdicts), _) = infer_validate_streaming_decoded(
-            StreamSource::slice(rest),
-            decoder.clone(),
-            Equivalence::Kind,
-            &schema,
-            ValidatorOptions::default(),
-            StreamingOptions::with_workers(workers),
-            small_chunks(),
-            FaultOptions::default(),
-        )
+    let (ty_alone, _) = plan(&decoder, 2, FaultOptions::default())
+        .infer(Source::slice(rest), Equivalence::Kind)
         .unwrap();
+    for workers in WORKER_COUNTS {
+        let ((ty, verdicts), _) = plan(&decoder, workers, FaultOptions::default())
+            .infer_validate(
+                Source::slice(rest),
+                Equivalence::Kind,
+                &schema,
+                ValidatorOptions::default(),
+            )
+            .unwrap();
         assert_eq!(
             ty, ty_alone,
             "combined-pass type diverged at {workers} workers"
@@ -159,27 +131,15 @@ fn csv_combined_infer_validate_matches_separate_passes() {
 fn csv_translation_is_worker_transparent() {
     let text = corpus();
     let (decoder, rest) = peel(&text);
-    let (ty, _) = infer_streaming_decoded(
-        StreamSource::slice(rest),
-        decoder.clone(),
-        Equivalence::Kind,
-        StreamingOptions::with_workers(1),
-        small_chunks(),
-        FaultOptions::default(),
-    )
-    .unwrap();
+    let (ty, _) = plan(&decoder, 1, FaultOptions::default())
+        .infer(Source::slice(rest), Equivalence::Kind)
+        .unwrap();
     let shredder = Shredder::from_type(&ty);
     let mut reference = None;
     for workers in WORKER_COUNTS {
-        let (batch, report) = translate_streaming_decoded(
-            StreamSource::slice(rest),
-            decoder.clone(),
-            &shredder,
-            StreamingOptions::with_workers(workers),
-            small_chunks(),
-            FaultOptions::default(),
-        )
-        .unwrap();
+        let (batch, report) = plan(&decoder, workers, FaultOptions::default())
+            .translate(Source::slice(rest), &shredder)
+            .unwrap();
         assert_eq!(batch.rows, 240);
         assert_eq!(report.records, 240);
         match &reference {
@@ -204,14 +164,8 @@ fn csv_error_policies_and_quarantine_diagnostics() {
     }
     let (decoder, rest) = peel(&text);
     // Fail-fast: the first extra-cell row kills the run.
-    let failed = infer_streaming_decoded(
-        StreamSource::slice(rest),
-        decoder.clone(),
-        Equivalence::Kind,
-        StreamingOptions::with_workers(2),
-        small_chunks(),
-        FaultOptions::default(),
-    );
+    let failed =
+        plan(&decoder, 2, FaultOptions::default()).infer(Source::slice(rest), Equivalence::Kind);
     assert!(failed.is_err(), "extra cells must reject under fail-fast");
     // Collect: the run survives, counts the three bad rows, and retains
     // quarantine-ready diagnostics with the raw line and a stable kind.
@@ -221,15 +175,9 @@ fn csv_error_policies_and_quarantine_diagnostics() {
         ..FaultOptions::default()
     };
     for workers in WORKER_COUNTS {
-        let (ty, report) = infer_streaming_decoded(
-            StreamSource::slice(rest),
-            decoder.clone(),
-            Equivalence::Kind,
-            StreamingOptions::with_workers(workers),
-            small_chunks(),
-            fault,
-        )
-        .unwrap();
+        let (ty, report) = plan(&decoder, workers, fault)
+            .infer(Source::slice(rest), Equivalence::Kind)
+            .unwrap();
         assert_eq!(report.records, 30);
         assert_eq!(report.errors.total, 3, "at {workers} workers");
         let rejected: Vec<usize> = report.errors.rejects.iter().map(|d| d.record).collect();

@@ -13,21 +13,26 @@ use jsonx::core::{Equivalence, JType};
 use jsonx::gen::{dirty_ndjson, DirtyConfig};
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::translate::Shredder;
-use jsonx::{
-    infer_streaming, infer_streaming_guarded, translate_streaming, translate_streaming_guarded,
-    validate_streaming_guarded, validate_streaming_parallel, ErrorPolicy, FaultOptions,
-    ParseLimits, RunReport, StreamError, StreamingOptions,
-};
+use jsonx::{ErrorPolicy, FaultOptions, ParseLimits, Run, RunReport, Source, StreamError};
 use jsonx_data::json;
 use proptest::prelude::*;
 
 const WORKERS: [usize; 4] = [1, 2, 3, 8];
 
-fn opts(workers: usize) -> StreamingOptions {
-    StreamingOptions {
+/// A plan under `fault`; the explicit chunk size dispatches these small
+/// corpora across `workers` threads.
+fn plan(workers: usize, fault: FaultOptions) -> Run<'static> {
+    Run {
         workers,
-        min_shard_bytes: 128,
+        chunk_bytes: 128,
+        fault,
+        ..Run::default()
     }
+}
+
+/// The fail-fast sequential reference plan.
+fn reference() -> Run<'static> {
+    plan(1, FaultOptions::default())
 }
 
 fn skip_all() -> FaultOptions {
@@ -66,16 +71,14 @@ proptest! {
     #[test]
     fn skip_inference_equals_prefiltered_failfast(config in arb_config()) {
         let corpus = dirty_ndjson(&config);
-        let reference = infer_streaming(&corpus.clean_text, Equivalence::Kind).unwrap();
-        for workers in WORKERS {
-            let (ty, report) = infer_streaming_guarded(
-                &corpus.text,
-                Equivalence::Kind,
-                opts(workers),
-                skip_all(),
-            )
+        let (want, _) = reference()
+            .infer(Source::slice(&corpus.clean_text), Equivalence::Kind)
             .unwrap();
-            prop_assert_eq!(&ty, &reference, "workers={}", workers);
+        for workers in WORKERS {
+            let (ty, report) = plan(workers, skip_all())
+                .infer(Source::slice(&corpus.text), Equivalence::Kind)
+                .unwrap();
+            prop_assert_eq!(&ty, &want, "workers={}", workers);
             assert_rejects_match(&report, &corpus.bad_lines);
         }
     }
@@ -88,24 +91,16 @@ proptest! {
         )
         .unwrap();
         let vopts = ValidatorOptions::default();
-        // The clean twin has no malformed lines, so the legacy fail-fast
+        // The clean twin has no malformed lines, so the fail-fast
         // verdicts over it are the reference — on original line numbers.
-        let reference = validate_streaming_parallel(
-            &corpus.clean_text,
-            &schema,
-            vopts,
-            opts(1),
-        );
-        for workers in WORKERS {
-            let (verdicts, report) = validate_streaming_guarded(
-                &corpus.text,
-                &schema,
-                vopts,
-                opts(workers),
-                skip_all(),
-            )
+        let (want, _) = reference()
+            .validate(Source::slice(&corpus.clean_text), &schema, vopts)
             .unwrap();
-            prop_assert_eq!(&verdicts, &reference, "workers={}", workers);
+        for workers in WORKERS {
+            let (verdicts, report) = plan(workers, skip_all())
+                .validate(Source::slice(&corpus.text), &schema, vopts)
+                .unwrap();
+            prop_assert_eq!(&verdicts, &want, "workers={}", workers);
             assert_rejects_match(&report, &corpus.bad_lines);
         }
     }
@@ -113,21 +108,21 @@ proptest! {
     #[test]
     fn skip_translation_equals_prefiltered_failfast(config in arb_config()) {
         let corpus = dirty_ndjson(&config);
-        let ty = infer_streaming(&corpus.clean_text, Equivalence::Kind).unwrap();
+        let (ty, _) = reference()
+            .infer(Source::slice(&corpus.clean_text), Equivalence::Kind)
+            .unwrap();
         if matches!(ty, JType::Bottom) {
             return Ok(()); // every record was corrupted; nothing to shred
         }
         let shredder = Shredder::from_type(&ty);
-        let reference = translate_streaming(&corpus.clean_text, &shredder).unwrap();
-        for workers in WORKERS {
-            let (batch, report) = translate_streaming_guarded(
-                &corpus.text,
-                &shredder,
-                opts(workers),
-                skip_all(),
-            )
+        let (want, _) = reference()
+            .translate(Source::slice(&corpus.clean_text), &shredder)
             .unwrap();
-            prop_assert_eq!(&batch, &reference, "workers={}", workers);
+        for workers in WORKERS {
+            let (batch, report) = plan(workers, skip_all())
+                .translate(Source::slice(&corpus.text), &shredder)
+                .unwrap();
+            prop_assert_eq!(&batch, &want, "workers={}", workers);
             assert_rejects_match(&report, &corpus.bad_lines);
         }
     }
@@ -143,26 +138,16 @@ proptest! {
         // at every worker count, because the bound is checked on the
         // merged total, not per shard.
         for workers in WORKERS {
-            let ok = infer_streaming_guarded(
-                &corpus.text,
-                Equivalence::Kind,
-                opts(workers),
-                FaultOptions {
-                    policy: ErrorPolicy::Skip { max_errors: Some(bad) },
+            let bounded = |max_errors| {
+                let fault = FaultOptions {
+                    policy: ErrorPolicy::Skip { max_errors: Some(max_errors) },
                     ..skip_all()
-                },
-            );
+                };
+                plan(workers, fault).infer(Source::slice(&corpus.text), Equivalence::Kind)
+            };
+            let ok = bounded(bad);
             prop_assert!(ok.is_ok(), "workers={} bound={} should pass", workers, bad);
-            let err = infer_streaming_guarded(
-                &corpus.text,
-                Equivalence::Kind,
-                opts(workers),
-                FaultOptions {
-                    policy: ErrorPolicy::Skip { max_errors: Some(bad - 1) },
-                    ..skip_all()
-                },
-            )
-            .unwrap_err();
+            let err = bounded(bad - 1).unwrap_err();
             prop_assert!(
                 matches!(err, StreamError::TooManyErrors { .. }),
                 "workers={} got {:?}",
@@ -175,19 +160,16 @@ proptest! {
     #[test]
     fn collect_policy_keeps_every_diagnostic(config in arb_config()) {
         let corpus = dirty_ndjson(&config);
-        let (_, report) = infer_streaming_guarded(
-            &corpus.text,
-            Equivalence::Kind,
-            opts(3),
-            FaultOptions {
-                policy: ErrorPolicy::Collect {
-                    max_errors: config.docs,
-                },
-                keep_rejects: false,
-                limits: ParseLimits::default(),
+        let fault = FaultOptions {
+            policy: ErrorPolicy::Collect {
+                max_errors: config.docs,
             },
-        )
-        .unwrap();
+            keep_rejects: false,
+            limits: ParseLimits::default(),
+        };
+        let (_, report) = plan(3, fault)
+            .infer(Source::slice(&corpus.text), Equivalence::Kind)
+            .unwrap();
         assert_rejects_match(&report, &corpus.bad_lines);
         // Collect without keep_rejects retains diagnostics but not raw lines.
         prop_assert!(report.errors.rejects.iter().all(|d| d.raw.is_none()));
@@ -204,13 +186,9 @@ fn failfast_on_dirty_reports_first_bad_line_at_any_worker_count() {
     });
     let first_bad = corpus.bad_lines[0];
     for workers in WORKERS {
-        let err = infer_streaming_guarded(
-            &corpus.text,
-            Equivalence::Kind,
-            opts(workers),
-            FaultOptions::default(),
-        )
-        .unwrap_err();
+        let err = plan(workers, FaultOptions::default())
+            .infer(Source::slice(&corpus.text), Equivalence::Kind)
+            .unwrap_err();
         match err {
             StreamError::Record { record, .. } => {
                 assert_eq!(record, first_bad, "workers={workers}")
@@ -233,8 +211,9 @@ fn oversize_guard_rejects_padded_lines() {
         limits: ParseLimits::new().with_max_input_bytes(512),
         ..skip_all()
     };
-    let (_, report) =
-        infer_streaming_guarded(&corpus.text, Equivalence::Kind, opts(2), fault).unwrap();
+    let (_, report) = plan(2, fault)
+        .infer(Source::slice(&corpus.text), Equivalence::Kind)
+        .unwrap();
     assert_rejects_match(&report, &corpus.bad_lines);
     // The generator produced at least one of each configured corruption
     // kind at this seed, including the byte-limit one.

@@ -6,13 +6,10 @@
 
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::parse;
-use jsonx::{
-    validate_streaming_guarded, validate_streaming_guarded_fast, ErrorPolicy, FaultOptions,
-    ParseLimits, RunReport, StreamingOptions,
-};
+use jsonx::{ErrorPolicy, FaultOptions, ParseLimits, Run, RunReport, Source};
 
-/// Runs one NDJSON corpus through BOTH guarded validators (full parser
-/// and SWAR fast path) under `limits`, asserting identical verdict
+/// Runs one NDJSON corpus through validation on BOTH parsers (full
+/// parser and SWAR fast path) under `limits`, asserting identical verdict
 /// vectors and error accounts before returning the shared outcome.
 fn both_paths(ndjson: &str, limits: ParseLimits) -> (Vec<(usize, bool)>, RunReport) {
     let schema = CompiledSchema::compile(&parse("{}").unwrap()).unwrap();
@@ -21,20 +18,15 @@ fn both_paths(ndjson: &str, limits: ParseLimits) -> (Vec<(usize, bool)>, RunRepo
         keep_rejects: false,
         limits,
     };
-    let run = |fast: bool| {
-        let f = if fast {
-            validate_streaming_guarded_fast
-        } else {
-            validate_streaming_guarded
-        };
-        f(
-            ndjson,
-            &schema,
-            ValidatorOptions::default(),
-            StreamingOptions::with_workers(1),
+    let run = |fast_parse: bool| {
+        let plan = Run {
+            workers: 1,
             fault,
-        )
-        .unwrap()
+            fast_parse,
+            ..Run::default()
+        };
+        plan.validate(Source::slice(ndjson), &schema, ValidatorOptions::default())
+            .unwrap()
     };
     let (full_verdicts, full_report) = run(false);
     let (fast_verdicts, fast_report) = run(true);

@@ -9,34 +9,39 @@
 //!    `{`/`:`/`,`/quotes) exactly, and on corrupted inputs for every token
 //!    the lexer still produces before its first error.
 //!
-//! 2. **Fast path ≡ slow path.** `validate_streaming_*_fast` and
-//!    `translate_streaming_*_fast` must be result-identical to their slow
-//!    twins at every worker count: verdict vectors (including `Malformed`
-//!    entries with exact error offsets), columnar batches, `RunReport`s
-//!    and `StreamError`s, on clean and dirty corpora under every error
-//!    policy. The fast path may *decline* records (verified fallback),
-//!    never decide them differently.
+//! 2. **Fast path ≡ slow path.** Validation and translation with
+//!    `fast_parse` on must be result-identical to `fast_parse` off at
+//!    every worker count: verdict vectors, reject diagnostics (with exact
+//!    error offsets), columnar batches, `RunReport`s and `StreamError`s,
+//!    on clean and dirty corpora under every error policy. The fast path
+//!    may *decline* records (verified fallback), never decide them
+//!    differently.
 
 use jsonx::gen::{dirty_ndjson, DirtyConfig};
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::{to_string, Bitmaps, Lexer, RawToken};
 use jsonx::translate::Shredder;
-use jsonx::{
-    translate_streaming_guarded, translate_streaming_guarded_fast, translate_streaming_parallel,
-    translate_streaming_parallel_fast, validate_streaming_guarded, validate_streaming_guarded_fast,
-    validate_streaming_parallel, validate_streaming_parallel_fast, ErrorPolicy, FaultOptions,
-    StreamingOptions,
-};
+use jsonx::{ErrorPolicy, FaultOptions, Run, Source};
 use jsonx_data::{json, Number, Object, Value};
 use proptest::prelude::*;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
-fn sharded(workers: usize) -> StreamingOptions {
-    StreamingOptions {
+/// The slow/fast twins of one plan; the explicit chunk size dispatches
+/// small corpora across `workers` threads.
+fn twins(workers: usize, fault: FaultOptions) -> (Run<'static>, Run<'static>) {
+    let slow = Run {
         workers,
-        min_shard_bytes: 64,
-    }
+        chunk_bytes: 64,
+        fault,
+        fast_parse: false,
+        ..Run::default()
+    };
+    let fast = Run {
+        fast_parse: true,
+        ..slow.clone()
+    };
+    (slow, fast)
 }
 
 // ---------------------------------------------------------------------------
@@ -241,8 +246,9 @@ proptest! {
         let schema = CompiledSchema::compile(&schema_pool()[schema_idx]).unwrap();
         let vopts = ValidatorOptions::default();
         for workers in WORKER_COUNTS {
-            let slow = validate_streaming_parallel(&ndjson, &schema, vopts, sharded(workers));
-            let fast = validate_streaming_parallel_fast(&ndjson, &schema, vopts, sharded(workers));
+            let (slow, fast) = twins(workers, FaultOptions::default());
+            let slow = slow.validate(Source::slice(&ndjson), &schema, vopts);
+            let fast = fast.validate(Source::slice(&ndjson), &schema, vopts);
             prop_assert_eq!(&fast, &slow, "workers {}", workers);
         }
     }
@@ -259,8 +265,9 @@ proptest! {
         let ty = jsonx::core::infer_collection(&docs, jsonx::core::Equivalence::Kind);
         let shredder = Shredder::from_type(&ty);
         for workers in WORKER_COUNTS {
-            let slow = translate_streaming_parallel(&ndjson, &shredder, sharded(workers));
-            let fast = translate_streaming_parallel_fast(&ndjson, &shredder, sharded(workers));
+            let (slow, fast) = twins(workers, FaultOptions::default());
+            let slow = slow.translate(Source::slice(&ndjson), &shredder);
+            let fast = fast.translate(Source::slice(&ndjson), &shredder);
             prop_assert_eq!(&fast, &slow, "workers {}", workers);
         }
     }
@@ -291,23 +298,34 @@ fn dirty_corpus() -> jsonx::gen::DirtyNdjson {
     })
 }
 
-/// On a dirty corpus the legacy parallel face records malformed lines as
-/// inline verdicts: fast and slow must agree on every entry, error kinds
-/// and offsets included (the declined record's diagnostics come from the
+/// On a dirty corpus every malformed line lands in the report with its
+/// diagnostic: fast and slow must agree on every entry, error kinds and
+/// offsets included (the declined record's diagnostics come from the
 /// same full parser on both paths).
 #[test]
 fn fast_validation_matches_slow_on_dirty_corpus() {
     let corpus = dirty_corpus();
     let schema = CompiledSchema::compile(&schema_pool()[0]).unwrap();
     let vopts = ValidatorOptions::default();
+    let keep_all = FaultOptions {
+        policy: ErrorPolicy::Skip { max_errors: None },
+        keep_rejects: true,
+        ..FaultOptions::default()
+    };
     for workers in WORKER_COUNTS {
-        let slow = validate_streaming_parallel(&corpus.text, &schema, vopts, sharded(workers));
-        let fast = validate_streaming_parallel_fast(&corpus.text, &schema, vopts, sharded(workers));
+        let (slow, fast) = twins(workers, keep_all);
+        let slow = slow
+            .validate(Source::slice(&corpus.text), &schema, vopts)
+            .unwrap();
+        let fast = fast
+            .validate(Source::slice(&corpus.text), &schema, vopts)
+            .unwrap();
         assert_eq!(fast, slow, "workers {workers}");
+        assert_eq!(slow.1.errors.rejects.len(), corpus.bad_lines.len());
     }
 }
 
-/// Guarded validation: verdicts, RunReports and StreamErrors must be
+/// Validation: verdicts, RunReports and StreamErrors must be
 /// identical under every policy at every worker count.
 #[test]
 fn fast_guarded_validation_matches_slow_on_dirty_corpus() {
@@ -322,27 +340,16 @@ fn fast_guarded_validation_matches_slow_on_dirty_corpus() {
                 ..FaultOptions::default()
             };
             for workers in WORKER_COUNTS {
-                let slow = validate_streaming_guarded(
-                    &corpus.text,
-                    &schema,
-                    vopts,
-                    sharded(workers),
-                    fault,
-                );
-                let fast = validate_streaming_guarded_fast(
-                    &corpus.text,
-                    &schema,
-                    vopts,
-                    sharded(workers),
-                    fault,
-                );
+                let (slow, fast) = twins(workers, fault);
+                let slow = slow.validate(Source::slice(&corpus.text), &schema, vopts);
+                let fast = fast.validate(Source::slice(&corpus.text), &schema, vopts);
                 assert_eq!(fast, slow, "workers {workers} policy {policy:?}");
             }
         }
     }
 }
 
-/// Guarded translation: batches, RunReports and StreamErrors must be
+/// Translation: batches, RunReports and StreamErrors must be
 /// identical under every policy at every worker count.
 #[test]
 fn fast_guarded_translation_matches_slow_on_dirty_corpus() {
@@ -358,10 +365,9 @@ fn fast_guarded_translation_matches_slow_on_dirty_corpus() {
             ..FaultOptions::default()
         };
         for workers in WORKER_COUNTS {
-            let slow =
-                translate_streaming_guarded(&corpus.text, &shredder, sharded(workers), fault);
-            let fast =
-                translate_streaming_guarded_fast(&corpus.text, &shredder, sharded(workers), fault);
+            let (slow, fast) = twins(workers, fault);
+            let slow = slow.translate(Source::slice(&corpus.text), &shredder);
+            let fast = fast.translate(Source::slice(&corpus.text), &shredder);
             assert_eq!(fast, slow, "workers {workers} policy {policy:?}");
         }
     }
@@ -376,8 +382,9 @@ fn fast_translation_first_error_matches_slow_on_dirty_corpus() {
     let ty = jsonx::core::infer_collection(&docs, jsonx::core::Equivalence::Kind);
     let shredder = Shredder::from_type(&ty);
     for workers in WORKER_COUNTS {
-        let slow = translate_streaming_parallel(&corpus.text, &shredder, sharded(workers));
-        let fast = translate_streaming_parallel_fast(&corpus.text, &shredder, sharded(workers));
+        let (slow, fast) = twins(workers, FaultOptions::default());
+        let slow = slow.translate(Source::slice(&corpus.text), &shredder);
+        let fast = fast.translate(Source::slice(&corpus.text), &shredder);
         assert_eq!(fast, slow, "workers {workers}");
         assert!(
             fast.is_err(),

@@ -9,10 +9,7 @@ use jsonx::core::{infer_collection, Equivalence};
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::{parse_ndjson, to_string};
 use jsonx::translate::Shredder;
-use jsonx::{
-    infer_streaming, infer_validate_streaming, infer_validate_streaming_parallel,
-    translate_streaming, translate_streaming_parallel, validate_streaming, StreamingOptions,
-};
+use jsonx::{Run, Source};
 use jsonx_data::{json, Number, Object, Value};
 use proptest::prelude::*;
 
@@ -68,6 +65,16 @@ fn to_ndjson(docs: &[Value], blank_every: usize, trailing_newline: bool) -> Stri
     out
 }
 
+/// A fail-fast plan; a nonzero `chunk_bytes` dispatches even the tiny
+/// proptest corpora across `workers` threads.
+fn plan(workers: usize, chunk_bytes: usize) -> Run<'static> {
+    Run {
+        workers,
+        chunk_bytes,
+        ..Run::default()
+    }
+}
+
 fn test_schema() -> CompiledSchema {
     CompiledSchema::compile(&json!({
         "type": "object",
@@ -91,17 +98,13 @@ proptest! {
         let ndjson = to_ndjson(&docs, blank_every, trailing_newline);
         let schema = test_schema();
         let vopts = ValidatorOptions::default();
-        let ty = infer_streaming(&ndjson, Equivalence::Kind).unwrap();
-        let verdicts = validate_streaming(&ndjson, &schema, vopts);
-        let combined = infer_validate_streaming_parallel(
-            &ndjson,
-            Equivalence::Kind,
-            &schema,
-            vopts,
-            StreamingOptions { workers, min_shard_bytes: 16 },
-        );
-        prop_assert_eq!(combined.ty.as_ref().unwrap(), &ty, "workers {}", workers);
-        prop_assert_eq!(&combined.verdicts, &verdicts, "workers {}", workers);
+        let (ty, _) = plan(1, 0).infer(Source::slice(&ndjson), Equivalence::Kind).unwrap();
+        let (verdicts, _) = plan(1, 0).validate(Source::slice(&ndjson), &schema, vopts).unwrap();
+        let ((combined_ty, combined_verdicts), _) = plan(workers, 16)
+            .infer_validate(Source::slice(&ndjson), Equivalence::Kind, &schema, vopts)
+            .unwrap();
+        prop_assert_eq!(&combined_ty, &ty, "workers {}", workers);
+        prop_assert_eq!(&combined_verdicts, &verdicts, "workers {}", workers);
     }
 
     #[test]
@@ -118,51 +121,55 @@ proptest! {
         let ty = infer_collection(&docs, Equivalence::Kind);
         let shredder = Shredder::from_type(&ty);
         let dom = shredder.clone().shred(&docs).unwrap();
-        let seq = translate_streaming(&ndjson, &shredder).unwrap();
+        let (seq, _) = plan(1, 0).translate(Source::slice(&ndjson), &shredder).unwrap();
         prop_assert_eq!(&seq, &dom);
-        let par = translate_streaming_parallel(
-            &ndjson,
-            &shredder,
-            StreamingOptions { workers, min_shard_bytes: 16 },
-        )
-        .unwrap();
+        let (par, _) = plan(workers, 16).translate(Source::slice(&ndjson), &shredder).unwrap();
         prop_assert_eq!(&par, &dom, "workers {}", workers);
     }
 }
 
 #[test]
 fn tiny_inputs_fall_back_to_sequential_in_both_stages() {
-    // Smaller than any min_shard_bytes threshold: the engine must take the
-    // sequential path and still agree with the explicit sequential calls.
+    // Smaller than the automatic chunking threshold: the engine must take
+    // the sequential path and still agree with the explicit sequential
+    // calls.
     let ndjson = "{\"a\": 1}\n";
     let schema = test_schema();
     let vopts = ValidatorOptions::default();
-    let opts = StreamingOptions::default();
-    let combined =
-        infer_validate_streaming_parallel(ndjson, Equivalence::Kind, &schema, vopts, opts);
-    let seq = infer_validate_streaming(ndjson, Equivalence::Kind, &schema, vopts);
-    assert_eq!(combined.ty.unwrap(), seq.ty.unwrap());
-    assert_eq!(combined.verdicts, seq.verdicts);
+    let auto = Run::default();
+    let (combined, report) = auto
+        .infer_validate(Source::slice(ndjson), Equivalence::Kind, &schema, vopts)
+        .unwrap();
+    assert_eq!(report.shards, 1);
+    let (seq, _) = plan(1, 0)
+        .infer_validate(Source::slice(ndjson), Equivalence::Kind, &schema, vopts)
+        .unwrap();
+    assert_eq!(combined, seq);
 
     let docs = parse_ndjson(ndjson).unwrap();
     let ty = infer_collection(&docs, Equivalence::Kind);
     let shredder = Shredder::from_type(&ty);
     let dom = shredder.clone().shred(&docs).unwrap();
-    assert_eq!(
-        translate_streaming_parallel(ndjson, &shredder, opts).unwrap(),
-        dom
-    );
+    let (batch, _) = auto.translate(Source::slice(ndjson), &shredder).unwrap();
+    assert_eq!(batch, dom);
 }
 
 #[test]
 fn empty_input_yields_empty_outputs() {
     let schema = test_schema();
-    let outcome =
-        infer_validate_streaming("", Equivalence::Kind, &schema, ValidatorOptions::default());
-    assert_eq!(outcome.ty.unwrap(), jsonx::core::JType::Bottom);
-    assert!(outcome.verdicts.is_empty());
+    let ((ty, verdicts), report) = plan(1, 0)
+        .infer_validate(
+            Source::slice(""),
+            Equivalence::Kind,
+            &schema,
+            ValidatorOptions::default(),
+        )
+        .unwrap();
+    assert_eq!(ty, jsonx::core::JType::Bottom);
+    assert!(verdicts.is_empty());
+    assert_eq!(report.records, 0);
 
     let shredder = Shredder::from_type(&jsonx::core::JType::Bottom);
-    let batch = translate_streaming("", &shredder).unwrap();
+    let (batch, _) = plan(1, 0).translate(Source::slice(""), &shredder).unwrap();
     assert_eq!(batch.rows, 0);
 }

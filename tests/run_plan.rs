@@ -1,0 +1,327 @@
+//! One matrix instead of pairwise twins: for every stage, every way of
+//! configuring a [`Run`] must yield the **same** output and the same
+//! [`RunReport`] (up to its dispatch-dependent fields) as the sequential
+//! in-memory reference —
+//!
+//! sources {slice, reader, file, file + fresh journal, file + journal
+//! stopped after `k` commits then resumed} × workers {1, 2, 3, 8} ×
+//! fast-parse {on, off} × policy {fail-fast, skip, collect + keep
+//! rejects} — on clean and dirty corpora alike, including the failures:
+//! a fail-fast run over a dirty corpus must name the same first record
+//! from every cell of the matrix.
+
+use jsonx::core::{Equivalence, JType};
+use jsonx::schema::{CompiledSchema, ValidatorOptions};
+use jsonx::syntax::parse;
+use jsonx::translate::Shredder;
+use jsonx::{ErrorPolicy, FaultOptions, JournalControl, Run, RunReport, Source, StreamError};
+use proptest::prelude::*;
+use std::fmt::Debug;
+use std::io::Cursor;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+
+const WORKERS: [usize; 4] = [1, 2, 3, 8];
+/// Small enough that every corpus below spans several chunks (so journals
+/// commit several times and workers genuinely interleave).
+const CHUNK_BYTES: usize = 192;
+
+type Reader = Cursor<Vec<u8>>;
+type Outcome<O> = Result<(O, RunReport), StreamError>;
+
+fn policies() -> [FaultOptions; 3] {
+    [
+        FaultOptions::default(),
+        FaultOptions {
+            policy: ErrorPolicy::Skip { max_errors: None },
+            ..FaultOptions::default()
+        },
+        FaultOptions {
+            policy: ErrorPolicy::Collect { max_errors: 1000 },
+            keep_rejects: true,
+            ..FaultOptions::default()
+        },
+    ]
+}
+
+/// Drops the dispatch-dependent fields (`shards` counts work units,
+/// `timings` is empty on untimed runs anyway) so outcomes from different
+/// cells compare on what the run computed.
+fn normalize<O>(outcome: Outcome<O>) -> Outcome<O> {
+    outcome.map(|(out, mut report)| {
+        report.shards = 0;
+        report.timings.clear();
+        (out, report)
+    })
+}
+
+/// One well-formed corpus line: records the schema accepts, records it
+/// rejects, nested records, dotted keys, blanks.
+fn clean_line() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0i64..100, "[a-z]{0,6}")
+            .prop_map(|(id, tag)| format!("{{\"id\": {id}, \"tag\": \"{tag}\"}}")),
+        (0i64..100, 20usize..90).prop_map(|(id, n)| format!(
+            "{{\"id\": \"s{id}\", \"tag\": \"t\", \"geo\": {{\"lat\": {id}.5}}, \"pad\": \"{}\"}}",
+            "x".repeat(n)
+        )),
+        (0i64..100).prop_map(|id| format!("{{\"id\": {id}, \"tags\": [1, \"x\"]}}")),
+        Just("{\"a.b\": 1, \"tag\": null}".to_string()),
+        Just(String::new()),
+    ]
+}
+
+/// A line some stage rejects: malformed JSON, or a well-formed
+/// non-record (which only translation refuses).
+fn bad_line() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("{\"id\":".to_string()),
+        Just("[1, 2".to_string()),
+        Just("[1, 2]".to_string()),
+        Just("not json".to_string()),
+    ]
+}
+
+/// Half the corpora are clean; the other half have about a quarter of
+/// their lines replaced by bad ones.
+fn arb_corpus() -> impl Strategy<Value = String> {
+    let line = (clean_line(), bad_line(), 0u8..4);
+    (any::<bool>(), prop::collection::vec(line, 4..28)).prop_map(|(dirty, lines)| {
+        let lines: Vec<String> = lines
+            .into_iter()
+            .map(|(clean, bad, pick)| if dirty && pick == 0 { bad } else { clean })
+            .collect();
+        lines.join("\n") + "\n"
+    })
+}
+
+fn tag_schema() -> CompiledSchema {
+    let doc = parse(
+        r#"{"type": "object", "required": ["tag"], "properties": {"id": {"type": "integer"}}}"#,
+    )
+    .unwrap();
+    CompiledSchema::compile(&doc).unwrap()
+}
+
+/// The corpus on disk, plus a scratch journal path next to it.
+struct OnDisk {
+    dir: PathBuf,
+    input: PathBuf,
+    journal: PathBuf,
+}
+
+impl OnDisk {
+    fn new(tag: &str, text: &str) -> OnDisk {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "jsonx-run-plan-{tag}-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let input = dir.join("corpus.ndjson");
+        std::fs::write(&input, text).unwrap();
+        OnDisk {
+            journal: dir.join("run.journal"),
+            input,
+            dir,
+        }
+    }
+}
+
+impl Drop for OnDisk {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// A journaled copy of `run`.
+fn journaled<'a>(run: &Run<'static>, ctrl: JournalControl<'a>) -> Run<'a> {
+    Run {
+        journal: Some(ctrl),
+        ..run.clone()
+    }
+}
+
+/// Runs `stage` journaled, stopping gracefully once `stop_after` chunks
+/// have committed (counted across both passes of a translation), then
+/// resumes it. The first leg must either be interrupted or — when the
+/// stop came too late to matter — already agree with `want`; the second
+/// leg is the cell's outcome.
+fn stopped_then_resumed<O: PartialEq + Debug>(
+    run: &Run<'static>,
+    disk: &OnDisk,
+    stop_after: u64,
+    want: &Outcome<O>,
+    stage: &impl Fn(&Run<'_>, Source<'_, Reader>) -> Outcome<O>,
+) -> Outcome<O> {
+    let _ = std::fs::remove_file(&disk.journal);
+    let stop = Arc::new(AtomicBool::new(false));
+    let (latch, commits) = (stop.clone(), AtomicU64::new(0));
+    let ctrl = JournalControl {
+        stop: Some(&stop),
+        after_commit: Some(Arc::new(move |_| {
+            if commits.fetch_add(1, Ordering::SeqCst) + 1 >= stop_after {
+                latch.store(true, Ordering::SeqCst);
+            }
+        })),
+        ..JournalControl::new(&disk.journal)
+    };
+    let first = normalize(stage(&journaled(run, ctrl), Source::File(&disk.input)));
+    assert!(
+        first == Err(StreamError::Interrupted) || &first == want,
+        "stopped leg is neither interrupted nor complete: {first:?}"
+    );
+    let ctrl = JournalControl {
+        resume: true,
+        ..JournalControl::new(&disk.journal)
+    };
+    stage(&journaled(run, ctrl), Source::File(&disk.input))
+}
+
+/// Which sources a stage can read from.
+#[derive(Clone, Copy)]
+struct Sources {
+    /// A reader cannot be re-read for translation's second pass.
+    reader: bool,
+    /// Only stages with a journal codec can be journaled.
+    journal: bool,
+}
+
+/// Asserts the whole matrix for one stage over one corpus.
+fn assert_matrix<O: PartialEq + Debug>(
+    name: &str,
+    text: &str,
+    stop_after: u64,
+    sources: Sources,
+    stage: impl Fn(&Run<'_>, Source<'_, Reader>) -> Outcome<O>,
+) {
+    let disk = OnDisk::new(name, text);
+    for fault in policies() {
+        let reference = Run {
+            workers: 1,
+            fault,
+            fast_parse: false,
+            ..Run::default()
+        };
+        let want = normalize(stage(&reference, Source::Slice(text)));
+        for workers in WORKERS {
+            for fast_parse in [true, false] {
+                let run = Run {
+                    workers,
+                    chunk_bytes: CHUNK_BYTES,
+                    fault,
+                    fast_parse,
+                    ..Run::default()
+                };
+                let cell = |source: &str, got: Outcome<O>| {
+                    assert_eq!(
+                        normalize(got),
+                        want,
+                        "{name}: {source}, workers {workers}, fast_parse {fast_parse}, {:?}",
+                        fault.policy
+                    );
+                };
+                cell("slice", stage(&run, Source::Slice(text)));
+                if sources.reader {
+                    let reader = Cursor::new(text.as_bytes().to_vec());
+                    cell("reader", stage(&run, Source::Reader(reader)));
+                }
+                cell("file", stage(&run, Source::File(&disk.input)));
+                if sources.journal {
+                    let fresh = journaled(&run, JournalControl::new(&disk.journal));
+                    cell("fresh journal", stage(&fresh, Source::File(&disk.input)));
+                    cell(
+                        "stopped + resumed journal",
+                        stopped_then_resumed(&run, &disk, stop_after, &want, &stage),
+                    );
+                }
+            }
+        }
+    }
+}
+
+const EVERY_SOURCE: Sources = Sources {
+    reader: true,
+    journal: true,
+};
+const NO_JOURNAL: Sources = Sources {
+    reader: true,
+    journal: false,
+};
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn infer_is_plan_invariant(text in arb_corpus(), stop_after in 1u64..6) {
+        assert_matrix("infer", &text, stop_after, EVERY_SOURCE, |run, source| {
+            run.infer(source, Equivalence::Label)
+        });
+    }
+
+    #[test]
+    fn validate_is_plan_invariant(text in arb_corpus(), stop_after in 1u64..6) {
+        let schema = tag_schema();
+        assert_matrix("validate", &text, stop_after, EVERY_SOURCE, |run, source| {
+            run.validate(source, &schema, ValidatorOptions::default())
+        });
+    }
+
+    #[test]
+    fn infer_validate_is_plan_invariant(text in arb_corpus()) {
+        let schema = tag_schema();
+        assert_matrix("infer-validate", &text, 0, NO_JOURNAL, |run, source| {
+            run.infer_validate(source, Equivalence::Kind, &schema, ValidatorOptions::default())
+        });
+    }
+
+    #[test]
+    fn translate_is_plan_invariant(text in arb_corpus()) {
+        // The layout every cell shreds under: the type of whatever the
+        // corpus holds that types at all.
+        let tolerant = Run { fault: policies()[1], ..Run::default() };
+        let (ty, _) = tolerant.infer(Source::slice(&text), Equivalence::Kind).unwrap();
+        let shredder = Shredder::from_type(&ty);
+        assert_matrix("translate", &text, 0, NO_JOURNAL, |run, source| {
+            run.translate(source, &shredder)
+        });
+    }
+
+    #[test]
+    fn translate_inferred_is_plan_invariant(text in arb_corpus(), stop_after in 1u64..12) {
+        let rereadable = Sources { reader: false, journal: true };
+        assert_matrix("translate-inferred", &text, stop_after, rereadable, |run, source| {
+            run.translate_inferred(source, Equivalence::Kind)
+                .map(|(ty, batch, report)| ((ty, batch), report))
+        });
+    }
+}
+
+/// The matrix above trusts the reference cell; anchor that cell to the
+/// DOM once, so "all cells agree" cannot mean "all cells are wrong".
+#[test]
+fn reference_cell_matches_the_dom() {
+    let text = "{\"id\": 1, \"tag\": \"a\"}\n\n{\"id\": \"x\"}\n{\"tag\": null, \"id\": 2}\n";
+    let docs = jsonx::syntax::parse_ndjson(text).unwrap();
+    let run = Run {
+        workers: 1,
+        fast_parse: false,
+        ..Run::default()
+    };
+    let schema = tag_schema();
+    let (verdicts, report) = run
+        .validate(Source::slice(text), &schema, ValidatorOptions::default())
+        .unwrap();
+    let dom: Vec<bool> = docs.iter().map(|d| schema.validate(d).is_ok()).collect();
+    let streamed: Vec<bool> = verdicts.iter().map(|(_, v)| v.is_valid()).collect();
+    assert_eq!(streamed, dom);
+    assert_eq!(report.records, 3);
+    let (ty, batch, _) = run
+        .translate_inferred(Source::slice(text), Equivalence::Kind)
+        .unwrap();
+    let dom_ty: JType = jsonx::core::infer_collection(&docs, Equivalence::Kind);
+    assert_eq!(ty, dom_ty);
+    assert_eq!(batch, Shredder::from_type(&dom_ty).shred(&docs).unwrap());
+}

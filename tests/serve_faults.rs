@@ -12,9 +12,7 @@ use jsonx::gen::fault_client::{abandon_mid_frame, pipeline, send_raw, slow_loris
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::serve::{FinalReport, ServeConfig, Server};
 use jsonx::syntax::parse;
-use jsonx::{
-    validate_streaming_guarded, ErrorPolicy, FaultOptions, ParseLimits, StreamingOptions, Value,
-};
+use jsonx::{ErrorPolicy, FaultOptions, ParseLimits, Run, Source, Value};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -72,24 +70,25 @@ fn verdicts_match_the_batch_pipeline() {
         r#"{"deep": [[[[[[1]]]]]]}"#.to_string(),
         format!("{{\"id\": 3, \"pad\": \"{}\"}}", "x".repeat(300)),
     ];
-    // Ground truth: the guarded batch path over the same records with the
-    // same schema and limits.
+    // Ground truth: the batch path over the same records with the same
+    // schema and limits.
     let ndjson: String = corpus.iter().map(|l| format!("{l}\n")).collect();
     let schema = CompiledSchema::compile(&parse(SCHEMA).unwrap()).unwrap();
-    let (batch_verdicts, batch_report) = validate_streaming_guarded(
-        &ndjson,
-        &schema,
-        ValidatorOptions::default(),
-        StreamingOptions::with_workers(1),
-        FaultOptions {
+    let batch = Run {
+        workers: 1,
+        fault: FaultOptions {
             policy: ErrorPolicy::Skip { max_errors: None },
             keep_rejects: false,
             limits,
         },
-    )
-    .unwrap();
+        fast_parse: false,
+        ..Run::default()
+    };
+    let (batch_verdicts, batch_report) = batch
+        .validate(Source::slice(&ndjson), &schema, ValidatorOptions::default())
+        .unwrap();
 
-    // The guarded face splits outcomes: parsed records land in the verdict
+    // The batch run splits outcomes: parsed records land in the verdict
     // vector, malformed ones in the report's diagnostics. Re-key both by
     // record index so every corpus line has exactly one expected outcome.
     let mut expected: BTreeMap<usize, Result<bool, &'static str>> = BTreeMap::new();

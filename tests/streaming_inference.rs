@@ -6,7 +6,7 @@
 
 use jsonx::core::{infer_collection, Equivalence};
 use jsonx::syntax::{parse_ndjson, to_string};
-use jsonx::{infer_streaming, infer_streaming_parallel, StreamingOptions};
+use jsonx::{Run, Source};
 use jsonx_data::{Number, Object, Value};
 use proptest::prelude::*;
 
@@ -53,7 +53,8 @@ proptest! {
         prop_assert_eq!(&reparsed, &docs);
         for equiv in [Equivalence::Kind, Equivalence::Label] {
             let dom = infer_collection(&docs, equiv);
-            let streamed = infer_streaming(&ndjson, equiv).unwrap();
+            let sequential = Run { workers: 1, ..Run::default() };
+            let (streamed, _) = sequential.infer(Source::slice(&ndjson), equiv).unwrap();
             prop_assert_eq!(&streamed, &dom, "equiv {:?}", equiv);
         }
     }
@@ -66,8 +67,9 @@ proptest! {
         let ndjson = to_ndjson(&docs);
         for equiv in [Equivalence::Kind, Equivalence::Label] {
             let dom = infer_collection(&docs, equiv);
-            let opts = StreamingOptions { workers, min_shard_bytes: 16 };
-            let par = infer_streaming_parallel(&ndjson, equiv, opts).unwrap();
+            // An explicit chunk size dispatches even these tiny corpora.
+            let sharded = Run { workers, chunk_bytes: 16, ..Run::default() };
+            let (par, _) = sharded.infer(Source::slice(&ndjson), equiv).unwrap();
             prop_assert_eq!(&par, &dom, "equiv {:?} workers {}", equiv, workers);
         }
     }

@@ -7,7 +7,7 @@
 
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::{parse_ndjson, to_string};
-use jsonx::{validate_streaming, validate_streaming_parallel, LineVerdict, StreamingOptions};
+use jsonx::{ErrorPolicy, FaultOptions, LineVerdict, Run, Source, StreamError};
 use jsonx_data::{json, Number, Object, Value};
 use proptest::prelude::*;
 
@@ -75,6 +75,26 @@ fn to_ndjson(docs: &[Value]) -> String {
     out
 }
 
+/// Fail-fast streaming verdicts at `workers` threads; a nonzero
+/// `chunk_bytes` dispatches even tiny corpora across them.
+fn stream_verdicts(
+    ndjson: &str,
+    schema: &CompiledSchema,
+    opts: ValidatorOptions,
+    workers: usize,
+    chunk_bytes: usize,
+) -> Vec<(usize, LineVerdict)> {
+    let run = Run {
+        workers,
+        chunk_bytes,
+        ..Run::default()
+    };
+    let (verdicts, _) = run
+        .validate(Source::slice(ndjson), schema, opts)
+        .expect("well-formed corpus");
+    verdicts
+}
+
 /// The reference result: parse every line into a DOM and run the
 /// error-collecting interpreter sequentially.
 fn dom_verdicts(ndjson: &str, schema: &CompiledSchema, opts: ValidatorOptions) -> Vec<bool> {
@@ -96,7 +116,7 @@ proptest! {
         let opts = ValidatorOptions::default();
         let reference = dom_verdicts(&ndjson, &schema, opts);
 
-        let seq = validate_streaming(&ndjson, &schema, opts);
+        let seq = stream_verdicts(&ndjson, &schema, opts, 1, 0);
         prop_assert_eq!(seq.len(), reference.len());
         for ((line, verdict), expected) in seq.iter().zip(&reference) {
             prop_assert_eq!(
@@ -110,12 +130,7 @@ proptest! {
         }
 
         for workers in 1..=6usize {
-            let par = validate_streaming_parallel(
-                &ndjson,
-                &schema,
-                opts,
-                StreamingOptions { workers, min_shard_bytes: 16 },
-            );
+            let par = stream_verdicts(&ndjson, &schema, opts, workers, 16);
             prop_assert_eq!(&par, &seq, "workers={}", workers);
         }
     }
@@ -124,12 +139,7 @@ proptest! {
     fn line_indices_match_input_order(docs in prop::collection::vec(arb_doc(), 1..16)) {
         let schema = CompiledSchema::compile(&json!({"type": "object"})).unwrap();
         let ndjson = to_ndjson(&docs);
-        let verdicts = validate_streaming_parallel(
-            &ndjson,
-            &schema,
-            ValidatorOptions::default(),
-            StreamingOptions { workers: 4, min_shard_bytes: 8 },
-        );
+        let verdicts = stream_verdicts(&ndjson, &schema, ValidatorOptions::default(), 4, 8);
         let lines: Vec<usize> = verdicts.iter().map(|(l, _)| *l).collect();
         prop_assert_eq!(lines, (0..docs.len()).collect::<Vec<_>>());
     }
@@ -140,25 +150,43 @@ fn malformed_lines_are_flagged_in_place() {
     let schema = CompiledSchema::compile(&json!({"type": "object"})).unwrap();
     let ndjson = "{\"a\": 1}\n{oops\n\n[1, 2]\n{\"b\": 2}\n";
     for workers in [1, 2, 4] {
-        let verdicts = validate_streaming_parallel(
-            ndjson,
-            &schema,
-            ValidatorOptions::default(),
-            StreamingOptions {
-                workers,
-                min_shard_bytes: 4,
-            },
+        let run = Run {
+            workers,
+            chunk_bytes: 4,
+            ..Run::default()
+        };
+        // Fail-fast names the malformed line at its exact index...
+        let err = run
+            .validate(Source::slice(ndjson), &schema, ValidatorOptions::default())
+            .unwrap_err();
+        assert!(
+            matches!(err, StreamError::Record { record: 1, .. }),
+            "workers={workers}: {err:?}"
         );
-        // Blank line 2 is skipped; indices are original line numbers.
-        assert_eq!(verdicts.len(), 4, "workers={workers}");
-        assert_eq!(verdicts[0].0, 0);
-        assert!(verdicts[0].1.is_valid());
-        assert_eq!(verdicts[1].0, 1);
-        assert!(matches!(verdicts[1].1, LineVerdict::Malformed(_)));
-        assert_eq!(verdicts[2].0, 3);
-        assert_eq!(verdicts[2].1, LineVerdict::Invalid);
-        assert_eq!(verdicts[3].0, 4);
-        assert!(verdicts[3].1.is_valid());
+        // ...and a tolerant run accounts for it there, with verdicts for
+        // everything else. Blank line 2 is skipped; indices are original
+        // line numbers.
+        let tolerant = Run {
+            fault: FaultOptions {
+                policy: ErrorPolicy::Collect { max_errors: 10 },
+                ..FaultOptions::default()
+            },
+            ..run
+        };
+        let (verdicts, report) = tolerant
+            .validate(Source::slice(ndjson), &schema, ValidatorOptions::default())
+            .unwrap();
+        assert_eq!(
+            verdicts,
+            vec![
+                (0, LineVerdict::Valid),
+                (3, LineVerdict::Invalid),
+                (4, LineVerdict::Valid)
+            ],
+            "workers={workers}"
+        );
+        assert_eq!(report.errors.rejects.len(), 1);
+        assert_eq!(report.errors.rejects[0].record, 1);
     }
 }
 
@@ -170,10 +198,10 @@ fn formats_option_threads_through_streaming() {
         enforce_formats: true,
     };
     let lax = ValidatorOptions::default();
-    let with = validate_streaming(ndjson, &schema, strict);
+    let with = stream_verdicts(ndjson, &schema, strict, 1, 0);
     assert!(with[0].1.is_valid());
     assert_eq!(with[1].1, LineVerdict::Invalid);
-    let without = validate_streaming(ndjson, &schema, lax);
+    let without = stream_verdicts(ndjson, &schema, lax, 1, 0);
     assert!(without[0].1.is_valid() && without[1].1.is_valid());
 }
 
@@ -208,22 +236,14 @@ fn ref_heavy_schema_agrees_across_workers() {
         ndjson.push('\n');
     }
     let opts = ValidatorOptions::default();
-    let seq = validate_streaming(&ndjson, &schema, opts);
+    let seq = stream_verdicts(&ndjson, &schema, opts, 1, 0);
     let reference = dom_verdicts(&ndjson, &schema, opts);
     assert_eq!(seq.len(), reference.len());
     for ((_, v), expected) in seq.iter().zip(&reference) {
         assert_eq!(v.is_valid(), *expected);
     }
     for workers in [2, 3, 8] {
-        let par = validate_streaming_parallel(
-            &ndjson,
-            &schema,
-            opts,
-            StreamingOptions {
-                workers,
-                min_shard_bytes: 64,
-            },
-        );
+        let par = stream_verdicts(&ndjson, &schema, opts, workers, 64);
         assert_eq!(par, seq, "workers={workers}");
     }
 }
