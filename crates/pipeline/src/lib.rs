@@ -62,7 +62,7 @@ pub use engine::{
 };
 pub use options::{resolve_workers, PipelineOptions, SliceOptions};
 pub use report::{
-    ErrorPolicy, ErrorSummary, RecordDiagnostic, RunReport, ShardPanic, WorkerTiming,
+    ErrorPolicy, ErrorSummary, RecordDiagnostic, RouteCounts, RunReport, ShardPanic, WorkerTiming,
     DIAGNOSTIC_SAMPLES,
 };
 pub use shard::{chunk_lines, Shard};

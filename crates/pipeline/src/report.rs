@@ -214,6 +214,26 @@ impl WorkerTiming {
     }
 }
 
+/// How a stage that speculates per record — a fast route it verifies,
+/// with a replay through the slow route when it cannot — used the two.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RouteCounts {
+    /// Records that took the fast route.
+    pub fast: u64,
+    /// Records replayed through the slow route, by reason label.
+    pub replayed: BTreeMap<&'static str, u64>,
+}
+
+impl RouteCounts {
+    /// Adds `right`'s counts.
+    pub fn merge(&mut self, right: RouteCounts) {
+        self.fast += right.fast;
+        for (why, n) in right.replayed {
+            *self.replayed.entry(why).or_default() += n;
+        }
+    }
+}
+
 /// The account of one tolerant streaming run, returned alongside the
 /// stage result.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -231,6 +251,11 @@ pub struct RunReport {
     /// Per-worker timing, populated only when the run requested it
     /// (empty otherwise, so untimed reports compare as before).
     pub timings: Vec<WorkerTiming>,
+    /// Fast-route / replay counts of a speculating stage, populated like
+    /// `timings` only when the run requested timing. They count this
+    /// process's work: a resumed run does not re-count its journaled
+    /// prefix.
+    pub routes: RouteCounts,
 }
 
 impl RunReport {
@@ -249,6 +274,7 @@ impl RunReport {
         self.errors.merge(right.errors, cap);
         self.poisoned.extend(right.poisoned);
         self.timings.extend(right.timings);
+        self.routes.merge(right.routes);
     }
 }
 
@@ -312,6 +338,11 @@ mod tests {
         };
         right.errors.push(diag(4, "b"), 2);
         right.errors.push(diag(6, "b"), 2);
+        left.routes.fast = 3;
+        left.routes.replayed.insert("parse-error", 1);
+        right.routes.fast = 4;
+        right.routes.replayed.insert("parse-error", 2);
+        right.routes.replayed.insert("duplicate-key", 1);
         right.poisoned.push(ShardPanic {
             shard: 1,
             first_record: 4,
@@ -325,6 +356,9 @@ mod tests {
         assert_eq!(left.errors.dropped, 1);
         assert_eq!(left.poisoned.len(), 1);
         assert!(!left.is_clean());
+        assert_eq!(left.routes.fast, 7);
+        assert_eq!(left.routes.replayed["parse-error"], 3);
+        assert_eq!(left.routes.replayed["duplicate-key"], 1);
     }
 
     #[test]

@@ -42,8 +42,7 @@ fn shard_report(first_record: usize, diags: Vec<RecordDiagnostic>, cap: usize) -
         records: errors.total,
         shards: 1,
         errors,
-        poisoned: Vec::new(),
-        timings: Vec::new(),
+        ..RunReport::default()
     }
 }
 

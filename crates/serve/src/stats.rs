@@ -110,7 +110,7 @@ impl FinalReport {
                 shards: c.connections,
                 errors: c.errors,
                 poisoned: c.poisoned,
-                timings: Vec::new(),
+                ..RunReport::default()
             },
             refused: c.refused,
             frames: c.frames,

@@ -14,41 +14,335 @@
 //! * [`Shredder::discovering`] — **schema-blind**: columns are discovered
 //!   and retyped on the fly while scanning, the way a schema-less
 //!   converter must.
+//!
+//! ## Storage
+//!
+//! Columns hold no per-cell heap objects. String and spill columns are a
+//! [`StrArena`] — every cell's bytes in one buffer plus one end offset
+//! per cell — and validity (like dense booleans) is a [`Bitmap`], packed
+//! LSB-first exactly as `.jxc` stores it, so the file codec moves whole
+//! slices in both directions.
+//!
+//! ## One cell writer, two walkers
+//!
+//! A fixed layout compiles into a plan tree (key → column | sub-record
+//! per nesting level). Two walkers resolve a record's keys against it
+//! and hand every cell to the same builder function, which owns the
+//! typing rules (a value that does not fit its column is a null; the
+//! first write to a column in a row wins):
+//!
+//! * the **event walker** ([`ShredStream::push_record`]) shreds straight
+//!   from a decoder's [`RawEvent`]s — no DOM, no per-field allocation;
+//! * the **value walker** ([`ShredStream::push`]) shreds a parsed
+//!   [`Value`].
+//!
+//! The event route is a speculation verified per record (§4.2 of the
+//! paper): whenever it cannot prove its row equals the value walker's —
+//! a key seen twice in one object, a column written twice, a non-object
+//! root, any parse error — it rolls the row back and replays the record
+//! through the decoder's DOM route and [`ShredStream::push`], which also
+//! yields the DOM parser's diagnostics. [`ShredCounts`] says how often.
 
 use jsonx_core::JType;
 use jsonx_data::{Number, Value};
+use jsonx_syntax::{EventReceiver, ParseError, RawEvent, RecordDecoder, ValueBuilder};
 use std::collections::HashMap;
 use std::fmt;
 
-/// A typed column's storage.
+// ---------------------------------------------------------------------------
+// Storage
+// ---------------------------------------------------------------------------
+
+/// A packed, LSB-first bit sequence: bit `i` is `bytes[i / 8] >> (i % 8)`.
+/// The representation of validity and of dense boolean values — byte for
+/// byte what a `.jxc` block stores.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Bitmap {
+    /// `len.div_ceil(8)` bytes. Bits at and past `len` are zero, so the
+    /// derived equality is logical equality.
+    bytes: Vec<u8>,
+    len: usize,
+}
+
+impl Bitmap {
+    /// An empty bitmap.
+    pub fn new() -> Bitmap {
+        Bitmap::default()
+    }
+
+    /// The first `len` bits of `bytes`; `None` when `bytes` is too short.
+    /// Set bits past `len` in the last byte are dropped.
+    pub fn from_bytes(bytes: &[u8], len: usize) -> Option<Bitmap> {
+        let mut bytes = bytes.get(..len.div_ceil(8))?.to_vec();
+        if !len.is_multiple_of(8) {
+            *bytes.last_mut()? &= (1u8 << (len % 8)) - 1;
+        }
+        Some(Bitmap { bytes, len })
+    }
+
+    /// Number of bits.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when there are no bits.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bit `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i >= len`.
+    pub fn get(&self, i: usize) -> bool {
+        assert!(i < self.len, "bit {i} out of range (len {})", self.len);
+        self.bytes[i / 8] & (1 << (i % 8)) != 0
+    }
+
+    /// Appends one bit.
+    pub fn push(&mut self, bit: bool) {
+        if self.len.is_multiple_of(8) {
+            self.bytes.push(0);
+        }
+        if bit {
+            self.bytes[self.len / 8] |= 1 << (self.len % 8);
+        }
+        self.len += 1;
+    }
+
+    /// The bits in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = bool> + '_ {
+        (0..self.len).map(|i| self.bytes[i / 8] & (1 << (i % 8)) != 0)
+    }
+
+    /// Number of set bits.
+    pub fn count_ones(&self) -> usize {
+        self.bytes.iter().map(|b| b.count_ones() as usize).sum()
+    }
+
+    /// Number of set bits before position `i` — the dense index of row
+    /// `i`'s value in a column whose validity this is.
+    pub fn rank(&self, i: usize) -> usize {
+        assert!(i <= self.len, "bit {i} out of range (len {})", self.len);
+        let whole: usize = self.bytes[..i / 8]
+            .iter()
+            .map(|b| b.count_ones() as usize)
+            .sum();
+        match i % 8 {
+            0 => whole,
+            rest => whole + (self.bytes[i / 8] & ((1u8 << rest) - 1)).count_ones() as usize,
+        }
+    }
+
+    /// The packed bytes (`len.div_ceil(8)` of them, unused high bits of
+    /// the last one zero).
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Appends all of `other`'s bits.
+    pub fn extend_from(&mut self, other: &Bitmap) {
+        let shift = self.len % 8;
+        if shift == 0 {
+            self.bytes.extend_from_slice(&other.bytes);
+        } else {
+            // Each incoming byte straddles two of ours.
+            for &b in &other.bytes {
+                *self.bytes.last_mut().expect("shift != 0 implies a byte") |= b << shift;
+                self.bytes.push(b >> (8 - shift));
+            }
+        }
+        self.len += other.len;
+        self.bytes.truncate(self.len.div_ceil(8));
+    }
+
+    /// Grows to `len` bits with zeros (no-op when already that long).
+    fn pad_to(&mut self, len: usize) {
+        if len > self.len {
+            self.bytes.resize(len.div_ceil(8), 0);
+            self.len = len;
+        }
+    }
+
+    /// Shrinks to `len` bits (no-op when already that short).
+    fn truncate(&mut self, len: usize) {
+        if len < self.len {
+            self.bytes.truncate(len.div_ceil(8));
+            if !len.is_multiple_of(8) {
+                self.bytes[len / 8] &= (1u8 << (len % 8)) - 1;
+            }
+            self.len = len;
+        }
+    }
+}
+
+impl FromIterator<bool> for Bitmap {
+    fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Bitmap {
+        let mut out = Bitmap::new();
+        for bit in iter {
+            out.push(bit);
+        }
+        out
+    }
+}
+
+impl fmt::Debug for Bitmap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// A sequence of strings in one allocation: every cell's bytes
+/// concatenated, plus each cell's end offset. Offsets are `usize`, so
+/// they cannot wrap however large a column grows.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct StrArena {
+    bytes: String,
+    /// `ends[i]` is where cell `i` ends in `bytes`; it starts where cell
+    /// `i - 1` ended (cell 0 at offset 0).
+    ends: Vec<usize>,
+}
+
+impl StrArena {
+    /// An empty arena.
+    pub fn new() -> StrArena {
+        StrArena::default()
+    }
+
+    /// An empty arena with room for `cells` strings totalling `bytes`.
+    pub fn with_capacity(cells: usize, bytes: usize) -> StrArena {
+        StrArena {
+            bytes: String::with_capacity(bytes),
+            ends: Vec::with_capacity(cells),
+        }
+    }
+
+    /// Number of strings.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when there are no strings.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Total bytes of all strings.
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// String `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i >= len`.
+    pub fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start..self.ends[i]]
+    }
+
+    /// The strings in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let s = &self.bytes[start..end];
+            start = end;
+            s
+        })
+    }
+
+    /// Appends one string.
+    pub fn push(&mut self, s: &str) {
+        self.bytes.push_str(s);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// Appends one string written by `write` straight into the arena.
+    pub fn push_with(&mut self, write: impl FnOnce(&mut String)) {
+        write(&mut self.bytes);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// Appends all of `other`'s strings.
+    pub fn extend_from(&mut self, other: &StrArena) {
+        let base = self.bytes.len();
+        self.bytes.push_str(&other.bytes);
+        self.ends.extend(other.ends.iter().map(|end| base + end));
+    }
+
+    /// Shrinks to the first `cells` strings (no-op when already that
+    /// short).
+    pub fn truncate(&mut self, cells: usize) {
+        if cells < self.ends.len() {
+            self.bytes
+                .truncate(if cells == 0 { 0 } else { self.ends[cells - 1] });
+            self.ends.truncate(cells);
+        }
+    }
+}
+
+impl<'a> FromIterator<&'a str> for StrArena {
+    fn from_iter<I: IntoIterator<Item = &'a str>>(iter: I) -> StrArena {
+        let mut out = StrArena::new();
+        for s in iter {
+            out.push(s);
+        }
+        out
+    }
+}
+
+impl fmt::Debug for StrArena {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// A typed column's storage: one dense entry per *valid* row.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
-    Bools(Vec<bool>),
+    Bools(Bitmap),
     Ints(Vec<i64>),
     Floats(Vec<f64>),
-    Strs(Vec<String>),
+    Strs(StrArena),
     /// Spill column: compact JSON text (arrays, nested unions, mixed types).
-    Json(Vec<String>),
+    Json(StrArena),
 }
 
 impl ColumnData {
-    fn len(&self) -> usize {
+    /// Number of dense values.
+    pub fn len(&self) -> usize {
         match self {
             ColumnData::Bools(v) => v.len(),
             ColumnData::Ints(v) => v.len(),
             ColumnData::Floats(v) => v.len(),
-            ColumnData::Strs(v) => v.len(),
-            ColumnData::Json(v) => v.len(),
+            ColumnData::Strs(v) | ColumnData::Json(v) => v.len(),
         }
     }
 
-    fn type_name(&self) -> &'static str {
+    /// True when no row has a value.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Storage type name (`bool`, `int64`, `float64`, `utf8`, `json`).
+    pub fn type_name(&self) -> &'static str {
         match self {
             ColumnData::Bools(_) => "bool",
             ColumnData::Ints(_) => "int64",
             ColumnData::Floats(_) => "float64",
             ColumnData::Strs(_) => "utf8",
             ColumnData::Json(_) => "json",
+        }
+    }
+
+    fn truncate(&mut self, len: usize) {
+        match self {
+            ColumnData::Bools(v) => v.truncate(len),
+            ColumnData::Ints(v) => v.truncate(len),
+            ColumnData::Floats(v) => v.truncate(len),
+            ColumnData::Strs(v) | ColumnData::Json(v) => v.truncate(len),
         }
     }
 }
@@ -60,8 +354,8 @@ pub struct Column {
     pub path: String,
     /// Dense values (one slot per *valid* row position).
     pub data: ColumnData,
-    /// `validity[row]` — row has a value in this column.
-    pub validity: Vec<bool>,
+    /// Bit `row` — the row has a value in this column.
+    pub validity: Bitmap,
 }
 
 /// A batch of shredded records.
@@ -108,13 +402,13 @@ impl ColumnarBatch {
         );
         for (a, b) in self.columns.iter_mut().zip(other.columns) {
             assert_eq!(a.path, b.path, "ColumnarBatch::append: path mismatch");
-            a.validity.extend(b.validity);
+            a.validity.extend_from(&b.validity);
             match (&mut a.data, b.data) {
-                (ColumnData::Bools(x), ColumnData::Bools(y)) => x.extend(y),
+                (ColumnData::Bools(x), ColumnData::Bools(y)) => x.extend_from(&y),
                 (ColumnData::Ints(x), ColumnData::Ints(y)) => x.extend(y),
                 (ColumnData::Floats(x), ColumnData::Floats(y)) => x.extend(y),
-                (ColumnData::Strs(x), ColumnData::Strs(y)) => x.extend(y),
-                (ColumnData::Json(x), ColumnData::Json(y)) => x.extend(y),
+                (ColumnData::Strs(x), ColumnData::Strs(y))
+                | (ColumnData::Json(x), ColumnData::Json(y)) => x.extend_from(&y),
                 (a_data, b_data) => panic!(
                     "ColumnarBatch::append: storage mismatch at {} ({} vs {})",
                     a.path,
@@ -132,12 +426,15 @@ impl ColumnarBatch {
 pub enum ShredError {
     /// A record was not a JSON object.
     NotARecord { row: usize },
+    /// A record did not decode ([`ShredStream::push_record`] only).
+    Parse(ParseError),
 }
 
 impl fmt::Display for ShredError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ShredError::NotARecord { row } => write!(f, "row {row} is not an object"),
+            ShredError::Parse(e) => write!(f, "{e}"),
         }
     }
 }
@@ -154,15 +451,136 @@ enum Slot {
     Json,
 }
 
+// ---------------------------------------------------------------------------
+// The plan tree
+// ---------------------------------------------------------------------------
+
+/// One level of a fixed layout: what a key at this nesting level means.
+#[derive(Debug, Clone)]
+struct PlanNode {
+    /// The dotted segment that names this node under its parent.
+    name: Box<str>,
+    /// The parent's index in [`Plan::nodes`] (`usize::MAX` for the root).
+    parent: usize,
+    /// The column a value under this key lands in, unless it is an
+    /// object and the node has children.
+    column: Option<usize>,
+    /// The sub-record's keys as node indices, sorted by name. Non-empty
+    /// means an object value here flattens further.
+    children: Vec<usize>,
+}
+
+/// A fixed layout's paths as a trie over their dotted segments, built
+/// once per [`Shredder`], so the walkers resolve a key with one lookup
+/// per nesting level instead of building and hashing a dotted path per
+/// field. Node 0 is the record root.
+#[derive(Debug, Clone)]
+struct Plan {
+    nodes: Vec<PlanNode>,
+}
+
+impl Plan {
+    fn from_layout(layout: &[(String, Slot)]) -> Plan {
+        let root = PlanNode {
+            name: "".into(),
+            parent: usize::MAX,
+            column: None,
+            children: Vec::new(),
+        };
+        let mut plan = Plan { nodes: vec![root] };
+        for (column, (path, _)) in layout.iter().enumerate() {
+            let mut node = 0;
+            for segment in path.split('.') {
+                node = plan.child_or_insert(node, segment);
+            }
+            // Two fields can flatten to one path (`{"a.b": 1}` next to
+            // `{"a": {"b": 1}}`): the later column takes the cells.
+            plan.nodes[node].column = Some(column);
+        }
+        plan
+    }
+
+    fn position(&self, node: usize, segment: &str) -> Result<usize, usize> {
+        self.nodes[node]
+            .children
+            .binary_search_by(|&child| (*self.nodes[child].name).cmp(segment))
+    }
+
+    fn child_or_insert(&mut self, node: usize, segment: &str) -> usize {
+        match self.position(node, segment) {
+            Ok(at) => self.nodes[node].children[at],
+            Err(at) => {
+                let child = self.nodes.len();
+                self.nodes.push(PlanNode {
+                    name: segment.into(),
+                    parent: node,
+                    column: None,
+                    children: Vec::new(),
+                });
+                self.nodes[node].children.insert(at, child);
+                child
+            }
+        }
+    }
+
+    /// The node `key` names under `node`. A key is matched segment by
+    /// dotted segment, so a literal `"a.b"` key aliases the nested path
+    /// `a.b` — in a layout, both are the one string `a.b`.
+    fn resolve(&self, node: usize, key: &str) -> Option<usize> {
+        key.split('.').try_fold(node, |node, segment| {
+            let at = self.position(node, segment).ok()?;
+            Some(self.nodes[node].children[at])
+        })
+    }
+}
+
+/// A speculation on key order: the records of one collection tend to
+/// list their fields in one order, so the key that followed a key last
+/// time is the first guess for what follows it now. A right guess costs
+/// one string comparison; a wrong one falls back to [`Plan::resolve`]
+/// and is corrected, so the answer never depends on the guess.
+#[derive(Debug)]
+struct KeyOrder {
+    /// Per plan node: the child that came first in the last object there.
+    first: Vec<usize>,
+    /// Per plan node: the node resolved right after it last time.
+    next: Vec<usize>,
+}
+
+impl KeyOrder {
+    fn new(plan: &Plan) -> KeyOrder {
+        // Node 0 is nobody's child, so it is the guess that always misses.
+        KeyOrder {
+            first: vec![0; plan.nodes.len()],
+            next: vec![0; plan.nodes.len()],
+        }
+    }
+
+    /// [`Plan::resolve`], trying the remembered successor of `prev` — the
+    /// node the object's previous resolved key named, 0 before the first.
+    fn resolve(&mut self, plan: &Plan, node: usize, prev: &mut usize, key: &str) -> Option<usize> {
+        let guess = match *prev {
+            0 => &mut self.first[node],
+            prev => &mut self.next[prev],
+        };
+        let guessed = &plan.nodes[*guess];
+        if guessed.parent != node || *guessed.name != *key {
+            *guess = plan.resolve(node, key)?;
+        }
+        *prev = *guess;
+        Some(*guess)
+    }
+}
+
 /// The shredder: fixed or discovering layout.
 #[derive(Debug, Clone)]
 pub struct Shredder {
     /// Layout: (path, slot type); columns in order.
     layout: Vec<(String, Slot)>,
-    /// path → layout index.
+    /// The fixed layout's plan tree (just a root when discovering).
+    plan: Plan,
+    /// path → layout index, for the discovering mode's growing layout.
     by_path: HashMap<String, usize>,
-    /// Paths that flatten further (proper prefixes of layout paths).
-    descend_paths: std::collections::HashSet<String>,
     /// Schema-blind mode grows/retypes the layout on the fly.
     discovering: bool,
     /// Top-level field names of the planned record type — the projection
@@ -172,42 +590,20 @@ pub struct Shredder {
     root_fields: Option<Vec<String>>,
 }
 
-/// Collects every proper dotted prefix of the layout paths.
-fn parent_prefixes(layout: &[(String, Slot)]) -> std::collections::HashSet<String> {
-    let mut out = std::collections::HashSet::new();
-    for (path, _) in layout {
-        let mut end = 0;
-        for (i, c) in path.char_indices() {
-            if c == '.' {
-                out.insert(path[..i].to_string());
-            }
-            end = i + c.len_utf8();
-        }
-        let _ = end;
-    }
-    out
-}
-
 impl Shredder {
     /// Schema-aware construction: derive the column layout from an
     /// inferred type (records flatten; arrays/unions become spill columns).
     pub fn from_type(ty: &JType) -> Shredder {
         let mut layout = Vec::new();
         plan(ty, String::new(), &mut layout);
-        let by_path = layout
-            .iter()
-            .enumerate()
-            .map(|(i, (p, _))| (p.clone(), i))
-            .collect();
-        let descend_paths = parent_prefixes(&layout);
         let root_fields = match ty {
             JType::Record(rt) => Some(rt.fields.iter().map(|(name, _)| name.to_string()).collect()),
             _ => None,
         };
         Shredder {
+            plan: Plan::from_layout(&layout),
             layout,
-            by_path,
-            descend_paths,
+            by_path: HashMap::new(),
             discovering: false,
             root_fields,
         }
@@ -217,8 +613,8 @@ impl Shredder {
     pub fn discovering() -> Shredder {
         Shredder {
             layout: Vec::new(),
+            plan: Plan::from_layout(&[]),
             by_path: HashMap::new(),
-            descend_paths: std::collections::HashSet::new(),
             discovering: true,
             root_fields: None,
         }
@@ -273,13 +669,22 @@ impl Shredder {
         );
         ShredStream {
             shredder: self,
-            builders: self
-                .layout
-                .iter()
-                .map(|(_, slot)| TypedBuilder::new(*slot))
-                .collect(),
+            builders: self.builders(),
             rows: 0,
+            order: KeyOrder::new(&self.plan),
+            frames: Vec::new(),
+            stamps: vec![0; self.plan.nodes.len()],
+            serial: 0,
+            spill: ValueBuilder::new(),
+            counts: ShredCounts::default(),
         }
+    }
+
+    fn builders(&self) -> Vec<TypedBuilder> {
+        self.layout
+            .iter()
+            .map(|(_, slot)| TypedBuilder::new(*slot))
+            .collect()
     }
 
     /// Schema-aware fast path: typed builders, no intermediate cells.
@@ -291,40 +696,6 @@ impl Shredder {
             stream.push(doc)?;
         }
         Ok(stream.finish())
-    }
-
-    fn typed_record(
-        &self,
-        obj: &jsonx_data::Object,
-        prefix: Option<&str>,
-        row: usize,
-        builders: &mut [TypedBuilder],
-    ) {
-        let mut scratch = String::new();
-        for (key, value) in obj.iter() {
-            let path: &str = match prefix {
-                None => key,
-                Some(p) => {
-                    scratch.clear();
-                    scratch.push_str(p);
-                    scratch.push('.');
-                    scratch.push_str(key);
-                    &scratch
-                }
-            };
-            match value {
-                Value::Obj(inner) if self.descend_paths.contains(path) => {
-                    let owned = path.to_string();
-                    self.typed_record(inner, Some(&owned), row, builders);
-                }
-                other => {
-                    if let Some(&idx) = self.by_path.get(path) {
-                        builders[idx].write(row, other);
-                    }
-                    // Fields outside the planned layout are dropped.
-                }
-            }
-        }
     }
 
     /// Schema-blind path: generic cell buffering with on-the-fly layout
@@ -346,12 +717,21 @@ impl Shredder {
                 pad_to(column, row + 1);
             }
         }
-        // Materialise typed storage.
-        let mut columns = Vec::with_capacity(self.layout.len());
-        for (i, (path, slot)) in self.layout.iter().enumerate() {
-            let column_cells = &cells[i];
-            columns.push(materialize(path, *slot, column_cells, docs.len()));
-        }
+        // Materialise typed storage through the one cell writer.
+        let columns = self
+            .layout
+            .iter()
+            .zip(&cells)
+            .map(|((path, slot), column_cells)| {
+                let mut builder = TypedBuilder::new(*slot);
+                for (row, cell) in column_cells.iter().enumerate() {
+                    if let Some(value) = cell {
+                        builder.cell(row, Cell::of(value));
+                    }
+                }
+                builder.finish(path, docs.len())
+            })
+            .collect();
         Ok(ColumnarBatch {
             columns,
             rows: docs.len(),
@@ -373,20 +753,14 @@ impl Shredder {
                 format!("{prefix}.{key}")
             };
             match value {
-                Value::Obj(inner) if self.descends(&path) => {
-                    self.shred_record(inner, path, row, cells, seen);
-                }
+                // Schema-blind mode flattens every nested record.
+                Value::Obj(inner) => self.shred_record(inner, path, row, cells, seen),
                 other => self.write_cell(&path, other, row, cells, seen),
             }
         }
     }
 
-    /// Whether this path is flattened further (true when the layout has
-    /// any column under it, or when discovering).
-    fn descends(&self, path: &str) -> bool {
-        self.discovering || self.descend_paths.contains(path)
-    }
-
+    /// Buffers one cell, growing or retyping the discovered layout.
     fn write_cell(
         &mut self,
         path: &str,
@@ -397,7 +771,7 @@ impl Shredder {
     ) {
         let idx = match self.by_path.get(path) {
             Some(&i) => i,
-            None if self.discovering => {
+            None => {
                 let slot = slot_of(value);
                 self.layout.push((path.to_string(), slot));
                 self.by_path.insert(path.to_string(), self.layout.len() - 1);
@@ -405,18 +779,13 @@ impl Shredder {
                 seen.push(false);
                 self.layout.len() - 1
             }
-            // Schema-aware mode drops fields outside the planned layout
-            // (they were not in the inferred schema).
-            None => return,
         };
-        if self.discovering {
-            // Retype the column when observations conflict (the cost of
-            // schema-blind conversion: every value re-checks the slot).
-            let slot = self.layout[idx].1;
-            let incoming = slot_of(value);
-            if slot != incoming && !value.is_null() {
-                self.layout[idx].1 = widen(slot, incoming);
-            }
+        // Retype the column when observations conflict (the cost of
+        // schema-blind conversion: every value re-checks the slot).
+        let slot = self.layout[idx].1;
+        let incoming = slot_of(value);
+        if slot != incoming && !value.is_null() {
+            self.layout[idx].1 = widen(slot, incoming);
         }
         if cells[idx].len() > row {
             // A flattened path collided with a literal dotted key
@@ -431,30 +800,175 @@ impl Shredder {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Incremental shredding: the cell writer and its two walkers
+// ---------------------------------------------------------------------------
+
+/// Why [`ShredStream::push_record`] gave up shredding a record from its
+/// events and replayed it through the DOM route.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fallback {
+    /// A key naming a planned field occurred twice in one object (the
+    /// DOM keeps the last value in the first position).
+    DuplicateKey,
+    /// Two keys flattened to one column (a literal dotted key next to
+    /// the nested path it spells; the first write wins).
+    PathCollision,
+    /// The decoder rejected the record; the replay produces the DOM
+    /// parser's diagnostic.
+    ParseError,
+    /// The record's root is not an object.
+    NotARecord,
+}
+
+impl Fallback {
+    /// Every reason, in reporting order.
+    pub const ALL: [Fallback; 4] = [
+        Fallback::DuplicateKey,
+        Fallback::PathCollision,
+        Fallback::ParseError,
+        Fallback::NotARecord,
+    ];
+
+    /// Stable machine-readable label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Fallback::DuplicateKey => "duplicate-key",
+            Fallback::PathCollision => "path-collision",
+            Fallback::ParseError => "parse-error",
+            Fallback::NotARecord => "not-a-record",
+        }
+    }
+}
+
+/// How [`ShredStream::push_record`] routed its records.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShredCounts {
+    /// Rows shredded straight from events.
+    pub from_events: u64,
+    /// Records replayed through the DOM route, indexed like
+    /// [`Fallback::ALL`] (including those the replay then rejected).
+    replayed: [u64; Fallback::ALL.len()],
+}
+
+impl ShredCounts {
+    /// Records replayed for `why`.
+    pub fn replayed(&self, why: Fallback) -> u64 {
+        self.replayed[why as usize]
+    }
+
+    /// Adds `other`'s counts.
+    pub fn merge(&mut self, other: ShredCounts) {
+        self.from_events += other.from_events;
+        for (mine, theirs) in self.replayed.iter_mut().zip(other.replayed) {
+            *mine += theirs;
+        }
+    }
+}
+
 /// Incremental schema-aware shredding over a fixed layout.
 ///
 /// Created by [`Shredder::stream`]; push records with
-/// [`push`](Self::push) and materialise the batch with
+/// [`push_record`](Self::push_record) (undecoded) or
+/// [`push`](Self::push) (parsed) and materialise the batch with
 /// [`finish`](Self::finish). `shred` over the same records produces an
 /// identical batch — pushing is per-row independent.
-#[derive(Debug)]
 pub struct ShredStream<'s> {
     shredder: &'s Shredder,
     builders: Vec<TypedBuilder>,
     rows: usize,
+    order: KeyOrder,
+    /// The event walker's open record frames.
+    frames: Vec<Frame>,
+    /// Per plan node, the serial of the last frame in which a key
+    /// resolved to it — a key seen twice in one frame is a duplicate.
+    /// Serials only grow, so nothing is cleared between rows.
+    stamps: Vec<u64>,
+    serial: u64,
+    /// Rebuilds spill subtrees for the event walker.
+    spill: ValueBuilder,
+    counts: ShredCounts,
+}
+
+impl fmt::Debug for ShredStream<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ShredStream")
+            .field("rows", &self.rows)
+            .field("builders", &self.builders)
+            .field("counts", &self.counts)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ShredStream<'_> {
-    /// Shreds one record into the stream's columns. The error's `row` is
-    /// this stream's local row index (records pushed so far).
+    /// Shreds one parsed record into the stream's columns. The error's
+    /// `row` is this stream's local row index (records pushed so far).
     pub fn push(&mut self, doc: &Value) -> Result<(), ShredError> {
         let obj = doc
             .as_object()
             .ok_or(ShredError::NotARecord { row: self.rows })?;
-        self.shredder
-            .typed_record(obj, None, self.rows, &mut self.builders);
+        let mut walker = ValueWalker {
+            plan: &self.shredder.plan,
+            order: &mut self.order,
+            builders: &mut self.builders,
+            row: self.rows,
+        };
+        walker.object(0, obj);
         self.rows += 1;
         Ok(())
+    }
+
+    /// Shreds one undecoded record straight from `decoder`'s events,
+    /// building no document. When the event walk cannot vouch for its
+    /// row (see [`Fallback`]) the row is rolled back and the record
+    /// replayed through [`RecordDecoder::decode_value`] and
+    /// [`push`](Self::push), so the columns — and, for a rejected
+    /// record, the error — are always the DOM route's.
+    pub fn push_record<D: RecordDecoder>(
+        &mut self,
+        decoder: &D,
+        scratch: &mut D::Scratch,
+        record: &str,
+    ) -> Result<(), ShredError> {
+        let mut walker = EventWalker {
+            plan: &self.shredder.plan,
+            order: &mut self.order,
+            builders: &mut self.builders,
+            row: self.rows,
+            frames: &mut self.frames,
+            stamps: &mut self.stamps,
+            serial: &mut self.serial,
+            spill: &mut self.spill,
+            target: None,
+            mode: Mode::Root,
+            bail: None,
+        };
+        let decoded = decoder.decode_events(scratch, record, &mut walker);
+        let why = match (decoded, walker.bail) {
+            (Ok(()), None) => {
+                self.rows += 1;
+                self.counts.from_events += 1;
+                return Ok(());
+            }
+            (Err(_), _) => Fallback::ParseError,
+            (Ok(()), Some(why)) => why,
+        };
+        self.abort_row();
+        self.counts.replayed[why as usize] += 1;
+        let doc = decoder
+            .decode_value(scratch, record)
+            .map_err(ShredError::Parse)?;
+        self.push(&doc)
+    }
+
+    /// Rolls every builder back to the start of the current row and
+    /// resets the event walker's per-record state.
+    fn abort_row(&mut self) {
+        for builder in &mut self.builders {
+            builder.truncate_to_row(self.rows);
+        }
+        self.frames.clear();
+        self.spill.take();
     }
 
     /// Records pushed so far.
@@ -463,16 +977,8 @@ impl ShredStream<'_> {
     }
 
     /// Materialises the batch, null-padding columns to the row count.
-    pub fn finish(self) -> ColumnarBatch {
-        let rows = self.rows;
-        let columns = self
-            .shredder
-            .layout
-            .iter()
-            .zip(self.builders)
-            .map(|((path, _), b)| b.finish(path, rows))
-            .collect();
-        ColumnarBatch { columns, rows }
+    pub fn finish(mut self) -> ColumnarBatch {
+        self.take_batch()
     }
 
     /// Materialises the rows pushed so far and resets the stream to
@@ -481,7 +987,58 @@ impl ShredStream<'_> {
     /// stream. `take_batch` then pushing more rows is equivalent to two
     /// separate streams: pushes are per-row independent.
     pub fn take_batch(&mut self) -> ColumnarBatch {
-        std::mem::replace(self, self.shredder.stream()).finish()
+        let rows = std::mem::take(&mut self.rows);
+        let builders = std::mem::replace(&mut self.builders, self.shredder.builders());
+        let columns = self
+            .shredder
+            .layout
+            .iter()
+            .zip(builders)
+            .map(|((path, _), b)| b.finish(path, rows))
+            .collect();
+        ColumnarBatch { columns, rows }
+    }
+
+    /// How [`push_record`](Self::push_record) routed its records since
+    /// the last call; resets the counts.
+    pub fn take_counts(&mut self) -> ShredCounts {
+        std::mem::take(&mut self.counts)
+    }
+}
+
+/// One value offered to a column.
+#[derive(Clone, Copy)]
+enum Cell<'a> {
+    Null,
+    Bool(bool),
+    Num(Number),
+    Str(&'a str),
+    /// An array or object.
+    Tree(&'a Value),
+}
+
+impl<'a> Cell<'a> {
+    fn of(value: &'a Value) -> Cell<'a> {
+        match value {
+            Value::Null => Cell::Null,
+            Value::Bool(b) => Cell::Bool(*b),
+            Value::Num(n) => Cell::Num(*n),
+            Value::Str(s) => Cell::Str(s),
+            tree => Cell::Tree(tree),
+        }
+    }
+
+    /// The compact JSON text a spill column stores — always
+    /// [`Value::to_json_string`], so both walkers store the same bytes.
+    fn json_text(self) -> String {
+        match self {
+            Cell::Null => Value::Null,
+            Cell::Bool(b) => Value::Bool(b),
+            Cell::Num(n) => Value::Num(n),
+            Cell::Str(s) => Value::Str(s.to_owned()),
+            Cell::Tree(tree) => return tree.to_json_string(),
+        }
+        .to_json_string()
     }
 }
 
@@ -489,82 +1046,273 @@ impl ShredStream<'_> {
 #[derive(Debug)]
 struct TypedBuilder {
     data: ColumnData,
-    validity: Vec<bool>,
+    validity: Bitmap,
 }
 
 impl TypedBuilder {
     fn new(slot: Slot) -> TypedBuilder {
         TypedBuilder {
             data: match slot {
-                Slot::Bool => ColumnData::Bools(Vec::new()),
+                Slot::Bool => ColumnData::Bools(Bitmap::new()),
                 Slot::Int => ColumnData::Ints(Vec::new()),
                 Slot::Float => ColumnData::Floats(Vec::new()),
-                Slot::Str => ColumnData::Strs(Vec::new()),
-                Slot::Json => ColumnData::Json(Vec::new()),
+                Slot::Str => ColumnData::Strs(StrArena::new()),
+                Slot::Json => ColumnData::Json(StrArena::new()),
             },
-            validity: Vec::new(),
+            validity: Bitmap::new(),
         }
     }
 
-    /// Appends `value` at `row`, null-padding skipped rows. Values that
-    /// do not fit the planned type (or literal-dotted-key collisions on
-    /// an already-written row) record as invalid/ignored.
-    fn write(&mut self, row: usize, value: &Value) {
+    fn spills(&self) -> bool {
+        matches!(self.data, ColumnData::Json(_))
+    }
+
+    /// The one place a cell enters a column: appends `cell` at `row`,
+    /// null-padding skipped rows. A value that does not fit the column's
+    /// type is a null. Returns `false`, writing nothing, when the column
+    /// already has a cell — value or null — for `row` (a literal dotted
+    /// key collided with the nested path it spells: first write wins).
+    fn cell(&mut self, row: usize, cell: Cell<'_>) -> bool {
         if self.validity.len() > row {
-            return; // first write wins (dotted-key collision)
+            return false;
         }
-        while self.validity.len() < row {
-            self.validity.push(false);
-        }
-        let ok = match &mut self.data {
-            ColumnData::Bools(v) => match value.as_bool() {
-                Some(b) => {
-                    v.push(b);
-                    true
-                }
-                None => false,
-            },
-            ColumnData::Ints(v) => match value.as_i64() {
+        self.validity.pad_to(row);
+        let valid = match (&mut self.data, cell) {
+            (ColumnData::Bools(v), Cell::Bool(b)) => {
+                v.push(b);
+                true
+            }
+            (ColumnData::Ints(v), Cell::Num(n)) => match n.as_i64() {
                 Some(i) => {
                     v.push(i);
                     true
                 }
                 None => false,
             },
-            ColumnData::Floats(v) => match value.as_f64() {
-                Some(f) => {
-                    v.push(f);
-                    true
-                }
-                None => false,
-            },
-            ColumnData::Strs(v) => match value.as_str() {
-                Some(s) => {
-                    v.push(s.to_string());
-                    true
-                }
-                None => false,
-            },
-            ColumnData::Json(v) => {
-                if value.is_null() {
-                    false
-                } else {
-                    v.push(value.to_json_string());
-                    true
-                }
+            (ColumnData::Floats(v), Cell::Num(n)) => {
+                v.push(n.as_f64());
+                true
             }
+            (ColumnData::Strs(v), Cell::Str(s)) => {
+                v.push(s);
+                true
+            }
+            (ColumnData::Json(_), Cell::Null) => false,
+            (ColumnData::Json(v), cell) => {
+                v.push(&cell.json_text());
+                true
+            }
+            _ => false,
         };
-        self.validity.push(ok);
+        self.validity.push(valid);
+        true
+    }
+
+    /// Drops whatever was written at `row` and after (at most one cell:
+    /// rows are written in order).
+    fn truncate_to_row(&mut self, row: usize) {
+        if self.validity.len() > row {
+            self.data.truncate(self.validity.rank(row));
+            self.validity.truncate(row);
+        }
     }
 
     fn finish(mut self, path: &str, rows: usize) -> Column {
-        while self.validity.len() < rows {
-            self.validity.push(false);
-        }
+        self.validity.pad_to(rows);
         Column {
             path: path.to_string(),
             data: self.data,
             validity: self.validity,
+        }
+    }
+}
+
+/// The value walker: resolves a parsed record's keys against the plan
+/// tree, descending where the layout flattens a sub-record.
+struct ValueWalker<'a> {
+    plan: &'a Plan,
+    order: &'a mut KeyOrder,
+    builders: &'a mut [TypedBuilder],
+    row: usize,
+}
+
+impl ValueWalker<'_> {
+    fn object(&mut self, node: usize, obj: &jsonx_data::Object) {
+        let mut prev = 0;
+        for (key, value) in obj.iter() {
+            // Fields outside the planned layout are dropped.
+            let Some(at) = self.order.resolve(self.plan, node, &mut prev, key) else {
+                continue;
+            };
+            let target = &self.plan.nodes[at];
+            match value {
+                Value::Obj(inner) if !target.children.is_empty() => self.object(at, inner),
+                other => {
+                    if let Some(column) = target.column {
+                        self.builders[column].cell(self.row, Cell::of(other));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One object the event walker is flattening.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    /// The plan node its keys resolve against.
+    node: usize,
+    /// Unique per frame, see [`ShredStream::stamps`].
+    serial: u64,
+    /// The node its previous resolved key named (0: none yet).
+    prev: usize,
+}
+
+/// What the event walker does with the events it is receiving.
+#[derive(Debug, Clone, Copy)]
+enum Mode {
+    /// Before the record's first event.
+    Root,
+    /// Inside an object the layout flattens: keys resolve against the
+    /// top frame's plan node.
+    Record,
+    /// Inside a value nothing reads, `depth` containers deep.
+    Skip { depth: usize },
+    /// Inside a spill column's array or object, `depth` containers deep.
+    Spill { column: usize, depth: usize },
+}
+
+/// The event walker: the [`EventReceiver`] that shreds one record from
+/// its events. It writes cells as they arrive and sets `bail` as soon as
+/// it cannot vouch for the row; [`ShredStream::push_record`] then rolls
+/// the row back.
+struct EventWalker<'a> {
+    plan: &'a Plan,
+    order: &'a mut KeyOrder,
+    builders: &'a mut [TypedBuilder],
+    row: usize,
+    frames: &'a mut Vec<Frame>,
+    stamps: &'a mut [u64],
+    serial: &'a mut u64,
+    spill: &'a mut ValueBuilder,
+    /// The plan node the last key resolved to.
+    target: Option<usize>,
+    mode: Mode,
+    bail: Option<Fallback>,
+}
+
+impl EventWalker<'_> {
+    fn open_frame(&mut self, node: usize) {
+        *self.serial += 1;
+        self.frames.push(Frame {
+            node,
+            serial: *self.serial,
+            prev: 0,
+        });
+        self.mode = Mode::Record;
+    }
+
+    fn write(&mut self, column: usize, cell: Cell<'_>) {
+        if !self.builders[column].cell(self.row, cell) {
+            self.bail = Some(Fallback::PathCollision);
+        }
+    }
+
+    /// An event at key/value level of a flattened object.
+    fn record_event(&mut self, ev: &RawEvent<'_>) {
+        let cell = match ev {
+            RawEvent::Key(key) => {
+                let frame = self.frames.last_mut().expect("keys arrive inside a frame");
+                self.target = self
+                    .order
+                    .resolve(self.plan, frame.node, &mut frame.prev, key);
+                if let Some(at) = self.target {
+                    if self.stamps[at] == frame.serial {
+                        self.bail = Some(Fallback::DuplicateKey);
+                    }
+                    self.stamps[at] = frame.serial;
+                }
+                return;
+            }
+            RawEvent::EndObject => {
+                self.frames.pop();
+                return;
+            }
+            RawEvent::EndArray => unreachable!("arrays are skipped or spilled whole"),
+            RawEvent::StartObject | RawEvent::StartArray => None,
+            RawEvent::Null => Some(Cell::Null),
+            RawEvent::Bool(b) => Some(Cell::Bool(*b)),
+            RawEvent::Num(n) => Some(Cell::Num(*n)),
+            RawEvent::Str(s) => Some(Cell::Str(s)),
+        };
+        let target = self.target.take().map(|at| (at, &self.plan.nodes[at]));
+        match (cell, target) {
+            (Some(cell), Some((_, node))) => {
+                if let Some(column) = node.column {
+                    self.write(column, cell);
+                }
+            }
+            (Some(_), None) => {}
+            (None, Some((at, node)))
+                if matches!(ev, RawEvent::StartObject) && !node.children.is_empty() =>
+            {
+                self.open_frame(at);
+            }
+            (None, Some((_, node))) => match node.column {
+                Some(column) if self.builders[column].spills() => {
+                    self.spill.event(ev);
+                    self.mode = Mode::Spill { column, depth: 1 };
+                }
+                Some(column) => {
+                    // A container where the layout has a scalar column
+                    // is a null, like any other ill-typed value.
+                    self.write(column, Cell::Null);
+                    self.mode = Mode::Skip { depth: 1 };
+                }
+                None => self.mode = Mode::Skip { depth: 1 },
+            },
+            (None, None) => self.mode = Mode::Skip { depth: 1 },
+        }
+    }
+}
+
+/// `depth` after `ev`, for the modes that only count nesting.
+fn nested(depth: usize, ev: &RawEvent<'_>) -> usize {
+    match ev {
+        RawEvent::StartObject | RawEvent::StartArray => depth + 1,
+        RawEvent::EndObject | RawEvent::EndArray => depth - 1,
+        _ => depth,
+    }
+}
+
+impl EventReceiver for EventWalker<'_> {
+    fn event(&mut self, ev: &RawEvent<'_>) {
+        if self.bail.is_some() {
+            return;
+        }
+        match self.mode {
+            Mode::Record => self.record_event(ev),
+            Mode::Skip { depth } => {
+                self.mode = match nested(depth, ev) {
+                    0 => Mode::Record,
+                    depth => Mode::Skip { depth },
+                };
+            }
+            Mode::Spill { column, depth } => {
+                self.spill.event(ev);
+                self.mode = match nested(depth, ev) {
+                    0 => {
+                        let tree = self.spill.take();
+                        self.write(column, Cell::Tree(&tree));
+                        Mode::Record
+                    }
+                    depth => Mode::Spill { column, depth },
+                };
+            }
+            Mode::Root => match ev {
+                RawEvent::StartObject => self.open_frame(0),
+                _ => self.bail = Some(Fallback::NotARecord),
+            },
         }
     }
 }
@@ -629,92 +1377,14 @@ fn plan(ty: &JType, prefix: String, layout: &mut Vec<(String, Slot)>) {
     }
 }
 
-fn materialize(path: &str, slot: Slot, cells: &[Option<Value>], rows: usize) -> Column {
-    let mut validity = Vec::with_capacity(rows);
-    let data = match slot {
-        Slot::Bool => {
-            let mut out = Vec::new();
-            for cell in cells {
-                match cell.as_ref().and_then(Value::as_bool) {
-                    Some(b) => {
-                        out.push(b);
-                        validity.push(true);
-                    }
-                    None => validity.push(false),
-                }
-            }
-            ColumnData::Bools(out)
-        }
-        Slot::Int => {
-            let mut out = Vec::new();
-            for cell in cells {
-                match cell.as_ref().and_then(Value::as_i64) {
-                    Some(i) => {
-                        out.push(i);
-                        validity.push(true);
-                    }
-                    None => validity.push(false),
-                }
-            }
-            ColumnData::Ints(out)
-        }
-        Slot::Float => {
-            let mut out = Vec::new();
-            for cell in cells {
-                match cell.as_ref().and_then(Value::as_f64) {
-                    Some(f) => {
-                        out.push(f);
-                        validity.push(true);
-                    }
-                    None => validity.push(false),
-                }
-            }
-            ColumnData::Floats(out)
-        }
-        Slot::Str => {
-            let mut out = Vec::new();
-            for cell in cells {
-                match cell.as_ref().and_then(Value::as_str) {
-                    Some(s) => {
-                        out.push(s.to_string());
-                        validity.push(true);
-                    }
-                    None => validity.push(false),
-                }
-            }
-            ColumnData::Strs(out)
-        }
-        Slot::Json => {
-            let mut out = Vec::new();
-            for cell in cells {
-                match cell {
-                    Some(v) if !v.is_null() => {
-                        out.push(v.to_json_string());
-                        validity.push(true);
-                    }
-                    _ => validity.push(false),
-                }
-            }
-            ColumnData::Json(out)
-        }
-    };
-    debug_assert_eq!(validity.len(), rows);
-    debug_assert_eq!(data.len(), validity.iter().filter(|v| **v).count());
-    Column {
-        path: path.to_string(),
-        data,
-        validity,
-    }
-}
-
 /// Rebuilds the scalar projection of row `row` from a batch (used by the
 /// round-trip tests; arrays/unions come back as JSON text).
 pub fn row_scalar(batch: &ColumnarBatch, path: &str, row: usize) -> Option<Number> {
     let col = batch.column(path)?;
-    if !col.validity.get(row).copied().unwrap_or(false) {
+    if row >= col.validity.len() || !col.validity.get(row) {
         return None;
     }
-    let dense_idx = col.validity[..row].iter().filter(|v| **v).count();
+    let dense_idx = col.validity.rank(row);
     match &col.data {
         ColumnData::Ints(v) => Some(Number::Int(v[dense_idx])),
         ColumnData::Floats(v) => Number::from_f64(v[dense_idx]),
@@ -755,8 +1425,8 @@ mod tests {
     fn validity_tracks_optionality() {
         let b = aware_batch();
         let name = b.column("name").unwrap();
-        assert_eq!(name.validity, vec![true, false, true]);
-        assert_eq!(name.data, ColumnData::Strs(vec!["a".into(), "c".into()]));
+        assert_eq!(name.validity, Bitmap::from_iter([true, false, true]));
+        assert_eq!(name.data, ColumnData::Strs(StrArena::from_iter(["a", "c"])));
     }
 
     #[test]
@@ -800,7 +1470,7 @@ mod tests {
         let b = Shredder::from_type(&ty).shred(&docs).unwrap();
         let col = b.column("v").unwrap();
         assert_eq!(col.data, ColumnData::Ints(vec![7]));
-        assert_eq!(col.validity, vec![false, true]);
+        assert_eq!(col.validity, Bitmap::from_iter([false, true]));
     }
 
     #[test]
@@ -888,6 +1558,131 @@ mod tests {
     #[should_panic(expected = "fixed layout")]
     fn discovering_shredders_cannot_stream() {
         let _ = Shredder::discovering().stream();
+    }
+
+    #[test]
+    fn bitmap_packs_lsb_first_and_appends_across_byte_boundaries() {
+        let bits = [
+            true, false, true, true, false, false, false, true, true, true,
+        ];
+        let map = Bitmap::from_iter(bits);
+        assert_eq!(map.as_bytes(), [0b1000_1101, 0b0000_0011]);
+        assert_eq!(map.count_ones(), 6);
+        assert_eq!(map.rank(0), 0);
+        assert_eq!(map.rank(8), 4);
+        assert_eq!(map.rank(10), 6);
+        assert_eq!(map.iter().collect::<Vec<_>>(), bits);
+        // Unused high bits of the last byte are dropped on the way in.
+        assert_eq!(
+            Bitmap::from_bytes(&[0b1000_1101, 0xFF], 10),
+            Some(map.clone())
+        );
+        assert_eq!(Bitmap::from_bytes(&[0xFF], 10), None);
+        for split in 0..=bits.len() {
+            let mut left = Bitmap::from_iter(bits[..split].iter().copied());
+            left.extend_from(&Bitmap::from_iter(bits[split..].iter().copied()));
+            assert_eq!(left, map, "split at {split}");
+            let mut cut = map.clone();
+            cut.truncate(split);
+            assert_eq!(cut, Bitmap::from_iter(bits[..split].iter().copied()));
+        }
+    }
+
+    #[test]
+    fn arena_holds_cells_contiguously() {
+        let mut arena = StrArena::from_iter(["ab", "", "ünï"]);
+        assert_eq!(arena.len(), 3);
+        assert_eq!(arena.byte_len(), 7);
+        assert_eq!(arena.get(2), "ünï");
+        arena.extend_from(&StrArena::from_iter(["x"]));
+        arena.push_with(|buf| buf.push_str("yz"));
+        assert_eq!(
+            arena.iter().collect::<Vec<_>>(),
+            ["ab", "", "ünï", "x", "yz"]
+        );
+        arena.truncate(1);
+        assert_eq!(arena, StrArena::from_iter(["ab"]));
+    }
+
+    /// A decoder counted by route, so the tests can see which walker ran.
+    fn push_lines(shredder: &Shredder, lines: &[&str]) -> (ColumnarBatch, ShredCounts) {
+        let decoder = jsonx_syntax::JsonDecoder::new();
+        let mut stream = shredder.stream();
+        for line in lines {
+            let _ = stream.push_record(&decoder, &mut (), line);
+        }
+        let counts = stream.take_counts();
+        (stream.finish(), counts)
+    }
+
+    fn push_values(shredder: &Shredder, lines: &[&str]) -> ColumnarBatch {
+        let mut stream = shredder.stream();
+        for line in lines {
+            if let Ok(doc) = jsonx_syntax::parse(line) {
+                let _ = stream.push(&doc);
+            }
+        }
+        stream.finish()
+    }
+
+    #[test]
+    fn event_walk_equals_value_walk_and_falls_back_when_unsure() {
+        let layout_docs = vec![
+            json!({"id": 1, "name": "a", "geo": {"lat": 1.5, "box": {"w": 1}}, "tags": [1], "v": 1}),
+            json!({"id": 2, "v": "s", "a.b": 1, "a": {"b": 2, "c": true}}),
+        ];
+        let ty = infer_collection(&layout_docs, Equivalence::Kind);
+        let shredder = Shredder::from_type(&ty);
+        let clean = [
+            r#"{"id": 1, "name": "a\tb", "geo": {"lat": 1.5, "box": {"w": 7}}, "tags": [1, {"k": [2]}], "v": {"x": null}}"#,
+            r#"{"id": "wrong", "name": 5, "geo": 3, "tags": null, "v": "sé", "extra": {"deep": [1, 2]}}"#,
+            r#"{"geo": {"lat": [1], "box": 1, "other": {"w": 2}}, "a": {"c": false}, "id": 2.0}"#,
+            r#"{"id": 3, "a.c": true, "geo.box": {"w": 4}, "geo": {"lat": 2}}"#,
+            r#"{}"#,
+        ];
+        let (batch, counts) = push_lines(&shredder, &clean);
+        assert_eq!(batch, push_values(&shredder, &clean));
+        assert_eq!(counts.from_events, clean.len() as u64);
+
+        let unsure = [
+            (r#"{"id": 1, "id": 2}"#, Fallback::DuplicateKey),
+            (r#"{"a": {"b": 1}, "a": 5}"#, Fallback::DuplicateKey),
+            (r#"{"geo": {"lat": 1, "lat": 2}}"#, Fallback::DuplicateKey),
+            (r#"{"a.b": 1, "a": {"b": 2}}"#, Fallback::PathCollision),
+            (r#"{"a": {"b": "x"}, "a.b": 2}"#, Fallback::PathCollision),
+            (r#"[1, 2]"#, Fallback::NotARecord),
+            (r#"{"id": 1, "name": "cut"#, Fallback::ParseError),
+            (r#"{"id": 1} trailing"#, Fallback::ParseError),
+        ];
+        for (line, why) in unsure {
+            let (batch, counts) = push_lines(&shredder, &[clean[0], line, clean[1]]);
+            assert_eq!(
+                batch,
+                push_values(&shredder, &[clean[0], line, clean[1]]),
+                "{line}"
+            );
+            assert_eq!(counts.from_events, 2, "{line}");
+            assert_eq!(counts.replayed(why), 1, "{line}");
+        }
+    }
+
+    #[test]
+    fn push_record_reports_the_dom_parsers_error() {
+        let ty = infer_collection(&docs(), Equivalence::Kind);
+        let shredder = Shredder::from_type(&ty);
+        let decoder = jsonx_syntax::JsonDecoder::new();
+        let mut stream = shredder.stream();
+        for line in ["{\"id\": 1} x", "{\"id\": tru}", "nul"] {
+            let want = jsonx_syntax::parse(line).unwrap_err();
+            let got = stream.push_record(&decoder, &mut (), line).unwrap_err();
+            assert_eq!(got, ShredError::Parse(want), "{line}");
+        }
+        assert_eq!(
+            stream.push_record(&decoder, &mut (), "7"),
+            Err(ShredError::NotARecord { row: 0 })
+        );
+        assert_eq!(stream.rows(), 0);
+        assert_eq!(stream.finish(), shredder.stream().finish());
     }
 
     #[test]

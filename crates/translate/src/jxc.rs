@@ -60,10 +60,11 @@
 //!   checksum or structural invariant fails: bit rot or foul play, not
 //!   an interrupted write. Resuming cannot help; the file is bad.
 
-use crate::columnar::{Column, ColumnData, ColumnarBatch};
+use crate::columnar::{Bitmap, Column, ColumnData, ColumnarBatch, StrArena};
 use jsonx_data::{crc32, Number, Object, Value};
-use std::collections::HashMap;
 use std::fmt;
+use std::fmt::Write as _;
+use std::hash::{BuildHasher, RandomState};
 use std::io::Write as _;
 use std::path::Path;
 
@@ -194,169 +195,230 @@ fn as_u32(n: usize, what: &str) -> u32 {
     u32::try_from(n).unwrap_or_else(|_| panic!(".jxc writer: {what} ({n}) exceeds u32::MAX"))
 }
 
-/// LSB-first bit-pack of a bool sequence.
-fn pack_bits(bits: impl ExactSizeIterator<Item = bool>, out: &mut Vec<u8>) {
-    let n = bits.len();
+/// Appends `items` as fixed-width little-endian words in one pass over
+/// a pre-sized region (no per-word length check or capacity growth).
+fn put_words<T: Copy, const N: usize>(out: &mut Vec<u8>, items: &[T], le: impl Fn(T) -> [u8; N]) {
     let start = out.len();
-    out.resize(start + n.div_ceil(8), 0);
-    for (i, bit) in bits.enumerate() {
-        if bit {
-            out[start + i / 8] |= 1 << (i % 8);
-        }
+    out.resize(start + items.len() * N, 0);
+    for (word, item) in out[start..].chunks_exact_mut(N).zip(items) {
+        word.copy_from_slice(&le(*item));
     }
 }
 
 /// The shape a JSON spill column must verify against to earn a list
-/// encoding.
+/// encoding: `offsets[i]..offsets[i + 1]` are cell `i`'s items.
 enum ListShape {
-    Ints(Vec<Vec<i64>>),
-    Strs(Vec<Vec<String>>),
+    Ints { offsets: Vec<u32>, items: Vec<i64> },
+    Strs { offsets: Vec<u32>, items: StrArena },
+}
+
+/// Appends the items of `text` to `out` when it is the compact
+/// serialization of an integer array: `[` + `i64`s as `{}` prints them,
+/// comma-separated + `]`.
+fn scan_int_list(text: &str, out: &mut Vec<i64>) -> bool {
+    let Some(inner) = text.strip_prefix('[').and_then(|t| t.strip_suffix(']')) else {
+        return false;
+    };
+    if inner.is_empty() {
+        return true;
+    }
+    inner.split(',').all(|item| {
+        let digits = item.strip_prefix('-').unwrap_or(item).as_bytes();
+        // What the parser reads as `Number::Int` *and* the serializer
+        // writes back unchanged: no sign but `-`, no leading zeros, no
+        // `-0`, within i64 (`parse` checks the range).
+        let canonical = match digits {
+            [b'0'] => item.len() == 1,
+            [b'1'..=b'9', rest @ ..] => rest.iter().all(u8::is_ascii_digit),
+            _ => false,
+        };
+        canonical && item.parse::<i64>().map(|i| out.push(i)).is_ok()
+    })
+}
+
+/// Appends the items of `text` to `out` when it is the compact
+/// serialization of a string array. Literals free of escapes are taken
+/// as they stand; anything else is settled by parsing the cell and
+/// serializing it back, which is what defines "compact serialization".
+fn scan_str_list(text: &str, out: &mut StrArena) -> bool {
+    let mark = out.len();
+    if scan_plain_str_list(text, out) == Some(()) {
+        return true;
+    }
+    out.truncate(mark);
+    reparse_str_list(text, out)
+}
+
+/// The escape-free case of [`scan_str_list`]: `["a","b"]` with nothing
+/// in the literals that the serializer would have written differently.
+/// `None` means "not of that form", not "not a string array".
+fn scan_plain_str_list(text: &str, out: &mut StrArena) -> Option<()> {
+    let mut rest = text.strip_prefix('[')?.strip_suffix(']')?;
+    while !rest.is_empty() {
+        let body = rest.strip_prefix('"')?;
+        let end = body
+            .bytes()
+            .position(|b| b == b'"' || b == b'\\' || b < 0x20)?;
+        let (item, after) = body.split_at(end);
+        out.push(item);
+        rest = match after.strip_prefix('"')? {
+            "" => "",
+            more => more.strip_prefix(',').filter(|next| !next.is_empty())?,
+        };
+    }
+    Some(())
+}
+
+/// [`scan_str_list`] by definition: parse, require a string array, and
+/// require the serializer to reproduce `text` byte for byte.
+fn reparse_str_list(text: &str, out: &mut StrArena) -> bool {
+    let Ok(value) = jsonx_syntax::parse(text) else {
+        return false;
+    };
+    let Value::Arr(items) = &value else {
+        return false;
+    };
+    if !items.iter().all(|v| matches!(v, Value::Str(_))) || value.to_json_string() != text {
+        return false;
+    }
+    for item in items {
+        out.push(item.as_str().expect("checked above"));
+    }
+    true
 }
 
 /// Inspects a JSON spill column's texts: `Some(shape)` when every cell
 /// is an integer array (or, failing that, a string array) whose compact
 /// serialization reproduces the stored text exactly. The byte-equality
-/// check is what lets the reader re-serialize lists without keeping the
+/// is what lets the reader re-serialize lists without keeping the
 /// original text around.
-fn sniff_lists(texts: &[String]) -> Option<ListShape> {
-    let mut ints: Option<Vec<Vec<i64>>> = Some(Vec::with_capacity(texts.len()));
-    let mut strs: Option<Vec<Vec<String>>> = Some(Vec::with_capacity(texts.len()));
-    for text in texts {
+fn sniff_lists(texts: &StrArena) -> Option<ListShape> {
+    let mut ints = Some((vec![0u32], Vec::new()));
+    let mut strs = Some((vec![0u32], StrArena::new()));
+    for text in texts.iter() {
+        if let Some((offsets, items)) = &mut ints {
+            if scan_int_list(text, items) {
+                offsets.push(as_u32(items.len(), "list items"));
+            } else {
+                ints = None;
+            }
+        }
+        if let Some((offsets, items)) = &mut strs {
+            if scan_str_list(text, items) {
+                offsets.push(as_u32(items.len(), "list items"));
+            } else {
+                strs = None;
+            }
+        }
         if ints.is_none() && strs.is_none() {
             return None;
         }
-        let Ok(value) = jsonx_syntax::parse(text) else {
-            return None;
-        };
-        let Value::Arr(items) = &value else {
-            return None;
-        };
-        if value.to_json_string() != *text {
-            return None;
-        }
-        if let Some(acc) = &mut ints {
-            let parsed: Option<Vec<i64>> = items
-                .iter()
-                .map(|v| match v {
-                    Value::Num(Number::Int(i)) => Some(*i),
-                    _ => None,
-                })
-                .collect();
-            match parsed {
-                Some(row) => acc.push(row),
-                None => ints = None,
-            }
-        }
-        if let Some(acc) = &mut strs {
-            let parsed: Option<Vec<String>> = items
-                .iter()
-                .map(|v| match v {
-                    Value::Str(s) => Some(s.clone()),
-                    _ => None,
-                })
-                .collect();
-            match parsed {
-                Some(row) => acc.push(row),
-                None => strs = None,
-            }
-        }
     }
     match (ints, strs) {
-        (Some(rows), _) => Some(ListShape::Ints(rows)),
-        (None, Some(rows)) => Some(ListShape::Strs(rows)),
+        (Some((offsets, items)), _) => Some(ListShape::Ints { offsets, items }),
+        (None, Some((offsets, items))) => Some(ListShape::Strs { offsets, items }),
         (None, None) => None,
     }
 }
 
-/// Appends a string dictionary (first-appearance order) and returns each
-/// input's code.
-fn write_dict<'a>(values: impl Iterator<Item = &'a str>, out: &mut Vec<u8>) -> Vec<u32> {
-    let mut index: HashMap<&'a str, u32> = HashMap::new();
-    let mut entries: Vec<&'a str> = Vec::new();
-    let codes: Vec<u32> = values
-        .map(|s| {
-            *index.entry(s).or_insert_with(|| {
-                entries.push(s);
-                as_u32(entries.len() - 1, "dictionary size")
-            })
-        })
-        .collect();
-    put_u32(out, as_u32(entries.len(), "dictionary size"));
-    for entry in &entries {
+/// Hashes a string for the dictionary table: a multiply-fold per 8-byte
+/// word. `seed` is drawn per file from the standard library's random
+/// keys, so which strings collide is not predictable from outside.
+fn hash_str(seed: u64, s: &str) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    fn fold(a: u64, b: u64) -> u64 {
+        let wide = u128::from(a) * u128::from(b);
+        (wide as u64) ^ ((wide >> 64) as u64)
+    }
+    let mut words = s.as_bytes().chunks_exact(8);
+    let mut h = seed ^ s.len() as u64;
+    for word in &mut words {
+        h = fold(h ^ u64::from_le_bytes(word.try_into().expect("8 bytes")), K);
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        h = fold(h ^ u64::from_le_bytes(word), K);
+    }
+    fold(h, K)
+}
+
+/// Appends `values` dictionary-encoded: the unique strings in
+/// first-appearance order, then one u32 code per value.
+fn write_dict(values: &StrArena, seed: u64, out: &mut Vec<u8>) {
+    // Value indices and codes are stored as u32 below.
+    as_u32(values.len(), "value count");
+    // Open addressing over a table sized once for the worst case (every
+    // value distinct) at load <= 1/2. A slot is 0 when empty, else the
+    // hash's high half over the entry's code + 1.
+    let mask = (values.len() * 2).next_power_of_two().max(16) - 1;
+    let mut slots = vec![0u64; mask + 1];
+    // Each dictionary entry, as the index of the value that introduced it.
+    let mut entries: Vec<u32> = Vec::new();
+    let mut codes: Vec<u32> = Vec::with_capacity(values.len());
+    for (index, value) in values.iter().enumerate() {
+        let hash = hash_str(seed, value);
+        let tag = hash & !0xFFFF_FFFF;
+        let mut at = hash as usize & mask;
+        let code = loop {
+            let slot = slots[at];
+            if slot == 0 {
+                entries.push(index as u32);
+                slots[at] = tag | entries.len() as u64;
+                break entries.len() as u32 - 1;
+            }
+            let code = (slot & 0xFFFF_FFFF) as u32 - 1;
+            if slot & !0xFFFF_FFFF == tag && values.get(entries[code as usize] as usize) == value {
+                break code;
+            }
+            at = (at + 1) & mask;
+        };
+        codes.push(code);
+    }
+    put_u32(out, entries.len() as u32);
+    for &first in &entries {
+        let entry = values.get(first as usize);
         put_u32(out, as_u32(entry.len(), "dictionary entry size"));
         out.extend_from_slice(entry.as_bytes());
     }
-    codes
+    put_words(out, &codes, u32::to_le_bytes);
 }
 
 /// Encodes one column's block (bitmap + dense values); returns the
 /// chosen encoding.
-fn write_block(col: &Column, out: &mut Vec<u8>) -> Encoding {
-    pack_bits(col.validity.iter().copied(), out);
+fn write_block(col: &Column, seed: u64, out: &mut Vec<u8>) -> Encoding {
+    out.extend_from_slice(col.validity.as_bytes());
     match &col.data {
         ColumnData::Bools(v) => {
-            pack_bits(v.iter().copied(), out);
+            out.extend_from_slice(v.as_bytes());
             Encoding::Plain
         }
         ColumnData::Ints(v) => {
-            for i in v {
-                put_u64(out, *i as u64);
-            }
+            put_words(out, v, i64::to_le_bytes);
             Encoding::Plain
         }
         ColumnData::Floats(v) => {
-            for f in v {
-                put_u64(out, f.to_bits());
-            }
+            put_words(out, v, |f| f.to_bits().to_le_bytes());
             Encoding::Plain
         }
         ColumnData::Strs(v) => {
-            let codes = write_dict(v.iter().map(String::as_str), out);
-            for code in codes {
-                put_u32(out, code);
-            }
+            write_dict(v, seed, out);
             Encoding::Dict
         }
         ColumnData::Json(texts) => match sniff_lists(texts) {
-            Some(ListShape::Ints(rows)) => {
-                let mut offset = 0u32;
-                put_u32(out, 0);
-                for row in &rows {
-                    offset = offset
-                        .checked_add(as_u32(row.len(), "list length"))
-                        .unwrap_or_else(|| panic!(".jxc writer: list items exceed u32::MAX"));
-                    put_u32(out, offset);
-                }
-                for row in &rows {
-                    for i in row {
-                        put_u64(out, *i as u64);
-                    }
-                }
+            Some(ListShape::Ints { offsets, items }) => {
+                put_words(out, &offsets, u32::to_le_bytes);
+                put_words(out, &items, i64::to_le_bytes);
                 Encoding::ListInt
             }
-            Some(ListShape::Strs(rows)) => {
-                let mut offset = 0u32;
-                put_u32(out, 0);
-                for row in &rows {
-                    offset = offset
-                        .checked_add(as_u32(row.len(), "list length"))
-                        .unwrap_or_else(|| panic!(".jxc writer: list items exceed u32::MAX"));
-                    put_u32(out, offset);
-                }
-                let codes = write_dict(
-                    rows.iter().flat_map(|row| row.iter().map(String::as_str)),
-                    out,
-                );
-                for code in codes {
-                    put_u32(out, code);
-                }
+            Some(ListShape::Strs { offsets, items }) => {
+                put_words(out, &offsets, u32::to_le_bytes);
+                write_dict(&items, seed, out);
                 Encoding::ListStr
             }
             None => {
-                let codes = write_dict(texts.iter().map(String::as_str), out);
-                for code in codes {
-                    put_u32(out, code);
-                }
+                write_dict(texts, seed, out);
                 Encoding::Dict
             }
         },
@@ -381,8 +443,11 @@ fn type_tag(data: &ColumnData) -> u8 {
 /// count or its dense data length disagrees with its valid count (layout
 /// invariant violations), or when a per-column count exceeds `u32::MAX`.
 pub fn write_jxc(batch: &ColumnarBatch) -> Vec<u8> {
-    let mut out = Vec::new();
+    // Room for every block when nothing deduplicates, so the image is
+    // not regrown (and copied) on its way to its final size.
+    let mut out = Vec::with_capacity(batch.columns.iter().map(block_bound).sum::<usize>() + 64);
     out.extend_from_slice(MAGIC);
+    let seed = RandomState::new().hash_one(0u8);
     let mut blocks: Vec<(usize, usize, Encoding, usize)> = Vec::with_capacity(batch.columns.len());
     for col in &batch.columns {
         assert_eq!(
@@ -391,15 +456,15 @@ pub fn write_jxc(batch: &ColumnarBatch) -> Vec<u8> {
             ".jxc writer: validity length mismatch at {}",
             col.path
         );
-        let valid_count = col.validity.iter().filter(|v| **v).count();
+        let valid_count = col.validity.count_ones();
         assert_eq!(
-            data_len(&col.data),
+            col.data.len(),
             valid_count,
             ".jxc writer: dense length mismatch at {}",
             col.path
         );
         let off = out.len();
-        let enc = write_block(col, &mut out);
+        let enc = write_block(col, seed, &mut out);
         blocks.push((off, out.len() - off, enc, valid_count));
     }
     let footer_off = out.len();
@@ -438,14 +503,16 @@ pub fn write_jxc_file(path: &Path, batch: &ColumnarBatch) -> std::io::Result<u64
     Ok(bytes.len() as u64)
 }
 
-fn data_len(data: &ColumnData) -> usize {
-    match data {
-        ColumnData::Bools(v) => v.len(),
-        ColumnData::Ints(v) => v.len(),
-        ColumnData::Floats(v) => v.len(),
-        ColumnData::Strs(v) => v.len(),
-        ColumnData::Json(v) => v.len(),
-    }
+/// A capacity estimate for a column block: exact for plain encodings,
+/// the no-duplicates case for dictionaries.
+fn block_bound(col: &Column) -> usize {
+    let values = match &col.data {
+        ColumnData::Bools(v) => v.as_bytes().len(),
+        ColumnData::Ints(v) => v.len() * 8,
+        ColumnData::Floats(v) => v.len() * 8,
+        ColumnData::Strs(v) | ColumnData::Json(v) => 4 + v.byte_len() + v.len() * 8,
+    };
+    col.validity.as_bytes().len() + values
 }
 
 // ---------------------------------------------------------------------------
@@ -480,45 +547,98 @@ impl<'a> Cur<'a> {
     fn u64(&mut self) -> Result<u64, JxcError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+
+    /// `n` fixed-width little-endian words, decoded in one pass.
+    fn words<T, const N: usize>(
+        &mut self,
+        n: usize,
+        le: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, JxcError> {
+        let bytes = self.take(n.checked_mul(N).ok_or(JxcError::Truncated)?)?;
+        Ok(bytes
+            .chunks_exact(N)
+            .map(|word| le(word.try_into().expect("chunks_exact yields N bytes")))
+            .collect())
+    }
+
+    fn bitmap(&mut self, bits: usize) -> Result<Bitmap, JxcError> {
+        let bytes = self.take(bits.div_ceil(8))?;
+        Ok(Bitmap::from_bytes(bytes, bits).expect("took exactly the bytes the bits need"))
+    }
 }
 
-fn unpack_bits(bytes: &[u8], n: usize) -> Vec<bool> {
-    (0..n).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect()
-}
-
-fn read_dict(cur: &mut Cur<'_>) -> Result<Vec<String>, JxcError> {
+fn read_dict(cur: &mut Cur<'_>) -> Result<StrArena, JxcError> {
     let len = cur.u32()? as usize;
-    let mut dict = Vec::with_capacity(len.min(1 << 16));
+    let mut dict = StrArena::with_capacity(len.min(1 << 16), 0);
     for _ in 0..len {
         let bytes = cur.u32()? as usize;
         let entry = std::str::from_utf8(cur.take(bytes)?)
             .map_err(|_| JxcError::Corrupt("non-UTF-8 dictionary entry".into()))?;
-        dict.push(entry.to_owned());
+        dict.push(entry);
     }
     Ok(dict)
 }
 
-fn read_codes(cur: &mut Cur<'_>, n: usize, dict: &[String]) -> Result<Vec<String>, JxcError> {
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let code = cur.u32()? as usize;
-        let entry = dict
-            .get(code)
-            .ok_or_else(|| JxcError::Corrupt(format!("dictionary code {code} out of range")))?;
-        out.push(entry.clone());
+/// Reads `n` codes and expands them through `dict` into one arena,
+/// sized exactly before the first copy.
+fn read_codes(cur: &mut Cur<'_>, n: usize, dict: &StrArena) -> Result<StrArena, JxcError> {
+    let codes = cur.words(n, u32::from_le_bytes)?;
+    let mut bytes = 0usize;
+    for &code in &codes {
+        if code as usize >= dict.len() {
+            return Err(JxcError::Corrupt(format!(
+                "dictionary code {code} out of range"
+            )));
+        }
+        bytes = bytes
+            .checked_add(dict.get(code as usize).len())
+            .ok_or_else(|| JxcError::Corrupt("dictionary codes expand past usize".into()))?;
+    }
+    let mut out = StrArena::with_capacity(n, bytes);
+    for &code in &codes {
+        out.push(dict.get(code as usize));
     }
     Ok(out)
 }
 
 fn read_offsets(cur: &mut Cur<'_>, n: usize) -> Result<Vec<usize>, JxcError> {
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(cur.u32()? as usize);
-    }
+    let count = n.checked_add(1).ok_or(JxcError::Truncated)?;
+    let offsets = cur.words(count, |word| u32::from_le_bytes(word) as usize)?;
     if offsets.windows(2).any(|w| w[0] > w[1]) || offsets[0] != 0 {
         return Err(JxcError::Corrupt("non-monotone list offsets".into()));
     }
     Ok(offsets)
+}
+
+/// Appends `item` as a JSON string literal. Only a string that needs an
+/// escape takes the serializer's (allocating) route.
+fn push_json_str(text: &mut String, item: &str) {
+    if item.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        text.push_str(&Value::Str(item.to_owned()).to_json_string());
+    } else {
+        text.push('"');
+        text.push_str(item);
+        text.push('"');
+    }
+}
+
+/// Rebuilds a list column's texts — what serializing each row's array
+/// compactly yields — from its offsets, writing every item with `push`.
+fn list_texts(offsets: &[usize], mut push: impl FnMut(&mut String, usize)) -> StrArena {
+    let mut texts = StrArena::with_capacity(offsets.len() - 1, 0);
+    for row in offsets.windows(2) {
+        texts.push_with(|text| {
+            text.push('[');
+            for item in row[0]..row[1] {
+                if item > row[0] {
+                    text.push(',');
+                }
+                push(text, item);
+            }
+            text.push(']');
+        });
+    }
+    texts
 }
 
 fn read_block(
@@ -529,13 +649,12 @@ fn read_block(
     enc: Encoding,
     path: &str,
 ) -> Result<(Column, Option<usize>, Option<usize>), JxcError> {
-    let bitmap_bytes = rows.div_ceil(8);
     let mut cur = Cur {
         bytes: block,
         pos: 0,
     };
-    let validity = unpack_bits(cur.take(bitmap_bytes)?, rows);
-    if validity.iter().filter(|v| **v).count() != valid_count {
+    let validity = cur.bitmap(rows)?;
+    if validity.count_ones() != valid_count {
         return Err(JxcError::Corrupt(format!(
             "validity bitmap of {path} disagrees with its valid count"
         )));
@@ -543,24 +662,11 @@ fn read_block(
     let mut dict_len = None;
     let mut list_items = None;
     let data = match (type_tag, enc) {
-        (0, Encoding::Plain) => {
-            let packed = cur.take(valid_count.div_ceil(8))?;
-            ColumnData::Bools(unpack_bits(packed, valid_count))
-        }
-        (1, Encoding::Plain) => {
-            let mut v = Vec::with_capacity(valid_count);
-            for _ in 0..valid_count {
-                v.push(cur.u64()? as i64);
-            }
-            ColumnData::Ints(v)
-        }
-        (2, Encoding::Plain) => {
-            let mut v = Vec::with_capacity(valid_count);
-            for _ in 0..valid_count {
-                v.push(f64::from_bits(cur.u64()?));
-            }
-            ColumnData::Floats(v)
-        }
+        (0, Encoding::Plain) => ColumnData::Bools(cur.bitmap(valid_count)?),
+        (1, Encoding::Plain) => ColumnData::Ints(cur.words(valid_count, i64::from_le_bytes)?),
+        (2, Encoding::Plain) => ColumnData::Floats(
+            cur.words(valid_count, |word| f64::from_bits(u64::from_le_bytes(word)))?,
+        ),
         (3, Encoding::Dict) | (4, Encoding::Dict) => {
             let dict = read_dict(&mut cur)?;
             dict_len = Some(dict.len());
@@ -575,23 +681,10 @@ fn read_block(
             let offsets = read_offsets(&mut cur, valid_count)?;
             let total = offsets[valid_count];
             list_items = Some(total);
-            let mut items = Vec::with_capacity(total);
-            for _ in 0..total {
-                items.push(cur.u64()? as i64);
-            }
-            let texts = offsets
-                .windows(2)
-                .map(|w| {
-                    Value::Arr(
-                        items[w[0]..w[1]]
-                            .iter()
-                            .map(|i| Value::Num(Number::Int(*i)))
-                            .collect(),
-                    )
-                    .to_json_string()
-                })
-                .collect();
-            ColumnData::Json(texts)
+            let items = cur.words(total, i64::from_le_bytes)?;
+            ColumnData::Json(list_texts(&offsets, |text, item| {
+                write!(text, "{}", Number::Int(items[item])).expect("writing to a String");
+            }))
         }
         (4, Encoding::ListStr) => {
             let offsets = read_offsets(&mut cur, valid_count)?;
@@ -600,14 +693,9 @@ fn read_block(
             let dict = read_dict(&mut cur)?;
             dict_len = Some(dict.len());
             let items = read_codes(&mut cur, total, &dict)?;
-            let texts = offsets
-                .windows(2)
-                .map(|w| {
-                    Value::Arr(items[w[0]..w[1]].iter().cloned().map(Value::Str).collect())
-                        .to_json_string()
-                })
-                .collect();
-            ColumnData::Json(texts)
+            ColumnData::Json(list_texts(&offsets, |text, item| {
+                push_json_str(text, items.get(item));
+            }))
         }
         (tag, enc) => {
             return Err(JxcError::Corrupt(format!(
@@ -709,16 +797,7 @@ pub fn read_jxc(bytes: &[u8]) -> Result<JxcFile, JxcError> {
         )?;
         infos.push(JxcColumnInfo {
             path,
-            type_name: match type_tag {
-                0 => "bool",
-                1 => "int64",
-                2 => "float64",
-                3 => "utf8",
-                4 => "json",
-                other => {
-                    return Err(JxcError::Corrupt(format!("unknown type tag {other}")));
-                }
-            },
+            type_name: column.data.type_name(),
             encoding: enc,
             block_bytes: block_len,
             valid_count,
@@ -749,14 +828,15 @@ pub fn read_jxc_file(path: &Path) -> Result<JxcFile, JxcError> {
 /// does not parse).
 fn cell_value(data: &ColumnData, dense: usize) -> Value {
     match data {
-        ColumnData::Bools(v) => Value::Bool(v[dense]),
+        ColumnData::Bools(v) => Value::Bool(v.get(dense)),
         ColumnData::Ints(v) => Value::Num(Number::Int(v[dense])),
         ColumnData::Floats(v) => Number::from_f64(v[dense])
             .map(Value::Num)
             .unwrap_or(Value::Null),
-        ColumnData::Strs(v) => Value::Str(v[dense].clone()),
+        ColumnData::Strs(v) => Value::Str(v.get(dense).to_owned()),
         ColumnData::Json(v) => {
-            jsonx_syntax::parse(&v[dense]).unwrap_or_else(|_| Value::Str(v[dense].clone()))
+            let text = v.get(dense);
+            jsonx_syntax::parse(text).unwrap_or_else(|_| Value::Str(text.to_owned()))
         }
     }
 }
@@ -771,7 +851,7 @@ pub fn rows_as_values(batch: &ColumnarBatch, limit: usize) -> Vec<Value> {
     for row in 0..n {
         let mut obj = Object::new();
         for (c, col) in batch.columns.iter().enumerate() {
-            if col.validity[row] {
+            if col.validity.get(row) {
                 obj.insert(col.path.clone(), cell_value(&col.data, dense[c]));
                 dense[c] += 1;
             }
@@ -806,7 +886,7 @@ pub fn flatten_rows(file: &JxcFile, limit: usize) -> Vec<Value> {
         let mut base = Object::new();
         let mut variants: Vec<(String, Vec<Value>)> = Vec::with_capacity(list_cols.len());
         for (c, col) in batch.columns.iter().enumerate() {
-            let valid = col.validity[row];
+            let valid = col.validity.get(row);
             let value = valid.then(|| cell_value(&col.data, dense[c]));
             if valid {
                 dense[c] += 1;
@@ -879,7 +959,7 @@ mod tests {
             "{\"id\": 3, \"name\": \"ada\"}\n",
         ));
         let file = round_trip(&batch);
-        let by_path: HashMap<&str, &JxcColumnInfo> =
+        let by_path: std::collections::HashMap<&str, &JxcColumnInfo> =
             file.columns.iter().map(|i| (i.path.as_str(), i)).collect();
         assert_eq!(by_path["id"].encoding, Encoding::Plain);
         assert_eq!(by_path["name"].encoding, Encoding::Dict);
@@ -918,8 +998,8 @@ mod tests {
         let batch = ColumnarBatch {
             columns: vec![Column {
                 path: "v".into(),
-                data: ColumnData::Json(vec!["[1,  2]".into()]),
-                validity: vec![true],
+                data: ColumnData::Json(StrArena::from_iter(["[1,  2]"])),
+                validity: Bitmap::from_iter([true]),
             }],
             rows: 1,
         };

@@ -38,7 +38,10 @@ pub mod relational;
 pub mod sink;
 
 pub use avro::{AvroCodec, AvroError, AvroField, AvroSchema};
-pub use columnar::{ColumnData, ColumnarBatch, ShredError, ShredStream, Shredder};
+pub use columnar::{
+    Bitmap, ColumnData, ColumnarBatch, Fallback, ShredCounts, ShredError, ShredStream, Shredder,
+    StrArena,
+};
 pub use jxc::{
     flatten_rows, read_jxc, read_jxc_file, rows_as_values, write_jxc, write_jxc_file, Encoding,
     JxcColumnInfo, JxcError, JxcFile,

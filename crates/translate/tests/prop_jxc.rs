@@ -56,7 +56,7 @@ proptest! {
             prop_assert_eq!(&info.path, &col.path);
             prop_assert_eq!(
                 info.valid_count,
-                col.validity.iter().filter(|v| **v).count()
+                col.validity.count_ones()
             );
         }
     }

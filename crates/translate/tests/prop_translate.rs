@@ -96,7 +96,7 @@ proptest! {
             for (row, doc) in docs.iter().enumerate() {
                 let present = resolve_dotted(doc, &col.path)
                     .is_some_and(|v| !v.is_null());
-                if col.validity[row] {
+                if col.validity.get(row) {
                     prop_assert!(
                         present,
                         "column {} claims row {} valid but {} has no value there",

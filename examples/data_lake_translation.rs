@@ -31,7 +31,7 @@ fn main() {
         batch.rows
     );
     for col in batch.columns.iter().take(6) {
-        let valid = col.validity.iter().filter(|v| **v).count();
+        let valid = col.validity.count_ones();
         println!("  {:<28} {:>4}/{} valid", col.path, valid, batch.rows);
     }
     println!("  ...\n");

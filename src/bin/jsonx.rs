@@ -862,6 +862,25 @@ fn finish_run(opts: &Opts, report: &RunReport) -> Result<String, CliError> {
             t.bytes_per_sec() / 1e6,
         );
     }
+    // Only a timed translation fills these in.
+    let routes = &report.routes;
+    if routes.fast > 0 || !routes.replayed.is_empty() {
+        let reasons: Vec<String> = routes
+            .replayed
+            .iter()
+            .map(|(why, n)| format!("{n} {why}"))
+            .collect();
+        eprintln!(
+            "» {} records shredded from events, {} replayed through the parser{}",
+            routes.fast,
+            routes.replayed.values().sum::<u64>(),
+            if reasons.is_empty() {
+                String::new()
+            } else {
+                format!(" ({})", reasons.join(", "))
+            },
+        );
+    }
     Ok(format!(", {} rejected", report.errors.total))
 }
 

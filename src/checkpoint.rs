@@ -40,14 +40,14 @@
 //! committed [`Prefix`] before the engine call and supply its commit
 //! sink during it.
 
-use crate::streaming::{LineVerdict, ShardYield, StreamError};
+use crate::streaming::{LineVerdict, ShardYield, Shredded, StreamError};
 use jsonx_core::{parse_type, print_type, JType, PrintOptions};
 use jsonx_data::{Number, Object, Value};
 use jsonx_pipeline::{
     read_journal, ChunkJournal, ChunkMeta, ErrorSummary, JournalWriter, RecordDiagnostic,
 };
 use jsonx_syntax::parse;
-use jsonx_translate::{read_jxc, write_jxc, ColumnarBatch};
+use jsonx_translate::{read_jxc, write_jxc, ShredCounts};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
@@ -196,21 +196,40 @@ fn decode_errors(v: &Value) -> Option<ErrorSummary> {
     })
 }
 
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
 fn hex_encode(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        out.push(HEX[usize::from(b >> 4)] as char);
+        out.push(HEX[usize::from(b & 0xF)] as char);
     }
     out
 }
 
+/// The inverse of [`hex_encode`]: pairs of hex digits (either case) and
+/// nothing else.
 fn hex_decode(text: &str) -> Option<Vec<u8>> {
+    /// A hex digit's value, `0xFF` for any other byte.
+    const NIBBLE: [u8; 256] = {
+        let mut table = [0xFF; 256];
+        let mut i = 0;
+        while i < 16 {
+            table[HEX[i] as usize] = i as u8;
+            table[HEX[i].to_ascii_uppercase() as usize] = i as u8;
+            i += 1;
+        }
+        table
+    };
     if !text.len().is_multiple_of(2) {
         return None;
     }
-    (0..text.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(text.get(i..i + 2)?, 16).ok())
+    text.as_bytes()
+        .chunks_exact(2)
+        .map(|pair| {
+            let (hi, lo) = (NIBBLE[usize::from(pair[0])], NIBBLE[usize::from(pair[1])]);
+            ((hi | lo) < 16).then_some((hi << 4) | lo)
+        })
         .collect()
 }
 
@@ -261,15 +280,18 @@ pub(crate) fn validate_codec() -> OutCodec<Vec<(usize, LineVerdict)>> {
     }
 }
 
-pub(crate) fn translate_codec() -> OutCodec<ColumnarBatch> {
+pub(crate) fn translate_codec() -> OutCodec<Shredded> {
     OutCodec {
         // A chunk's batch is journaled as its checksummed `.jxc` image;
         // decoding reconstructs the identical batch (layout included),
         // and batches append in seq order exactly like live merging.
-        encode: |batch| Some(s(hex_encode(&write_jxc(batch)))),
+        // The routing counts describe work, not results, and are not
+        // journaled: a replayed chunk did none.
+        encode: |(batch, _)| Some(s(hex_encode(&write_jxc(batch)))),
         decode: |v| {
             let bytes = hex_decode(v.as_str()?)?;
-            read_jxc(&bytes).ok().map(|file| file.batch)
+            let file = read_jxc(&bytes).ok()?;
+            Some((file.batch, ShredCounts::default()))
         },
     }
 }
@@ -835,6 +857,69 @@ mod tests {
             write_jxc(&want_batch),
             "resumed .jxc bytes identical to uninterrupted run"
         );
+    }
+
+    /// `tests/fixtures/golden_translate.journal` was written by the
+    /// commit before the columns became arena-backed, from
+    /// `crates/translate/tests/fixtures/golden.ndjson` at `chunk_bytes`
+    /// 256. The journal format is frozen in both directions: this code
+    /// must write those bytes (so that commit can resume our journals)
+    /// and resume from any prefix of them (so we can resume its).
+    #[test]
+    fn parent_written_journal_is_reproduced_and_resumes() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let input = root.join("crates/translate/tests/fixtures/golden.ndjson");
+        let golden = std::fs::read(root.join("tests/fixtures/golden_translate.journal")).unwrap();
+        let golden_jxc =
+            std::fs::read(root.join("crates/translate/tests/fixtures/golden.jxc")).unwrap();
+        let dir = TempDir::new("golden-journal");
+        let journal = dir.path("run.journal");
+        let plain = Run {
+            workers: 2,
+            chunk_bytes: 256,
+            ..Run::default()
+        };
+
+        let (_, batch, _) = journaled(&plain, JournalControl::new(&journal))
+            .translate_inferred(Source::file(&input), Equivalence::Kind)
+            .unwrap();
+        assert_eq!(write_jxc(&batch), golden_jxc);
+        assert_eq!(std::fs::read(&journal).unwrap(), golden);
+
+        // A header, three phase-1 chunks, the type marker, three phase-2
+        // chunks: cut after each record in turn, and mid-record.
+        let record_ends: Vec<usize> = golden
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| **b == b'\n')
+            .map(|(i, _)| i + 1)
+            .collect();
+        assert_eq!(record_ends.len(), 8);
+        for cut in record_ends.iter().flat_map(|end| [*end, end - 40]) {
+            std::fs::write(&journal, &golden[..cut]).unwrap();
+            let (_, batch, report) = journaled(&plain, resume(&journal))
+                .translate_inferred(Source::file(&input), Equivalence::Kind)
+                .unwrap();
+            assert_eq!(write_jxc(&batch), golden_jxc, "cut at {cut}");
+            assert_eq!(report.records, 11, "cut at {cut}");
+            assert_eq!(std::fs::read(&journal).unwrap(), golden, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn hex_codec_round_trips_and_rejects_non_hex() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        let text = hex_encode(&bytes);
+        assert!(text.starts_with("000102") && text.ends_with("fdfeff"));
+        let reference: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(text, reference);
+        assert_eq!(hex_decode(&text), Some(bytes.clone()));
+        assert_eq!(hex_decode(&text.to_uppercase()), Some(bytes));
+        assert_eq!(hex_decode(""), Some(Vec::new()));
+        // `u8::from_str_radix` takes a sign; a hex codec must not.
+        for bad in ["+f", "-1", "0", "0g", "g0", " 1", "1 ", "0x", "é"] {
+            assert_eq!(hex_decode(bad), None, "{bad:?}");
+        }
     }
 
     /// The header's `config` fingerprint embeds `Debug` output, so

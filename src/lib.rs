@@ -66,7 +66,7 @@ pub use checkpoint::JournalControl;
 pub use jsonx_data::{json, Kind, Number, Object, Pointer, Value};
 pub use jsonx_pipeline as pipeline;
 pub use jsonx_pipeline::{
-    ErrorPolicy, ErrorSummary, RecordDiagnostic, RunReport, ShardPanic, WorkerTiming,
+    ErrorPolicy, ErrorSummary, RecordDiagnostic, RouteCounts, RunReport, ShardPanic, WorkerTiming,
 };
 pub use jsonx_syntax::{
     CsvDecoder, EventReceiver, JsonDecoder, ParseLimits, RecordDecoder, ValueBuilder,

@@ -98,8 +98,7 @@ mod tests {
             records: 10,
             shards: 1,
             errors,
-            poisoned: Vec::new(),
-            timings: Vec::new(),
+            ..RunReport::default()
         }
     }
 

@@ -33,16 +33,16 @@ use crate::checkpoint::{
 use crate::fastpath::{FastJsonDecoder, FastPlan};
 use crate::streaming::{
     FaultFold, FaultOptions, Halt, InferStage, InferValidateStage, LineVerdict, RecordStage,
-    StreamError, TranslateStage, TypedVerdicts, ValidateStage,
+    Shredded, StreamError, TranslateStage, TypedVerdicts, ValidateStage,
 };
 use jsonx_core::{Equivalence, JType};
 use jsonx_pipeline::{
     run_lines_stealing, run_reader_caught, run_source_controlled, CheckpointSink, PipelineOptions,
-    ReaderChunks, RunControl, RunReport,
+    ReaderChunks, RouteCounts, RunControl, RunReport,
 };
 use jsonx_schema::{CompiledSchema, ValidatorOptions};
 use jsonx_syntax::{CsvDecoder, JsonDecoder};
-use jsonx_translate::{ColumnarBatch, Shredder};
+use jsonx_translate::{ColumnarBatch, Fallback, Shredder};
 use std::fs::File;
 use std::io::{BufRead, BufReader, Seek, SeekFrom};
 use std::path::Path;
@@ -112,8 +112,9 @@ pub struct Run<'a> {
     /// Error policy, reject retention and per-record limits.
     pub fault: FaultOptions,
     /// Try the SWAR structural scanner with projection pushdown before
-    /// the full parser (validation and translation of NDJSON only; every
-    /// declined record falls back, so results never depend on it).
+    /// the full parser (NDJSON only: validation, and translation under a
+    /// caller-supplied layout; every declined record falls back, so
+    /// results never depend on it).
     pub fast_parse: bool,
     /// The record decoder.
     pub format: Format,
@@ -246,13 +247,21 @@ impl Run<'_> {
     /// translation. Row-identical to the DOM
     /// [`Shredder::shred`](jsonx_translate::Shredder::shred) at every
     /// worker count.
+    ///
+    /// The layout may be narrower than the records, so with
+    /// [`fast_parse`](Self::fast_parse) the structural scanner projects
+    /// each record to the layout's root fields before it is shredded.
     pub fn translate<R: BufRead + Send>(
         &self,
         source: Source<'_, R>,
         shredder: &Shredder,
     ) -> Result<(ColumnarBatch, RunReport), StreamError> {
         self.refuse_journal("translation under a caller-supplied layout (use translate_inferred)")?;
-        self.translate_pass(source, shredder, None)
+        let projection = self
+            .fast_parse
+            .then(|| FastPlan::for_translation(shredder, &self.fault.limits))
+            .flatten();
+        self.translate_pass(source, shredder, projection, None)
     }
 
     /// The two passes of a translation from scratch: infer the collection
@@ -301,7 +310,10 @@ impl Run<'_> {
         };
         let shredder = Shredder::from_type(&ty);
         let journal = session.as_mut().map(|s| s.phase(2, translate_codec()));
-        let (batch, report) = self.translate_pass(second, &shredder, journal)?;
+        // The layout was inferred from this very corpus: no accepted
+        // record has a root field outside it, so a projecting scan could
+        // skip nothing. No plan; records shred straight from events.
+        let (batch, report) = self.translate_pass(second, &shredder, None, journal)?;
         Ok((ty, batch, report))
     }
 
@@ -328,23 +340,39 @@ impl Run<'_> {
         &self,
         source: Source<'_, R>,
         shredder: &Shredder,
-        journal: Option<Phase<'_, '_, ColumnarBatch>>,
+        projection: Option<FastPlan>,
+        journal: Option<Phase<'_, '_, Shredded>>,
     ) -> Result<(ColumnarBatch, RunReport), StreamError> {
         let limits = self.fault.limits;
-        match &self.format {
+        let ((batch, counts), mut report) = match &self.format {
             Format::Ndjson => {
-                let plan = self
-                    .fast_parse
-                    .then(|| FastPlan::for_translation(shredder, &limits))
-                    .flatten();
-                let decoder = FastJsonDecoder::new(plan, limits);
-                self.execute(source, &TranslateStage { shredder, decoder }, journal)
+                let stage = TranslateStage {
+                    shredder,
+                    projecting: projection.is_some(),
+                    decoder: FastJsonDecoder::new(projection, limits),
+                };
+                self.execute(source, &stage, journal)?
             }
             Format::Csv(decoder) => {
-                let decoder = decoder.clone().with_limits(limits);
-                self.execute(source, &TranslateStage { shredder, decoder }, journal)
+                let stage = TranslateStage {
+                    shredder,
+                    projecting: false,
+                    decoder: decoder.clone().with_limits(limits),
+                };
+                self.execute(source, &stage, journal)?
             }
+        };
+        if self.timing {
+            report.routes = RouteCounts {
+                fast: counts.from_events,
+                replayed: Fallback::ALL
+                    .into_iter()
+                    .map(|why| (why.label(), counts.replayed(why)))
+                    .filter(|(_, n)| *n > 0)
+                    .collect(),
+            };
         }
+        Ok((batch, report))
     }
 
     fn pipeline_options(&self) -> PipelineOptions {
@@ -468,6 +496,7 @@ impl Run<'_> {
             errors,
             poisoned: outcome.poisoned,
             timings: outcome.timings,
+            routes: RouteCounts::default(),
         };
         let policy = self.fault.policy;
         if !policy.tolerates() && !report.poisoned.is_empty() {

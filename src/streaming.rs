@@ -25,7 +25,9 @@
 //!   the validator from the same event walk that types the line).
 //! * translation — §5's schema-driven translation: per-chunk Arrow-like
 //!   columnar batches ([`ShredStream`](jsonx_translate::ShredStream)),
-//!   concatenated in chunk order into the batch a DOM
+//!   shredded straight from each record's events (no DOM; a verified
+//!   per-record fallback replays what the event walk cannot vouch for)
+//!   and concatenated in chunk order into the batch a DOM
 //!   [`Shredder::shred`](jsonx_translate::Shredder::shred) would build.
 //!
 //! The massive-collection setting of §4.1 is exactly where building a
@@ -52,7 +54,7 @@ use jsonx_syntax::{
     EventReceiver, ParseError, ParseErrorKind, ParseLimits, RawEvent, RawEventParser,
     RecordDecoder, RecordLimit, Tee, ValueBuilder,
 };
-use jsonx_translate::{ColumnarBatch, ShredError, ShredStream, Shredder};
+use jsonx_translate::{ColumnarBatch, ShredCounts, ShredError, ShredStream, Shredder};
 use std::collections::HashSet;
 
 /// A reusable event-stream typing engine.
@@ -878,17 +880,25 @@ pub type TypedVerdicts = (JType, Vec<(usize, LineVerdict)>);
 /// contribute no row.
 pub(crate) struct TranslateStage<'t, D> {
     pub(crate) shredder: &'t Shredder,
-    /// How record text becomes a document. The JSON path passes
-    /// `FastJsonDecoder` (SWAR projection to the shred plan's root
-    /// fields, dotted skipped keys rejected so column paths can't alias,
-    /// full-parser fallback — batches row-identical either way); any
-    /// other decoder feeds the same shredder unchanged.
+    /// How record text becomes events or a document; any decoder feeds
+    /// the same shredder.
     pub(crate) decoder: D,
+    /// The decoder's `decode_value` projects to the shred plan's root
+    /// fields (`FastJsonDecoder` with a plan: SWAR scan, dotted skipped
+    /// keys rejected so column paths can't alias, full-parser fallback).
+    /// Then every record is decoded to that — usually much smaller —
+    /// document and shredded from it; otherwise records are shredded
+    /// straight from their events. Batches are row-identical either way.
+    pub(crate) projecting: bool,
 }
+
+/// What a chunk of translation yields: its batch, and how its records
+/// were routed (see [`ShredStream::push_record`]).
+pub(crate) type Shredded = (ColumnarBatch, ShredCounts);
 
 impl<'t, D: RecordDecoder> RecordStage for TranslateStage<'t, D> {
     type State = (ShredStream<'t>, D::Scratch);
-    type Out = ColumnarBatch;
+    type Out = Shredded;
 
     fn init(&self) -> Self::State {
         (self.shredder.stream(), self.decoder.scratch())
@@ -900,29 +910,35 @@ impl<'t, D: RecordDecoder> RecordStage for TranslateStage<'t, D> {
         line: &str,
         _record: usize,
     ) -> Result<(), RecordIssue> {
-        let doc = self
-            .decoder
-            .decode_value(scratch, line)
-            .map_err(RecordIssue::Parse)?;
-        match stream.push(&doc) {
-            Err(ShredError::NotARecord { .. }) => Err(RecordIssue::NotARecord),
-            _ => Ok(()),
-        }
+        let pushed = if self.projecting {
+            let doc = self
+                .decoder
+                .decode_value(scratch, line)
+                .map_err(RecordIssue::Parse)?;
+            stream.push(&doc)
+        } else {
+            stream.push_record(&self.decoder, scratch, line)
+        };
+        pushed.map_err(|e| match e {
+            ShredError::NotARecord { .. } => RecordIssue::NotARecord,
+            ShredError::Parse(e) => RecordIssue::Parse(e),
+        })
     }
 
-    fn finish(&self, (stream, _): Self::State) -> ColumnarBatch {
-        stream.finish()
+    fn finish(&self, mut state: Self::State) -> Shredded {
+        self.take(&mut state)
     }
 
-    fn merge(&self, mut left: ColumnarBatch, right: ColumnarBatch) -> ColumnarBatch {
-        left.append(right);
-        left
+    fn merge(&self, (mut batch, mut counts): Shredded, right: Shredded) -> Shredded {
+        batch.append(right.0);
+        counts.merge(right.1);
+        (batch, counts)
     }
 
-    fn take(&self, (stream, _): &mut Self::State) -> ColumnarBatch {
+    fn take(&self, (stream, _): &mut Self::State) -> Shredded {
         // Column builders reset inside `take_batch`; the decoder's
         // scratch survives across chunks.
-        stream.take_batch()
+        (stream.take_batch(), stream.take_counts())
     }
 }
 

@@ -62,11 +62,11 @@ fn columnar_translation_of_nytimes() {
         word_count.data,
         jsonx::translate::ColumnData::Ints(_)
     ));
-    assert!(word_count.validity.iter().all(|v| *v));
+    assert!(word_count.validity.iter().all(|v| v));
     // headline.kicker is a string|null union → string column with nulls.
     let kicker = batch.column("headline.kicker").unwrap();
-    assert!(kicker.validity.iter().any(|v| !*v));
-    assert!(kicker.validity.iter().any(|v| *v));
+    assert!(kicker.validity.iter().any(|v| !v));
+    assert!(kicker.validity.iter().any(|v| v));
 }
 
 #[test]
