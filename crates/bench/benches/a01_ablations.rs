@@ -9,6 +9,11 @@
 //!    how many remembered positions speculation needs under layout churn.
 //! 3. **Structural-index depth** (`StructuralIndex::build(max_level)`):
 //!    what bounding the index to the query depth saves.
+//!
+//! Plus three implementation ablations with identical results on both
+//! arms: bitmap construction (SWAR vs scalar), the inference input path
+//! (DOM vs events), and the collection-typing route (a `JType` per record
+//! fused into the accumulator vs events updating it in place).
 
 use criterion::{black_box, BenchmarkId, Criterion};
 use jsonx_bench::{banner, criterion};
@@ -180,6 +185,47 @@ fn streaming_inference_ablation(c: &mut Criterion) {
     println!("(identical results; streaming skips the DOM allocation entirely)");
 }
 
+fn typing_route_ablation(c: &mut Criterion) {
+    println!("\n-- collection typing: type-then-fuse vs in-place --");
+    use jsonx::core::{fuse, JType};
+    use jsonx::{JsonDecoder, StreamTyper, TypeFold};
+    let docs = Corpus::Github.generate(2_000);
+    let ndjson = jsonx_syntax::write_ndjson(&docs);
+    let decoder = JsonDecoder::new();
+    // One worker's fold over one chunk, both ways: a `JType` per record
+    // fused into the accumulated type, against events incrementing the
+    // accumulated type where it stands.
+    let type_then_fuse = |typer: &mut StreamTyper, text: &str| {
+        text.lines().fold(JType::Bottom, |acc, line| {
+            let ty = typer.type_decoded(&decoder, &mut (), line).unwrap();
+            fuse(acc, ty, Equivalence::Kind)
+        })
+    };
+    let in_place = |fold: &mut TypeFold, text: &str| {
+        for line in text.lines() {
+            fold.record(&decoder, &mut (), line).unwrap();
+        }
+        fold.take()
+    };
+    let mut typer = StreamTyper::new(Equivalence::Kind);
+    let mut fold = TypeFold::new(Equivalence::Kind);
+    let (ty, routes) = in_place(&mut fold, &ndjson);
+    assert_eq!(ty, type_then_fuse(&mut typer, &ndjson));
+    println!(
+        "{} records typed in place, {} replayed; identical types",
+        routes.in_place, routes.replayed
+    );
+    let mut group = c.benchmark_group("a01_typing_route");
+    group.bench_function("type_then_fuse", |b| {
+        b.iter(|| type_then_fuse(&mut typer, black_box(&ndjson)))
+    });
+    group.bench_function("in_place", |b| {
+        b.iter(|| in_place(&mut fold, black_box(&ndjson)))
+    });
+    group.finish();
+    println!("(same decode on both arms; the difference is the typing + fusion layer)");
+}
+
 fn main() {
     banner(
         "A1",
@@ -191,5 +237,6 @@ fn main() {
     index_depth_ablation(&mut c);
     bitmap_construction_ablation(&mut c);
     streaming_inference_ablation(&mut c);
+    typing_route_ablation(&mut c);
     c.final_summary();
 }

@@ -27,7 +27,7 @@ use jsonx::core::{fuse, type_size, Equivalence, JType};
 use jsonx::pipeline::{
     chunk_lines, run_lines_stealing, run_reader_caught, PipelineOptions, ShardFold,
 };
-use jsonx::StreamTyper;
+use jsonx::{JsonDecoder, TypeFold};
 use jsonx_bench::{banner, criterion};
 use jsonx_data::{json, Value};
 use jsonx_syntax::to_string_pretty;
@@ -35,34 +35,33 @@ use std::io::BufReader;
 use std::time::{Duration, Instant};
 
 /// The inference fold, re-stated at the engine layer so the dispatcher
-/// and the makespan model run the exact same per-record work: one event-stream
-/// typing per line, fused per worker, fused again across shards.
-struct TypeFold {
+/// and the makespan model run the exact same per-record work as
+/// `jsonx infer`: each line's events counted in place into the worker's
+/// [`TypeFold`], one type taken per chunk, chunk types fused across
+/// shards.
+struct InferFold {
     equiv: Equivalence,
 }
 
-impl ShardFold<str> for TypeFold {
-    type State = (StreamTyper, JType);
+impl ShardFold<str> for InferFold {
+    type State = TypeFold;
     type Out = JType;
 
     fn init(&self) -> Self::State {
-        (StreamTyper::new(self.equiv), JType::Bottom)
+        TypeFold::new(self.equiv)
     }
 
     fn feed(&self, state: &mut Self::State, line: &str, _index: usize) {
         if line.trim().is_empty() {
             return;
         }
-        let ty = state
-            .0
-            .type_document(line.as_bytes())
+        state
+            .record(&JsonDecoder::new(), &mut (), line)
             .expect("valid NDJSON");
-        let acc = std::mem::replace(&mut state.1, JType::Bottom);
-        state.1 = fuse(acc, ty, self.equiv);
     }
 
-    fn finish(&self, state: Self::State) -> Self::Out {
-        state.1
+    fn finish(&self, mut state: Self::State) -> Self::Out {
+        self.take(&mut state)
     }
 
     fn merge(&self, left: Self::Out, right: Self::Out) -> Self::Out {
@@ -70,7 +69,7 @@ impl ShardFold<str> for TypeFold {
     }
 
     fn take(&self, state: &mut Self::State) -> Self::Out {
-        std::mem::replace(&mut state.1, JType::Bottom)
+        state.take().0
     }
 }
 
@@ -125,7 +124,7 @@ fn main() {
     }
 
     let ndjson = skewed_ndjson(60_000);
-    let fold = TypeFold {
+    let fold = InferFold {
         equiv: Equivalence::Kind,
     };
     println!(
@@ -163,33 +162,22 @@ fn main() {
     // scheduling); its makespan is the last worker's finish time.
     let chunk_target = 64 * 1024;
     let chunks = chunk_lines(&ndjson, chunk_target);
-    let costs: Vec<Duration> = chunks
-        .iter()
-        .map(|c| {
-            let mut state = fold.init();
-            let t = Instant::now();
-            for (i, line) in c.text.lines().enumerate() {
-                fold.feed(&mut state, line, c.first_line + i);
-            }
-            t.elapsed()
-        })
-        .collect();
+    // One warm worker state, a `take` per chunk — what a pool worker does.
+    let mut state = fold.init();
+    let mut cost_of = |c: &jsonx::pipeline::Shard<'_>| {
+        let t = Instant::now();
+        for (i, line) in c.text.lines().enumerate() {
+            fold.feed(&mut state, line, c.first_line + i);
+        }
+        black_box(fold.take(&mut state));
+        t.elapsed()
+    };
+    let costs: Vec<Duration> = chunks.iter().map(&mut cost_of).collect();
     let total: Duration = costs.iter().sum();
 
     let model_workers = 8usize;
     let shards = chunk_lines(&ndjson, ndjson.len().div_ceil(model_workers));
-    let static_makespan = shards
-        .iter()
-        .map(|s| {
-            let mut state = fold.init();
-            let t = Instant::now();
-            for (i, line) in s.text.lines().enumerate() {
-                fold.feed(&mut state, line, s.first_line + i);
-            }
-            t.elapsed()
-        })
-        .max()
-        .unwrap_or_default();
+    let static_makespan = shards.iter().map(cost_of).max().unwrap_or_default();
     let mut finish = vec![Duration::ZERO; model_workers];
     for cost in &costs {
         let earliest = finish

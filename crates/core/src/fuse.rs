@@ -150,11 +150,7 @@ fn normalize_union(mut members: Vec<JType>) -> JType {
 /// label set, then by count for stability.
 fn member_order(a: &JType, b: &JType) -> std::cmp::Ordering {
     a.rank().cmp(&b.rank()).then_with(|| match (a, b) {
-        (JType::Record(x), JType::Record(y)) => {
-            let xs: Vec<&str> = x.labels().collect();
-            let ys: Vec<&str> = y.labels().collect();
-            xs.cmp(&ys)
-        }
+        (JType::Record(x), JType::Record(y)) => x.labels().cmp(y.labels()),
         _ => std::cmp::Ordering::Equal,
     })
 }
@@ -264,6 +260,36 @@ mod tests {
             Equivalence::Kind,
         );
         assert_eq!(u1, u2);
+    }
+
+    #[test]
+    fn record_members_order_like_their_collected_label_lists() {
+        let rec = |v| t(v, Equivalence::Label);
+        let members = [
+            rec(json!({})),
+            rec(json!({"a": 1})),
+            rec(json!({"a": 1, "b": 1})),
+            rec(json!({"a": 1, "c": 1})),
+            rec(json!({"ab": 1})),
+            rec(json!({"b": 1})),
+            JType::Int { count: 1 },
+            t(json!([1]), Equivalence::Label),
+        ];
+        let collected = |a: &JType, b: &JType| {
+            a.rank().cmp(&b.rank()).then_with(|| match (a, b) {
+                (JType::Record(x), JType::Record(y)) => {
+                    let xs: Vec<&str> = x.labels().collect();
+                    let ys: Vec<&str> = y.labels().collect();
+                    xs.cmp(&ys)
+                }
+                _ => std::cmp::Ordering::Equal,
+            })
+        };
+        for a in &members {
+            for b in &members {
+                assert_eq!(member_order(a, b), collected(a, b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -40,6 +40,7 @@
 //! assert_eq!(rendered, "{id: (Int + Str), name?: Str}");
 //! ```
 
+pub mod accumulate;
 pub mod equiv;
 pub mod export;
 pub mod fuse;
@@ -51,6 +52,7 @@ pub mod simplify;
 pub mod type_parser;
 pub mod types;
 
+pub use accumulate::{ScalarKind, TypeAccumulator};
 pub use equiv::Equivalence;
 pub use export::to_json_schema;
 pub use fuse::{fuse, fuse_all};

@@ -77,12 +77,12 @@ pub struct ArrayType {
 }
 
 impl RecordType {
-    /// Field lookup by name.
+    /// Field lookup by name (a binary search: `fields` is sorted).
     pub fn field(&self, name: &str) -> Option<&FieldType> {
         self.fields
-            .iter()
-            .find(|(n, _)| &**n == name)
-            .map(|(_, f)| f)
+            .binary_search_by(|(n, _)| (**n).cmp(name))
+            .ok()
+            .map(|at| &self.fields[at].1)
     }
 
     /// Field names in sorted order.
@@ -305,6 +305,37 @@ mod tests {
         assert!(at.admits(&json!([1, "a", 2])));
         assert!(at.admits(&json!([])));
         assert!(!at.admits(&json!([true])));
+    }
+
+    #[test]
+    fn field_lookup_matches_a_linear_scan() {
+        let names = ["", "a", "a b", "aa", "b", "id", "z\u{e9}"];
+        let rt = RecordType {
+            fields: names
+                .iter()
+                .enumerate()
+                .map(|(i, n)| {
+                    let presence = i as u64 + 1;
+                    (
+                        (*n).into(),
+                        FieldType {
+                            ty: str_t(1),
+                            presence,
+                        },
+                    )
+                })
+                .collect(),
+            count: 9,
+        };
+        let linear = |name: &str| rt.fields.iter().find(|(n, _)| &**n == name).map(|(_, f)| f);
+        for probe in names.iter().chain(&["0", "a ", "ab", "c", "zz", "\u{e9}"]) {
+            assert_eq!(rt.field(probe), linear(probe), "{probe:?}");
+        }
+        let empty = RecordType {
+            fields: vec![],
+            count: 0,
+        };
+        assert_eq!(empty.field("a"), None);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 
 use jsonx_core::{
     fuse, fuse_all, infer_collection, infer_collection_parallel, infer_value, parse_type,
-    print_type, to_json_schema, Equivalence, JType, ParallelOptions, PrintOptions,
+    print_type, to_json_schema, Equivalence, JType, ParallelOptions, PrintOptions, ScalarKind,
+    TypeAccumulator,
 };
 use jsonx_data::{Number, Object, Value};
 use proptest::prelude::*;
@@ -29,8 +30,111 @@ fn arb_equiv() -> impl Strategy<Value = Equivalence> {
     prop_oneof![Just(Equivalence::Kind), Just(Equivalence::Label)]
 }
 
+/// Walks `value` into `acc` the way a decoder's events would, giving up
+/// once `budget` events have been delivered (an abandoned decode).
+fn feed(acc: &mut TypeAccumulator, value: &Value, budget: &mut usize) {
+    if *budget == 0 {
+        return;
+    }
+    *budget -= 1;
+    match value {
+        Value::Null => acc.scalar(ScalarKind::Null),
+        Value::Bool(_) => acc.scalar(ScalarKind::Bool),
+        Value::Num(n) if n.is_integer() => acc.scalar(ScalarKind::Int),
+        Value::Num(_) => acc.scalar(ScalarKind::Float),
+        Value::Str(_) => acc.scalar(ScalarKind::Str),
+        Value::Arr(items) => {
+            acc.start_array();
+            items.iter().for_each(|item| feed(acc, item, budget));
+            if *budget > 0 {
+                acc.end_array();
+            }
+        }
+        Value::Obj(obj) => {
+            acc.start_object();
+            for (key, member) in obj.iter() {
+                if *budget > 0 {
+                    *budget -= 1;
+                    acc.key(key);
+                    feed(acc, member, budget);
+                }
+            }
+            if *budget > 0 {
+                acc.end_object();
+            }
+        }
+    }
+}
+
+/// No member, field or array of `ty` counts nothing, and `Bottom` only
+/// ever stands for "no elements".
+fn counts_something_everywhere(ty: &JType) -> bool {
+    match ty {
+        JType::Bottom => false,
+        JType::Record(r) => {
+            r.count > 0
+                && r.fields
+                    .iter()
+                    .all(|(_, f)| f.presence > 0 && counts_something_everywhere(&f.ty))
+        }
+        JType::Array(a) => {
+            a.count > 0
+                && match &*a.item {
+                    JType::Bottom => a.total_items == 0,
+                    item => a.total_items > 0 && counts_something_everywhere(item),
+                }
+        }
+        JType::Union(members) => {
+            members.len() > 1 && members.iter().all(counts_something_everywhere)
+        }
+        scalar => scalar.count() > 0,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The in-place law: one accumulator, re-used across collections, any
+    /// chunking with a `take` between chunks, any number of abandoned
+    /// documents in between — every taken type is the map-then-fuse type
+    /// of exactly the documents committed since the previous `take`.
+    #[test]
+    fn accumulator_equals_map_then_fuse(
+        collections in prop::collection::vec(
+            prop::collection::vec((arb_value(), any::<bool>(), 0usize..48), 0..10),
+            1..4,
+        )
+    ) {
+        let kind = Equivalence::Kind;
+        let mut acc = TypeAccumulator::new();
+        for docs in &collections {
+            let mut chunk = Vec::new();
+            let mut taken = Vec::new();
+            for (doc, take_after, abandon_after) in docs {
+                // The decoder rejects a look-alike after some events: a
+                // rolled-back record changes nothing.
+                let (mut some, mut all) = (*abandon_after, usize::MAX);
+                feed(&mut acc, doc, &mut some);
+                acc.rollback();
+                feed(&mut acc, doc, &mut all);
+                prop_assert!(acc.commit());
+                chunk.push(infer_value(doc, kind));
+                if *take_after {
+                    let ty = acc.take();
+                    prop_assert!(counts_something_everywhere(&ty), "{:?}", ty);
+                    prop_assert_eq!(&ty, &fuse_all(std::mem::take(&mut chunk), kind));
+                    taken.push(ty);
+                }
+            }
+            let last = acc.take();
+            prop_assert!(last == JType::Bottom || counts_something_everywhere(&last), "{:?}", last);
+            prop_assert_eq!(&last, &fuse_all(chunk, kind));
+            taken.push(last);
+            let all = docs.iter().map(|(doc, ..)| doc.clone()).collect::<Vec<_>>();
+            prop_assert_eq!(fuse_all(taken, kind), infer_collection(&all, kind));
+            prop_assert_eq!(acc.take(), JType::Bottom);
+        }
+    }
 
     #[test]
     fn fusion_is_commutative(a in arb_value(), b in arb_value(), e in arb_equiv()) {

@@ -862,26 +862,33 @@ fn finish_run(opts: &Opts, report: &RunReport) -> Result<String, CliError> {
             t.bytes_per_sec() / 1e6,
         );
     }
-    // Only a timed translation fills these in.
-    let routes = &report.routes;
-    if routes.fast > 0 || !routes.replayed.is_empty() {
-        let reasons: Vec<String> = routes
-            .replayed
-            .iter()
-            .map(|(why, n)| format!("{n} {why}"))
-            .collect();
-        eprintln!(
-            "» {} records shredded from events, {} replayed through the parser{}",
-            routes.fast,
-            routes.replayed.values().sum::<u64>(),
-            if reasons.is_empty() {
-                String::new()
-            } else {
-                format!(" ({})", reasons.join(", "))
-            },
-        );
-    }
     Ok(format!(", {} rejected", report.errors.total))
+}
+
+/// The `--report-timing` account of a stage that speculates per record
+/// (nothing is printed for an untimed run, whose report has no routes):
+/// how many records took the fast route — `took`, e.g. "typed in place" —
+/// and how many were replayed through `slow`, by reason.
+fn print_routes(report: &RunReport, took: &str, slow: &str) {
+    let routes = &report.routes;
+    if routes.fast == 0 && routes.replayed.is_empty() {
+        return;
+    }
+    let reasons: Vec<String> = routes
+        .replayed
+        .iter()
+        .map(|(why, n)| format!("{n} {why}"))
+        .collect();
+    eprintln!(
+        "» {} records {took}, {} replayed through {slow}{}",
+        routes.fast,
+        routes.replayed.values().sum::<u64>(),
+        if reasons.is_empty() {
+            String::new()
+        } else {
+            format!(" ({})", reasons.join(", "))
+        },
+    );
 }
 
 /// Loads the whole corpus into memory — the in-memory path shared by
@@ -1110,6 +1117,7 @@ fn cmd_infer(opts: &Opts) -> Result<(), CliError> {
             .infer_validate(corpus.source(), equiv, &schema, vopts)
             .map_err(stream_err)?;
         let suffix = finish_run(opts, &report)?;
+        print_routes(&report, "typed in place", "the typer");
         let invalid = print_invalid(&verdicts, corpus.ndjson(csv), &schema, vopts)?;
         print_inferred_type(opts, &ty)?;
         eprintln!(
@@ -1125,6 +1133,7 @@ fn cmd_infer(opts: &Opts) -> Result<(), CliError> {
     let mut corpus = open_corpus(opts, &mut run, csv)?;
     let (ty, report) = run.infer(corpus.source(), equiv).map_err(stream_err)?;
     let suffix = finish_run(opts, &report)?;
+    print_routes(&report, "typed in place", "the typer");
     print_inferred_type(opts, &ty)?;
     eprintln!(
         "» {} documents ({}), equivalence {}, type size {} nodes{suffix}",
@@ -1316,6 +1325,7 @@ fn cmd_translate(opts: &Opts) -> Result<(), CliError> {
         .translate_inferred(corpus.source(), Equivalence::Kind)
         .map_err(stream_err)?;
     let suffix = finish_run(opts, &report)?;
+    print_routes(&report, "shredded from events", "the parser");
     let out = sink.consume_batch(&batch)?;
     println!("{}", out.body);
     eprintln!("» {} ({}){suffix}", out.summary, mode(csv));

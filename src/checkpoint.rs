@@ -40,7 +40,7 @@
 //! committed [`Prefix`] before the engine call and supply its commit
 //! sink during it.
 
-use crate::streaming::{LineVerdict, ShardYield, Shredded, StreamError};
+use crate::streaming::{LineVerdict, ShardYield, Shredded, StreamError, TypeRoutes, Typed};
 use jsonx_core::{parse_type, print_type, JType, PrintOptions};
 use jsonx_data::{Number, Object, Value};
 use jsonx_pipeline::{
@@ -241,13 +241,14 @@ pub(crate) struct OutCodec<T> {
     decode: fn(&Value) -> Option<T>,
 }
 
-pub(crate) fn infer_codec() -> OutCodec<JType> {
+pub(crate) fn infer_codec() -> OutCodec<Typed> {
     OutCodec {
         // The counting printer/parser round-trip is exact (pinned by
         // `counting_round_trip_exact`), so the journaled prefix fuses to
-        // the same type the live run computed.
-        encode: |ty| Some(s(print_type(ty, PrintOptions::with_counts()))),
-        decode: |v| parse_type(v.as_str()?).ok(),
+        // the same type the live run computed. Like translation's, the
+        // routing counts describe work and are not journaled.
+        encode: |(ty, _)| Some(s(print_type(ty, PrintOptions::with_counts()))),
+        decode: |v| Some((parse_type(v.as_str()?).ok()?, TypeRoutes::default())),
     }
 }
 
@@ -902,6 +903,59 @@ mod tests {
                 .unwrap();
             assert_eq!(write_jxc(&batch), golden_jxc, "cut at {cut}");
             assert_eq!(report.records, 11, "cut at {cut}");
+            assert_eq!(std::fs::read(&journal).unwrap(), golden, "cut at {cut}");
+        }
+    }
+
+    /// `tests/fixtures/golden_infer.journal` was written by the commit
+    /// before inference counted records in place, from
+    /// `tests/fixtures/golden_infer.ndjson` (duplicate keys, rejected
+    /// lines, top-level scalars) under `--on-error skip` at `chunk_bytes`
+    /// 256. Frozen in both directions like the translation journal above.
+    #[test]
+    fn parent_written_infer_journal_is_reproduced_and_resumes() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let input = root.join("tests/fixtures/golden_infer.ndjson");
+        let golden = std::fs::read(root.join("tests/fixtures/golden_infer.journal")).unwrap();
+        let dir = TempDir::new("golden-infer-journal");
+        let journal = dir.path("run.journal");
+        let plain = Run {
+            workers: 2,
+            chunk_bytes: 256,
+            fault: FaultOptions {
+                policy: ErrorPolicy::Skip { max_errors: None },
+                ..FaultOptions::default()
+            },
+            ..Run::default()
+        };
+
+        let (want_ty, want_report) = plain
+            .infer(Source::file(&input), Equivalence::Kind)
+            .unwrap();
+        assert_eq!((want_report.records, want_report.errors.total), (16, 2));
+        let (ty, _) = journaled(&plain, JournalControl::new(&journal))
+            .infer(Source::file(&input), Equivalence::Kind)
+            .unwrap();
+        assert_eq!(ty, want_ty);
+        assert_eq!(std::fs::read(&journal).unwrap(), golden);
+
+        // A header and three chunks: cut after each record in turn, and
+        // mid-record.
+        let record_ends: Vec<usize> = golden
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| **b == b'\n')
+            .map(|(i, _)| i + 1)
+            .collect();
+        assert_eq!(record_ends.len(), 4);
+        for cut in record_ends.iter().flat_map(|end| [*end, end - 40]) {
+            std::fs::write(&journal, &golden[..cut]).unwrap();
+            let (ty, report) = journaled(&plain, resume(&journal))
+                .infer(Source::file(&input), Equivalence::Kind)
+                .unwrap();
+            assert_eq!(ty, want_ty, "cut at {cut}");
+            assert_eq!(report.records, want_report.records, "cut at {cut}");
+            assert_eq!(report.errors, want_report.errors, "cut at {cut}");
             assert_eq!(std::fs::read(&journal).unwrap(), golden, "cut at {cut}");
         }
     }

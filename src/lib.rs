@@ -75,5 +75,5 @@ pub use quarantine::{write_quarantine, write_quarantine_file};
 pub use run::{Format, Run, Source};
 pub use streaming::{
     infer_document_events, FaultOptions, LineVerdict, RecordIssue, StreamError, StreamTyper,
-    TypedVerdicts,
+    TypeFold, TypeRoutes, TypedVerdicts,
 };

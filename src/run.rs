@@ -32,8 +32,9 @@ use crate::checkpoint::{
 };
 use crate::fastpath::{FastJsonDecoder, FastPlan};
 use crate::streaming::{
-    FaultFold, FaultOptions, Halt, InferStage, InferValidateStage, LineVerdict, RecordStage,
-    Shredded, StreamError, TranslateStage, TypedVerdicts, ValidateStage,
+    replay_reason, FaultFold, FaultOptions, Halt, InferStage, InferValidateStage, LineVerdict,
+    RecordStage, Shredded, StreamError, TranslateStage, TypeRoutes, Typed, TypedVerdicts,
+    ValidateStage,
 };
 use jsonx_core::{Equivalence, JType};
 use jsonx_pipeline::{
@@ -220,7 +221,7 @@ impl Run<'_> {
     ) -> Result<(TypedVerdicts, RunReport), StreamError> {
         self.refuse_journal("the combined infer+validate pass (journal one pass at a time)")?;
         let limits = self.fault.limits;
-        match &self.format {
+        let (((ty, routes), verdicts), mut report) = match &self.format {
             Format::Ndjson => {
                 let stage = InferValidateStage {
                     equiv,
@@ -228,7 +229,7 @@ impl Run<'_> {
                     options,
                     decoder: JsonDecoder::new().with_limits(limits),
                 };
-                self.execute(source, &stage, None)
+                self.execute(source, &stage, None)?
             }
             Format::Csv(decoder) => {
                 let stage = InferValidateStage {
@@ -237,9 +238,11 @@ impl Run<'_> {
                     options,
                     decoder: decoder.clone().with_limits(limits),
                 };
-                self.execute(source, &stage, None)
+                self.execute(source, &stage, None)?
             }
-        }
+        };
+        self.report_typing(&mut report, routes, equiv);
+        Ok(((ty, verdicts), report))
     }
 
     /// Shreds every record into one columnar batch under `shredder`'s
@@ -321,18 +324,33 @@ impl Run<'_> {
         &self,
         source: Source<'_, R>,
         equiv: Equivalence,
-        journal: Option<Phase<'_, '_, JType>>,
+        journal: Option<Phase<'_, '_, Typed>>,
     ) -> Result<(JType, RunReport), StreamError> {
         let limits = self.fault.limits;
-        match &self.format {
+        let ((ty, routes), mut report) = match &self.format {
             Format::Ndjson => {
                 let decoder = JsonDecoder::new().with_limits(limits);
-                self.execute(source, &InferStage { equiv, decoder }, journal)
+                self.execute(source, &InferStage { equiv, decoder }, journal)?
             }
             Format::Csv(decoder) => {
                 let decoder = decoder.clone().with_limits(limits);
-                self.execute(source, &InferStage { equiv, decoder }, journal)
+                self.execute(source, &InferStage { equiv, decoder }, journal)?
             }
+        };
+        self.report_typing(&mut report, routes, equiv);
+        Ok((ty, report))
+    }
+
+    /// Fills a timed report's route account from an inference pass.
+    fn report_typing(&self, report: &mut RunReport, routes: TypeRoutes, equiv: Equivalence) {
+        if self.timing {
+            report.routes = RouteCounts {
+                fast: routes.in_place,
+                replayed: (routes.replayed > 0)
+                    .then(|| (replay_reason(equiv), routes.replayed))
+                    .into_iter()
+                    .collect(),
+            };
         }
     }
 

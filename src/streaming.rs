@@ -13,16 +13,18 @@
 //! tolerance and out-of-core layers never assume JSON. They differ only
 //! in their per-worker state and merge:
 //!
-//! * inference — a [`StreamTyper`] per worker, types fused with the §4.1
-//!   monoid (commutative + associative, `Bottom` unit), so every worker
-//!   count reproduces the sequential — and DOM — result bit for bit.
+//! * inference — a [`TypeFold`] per worker: under `Kind` a counting type
+//!   that each record's events update in place, verified per record;
+//!   chunk types fused with the §4.1 monoid (commutative + associative,
+//!   `Bottom` unit), so every worker count reproduces the sequential —
+//!   and DOM — result bit for bit.
 //! * validation — a compiled fail-fast
 //!   [`FastValidator`](jsonx_schema::FastValidator) per worker, per-line
 //!   verdict vectors concatenated in chunk order.
 //! * combined infer+validate — the single pass: **one tokenisation** per
-//!   line feeds both the typer and the validator
-//!   ([`StreamTyper::type_and_build_decoded`] builds the DOM value for
-//!   the validator from the same event walk that types the line).
+//!   line feeds both the type fold and the validator
+//!   ([`TypeFold::record_and_build`] builds the DOM value for the
+//!   validator from the same event walk that types the line).
 //! * translation — §5's schema-driven translation: per-chunk Arrow-like
 //!   columnar batches ([`ShredStream`](jsonx_translate::ShredStream)),
 //!   shredded straight from each record's events (no DOM; a verified
@@ -32,20 +34,26 @@
 //!
 //! The massive-collection setting of §4.1 is exactly where building a
 //! [`Value`](jsonx_data::Value) per document hurts: the map step only
-//! needs the *types*. The inference stage fuses each document's type
+//! needs the *types* — and, once the collection's shape is known, only
+//! their *counters*. Under `Kind` the inference stage therefore builds no
+//! per-document type at all: events increment a
+//! [`TypeAccumulator`] (a mutable trie with the shape of the fused type,
+//! keys resolved by guessing last time's order, no allocation once a shape
+//! has been seen), every increment logged so that a record the decoder
+//! rejects — or one with a duplicate key, which only the DOM's last-wins
+//! rule can type — is taken back. The latter, and every record under
+//! `Label`, go through [`StreamTyper`], which fuses a document's type
 //! directly from [`RawEventParser`] events, with memory bounded by
-//! document depth rather than document size. Three things keep the
-//! per-document allocation budget near zero:
+//! document depth rather than document size:
 //!
 //! - events borrow escape-free keys and strings from the input
 //!   ([`RawEvent`]'s `Cow` payloads), so scalar strings never allocate —
 //!   typing only needs their *kind*;
 //! - field names are interned per [`StreamTyper`]: a repeated key costs an
 //!   `Arc` refcount bump instead of a fresh `String`;
-//! - the container frame stack is reused across documents, so steady-state
-//!   typing of uniform documents performs no stack (re)allocation at all.
+//! - the container frame stack is reused across documents.
 
-use jsonx_core::{fuse, Equivalence, JType};
+use jsonx_core::{fuse, infer_value, Equivalence, JType, ScalarKind, TypeAccumulator};
 use jsonx_core::{ArrayType, FieldName, FieldType, RecordType};
 use jsonx_data::Value;
 use jsonx_pipeline::{ErrorPolicy, ErrorSummary, RecordDiagnostic, ShardFold, ShardPanic};
@@ -638,8 +646,166 @@ impl<'s, S: RecordStage> ShardFold<str> for FaultFold<'s, S> {
 // Inference stage
 // ---------------------------------------------------------------------------
 
-/// The inference stage: one [`StreamTyper`] per worker, types fused with
-/// the §4.1 monoid. Generic over the [`RecordDecoder`], so the same
+/// A [`TypeAccumulator`] as an [`EventReceiver`]: every event lands as a
+/// counter increment in the worker's accumulated type.
+struct InPlace<'a>(&'a mut TypeAccumulator);
+
+impl EventReceiver for InPlace<'_> {
+    #[inline]
+    fn event(&mut self, ev: &RawEvent<'_>) {
+        match ev {
+            RawEvent::StartObject => self.0.start_object(),
+            RawEvent::EndObject => self.0.end_object(),
+            RawEvent::StartArray => self.0.start_array(),
+            RawEvent::EndArray => self.0.end_array(),
+            RawEvent::Key(k) => self.0.key(k),
+            RawEvent::Null => self.0.scalar(ScalarKind::Null),
+            RawEvent::Bool(_) => self.0.scalar(ScalarKind::Bool),
+            RawEvent::Num(n) if n.is_integer() => self.0.scalar(ScalarKind::Int),
+            RawEvent::Num(_) => self.0.scalar(ScalarKind::Float),
+            RawEvent::Str(_) => self.0.scalar(ScalarKind::Str),
+        }
+    }
+}
+
+/// How a chunk's accepted records were typed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TypeRoutes {
+    /// Counted in place by the event walk.
+    pub in_place: u64,
+    /// Typed on their own and fused in: under `Kind` for a key repeated
+    /// inside one object, under `Label` every record.
+    pub replayed: u64,
+}
+
+/// Why an inference pass under `equiv` replays a record. One reason per
+/// equivalence: under `Label` the union member a record joins is known
+/// only once its last key has arrived, so no record is typed in place;
+/// under `Kind` only a key repeated inside one object sends a record back.
+pub(crate) fn replay_reason(equiv: Equivalence) -> &'static str {
+    match equiv {
+        Equivalence::Kind => "duplicate-key",
+        Equivalence::Label => "label-equivalence",
+    }
+}
+
+/// What a chunk of inference yields: its type, and how it got there.
+pub(crate) type Typed = (JType, TypeRoutes);
+
+/// One worker's collection type in the making — the only way a stage
+/// here accumulates one. Under [`Equivalence::Kind`] records are counted
+/// **in place**: their events walk a [`TypeAccumulator`], verified per
+/// record — one the decoder rejects is taken back and rejected, one the
+/// walk cannot vouch for (a duplicate key) is taken back and replayed
+/// through the [`StreamTyper`] route into `replayed`. Under
+/// [`Equivalence::Label`] every record takes that route. [`take`] fuses
+/// the two parts, so `fuse` runs per chunk and per replayed record.
+///
+/// [`take`]: TypeFold::take
+pub struct TypeFold {
+    equiv: Equivalence,
+    in_place: TypeAccumulator,
+    typer: StreamTyper,
+    replayed: JType,
+    routes: TypeRoutes,
+}
+
+impl TypeFold {
+    /// A fold that has typed nothing ([`JType::Bottom`]).
+    pub fn new(equiv: Equivalence) -> Self {
+        TypeFold {
+            equiv,
+            in_place: TypeAccumulator::new(),
+            typer: StreamTyper::new(equiv),
+            replayed: JType::Bottom,
+            routes: TypeRoutes::default(),
+        }
+    }
+
+    /// Types one record into the fold; a rejected record leaves no trace.
+    pub fn record<D: RecordDecoder>(
+        &mut self,
+        decoder: &D,
+        scratch: &mut D::Scratch,
+        line: &str,
+    ) -> Result<(), ParseError> {
+        if self.equiv == Equivalence::Kind {
+            let decoded = decoder.decode_events(scratch, line, &mut InPlace(&mut self.in_place));
+            if self.settle(decoded)? {
+                return Ok(());
+            }
+        }
+        let ty = self.typer.type_decoded(decoder, scratch, line)?;
+        self.fuse_replayed(ty);
+        Ok(())
+    }
+
+    /// [`record`](Self::record), also rebuilding the record's DOM from
+    /// the same decode.
+    pub fn record_and_build<D: RecordDecoder>(
+        &mut self,
+        decoder: &D,
+        scratch: &mut D::Scratch,
+        line: &str,
+    ) -> Result<Value, ParseError> {
+        if self.equiv != Equivalence::Kind {
+            let (ty, doc) = self.typer.type_and_build_decoded(decoder, scratch, line)?;
+            self.fuse_replayed(ty);
+            return Ok(doc);
+        }
+        let mut builder = ValueBuilder::new();
+        let mut walk = InPlace(&mut self.in_place);
+        let decoded = decoder.decode_events(scratch, line, &mut Tee(&mut builder, &mut walk));
+        let counted = self.settle(decoded)?;
+        let doc = builder.take();
+        if !counted {
+            self.fuse_replayed(infer_value(&doc, self.equiv));
+        }
+        Ok(doc)
+    }
+
+    /// Settles the in-place walk of one record: counted (`true`), taken
+    /// back for replay (`false`), or — the decoder rejected it after any
+    /// number of events — taken back and rejected.
+    fn settle(&mut self, decoded: Result<(), ParseError>) -> Result<bool, ParseError> {
+        if let Err(e) = decoded {
+            self.in_place.rollback();
+            return Err(e);
+        }
+        let counted = self.in_place.commit();
+        self.routes.in_place += u64::from(counted);
+        Ok(counted)
+    }
+
+    fn fuse_replayed(&mut self, ty: JType) {
+        let current = std::mem::replace(&mut self.replayed, JType::Bottom);
+        self.replayed = fuse(current, ty, self.equiv);
+        self.routes.replayed += 1;
+    }
+
+    /// The type of every record accepted since the last `take`, and how
+    /// they were routed; counting restarts from zero while the learnt
+    /// structure, names, frame stacks and interner survive.
+    pub fn take(&mut self) -> (JType, TypeRoutes) {
+        let replayed = std::mem::replace(&mut self.replayed, JType::Bottom);
+        (
+            fuse(self.in_place.take(), replayed, self.equiv),
+            std::mem::take(&mut self.routes),
+        )
+    }
+}
+
+/// Fuses two chunks' [`Typed`] outputs.
+fn merge_typed((lty, lroutes): Typed, (rty, rroutes): Typed, equiv: Equivalence) -> Typed {
+    let routes = TypeRoutes {
+        in_place: lroutes.in_place + rroutes.in_place,
+        replayed: lroutes.replayed + rroutes.replayed,
+    };
+    (fuse(lty, rty, equiv), routes)
+}
+
+/// The inference stage: one [`TypeFold`] per worker, chunk types fused
+/// with the §4.1 monoid. Generic over the [`RecordDecoder`], so the same
 /// stage types NDJSON, CSV, or any future source.
 pub(crate) struct InferStage<D> {
     pub(crate) equiv: Equivalence,
@@ -647,43 +813,33 @@ pub(crate) struct InferStage<D> {
 }
 
 impl<D: RecordDecoder> RecordStage for InferStage<D> {
-    type State = (StreamTyper, D::Scratch, JType);
-    type Out = JType;
+    type State = (TypeFold, D::Scratch);
+    type Out = Typed;
 
     fn init(&self) -> Self::State {
-        (
-            StreamTyper::new(self.equiv),
-            self.decoder.scratch(),
-            JType::Bottom,
-        )
+        (TypeFold::new(self.equiv), self.decoder.scratch())
     }
 
     fn record(
         &self,
-        (typer, scratch, acc): &mut Self::State,
+        (fold, scratch): &mut Self::State,
         line: &str,
         _record: usize,
     ) -> Result<(), RecordIssue> {
-        let ty = typer
-            .type_decoded(&self.decoder, scratch, line)
-            .map_err(RecordIssue::Parse)?;
-        let current = std::mem::replace(acc, JType::Bottom);
-        *acc = fuse(current, ty, self.equiv);
-        Ok(())
+        fold.record(&self.decoder, scratch, line)
+            .map_err(RecordIssue::Parse)
     }
 
-    fn finish(&self, (_, _, acc): Self::State) -> JType {
-        acc
+    fn finish(&self, (mut fold, _): Self::State) -> Typed {
+        fold.take()
     }
 
-    fn merge(&self, left: JType, right: JType) -> JType {
-        fuse(left, right, self.equiv)
+    fn merge(&self, left: Typed, right: Typed) -> Typed {
+        merge_typed(left, right, self.equiv)
     }
 
-    fn take(&self, (_, _, acc): &mut Self::State) -> JType {
-        // The typer (frame stack + interner) and decoder scratch survive
-        // across chunks; only the fused accumulator is the chunk's output.
-        std::mem::replace(acc, JType::Bottom)
+    fn take(&self, (fold, _): &mut Self::State) -> Typed {
+        fold.take()
     }
 }
 
@@ -790,8 +946,8 @@ impl<'s, D: RecordDecoder> RecordStage for ValidateStage<'s, D> {
 // ---------------------------------------------------------------------------
 
 /// The combined single-pass stage: one decode per accepted record feeds
-/// both the typer and the compiled validator
-/// ([`StreamTyper::type_and_build_decoded`]), for half the tokenisation
+/// both the type fold and the compiled validator
+/// ([`TypeFold::record_and_build`]), for half the tokenisation
 /// work of running the two passes back to back — with the type and the
 /// verdicts each equal to what the separate stages produce (pinned by
 /// `tests/pipeline_equivalence.rs`). Rejected records appear in neither.
@@ -804,35 +960,31 @@ pub(crate) struct InferValidateStage<'s, D: RecordDecoder> {
 
 impl<'s, D: RecordDecoder> RecordStage for InferValidateStage<'s, D> {
     type State = (
-        StreamTyper,
+        TypeFold,
         FastValidator<'s>,
         D::Scratch,
-        JType,
         Vec<(usize, LineVerdict)>,
     );
-    type Out = (JType, Vec<(usize, LineVerdict)>);
+    type Out = (Typed, Vec<(usize, LineVerdict)>);
 
     fn init(&self) -> Self::State {
         (
-            StreamTyper::new(self.equiv),
+            TypeFold::new(self.equiv),
             self.schema.fast_validator_with(self.options),
             self.decoder.scratch(),
-            JType::Bottom,
             Vec::new(),
         )
     }
 
     fn record(
         &self,
-        (typer, validator, scratch, acc, verdicts): &mut Self::State,
+        (fold, validator, scratch, verdicts): &mut Self::State,
         line: &str,
         record: usize,
     ) -> Result<(), RecordIssue> {
-        let (ty, doc) = typer
-            .type_and_build_decoded(&self.decoder, scratch, line)
+        let doc = fold
+            .record_and_build(&self.decoder, scratch, line)
             .map_err(RecordIssue::Parse)?;
-        let current = std::mem::replace(acc, JType::Bottom);
-        *acc = fuse(current, ty, self.equiv);
         let verdict = if validator.is_valid(&doc) {
             LineVerdict::Valid
         } else {
@@ -842,22 +994,19 @@ impl<'s, D: RecordDecoder> RecordStage for InferValidateStage<'s, D> {
         Ok(())
     }
 
-    fn finish(&self, (_, _, _, acc, verdicts): Self::State) -> Self::Out {
-        (acc, verdicts)
+    fn finish(&self, mut state: Self::State) -> Self::Out {
+        self.take(&mut state)
     }
 
     fn merge(&self, left: Self::Out, right: Self::Out) -> Self::Out {
-        let (lty, mut lverdicts) = left;
-        let (rty, rverdicts) = right;
+        let (ltyped, mut lverdicts) = left;
+        let (rtyped, rverdicts) = right;
         lverdicts.extend(rverdicts);
-        (fuse(lty, rty, self.equiv), lverdicts)
+        (merge_typed(ltyped, rtyped, self.equiv), lverdicts)
     }
 
-    fn take(&self, (_, _, _, acc, verdicts): &mut Self::State) -> Self::Out {
-        (
-            std::mem::replace(acc, JType::Bottom),
-            std::mem::take(verdicts),
-        )
+    fn take(&self, (fold, _, _, verdicts): &mut Self::State) -> Self::Out {
+        (fold.take(), std::mem::take(verdicts))
     }
 }
 

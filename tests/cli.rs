@@ -77,6 +77,34 @@ fn infer_streaming_matches_dom() {
 }
 
 #[test]
+fn report_timing_accounts_for_how_records_were_typed() {
+    let corpus = format!("{SAMPLE}{{\"id\":4,\"id\":\"twice\"}}\n{{broken\n");
+    let tolerant = ["infer", "--workers", "2", "--on-error", "skip", "-"];
+    let (plain_out, plain_err, ok) = run(&tolerant, &corpus);
+    assert!(ok, "stderr: {plain_err}");
+    assert!(!plain_err.contains("typed in place"), "{plain_err}");
+
+    let timed = [&tolerant[..], &["--report-timing"]].concat();
+    let (out, err, ok) = run(&timed, &corpus);
+    assert!(ok, "stderr: {err}");
+    assert_eq!(out, plain_out);
+    assert!(
+        err.contains("» 3 records typed in place, 1 replayed through the typer (1 duplicate-key)"),
+        "{err}"
+    );
+
+    let label = [&timed[..], &["--equiv", "L"]].concat();
+    let (_, err, ok) = run(&label, &corpus);
+    assert!(ok, "stderr: {err}");
+    assert!(
+        err.contains(
+            "» 0 records typed in place, 4 replayed through the typer (4 label-equivalence)"
+        ),
+        "{err}"
+    );
+}
+
+#[test]
 fn infer_schema_then_validate_roundtrip() {
     let (schema, _, ok) = run(&["infer", "--schema", "-"], SAMPLE);
     assert!(ok);
