@@ -22,9 +22,8 @@ use jsonx_core::{
 };
 use jsonx_data::Value;
 use jsonx_gen::{Corpus, DialedGenerator, GeneratorConfig};
-use jsonx_mison::bitmap;
 use jsonx_mison::{PatternTree, StructuralIndex};
-use jsonx_syntax::to_string;
+use jsonx_syntax::{structural, to_string};
 
 fn union_width_ablation() {
     println!("\n-- union-width bounding (L type of a 12-shape corpus) --");
@@ -136,14 +135,14 @@ fn bitmap_construction_ablation(c: &mut Criterion) {
     group.bench_function("word_parallel", |b| {
         b.iter(|| {
             for line in &lines {
-                black_box(bitmap::build(line.as_bytes()));
+                black_box(structural::build(line.as_bytes()));
             }
         })
     });
     group.bench_function("scalar_reference", |b| {
         b.iter(|| {
             for line in &lines {
-                black_box(bitmap::build_scalar(line.as_bytes()));
+                black_box(structural::build_scalar(line.as_bytes()));
             }
         })
     });

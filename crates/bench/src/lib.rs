@@ -1,7 +1,9 @@
 //! # jsonx-bench
 //!
-//! The benchmark harness: one Criterion target per experiment in
-//! `EXPERIMENTS.md` (E1–E12). Each bench first prints the table or series
+//! The benchmark harness for the tutorial's surveyed claims: one
+//! Criterion target per experiment in `EXPERIMENTS.md` (E1–E13, plus the
+//! A1 ablations; the engine's own performance is measured by the
+//! `benchmark/` package `BENCHMARK.json` declares). Each bench first prints the table or series
 //! the corresponding surveyed evaluation reports (so `cargo bench` output
 //! is self-contained), then measures the hot operations with Criterion.
 //!
@@ -9,7 +11,7 @@
 //! with e.g. `cargo bench -p jsonx-bench --bench e09_mison_projection`.
 
 /// Shared Criterion configuration: short measurement windows so the full
-/// 12-experiment suite completes in minutes while staying stable enough
+/// suite completes in minutes while staying stable enough
 /// for the shape-level comparisons the experiments make.
 pub fn criterion() -> criterion::Criterion {
     criterion::Criterion::default()

@@ -1,6 +1,6 @@
 use jsonx_gen::Corpus;
-use jsonx_mison::{bitmap, ProjectedParser, StructuralIndex};
-use jsonx_syntax::{parse_bytes, to_string};
+use jsonx_mison::{ProjectedParser, StructuralIndex};
+use jsonx_syntax::{parse_bytes, structural, to_string};
 use std::time::Instant;
 
 fn main() {
@@ -17,7 +17,7 @@ fn main() {
 
     let t = Instant::now();
     for l in &lines {
-        std::hint::black_box(bitmap::build(l.as_bytes()));
+        std::hint::black_box(structural::build(l.as_bytes()));
     }
     println!("bitmaps only    {:?}", t.elapsed());
 

@@ -5,7 +5,7 @@
 //! structure is never examined, which is where projection pushdown's
 //! asymptotic win comes from.
 
-use crate::bitmap::{build, Bitmaps};
+use jsonx_syntax::structural::{build, Bitmaps};
 
 /// A structural index over one JSON document.
 #[derive(Debug, Clone)]

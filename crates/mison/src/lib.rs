@@ -7,22 +7,24 @@
 //!
 //! ## Role in the workspace
 //!
-//! This crate is the **research testbed** where the paper's pipeline is
-//! reproduced stage by stage and each stage can be measured in
-//! isolation. The *production* fast path — the fused structural scanner +
-//! projection pushdown the streaming CLI uses under `--fast-parse` —
-//! lives in [`jsonx_syntax::structural`], where stage 1 (the bitmap
-//! builder) was promoted; [`bitmap`] re-exports it so the experiments and
-//! differential tests here keep running against the same bits. The
-//! leveled index, dotted-path projection, and pattern-tree speculation
-//! stages remain here as reference implementations: the fused scanner
-//! deliberately absorbs their *ideas* (skip-scanning, verified
+//! Two roles. It is **product code**: `jsonx project --fields a,b.c`
+//! runs on [`ProjectedParser`], whose dotted paths reach into nested
+//! records — something the engine's root-field scanner in
+//! [`jsonx_syntax::structural`] cannot serve. And it is the **paper
+//! reproduction** of §4.2, where Mison's pipeline is rebuilt stage by
+//! stage so each stage can be measured in isolation (E9, E10, A1). The
+//! engine's own fast path — the fused structural scanner + projection
+//! pushdown `validate` and `translate` use unless `--no-fast-parse` is
+//! given — lives in `jsonx_syntax::structural`, where stage 1 (the
+//! bitmap builder) was promoted; the index here builds on those same
+//! bitmaps. The fused scanner deliberately absorbs the *ideas* of the
+//! leveled index and pattern-tree speculation (skip-scanning, verified
 //! speculation) rather than their code.
 //!
 //! The Mison pipeline, reproduced stage by stage:
 //!
-//! 1. **Word-parallel bitmap construction** ([`bitmap`], promoted to
-//!    `jsonx_syntax::structural`): one `u64` lane per 64 input bytes;
+//! 1. **Word-parallel bitmap construction** (promoted to
+//!    [`jsonx_syntax::structural`]): one `u64` lane per 64 input bytes;
 //!    quote/colon/comma/brace bitmaps, backslash-aware unescaped-quote
 //!    detection, and the carry-propagating prefix-XOR string mask. (The
 //!    paper uses AVX + PCLMULQDQ; the identical algorithms run here on
@@ -47,14 +49,12 @@
 //! assert!(out.get("huge").is_none()); // never parsed
 //! ```
 
-pub mod bitmap;
 pub mod encoder;
 pub mod index;
 pub mod pattern;
 pub mod project;
 pub mod speculative;
 
-pub use bitmap::Bitmaps;
 pub use encoder::{EncoderStats, SpeculativeEncoder};
 pub use index::StructuralIndex;
 pub use pattern::PatternTree;

@@ -1,8 +1,9 @@
-//! Property test: the word-parallel bitmap builder agrees bit-for-bit
+//! Property test: the word-parallel bitmap builder (`jsonx_syntax::structural`,
+//! the stage-1 input of this crate's leveled index) agrees bit-for-bit
 //! with the scalar reference implementation on arbitrary byte strings —
 //! escapes, chunk boundaries and all.
 
-use jsonx_mison::bitmap::{build, build_scalar};
+use jsonx_syntax::structural::{build, build_scalar};
 use proptest::prelude::*;
 
 fn assert_equal(input: &[u8]) {

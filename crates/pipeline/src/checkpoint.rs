@@ -82,13 +82,6 @@ impl JournalWriter {
         })
     }
 
-    /// Opens an existing journal for appending (resume).
-    pub fn append_to(path: &Path) -> std::io::Result<JournalWriter> {
-        Ok(JournalWriter {
-            file: File::options().append(true).open(path)?,
-        })
-    }
-
     /// Opens an existing journal for appending after truncating it to
     /// `valid_bytes` — the [`JournalRead::valid_bytes`] cursor — so a
     /// record torn by the previous crash is physically cut off before

@@ -65,4 +65,3 @@ pub use report::{
     ErrorPolicy, ErrorSummary, RecordDiagnostic, RouteCounts, RunReport, ShardPanic, WorkerTiming,
     DIAGNOSTIC_SAMPLES,
 };
-pub use shard::{chunk_lines, Shard};

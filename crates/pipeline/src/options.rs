@@ -42,14 +42,6 @@ pub struct PipelineOptions {
 }
 
 impl PipelineOptions {
-    /// A fixed worker count (used by the benches and the CLI).
-    pub fn with_workers(workers: usize) -> Self {
-        PipelineOptions {
-            workers,
-            ..Default::default()
-        }
-    }
-
     /// The resolved worker count (see [`resolve_workers`]).
     pub fn effective_workers(&self) -> usize {
         resolve_workers(self.workers)
@@ -112,14 +104,6 @@ impl Default for SliceOptions {
 }
 
 impl SliceOptions {
-    /// A fixed worker count (used by the scalability experiment E6).
-    pub fn with_workers(workers: usize) -> Self {
-        SliceOptions {
-            workers,
-            ..Default::default()
-        }
-    }
-
     /// The resolved worker count (see [`resolve_workers`]).
     pub fn effective_workers(&self) -> usize {
         resolve_workers(self.workers)
@@ -154,7 +138,10 @@ mod tests {
 
     #[test]
     fn small_inputs_are_sequential_unless_chunked_explicitly() {
-        let auto = PipelineOptions::with_workers(4);
+        let auto = PipelineOptions {
+            workers: 4,
+            ..PipelineOptions::default()
+        };
         assert!(auto.runs_on_caller_thread(2 * MIN_SHARD_BYTES - 1));
         assert!(!auto.runs_on_caller_thread(2 * MIN_SHARD_BYTES));
         assert_eq!(auto.slice_chunk_bytes(1), MIN_SHARD_BYTES);

@@ -8,6 +8,10 @@
 //! (recursive schemas included, via placeholder slots — no fixpoint
 //! pass); validation-time resolution is a plain table lookup, and the IR
 //! path skips even that by carrying arena indices.
+//!
+//! Keywords that assert something this validator does not implement
+//! (`UNSUPPORTED_KEYWORDS`) are refused up front: ignoring them would
+//! accept instances the schema, as written, rejects.
 
 use crate::ast::{CompiledPattern, Dependency, Items, Schema, SchemaNode};
 use crate::errors::SchemaError;
@@ -15,7 +19,7 @@ use crate::ir::{self, Ir};
 use jsonx_data::{Kind, Number, Pointer, Value};
 use jsonx_regex::Regex;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A compiled schema document, ready to validate instances.
 #[derive(Debug)]
@@ -39,6 +43,7 @@ pub struct CompiledSchema {
 impl CompiledSchema {
     /// Compiles a schema document.
     pub fn compile(document: &Value) -> Result<CompiledSchema, SchemaError> {
+        refuse_unsupported(document, document, "#")?;
         let root = compile_schema(document, "#")?;
         let (ir, ref_table) = ir::build(&root, document);
         Ok(CompiledSchema {
@@ -98,6 +103,15 @@ impl CompiledSchema {
 /// Resolves `reference` against `source` and compiles the target in
 /// place, without cloning the target subtree.
 pub(crate) fn resolve_and_compile(source: &Value, reference: &str) -> Result<Schema, SchemaError> {
+    let target = resolve_target(source, reference)?;
+    // `compile` checked every reference it could reach; one handed
+    // straight to `resolve_ref` may point anywhere in the document.
+    refuse_unsupported(source, target, reference)?;
+    compile_schema(target, reference)
+}
+
+/// The value an intra-document `reference` points at.
+fn resolve_target<'d>(source: &'d Value, reference: &str) -> Result<&'d Value, SchemaError> {
     let Some(fragment) = reference.strip_prefix('#') else {
         return Err(SchemaError::new(
             reference,
@@ -105,15 +119,136 @@ pub(crate) fn resolve_and_compile(source: &Value, reference: &str) -> Result<Sch
         ));
     };
     let pointer = percent_decode(fragment);
-    let target = if pointer.is_empty() {
-        source
-    } else {
-        let ptr = Pointer::parse(&pointer)
-            .map_err(|e| SchemaError::new(reference, format!("bad pointer: {e}")))?;
-        ptr.resolve(source)
-            .ok_or_else(|| SchemaError::new(reference, "reference target not found"))?
+    if pointer.is_empty() {
+        return Ok(source);
+    }
+    let ptr = Pointer::parse(&pointer)
+        .map_err(|e| SchemaError::new(reference, format!("bad pointer: {e}")))?;
+    ptr.resolve(source)
+        .ok_or_else(|| SchemaError::new(reference, "reference target not found"))
+}
+
+/// The draft 2019-09 / 2020-12 keywords (Attouche et al., *Validation of
+/// Modern JSON Schema*) whose assertions this draft-06/07 validator does
+/// not implement. A schema using one is refused: dropping the keyword
+/// would validate more permissively than the schema was written.
+const UNSUPPORTED_KEYWORDS: [&str; 10] = [
+    "prefixItems",
+    "unevaluatedProperties",
+    "unevaluatedItems",
+    "dependentRequired",
+    "dependentSchemas",
+    "minContains",
+    "maxContains",
+    "$dynamicRef",
+    "$dynamicAnchor",
+    "$recursiveRef",
+];
+
+/// How a keyword's value holds subschemas.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Holds {
+    /// The value is a subschema.
+    One,
+    /// An array of subschemas.
+    Many,
+    /// Either (`items`).
+    OneOrMany,
+    /// An object mapping names to subschemas.
+    Named,
+}
+use Holds::{Many, Named, One, OneOrMany};
+
+/// Every keyword whose value is entered as a schema, by `compile_schema`
+/// or (for `definitions`, `$defs` and the unsupported ones) only by the
+/// pre-walk. Anything else — property *names*, `enum` / `const` /
+/// `default` / `examples` payloads, unknown vendor keys — is data. The
+/// test `the_prewalk_and_the_compiler_enter_the_same_positions` holds
+/// this table and `compile_schema` together.
+#[rustfmt::skip]
+const SUBSCHEMA_KEYWORDS: [(&str, Holds); 21] = [
+    ("not", One), ("if", One), ("then", One), ("else", One), ("contains", One),
+    ("additionalItems", One), ("additionalProperties", One), ("propertyNames", One),
+    ("unevaluatedItems", One), ("unevaluatedProperties", One),
+    ("allOf", Many), ("anyOf", Many), ("oneOf", Many), ("prefixItems", Many),
+    ("items", OneOrMany),
+    ("properties", Named), ("patternProperties", Named), ("dependencies", Named),
+    ("definitions", Named), ("$defs", Named), ("dependentSchemas", Named),
+];
+
+/// Fails with one error listing the path of every `UNSUPPORTED_KEYWORDS`
+/// member found in a schema position of `value` (the schema at `path`
+/// of `document`) or of a `$ref` target reachable from one.
+fn refuse_unsupported(document: &Value, value: &Value, path: &str) -> Result<(), SchemaError> {
+    let mut walk = Prewalk {
+        document,
+        visited: HashSet::new(),
+        found: Vec::new(),
     };
-    compile_schema(target, reference)
+    walk.schema(value, path);
+    match walk.found.first() {
+        None => Ok(()),
+        Some(first) => Err(SchemaError::new(
+            first.clone(),
+            format!(
+                "unsupported keywords (ignoring them would validate more permissively than written): {}",
+                walk.found.join(", ")
+            ),
+        )),
+    }
+}
+
+/// The walk over every schema position of a document, done before
+/// compiling so that unused `definitions` are covered and all offenders
+/// are reported together.
+struct Prewalk<'d> {
+    document: &'d Value,
+    /// Paths already entered: a definition is reached both by position
+    /// and by reference, and references may be cyclic.
+    visited: HashSet<String>,
+    found: Vec<String>,
+}
+
+impl Prewalk<'_> {
+    fn schema(&mut self, value: &Value, path: &str) {
+        let Value::Obj(obj) = value else { return };
+        if !self.visited.insert(path.to_string()) {
+            return;
+        }
+        for (key, val) in obj.iter() {
+            let at = format!("{path}/{key}");
+            let holds = SUBSCHEMA_KEYWORDS
+                .iter()
+                .find(|(keyword, _)| *keyword == key)
+                .map(|(_, holds)| *holds);
+            match (holds, val) {
+                (Some(Many | OneOrMany), Value::Arr(schemas)) => {
+                    for (i, s) in schemas.iter().enumerate() {
+                        self.schema(s, &format!("{at}/{i}"));
+                    }
+                }
+                (Some(One | OneOrMany), one) => self.schema(one, &at),
+                (Some(Named), Value::Obj(named)) => {
+                    for (name, s) in named.iter() {
+                        self.schema(s, &format!("{at}/{name}"));
+                    }
+                }
+                // A target outside the positions above (say
+                // `#/components/schemas/x`). A reference that does not
+                // resolve stays what it was: an error when validation
+                // meets it.
+                (None, Value::Str(reference)) if key == "$ref" => {
+                    if let Ok(target) = resolve_target(self.document, reference) {
+                        self.schema(target, reference);
+                    }
+                }
+                _ => {}
+            }
+            if UNSUPPORTED_KEYWORDS.contains(&key) {
+                self.found.push(at);
+            }
+        }
+    }
 }
 
 /// Decodes the small set of percent-escapes pointers in fragments need.
@@ -272,9 +407,11 @@ pub fn compile_schema(value: &Value, path: &str) -> Result<Schema, SchemaError> 
                     "description" => {
                         node.description = Some(expect_string(val, &sub(key))?.to_string())
                     }
-                    // `definitions`, `$schema`, `$id`, `default`, `examples`
-                    // and unknown keywords are non-validating; the raw
-                    // document stays available for `$ref` resolution.
+                    // `definitions`, `$defs`, `$schema`, `$id`, `$comment`,
+                    // `default`, `examples` and unknown keywords are
+                    // non-validating; the raw document stays available for
+                    // `$ref` resolution. (`refuse_unsupported` has already
+                    // turned away the keywords that do assert something.)
                     _ => {}
                 }
             }
@@ -467,13 +604,202 @@ mod tests {
     }
 
     #[test]
-    fn unknown_keywords_ignored() {
+    fn annotations_and_unknown_keywords_ignored() {
         let s = CompiledSchema::compile(&json!({
             "$schema": "http://json-schema.org/draft-06/schema#",
-            "x-vendor": {"anything": true},
-            "default": 3
+            "$id": "http://example.com/s.json",
+            "$comment": "not an assertion",
+            "definitions": {},
+            "$defs": {},
+            "x-vendor": {"anything": true, "prefixItems": [false]},
+            "default": {"prefixItems": 3},
+            "examples": [{"unevaluatedItems": false}],
+            "title": "t",
+            "description": "d"
         }))
         .unwrap();
         assert!(matches!(s.root(), Schema::Any));
+        assert!(s.validate(&json!([1, "x"])).is_ok());
+        // A property *named* like a keyword, or enum/const data spelling
+        // one, is not a keyword.
+        CompiledSchema::compile(&json!({
+            "properties": {"prefixItems": {"type": "string"}},
+            "enum": [{"dependentRequired": 1}],
+            "const": {"minContains": 2}
+        }))
+        .unwrap();
+    }
+
+    #[test]
+    fn unsupported_keywords_are_refused_wherever_they_sit() {
+        for keyword in UNSUPPORTED_KEYWORDS {
+            let offender = match keyword {
+                "prefixItems" => json!([{"type": "string"}]),
+                "unevaluatedProperties" | "unevaluatedItems" => json!(false),
+                "dependentRequired" => json!({"a": ["b"]}),
+                "dependentSchemas" => json!({"a": {"required": ["b"]}}),
+                "minContains" | "maxContains" => json!(2),
+                _ => json!("#meta"),
+            };
+            let mut node = jsonx_data::Object::new();
+            node.insert(keyword, offender);
+            let node = Value::Obj(node);
+            for (doc, at) in [
+                (node.clone(), format!("#/{keyword}")),
+                (
+                    json!({"properties": {"p": node.clone()}}),
+                    format!("#/properties/p/{keyword}"),
+                ),
+                (json!({"items": node.clone()}), format!("#/items/{keyword}")),
+                (
+                    json!({"anyOf": [{"type": "null"}, node.clone()]}),
+                    format!("#/anyOf/1/{keyword}"),
+                ),
+            ] {
+                let err = CompiledSchema::compile(&doc).unwrap_err();
+                assert_eq!(err.schema_path, at, "{doc}");
+                assert!(err.message.contains(&at), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_error_lists_every_unsupported_keyword() {
+        let err = CompiledSchema::compile(&json!({
+            "prefixItems": [{"unevaluatedItems": false}],
+            "definitions": {"unused": {"dependentRequired": {"a": ["b"]}}},
+            "$defs": {"d": {"not": {"$dynamicRef": "#x"}}},
+            "dependentSchemas": {"a": {"maxContains": 1}}
+        }))
+        .unwrap_err();
+        for at in [
+            "#/prefixItems",
+            "#/prefixItems/0/unevaluatedItems",
+            "#/definitions/unused/dependentRequired",
+            "#/$defs/d/not/$dynamicRef",
+            "#/dependentSchemas",
+            "#/dependentSchemas/a/maxContains",
+        ] {
+            assert!(err.message.contains(at), "{at} missing from: {err}");
+        }
+        assert_eq!(err.message.matches("#/").count(), 6, "{err}");
+    }
+
+    #[test]
+    fn a_ref_target_outside_the_keyword_positions_is_checked_too() {
+        let err = CompiledSchema::compile(&json!({
+            "properties": {"p": {"$ref": "#/components/pair"}},
+            "components": {
+                "pair": {"prefixItems": [{"type": "string"}], "not": {"$ref": "#/components/pair"}},
+                "unused": {"minContains": 1}
+            }
+        }))
+        .unwrap_err();
+        assert_eq!(err.schema_path, "#/components/pair/prefixItems");
+        assert_eq!(err.message.matches("#/").count(), 1, "{err}");
+        // Not reachable from the root, so only `resolve_ref` can meet it.
+        let compiled = CompiledSchema::compile(&json!({
+            "components": {"pair": {"prefixItems": [{"type": "string"}]}}
+        }))
+        .unwrap();
+        let err = compiled.resolve_ref("#/components/pair").unwrap_err();
+        assert!(err.message.contains("prefixItems"), "{err}");
+        // A definition reached by position and by reference is listed once;
+        // a dangling reference is still left to validation.
+        let err = CompiledSchema::compile(&json!({
+            "$ref": "#/definitions/d",
+            "definitions": {"d": {"maxContains": 1, "not": {"$ref": "#/nowhere"}}}
+        }))
+        .unwrap_err();
+        assert_eq!(err.message.matches("#/").count(), 1, "{err}");
+    }
+
+    /// `{keyword: …}` holding `sub` as one subschema, in an array and in a
+    /// name map, each with the path `sub` then sits at.
+    fn in_each_shape(keyword: &str, sub: Value) -> [(Value, String); 3] {
+        let doc = |held: Value| {
+            let mut obj = jsonx_data::Object::new();
+            obj.insert(keyword, held);
+            Value::Obj(obj)
+        };
+        [
+            (doc(sub.clone()), format!("#/{keyword}")),
+            (doc(json!([sub.clone()])), format!("#/{keyword}/0")),
+            (doc(json!({"n": sub})), format!("#/{keyword}/n")),
+        ]
+    }
+
+    #[test]
+    fn the_prewalk_and_the_compiler_enter_the_same_positions() {
+        // The vocabulary of drafts 04 to 2020-12, so that a keyword either
+        // side learns to enter is already on the list.
+        #[rustfmt::skip]
+        const VOCABULARY: [&str; 63] = [
+            "$schema", "$id", "id", "$ref", "$anchor", "$dynamicRef", "$dynamicAnchor",
+            "$recursiveRef", "$recursiveAnchor", "$vocabulary", "$comment", "$defs",
+            "definitions", "allOf", "anyOf", "oneOf", "not", "if", "then", "else",
+            "dependentSchemas", "prefixItems", "items", "additionalItems", "contains",
+            "properties", "patternProperties", "additionalProperties", "propertyNames",
+            "unevaluatedItems", "unevaluatedProperties", "dependencies", "type", "enum",
+            "const", "multipleOf", "maximum", "exclusiveMaximum", "minimum",
+            "exclusiveMinimum", "maxLength", "minLength", "pattern", "maxItems", "minItems",
+            "uniqueItems", "maxContains", "minContains", "maxProperties", "minProperties",
+            "required", "dependentRequired", "format", "contentEncoding", "contentMediaType",
+            "contentSchema", "title", "description", "default", "deprecated", "readOnly",
+            "writeOnly", "examples",
+        ];
+        for (keyword, _) in SUBSCHEMA_KEYWORDS {
+            assert!(VOCABULARY.contains(&keyword), "{keyword}");
+        }
+        for keyword in VOCABULARY {
+            let listed = match SUBSCHEMA_KEYWORDS.iter().find(|(k, _)| *k == keyword) {
+                None => [false, false, false],
+                Some((_, One)) => [true, false, false],
+                Some((_, Many)) => [false, true, false],
+                Some((_, OneOrMany)) => [true, true, false],
+                Some((_, Named)) => [false, false, true],
+            };
+            // The pre-walk enters a position when it finds an unsupported
+            // keyword there; the compiler, when a malformed subschema
+            // there fails the compile.
+            let walked = in_each_shape(keyword, json!({"minContains": 1})).map(|(doc, at)| {
+                refuse_unsupported(&doc, &doc, "#")
+                    .is_err_and(|e| e.message.contains(&format!("{at}/minContains")))
+            });
+            assert_eq!(walked, listed, "pre-walk, {keyword}");
+            let compiled = in_each_shape(keyword, json!({"type": 3})).map(|(doc, at)| {
+                compile_schema(&doc, "#").is_err_and(|e| {
+                    e.schema_path == format!("{at}/type") && e.message == "type must be a string"
+                })
+            });
+            let ignored = UNSUPPORTED_KEYWORDS.contains(&keyword)
+                || ["definitions", "$defs"].contains(&keyword);
+            let expected = if ignored { [false; 3] } else { listed };
+            assert_eq!(compiled, expected, "compiler, {keyword}");
+        }
+    }
+
+    #[test]
+    fn schemas_of_the_shape_infer_emits_still_compile() {
+        // Every keyword `jsonx_core::to_json_schema` writes: type,
+        // properties, required, additionalProperties, items, maxItems,
+        // anyOf.
+        CompiledSchema::compile(&json!({
+            "type": "object",
+            "properties": {
+                "id": {"anyOf": [{"type": "integer"}, {"type": "string"}]},
+                "tags": {"type": "array", "items": {"type": "string"}},
+                "none": {"type": "array", "maxItems": 0},
+                "geo": {
+                    "type": "object",
+                    "properties": {"lat": {"type": "number"}},
+                    "required": ["lat"],
+                    "additionalProperties": false
+                }
+            },
+            "required": ["id"],
+            "additionalProperties": false
+        }))
+        .unwrap();
     }
 }

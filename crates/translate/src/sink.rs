@@ -64,12 +64,6 @@ impl OutputSink {
         Ok(sink)
     }
 
-    /// Whether this sink can consume a streamed [`ColumnarBatch`]
-    /// directly (via [`OutputSink::consume_batch`]).
-    pub fn wants_batch(&self) -> bool {
-        matches!(self, OutputSink::Columnar { .. })
-    }
-
     /// DOM path: translate a materialised collection under its inferred
     /// type. Every target supports this.
     pub fn consume(&self, ty: &JType, docs: &[Value]) -> Result<SinkReport, String> {

@@ -1,34 +1,38 @@
 //! `jsonx` — command-line front end for the workspace.
 //!
 //! ```text
-//! jsonx infer     [--equiv K|L] [--counts] [--schema] [--streaming] [--workers N]
+//! jsonx infer     [--equiv K|L] [--counts] [--schema] [--workers N]
 //!                 [--validate SCHEMA.json] [--format json|csv] [FILE]
-//! jsonx validate  --schema SCHEMA.json [--formats] [--streaming] [--workers N]
+//! jsonx validate  --schema SCHEMA.json [--formats] [--workers N]
 //!                 [--no-fast-parse] [--format json|csv] [FILE]
 //! jsonx profile   [FILE]
 //! jsonx skeleton  [--coverage 0.9] [FILE]
 //! jsonx project   --fields a,b.c [FILE]
 //! jsonx convert   --to avro|columnar|relational [--out FILE.jxc] [FILE]
-//! jsonx translate [--to avro|columnar|relational] [--out FILE.jxc] [--streaming]
-//!                 [--workers N] [--no-fast-parse] [--format json|csv] [FILE]
+//! jsonx translate [--out FILE.jxc] [--workers N] [--no-fast-parse]
+//!                 [--format json|csv] [FILE]
 //! jsonx query     [--where-exists p] [--expand p] [--project a,b.c] [--top n] [FILE]
 //! jsonx cat       FILE.jxc [--head N] [--flatten]
 //! jsonx serve     [--listen ADDR] [--schema FILE] [--queue-depth N] [--deadline-ms N]
 //!                 [--max-conns N] [--workers N] [--max-depth N] [--max-line-bytes N]
+//!                 [--frame-budget-ms N] [--debug-faults]
 //! ```
 //!
 //! `FILE` is newline-delimited JSON — or header-led CSV with
 //! `--format csv`, which routes the same corpus through the same typed
-//! pipeline via the CSV record decoder. `-` or no file reads stdin. The
-//! streaming commands also accept `--input FILE` to process the corpus
-//! out-of-core, plus `--chunk-bytes N` and `--report-timing` to tune
-//! and observe the work-stealing dispatch, and `--checkpoint FILE` /
-//! `--resume` to journal chunk commits durably and continue an
-//! interrupted run.
+//! pipeline via the CSV record decoder. `-` or no file reads stdin.
+//! `infer`, `validate` and `translate` always run on the chunked
+//! work-stealing engine and additionally accept the fault-tolerance
+//! flags (`--on-error fail|skip|collect`, `--max-errors N`,
+//! `--quarantine FILE`, `--max-depth N`, `--max-line-bytes N`) and the
+//! out-of-core flags: `--input FILE` to process the corpus without
+//! loading it, `--chunk-bytes N` and `--report-timing` to tune and
+//! observe the dispatch, and `--checkpoint FILE` / `--resume` to journal
+//! chunk commits durably and continue an interrupted run.
 //!
 //! Every command's flags live in one [`FlagSpec`] table; `jsonx help`
-//! is generated from those tables, so "implies --streaming" markers and
-//! value placeholders can never drift from what the parser accepts.
+//! is generated from those tables, so value placeholders and help text
+//! can never drift from what the parser accepts.
 //!
 //! Exit codes are uniform across subcommands (see README):
 //! `0` success, `1` invalid data (malformed input or failed validation
@@ -48,21 +52,19 @@ use jsonx::{
     LineVerdict, ParseLimits, Run, RunReport, Source, StreamError,
 };
 use std::io::{BufRead, BufReader, Read, Stdin, Write as _};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 // ---------------------------------------------------------------------------
 // Flag tables: one source of truth for parsing AND `jsonx help`
 // ---------------------------------------------------------------------------
 
-/// One CLI flag: name, optional value placeholder, help text, and
-/// whether its presence routes the run through the streaming engine.
+/// One CLI flag: name, optional value placeholder, help text.
 #[derive(Clone, Copy)]
 struct FlagSpec {
     name: &'static str,
     value: Option<&'static str>,
     help: &'static str,
-    implies_streaming: bool,
 }
 
 const fn flag(name: &'static str, help: &'static str) -> FlagSpec {
@@ -70,7 +72,6 @@ const fn flag(name: &'static str, help: &'static str) -> FlagSpec {
         name,
         value: None,
         help,
-        implies_streaming: false,
     }
 }
 
@@ -79,110 +80,95 @@ const fn valued(name: &'static str, value: &'static str, help: &'static str) -> 
         name,
         value: Some(value),
         help,
-        implies_streaming: false,
     }
 }
 
-/// A flag whose presence implies `--streaming` (the help text gets the
-/// marker appended automatically).
-const fn implies(mut spec: FlagSpec) -> FlagSpec {
-    spec.implies_streaming = true;
-    spec
-}
+/// `--workers N`, shared by the engine commands.
+const WORKERS_FLAG: FlagSpec = valued("workers", "N", "shard across N threads (0 = one per CPU)");
 
-/// `--format json|csv`, shared by the streaming commands.
-const FORMAT_FLAG: FlagSpec = implies(valued(
+/// `--no-fast-parse`, shared by the commands with a structural fast path.
+const NO_FAST_PARSE_FLAG: FlagSpec = flag(
+    "no-fast-parse",
+    "force the full parser instead of the SWAR structural fast path with projection pushdown",
+);
+
+/// `--format json|csv`, shared by the engine commands.
+const FORMAT_FLAG: FlagSpec = valued(
     "format",
     "json|csv",
     "input format: csv reads a header-led CSV corpus through the same typed pipeline",
-));
+);
 
-/// The fault-tolerance flags shared by the streaming commands; any of
-/// them routes the run through the guarded pipeline.
+/// The fault-tolerance flags shared by the engine commands.
 const FAULT_FLAGS: &[FlagSpec] = &[
-    implies(valued(
+    valued(
         "on-error",
         "fail|skip|collect",
         "record-error policy (default fail). skip drops bad records and keeps going; collect additionally retains every diagnostic (bounded by --max-errors, default 1000)",
-    )),
-    implies(valued("max-errors", "N", "abort once more than N records reject")),
-    implies(valued(
+    ),
+    valued("max-errors", "N", "abort once more than N records reject"),
+    valued(
         "quarantine",
         "FILE",
         "write one JSON diagnostic per rejected record (with the raw line) to FILE",
-    )),
-    implies(valued(
+    ),
+    valued(
         "max-depth",
         "N",
         "reject records nested deeper than N (default 128)",
-    )),
-    implies(valued(
+    ),
+    valued(
         "max-line-bytes",
         "N",
         "reject records longer than N bytes",
-    )),
+    ),
 ];
 
-/// The out-of-core flags shared by the streaming commands; any of them
-/// routes the run through the chunk-source work-stealing engine.
+/// The out-of-core flags shared by the engine commands.
 const CHUNK_FLAGS: &[FlagSpec] = &[
-    implies(valued(
+    valued(
         "input",
         "FILE",
         "stream FILE through a bounded ring of reusable chunk buffers instead of materialising it ('-' streams stdin); invalid-document diagnostics shrink to line numbers",
-    )),
-    implies(valued(
+    ),
+    valued(
         "chunk-bytes",
         "N",
         "target chunk size in bytes (default: sized from the input, capped at 1 MiB)",
-    )),
-    implies(flag(
+    ),
+    flag(
         "report-timing",
         "print per-worker chunk/record/byte counts, steal counts and throughput to stderr",
-    )),
-    implies(valued(
+    ),
+    valued(
         "checkpoint",
         "FILE",
         "journal every committed chunk to FILE (fsync'd, CRC-framed, committed in input order) so a crashed or interrupted run can be resumed; needs --input with a regular file",
-    )),
-    implies(flag(
+    ),
+    flag(
         "resume",
         "continue from the last committed chunk in the --checkpoint journal instead of starting over; the final output is byte-identical to an uninterrupted run",
-    )),
+    ),
 ];
 
 const INFER_FLAGS: &[FlagSpec] = &[
     valued("equiv", "K|L", "equivalence (default K)"),
     flag("counts", "show counting annotations"),
     flag("schema", "emit JSON Schema instead of type syntax"),
-    flag("streaming", "type the event stream directly (no DOMs)"),
-    implies(valued(
-        "workers",
-        "N",
-        "shard across N threads (0 = one per CPU)",
-    )),
-    implies(valued(
+    WORKERS_FLAG,
+    valued(
         "validate",
         "F",
         "also validate against schema F in the same pass (one tokenisation per line)",
-    )),
+    ),
     FORMAT_FLAG,
 ];
 
 const VALIDATE_FLAGS: &[FlagSpec] = &[
     valued("schema", "FILE", "schema document (required)"),
     flag("formats", "enforce the `format` keyword"),
-    flag("streaming", "fail-fast per line, diagnostics on demand"),
-    implies(valued(
-        "workers",
-        "N",
-        "shard across N threads (0 = one per CPU)",
-    )),
-    flag(
-        "fast-parse",
-        "SWAR structural fast path with projection pushdown (default on for --streaming); --no-fast-parse forces the full parser",
-    ),
-    flag("no-fast-parse", "force the full parser"),
+    WORKERS_FLAG,
+    NO_FAST_PARSE_FLAG,
     FORMAT_FLAG,
 ];
 
@@ -204,30 +190,9 @@ const CONVERT_FLAGS: &[FlagSpec] = &[
 ];
 
 const TRANSLATE_FLAGS: &[FlagSpec] = &[
-    valued(
-        "to",
-        "TARGET",
-        "avro | columnar | relational (default columnar)",
-    ),
-    valued(
-        "out",
-        "FILE",
-        "persist the batch as a binary .jxc file (columnar only)",
-    ),
-    flag(
-        "streaming",
-        "shred newline-bounded shards incrementally (columnar only)",
-    ),
-    implies(valued(
-        "workers",
-        "N",
-        "shard across N threads (0 = one per CPU)",
-    )),
-    flag(
-        "fast-parse",
-        "SWAR structural fast path projected to the shred plan (default on for --streaming); --no-fast-parse forces the full parser",
-    ),
-    flag("no-fast-parse", "force the full parser"),
+    valued("out", "FILE", "persist the batch as a binary .jxc file"),
+    WORKERS_FLAG,
+    NO_FAST_PARSE_FLAG,
     FORMAT_FLAG,
 ];
 
@@ -344,13 +309,13 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "convert",
-        summary: "translate the collection",
+        summary: "translate the collection, held in memory, to Avro, columnar or relational form",
         flags: CONVERT_FLAGS,
         guarded: false,
     },
     CommandSpec {
         name: "translate",
-        summary: "schema-driven translation with a streaming columnar path",
+        summary: "schema-driven translation to a columnar batch (a binary .jxc file with --out)",
         flags: TRANSLATE_FLAGS,
         guarded: true,
     },
@@ -408,11 +373,7 @@ fn render_flag(out: &mut String, spec: &FlagSpec) {
         Some(v) => format!("--{} {v}", spec.name),
         None => format!("--{}", spec.name),
     };
-    let mut help = spec.help.to_string();
-    if spec.implies_streaming {
-        help.push_str(" (implies --streaming)");
-    }
-    for (i, line) in wrap(&help, 42).into_iter().enumerate() {
+    for (i, line) in wrap(spec.help, 42).into_iter().enumerate() {
         if i == 0 {
             out.push_str(&format!("              {head:<19} {line}\n"));
         } else {
@@ -433,11 +394,11 @@ fn usage() -> String {
             s.push_str("            (plus the fault-tolerance and out-of-core flags below)\n");
         }
     }
-    s.push_str("\nfault-tolerance flags (streaming infer / validate / translate):\n");
+    s.push_str("\nfault-tolerance flags (infer / validate / translate):\n");
     for spec in FAULT_FLAGS {
         render_flag(&mut s, spec);
     }
-    s.push_str("\nout-of-core flags (route through the chunked work-stealing engine):\n");
+    s.push_str("\nout-of-core flags (infer / validate / translate):\n");
     for spec in CHUNK_FLAGS {
         render_flag(&mut s, spec);
     }
@@ -610,8 +571,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
 struct Opts {
     flags: Vec<(String, Option<String>)>,
     file: Option<String>,
-    /// Some present flag's spec implies `--streaming`.
-    streaming_implied: bool,
 }
 
 /// Splits `args` into flags and the positional FILE according to the
@@ -621,7 +580,6 @@ struct Opts {
 fn parse_opts(args: &[String], cmd: &CommandSpec) -> Result<Opts, CliError> {
     let mut flags = Vec::new();
     let mut file = None;
-    let mut streaming_implied = false;
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
@@ -631,7 +589,6 @@ fn parse_opts(args: &[String], cmd: &CommandSpec) -> Result<Opts, CliError> {
                     "unknown flag --{name} (see `jsonx help`)"
                 )));
             };
-            streaming_implied |= spec.implies_streaming;
             if spec.value.is_some() {
                 let v = args
                     .get(i + 1)
@@ -650,11 +607,7 @@ fn parse_opts(args: &[String], cmd: &CommandSpec) -> Result<Opts, CliError> {
             i += 1;
         }
     }
-    Ok(Opts {
-        flags,
-        file,
-        streaming_implied,
-    })
+    Ok(Opts { flags, file })
 }
 
 impl Opts {
@@ -668,18 +621,13 @@ impl Opts {
     fn has(&self, name: &str) -> bool {
         self.flags.iter().any(|(n, _)| n == name)
     }
-
-    /// `--streaming` itself, or any present flag whose spec implies it.
-    fn streaming_requested(&self) -> bool {
-        self.has("streaming") || self.streaming_implied
-    }
 }
 
 // ---------------------------------------------------------------------------
-// The run plan shared by the streaming commands
+// The run plan shared by infer / validate / translate
 // ---------------------------------------------------------------------------
 
-/// Builds the [`Run`] a streaming command executes from the shared flag
+/// Builds the [`Run`] an engine command executes from the shared flag
 /// tables — workers, the fault-tolerance flags, the out-of-core flags,
 /// fast-parse, and the checkpoint journal — plus whether `--format csv`
 /// was given. Only flags are looked at: every misuse is reported before
@@ -695,8 +643,6 @@ fn run_plan(opts: &Opts) -> Result<(Run<'_>, bool), CliError> {
         chunk_bytes,
         timing: opts.has("report-timing"),
         fault,
-        // On by default; `--no-fast-parse` is the escape hatch (and wins
-        // over an explicit `--fast-parse`).
         fast_parse: !opts.has("no-fast-parse"),
         format: Format::Ndjson,
         journal,
@@ -704,7 +650,7 @@ fn run_plan(opts: &Opts) -> Result<(Run<'_>, bool), CliError> {
     Ok((run, csv))
 }
 
-/// Where a streaming command's corpus lives.
+/// Where an engine command's corpus lives.
 enum Corpus<'o> {
     /// The positional FILE (or stdin) loaded whole; records start at
     /// byte `body` — past the header row of a CSV corpus.
@@ -734,7 +680,7 @@ impl Corpus<'_> {
     }
 }
 
-/// How a streaming summary line names its mode.
+/// How a summary line names its mode.
 fn mode(csv: bool) -> &'static str {
     if csv {
         "streaming csv"
@@ -822,6 +768,16 @@ fn fault_options(opts: &Opts) -> Result<FaultOptions, CliError> {
             )))
         }
     };
+    Ok(FaultOptions {
+        policy,
+        keep_rejects: opts.has("quarantine"),
+        limits: parse_limits(opts)?,
+    })
+}
+
+/// `--max-depth` / `--max-line-bytes` as [`ParseLimits`] (the defaults
+/// when neither was given) — the same guards for batch runs and `serve`.
+fn parse_limits(opts: &Opts) -> Result<ParseLimits, CliError> {
     let mut limits = ParseLimits::new();
     if let Some(depth) = parse_flag(opts, "max-depth")? {
         limits = limits.with_max_depth(depth);
@@ -829,17 +785,13 @@ fn fault_options(opts: &Opts) -> Result<FaultOptions, CliError> {
     if let Some(bytes) = parse_flag(opts, "max-line-bytes")? {
         limits = limits.with_max_input_bytes(bytes);
     }
-    Ok(FaultOptions {
-        policy,
-        keep_rejects: opts.has("quarantine"),
-        limits,
-    })
+    Ok(limits)
 }
 
-/// Post-run bookkeeping for a streaming command: writes the quarantine
+/// Post-run bookkeeping for an engine command: writes the quarantine
 /// sidecar when requested, surfaces poisoned shards and `--report-timing`
 /// accounts on stderr, and returns the `, N rejected` suffix every
-/// streaming summary line ends with.
+/// engine summary line ends with.
 fn finish_run(opts: &Opts, report: &RunReport) -> Result<String, CliError> {
     if let Some(path) = opts.get("quarantine") {
         let n = write_quarantine_file(Path::new(path), report)
@@ -1037,8 +989,8 @@ fn load_schema(path: &str) -> Result<(CompiledSchema, String), CliError> {
 /// The one verdict printer: one stdout line per diagnostic of every
 /// invalid document, returning how many documents were invalid. With the
 /// corpus text in memory (`ndjson`) the error-collecting interpreter
-/// re-runs on *just* the invalid lines, so diagnostics match the DOM
-/// path exactly; an out-of-core or CSV run never holds a raw JSON line
+/// re-runs on *just* the invalid lines, so every diagnostic is the
+/// interpreter's; an out-of-core or CSV run never holds a raw JSON line
 /// to re-validate and reports `doc N: invalid` instead.
 fn print_invalid(
     verdicts: &[(usize, LineVerdict)],
@@ -1062,7 +1014,7 @@ fn print_invalid(
         let (_, line) = lines
             .find(|(i, _)| i == line_no)
             .expect("verdict indices are line numbers of this text");
-        let doc = parse(line).expect("the streaming pass parsed this line");
+        let doc = parse(line).expect("the run parsed this line");
         if let Err(errors) = schema.validate_with(&doc, vopts) {
             for e in errors {
                 out.line(&format!("doc {line_no}: {e}"))?;
@@ -1087,18 +1039,6 @@ fn cmd_infer(opts: &Opts) -> Result<(), CliError> {
             )))
         }
     };
-    if !opts.streaming_requested() {
-        let docs = read_collection(opts.file.as_deref())?;
-        let ty = infer_collection(&docs, equiv);
-        print_inferred_type(opts, &ty)?;
-        eprintln!(
-            "» {} documents (dom), equivalence {}, type size {} nodes",
-            docs.len(),
-            equiv.name(),
-            jsonx::core::type_size(&ty)
-        );
-        return Ok(());
-    }
     let (mut run, csv) = run_plan(opts)?;
     if let Some(schema_path) = opts.get("validate") {
         // The combined single pass: one tokenisation per line feeds both
@@ -1177,38 +1117,26 @@ fn cmd_validate(opts: &Opts) -> Result<(), CliError> {
     let vopts = ValidatorOptions {
         enforce_formats: opts.has("formats"),
     };
-    let (invalid, total, note) = if opts.streaming_requested() {
-        // Fail-fast probe per record on shared workers; diagnostics come
-        // from the interpreter on demand (see `print_invalid`).
-        let (mut run, csv) = run_plan(opts)?;
-        if let Some(journal) = &mut run.journal {
-            // A resume with a different schema is refused instead of
-            // mixing verdicts from two schemas in one output.
-            journal.schema_tag = jsonx::data::crc32(schema_text.as_bytes());
-        }
-        let mut corpus = open_corpus(opts, &mut run, csv)?;
-        let (verdicts, report) = run
-            .validate(corpus.source(), &schema, vopts)
-            .map_err(stream_err)?;
-        let suffix = finish_run(opts, &report)?;
-        let invalid = print_invalid(&verdicts, corpus.ndjson(csv), &schema, vopts)?;
-        (invalid, verdicts.len(), format!(" ({}){suffix}", mode(csv)))
-    } else {
-        let docs = read_collection(opts.file.as_deref())?;
-        let mut out = PipeOut::new();
-        let mut invalid = 0usize;
-        for (i, doc) in docs.iter().enumerate() {
-            if let Err(errors) = schema.validate_with(doc, vopts) {
-                invalid += 1;
-                for e in errors {
-                    out.line(&format!("doc {i}: {e}"))?;
-                }
-            }
-        }
-        out.finish()?;
-        (invalid, docs.len(), String::new())
-    };
-    eprintln!("» {}/{total} documents valid{note}", total - invalid);
+    // Fail-fast probe per record on shared workers; diagnostics come
+    // from the interpreter on demand (see `print_invalid`).
+    let (mut run, csv) = run_plan(opts)?;
+    if let Some(journal) = &mut run.journal {
+        // A resume with a different schema is refused instead of
+        // mixing verdicts from two schemas in one output.
+        journal.schema_tag = jsonx::data::crc32(schema_text.as_bytes());
+    }
+    let mut corpus = open_corpus(opts, &mut run, csv)?;
+    let (verdicts, report) = run
+        .validate(corpus.source(), &schema, vopts)
+        .map_err(stream_err)?;
+    let suffix = finish_run(opts, &report)?;
+    let invalid = print_invalid(&verdicts, corpus.ndjson(csv), &schema, vopts)?;
+    let total = verdicts.len();
+    eprintln!(
+        "» {}/{total} documents valid ({}){suffix}",
+        total - invalid,
+        mode(csv)
+    );
     if invalid > 0 {
         return Err(CliError::data(format!("{invalid} invalid documents")));
     }
@@ -1281,39 +1209,41 @@ fn cmd_project(opts: &Opts) -> Result<(), CliError> {
 // convert / translate / cat
 // ---------------------------------------------------------------------------
 
+/// The paper's §5 three-target translation over the whole collection in
+/// memory: infer its type, hand both to the sink, print its report.
 fn cmd_convert(opts: &Opts) -> Result<(), CliError> {
     let target = opts
         .get("to")
         .ok_or_else(|| CliError::usage("convert needs --to avro|columnar|relational"))?;
     let sink = OutputSink::for_target(target, opts.get("out")).map_err(CliError::Usage)?;
     let docs = read_collection(opts.file.as_deref())?;
-    convert_collection(&sink, &docs)
+    let ty = infer_collection(&docs, Equivalence::Kind);
+    let report = sink.consume(&ty, &docs)?;
+    if !report.body.is_empty() {
+        println!("{}", report.body);
+    }
+    if !report.summary.is_empty() {
+        eprintln!("» {}", report.summary);
+    }
+    Ok(())
 }
 
-/// Schema-driven translation with a streaming columnar path.
+/// Schema-driven columnar translation on the engine.
 ///
-/// `--streaming` (or `--workers`) shreds newline-bounded chunks into
-/// per-worker columnar batches concatenated in chunk order — the type is
-/// inferred from the same corpus by the streaming typer first, so no DOM
-/// for the whole collection ever exists. `--format csv` swaps the record
-/// decoder for the CSV front-end on the same engine; `--out FILE`
-/// persists the batch as binary `.jxc`; `--checkpoint` journals both
-/// passes into one file (the inferred type is sealed between them), so a
-/// resume lands in whichever pass the run died in. Other targets fall
-/// back to the DOM path shared with `convert`.
+/// Newline-bounded chunks are shredded into per-worker columnar batches
+/// concatenated in chunk order — the type is inferred from the same
+/// corpus by the engine's typing pass first, so no DOM for the whole
+/// collection ever exists. `--format csv` swaps the record decoder for
+/// the CSV front-end on the same engine; `--out FILE` persists the batch
+/// as binary `.jxc`; `--checkpoint` journals both passes into one file
+/// (the inferred type is sealed between them), so a resume lands in
+/// whichever pass the run died in. The Avro and relational targets are
+/// `convert`'s.
 fn cmd_translate(opts: &Opts) -> Result<(), CliError> {
-    let target = opts.get("to").unwrap_or("columnar");
-    let sink = OutputSink::for_target(target, opts.get("out")).map_err(CliError::Usage)?;
-    if !opts.streaming_requested() {
-        let docs = read_collection(opts.file.as_deref())?;
-        return convert_collection(&sink, &docs);
-    }
+    let sink = OutputSink::Columnar {
+        out: opts.get("out").map(PathBuf::from),
+    };
     let (mut run, csv) = run_plan(opts)?;
-    if !sink.wants_batch() {
-        return Err(CliError::usage(format!(
-            "--streaming supports only columnar, not '{target}'"
-        )));
-    }
     if opts.get("input") == Some("-") {
         return Err(CliError::usage(
             "translate needs two passes over the corpus; --input - (stdin) cannot be \
@@ -1329,20 +1259,6 @@ fn cmd_translate(opts: &Opts) -> Result<(), CliError> {
     let out = sink.consume_batch(&batch)?;
     println!("{}", out.body);
     eprintln!("» {} ({}){suffix}", out.summary, mode(csv));
-    Ok(())
-}
-
-/// The DOM translation path shared by `convert` and non-streaming
-/// `translate`: infer, hand the collection to the sink, print its report.
-fn convert_collection(sink: &OutputSink, docs: &[Value]) -> Result<(), CliError> {
-    let ty = infer_collection(docs, Equivalence::Kind);
-    let report = sink.consume(&ty, docs)?;
-    if !report.body.is_empty() {
-        println!("{}", report.body);
-    }
-    if !report.summary.is_empty() {
-        eprintln!("» {}", report.summary);
-    }
     Ok(())
 }
 
@@ -1410,17 +1326,10 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
             "serve takes no FILE argument (payloads arrive over the socket)",
         ));
     }
-    let mut limits = ParseLimits::new();
-    if let Some(depth) = parse_flag(opts, "max-depth")? {
-        limits = limits.with_max_depth(depth);
-    }
-    if let Some(bytes) = parse_flag(opts, "max-line-bytes")? {
-        limits = limits.with_max_input_bytes(bytes);
-    }
     let mut config = ServeConfig {
         listen: opts.get("listen").unwrap_or("127.0.0.1:7077").to_string(),
-        schema_path: opts.get("schema").map(std::path::PathBuf::from),
-        limits,
+        schema_path: opts.get("schema").map(PathBuf::from),
+        limits: parse_limits(opts)?,
         debug_faults: opts.has("debug-faults"),
         ..ServeConfig::default()
     };

@@ -74,6 +74,6 @@ pub use jsonx_syntax::{
 pub use quarantine::{write_quarantine, write_quarantine_file};
 pub use run::{Format, Run, Source};
 pub use streaming::{
-    infer_document_events, FaultOptions, LineVerdict, RecordIssue, StreamError, StreamTyper,
-    TypeFold, TypeRoutes, TypedVerdicts,
+    FaultOptions, LineVerdict, RecordIssue, StreamError, StreamTyper, TypeFold, TypeRoutes,
+    TypedVerdicts,
 };

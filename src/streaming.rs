@@ -59,8 +59,8 @@ use jsonx_data::Value;
 use jsonx_pipeline::{ErrorPolicy, ErrorSummary, RecordDiagnostic, ShardFold, ShardPanic};
 use jsonx_schema::{CompiledSchema, FastValidator, ValidatorOptions};
 use jsonx_syntax::{
-    EventReceiver, ParseError, ParseErrorKind, ParseLimits, RawEvent, RawEventParser,
-    RecordDecoder, RecordLimit, Tee, ValueBuilder,
+    EventReceiver, ParseError, ParseErrorKind, ParseLimits, RawEvent, RecordDecoder, RecordLimit,
+    Tee, ValueBuilder,
 };
 use jsonx_translate::{ColumnarBatch, ShredCounts, ShredError, ShredStream, Shredder};
 use std::collections::HashSet;
@@ -68,11 +68,10 @@ use std::collections::HashSet;
 /// A reusable event-stream typing engine.
 ///
 /// One `StreamTyper` types many documents in sequence: its frame stack and
-/// field-name interner persist across [`type_document`](Self::type_document)
+/// field-name interner persist across [`type_decoded`](Self::type_decoded)
 /// calls. Each worker of a streaming inference run owns one.
 pub struct StreamTyper {
     equiv: Equivalence,
-    limits: ParseLimits,
     stack: Vec<Frame>,
     interner: HashSet<FieldName>,
 }
@@ -179,73 +178,15 @@ impl StreamTyper {
     pub fn new(equiv: Equivalence) -> Self {
         StreamTyper {
             equiv,
-            limits: ParseLimits::default(),
             stack: Vec::new(),
             interner: HashSet::new(),
         }
     }
 
-    /// Replaces the per-record resource limits enforced on the event
-    /// parser underneath (depth, record bytes, string bytes).
-    pub fn with_limits(mut self, limits: ParseLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Types one document from its event stream without building a DOM.
-    pub fn type_document(&mut self, input: &[u8]) -> Result<JType, ParseError> {
-        let limits = self.limits;
-        let outcome = {
-            let mut sink = TypeSink::new(self.equiv, &mut self.stack, &mut self.interner);
-            let mut parser = RawEventParser::new(input).with_limits(limits);
-            loop {
-                match parser.next_event() {
-                    Ok(Some(ev)) => sink.event(&ev),
-                    Ok(None) => break Ok(sink.finish()),
-                    Err(e) => break Err(e),
-                }
-            }
-        };
-        outcome.inspect_err(|_| {
-            // Leave the typer reusable after malformed input.
-            self.stack.clear();
-        })
-    }
-
-    /// Types one document **and** rebuilds its [`Value`] from the same
-    /// event walk — one tokenisation feeding two consumers. The built
-    /// value is identical to [`jsonx_syntax::parse`] on the same bytes.
-    pub fn type_and_build(&mut self, input: &[u8]) -> Result<(JType, Value), ParseError> {
-        let limits = self.limits;
-        let mut builder = ValueBuilder::new();
-        let outcome = {
-            let mut sink = TypeSink::new(self.equiv, &mut self.stack, &mut self.interner);
-            let mut parser = RawEventParser::new(input).with_limits(limits);
-            loop {
-                match parser.next_event() {
-                    Ok(Some(ev)) => {
-                        builder.event(&ev);
-                        sink.event(&ev);
-                    }
-                    Ok(None) => break Ok(sink.finish()),
-                    Err(e) => break Err(e),
-                }
-            }
-        };
-        match outcome {
-            Ok(ty) => Ok((ty, builder.take())),
-            Err(e) => {
-                self.stack.clear();
-                Err(e)
-            }
-        }
-    }
-
-    /// Types one record through an arbitrary [`RecordDecoder`] — the
-    /// source-agnostic face of [`type_document`](Self::type_document).
-    /// With [`JsonDecoder`](jsonx_syntax::JsonDecoder) this is
-    /// event-for-event the JSON path; with any other decoder the same
-    /// fusion runs over whatever events the source produces.
+    /// Types one record from the events an arbitrary [`RecordDecoder`]
+    /// produces, without building a DOM: JSON text through
+    /// [`JsonDecoder`](jsonx_syntax::JsonDecoder), or any other source
+    /// through the same fusion.
     pub fn type_decoded<D: RecordDecoder>(
         &mut self,
         decoder: &D,
@@ -259,14 +200,17 @@ impl StreamTyper {
                 .map(|()| sink.finish())
         };
         outcome.inspect_err(|_| {
+            // Leave the typer reusable after malformed input.
             self.stack.clear();
         })
     }
 
-    /// [`type_and_build`](Self::type_and_build) through an arbitrary
-    /// [`RecordDecoder`]: one decode feeds the typer and the DOM builder,
-    /// which is what lets the combined infer+validate pass probe the
-    /// compiled validator without re-parsing.
+    /// Types one record **and** rebuilds its [`Value`] from the same
+    /// decode — one tokenisation feeding two consumers, which is what
+    /// lets the combined infer+validate pass probe the compiled validator
+    /// without re-parsing. With [`JsonDecoder`](jsonx_syntax::JsonDecoder)
+    /// the built value is identical to [`jsonx_syntax::parse`] on the
+    /// same bytes.
     pub fn type_and_build_decoded<D: RecordDecoder>(
         &mut self,
         decoder: &D,
@@ -843,11 +787,6 @@ impl<D: RecordDecoder> RecordStage for InferStage<D> {
     }
 }
 
-/// Types one document from its event stream.
-pub fn infer_document_events(input: &[u8], equiv: Equivalence) -> Result<JType, ParseError> {
-    StreamTyper::new(equiv).type_document(input)
-}
-
 // ---------------------------------------------------------------------------
 // Validation stage
 // ---------------------------------------------------------------------------
@@ -1099,6 +1038,10 @@ mod tests {
     use jsonx_data::json;
     use jsonx_syntax::parse_ndjson;
 
+    fn type_json(typer: &mut StreamTyper, doc: &str) -> Result<JType, ParseError> {
+        typer.type_decoded(&jsonx_syntax::JsonDecoder::new(), &mut (), doc)
+    }
+
     /// A plan with `workers` threads; a nonzero `chunk_bytes` forces
     /// chunk dispatch even on the small corpora below.
     fn plan(workers: usize, chunk_bytes: usize) -> Run<'static> {
@@ -1145,9 +1088,9 @@ mod tests {
 
     #[test]
     fn duplicate_keys_last_wins_like_dom() {
-        let doc = br#"{"a": 1, "b": true, "a": "s", "a": null}"#;
-        let streamed = infer_document_events(doc, Equivalence::Kind).unwrap();
-        let dom = jsonx_syntax::parse(std::str::from_utf8(doc).unwrap()).unwrap();
+        let doc = r#"{"a": 1, "b": true, "a": "s", "a": null}"#;
+        let streamed = type_json(&mut StreamTyper::new(Equivalence::Kind), doc).unwrap();
+        let dom = jsonx_syntax::parse(doc).unwrap();
         assert_eq!(streamed, jsonx_core::infer_value(&dom, Equivalence::Kind));
         match streamed {
             JType::Record(rt) => {
@@ -1169,7 +1112,9 @@ mod tests {
             "\"plain\"",
             "null",
         ] {
-            let (ty, built) = typer.type_and_build(doc.as_bytes()).unwrap();
+            let (ty, built) = typer
+                .type_and_build_decoded(&jsonx_syntax::JsonDecoder::new(), &mut (), doc)
+                .unwrap();
             let dom = jsonx_syntax::parse(doc).unwrap();
             assert_eq!(built, dom, "doc {doc}");
             assert_eq!(ty, jsonx_core::infer_value(&dom, Equivalence::Kind));
@@ -1179,9 +1124,7 @@ mod tests {
     #[test]
     fn failfast_reports_the_parsers_own_error_with_its_line() {
         let err = infer_seq("{\"a\":1}\n{bad\n", Equivalence::Kind).unwrap_err();
-        let parser_err = StreamTyper::new(Equivalence::Kind)
-            .type_document(b"{bad")
-            .unwrap_err();
+        let parser_err = type_json(&mut StreamTyper::new(Equivalence::Kind), "{bad").unwrap_err();
         assert_eq!(
             err,
             StreamError::Record {
@@ -1200,8 +1143,8 @@ mod tests {
     #[test]
     fn typer_is_reusable_after_error() {
         let mut typer = StreamTyper::new(Equivalence::Kind);
-        assert!(typer.type_document(b"{broken").is_err());
-        let ty = typer.type_document(br#"{"ok": 1}"#).unwrap();
+        assert!(type_json(&mut typer, "{broken").is_err());
+        let ty = type_json(&mut typer, r#"{"ok": 1}"#).unwrap();
         assert!(matches!(ty, JType::Record(_)));
     }
 
@@ -1510,8 +1453,8 @@ mod tests {
     #[test]
     fn interner_shares_repeated_keys() {
         let mut typer = StreamTyper::new(Equivalence::Kind);
-        let a = typer.type_document(br#"{"hot": 1}"#).unwrap();
-        let b = typer.type_document(br#"{"hot": 2}"#).unwrap();
+        let a = type_json(&mut typer, r#"{"hot": 1}"#).unwrap();
+        let b = type_json(&mut typer, r#"{"hot": 2}"#).unwrap();
         let (JType::Record(ra), JType::Record(rb)) = (a, b) else {
             panic!("expected records");
         };

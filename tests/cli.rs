@@ -1,5 +1,6 @@
 //! End-to-end tests of the `jsonx` CLI binary.
 
+use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use std::io::Write;
 use std::process::{Command, Stdio};
 
@@ -38,42 +39,174 @@ const SAMPLE: &str = r#"{"id":1,"name":"a","tags":["x"]}
 {"id":"s3","name":"b"}
 "#;
 
+/// One path per job: however the corpus reaches an engine command —
+/// stdin, a positional file, `--input`, one worker or four over 64-byte
+/// chunks, fast path on or off — stdout is the same bytes, and those
+/// bytes are what an independent reference says they should be.
 #[test]
-fn infer_plain_and_counts() {
-    let (out, err, ok) = run(&["infer", "-"], SAMPLE);
-    assert!(ok, "stderr: {err}");
-    assert_eq!(
-        out.trim(),
-        "{geo?: {lat: Num}, id: (Int + Str), name?: Str, tags?: [Str]}"
-    );
-    assert!(err.contains("3 documents"));
+fn every_route_to_the_engine_prints_the_same_bytes() {
+    let dir = std::env::temp_dir().join("jsonx-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let schema_path = dir.join("matrix-schema.json");
+    let schema_text =
+        r#"{"type": "object", "properties": {"id": {"type": "integer"}}, "required": ["name"]}"#;
+    std::fs::write(&schema_path, schema_text).unwrap();
+    let schema_arg = schema_path.to_str().unwrap();
+    let schema = CompiledSchema::compile(&jsonx::syntax::parse(schema_text).unwrap()).unwrap();
 
-    let (out, _, ok) = run(&["infer", "--equiv", "L", "--counts", "-"], SAMPLE);
-    assert!(ok);
-    assert!(
-        out.contains("(1/1)"),
-        "counting annotations expected: {out}"
-    );
+    let corpora = [
+        (
+            "sample",
+            SAMPLE.to_string(),
+            "{geo?: {lat: Num}, id: (Int + Str), name?: Str, tags?: [Str]}\n",
+            "({geo: {lat: Num(1) (1/1)}(1) (1/1), id: Int(1) (1/1)}(1) + \
+             {id: Str(1) (1/1), name: Str(1) (1/1)}(1) + \
+             {id: Int(1) (1/1), name: Str(1) (1/1), tags: [Str(1)](1#1) (1/1)}(1))\n",
+        ),
+        // Blank lines where the fixture's corrupt ones were: `doc N` below
+        // is a line number, not a document count.
+        (
+            "dirty-cleaned",
+            dirty_fixture_cleaned(),
+            "{active?: Bool, geo?: {lat: Num, lon: Num}, id: (Int + Str), name?: Str, \
+             tags?: [(Int + Str)]}\n",
+            "({active: Bool(1) (1/1), id: Str(1) (1/1)}(1) + \
+             {geo: {lat: Num(1) (1/1), lon: Num(1) (1/1)}(1) (1/1), id: Int(1) (1/1)}(1) + \
+             {id: Int(2) (2/2), name: Str(2) (2/2)}(2) + \
+             {id: Int(1) (1/1), tags: [(Int(1) + Str(1))](1#2) (1/1)}(1))\n",
+        ),
+    ];
+    for (name, corpus, kind_type, label_counts) in &corpora {
+        let file = dir.join(format!("matrix-{name}.ndjson"));
+        std::fs::write(&file, corpus).unwrap();
+        let file = file.to_str().unwrap();
+
+        // The interpreter's diagnostics, numbered by line.
+        let mut diagnostics = String::new();
+        for (line_no, line) in corpus.lines().enumerate() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let doc = jsonx::syntax::parse(line).unwrap();
+            if let Err(errors) = schema.validate_with(&doc, ValidatorOptions::default()) {
+                for e in errors {
+                    diagnostics.push_str(&format!("doc {line_no}: {e}\n"));
+                }
+            }
+        }
+        assert!(diagnostics.contains("doc 1: "), "{name}: {diagnostics}");
+        if *name == "dirty-cleaned" {
+            // Five documents, yet one is number six: `N` counts lines.
+            assert!(diagnostics.contains("doc 6: "), "{diagnostics}");
+        }
+        // Out-of-core runs hold no line to re-validate: one `invalid` per
+        // document, same numbers.
+        let mut shrunk: Vec<String> = diagnostics
+            .lines()
+            .map(|d| format!("{}: invalid\n", d.split(':').next().unwrap()))
+            .collect();
+        shrunk.dedup();
+        let shrunk = shrunk.concat();
+        let (columnar, _, ok) = run(&["convert", "--to", "columnar", "-"], corpus);
+        assert!(ok);
+
+        let jobs: [(&[&str], &str, &str); 4] = [
+            (&["infer"], kind_type, kind_type),
+            (
+                &["infer", "--equiv", "L", "--counts"],
+                label_counts,
+                label_counts,
+            ),
+            (&["validate", "--schema", schema_arg], &diagnostics, &shrunk),
+            (&["translate"], &columnar, &columnar),
+        ];
+        for (job, in_memory, out_of_core) in jobs {
+            let mut routes: Vec<(Vec<&str>, &str)> = vec![
+                (vec!["-"], in_memory),
+                (vec![file], in_memory),
+                (vec!["--workers", "1", "-"], in_memory),
+                (
+                    vec!["--workers", "4", "--chunk-bytes", "64", "-"],
+                    in_memory,
+                ),
+                (vec!["--input", file], out_of_core),
+                (
+                    vec!["--input", file, "--workers", "4", "--chunk-bytes", "64"],
+                    out_of_core,
+                ),
+            ];
+            if job[0] != "infer" {
+                routes.push((vec!["--no-fast-parse", "-"], in_memory));
+            }
+            for (route, want) in routes {
+                let args = [job, &route[..]].concat();
+                let (out, err, ok) = run(&args, corpus);
+                // Both corpora hold documents the schema rejects.
+                assert_eq!(ok, job[0] != "validate", "{name} {args:?}: {err}");
+                assert_eq!(out, want, "{name} {args:?}");
+            }
+        }
+    }
 }
 
 #[test]
-fn infer_streaming_matches_dom() {
-    let (dom_out, _, ok) = run(&["infer", "-"], SAMPLE);
+fn removed_flags_are_unknown_and_help_names_one_mode() {
+    for args in [
+        &["infer", "--streaming", "-"][..],
+        &["validate", "--streaming", "--schema", "s.json", "-"][..],
+        &["translate", "--streaming", "-"][..],
+        &["validate", "--fast-parse", "--schema", "s.json", "-"][..],
+        &["translate", "--fast-parse", "-"][..],
+        &["translate", "--to", "avro", "-"][..],
+    ] {
+        let (out, err, code) = run_code(args, SAMPLE);
+        assert_eq!(code, Some(2), "{args:?}: {err}");
+        assert!(out.is_empty(), "{args:?}: {out}");
+        assert!(err.contains("unknown flag"), "{args:?}: {err}");
+    }
+    let (help, _, ok) = run(&["help"], "");
     assert!(ok);
-    let (stream_out, err, ok) = run(&["infer", "--streaming", "-"], SAMPLE);
-    assert!(ok, "stderr: {err}");
-    assert_eq!(stream_out, dom_out);
-    assert!(err.contains("3 documents (streaming)"), "{err}");
+    assert!(
+        !help.contains("--streaming") && !help.contains("implies"),
+        "{help}"
+    );
+    assert!(help.contains("--no-fast-parse"), "{help}");
+}
 
-    // --workers implies --streaming and still agrees with the DOM path.
-    let (par_out, err, ok) = run(&["infer", "--workers", "4", "-"], SAMPLE);
-    assert!(ok, "stderr: {err}");
-    assert_eq!(par_out, dom_out);
-
-    // Streaming errors carry the 1-based line number like the DOM path.
-    let (_, err, ok) = run(&["infer", "--streaming", "-"], "{\"a\":1}\n{broken\n");
-    assert!(!ok);
-    assert!(err.contains("line 2"), "{err}");
+#[test]
+fn a_schema_with_an_unsupported_keyword_fails_before_any_document() {
+    let dir = std::env::temp_dir().join("jsonx-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    // At the root, and reached only through a `$ref` into a vendor key.
+    for (name, text, at) in [
+        (
+            "prefix-items-schema.json",
+            r#"{"prefixItems": [{"type": "string"}]}"#,
+            "#/prefixItems",
+        ),
+        (
+            "prefix-items-ref-schema.json",
+            r##"{"$ref": "#/components/pair", "components": {"pair": {"prefixItems": [{"type": "string"}]}}}"##,
+            "#/components/pair/prefixItems",
+        ),
+    ] {
+        let schema_path = dir.join(name);
+        std::fs::write(&schema_path, text).unwrap();
+        let schema = schema_path.to_str().unwrap();
+        for args in [
+            &["validate", "--schema", schema, "-"][..],
+            &["infer", "--validate", schema, "-"][..],
+        ] {
+            let (out, err, code) = run_code(args, "[1, \"x\"]\n");
+            assert_eq!(code, Some(1), "{args:?}: {err}");
+            assert!(out.is_empty(), "{args:?}: {out}");
+            assert!(err.contains(at), "{args:?}: {err}");
+            assert!(
+                !err.contains("documents valid"),
+                "{args:?} validated: {err}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -166,28 +299,12 @@ fn convert_targets() {
 }
 
 #[test]
-fn translate_streaming_matches_convert() {
-    let (dom_out, _, ok) = run(&["convert", "--to", "columnar", "-"], SAMPLE);
-    assert!(ok);
-    // `translate` defaults to columnar and agrees with `convert` on the
-    // DOM path...
-    let (out, _, ok) = run(&["translate", "-"], SAMPLE);
-    assert!(ok);
-    assert_eq!(out, dom_out);
-    // ...and on the streaming path, at any worker count.
-    let (out, err, ok) = run(&["translate", "--streaming", "-"], SAMPLE);
+fn translate_summarises_rows_and_refuses_non_records() {
+    let (_, err, ok) = run(&["translate", "-"], SAMPLE);
     assert!(ok, "stderr: {err}");
-    assert_eq!(out, dom_out);
     assert!(err.contains("3 rows (streaming)"), "{err}");
-    let (out, _, ok) = run(&["translate", "--workers", "4", "-"], SAMPLE);
-    assert!(ok);
-    assert_eq!(out, dom_out);
-
-    // Streaming is columnar-only; errors carry 1-based line numbers.
-    let (_, err, ok) = run(&["translate", "--streaming", "--to", "avro", "-"], SAMPLE);
-    assert!(!ok);
-    assert!(err.contains("columnar"), "{err}");
-    let (_, err, ok) = run(&["translate", "--streaming", "-"], "{\"a\":1}\n[2]\n");
+    // Errors carry 1-based line numbers.
+    let (_, err, ok) = run(&["translate", "-"], "{\"a\":1}\n[2]\n");
     assert!(!ok);
     assert!(err.contains("line 2"), "{err}");
 }
@@ -239,6 +356,9 @@ fn errors_are_reported() {
     let (_, err, ok) = run(&["infer", "-"], "{broken\n");
     assert!(!ok);
     assert!(err.contains("line 1"));
+    let (_, err, ok) = run(&["infer", "-"], "{\"a\":1}\n{broken\n");
+    assert!(!ok);
+    assert!(err.contains("line 2"), "{err}");
     let (_, err, ok) = run(&["convert", "-"], "{}\n");
     assert!(!ok);
     assert!(err.contains("--to"));
@@ -296,14 +416,13 @@ fn infer_skip_policy_quarantines_and_matches_prefiltered_type() {
     let quarantine = std::env::temp_dir().join("jsonx_cli_test_quarantine.ndjson");
     let q = quarantine.to_str().unwrap();
     // Fail-fast on the dirty fixture names its first bad line.
-    let (_, err, ok) = run(&["infer", "--streaming", DIRTY_FIXTURE], "");
+    let (_, err, ok) = run(&["infer", DIRTY_FIXTURE], "");
     assert!(!ok);
     assert!(err.contains("line 3"), "{err}");
     // Skip + quarantine succeeds and reports the rejects.
     let (out, err, ok) = run(
         &[
             "infer",
-            "--streaming",
             "--on-error",
             "skip",
             "--quarantine",
@@ -317,7 +436,7 @@ fn infer_skip_policy_quarantines_and_matches_prefiltered_type() {
     assert!(err.contains("3 rejected"), "{err}");
     // The inferred type equals fail-fast inference over the fixture with
     // the bad lines removed.
-    let (ref_out, ref_err, ok) = run(&["infer", "--streaming", "-"], &dirty_fixture_cleaned());
+    let (ref_out, ref_err, ok) = run(&["infer", "-"], &dirty_fixture_cleaned());
     assert!(ok, "stderr: {ref_err}");
     assert_eq!(out, ref_out);
     // One diagnostic per rejected line, each with the raw line retained.
@@ -348,7 +467,6 @@ fn validate_and_translate_honour_error_policies() {
             "validate",
             "--schema",
             "/dev/stdin",
-            "--streaming",
             "--on-error",
             "skip",
             DIRTY_FIXTURE,
@@ -419,7 +537,7 @@ fn max_errors_without_a_tolerant_policy_is_a_usage_error() {
 }
 
 #[test]
-fn every_streaming_summary_ends_with_the_reject_count() {
+fn every_engine_summary_ends_with_the_reject_count() {
     let dir = std::env::temp_dir().join("jsonx-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
     let schema_path = dir.join("summary-schema.json");
@@ -428,10 +546,10 @@ fn every_streaming_summary_ends_with_the_reject_count() {
     // No fault, chunk or format flag: the summary still accounts for
     // rejects, like every flagged run always did.
     for args in [
-        &["infer", "--streaming", "-"][..],
+        &["infer", "-"][..],
         &["infer", "--validate", schema, "-"][..],
-        &["validate", "--schema", schema, "--workers", "2", "-"][..],
-        &["translate", "--streaming", "-"][..],
+        &["validate", "--schema", schema, "-"][..],
+        &["translate", "-"][..],
     ] {
         let (_, err, ok) = run(args, SAMPLE);
         assert!(ok, "{args:?}: {err}");
@@ -441,14 +559,10 @@ fn every_streaming_summary_ends_with_the_reject_count() {
             "{args:?}: {err}"
         );
     }
-    // The DOM paths are the references and keep their own summaries.
-    let (_, err, ok) = run(&["infer", "-"], SAMPLE);
-    assert!(ok);
-    assert!(!err.contains("rejected"), "{err}");
 }
 
 #[test]
-fn failfast_streaming_validation_prints_nothing_before_a_malformed_line() {
+fn failfast_validation_prints_nothing_before_a_malformed_line() {
     let dir = std::env::temp_dir().join("jsonx-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
     let schema_path = dir.join("failfast-schema.json");
@@ -459,7 +573,7 @@ fn failfast_streaming_validation_prints_nothing_before_a_malformed_line() {
     // as out-of-core, under CSV, or with an explicit `--on-error fail`.
     let input = "{\"id\": 1}\n{\"name\": \"x\"}\n{oops\n{\"id\": 4}\n";
     for args in [
-        &["validate", "--schema", schema, "--streaming", "-"][..],
+        &["validate", "--schema", schema, "-"][..],
         &["validate", "--schema", schema, "--on-error", "fail", "-"][..],
         &["validate", "--schema", schema, "--input", "-"][..],
     ] {
@@ -567,10 +681,7 @@ fn translate_out_persists_jxc_and_cat_inspects_it() {
     let jxc = dir.join("sample.jxc");
     let jxc_path = jxc.to_str().unwrap();
 
-    let (out, err, ok) = run(
-        &["translate", "--streaming", "--out", jxc_path, "-"],
-        SAMPLE,
-    );
+    let (out, err, ok) = run(&["translate", "--out", jxc_path, "-"], SAMPLE);
     assert!(ok, "stderr: {err}");
     assert!(out.contains("id:"), "{out}");
     assert!(err.contains(&format!("bytes -> {jxc_path}")), "{err}");
@@ -594,10 +705,7 @@ fn translate_out_persists_jxc_and_cat_inspects_it() {
     assert_eq!(flat.lines().count(), 3, "schema line + 2 rows: {flat}");
 
     // --out is columnar-only; cat rejects non-.jxc bytes.
-    let (_, err, ok) = run(
-        &["translate", "--to", "avro", "--out", jxc_path, "-"],
-        SAMPLE,
-    );
+    let (_, err, ok) = run(&["convert", "--to", "avro", "--out", jxc_path, "-"], SAMPLE);
     assert!(!ok);
     assert!(err.contains("--out"), "{err}");
     let junk = dir.join("junk.jxc");

@@ -253,7 +253,6 @@ fn aborted_translate_resumes_to_identical_jxc() {
     let translate = |journal: Option<&str>, resume: bool, out: &str| -> Vec<String> {
         let mut args: Vec<String> = [
             "translate",
-            "--streaming",
             "--input",
             corpus,
             "--chunk-bytes",
@@ -423,7 +422,6 @@ fn cat_into_closed_pipe_exits_zero() {
     let made = run(
         &[
             "translate",
-            "--streaming",
             corpus.to_str().unwrap(),
             "--out",
             jxc.to_str().unwrap(),

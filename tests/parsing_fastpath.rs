@@ -273,6 +273,86 @@ proptest! {
     }
 }
 
+/// Wide records under a two-field envelope: the case the fast path
+/// exists for. The scanner must *take* every record (declining them all
+/// would make fast ≡ slow hold vacuously), leave most bytes untouched,
+/// and both consumers — the envelope schema, a layout of the same two
+/// fields — must decide exactly as the full parser does.
+#[test]
+fn wide_records_take_the_fast_path_and_skip_most_bytes() {
+    use jsonx::syntax::structural::{FieldSet, ScanOptions, StructuralScanner};
+    let docs: Vec<Value> = (0..60i64)
+        .map(|i| {
+            let mut obj = Object::new();
+            obj.insert("id", json!(i));
+            obj.insert("name", Value::Str(format!("user{i}")));
+            for k in 0..10i64 {
+                let text = format!("{}-{}", i * 31 + k, "x".repeat(40));
+                obj.insert(format!("field{k:02}"), Value::Str(text));
+            }
+            obj.insert("metrics", json!([i, i * 2, i % 7]));
+            obj.insert(
+                "nested",
+                json!({"a": (i % 100), "b": "d,e:f\\\"", "c": [true, false]}),
+            );
+            Value::Obj(obj)
+        })
+        .collect();
+    let ndjson = to_ndjson(&docs);
+
+    let envelope = FieldSet::new(["id".to_string(), "name".to_string()]);
+    let mut scanner = StructuralScanner::new();
+    let (mut total, mut projected) = (0, 0);
+    for line in ndjson.lines() {
+        assert!(
+            scanner.scan(line.as_bytes(), &envelope, &ScanOptions::default()),
+            "declined: {line}"
+        );
+        total += line.len();
+        for field in scanner.fields() {
+            projected += field.key.len() + field.value.len();
+        }
+    }
+    assert!(projected * 2 < total, "{projected} of {total} bytes parsed");
+
+    let schema = CompiledSchema::compile(&json!({
+        "type": "object",
+        "properties": {"id": {"type": "integer", "maximum": 49}, "name": {"type": "string"}},
+        "required": ["id", "name"]
+    }))
+    .unwrap();
+    let narrow: Vec<Value> = docs
+        .iter()
+        .map(
+            |d| json!({"id": d.get("id").unwrap().clone(), "name": d.get("name").unwrap().clone()}),
+        )
+        .collect();
+    let layout = Shredder::from_type(&jsonx::core::infer_collection(
+        &narrow,
+        jsonx::core::Equivalence::Kind,
+    ));
+    for workers in WORKER_COUNTS {
+        let (slow, fast) = twins(workers, FaultOptions::default());
+        let vopts = ValidatorOptions::default();
+        let verdicts = fast.validate(Source::slice(&ndjson), &schema, vopts);
+        assert_eq!(
+            verdicts,
+            slow.validate(Source::slice(&ndjson), &schema, vopts),
+            "workers {workers}"
+        );
+        let (verdicts, _) = verdicts.unwrap();
+        let invalid = verdicts.iter().filter(|(_, v)| !v.is_valid());
+        assert_eq!(invalid.count(), 10, "ids 50..60 exceed the maximum");
+        let batch = fast.translate(Source::slice(&ndjson), &layout);
+        assert_eq!(
+            batch,
+            slow.translate(Source::slice(&ndjson), &layout),
+            "workers {workers}"
+        );
+        assert_eq!(batch.unwrap().0, layout.clone().shred(&narrow).unwrap());
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Layer 2: fast path vs slow path, dirty corpora under every policy
 // ---------------------------------------------------------------------------

@@ -442,19 +442,28 @@ fn reload_swaps_epochs_without_interrupting_traffic() {
         "{resp}"
     );
 
-    // A broken reload keeps the old epoch serving.
-    std::fs::write(&path, "{\"type\": [not json").unwrap();
-    let resp = client.request("RELOAD").unwrap().unwrap();
-    assert!(resp.contains("reload-failed"), "{resp}");
-    let resp = client.request(&format!("VALIDATE {doc}")).unwrap().unwrap();
-    assert!(
-        resp.contains("\"invalid\"") && resp.contains("\"epoch\":2"),
-        "{resp}"
-    );
+    // A broken reload keeps the old epoch serving — whether the file is
+    // not JSON or uses a keyword the validator would have to ignore.
+    for (broken, names) in [
+        ("{\"type\": [not json", "reload-failed"),
+        (r#"{"prefixItems": [{"type": "string"}]}"#, "#/prefixItems"),
+    ] {
+        std::fs::write(&path, broken).unwrap();
+        let resp = client.request("RELOAD").unwrap().unwrap();
+        assert!(
+            resp.contains("reload-failed") && resp.contains(names),
+            "{resp}"
+        );
+        let resp = client.request(&format!("VALIDATE {doc}")).unwrap().unwrap();
+        assert!(
+            resp.contains("\"invalid\"") && resp.contains("\"epoch\":2"),
+            "{resp}"
+        );
+    }
 
     let report = shutdown(addr, handle);
     assert_eq!(report.reloads, 1);
-    assert_eq!(report.reload_failures, 1);
+    assert_eq!(report.reload_failures, 2);
     assert_eq!(report.epoch, 2);
     let _ = std::fs::remove_file(&path);
 }
