@@ -339,9 +339,9 @@ mod tests {
         right.errors.push(diag(4, "b"), 2);
         right.errors.push(diag(6, "b"), 2);
         left.routes.fast = 3;
-        left.routes.replayed.insert("parse-error", 1);
+        left.routes.replayed.insert("not-a-record", 1);
         right.routes.fast = 4;
-        right.routes.replayed.insert("parse-error", 2);
+        right.routes.replayed.insert("not-a-record", 2);
         right.routes.replayed.insert("duplicate-key", 1);
         right.poisoned.push(ShardPanic {
             shard: 1,
@@ -357,7 +357,7 @@ mod tests {
         assert_eq!(left.poisoned.len(), 1);
         assert!(!left.is_clean());
         assert_eq!(left.routes.fast, 7);
-        assert_eq!(left.routes.replayed["parse-error"], 3);
+        assert_eq!(left.routes.replayed["not-a-record"], 3);
         assert_eq!(left.routes.replayed["duplicate-key"], 1);
     }
 

@@ -12,10 +12,9 @@
 use crate::protocol::{Response, KIND_DEADLINE, KIND_NOT_A_RECORD, KIND_NO_SCHEMA, KIND_PANIC};
 use crate::{DataOp, Shared};
 use jsonx_core::{infer_collection, print_type, Equivalence, PrintOptions};
-use jsonx_data::Value;
 use jsonx_pipeline::{panic_message, RecordDiagnostic, ShardPanic, DIAGNOSTIC_SAMPLES};
 use jsonx_schema::ValidatorOptions;
-use jsonx_syntax::{JsonDecoder, ParseError, ParseErrorKind, RecordDecoder, RecordLimit};
+use jsonx_syntax::{JsonDecoder, RecordDecoder};
 use jsonx_translate::Shredder;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -85,24 +84,6 @@ pub(crate) fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Job>>>) 
     }
 }
 
-/// Decodes the payload under the daemon's limits, mirroring the batch
-/// fault layer: the record-size guard runs *before* any parsing, so an
-/// oversized payload is rejected with the same label whether it arrives
-/// over a socket or in an NDJSON corpus.
-fn decode(shared: &Shared, payload: &str) -> Result<Value, ParseError> {
-    if let Some(limit) = shared.config.limits.max_input_bytes {
-        if payload.len() > limit {
-            return Err(ParseError::at(
-                ParseErrorKind::LimitExceeded(RecordLimit::InputBytes),
-                payload.as_bytes(),
-                limit,
-            ));
-        }
-    }
-    let decoder = JsonDecoder::new().with_limits(shared.config.limits);
-    decoder.decode_value(&mut decoder.scratch(), payload)
-}
-
 /// Runs one data-plane request, updating the aggregate counters. Always
 /// returns a response; panics escape to the worker's `catch_unwind`.
 fn process(shared: &Shared, job: &Job) -> Response {
@@ -114,7 +95,11 @@ fn process(shared: &Shared, job: &Job) -> Response {
             Response::ok_sleep(ms)
         }
         Work::Data(op) => {
-            let value = match decode(shared, &job.payload) {
+            // The batch pipeline's decoder under the daemon's limits (its
+            // size guard runs before any parsing): a payload is rejected alike
+            // whether it arrives over a socket or in an NDJSON corpus.
+            let decoder = JsonDecoder::new().with_limits(shared.config.limits);
+            let value = match decoder.decode_value(&mut (), &job.payload) {
                 Ok(value) => value,
                 Err(err) => {
                     return reject(shared, job, err.kind.label(), err.offset, &err.to_string())

@@ -10,21 +10,21 @@
 //! validation, translation, error policies and quarantine unchanged.
 //!
 //! Two implementations live in this crate: [`JsonDecoder`] (the NDJSON
-//! baseline, wrapping [`RawEventParser`]) and
+//! baseline: [`parse_events`] under a run's [`ParseLimits`]) and
 //! [`CsvDecoder`](crate::csv::CsvDecoder) (header-driven CSV rows as flat
 //! objects). The facade crate adds a third, wrapping the SWAR
 //! structural-index fast path behind the same trait.
 //!
 //! Event consumers implement [`EventReceiver`]; [`ValueBuilder`] is the
-//! canonical receiver that rebuilds the DOM [`Value`] exactly as the
-//! recursive-descent parser would (insertion order, duplicate keys
-//! last-wins in place), and [`Tee`] fans one decode out to two receivers
-//! so a single tokenisation can feed, say, a typer and a validator.
+//! receiver that *is* the DOM parser — [`parse`](crate::parse) is the
+//! grammar pushed into it (insertion order, duplicate keys last-wins in
+//! place) — and [`Tee`] fans one decode out to two receivers so a single
+//! tokenisation can feed, say, a typer and a validator.
 
-use crate::error::ParseError;
-use crate::event::{RawEvent, RawEventParser};
+use crate::error::{ParseError, ParseErrorKind, RecordLimit};
+use crate::event::{parse_events, RawEvent};
 use crate::limits::ParseLimits;
-use crate::parser::{parse_with, ParserOptions};
+use crate::parser::ParserOptions;
 use jsonx_data::{Object, Value};
 
 /// Observes a record's event stream. Receivers are infallible: decode
@@ -55,8 +55,8 @@ impl<A: EventReceiver + ?Sized, B: EventReceiver + ?Sized> EventReceiver for Tee
     }
 }
 
-/// Rebuilds the document [`Value`] from an event stream, mirroring the
-/// DOM parser exactly: insertion order preserved, duplicate keys resolve
+/// Builds the document [`Value`] from an event stream — the DOM half of
+/// the DOM parser: insertion order preserved, duplicate keys resolve
 /// last-wins in place.
 #[derive(Default)]
 pub struct ValueBuilder {
@@ -125,7 +125,7 @@ impl EventReceiver for ValueBuilder {
 /// buffers, speculation state, scanners), created once per worker via
 /// [`scratch`](Self::scratch) and threaded through every decode.
 ///
-/// The contract mirrors the JSON event parser's: a successful decode
+/// The contract is that of [`parse_events`]: a successful decode
 /// emits a balanced event stream describing exactly one value, and an
 /// error leaves the receiver abandonable (partial events may have been
 /// delivered; callers reset their receivers on error). Byte offsets in
@@ -146,9 +146,9 @@ pub trait RecordDecoder: Sync {
     ) -> Result<(), ParseError>;
 
     /// Decodes one record into a DOM [`Value`]. The default route goes
-    /// through [`ValueBuilder`]; decoders with a faster direct path (a
-    /// recursive-descent parser, a projecting scanner) override it — the
-    /// result must equal the event-built value.
+    /// through [`ValueBuilder`]; a decoder with a faster direct path (a
+    /// projecting scanner) overrides it — where the override builds the
+    /// whole record, the result must equal the event-built value.
     fn decode_value(&self, scratch: &mut Self::Scratch, record: &str) -> Result<Value, ParseError> {
         let mut builder = ValueBuilder::new();
         self.decode_events(scratch, record, &mut builder)?;
@@ -156,10 +156,9 @@ pub trait RecordDecoder: Sync {
     }
 }
 
-/// The NDJSON baseline decoder: one JSON document per record, events
-/// from [`RawEventParser`] under the configured [`ParseLimits`],
-/// DOM values from the recursive-descent parser (byte-identical errors
-/// to the historical streaming paths).
+/// The NDJSON baseline decoder: one JSON document per record, pushed
+/// through [`parse_events`] under the configured [`ParseLimits`] — so a
+/// record's events, its DOM value and its rejection are one parse's.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JsonDecoder {
     /// Per-record resource limits (depth, record bytes, string bytes).
@@ -177,15 +176,6 @@ impl JsonDecoder {
         self.limits = limits;
         self
     }
-
-    /// The DOM-parser options equivalent to this decoder's limits.
-    pub fn parser_options(&self) -> ParserOptions {
-        ParserOptions {
-            max_depth: self.limits.max_depth,
-            allow_trailing: false,
-            max_string_bytes: self.limits.max_string_bytes,
-        }
-    }
 }
 
 impl RecordDecoder for JsonDecoder {
@@ -199,15 +189,21 @@ impl RecordDecoder for JsonDecoder {
         record: &str,
         recv: &mut R,
     ) -> Result<(), ParseError> {
-        let mut parser = RawEventParser::new(record.as_bytes()).with_limits(self.limits);
-        while let Some(ev) = parser.next_event()? {
-            recv.event(&ev);
+        if let Some(limit) = self.limits.max_input_bytes {
+            if record.len() > limit {
+                return Err(ParseError::at(
+                    ParseErrorKind::LimitExceeded(RecordLimit::InputBytes),
+                    record.as_bytes(),
+                    limit,
+                ));
+            }
         }
-        Ok(())
-    }
-
-    fn decode_value(&self, _scratch: &mut (), record: &str) -> Result<Value, ParseError> {
-        parse_with(record.as_bytes(), self.parser_options())
+        let opts = ParserOptions {
+            max_depth: self.limits.max_depth,
+            allow_trailing: false,
+            max_string_bytes: self.limits.max_string_bytes,
+        };
+        parse_events(record.as_bytes(), opts, recv)
     }
 }
 
@@ -215,25 +211,6 @@ impl RecordDecoder for JsonDecoder {
 mod tests {
     use super::*;
     use crate::parser::parse;
-
-    #[test]
-    fn value_builder_matches_dom_parser() {
-        let decoder = JsonDecoder::new();
-        for doc in [
-            r#"{"a": 1, "b": [true, null, {"c": "x\ny"}], "geo": {"lat": 1.5}}"#,
-            r#"{"dup": 1, "dup": "last-wins", "keep": 0}"#,
-            r#"[[], {}, [1, "s"]]"#,
-            "42",
-            "\"plain\"",
-            "null",
-        ] {
-            let mut builder = ValueBuilder::new();
-            decoder
-                .decode_events(&mut (), doc, &mut builder)
-                .unwrap_or_else(|e| panic!("decode {doc}: {e}"));
-            assert_eq!(builder.take(), parse(doc).unwrap(), "doc {doc}");
-        }
-    }
 
     #[test]
     fn value_builder_is_reusable_after_abandonment() {
@@ -247,16 +224,6 @@ mod tests {
             .decode_events(&mut (), "{\"ok\": 1}", &mut builder)
             .unwrap();
         assert_eq!(builder.take(), parse("{\"ok\": 1}").unwrap());
-    }
-
-    #[test]
-    fn decode_value_equals_event_built_value() {
-        let decoder = JsonDecoder::new();
-        let doc = r#"{"n": [1, 2.5], "s": "x", "o": {"k": null}}"#;
-        let direct = decoder.decode_value(&mut (), doc).unwrap();
-        let mut builder = ValueBuilder::new();
-        decoder.decode_events(&mut (), doc, &mut builder).unwrap();
-        assert_eq!(direct, builder.take());
     }
 
     #[test]
@@ -278,10 +245,17 @@ mod tests {
 
     #[test]
     fn limits_are_enforced() {
-        let decoder = JsonDecoder::new().with_limits(ParseLimits::new().with_max_depth(2));
-        let err = decoder
+        let decoder = |limits| JsonDecoder::new().with_limits(limits);
+        let err = decoder(ParseLimits::new().with_max_depth(2))
             .decode_events(&mut (), "[[[1]]]", &mut NullReceiver)
             .unwrap_err();
-        assert_eq!(err.kind, crate::ParseErrorKind::TooDeep);
+        assert_eq!(err.kind, ParseErrorKind::TooDeep);
+        // Over the size limit: rejected at the first byte past it.
+        let doc = r#"{"a": [1, 2, 3]}"#;
+        let capped = |limit| decoder(ParseLimits::new().with_max_input_bytes(limit));
+        let err = capped(8).decode_value(&mut (), doc).unwrap_err();
+        let over = ParseErrorKind::LimitExceeded(RecordLimit::InputBytes);
+        assert_eq!((err.kind, err.offset), (over, 8));
+        assert!(capped(doc.len()).decode_value(&mut (), doc).is_ok());
     }
 }

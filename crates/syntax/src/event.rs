@@ -1,22 +1,23 @@
-//! Streaming (pull) event parser.
+//! The JSON grammar, written once: [`parse_events`] pushes a document's
+//! event stream into an [`EventReceiver`].
 //!
 //! The schema-inference tools the tutorial surveys (mongodb-schema, the
 //! distributed map/reduce inferrers) process collections too large to hold
-//! as DOMs. [`RawEventParser`] yields a well-formed event stream without
-//! building a tree: object/array boundaries, keys, and scalar values, with
-//! the same validation guarantees as the DOM parser. Its events borrow
-//! string data straight from the input whenever the literal is escape-free,
-//! so the common machine-generated document produces **zero per-token heap
-//! allocations**. [`EventParser`] is a thin adapter yielding the owned
-//! [`Event`] form for callers that need `'static` data.
+//! as DOMs, so the grammar builds nothing itself: it checks
+//! well-formedness and hands container boundaries, keys and scalars to
+//! the caller's receiver — a [`ValueBuilder`](crate::ValueBuilder) for a
+//! DOM, a typer, a shredder. Events borrow escape-free strings straight
+//! from the input: **zero per-token heap allocations** on the common
+//! machine-generated document.
 
-use crate::error::{ParseError, ParseErrorKind, RecordLimit};
+use crate::decoder::EventReceiver;
+use crate::error::{ParseError, ParseErrorKind};
 use crate::lexer::{Lexer, RawToken};
-use crate::limits::ParseLimits;
+use crate::parser::ParserOptions;
 use jsonx_data::Number;
 use std::borrow::Cow;
 
-/// One event of the streaming parse, borrowing from the input.
+/// One event of a document's parse, borrowing from the input.
 ///
 /// `Key`/`Str` payloads are `Cow::Borrowed` when the literal contains no
 /// escapes and `Cow::Owned` only when unescaping forced a buffer.
@@ -34,534 +35,211 @@ pub enum RawEvent<'a> {
     Str(Cow<'a, str>),
 }
 
-impl<'a> RawEvent<'a> {
-    /// Converts to the owned [`Event`], copying borrowed string data.
-    pub fn into_owned(self) -> Event {
-        match self {
-            RawEvent::StartObject => Event::StartObject,
-            RawEvent::EndObject => Event::EndObject,
-            RawEvent::StartArray => Event::StartArray,
-            RawEvent::EndArray => Event::EndArray,
-            RawEvent::Key(k) => Event::Key(k.into_owned()),
-            RawEvent::Null => Event::Null,
-            RawEvent::Bool(b) => Event::Bool(b),
-            RawEvent::Num(n) => Event::Num(n),
-            RawEvent::Str(s) => Event::Str(s.into_owned()),
-        }
-    }
-}
-
-/// One event of the streaming parse, with owned string data.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    StartObject,
-    EndObject,
-    StartArray,
-    EndArray,
-    /// An object member key (always followed by that member's value events).
-    Key(String),
-    Null,
-    Bool(bool),
-    Num(Number),
-    Str(String),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Frame {
-    /// Inside an array; `expect_comma` when an element has been produced.
-    Array { expect_comma: bool },
-    /// Inside an object; `expect_comma` when a member has been produced.
-    Object { expect_comma: bool },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum State {
-    /// Expecting the top-level value.
-    Start,
-    /// Expecting any value (after `[`, `,` in array, or `:`).
-    Value,
-    /// Between events: consult the stack.
-    Next,
-    /// Completed the top-level value.
-    Done,
-}
-
-/// A pull parser with borrowed events: call
-/// [`RawEventParser::next_event`] until it returns `Ok(None)`.
-pub struct RawEventParser<'a> {
-    lexer: Lexer<'a>,
-    stack: Vec<Frame>,
-    state: State,
-    limits: ParseLimits,
-    /// Whether the first-event input-size check has run.
-    started: bool,
-}
-
-impl<'a> RawEventParser<'a> {
-    /// Creates an event parser over `input` with [`ParseLimits::default`].
-    pub fn new(input: &'a [u8]) -> Self {
-        RawEventParser {
-            lexer: Lexer::new(input),
-            stack: Vec::new(),
-            state: State::Start,
-            limits: ParseLimits::default(),
-            started: false,
-        }
-    }
-
-    /// Replaces all resource limits.
-    pub fn with_limits(mut self, limits: ParseLimits) -> Self {
-        self.limits = limits;
-        self.lexer.set_max_string_bytes(limits.max_string_bytes);
-        self
-    }
-
-    /// Overrides the nesting limit.
-    pub fn with_max_depth(self, max_depth: usize) -> Self {
-        let limits = self.limits.with_max_depth(max_depth);
-        self.with_limits(limits)
-    }
-
-    /// Current nesting depth.
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    fn err(&self, kind: ParseErrorKind) -> ParseError {
-        ParseError::at(kind, self.lexer.input(), self.lexer.offset())
-    }
-
-    /// Pulls the next event; `Ok(None)` signals a complete, valid document.
-    pub fn next_event(&mut self) -> Result<Option<RawEvent<'a>>, ParseError> {
-        if !self.started {
-            self.started = true;
-            if let Some(limit) = self.limits.max_input_bytes {
-                if self.lexer.input().len() > limit {
-                    // Reject before touching the body; the offset marks the
-                    // first byte past the allowance.
-                    return Err(ParseError::at(
-                        ParseErrorKind::LimitExceeded(RecordLimit::InputBytes),
-                        self.lexer.input(),
-                        limit,
-                    ));
-                }
+/// Parses one JSON document, handing its events to `recv` in document
+/// order — the only code in the workspace that knows the container
+/// grammar `{ "k" : v , … }` / `[ v , … ]`, so every consumer rejects the
+/// same documents with the same [`ParseError`]. `Ok(())` means one
+/// complete value, followed by nothing but whitespace unless
+/// `opts.allow_trailing`; on an error the receiver has seen the events of
+/// the prefix that parsed and is the caller's to reset.
+///
+/// Iterative: open containers live on an explicit stack, so nesting costs
+/// heap instead of call stack and `opts.max_depth` is the only bound.
+pub fn parse_events<R: EventReceiver + ?Sized>(
+    input: &[u8],
+    opts: ParserOptions,
+    recv: &mut R,
+) -> Result<(), ParseError> {
+    let mut lexer = Lexer::new(input);
+    lexer.set_max_string_bytes(opts.max_string_bytes);
+    let fail = |lexer: &Lexer<'_>, kind| ParseError::at(kind, input, lexer.offset());
+    let unexpected = |lexer: &Lexer<'_>, tok: RawToken<'_>| match tok {
+        RawToken::Eof => fail(lexer, ParseErrorKind::UnexpectedEof),
+        other => fail(lexer, ParseErrorKind::UnexpectedToken(other.name())),
+    };
+    // One entry per open container, innermost last: is it an object?
+    let mut open: Vec<bool> = Vec::new();
+    let mut tok = lexer.next_token_raw()?;
+    'member: loop {
+        // `tok` starts a member of the innermost container — or the document.
+        if open.last() == Some(&true) {
+            let RawToken::Str(key) = tok else {
+                return Err(unexpected(&lexer, tok));
+            };
+            recv.event(&RawEvent::Key(key));
+            match lexer.next_token_raw()? {
+                RawToken::Colon => {}
+                other => return Err(unexpected(&lexer, other)),
             }
+            tok = lexer.next_token_raw()?;
         }
-        loop {
-            match self.state {
-                State::Done => {
-                    self.lexer.skip_ws();
-                    let tok = self.lexer.next_token_raw()?;
-                    return if tok == RawToken::Eof {
-                        Ok(None)
-                    } else {
-                        Err(self.err(ParseErrorKind::TrailingData))
-                    };
-                }
-                State::Start | State::Value => {
-                    let tok = self.lexer.next_token_raw()?;
-                    return self.value_event(tok).map(Some);
-                }
-                State::Next => {
-                    if let Some(ev) = self.advance()? {
-                        return Ok(Some(ev));
-                    }
-                    // `advance` changed state without an event; loop.
-                }
-            }
-        }
-    }
-
-    /// Handles a token in value position.
-    fn value_event(&mut self, tok: RawToken<'a>) -> Result<RawEvent<'a>, ParseError> {
         let ev = match tok {
             RawToken::Null => RawEvent::Null,
             RawToken::True => RawEvent::Bool(true),
             RawToken::False => RawEvent::Bool(false),
             RawToken::Num(n) => RawEvent::Num(n),
             RawToken::Str(s) => RawEvent::Str(s),
-            RawToken::LBracket => {
-                self.push(Frame::Array {
-                    expect_comma: false,
-                })?;
-                self.state = State::Next;
-                return Ok(RawEvent::StartArray);
-            }
-            RawToken::LBrace => {
-                self.push(Frame::Object {
-                    expect_comma: false,
-                })?;
-                self.state = State::Next;
-                return Ok(RawEvent::StartObject);
-            }
-            RawToken::RBracket if self.in_fresh_array() => {
-                self.stack.pop();
-                self.after_close();
-                return Ok(RawEvent::EndArray);
-            }
-            RawToken::Eof => return Err(self.err(ParseErrorKind::UnexpectedEof)),
-            other => return Err(self.err(ParseErrorKind::UnexpectedToken(other.name()))),
+            RawToken::LBrace => RawEvent::StartObject,
+            RawToken::LBracket => RawEvent::StartArray,
+            other => return Err(unexpected(&lexer, other)),
         };
-        self.after_scalar();
-        Ok(ev)
-    }
-
-    fn in_fresh_array(&self) -> bool {
-        matches!(
-            self.stack.last(),
-            Some(Frame::Array {
-                expect_comma: false
-            })
-        ) && self.state == State::Value
-    }
-
-    fn push(&mut self, frame: Frame) -> Result<(), ParseError> {
-        if self.stack.len() >= self.limits.max_depth {
-            return Err(self.err(ParseErrorKind::TooDeep));
+        let opens = matches!(ev, RawEvent::StartObject | RawEvent::StartArray);
+        if opens && open.len() >= opts.max_depth {
+            return Err(fail(&lexer, ParseErrorKind::TooDeep));
         }
-        self.stack.push(frame);
-        Ok(())
-    }
-
-    fn after_scalar(&mut self) {
-        if self.stack.is_empty() {
-            self.state = State::Done;
-        } else {
-            self.mark_member_done();
-            self.state = State::Next;
-        }
-    }
-
-    fn after_close(&mut self) {
-        if self.stack.is_empty() {
-            self.state = State::Done;
-        } else {
-            self.mark_member_done();
-            self.state = State::Next;
-        }
-    }
-
-    fn mark_member_done(&mut self) {
-        match self.stack.last_mut() {
-            Some(Frame::Array { expect_comma }) | Some(Frame::Object { expect_comma }) => {
-                *expect_comma = true;
+        recv.event(&ev);
+        if opens {
+            let object = matches!(ev, RawEvent::StartObject);
+            open.push(object);
+            tok = lexer.next_token_raw()?;
+            // An empty container's closer stands where a first member would.
+            match (object, &tok) {
+                (true, RawToken::RBrace) | (false, RawToken::RBracket) => {}
+                _ => continue,
             }
-            None => {}
+        } else if open.is_empty() {
+            break;
+        } else {
+            tok = lexer.next_token_raw()?;
         }
-    }
-
-    /// Consumes separators/closers between members. Returns an event only
-    /// for container closes.
-    fn advance(&mut self) -> Result<Option<RawEvent<'a>>, ParseError> {
-        let frame = *self
-            .stack
-            .last()
-            .expect("advance only runs inside containers");
-        let tok = self.lexer.next_token_raw()?;
-        match frame {
-            Frame::Array { expect_comma } => match tok {
-                RawToken::RBracket => {
-                    self.stack.pop();
-                    self.after_close();
-                    Ok(Some(RawEvent::EndArray))
-                }
-                RawToken::Comma if expect_comma => {
-                    self.state = State::Value;
-                    Ok(None)
-                }
-                _ if !expect_comma => {
-                    // First element: the token *is* the value.
-                    self.state = State::Value;
-                    self.value_event(tok).map(Some)
-                }
-                RawToken::Eof => Err(self.err(ParseErrorKind::UnexpectedEof)),
-                other => Err(self.err(ParseErrorKind::UnexpectedToken(other.name()))),
-            },
-            Frame::Object { expect_comma } => {
-                let key_tok = match tok {
-                    RawToken::RBrace => {
-                        self.stack.pop();
-                        self.after_close();
-                        return Ok(Some(RawEvent::EndObject));
-                    }
-                    RawToken::Comma if expect_comma => self.lexer.next_token_raw()?,
-                    t if !expect_comma => t,
-                    RawToken::Eof => return Err(self.err(ParseErrorKind::UnexpectedEof)),
-                    other => return Err(self.err(ParseErrorKind::UnexpectedToken(other.name()))),
-                };
-                let key = match key_tok {
-                    RawToken::Str(s) => s,
-                    RawToken::Eof => return Err(self.err(ParseErrorKind::UnexpectedEof)),
-                    other => return Err(self.err(ParseErrorKind::UnexpectedToken(other.name()))),
-                };
-                match self.lexer.next_token_raw()? {
-                    RawToken::Colon => {}
-                    RawToken::Eof => return Err(self.err(ParseErrorKind::UnexpectedEof)),
-                    other => return Err(self.err(ParseErrorKind::UnexpectedToken(other.name()))),
-                }
-                self.state = State::Value;
-                Ok(Some(RawEvent::Key(key)))
+        // `tok` follows a member of the innermost container, or closes it.
+        loop {
+            match (open.last(), tok) {
+                (Some(_), RawToken::Comma) => break,
+                (Some(true), RawToken::RBrace) => recv.event(&RawEvent::EndObject),
+                (Some(false), RawToken::RBracket) => recv.event(&RawEvent::EndArray),
+                (_, other) => return Err(unexpected(&lexer, other)),
             }
+            open.pop();
+            if open.is_empty() {
+                break 'member;
+            }
+            tok = lexer.next_token_raw()?;
+        }
+        tok = lexer.next_token_raw()?;
+    }
+    if !opts.allow_trailing {
+        // Whatever follows the value is trailing data *at its first
+        // byte*; it is not lexed, so garbage cannot reword the error.
+        lexer.skip_ws();
+        if lexer.offset() != input.len() {
+            return Err(fail(&lexer, ParseErrorKind::TrailingData));
         }
     }
-
-    /// Drains the remaining events, checking well-formedness.
-    pub fn finish(mut self) -> Result<(), ParseError> {
-        while self.next_event()?.is_some() {}
-        Ok(())
-    }
-}
-
-impl<'a> Iterator for RawEventParser<'a> {
-    type Item = Result<RawEvent<'a>, ParseError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.next_event() {
-            Ok(Some(ev)) => Some(Ok(ev)),
-            Ok(None) => None,
-            Err(e) => Some(Err(e)),
-        }
-    }
-}
-
-/// A pull parser yielding owned [`Event`]s: a thin adapter over
-/// [`RawEventParser`] for callers that keep events beyond the input's
-/// lifetime.
-pub struct EventParser<'a> {
-    inner: RawEventParser<'a>,
-}
-
-impl<'a> EventParser<'a> {
-    /// Creates an event parser over `input`.
-    pub fn new(input: &'a [u8]) -> Self {
-        EventParser {
-            inner: RawEventParser::new(input),
-        }
-    }
-
-    /// Replaces all resource limits.
-    pub fn with_limits(mut self, limits: ParseLimits) -> Self {
-        self.inner = self.inner.with_limits(limits);
-        self
-    }
-
-    /// Overrides the nesting limit.
-    pub fn with_max_depth(mut self, max_depth: usize) -> Self {
-        self.inner = self.inner.with_max_depth(max_depth);
-        self
-    }
-
-    /// Current nesting depth.
-    pub fn depth(&self) -> usize {
-        self.inner.depth()
-    }
-
-    /// Pulls the next event; `Ok(None)` signals a complete, valid document.
-    pub fn next_event(&mut self) -> Result<Option<Event>, ParseError> {
-        Ok(self.inner.next_event()?.map(RawEvent::into_owned))
-    }
-
-    /// Drains the remaining events, checking well-formedness.
-    pub fn finish(self) -> Result<(), ParseError> {
-        self.inner.finish()
-    }
-}
-
-impl<'a> Iterator for EventParser<'a> {
-    type Item = Result<Event, ParseError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.next_event() {
-            Ok(Some(ev)) => Some(Ok(ev)),
-            Ok(None) => None,
-            Err(e) => Some(Err(e)),
-        }
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decoder::NullReceiver;
 
-    fn events(s: &str) -> Result<Vec<Event>, ParseError> {
-        EventParser::new(s.as_bytes()).collect()
-    }
+    /// The collecting receiver: each event's `Debug` text, and whether
+    /// each string payload arrived borrowed.
+    #[derive(Default)]
+    struct Collect(Vec<String>, Vec<bool>);
 
-    #[test]
-    fn scalar_document() {
-        assert_eq!(events("42").unwrap(), vec![Event::Num(Number::Int(42))]);
-    }
-
-    #[test]
-    fn object_stream() {
-        use Event::*;
-        assert_eq!(
-            events(r#"{"a": 1, "b": [true, null]}"#).unwrap(),
-            vec![
-                StartObject,
-                Key("a".into()),
-                Num(Number::Int(1)),
-                Key("b".into()),
-                StartArray,
-                Bool(true),
-                Null,
-                EndArray,
-                EndObject
-            ]
-        );
-    }
-
-    #[test]
-    fn empty_containers() {
-        use Event::*;
-        assert_eq!(events("[]").unwrap(), vec![StartArray, EndArray]);
-        assert_eq!(events("{}").unwrap(), vec![StartObject, EndObject]);
-        assert_eq!(
-            events("[{}]").unwrap(),
-            vec![StartArray, StartObject, EndObject, EndArray]
-        );
-    }
-
-    #[test]
-    fn nested_arrays() {
-        use Event::*;
-        assert_eq!(
-            events("[[1],[2]]").unwrap(),
-            vec![
-                StartArray,
-                StartArray,
-                Num(Number::Int(1)),
-                EndArray,
-                StartArray,
-                Num(Number::Int(2)),
-                EndArray,
-                EndArray
-            ]
-        );
-    }
-
-    #[test]
-    fn malformed_streams_error() {
-        for bad in ["[1,", "{\"a\"}", "[1,]", "{", "{\"a\":1,}", "1 2", "[}"] {
-            assert!(events(bad).is_err(), "expected {bad:?} to fail");
+    impl EventReceiver for Collect {
+        fn event(&mut self, ev: &RawEvent<'_>) {
+            if let RawEvent::Key(s) | RawEvent::Str(s) = ev {
+                self.1.push(matches!(s, Cow::Borrowed(_)));
+            }
+            self.0.push(format!("{ev:?}"));
         }
+    }
+
+    fn events_with(s: &str, opts: ParserOptions) -> Result<Vec<String>, ParseError> {
+        let mut collect = Collect::default();
+        parse_events(s.as_bytes(), opts, &mut collect)?;
+        Ok(collect.0)
+    }
+
+    fn events(s: &str) -> Result<Vec<String>, ParseError> {
+        events_with(s, ParserOptions::default())
+    }
+
+    #[test]
+    fn events_arrive_in_document_order() {
+        assert_eq!(events("42").unwrap(), ["Num(Int(42))"]);
+        assert_eq!(events("[]").unwrap(), ["StartArray", "EndArray"]);
+        assert_eq!(events("{}").unwrap(), ["StartObject", "EndObject"]);
+        assert_eq!(
+            events(r#"{"a": 1, "b": [true, null, {}]}"#)
+                .unwrap()
+                .join(" "),
+            r#"StartObject Key("a") Num(Int(1)) Key("b") StartArray Bool(true) Null StartObject EndObject EndArray EndObject"#
+        );
+        assert_eq!(
+            events("[[1],[2]]").unwrap().join(" "),
+            "StartArray StartArray Num(Int(1)) EndArray StartArray Num(Int(2)) EndArray EndArray"
+        );
+    }
+
+    #[test]
+    fn errors_name_the_token_and_the_byte_after_it() {
+        use ParseErrorKind::*;
+        for (bad, kind, offset) in [
+            ("", UnexpectedEof, 0),
+            ("{", UnexpectedEof, 1),
+            ("[1,", UnexpectedEof, 3),
+            ("[1,]", UnexpectedToken("']'"), 4),
+            ("[1 2]", UnexpectedToken("number"), 4),
+            ("[,", UnexpectedToken("','"), 2),
+            ("[}", UnexpectedToken("'}'"), 2),
+            ("{]", UnexpectedToken("']'"), 2),
+            ("{\"a\"}", UnexpectedToken("'}'"), 5),
+            ("{\"a\" 1}", UnexpectedToken("number"), 6),
+            ("{\"a\":1,}", UnexpectedToken("'}'"), 8),
+            ("{\"a\":}", UnexpectedToken("'}'"), 6),
+            ("{,}", UnexpectedToken("','"), 2),
+            ("{1:2}", UnexpectedToken("number"), 2),
+            ("]", UnexpectedToken("']'"), 1),
+            (",", UnexpectedToken("','"), 1),
+            ("{\"a\": @}", UnexpectedByte(b'@'), 6),
+            // Whatever follows the value is trailing data where it starts:
+            // a bad byte, a closer, a second value, half a keyword.
+            ("{\"a\":2} xyz", TrailingData, 8),
+            ("{\"a\":3}]", TrailingData, 7),
+            ("[1]]", TrailingData, 3),
+            ("1 2", TrailingData, 2),
+            ("[] nul", TrailingData, 3),
+        ] {
+            let err = events(bad).unwrap_err();
+            assert_eq!((err.kind, err.offset), (kind, offset), "{bad:?}");
+        }
+        let lenient = ParserOptions {
+            allow_trailing: true,
+            ..ParserOptions::default()
+        };
+        assert_eq!(events_with("[] nul", lenient).unwrap().len(), 2);
     }
 
     #[test]
     fn raw_events_borrow_escape_free_strings() {
         let doc = r#"{"plain": "value", "esc\n": "a\tb"}"#;
-        let raw: Vec<RawEvent<'_>> = RawEventParser::new(doc.as_bytes())
-            .collect::<Result<_, _>>()
-            .unwrap();
-        let cows: Vec<&Cow<'_, str>> = raw
-            .iter()
-            .filter_map(|ev| match ev {
-                RawEvent::Key(c) | RawEvent::Str(c) => Some(c),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(cows.len(), 4);
-        assert!(matches!(cows[0], Cow::Borrowed("plain")));
-        assert!(matches!(cows[1], Cow::Borrowed("value")));
-        assert!(matches!(cows[2], Cow::Owned(_)));
-        assert!(matches!(cows[3], Cow::Owned(_)));
+        let mut collect = Collect::default();
+        parse_events(doc.as_bytes(), ParserOptions::default(), &mut collect).unwrap();
+        assert_eq!(collect.1, [true, true, false, false]);
+        assert_eq!(collect.0[3..5], [r#"Key("esc\n")"#, r#"Str("a\tb")"#]);
     }
 
     #[test]
-    fn raw_and_owned_event_streams_agree() {
-        let doc = r#"{"users":[{"id":1,"tags":["aA"]},{"id":2}],"total":2}"#;
-        let raw: Vec<Event> = RawEventParser::new(doc.as_bytes())
-            .map(|r| r.map(RawEvent::into_owned))
-            .collect::<Result<_, _>>()
-            .unwrap();
-        let owned: Vec<Event> = events(doc).unwrap();
-        assert_eq!(raw, owned);
-    }
-
-    #[test]
-    fn agrees_with_dom_parser() {
-        let doc = r#"{"users":[{"id":1,"tags":["a"]},{"id":2,"tags":[]}],"total":2}"#;
-        // Rebuild a value from events and compare with the DOM parse.
-        let dom = crate::parser::parse(doc).unwrap();
-        let mut stack: Vec<jsonx_data::Value> = Vec::new();
-        let mut keys: Vec<Option<String>> = Vec::new();
-        let mut pending_key: Option<String> = None;
-        let mut result = None;
-        for ev in events(doc).unwrap() {
-            use jsonx_data::{Object, Value};
-            let done = |v: Value,
-                        stack: &mut Vec<Value>,
-                        pending_key: &mut Option<String>,
-                        result: &mut Option<Value>| {
-                if let Some(top) = stack.last_mut() {
-                    match top {
-                        Value::Arr(items) => items.push(v),
-                        Value::Obj(o) => {
-                            o.insert(pending_key.take().expect("key before value"), v);
-                        }
-                        _ => unreachable!(),
-                    }
-                } else {
-                    *result = Some(v);
-                }
-            };
-            match ev {
-                Event::StartObject => {
-                    stack.push(Value::Obj(Object::new()));
-                    keys.push(pending_key.take());
-                }
-                Event::StartArray => {
-                    stack.push(Value::Arr(vec![]));
-                    keys.push(pending_key.take());
-                }
-                Event::EndObject | Event::EndArray => {
-                    let v = stack.pop().unwrap();
-                    pending_key = keys.pop().unwrap();
-                    done(v, &mut stack, &mut pending_key, &mut result);
-                }
-                Event::Key(k) => pending_key = Some(k),
-                Event::Null => done(Value::Null, &mut stack, &mut pending_key, &mut result),
-                Event::Bool(b) => done(Value::Bool(b), &mut stack, &mut pending_key, &mut result),
-                Event::Num(n) => done(Value::Num(n), &mut stack, &mut pending_key, &mut result),
-                Event::Str(s) => done(Value::Str(s), &mut stack, &mut pending_key, &mut result),
-            }
-        }
-        assert_eq!(result.unwrap(), dom);
-    }
-
-    #[test]
-    fn depth_limit() {
+    fn depth_limit_counts_open_containers_and_costs_no_call_stack() {
+        let opts = |max_depth| ParserOptions {
+            max_depth,
+            ..ParserOptions::default()
+        };
+        // Exactly `max_depth` open containers pass; the next one is
+        // rejected at the byte after its bracket.
         let deep = "[".repeat(10) + &"]".repeat(10);
-        let p = EventParser::new(deep.as_bytes()).with_max_depth(5);
-        assert!(p.collect::<Result<Vec<_>, _>>().is_err());
-    }
-
-    #[test]
-    fn input_byte_limit_rejects_before_parsing() {
-        let doc = r#"{"a": [1, 2, 3]}"#;
-        let mut p = RawEventParser::new(doc.as_bytes())
-            .with_limits(ParseLimits::new().with_max_input_bytes(8));
-        let err = p.next_event().unwrap_err();
-        assert_eq!(
-            err.kind,
-            ParseErrorKind::LimitExceeded(RecordLimit::InputBytes)
-        );
-        assert_eq!(err.offset, 8);
-        // At the limit, parsing proceeds normally.
-        let p = RawEventParser::new(doc.as_bytes())
-            .with_limits(ParseLimits::new().with_max_input_bytes(doc.len()));
-        assert!(p.collect::<Result<Vec<_>, _>>().is_ok());
-    }
-
-    #[test]
-    fn string_byte_limit_threads_to_lexer() {
-        let doc = r#"{"k": "0123456789"}"#;
-        let p = RawEventParser::new(doc.as_bytes())
-            .with_limits(ParseLimits::new().with_max_string_bytes(4));
-        let err = p.collect::<Result<Vec<_>, _>>().unwrap_err();
-        assert_eq!(
-            err.kind,
-            ParseErrorKind::LimitExceeded(RecordLimit::StringBytes)
-        );
+        assert!(events_with(&deep, opts(10)).is_ok());
+        let err = events_with(&deep, opts(5)).unwrap_err();
+        assert_eq!((err.kind, err.offset), (ParseErrorKind::TooDeep, 6));
+        let mixed = r#"{"a": [{"b": [1]}]}"#;
+        assert!(events_with(mixed, opts(4)).is_ok());
+        assert!(events_with(mixed, opts(3)).is_err());
+        // Far past what a recursive parser survives on a thread's stack.
+        let bomb = "[".repeat(200_000) + &"]".repeat(200_000);
+        assert!(parse_events(bomb.as_bytes(), opts(200_000), &mut NullReceiver).is_ok());
     }
 }

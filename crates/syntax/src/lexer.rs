@@ -30,24 +30,6 @@ pub enum RawToken<'a> {
 }
 
 impl<'a> RawToken<'a> {
-    /// Converts to the owned [`Token`], copying borrowed string data.
-    pub fn into_owned(self) -> Token {
-        match self {
-            RawToken::LBrace => Token::LBrace,
-            RawToken::RBrace => Token::RBrace,
-            RawToken::LBracket => Token::LBracket,
-            RawToken::RBracket => Token::RBracket,
-            RawToken::Colon => Token::Colon,
-            RawToken::Comma => Token::Comma,
-            RawToken::Str(s) => Token::Str(s.into_owned()),
-            RawToken::Num(n) => Token::Num(n),
-            RawToken::True => Token::True,
-            RawToken::False => Token::False,
-            RawToken::Null => Token::Null,
-            RawToken::Eof => Token::Eof,
-        }
-    }
-
     /// Short name used in error messages.
     pub fn name(&self) -> &'static str {
         match self {
@@ -63,46 +45,6 @@ impl<'a> RawToken<'a> {
             RawToken::False => "'false'",
             RawToken::Null => "'null'",
             RawToken::Eof => "end of input",
-        }
-    }
-}
-
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Token {
-    LBrace,
-    RBrace,
-    LBracket,
-    RBracket,
-    Colon,
-    Comma,
-    /// A string literal, unescaped.
-    Str(String),
-    /// A number literal.
-    Num(Number),
-    True,
-    False,
-    Null,
-    /// End of input.
-    Eof,
-}
-
-impl Token {
-    /// Short name used in error messages.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Token::LBrace => "'{'",
-            Token::RBrace => "'}'",
-            Token::LBracket => "'['",
-            Token::RBracket => "']'",
-            Token::Colon => "':'",
-            Token::Comma => "','",
-            Token::Str(_) => "string",
-            Token::Num(_) => "number",
-            Token::True => "'true'",
-            Token::False => "'false'",
-            Token::Null => "'null'",
-            Token::Eof => "end of input",
         }
     }
 }
@@ -137,11 +79,6 @@ impl<'a> Lexer<'a> {
     /// Current byte offset (start of the next token after whitespace).
     pub fn offset(&self) -> usize {
         self.pos
-    }
-
-    /// Underlying input.
-    pub fn input(&self) -> &'a [u8] {
-        self.input
     }
 
     fn err(&self, kind: ParseErrorKind, at: usize) -> ParseError {
@@ -199,11 +136,6 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// Scans the next token into the owned [`Token`] form.
-    pub fn next_token(&mut self) -> Result<Token, ParseError> {
-        self.next_token_raw().map(RawToken::into_owned)
-    }
-
     fn scan_keyword(
         &mut self,
         word: &'static [u8],
@@ -223,8 +155,7 @@ impl<'a> Lexer<'a> {
     ///
     /// This is the zero-copy hot path: escape-free strings cost one UTF-8
     /// validation pass and no heap allocation. Escaped strings fall back to
-    /// [`scan_string`](Self::scan_string), which builds the unescaped
-    /// buffer.
+    /// `scan_string`, which builds the unescaped buffer.
     pub fn scan_string_cow(&mut self) -> Result<Cow<'a, str>, ParseError> {
         debug_assert_eq!(self.input[self.pos], b'"');
         let start = self.pos;
@@ -264,8 +195,10 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// Scans a string literal (cursor on the opening quote).
-    pub fn scan_string(&mut self) -> Result<String, ParseError> {
+    /// The escape path of [`scan_string_cow`](Self::scan_string_cow):
+    /// scans a string literal (cursor on the opening quote) into an
+    /// unescaped buffer.
+    fn scan_string(&mut self) -> Result<String, ParseError> {
         debug_assert_eq!(self.input[self.pos], b'"');
         let start = self.pos;
         self.pos += 1;
@@ -446,12 +379,12 @@ impl<'a> Lexer<'a> {
 mod tests {
     use super::*;
 
-    fn lex_all(s: &str) -> Result<Vec<Token>, ParseError> {
+    fn lex_all(s: &str) -> Result<Vec<RawToken<'_>>, ParseError> {
         let mut lx = Lexer::new(s.as_bytes());
         let mut out = Vec::new();
         loop {
-            let t = lx.next_token()?;
-            if t == Token::Eof {
+            let t = lx.next_token_raw()?;
+            if t == RawToken::Eof {
                 return Ok(out);
             }
             out.push(t);
@@ -463,12 +396,12 @@ mod tests {
         assert_eq!(
             lex_all("{ } [ ] : ,").unwrap(),
             vec![
-                Token::LBrace,
-                Token::RBrace,
-                Token::LBracket,
-                Token::RBracket,
-                Token::Colon,
-                Token::Comma
+                RawToken::LBrace,
+                RawToken::RBrace,
+                RawToken::LBracket,
+                RawToken::RBracket,
+                RawToken::Colon,
+                RawToken::Comma
             ]
         );
     }
@@ -477,7 +410,7 @@ mod tests {
     fn keywords() {
         assert_eq!(
             lex_all("true false null").unwrap(),
-            vec![Token::True, Token::False, Token::Null]
+            vec![RawToken::True, RawToken::False, RawToken::Null]
         );
         assert!(lex_all("tru").is_err());
         assert!(lex_all("nul").is_err());
@@ -487,26 +420,29 @@ mod tests {
     fn simple_strings() {
         assert_eq!(
             lex_all(r#""hello""#).unwrap(),
-            vec![Token::Str("hello".into())]
+            vec![RawToken::Str("hello".into())]
         );
-        assert_eq!(lex_all(r#""""#).unwrap(), vec![Token::Str(String::new())]);
+        assert_eq!(lex_all(r#""""#).unwrap(), vec![RawToken::Str("".into())]);
     }
 
     #[test]
     fn escapes() {
         assert_eq!(
             lex_all(r#""a\"b\\c\/d\n\t\r\b\f""#).unwrap(),
-            vec![Token::Str("a\"b\\c/d\n\t\r\u{8}\u{c}".into())]
+            vec![RawToken::Str("a\"b\\c/d\n\t\r\u{8}\u{c}".into())]
         );
         assert_eq!(
             lex_all(r#""Aé中""#).unwrap(),
-            vec![Token::Str("Aé中".into())]
+            vec![RawToken::Str("Aé中".into())]
         );
     }
 
     #[test]
     fn surrogate_pairs() {
-        assert_eq!(lex_all(r#""😀""#).unwrap(), vec![Token::Str("😀".into())]);
+        assert_eq!(
+            lex_all(r#""😀""#).unwrap(),
+            vec![RawToken::Str("😀".into())]
+        );
         assert!(lex_all(r#""\ud83d""#).is_err()); // lone high
         assert!(lex_all(r#""\ude00""#).is_err()); // lone low
         assert!(lex_all(r#""\ud83dx""#).is_err()); // high not followed by \u
@@ -516,7 +452,7 @@ mod tests {
     fn raw_utf8_passthrough() {
         assert_eq!(
             lex_all("\"héllo→\"").unwrap(),
-            vec![Token::Str("héllo→".into())]
+            vec![RawToken::Str("héllo→".into())]
         );
     }
 
@@ -528,19 +464,22 @@ mod tests {
 
     #[test]
     fn numbers_integral_and_float() {
-        assert_eq!(lex_all("0").unwrap(), vec![Token::Num(Number::Int(0))]);
-        assert_eq!(lex_all("-12").unwrap(), vec![Token::Num(Number::Int(-12))]);
+        assert_eq!(lex_all("0").unwrap(), vec![RawToken::Num(Number::Int(0))]);
+        assert_eq!(
+            lex_all("-12").unwrap(),
+            vec![RawToken::Num(Number::Int(-12))]
+        );
         assert_eq!(
             lex_all("3.25").unwrap(),
-            vec![Token::Num(Number::Float(3.25))]
+            vec![RawToken::Num(Number::Float(3.25))]
         );
         assert_eq!(
             lex_all("1e3").unwrap(),
-            vec![Token::Num(Number::Float(1000.0))]
+            vec![RawToken::Num(Number::Float(1000.0))]
         );
         assert_eq!(
             lex_all("-2.5E-1").unwrap(),
-            vec![Token::Num(Number::Float(-0.25))]
+            vec![RawToken::Num(Number::Float(-0.25))]
         );
     }
 
@@ -555,7 +494,7 @@ mod tests {
     fn huge_integer_degrades_to_float() {
         let toks = lex_all("123456789012345678901234567890").unwrap();
         match &toks[0] {
-            Token::Num(Number::Float(f)) => assert!(*f > 1e29),
+            RawToken::Num(Number::Float(f)) => assert!(*f > 1e29),
             other => panic!("expected float, got {other:?}"),
         }
     }
@@ -568,7 +507,7 @@ mod tests {
     #[test]
     fn error_positions() {
         let mut lx = Lexer::new(b"   @");
-        let err = lx.next_token().unwrap_err();
+        let err = lx.next_token_raw().unwrap_err();
         assert_eq!(err.offset, 3);
         assert_eq!(err.kind, ParseErrorKind::UnexpectedByte(b'@'));
     }
@@ -577,7 +516,7 @@ mod tests {
     fn invalid_utf8_in_string() {
         let mut lx = Lexer::new(b"\"\xff\"");
         assert_eq!(
-            lx.next_token().unwrap_err().kind,
+            lx.next_token_raw().unwrap_err().kind,
             ParseErrorKind::InvalidUtf8
         );
     }
@@ -613,22 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_and_owned_lexing_agree() {
-        let input = r#"{"k": ["a\t", 1, true, null, "z"]}"#;
-        let mut raw = Lexer::new(input.as_bytes());
-        let mut owned = Lexer::new(input.as_bytes());
-        loop {
-            let r = raw.next_token_raw().unwrap();
-            let o = owned.next_token().unwrap();
-            let done = r == RawToken::Eof;
-            assert_eq!(r.into_owned(), o);
-            if done {
-                break;
-            }
-        }
-    }
-
-    #[test]
     fn string_byte_limit_guards_both_paths() {
         // Borrowed (escape-free) path.
         let mut lx = Lexer::new(br#""abcdefgh""#);
@@ -653,12 +576,19 @@ mod tests {
     }
 
     #[test]
-    fn cow_errors_match_owned_errors() {
-        for bad in [&b"\"a"[..], b"\"a\x01b\"", b"\"\xffz\""] {
-            let raw_err = Lexer::new(bad).next_token_raw().unwrap_err();
-            let owned_err = Lexer::new(bad).next_token().unwrap_err();
-            assert_eq!(raw_err.kind, owned_err.kind);
-            assert_eq!(raw_err.offset, owned_err.offset);
+    fn escaped_strings_fail_like_escape_free_ones() {
+        // Behind an escape (the owned path): same kind, offset moved by it.
+        for (plain, escaped, shift) in [
+            (&b"\"a"[..], &b"\"\\na"[..], 0),
+            (b"\"a\x01b\"", b"\"\\na\x01b\"", 2),
+            (b"\"\xffz\"", b"\"\\n\xffz\"", 2),
+        ] {
+            let plain = Lexer::new(plain).next_token_raw().unwrap_err();
+            let escaped = Lexer::new(escaped).next_token_raw().unwrap_err();
+            assert_eq!(
+                (plain.kind, plain.offset + shift),
+                (escaped.kind, escaped.offset)
+            );
         }
     }
 }

@@ -1,8 +1,9 @@
 //! # jsonx-syntax
 //!
-//! A from-scratch JSON syntax layer: lexer, recursive-descent DOM parser,
-//! streaming (pull) event parser, serializer/pretty-printer, and
-//! newline-delimited collection I/O.
+//! A from-scratch JSON syntax layer: one lexer, one push grammar
+//! ([`parse_events`]) whose receivers build whatever the caller needs — a
+//! DOM ([`ValueBuilder`], behind [`parse`]), a type, a column batch —, a
+//! serializer/pretty-printer, and newline-delimited collection I/O.
 //!
 //! This crate is the *baseline* parser of the workspace. The tutorial's §4.2
 //! surveys parsers (Mison, Fad.js) whose headline claims are speedups
@@ -37,9 +38,9 @@ pub mod structural;
 pub use csv::CsvDecoder;
 pub use decoder::{EventReceiver, JsonDecoder, NullReceiver, RecordDecoder, Tee, ValueBuilder};
 pub use error::{ParseError, ParseErrorKind, RecordLimit};
-pub use event::{Event, EventParser, RawEvent, RawEventParser};
-pub use lexer::{Lexer, RawToken, Token};
-pub use limits::{ParseLimits, DEFAULT_MAX_DEPTH};
+pub use event::{parse_events, RawEvent};
+pub use lexer::{Lexer, RawToken};
+pub use limits::{ParseLimits, DEFAULT_MAX_DEPTH, MAX_DEPTH_CEILING};
 pub use ndjson::{parse_ndjson, write_ndjson};
 pub use parser::{parse, parse_bytes, parse_with, ParserOptions};
 pub use serializer::{

@@ -1,5 +1,4 @@
-//! Resource limits shared by the DOM parser and the streaming event
-//! parser.
+//! Per-record resource limits.
 //!
 //! Real-world NDJSON collections contain pathological records: nesting
 //! bombs that would overflow a recursive walk, multi-megabyte lines, and
@@ -9,15 +8,22 @@
 //! [`TooDeep`](crate::ParseErrorKind::TooDeep)) error instead of a stack
 //! overflow or an allocation spike.
 //!
-//! [`DEFAULT_MAX_DEPTH`] is the single source of the nesting default: both
-//! [`ParserOptions`](crate::ParserOptions) and
-//! [`RawEventParser`](crate::RawEventParser) construct from it, so the DOM
-//! and streaming paths can never silently diverge on how deep a document
-//! may nest.
+//! [`DEFAULT_MAX_DEPTH`] is the single source of the nesting default:
+//! [`ParserOptions`](crate::ParserOptions) and [`ParseLimits`] both
+//! construct from it.
 
-/// Default nesting-depth cap shared by [`ParserOptions`](crate::ParserOptions)
-/// and [`RawEventParser`](crate::RawEventParser).
+/// Default nesting-depth cap of [`ParserOptions`](crate::ParserOptions)
+/// and [`ParseLimits`].
 pub const DEFAULT_MAX_DEPTH: usize = 128;
+
+/// The deepest nesting a front-end should let a user ask for (the
+/// `jsonx` CLI refuses a larger `--max-depth`). The grammar is iterative,
+/// but what consumes an accepted record recurses once per level —
+/// `Value`/`JType` drop, inference and fusion, printing, the validators —
+/// on 2 MiB worker stacks. A record of alternating objects and arrays
+/// first overflows one near 4 500 levels (release build, `serve`'s
+/// `INFER`; `infer`/`translate` near 5 900): a 4× margin.
+pub const MAX_DEPTH_CEILING: usize = 1024;
 
 /// Per-record resource limits.
 ///
@@ -25,7 +31,7 @@ pub const DEFAULT_MAX_DEPTH: usize = 128;
 /// disables them) because the right bound depends on the workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParseLimits {
-    /// Maximum nesting depth of arrays/objects (guards the frame stack).
+    /// Maximum nesting depth of arrays/objects (see [`MAX_DEPTH_CEILING`]).
     pub max_depth: usize,
     /// Maximum size of one record (one NDJSON line) in bytes.
     pub max_input_bytes: Option<usize>,

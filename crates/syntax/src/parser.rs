@@ -1,21 +1,22 @@
-//! Recursive-descent DOM parser.
+//! The DOM parser: the one grammar ([`parse_events`]) pushed into a
+//! [`ValueBuilder`].
 
-use crate::error::{ParseError, ParseErrorKind};
-use crate::lexer::{Lexer, Token};
+use crate::decoder::ValueBuilder;
+use crate::error::ParseError;
+use crate::event::parse_events;
 use crate::limits::DEFAULT_MAX_DEPTH;
-use jsonx_data::{Object, Value};
+use jsonx_data::Value;
 
 /// Parser configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ParserOptions {
-    /// Maximum nesting depth of arrays/objects (guards against stack
-    /// exhaustion on adversarial inputs).
+    /// Maximum nesting depth of arrays/objects. The grammar itself does
+    /// not recurse; the cap protects what walks the parsed document.
     pub max_depth: usize,
     /// When `false` (default), non-whitespace after the value is an error.
     pub allow_trailing: bool,
     /// Cap on one string literal's content bytes; `None` disables the
-    /// guard. Mirrors [`ParseLimits::max_string_bytes`] so the DOM path
-    /// enforces the same bound as the event path.
+    /// guard. Mirrors [`ParseLimits::max_string_bytes`].
     ///
     /// [`ParseLimits::max_string_bytes`]: crate::ParseLimits::max_string_bytes
     pub max_string_bytes: Option<usize>,
@@ -44,107 +45,15 @@ pub fn parse_bytes(bytes: &[u8]) -> Result<Value, ParseError> {
 /// Parses with explicit [`ParserOptions`]. Returns the value and, when
 /// `allow_trailing` is set, ignores anything after it.
 pub fn parse_with(bytes: &[u8], opts: ParserOptions) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        lexer: Lexer::new(bytes),
-        opts,
-    };
-    p.lexer.set_max_string_bytes(opts.max_string_bytes);
-    let tok = p.lexer.next_token()?;
-    let value = p.parse_value(tok, 0)?;
-    if !opts.allow_trailing {
-        p.lexer.skip_ws();
-        if p.lexer.offset() != bytes.len() {
-            return Err(ParseError::at(
-                ParseErrorKind::TrailingData,
-                bytes,
-                p.lexer.offset(),
-            ));
-        }
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    lexer: Lexer<'a>,
-    opts: ParserOptions,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, kind: ParseErrorKind) -> ParseError {
-        ParseError::at(kind, self.lexer.input(), self.lexer.offset())
-    }
-
-    fn parse_value(&mut self, tok: Token, depth: usize) -> Result<Value, ParseError> {
-        match tok {
-            Token::Null => Ok(Value::Null),
-            Token::True => Ok(Value::Bool(true)),
-            Token::False => Ok(Value::Bool(false)),
-            Token::Num(n) => Ok(Value::Num(n)),
-            Token::Str(s) => Ok(Value::Str(s)),
-            Token::LBracket => self.parse_array(depth + 1),
-            Token::LBrace => self.parse_object(depth + 1),
-            Token::Eof => Err(self.err(ParseErrorKind::UnexpectedEof)),
-            other => Err(self.err(ParseErrorKind::UnexpectedToken(other.name()))),
-        }
-    }
-
-    fn parse_array(&mut self, depth: usize) -> Result<Value, ParseError> {
-        if depth > self.opts.max_depth {
-            return Err(self.err(ParseErrorKind::TooDeep));
-        }
-        let mut items = Vec::new();
-        let mut tok = self.lexer.next_token()?;
-        if tok == Token::RBracket {
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value(tok, depth)?);
-            match self.lexer.next_token()? {
-                Token::Comma => tok = self.lexer.next_token()?,
-                Token::RBracket => return Ok(Value::Arr(items)),
-                Token::Eof => return Err(self.err(ParseErrorKind::UnexpectedEof)),
-                other => return Err(self.err(ParseErrorKind::UnexpectedToken(other.name()))),
-            }
-        }
-    }
-
-    fn parse_object(&mut self, depth: usize) -> Result<Value, ParseError> {
-        if depth > self.opts.max_depth {
-            return Err(self.err(ParseErrorKind::TooDeep));
-        }
-        let mut obj = Object::new();
-        let mut tok = self.lexer.next_token()?;
-        if tok == Token::RBrace {
-            return Ok(Value::Obj(obj));
-        }
-        loop {
-            let key = match tok {
-                Token::Str(s) => s,
-                Token::Eof => return Err(self.err(ParseErrorKind::UnexpectedEof)),
-                other => return Err(self.err(ParseErrorKind::UnexpectedToken(other.name()))),
-            };
-            match self.lexer.next_token()? {
-                Token::Colon => {}
-                Token::Eof => return Err(self.err(ParseErrorKind::UnexpectedEof)),
-                other => return Err(self.err(ParseErrorKind::UnexpectedToken(other.name()))),
-            }
-            let vtok = self.lexer.next_token()?;
-            let value = self.parse_value(vtok, depth)?;
-            obj.insert(key, value);
-            match self.lexer.next_token()? {
-                Token::Comma => tok = self.lexer.next_token()?,
-                Token::RBrace => return Ok(Value::Obj(obj)),
-                Token::Eof => return Err(self.err(ParseErrorKind::UnexpectedEof)),
-                other => return Err(self.err(ParseErrorKind::UnexpectedToken(other.name()))),
-            }
-        }
-    }
+    let mut builder = ValueBuilder::new();
+    parse_events(bytes, opts, &mut builder)?;
+    Ok(builder.take())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::RecordLimit;
+    use crate::error::{ParseErrorKind, RecordLimit};
     use jsonx_data::json;
 
     #[test]
@@ -170,39 +79,9 @@ mod tests {
 
     #[test]
     fn duplicate_keys_last_wins() {
-        let v = parse(r#"{"k": 1, "k": 2}"#).unwrap();
-        assert_eq!(v.get("k"), Some(&Value::from(2)));
-        assert_eq!(v.as_object().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn syntax_errors() {
-        for bad in [
-            "",
-            "[1,]",
-            "{,}",
-            "[1 2]",
-            "{\"a\" 1}",
-            "{\"a\":}",
-            "{1:2}",
-            "[",
-            "{\"a\":1,}",
-            "]",
-            ",",
-            "[1]]",
-        ] {
-            assert!(parse(bad).is_err(), "expected {bad:?} to fail");
-        }
-    }
-
-    #[test]
-    fn trailing_data_policy() {
-        assert!(parse("1 2").is_err());
-        let opts = ParserOptions {
-            allow_trailing: true,
-            ..Default::default()
-        };
-        assert_eq!(parse_with(b"1 2", opts).unwrap(), Value::from(1));
+        // …in the first occurrence's position.
+        let v = parse(r#"{"k": 1, "z": 0, "k": 2}"#).unwrap();
+        assert_eq!(crate::to_string(&v), r#"{"k":2,"z":0}"#);
     }
 
     #[test]
@@ -235,11 +114,5 @@ mod tests {
     fn whitespace_everywhere() {
         let v = parse(" \t\r\n{ \"a\" : [ 1 , 2 ] } \n").unwrap();
         assert_eq!(v, json!({"a": [1, 2]}));
-    }
-
-    #[test]
-    fn error_position_is_meaningful() {
-        let err = parse("{\"a\": @}").unwrap_err();
-        assert_eq!(err.offset, 6);
     }
 }

@@ -1,7 +1,10 @@
 //! Property tests: serialize ∘ parse = id, across serializer modes.
 
 use jsonx_data::{Number, Object, Value};
-use jsonx_syntax::{parse, to_string, to_string_pretty, write_value, SerializeOptions};
+use jsonx_syntax::{
+    parse, parse_events, to_string, to_string_pretty, write_value, NullReceiver, ParserOptions,
+    SerializeOptions,
+};
 use proptest::prelude::*;
 
 /// Strategy producing arbitrary JSON values of bounded size.
@@ -50,9 +53,8 @@ proptest! {
     #[test]
     fn event_stream_is_well_formed(v in arb_value()) {
         let text = to_string(&v);
-        let events: Result<Vec<_>, _> =
-            jsonx_syntax::EventParser::new(text.as_bytes()).collect();
-        prop_assert!(events.is_ok());
+        let parsed = parse_events(text.as_bytes(), ParserOptions::default(), &mut NullReceiver);
+        prop_assert!(parsed.is_ok());
     }
 
     #[test]

@@ -39,9 +39,9 @@
 //! The event route is a speculation verified per record (§4.2 of the
 //! paper): whenever it cannot prove its row equals the value walker's —
 //! a key seen twice in one object, a column written twice, a non-object
-//! root, any parse error — it rolls the row back and replays the record
-//! through the decoder's DOM route and [`ShredStream::push`], which also
-//! yields the DOM parser's diagnostics. [`ShredCounts`] says how often.
+//! root — it rolls the row back and replays the record through the
+//! decoder's DOM route and [`ShredStream::push`]. [`ShredCounts`] says
+//! how often. A record the decoder rejects is rolled back, not replayed.
 
 use jsonx_core::JType;
 use jsonx_data::{Number, Value};
@@ -814,19 +814,15 @@ pub enum Fallback {
     /// Two keys flattened to one column (a literal dotted key next to
     /// the nested path it spells; the first write wins).
     PathCollision,
-    /// The decoder rejected the record; the replay produces the DOM
-    /// parser's diagnostic.
-    ParseError,
     /// The record's root is not an object.
     NotARecord,
 }
 
 impl Fallback {
     /// Every reason, in reporting order.
-    pub const ALL: [Fallback; 4] = [
+    pub const ALL: [Fallback; 3] = [
         Fallback::DuplicateKey,
         Fallback::PathCollision,
-        Fallback::ParseError,
         Fallback::NotARecord,
     ];
 
@@ -835,7 +831,6 @@ impl Fallback {
         match self {
             Fallback::DuplicateKey => "duplicate-key",
             Fallback::PathCollision => "path-collision",
-            Fallback::ParseError => "parse-error",
             Fallback::NotARecord => "not-a-record",
         }
     }
@@ -847,7 +842,8 @@ pub struct ShredCounts {
     /// Rows shredded straight from events.
     pub from_events: u64,
     /// Records replayed through the DOM route, indexed like
-    /// [`Fallback::ALL`] (including those the replay then rejected).
+    /// [`Fallback::ALL`] (including a non-record, which the replay
+    /// rejects).
     replayed: [u64; Fallback::ALL.len()],
 }
 
@@ -919,11 +915,11 @@ impl ShredStream<'_> {
     }
 
     /// Shreds one undecoded record straight from `decoder`'s events,
-    /// building no document. When the event walk cannot vouch for its
-    /// row (see [`Fallback`]) the row is rolled back and the record
-    /// replayed through [`RecordDecoder::decode_value`] and
-    /// [`push`](Self::push), so the columns — and, for a rejected
-    /// record, the error — are always the DOM route's.
+    /// building no document. A record the decoder rejects is rolled back
+    /// and the decoder's error returned. When the event walk cannot
+    /// vouch for its row (see [`Fallback`]) the row is rolled back and
+    /// the record replayed through [`RecordDecoder::decode_value`] and
+    /// [`push`](Self::push), so the columns are always the DOM route's.
     pub fn push_record<D: RecordDecoder>(
         &mut self,
         decoder: &D,
@@ -944,21 +940,25 @@ impl ShredStream<'_> {
             bail: None,
         };
         let decoded = decoder.decode_events(scratch, record, &mut walker);
-        let why = match (decoded, walker.bail) {
+        match (decoded, walker.bail) {
             (Ok(()), None) => {
                 self.rows += 1;
                 self.counts.from_events += 1;
-                return Ok(());
+                Ok(())
             }
-            (Err(_), _) => Fallback::ParseError,
-            (Ok(()), Some(why)) => why,
-        };
-        self.abort_row();
-        self.counts.replayed[why as usize] += 1;
-        let doc = decoder
-            .decode_value(scratch, record)
-            .map_err(ShredError::Parse)?;
-        self.push(&doc)
+            (Err(e), _) => {
+                self.abort_row();
+                Err(ShredError::Parse(e))
+            }
+            (Ok(()), Some(why)) => {
+                self.abort_row();
+                self.counts.replayed[why as usize] += 1;
+                let doc = decoder
+                    .decode_value(scratch, record)
+                    .map_err(ShredError::Parse)?;
+                self.push(&doc)
+            }
+        }
     }
 
     /// Rolls every builder back to the start of the current row and
@@ -1644,15 +1644,21 @@ mod tests {
         assert_eq!(batch, push_values(&shredder, &clean));
         assert_eq!(counts.from_events, clean.len() as u64);
 
+        // Unsure rows replay, for the reason given; a record the decoder
+        // rejects, however far the walk got, leaves no row and no replay.
+        let dup = Some(Fallback::DuplicateKey);
+        let collision = Some(Fallback::PathCollision);
         let unsure = [
-            (r#"{"id": 1, "id": 2}"#, Fallback::DuplicateKey),
-            (r#"{"a": {"b": 1}, "a": 5}"#, Fallback::DuplicateKey),
-            (r#"{"geo": {"lat": 1, "lat": 2}}"#, Fallback::DuplicateKey),
-            (r#"{"a.b": 1, "a": {"b": 2}}"#, Fallback::PathCollision),
-            (r#"{"a": {"b": "x"}, "a.b": 2}"#, Fallback::PathCollision),
-            (r#"[1, 2]"#, Fallback::NotARecord),
-            (r#"{"id": 1, "name": "cut"#, Fallback::ParseError),
-            (r#"{"id": 1} trailing"#, Fallback::ParseError),
+            (r#"{"id": 1, "id": 2}"#, dup),
+            (r#"{"a": {"b": 1}, "a": 5}"#, dup),
+            (r#"{"geo": {"lat": 1, "lat": 2}}"#, dup),
+            (r#"{"a.b": 1, "a": {"b": 2}}"#, collision),
+            (r#"{"a": {"b": "x"}, "a.b": 2}"#, collision),
+            (r#"[1, 2]"#, Some(Fallback::NotARecord)),
+            (r#"{"id": 1, "name": "cut"#, None),
+            (r#"{"id": 1} trailing"#, None),
+            (r#"{"id": 1, "id": 2} trailing"#, None),
+            (r#"[1, 2] trailing"#, None),
         ];
         for (line, why) in unsure {
             let (batch, counts) = push_lines(&shredder, &[clean[0], line, clean[1]]);
@@ -1662,7 +1668,9 @@ mod tests {
                 "{line}"
             );
             assert_eq!(counts.from_events, 2, "{line}");
-            assert_eq!(counts.replayed(why), 1, "{line}");
+            let replays = Fallback::ALL.map(|why| counts.replayed(why));
+            let want = Fallback::ALL.map(|w| u64::from(Some(w) == why));
+            assert_eq!(replays, want, "{line}");
         }
     }
 

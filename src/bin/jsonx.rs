@@ -44,12 +44,12 @@ use jsonx::core::{infer_collection, print_type, to_json_schema, Equivalence, Pri
 use jsonx::mison::ProjectedParser;
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::skeleton::Skeleton;
-use jsonx::syntax::{parse, parse_ndjson, to_string, to_string_pretty};
+use jsonx::syntax::{parse, parse_ndjson, to_string, to_string_pretty, MAX_DEPTH_CEILING};
 use jsonx::translate::{flatten_rows, read_jxc_file, rows_as_values, OutputSink};
 use jsonx::Value;
 use jsonx::{
     write_quarantine_file, CsvDecoder, ErrorPolicy, FaultOptions, Format, JournalControl,
-    LineVerdict, ParseLimits, Run, RunReport, Source, StreamError,
+    JsonDecoder, LineVerdict, ParseLimits, RecordDecoder, Run, RunReport, Source, StreamError,
 };
 use std::io::{BufRead, BufReader, Read, Stdin, Write as _};
 use std::path::{Path, PathBuf};
@@ -777,9 +777,15 @@ fn fault_options(opts: &Opts) -> Result<FaultOptions, CliError> {
 
 /// `--max-depth` / `--max-line-bytes` as [`ParseLimits`] (the defaults
 /// when neither was given) — the same guards for batch runs and `serve`.
+/// A depth past [`MAX_DEPTH_CEILING`] could abort the process: refused.
 fn parse_limits(opts: &Opts) -> Result<ParseLimits, CliError> {
     let mut limits = ParseLimits::new();
     if let Some(depth) = parse_flag(opts, "max-depth")? {
+        if depth > MAX_DEPTH_CEILING {
+            return Err(CliError::usage(format!(
+                "bad --max-depth: {depth} is over the supported ceiling of {MAX_DEPTH_CEILING}"
+            )));
+        }
         limits = limits.with_max_depth(depth);
     }
     if let Some(bytes) = parse_flag(opts, "max-line-bytes")? {
@@ -989,15 +995,18 @@ fn load_schema(path: &str) -> Result<(CompiledSchema, String), CliError> {
 /// The one verdict printer: one stdout line per diagnostic of every
 /// invalid document, returning how many documents were invalid. With the
 /// corpus text in memory (`ndjson`) the error-collecting interpreter
-/// re-runs on *just* the invalid lines, so every diagnostic is the
-/// interpreter's; an out-of-core or CSV run never holds a raw JSON line
-/// to re-validate and reports `doc N: invalid` instead.
+/// re-runs on *just* the invalid lines — re-parsed under the run's own
+/// `limits` —, so every diagnostic is the interpreter's; an out-of-core
+/// or CSV run never holds a raw JSON line to re-validate and reports
+/// `doc N: invalid` instead.
 fn print_invalid(
     verdicts: &[(usize, LineVerdict)],
     ndjson: Option<&str>,
     schema: &CompiledSchema,
     vopts: ValidatorOptions,
+    limits: ParseLimits,
 ) -> Result<usize, CliError> {
+    let decoder = JsonDecoder::new().with_limits(limits);
     let mut out = PipeOut::new();
     let mut invalid = 0usize;
     // Verdicts come in line order, so one forward walk finds every line.
@@ -1014,7 +1023,11 @@ fn print_invalid(
         let (_, line) = lines
             .find(|(i, _)| i == line_no)
             .expect("verdict indices are line numbers of this text");
-        let doc = parse(line).expect("the run parsed this line");
+        let Ok(doc) = decoder.decode_value(&mut (), line) else {
+            // Should the re-parse ever disagree with the run's decode.
+            out.line(&format!("doc {line_no}: invalid"))?;
+            continue;
+        };
         if let Err(errors) = schema.validate_with(&doc, vopts) {
             for e in errors {
                 out.line(&format!("doc {line_no}: {e}"))?;
@@ -1058,7 +1071,8 @@ fn cmd_infer(opts: &Opts) -> Result<(), CliError> {
             .map_err(stream_err)?;
         let suffix = finish_run(opts, &report)?;
         print_routes(&report, "typed in place", "the typer");
-        let invalid = print_invalid(&verdicts, corpus.ndjson(csv), &schema, vopts)?;
+        let limits = run.fault.limits;
+        let invalid = print_invalid(&verdicts, corpus.ndjson(csv), &schema, vopts, limits)?;
         print_inferred_type(opts, &ty)?;
         eprintln!(
             "» {}/{} documents valid (combined pass{}), equivalence {}, type size {} nodes{suffix}",
@@ -1130,7 +1144,8 @@ fn cmd_validate(opts: &Opts) -> Result<(), CliError> {
         .validate(corpus.source(), &schema, vopts)
         .map_err(stream_err)?;
     let suffix = finish_run(opts, &report)?;
-    let invalid = print_invalid(&verdicts, corpus.ndjson(csv), &schema, vopts)?;
+    let limits = run.fault.limits;
+    let invalid = print_invalid(&verdicts, corpus.ndjson(csv), &schema, vopts, limits)?;
     let total = verdicts.len();
     eprintln!(
         "» {}/{total} documents valid ({}){suffix}",

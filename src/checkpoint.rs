@@ -911,7 +911,9 @@ mod tests {
     /// before inference counted records in place, from
     /// `tests/fixtures/golden_infer.ndjson` (duplicate keys, rejected
     /// lines, top-level scalars) under `--on-error skip` at `chunk_bytes`
-    /// 256. Frozen in both directions like the translation journal above.
+    /// 256. Frozen in both directions like the translation journal above
+    /// — but for one reject, rewritten when the two JSON grammars became
+    /// one: line 12's `unexpected-byte` is everyone else's `trailing-data`.
     #[test]
     fn parent_written_infer_journal_is_reproduced_and_resumes() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"));

@@ -13,21 +13,19 @@
 //!   consumer actually reads;
 //! * the streaming stages in [`crate::streaming`] try
 //!   [`FastRecordParser::parse_record`] first and fall back to the full
-//!   DOM parser whenever it returns `None` — the Fad.js-style verified
+//!   parser whenever it returns `None` — the Fad.js-style verified
 //!   fallback, so verdicts, batches and error reports are identical on
 //!   both paths by construction.
 //!
 //! The assembled document contains only the projected fields (each
-//! sub-parsed by the ordinary recursive-descent parser over its exact
-//! span), which is precisely what makes skipping profitable: on wide
+//! sub-parsed by the ordinary parser over its exact span), which is precisely what makes skipping profitable: on wide
 //! records the driver never materialises the fields nobody reads.
 
 use jsonx_data::{Object, Value};
 use jsonx_schema::CompiledSchema;
 use jsonx_syntax::structural::{FieldSet, ScanOptions, StructuralScanner};
 use jsonx_syntax::{
-    parse_with, EventReceiver, ParseError, ParseLimits, ParserOptions, RawEventParser,
-    RecordDecoder,
+    parse_with, EventReceiver, JsonDecoder, ParseError, ParseLimits, ParserOptions, RecordDecoder,
 };
 use jsonx_translate::Shredder;
 
@@ -133,25 +131,20 @@ impl FastRecordParser {
 
 /// The SWAR fast path as a [`RecordDecoder`]: `decode_value` tries
 /// [`FastRecordParser::parse_record`] when a plan is present and falls
-/// back to the full recursive-descent parser (the Fad.js-style verified
-/// fallback), so with `plan: None` it reproduces the historical slow
-/// path byte for byte — one decoder covers both. This is how the SWAR
-/// scanner slots in behind the same seam every other source uses.
+/// back to the [`JsonDecoder`] it wraps (the Fad.js-style verified
+/// fallback), so with `plan: None` it *is* that decoder — one decoder
+/// covers both. This is how the SWAR scanner slots in behind the same
+/// seam every other source uses.
 pub(crate) struct FastJsonDecoder {
     plan: Option<FastPlan>,
-    limits: ParseLimits,
+    full: JsonDecoder,
 }
 
 impl FastJsonDecoder {
     pub(crate) fn new(plan: Option<FastPlan>, limits: ParseLimits) -> FastJsonDecoder {
-        FastJsonDecoder { plan, limits }
-    }
-
-    fn parser_options(&self) -> ParserOptions {
-        ParserOptions {
-            max_depth: self.limits.max_depth,
-            allow_trailing: false,
-            max_string_bytes: self.limits.max_string_bytes,
+        FastJsonDecoder {
+            plan,
+            full: JsonDecoder::new().with_limits(limits),
         }
     }
 }
@@ -169,13 +162,8 @@ impl RecordDecoder for FastJsonDecoder {
         record: &str,
         recv: &mut R,
     ) -> Result<(), ParseError> {
-        // Event consumers read every field, so projection cannot help;
-        // stream the full tokenisation under the configured limits.
-        let mut parser = RawEventParser::new(record.as_bytes()).with_limits(self.limits);
-        while let Some(ev) = parser.next_event()? {
-            recv.event(&ev);
-        }
-        Ok(())
+        // Event consumers read every field, so projection cannot help.
+        self.full.decode_events(&mut (), record, recv)
     }
 
     fn decode_value(
@@ -188,7 +176,7 @@ impl RecordDecoder for FastJsonDecoder {
                 return Ok(doc);
             }
         }
-        parse_with(record.as_bytes(), self.parser_options())
+        self.full.decode_value(&mut (), record)
     }
 }
 

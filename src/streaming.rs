@@ -43,8 +43,8 @@
 //! rejects — or one with a duplicate key, which only the DOM's last-wins
 //! rule can type — is taken back. The latter, and every record under
 //! `Label`, go through [`StreamTyper`], which fuses a document's type
-//! directly from [`RawEventParser`] events, with memory bounded by
-//! document depth rather than document size:
+//! directly from the decoder's events, with memory bounded by document
+//! depth rather than document size:
 //!
 //! - events borrow escape-free keys and strings from the input
 //!   ([`RawEvent`]'s `Cow` payloads), so scalar strings never allocate —
@@ -507,9 +507,9 @@ impl<'s, S: RecordStage> ShardFold<str> for FaultFold<'s, S> {
             return;
         }
         state.records += 1;
-        // The record-size guard runs centrally so every stage gets it —
-        // including the DOM-parsing ones whose parser has no byte limits —
-        // and an oversized line is rejected before any parsing starts.
+        // The record-size guard runs centrally so every stage gets it,
+        // whatever its decoder, and an oversized line is rejected before
+        // any parsing starts.
         let issue = match self.input_cap {
             Some(limit) if line.len() > limit => Some(RecordIssue::Parse(ParseError::at(
                 ParseErrorKind::LimitExceeded(RecordLimit::InputBytes),

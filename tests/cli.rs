@@ -621,6 +621,96 @@ fn resource_guard_flags_reject_pathological_lines() {
     assert!(err.contains("1 rejected"), "{err}");
 }
 
+/// Writes a schema file for one test and returns its path.
+fn schema_file(name: &str, body: &str) -> String {
+    let path = std::env::temp_dir().join(format!("jsonx-cli-test-{name}-schema.json"));
+    std::fs::write(&path, body).unwrap();
+    path.to_str().unwrap().to_string()
+}
+
+#[test]
+fn an_invalid_record_deeper_than_the_default_limit_is_diagnosed_not_panicked_on() {
+    let schema = schema_file("deep-invalid", r#"{"type": "object"}"#);
+    // 200 nested arrays: accepted under --max-depth 1000, not an object.
+    // The combined pass shares the printer (and does not fail the run).
+    let input = "[".repeat(200) + &"]".repeat(200);
+    for (command, exit) in [(["validate", "--schema"], 1), (["infer", "--validate"], 0)] {
+        let args = [&command[..], &[&schema, "--max-depth", "1000", "-"]].concat();
+        let (out, err, code) = run_code(&args, &input);
+        assert_eq!(code, Some(exit), "{err}");
+        assert!(out.starts_with("doc 0: <root>: [type]"), "{out}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+}
+
+#[test]
+fn max_depth_is_capped_and_a_bomb_at_the_cap_passes_through_every_command() {
+    use jsonx::syntax::MAX_DEPTH_CEILING as CEILING;
+    // A schema that follows the record all the way down.
+    let schema = schema_file(
+        "bomb",
+        r##"{"$ref": "#/definitions/t", "definitions": {"t": {"items": {"$ref": "#/definitions/t"},
+            "additionalProperties": {"$ref": "#/definitions/t"}}}}"##,
+    );
+    // Objects and arrays alternating, exactly `CEILING` deep.
+    let (open, close) = ("{\"a\":[".repeat(CEILING / 2), "]}".repeat(CEILING / 2));
+    let input = format!("{{\"a\": 1}}\n{open}{close}\n{{\"a\": 2}}\n");
+    let jsonx = |args: String, stdin| run_code(&args.split(' ').collect::<Vec<_>>(), stdin);
+    for command in [
+        "infer",
+        "validate --schema SCHEMA",
+        "translate",
+        "infer --validate SCHEMA",
+        "serve",
+    ] {
+        let command = command.replace("SCHEMA", &schema);
+        // One past the ceiling is a usage error, before any input is read.
+        let (_, err, code) = jsonx(format!("{command} --max-depth {}", CEILING + 1), "");
+        assert_eq!(code, Some(2), "{command}: {err}");
+        if command == "serve" {
+            continue; // `tests/serve_faults.rs` sends the daemon its bomb
+        }
+        // At the ceiling the record is accepted, and survives everything
+        // downstream of the parser.
+        let at = format!("{command} --max-depth {CEILING} --workers 2 --chunk-bytes 64 -");
+        let (_, err, code) = jsonx(at, &input);
+        assert_eq!(code, Some(0), "{command}: {err}");
+    }
+}
+
+#[test]
+fn every_command_quarantines_the_same_sidecar() {
+    let schema = schema_file("sidecar", r#"{"type": "object"}"#);
+    // Trailing word, closer, value and number; truncation; a bad escape;
+    // a depth bomb — between records that parse.
+    let input = format!(
+        "{{\"id\": 1}}\n{{\"id\": 2}} xyz\n{{\"id\": 3}}]\n{{\"id\": 4}} {{\"id\": 5}}\n\
+         {{\"id\": 6}} 7\n{{\"id\": 8, \"name\": \"cut\n{{\"id\": 9, \"name\": \"a\\qb\"}}\n\
+         {{\"id\": {}\n{{\"id\": 10}}\n",
+        "[".repeat(200)
+    );
+    let sidecar = |command: &str| {
+        let path = std::env::temp_dir().join("jsonx-cli-test-sidecar.ndjson");
+        let path = path.to_str().unwrap();
+        let flags = "--on-error skip --workers 2 --chunk-bytes 32 --quarantine";
+        let command = command.replace("SCHEMA", &schema);
+        let args = format!("{command} {flags} {path} -");
+        let (_, err, ok) = run(&args.split(' ').collect::<Vec<_>>(), &input);
+        assert!(ok && err.contains(", 7 rejected"), "{command}: {err}");
+        std::fs::read_to_string(path).expect("sidecar written")
+    };
+    let infer = sidecar("infer");
+    assert!(infer.contains(r#""kind":"trailing-data""#), "{infer}");
+    for command in [
+        "translate",
+        "validate --schema SCHEMA",
+        "validate --schema SCHEMA --no-fast-parse",
+        "infer --validate SCHEMA",
+    ] {
+        assert_eq!(sidecar(command), infer, "{command}");
+    }
+}
+
 const CSV_SAMPLE: &str = "id,name,score\n1,ada,9.5\n2,\"bob, jr\",-0.5\n3,ada,7\n";
 
 #[test]

@@ -8,10 +8,14 @@
 //! for every worker count. Rejected-record indices must equal the
 //! generator's `bad_lines` exactly, and the bounded policies must trip
 //! deterministically regardless of sharding.
+//! And what a report says about a bad line — record, offset, kind,
+//! message — is what the decoder alone says about it: every route is held
+//! to that one oracle, so all of them agree with each other.
 
 use jsonx::core::{Equivalence, JType};
-use jsonx::gen::{dirty_ndjson, DirtyConfig};
+use jsonx::gen::{dirty_ndjson, DirtyConfig, DirtyNdjson};
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
+use jsonx::syntax::{JsonDecoder, RecordDecoder};
 use jsonx::translate::Shredder;
 use jsonx::{ErrorPolicy, FaultOptions, ParseLimits, Run, RunReport, Source, StreamError};
 use jsonx_data::json;
@@ -54,12 +58,37 @@ fn arb_config() -> impl Strategy<Value = DirtyConfig> {
     })
 }
 
-/// The report's reject indices must be exactly the generator's bad lines,
-/// in order.
-fn assert_rejects_match(report: &RunReport, bad_lines: &[usize]) {
-    let rejected: Vec<usize> = report.errors.rejects.iter().map(|d| d.record).collect();
-    assert_eq!(rejected, bad_lines, "reject indices != ground truth");
-    assert_eq!(report.errors.total, bad_lines.len());
+/// `(record, offset, kind, message)` of one reject.
+type Diagnostic = (usize, usize, &'static str, String);
+
+/// What the decoder alone says about each line it rejects — the one
+/// diagnostic every route must report for that line.
+fn decoder_diagnostics(text: &str, limits: ParseLimits) -> Vec<Diagnostic> {
+    let decoder = JsonDecoder::new().with_limits(limits);
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .filter_map(|(record, line)| {
+            let e = decoder.decode_value(&mut (), line).err()?;
+            Some((record, e.offset, e.kind.label(), e.to_string()))
+        })
+        .collect()
+}
+
+/// A report's rejects, raw lines aside.
+fn diagnostics(report: &RunReport) -> Vec<Diagnostic> {
+    let of = |d: &jsonx::RecordDiagnostic| (d.record, d.offset, d.kind, d.message.clone());
+    report.errors.rejects.iter().map(of).collect()
+}
+
+/// The report's rejects must be exactly the generator's bad lines, in
+/// order, each with the decoder's own diagnostic.
+fn assert_rejects_match(report: &RunReport, corpus: &DirtyNdjson, limits: ParseLimits) {
+    let want = decoder_diagnostics(&corpus.text, limits);
+    assert_eq!(diagnostics(report), want, "rejects != the decoder's");
+    let lines: Vec<usize> = want.iter().map(|d| d.0).collect();
+    assert_eq!(lines, corpus.bad_lines, "reject indices != ground truth");
+    assert_eq!(report.errors.total, corpus.bad_lines.len());
     assert_eq!(report.errors.dropped, 0);
     let by_kind_total: usize = report.errors.by_kind.values().sum();
     assert_eq!(by_kind_total, report.errors.total);
@@ -79,7 +108,14 @@ proptest! {
                 .infer(Source::slice(&corpus.text), Equivalence::Kind)
                 .unwrap();
             prop_assert_eq!(&ty, &want, "workers={}", workers);
-            assert_rejects_match(&report, &corpus.bad_lines);
+            assert_rejects_match(&report, &corpus, ParseLimits::default());
+            // The combined pass types (and rejects) the same records.
+            let any = CompiledSchema::compile(&json!({})).unwrap();
+            let ((ty, _), report) = plan(workers, skip_all())
+                .infer_validate(Source::slice(&corpus.text), Equivalence::Kind, &any, Default::default())
+                .unwrap();
+            prop_assert_eq!(&ty, &want, "combined, workers={}", workers);
+            assert_rejects_match(&report, &corpus, ParseLimits::default());
         }
     }
 
@@ -96,12 +132,13 @@ proptest! {
         let (want, _) = reference()
             .validate(Source::slice(&corpus.clean_text), &schema, vopts)
             .unwrap();
-        for workers in WORKERS {
-            let (verdicts, report) = plan(workers, skip_all())
+        for (workers, fast_parse) in WORKERS.into_iter().flat_map(|w| [(w, true), (w, false)]) {
+            let run = Run { fast_parse, ..plan(workers, skip_all()) };
+            let (verdicts, report) = run
                 .validate(Source::slice(&corpus.text), &schema, vopts)
                 .unwrap();
-            prop_assert_eq!(&verdicts, &want, "workers={}", workers);
-            assert_rejects_match(&report, &corpus.bad_lines);
+            prop_assert_eq!(&verdicts, &want, "workers={} fast={}", workers, fast_parse);
+            assert_rejects_match(&report, &corpus, ParseLimits::default());
         }
     }
 
@@ -118,12 +155,14 @@ proptest! {
         let (want, _) = reference()
             .translate(Source::slice(&corpus.clean_text), &shredder)
             .unwrap();
-        for workers in WORKERS {
-            let (batch, report) = plan(workers, skip_all())
+        // Projecting (fast parse) and straight from events (without).
+        for (workers, fast_parse) in WORKERS.into_iter().flat_map(|w| [(w, true), (w, false)]) {
+            let run = Run { fast_parse, ..plan(workers, skip_all()) };
+            let (batch, report) = run
                 .translate(Source::slice(&corpus.text), &shredder)
                 .unwrap();
-            prop_assert_eq!(&batch, &want, "workers={}", workers);
-            assert_rejects_match(&report, &corpus.bad_lines);
+            prop_assert_eq!(&batch, &want, "workers={} fast={}", workers, fast_parse);
+            assert_rejects_match(&report, &corpus, ParseLimits::default());
         }
     }
 
@@ -170,7 +209,7 @@ proptest! {
         let (_, report) = plan(3, fault)
             .infer(Source::slice(&corpus.text), Equivalence::Kind)
             .unwrap();
-        assert_rejects_match(&report, &corpus.bad_lines);
+        assert_rejects_match(&report, &corpus, ParseLimits::default());
         // Collect without keep_rejects retains diagnostics but not raw lines.
         prop_assert!(report.errors.rejects.iter().all(|d| d.raw.is_none()));
     }
@@ -214,7 +253,7 @@ fn oversize_guard_rejects_padded_lines() {
     let (_, report) = plan(2, fault)
         .infer(Source::slice(&corpus.text), Equivalence::Kind)
         .unwrap();
-    assert_rejects_match(&report, &corpus.bad_lines);
+    assert_rejects_match(&report, &corpus, fault.limits);
     // The generator produced at least one of each configured corruption
     // kind at this seed, including the byte-limit one.
     assert!(report
@@ -222,4 +261,82 @@ fn oversize_guard_rejects_padded_lines() {
         .by_kind
         .contains_key("limit-exceeded-input-bytes"));
     assert!(report.errors.by_kind.contains_key("too-deep"));
+}
+
+/// Hand-written malformed lines × policy × workers: every route reports the
+/// decoder's diagnostic — `trailing-data` at the first byte past the value.
+#[test]
+fn one_reject_has_one_diagnostic_whatever_the_route() {
+    let bomb = format!("{{\"id\": {}", "[".repeat(128)); // one past the default depth
+    let capped = r#"{"id": 15, "name": "longer than the sixteen-byte cap"}"#;
+    let table = [
+        (r#"{"id": 2} xyz"#, "trailing-data", 10),
+        (r#"{"id": 3}]"#, "trailing-data", 9),
+        (r#"{"id": 4} {"id": 5}"#, "trailing-data", 10),
+        (r#"{"id": 6} 7"#, "trailing-data", 10),
+        (r#"{"id": 8, "name": "cut"#, "unexpected-eof", 18),
+        (r#"{"id": 9, "tags": [1, 2"#, "unexpected-eof", 23),
+        (r#"{"id": 10, "name": "x""#, "unexpected-eof", 22),
+        (r#"{"id": 11, "name": "a\qb"}"#, "bad-escape", 21),
+        (r#"{"id": 12, "name": "\ud83d"}"#, "lone-surrogate", 20),
+        (
+            "{\"id\": 13, \"n\": \"a\u{1}b\"}",
+            "control-character-in-string",
+            18,
+        ),
+        (r#"{"id": 14, "name": tru}"#, "bad-keyword", 19),
+        (&bomb, "too-deep", 135),
+        (capped, "limit-exceeded-string-bytes", 19),
+    ];
+    let schema = CompiledSchema::compile(&json!({"type": "object", "required": ["id"]})).unwrap();
+    let vopts = ValidatorOptions::default();
+    let layout = Source::slice(r#"{"id": 1, "name": "a"}"#);
+    let (ty, _) = reference().infer(layout, Equivalence::Kind).unwrap();
+    let shredder = Shredder::from_type(&ty);
+    let policies = [
+        ErrorPolicy::FailFast,
+        ErrorPolicy::Skip { max_errors: None },
+        ErrorPolicy::Collect { max_errors: 100 },
+    ];
+    for (line, kind, offset) in table {
+        // A string cap turns the structural fast path off, so only the
+        // line that needs one runs under it.
+        let limits = match line == capped {
+            true => ParseLimits::new().with_max_string_bytes(16),
+            false => ParseLimits::default(),
+        };
+        let text = format!("{{\"id\": 0}}\n\n{line}\n{{\"id\": 1, \"name\": \"b\"}}\n");
+        let want = decoder_diagnostics(&text, limits);
+        let found: Vec<_> = want.iter().map(|d| (d.0, d.1, d.2)).collect();
+        assert_eq!(found, [(2, offset, kind)], "{line}");
+        for (policy, workers) in policies.iter().flat_map(|p| [(*p, 1), (*p, 2), (*p, 8)]) {
+            let mut fault = skip_all();
+            (fault.policy, fault.limits) = (policy, limits);
+            let mut run = plan(workers, fault);
+            run.chunk_bytes = 1; // every line is a chunk of its own
+            let mut slow = run.clone();
+            slow.fast_parse = false;
+            let src = || Source::slice(&text);
+            let outcomes = [
+                run.infer(src(), Equivalence::Kind).map(|o| o.1),
+                run.validate(src(), &schema, vopts).map(|o| o.1),
+                slow.validate(src(), &schema, vopts).map(|o| o.1),
+                run.translate(src(), &shredder).map(|o| o.1),
+                slow.translate(src(), &shredder).map(|o| o.1),
+                run.infer_validate(src(), Equivalence::Kind, &schema, vopts)
+                    .map(|o| o.1),
+            ];
+            for (route, outcome) in outcomes.into_iter().enumerate() {
+                let context = format!("{line}: route {route}, {policy:?}, workers {workers}");
+                let got = match outcome {
+                    Ok(report) => diagnostics(&report),
+                    Err(StreamError::Record { record, issue: i }) => {
+                        vec![(record, i.offset(), i.kind_label(), i.to_string())]
+                    }
+                    Err(other) => panic!("{context}: {other:?}"),
+                };
+                assert_eq!(got, want, "{context}");
+            }
+        }
+    }
 }

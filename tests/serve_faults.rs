@@ -67,6 +67,8 @@ fn verdicts_match_the_batch_pipeline() {
         r#"{"id""#.to_string(),
         "[1, 2, 3]".to_string(),
         "nonsense".to_string(),
+        r#"{"id": 4} xyz"#.to_string(),
+        r#"{"id": 5}]"#.to_string(),
         r#"{"deep": [[[[[[1]]]]]]}"#.to_string(),
         format!("{{\"id\": 3, \"pad\": \"{}\"}}", "x".repeat(300)),
     ];
@@ -91,14 +93,20 @@ fn verdicts_match_the_batch_pipeline() {
     // The batch run splits outcomes: parsed records land in the verdict
     // vector, malformed ones in the report's diagnostics. Re-key both by
     // record index so every corpus line has exactly one expected outcome.
-    let mut expected: BTreeMap<usize, Result<bool, &'static str>> = BTreeMap::new();
+    let mut expected: BTreeMap<usize, Result<bool, (&'static str, &str)>> = BTreeMap::new();
     for (idx, verdict) in &batch_verdicts {
         expected.insert(*idx, Ok(verdict.is_valid()));
     }
     for diag in &batch_report.errors.rejects {
-        expected.insert(diag.record, Err(diag.kind));
+        expected.insert(diag.record, Err((diag.kind, &diag.message)));
     }
     assert_eq!(expected.len(), corpus.len(), "every line has one outcome");
+    // Which batch command is the reference does not matter: inference
+    // rejects the same lines with the same diagnostics.
+    let (_, infer_report) = batch
+        .infer(Source::slice(&ndjson), jsonx::core::Equivalence::Kind)
+        .unwrap();
+    assert_eq!(infer_report.errors, batch_report.errors);
 
     let (addr, handle) = start(ServeConfig {
         schema_path: Some(schema_file("parity", SCHEMA)),
@@ -127,9 +135,10 @@ fn verdicts_match_the_batch_pipeline() {
                     "{line}: {resp}"
                 );
             }
-            Err(kind) => {
+            Err((kind, message)) => {
                 assert_eq!(field(&doc, "ok").as_bool(), Some(false), "{line}: {resp}");
                 assert_eq!(field(&doc, "kind").as_str(), Some(kind), "{line}: {resp}");
+                assert_eq!(field(&doc, "error").as_str(), Some(message), "{resp}");
             }
         }
     }
@@ -259,6 +268,27 @@ fn oversized_payloads_reject_with_the_batch_label() {
         report.report.errors.by_kind["limit-exceeded-input-bytes"],
         1
     );
+}
+
+#[test]
+fn a_record_at_the_depth_ceiling_passes_through_every_verb() {
+    use jsonx::syntax::MAX_DEPTH_CEILING as CEILING;
+    // A schema that follows the record all the way down.
+    let recursive = r##"{"$ref": "#/definitions/t", "definitions": {"t": {"items": {"$ref": "#/definitions/t"}, "additionalProperties": {"$ref": "#/definitions/t"}}}}"##;
+    let (addr, handle) = start(ServeConfig {
+        schema_path: Some(schema_file("ceiling", recursive)),
+        limits: ParseLimits::new().with_max_depth(CEILING),
+        ..ServeConfig::default()
+    });
+    // Objects and arrays alternating, exactly `CEILING` deep. An overflow in
+    // what walks it would abort this process, not fail an assertion.
+    let bomb = "{\"a\":[".repeat(CEILING / 2) + &"]}".repeat(CEILING / 2);
+    let mut client = LineClient::connect(addr).unwrap();
+    for verb in ["VALIDATE", "INFER", "TRANSLATE"] {
+        let resp = client.request(&format!("{verb} {bomb}")).unwrap().unwrap();
+        assert!(resp.starts_with("{\"ok\":true"), "{verb}: {resp:.200}");
+    }
+    shutdown(addr, handle);
 }
 
 #[test]
