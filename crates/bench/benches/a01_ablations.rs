@@ -201,10 +201,11 @@ fn typing_route_ablation(c: &mut Criterion) {
         })
     };
     let in_place = |fold: &mut TypeFold, text: &str| {
+        let mut routes = jsonx::RouteCounts::default();
         for line in text.lines() {
-            fold.record(&decoder, &mut (), line).unwrap();
+            routes.count(fold.record(&decoder, &mut (), line).unwrap());
         }
-        fold.take()
+        (fold.take(), routes)
     };
     let mut typer = StreamTyper::new(Equivalence::Kind);
     let mut fold = TypeFold::new(Equivalence::Kind);
@@ -212,7 +213,8 @@ fn typing_route_ablation(c: &mut Criterion) {
     assert_eq!(ty, type_then_fuse(&mut typer, &ndjson));
     println!(
         "{} records typed in place, {} replayed; identical types",
-        routes.in_place, routes.replayed
+        routes.fast,
+        routes.replayed.values().sum::<u64>()
     );
     let mut group = c.benchmark_group("a01_typing_route");
     group.bench_function("type_then_fuse", |b| {

@@ -9,9 +9,8 @@
 //! is byte-for-byte the order of a sequential scan — FailFast
 //! first-error-line selection and `RunReport` merging never depend on
 //! worker count or scheduling. [`run_source_controlled`] is that
-//! dispatcher; [`run_lines_stealing`] and [`run_reader_caught`] adapt an
-//! in-memory slice and a `BufRead` onto it, and [`run_slice`] is the same
-//! shape over an in-memory `&[T]`.
+//! dispatcher, over whatever [`ChunkSource`] the caller built;
+//! [`run_slice`] is the same shape over an in-memory `&[T]`.
 //!
 //! ## Record framing contract
 //!
@@ -28,11 +27,10 @@
 //! out of scope for the line-based entry points.
 
 use crate::checkpoint::{CheckpointSink, ChunkMeta};
-use crate::chunk::{ChunkError, ChunkSource, ReaderChunks, SliceChunks, CHUNKS_PER_WORKER};
-use crate::options::{PipelineOptions, SliceOptions};
+use crate::chunk::{ChunkError, ChunkSource, CHUNKS_PER_WORKER};
+use crate::options::SliceOptions;
 use crate::report::{ShardPanic, WorkerTiming};
 use std::borrow::Cow;
-use std::io::BufRead;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -83,6 +81,17 @@ pub trait ShardFold<Item: ?Sized>: Sync {
     fn take(&self, state: &mut Self::State) -> Self::Out {
         self.finish(std::mem::replace(state, self.init()))
     }
+
+    /// Whether the chunk just fed decided the run's outcome (a fail-fast
+    /// fault, an error bound exceeded), so nothing past it is worth
+    /// reading. [`run_source_controlled`] asks once per chunk, before
+    /// [`take`](Self::take); on `true` every worker stops *claiming*.
+    /// Claims are handed out in sequence order, so each earlier chunk is
+    /// already held and still finishes: what a sequential scan would
+    /// have reported first is in the fused result.
+    fn halted(&self, _state: &Self::State) -> bool {
+        false
+    }
 }
 
 /// What a caught (panic-isolated) run produced: the fused output of the
@@ -96,17 +105,18 @@ pub struct RunOutcome<Out> {
     /// The shard-order fusion of every shard that completed.
     pub out: Out,
     /// How many work units (claimed chunks) the input was split into
-    /// (1 on the sequential path).
+    /// (1 for an empty input).
     pub shards: usize,
     /// Shards whose fold panicked, in shard order.
     pub poisoned: Vec<ShardPanic>,
-    /// Per-worker dispatch accounting, populated only when the run asked
-    /// for timing ([`PipelineOptions::timing`]); empty otherwise.
+    /// Per-worker dispatch accounting, one entry per worker that ran,
+    /// populated only when the run asked for timing; empty otherwise.
     pub timings: Vec<WorkerTiming>,
     /// Whether a graceful-stop latch ([`RunControl::stop`]) was observed
     /// during the run: workers stopped claiming chunks and drained their
     /// in-flight work, so `out` covers a committed prefix of the input,
-    /// not all of it. Always `false` on uncontrolled runs.
+    /// not all of it. Always `false` on uncontrolled runs; a fold that
+    /// [halted](ShardFold::halted) is a result, not an interruption.
     pub interrupted: bool,
 }
 
@@ -132,14 +142,6 @@ impl<Out> Default for RunControl<'_, Out> {
     }
 }
 
-impl<Out> Clone for RunControl<'_, Out> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<Out> Copy for RunControl<'_, Out> {}
-
 /// One sequence-numbered chunk result: the taken output, or the panic
 /// that poisoned the chunk.
 type SeqResult<Out> = (usize, Result<Out, ShardPanic>);
@@ -158,192 +160,126 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs the whole fold on the caller's thread as one panic-isolated
-/// shard — the tiny-input / single-worker path.
-fn run_lines_sequential<F: ShardFold<str>>(input: &str, fold: &F) -> RunOutcome<F::Out> {
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        let mut state = fold.init();
-        for (i, line) in input.lines().enumerate() {
-            fold.feed(&mut state, line, i);
-        }
-        fold.finish(state)
-    }));
-    match caught {
-        Ok(out) => RunOutcome {
-            out,
-            shards: 1,
-            poisoned: Vec::new(),
-            timings: Vec::new(),
-            interrupted: false,
-        },
-        Err(payload) => RunOutcome {
-            out: fuse_outs(fold, Vec::new()),
-            shards: 1,
-            poisoned: vec![ShardPanic {
-                shard: 0,
-                first_record: 0,
-                message: panic_message(payload.as_ref()),
-            }],
-            timings: Vec::new(),
-            interrupted: false,
-        },
-    }
-}
-
-/// Runs `fold` over the lines of an in-memory `input`, isolating worker
-/// panics.
+/// The one line dispatcher: `workers` workers claim sequence-numbered
+/// chunks from `source` until exhaustion, fold each chunk under
+/// `catch_unwind`, and every chunk's [`ShardFold::take`]n result is fused
+/// in sequence order — so the outcome equals the sequential fold for
+/// every worker count and chunking. A panic poisons only the chunk being
+/// folded (the worker discards its state and re-inits on its next claim);
+/// a source error aborts the run (partial results are discarded — an
+/// unreadable input has no trustworthy line numbering).
 ///
-/// Every line — including blank ones — is fed with its global line index,
-/// exactly as a sequential `input.lines().enumerate()` would produce it.
-/// The input is pre-split into newline-aligned chunks
-/// ([`PipelineOptions::chunk_bytes`], or an automatic size) that a fixed
-/// worker pool claims through a shared atomic cursor until the queue
-/// drains; results fuse in chunk-sequence order, so the outcome equals
-/// the sequential fold for every worker count and chunk size. A single
-/// worker, or an automatically sized tiny input, folds on the caller's
-/// thread as one chunk instead — unless timing was requested, in which
-/// case the run always dispatches so the timing account exists. Each
-/// chunk's fold runs under `catch_unwind`: a panic poisons only that
-/// chunk, and the outcome records it instead of unwinding the caller.
-pub fn run_lines_stealing<F: ShardFold<str>>(
-    input: &str,
-    fold: &F,
-    opts: PipelineOptions,
-) -> RunOutcome<F::Out> {
-    if opts.runs_on_caller_thread(input.len()) {
-        return run_lines_sequential(input, fold);
-    }
-    let source = SliceChunks::new(input, opts.slice_chunk_bytes(input.len()));
-    run_source_controlled(
-        &source,
-        fold,
-        opts.effective_workers(),
-        opts.timing,
-        RunControl::default(),
-    )
-    .unwrap_or_else(|_| unreachable!("in-memory chunk sources cannot fail"))
-}
-
-/// Out-of-core dispatch: reads NDJSON incrementally from any [`BufRead`]
-/// through a bounded ring of chunk buffers ([`ReaderChunks`], one
-/// recycled buffer per worker), so peak resident memory is
-/// `O(workers × chunk_bytes)` regardless of input size. Same worker
-/// pool, sequence-ordered merge, and panic isolation as
-/// [`run_lines_stealing`]; returns `Err` on I/O failure or non-UTF-8
-/// input (partial results are discarded — an unreadable input has no
-/// trustworthy line numbering).
-pub fn run_reader_caught<R: BufRead + Send, F: ShardFold<str>>(
-    reader: R,
-    fold: &F,
-    opts: PipelineOptions,
-) -> Result<RunOutcome<F::Out>, ChunkError> {
-    let workers = opts.effective_workers();
-    let source = ReaderChunks::new(reader, opts.reader_chunk_bytes(), workers);
-    run_source_controlled(&source, fold, workers, opts.timing, RunControl::default())
-}
-
-/// The work-stealing dispatcher core: a fixed pool of `workers` threads
-/// claims sequence-numbered chunks from `source` until exhaustion, folds
-/// each chunk under `catch_unwind`, and fuses every chunk's
-/// [`ShardFold::take`]n result in sequence order. A panic poisons only
-/// the chunk being folded (the worker discards its state and re-inits on
-/// its next claim); a source error aborts the run.
+/// One worker is the calling thread: nothing is spawned. More are scoped
+/// threads the caller joins, and should the OS refuse one the run carries
+/// on with the workers it has — the caller itself, if it has none.
 ///
-/// [`RunControl`] adds a per-chunk commit hook (fired on the claiming
-/// worker, after the chunk's fold succeeds and before its result is
-/// fused) and a graceful-stop latch checked before every claim. When the
-/// latch trips, workers finish the chunks they hold and stop; the
-/// outcome carries `interrupted: true` and the fused prefix of results —
-/// which, combined with a [`CheckpointSink`] journal, is what makes an
-/// interrupted run resumable.
-pub fn run_source_controlled<S: ChunkSource, F: ShardFold<str>>(
+/// Workers stop claiming, and finish the chunks they hold, when the fold
+/// [halts](ShardFold::halted) or [`RunControl`]'s graceful-stop latch
+/// trips. Only the latch makes the outcome `interrupted` — which, with
+/// the per-chunk commit hook (fired on the claiming worker, after the
+/// chunk's fold succeeds and before its result is fused) writing a
+/// [`CheckpointSink`] journal, is what makes such a run resumable.
+pub fn run_source_controlled<S: ChunkSource + ?Sized, F: ShardFold<str>>(
     source: &S,
     fold: &F,
     workers: usize,
     timing: bool,
     control: RunControl<'_, F::Out>,
 ) -> Result<RunOutcome<F::Out>, ChunkError> {
-    let workers = workers.max(1);
     let failure: Mutex<Option<ChunkError>> = Mutex::new(None);
-    let per_worker: Vec<(Vec<SeqResult<F::Out>>, WorkerTiming)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                let failure = &failure;
-                scope.spawn(move || {
-                    let mut state: Option<F::State> = None;
-                    let mut results = Vec::new();
-                    let mut acct = WorkerTiming {
-                        worker,
-                        ..WorkerTiming::default()
-                    };
-                    loop {
-                        if control.stop.is_some_and(|s| s.load(Ordering::SeqCst)) {
-                            break;
-                        }
-                        let chunk = match source.next_chunk() {
-                            Ok(Some(chunk)) => chunk,
-                            Ok(None) => break,
-                            Err(e) => {
-                                failure.lock().unwrap().get_or_insert(e);
-                                break;
-                            }
-                        };
-                        let seq = chunk.seq;
-                        let first_line = chunk.first_line;
-                        let started = timing.then(Instant::now);
-                        let caught = catch_unwind(AssertUnwindSafe(|| {
-                            let st = state.get_or_insert_with(|| fold.init());
-                            let mut lines = 0usize;
-                            for (i, line) in chunk.text.lines().enumerate() {
-                                fold.feed(st, line, first_line + i);
-                                lines += 1;
-                            }
-                            (fold.take(st), lines)
-                        }));
-                        match caught {
-                            Ok((out, lines)) => {
-                                if let Some(sink) = control.sink {
-                                    sink.chunk_done(
-                                        &ChunkMeta {
-                                            seq,
-                                            first_line,
-                                            lines,
-                                            bytes: chunk.text.len(),
-                                        },
-                                        &out,
-                                    );
-                                }
-                                acct.records += lines;
-                                results.push((seq, Ok(out)));
-                            }
-                            Err(payload) => {
-                                // The state saw a partial chunk; drop
-                                // it so the next claim starts fresh.
-                                state = None;
-                                results.push((
-                                    seq,
-                                    Err(ShardPanic {
-                                        shard: seq,
-                                        first_record: first_line,
-                                        message: panic_message(payload.as_ref()),
-                                    }),
-                                ));
-                            }
-                        }
-                        if let Some(t0) = started {
-                            acct.busy += t0.elapsed();
-                        }
-                        acct.chunks += 1;
-                        acct.bytes += chunk.text.len();
-                        if let Cow::Owned(buf) = chunk.text {
-                            source.recycle(buf);
-                        }
+    let halted = AtomicBool::new(false);
+    let stopped = || control.stop.is_some_and(|s| s.load(Ordering::SeqCst));
+    let work = |worker: usize| {
+        let mut state: Option<F::State> = None;
+        let mut results: Vec<SeqResult<F::Out>> = Vec::new();
+        let mut acct = WorkerTiming {
+            worker,
+            ..WorkerTiming::default()
+        };
+        while !halted.load(Ordering::SeqCst) && !stopped() {
+            let chunk = match source.next_chunk() {
+                Ok(Some(chunk)) => chunk,
+                Ok(None) => break,
+                Err(e) => {
+                    failure.lock().unwrap().get_or_insert(e);
+                    break;
+                }
+            };
+            let seq = chunk.seq;
+            let first_line = chunk.first_line;
+            let started = timing.then(Instant::now);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                let st = state.get_or_insert_with(|| fold.init());
+                let mut lines = 0usize;
+                for line in chunk.text.lines() {
+                    fold.feed(st, line, first_line + lines);
+                    lines += 1;
+                }
+                // Before `take`, which hands the halt to the chunk's result.
+                if fold.halted(st) {
+                    halted.store(true, Ordering::SeqCst);
+                }
+                (fold.take(st), lines)
+            }));
+            match caught {
+                Ok((out, lines)) => {
+                    if let Some(sink) = control.sink {
+                        sink.chunk_done(
+                            &ChunkMeta {
+                                seq,
+                                first_line,
+                                lines,
+                                bytes: chunk.text.len(),
+                            },
+                            &out,
+                        );
                     }
-                    (results, acct)
-                })
+                    acct.records += lines;
+                    results.push((seq, Ok(out)));
+                }
+                Err(payload) => {
+                    // The state saw a partial chunk; drop it so the next
+                    // claim starts fresh.
+                    state = None;
+                    results.push((
+                        seq,
+                        Err(ShardPanic {
+                            shard: seq,
+                            first_record: first_line,
+                            message: panic_message(payload.as_ref()),
+                        }),
+                    ));
+                }
+            }
+            if let Some(t0) = started {
+                acct.busy += t0.elapsed();
+            }
+            acct.chunks += 1;
+            acct.bytes += chunk.text.len();
+            if let Cow::Owned(buf) = chunk.text {
+                source.recycle(buf);
+            }
+        }
+        (results, acct)
+    };
+    let per_worker: Vec<(Vec<SeqResult<F::Out>>, WorkerTiming)> = std::thread::scope(|scope| {
+        let work = &work;
+        // Beside other workers the caller only joins: as one of them its
+        // allocator traffic lands next to what it built just before the
+        // run and every worker reads per record — false sharing measured
+        // at a fifth of `validate`'s throughput on CSV (DESIGN.md §9).
+        let threads = if workers > 1 { workers } else { 0 };
+        let spawned: Vec<_> = (0..threads)
+            .map_while(|worker| {
+                std::thread::Builder::new()
+                    .spawn_scoped(scope, move || work(worker))
+                    .ok()
             })
             .collect();
-        handles
+        if spawned.is_empty() {
+            return vec![work(0)];
+        }
+        spawned
             .into_iter()
             .map(|h| h.join().expect("dispatcher worker panicked outside a fold"))
             .collect()
@@ -351,8 +287,9 @@ pub fn run_source_controlled<S: ChunkSource, F: ShardFold<str>>(
     if let Some(err) = failure.into_inner().unwrap() {
         return Err(err);
     }
+    let ran = per_worker.len();
     let mut results: Vec<SeqResult<F::Out>> = Vec::new();
-    let mut timings: Vec<WorkerTiming> = Vec::with_capacity(if timing { workers } else { 0 });
+    let mut timings: Vec<WorkerTiming> = Vec::with_capacity(if timing { ran } else { 0 });
     for (worker_results, acct) in per_worker {
         results.extend(worker_results);
         if timing {
@@ -362,18 +299,25 @@ pub fn run_source_controlled<S: ChunkSource, F: ShardFold<str>>(
     // Sequence order is input order: fuse as a sequential scan would.
     results.sort_unstable_by_key(|(seq, _)| *seq);
     let chunk_count = results.len();
-    let fair_share = chunk_count.div_ceil(workers);
+    let fair_share = chunk_count.div_ceil(ran);
     for acct in &mut timings {
         acct.steals = acct.chunks.saturating_sub(fair_share);
     }
-    let mut outcome = collect_outcome(
-        fold,
-        chunk_count.max(1),
-        results.into_iter().map(|(_, r)| r).collect(),
-    );
-    outcome.timings = timings;
-    outcome.interrupted = control.stop.is_some_and(|s| s.load(Ordering::SeqCst));
-    Ok(outcome)
+    let mut outs = Vec::with_capacity(chunk_count);
+    let mut poisoned = Vec::new();
+    for (_, result) in results {
+        match result {
+            Ok(out) => outs.push(out),
+            Err(panic) => poisoned.push(panic),
+        }
+    }
+    Ok(RunOutcome {
+        out: fuse_outs(fold, outs),
+        shards: chunk_count.max(1),
+        poisoned,
+        timings,
+        interrupted: stopped(),
+    })
 }
 
 /// Runs `fold` over `items`, split into contiguous item chunks claimed by
@@ -467,32 +411,8 @@ pub fn run_slice<T: Sync, F: ShardFold<T>>(
     Ok(fuse_outs(fold, outs))
 }
 
-/// Splits per-shard results into surviving outputs and panic provenance,
-/// fusing the survivors in shard order.
-fn collect_outcome<Item: ?Sized, F: ShardFold<Item>>(
-    fold: &F,
-    shards: usize,
-    results: Vec<Result<F::Out, ShardPanic>>,
-) -> RunOutcome<F::Out> {
-    let mut outs = Vec::with_capacity(results.len());
-    let mut poisoned = Vec::new();
-    for result in results {
-        match result {
-            Ok(out) => outs.push(out),
-            Err(panic) => poisoned.push(panic),
-        }
-    }
-    RunOutcome {
-        out: fuse_outs(fold, outs),
-        shards,
-        poisoned,
-        timings: Vec::new(),
-        interrupted: false,
-    }
-}
-
 /// Shard-order fusion; an empty shard list folds an empty state so the
-/// engine returns the same value the sequential path gives empty input.
+/// engine returns the same value a sequential fold gives empty input.
 fn fuse_outs<Item: ?Sized, F: ShardFold<Item>>(fold: &F, outs: Vec<F::Out>) -> F::Out {
     outs.into_iter()
         .reduce(|a, b| fold.merge(a, b))
@@ -502,6 +422,20 @@ fn fuse_outs<Item: ?Sized, F: ShardFold<Item>>(fold: &F, outs: Vec<F::Out>) -> F
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::{ReaderChunks, SliceChunks};
+
+    /// Dispatches `input` as an in-memory source of `chunk_bytes` chunks.
+    fn run_str<F: ShardFold<str>>(
+        input: &str,
+        fold: &F,
+        workers: usize,
+        chunk_bytes: usize,
+        timing: bool,
+    ) -> RunOutcome<F::Out> {
+        let source = SliceChunks::new(input, chunk_bytes);
+        run_source_controlled(&source, fold, workers, timing, RunControl::default())
+            .expect("in-memory chunk sources cannot fail")
+    }
 
     /// A toy fold: sum of parsed integers, first bad line as error.
     struct SumFold;
@@ -539,24 +473,19 @@ mod tests {
         }
     }
 
-    /// Explicit tiny chunks force dispatch on the toy inputs below.
-    fn opts(workers: usize) -> PipelineOptions {
-        PipelineOptions {
-            workers,
-            chunk_bytes: 4,
-            timing: false,
-        }
-    }
-
     #[test]
-    fn sharded_sum_equals_sequential_at_every_worker_count() {
-        let input: String = (1..=200).map(|i| format!("{i}\n")).collect();
-        let expected = run_lines_sequential(&input, &SumFold).out;
-        assert_eq!(expected, Ok((1..=200i64).sum()));
+    fn dispatch_equals_the_sequential_fold_at_every_worker_count_and_chunk_size() {
+        let input: String = (1..=500).map(|i| format!("{i}\n")).collect();
+        let expected = Ok((1..=500i64).sum());
         for workers in [1, 2, 3, 8, 16] {
-            let outcome = run_lines_stealing(&input, &SumFold, opts(workers));
-            assert!(outcome.poisoned.is_empty());
-            assert_eq!(outcome.out, expected);
+            for chunk_bytes in [1usize, 4, 64, 4096, 1 << 20] {
+                let outcome = run_str(&input, &SumFold, workers, chunk_bytes, false);
+                assert!(outcome.poisoned.is_empty());
+                assert_eq!(
+                    outcome.out, expected,
+                    "workers={workers} chunk_bytes={chunk_bytes}"
+                );
+            }
         }
     }
 
@@ -567,7 +496,7 @@ mod tests {
         lines[7] = "early-bad".into();
         let input = lines.join("\n");
         for workers in [1, 2, 4, 8] {
-            let out = run_lines_stealing(&input, &SumFold, opts(workers)).out;
+            let out = run_str(&input, &SumFold, workers, 4, false).out;
             assert_eq!(out.as_ref().unwrap_err().0, 7, "workers={workers}");
         }
     }
@@ -576,16 +505,120 @@ mod tests {
     fn blank_lines_and_missing_trailing_newline() {
         let input = "1\n\n2\n\n3"; // blank lines, no trailing newline
         for workers in [1, 2, 4] {
-            assert_eq!(
-                run_lines_stealing(input, &SumFold, opts(workers)).out,
-                Ok(6)
-            );
+            assert_eq!(run_str(input, &SumFold, workers, 4, false).out, Ok(6));
         }
     }
 
     #[test]
     fn empty_input_yields_unit() {
-        assert_eq!(run_lines_stealing("", &SumFold, opts(4)).out, Ok(0));
+        let outcome = run_str("", &SumFold, 4, 4, false);
+        assert_eq!((outcome.out, outcome.shards), (Ok(0), 1));
+    }
+
+    /// Collects `f(line, index)` over the non-empty lines, in input order.
+    struct Lines<F>(F);
+
+    impl<T: Send, F: Fn(&str, usize) -> T + Sync> ShardFold<str> for Lines<F> {
+        type State = Vec<T>;
+        type Out = Vec<T>;
+
+        fn init(&self) -> Self::State {
+            Vec::new()
+        }
+
+        fn feed(&self, state: &mut Self::State, line: &str, index: usize) {
+            if !line.is_empty() {
+                state.push((self.0)(line, index));
+            }
+        }
+
+        fn finish(&self, state: Self::State) -> Self::Out {
+            state
+        }
+
+        fn merge(&self, mut left: Self::Out, right: Self::Out) -> Self::Out {
+            left.extend(right);
+            left
+        }
+    }
+
+    #[test]
+    fn one_worker_folds_every_chunk_on_the_calling_thread() {
+        let input: String = (1..=200).map(|i| format!("{i}\n")).collect();
+        let here = std::thread::current().id();
+        let fed_by = Lines(|_: &str, _| std::thread::current().id());
+        let from_slice = run_str(&input, &fed_by, 1, 16, false);
+        let reader = ReaderChunks::new(std::io::Cursor::new(input.as_bytes()), 16, 1);
+        let from_reader =
+            run_source_controlled(&reader, &fed_by, 1, false, RunControl::default()).unwrap();
+        for outcome in [from_slice, from_reader] {
+            assert!(outcome.shards > 1, "input must actually chunk");
+            assert_eq!(outcome.out, vec![here; 200]);
+        }
+    }
+
+    /// Halts on `bad`, which sits in chunk 0 (lines 0 and 1). Every other
+    /// chunk's first `feed` waits until chunk 0 is `take`n — which the
+    /// engine does only after it has asked `halted`, so by the time a
+    /// parked worker gets to claim again the latch is set.
+    #[derive(Default)]
+    struct HaltOnBad {
+        chunk_zero_taken: AtomicBool,
+    }
+
+    impl ShardFold<str> for HaltOnBad {
+        /// The faulting line, once seen.
+        type State = Option<usize>;
+        type Out = Option<usize>;
+
+        fn init(&self) -> Self::State {
+            None
+        }
+
+        fn feed(&self, state: &mut Self::State, line: &str, index: usize) {
+            if line == "bad" {
+                *state = Some(index);
+            } else if index >= 2 {
+                while !self.chunk_zero_taken.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            }
+        }
+
+        fn finish(&self, state: Self::State) -> Self::Out {
+            state
+        }
+
+        fn merge(&self, left: Self::Out, right: Self::Out) -> Self::Out {
+            left.or(right)
+        }
+
+        fn take(&self, state: &mut Self::State) -> Self::Out {
+            self.chunk_zero_taken
+                .fetch_or(state.is_some(), Ordering::SeqCst);
+            state.take()
+        }
+
+        fn halted(&self, state: &Self::State) -> bool {
+            state.is_some()
+        }
+    }
+
+    #[test]
+    fn a_halted_fold_stops_the_claims_and_is_not_an_interruption() {
+        // 128 lines of 8 bytes, two to a chunk: 64 chunks.
+        let mut lines = vec!["line---"; 128];
+        lines[1] = "bad";
+        let input = lines.join("\n") + "\n";
+        assert_eq!(SliceChunks::new(&input, 12).len(), 64);
+        for workers in [2, 8] {
+            let outcome = run_str(&input, &HaltOnBad::default(), workers, 12, false);
+            assert_eq!(outcome.out, Some(1));
+            assert!(!outcome.interrupted);
+            // Each worker was handed at most one chunk before it parked or
+            // halted, and none after.
+            assert!(outcome.shards <= workers, "workers={workers}");
+        }
     }
 
     /// Slice engine: concatenation-shaped fold keeps input order.
@@ -638,86 +671,40 @@ mod tests {
         assert_eq!(out, vec![(0, 1), (1, 2), (2, 3)]);
     }
 
-    /// A fold that panics on a trigger line, for panic-isolation tests.
-    struct PanicOnFold;
-
-    impl ShardFold<str> for PanicOnFold {
-        type State = Vec<usize>;
-        type Out = Vec<usize>;
-
-        fn init(&self) -> Self::State {
-            Vec::new()
-        }
-
-        fn feed(&self, state: &mut Self::State, line: &str, index: usize) {
-            if line == "boom" {
-                panic!("injected fold panic at record {index}");
-            }
-            if !line.is_empty() {
-                state.push(index);
-            }
-        }
-
-        fn finish(&self, state: Self::State) -> Self::Out {
-            state
-        }
-
-        fn merge(&self, mut left: Self::Out, right: Self::Out) -> Self::Out {
-            left.extend(right);
-            left
-        }
+    /// The index of every line, panicking on a trigger line.
+    fn panic_on_boom() -> impl ShardFold<str, Out = Vec<usize>> {
+        Lines(|line: &str, index| {
+            assert!(line != "boom", "injected fold panic at record {index}");
+            index
+        })
     }
 
     #[test]
-    fn panicking_shard_is_isolated_and_named() {
-        // "boom" lands in one of many chunks.
-        let mut lines: Vec<String> = (0..100).map(|i| format!("line-{i:04}")).collect();
+    fn a_panic_poisons_only_its_chunk_and_the_worker_carries_on() {
+        let mut lines: Vec<String> = (0..200).map(|i| format!("line-{i:04}")).collect();
         lines[60] = "boom".into();
         let input = lines.join("\n");
-        let outcome = run_lines_stealing(&input, &PanicOnFold, opts(4));
-        assert!(outcome.shards > 1, "input must actually shard");
-        assert_eq!(outcome.poisoned.len(), 1);
-        let poisoned = &outcome.poisoned[0];
-        assert!(poisoned.message.contains("injected fold panic"));
-        assert!(poisoned.first_record <= 60);
-        // Surviving shards still merged: every record outside the
-        // poisoned shard is present and in order.
-        assert!(!outcome.out.is_empty());
-        assert!(outcome.out.windows(2).all(|w| w[0] < w[1]));
-        assert!(!outcome.out.contains(&60));
-    }
-
-    #[test]
-    fn sequential_path_is_panic_isolated_too() {
-        let outcome = run_lines_stealing("a\nboom\nb", &PanicOnFold, opts(1));
-        assert_eq!(outcome.shards, 1);
-        assert_eq!(outcome.poisoned.len(), 1);
-        assert_eq!(outcome.poisoned[0].shard, 0);
-        assert!(outcome.poisoned[0].message.contains("injected fold panic"));
-        assert!(outcome.out.is_empty(), "poisoned shard's output is lost");
-    }
-
-    #[test]
-    fn stealing_matches_sequential_across_chunk_sizes() {
-        let input: String = (1..=500).map(|i| format!("{i}\n")).collect();
-        let expected = run_lines_sequential(&input, &SumFold).out;
-        for workers in [1, 2, 3, 8] {
-            for chunk_bytes in [1usize, 64, 4096, 1 << 20] {
-                let outcome = run_lines_stealing(
-                    &input,
-                    &SumFold,
-                    PipelineOptions {
-                        workers,
-                        chunk_bytes,
-                        timing: false,
-                    },
-                );
-                assert_eq!(
-                    outcome.out, expected,
-                    "workers={workers} chunk_bytes={chunk_bytes}"
-                );
-            }
+        // With one worker — the test's own thread — every chunk lands on
+        // the state that saw the panic, which must neither leak records
+        // from before it nor unwind the caller.
+        for workers in [1, 4] {
+            let outcome = run_str(&input, &panic_on_boom(), workers, 256, true);
+            assert!(outcome.shards > 1, "input must actually shard");
+            assert_eq!(outcome.poisoned.len(), 1);
+            let poisoned = &outcome.poisoned[0];
+            assert!(poisoned.message.contains("injected fold panic"));
+            assert!(poisoned.first_record <= 60);
+            // Surviving shards still merged: every record outside the
+            // poisoned shard is present and in order, the ones after it
+            // included — the worker recovered with a fresh state.
+            assert!(!outcome.out.contains(&60));
+            assert!(outcome.out.windows(2).all(|w| w[0] < w[1]));
+            assert!(outcome.out.contains(&0) && outcome.out.contains(&199));
         }
+        // A single chunk that panics is a poisoned run with nothing in it.
+        let outcome = run_str("a\nboom\nb", &panic_on_boom(), 1, 1 << 20, false);
+        assert_eq!((outcome.shards, outcome.poisoned[0].shard), (1, 0));
+        assert!(outcome.out.is_empty(), "poisoned shard's output is lost");
     }
 
     #[test]
@@ -725,16 +712,10 @@ mod tests {
         let mut lines: Vec<String> = (1..=300).map(|i| i.to_string()).collect();
         lines[123] = "bad".into();
         let input = lines.join("\n");
-        let expected = run_lines_stealing(&input, &SumFold, opts(3)).out;
-        let outcome = run_reader_caught(
-            std::io::Cursor::new(input.as_bytes()),
-            &SumFold,
-            PipelineOptions {
-                chunk_bytes: 128,
-                ..opts(3)
-            },
-        )
-        .unwrap();
+        let expected = run_str(&input, &SumFold, 3, 4, false).out;
+        let reader = ReaderChunks::new(std::io::Cursor::new(input.as_bytes()), 128, 3);
+        let outcome =
+            run_source_controlled(&reader, &SumFold, 3, false, RunControl::default()).unwrap();
         assert_eq!(outcome.out, expected);
         assert_eq!(outcome.out.as_ref().unwrap_err().0, 123);
         assert!(outcome.shards > 1);
@@ -743,12 +724,7 @@ mod tests {
     #[test]
     fn timing_accounts_for_every_chunk() {
         let input: String = (1..=400).map(|i| format!("{i}\n")).collect();
-        let timed = |workers| PipelineOptions {
-            workers,
-            chunk_bytes: 64,
-            timing: true,
-        };
-        let outcome = run_lines_stealing(&input, &SumFold, timed(3));
+        let outcome = run_str(&input, &SumFold, 3, 64, true);
         assert_eq!(outcome.out, Ok((1..=400i64).sum()));
         assert_eq!(outcome.timings.len(), 3);
         let chunks: usize = outcome.timings.iter().map(|t| t.chunks).sum();
@@ -757,67 +733,26 @@ mod tests {
         assert_eq!(records, 400);
         let bytes: usize = outcome.timings.iter().map(|t| t.bytes).sum();
         assert_eq!(bytes, input.len());
-        // With a single worker every chunk lands on worker 0 and its
-        // fair share is the whole queue: zero steals by definition.
-        let solo = run_lines_stealing(&input, &SumFold, timed(1));
+        // One worker needs no special case to be timed: one entry, every
+        // chunk on it, and its fair share is the whole queue — zero
+        // steals by definition.
+        let solo = run_str(&input, &SumFold, 1, 64, true);
         assert_eq!(solo.timings.len(), 1);
-        assert_eq!(solo.timings[0].steals, 0);
-    }
-
-    #[test]
-    fn timing_forces_dispatch_on_tiny_input() {
-        let outcome = run_lines_stealing(
-            "1\n2\n",
-            &SumFold,
-            PipelineOptions {
-                workers: 2,
-                timing: true,
-                ..PipelineOptions::default()
-            },
+        let t = &solo.timings[0];
+        assert_eq!(
+            (t.worker, t.chunks, t.records, t.bytes, t.steals),
+            (0, solo.shards, 400, input.len(), 0)
         );
-        assert_eq!(outcome.out, Ok(3));
-        assert!(!outcome.timings.is_empty());
-    }
-
-    #[test]
-    fn stealing_panic_poisons_only_its_chunk_and_worker_state_recovers() {
-        let mut lines: Vec<String> = (0..200).map(|i| format!("line-{i:04}")).collect();
-        lines[60] = "boom".into();
-        let input = lines.join("\n");
-        // One worker claims every chunk, so the poisoned chunk's state
-        // reset must not leak records from before the panic.
-        let outcome = run_lines_stealing(
-            &input,
-            &PanicOnFold,
-            PipelineOptions {
-                workers: 1,
-                chunk_bytes: 256,
-                timing: true,
-            },
-        );
-        assert!(outcome.shards > 1);
-        assert_eq!(outcome.poisoned.len(), 1);
-        assert!(outcome.poisoned[0].first_record <= 60);
-        assert!(!outcome.out.contains(&60));
-        assert!(outcome.out.windows(2).all(|w| w[0] < w[1]));
-        // Records after the poisoned chunk are present: the worker
-        // recovered with a fresh state.
-        assert!(outcome.out.contains(&199));
+        assert!(run_str(&input, &SumFold, 1, 64, false).timings.is_empty());
     }
 
     #[test]
     fn reader_surfaces_input_errors() {
         let mut bytes = b"1\n2\n".to_vec();
         bytes.extend_from_slice(&[0xff, 0xfe, b'\n']);
-        let err = run_reader_caught(
-            std::io::Cursor::new(bytes),
-            &SumFold,
-            PipelineOptions {
-                chunk_bytes: 2,
-                ..opts(2)
-            },
-        )
-        .unwrap_err();
+        let reader = ReaderChunks::new(std::io::Cursor::new(bytes), 2, 2);
+        let err =
+            run_source_controlled(&reader, &SumFold, 2, false, RunControl::default()).unwrap_err();
         assert!(matches!(err, ChunkError::NotUtf8 { .. }));
     }
 

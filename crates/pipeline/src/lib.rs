@@ -20,17 +20,16 @@
 //!   slice ([`SliceChunks`]), or a bounded ring of reusable buffers over
 //!   any `BufRead` ([`ReaderChunks`]), so corpora larger than RAM stream
 //!   through `O(workers × chunk_bytes)` of memory.
-//! * [`run_source_controlled`] — the one dispatcher: a fixed worker pool
-//!   claims chunks until the queue drains (fast workers steal what a
-//!   straggler would have held), each chunk folds under `catch_unwind`,
+//! * [`run_source_controlled`] — the one line dispatcher: a fixed pool of
+//!   workers (one worker is the calling thread and spawns nothing)
+//!   claims chunks until the queue drains (fast workers steal
+//!   what a straggler would have held) or the fold
+//!   [halts](ShardFold::halted), each chunk folds under `catch_unwind`,
 //!   and a [`RunOutcome`] carries the surviving chunks' fusion next to
 //!   [`ShardPanic`] provenance for the poisoned ones. [`RunControl`]
 //!   adds a per-chunk [`CheckpointSink`] commit hook and a graceful-stop
 //!   latch; [`ChunkJournal`] / [`JournalWriter`] / [`read_journal`] are
 //!   the durable journal built on that hook.
-//! * [`run_lines_stealing`] / [`run_reader_caught`] — the slice and
-//!   reader adapters onto that dispatcher (the slice adapter folds a
-//!   single-worker or tiny input on the caller's thread).
 //! * [`run_slice`] — the same engine shape over an in-memory `&[T]` (the
 //!   DOM inference path), chunked by item count instead of bytes.
 //! * [`PipelineOptions`] / [`SliceOptions`] — worker count, chunk size
@@ -57,11 +56,10 @@ pub use checkpoint::{
 };
 pub use chunk::{Chunk, ChunkError, ChunkSource, ReaderChunks, SliceChunks, DEFAULT_CHUNK_BYTES};
 pub use engine::{
-    panic_message, run_lines_stealing, run_reader_caught, run_slice, run_source_controlled,
-    RunControl, RunOutcome, ShardFold,
+    panic_message, run_slice, run_source_controlled, RunControl, RunOutcome, ShardFold,
 };
 pub use options::{resolve_workers, PipelineOptions, SliceOptions};
 pub use report::{
-    ErrorPolicy, ErrorSummary, RecordDiagnostic, RouteCounts, RunReport, ShardPanic, WorkerTiming,
-    DIAGNOSTIC_SAMPLES,
+    ErrorPolicy, ErrorSummary, RecordDiagnostic, Route, RouteCounts, RunReport, ShardPanic,
+    WorkerTiming, DIAGNOSTIC_SAMPLES,
 };

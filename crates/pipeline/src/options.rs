@@ -16,8 +16,7 @@ pub fn resolve_workers(requested: usize) -> usize {
 }
 
 /// Floor of the automatic chunk size for in-memory input, in bytes:
-/// chunks smaller than this are not worth their dispatch overhead, and an
-/// automatically sized input under twice this runs on the caller's thread.
+/// chunks smaller than this are not worth their dispatch overhead.
 const MIN_SHARD_BYTES: usize = 64 * 1024;
 
 /// Options for the line-framed (NDJSON / CSV) pipeline stages.
@@ -31,14 +30,10 @@ pub struct PipelineOptions {
     /// or past the target, so a record longer than the target simply
     /// yields a bigger chunk (records are never split). `0` means
     /// automatic: in-memory inputs aim for [`CHUNKS_PER_WORKER`] chunks
-    /// per worker (clamped to `[64 KiB, DEFAULT_CHUNK_BYTES]`), readers
-    /// use [`DEFAULT_CHUNK_BYTES`]. An explicit value chunk-dispatches
-    /// even a tiny in-memory input.
+    /// per worker (clamped to `[64 KiB, DEFAULT_CHUNK_BYTES]`; one chunk
+    /// for one worker), readers use [`DEFAULT_CHUNK_BYTES`]. An explicit
+    /// value chunk-dispatches even a tiny in-memory input.
     pub chunk_bytes: usize,
-    /// Collect per-worker timing
-    /// ([`WorkerTiming`](crate::WorkerTiming)): chunks claimed, records,
-    /// bytes, busy time and steal counts.
-    pub timing: bool,
 }
 
 impl PipelineOptions {
@@ -62,24 +57,19 @@ impl PipelineOptions {
     /// The chunk target for an in-memory input of `input_len` bytes: the
     /// explicit value, else fine-grained enough that a straggler
     /// redistributes ([`CHUNKS_PER_WORKER`] chunks per worker) without
-    /// chunks so small they drown in dispatch overhead.
-    pub(crate) fn slice_chunk_bytes(&self, input_len: usize) -> usize {
+    /// chunks so small they drown in dispatch overhead. One worker has
+    /// nobody to redistribute to, and every extra chunk costs it a
+    /// boundary scan, a `take` and a merge: its target is the whole input.
+    pub fn slice_chunk_bytes(&self, input_len: usize) -> usize {
         if self.chunk_bytes > 0 {
             return self.chunk_bytes;
         }
-        input_len
-            .div_ceil(self.effective_workers().saturating_mul(CHUNKS_PER_WORKER))
-            .clamp(MIN_SHARD_BYTES, DEFAULT_CHUNK_BYTES)
-    }
-
-    /// Whether an in-memory input of `input_len` **bytes** should fold on
-    /// the caller's thread instead of dispatching: a single worker, or an
-    /// automatically sized input too small to be worth splitting. A timed
-    /// run always dispatches, so the timing account exists.
-    pub(crate) fn runs_on_caller_thread(&self, input_len: usize) -> bool {
-        !self.timing
-            && (self.effective_workers() == 1
-                || (self.chunk_bytes == 0 && input_len < MIN_SHARD_BYTES * 2))
+        match self.effective_workers() {
+            1 => input_len,
+            workers => input_len
+                .div_ceil(workers.saturating_mul(CHUNKS_PER_WORKER))
+                .clamp(MIN_SHARD_BYTES, DEFAULT_CHUNK_BYTES),
+        }
     }
 }
 
@@ -130,41 +120,43 @@ mod tests {
     #[test]
     fn defaults_match_historical_values() {
         let p = PipelineOptions::default();
-        assert_eq!((p.workers, p.chunk_bytes, p.timing), (0, 0, false));
+        assert_eq!((p.workers, p.chunk_bytes), (0, 0));
         assert_eq!(p.reader_chunk_bytes(), DEFAULT_CHUNK_BYTES);
         let s = SliceOptions::default();
         assert_eq!((s.workers, s.min_chunk), (0, 256));
     }
 
     #[test]
-    fn small_inputs_are_sequential_unless_chunked_explicitly() {
+    fn automatic_chunks_are_sized_from_the_input_unless_named() {
         let auto = PipelineOptions {
             workers: 4,
             ..PipelineOptions::default()
         };
-        assert!(auto.runs_on_caller_thread(2 * MIN_SHARD_BYTES - 1));
-        assert!(!auto.runs_on_caller_thread(2 * MIN_SHARD_BYTES));
         assert_eq!(auto.slice_chunk_bytes(1), MIN_SHARD_BYTES);
         assert_eq!(auto.slice_chunk_bytes(usize::MAX), DEFAULT_CHUNK_BYTES);
         let explicit = PipelineOptions {
             chunk_bytes: 100,
             ..auto
         };
-        assert!(!explicit.runs_on_caller_thread(10));
         assert_eq!(explicit.slice_chunk_bytes(10), 100);
         assert_eq!(explicit.reader_chunk_bytes(), 100);
-        // One worker has nobody to share chunks with.
-        assert!(PipelineOptions {
+        // One worker has nobody to share chunks with: one chunk, whatever
+        // the input's size — unless the chunk size was named.
+        let solo = PipelineOptions {
             workers: 1,
-            ..explicit
-        }
-        .runs_on_caller_thread(10));
-        let timed = PipelineOptions {
-            workers: 1,
-            timing: true,
             ..PipelineOptions::default()
         };
-        assert!(!timed.runs_on_caller_thread(10));
+        for len in [0, 10, MIN_SHARD_BYTES * 2, DEFAULT_CHUNK_BYTES * 100] {
+            assert_eq!(solo.slice_chunk_bytes(len), len);
+        }
+        assert_eq!(
+            PipelineOptions {
+                workers: 1,
+                ..explicit
+            }
+            .slice_chunk_bytes(DEFAULT_CHUNK_BYTES),
+            100
+        );
         let s = SliceOptions {
             workers: 4,
             min_chunk: 10,

@@ -168,10 +168,8 @@ impl fmt::Display for ShardPanic {
 impl std::error::Error for ShardPanic {}
 
 /// Per-worker account of a chunked (work-stealing) run, collected only
-/// when timing is requested
-/// ([`PipelineOptions::timing`](crate::PipelineOptions)): how the
-/// dispatcher actually spread the work, and whether any worker ran ahead
-/// of its fair share (stole).
+/// when timing is requested: how the dispatcher actually spread the work,
+/// and whether any worker ran ahead of its fair share (stole).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerTiming {
     /// Worker index (0-based).
@@ -214,8 +212,18 @@ impl WorkerTiming {
     }
 }
 
-/// How a stage that speculates per record — a fast route it verifies,
-/// with a replay through the slow route when it cannot — used the two.
+/// The route one accepted record took through a stage that speculates
+/// per record: a fast route it verifies, with a replay through the slow
+/// route when it cannot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// The fast route, verified.
+    Fast,
+    /// Replayed through the slow route, for the labelled reason.
+    Replayed(&'static str),
+}
+
+/// How often a stage took each [`Route`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouteCounts {
     /// Records that took the fast route.
@@ -225,6 +233,14 @@ pub struct RouteCounts {
 }
 
 impl RouteCounts {
+    /// Counts one record's route.
+    pub fn count(&mut self, route: Route) {
+        match route {
+            Route::Fast => self.fast += 1,
+            Route::Replayed(why) => *self.replayed.entry(why).or_default() += 1,
+        }
+    }
+
     /// Adds `right`'s counts.
     pub fn merge(&mut self, right: RouteCounts) {
         self.fast += right.fast;
@@ -241,7 +257,7 @@ pub struct RunReport {
     /// Number of non-blank records processed (accepted + rejected).
     pub records: usize,
     /// Number of work units (claimed chunks) the input was split into
-    /// (1 on the sequential path).
+    /// (1 for an empty input).
     pub shards: usize,
     /// The merged rejection account.
     pub errors: ErrorSummary,
@@ -339,10 +355,11 @@ mod tests {
         right.errors.push(diag(4, "b"), 2);
         right.errors.push(diag(6, "b"), 2);
         left.routes.fast = 3;
-        left.routes.replayed.insert("not-a-record", 1);
-        right.routes.fast = 4;
-        right.routes.replayed.insert("not-a-record", 2);
-        right.routes.replayed.insert("duplicate-key", 1);
+        left.routes.count(Route::Replayed("declined"));
+        right.routes.fast = 3;
+        right.routes.count(Route::Fast);
+        right.routes.replayed.insert("declined", 2);
+        right.routes.count(Route::Replayed("duplicate-key"));
         right.poisoned.push(ShardPanic {
             shard: 1,
             first_record: 4,
@@ -357,7 +374,7 @@ mod tests {
         assert_eq!(left.poisoned.len(), 1);
         assert!(!left.is_clean());
         assert_eq!(left.routes.fast, 7);
-        assert_eq!(left.routes.replayed["not-a-record"], 3);
+        assert_eq!(left.routes.replayed["declined"], 3);
         assert_eq!(left.routes.replayed["duplicate-key"], 1);
     }
 

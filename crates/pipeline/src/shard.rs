@@ -6,9 +6,6 @@
 pub struct Shard<'a> {
     /// Zero-based index of the shard's first line in the whole input.
     pub first_line: usize,
-    /// Number of newline bytes in `text` (a final line without a trailing
-    /// newline is not counted; workers enumerate lines themselves).
-    pub lines: usize,
     /// The shard's text, ending just after a newline except possibly for
     /// the last shard.
     pub text: &'a str,
@@ -18,10 +15,17 @@ pub struct Shard<'a> {
 /// every boundary sitting just after a newline so no document spans two
 /// pieces. A line longer than the target yields one oversized piece.
 ///
-/// Line counts are computed in the same scan that finds the boundaries:
-/// each [`Shard`] carries its `first_line` offset and newline count, so
-/// callers never rescan shard bytes to recover line numbering.
+/// Lines are counted in the same scan that finds the boundaries: each
+/// [`Shard`] carries its `first_line` offset, so callers never rescan
+/// shard bytes to recover line numbering. A target that covers the whole
+/// input needs no boundary and no count — one shard, no scan.
 pub fn chunk_lines(input: &str, target_bytes: usize) -> Vec<Shard<'_>> {
+    if !input.is_empty() && target_bytes >= input.len() {
+        return vec![Shard {
+            first_line: 0,
+            text: input,
+        }];
+    }
     let bytes = input.as_bytes();
     let target = target_bytes.max(1);
     let mut shards = Vec::with_capacity(input.len().div_ceil(target).clamp(1, 1024));
@@ -37,18 +41,15 @@ pub fn chunk_lines(input: &str, target_bytes: usize) -> Vec<Shard<'_>> {
         if i + 1 >= start + target {
             shards.push(Shard {
                 first_line,
-                lines,
                 text: &input[start..i + 1],
             });
-            first_line += lines;
-            lines = 0;
+            first_line = lines;
             start = i + 1;
         }
     }
     if start < bytes.len() {
         shards.push(Shard {
             first_line,
-            lines,
             text: &input[start..],
         });
     }
@@ -76,17 +77,17 @@ mod tests {
                 let shards = chunk_lines(&input, input.len().div_ceil(pieces));
                 let rejoined: String = shards.iter().map(|s| s.text).collect();
                 assert_eq!(rejoined, input, "pieces={pieces}");
+                // In particular, a target covering the input is one shard
+                // equal to it.
                 assert!(shards.len() <= pieces || input.is_empty());
                 let mut expected_line = 0;
                 for (i, shard) in shards.iter().enumerate() {
-                    assert_eq!(shard.first_line, expected_line);
                     assert_eq!(
-                        shard.lines,
-                        shard.text.bytes().filter(|&b| b == b'\n').count(),
-                        "single-scan line count must match a recount"
+                        shard.first_line, expected_line,
+                        "single-scan line numbering must match a recount"
                     );
                     assert!(shard.text.ends_with('\n') || i == shards.len() - 1);
-                    expected_line += shard.lines;
+                    expected_line += shard.text.bytes().filter(|&b| b == b'\n').count();
                 }
             }
         }
@@ -102,7 +103,6 @@ mod tests {
         let shards = chunk_lines("{\"a\": 1}\n", 2);
         assert_eq!(shards.len(), 1);
         assert_eq!(shards[0].first_line, 0);
-        assert_eq!(shards[0].lines, 1);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use jsonx_syntax::ParseLimits;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::mpsc::SyncSender;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
@@ -150,6 +150,8 @@ pub enum ServeError {
     SchemaIo(PathBuf, std::io::Error),
     /// The schema file did not parse or compile.
     SchemaInvalid(PathBuf, String),
+    /// The OS refused even one worker thread.
+    Spawn(std::io::Error),
 }
 
 impl std::fmt::Display for ServeError {
@@ -160,6 +162,7 @@ impl std::fmt::Display for ServeError {
             ServeError::SchemaInvalid(p, msg) => {
                 write!(f, "compiling schema {}: {msg}", p.display())
             }
+            ServeError::Spawn(e) => write!(f, "starting the worker pool: {e}"),
         }
     }
 }
@@ -196,20 +199,23 @@ impl Shared {
 
 /// A bound (but not yet running) daemon.
 ///
-/// [`bind`](Server::bind) compiles the schema and binds the socket so
-/// configuration errors surface before the caller commits;
+/// [`bind`](Server::bind) compiles the schema, binds the socket and
+/// starts the (idle) worker pool, so configuration errors surface before
+/// the caller commits;
 /// [`run`](Server::run) blocks serving requests until a `SHUTDOWN` verb
 /// arrives, then drains and returns the final [`FinalReport`].
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
     tx: SyncSender<Job>,
-    rx: Arc<Mutex<Receiver<Job>>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
     /// Compiles the schema (if any), binds the listen socket, and sets up
-    /// the bounded queue. Nothing is served until [`run`](Server::run).
+    /// the bounded queue with its worker pool — or as much of it as the
+    /// OS grants — waiting on it. Nothing is served until
+    /// [`run`](Server::run).
     pub fn bind(config: ServeConfig) -> Result<Server, ServeError> {
         let cache = SchemaCache::load(config.schema_path.clone())?;
         let listener = TcpListener::bind(&config.listen).map_err(ServeError::Bind)?;
@@ -223,11 +229,21 @@ impl Server {
             next_seq: AtomicUsize::new(0),
             local_addr: Mutex::new(local),
         });
+        let rx = Arc::new(Mutex::new(rx));
+        let mut workers = Vec::new();
+        for _ in 0..shared.config.effective_workers() {
+            let (shared, rx) = (Arc::clone(&shared), Arc::clone(&rx));
+            match std::thread::Builder::new().spawn(move || engine::worker_loop(&shared, &rx)) {
+                Ok(handle) => workers.push(handle),
+                Err(e) if workers.is_empty() => return Err(ServeError::Spawn(e)),
+                Err(_) => break,
+            }
+        }
         Ok(Server {
             listener,
             shared,
             tx,
-            rx: Arc::new(Mutex::new(rx)),
+            workers,
         })
     }
 
@@ -246,15 +262,8 @@ impl Server {
             listener,
             shared,
             tx,
-            rx,
+            workers,
         } = self;
-        let workers: Vec<_> = (0..shared.config.effective_workers())
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
-                std::thread::spawn(move || engine::worker_loop(&shared, &rx))
-            })
-            .collect();
         let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
         let max_conns = shared.config.effective_max_conns();
         let mut next_conn = 0usize;

@@ -40,8 +40,8 @@
 //! paper): whenever it cannot prove its row equals the value walker's —
 //! a key seen twice in one object, a column written twice, a non-object
 //! root — it rolls the row back and replays the record through the
-//! decoder's DOM route and [`ShredStream::push`]. [`ShredCounts`] says
-//! how often. A record the decoder rejects is rolled back, not replayed.
+//! decoder's DOM route and [`ShredStream::push`], and says so in what it
+//! returns. A record the decoder rejects is rolled back, not replayed.
 
 use jsonx_core::JType;
 use jsonx_data::{Number, Value};
@@ -676,7 +676,6 @@ impl Shredder {
             stamps: vec![0; self.plan.nodes.len()],
             serial: 0,
             spill: ValueBuilder::new(),
-            counts: ShredCounts::default(),
         }
     }
 
@@ -814,50 +813,18 @@ pub enum Fallback {
     /// Two keys flattened to one column (a literal dotted key next to
     /// the nested path it spells; the first write wins).
     PathCollision,
-    /// The record's root is not an object.
+    /// The record's root is not an object (the replay rejects it, so
+    /// this reason is never returned).
     NotARecord,
 }
 
 impl Fallback {
-    /// Every reason, in reporting order.
-    pub const ALL: [Fallback; 3] = [
-        Fallback::DuplicateKey,
-        Fallback::PathCollision,
-        Fallback::NotARecord,
-    ];
-
     /// Stable machine-readable label.
     pub fn label(self) -> &'static str {
         match self {
             Fallback::DuplicateKey => "duplicate-key",
             Fallback::PathCollision => "path-collision",
             Fallback::NotARecord => "not-a-record",
-        }
-    }
-}
-
-/// How [`ShredStream::push_record`] routed its records.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShredCounts {
-    /// Rows shredded straight from events.
-    pub from_events: u64,
-    /// Records replayed through the DOM route, indexed like
-    /// [`Fallback::ALL`] (including a non-record, which the replay
-    /// rejects).
-    replayed: [u64; Fallback::ALL.len()],
-}
-
-impl ShredCounts {
-    /// Records replayed for `why`.
-    pub fn replayed(&self, why: Fallback) -> u64 {
-        self.replayed[why as usize]
-    }
-
-    /// Adds `other`'s counts.
-    pub fn merge(&mut self, other: ShredCounts) {
-        self.from_events += other.from_events;
-        for (mine, theirs) in self.replayed.iter_mut().zip(other.replayed) {
-            *mine += theirs;
         }
     }
 }
@@ -883,7 +850,6 @@ pub struct ShredStream<'s> {
     serial: u64,
     /// Rebuilds spill subtrees for the event walker.
     spill: ValueBuilder,
-    counts: ShredCounts,
 }
 
 impl fmt::Debug for ShredStream<'_> {
@@ -891,7 +857,6 @@ impl fmt::Debug for ShredStream<'_> {
         f.debug_struct("ShredStream")
             .field("rows", &self.rows)
             .field("builders", &self.builders)
-            .field("counts", &self.counts)
             .finish_non_exhaustive()
     }
 }
@@ -920,12 +885,14 @@ impl ShredStream<'_> {
     /// vouch for its row (see [`Fallback`]) the row is rolled back and
     /// the record replayed through [`RecordDecoder::decode_value`] and
     /// [`push`](Self::push), so the columns are always the DOM route's.
+    /// Returns the route the row took: `None` for one shredded from its
+    /// events, the reason for one that was replayed.
     pub fn push_record<D: RecordDecoder>(
         &mut self,
         decoder: &D,
         scratch: &mut D::Scratch,
         record: &str,
-    ) -> Result<(), ShredError> {
+    ) -> Result<Option<Fallback>, ShredError> {
         let mut walker = EventWalker {
             plan: &self.shredder.plan,
             order: &mut self.order,
@@ -943,8 +910,7 @@ impl ShredStream<'_> {
         match (decoded, walker.bail) {
             (Ok(()), None) => {
                 self.rows += 1;
-                self.counts.from_events += 1;
-                Ok(())
+                Ok(None)
             }
             (Err(e), _) => {
                 self.abort_row();
@@ -952,11 +918,11 @@ impl ShredStream<'_> {
             }
             (Ok(()), Some(why)) => {
                 self.abort_row();
-                self.counts.replayed[why as usize] += 1;
                 let doc = decoder
                     .decode_value(scratch, record)
                     .map_err(ShredError::Parse)?;
-                self.push(&doc)
+                self.push(&doc)?;
+                Ok(Some(why))
             }
         }
     }
@@ -997,12 +963,6 @@ impl ShredStream<'_> {
             .map(|((path, _), b)| b.finish(path, rows))
             .collect();
         ColumnarBatch { columns, rows }
-    }
-
-    /// How [`push_record`](Self::push_record) routed its records since
-    /// the last call; resets the counts.
-    pub fn take_counts(&mut self) -> ShredCounts {
-        std::mem::take(&mut self.counts)
     }
 }
 
@@ -1604,15 +1564,18 @@ mod tests {
         assert_eq!(arena, StrArena::from_iter(["ab"]));
     }
 
-    /// A decoder counted by route, so the tests can see which walker ran.
-    fn push_lines(shredder: &Shredder, lines: &[&str]) -> (ColumnarBatch, ShredCounts) {
+    /// The batch, and the route each line took — so the tests can see
+    /// which walker ran.
+    type Routes = Vec<Result<Option<Fallback>, ShredError>>;
+
+    fn push_lines(shredder: &Shredder, lines: &[&str]) -> (ColumnarBatch, Routes) {
         let decoder = jsonx_syntax::JsonDecoder::new();
         let mut stream = shredder.stream();
-        for line in lines {
-            let _ = stream.push_record(&decoder, &mut (), line);
-        }
-        let counts = stream.take_counts();
-        (stream.finish(), counts)
+        let routes = lines
+            .iter()
+            .map(|line| stream.push_record(&decoder, &mut (), line))
+            .collect();
+        (stream.finish(), routes)
     }
 
     fn push_values(shredder: &Shredder, lines: &[&str]) -> ColumnarBatch {
@@ -1640,37 +1603,36 @@ mod tests {
             r#"{"id": 3, "a.c": true, "geo.box": {"w": 4}, "geo": {"lat": 2}}"#,
             r#"{}"#,
         ];
-        let (batch, counts) = push_lines(&shredder, &clean);
+        let (batch, routes) = push_lines(&shredder, &clean);
         assert_eq!(batch, push_values(&shredder, &clean));
-        assert_eq!(counts.from_events, clean.len() as u64);
+        assert_eq!(routes, vec![Ok(None); clean.len()]);
 
-        // Unsure rows replay, for the reason given; a record the decoder
-        // rejects, however far the walk got, leaves no row and no replay.
-        let dup = Some(Fallback::DuplicateKey);
-        let collision = Some(Fallback::PathCollision);
+        // Unsure rows replay, for the reason given; a non-record, and a
+        // record the decoder rejects however far the walk got, leave no
+        // row.
+        let dup = Some(Some(Fallback::DuplicateKey));
+        let collision = Some(Some(Fallback::PathCollision));
         let unsure = [
             (r#"{"id": 1, "id": 2}"#, dup),
             (r#"{"a": {"b": 1}, "a": 5}"#, dup),
             (r#"{"geo": {"lat": 1, "lat": 2}}"#, dup),
             (r#"{"a.b": 1, "a": {"b": 2}}"#, collision),
             (r#"{"a": {"b": "x"}, "a.b": 2}"#, collision),
-            (r#"[1, 2]"#, Some(Fallback::NotARecord)),
+            (r#"[1, 2]"#, None),
             (r#"{"id": 1, "name": "cut"#, None),
             (r#"{"id": 1} trailing"#, None),
             (r#"{"id": 1, "id": 2} trailing"#, None),
             (r#"[1, 2] trailing"#, None),
         ];
         for (line, why) in unsure {
-            let (batch, counts) = push_lines(&shredder, &[clean[0], line, clean[1]]);
+            let (batch, routes) = push_lines(&shredder, &[clean[0], line, clean[1]]);
             assert_eq!(
                 batch,
                 push_values(&shredder, &[clean[0], line, clean[1]]),
                 "{line}"
             );
-            assert_eq!(counts.from_events, 2, "{line}");
-            let replays = Fallback::ALL.map(|why| counts.replayed(why));
-            let want = Fallback::ALL.map(|w| u64::from(Some(w) == why));
-            assert_eq!(replays, want, "{line}");
+            let routes: Vec<_> = routes.into_iter().map(Result::ok).collect();
+            assert_eq!(routes, [Some(None), why, Some(None)], "{line}");
         }
     }
 

@@ -39,12 +39,11 @@ pub mod sink;
 
 pub use avro::{AvroCodec, AvroError, AvroField, AvroSchema};
 pub use columnar::{
-    Bitmap, ColumnData, ColumnarBatch, Fallback, ShredCounts, ShredError, ShredStream, Shredder,
-    StrArena,
+    Bitmap, ColumnData, ColumnarBatch, Fallback, ShredError, ShredStream, Shredder, StrArena,
 };
 pub use jxc::{
     flatten_rows, read_jxc, read_jxc_file, rows_as_values, write_jxc, write_jxc_file, Encoding,
     JxcColumnInfo, JxcError, JxcFile,
 };
 pub use relational::{normalize, Relation};
-pub use sink::{OutputSink, SinkReport};
+pub use sink::{OutputSink, SinkError, SinkReport};

@@ -29,6 +29,15 @@ pub struct SinkReport {
     pub summary: String,
 }
 
+/// Why a sink produced nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SinkError {
+    /// The data does not fit the target.
+    Data(String),
+    /// The output file could not be written.
+    Write(String),
+}
+
 /// A resolved `--to` target, ready to consume translated data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OutputSink {
@@ -66,13 +75,16 @@ impl OutputSink {
 
     /// DOM path: translate a materialised collection under its inferred
     /// type. Every target supports this.
-    pub fn consume(&self, ty: &JType, docs: &[Value]) -> Result<SinkReport, String> {
+    pub fn consume(&self, ty: &JType, docs: &[Value]) -> Result<SinkReport, SinkError> {
         match self {
             OutputSink::Avro => {
                 let codec = AvroCodec::new(AvroSchema::from_type(ty));
                 let mut total = 0usize;
                 for doc in docs {
-                    total += codec.encode(doc).map_err(|e| e.to_string())?.len();
+                    total += codec
+                        .encode(doc)
+                        .map_err(|e| SinkError::Data(e.to_string()))?
+                        .len();
                 }
                 Ok(SinkReport {
                     body: String::new(),
@@ -85,7 +97,7 @@ impl OutputSink {
             OutputSink::Columnar { .. } => {
                 let batch = Shredder::from_type(ty)
                     .shred(docs)
-                    .map_err(|e| e.to_string())?;
+                    .map_err(|e| SinkError::Data(e.to_string()))?;
                 self.consume_batch(&batch)
             }
             OutputSink::Relational => {
@@ -111,14 +123,16 @@ impl OutputSink {
     /// Streaming path: consume an already-shredded batch. Only the
     /// columnar sink accepts this — the other targets have no batch
     /// representation and must go through [`OutputSink::consume`].
-    pub fn consume_batch(&self, batch: &ColumnarBatch) -> Result<SinkReport, String> {
+    pub fn consume_batch(&self, batch: &ColumnarBatch) -> Result<SinkReport, SinkError> {
         let OutputSink::Columnar { out } = self else {
-            return Err("only the columnar target can consume a shredded batch".into());
+            return Err(SinkError::Data(
+                "only the columnar target can consume a shredded batch".into(),
+            ));
         };
         let mut summary = format!("{} columns x {} rows", batch.columns.len(), batch.rows);
         if let Some(path) = out {
             let bytes = write_jxc_file(path, batch)
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
+                .map_err(|e| SinkError::Write(format!("writing {}: {e}", path.display())))?;
             write!(summary, ", {bytes} bytes -> {}", path.display())
                 .expect("writing to String cannot fail");
         }

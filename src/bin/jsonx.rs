@@ -23,7 +23,7 @@
 //! pipeline via the CSV record decoder. `-` or no file reads stdin.
 //! `infer`, `validate` and `translate` always run on the chunked
 //! work-stealing engine and additionally accept the fault-tolerance
-//! flags (`--on-error fail|skip|collect`, `--max-errors N`,
+//! flags (`--on-error fail|skip`, `--max-errors N`,
 //! `--quarantine FILE`, `--max-depth N`, `--max-line-bytes N`) and the
 //! out-of-core flags: `--input FILE` to process the corpus without
 //! loading it, `--chunk-bytes N` and `--report-timing` to tune and
@@ -45,7 +45,7 @@ use jsonx::mison::ProjectedParser;
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::skeleton::Skeleton;
 use jsonx::syntax::{parse, parse_ndjson, to_string, to_string_pretty, MAX_DEPTH_CEILING};
-use jsonx::translate::{flatten_rows, read_jxc_file, rows_as_values, OutputSink};
+use jsonx::translate::{flatten_rows, read_jxc_file, rows_as_values, OutputSink, SinkError};
 use jsonx::Value;
 use jsonx::{
     write_quarantine_file, CsvDecoder, ErrorPolicy, FaultOptions, Format, JournalControl,
@@ -86,10 +86,14 @@ const fn valued(name: &'static str, value: &'static str, help: &'static str) -> 
 /// `--workers N`, shared by the engine commands.
 const WORKERS_FLAG: FlagSpec = valued("workers", "N", "shard across N threads (0 = one per CPU)");
 
-/// `--no-fast-parse`, shared by the commands with a structural fast path.
+/// The most threads `--workers` may ask for. The engine survives an OS
+/// that grants fewer than asked; a count no machine has is a typo.
+const MAX_WORKERS: usize = 1024;
+
+/// `--no-fast-parse`, shared by the commands that accept it.
 const NO_FAST_PARSE_FLAG: FlagSpec = flag(
     "no-fast-parse",
-    "force the full parser instead of the SWAR structural fast path with projection pushdown",
+    "force the full parser instead of the SWAR structural fast path with projection pushdown (translate accepts it and nothing changes: its layout is inferred from the same corpus, so a projecting scan has no field to skip)",
 );
 
 /// `--format json|csv`, shared by the engine commands.
@@ -103,8 +107,8 @@ const FORMAT_FLAG: FlagSpec = valued(
 const FAULT_FLAGS: &[FlagSpec] = &[
     valued(
         "on-error",
-        "fail|skip|collect",
-        "record-error policy (default fail). skip drops bad records and keeps going; collect additionally retains every diagnostic (bounded by --max-errors, default 1000)",
+        "fail|skip",
+        "record-error policy (default fail). skip drops bad records and keeps going",
     ),
     valued("max-errors", "N", "abort once more than N records reject"),
     valued(
@@ -117,11 +121,7 @@ const FAULT_FLAGS: &[FlagSpec] = &[
         "N",
         "reject records nested deeper than N (default 128)",
     ),
-    valued(
-        "max-line-bytes",
-        "N",
-        "reject records longer than N bytes",
-    ),
+    valued("max-line-bytes", "N", "reject records longer than N bytes"),
 ];
 
 /// The out-of-core flags shared by the engine commands.
@@ -462,6 +462,15 @@ impl From<String> for CliError {
     }
 }
 
+impl From<SinkError> for CliError {
+    fn from(e: SinkError) -> CliError {
+        match e {
+            SinkError::Data(msg) => CliError::Data(msg),
+            SinkError::Write(msg) => CliError::Io(msg),
+        }
+    }
+}
+
 /// Classifies a streaming-run failure: input problems are I/O, a
 /// graceful stop is interrupted-resumable, everything else is bad data.
 fn stream_err(e: StreamError) -> CliError {
@@ -484,6 +493,18 @@ where
         .map(str::parse)
         .transpose()
         .map_err(|e| CliError::usage(format!("bad --{name}: {e}")))
+}
+
+/// `--workers N` (0, the default, is one per CPU), refused past
+/// [`MAX_WORKERS`] — the same rule for batch runs and `serve`.
+fn parse_workers(opts: &Opts) -> Result<usize, CliError> {
+    let workers = parse_flag(opts, "workers")?.unwrap_or(0);
+    if workers > MAX_WORKERS {
+        return Err(CliError::usage(format!(
+            "bad --workers: {workers} is over the supported ceiling of {MAX_WORKERS}"
+        )));
+    }
+    Ok(workers)
 }
 
 /// SIGINT/SIGTERM handling for journaled runs: the handler only trips a
@@ -633,7 +654,13 @@ impl Opts {
 /// was given. Only flags are looked at: every misuse is reported before
 /// any input is opened. [`open_corpus`] completes the plan.
 fn run_plan(opts: &Opts) -> Result<(Run<'_>, bool), CliError> {
-    let workers = parse_flag(opts, "workers")?.unwrap_or(0);
+    let workers = parse_workers(opts)?;
+    if let (Some(input), Some(file)) = (opts.get("input"), &opts.file) {
+        return Err(CliError::usage(format!(
+            "--input {input} replaces the positional FILE, but '{file}' was given too \
+             (one corpus per run)"
+        )));
+    }
     let fault = fault_options(opts)?;
     let chunk_bytes = parse_flag(opts, "chunk-bytes")?.unwrap_or(0);
     let csv = csv_requested(opts)?;
@@ -751,20 +778,23 @@ fn csv_requested(opts: &Opts) -> Result<bool, CliError> {
 fn fault_options(opts: &Opts) -> Result<FaultOptions, CliError> {
     let max_errors: Option<usize> = parse_flag(opts, "max-errors")?;
     let policy = match opts.get("on-error").unwrap_or("fail") {
-        "fail" if max_errors.is_some() => {
+        "fail" if max_errors.is_some() || opts.has("quarantine") => {
             return Err(CliError::usage(
-                "--max-errors needs --on-error skip or --on-error collect \
+                "--max-errors and --quarantine need --on-error skip \
                  (the fail policy stops at the first rejected record)",
             ))
         }
         "fail" => ErrorPolicy::FailFast,
         "skip" => ErrorPolicy::Skip { max_errors },
-        "collect" => ErrorPolicy::Collect {
-            max_errors: max_errors.unwrap_or(1000),
-        },
+        "collect" => {
+            return Err(CliError::usage(
+                "--on-error collect was removed (it printed what skip prints): \
+                 use --on-error skip --max-errors N, which collect implied with N = 1000",
+            ))
+        }
         other => {
             return Err(CliError::usage(format!(
-                "unknown --on-error policy '{other}' (use fail, skip or collect)"
+                "unknown --on-error policy '{other}' (use fail or skip)"
             )))
         }
     };
@@ -1144,6 +1174,7 @@ fn cmd_validate(opts: &Opts) -> Result<(), CliError> {
         .validate(corpus.source(), &schema, vopts)
         .map_err(stream_err)?;
     let suffix = finish_run(opts, &report)?;
+    print_routes(&report, "projected", "the parser");
     let limits = run.fault.limits;
     let invalid = print_invalid(&verdicts, corpus.ndjson(csv), &schema, vopts, limits)?;
     let total = verdicts.len();
@@ -1344,6 +1375,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
     let mut config = ServeConfig {
         listen: opts.get("listen").unwrap_or("127.0.0.1:7077").to_string(),
         schema_path: opts.get("schema").map(PathBuf::from),
+        workers: parse_workers(opts)?,
         limits: parse_limits(opts)?,
         debug_faults: opts.has("debug-faults"),
         ..ServeConfig::default()
@@ -1356,9 +1388,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
     }
     if let Some(n) = parse_flag(opts, "max-conns")? {
         config.max_conns = n;
-    }
-    if let Some(n) = parse_flag(opts, "workers")? {
-        config.workers = n;
     }
     if let Some(ms) = parse_flag::<u64>(opts, "frame-budget-ms")? {
         config.frame_budget = std::time::Duration::from_millis(ms);

@@ -40,14 +40,14 @@
 //! committed [`Prefix`] before the engine call and supply its commit
 //! sink during it.
 
-use crate::streaming::{LineVerdict, ShardYield, Shredded, StreamError, TypeRoutes, Typed};
+use crate::streaming::{LineVerdict, ShardYield, StreamError};
 use jsonx_core::{parse_type, print_type, JType, PrintOptions};
 use jsonx_data::{Number, Object, Value};
 use jsonx_pipeline::{
     read_journal, ChunkJournal, ChunkMeta, ErrorSummary, JournalWriter, RecordDiagnostic,
 };
 use jsonx_syntax::parse;
-use jsonx_translate::{read_jxc, write_jxc, ShredCounts};
+use jsonx_translate::{read_jxc, write_jxc, ColumnarBatch};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
@@ -241,14 +241,13 @@ pub(crate) struct OutCodec<T> {
     decode: fn(&Value) -> Option<T>,
 }
 
-pub(crate) fn infer_codec() -> OutCodec<Typed> {
+pub(crate) fn infer_codec() -> OutCodec<JType> {
     OutCodec {
         // The counting printer/parser round-trip is exact (pinned by
         // `counting_round_trip_exact`), so the journaled prefix fuses to
-        // the same type the live run computed. Like translation's, the
-        // routing counts describe work and are not journaled.
-        encode: |(ty, _)| Some(s(print_type(ty, PrintOptions::with_counts()))),
-        decode: |v| Some((parse_type(v.as_str()?).ok()?, TypeRoutes::default())),
+        // the same type the live run computed.
+        encode: |ty| Some(s(print_type(ty, PrintOptions::with_counts()))),
+        decode: |v| parse_type(v.as_str()?).ok(),
     }
 }
 
@@ -281,19 +280,13 @@ pub(crate) fn validate_codec() -> OutCodec<Vec<(usize, LineVerdict)>> {
     }
 }
 
-pub(crate) fn translate_codec() -> OutCodec<Shredded> {
+pub(crate) fn translate_codec() -> OutCodec<ColumnarBatch> {
     OutCodec {
         // A chunk's batch is journaled as its checksummed `.jxc` image;
         // decoding reconstructs the identical batch (layout included),
         // and batches append in seq order exactly like live merging.
-        // The routing counts describe work, not results, and are not
-        // journaled: a replayed chunk did none.
-        encode: |(batch, _)| Some(s(hex_encode(&write_jxc(batch)))),
-        decode: |v| {
-            let bytes = hex_decode(v.as_str()?)?;
-            let file = read_jxc(&bytes).ok()?;
-            Some((file.batch, ShredCounts::default()))
-        },
+        encode: |batch| Some(s(hex_encode(&write_jxc(batch)))),
+        decode: |v| Some(read_jxc(&hex_decode(v.as_str()?)?).ok()?.batch),
     }
 }
 

@@ -11,21 +11,25 @@
 //! * [`jsonx_schema::CompiledSchema::root_projection`] and
 //!   [`jsonx_translate::Shredder::root_fields`] say *which* fields each
 //!   consumer actually reads;
-//! * the streaming stages in [`crate::streaming`] try
-//!   [`FastRecordParser::parse_record`] first and fall back to the full
-//!   parser whenever it returns `None` — the Fad.js-style verified
-//!   fallback, so verdicts, batches and error reports are identical on
-//!   both paths by construction.
+//! * [`LineDecoder`] — the one decoder value every streaming stage
+//!   holds — tries [`FastPlan::parse_record`] first when the
+//!   stage gave it a plan, and falls back to the full parser whenever it
+//!   returns `None` — the Fad.js-style verified fallback, so verdicts,
+//!   batches and error reports are identical on both paths by
+//!   construction.
 //!
 //! The assembled document contains only the projected fields (each
-//! sub-parsed by the ordinary parser over its exact span), which is precisely what makes skipping profitable: on wide
-//! records the driver never materialises the fields nobody reads.
+//! sub-parsed by the ordinary parser over its exact span), which is
+//! precisely what makes skipping profitable: on wide records the driver
+//! never materialises the fields nobody reads.
 
 use jsonx_data::{Object, Value};
+use jsonx_pipeline::Route;
 use jsonx_schema::CompiledSchema;
 use jsonx_syntax::structural::{FieldSet, ScanOptions, StructuralScanner};
 use jsonx_syntax::{
-    parse_with, EventReceiver, JsonDecoder, ParseError, ParseLimits, ParserOptions, RecordDecoder,
+    parse_with, CsvDecoder, EventReceiver, JsonDecoder, ParseError, ParseLimits, ParserOptions,
+    RecordDecoder,
 };
 use jsonx_translate::Shredder;
 
@@ -86,38 +90,33 @@ impl FastPlan {
     }
 }
 
-/// Per-worker fast-path state: one reusable scanner. Buffers and
-/// speculation hints persist across records, so steady-state scanning of
-/// a uniform shard allocates only for the extracted values.
-#[derive(Default)]
-pub(crate) struct FastRecordParser {
-    scanner: StructuralScanner,
-}
-
-impl FastRecordParser {
-    pub(crate) fn new() -> FastRecordParser {
-        FastRecordParser::default()
-    }
-
-    /// Attempts the fast path on one record. `Some(doc)` holds the
-    /// projected document — only the fields in the plan's set, each
-    /// parsed from its exact byte span, duplicates resolved last-wins
-    /// like the DOM parser. `None` means the caller must run the full
-    /// parser; no claim is made about the record either way.
-    pub(crate) fn parse_record(&mut self, line: &[u8], plan: &FastPlan) -> Option<Value> {
-        if !self.scanner.scan(line, &plan.set, &plan.opts) {
+impl FastPlan {
+    /// Attempts the fast path on one record with a worker's reusable
+    /// `scanner` (its buffers and speculation hints persist across
+    /// records, so steady-state scanning of a uniform shard allocates
+    /// only for the extracted values). `Some(doc)` holds the projected
+    /// document — only the fields in the plan's set, each parsed from its
+    /// exact byte span, duplicates resolved last-wins like the DOM
+    /// parser. `None` means the caller must run the full parser; no claim
+    /// is made about the record either way.
+    pub(crate) fn parse_record(
+        &self,
+        scanner: &mut StructuralScanner,
+        line: &[u8],
+    ) -> Option<Value> {
+        if !scanner.scan(line, &self.set, &self.opts) {
             return None;
         }
         let popts = ParserOptions {
-            max_depth: plan.opts.max_depth,
+            max_depth: self.opts.max_depth,
             allow_trailing: false,
             // Plans are declined whenever a string cap is configured (a
             // skipped span could hide an oversized literal the full
             // parser would reject), so no cap applies here.
             max_string_bytes: None,
         };
-        let mut obj = Object::with_capacity(self.scanner.fields().len());
-        for field in self.scanner.fields() {
+        let mut obj = Object::with_capacity(scanner.fields().len());
+        for field in scanner.fields() {
             // Key spans are escape-free by the scan contract; spans of a
             // `&str` line cut at ASCII quotes are valid UTF-8. Defensive:
             // any surprise falls back instead of panicking.
@@ -129,54 +128,65 @@ impl FastRecordParser {
     }
 }
 
-/// The SWAR fast path as a [`RecordDecoder`]: `decode_value` tries
-/// [`FastRecordParser::parse_record`] when a plan is present and falls
-/// back to the [`JsonDecoder`] it wraps (the Fad.js-style verified
-/// fallback), so with `plan: None` it *is* that decoder — one decoder
-/// covers both. This is how the SWAR scanner slots in behind the same
-/// seam every other source uses.
-pub(crate) struct FastJsonDecoder {
-    plan: Option<FastPlan>,
-    full: JsonDecoder,
+/// How one run's record text becomes events or documents: what
+/// [`Format`](crate::Format), `fast_parse`, the limits and the stage's
+/// projection plan resolve to, once per run. The stages hold this value
+/// instead of a type parameter, so each is compiled once; the `match`
+/// runs once per record and every arm is a static call.
+pub(crate) enum LineDecoder {
+    /// One JSON document per line. A plan serves
+    /// [`decode_routed`](Self::decode_routed) only: event consumers read
+    /// every field, so projection cannot help them.
+    Json {
+        full: JsonDecoder,
+        plan: Option<FastPlan>,
+    },
+    /// One CSV row per line.
+    Csv(CsvDecoder),
 }
 
-impl FastJsonDecoder {
-    pub(crate) fn new(plan: Option<FastPlan>, limits: ParseLimits) -> FastJsonDecoder {
-        FastJsonDecoder {
-            plan,
-            full: JsonDecoder::new().with_limits(limits),
-        }
+impl LineDecoder {
+    /// The record as the document its consumer reads, and how it came
+    /// about: [`Route::Fast`] when the scanner vouched for the record and
+    /// projected it; else the full parser's document, `declined` when the
+    /// scanner sent it there, `no-plan` when the stage had no projection
+    /// to offer (or the run turned the fast path off).
+    pub(crate) fn decode_routed(
+        &self,
+        scratch: &mut StructuralScanner,
+        record: &str,
+    ) -> Result<(Value, Route), ParseError> {
+        let why = match self {
+            LineDecoder::Json {
+                plan: Some(plan), ..
+            } => match plan.parse_record(scratch, record.as_bytes()) {
+                Some(doc) => return Ok((doc, Route::Fast)),
+                None => "declined",
+            },
+            _ => "no-plan",
+        };
+        Ok((self.decode_value(scratch, record)?, Route::Replayed(why)))
     }
 }
 
-impl RecordDecoder for FastJsonDecoder {
-    type Scratch = FastRecordParser;
+impl RecordDecoder for LineDecoder {
+    type Scratch = StructuralScanner;
 
-    fn scratch(&self) -> FastRecordParser {
-        FastRecordParser::new()
+    fn scratch(&self) -> StructuralScanner {
+        StructuralScanner::new()
     }
 
+    #[inline]
     fn decode_events<R: EventReceiver + ?Sized>(
         &self,
-        _scratch: &mut FastRecordParser,
+        _scratch: &mut StructuralScanner,
         record: &str,
         recv: &mut R,
     ) -> Result<(), ParseError> {
-        // Event consumers read every field, so projection cannot help.
-        self.full.decode_events(&mut (), record, recv)
-    }
-
-    fn decode_value(
-        &self,
-        scratch: &mut FastRecordParser,
-        record: &str,
-    ) -> Result<Value, ParseError> {
-        if let Some(plan) = &self.plan {
-            if let Some(doc) = scratch.parse_record(record.as_bytes(), plan) {
-                return Ok(doc);
-            }
+        match self {
+            LineDecoder::Json { full, .. } => full.decode_events(&mut (), record, recv),
+            LineDecoder::Csv(csv) => csv.decode_events(&mut (), record, recv),
         }
-        self.full.decode_value(&mut (), record)
     }
 }
 
@@ -240,15 +250,15 @@ mod tests {
             "required": ["id"]
         }))
         .expect("projectable");
-        let mut parser = FastRecordParser::new();
+        let mut scanner = StructuralScanner::new();
         let line = br#"{"name": "ada", "id": 7, "huge": [1, 2, 3]}"#;
-        let doc = parser.parse_record(line, &plan).expect("fast path");
+        let doc = plan.parse_record(&mut scanner, line).expect("fast path");
         assert_eq!(doc, json!({"id": 7}));
         // Malformed line: scanner rejects, caller falls back.
-        assert!(parser.parse_record(br#"{"id": }"#, &plan).is_none());
+        assert!(plan.parse_record(&mut scanner, br#"{"id": }"#).is_none());
         // Duplicate projected keys resolve last-wins like the DOM.
-        let doc = parser
-            .parse_record(br#"{"id": 1, "id": 2}"#, &plan)
+        let doc = plan
+            .parse_record(&mut scanner, br#"{"id": 1, "id": 2}"#)
             .expect("fast path");
         assert_eq!(doc, json!({"id": 2}));
     }

@@ -66,7 +66,8 @@ pub use checkpoint::JournalControl;
 pub use jsonx_data::{json, Kind, Number, Object, Pointer, Value};
 pub use jsonx_pipeline as pipeline;
 pub use jsonx_pipeline::{
-    ErrorPolicy, ErrorSummary, RecordDiagnostic, RouteCounts, RunReport, ShardPanic, WorkerTiming,
+    ErrorPolicy, ErrorSummary, RecordDiagnostic, Route, RouteCounts, RunReport, ShardPanic,
+    WorkerTiming,
 };
 pub use jsonx_syntax::{
     CsvDecoder, EventReceiver, JsonDecoder, ParseLimits, RecordDecoder, ValueBuilder,
@@ -74,6 +75,5 @@ pub use jsonx_syntax::{
 pub use quarantine::{write_quarantine, write_quarantine_file};
 pub use run::{Format, Run, Source};
 pub use streaming::{
-    FaultOptions, LineVerdict, RecordIssue, StreamError, StreamTyper, TypeFold, TypeRoutes,
-    TypedVerdicts,
+    FaultOptions, LineVerdict, RecordIssue, StreamError, StreamTyper, TypeFold, TypedVerdicts,
 };

@@ -30,27 +30,26 @@
 use crate::checkpoint::{
     infer_codec, translate_codec, validate_codec, JournalControl, Phase, Prefix, Session,
 };
-use crate::fastpath::{FastJsonDecoder, FastPlan};
+use crate::fastpath::{FastPlan, LineDecoder};
 use crate::streaming::{
-    replay_reason, FaultFold, FaultOptions, Halt, InferStage, InferValidateStage, LineVerdict,
-    RecordStage, Shredded, StreamError, TranslateStage, TypeRoutes, Typed, TypedVerdicts,
-    ValidateStage,
+    FaultFold, FaultOptions, Halt, InferStage, InferValidateStage, LineVerdict, RecordStage,
+    StreamError, TranslateStage, TypedVerdicts, ValidateStage,
 };
 use jsonx_core::{Equivalence, JType};
 use jsonx_pipeline::{
-    run_lines_stealing, run_reader_caught, run_source_controlled, CheckpointSink, PipelineOptions,
-    ReaderChunks, RouteCounts, RunControl, RunReport,
+    run_source_controlled, CheckpointSink, ChunkSource, PipelineOptions, ReaderChunks, RunControl,
+    RunReport, SliceChunks,
 };
 use jsonx_schema::{CompiledSchema, ValidatorOptions};
-use jsonx_syntax::{CsvDecoder, JsonDecoder};
-use jsonx_translate::{ColumnarBatch, Fallback, Shredder};
+use jsonx_syntax::{CsvDecoder, JsonDecoder, ParseLimits};
+use jsonx_translate::{ColumnarBatch, Shredder};
 use std::fs::File;
 use std::io::{BufRead, BufReader, Seek, SeekFrom};
 use std::path::Path;
 
-/// How record text becomes documents. The stages are generic over the
-/// [`RecordDecoder`](jsonx_syntax::RecordDecoder) seam; this picks the
-/// implementation.
+/// How record text becomes documents: which
+/// [`RecordDecoder`](jsonx_syntax::RecordDecoder) the run's stages decode
+/// with.
 #[derive(Debug, Clone, Default)]
 pub enum Format {
     /// One JSON document per line.
@@ -163,7 +162,7 @@ impl Run<'_> {
             format!("equiv={equiv:?} fault={:?}", self.fault)
         })?;
         let journal = session.as_mut().map(|s| s.phase(1, infer_codec()));
-        self.infer_pass(source, equiv, journal)
+        self.execute(source, &self.infer_stage(equiv), journal)
     }
 
     /// Validates every record against `schema`, yielding per-record
@@ -185,29 +184,12 @@ impl Run<'_> {
             )
         })?;
         let journal = session.as_mut().map(|s| s.phase(1, validate_codec()));
-        let limits = self.fault.limits;
-        match &self.format {
-            Format::Ndjson => {
-                let plan = self
-                    .fast_parse
-                    .then(|| FastPlan::for_validation(schema, &limits))
-                    .flatten();
-                let stage = ValidateStage {
-                    schema,
-                    options,
-                    decoder: FastJsonDecoder::new(plan, limits),
-                };
-                self.execute(source, &stage, journal)
-            }
-            Format::Csv(decoder) => {
-                let stage = ValidateStage {
-                    schema,
-                    options,
-                    decoder: decoder.clone().with_limits(limits),
-                };
-                self.execute(source, &stage, journal)
-            }
-        }
+        let stage = ValidateStage {
+            schema,
+            options,
+            decoder: self.decoder(|limits| FastPlan::for_validation(schema, limits)),
+        };
+        self.execute(source, &stage, journal)
     }
 
     /// Infers **and** validates in one pass: one decode per accepted
@@ -220,29 +202,13 @@ impl Run<'_> {
         options: ValidatorOptions,
     ) -> Result<(TypedVerdicts, RunReport), StreamError> {
         self.refuse_journal("the combined infer+validate pass (journal one pass at a time)")?;
-        let limits = self.fault.limits;
-        let (((ty, routes), verdicts), mut report) = match &self.format {
-            Format::Ndjson => {
-                let stage = InferValidateStage {
-                    equiv,
-                    schema,
-                    options,
-                    decoder: JsonDecoder::new().with_limits(limits),
-                };
-                self.execute(source, &stage, None)?
-            }
-            Format::Csv(decoder) => {
-                let stage = InferValidateStage {
-                    equiv,
-                    schema,
-                    options,
-                    decoder: decoder.clone().with_limits(limits),
-                };
-                self.execute(source, &stage, None)?
-            }
+        let stage = InferValidateStage {
+            equiv,
+            schema,
+            options,
+            decoder: self.decoder(|_| None),
         };
-        self.report_typing(&mut report, routes, equiv);
-        Ok(((ty, verdicts), report))
+        self.execute(source, &stage, None)
     }
 
     /// Shreds every record into one columnar batch under `shredder`'s
@@ -260,11 +226,11 @@ impl Run<'_> {
         shredder: &Shredder,
     ) -> Result<(ColumnarBatch, RunReport), StreamError> {
         self.refuse_journal("translation under a caller-supplied layout (use translate_inferred)")?;
-        let projection = self
-            .fast_parse
-            .then(|| FastPlan::for_translation(shredder, &self.fault.limits))
-            .flatten();
-        self.translate_pass(source, shredder, projection, None)
+        let stage = TranslateStage {
+            shredder,
+            decoder: self.decoder(|limits| FastPlan::for_translation(shredder, limits)),
+        };
+        self.execute(source, &stage, None)
     }
 
     /// The two passes of a translation from scratch: infer the collection
@@ -304,7 +270,7 @@ impl Run<'_> {
             Some(ty) => ty,
             None => {
                 let journal = session.as_mut().map(|s| s.phase(1, infer_codec()));
-                let (ty, _report) = self.infer_pass(first, equiv, journal)?;
+                let (ty, _report) = self.execute(first, &self.infer_stage(equiv), journal)?;
                 if let Some(s) = &mut session {
                     s.seal_type(&ty)?;
                 }
@@ -313,91 +279,43 @@ impl Run<'_> {
         };
         let shredder = Shredder::from_type(&ty);
         let journal = session.as_mut().map(|s| s.phase(2, translate_codec()));
-        // The layout was inferred from this very corpus: no accepted
-        // record has a root field outside it, so a projecting scan could
-        // skip nothing. No plan; records shred straight from events.
-        let (batch, report) = self.translate_pass(second, &shredder, None, journal)?;
+        let stage = TranslateStage {
+            shredder: &shredder,
+            // The layout was inferred from this very corpus: no accepted
+            // record has a root field outside it, so a projecting scan
+            // could skip nothing. No plan; records shred straight from
+            // events.
+            decoder: self.decoder(|_| None),
+        };
+        let (batch, report) = self.execute(second, &stage, journal)?;
         Ok((ty, batch, report))
     }
 
-    fn infer_pass<R: BufRead + Send>(
-        &self,
-        source: Source<'_, R>,
-        equiv: Equivalence,
-        journal: Option<Phase<'_, '_, Typed>>,
-    ) -> Result<(JType, RunReport), StreamError> {
-        let limits = self.fault.limits;
-        let ((ty, routes), mut report) = match &self.format {
-            Format::Ndjson => {
-                let decoder = JsonDecoder::new().with_limits(limits);
-                self.execute(source, &InferStage { equiv, decoder }, journal)?
-            }
-            Format::Csv(decoder) => {
-                let decoder = decoder.clone().with_limits(limits);
-                self.execute(source, &InferStage { equiv, decoder }, journal)?
-            }
-        };
-        self.report_typing(&mut report, routes, equiv);
-        Ok((ty, report))
-    }
-
-    /// Fills a timed report's route account from an inference pass.
-    fn report_typing(&self, report: &mut RunReport, routes: TypeRoutes, equiv: Equivalence) {
-        if self.timing {
-            report.routes = RouteCounts {
-                fast: routes.in_place,
-                replayed: (routes.replayed > 0)
-                    .then(|| (replay_reason(equiv), routes.replayed))
-                    .into_iter()
-                    .collect(),
-            };
+    fn infer_stage(&self, equiv: Equivalence) -> InferStage {
+        InferStage {
+            equiv,
+            decoder: self.decoder(|_| None),
         }
     }
 
-    fn translate_pass<R: BufRead + Send>(
-        &self,
-        source: Source<'_, R>,
-        shredder: &Shredder,
-        projection: Option<FastPlan>,
-        journal: Option<Phase<'_, '_, Shredded>>,
-    ) -> Result<(ColumnarBatch, RunReport), StreamError> {
+    /// The run's one decoder value: the format, the limits, and — for
+    /// NDJSON with [`fast_parse`](Self::fast_parse) on — whatever
+    /// projection `plan` the stage can offer the structural scanner.
+    fn decoder(&self, plan: impl FnOnce(&ParseLimits) -> Option<FastPlan>) -> LineDecoder {
         let limits = self.fault.limits;
-        let ((batch, counts), mut report) = match &self.format {
-            Format::Ndjson => {
-                let stage = TranslateStage {
-                    shredder,
-                    projecting: projection.is_some(),
-                    decoder: FastJsonDecoder::new(projection, limits),
-                };
-                self.execute(source, &stage, journal)?
-            }
-            Format::Csv(decoder) => {
-                let stage = TranslateStage {
-                    shredder,
-                    projecting: false,
-                    decoder: decoder.clone().with_limits(limits),
-                };
-                self.execute(source, &stage, journal)?
-            }
-        };
-        if self.timing {
-            report.routes = RouteCounts {
-                fast: counts.from_events,
-                replayed: Fallback::ALL
-                    .into_iter()
-                    .map(|why| (why.label(), counts.replayed(why)))
-                    .filter(|(_, n)| *n > 0)
-                    .collect(),
-            };
+        match &self.format {
+            Format::Ndjson => LineDecoder::Json {
+                full: JsonDecoder::new().with_limits(limits),
+                plan: self.fast_parse.then(|| plan(&limits)).flatten(),
+            },
+            Format::Csv(decoder) => LineDecoder::Csv(decoder.clone().with_limits(limits)),
         }
-        Ok((batch, report))
     }
 
     fn pipeline_options(&self) -> PipelineOptions {
         PipelineOptions {
             workers: self.workers,
             chunk_bytes: self.chunk_bytes,
-            timing: self.timing,
         }
     }
 
@@ -455,52 +373,64 @@ impl Run<'_> {
         S: RecordStage,
         S::Out: 'static,
     {
-        let fold = FaultFold::new(stage, self.fault);
+        let fold = FaultFold::new(stage, self.fault, self.timing);
         let cap = fold.retention_cap();
-        let opts = self.pipeline_options();
         let prefix = match &journal {
             Some(phase) => phase.replay(|a, b| stage.merge(a, b), cap)?,
             None => Prefix::empty(),
         };
-        let outcome = match source {
-            Source::Slice(text) => run_lines_stealing(text, &fold, opts),
-            Source::Reader(reader) => run_reader_caught(reader, &fold, opts).map_err(input_err)?,
+        let opts = self.pipeline_options();
+        let mut workers = opts.effective_workers();
+        let chunk_bytes = opts.reader_chunk_bytes();
+        // On the stack: boxed, a reader's per-line cursor lands beside the
+        // decoder every worker reads per record (DESIGN.md §9).
+        let (slice, reader, file);
+        let chunks: &dyn ChunkSource = match source {
+            Source::Slice(text) => {
+                slice = SliceChunks::new(text, opts.slice_chunk_bytes(text.len()));
+                // A worker with no chunk to claim is a thread for nothing.
+                workers = workers.min(slice.len()).max(1);
+                &slice
+            }
+            Source::Reader(input) => {
+                reader = ReaderChunks::new(input, chunk_bytes, workers);
+                &reader
+            }
             Source::File(path) => {
-                let file = File::open(path)
+                let input = File::open(path)
                     .map_err(|e| StreamError::Input(format!("reading {}: {e}", path.display())))?;
-                let mut reader = BufReader::new(file);
+                let mut input = BufReader::new(input);
                 if matches!(self.format, Format::Csv(_)) {
-                    reader.read_line(&mut String::new()).map_err(input_err)?;
+                    input.read_line(&mut String::new()).map_err(input_err)?;
                 }
                 // Chunk boundaries depend only on bytes and the chunk
                 // target, so seeking to the committed byte total lands
                 // exactly on the first uncommitted chunk's first byte.
                 if prefix.bytes > 0 {
-                    reader
+                    input
                         .seek(SeekFrom::Start(prefix.bytes))
                         .map_err(input_err)?;
                 }
-                let workers = opts.effective_workers();
-                let chunks = ReaderChunks::with_offset(
-                    reader,
-                    opts.reader_chunk_bytes(),
+                file = ReaderChunks::with_offset(
+                    input,
+                    chunk_bytes,
                     workers,
                     prefix.chunks,
                     prefix.lines,
                 );
-                let sink = journal.as_mut().map(|phase| phase.sink(prefix.chunks));
-                let control = RunControl {
-                    sink: sink.as_ref().map(|s| s as &dyn CheckpointSink<_>),
-                    stop: journal.as_ref().and_then(|phase| phase.stop()),
-                };
-                let outcome = run_source_controlled(&chunks, &fold, workers, opts.timing, control)
-                    .map_err(input_err)?;
-                if let (Some(phase), Some(sink)) = (journal, sink) {
-                    phase.close(sink)?;
-                }
-                outcome
+                &file
             }
         };
+        let sink = journal.as_mut().map(|phase| phase.sink(prefix.chunks));
+        let control = RunControl {
+            sink: sink.as_ref().map(|s| s as &dyn CheckpointSink<_>),
+            stop: journal.as_ref().and_then(|phase| phase.stop()),
+        };
+        let outcome = run_source_controlled(chunks, &fold, workers, self.timing, control)
+            .map_err(input_err)?;
+        if let (Some(phase), Some(sink)) = (journal, sink) {
+            phase.close(sink)?;
+        }
         let tail = outcome.out;
         let mut errors = prefix.errors;
         errors.merge(tail.errors, cap);
@@ -514,7 +444,8 @@ impl Run<'_> {
             errors,
             poisoned: outcome.poisoned,
             timings: outcome.timings,
-            routes: RouteCounts::default(),
+            // Work, not results: this process's tail, tallied when timed.
+            routes: tail.routes,
         };
         let policy = self.fault.policy;
         if !policy.tolerates() && !report.poisoned.is_empty() {
@@ -553,7 +484,7 @@ impl Run<'_> {
 mod tests {
     use super::*;
     use crate::streaming::RecordIssue;
-    use jsonx_pipeline::ErrorPolicy;
+    use jsonx_pipeline::{ErrorPolicy, Route};
 
     /// A stage that panics on a trigger line — the facade-level face of
     /// the engine's panic isolation.
@@ -567,14 +498,19 @@ mod tests {
             0
         }
 
-        fn record(&self, seen: &mut usize, line: &str, _record: usize) -> Result<(), RecordIssue> {
+        fn record(
+            &self,
+            seen: &mut usize,
+            line: &str,
+            _record: usize,
+        ) -> Result<Route, RecordIssue> {
             assert!(!line.contains("boom"), "injected stage panic");
             *seen += 1;
-            Ok(())
+            Ok(Route::Fast)
         }
 
-        fn finish(&self, seen: usize) -> usize {
-            seen
+        fn take(&self, seen: &mut usize) -> usize {
+            std::mem::take(seen)
         }
 
         fn merge(&self, a: usize, b: usize) -> usize {

@@ -6,12 +6,14 @@
 //! fault layer (blank-line skipping, the record-size guard, error-policy
 //! bookkeeping) and the one executor in [`crate::run`] drives it on the
 //! chunked engine of [`jsonx_pipeline`]. The stages are
-//! **source-agnostic**: each is generic over a [`RecordDecoder`] (NDJSON
-//! via [`JsonDecoder`](jsonx_syntax::JsonDecoder), the SWAR fast path via
-//! the crate-private `FastJsonDecoder`, CSV via
-//! [`jsonx_syntax::CsvDecoder`], …), so the engine's work stealing, fault
-//! tolerance and out-of-core layers never assume JSON. They differ only
-//! in their per-worker state and merge:
+//! **source-agnostic**: each holds the run's one decoder value (the
+//! crate-private `LineDecoder`: NDJSON with or without the SWAR fast
+//! path, or CSV) and reaches it through the [`RecordDecoder`] seam the
+//! public pieces here ([`TypeFold`], [`StreamTyper`]) are generic over,
+//! so the engine's work stealing, fault tolerance and out-of-core layers
+//! never assume JSON. A stage answers each accepted record with the
+//! [`Route`] it took, which the fault layer tallies. The stages differ
+//! only in their per-worker state and merge:
 //!
 //! * inference — a [`TypeFold`] per worker: under `Kind` a counting type
 //!   that each record's events update in place, verified per record;
@@ -53,17 +55,23 @@
 //!   `Arc` refcount bump instead of a fresh `String`;
 //! - the container frame stack is reused across documents.
 
+use crate::fastpath::LineDecoder;
 use jsonx_core::{fuse, infer_value, Equivalence, JType, ScalarKind, TypeAccumulator};
 use jsonx_core::{ArrayType, FieldName, FieldType, RecordType};
 use jsonx_data::Value;
-use jsonx_pipeline::{ErrorPolicy, ErrorSummary, RecordDiagnostic, ShardFold, ShardPanic};
+use jsonx_pipeline::{
+    ErrorPolicy, ErrorSummary, RecordDiagnostic, Route, RouteCounts, ShardFold, ShardPanic,
+};
 use jsonx_schema::{CompiledSchema, FastValidator, ValidatorOptions};
 use jsonx_syntax::{
     EventReceiver, ParseError, ParseErrorKind, ParseLimits, RawEvent, RecordDecoder, RecordLimit,
     Tee, ValueBuilder,
 };
-use jsonx_translate::{ColumnarBatch, ShredCounts, ShredError, ShredStream, Shredder};
+use jsonx_translate::{ColumnarBatch, ShredError, ShredStream, Shredder};
 use std::collections::HashSet;
+
+/// The per-worker state of the run's [`LineDecoder`].
+type Scratch = <LineDecoder as RecordDecoder>::Scratch;
 
 /// A reusable event-stream typing engine.
 ///
@@ -405,8 +413,9 @@ impl FaultOptions {
 
 /// One streaming stage's record-level logic, with the error handling
 /// factored out: [`FaultFold`] supplies blank-line skipping, the central
-/// record-size guard, policy bookkeeping, and shard merging, so a stage
-/// only says what to do with one record and how to fuse shard outputs.
+/// record-size guard, policy bookkeeping, the route tally, and shard
+/// merging, so a stage only says what to do with one record — and which
+/// route that took — and how to fuse shard outputs.
 pub(crate) trait RecordStage: Sync {
     /// Per-worker scratch state.
     type State;
@@ -414,19 +423,23 @@ pub(crate) trait RecordStage: Sync {
     type Out: Send;
 
     fn init(&self) -> Self::State;
-    /// Processes one non-blank record; `Err` rejects it (the state must be
-    /// left reusable for the next record).
-    fn record(&self, state: &mut Self::State, line: &str, record: usize)
-        -> Result<(), RecordIssue>;
-    fn finish(&self, state: Self::State) -> Self::Out;
+    /// Processes one non-blank record and says which route it took; `Err`
+    /// rejects it (the state must be left reusable for the next record).
+    /// Implementations are `#[inline]`: each has one caller, its
+    /// [`FaultFold::feed`], and out of line the call and the `Result`
+    /// handed back through memory cost `infer` 3–6% on 400-byte records.
+    fn record(
+        &self,
+        state: &mut Self::State,
+        line: &str,
+        record: usize,
+    ) -> Result<Route, RecordIssue>;
     fn merge(&self, left: Self::Out, right: Self::Out) -> Self::Out;
     /// Extracts the current chunk's output, leaving the state ready for
-    /// the worker's next claimed chunk (see [`ShardFold::take`]). Stages
-    /// override this so expensive machinery (interners, validators,
-    /// column builders) survives across chunks.
-    fn take(&self, state: &mut Self::State) -> Self::Out {
-        self.finish(std::mem::replace(state, self.init()))
-    }
+    /// the worker's next claimed chunk (see [`ShardFold::take`]): the
+    /// expensive machinery (interners, validators, column builders)
+    /// survives across chunks.
+    fn take(&self, state: &mut Self::State) -> Self::Out;
 }
 
 /// Why a shard stopped feeding records early.
@@ -438,11 +451,13 @@ pub(crate) enum Halt {
     TooMany,
 }
 
-/// What one shard yields: the stage output plus the fault account.
+/// What one shard yields: the stage output plus the fault account and
+/// the routes its accepted records took.
 pub(crate) struct ShardYield<T> {
     pub(crate) out: T,
     pub(crate) records: usize,
     pub(crate) errors: ErrorSummary,
+    pub(crate) routes: RouteCounts,
     pub(crate) halt: Option<Halt>,
 }
 
@@ -450,6 +465,7 @@ pub(crate) struct FaultState<T> {
     inner: T,
     records: usize,
     errors: ErrorSummary,
+    routes: RouteCounts,
     halt: Option<Halt>,
 }
 
@@ -463,6 +479,9 @@ pub(crate) struct FaultState<T> {
 pub(crate) struct FaultFold<'s, S> {
     stage: &'s S,
     fault: FaultOptions,
+    /// Keep the route tally? Reported only by a timed run, and a map
+    /// entry per replayed record is 3% of `validate` on 45-byte rows.
+    tally: bool,
     input_cap: Option<usize>,
     tolerates: bool,
     sample_cap: usize,
@@ -470,9 +489,10 @@ pub(crate) struct FaultFold<'s, S> {
 }
 
 impl<'s, S> FaultFold<'s, S> {
-    pub(crate) fn new(stage: &'s S, fault: FaultOptions) -> Self {
+    pub(crate) fn new(stage: &'s S, fault: FaultOptions, tally: bool) -> Self {
         FaultFold {
             stage,
+            tally,
             input_cap: fault.limits.max_input_bytes,
             tolerates: fault.policy.tolerates(),
             sample_cap: fault.sample_cap(),
@@ -498,6 +518,7 @@ impl<'s, S: RecordStage> ShardFold<str> for FaultFold<'s, S> {
             inner: self.stage.init(),
             records: 0,
             errors: ErrorSummary::new(),
+            routes: RouteCounts::default(),
             halt: None,
         }
     }
@@ -511,14 +532,21 @@ impl<'s, S: RecordStage> ShardFold<str> for FaultFold<'s, S> {
         // whatever its decoder, and an oversized line is rejected before
         // any parsing starts.
         let issue = match self.input_cap {
-            Some(limit) if line.len() > limit => Some(RecordIssue::Parse(ParseError::at(
+            Some(limit) if line.len() > limit => RecordIssue::Parse(ParseError::at(
                 ParseErrorKind::LimitExceeded(RecordLimit::InputBytes),
                 line.as_bytes(),
                 limit,
-            ))),
-            _ => self.stage.record(&mut state.inner, line, record).err(),
+            )),
+            _ => match self.stage.record(&mut state.inner, line, record) {
+                Ok(route) => {
+                    if self.tally {
+                        state.routes.count(route);
+                    }
+                    return;
+                }
+                Err(issue) => issue,
+            },
         };
-        let Some(issue) = issue else { return };
         if !self.tolerates {
             state.halt = Some(Halt::Fault { record, issue });
             return;
@@ -540,13 +568,8 @@ impl<'s, S: RecordStage> ShardFold<str> for FaultFold<'s, S> {
         }
     }
 
-    fn finish(&self, state: Self::State) -> Self::Out {
-        ShardYield {
-            out: self.stage.finish(state.inner),
-            records: state.records,
-            errors: state.errors,
-            halt: state.halt,
-        }
+    fn finish(&self, mut state: Self::State) -> Self::Out {
+        self.take(&mut state)
     }
 
     fn take(&self, state: &mut Self::State) -> Self::Out {
@@ -559,8 +582,15 @@ impl<'s, S: RecordStage> ShardFold<str> for FaultFold<'s, S> {
             out: self.stage.take(&mut state.inner),
             records: std::mem::take(&mut state.records),
             errors: std::mem::take(&mut state.errors),
+            routes: std::mem::take(&mut state.routes),
             halt: state.halt.take(),
         }
+    }
+
+    fn halted(&self, state: &Self::State) -> bool {
+        // Either halt decides the run — its first fault, or its error
+        // bound exceeded — so what lies past this chunk cannot matter.
+        state.halt.is_some()
     }
 
     fn merge(&self, mut left: Self::Out, right: Self::Out) -> Self::Out {
@@ -577,10 +607,12 @@ impl<'s, S: RecordStage> ShardFold<str> for FaultFold<'s, S> {
             (Some(_), Some(h)) => Some(h),
         };
         left.errors.merge(right.errors, self.sample_cap);
+        left.routes.merge(right.routes);
         ShardYield {
             out: self.stage.merge(left.out, right.out),
             records: left.records + right.records,
             errors: left.errors,
+            routes: left.routes,
             halt,
         }
     }
@@ -612,38 +644,15 @@ impl EventReceiver for InPlace<'_> {
     }
 }
 
-/// How a chunk's accepted records were typed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TypeRoutes {
-    /// Counted in place by the event walk.
-    pub in_place: u64,
-    /// Typed on their own and fused in: under `Kind` for a key repeated
-    /// inside one object, under `Label` every record.
-    pub replayed: u64,
-}
-
-/// Why an inference pass under `equiv` replays a record. One reason per
-/// equivalence: under `Label` the union member a record joins is known
-/// only once its last key has arrived, so no record is typed in place;
-/// under `Kind` only a key repeated inside one object sends a record back.
-pub(crate) fn replay_reason(equiv: Equivalence) -> &'static str {
-    match equiv {
-        Equivalence::Kind => "duplicate-key",
-        Equivalence::Label => "label-equivalence",
-    }
-}
-
-/// What a chunk of inference yields: its type, and how it got there.
-pub(crate) type Typed = (JType, TypeRoutes);
-
 /// One worker's collection type in the making — the only way a stage
 /// here accumulates one. Under [`Equivalence::Kind`] records are counted
 /// **in place**: their events walk a [`TypeAccumulator`], verified per
 /// record — one the decoder rejects is taken back and rejected, one the
 /// walk cannot vouch for (a duplicate key) is taken back and replayed
 /// through the [`StreamTyper`] route into `replayed`. Under
-/// [`Equivalence::Label`] every record takes that route. [`take`] fuses
-/// the two parts, so `fuse` runs per chunk and per replayed record.
+/// [`Equivalence::Label`] every record takes that route. Each record's
+/// [`Route`] is returned to the caller; [`take`] fuses the two parts, so
+/// `fuse` runs per chunk and per replayed record.
 ///
 /// [`take`]: TypeFold::take
 pub struct TypeFold {
@@ -651,7 +660,6 @@ pub struct TypeFold {
     in_place: TypeAccumulator,
     typer: StreamTyper,
     replayed: JType,
-    routes: TypeRoutes,
 }
 
 impl TypeFold {
@@ -662,7 +670,6 @@ impl TypeFold {
             in_place: TypeAccumulator::new(),
             typer: StreamTyper::new(equiv),
             replayed: JType::Bottom,
-            routes: TypeRoutes::default(),
         }
     }
 
@@ -672,16 +679,15 @@ impl TypeFold {
         decoder: &D,
         scratch: &mut D::Scratch,
         line: &str,
-    ) -> Result<(), ParseError> {
+    ) -> Result<Route, ParseError> {
         if self.equiv == Equivalence::Kind {
             let decoded = decoder.decode_events(scratch, line, &mut InPlace(&mut self.in_place));
             if self.settle(decoded)? {
-                return Ok(());
+                return Ok(Route::Fast);
             }
         }
         let ty = self.typer.type_decoded(decoder, scratch, line)?;
-        self.fuse_replayed(ty);
-        Ok(())
+        Ok(self.fuse_replayed(ty))
     }
 
     /// [`record`](Self::record), also rebuilding the record's DOM from
@@ -691,21 +697,22 @@ impl TypeFold {
         decoder: &D,
         scratch: &mut D::Scratch,
         line: &str,
-    ) -> Result<Value, ParseError> {
+    ) -> Result<(Value, Route), ParseError> {
         if self.equiv != Equivalence::Kind {
             let (ty, doc) = self.typer.type_and_build_decoded(decoder, scratch, line)?;
-            self.fuse_replayed(ty);
-            return Ok(doc);
+            return Ok((doc, self.fuse_replayed(ty)));
         }
         let mut builder = ValueBuilder::new();
         let mut walk = InPlace(&mut self.in_place);
         let decoded = decoder.decode_events(scratch, line, &mut Tee(&mut builder, &mut walk));
         let counted = self.settle(decoded)?;
         let doc = builder.take();
-        if !counted {
-            self.fuse_replayed(infer_value(&doc, self.equiv));
-        }
-        Ok(doc)
+        let route = if counted {
+            Route::Fast
+        } else {
+            self.fuse_replayed(infer_value(&doc, self.equiv))
+        };
+        Ok((doc, route))
     }
 
     /// Settles the in-place walk of one record: counted (`true`), taken
@@ -716,73 +723,62 @@ impl TypeFold {
             self.in_place.rollback();
             return Err(e);
         }
-        let counted = self.in_place.commit();
-        self.routes.in_place += u64::from(counted);
-        Ok(counted)
+        Ok(self.in_place.commit())
     }
 
-    fn fuse_replayed(&mut self, ty: JType) {
+    fn fuse_replayed(&mut self, ty: JType) -> Route {
         let current = std::mem::replace(&mut self.replayed, JType::Bottom);
         self.replayed = fuse(current, ty, self.equiv);
-        self.routes.replayed += 1;
+        // One reason per equivalence: under `Label` the union member a
+        // record joins is known only once its last key has arrived, so no
+        // record is typed in place; under `Kind` only a key repeated
+        // inside one object sends a record back.
+        Route::Replayed(match self.equiv {
+            Equivalence::Kind => "duplicate-key",
+            Equivalence::Label => "label-equivalence",
+        })
     }
 
-    /// The type of every record accepted since the last `take`, and how
-    /// they were routed; counting restarts from zero while the learnt
-    /// structure, names, frame stacks and interner survive.
-    pub fn take(&mut self) -> (JType, TypeRoutes) {
+    /// The type of every record accepted since the last `take`; counting
+    /// restarts from zero while the learnt structure, names, frame stacks
+    /// and interner survive.
+    pub fn take(&mut self) -> JType {
         let replayed = std::mem::replace(&mut self.replayed, JType::Bottom);
-        (
-            fuse(self.in_place.take(), replayed, self.equiv),
-            std::mem::take(&mut self.routes),
-        )
+        fuse(self.in_place.take(), replayed, self.equiv)
     }
-}
-
-/// Fuses two chunks' [`Typed`] outputs.
-fn merge_typed((lty, lroutes): Typed, (rty, rroutes): Typed, equiv: Equivalence) -> Typed {
-    let routes = TypeRoutes {
-        in_place: lroutes.in_place + rroutes.in_place,
-        replayed: lroutes.replayed + rroutes.replayed,
-    };
-    (fuse(lty, rty, equiv), routes)
 }
 
 /// The inference stage: one [`TypeFold`] per worker, chunk types fused
-/// with the §4.1 monoid. Generic over the [`RecordDecoder`], so the same
-/// stage types NDJSON, CSV, or any future source.
-pub(crate) struct InferStage<D> {
+/// with the §4.1 monoid.
+pub(crate) struct InferStage {
     pub(crate) equiv: Equivalence,
-    pub(crate) decoder: D,
+    pub(crate) decoder: LineDecoder,
 }
 
-impl<D: RecordDecoder> RecordStage for InferStage<D> {
-    type State = (TypeFold, D::Scratch);
-    type Out = Typed;
+impl RecordStage for InferStage {
+    type State = (TypeFold, Scratch);
+    type Out = JType;
 
     fn init(&self) -> Self::State {
         (TypeFold::new(self.equiv), self.decoder.scratch())
     }
 
+    #[inline]
     fn record(
         &self,
         (fold, scratch): &mut Self::State,
         line: &str,
         _record: usize,
-    ) -> Result<(), RecordIssue> {
+    ) -> Result<Route, RecordIssue> {
         fold.record(&self.decoder, scratch, line)
             .map_err(RecordIssue::Parse)
     }
 
-    fn finish(&self, (mut fold, _): Self::State) -> Typed {
-        fold.take()
+    fn merge(&self, left: JType, right: JType) -> JType {
+        fuse(left, right, self.equiv)
     }
 
-    fn merge(&self, left: Typed, right: Typed) -> Typed {
-        merge_typed(left, right, self.equiv)
-    }
-
-    fn take(&self, (fold, _): &mut Self::State) -> Typed {
+    fn take(&self, (fold, _): &mut Self::State) -> JType {
         fold.take()
     }
 }
@@ -821,20 +817,19 @@ impl LineVerdict {
 /// wanting diagnostics can re-run [`CompiledSchema::validate`] on just
 /// the invalid lines. Malformed records are rejected to the fault layer,
 /// so the verdict vector covers exactly the records that decoded.
-pub(crate) struct ValidateStage<'s, D> {
+pub(crate) struct ValidateStage<'s> {
     pub(crate) schema: &'s CompiledSchema,
     pub(crate) options: ValidatorOptions,
-    /// How record text becomes a document. The JSON path passes
-    /// `FastJsonDecoder`, whose `decode_value` tries the SWAR
-    /// projecting fast path first and falls back to the full parser —
-    /// verdicts are identical either way (the scanner never accepts a
-    /// record the parser rejects). Any other decoder plugs in here
-    /// unchanged.
-    pub(crate) decoder: D,
+    /// How record text becomes a document. Under a projection plan the
+    /// decoder tries the SWAR scanner first and falls back to the full
+    /// parser — verdicts are identical either way (the scanner never
+    /// accepts a record the parser rejects) — and the record's route
+    /// says which it was.
+    pub(crate) decoder: LineDecoder,
 }
 
-impl<'s, D: RecordDecoder> RecordStage for ValidateStage<'s, D> {
-    type State = (FastValidator<'s>, Vec<(usize, LineVerdict)>, D::Scratch);
+impl<'s> RecordStage for ValidateStage<'s> {
+    type State = (FastValidator<'s>, Vec<(usize, LineVerdict)>, Scratch);
     type Out = Vec<(usize, LineVerdict)>;
 
     fn init(&self) -> Self::State {
@@ -845,15 +840,16 @@ impl<'s, D: RecordDecoder> RecordStage for ValidateStage<'s, D> {
         )
     }
 
+    #[inline]
     fn record(
         &self,
         (validator, verdicts, scratch): &mut Self::State,
         line: &str,
         record: usize,
-    ) -> Result<(), RecordIssue> {
-        let doc = self
+    ) -> Result<Route, RecordIssue> {
+        let (doc, route) = self
             .decoder
-            .decode_value(scratch, line)
+            .decode_routed(scratch, line)
             .map_err(RecordIssue::Parse)?;
         let verdict = if validator.is_valid(&doc) {
             LineVerdict::Valid
@@ -861,11 +857,7 @@ impl<'s, D: RecordDecoder> RecordStage for ValidateStage<'s, D> {
             LineVerdict::Invalid
         };
         verdicts.push((record, verdict));
-        Ok(())
-    }
-
-    fn finish(&self, (_, verdicts, _): Self::State) -> Self::Out {
-        verdicts
+        Ok(route)
     }
 
     fn merge(&self, mut left: Self::Out, right: Self::Out) -> Self::Out {
@@ -890,21 +882,21 @@ impl<'s, D: RecordDecoder> RecordStage for ValidateStage<'s, D> {
 /// work of running the two passes back to back — with the type and the
 /// verdicts each equal to what the separate stages produce (pinned by
 /// `tests/pipeline_equivalence.rs`). Rejected records appear in neither.
-pub(crate) struct InferValidateStage<'s, D: RecordDecoder> {
+pub(crate) struct InferValidateStage<'s> {
     pub(crate) equiv: Equivalence,
     pub(crate) schema: &'s CompiledSchema,
     pub(crate) options: ValidatorOptions,
-    pub(crate) decoder: D,
+    pub(crate) decoder: LineDecoder,
 }
 
-impl<'s, D: RecordDecoder> RecordStage for InferValidateStage<'s, D> {
+impl<'s> RecordStage for InferValidateStage<'s> {
     type State = (
         TypeFold,
         FastValidator<'s>,
-        D::Scratch,
+        Scratch,
         Vec<(usize, LineVerdict)>,
     );
-    type Out = (Typed, Vec<(usize, LineVerdict)>);
+    type Out = TypedVerdicts;
 
     fn init(&self) -> Self::State {
         (
@@ -915,13 +907,14 @@ impl<'s, D: RecordDecoder> RecordStage for InferValidateStage<'s, D> {
         )
     }
 
+    #[inline]
     fn record(
         &self,
         (fold, validator, scratch, verdicts): &mut Self::State,
         line: &str,
         record: usize,
-    ) -> Result<(), RecordIssue> {
-        let doc = fold
+    ) -> Result<Route, RecordIssue> {
+        let (doc, route) = fold
             .record_and_build(&self.decoder, scratch, line)
             .map_err(RecordIssue::Parse)?;
         let verdict = if validator.is_valid(&doc) {
@@ -930,18 +923,14 @@ impl<'s, D: RecordDecoder> RecordStage for InferValidateStage<'s, D> {
             LineVerdict::Invalid
         };
         verdicts.push((record, verdict));
-        Ok(())
-    }
-
-    fn finish(&self, mut state: Self::State) -> Self::Out {
-        self.take(&mut state)
+        Ok(route)
     }
 
     fn merge(&self, left: Self::Out, right: Self::Out) -> Self::Out {
-        let (ltyped, mut lverdicts) = left;
-        let (rtyped, rverdicts) = right;
+        let (lty, mut lverdicts) = left;
+        let (rty, rverdicts) = right;
         lverdicts.extend(rverdicts);
-        (merge_typed(ltyped, rtyped, self.equiv), lverdicts)
+        (fuse(lty, rty, self.equiv), lverdicts)
     }
 
     fn take(&self, (fold, _, _, verdicts): &mut Self::State) -> Self::Out {
@@ -966,46 +955,42 @@ pub type TypedVerdicts = (JType, Vec<(usize, LineVerdict)>);
 /// property-tested in `tests/pipeline_equivalence.rs`. Under a tolerant
 /// policy rejected records (malformed, non-record, over a limit) simply
 /// contribute no row.
-pub(crate) struct TranslateStage<'t, D> {
+pub(crate) struct TranslateStage<'t> {
     pub(crate) shredder: &'t Shredder,
-    /// How record text becomes events or a document; any decoder feeds
-    /// the same shredder.
-    pub(crate) decoder: D,
-    /// The decoder's `decode_value` projects to the shred plan's root
-    /// fields (`FastJsonDecoder` with a plan: SWAR scan, dotted skipped
-    /// keys rejected so column paths can't alias, full-parser fallback).
-    /// Then every record is decoded to that — usually much smaller —
+    /// How record text becomes events or a document. When the decoder
+    /// has a plan — the shred plan's root fields: SWAR scan, dotted
+    /// skipped keys rejected so column paths can't alias, full-parser
+    /// fallback — every record is decoded to that, usually much smaller,
     /// document and shredded from it; otherwise records are shredded
     /// straight from their events. Batches are row-identical either way.
-    pub(crate) projecting: bool,
+    pub(crate) decoder: LineDecoder,
 }
 
-/// What a chunk of translation yields: its batch, and how its records
-/// were routed (see [`ShredStream::push_record`]).
-pub(crate) type Shredded = (ColumnarBatch, ShredCounts);
-
-impl<'t, D: RecordDecoder> RecordStage for TranslateStage<'t, D> {
-    type State = (ShredStream<'t>, D::Scratch);
-    type Out = Shredded;
+impl<'t> RecordStage for TranslateStage<'t> {
+    type State = (ShredStream<'t>, Scratch);
+    type Out = ColumnarBatch;
 
     fn init(&self) -> Self::State {
         (self.shredder.stream(), self.decoder.scratch())
     }
 
+    #[inline]
     fn record(
         &self,
         (stream, scratch): &mut Self::State,
         line: &str,
         _record: usize,
-    ) -> Result<(), RecordIssue> {
-        let pushed = if self.projecting {
-            let doc = self
+    ) -> Result<Route, RecordIssue> {
+        let pushed = if matches!(self.decoder, LineDecoder::Json { plan: Some(_), .. }) {
+            let (doc, route) = self
                 .decoder
-                .decode_value(scratch, line)
+                .decode_routed(scratch, line)
                 .map_err(RecordIssue::Parse)?;
-            stream.push(&doc)
+            stream.push(&doc).map(|()| route)
         } else {
-            stream.push_record(&self.decoder, scratch, line)
+            stream
+                .push_record(&self.decoder, scratch, line)
+                .map(|replayed| replayed.map_or(Route::Fast, |why| Route::Replayed(why.label())))
         };
         pushed.map_err(|e| match e {
             ShredError::NotARecord { .. } => RecordIssue::NotARecord,
@@ -1013,20 +998,15 @@ impl<'t, D: RecordDecoder> RecordStage for TranslateStage<'t, D> {
         })
     }
 
-    fn finish(&self, mut state: Self::State) -> Shredded {
-        self.take(&mut state)
+    fn merge(&self, mut batch: ColumnarBatch, right: ColumnarBatch) -> ColumnarBatch {
+        batch.append(right);
+        batch
     }
 
-    fn merge(&self, (mut batch, mut counts): Shredded, right: Shredded) -> Shredded {
-        batch.append(right.0);
-        counts.merge(right.1);
-        (batch, counts)
-    }
-
-    fn take(&self, (stream, _): &mut Self::State) -> Shredded {
+    fn take(&self, (stream, _): &mut Self::State) -> ColumnarBatch {
         // Column builders reset inside `take_batch`; the decoder's
         // scratch survives across chunks.
-        (stream.take_batch(), stream.take_counts())
+        stream.take_batch()
     }
 }
 

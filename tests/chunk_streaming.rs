@@ -10,7 +10,7 @@ use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::parse;
 use jsonx::translate::Shredder;
 use jsonx::{ErrorPolicy, FaultOptions, Run, RunReport, Source};
-use jsonx_pipeline::{run_lines_stealing, PipelineOptions, ShardFold};
+use jsonx_pipeline::{run_source_controlled, RunControl, ShardFold, SliceChunks};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -142,11 +142,14 @@ proptest! {
         let sequential = IndexLines.finish(state);
         for &workers in &WORKERS {
             for &chunk_bytes in &CHUNK_SIZES {
-                let stolen = run_lines_stealing(
-                    &ndjson,
+                let stolen = run_source_controlled(
+                    &SliceChunks::new(&ndjson, chunk_bytes),
                     &IndexLines,
-                    PipelineOptions { workers, chunk_bytes, timing: false },
-                );
+                    workers,
+                    false,
+                    RunControl::default(),
+                )
+                .expect("in-memory chunk sources cannot fail");
                 prop_assert_eq!(&stolen.out, &sequential);
                 prop_assert!(stolen.poisoned.is_empty());
             }
@@ -262,4 +265,49 @@ fn record_longer_than_chunk_stays_whole() {
         .all(|(_, v)| matches!(v, jsonx::LineVerdict::Valid)));
     assert_eq!(report.records, 3);
     assert!(report.shards >= 3, "each record should get its own chunk");
+}
+
+/// A run that has its answer stops reading: the first fault under
+/// fail-fast, the bound exceeded under a bounded skip. The answer is the
+/// in-memory run's at every worker count; how little was read is ours to
+/// promise only for one worker (which of several is descheduled is not).
+#[test]
+fn a_decided_run_stops_asking_the_reader_for_chunks() {
+    const CHUNK: usize = 4096;
+    let line = format!("{{\"pad\": \"{}\"}}\n", "x".repeat(52));
+    let bad = format!("{{bad{}\n", " ".repeat(line.len() - 5));
+    let corpus = format!("{line}{bad}{}", line.repeat(64 * CHUNK / line.len() - 2));
+    assert_eq!(corpus.len().div_ceil(CHUNK), 64);
+
+    let fault = |policy| FaultOptions {
+        policy,
+        ..FaultOptions::default()
+    };
+    // The outcome over a reader, and the bytes it had handed out by the end.
+    let read = |workers, policy| {
+        let mut reader = Cursor::new(corpus.as_bytes());
+        let run = plan(workers, CHUNK, fault(policy));
+        let outcome = run.infer(Source::Reader(&mut reader), Equivalence::Kind);
+        (outcome, reader.position() as usize)
+    };
+    let bounded = ErrorPolicy::Skip {
+        max_errors: Some(0),
+    };
+    for policy in [ErrorPolicy::FailFast, bounded] {
+        let reference = plan(1, 0, fault(policy)).infer(Source::slice(&corpus), Equivalence::Kind);
+        assert!(reference.is_err());
+        for workers in [1, 2, 8] {
+            let (outcome, bytes) = read(workers, policy);
+            assert_eq!(outcome, reference, "workers={workers} {policy:?}");
+            assert!(
+                workers > 1 || bytes <= 2 * (CHUNK + line.len()),
+                "{policy:?}: {bytes} of {} bytes read",
+                corpus.len()
+            );
+        }
+    }
+    // Nothing is decided while rejects are tolerated without bound.
+    let (outcome, bytes) = read(1, ErrorPolicy::Skip { max_errors: None });
+    assert_eq!(outcome.unwrap().1.errors.total, 1);
+    assert_eq!(bytes, corpus.len());
 }

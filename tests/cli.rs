@@ -134,9 +134,16 @@ fn every_route_to_the_engine_prints_the_same_bytes() {
                     vec!["--input", file, "--workers", "4", "--chunk-bytes", "64"],
                     out_of_core,
                 ),
+                // Far more workers than the corpus has chunks.
+                (vec!["--workers", "64", "-"], in_memory),
+                (vec!["--workers", "64", file], in_memory),
+                (vec!["--workers", "64", "--input", file], out_of_core),
             ];
             if job[0] != "infer" {
                 routes.push((vec!["--no-fast-parse", "-"], in_memory));
+            }
+            if job[0] != "translate" {
+                routes.push((vec!["--workers", "64", "--input", "-"], out_of_core));
             }
             for (route, want) in routes {
                 let args = [job, &route[..]].concat();
@@ -235,6 +242,34 @@ fn report_timing_accounts_for_how_records_were_typed() {
         ),
         "{err}"
     );
+
+    // Validate's account: an envelope schema projects; the schema
+    // `infer --schema` writes closes its records, so nothing can be
+    // skipped and there is no plan — as with the fast path turned off.
+    let envelope = schema_file("routes-envelope", r#"{"required": ["id"]}"#);
+    let (inferred, _, _) = run(&["infer", "--schema", "-"], SAMPLE);
+    let inferred = schema_file("routes-inferred", &inferred);
+    let none = "» 0 records projected, 3 replayed through the parser (3 no-plan)\n";
+    for (args, account) in [
+        (
+            format!("validate --schema {envelope}"),
+            "» 3 records projected, 0 replayed through the parser\n",
+        ),
+        (format!("validate --schema {inferred}"), none),
+        (
+            format!("validate --schema {envelope} --no-fast-parse"),
+            none,
+        ),
+    ] {
+        let args: Vec<&str> = args.split(' ').collect();
+        let (plain_out, plain_err, _) = run(&[&args[..], &["-"]].concat(), SAMPLE);
+        assert!(!plain_err.contains("projected"), "{plain_err}");
+        let (out, err, ok) = run(&[&args[..], &["--report-timing", "-"]].concat(), SAMPLE);
+        assert!(
+            ok && out == plain_out && err.contains(account),
+            "{args:?}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -534,6 +569,37 @@ fn max_errors_without_a_tolerant_policy_is_a_usage_error() {
             "{err}"
         );
     }
+    // Likewise a sidecar under the policy that stops at the first reject,
+    // a second corpus `--input` would never read, and `collect`, which
+    // printed what `skip` prints: refused before anything is created.
+    let dir = std::env::temp_dir().join("jsonx-cli-test");
+    let (sidecar, journal) = (dir.join("never.quarantine"), dir.join("never.journal"));
+    for (args, names) in [
+        (
+            "infer --quarantine Q --checkpoint J --input F",
+            ["--quarantine", "--on-error skip"],
+        ),
+        (
+            "translate --on-error fail --quarantine Q F",
+            ["--quarantine", "--on-error skip"],
+        ),
+        (
+            "infer --checkpoint J --input F other.ndjson",
+            ["--input F", "other.ndjson"],
+        ),
+        (
+            "translate --on-error collect F",
+            ["collect", "--on-error skip --max-errors N"],
+        ),
+    ] {
+        let args = args
+            .replace('Q', sidecar.to_str().unwrap())
+            .replace('J', journal.to_str().unwrap());
+        let (out, err, code) = run_code(&args.split(' ').collect::<Vec<_>>(), SAMPLE);
+        assert_eq!((code, out.as_str()), (Some(2), ""), "{args}: {err}");
+        assert!(names.iter().all(|name| err.contains(name)), "{args}: {err}");
+        assert!(!sidecar.exists() && !journal.exists(), "{args}");
+    }
 }
 
 #[test]
@@ -664,9 +730,15 @@ fn max_depth_is_capped_and_a_bomb_at_the_cap_passes_through_every_command() {
         "serve",
     ] {
         let command = command.replace("SCHEMA", &schema);
-        // One past the ceiling is a usage error, before any input is read.
+        // One past the ceiling is a usage error, before any input is read;
+        // so is a worker count no machine has.
         let (_, err, code) = jsonx(format!("{command} --max-depth {}", CEILING + 1), "");
         assert_eq!(code, Some(2), "{command}: {err}");
+        let (_, err, code) = jsonx(format!("{command} --workers 100000"), "");
+        assert!(
+            code == Some(2) && err.contains("ceiling"),
+            "{command}: {err}"
+        );
         if command == "serve" {
             continue; // `tests/serve_faults.rs` sends the daemon its bomb
         }
@@ -793,6 +865,19 @@ fn translate_out_persists_jxc_and_cat_inspects_it() {
     assert!(ok, "stderr: {err}");
     assert!(flat.contains("\"tags\":\"x\""), "{flat}");
     assert_eq!(flat.lines().count(), 3, "schema line + 2 rows: {flat}");
+
+    // An --out that cannot be written is an I/O error; a corpus the sink
+    // cannot shred is still the data's fault.
+    let nowhere = "--out /nonexistent/dir/x.jxc -";
+    for (command, input, exit) in [
+        ("translate", SAMPLE, 3),
+        ("convert --to columnar", SAMPLE, 3),
+        ("convert --to columnar", "[1]\n", 1),
+    ] {
+        let args = format!("{command} {nowhere}");
+        let (_, err, code) = run_code(&args.split(' ').collect::<Vec<_>>(), input);
+        assert_eq!(code, Some(exit), "{args}: {err}");
+    }
 
     // --out is columnar-only; cat rejects non-.jxc bytes.
     let (_, err, ok) = run(&["convert", "--to", "avro", "--out", jxc_path, "-"], SAMPLE);

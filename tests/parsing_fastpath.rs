@@ -21,9 +21,10 @@ use jsonx::gen::{dirty_ndjson, DirtyConfig};
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::{to_string, Bitmaps, Lexer, RawToken};
 use jsonx::translate::Shredder;
-use jsonx::{ErrorPolicy, FaultOptions, Run, Source};
+use jsonx::{ErrorPolicy, FaultOptions, RouteCounts, Run, Source};
 use jsonx_data::{json, Number, Object, Value};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
@@ -350,6 +351,29 @@ fn wide_records_take_the_fast_path_and_skip_most_bytes() {
             "workers {workers}"
         );
         assert_eq!(batch.unwrap().0, layout.clone().shred(&narrow).unwrap());
+    }
+
+    // The run's own account of the same thing, kept under `timing`: every
+    // record projected under the envelope; none when the schema closes the
+    // record (every field matters, so there is no plan) or the fast path
+    // is off.
+    let closed = CompiledSchema::compile(&json!({"additionalProperties": false})).unwrap();
+    let (slow, fast) = twins(2, FaultOptions::default());
+    let no_plan: BTreeMap<_, _> = [("no-plan", 60)].into_iter().collect();
+    for (run, timing, schema, fast, replayed) in [
+        (&fast, true, &schema, 60, BTreeMap::new()),
+        (&fast, true, &closed, 0, no_plan.clone()),
+        (&slow, true, &schema, 0, no_plan),
+        (&fast, false, &schema, 0, BTreeMap::new()),
+    ] {
+        let run = Run {
+            timing,
+            ..run.clone()
+        };
+        let (_, report) = run
+            .validate(Source::slice(&ndjson), schema, ValidatorOptions::default())
+            .unwrap();
+        assert_eq!(report.routes, RouteCounts { fast, replayed });
     }
 }
 

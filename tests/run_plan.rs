@@ -5,7 +5,7 @@
 //!
 //! sources {slice, reader, file, file + fresh journal, file + journal
 //! stopped after `k` commits then resumed} × workers {1, 2, 3, 8} ×
-//! fast-parse {on, off} × policy {fail-fast, skip, collect + keep
+//! {fast-parse on, off, timed} × policy {fail-fast, skip, collect + keep
 //! rejects} — on clean and dirty corpora alike, including the failures:
 //! a fail-fast run over a dirty corpus must name the same first record
 //! from every cell of the matrix.
@@ -46,12 +46,13 @@ fn policies() -> [FaultOptions; 3] {
 }
 
 /// Drops the dispatch-dependent fields (`shards` counts work units,
-/// `timings` is empty on untimed runs anyway) so outcomes from different
-/// cells compare on what the run computed.
+/// `timings` and `routes` are empty on untimed runs anyway) so outcomes
+/// from different cells compare on what the run computed.
 fn normalize<O>(outcome: Outcome<O>) -> Outcome<O> {
     outcome.map(|(out, mut report)| {
         report.shards = 0;
         report.timings.clear();
+        report.routes = Default::default();
         (out, report)
     })
 }
@@ -207,15 +208,26 @@ fn assert_matrix<O: PartialEq + Debug>(
         };
         let want = normalize(stage(&reference, Source::Slice(text)));
         for workers in WORKERS {
-            for fast_parse in [true, false] {
+            // Timing is an account of the same run, not another way to run
+            // it: same outcome, and somebody did the work — one worker
+            // included, from every source.
+            for (fast_parse, timing) in [(true, false), (false, false), (true, true)] {
                 let run = Run {
                     workers,
                     chunk_bytes: CHUNK_BYTES,
                     fault,
                     fast_parse,
+                    timing,
                     ..Run::default()
                 };
                 let cell = |source: &str, got: Outcome<O>| {
+                    if let (true, Ok((_, report))) = (timing, &got) {
+                        let ran = report.timings.len();
+                        assert!(
+                            (1..=workers).contains(&ran),
+                            "{name}: {source}, {ran} timed"
+                        );
+                    }
                     assert_eq!(
                         normalize(got),
                         want,
