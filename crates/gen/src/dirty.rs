@@ -21,7 +21,13 @@
 //! * **oversized line** — only generated when
 //!   [`DirtyConfig::oversize_bytes`] is set, for suites that configure a
 //!   `max_input_bytes` resource guard.
+//!
+//! [`respelled`] is the other kind of dirt: text that is **well-formed**
+//! but that no serializer of a [`Value`] writes — repeated keys, keys equal
+//! only once unescaped, members out of order, `3.0` for `3` — for the
+//! routes that speculate on a record's shape and verify per record.
 
+use jsonx_data::Value;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -142,6 +148,100 @@ fn corrupt(rng: &mut SmallRng, line: &str, config: &DirtyConfig) -> String {
     }
 }
 
+/// Renders `doc` as JSON text with the liberties text has and a
+/// [`Value`] has not, seeded: at any depth an object may lose a member,
+/// gain an undeclared one, list its members in another order, or
+/// **repeat a key** — before or after the original, spelled plainly or
+/// with an escape that only unescaping makes equal, carrying a sibling's
+/// value or a scalar of some other kind; integers may be spelled as
+/// integer-valued floats (`3.0`, `3e0`) and a scalar may turn into one
+/// of another kind. The text always parses; what it means is whatever the
+/// parser (last key wins) says, which is the point: consumers that read
+/// events must agree with those that read the document.
+pub fn respelled(doc: &Value, seed: u64) -> String {
+    let mut out = String::new();
+    respell(doc, &mut SmallRng::seed_from_u64(seed), &mut out);
+    out
+}
+
+/// Stand-ins for a value, one of each kind.
+const DECOYS: [&str; 7] = ["null", "true", "7", "2.5", "\"decoy\"", "[]", "{}"];
+
+fn respell(value: &Value, rng: &mut SmallRng, out: &mut String) {
+    match value {
+        Value::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                respell(item, rng, out);
+            }
+            out.push(']');
+        }
+        Value::Obj(obj) => {
+            let mut members: Vec<(String, String)> = obj
+                .iter()
+                .map(|(key, member)| {
+                    let mut text = String::new();
+                    respell(member, rng, &mut text);
+                    (Value::from(key).to_json_string(), text)
+                })
+                .collect();
+            if members.len() > 1 && rng.gen_ratio(1, 4) {
+                let (a, b) = (
+                    rng.gen_range(0..members.len()),
+                    rng.gen_range(0..members.len()),
+                );
+                members.swap(a, b);
+            }
+            if !members.is_empty() && rng.gen_ratio(1, 8) {
+                members.remove(rng.gen_range(0..members.len()));
+            }
+            if rng.gen_ratio(1, 8) {
+                members.push(("\"undeclared\"".to_string(), "null".to_string()));
+            }
+            if !members.is_empty() && rng.gen_ratio(1, 3) {
+                let (key, _) = &members[rng.gen_range(0..members.len())];
+                let mut key = key.clone();
+                // `"abc"` as `"\u0061bc"`: another spelling of the same key.
+                if let Some(first) = key[1..].chars().next().filter(char::is_ascii_alphanumeric) {
+                    if rng.gen_ratio(1, 3) {
+                        key = format!("\"\\u{:04x}{}", first as u32, &key[2..]);
+                    }
+                }
+                let decoy = match rng.gen_range(0..=DECOYS.len()) {
+                    sibling if sibling == DECOYS.len() => {
+                        members[rng.gen_range(0..members.len())].1.clone()
+                    }
+                    kind => DECOYS[kind].to_string(),
+                };
+                members.insert(rng.gen_range(0..=members.len()), (key, decoy));
+            }
+            out.push('{');
+            for (i, (key, member)) in members.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(key);
+                out.push(':');
+                out.push_str(member);
+            }
+            out.push('}');
+        }
+        _ if rng.gen_ratio(1, 16) => out.push_str(DECOYS[rng.gen_range(0..DECOYS.len())]),
+        Value::Num(n) if n.is_integer() && rng.gen_ratio(1, 4) => {
+            let n = n.to_string();
+            match (rng.gen_bool(0.5), n.contains(['.', 'e', 'E'])) {
+                (_, true) => out.push_str(&n),
+                (true, false) => out.push_str(&format!("{n}.0")),
+                (false, false) => out.push_str(&format!("{n}e0")),
+            }
+        }
+        scalar => out.push_str(&scalar.to_json_string()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,5 +302,39 @@ mod tests {
                 assert!(parsed.is_ok(), "good line {i} failed: {line:.60}");
             }
         }
+    }
+
+    #[test]
+    fn respelled_text_parses_and_says_what_no_value_can() {
+        let doc = jsonx_syntax::parse(
+            r#"{"id": 7, "name": "ada", "tags": ["a", 1, null], "geo": {"lat": 1, "lon": 20}}"#,
+        )
+        .unwrap();
+        let texts: Vec<String> = (0..400).map(|seed| respelled(&doc, seed)).collect();
+        assert_eq!(texts[3], respelled(&doc, 3));
+        for text in &texts {
+            jsonx_syntax::parse(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        }
+        let some = |what: &str, test: &dyn Fn(&String) -> bool| {
+            assert!(texts.iter().any(test), "no text with {what}");
+        };
+        some("the document itself", &|t| {
+            jsonx_syntax::parse(t).unwrap() == doc
+        });
+        some("an escaped-equal key", &|t| t.contains("\\u006"));
+        some("a float-spelled integer", &|t| {
+            t.contains("7.0") || t.contains("7e0")
+        });
+        some("a nested repeated key", &|t| {
+            t.matches("\"lat\"").count() > 1
+        });
+        some("a repeated key that changes the document", &|t| {
+            t.matches("\"id\"").count() > 1
+                && jsonx_syntax::parse(t).unwrap().get("id") != doc.get("id")
+        });
+        some("a repeated key that does not", &|t| {
+            t.matches("\"id\"").count() > 1
+                && jsonx_syntax::parse(t).unwrap().get("id") == doc.get("id")
+        });
     }
 }

@@ -20,7 +20,9 @@
 //! * [`corpus::Corpus`] — a registry used by benches and examples to name
 //!   workloads.
 //! * [`dirty`] — dirty NDJSON corpora (seeded corruption with ground
-//!   truth) for the fault-tolerance suites.
+//!   truth) for the fault-tolerance suites, and [`respelled`]: well-formed
+//!   text no serializer writes (repeated and escaped-equal keys, shuffled
+//!   members, `3.0` for `3`).
 //! * [`fault_client`] — deliberately misbehaving line-protocol clients
 //!   (slow-loris writers, mid-frame disconnects, pipelined bursts) for
 //!   the resident service's fault-injection harness.
@@ -40,5 +42,5 @@ pub mod twitter;
 
 pub use corpus::Corpus;
 pub use crashpoint::Crashpoint;
-pub use dirty::{dirty_ndjson, DirtyConfig, DirtyNdjson};
+pub use dirty::{dirty_ndjson, respelled, DirtyConfig, DirtyNdjson};
 pub use param::{DialedGenerator, GeneratorConfig};

@@ -29,7 +29,7 @@ use crate::parse::{resolve_and_compile, CompiledSchema};
 use crate::validate::ValidatorOptions;
 use jsonx_data::{all_unique, Kind, Number, Value};
 use jsonx_regex::{MatchPlan, Matcher, Regex};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Arena index of the shared `Any` node.
 const ANY: u32 = 0;
@@ -43,6 +43,9 @@ pub(crate) struct Ir {
     nodes: Vec<IrNode>,
     patterns: Vec<IrPattern>,
     root: u32,
+    /// The tables of the event walk, or the first keyword that keeps this
+    /// schema out of the streamable fragment.
+    walk: Result<Walk, &'static str>,
 }
 
 /// One deduplicated pattern slot: the compiled automaton plus the
@@ -160,23 +163,23 @@ fn subsumed_bits(declared: Kind) -> u8 {
     }
 }
 
-impl Ir {
-    /// Follows `Ref` chains from `idx` to a non-reference node, with a
-    /// hop cap so reference cycles terminate (the node returned is then
-    /// still a `Ref`, which callers treat conservatively).
-    fn deref(&self, mut idx: u32) -> &IrNode {
-        let mut hops = 0usize;
-        loop {
-            match &self.nodes[idx as usize] {
-                IrNode::Ref { target } if hops <= self.nodes.len() => {
-                    idx = *target;
-                    hops += 1;
-                }
-                node => return node,
+/// Follows `Ref` chains from `idx` to a non-reference node, with a hop
+/// cap so reference cycles terminate (the node returned is then still a
+/// `Ref`, which callers treat conservatively).
+fn deref(nodes: &[IrNode], mut idx: u32) -> &IrNode {
+    let mut hops = 0usize;
+    loop {
+        match &nodes[idx as usize] {
+            IrNode::Ref { target } if hops <= nodes.len() => {
+                idx = *target;
+                hops += 1;
             }
+            node => return node,
         }
     }
+}
 
+impl Ir {
     /// The root-level field names the fail-fast validator's verdict can
     /// depend on — the projection-pushdown source for the streaming fast
     /// path.
@@ -191,7 +194,7 @@ impl Ir {
     /// `required` must remain observable). `None` means the fast path
     /// must hand whole records to the full parser + validator.
     pub(crate) fn root_projection(&self) -> Option<Vec<String>> {
-        match self.deref(self.root) {
+        match deref(&self.nodes, self.root) {
             // The verdict ignores document content entirely; every field
             // can be skipped.
             IrNode::Any | IrNode::Never => Some(Vec::new()),
@@ -215,7 +218,7 @@ impl Ir {
                     return None;
                 }
                 if let Some(extra) = n.additional_properties {
-                    if !matches!(self.deref(extra), IrNode::Any) {
+                    if !matches!(deref(&self.nodes, extra), IrNode::Any) {
                         return None;
                     }
                 }
@@ -249,6 +252,7 @@ pub(crate) fn build(
     let root_idx = b.lower(root);
     (
         Ir {
+            walk: plan_walk(&b.nodes, root_idx),
             nodes: b.nodes,
             patterns: b.patterns,
             root: root_idx,
@@ -422,9 +426,10 @@ impl<'a> Builder<'a> {
 ///
 /// Holds the mutable scratch the arena walk needs — the `$ref` expansion
 /// stack, one regex [`Matcher`], and a string buffer for `propertyNames`
-/// probes — so validating many documents through one `FastValidator`
-/// allocates nothing in steady state. Create one per worker thread; it is
-/// deliberately `!Sync` (cheap to construct, not to share).
+/// probes (and the strings [`EventValidator`] hands over) — so validating
+/// many documents through one `FastValidator` allocates nothing in steady
+/// state. Create one per worker thread; it is deliberately `!Sync` (cheap
+/// to construct, not to share).
 pub struct FastValidator<'s> {
     ir: &'s Ir,
     options: ValidatorOptions,
@@ -435,7 +440,8 @@ pub struct FastValidator<'s> {
     /// (reference, instance path) cycle the interpreter detects.
     ref_stack: Vec<(u32, *const Value)>,
     matcher: Matcher,
-    /// Reused `Value::Str` for `propertyNames` probes.
+    /// Reused `Value::Str` for `propertyNames` probes and the event
+    /// walk's string scalars.
     key_scratch: Value,
 }
 
@@ -676,7 +682,7 @@ impl<'s> FastValidator<'s> {
                 }
             }
             if let Some(name_schema) = node.property_names {
-                if !self.probe_key(name_schema, key) {
+                if !self.probe_str(name_schema, key) {
                     return false;
                 }
             }
@@ -701,9 +707,10 @@ impl<'s> FastValidator<'s> {
         true
     }
 
-    /// Probes a property name as a string value, reusing one scratch
-    /// buffer instead of allocating a `Value::Str` per key.
-    fn probe_key(&mut self, schema: u32, key: &str) -> bool {
+    /// Probes a string — a property name for `propertyNames`, a string
+    /// scalar for the event walk — reusing one scratch buffer instead of
+    /// allocating a `Value::Str` each time.
+    fn probe_str(&mut self, schema: u32, key: &str) -> bool {
         let mut scratch = std::mem::take(&mut self.key_scratch);
         match &mut scratch {
             Value::Str(buf) => {
@@ -738,6 +745,754 @@ fn probe_number(node: &IrSchemaNode, n: Number) -> bool {
         }
     }
     true
+}
+
+// ---------------------------------------------------------------------------
+// The event walk: the same arena, evaluated from a record's events
+// ---------------------------------------------------------------------------
+//
+// The streamable fragment — the scope statement of the walk, as
+// `UNSUPPORTED_KEYWORDS` is the validator's. One forward pass decides a
+// schema when every node a container can arrive at (reached from the root
+// through `properties`, `items`/`additionalItems`, `anyOf` branches and
+// `$ref`) checks that container with nothing but:
+//
+// * `type`;
+// * `properties`, `required`, and `additionalProperties` absent, `true` or
+//   `false`;
+// * `items` (both forms), `additionalItems`, `minItems`, `maxItems`;
+// * `$ref`, unless the chain closes on itself without passing a keyword
+//   node;
+// * `anyOf` beside no other container keyword where, for each of `array`
+//   and `object`, at most one branch's `type` admits it — what
+//   `to_json_schema` emits for a `Kind` union (the walk descends into that
+//   branch; no branch is a violation);
+// * `enum` / `const` without a container member (a container then simply
+//   fails).
+//
+// String and number keywords never see a container, and a node whose
+// `type` excludes both containers may carry any keyword at all: scalars
+// are handed to [`FastValidator::probe`]. Everything else needs the whole
+// container at once — `uniqueItems` and `contains` its sibling elements,
+// `patternProperties` / `propertyNames` / `additionalProperties: <schema>`
+// a second schema per member, `dependencies` and `minProperties` /
+// `maxProperties` the key set under the last-wins rule, `allOf` / `oneOf`
+// / `not` / `if` two walks of one subtree — and makes the schema
+// non-streamable, by that keyword's name.
+
+/// Mask bits of the five scalar kinds.
+const SCALARS: u8 = 0b001_1111;
+/// Mask bits of all seven kinds.
+const ALL_KINDS: u8 = 0b111_1111;
+/// The "no such key" index; `slice::get` turns it into `None`.
+const NO_KEY: u32 = u32::MAX;
+
+/// What a container arriving at a schema position meets.
+#[derive(Debug, Clone, Copy)]
+enum Plan {
+    /// Nothing constrains it: the subtree is skipped.
+    Skip,
+    /// Nothing admits it: a violation.
+    Fail,
+    /// The [`ObjectTable`] / [`ArrayTable`] its members are walked under.
+    Walk(u32),
+}
+
+/// A schema position — an arena index a value can arrive at — resolved
+/// through `$ref`s and kind-discriminated `anyOf`s to what each kind of
+/// instance meets there.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// The scalar kinds admitted here, as a `type` mask.
+    scalars: u8,
+    /// An admitted scalar has more than `type` to satisfy: `probe` it.
+    probed: bool,
+    object: Plan,
+    array: Plan,
+}
+
+impl Slot {
+    const ANY: Slot = Slot {
+        scalars: SCALARS,
+        probed: false,
+        object: Plan::Skip,
+        array: Plan::Skip,
+    };
+    const NEVER: Slot = Slot {
+        scalars: 0,
+        probed: false,
+        object: Plan::Fail,
+        array: Plan::Fail,
+    };
+}
+
+/// The keys an object node knows: `properties ∪ required`.
+#[derive(Debug)]
+struct ObjectTable {
+    /// Its [`WalkKey`]s in [`Walk::keys`], sorted by name.
+    keys: std::ops::Range<u32>,
+    /// How many of them are required.
+    required: u32,
+    /// `additionalProperties` absent or `true`: the value of an undeclared
+    /// key is skipped. `false`: the key is a violation.
+    open: bool,
+}
+
+#[derive(Debug)]
+struct WalkKey {
+    name: String,
+    /// The position of this member's value (a name only in `required`
+    /// takes the `additionalProperties` schema).
+    value: u32,
+    required: bool,
+}
+
+#[derive(Debug)]
+struct ArrayTable {
+    /// The positions of the leading elements (`items` as a tuple).
+    prefix: Vec<u32>,
+    /// The position of every element after them.
+    rest: u32,
+    min: u64,
+    max: u64,
+}
+
+/// The read-only tables of the event walk, shared by every worker.
+#[derive(Debug)]
+struct Walk {
+    /// The position of a whole record.
+    root: u32,
+    /// Indexed like the arena; `Slot::ANY` where no value can arrive.
+    slots: Vec<Slot>,
+    objects: Vec<ObjectTable>,
+    keys: Vec<WalkKey>,
+    arrays: Vec<ArrayTable>,
+}
+
+/// Decides streamability and builds the tables, from the arena alone.
+fn plan_walk(nodes: &[IrNode], root: u32) -> Result<Walk, &'static str> {
+    let mut planner = Planner {
+        nodes,
+        visits: vec![Visit::New; nodes.len()],
+        todo: vec![root],
+        objects: Vec::new(),
+        keys: Vec::new(),
+        arrays: Vec::new(),
+    };
+    while let Some(position) = planner.todo.pop() {
+        planner.slot(position)?;
+    }
+    Ok(Walk {
+        root,
+        slots: planner
+            .visits
+            .into_iter()
+            .map(|visit| match visit {
+                Visit::Done(slot) => slot,
+                _ => Slot::ANY,
+            })
+            .collect(),
+        objects: planner.objects,
+        keys: planner.keys,
+        arrays: planner.arrays,
+    })
+}
+
+#[derive(Clone, Copy)]
+enum Visit {
+    New,
+    /// Being resolved further up the `$ref` / `anyOf` chain.
+    Open,
+    Done(Slot),
+}
+
+struct Planner<'a> {
+    nodes: &'a [IrNode],
+    visits: Vec<Visit>,
+    /// Member positions still to resolve. They wait here instead of on the
+    /// call stack because a member may legitimately lead back to a
+    /// position that is still open (a recursive schema consumes input on
+    /// the way); only `$ref` and `anyOf` edges must not.
+    todo: Vec<u32>,
+    objects: Vec<ObjectTable>,
+    keys: Vec<WalkKey>,
+    arrays: Vec<ArrayTable>,
+}
+
+impl<'a> Planner<'a> {
+    fn slot(&mut self, position: u32) -> Result<Slot, &'static str> {
+        match self.visits[position as usize] {
+            Visit::Done(slot) => return Ok(slot),
+            // Back where we started without a keyword node in between.
+            Visit::Open => return Err("$ref"),
+            Visit::New => {}
+        }
+        self.visits[position as usize] = Visit::Open;
+        let nodes = self.nodes;
+        let slot = match &nodes[position as usize] {
+            IrNode::Any => Slot::ANY,
+            IrNode::Never | IrNode::BadRef => Slot::NEVER,
+            IrNode::Ref { target } => self.slot(*target)?,
+            IrNode::Node(node) => {
+                let (scalars, probed) = self.scalars(node);
+                Slot {
+                    scalars,
+                    probed,
+                    object: self.container(node, Kind::Object)?,
+                    array: self.container(node, Kind::Array)?,
+                }
+            }
+        };
+        self.visits[position as usize] = Visit::Done(slot);
+        Ok(slot)
+    }
+
+    /// The scalar kinds `node` admits, and whether an admitted scalar has
+    /// a keyword besides `type` to satisfy. A union of bare `type`s — what
+    /// inference exports for a nullable or mixed-kind field — is itself
+    /// only a mask.
+    fn scalars(&self, node: &IrSchemaNode) -> (u8, bool) {
+        let admitted = node.types.unwrap_or(ALL_KINDS) & SCALARS;
+        if node.checks_scalars() {
+            return (admitted, true);
+        }
+        if node.any_of.is_empty() {
+            return (admitted, false);
+        }
+        let mut union = 0;
+        for &branch in &node.any_of {
+            match deref(self.nodes, branch) {
+                IrNode::Any => union = ALL_KINDS,
+                IrNode::Never | IrNode::BadRef => {}
+                IrNode::Node(b) if !b.checks_scalars() && b.any_of.is_empty() => {
+                    union |= b.types.unwrap_or(ALL_KINDS)
+                }
+                _ => return (admitted, true),
+            }
+        }
+        (admitted & union, false)
+    }
+
+    /// What an object or an array (`kind`) arriving at `node` meets, or
+    /// the keyword that needs it whole.
+    fn container(&mut self, node: &'a IrSchemaNode, kind: Kind) -> Result<Plan, &'static str> {
+        let excludes = |n: &IrSchemaNode| n.types.is_some_and(|mask| mask & kind_bit(kind) == 0);
+        if excludes(node) {
+            return Ok(Plan::Fail);
+        }
+        let listed = [
+            ("enum", node.enumeration.as_deref()),
+            ("const", node.const_value.as_ref().map(std::slice::from_ref)),
+        ];
+        for (keyword, members) in listed {
+            let Some(members) = members else { continue };
+            // A container equals no scalar member; comparing it with a
+            // container member takes the whole value.
+            let container = |m: &Value| matches!(m, Value::Arr(_) | Value::Obj(_));
+            return if members.iter().any(container) {
+                Err(keyword)
+            } else {
+                Ok(Plan::Fail)
+            };
+        }
+        for (keyword, present) in [
+            ("allOf", !node.all_of.is_empty()),
+            ("oneOf", !node.one_of.is_empty()),
+            ("not", node.not.is_some()),
+            ("if", node.if_schema.is_some()),
+        ] {
+            if present {
+                return Err(keyword);
+            }
+        }
+        let own = match kind {
+            Kind::Object => self.object_table(node)?,
+            _ => self.array_table(node)?,
+        };
+        if node.any_of.is_empty() {
+            return Ok(own.map_or(Plan::Skip, Plan::Walk));
+        }
+        if own.is_some() {
+            return Err("anyOf");
+        }
+        // Branches whose `type` excludes the kind fail it whatever else
+        // they say, so the verdict is the one remaining branch's.
+        let mut taker = None;
+        for &branch in &node.any_of {
+            let admitted = match deref(self.nodes, branch) {
+                IrNode::Never | IrNode::BadRef => false,
+                IrNode::Node(b) => !excludes(b),
+                IrNode::Any | IrNode::Ref { .. } => true,
+            };
+            if admitted && taker.replace(branch).is_some() {
+                return Err("anyOf");
+            }
+        }
+        let Some(branch) = taker else {
+            return Ok(Plan::Fail);
+        };
+        let slot = self.slot(branch)?;
+        Ok(match kind {
+            Kind::Object => slot.object,
+            _ => slot.array,
+        })
+    }
+
+    /// The table of `node`'s object keywords; `None` when it has none.
+    fn object_table(&mut self, node: &IrSchemaNode) -> Result<Option<u32>, &'static str> {
+        for (keyword, present) in [
+            ("patternProperties", !node.pattern_properties.is_empty()),
+            ("propertyNames", node.property_names.is_some()),
+            ("dependencies", !node.dependencies.is_empty()),
+            ("minProperties", node.min_properties.is_some()),
+            ("maxProperties", node.max_properties.is_some()),
+        ] {
+            if present {
+                return Err(keyword);
+            }
+        }
+        let extra = node.additional_properties;
+        let open = match extra.map(|extra| deref(self.nodes, extra)) {
+            None | Some(IrNode::Any) => true,
+            Some(IrNode::Never | IrNode::BadRef) => false,
+            Some(_) => return Err("additionalProperties"),
+        };
+        if open && node.properties.is_empty() && node.required.is_empty() {
+            return Ok(None);
+        }
+        let undeclared = if open { ANY } else { NEVER };
+        let mut keys: BTreeMap<&str, (u32, bool)> = node
+            .properties
+            .iter()
+            .map(|(name, value)| (name.as_str(), (*value, false)))
+            .collect();
+        for name in &node.required {
+            keys.entry(name).or_insert((undeclared, false)).1 = true;
+        }
+        let start = self.keys.len() as u32;
+        let mut required = 0;
+        for (name, (value, needed)) in keys {
+            self.todo.push(value);
+            required += u32::from(needed);
+            self.keys.push(WalkKey {
+                name: name.to_string(),
+                value,
+                required: needed,
+            });
+        }
+        self.objects.push(ObjectTable {
+            keys: start..self.keys.len() as u32,
+            required,
+            open,
+        });
+        Ok(Some(self.objects.len() as u32 - 1))
+    }
+
+    /// The table of `node`'s array keywords; `None` when it has none.
+    fn array_table(&mut self, node: &IrSchemaNode) -> Result<Option<u32>, &'static str> {
+        if node.unique_items {
+            return Err("uniqueItems");
+        }
+        if node.contains.is_some() {
+            return Err("contains");
+        }
+        if node.items.is_none() && node.min_items.is_none() && node.max_items.is_none() {
+            return Ok(None);
+        }
+        let (prefix, rest) = match &node.items {
+            Some(IrItems::All(schema)) => (Vec::new(), *schema),
+            Some(IrItems::Tuple(schemas)) => {
+                (schemas.clone(), node.additional_items.unwrap_or(ANY))
+            }
+            None => (Vec::new(), ANY),
+        };
+        self.todo.extend(&prefix);
+        self.todo.push(rest);
+        self.arrays.push(ArrayTable {
+            prefix,
+            rest,
+            min: node.min_items.unwrap_or(0),
+            max: node.max_items.unwrap_or(u64::MAX),
+        });
+        Ok(Some(self.arrays.len() as u32 - 1))
+    }
+}
+
+impl IrSchemaNode {
+    /// True when a scalar instance has a keyword other than `type` and
+    /// `anyOf` to satisfy here.
+    fn checks_scalars(&self) -> bool {
+        self.enumeration.is_some()
+            || self.const_value.is_some()
+            || !self.all_of.is_empty()
+            || !self.one_of.is_empty()
+            || self.not.is_some()
+            || self.if_schema.is_some()
+            || self.min_length.is_some()
+            || self.max_length.is_some()
+            || self.pattern.is_some()
+            || self.format.is_some()
+            || self.minimum.is_some()
+            || self.maximum.is_some()
+            || self.exclusive_minimum.is_some()
+            || self.exclusive_maximum.is_some()
+            || self.multiple_of.is_some()
+    }
+}
+
+/// An open container of the record being walked.
+enum Frame {
+    Object {
+        table: u32,
+        /// Where this object's seen-bits start in [`EventValidator::seen`].
+        seen: u32,
+        /// Required keys seen so far.
+        required: u32,
+        /// The key the previous member resolved to.
+        prev: u32,
+        /// The position of the pending key's value.
+        value: u32,
+    },
+    Array {
+        table: u32,
+        len: u64,
+    },
+}
+
+/// The compiled schema evaluated from a record's **events** instead of its
+/// [`Value`]: the second evaluator of the arena, for the streamable
+/// fragment (see the scope statement above; every schema `to_json_schema`
+/// exports is inside it).
+///
+/// Feed one record's events ([`start_object`](Self::start_object),
+/// [`key`](Self::key), [`number`](Self::number), …), then settle it with
+/// [`finish`](Self::finish) — or [`reset`](Self::reset) when its decoder
+/// gave up part-way — before the next. Containers are checked as they
+/// stream by: keys resolve by guessing that they arrive in last time's
+/// order (a binary search when they do not), `required` is a count, and a
+/// bare `type` is one mask test. Every other scalar keyword is
+/// [`FastValidator`]'s: the walk hands it the scalar and the arena index.
+///
+/// The walk verifies what it speculated. The data model keeps the *last*
+/// value of a key repeated inside one object, the walk has already judged
+/// the first; `finish` then answers `None` and the caller validates the
+/// record's `Value`. Create one per worker thread.
+pub struct EventValidator<'s> {
+    walk: &'s Walk,
+    /// Scalar keywords, and the reused string buffer scalars reach them in.
+    keywords: FastValidator<'s>,
+    frames: Vec<Frame>,
+    /// One bit per key of each open object's table, innermost last — per
+    /// *open object*, not per table: `$ref` shares a table between
+    /// positions and a recursive schema re-enters one whose frame is still
+    /// open.
+    seen: Vec<u64>,
+    /// Per table: the key the last object there started with.
+    first: Vec<u32>,
+    /// Per key: the key that followed it in the last object to have both.
+    /// Guesses only, so frames over one table may share them.
+    next: Vec<u32>,
+    /// Open containers nothing checks, below the innermost frame.
+    skipping: u32,
+    violated: bool,
+    duplicate: bool,
+}
+
+impl CompiledSchema {
+    /// Whether this schema is inside the fragment one forward pass over a
+    /// record's events decides — every schema `to_json_schema` exports
+    /// is. `Err` names the first keyword found that needs a container
+    /// whole (`uniqueItems`, `patternProperties`, `allOf` where an object
+    /// can arrive, …). Decided once, at [`compile`](Self::compile).
+    pub fn streamable(&self) -> Result<(), &'static str> {
+        self.ir()
+            .walk
+            .as_ref()
+            .map(|_| ())
+            .map_err(|keyword| *keyword)
+    }
+
+    /// An [`EventValidator`] over this schema, or what
+    /// [`streamable`](Self::streamable) has against one.
+    pub fn event_validator_with(
+        &self,
+        options: ValidatorOptions,
+    ) -> Result<EventValidator<'_>, &'static str> {
+        let walk = self.ir().walk.as_ref().map_err(|keyword| *keyword)?;
+        Ok(EventValidator {
+            walk,
+            keywords: self.fast_validator_with(options),
+            frames: Vec::new(),
+            seen: Vec::new(),
+            first: vec![NO_KEY; walk.objects.len()],
+            next: vec![NO_KEY; walk.keys.len()],
+            skipping: 0,
+            violated: false,
+            duplicate: false,
+        })
+    }
+}
+
+impl EventValidator<'_> {
+    /// The position of the value now starting; counts it as an element
+    /// when it starts inside an array. After a violation nothing is
+    /// checked any more — but open frames keep resolving keys, see
+    /// [`key`](Self::key).
+    #[inline]
+    fn position(&mut self) -> u32 {
+        let position = match self.frames.last_mut() {
+            None => self.walk.root,
+            Some(Frame::Object { value, .. }) => *value,
+            Some(Frame::Array { table, len }) => {
+                let table = &self.walk.arrays[*table as usize];
+                let at = *len;
+                *len += 1;
+                match usize::try_from(at).ok().and_then(|at| table.prefix.get(at)) {
+                    Some(position) => *position,
+                    None => table.rest,
+                }
+            }
+        };
+        if self.violated {
+            ANY
+        } else {
+            position
+        }
+    }
+
+    /// A scalar of the kind with mask bit `kind` arrives: `Some(position)`
+    /// when `type` admits it and more keywords wait there.
+    #[inline]
+    fn scalar(&mut self, kind: u8) -> Option<u32> {
+        if self.skipping > 0 {
+            return None;
+        }
+        let position = self.position();
+        let slot = &self.walk.slots[position as usize];
+        if slot.scalars & kind == 0 {
+            self.violated = true;
+            None
+        } else if slot.probed {
+            Some(position)
+        } else {
+            None
+        }
+    }
+
+    #[cold]
+    fn probe(&mut self, position: u32, value: &Value) {
+        self.violated |= !self.keywords.probe(position, value);
+    }
+
+    /// A `null`.
+    #[inline]
+    pub fn null(&mut self) {
+        if let Some(position) = self.scalar(kind_bit(Kind::Null)) {
+            self.probe(position, &Value::Null);
+        }
+    }
+
+    /// A boolean.
+    #[inline]
+    pub fn boolean(&mut self, b: bool) {
+        if let Some(position) = self.scalar(kind_bit(Kind::Boolean)) {
+            self.probe(position, &Value::Bool(b));
+        }
+    }
+
+    /// A number; its kind is [`Value::kind`]'s (`3.0` is an integer).
+    #[inline]
+    pub fn number(&mut self, n: Number) {
+        let kind = if n.is_integer() {
+            Kind::Integer
+        } else {
+            Kind::Number
+        };
+        if let Some(position) = self.scalar(kind_bit(kind)) {
+            self.probe(position, &Value::Num(n));
+        }
+    }
+
+    /// A string, unescaped.
+    #[inline]
+    pub fn string(&mut self, s: &str) {
+        if let Some(position) = self.scalar(kind_bit(Kind::String)) {
+            self.violated |= !self.keywords.probe_str(position, s);
+        }
+    }
+
+    /// A container opens: `Some(table)` when its members are to be walked.
+    #[inline]
+    fn open(&mut self, plan: impl FnOnce(&Slot) -> Plan) -> Option<u32> {
+        if self.skipping > 0 {
+            self.skipping += 1;
+            return None;
+        }
+        let position = self.position();
+        match plan(&self.walk.slots[position as usize]) {
+            Plan::Walk(table) => return Some(table),
+            Plan::Skip => {}
+            Plan::Fail => self.violated = true,
+        }
+        self.skipping = 1;
+        None
+    }
+
+    /// A container closes: `true` when it is the innermost frame's.
+    #[inline]
+    fn close(&mut self) -> bool {
+        if self.skipping > 0 {
+            self.skipping -= 1;
+            return false;
+        }
+        true
+    }
+
+    /// An object opens.
+    #[inline]
+    pub fn start_object(&mut self) {
+        if let Some(table) = self.open(|slot| slot.object) {
+            let keys = &self.walk.objects[table as usize].keys;
+            let seen = self.seen.len();
+            self.seen.resize(seen + keys.len().div_ceil(64), 0);
+            self.frames.push(Frame::Object {
+                table,
+                seen: seen as u32,
+                required: 0,
+                prev: NO_KEY,
+                value: ANY,
+            });
+        }
+    }
+
+    /// A member key of the innermost open object, unescaped (`"a"`
+    /// and `"\u0061"` are one key). Keys keep resolving after a violation: a
+    /// repeated one sends the record to replay, because last-wins may have
+    /// replaced the very value that was judged (`{"a":"x","a":1}` under
+    /// `a: integer` is valid).
+    #[inline]
+    pub fn key(&mut self, name: &str) {
+        if self.skipping > 0 {
+            return;
+        }
+        let Some(Frame::Object {
+            table,
+            seen,
+            required,
+            prev,
+            value,
+        }) = self.frames.last_mut()
+        else {
+            panic!("a key outside an object");
+        };
+        let walk = self.walk;
+        let guess = match self.next.get(*prev as usize) {
+            Some(next) => *next,
+            None => self.first[*table as usize],
+        };
+        let found = match walk.keys.get(guess as usize) {
+            Some(key) if key.name == name => guess,
+            _ => {
+                let object = &walk.objects[*table as usize];
+                let Some(found) = search(walk, object, name) else {
+                    // Undeclared: skipped, or a violation. Whichever, a
+                    // second one changes nothing.
+                    self.violated |= !object.open;
+                    *value = ANY;
+                    return;
+                };
+                match self.next.get_mut(*prev as usize) {
+                    Some(next) => *next = found,
+                    None => self.first[*table as usize] = found,
+                }
+                found
+            }
+        };
+        let key = &walk.keys[found as usize];
+        let bit = found - walk.objects[*table as usize].keys.start;
+        let word = &mut self.seen[*seen as usize + bit as usize / 64];
+        let mask = 1u64 << (bit % 64);
+        self.duplicate |= *word & mask != 0;
+        *required += u32::from(key.required && *word & mask == 0);
+        *word |= mask;
+        *prev = found;
+        *value = key.value;
+    }
+
+    /// The innermost open object closes.
+    #[inline]
+    pub fn end_object(&mut self) {
+        if !self.close() {
+            return;
+        }
+        let Some(Frame::Object {
+            table,
+            seen,
+            required,
+            ..
+        }) = self.frames.pop()
+        else {
+            panic!("an object end without its start");
+        };
+        self.seen.truncate(seen as usize);
+        self.violated |= required != self.walk.objects[table as usize].required;
+    }
+
+    /// An array opens.
+    #[inline]
+    pub fn start_array(&mut self) {
+        if let Some(table) = self.open(|slot| slot.array) {
+            self.frames.push(Frame::Array { table, len: 0 });
+        }
+    }
+
+    /// The innermost open array closes.
+    #[inline]
+    pub fn end_array(&mut self) {
+        if !self.close() {
+            return;
+        }
+        let Some(Frame::Array { table, len }) = self.frames.pop() else {
+            panic!("an array end without its start");
+        };
+        let table = &self.walk.arrays[table as usize];
+        self.violated |= len < table.min || len > table.max;
+    }
+
+    /// Settles a fully delivered record: `Some(valid)` — what
+    /// [`FastValidator::is_valid`] answers for the record's `Value` — or
+    /// `None` when a declared key repeated inside one object, and only
+    /// that `Value` (last wins) can say.
+    #[must_use = "a record the walk cannot vouch for must be validated as a Value"]
+    pub fn finish(&mut self) -> Option<bool> {
+        debug_assert!(
+            self.frames.is_empty() && self.skipping == 0,
+            "finish inside a record"
+        );
+        let verdict = (!self.duplicate).then_some(!self.violated);
+        self.violated = false;
+        self.duplicate = false;
+        verdict
+    }
+
+    /// Forgets a record abandoned after any number of events.
+    pub fn reset(&mut self) {
+        self.frames.clear();
+        self.seen.clear();
+        self.skipping = 0;
+        self.violated = false;
+        self.duplicate = false;
+    }
+}
+
+/// The miss path of [`EventValidator::key`]: `name` among `table`'s keys.
+#[cold]
+fn search(walk: &Walk, table: &ObjectTable, name: &str) -> Option<u32> {
+    let keys = &walk.keys[table.keys.start as usize..table.keys.end as usize];
+    let at = keys
+        .binary_search_by(|key| key.name.as_str().cmp(name))
+        .ok()?;
+    Some(table.keys.start + at as u32)
 }
 
 #[cfg(test)]
@@ -935,5 +1690,343 @@ mod tests {
             assert!(ok);
             assert!(!fv.is_valid(&json!({"xs": ["not int"]})));
         }
+    }
+
+    // -- the event walk ------------------------------------------------------
+
+    use jsonx_syntax::{EventReceiver, JsonDecoder, RawEvent, RecordDecoder};
+
+    struct Walking<'a, 's>(&'a mut EventValidator<'s>);
+
+    impl EventReceiver for Walking<'_, '_> {
+        fn event(&mut self, ev: &RawEvent<'_>) {
+            match ev {
+                RawEvent::StartObject => self.0.start_object(),
+                RawEvent::EndObject => self.0.end_object(),
+                RawEvent::StartArray => self.0.start_array(),
+                RawEvent::EndArray => self.0.end_array(),
+                RawEvent::Key(k) => self.0.key(k),
+                RawEvent::Null => self.0.null(),
+                RawEvent::Bool(b) => self.0.boolean(*b),
+                RawEvent::Num(n) => self.0.number(*n),
+                RawEvent::Str(s) => self.0.string(s),
+            }
+        }
+    }
+
+    /// Walks `text`'s events; the answer must be the DOM's (both DOM
+    /// paths), or a replay. Returns the walk's own answer.
+    fn walked(schema: &CompiledSchema, text: &str) -> Option<bool> {
+        let mut walk = schema
+            .event_validator_with(ValidatorOptions::default())
+            .unwrap();
+        let mut answers = Vec::new();
+        // Twice through one validator: nothing of a record may linger.
+        for _ in 0..2 {
+            JsonDecoder::new()
+                .decode_events(&mut (), text, &mut Walking(&mut walk))
+                .unwrap();
+            answers.push(walk.finish());
+        }
+        assert_eq!(answers[0], answers[1], "{text}");
+        let dom = agree(schema, &jsonx_syntax::parse(text).unwrap());
+        if let Some(valid) = answers[0] {
+            assert_eq!(valid, dom, "walk disagrees with the DOM on {text}");
+        }
+        answers[0]
+    }
+
+    fn tree_schema() -> CompiledSchema {
+        compile(json!({
+            "definitions": {"t": {
+                "type": "object",
+                "additionalProperties": false,
+                "required": ["value"],
+                "properties": {
+                    "value": {"type": "integer"},
+                    "children": {"type": "array", "items": {"$ref": "#/definitions/t"}}
+                }
+            }},
+            "$ref": "#/definitions/t"
+        }))
+    }
+
+    #[test]
+    fn duplicates_are_per_open_object_not_per_node() {
+        let s = tree_schema();
+        assert_eq!(s.streamable(), Ok(()));
+        assert_eq!(
+            walked(&s, r#"{"value":1,"children":[{"value":2}]}"#),
+            Some(true)
+        );
+        assert_eq!(
+            walked(&s, r#"{"value":1,"children":[{"value":2},{}]}"#),
+            Some(false)
+        );
+        // The inner object is another frame over the same table: it must
+        // neither hide the outer duplicate nor count `required` for it.
+        let text = r#"{"value":1,"children":[{"value":2}],"value":2}"#;
+        assert_eq!(walked(&s, text), None);
+        assert!(agree(&s, &jsonx_syntax::parse(text).unwrap()));
+        // ... and its own keys are no duplicates of the outer object's.
+        let text = r#"{"children":[{"value":2,"children":[{"value":3}]}],"value":1}"#;
+        assert_eq!(walked(&s, text), Some(true));
+    }
+
+    #[test]
+    fn a_duplicate_after_a_violation_still_replays() {
+        let s = compile(json!({"properties": {"a": {"type": "integer"}}}));
+        // Last wins: the judged value is not the record's.
+        assert_eq!(walked(&s, r#"{"a":"x","a":1}"#), None);
+        assert!(agree(
+            &s,
+            &jsonx_syntax::parse(r#"{"a":"x","a":1}"#).unwrap()
+        ));
+        assert_eq!(walked(&s, r#"{"a":1,"a":"x"}"#), None);
+        assert!(!agree(
+            &s,
+            &jsonx_syntax::parse(r#"{"a":1,"a":"x"}"#).unwrap()
+        ));
+        assert_eq!(walked(&s, r#"{"a":"x"}"#), Some(false));
+        // The violation sits in a frame that has closed; its parent's
+        // duplicate replaces it all the same.
+        let s = compile(json!({
+            "properties": {"o": {"properties": {"a": {"type": "integer"}}, "required": ["a"]}}
+        }));
+        assert_eq!(walked(&s, r#"{"o":{"a":"x"},"o":{"a":1}}"#), None);
+        assert_eq!(
+            walked(&s, r#"{"o":{},"p":{"a":1,"a":2},"o":{"a":1}}"#),
+            None
+        );
+        // A subtree nothing checks hides its duplicates: they cannot matter.
+        assert_eq!(walked(&s, r#"{"o":{},"p":{"a":1,"a":2}}"#), Some(false));
+        assert_eq!(walked(&s, r#"{"o":[{"a":"x","a":"y"}]}"#), Some(true));
+    }
+
+    #[test]
+    fn keys_are_properties_and_required_compared_unescaped() {
+        let closed = compile(json!({
+            "properties": {"a": {"type": "integer"}},
+            "required": ["a", "r", "r"],
+            "additionalProperties": false
+        }));
+        // `r` is only required: under `false` it can be neither absent
+        // nor present.
+        assert_eq!(walked(&closed, r#"{"a":1}"#), Some(false));
+        assert_eq!(walked(&closed, r#"{"a":1,"r":1}"#), Some(false));
+        assert_eq!(walked(&closed, r#"{"a":1,"zzz":1}"#), Some(false));
+        let open = compile(json!({
+            "properties": {"a": {"type": "integer"}},
+            "required": ["a", "r"]
+        }));
+        assert_eq!(walked(&open, r#"{"r":[{}],"a":1}"#), Some(true));
+        assert_eq!(
+            walked(&open, r#"{"a":1,"r":null,"x":1,"x":"again"}"#),
+            Some(true)
+        );
+        assert_eq!(walked(&open, r#"{"a":1}"#), Some(false));
+        assert_eq!(walked(&open, r#"{"a":1,"r":0}"#), Some(true));
+        assert_eq!(walked(&open, r#"{"a":1,"r":0,"a":2}"#), None);
+    }
+
+    #[test]
+    fn numbers_have_the_kind_of_their_value() {
+        let s = compile(json!({"items": {"type": "integer"}}));
+        assert_eq!(
+            walked(&s, "[3.0, 1e2, 12345678901234567890, -0.0]"),
+            Some(true)
+        );
+        assert_eq!(walked(&s, "[3.5]"), Some(false));
+        let s =
+            compile(json!({"anyOf": [{"type": "integer"}, {"type": "number"}, {"type": "null"}]}));
+        assert_eq!(walked(&s, "3.5"), Some(true));
+        assert_eq!(walked(&s, "null"), Some(true));
+        assert_eq!(walked(&s, "\"3.5\""), Some(false));
+        assert_eq!(walked(&s, "[]"), Some(false));
+    }
+
+    #[test]
+    fn scalar_keywords_are_the_fast_validators() {
+        let s = compile(json!({
+            "type": "object",
+            "properties": {
+                "name": {"type": "string", "pattern": "^[a-z]+$", "maxLength": 3},
+                "n": {"type": "number", "minimum": 0, "not": {"multipleOf": 7}},
+                "tag": {"enum": ["x", 1, null]},
+                "when": {"type": "string", "format": "date"},
+                "either": {"type": ["string", "integer"], "oneOf": [{"minimum": 5}, {"maxLength": 1}]}
+            }
+        }));
+        assert_eq!(s.streamable(), Ok(()));
+        for (text, valid) in [
+            (r#"{"name":"ab","n":3,"tag":null,"either":"long"}"#, true),
+            (r#"{"name":"abcd"}"#, false),
+            (r#"{"name":"A"}"#, false),
+            (r#"{"n":14}"#, false),
+            (r#"{"n":[14]}"#, false),
+            (r#"{"tag":"y"}"#, false),
+            (r#"{"tag":{}}"#, false),
+            (r#"{"either":3}"#, true),
+            (r#"{"either":"x"}"#, false),
+            (r#"{"when":"not a date"}"#, true),
+        ] {
+            assert_eq!(walked(&s, text), Some(valid), "{text}");
+        }
+        let mut walk = s
+            .event_validator_with(ValidatorOptions {
+                enforce_formats: true,
+            })
+            .unwrap();
+        let mut valid = |text: &str| {
+            JsonDecoder::new()
+                .decode_events(&mut (), text, &mut Walking(&mut walk))
+                .unwrap();
+            walk.finish()
+        };
+        assert_eq!(valid(r#"{"when":"not a date"}"#), Some(false));
+        assert_eq!(valid(r#"{"when":"2019-03-26"}"#), Some(true));
+    }
+
+    #[test]
+    fn containers_stream_through_tuples_unions_and_bounds() {
+        let s = compile(json!({
+            "items": [{"type": "integer"}, {"type": "string"}],
+            "additionalItems": {"type": "boolean"},
+            "minItems": 1,
+            "maxItems": 4
+        }));
+        for (text, valid) in [
+            ("[1,\"a\",true,false]", true),
+            ("[1,\"a\",\"not-bool\"]", false),
+            ("[]", false),
+            ("[1,\"a\",true,true,true]", false),
+            ("{\"not\":\"an array\"}", true),
+        ] {
+            assert_eq!(walked(&s, text), Some(valid), "{text}");
+        }
+        // What inference exports for a mixed-kind position: each container
+        // kind has one taker.
+        let s = compile(json!({"anyOf": [
+            {"type": "null"},
+            {"type": "array", "items": {"type": "integer"}},
+            {"type": "object", "properties": {"k": {"type": "string"}}, "additionalProperties": false}
+        ]}));
+        assert_eq!(s.streamable(), Ok(()));
+        for (text, valid) in [
+            ("null", true),
+            ("1", false),
+            ("[1,2]", true),
+            ("[1,\"2\"]", false),
+            ("{\"k\":\"v\"}", true),
+            ("{\"k\":1}", false),
+            ("{\"other\":1}", false),
+        ] {
+            assert_eq!(walked(&s, text), Some(valid), "{text}");
+        }
+        // No taker at all: the container is a violation, not a skip.
+        let s = compile(
+            json!({"properties": {"v": {"anyOf": [{"type": "string"}, {"type": "array"}]}}}),
+        );
+        assert_eq!(walked(&s, r#"{"v":{"deep":[1,{"x":2}]}}"#), Some(false));
+        assert_eq!(walked(&s, r#"{"v":[{"deep":[1,{"x":2}]}]}"#), Some(true));
+    }
+
+    #[test]
+    fn an_abandoned_record_leaves_nothing_behind() {
+        let s = tree_schema();
+        let mut walk = s.event_validator_with(ValidatorOptions::default()).unwrap();
+        for broken in [
+            r#"{"value":"x","children":[{"value":1,"#,
+            r#"{"value":1,"value":2,"other":[[{"#,
+        ] {
+            assert!(JsonDecoder::new()
+                .decode_events(&mut (), broken, &mut Walking(&mut walk))
+                .is_err());
+            walk.reset();
+            JsonDecoder::new()
+                .decode_events(&mut (), r#"{"value":1}"#, &mut Walking(&mut walk))
+                .unwrap();
+            assert_eq!(walk.finish(), Some(true));
+        }
+    }
+
+    #[test]
+    fn streamable_names_the_keyword_that_needs_a_whole_container() {
+        for (schema, keyword) in [
+            (json!({"uniqueItems": true}), "uniqueItems"),
+            (
+                json!({"properties": {"a": {"contains": {"type": "integer"}}}}),
+                "contains",
+            ),
+            (
+                json!({"patternProperties": {"^x": {}}}),
+                "patternProperties",
+            ),
+            (json!({"propertyNames": {"maxLength": 3}}), "propertyNames"),
+            (json!({"dependencies": {"a": ["b"]}}), "dependencies"),
+            (
+                json!({"type": "object", "minProperties": 1}),
+                "minProperties",
+            ),
+            (json!({"items": {"maxProperties": 1}}), "maxProperties"),
+            (
+                json!({"additionalProperties": {"type": "string"}}),
+                "additionalProperties",
+            ),
+            (json!({"allOf": [{"required": ["a"]}]}), "allOf"),
+            (
+                json!({"oneOf": [{"type": "object"}, {"type": "array"}]}),
+                "oneOf",
+            ),
+            (json!({"not": {"type": "object"}}), "not"),
+            (
+                json!({"if": {"required": ["a"]}, "then": {"required": ["b"]}}),
+                "if",
+            ),
+            (json!({"enum": [1, [2]]}), "enum"),
+            (json!({"const": {"a": 1}}), "const"),
+            (
+                json!({"anyOf": [{"type": "object"}, {"required": ["a"]}]}),
+                "anyOf",
+            ),
+            (
+                json!({"required": ["a"], "anyOf": [{"type": "object"}]}),
+                "anyOf",
+            ),
+            (json!({"$ref": "#"}), "$ref"),
+            (
+                json!({"anyOf": [{"$ref": "#"}, {"type": "string"}]}),
+                "$ref",
+            ),
+            (
+                json!({"definitions": {"u": {"items": {"uniqueItems": true}}}, "properties": {"deep": {"$ref": "#/definitions/u"}}}),
+                "uniqueItems",
+            ),
+        ] {
+            let s = compile(schema.clone());
+            assert_eq!(s.streamable(), Err(keyword), "{schema}");
+            assert_eq!(
+                s.event_validator_with(ValidatorOptions::default()).err(),
+                Some(keyword)
+            );
+        }
+        // The same keywords where no container can arrive, and those that
+        // only ever see scalars, stay inside the fragment.
+        for schema in [
+            json!({"type": "string", "allOf": [{"minLength": 1}], "not": {"const": "x"}}),
+            json!({"type": ["integer", "null"], "oneOf": [{"minimum": 0}, {"type": "null"}]}),
+            json!({"type": "object", "uniqueItems": true, "properties": {"a": {"enum": [1, "x"]}}}),
+            json!({"type": "array", "minProperties": 2, "items": {"const": 3}}),
+            json!({"properties": {"a": {"$ref": "#/nowhere"}}, "additionalProperties": true}),
+            json!(true),
+            json!(false),
+        ] {
+            assert_eq!(compile(schema.clone()).streamable(), Ok(()), "{schema}");
+        }
+        assert_eq!(walked(&compile(json!(false)), "{}"), Some(false));
+        assert_eq!(walked(&compile(json!(true)), "[{}]"), Some(true));
+        let s = compile(json!({"properties": {"a": {"$ref": "#/nowhere"}}}));
+        assert_eq!(walked(&s, r#"{"a":[1]}"#), Some(false));
+        assert_eq!(walked(&s, r#"{"b":[1]}"#), Some(true));
     }
 }

@@ -37,6 +37,9 @@
 //!   violation with instance paths. Unguarded reference cycles (schemas
 //!   that recurse without consuming input) are detected by both and
 //!   reported as [`ValidationErrorKind::RefCycle`].
+//! * A third evaluator reads no `Value` at all: [`EventValidator`] walks
+//!   the same IR from a record's parse events, for the *streamable*
+//!   fragment ([`CompiledSchema::streamable`]) every inferred schema is in.
 //! * `format` is an annotation by default (per spec); [`ValidatorOptions`]
 //!   can opt in to enforcing the formats this crate knows.
 
@@ -50,6 +53,6 @@ pub mod validate;
 
 pub use ast::{Dependency, Items, Schema, SchemaNode};
 pub use errors::{SchemaError, ValidationError, ValidationErrorKind};
-pub use ir::FastValidator;
+pub use ir::{EventValidator, FastValidator};
 pub use parse::CompiledSchema;
 pub use validate::ValidatorOptions;

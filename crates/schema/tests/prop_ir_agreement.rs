@@ -4,10 +4,13 @@
 //! pairs — including `$ref` chains, reference cycles and bad references —
 //! and the interpreter's error output (kinds and instance paths) must be
 //! deterministic across repeated runs and independent compilations, so
-//! compile-time reference memoization cannot change diagnostics.
+//! compile-time reference memoization cannot change diagnostics. Over
+//! the same unrestricted vocabulary, `streamable()` must be sound:
+//! whatever it accepts, the event walk decides like the IR does.
 
 use jsonx_data::{json, Number, Object, Value};
-use jsonx_schema::{CompiledSchema, ValidatorOptions};
+use jsonx_schema::{CompiledSchema, EventValidator, ValidatorOptions};
+use jsonx_syntax::{EventReceiver, JsonDecoder, RawEvent, RecordDecoder};
 use proptest::prelude::*;
 
 /// Arbitrary JSON instances. Object keys are drawn from a pool that
@@ -214,6 +217,55 @@ proptest! {
                 doc,
                 instance
             );
+        }
+    }
+
+    /// The generator knows nothing of the streamable fragment, so this
+    /// holds `streamable()` itself to account: a schema it accepts is one
+    /// the event walk decides like the IR (or hands back), on respelled
+    /// text with repeated keys; a schema it refuses contains the keyword
+    /// it names.
+    #[test]
+    fn whatever_streamable_accepts_the_event_walk_decides_like_the_ir(
+        doc in arb_schema_document(),
+        instances in prop::collection::vec((arb_instance(), any::<u64>()), 1..6),
+    ) {
+        let compiled = CompiledSchema::compile(&doc).unwrap();
+        let mut walk = match compiled.event_validator_with(ValidatorOptions::default()) {
+            Ok(walk) => walk,
+            Err(keyword) => {
+                prop_assert_eq!(compiled.streamable(), Err(keyword));
+                prop_assert!(doc.to_string().contains(&format!("\"{keyword}\":")), "{} in {}", keyword, doc);
+                return Ok(());
+            }
+        };
+        for (instance, seed) in &instances {
+            let text = jsonx_gen::respelled(instance, *seed);
+            JsonDecoder::new()
+                .decode_events(&mut (), &text, &mut Walking(&mut walk))
+                .unwrap();
+            if let Some(valid) = walk.finish() {
+                let value = jsonx_syntax::parse(&text).unwrap();
+                prop_assert_eq!(valid, compiled.is_valid(&value), "schema {} record {}", doc, text);
+            }
+        }
+    }
+}
+
+struct Walking<'a, 's>(&'a mut EventValidator<'s>);
+
+impl EventReceiver for Walking<'_, '_> {
+    fn event(&mut self, ev: &RawEvent<'_>) {
+        match ev {
+            RawEvent::StartObject => self.0.start_object(),
+            RawEvent::EndObject => self.0.end_object(),
+            RawEvent::StartArray => self.0.start_array(),
+            RawEvent::EndArray => self.0.end_array(),
+            RawEvent::Key(k) => self.0.key(k),
+            RawEvent::Null => self.0.null(),
+            RawEvent::Bool(b) => self.0.boolean(*b),
+            RawEvent::Num(n) => self.0.number(*n),
+            RawEvent::Str(s) => self.0.string(s),
         }
     }
 }

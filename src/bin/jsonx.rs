@@ -93,7 +93,7 @@ const MAX_WORKERS: usize = 1024;
 /// `--no-fast-parse`, shared by the commands that accept it.
 const NO_FAST_PARSE_FLAG: FlagSpec = flag(
     "no-fast-parse",
-    "force the full parser instead of the SWAR structural fast path with projection pushdown (translate accepts it and nothing changes: its layout is inferred from the same corpus, so a projecting scan has no field to skip)",
+    "decode every record to a document with the full parser: no SWAR structural scan with projection pushdown, no validating from events — the reference route, same output (translate accepts it and nothing changes: its layout is inferred from the same corpus, so a projecting scan has no field to skip)",
 );
 
 /// `--format json|csv`, shared by the engine commands.
@@ -1174,7 +1174,7 @@ fn cmd_validate(opts: &Opts) -> Result<(), CliError> {
         .validate(corpus.source(), &schema, vopts)
         .map_err(stream_err)?;
     let suffix = finish_run(opts, &report)?;
-    print_routes(&report, "projected", "the parser");
+    print_routes(&report, run.validation_route(&schema), "the parser");
     let limits = run.fault.limits;
     let invalid = print_invalid(&verdicts, corpus.ndjson(csv), &schema, vopts, limits)?;
     let total = verdicts.len();

@@ -955,6 +955,89 @@ mod tests {
         }
     }
 
+    /// `tests/fixtures/golden_validate.journal` was written by the commit
+    /// before validation read events, from the same
+    /// `tests/fixtures/golden_infer.ndjson` under the closed schema in
+    /// `golden_validate.schema.json` — which that corpus meets with valid
+    /// and invalid records, records whose repeated key the event walk
+    /// hands back (at the root, nested, inside an array; one valid only
+    /// because the last value wins, one invalid because it does) and two
+    /// rejects — under `--on-error skip` at `chunk_bytes` 256. Frozen in
+    /// both directions like the two journals above: routes are work, not
+    /// results, and never reach a journal.
+    #[test]
+    fn parent_written_validate_journal_is_reproduced_and_resumes() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let input = root.join("tests/fixtures/golden_infer.ndjson");
+        let golden = std::fs::read(root.join("tests/fixtures/golden_validate.journal")).unwrap();
+        let schema_text =
+            std::fs::read_to_string(root.join("tests/fixtures/golden_validate.schema.json"))
+                .unwrap();
+        let schema =
+            jsonx_schema::CompiledSchema::compile(&jsonx_syntax::parse(&schema_text).unwrap())
+                .unwrap();
+        assert_eq!(schema.streamable(), Ok(()));
+        let dir = TempDir::new("golden-validate-journal");
+        let journal = dir.path("run.journal");
+        let plain = Run {
+            workers: 2,
+            chunk_bytes: 256,
+            timing: true,
+            fault: FaultOptions {
+                policy: ErrorPolicy::Skip { max_errors: None },
+                ..FaultOptions::default()
+            },
+            ..Run::default()
+        };
+        // The tag the CLI derives from the schema file's bytes.
+        let tagged = |ctrl| JournalControl {
+            schema_tag: jsonx_data::crc32(schema_text.as_bytes()),
+            ..ctrl
+        };
+        let vopts = ValidatorOptions::default();
+
+        let (want, want_report) = plain
+            .validate(Source::file(&input), &schema, vopts)
+            .unwrap();
+        assert_eq!((want_report.records, want_report.errors.total), (16, 2));
+        let valid = want.iter().filter(|(_, v)| v.is_valid()).count();
+        assert_eq!((valid, want.len()), (7, 14));
+        let routes = &want_report.routes;
+        assert_eq!((routes.fast, routes.replayed["duplicate-key"]), (11, 3));
+        let fresh = tagged(JournalControl::new(&journal));
+        let (verdicts, _) = journaled(&plain, fresh)
+            .validate(Source::file(&input), &schema, vopts)
+            .unwrap();
+        assert_eq!(verdicts, want);
+        assert_eq!(std::fs::read(&journal).unwrap(), golden);
+
+        // A header and three chunks: cut after each record in turn, and
+        // mid-record; resume with the event walk and on the trusted route.
+        let record_ends: Vec<usize> = golden
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| **b == b'\n')
+            .map(|(i, _)| i + 1)
+            .collect();
+        assert_eq!(record_ends.len(), 4);
+        for cut in record_ends.iter().flat_map(|end| [*end, end - 40]) {
+            for fast_parse in [true, false] {
+                std::fs::write(&journal, &golden[..cut]).unwrap();
+                let run = Run {
+                    fast_parse,
+                    ..plain.clone()
+                };
+                let (verdicts, report) = journaled(&run, tagged(resume(&journal)))
+                    .validate(Source::file(&input), &schema, vopts)
+                    .unwrap();
+                assert_eq!(verdicts, want, "cut at {cut}");
+                assert_eq!(report.records, want_report.records, "cut at {cut}");
+                assert_eq!(report.errors, want_report.errors, "cut at {cut}");
+                assert_eq!(std::fs::read(&journal).unwrap(), golden, "cut at {cut}");
+            }
+        }
+    }
+
     #[test]
     fn hex_codec_round_trips_and_rejects_non_hex() {
         let bytes: Vec<u8> = (0..=255).collect();

@@ -146,6 +146,12 @@ pub(crate) enum LineDecoder {
 }
 
 impl LineDecoder {
+    /// Whether [`decode_routed`](Self::decode_routed) has a projection
+    /// plan to try.
+    pub(crate) fn has_plan(&self) -> bool {
+        matches!(self, LineDecoder::Json { plan: Some(_), .. })
+    }
+
     /// The record as the document its consumer reads, and how it came
     /// about: [`Route::Fast`] when the scanner vouched for the record and
     /// projected it; else the full parser's document, `declined` when the

@@ -111,10 +111,13 @@ pub struct Run<'a> {
     pub timing: bool,
     /// Error policy, reject retention and per-record limits.
     pub fault: FaultOptions,
-    /// Try the SWAR structural scanner with projection pushdown before
-    /// the full parser (NDJSON only: validation, and translation under a
-    /// caller-supplied layout; every declined record falls back, so
-    /// results never depend on it).
+    /// Speculate per record and verify, instead of decoding every record
+    /// to a document: the SWAR structural scanner with projection
+    /// pushdown (NDJSON only: validation under a schema that lets it skip
+    /// fields, translation under a caller-supplied layout), and
+    /// validation from a record's events where there is nothing to skip.
+    /// Every record a fast route cannot vouch for falls back, so results
+    /// never depend on it; `false` is the reference route.
     pub fast_parse: bool,
     /// The record decoder.
     pub format: Format,
@@ -184,11 +187,9 @@ impl Run<'_> {
             )
         })?;
         let journal = session.as_mut().map(|s| s.phase(1, validate_codec()));
-        let stage = ValidateStage {
-            schema,
-            options,
-            decoder: self.decoder(|limits| FastPlan::for_validation(schema, limits)),
-        };
+        let stage = self.validate_stage(schema, options, |limits| {
+            FastPlan::for_validation(schema, limits)
+        });
         self.execute(source, &stage, journal)
     }
 
@@ -204,11 +205,48 @@ impl Run<'_> {
         self.refuse_journal("the combined infer+validate pass (journal one pass at a time)")?;
         let stage = InferValidateStage {
             equiv,
-            schema,
-            options,
-            decoder: self.decoder(|_| None),
+            // The type fold reads every field: nothing to project away.
+            validate: self.validate_stage(schema, options, |_| None),
         };
         self.execute(source, &stage, None)
+    }
+
+    /// The name of the fast route [`validate`](Self::validate) takes for
+    /// `schema` under this plan — what `--report-timing` calls the records
+    /// [`RunReport::routes`] counts as `fast`.
+    pub fn validation_route(&self, schema: &CompiledSchema) -> &'static str {
+        let plan = |limits: &ParseLimits| FastPlan::for_validation(schema, limits);
+        if self.decoder(plan).has_plan() {
+            "projected"
+        } else {
+            "validated from events"
+        }
+    }
+
+    /// A validating stage over `schema`: the decoder with whatever `plan`
+    /// the caller can offer the scanner, and whether records are validated
+    /// from their events. Not under a plan — the scanner skips what a walk
+    /// would read; not with [`fast_parse`](Self::fast_parse) off — that is
+    /// the trusted route, nothing speculates on it; and not for a schema
+    /// outside the streamable fragment.
+    fn validate_stage<'s>(
+        &self,
+        schema: &'s CompiledSchema,
+        options: ValidatorOptions,
+        plan: impl FnOnce(&ParseLimits) -> Option<FastPlan>,
+    ) -> ValidateStage<'s> {
+        let decoder = self.decoder(plan);
+        let events = if !self.fast_parse || decoder.has_plan() {
+            Err("no-plan")
+        } else {
+            schema.streamable()
+        };
+        ValidateStage {
+            schema,
+            options,
+            decoder,
+            events,
+        }
     }
 
     /// Shreds every record into one columnar batch under `shredder`'s

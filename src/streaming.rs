@@ -20,13 +20,20 @@
 //!   chunk types fused with the §4.1 monoid (commutative + associative,
 //!   `Bottom` unit), so every worker count reproduces the sequential —
 //!   and DOM — result bit for bit.
-//! * validation — a compiled fail-fast
-//!   [`FastValidator`](jsonx_schema::FastValidator) per worker, per-line
-//!   verdict vectors concatenated in chunk order.
+//! * validation — the compiled validation IR per worker, per-line verdict
+//!   vectors concatenated in chunk order. Under a schema that lets the
+//!   SWAR scanner skip fields the IR reads the projected document
+//!   ([`FastValidator`](jsonx_schema::FastValidator)); otherwise it is
+//!   walked **from the record's events**
+//!   ([`EventValidator`](jsonx_schema::EventValidator)), no document
+//!   built, verified per record — a repeated key, which only the
+//!   document's last-wins rule can judge, replays the record through the
+//!   parser.
 //! * combined infer+validate — the single pass: **one tokenisation** per
-//!   line feeds both the type fold and the validator
-//!   ([`TypeFold::record_and_build`] builds the DOM value for the
-//!   validator from the same event walk that types the line).
+//!   line feeds both the type fold and the validator, each from the
+//!   events ([`TypeFold::record_beside`]); a [`Value`] is built only for
+//!   a record one of them hands back, or under a schema the event walk
+//!   does not cover ([`TypeFold::record_and_build`]).
 //! * translation — §5's schema-driven translation: per-chunk Arrow-like
 //!   columnar batches ([`ShredStream`](jsonx_translate::ShredStream)),
 //!   shredded straight from each record's events (no DOM; a verified
@@ -62,10 +69,10 @@ use jsonx_data::Value;
 use jsonx_pipeline::{
     ErrorPolicy, ErrorSummary, RecordDiagnostic, Route, RouteCounts, ShardFold, ShardPanic,
 };
-use jsonx_schema::{CompiledSchema, FastValidator, ValidatorOptions};
+use jsonx_schema::{CompiledSchema, EventValidator, FastValidator, ValidatorOptions};
 use jsonx_syntax::{
-    EventReceiver, ParseError, ParseErrorKind, ParseLimits, RawEvent, RecordDecoder, RecordLimit,
-    Tee, ValueBuilder,
+    EventReceiver, NullReceiver, ParseError, ParseErrorKind, ParseLimits, RawEvent, RecordDecoder,
+    RecordLimit, Tee, ValueBuilder,
 };
 use jsonx_translate::{ColumnarBatch, ShredError, ShredStream, Shredder};
 use std::collections::HashSet;
@@ -201,44 +208,32 @@ impl StreamTyper {
         scratch: &mut D::Scratch,
         record: &str,
     ) -> Result<JType, ParseError> {
+        self.type_beside(decoder, scratch, record, &mut NullReceiver)
+    }
+
+    /// [`type_decoded`](Self::type_decoded) while `beside` receives the
+    /// same events — one tokenisation feeding two consumers: with a
+    /// [`ValueBuilder`] beside it the record's DOM is rebuilt from the
+    /// decode that types it (identical to [`jsonx_syntax::parse`] on the
+    /// same bytes), with a validator of events the combined pass needs no
+    /// DOM at all.
+    pub fn type_beside<D: RecordDecoder, R: EventReceiver + ?Sized>(
+        &mut self,
+        decoder: &D,
+        scratch: &mut D::Scratch,
+        record: &str,
+        beside: &mut R,
+    ) -> Result<JType, ParseError> {
         let outcome = {
             let mut sink = TypeSink::new(self.equiv, &mut self.stack, &mut self.interner);
             decoder
-                .decode_events(scratch, record, &mut sink)
+                .decode_events(scratch, record, &mut Tee(&mut sink, beside))
                 .map(|()| sink.finish())
         };
         outcome.inspect_err(|_| {
             // Leave the typer reusable after malformed input.
             self.stack.clear();
         })
-    }
-
-    /// Types one record **and** rebuilds its [`Value`] from the same
-    /// decode — one tokenisation feeding two consumers, which is what
-    /// lets the combined infer+validate pass probe the compiled validator
-    /// without re-parsing. With [`JsonDecoder`](jsonx_syntax::JsonDecoder)
-    /// the built value is identical to [`jsonx_syntax::parse`] on the
-    /// same bytes.
-    pub fn type_and_build_decoded<D: RecordDecoder>(
-        &mut self,
-        decoder: &D,
-        scratch: &mut D::Scratch,
-        record: &str,
-    ) -> Result<(JType, Value), ParseError> {
-        let mut builder = ValueBuilder::new();
-        let outcome = {
-            let mut sink = TypeSink::new(self.equiv, &mut self.stack, &mut self.interner);
-            decoder
-                .decode_events(scratch, record, &mut Tee(&mut builder, &mut sink))
-                .map(|()| sink.finish())
-        };
-        match outcome {
-            Ok(ty) => Ok((ty, builder.take())),
-            Err(e) => {
-                self.stack.clear();
-                Err(e)
-            }
-        }
     }
 }
 
@@ -644,6 +639,27 @@ impl EventReceiver for InPlace<'_> {
     }
 }
 
+/// An [`EventValidator`] as an [`EventReceiver`]: every event is checked
+/// against the compiled schema where it passes.
+struct Walking<'a, 's>(&'a mut EventValidator<'s>);
+
+impl EventReceiver for Walking<'_, '_> {
+    #[inline]
+    fn event(&mut self, ev: &RawEvent<'_>) {
+        match ev {
+            RawEvent::StartObject => self.0.start_object(),
+            RawEvent::EndObject => self.0.end_object(),
+            RawEvent::StartArray => self.0.start_array(),
+            RawEvent::EndArray => self.0.end_array(),
+            RawEvent::Key(k) => self.0.key(k),
+            RawEvent::Null => self.0.null(),
+            RawEvent::Bool(b) => self.0.boolean(*b),
+            RawEvent::Num(n) => self.0.number(*n),
+            RawEvent::Str(s) => self.0.string(s),
+        }
+    }
+}
+
 /// One worker's collection type in the making — the only way a stage
 /// here accumulates one. Under [`Equivalence::Kind`] records are counted
 /// **in place**: their events walk a [`TypeAccumulator`], verified per
@@ -690,6 +706,32 @@ impl TypeFold {
         Ok(self.fuse_replayed(ty))
     }
 
+    /// [`record`](Self::record) while `beside` receives the same events:
+    /// one decode, two consumers. `Ok(None)`: the record was taken back
+    /// for replay, and the caller — who has, or is about to build, its
+    /// [`Value`] — hands that to [`replay`](Self::replay).
+    pub fn record_beside<D: RecordDecoder, R: EventReceiver + ?Sized>(
+        &mut self,
+        decoder: &D,
+        scratch: &mut D::Scratch,
+        line: &str,
+        beside: &mut R,
+    ) -> Result<Option<Route>, ParseError> {
+        if self.equiv != Equivalence::Kind {
+            let ty = self.typer.type_beside(decoder, scratch, line, beside)?;
+            return Ok(Some(self.fuse_replayed(ty)));
+        }
+        let mut walk = InPlace(&mut self.in_place);
+        let decoded = decoder.decode_events(scratch, line, &mut Tee(&mut walk, beside));
+        Ok(self.settle(decoded)?.then_some(Route::Fast))
+    }
+
+    /// Types a record [`record_beside`](Self::record_beside) took back,
+    /// from its document.
+    pub fn replay(&mut self, doc: &Value) -> Route {
+        self.fuse_replayed(infer_value(doc, self.equiv))
+    }
+
     /// [`record`](Self::record), also rebuilding the record's DOM from
     /// the same decode.
     pub fn record_and_build<D: RecordDecoder>(
@@ -698,20 +740,10 @@ impl TypeFold {
         scratch: &mut D::Scratch,
         line: &str,
     ) -> Result<(Value, Route), ParseError> {
-        if self.equiv != Equivalence::Kind {
-            let (ty, doc) = self.typer.type_and_build_decoded(decoder, scratch, line)?;
-            return Ok((doc, self.fuse_replayed(ty)));
-        }
         let mut builder = ValueBuilder::new();
-        let mut walk = InPlace(&mut self.in_place);
-        let decoded = decoder.decode_events(scratch, line, &mut Tee(&mut builder, &mut walk));
-        let counted = self.settle(decoded)?;
+        let typed = self.record_beside(decoder, scratch, line, &mut builder)?;
         let doc = builder.take();
-        let route = if counted {
-            Route::Fast
-        } else {
-            self.fuse_replayed(infer_value(&doc, self.equiv))
-        };
+        let route = typed.unwrap_or_else(|| self.replay(&doc));
         Ok((doc, route))
     }
 
@@ -806,57 +838,143 @@ impl LineVerdict {
     pub fn is_valid(&self) -> bool {
         matches!(self, LineVerdict::Valid)
     }
+
+    fn of(valid: bool) -> LineVerdict {
+        if valid {
+            LineVerdict::Valid
+        } else {
+            LineVerdict::Invalid
+        }
+    }
 }
 
-/// The validation stage: one fail-fast [`FastValidator`] per worker,
-/// verdict vectors concatenated in chunk order. Each record is probed
-/// with the compiled validation IR (the allocation-free boolean path
-/// behind [`CompiledSchema::is_valid`]); verdicts are **identical** to
-/// running the error-collecting interpreter per document —
-/// property-tested in `tests/streaming_validation.rs` — so callers
-/// wanting diagnostics can re-run [`CompiledSchema::validate`] on just
-/// the invalid lines. Malformed records are rejected to the fault layer,
-/// so the verdict vector covers exactly the records that decoded.
+/// The validation stage: per-record verdicts, concatenated in chunk
+/// order, from the compiled validation IR — **identical** to running the
+/// error-collecting interpreter per document (property-tested in
+/// `tests/streaming_validation.rs`), so callers wanting diagnostics can
+/// re-run [`CompiledSchema::validate`] on just the invalid lines.
+/// Malformed records are rejected to the fault layer, so the verdict
+/// vector covers exactly the records that decoded.
+///
+/// A record reaches the IR one of three ways, fixed per run (`events`
+/// and the decoder's plan): under a projection plan the SWAR scanner
+/// hands [`FastValidator`] the few fields the verdict reads; otherwise
+/// an [`EventValidator`] checks the record's events as they are decoded,
+/// no document built — verified per record, one it cannot vouch for (a
+/// duplicate key) is decoded again, to a document; and a run that may not
+/// speculate, or a schema outside the streamable fragment, decodes every
+/// record to a document.
 pub(crate) struct ValidateStage<'s> {
     pub(crate) schema: &'s CompiledSchema,
     pub(crate) options: ValidatorOptions,
-    /// How record text becomes a document. Under a projection plan the
-    /// decoder tries the SWAR scanner first and falls back to the full
-    /// parser — verdicts are identical either way (the scanner never
-    /// accepts a record the parser rejects) — and the record's route
-    /// says which it was.
+    /// How record text becomes events or a document. Under a projection
+    /// plan the decoder tries the SWAR scanner first and falls back to
+    /// the full parser — verdicts are identical either way (the scanner
+    /// never accepts a record the parser rejects) — and the record's
+    /// route says which it was.
     pub(crate) decoder: LineDecoder,
+    /// `Ok`: validate from events. `Err`: why every record the scanner
+    /// does not serve is decoded to a document — `no-plan` for a run with
+    /// the fast path off (or a plan, where the label goes unused), else
+    /// the keyword that keeps the schema out of the streamable fragment.
+    pub(crate) events: Result<(), &'static str>,
+}
+
+/// What validation keeps per worker: the validator of documents, the
+/// validator of events when the stage walks them, the decoder's scratch.
+pub(crate) struct Validators<'s> {
+    documents: FastValidator<'s>,
+    events: Option<EventValidator<'s>>,
+    scratch: Scratch,
+}
+
+impl<'s> ValidateStage<'s> {
+    fn validators(&self) -> Validators<'s> {
+        Validators {
+            documents: self.schema.fast_validator_with(self.options),
+            events: self
+                .events
+                .and_then(|()| self.schema.event_validator_with(self.options))
+                .ok(),
+            scratch: self.decoder.scratch(),
+        }
+    }
+
+    /// The verdict on the record's document, and how it was decoded.
+    #[inline]
+    fn document(
+        &self,
+        state: &mut Validators<'s>,
+        line: &str,
+    ) -> Result<(bool, Route), RecordIssue> {
+        let (doc, route) = self
+            .decoder
+            .decode_routed(&mut state.scratch, line)
+            .map_err(RecordIssue::Parse)?;
+        let route = match (route, self.events) {
+            // No plan to try: the reason is why events were not walked.
+            (Route::Replayed("no-plan"), Err(why)) => Route::Replayed(why),
+            (route, _) => route,
+        };
+        Ok((state.documents.is_valid(&doc), route))
+    }
+
+    /// The verdict on one record. From its events when the stage walks
+    /// them: a record the decoder rejects is a reject with the decoder's
+    /// error whatever the walk had concluded, and one with a repeated key
+    /// is decoded again, to the document only last-wins can judge.
+    #[inline]
+    fn verdict(
+        &self,
+        state: &mut Validators<'s>,
+        line: &str,
+    ) -> Result<(bool, Route), RecordIssue> {
+        let Some(walk) = &mut state.events else {
+            return self.document(state, line);
+        };
+        let decoded = self
+            .decoder
+            .decode_events(&mut state.scratch, line, &mut Walking(walk));
+        if let Err(e) = decoded {
+            walk.reset();
+            return Err(RecordIssue::Parse(e));
+        }
+        match walk.finish() {
+            Some(valid) => Ok((valid, Route::Fast)),
+            None => self.replay(state, line),
+        }
+    }
+
+    #[cold]
+    fn replay(&self, state: &mut Validators<'s>, line: &str) -> Result<(bool, Route), RecordIssue> {
+        let doc = self
+            .decoder
+            .decode_value(&mut state.scratch, line)
+            .map_err(RecordIssue::Parse)?;
+        Ok((
+            state.documents.is_valid(&doc),
+            Route::Replayed("duplicate-key"),
+        ))
+    }
 }
 
 impl<'s> RecordStage for ValidateStage<'s> {
-    type State = (FastValidator<'s>, Vec<(usize, LineVerdict)>, Scratch);
+    type State = (Validators<'s>, Vec<(usize, LineVerdict)>);
     type Out = Vec<(usize, LineVerdict)>;
 
     fn init(&self) -> Self::State {
-        (
-            self.schema.fast_validator_with(self.options),
-            Vec::new(),
-            self.decoder.scratch(),
-        )
+        (self.validators(), Vec::new())
     }
 
     #[inline]
     fn record(
         &self,
-        (validator, verdicts, scratch): &mut Self::State,
+        (validators, verdicts): &mut Self::State,
         line: &str,
         record: usize,
     ) -> Result<Route, RecordIssue> {
-        let (doc, route) = self
-            .decoder
-            .decode_routed(scratch, line)
-            .map_err(RecordIssue::Parse)?;
-        let verdict = if validator.is_valid(&doc) {
-            LineVerdict::Valid
-        } else {
-            LineVerdict::Invalid
-        };
-        verdicts.push((record, verdict));
+        let (valid, route) = self.verdict(validators, line)?;
+        verdicts.push((record, LineVerdict::of(valid)));
         Ok(route)
     }
 
@@ -865,8 +983,8 @@ impl<'s> RecordStage for ValidateStage<'s> {
         left
     }
 
-    fn take(&self, (_, verdicts, _): &mut Self::State) -> Self::Out {
-        // Validator and decoder scratch survive across chunks; verdicts
+    fn take(&self, (_, verdicts): &mut Self::State) -> Self::Out {
+        // Validators and decoder scratch survive across chunks; verdicts
         // are the chunk's output.
         std::mem::take(verdicts)
     }
@@ -877,32 +995,57 @@ impl<'s> RecordStage for ValidateStage<'s> {
 // ---------------------------------------------------------------------------
 
 /// The combined single-pass stage: one decode per accepted record feeds
-/// both the type fold and the compiled validator
-/// ([`TypeFold::record_and_build`]), for half the tokenisation
-/// work of running the two passes back to back — with the type and the
-/// verdicts each equal to what the separate stages produce (pinned by
-/// `tests/pipeline_equivalence.rs`). Rejected records appear in neither.
+/// both the type fold and the compiled validator, for half the
+/// tokenisation work of running the two passes back to back — with the
+/// type and the verdicts each equal to what the separate stages produce
+/// (pinned by `tests/pipeline_equivalence.rs`). Rejected records appear
+/// in neither.
+///
+/// Where [`ValidateStage`] validates from events, so does this: the
+/// record's events go to the fold and the [`EventValidator`] behind one
+/// [`Tee`], and only when either asks for a replay is the record decoded
+/// to a document — once, for both. Otherwise the second receiver is a
+/// [`ValueBuilder`] and the validator reads its document
+/// ([`TypeFold::record_and_build`]).
 pub(crate) struct InferValidateStage<'s> {
     pub(crate) equiv: Equivalence,
-    pub(crate) schema: &'s CompiledSchema,
-    pub(crate) options: ValidatorOptions,
-    pub(crate) decoder: LineDecoder,
+    pub(crate) validate: ValidateStage<'s>,
+}
+
+impl<'s> InferValidateStage<'s> {
+    /// Decodes to a document the record one half could not vouch for.
+    #[cold]
+    fn replay(
+        &self,
+        fold: &mut TypeFold,
+        validators: &mut Validators<'s>,
+        line: &str,
+        typed: Option<Route>,
+        valid: Option<bool>,
+    ) -> Result<(bool, Route), RecordIssue> {
+        let doc = self
+            .validate
+            .decoder
+            .decode_value(&mut validators.scratch, line)
+            .map_err(RecordIssue::Parse)?;
+        let route = match typed {
+            None => fold.replay(&doc),
+            Some(Route::Fast) => Route::Replayed("duplicate-key"),
+            Some(replayed) => replayed,
+        };
+        let valid = valid.unwrap_or_else(|| validators.documents.is_valid(&doc));
+        Ok((valid, route))
+    }
 }
 
 impl<'s> RecordStage for InferValidateStage<'s> {
-    type State = (
-        TypeFold,
-        FastValidator<'s>,
-        Scratch,
-        Vec<(usize, LineVerdict)>,
-    );
+    type State = (TypeFold, Validators<'s>, Vec<(usize, LineVerdict)>);
     type Out = TypedVerdicts;
 
     fn init(&self) -> Self::State {
         (
             TypeFold::new(self.equiv),
-            self.schema.fast_validator_with(self.options),
-            self.decoder.scratch(),
+            self.validate.validators(),
             Vec::new(),
         )
     }
@@ -910,19 +1053,32 @@ impl<'s> RecordStage for InferValidateStage<'s> {
     #[inline]
     fn record(
         &self,
-        (fold, validator, scratch, verdicts): &mut Self::State,
+        (fold, validators, verdicts): &mut Self::State,
         line: &str,
         record: usize,
     ) -> Result<Route, RecordIssue> {
-        let (doc, route) = fold
-            .record_and_build(&self.decoder, scratch, line)
-            .map_err(RecordIssue::Parse)?;
-        let verdict = if validator.is_valid(&doc) {
-            LineVerdict::Valid
-        } else {
-            LineVerdict::Invalid
+        let decoder = &self.validate.decoder;
+        let (valid, route) = match &mut validators.events {
+            Some(walk) => {
+                let scratch = &mut validators.scratch;
+                let typed = fold.record_beside(decoder, scratch, line, &mut Walking(walk));
+                let typed = typed.map_err(|e| {
+                    walk.reset();
+                    RecordIssue::Parse(e)
+                })?;
+                match (typed, walk.finish()) {
+                    (Some(route), Some(valid)) => (valid, route),
+                    (typed, valid) => self.replay(fold, validators, line, typed, valid)?,
+                }
+            }
+            None => {
+                let (doc, route) = fold
+                    .record_and_build(decoder, &mut validators.scratch, line)
+                    .map_err(RecordIssue::Parse)?;
+                (validators.documents.is_valid(&doc), route)
+            }
         };
-        verdicts.push((record, verdict));
+        verdicts.push((record, LineVerdict::of(valid)));
         Ok(route)
     }
 
@@ -933,7 +1089,7 @@ impl<'s> RecordStage for InferValidateStage<'s> {
         (fuse(lty, rty, self.equiv), lverdicts)
     }
 
-    fn take(&self, (fold, _, _, verdicts): &mut Self::State) -> Self::Out {
+    fn take(&self, (fold, _, verdicts): &mut Self::State) -> Self::Out {
         (fold.take(), std::mem::take(verdicts))
     }
 }
@@ -981,7 +1137,7 @@ impl<'t> RecordStage for TranslateStage<'t> {
         line: &str,
         _record: usize,
     ) -> Result<Route, RecordIssue> {
-        let pushed = if matches!(self.decoder, LineDecoder::Json { plan: Some(_), .. }) {
+        let pushed = if self.decoder.has_plan() {
             let (doc, route) = self
                 .decoder
                 .decode_routed(scratch, line)
@@ -1092,9 +1248,16 @@ mod tests {
             "\"plain\"",
             "null",
         ] {
-            let (ty, built) = typer
-                .type_and_build_decoded(&jsonx_syntax::JsonDecoder::new(), &mut (), doc)
+            let mut builder = ValueBuilder::new();
+            let ty = typer
+                .type_beside(
+                    &jsonx_syntax::JsonDecoder::new(),
+                    &mut (),
+                    doc,
+                    &mut builder,
+                )
                 .unwrap();
+            let built = builder.take();
             let dom = jsonx_syntax::parse(doc).unwrap();
             assert_eq!(built, dom, "doc {doc}");
             assert_eq!(ty, jsonx_core::infer_value(&dom, Equivalence::Kind));

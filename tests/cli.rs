@@ -245,31 +245,129 @@ fn report_timing_accounts_for_how_records_were_typed() {
 
     // Validate's account: an envelope schema projects; the schema
     // `infer --schema` writes closes its records, so nothing can be
-    // skipped and there is no plan — as with the fast path turned off.
+    // skipped — it is validated from events instead; a schema outside the
+    // streamable fragment sends every record to the parser under the
+    // keyword's name; and with the fast path off nothing speculates.
     let envelope = schema_file("routes-envelope", r#"{"required": ["id"]}"#);
     let (inferred, _, _) = run(&["infer", "--schema", "-"], SAMPLE);
     let inferred = schema_file("routes-inferred", &inferred);
-    let none = "» 0 records projected, 3 replayed through the parser (3 no-plan)\n";
+    let unique = schema_file(
+        "routes-unique",
+        r#"{"properties": {"id": {}, "name": {}, "geo": {}, "tags": {"uniqueItems": true}},
+            "additionalProperties": false}"#,
+    );
+    let none = "» 0 records validated from events, 3 replayed through the parser (3 no-plan)\n";
     for (args, account) in [
         (
             format!("validate --schema {envelope}"),
             "» 3 records projected, 0 replayed through the parser\n",
         ),
-        (format!("validate --schema {inferred}"), none),
+        (
+            format!("validate --schema {inferred}"),
+            "» 3 records validated from events, 0 replayed through the parser\n",
+        ),
+        (
+            format!("validate --schema {unique}"),
+            "» 0 records validated from events, 3 replayed through the parser (3 uniqueItems)\n",
+        ),
         (
             format!("validate --schema {envelope} --no-fast-parse"),
+            none,
+        ),
+        (
+            format!("validate --schema {inferred} --no-fast-parse"),
             none,
         ),
     ] {
         let args: Vec<&str> = args.split(' ').collect();
         let (plain_out, plain_err, _) = run(&[&args[..], &["-"]].concat(), SAMPLE);
-        assert!(!plain_err.contains("projected"), "{plain_err}");
+        assert!(!plain_err.contains("replayed"), "{plain_err}");
         let (out, err, ok) = run(&[&args[..], &["--report-timing", "-"]].concat(), SAMPLE);
         assert!(
             ok && out == plain_out && err.contains(account),
             "{args:?}: {err}"
         );
     }
+
+    // A repeated key is the one thing the event walk hands back, whatever
+    // it had concluded by then; the verdict is the document's (last wins).
+    let (out, err, ok) = run(
+        &[
+            "validate",
+            "--schema",
+            &inferred,
+            "--report-timing",
+            "--workers",
+            "1",
+            "-",
+        ],
+        &format!("{SAMPLE}{{\"id\":[],\"id\":4}}\n{{\"id\":4,\"id\":[]}}\n"),
+    );
+    assert!(!ok && out.starts_with("doc 4: "), "{out}\n{err}");
+    assert!(
+        err.contains(
+            "» 3 records validated from events, 2 replayed through the parser (2 duplicate-key)"
+        ) && err.contains("» 4/5 documents valid"),
+        "{err}"
+    );
+}
+
+/// Validating from events is a route, not a mode: under closed schemas
+/// (what `infer --schema` writes — nothing for the scanner to skip)
+/// `validate` prints the same bytes, exits the same and quarantines the
+/// same sidecar as `--no-fast-parse`, which decodes every record to a
+/// document — on the dirty fixture under its own schema (all valid), and
+/// under the sample's (mostly not), with keys repeated in the text.
+#[test]
+fn validating_from_events_prints_what_validating_documents_prints() {
+    let dir = std::env::temp_dir().join("jsonx-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (own, _, ok) = run(
+        &["infer", "--schema", "--on-error", "skip", DIRTY_FIXTURE],
+        "",
+    );
+    assert!(ok);
+    let (sample, _, ok) = run(&["infer", "--schema", "-"], SAMPLE);
+    assert!(ok);
+    let repeated = dir.join("events-repeated.ndjson");
+    let text = std::fs::read_to_string(DIRTY_FIXTURE).unwrap()
+        + "{\"id\": [], \"id\": 8}\n{\"id\": 9, \"geo\": {\"lat\": 1, \"l\\u0061t\": \"x\"}}\n";
+    std::fs::write(&repeated, text).unwrap();
+    let mut outputs = Vec::new();
+    for (name, schema, invalid) in [("own", &own, 1), ("sample", &sample, 4)] {
+        let schema = schema_file(&format!("events-{name}"), schema);
+        let mut seen: Option<(String, Option<i32>, String)> = None;
+        for route in [
+            &[][..],
+            &["--no-fast-parse"][..],
+            &["--workers", "3", "--chunk-bytes", "40"][..],
+            &["--workers", "3", "--chunk-bytes", "40", "--no-fast-parse"][..],
+        ] {
+            let sidecar = dir.join(format!("events-{name}.quarantine"));
+            let _ = std::fs::remove_file(&sidecar);
+            let args = [
+                &["validate", "--schema", &schema, "--on-error", "skip"][..],
+                &["--quarantine", sidecar.to_str().unwrap()][..],
+                route,
+                &[repeated.to_str().unwrap()][..],
+            ]
+            .concat();
+            let (out, err, code) = run_code(&args, "");
+            assert!(
+                err.contains(&format!("» {}/7 documents valid", 7 - invalid)),
+                "{args:?}: {err}"
+            );
+            let got = (out, code, std::fs::read_to_string(&sidecar).unwrap());
+            assert_eq!(seen.get_or_insert(got.clone()), &got, "{args:?}");
+        }
+        outputs.push(seen.unwrap());
+    }
+    // The first repeated key is valid only as a document (`id` last 8), the
+    // second invalid only as one (`lat` last "x"; and no `lon`).
+    let (out, code, sidecar) = &outputs[0];
+    assert!(out.lines().all(|l| l.starts_with("doc 10: /geo")), "{out}");
+    assert_eq!((out.lines().count(), *code), (2, Some(1)), "{out}");
+    assert_eq!(sidecar.lines().count(), 3);
 }
 
 #[test]

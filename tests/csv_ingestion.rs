@@ -4,11 +4,13 @@
 //! be shard/worker-transparent (workers {1, 2, 3, 8} agree with the
 //! single-worker reference, chunk boundaries included).
 
-use jsonx::core::Equivalence;
+use jsonx::core::{to_json_schema, Equivalence};
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::parse;
 use jsonx::translate::Shredder;
-use jsonx::{CsvDecoder, ErrorPolicy, FaultOptions, Format, LineVerdict, Run, Source};
+use jsonx::{
+    CsvDecoder, ErrorPolicy, FaultOptions, Format, LineVerdict, RecordDecoder, Run, Source,
+};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
@@ -96,6 +98,95 @@ fn csv_validation_is_worker_transparent() {
             None => reference = Some(verdicts),
             Some(r) => assert_eq!(&verdicts, r, "verdicts diverged at {workers} workers"),
         }
+    }
+}
+
+/// CSV rows have no scanner route, so with the fast path on they are
+/// validated from their events — under the closed schema inferred from
+/// the corpus, and under the same schema with one column's type changed
+/// (rows with long names invalid). A header that names a column twice
+/// repeats a key in every row that reaches it: each is handed back and judged as the
+/// document, where the last cell wins. Verdicts must be the
+/// interpreter's on the decoder's documents, with the fast path on or
+/// off, at every worker count; so must the combined pass's.
+#[test]
+fn csv_validation_from_events_matches_the_decoded_documents() {
+    let text = corpus();
+    let (decoder, rest) = peel(&text);
+    let (ty, _) = plan(&decoder, 1, FaultOptions::default())
+        .infer(Source::slice(rest), Equivalence::Kind)
+        .unwrap();
+    let inferred = to_json_schema(&ty);
+    let stricter = {
+        let jsonx::Value::Obj(mut root) = inferred.clone() else {
+            panic!("a record schema: {inferred}")
+        };
+        let Some(jsonx::Value::Obj(mut properties)) = root.remove("properties") else {
+            panic!("a record schema: {inferred}")
+        };
+        properties.insert(
+            "name",
+            parse(r#"{"type": "string", "maxLength": 5}"#).unwrap(),
+        );
+        root.insert("properties", jsonx::Value::Obj(properties));
+        jsonx::Value::Obj(root)
+    };
+    let twice = CsvDecoder::from_header("id,name,score,active,name").unwrap();
+    // The roundtrip; invalid rows only where `name` is long; the header's
+    // second `name` judged (short rows stop before it).
+    for (decoder, schema_doc, replayed, all_valid) in [
+        (&decoder, &inferred, 0, true),
+        (&decoder, &stricter, 0, false),
+        (&twice, &stricter, 200, false),
+    ] {
+        let schema = CompiledSchema::compile(schema_doc).unwrap();
+        assert_eq!(schema.streamable(), Ok(()));
+        let want: Vec<(usize, LineVerdict)> = rest
+            .lines()
+            .enumerate()
+            .map(|(i, row)| {
+                let doc = decoder.decode_value(&mut decoder.scratch(), row).unwrap();
+                match schema.validate(&doc) {
+                    Ok(()) => (i, LineVerdict::Valid),
+                    Err(_) => (i, LineVerdict::Invalid),
+                }
+            })
+            .collect();
+        let valid = want.iter().filter(|(_, v)| v.is_valid()).count();
+        for workers in WORKER_COUNTS {
+            for fast_parse in [true, false] {
+                let run = Run {
+                    fast_parse,
+                    timing: true,
+                    ..plan(decoder, workers, FaultOptions::default())
+                };
+                let (verdicts, report) = run
+                    .validate(Source::slice(rest), &schema, ValidatorOptions::default())
+                    .unwrap();
+                assert_eq!(verdicts, want, "{workers} workers, fast path {fast_parse}");
+                let routes = &report.routes;
+                match fast_parse {
+                    true => assert_eq!(
+                        (routes.fast, routes.replayed.get("duplicate-key").copied()),
+                        (240 - replayed, Some(replayed).filter(|n| *n > 0))
+                    ),
+                    false => assert_eq!((routes.fast, routes.replayed["no-plan"]), (0, 240)),
+                }
+                let ((_, combined), _) = run
+                    .infer_validate(
+                        Source::slice(rest),
+                        Equivalence::Kind,
+                        &schema,
+                        ValidatorOptions::default(),
+                    )
+                    .unwrap();
+                assert_eq!(combined, want, "combined, {workers} workers");
+            }
+        }
+        assert!(
+            valid > 0 && (valid == 240) == all_valid,
+            "{valid}: {schema_doc}"
+        );
     }
 }
 

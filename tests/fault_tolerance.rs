@@ -12,8 +12,8 @@
 //! message — is what the decoder alone says about it: every route is held
 //! to that one oracle, so all of them agree with each other.
 
-use jsonx::core::{Equivalence, JType};
-use jsonx::gen::{dirty_ndjson, DirtyConfig, DirtyNdjson};
+use jsonx::core::{to_json_schema, Equivalence, JType};
+use jsonx::gen::{dirty_ndjson, respelled, DirtyConfig, DirtyNdjson};
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::{JsonDecoder, RecordDecoder};
 use jsonx::translate::Shredder;
@@ -94,6 +94,27 @@ fn assert_rejects_match(report: &RunReport, corpus: &DirtyNdjson, limits: ParseL
     assert_eq!(by_kind_total, report.errors.total);
 }
 
+/// Respells every other good line — the same way in the dirty text and
+/// its clean twin — so both carry repeated and escaped-equal keys,
+/// shuffled members and stray values where a serializer wrote none.
+fn respell_good_lines(corpus: &mut DirtyNdjson, seed: u64) {
+    let respell = |text: &str, bad_lines: &[usize]| {
+        let lines: Vec<String> = text
+            .lines()
+            .enumerate()
+            .map(|(i, line)| match jsonx::syntax::parse(line) {
+                Ok(doc) if i % 2 == 0 && !bad_lines.contains(&i) => {
+                    respelled(&doc, seed.wrapping_add(i as u64))
+                }
+                _ => line.to_string(),
+            })
+            .collect();
+        lines.join("\n") + "\n"
+    };
+    corpus.text = respell(&corpus.text, &corpus.bad_lines);
+    corpus.clean_text = respell(&corpus.clean_text, &corpus.bad_lines);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -119,26 +140,42 @@ proptest! {
         }
     }
 
+    /// Under an envelope the scanner projects for, and under the closed
+    /// schema inferred from the clean twin, which is validated from events
+    /// — over text whose good lines repeat keys, so the walk hands records
+    /// back among the rejects. The fast path on and off, every worker
+    /// count and chunk size: same verdicts, and the same quarantine
+    /// sidecar byte for byte.
     #[test]
     fn skip_validation_equals_prefiltered_failfast(config in arb_config()) {
-        let corpus = dirty_ndjson(&config);
-        let schema = CompiledSchema::compile(
-            &json!({"type": "object", "required": ["id", "name"]}),
-        )
-        .unwrap();
-        let vopts = ValidatorOptions::default();
-        // The clean twin has no malformed lines, so the fail-fast
-        // verdicts over it are the reference — on original line numbers.
-        let (want, _) = reference()
-            .validate(Source::slice(&corpus.clean_text), &schema, vopts)
+        let mut corpus = dirty_ndjson(&config);
+        let (ty, _) = reference()
+            .infer(Source::slice(&corpus.clean_text), Equivalence::Kind)
             .unwrap();
-        for (workers, fast_parse) in WORKERS.into_iter().flat_map(|w| [(w, true), (w, false)]) {
-            let run = Run { fast_parse, ..plan(workers, skip_all()) };
-            let (verdicts, report) = run
-                .validate(Source::slice(&corpus.text), &schema, vopts)
+        respell_good_lines(&mut corpus, config.seed);
+        let envelope = json!({"type": "object", "required": ["id", "name"]});
+        for schema in [envelope, to_json_schema(&ty)] {
+            let schema = CompiledSchema::compile(&schema).unwrap();
+            let vopts = ValidatorOptions::default();
+            // The clean twin has no malformed lines, so the fail-fast
+            // verdicts over it are the reference — on original line numbers.
+            let (want, _) = Run { fast_parse: false, ..reference() }
+                .validate(Source::slice(&corpus.clean_text), &schema, vopts)
                 .unwrap();
-            prop_assert_eq!(&verdicts, &want, "workers={} fast={}", workers, fast_parse);
-            assert_rejects_match(&report, &corpus, ParseLimits::default());
+            let mut sidecar: Option<Vec<u8>> = None;
+            for (workers, fast_parse) in WORKERS.into_iter().flat_map(|w| [(w, true), (w, false)]) {
+                for chunk_bytes in [128, 1, 0] {
+                    let run = Run { fast_parse, chunk_bytes, ..plan(workers, skip_all()) };
+                    let (verdicts, report) = run
+                        .validate(Source::slice(&corpus.text), &schema, vopts)
+                        .unwrap();
+                    prop_assert_eq!(&verdicts, &want, "workers={} fast={}", workers, fast_parse);
+                    assert_rejects_match(&report, &corpus, ParseLimits::default());
+                    let mut written = Vec::new();
+                    jsonx::write_quarantine(&mut written, &report).unwrap();
+                    prop_assert_eq!(sidecar.get_or_insert(written.clone()), &written);
+                }
+            }
         }
     }
 
@@ -285,10 +322,24 @@ fn one_reject_has_one_diagnostic_whatever_the_route() {
             18,
         ),
         (r#"{"id": 14, "name": tru}"#, "bad-keyword", 19),
+        // A parse error wins over whatever a walk had concluded by then:
+        // a violation, an undeclared key, a repeated key.
+        (
+            r#"{"id": "violation", "id": 16, "zzz": 1, "name": tru}"#,
+            "bad-keyword",
+            48,
+        ),
         (&bomb, "too-deep", 135),
         (capped, "limit-exceeded-string-bytes", 19),
     ];
     let schema = CompiledSchema::compile(&json!({"type": "object", "required": ["id"]})).unwrap();
+    // Nothing to project under this one: it is validated from events.
+    let closed = CompiledSchema::compile(&json!({
+        "properties": {"id": {"type": "integer"}, "name": {"type": "string"}, "tags": {}, "n": {}},
+        "additionalProperties": false
+    }))
+    .unwrap();
+    assert_eq!(closed.streamable(), Ok(()));
     let vopts = ValidatorOptions::default();
     let layout = Source::slice(r#"{"id": 1, "name": "a"}"#);
     let (ty, _) = reference().infer(layout, Equivalence::Kind).unwrap();
@@ -324,6 +375,12 @@ fn one_reject_has_one_diagnostic_whatever_the_route() {
                 run.translate(src(), &shredder).map(|o| o.1),
                 slow.translate(src(), &shredder).map(|o| o.1),
                 run.infer_validate(src(), Equivalence::Kind, &schema, vopts)
+                    .map(|o| o.1),
+                run.validate(src(), &closed, vopts).map(|o| o.1),
+                slow.validate(src(), &closed, vopts).map(|o| o.1),
+                run.infer_validate(src(), Equivalence::Kind, &closed, vopts)
+                    .map(|o| o.1),
+                run.infer_validate(src(), Equivalence::Label, &closed, vopts)
                     .map(|o| o.1),
             ];
             for (route, outcome) in outcomes.into_iter().enumerate() {

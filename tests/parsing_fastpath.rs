@@ -15,9 +15,13 @@
 //!    error offsets), columnar batches, `RunReport`s and `StreamError`s,
 //!    on clean and dirty corpora under every error policy. The fast path
 //!    may *decline* records (verified fallback), never decide them
-//!    differently.
+//!    differently. For validation the fast path is one of two: the
+//!    projecting scanner under a schema that lets it skip, the walk over
+//!    events under one that does not (closed or inferred schemas) — so
+//!    the schema pool holds both kinds and the corpora hold text-level
+//!    duplicate keys, the one thing the walk hands back.
 
-use jsonx::gen::{dirty_ndjson, DirtyConfig};
+use jsonx::gen::{dirty_ndjson, respelled, DirtyConfig};
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::{to_string, Bitmaps, Lexer, RawToken};
 use jsonx::translate::Shredder;
@@ -176,9 +180,11 @@ proptest! {
 // Layer 2: fast path vs slow path, clean corpora
 // ---------------------------------------------------------------------------
 
-/// A schema pool straddling the projectability boundary: some members
-/// project (fast path active), some do not (fast path derivation yields
-/// `None`, behavior must still be identical).
+/// A schema pool straddling both boundaries: some members project (the
+/// scanner route), some are closed — nothing to skip, so they are
+/// validated from events — and some are neither projectable nor
+/// streamable (every record decoded to a document). Behaviour must be
+/// identical everywhere.
 fn schema_pool() -> Vec<Value> {
     vec![
         json!({
@@ -193,7 +199,45 @@ fn schema_pool() -> Vec<Value> {
         json!({"type": "object", "additionalProperties": {"type": "string"}}),
         json!({"allOf": [{"required": ["a"]}]}),
         json!({"type": "object", "minProperties": 2}),
+        // Closed: every field matters. Streamable, so the event walk.
+        closed_schema(),
+        json!({
+            "properties": {"a": {"type": ["integer", "null"]}, "b": {"maxLength": 3}},
+            "required": ["a", "geo.lat"],
+            "additionalProperties": false
+        }),
+        // Closed and not streamable.
+        json!({"properties": {"a": {"uniqueItems": true}, "b": {}}, "additionalProperties": false}),
     ]
+}
+
+/// The shape of schema `jsonx infer --schema` writes, by hand.
+fn closed_schema() -> Value {
+    json!({
+        "type": "object",
+        "properties": {
+            "a": {"anyOf": [{"type": "integer"}, {"type": "array", "items": {"type": "integer"}}]},
+            "b": {"type": "string"},
+            "geo": {
+                "type": "object",
+                "properties": {"lat": {"type": "number"}, "a": {"type": "null"}},
+                "additionalProperties": false
+            }
+        },
+        "required": ["a"],
+        "additionalProperties": false
+    })
+}
+
+/// Schema `idx` of the pool; one past its end, the schema inferred from
+/// `docs` themselves (which their respelled text then strays from).
+fn schema_at(idx: usize, docs: &[Value]) -> Value {
+    let mut pool = schema_pool();
+    if idx == pool.len() {
+        let ty = jsonx::core::infer_collection(docs, jsonx::core::Equivalence::Kind);
+        return jsonx::core::to_json_schema(&ty);
+    }
+    pool.swap_remove(idx)
 }
 
 /// Record-shaped documents over a small key pool that includes dotted
@@ -233,24 +277,46 @@ fn to_ndjson(docs: &[Value]) -> String {
     out
 }
 
+/// `docs` as text no serializer writes: repeated and escaped-equal keys,
+/// shuffled members, integer-valued floats (every other line; the rest
+/// stay as serialized).
+fn to_respelled_ndjson(docs: &[Value], seed: u64) -> String {
+    let mut out = String::new();
+    for (i, d) in docs.iter().enumerate() {
+        match i % 2 {
+            0 => out.push_str(&respelled(d, seed.wrapping_add(i as u64))),
+            _ => out.push_str(&to_string(d)),
+        }
+        out.push('\n');
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Fast and slow validation verdicts are identical for projectable
-    /// and non-projectable schemas alike, at every worker count.
+    /// Fast and slow validation verdicts are identical for projectable,
+    /// streamable and other schemas alike, at every worker count — and
+    /// they are the interpreter's on the parser's document.
     #[test]
     fn fast_validation_verdicts_equal_slow(
         docs in prop::collection::vec(arb_record(), 1..30),
-        schema_idx in 0usize..7,
+        schema_idx in 0usize..11,
+        seed in any::<u64>(),
     ) {
-        let ndjson = to_ndjson(&docs);
-        let schema = CompiledSchema::compile(&schema_pool()[schema_idx]).unwrap();
+        let ndjson = to_respelled_ndjson(&docs, seed);
+        let schema = CompiledSchema::compile(&schema_at(schema_idx, &docs)).unwrap();
         let vopts = ValidatorOptions::default();
         for workers in WORKER_COUNTS {
             let (slow, fast) = twins(workers, FaultOptions::default());
             let slow = slow.validate(Source::slice(&ndjson), &schema, vopts);
             let fast = fast.validate(Source::slice(&ndjson), &schema, vopts);
             prop_assert_eq!(&fast, &slow, "workers {}", workers);
+            let (verdicts, _) = fast.unwrap();
+            for ((record, verdict), line) in verdicts.iter().zip(ndjson.lines()) {
+                let doc = jsonx::syntax::parse(line).unwrap();
+                prop_assert_eq!(verdict.is_valid(), schema.validate(&doc).is_ok(), "record {}: {}", record, line);
+            }
         }
     }
 
@@ -354,17 +420,28 @@ fn wide_records_take_the_fast_path_and_skip_most_bytes() {
     }
 
     // The run's own account of the same thing, kept under `timing`: every
-    // record projected under the envelope; none when the schema closes the
-    // record (every field matters, so there is no plan) or the fast path
-    // is off.
+    // record projected under the envelope; every record validated from
+    // its events when the schema closes the record (every field matters,
+    // so there is no plan, but the schema is streamable); every record
+    // decoded to a document under the keyword that keeps a schema out of
+    // the streamable fragment, and under `no-plan` with the fast path off.
     let closed = CompiledSchema::compile(&json!({"additionalProperties": false})).unwrap();
+    let unique = CompiledSchema::compile(
+        &json!({"properties": {"metrics": {"uniqueItems": true}}, "additionalProperties": false}),
+    )
+    .unwrap();
+    assert_eq!(closed.streamable(), Ok(()));
     let (slow, fast) = twins(2, FaultOptions::default());
-    let no_plan: BTreeMap<_, _> = [("no-plan", 60)].into_iter().collect();
+    let all = |why| [(why, 60)].into_iter().collect::<BTreeMap<_, _>>();
     for (run, timing, schema, fast, replayed) in [
         (&fast, true, &schema, 60, BTreeMap::new()),
-        (&fast, true, &closed, 0, no_plan.clone()),
-        (&slow, true, &schema, 0, no_plan),
+        (&fast, true, &closed, 60, BTreeMap::new()),
+        (&fast, true, &unique, 0, all("uniqueItems")),
+        (&slow, true, &schema, 0, all("no-plan")),
+        (&slow, true, &closed, 0, all("no-plan")),
+        (&slow, true, &unique, 0, all("no-plan")),
         (&fast, false, &schema, 0, BTreeMap::new()),
+        (&fast, false, &closed, 0, BTreeMap::new()),
     ] {
         let run = Run {
             timing,
@@ -375,6 +452,8 @@ fn wide_records_take_the_fast_path_and_skip_most_bytes() {
             .unwrap();
         assert_eq!(report.routes, RouteCounts { fast, replayed });
     }
+    assert_eq!(fast.validation_route(&schema), "projected");
+    assert_eq!(fast.validation_route(&closed), "validated from events");
 }
 
 // ---------------------------------------------------------------------------
@@ -402,52 +481,102 @@ fn dirty_corpus() -> jsonx::gen::DirtyNdjson {
     })
 }
 
+/// The dirty corpus with every third good line respelled (repeated keys
+/// among the rest), and the two schemas it is validated under: one the
+/// scanner projects for, and the closed one inferred from the corpus's
+/// clean twin, which is validated from events.
+fn dirty_validation_inputs() -> (jsonx::gen::DirtyNdjson, [CompiledSchema; 2]) {
+    let mut corpus = dirty_corpus();
+    let clean = jsonx::syntax::parse_ndjson(&corpus.clean_text).unwrap();
+    let inferred = jsonx::core::to_json_schema(&jsonx::core::infer_collection(
+        &clean,
+        jsonx::core::Equivalence::Kind,
+    ));
+    let lines: Vec<String> = corpus
+        .text
+        .lines()
+        .enumerate()
+        .map(|(i, line)| match jsonx::syntax::parse(line) {
+            Ok(doc) if i % 3 == 0 => respelled(&doc, i as u64),
+            _ => line.to_string(),
+        })
+        .collect();
+    corpus.text = lines.join("\n") + "\n";
+    let schemas = [schema_pool().swap_remove(0), inferred]
+        .map(|schema| CompiledSchema::compile(&schema).unwrap());
+    assert!(schemas[0].root_projection().is_some() && schemas[1].root_projection().is_none());
+    assert_eq!(schemas[1].streamable(), Ok(()));
+    (corpus, schemas)
+}
+
 /// On a dirty corpus every malformed line lands in the report with its
 /// diagnostic: fast and slow must agree on every entry, error kinds and
 /// offsets included (the declined record's diagnostics come from the
-/// same full parser on both paths).
+/// same full parser on both paths, and the event walk's from the one
+/// grammar).
 #[test]
 fn fast_validation_matches_slow_on_dirty_corpus() {
-    let corpus = dirty_corpus();
-    let schema = CompiledSchema::compile(&schema_pool()[0]).unwrap();
+    let (corpus, schemas) = dirty_validation_inputs();
     let vopts = ValidatorOptions::default();
     let keep_all = FaultOptions {
         policy: ErrorPolicy::Skip { max_errors: None },
         keep_rejects: true,
         ..FaultOptions::default()
     };
-    for workers in WORKER_COUNTS {
-        let (slow, fast) = twins(workers, keep_all);
-        let slow = slow
-            .validate(Source::slice(&corpus.text), &schema, vopts)
-            .unwrap();
-        let fast = fast
-            .validate(Source::slice(&corpus.text), &schema, vopts)
-            .unwrap();
-        assert_eq!(fast, slow, "workers {workers}");
-        assert_eq!(slow.1.errors.rejects.len(), corpus.bad_lines.len());
+    for schema in &schemas {
+        for workers in WORKER_COUNTS {
+            let (slow, fast) = twins(workers, keep_all);
+            let slow = slow
+                .validate(Source::slice(&corpus.text), schema, vopts)
+                .unwrap();
+            let fast = fast
+                .validate(Source::slice(&corpus.text), schema, vopts)
+                .unwrap();
+            assert_eq!(fast, slow, "workers {workers}");
+            assert_eq!(slow.1.errors.rejects.len(), corpus.bad_lines.len());
+        }
     }
+    // Not vacuous: the walk took most records and handed some back.
+    let timed = Run {
+        timing: true,
+        ..twins(2, keep_all).1
+    };
+    let (verdicts, report) = timed
+        .validate(Source::slice(&corpus.text), &schemas[1], vopts)
+        .unwrap();
+    let routes = report.routes;
+    assert!(
+        routes.fast > 400 && routes.replayed["duplicate-key"] > 20,
+        "{routes:?}"
+    );
+    let valid = verdicts.iter().filter(|(_, v)| v.is_valid()).count();
+    assert!(
+        valid > 300 && verdicts.len() - valid > 20,
+        "{valid} of {}",
+        verdicts.len()
+    );
 }
 
 /// Validation: verdicts, RunReports and StreamErrors must be
 /// identical under every policy at every worker count.
 #[test]
 fn fast_guarded_validation_matches_slow_on_dirty_corpus() {
-    let corpus = dirty_corpus();
-    let schema = CompiledSchema::compile(&schema_pool()[0]).unwrap();
+    let (corpus, schemas) = dirty_validation_inputs();
     let vopts = ValidatorOptions::default();
-    for policy in policies() {
-        for keep_rejects in [false, true] {
-            let fault = FaultOptions {
-                policy,
-                keep_rejects,
-                ..FaultOptions::default()
-            };
-            for workers in WORKER_COUNTS {
-                let (slow, fast) = twins(workers, fault);
-                let slow = slow.validate(Source::slice(&corpus.text), &schema, vopts);
-                let fast = fast.validate(Source::slice(&corpus.text), &schema, vopts);
-                assert_eq!(fast, slow, "workers {workers} policy {policy:?}");
+    for schema in &schemas {
+        for policy in policies() {
+            for keep_rejects in [false, true] {
+                let fault = FaultOptions {
+                    policy,
+                    keep_rejects,
+                    ..FaultOptions::default()
+                };
+                for workers in WORKER_COUNTS {
+                    let (slow, fast) = twins(workers, fault);
+                    let slow = slow.validate(Source::slice(&corpus.text), schema, vopts);
+                    let fast = fast.validate(Source::slice(&corpus.text), schema, vopts);
+                    assert_eq!(fast, slow, "workers {workers} policy {policy:?}");
+                }
             }
         }
     }

@@ -5,7 +5,8 @@
 //! any worker count and arbitrary document mixes, including blank lines
 //! and missing trailing newlines at shard boundaries.
 
-use jsonx::core::{infer_collection, Equivalence};
+use jsonx::core::{infer_collection, to_json_schema, Equivalence};
+use jsonx::gen::respelled;
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::{parse_ndjson, to_string};
 use jsonx::translate::Shredder;
@@ -88,23 +89,54 @@ fn test_schema() -> CompiledSchema {
 }
 
 proptest! {
+    /// Under the hand-written open schema (no event walk for the
+    /// separate validate stage: the scanner projects), and under the
+    /// closed schema inferred from the documents, where both the
+    /// separate stage and the combined pass validate from events — over
+    /// text that repeats keys, so that either half of the combined pass
+    /// may ask for the record's document, and under both equivalences.
     #[test]
     fn combined_pass_equals_infer_then_validate(
         docs in prop::collection::vec(arb_value(), 0..24),
         workers in prop::sample::select(vec![1usize, 2, 3, 8]),
         blank_every in 0usize..4,
         trailing_newline in any::<bool>(),
+        seed in any::<u64>(),
+        equiv in prop::sample::select(vec![Equivalence::Kind, Equivalence::Label]),
     ) {
-        let ndjson = to_ndjson(&docs, blank_every, trailing_newline);
-        let schema = test_schema();
+        let plain = to_ndjson(&docs, blank_every, trailing_newline);
+        let respelt: String = plain
+            .split_inclusive('\n')
+            .enumerate()
+            .map(|(i, line)| match (line.trim().is_empty(), line.ends_with('\n')) {
+                (true, _) => line.to_string(),
+                (false, newline) => {
+                    let doc = jsonx::syntax::parse(line).unwrap();
+                    respelled(&doc, seed.wrapping_add(i as u64)) + if newline { "\n" } else { "" }
+                }
+            })
+            .collect();
+        let inferred =
+            CompiledSchema::compile(&to_json_schema(&infer_collection(&docs, Equivalence::Kind)))
+                .unwrap();
+        prop_assert_eq!(inferred.streamable(), Ok(()));
         let vopts = ValidatorOptions::default();
-        let (ty, _) = plan(1, 0).infer(Source::slice(&ndjson), Equivalence::Kind).unwrap();
-        let (verdicts, _) = plan(1, 0).validate(Source::slice(&ndjson), &schema, vopts).unwrap();
-        let ((combined_ty, combined_verdicts), _) = plan(workers, 16)
-            .infer_validate(Source::slice(&ndjson), Equivalence::Kind, &schema, vopts)
-            .unwrap();
-        prop_assert_eq!(&combined_ty, &ty, "workers {}", workers);
-        prop_assert_eq!(&combined_verdicts, &verdicts, "workers {}", workers);
+        for (ndjson, schema) in [
+            (&plain, &test_schema()),
+            (&plain, &inferred),
+            (&respelt, &test_schema()),
+            (&respelt, &inferred),
+        ] {
+            let (ty, _) = plan(1, 0).infer(Source::slice(ndjson), equiv).unwrap();
+            // The separate validation stage on the trusted route.
+            let trusted = Run { fast_parse: false, ..plan(1, 0) };
+            let (verdicts, _) = trusted.validate(Source::slice(ndjson), schema, vopts).unwrap();
+            let ((combined_ty, combined_verdicts), _) = plan(workers, 16)
+                .infer_validate(Source::slice(ndjson), equiv, schema, vopts)
+                .unwrap();
+            prop_assert_eq!(&combined_ty, &ty, "workers {}", workers);
+            prop_assert_eq!(&combined_verdicts, &verdicts, "workers {}", workers);
+        }
     }
 
     #[test]

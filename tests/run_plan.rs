@@ -57,8 +57,10 @@ fn normalize<O>(outcome: Outcome<O>) -> Outcome<O> {
     })
 }
 
-/// One well-formed corpus line: records the schema accepts, records it
-/// rejects, nested records, dotted keys, blanks.
+/// One well-formed corpus line: records the schemas accept, records
+/// they reject, nested records, dotted keys, keys repeated in the text
+/// (at the root and nested, spelled alike and escaped-equal, before and
+/// after a value the closed schema refuses), blanks.
 fn clean_line() -> impl Strategy<Value = String> {
     prop_oneof![
         (0i64..100, "[a-z]{0,6}")
@@ -69,6 +71,12 @@ fn clean_line() -> impl Strategy<Value = String> {
         )),
         (0i64..100).prop_map(|id| format!("{{\"id\": {id}, \"tags\": [1, \"x\"]}}")),
         Just("{\"a.b\": 1, \"tag\": null}".to_string()),
+        (0i64..100).prop_map(|id| format!("{{\"id\": \"s{id}\", \"tag\": \"t\", \"id\": {id}}}")),
+        (0i64..100)
+            .prop_map(|id| format!("{{\"\\u0069d\": {id}, \"tag\": \"t\", \"id\": [{id}]}}")),
+        (0i64..100).prop_map(|id| format!(
+            "{{\"tag\": \"t\", \"geo\": {{\"lat\": null, \"lat\": {id}.25}}, \"id\": {id}}}"
+        )),
         Just(String::new()),
     ]
 }
@@ -103,6 +111,26 @@ fn tag_schema() -> CompiledSchema {
     )
     .unwrap();
     CompiledSchema::compile(&doc).unwrap()
+}
+
+/// The same corpus under a schema of the shape `jsonx infer --schema`
+/// writes: closed records leave the scanner nothing to skip, so these
+/// cells validate from events (and hand repeated keys back).
+fn closed_schema() -> CompiledSchema {
+    let doc = parse(
+        r#"{"type": "object", "required": ["tag"], "additionalProperties": false, "properties": {
+            "id": {"type": "integer"},
+            "tag": {"anyOf": [{"type": "null"}, {"type": "string"}]},
+            "geo": {"type": "object", "properties": {"lat": {"type": "number"}}, "additionalProperties": false},
+            "pad": {"type": "string"},
+            "tags": {"type": "array", "items": {"anyOf": [{"type": "integer"}, {"type": "string"}]}},
+            "a.b": {"type": "integer"}
+        }}"#,
+    )
+    .unwrap();
+    let schema = CompiledSchema::compile(&doc).unwrap();
+    assert!(schema.root_projection().is_none() && schema.streamable().is_ok());
+    schema
 }
 
 /// The corpus on disk, plus a scratch journal path next to it.
@@ -275,18 +303,21 @@ proptest! {
 
     #[test]
     fn validate_is_plan_invariant(text in arb_corpus(), stop_after in 1u64..6) {
-        let schema = tag_schema();
-        assert_matrix("validate", &text, stop_after, EVERY_SOURCE, |run, source| {
-            run.validate(source, &schema, ValidatorOptions::default())
-        });
+        for (name, schema) in [("validate", tag_schema()), ("validate-closed", closed_schema())] {
+            assert_matrix(name, &text, stop_after, EVERY_SOURCE, |run, source| {
+                run.validate(source, &schema, ValidatorOptions::default())
+            });
+        }
     }
 
     #[test]
-    fn infer_validate_is_plan_invariant(text in arb_corpus()) {
-        let schema = tag_schema();
-        assert_matrix("infer-validate", &text, 0, NO_JOURNAL, |run, source| {
-            run.infer_validate(source, Equivalence::Kind, &schema, ValidatorOptions::default())
-        });
+    fn infer_validate_is_plan_invariant(text in arb_corpus(), label in any::<bool>()) {
+        let equiv = if label { Equivalence::Label } else { Equivalence::Kind };
+        for (name, schema) in [("infer-validate", tag_schema()), ("infer-validate-closed", closed_schema())] {
+            assert_matrix(name, &text, 0, NO_JOURNAL, |run, source| {
+                run.infer_validate(source, equiv, &schema, ValidatorOptions::default())
+            });
+        }
     }
 
     #[test]
@@ -315,21 +346,24 @@ proptest! {
 /// DOM once, so "all cells agree" cannot mean "all cells are wrong".
 #[test]
 fn reference_cell_matches_the_dom() {
-    let text = "{\"id\": 1, \"tag\": \"a\"}\n\n{\"id\": \"x\"}\n{\"tag\": null, \"id\": 2}\n";
+    let text = "{\"id\": 1, \"tag\": \"a\"}\n\n{\"id\": \"x\"}\n{\"tag\": null, \"id\": 2}\n\
+                {\"id\": \"x\", \"tag\": \"t\", \"id\": 3}\n{\"id\": 3, \"tag\": \"t\", \"id\": \"x\"}\n";
     let docs = jsonx::syntax::parse_ndjson(text).unwrap();
     let run = Run {
         workers: 1,
         fast_parse: false,
         ..Run::default()
     };
-    let schema = tag_schema();
-    let (verdicts, report) = run
-        .validate(Source::slice(text), &schema, ValidatorOptions::default())
-        .unwrap();
-    let dom: Vec<bool> = docs.iter().map(|d| schema.validate(d).is_ok()).collect();
-    let streamed: Vec<bool> = verdicts.iter().map(|(_, v)| v.is_valid()).collect();
-    assert_eq!(streamed, dom);
-    assert_eq!(report.records, 3);
+    for (schema, valid) in [(tag_schema(), 3), (closed_schema(), 3)] {
+        let (verdicts, report) = run
+            .validate(Source::slice(text), &schema, ValidatorOptions::default())
+            .unwrap();
+        let dom: Vec<bool> = docs.iter().map(|d| schema.validate(d).is_ok()).collect();
+        let streamed: Vec<bool> = verdicts.iter().map(|(_, v)| v.is_valid()).collect();
+        assert_eq!(streamed, dom);
+        assert_eq!(dom.iter().filter(|valid| **valid).count(), valid);
+        assert_eq!(report.records, 5);
+    }
     let (ty, batch, _) = run
         .translate_inferred(Source::slice(text), Equivalence::Kind)
         .unwrap();

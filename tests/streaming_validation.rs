@@ -3,11 +3,17 @@
 //! **verdict-identical** to sequential DOM validation
 //! (`jsonx_syntax::parse_ndjson` + `CompiledSchema::validate`) at every
 //! worker count, with per-line results in input order and malformed lines
-//! reported at their exact indices.
+//! reported at their exact indices. The schema strategy reaches all three
+//! ways a record meets the IR — projected by the scanner, validated from
+//! its events (closed and inferred schemas), decoded to a document — and
+//! the corpora are text with repeated keys, which only the document route
+//! can judge.
 
+use jsonx::core::{infer_collection, to_json_schema, Equivalence};
+use jsonx::gen::respelled;
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::{parse_ndjson, to_string};
-use jsonx::{ErrorPolicy, FaultOptions, LineVerdict, Run, Source, StreamError};
+use jsonx::{ErrorPolicy, FaultOptions, LineVerdict, Route, RouteCounts, Run, Source, StreamError};
 use jsonx_data::{json, Number, Object, Value};
 use proptest::prelude::*;
 
@@ -30,7 +36,9 @@ fn arb_doc() -> impl Strategy<Value = Value> {
     })
 }
 
-/// Schemas exercising types, bounds, patterns, combinators and `$ref`.
+/// Schemas exercising types, bounds, patterns, combinators and `$ref`,
+/// open records (projectable), closed records and kind-discriminated
+/// unions (streamable), and the rest.
 fn arb_schema() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
         Just(json!(true)),
@@ -46,6 +54,17 @@ fn arb_schema() -> impl Strategy<Value = Value> {
         prop_oneof![
             inner.clone().prop_map(|s| json!({ "items": s })),
             inner.clone().prop_map(|s| json!({"properties": {"a": s}})),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| json!({
+                "properties": {"a": a, "b": b},
+                "required": ["a", "c"],
+                "additionalProperties": false
+            })),
+            (inner.clone(), inner.clone()).prop_map(|(a, item)| json!({"anyOf": [
+                {"type": "object", "properties": {"a": a}, "additionalProperties": false},
+                {"type": "array", "items": [item], "additionalItems": false},
+                {"type": "number"},
+                {"type": "null"}
+            ]})),
             inner
                 .clone()
                 .prop_map(|s| json!({ "additionalProperties": s })),
@@ -70,6 +89,21 @@ fn to_ndjson(docs: &[Value]) -> String {
     let mut out = String::new();
     for d in docs {
         out.push_str(&to_string(d));
+        out.push('\n');
+    }
+    out
+}
+
+/// `docs` as text a serializer does not write — repeated and
+/// escaped-equal keys, shuffled members, `3.0` for `3` — two lines in
+/// three.
+fn to_respelled_ndjson(docs: &[Value], seed: u64) -> String {
+    let mut out = String::new();
+    for (i, d) in docs.iter().enumerate() {
+        match i % 3 {
+            0 => out.push_str(&to_string(d)),
+            _ => out.push_str(&respelled(d, seed.wrapping_add(i as u64))),
+        }
         out.push('\n');
     }
     out
@@ -105,34 +139,55 @@ fn dom_verdicts(ndjson: &str, schema: &CompiledSchema, opts: ValidatorOptions) -
         .collect()
 }
 
+/// Streamed verdicts on `ndjson` ≡ the interpreter's on the parser's
+/// documents, sequentially and at every worker count.
+fn assert_streaming_equals_dom(ndjson: &str, schema_doc: &Value) -> Result<(), TestCaseError> {
+    let schema = CompiledSchema::compile(schema_doc).unwrap();
+    let opts = ValidatorOptions::default();
+    let reference = dom_verdicts(ndjson, &schema, opts);
+
+    let seq = stream_verdicts(ndjson, &schema, opts, 1, 0);
+    prop_assert_eq!(seq.len(), reference.len());
+    for (((line, verdict), expected), text) in seq.iter().zip(&reference).zip(ndjson.lines()) {
+        prop_assert_eq!(
+            verdict.is_valid(),
+            *expected,
+            "line {} schema {} doc {}",
+            line,
+            schema_doc,
+            text
+        );
+    }
+
+    for workers in 1..=6usize {
+        let par = stream_verdicts(ndjson, &schema, opts, workers, 16);
+        prop_assert_eq!(&par, &seq, "workers={}", workers);
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn streaming_validation_equals_dom_at_every_worker_count(
         schema_doc in arb_schema(),
         docs in prop::collection::vec(arb_doc(), 0..24),
+        seed in any::<u64>(),
     ) {
-        let schema = CompiledSchema::compile(&schema_doc).unwrap();
-        let ndjson = to_ndjson(&docs);
-        let opts = ValidatorOptions::default();
-        let reference = dom_verdicts(&ndjson, &schema, opts);
+        assert_streaming_equals_dom(&to_respelled_ndjson(&docs, seed), &schema_doc)?;
+    }
 
-        let seq = stream_verdicts(&ndjson, &schema, opts, 1, 0);
-        prop_assert_eq!(seq.len(), reference.len());
-        for ((line, verdict), expected) in seq.iter().zip(&reference) {
-            prop_assert_eq!(
-                verdict.is_valid(),
-                *expected,
-                "line {} schema {} doc {}",
-                line,
-                schema_doc,
-                docs[*line]
-            );
-        }
-
-        for workers in 1..=6usize {
-            let par = stream_verdicts(&ndjson, &schema, opts, workers, 16);
-            prop_assert_eq!(&par, &seq, "workers={}", workers);
-        }
+    /// The schema `jsonx infer --schema` would write for the documents,
+    /// over their respelled text: every record is validated from events
+    /// or handed back for a repeated key, and strays from the schema
+    /// wherever the respelling took it.
+    #[test]
+    fn inferred_schemas_validate_from_events_like_the_dom(
+        docs in prop::collection::vec(arb_doc(), 1..24),
+        seed in any::<u64>(),
+    ) {
+        let schema_doc = to_json_schema(&infer_collection(&docs, Equivalence::Kind));
+        prop_assert_eq!(CompiledSchema::compile(&schema_doc).unwrap().streamable(), Ok(()));
+        assert_streaming_equals_dom(&to_respelled_ndjson(&docs, seed), &schema_doc)?;
     }
 
     #[test]
@@ -245,5 +300,107 @@ fn ref_heavy_schema_agrees_across_workers() {
     for workers in [2, 3, 8] {
         let par = stream_verdicts(&ndjson, &schema, opts, workers, 64);
         assert_eq!(par, seq, "workers={workers}");
+    }
+}
+
+/// The three records the event walk's design turns on, through the whole
+/// engine: each gets the document's verdict (last key wins) and says by
+/// its route how it got it.
+#[test]
+fn repeated_keys_get_the_documents_verdict_and_say_so() {
+    let tree = CompiledSchema::compile(&json!({
+        "definitions": {"t": {
+            "type": "object",
+            "additionalProperties": false,
+            "required": ["value"],
+            "properties": {
+                "value": {"type": "integer"},
+                "children": {"type": "array", "items": {"$ref": "#/definitions/t"}}
+            }
+        }},
+        "$ref": "#/definitions/t"
+    }))
+    .unwrap();
+    let a_integer = CompiledSchema::compile(&json!({
+        "properties": {"a": {"type": "integer"}},
+        "additionalProperties": false
+    }))
+    .unwrap();
+    let unique = CompiledSchema::compile(&json!({
+        "properties": {"a": {"uniqueItems": true}},
+        "additionalProperties": false
+    }))
+    .unwrap();
+    let replayed = |why| Route::Replayed(why);
+    let cases: [(&CompiledSchema, &str, bool, Route); 7] = [
+        // One node, two open frames: the inner object's `value` is no
+        // duplicate of the outer's, the outer's second `value` is.
+        (
+            &tree,
+            r#"{"value":1,"children":[{"value":2}],"value":2}"#,
+            true,
+            replayed("duplicate-key"),
+        ),
+        (
+            &tree,
+            r#"{"value":1,"children":[{"value":2}]}"#,
+            true,
+            Route::Fast,
+        ),
+        (
+            &tree,
+            r#"{"children":[{"children":[]}],"value":1}"#,
+            false,
+            Route::Fast,
+        ),
+        // A violation, then the duplicate that takes it back — and the
+        // other way round.
+        (
+            &a_integer,
+            r#"{"a":"x","a":1}"#,
+            true,
+            replayed("duplicate-key"),
+        ),
+        (
+            &a_integer,
+            r#"{"a":1,"a":"x"}"#,
+            false,
+            replayed("duplicate-key"),
+        ),
+        (
+            &a_integer,
+            r#"{"\u0061":1,"a":2}"#,
+            true,
+            replayed("duplicate-key"),
+        ),
+        // Outside the streamable fragment nothing is speculated.
+        (&unique, r#"{"a":[1,1]}"#, false, replayed("uniqueItems")),
+    ];
+    for (schema, record, valid, route) in cases {
+        // Enough copies for every worker to see some.
+        let ndjson = format!("{record}\n").repeat(24);
+        let mut routes = RouteCounts::default();
+        (0..24).for_each(|_| routes.count(route));
+        for workers in [1, 2, 8] {
+            let run = Run {
+                workers,
+                chunk_bytes: 64,
+                timing: true,
+                ..Run::default()
+            };
+            let (verdicts, report) = run
+                .validate(Source::slice(&ndjson), schema, ValidatorOptions::default())
+                .unwrap();
+            assert_eq!(verdicts.len(), 24);
+            assert!(
+                verdicts.iter().all(|(_, v)| v.is_valid() == valid),
+                "{record} workers={workers}"
+            );
+            assert_eq!(report.routes, routes, "{record} workers={workers}");
+            assert_eq!(
+                schema.is_valid(&jsonx::syntax::parse(record).unwrap()),
+                valid
+            );
+        }
     }
 }
