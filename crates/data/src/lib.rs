@@ -39,4 +39,4 @@ pub use metrics::{label_paths, max_depth, node_count, text_size, LabelPath, Labe
 pub use number::Number;
 pub use object::Object;
 pub use pointer::{Pointer, PointerParseError, Token};
-pub use value::Value;
+pub use value::{write_escaped, Value};

@@ -3,7 +3,7 @@
 use crate::kind::Kind;
 use crate::number::Number;
 use crate::object::Object;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// An owned JSON value.
 ///
@@ -140,7 +140,7 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
-            Value::Num(n) => out.push_str(&n.to_string()),
+            Value::Num(n) => write!(out, "{n}").expect("writing to a String"),
             Value::Str(s) => write_escaped(s, out),
             Value::Arr(items) => {
                 out.push('[');
@@ -168,24 +168,32 @@ impl Value {
     }
 }
 
-/// Writes `s` as a JSON string literal with required escapes.
-pub(crate) fn write_escaped(s: &str, out: &mut String) {
+/// Writes `s` as a JSON string literal with required escapes — the one
+/// escaper behind every rendering of a string, here and in the
+/// serializer. Clean runs are copied whole; only `"`, `\` and control
+/// characters interrupt them.
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut clean_from = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // `b` is ASCII, so `i` is a character boundary.
+        out.push_str(&s[clean_from..i]);
+        clean_from = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => write!(out, "\\u{b:04x}").expect("writing to a String"),
         }
     }
+    out.push_str(&s[clean_from..]);
     out.push('"');
 }
 

@@ -79,13 +79,17 @@ impl CsvDecoder {
 
     /// Builds a decoder from a header line, parsed with the same cell
     /// grammar as data rows (so header names may be quoted). The line
-    /// must not include its newline terminator.
+    /// must not include its newline terminator; a leading byte-order mark
+    /// (U+FEFF) is skipped.
     pub fn from_header(header: &str) -> Result<CsvDecoder, ParseError> {
         Self::from_header_with(header, b',')
     }
 
     /// [`from_header`](Self::from_header) with a custom delimiter.
     pub fn from_header_with(header: &str, delimiter: u8) -> Result<CsvDecoder, ParseError> {
+        // The byte-order mark a spreadsheet export leads its first line
+        // with is not part of the first name.
+        let header = header.strip_prefix('\u{feff}').unwrap_or(header);
         let template = CsvDecoder {
             fields: Vec::new(),
             delimiter,

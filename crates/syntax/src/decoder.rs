@@ -10,7 +10,7 @@
 //! validation, translation, error policies and quarantine unchanged.
 //!
 //! Two implementations live in this crate: [`JsonDecoder`] (the NDJSON
-//! baseline: [`parse_events`] under a run's [`ParseLimits`]) and
+//! baseline: [`parse_events`](crate::parse_events) under a run's [`ParseLimits`]) and
 //! [`CsvDecoder`](crate::csv::CsvDecoder) (header-driven CSV rows as flat
 //! objects). The facade crate adds a third, wrapping the SWAR
 //! structural-index fast path behind the same trait.
@@ -22,7 +22,8 @@
 //! tokenisation can feed, say, a typer and a validator.
 
 use crate::error::{ParseError, ParseErrorKind, RecordLimit};
-use crate::event::{parse_events, RawEvent};
+use crate::event::{push_events, RawEvent};
+use crate::lexer::Lexer;
 use crate::limits::ParseLimits;
 use crate::parser::ParserOptions;
 use jsonx_data::{Object, Value};
@@ -125,7 +126,7 @@ impl EventReceiver for ValueBuilder {
 /// buffers, speculation state, scanners), created once per worker via
 /// [`scratch`](Self::scratch) and threaded through every decode.
 ///
-/// The contract is that of [`parse_events`]: a successful decode
+/// The contract is that of [`parse_events`](crate::parse_events): a successful decode
 /// emits a balanced event stream describing exactly one value, and an
 /// error leaves the receiver abandonable (partial events may have been
 /// delivered; callers reset their receivers on error). Byte offsets in
@@ -157,7 +158,7 @@ pub trait RecordDecoder: Sync {
 }
 
 /// The NDJSON baseline decoder: one JSON document per record, pushed
-/// through [`parse_events`] under the configured [`ParseLimits`] — so a
+/// through [`parse_events`](crate::parse_events) under the configured [`ParseLimits`] — so a
 /// record's events, its DOM value and its rejection are one parse's.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JsonDecoder {
@@ -203,7 +204,8 @@ impl RecordDecoder for JsonDecoder {
             allow_trailing: false,
             max_string_bytes: self.limits.max_string_bytes,
         };
-        parse_events(record.as_bytes(), opts, recv)
+        // The record is text already: no second UTF-8 check.
+        push_events(Lexer::over_text(record), opts, recv)
     }
 }
 

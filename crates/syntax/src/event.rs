@@ -7,12 +7,13 @@
 //! well-formedness and hands container boundaries, keys and scalars to
 //! the caller's receiver — a [`ValueBuilder`](crate::ValueBuilder) for a
 //! DOM, a typer, a shredder. Events borrow escape-free strings straight
-//! from the input: **zero per-token heap allocations** on the common
-//! machine-generated document.
+//! from the input and the open containers are bits in a word: **no heap
+//! allocation per token or per record** on the common machine-generated
+//! document.
 
 use crate::decoder::EventReceiver;
 use crate::error::{ParseError, ParseErrorKind};
-use crate::lexer::{Lexer, RawToken};
+use crate::lexer::Lexer;
 use crate::parser::ParserOptions;
 use jsonx_data::Number;
 use std::borrow::Cow;
@@ -45,88 +46,139 @@ pub enum RawEvent<'a> {
 ///
 /// Iterative: open containers live on an explicit stack, so nesting costs
 /// heap instead of call stack and `opts.max_depth` is the only bound.
+///
+/// Byte-driven: the loop dispatches on the next significant byte —
+/// punctuation is a cursor step, scalars go from the lexer's scanners
+/// straight to the receiver — and builds a token only to word the error
+/// for a byte it cannot take (the lexer's cold `unexpected`).
 pub fn parse_events<R: EventReceiver + ?Sized>(
     input: &[u8],
     opts: ParserOptions,
     recv: &mut R,
 ) -> Result<(), ParseError> {
-    let mut lexer = Lexer::new(input);
+    push_events(Lexer::new(input), opts, recv)
+}
+
+/// [`parse_events`] on a lexer the caller made — over bytes, or over text
+/// that needs no second UTF-8 check.
+pub(crate) fn push_events<R: EventReceiver + ?Sized>(
+    mut lexer: Lexer<'_>,
+    opts: ParserOptions,
+    recv: &mut R,
+) -> Result<(), ParseError> {
     lexer.set_max_string_bytes(opts.max_string_bytes);
-    let fail = |lexer: &Lexer<'_>, kind| ParseError::at(kind, input, lexer.offset());
-    let unexpected = |lexer: &Lexer<'_>, tok: RawToken<'_>| match tok {
-        RawToken::Eof => fail(lexer, ParseErrorKind::UnexpectedEof),
-        other => fail(lexer, ParseErrorKind::UnexpectedToken(other.name())),
-    };
-    // One entry per open container, innermost last: is it an object?
-    let mut open: Vec<bool> = Vec::new();
-    let mut tok = lexer.next_token_raw()?;
+    let mut open = OpenContainers::default();
     'member: loop {
-        // `tok` starts a member of the innermost container — or the document.
-        if open.last() == Some(&true) {
-            let RawToken::Str(key) = tok else {
-                return Err(unexpected(&lexer, tok));
-            };
-            recv.event(&RawEvent::Key(key));
-            match lexer.next_token_raw()? {
-                RawToken::Colon => {}
-                other => return Err(unexpected(&lexer, other)),
+        // The cursor is before a member of the innermost container — or
+        // before the document.
+        let mut b = lexer.peek();
+        if open.innermost_is_object() {
+            if b != b'"' {
+                return Err(lexer.unexpected());
             }
-            tok = lexer.next_token_raw()?;
-        }
-        let ev = match tok {
-            RawToken::Null => RawEvent::Null,
-            RawToken::True => RawEvent::Bool(true),
-            RawToken::False => RawEvent::Bool(false),
-            RawToken::Num(n) => RawEvent::Num(n),
-            RawToken::Str(s) => RawEvent::Str(s),
-            RawToken::LBrace => RawEvent::StartObject,
-            RawToken::LBracket => RawEvent::StartArray,
-            other => return Err(unexpected(&lexer, other)),
-        };
-        let opens = matches!(ev, RawEvent::StartObject | RawEvent::StartArray);
-        if opens && open.len() >= opts.max_depth {
-            return Err(fail(&lexer, ParseErrorKind::TooDeep));
-        }
-        recv.event(&ev);
-        if opens {
-            let object = matches!(ev, RawEvent::StartObject);
-            open.push(object);
-            tok = lexer.next_token_raw()?;
-            // An empty container's closer stands where a first member would.
-            match (object, &tok) {
-                (true, RawToken::RBrace) | (false, RawToken::RBracket) => {}
-                _ => continue,
+            recv.event(&RawEvent::Key(lexer.scan_string_cow()?));
+            if lexer.peek() != b':' {
+                return Err(lexer.unexpected());
             }
-        } else if open.is_empty() {
-            break;
-        } else {
-            tok = lexer.next_token_raw()?;
+            lexer.bump();
+            b = lexer.peek();
         }
-        // `tok` follows a member of the innermost container, or closes it.
-        loop {
-            match (open.last(), tok) {
-                (Some(_), RawToken::Comma) => break,
-                (Some(true), RawToken::RBrace) => recv.event(&RawEvent::EndObject),
-                (Some(false), RawToken::RBracket) => recv.event(&RawEvent::EndArray),
-                (_, other) => return Err(unexpected(&lexer, other)),
+        match b {
+            b'"' => recv.event(&RawEvent::Str(lexer.scan_string_cow()?)),
+            b'-' | b'0'..=b'9' => recv.event(&RawEvent::Num(lexer.scan_number()?)),
+            b't' => {
+                lexer.scan_keyword(b"true")?;
+                recv.event(&RawEvent::Bool(true));
             }
+            b'f' => {
+                lexer.scan_keyword(b"false")?;
+                recv.event(&RawEvent::Bool(false));
+            }
+            b'n' => {
+                lexer.scan_keyword(b"null")?;
+                recv.event(&RawEvent::Null);
+            }
+            b'{' | b'[' => {
+                lexer.bump();
+                if open.depth >= opts.max_depth {
+                    return Err(lexer.err(ParseErrorKind::TooDeep, lexer.offset()));
+                }
+                let object = b == b'{';
+                recv.event(if object {
+                    &RawEvent::StartObject
+                } else {
+                    &RawEvent::StartArray
+                });
+                open.push(object);
+                // An empty container's closer stands where a first member would.
+                if lexer.peek() != if object { b'}' } else { b']' } {
+                    continue;
+                }
+            }
+            _ => return Err(lexer.unexpected()),
+        }
+        // The cursor follows a member of the innermost container, or is
+        // on the closer of an empty one.
+        while open.depth > 0 {
+            match (lexer.peek(), open.innermost_is_object()) {
+                (b',', _) => {
+                    lexer.bump();
+                    continue 'member;
+                }
+                (b'}', true) => recv.event(&RawEvent::EndObject),
+                (b']', false) => recv.event(&RawEvent::EndArray),
+                _ => return Err(lexer.unexpected()),
+            }
+            lexer.bump();
             open.pop();
-            if open.is_empty() {
-                break 'member;
-            }
-            tok = lexer.next_token_raw()?;
         }
-        tok = lexer.next_token_raw()?;
+        break;
     }
     if !opts.allow_trailing {
         // Whatever follows the value is trailing data *at its first
         // byte*; it is not lexed, so garbage cannot reword the error.
         lexer.skip_ws();
-        if lexer.offset() != input.len() {
-            return Err(fail(&lexer, ParseErrorKind::TrailingData));
+        if !lexer.at_end() {
+            return Err(lexer.err(ParseErrorKind::TrailingData, lexer.offset()));
         }
     }
     Ok(())
+}
+
+/// The open containers, innermost last, one bit each (set: an object).
+/// The innermost 64 live in a word, so a record of ordinary depth
+/// allocates nothing; each full word below them is spilled to the heap.
+#[derive(Default)]
+struct OpenContainers {
+    depth: usize,
+    /// Bit 0 is the innermost container; zero when none is open.
+    word: u64,
+    spilled: Vec<u64>,
+}
+
+impl OpenContainers {
+    #[inline]
+    fn innermost_is_object(&self) -> bool {
+        self.word & 1 != 0
+    }
+
+    #[inline]
+    fn push(&mut self, object: bool) {
+        if self.depth != 0 && self.depth & 63 == 0 {
+            self.spilled.push(std::mem::take(&mut self.word));
+        }
+        self.word = self.word << 1 | u64::from(object);
+        self.depth += 1;
+    }
+
+    #[inline]
+    fn pop(&mut self) {
+        self.depth -= 1;
+        self.word >>= 1;
+        if self.depth != 0 && self.depth & 63 == 0 {
+            self.word = self.spilled.pop().expect("one word per 64 levels");
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,19 @@
 //! The JSON tokenizer.
 //!
-//! Operates over raw bytes, validating UTF-8 only where it can appear
-//! (inside strings), so that pure-ASCII structural scanning stays cheap.
+//! Operates over raw bytes. The input is checked as UTF-8 **once**, when
+//! the lexer is made (or not at all, when the caller already holds a
+//! `&str`), so a string literal is a slice of validated text instead of
+//! a validation pass of its own; only input that is not valid UTF-8 as a
+//! whole pays for per-literal checks, to say where it goes wrong.
+//!
+//! The scanners ([`scan_string_cow`](Lexer::scan_string_cow),
+//! [`scan_number`](Lexer::scan_number), the keyword scan) are what
+//! [`parse_events`](crate::parse_events) calls, byte-driven; tokens
+//! ([`next_token_raw`](Lexer::next_token_raw)) are for diagnosing the byte
+//! the grammar could not take, and for tests.
 
 use crate::error::{ParseError, ParseErrorKind, RecordLimit};
+use crate::structural::{control_mask, eq_mask};
 use jsonx_data::Number;
 use std::borrow::Cow;
 
@@ -52,16 +62,31 @@ impl<'a> RawToken<'a> {
 /// A resumable tokenizer over a byte slice.
 pub struct Lexer<'a> {
     input: &'a [u8],
+    /// `input` as text, when all of it is valid UTF-8.
+    text: Option<&'a str>,
     pos: usize,
     /// Cap on one string literal's content bytes; `None` disables the guard.
     max_string_bytes: Option<usize>,
 }
 
 impl<'a> Lexer<'a> {
-    /// Creates a lexer over `input`.
+    /// Creates a lexer over `input`, checking it as UTF-8 once. Invalid
+    /// input is still lexed — literal by literal, so the error names the
+    /// first bad byte a literal holds.
     pub fn new(input: &'a [u8]) -> Self {
         Lexer {
             input,
+            text: std::str::from_utf8(input).ok(),
+            pos: 0,
+            max_string_bytes: None,
+        }
+    }
+
+    /// Creates a lexer over text: checked already, by whoever made it.
+    pub(crate) fn over_text(text: &'a str) -> Self {
+        Lexer {
+            input: text.as_bytes(),
+            text: Some(text),
             pos: 0,
             max_string_bytes: None,
         }
@@ -81,7 +106,12 @@ impl<'a> Lexer<'a> {
         self.pos
     }
 
-    fn err(&self, kind: ParseErrorKind, at: usize) -> ParseError {
+    /// Whether the cursor is at the end of the input.
+    pub(crate) fn at_end(&self) -> bool {
+        self.pos == self.input.len()
+    }
+
+    pub(crate) fn err(&self, kind: ParseErrorKind, at: usize) -> ParseError {
         ParseError::at(kind, self.input, at)
     }
 
@@ -93,6 +123,39 @@ impl<'a> Lexer<'a> {
             } else {
                 break;
             }
+        }
+    }
+
+    /// The next significant byte, with the cursor left on it; `0` at the
+    /// end of input (no grammar position takes a NUL, so both end up in
+    /// [`unexpected`](Self::unexpected), which tells them apart).
+    #[inline]
+    pub(crate) fn peek(&mut self) -> u8 {
+        match self.input.get(self.pos) {
+            Some(&b) if b > b' ' => b,
+            _ => {
+                self.skip_ws();
+                self.input.get(self.pos).copied().unwrap_or(0)
+            }
+        }
+    }
+
+    /// Steps over the one-byte token [`peek`](Self::peek) returned.
+    #[inline]
+    pub(crate) fn bump(&mut self) {
+        self.pos += 1;
+    }
+
+    /// Diagnoses the byte the grammar could not take where it stands
+    /// (cursor on or before it) by lexing the token it starts: that
+    /// token's own lexical error if it has one, else "this token, not
+    /// here", positioned at the byte after it.
+    #[cold]
+    pub(crate) fn unexpected(&mut self) -> ParseError {
+        match self.next_token_raw() {
+            Err(lexical) => lexical,
+            Ok(RawToken::Eof) => self.err(ParseErrorKind::UnexpectedEof, self.pos),
+            Ok(tok) => self.err(ParseErrorKind::UnexpectedToken(tok.name()), self.pos),
         }
     }
 
@@ -129,22 +192,19 @@ impl<'a> Lexer<'a> {
             }
             b'"' => self.scan_string_cow().map(RawToken::Str),
             b'-' | b'0'..=b'9' => self.scan_number().map(RawToken::Num),
-            b't' => self.scan_keyword(b"true", RawToken::True),
-            b'f' => self.scan_keyword(b"false", RawToken::False),
-            b'n' => self.scan_keyword(b"null", RawToken::Null),
+            b't' => self.scan_keyword(b"true").map(|()| RawToken::True),
+            b'f' => self.scan_keyword(b"false").map(|()| RawToken::False),
+            b'n' => self.scan_keyword(b"null").map(|()| RawToken::Null),
             other => Err(self.err(ParseErrorKind::UnexpectedByte(other), self.pos)),
         }
     }
 
-    fn scan_keyword(
-        &mut self,
-        word: &'static [u8],
-        tok: RawToken<'a>,
-    ) -> Result<RawToken<'a>, ParseError> {
-        let end = self.pos + word.len();
-        if self.input.len() >= end && &self.input[self.pos..end] == word {
-            self.pos = end;
-            Ok(tok)
+    /// Scans `word` (cursor on its first byte).
+    #[inline]
+    pub(crate) fn scan_keyword(&mut self, word: &'static [u8]) -> Result<(), ParseError> {
+        if self.input[self.pos..].starts_with(word) {
+            self.pos += word.len();
+            Ok(())
         } else {
             Err(self.err(ParseErrorKind::BadKeyword, self.pos))
         }
@@ -153,32 +213,44 @@ impl<'a> Lexer<'a> {
     /// Scans a string literal (cursor on the opening quote), borrowing the
     /// input slice when the literal contains no escapes.
     ///
-    /// This is the zero-copy hot path: escape-free strings cost one UTF-8
-    /// validation pass and no heap allocation. Escaped strings fall back to
+    /// This is the zero-copy hot path: the first `"`, `\` or control byte
+    /// is found eight bytes at a time, and an escape-free literal is then
+    /// a slice of the text checked when the lexer was made — no UTF-8
+    /// pass of its own, no heap allocation. Escaped strings fall back to
     /// `scan_string`, which builds the unescaped buffer.
     pub fn scan_string_cow(&mut self) -> Result<Cow<'a, str>, ParseError> {
         debug_assert_eq!(self.input[self.pos], b'"');
         let start = self.pos;
         self.pos += 1;
         let body_start = self.pos;
+        while let Some(word) = self.input.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+            // 0x80 in every lane holding a byte the loop below stops at;
+            // bytes of multi-byte characters (>= 0x80) are not among them.
+            let stops = eq_mask(word, b'"') | eq_mask(word, b'\\') | control_mask(word);
+            if stops != 0 {
+                self.pos += (stops.trailing_zeros() / 8) as usize;
+                break;
+            }
+            self.pos += 8;
+        }
+        // Decides at the byte the words stopped on, and walks the last
+        // few bytes of an input too short for another word.
         loop {
             let Some(&b) = self.input.get(self.pos) else {
                 return Err(self.err(ParseErrorKind::UnexpectedEof, start));
             };
             match b {
                 b'"' => {
-                    let chunk = &self.input[body_start..self.pos];
                     if let Some(limit) = self.max_string_bytes {
-                        if chunk.len() > limit {
+                        if self.pos - body_start > limit {
                             return Err(self.err(
                                 ParseErrorKind::LimitExceeded(RecordLimit::StringBytes),
                                 start,
                             ));
                         }
                     }
-                    let s = std::str::from_utf8(chunk).map_err(|e| {
-                        self.err(ParseErrorKind::InvalidUtf8, body_start + e.valid_up_to())
-                    })?;
+                    let s = self.text_of(body_start, self.pos)?;
                     self.pos += 1;
                     return Ok(Cow::Borrowed(s));
                 }
@@ -192,6 +264,18 @@ impl<'a> Lexer<'a> {
                 }
                 _ => self.pos += 1,
             }
+        }
+    }
+
+    /// `input[from..to]`, a run of literal content delimited by ASCII
+    /// bytes, as text: a slice of the validated input, or — when the
+    /// input as a whole is not valid UTF-8 — this run's own check.
+    #[inline]
+    fn text_of(&self, from: usize, to: usize) -> Result<&'a str, ParseError> {
+        match self.text {
+            Some(text) => Ok(&text[from..to]),
+            None => std::str::from_utf8(&self.input[from..to])
+                .map_err(|e| self.err(ParseErrorKind::InvalidUtf8, from + e.valid_up_to())),
         }
     }
 
@@ -231,20 +315,17 @@ impl<'a> Lexer<'a> {
 
     fn flush_run(&self, run_start: usize, out: &mut String) -> Result<(), ParseError> {
         if run_start < self.pos {
-            let chunk = &self.input[run_start..self.pos];
             if let Some(limit) = self.max_string_bytes {
                 // Checked before the buffer grows: the literal is rejected
                 // without paying for the allocation it would have forced.
-                if out.len() + chunk.len() > limit {
+                if out.len() + (self.pos - run_start) > limit {
                     return Err(self.err(
                         ParseErrorKind::LimitExceeded(RecordLimit::StringBytes),
                         run_start,
                     ));
                 }
             }
-            let s = std::str::from_utf8(chunk)
-                .map_err(|e| self.err(ParseErrorKind::InvalidUtf8, run_start + e.valid_up_to()))?;
-            out.push_str(s);
+            out.push_str(self.text_of(run_start, self.pos)?);
         }
         Ok(())
     }
@@ -312,21 +393,29 @@ impl<'a> Lexer<'a> {
         Ok(v)
     }
 
-    /// Scans a number literal (cursor on `-` or a digit).
+    /// Scans a number literal (cursor on `-` or a digit). An integer of
+    /// at most 18 bytes cannot overflow, so its value is accumulated while
+    /// the grammar is checked; longer or fractional literals are parsed
+    /// from their text.
     pub fn scan_number(&mut self) -> Result<Number, ParseError> {
         let start = self.pos;
         let bytes = self.input;
         let mut i = self.pos;
         let mut is_float = false;
 
-        if bytes.get(i) == Some(&b'-') {
+        let negative = bytes.get(i) == Some(&b'-');
+        if negative {
             i += 1;
         }
         // Integer part: `0` or non-zero digit followed by digits.
+        let mut magnitude = 0i64;
         match bytes.get(i) {
             Some(b'0') => i += 1,
             Some(b'1'..=b'9') => {
-                while matches!(bytes.get(i), Some(b'0'..=b'9')) {
+                while let Some(&digit @ b'0'..=b'9') = bytes.get(i) {
+                    magnitude = magnitude
+                        .wrapping_mul(10)
+                        .wrapping_add(i64::from(digit - b'0'));
                     i += 1;
                 }
             }
@@ -360,8 +449,11 @@ impl<'a> Lexer<'a> {
             }
         }
 
-        let text = std::str::from_utf8(&bytes[start..i]).expect("number bytes are ASCII");
         self.pos = i;
+        if !is_float && i - start <= 18 {
+            return Ok(Number::Int(if negative { -magnitude } else { magnitude }));
+        }
+        let text = std::str::from_utf8(&bytes[start..i]).expect("number bytes are ASCII");
         if !is_float {
             if let Ok(int) = text.parse::<i64>() {
                 return Ok(Number::Int(int));

@@ -1,6 +1,7 @@
 //! JSON serialization: compact, pretty, ASCII-safe, and key-sorted modes.
 
-use jsonx_data::{Number, Value};
+use jsonx_data::{write_escaped, Number, Value};
+use std::fmt::Write as _;
 
 /// Serializer configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -149,42 +150,33 @@ fn newline_indent(opts: &SerializeOptions, level: usize, out: &mut String) {
 }
 
 fn write_number(n: &Number, out: &mut String) {
-    out.push_str(&n.to_string());
+    write!(out, "{n}").expect("writing to a String");
 }
 
 fn write_string(s: &str, opts: &SerializeOptions, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                push_u_escape(c as u32, out);
+    let literal_from = out.len();
+    write_escaped(s, out);
+    if opts.ascii_only && !out[literal_from..].is_ascii() {
+        // What is left to escape is exactly the non-ASCII characters.
+        let literal = out.split_off(literal_from);
+        for c in literal.chars() {
+            let code = c as u32;
+            if c.is_ascii() {
+                out.push(c);
+            } else if code <= 0xFFFF {
+                push_u_escape(code, out);
+            } else {
+                // Encode as a UTF-16 surrogate pair.
+                let v = code - 0x10000;
+                push_u_escape(0xD800 + (v >> 10), out);
+                push_u_escape(0xDC00 + (v & 0x3FF), out);
             }
-            c if opts.ascii_only && !c.is_ascii() => {
-                let code = c as u32;
-                if code <= 0xFFFF {
-                    push_u_escape(code, out);
-                } else {
-                    // Encode as a UTF-16 surrogate pair.
-                    let v = code - 0x10000;
-                    push_u_escape(0xD800 + (v >> 10), out);
-                    push_u_escape(0xDC00 + (v & 0x3FF), out);
-                }
-            }
-            c => out.push(c),
         }
     }
-    out.push('"');
 }
 
 fn push_u_escape(code: u32, out: &mut String) {
-    out.push_str(&format!("\\u{code:04x}"));
+    write!(out, "\\u{code:04x}").expect("writing to a String");
 }
 
 #[cfg(test)]
@@ -197,6 +189,13 @@ mod tests {
     fn compact_matches_data_crate_rendering() {
         let v = json!({"a": [1, null], "b": "x"});
         assert_eq!(to_string(&v), v.to_json_string());
+        // Every escape class between clean runs, at both ends, in a key.
+        let v =
+            json!({"\"k\n": "\u{1}a\"b\\c\n\r\t\u{8}\u{c}\u{1f}é😀\u{7f}/", "n": [-0.5, 3.0, 7]});
+        let text = r#"{"\"k\n":"\u0001a\"b\\c\n\r\t\b\f\u001fé😀\u007f/","n":[-0.5,3.0,7]}"#;
+        assert_eq!(to_string(&v), text.replace("\\u007f", "\u{7f}"));
+        assert_eq!(to_string(&v), v.to_json_string());
+        assert_eq!(parse(&to_string(&v)).unwrap(), v);
     }
 
     #[test]
@@ -227,6 +226,11 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(write_value(&v, opts), "\"\\u00e9\\ud83d\\ude00\"");
+        // Between the escapes every writer makes.
+        assert_eq!(
+            write_value(&json!("a\"é\n\u{1}😀z"), opts),
+            r#""a\"\u00e9\n\u0001\ud83d\ude00z""#
+        );
         // And the escaped form parses back to the original.
         assert_eq!(parse(&write_value(&v, opts)).unwrap(), v);
     }

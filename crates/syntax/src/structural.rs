@@ -83,7 +83,7 @@ fn prefix_xor(m: u64) -> u64 {
 /// `word` equal to `byte` (the classic carry-borrow trick — 8 lanes per
 /// operation, the portable stand-in for `_mm256_cmpeq_epi8`).
 #[inline]
-fn eq_mask(word: u64, byte: u8) -> u64 {
+pub(crate) fn eq_mask(word: u64, byte: u8) -> u64 {
     const LOW: u64 = 0x0101_0101_0101_0101;
     const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
     const HIGH: u64 = 0x8080_8080_8080_8080;
@@ -112,15 +112,21 @@ fn chunk_mask(chunk: &[u8; 64], byte: u8) -> u64 {
     out
 }
 
-/// Bitmap word of control bytes (`< 0x20`): a byte is a control byte iff
-/// its top three bits are clear, i.e. `b & 0xE0 == 0`.
+/// `0x80` at every control byte (`< 0x20`) of `word`: a byte is a control
+/// byte iff its top three bits are clear, i.e. `b & 0xE0 == 0`.
+#[inline]
+pub(crate) fn control_mask(word: u64) -> u64 {
+    const TOP3: u64 = 0xE0E0_E0E0_E0E0_E0E0;
+    eq_mask(word & TOP3, 0)
+}
+
+/// Bitmap word of control bytes (`< 0x20`).
 #[inline]
 fn chunk_control(chunk: &[u8; 64]) -> u64 {
-    const TOP3: u64 = 0xE0E0_E0E0_E0E0_E0E0;
     let mut out = 0u64;
     for (k, sub) in chunk.chunks_exact(8).enumerate() {
         let w = u64::from_le_bytes(sub.try_into().expect("8-byte subword"));
-        out |= movemask(eq_mask(w & TOP3, 0)) << (k * 8);
+        out |= movemask(control_mask(w)) << (k * 8);
     }
     out
 }

@@ -20,7 +20,8 @@
 //!
 //! `FILE` is newline-delimited JSON — or header-led CSV with
 //! `--format csv`, which routes the same corpus through the same typed
-//! pipeline via the CSV record decoder. `-` or no file reads stdin.
+//! pipeline via the CSV record decoder. `-` or no file reads stdin. A
+//! byte-order mark before the first line of either is skipped.
 //! `infer`, `validate` and `translate` always run on the chunked
 //! work-stealing engine and additionally accept the fault-tolerance
 //! flags (`--on-error fail|skip`, `--max-errors N`,
@@ -1040,7 +1041,12 @@ fn print_invalid(
     let mut out = PipeOut::new();
     let mut invalid = 0usize;
     // Verdicts come in line order, so one forward walk finds every line.
-    let mut lines = ndjson.map(|text| text.lines().enumerate());
+    // (Lines as the run read them: less the byte-order mark the first may
+    // lead with.)
+    let mut lines = ndjson.map(|text| {
+        let text = text.strip_prefix('\u{feff}').unwrap_or(text);
+        text.lines().enumerate()
+    });
     for (line_no, verdict) in verdicts {
         if verdict.is_valid() {
             continue;

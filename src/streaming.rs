@@ -519,6 +519,13 @@ impl<'s, S: RecordStage> ShardFold<str> for FaultFold<'s, S> {
     }
 
     fn feed(&self, state: &mut Self::State, line: &str, record: usize) {
+        // A run's first line may lead with a byte-order mark, which is not
+        // part of the record (RFC 8259 §8.1); anywhere else it is a byte
+        // the decoder rejects. Chunk byte accounting never sees this.
+        let line = match record {
+            0 => line.strip_prefix('\u{feff}').unwrap_or(line),
+            _ => line,
+        };
         if state.halt.is_some() || line.trim().is_empty() {
             return;
         }

@@ -54,15 +54,18 @@ fn every_route_to_the_engine_prints_the_same_bytes() {
     let schema_arg = schema_path.to_str().unwrap();
     let schema = CompiledSchema::compile(&jsonx::syntax::parse(schema_text).unwrap()).unwrap();
 
-    let corpora = [
-        (
-            "sample",
-            SAMPLE.to_string(),
-            "{geo?: {lat: Num}, id: (Int + Str), name?: Str, tags?: [Str]}\n",
-            "({geo: {lat: Num(1) (1/1)}(1) (1/1), id: Int(1) (1/1)}(1) + \
+    // SAMPLE behind a byte-order mark, its second line first so that the
+    // marked line is one `validate` has to print a diagnostic for.
+    let sample: Vec<&str> = SAMPLE.lines().collect();
+    let marked = format!("\u{feff}{}\n{}\n{}\n", sample[1], sample[0], sample[2]);
+    let sample_kind = "{geo?: {lat: Num}, id: (Int + Str), name?: Str, tags?: [Str]}\n";
+    let sample_counts = "({geo: {lat: Num(1) (1/1)}(1) (1/1), id: Int(1) (1/1)}(1) + \
              {id: Str(1) (1/1), name: Str(1) (1/1)}(1) + \
-             {id: Int(1) (1/1), name: Str(1) (1/1), tags: [Str(1)](1#1) (1/1)}(1))\n",
-        ),
+             {id: Int(1) (1/1), name: Str(1) (1/1), tags: [Str(1)](1#1) (1/1)}(1))\n";
+    let corpora = [
+        ("sample", SAMPLE.to_string(), sample_kind, sample_counts),
+        // A run skips the mark on its first line, whatever the route.
+        ("marked", marked, sample_kind, sample_counts),
         // Blank lines where the fixture's corrupt ones were: `doc N` below
         // is a line number, not a document count.
         (
@@ -82,8 +85,9 @@ fn every_route_to_the_engine_prints_the_same_bytes() {
         let file = file.to_str().unwrap();
 
         // The interpreter's diagnostics, numbered by line.
+        let unmarked = corpus.trim_start_matches('\u{feff}');
         let mut diagnostics = String::new();
-        for (line_no, line) in corpus.lines().enumerate() {
+        for (line_no, line) in unmarked.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
@@ -94,11 +98,14 @@ fn every_route_to_the_engine_prints_the_same_bytes() {
                 }
             }
         }
-        assert!(diagnostics.contains("doc 1: "), "{name}: {diagnostics}");
-        if *name == "dirty-cleaned" {
-            // Five documents, yet one is number six: `N` counts lines.
-            assert!(diagnostics.contains("doc 6: "), "{diagnostics}");
-        }
+        // Five documents in the cleaned fixture, yet one is number six:
+        // `N` counts lines.
+        let probe = match *name {
+            "marked" => "doc 0: ",
+            "dirty-cleaned" => "doc 6: ",
+            _ => "doc 1: ",
+        };
+        assert!(diagnostics.contains(probe), "{name}: {diagnostics}");
         // Out-of-core runs hold no line to re-validate: one `invalid` per
         // document, same numbers.
         let mut shrunk: Vec<String> = diagnostics
@@ -107,7 +114,7 @@ fn every_route_to_the_engine_prints_the_same_bytes() {
             .collect();
         shrunk.dedup();
         let shrunk = shrunk.concat();
-        let (columnar, _, ok) = run(&["convert", "--to", "columnar", "-"], corpus);
+        let (columnar, _, ok) = run(&["convert", "--to", "columnar", "-"], unmarked);
         assert!(ok);
 
         let jobs: [(&[&str], &str, &str); 4] = [
@@ -885,20 +892,6 @@ const CSV_SAMPLE: &str = "id,name,score\n1,ada,9.5\n2,\"bob, jr\",-0.5\n3,ada,7\
 
 #[test]
 fn csv_format_flag_routes_through_the_typed_pipeline() {
-    let (out, err, ok) = run(&["infer", "--format", "csv", "-"], CSV_SAMPLE);
-    assert!(ok, "stderr: {err}");
-    assert_eq!(out.trim(), "{id: Int, name: Str, score: (Int + Num)}");
-    assert!(err.contains("3 documents (streaming csv)"), "{err}");
-
-    // Worker counts don't change the inferred type.
-    let (par_out, err, ok) = run(
-        &["infer", "--format", "csv", "--workers", "3", "-"],
-        CSV_SAMPLE,
-    );
-    assert!(ok, "stderr: {err}");
-    assert_eq!(par_out, out);
-
-    // Validation sees the synthesised records.
     let dir = std::env::temp_dir().join("jsonx-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
     let schema_path = dir.join("csv-schema.json");
@@ -907,26 +900,46 @@ fn csv_format_flag_routes_through_the_typed_pipeline() {
         r#"{"type": "object", "required": ["id", "name"]}"#,
     )
     .unwrap();
-    let (_, err, ok) = run(
-        &[
-            "validate",
-            "--schema",
-            schema_path.to_str().unwrap(),
-            "--format",
-            "csv",
-            "-",
-        ],
-        CSV_SAMPLE,
-    );
-    assert!(ok, "stderr: {err}");
-    assert!(err.contains("3/3 documents valid (streaming csv)"), "{err}");
+    let schema = schema_path.to_str().unwrap();
+    // As written, and as a spreadsheet exports it: behind a byte-order
+    // mark, which is not part of the first column's name.
+    for sample in [CSV_SAMPLE.to_string(), format!("\u{feff}{CSV_SAMPLE}")] {
+        let (out, err, ok) = run(&["infer", "--format", "csv", "-"], &sample);
+        assert!(ok, "stderr: {err}");
+        assert_eq!(out.trim(), "{id: Int, name: Str, score: (Int + Num)}");
+        assert!(err.contains("3 documents (streaming csv)"), "{err}");
 
-    // Translation shreds the same rows into typed columns.
-    let (out, err, ok) = run(&["translate", "--format", "csv", "-"], CSV_SAMPLE);
-    assert!(ok, "stderr: {err}");
-    assert!(out.contains("id:int64"), "{out}");
-    assert!(out.contains("score:float64"), "{out}");
-    assert!(err.contains("3 rows (streaming csv)"), "{err}");
+        for workers in ["1", "2", "3"] {
+            // Worker counts don't change the inferred type.
+            let job = ["--format", "csv", "--workers", workers, "-"];
+            let (par_out, err, ok) = run(&[&["infer"], &job[..]].concat(), &sample);
+            assert!(ok, "stderr: {err}");
+            assert_eq!(par_out, out);
+
+            // Validation sees the synthesised records.
+            let (_, err, ok) = run(
+                &[&["validate", "--schema", schema], &job[..]].concat(),
+                &sample,
+            );
+            assert!(ok, "stderr: {err}");
+            assert!(err.contains("3/3 documents valid (streaming csv)"), "{err}");
+
+            // Translation shreds the same rows into typed columns.
+            let (out, err, ok) = run(&[&["translate"], &job[..]].concat(), &sample);
+            assert!(ok, "stderr: {err}");
+            assert!(out.contains("id:int64"), "{out}");
+            assert!(out.contains("score:float64"), "{out}");
+            assert!(err.contains("3 rows (streaming csv)"), "{err}");
+        }
+    }
+
+    // The mark is skipped on a run's first line only.
+    let (_, err, code) = run_code(&["infer", "-"], "{\"a\":1}\n\u{feff}{\"a\":2}\n");
+    assert_eq!(code, Some(1));
+    assert!(err.contains("line 2: unexpected byte 0xef"), "{err}");
+    let (_, err, code) = run_code(&["infer", "-"], "\u{feff}\u{feff}{\"a\":1}\n");
+    assert_eq!(code, Some(1));
+    assert!(err.contains("line 1: unexpected byte 0xef"), "{err}");
 
     // Unknown formats are rejected up front.
     let (_, err, ok) = run(&["infer", "--format", "tsv", "-"], CSV_SAMPLE);

@@ -1,6 +1,17 @@
 //! Differential property tests for the fused SWAR fast path.
 //!
-//! Two layers, matching the two claims the fast path makes:
+//! Beneath the two layers sits the grammar they both fall back to:
+//!
+//! 0. **Fused grammar ≡ token grammar.** `parse_events` dispatches on
+//!    bytes and builds no token unless it has an error to word; the loop
+//!    it replaced pulled one `RawToken` per lexeme. That loop lives on
+//!    here, rebuilt from the public `Lexer`, and the two must agree on
+//!    every event (borrowed or owned) and on every field of every error
+//!    — over records, their truncations and overwrites, and tables aimed
+//!    at what the kernel does a word, a digit or a bit at a time, each
+//!    with an expectation worked out independently of the lexer.
+//!
+//! Then two layers, matching the two claims the fast path makes:
 //!
 //! 1. **Structural index ≡ lexer.** The word-parallel bitmaps of
 //!    `jsonx_syntax::structural` must agree with the recursive-descent
@@ -23,7 +34,10 @@
 
 use jsonx::gen::{dirty_ndjson, respelled, DirtyConfig};
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
-use jsonx::syntax::{to_string, Bitmaps, Lexer, RawToken};
+use jsonx::syntax::{
+    parse_events, to_string, Bitmaps, EventReceiver, JsonDecoder, Lexer, ParseError,
+    ParseErrorKind, ParseLimits, ParserOptions, RawEvent, RawToken, RecordDecoder, RecordLimit,
+};
 use jsonx::translate::Shredder;
 use jsonx::{ErrorPolicy, FaultOptions, RouteCounts, Run, Source};
 use jsonx_data::{json, Number, Object, Value};
@@ -47,6 +61,562 @@ fn twins(workers: usize, fault: FaultOptions) -> (Run<'static>, Run<'static>) {
         ..slow.clone()
     };
     (slow, fast)
+}
+
+// ---------------------------------------------------------------------------
+// Layer 0: the fused grammar vs the token grammar
+// ---------------------------------------------------------------------------
+
+/// One event as text, string payloads marked borrowed (`&`) or owned (`+`).
+fn render(ev: &RawEvent<'_>) -> String {
+    match ev {
+        RawEvent::Key(s) | RawEvent::Str(s) => {
+            let mark = if matches!(s, std::borrow::Cow::Borrowed(_)) {
+                '&'
+            } else {
+                '+'
+            };
+            format!("{mark}{ev:?}")
+        }
+        _ => format!("{ev:?}"),
+    }
+}
+
+/// The events a parse delivered before it ended, and how it ended.
+type Parsed = (Vec<String>, Result<(), ParseError>);
+
+#[derive(Default)]
+struct Rendered(Vec<String>);
+
+impl EventReceiver for Rendered {
+    fn event(&mut self, ev: &RawEvent<'_>) {
+        self.0.push(render(ev));
+    }
+}
+
+/// The grammar as a loop over tokens — `parse_events` as it was before
+/// it read bytes, kept as the reference: one `next_token_raw` per lexeme,
+/// errors positioned at the lexer's offset after the offending token.
+fn token_grammar(input: &[u8], opts: ParserOptions) -> Parsed {
+    let mut events = Vec::new();
+    let outcome = token_grammar_into(input, opts, &mut events);
+    (events, outcome)
+}
+
+fn token_grammar_into(
+    input: &[u8],
+    opts: ParserOptions,
+    events: &mut Vec<String>,
+) -> Result<(), ParseError> {
+    let mut lexer = Lexer::new(input);
+    lexer.set_max_string_bytes(opts.max_string_bytes);
+    let fail = |lexer: &Lexer<'_>, kind| ParseError::at(kind, input, lexer.offset());
+    let unexpected = |lexer: &Lexer<'_>, tok: RawToken<'_>| match tok {
+        RawToken::Eof => fail(lexer, ParseErrorKind::UnexpectedEof),
+        other => fail(lexer, ParseErrorKind::UnexpectedToken(other.name())),
+    };
+    // One entry per open container, innermost last: is it an object?
+    let mut open: Vec<bool> = Vec::new();
+    let mut tok = lexer.next_token_raw()?;
+    'member: loop {
+        if open.last() == Some(&true) {
+            let RawToken::Str(key) = tok else {
+                return Err(unexpected(&lexer, tok));
+            };
+            events.push(render(&RawEvent::Key(key)));
+            match lexer.next_token_raw()? {
+                RawToken::Colon => {}
+                other => return Err(unexpected(&lexer, other)),
+            }
+            tok = lexer.next_token_raw()?;
+        }
+        let ev = match tok {
+            RawToken::Null => RawEvent::Null,
+            RawToken::True => RawEvent::Bool(true),
+            RawToken::False => RawEvent::Bool(false),
+            RawToken::Num(n) => RawEvent::Num(n),
+            RawToken::Str(s) => RawEvent::Str(s),
+            RawToken::LBrace => RawEvent::StartObject,
+            RawToken::LBracket => RawEvent::StartArray,
+            other => return Err(unexpected(&lexer, other)),
+        };
+        let opens = matches!(ev, RawEvent::StartObject | RawEvent::StartArray);
+        if opens && open.len() >= opts.max_depth {
+            return Err(fail(&lexer, ParseErrorKind::TooDeep));
+        }
+        events.push(render(&ev));
+        if opens {
+            let object = matches!(ev, RawEvent::StartObject);
+            open.push(object);
+            tok = lexer.next_token_raw()?;
+            match (object, &tok) {
+                (true, RawToken::RBrace) | (false, RawToken::RBracket) => {}
+                _ => continue,
+            }
+        } else if open.is_empty() {
+            break;
+        } else {
+            tok = lexer.next_token_raw()?;
+        }
+        loop {
+            match (open.last(), tok) {
+                (Some(_), RawToken::Comma) => break,
+                (Some(true), RawToken::RBrace) => events.push(render(&RawEvent::EndObject)),
+                (Some(false), RawToken::RBracket) => events.push(render(&RawEvent::EndArray)),
+                (_, other) => return Err(unexpected(&lexer, other)),
+            }
+            open.pop();
+            if open.is_empty() {
+                break 'member;
+            }
+            tok = lexer.next_token_raw()?;
+        }
+        tok = lexer.next_token_raw()?;
+    }
+    if !opts.allow_trailing {
+        lexer.skip_ws();
+        if lexer.offset() != input.len() {
+            return Err(fail(&lexer, ParseErrorKind::TrailingData));
+        }
+    }
+    Ok(())
+}
+
+/// `parse_events` over the bytes.
+fn fused(input: &[u8], opts: ParserOptions) -> Parsed {
+    let mut recv = Rendered::default();
+    let outcome = parse_events(input, opts, &mut recv);
+    (recv.0, outcome)
+}
+
+/// The engine's entrance, which hands the grammar text it need not check
+/// again: `JsonDecoder::decode_events` under the same limits.
+fn decoded(text: &str, opts: ParserOptions) -> Parsed {
+    let limits = ParseLimits {
+        max_depth: opts.max_depth,
+        max_input_bytes: None,
+        max_string_bytes: opts.max_string_bytes,
+    };
+    let mut recv = Rendered::default();
+    let outcome = JsonDecoder::new()
+        .with_limits(limits)
+        .decode_events(&mut (), text, &mut recv);
+    (recv.0, outcome)
+}
+
+/// Every field of an error, and the message the CLI prints.
+fn error_fields(outcome: &Result<(), ParseError>) -> Option<(ParseError, String)> {
+    outcome.as_ref().err().map(|e| (e.clone(), e.to_string()))
+}
+
+/// Both entrances of the fused grammar against the token grammar; returns
+/// what they agreed on.
+fn assert_grammars_agree(input: &[u8], opts: ParserOptions) -> Parsed {
+    let want = token_grammar(input, opts);
+    let shown = String::from_utf8_lossy(input);
+    let got = fused(input, opts);
+    assert_eq!(got.0, want.0, "events of {shown:?}");
+    assert_eq!(error_fields(&got.1), error_fields(&want.1), "{shown:?}");
+    if let Ok(text) = std::str::from_utf8(input) {
+        if !opts.allow_trailing {
+            let got = decoded(text, opts);
+            assert_eq!(got.0, want.0, "decoded events of {shown:?}");
+            assert_eq!(error_fields(&got.1), error_fields(&want.1), "{shown:?}");
+        }
+    }
+    want
+}
+
+/// Records that between them hold every lexeme: escapes of every kind,
+/// multi-byte text, every number shape, nesting, insignificant whitespace
+/// around every token.
+const GRAMMAR_RECORDS: [&str; 6] = [
+    r#"{"id":"9000000001","type":"IssuesEvent","actor":{"id":283294,"login":"dev7040","gravatar_id":""},"public":true,"labels":[{"name":"bug","color":"d73a4a"}],"assignee":null}"#,
+    r#"{"esc\n":"a\tb\"c\\d\/e\b\f\r","\u00e9\ud83d\ude00":"é😀 plain multi-byte text, long enough to span words","":""}"#,
+    r#"[0,-0,1,-1,12345678901234567,123456789012345678,1234567890123456789,-9223372036854775808,9223372036854775808,0.5,-2.5E-1,1e3,1E+2,3.0]"#,
+    " {\t\"a\" :\r\n [ 1 , { } , [ ] , { \"b\" : [ [ ] ] } ] , \"c\" : false }\n ",
+    r#"[[[[{"a":[{"b":[null,true,false]}]}]]]]"#,
+    r#""a bare string""#,
+];
+
+fn default_and_tight() -> [ParserOptions; 3] {
+    [
+        ParserOptions::default(),
+        ParserOptions {
+            max_depth: 3,
+            max_string_bytes: Some(9),
+            allow_trailing: false,
+        },
+        ParserOptions {
+            allow_trailing: true,
+            ..ParserOptions::default()
+        },
+    ]
+}
+
+/// (i) The corpora the rest of this file runs on — clean lines, corrupted
+/// lines, respelled witnesses — through both grammars.
+#[test]
+fn fused_grammar_matches_token_grammar_on_the_corpora() {
+    let corpus = dirty_corpus();
+    let mut accepted = 0;
+    let mut rejected = 0;
+    for (i, line) in corpus.text.lines().enumerate() {
+        for opts in default_and_tight() {
+            let (_, outcome) = assert_grammars_agree(line.as_bytes(), opts);
+            if outcome.is_ok() {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        if let Ok(doc) = jsonx::syntax::parse(line) {
+            let witness = respelled(&doc, i as u64);
+            let (_, outcome) = assert_grammars_agree(witness.as_bytes(), ParserOptions::default());
+            assert_eq!(outcome, Ok(()), "{witness}");
+        }
+    }
+    assert!(accepted > 1000 && rejected > 100, "{accepted} / {rejected}");
+}
+
+/// (i) Every single-byte truncation and a table of single-byte overwrites
+/// of a dozen records: wherever a document can break, it breaks with the
+/// same events delivered and the same error.
+#[test]
+fn fused_grammar_matches_token_grammar_on_every_truncation_and_overwrite() {
+    const OVERWRITES: &[u8] = b"\"\\{}[]:, \n0-.eEtn\x00\x1f\x7f\x80\xe9\xff";
+    let corpus = dirty_corpus();
+    let records = GRAMMAR_RECORDS
+        .iter()
+        .copied()
+        .chain(corpus.clean_text.lines().filter(|l| !l.is_empty()).take(6));
+    let mut errors = std::collections::BTreeSet::new();
+    for record in records {
+        let bytes = record.as_bytes();
+        assert_eq!(
+            assert_grammars_agree(bytes, ParserOptions::default()).1,
+            Ok(()),
+            "{record}"
+        );
+        for cut in 0..bytes.len() {
+            for opts in default_and_tight() {
+                let _ = assert_grammars_agree(&bytes[..cut], opts);
+            }
+        }
+        let mut dirty = bytes.to_vec();
+        for at in 0..bytes.len() {
+            for &b in OVERWRITES {
+                dirty[at] = b;
+                let (_, outcome) = assert_grammars_agree(&dirty, ParserOptions::default());
+                if let Err(e) = outcome {
+                    errors.insert(e.kind.label());
+                }
+            }
+            dirty[at] = bytes[at];
+        }
+    }
+    // Not vacuous: the overwrites reached every way a document is refused
+    // short of a limit.
+    for label in [
+        "unexpected-eof",
+        "unexpected-byte",
+        "unexpected-token",
+        "bad-number",
+        "bad-escape",
+        "bad-unicode-escape",
+        "lone-surrogate",
+        "control-character-in-string",
+        "invalid-utf8",
+        "trailing-data",
+        "bad-keyword",
+    ] {
+        assert!(errors.contains(label), "{label} not among {errors:?}");
+    }
+}
+
+/// What a lone literal at the start of `doc` must lex to, worked out a
+/// byte at a time with nothing of the lexer's: its text, whether it can
+/// be borrowed, and where it ends — or the error's kind and offset. The
+/// only escapes it knows are `\n`, `\\` and `\"`; any other is refused.
+fn model_literal(
+    doc: &[u8],
+    limit: Option<usize>,
+) -> Result<(String, bool, usize), (ParseErrorKind, usize)> {
+    let over = |len: usize| limit.is_some_and(|limit| len > limit);
+    let too_long = ParseErrorKind::LimitExceeded(RecordLimit::StringBytes);
+    let utf8 = |from: usize, to: usize| {
+        std::str::from_utf8(&doc[from..to])
+            .map_err(|e| (ParseErrorKind::InvalidUtf8, from + e.valid_up_to()))
+    };
+    assert_eq!(doc[0], b'"');
+    let stops = |b: u8| b == b'"' || b == b'\\' || b < 0x20;
+    let first = (1..doc.len()).find(|&i| stops(doc[i]));
+    match first.map(|i| (i, doc[i])) {
+        None => Err((ParseErrorKind::UnexpectedEof, 0)),
+        Some((end, b'"')) if over(end - 1) => Err((too_long, 0)),
+        Some((end, b'"')) => Ok((utf8(1, end)?.to_string(), true, end + 1)),
+        Some((_, b'\\')) => {
+            // The owned path: clean runs between escapes, each checked
+            // against what the buffer already holds before it is copied.
+            let mut out = String::new();
+            let mut run = 1;
+            let mut i = 1;
+            loop {
+                match doc.get(i) {
+                    None => return Err((ParseErrorKind::UnexpectedEof, 0)),
+                    Some(b'"') | Some(b'\\') => {
+                        if run < i {
+                            if over(out.len() + (i - run)) {
+                                return Err((too_long, run));
+                            }
+                            out.push_str(utf8(run, i)?);
+                        }
+                        if doc[i] == b'"' {
+                            return Ok((out, false, i + 1));
+                        }
+                        match doc.get(i + 1) {
+                            None => return Err((ParseErrorKind::UnexpectedEof, i)),
+                            Some(b'n') => out.push('\n'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'"') => out.push('"'),
+                            Some(_) => return Err((ParseErrorKind::BadEscape, i)),
+                        }
+                        i += 2;
+                        run = i;
+                    }
+                    Some(0x00..=0x1F) => return Err((ParseErrorKind::ControlCharacterInString, i)),
+                    Some(_) => i += 1,
+                }
+            }
+        }
+        Some((at, _)) => Err((ParseErrorKind::ControlCharacterInString, at)),
+    }
+}
+
+/// Checks a document that is `[`, one literal, then `suffix` against
+/// [`model_literal`], through both grammars and both entrances.
+fn assert_literal(literal: &[u8], suffix: &[u8], limit: Option<usize>) {
+    let doc = [b"[", literal, suffix].concat();
+    let opts = ParserOptions {
+        max_string_bytes: limit,
+        ..ParserOptions::default()
+    };
+    let (events, outcome) = assert_grammars_agree(&doc, opts);
+    let shown = String::from_utf8_lossy(&doc);
+    match model_literal(&doc[1..], limit) {
+        Err((kind, offset)) => {
+            assert_eq!(events, ["StartArray"], "{shown:?}");
+            let want = ParseError::at(kind, &doc, 1 + offset);
+            assert_eq!(outcome, Err(want), "{shown:?} under {limit:?}");
+        }
+        Ok((text, borrowed, end)) => {
+            let mark = if borrowed { '&' } else { '+' };
+            assert_eq!(events[1], format!("{mark}Str({text:?})"), "{shown:?}");
+            // A literal the model ends early leaves content behind it
+            // that no array goes on with.
+            let whole = !suffix.is_empty() && doc[1 + end..] == *suffix;
+            assert_eq!(outcome.is_ok(), whole, "{shown:?}: {outcome:?}");
+        }
+    }
+}
+
+/// (ii) The lane table: the string scanner looks at eight bytes at once,
+/// so every byte it must stop at — and every byte it must not — sits at
+/// every lane, with the literal ending in the last word of the input (the
+/// byte-wise walk) and well before it (the word scan).
+#[test]
+fn string_scanner_lane_table() {
+    let specials: [&[u8]; 9] = [
+        b"\"",
+        b"\\",
+        b"\\n",
+        b"\x00",
+        b"\x1f",
+        b"\x7f",
+        b"\x80",
+        "é".as_bytes(),
+        "😀".as_bytes(),
+    ];
+    let suffixes: [&[u8]; 2] = [b"]", b",0,0,0,0]"];
+    for len in 0..=17 {
+        for suffix in suffixes {
+            // Plain literals of every length, and cut short at every byte.
+            let plain = [b"\"", "a".repeat(len).as_bytes(), b"\""].concat();
+            assert_literal(&plain, suffix, None);
+            assert_literal(&plain[..=len], b"", None);
+            for special in specials {
+                for at in 0..=len {
+                    let body = [
+                        "a".repeat(at).as_bytes(),
+                        special,
+                        "a".repeat(len - at).as_bytes(),
+                    ]
+                    .concat();
+                    let literal = [b"\"", &body[..], b"\""].concat();
+                    assert_literal(&literal, suffix, None);
+                    // …and unterminated, ending right after the special.
+                    assert_literal(&literal[..1 + at + special.len()], b"", None);
+                }
+            }
+        }
+    }
+    // The cap counts content bytes — borrowed: of the literal; owned: of
+    // the unescaped text, run by run.
+    for literal in [&b"\"abcdefghijkl\""[..], b"\"abcde\\nfghijk\"", b"\"\\n\""] {
+        let content = literal.len() - 2;
+        for limit in content.saturating_sub(3)..=content + 1 {
+            for suffix in suffixes {
+                assert_literal(literal, suffix, Some(limit));
+            }
+        }
+    }
+    // Input that is not UTF-8 as a whole: the bad byte is found in the
+    // literal that holds it, the literals before it still borrow, and
+    // outside a literal it is a byte no token starts with.
+    for (doc, kind, offset) in [
+        (&b"[\"ok\",\"a\xffb\"]"[..], ParseErrorKind::InvalidUtf8, 8),
+        (b"[\"ok\",\"\\n\xc3(\"]", ParseErrorKind::InvalidUtf8, 9),
+        (b"[\"ok\",\"\xe9\x80\"]", ParseErrorKind::InvalidUtf8, 7),
+        (b"[\"ok\",\xff]", ParseErrorKind::UnexpectedByte(0xff), 6),
+        (b"[\"ok\",\"fine\"]\xff", ParseErrorKind::TrailingData, 13),
+        (b"[\"ok\",\"a\xff", ParseErrorKind::UnexpectedEof, 6),
+        (
+            b"[\"ok\",\"a\xff\x01\"]",
+            ParseErrorKind::ControlCharacterInString,
+            9,
+        ),
+    ] {
+        let (events, outcome) = assert_grammars_agree(doc, ParserOptions::default());
+        assert_eq!(events[..2], ["StartArray", "&Str(\"ok\")"]);
+        let want = ParseError::at(kind, doc, offset);
+        assert_eq!(jsonx::syntax::parse_bytes(doc), Err(want.clone()));
+        assert_eq!(outcome, Err(want));
+    }
+}
+
+/// (iii) Integers are accumulated while short enough not to overflow and
+/// parsed from text otherwise: the seam is at 18 bytes, the type's edge
+/// at 19 digits.
+#[test]
+fn integer_scanner_seam_table() {
+    let mut literals: Vec<String> = Vec::new();
+    for digits in 1..=21 {
+        for lead in ['1', '9'] {
+            let tail = "0726354819".chars().cycle();
+            let magnitude: String = std::iter::once(lead).chain(tail).take(digits).collect();
+            literals.push(format!("-{magnitude}"));
+            literals.push(magnitude);
+        }
+    }
+    literals.extend([
+        i64::MIN.to_string(),
+        i64::MAX.to_string(),
+        "9223372036854775808".to_string(),
+        "-9223372036854775809".to_string(),
+        "0".to_string(),
+        "-0".to_string(),
+    ]);
+    let mut ints = 0;
+    let mut floats = 0;
+    for literal in &literals {
+        let want = match literal.parse::<i64>() {
+            Ok(int) => {
+                ints += 1;
+                Number::Int(int)
+            }
+            Err(_) => {
+                floats += 1;
+                Number::from_f64(literal.parse::<f64>().unwrap()).unwrap()
+            }
+        };
+        let want = render(&RawEvent::Num(want));
+        for doc in [
+            literal.clone(),
+            format!("[{literal}]"),
+            format!("[{literal} ,0]"),
+        ] {
+            let (events, outcome) = assert_grammars_agree(doc.as_bytes(), ParserOptions::default());
+            assert_eq!(outcome, Ok(()), "{doc}");
+            assert!(events.contains(&want), "{doc}: {events:?} lacks {want}");
+        }
+    }
+    assert!(ints > 70 && floats >= 10, "{ints} / {floats}");
+    for (bad, offset) in [("01", 0), ("-01", 0), ("[-]", 1), ("[1.]", 1), ("[00]", 1)] {
+        let (_, outcome) = assert_grammars_agree(bad.as_bytes(), ParserOptions::default());
+        let want = ParseError::at(ParseErrorKind::BadNumber, bad.as_bytes(), offset);
+        assert_eq!(outcome, Err(want), "{bad}");
+    }
+}
+
+/// (iv) The open-container stack keeps 64 levels in a word and spills the
+/// rest: objects and arrays interleaved to either side of each word's
+/// edge close in the order they opened, and the depth limit holds one
+/// below, at and above each.
+#[test]
+fn nesting_across_the_container_words() {
+    for depth in [1usize, 2, 63, 64, 65, 127, 128, 129, 130, 200] {
+        // Level `i` is an object when bit `i` of a pattern is set.
+        for pattern in [0x5555_5555_5555_5555u64, 0xF0F0_F0F0_0F0F_0F0F, 0, u64::MAX] {
+            let object = |level: usize| pattern >> (level % 64) & 1 == 1 || level % 67 == 3;
+            let mut doc = String::new();
+            let mut want = Vec::new();
+            let mut opener_ends = Vec::new();
+            for level in 0..depth {
+                if object(level) {
+                    doc.push_str("{\"k\":");
+                    opener_ends.push(doc.len() - 4);
+                    want.extend(["StartObject".to_string(), "&Key(\"k\")".to_string()]);
+                } else {
+                    doc.push('[');
+                    opener_ends.push(doc.len());
+                    want.push("StartArray".to_string());
+                }
+            }
+            doc.push('7');
+            want.push("Num(Int(7))".to_string());
+            for level in (0..depth).rev() {
+                doc.push(if object(level) { '}' } else { ']' });
+                want.push(
+                    if object(level) {
+                        "EndObject"
+                    } else {
+                        "EndArray"
+                    }
+                    .to_string(),
+                );
+            }
+            for max_depth in [depth - 1, depth, depth + 1] {
+                let opts = ParserOptions {
+                    max_depth,
+                    ..ParserOptions::default()
+                };
+                let (events, outcome) = assert_grammars_agree(doc.as_bytes(), opts);
+                if max_depth >= depth {
+                    assert_eq!(outcome, Ok(()), "depth {depth} under {max_depth}");
+                    assert_eq!(events, want, "depth {depth} pattern {pattern:x}");
+                } else {
+                    let at = opener_ends[max_depth];
+                    let too_deep = ParseError::at(ParseErrorKind::TooDeep, doc.as_bytes(), at);
+                    assert_eq!(outcome, Err(too_deep), "depth {depth} under {max_depth}");
+                }
+            }
+            // A closer of the wrong kind, at each level's turn to close.
+            let closers = doc.len() - depth;
+            for level in [0, depth / 2, depth - 1] {
+                let mut wrong = doc.clone().into_bytes();
+                let at = closers + (depth - 1 - level);
+                wrong[at] = if wrong[at] == b'}' { b']' } else { b'}' };
+                let opts = ParserOptions {
+                    max_depth: depth,
+                    ..ParserOptions::default()
+                };
+                let (_, outcome) = assert_grammars_agree(&wrong, opts);
+                let name = if wrong[at] == b'}' { "'}'" } else { "']'" };
+                let kind = ParseErrorKind::UnexpectedToken(name);
+                assert_eq!(outcome, Err(ParseError::at(kind, &wrong, at + 1)));
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
