@@ -22,7 +22,7 @@
 use crate::shard::chunk_lines;
 use std::borrow::Cow;
 use std::fmt;
-use std::io::BufRead;
+use std::io::{BufRead, Read, Seek, SeekFrom};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -294,6 +294,162 @@ impl<R: BufRead + Send> ChunkSource for ReaderChunks<R> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Parts of an input that was chunked before
+// ---------------------------------------------------------------------------
+
+/// A source that stops after its first `limit` chunks.
+pub struct FirstChunks<'s, S: ?Sized> {
+    inner: &'s S,
+    limit: usize,
+    claimed: AtomicUsize,
+}
+
+impl<'s, S: ChunkSource + ?Sized> FirstChunks<'s, S> {
+    /// The first `limit` chunks of `inner`.
+    pub fn new(inner: &'s S, limit: usize) -> Self {
+        FirstChunks {
+            inner,
+            limit,
+            claimed: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl<S: ChunkSource + ?Sized> ChunkSource for FirstChunks<'_, S> {
+    fn next_chunk(&self) -> Result<Option<Chunk<'_>>, ChunkError> {
+        // Counts claims, not chunks: `inner` hands its chunks out in
+        // sequence order, so the first `limit` claims are the first
+        // `limit` chunks.
+        if self.claimed.fetch_add(1, Ordering::Relaxed) >= self.limit {
+            return Ok(None);
+        }
+        self.inner.next_chunk()
+    }
+
+    fn recycle(&self, buf: String) {
+        self.inner.recycle(buf);
+    }
+}
+
+/// Where one chunk of an earlier pass sits in the input — what a later
+/// pass needs to read that chunk, and only it, again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkSpan {
+    /// The chunk's position in the input's chunk sequence.
+    pub seq: usize,
+    /// Global index of the chunk's first line.
+    pub first_line: usize,
+    /// Byte offset of the chunk's first byte from the first chunk's.
+    pub offset: u64,
+    /// The chunk's size in bytes.
+    pub bytes: usize,
+}
+
+/// A cursor over a listed set of an input's chunks: a later pass reads
+/// them in list order, under the sequence and line numbers they had when
+/// the whole input was chunked.
+struct Listed<'a> {
+    spans: &'a [ChunkSpan],
+    cursor: AtomicUsize,
+}
+
+impl<'a> Listed<'a> {
+    fn new(spans: &'a [ChunkSpan]) -> Self {
+        Listed {
+            spans,
+            cursor: AtomicUsize::new(0),
+        }
+    }
+
+    fn claim(&self) -> Option<&'a ChunkSpan> {
+        self.spans.get(self.cursor.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+/// The listed chunks of an in-memory input, borrowed.
+pub struct ListedSlice<'a> {
+    input: &'a str,
+    listed: Listed<'a>,
+}
+
+impl<'a> ListedSlice<'a> {
+    /// The chunks `spans` lists of `input`, whose first chunk starts at
+    /// its first byte.
+    pub fn new(input: &'a str, spans: &'a [ChunkSpan]) -> Self {
+        ListedSlice {
+            input,
+            listed: Listed::new(spans),
+        }
+    }
+}
+
+impl ChunkSource for ListedSlice<'_> {
+    fn next_chunk(&self) -> Result<Option<Chunk<'_>>, ChunkError> {
+        Ok(self.listed.claim().map(|span| {
+            let start = span.offset as usize;
+            Chunk {
+                seq: span.seq,
+                first_line: span.first_line,
+                text: Cow::Borrowed(&self.input[start..start + span.bytes]),
+            }
+        }))
+    }
+}
+
+/// The listed chunks of a file, each read by seeking to it.
+pub struct ListedFile<'a, R> {
+    input: Mutex<R>,
+    base: u64,
+    listed: Listed<'a>,
+}
+
+impl<'a, R: Read + Seek> ListedFile<'a, R> {
+    /// The chunks `spans` lists of `input`, whose first chunk starts at
+    /// byte `base`.
+    pub fn new(input: R, base: u64, spans: &'a [ChunkSpan]) -> Self {
+        ListedFile {
+            input: Mutex::new(input),
+            base,
+            listed: Listed::new(spans),
+        }
+    }
+}
+
+impl<R: Read + Seek + Send> ChunkSource for ListedFile<'_, R> {
+    fn next_chunk(&self) -> Result<Option<Chunk<'_>>, ChunkError> {
+        let Some(span) = self.listed.claim() else {
+            return Ok(None);
+        };
+        let io = |source| ChunkError::Io {
+            chunk: span.seq,
+            source,
+        };
+        let mut bytes = vec![0; span.bytes];
+        {
+            let mut input = self
+                .input
+                .lock()
+                .expect("no claim panics with the lock held");
+            input
+                .seek(SeekFrom::Start(self.base + span.offset))
+                .map_err(io)?;
+            input.read_exact(&mut bytes).map_err(io)?;
+        }
+        let text = String::from_utf8(bytes).map_err(|e| {
+            let valid = &e.as_bytes()[..e.utf8_error().valid_up_to()];
+            ChunkError::NotUtf8 {
+                line: span.first_line + valid.iter().filter(|&&b| b == b'\n').count(),
+            }
+        })?;
+        Ok(Some(Chunk {
+            seq: span.seq,
+            first_line: span.first_line,
+            text: Cow::Owned(text),
+        }))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,6 +496,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn first_and_listed_chunks_are_the_whole_inputs_chunks() {
+        let input = corpus(60);
+        for target in [1usize, 40, 200] {
+            let all = drain(&SliceChunks::new(&input, target));
+            let whole = SliceChunks::new(&input, target);
+            assert_eq!(drain(&FirstChunks::new(&whole, 2)), all[..2.min(all.len())]);
+            // Every third chunk, by where a pass over all of them saw it.
+            let mut offset = 0;
+            let spans: Vec<ChunkSpan> = all
+                .iter()
+                .map(|(seq, first_line, text)| {
+                    let span = ChunkSpan {
+                        seq: *seq,
+                        first_line: *first_line,
+                        offset,
+                        bytes: text.len(),
+                    };
+                    offset += text.len() as u64;
+                    span
+                })
+                .step_by(3)
+                .collect();
+            let want: Vec<_> = all.iter().step_by(3).cloned().collect();
+            assert_eq!(drain(&ListedSlice::new(&input, &spans)), want);
+            // From a file whose first chunk starts past a header.
+            let file = format!("header\n{input}");
+            let listed = ListedFile::new(Cursor::new(file.into_bytes()), 7, &spans);
+            assert_eq!(drain(&listed), want, "target={target}");
+        }
+        let bad = ChunkSpan {
+            seq: 4,
+            first_line: 9,
+            offset: 0,
+            bytes: 4,
+        };
+        let listed = ListedFile::new(
+            Cursor::new(b"a\n\xff\n".to_vec()),
+            0,
+            std::slice::from_ref(&bad),
+        );
+        assert!(matches!(
+            listed.next_chunk(),
+            Err(ChunkError::NotUtf8 { line: 10 })
+        ));
+        let short = ListedFile::new(Cursor::new(b"a\n".to_vec()), 0, std::slice::from_ref(&bad));
+        assert!(matches!(
+            short.next_chunk(),
+            Err(ChunkError::Io { chunk: 4, .. })
+        ));
     }
 
     #[test]

@@ -54,12 +54,15 @@ mod shard;
 pub use checkpoint::{
     read_journal, CheckpointSink, ChunkJournal, ChunkMeta, JournalRead, JournalWriter,
 };
-pub use chunk::{Chunk, ChunkError, ChunkSource, ReaderChunks, SliceChunks, DEFAULT_CHUNK_BYTES};
+pub use chunk::{
+    Chunk, ChunkError, ChunkSource, ChunkSpan, FirstChunks, ListedFile, ListedSlice, ReaderChunks,
+    SliceChunks, DEFAULT_CHUNK_BYTES,
+};
 pub use engine::{
     panic_message, run_slice, run_source_controlled, RunControl, RunOutcome, ShardFold,
 };
 pub use options::{resolve_workers, PipelineOptions, SliceOptions};
 pub use report::{
-    ErrorPolicy, ErrorSummary, RecordDiagnostic, Route, RouteCounts, RunReport, ShardPanic,
-    WorkerTiming, DIAGNOSTIC_SAMPLES,
+    ErrorPolicy, ErrorSummary, LayoutAccount, RecordDiagnostic, Route, RouteCounts, RunReport,
+    ShardPanic, WorkerTiming, DIAGNOSTIC_SAMPLES,
 };

@@ -250,6 +250,45 @@ impl RouteCounts {
     }
 }
 
+/// How a run that speculated on its output's *layout* went: the layout
+/// was taught by some of the records, every other record was checked
+/// against it where it was laid out, and a chunk holding one that did not
+/// fit was laid out again once the layout had been widened.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LayoutAccount {
+    /// Records read to fix the layout: the teach set's, and each chunk's
+    /// from its first misfit on.
+    pub taught: usize,
+    /// Chunks laid out once.
+    pub once: usize,
+    /// Chunks laid out again under the widened layout.
+    pub again: usize,
+    /// The first record (0-based) that did not fit the taught layout.
+    pub misfit: Option<usize>,
+    /// The column the widening restructured, when it did: every chunk
+    /// was laid out again, not just those with a misfit.
+    pub restructured: Option<String>,
+}
+
+impl fmt::Display for LayoutAccount {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "layout taught by {} records: ", self.taught)?;
+        let line = self.misfit.map_or(0, |record| record + 1);
+        match (&self.restructured, self.again) {
+            (Some(column), _) => write!(
+                f,
+                "every chunk re-shredded: line {line} restructured column {column}"
+            ),
+            (None, 0) => write!(f, "{} chunks shredded once", self.once),
+            (None, again) => write!(
+                f,
+                "{} chunks shredded once, {again} re-shredded after line {line} did not fit",
+                self.once
+            ),
+        }
+    }
+}
+
 /// The account of one tolerant streaming run, returned alongside the
 /// stage result.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -272,6 +311,9 @@ pub struct RunReport {
     /// process's work: a resumed run does not re-count its journaled
     /// prefix.
     pub routes: RouteCounts,
+    /// What a run that speculated on its output's layout did about it,
+    /// populated like `timings` only when the run requested timing.
+    pub layout: Option<LayoutAccount>,
 }
 
 impl RunReport {

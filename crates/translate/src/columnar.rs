@@ -42,12 +42,24 @@
 //! root — it rolls the row back and replays the record through the
 //! decoder's DOM route and [`ShredStream::push`], and says so in what it
 //! returns. A record the decoder rejects is rolled back, not replayed.
+//!
+//! ## A layout taught by a sample
+//!
+//! A layout planned from the type of *some* of a collection's records is
+//! the whole collection's as long as every other record **fits** that
+//! type — adds nothing to it that [`Shredder::from_type`] reads: no new
+//! key where it flattens, no value a column's slot cannot hold, nothing
+//! but `null` where only `null` had been seen.
+//! [`ShredStream::push_fitting`] shreds a record only if it fits, with
+//! the same walk that shreds it; [`lifts`] says whether batches shredded
+//! under the layout of a type are, null-filled ([`Shredder::lift`]),
+//! batches under the layout of a wider one.
 
-use jsonx_core::JType;
-use jsonx_data::{Number, Value};
-use jsonx_syntax::{EventReceiver, ParseError, RawEvent, RecordDecoder, ValueBuilder};
+use jsonx_core::{JType, RecordType};
+use jsonx_data::{write_escaped, Number, Value};
+use jsonx_syntax::{EventReceiver, ParseError, RawEvent, RecordDecoder};
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 // ---------------------------------------------------------------------------
 // Storage
@@ -68,6 +80,14 @@ impl Bitmap {
     /// An empty bitmap.
     pub fn new() -> Bitmap {
         Bitmap::default()
+    }
+
+    /// An empty bitmap with room for `bits` bits.
+    pub fn with_capacity(bits: usize) -> Bitmap {
+        Bitmap {
+            bytes: Vec::with_capacity(bits.div_ceil(8)),
+            len: 0,
+        }
     }
 
     /// The first `len` bits of `bytes`; `None` when `bytes` is too short.
@@ -449,6 +469,36 @@ enum Slot {
     Float,
     Str,
     Json,
+    /// A `json` column planned where only `null` has been seen: no other
+    /// value fits it.
+    Null,
+}
+
+impl Slot {
+    /// Empty storage with room for `dense` values totalling `bytes`.
+    fn storage(self, dense: usize, bytes: usize) -> ColumnData {
+        match self {
+            Slot::Bool => ColumnData::Bools(Bitmap::with_capacity(dense)),
+            Slot::Int => ColumnData::Ints(Vec::with_capacity(dense)),
+            Slot::Float => ColumnData::Floats(Vec::with_capacity(dense)),
+            Slot::Str => ColumnData::Strs(StrArena::with_capacity(dense, bytes)),
+            Slot::Json | Slot::Null => ColumnData::Json(StrArena::with_capacity(dense, bytes)),
+        }
+    }
+}
+
+/// What [`plan`] reads off a type — everything shredding under it
+/// depends on.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Planned {
+    /// (path, slot type); columns in order.
+    layout: Vec<(String, Slot)>,
+    /// Paths of record-typed fields that have no field of their own yet:
+    /// no column, but an object there flattens (to nothing).
+    hollow: Vec<String>,
+    /// A field name holds a `.`: two fields may flatten to one path, and
+    /// a path no longer says which field it came from.
+    dotted: bool,
 }
 
 // ---------------------------------------------------------------------------
@@ -470,6 +520,15 @@ struct PlanNode {
     children: Vec<usize>,
 }
 
+impl PlanNode {
+    /// Whether an object value here is flattened, not stored: the field
+    /// is record-typed, with fields (children) or as yet without (no
+    /// column either).
+    fn flattens(&self) -> bool {
+        !self.children.is_empty() || self.column.is_none()
+    }
+}
+
 /// A fixed layout's paths as a trie over their dotted segments, built
 /// once per [`Shredder`], so the walkers resolve a key with one lookup
 /// per nesting level instead of building and hashing a dotted path per
@@ -477,27 +536,41 @@ struct PlanNode {
 #[derive(Debug, Clone)]
 struct Plan {
     nodes: Vec<PlanNode>,
+    /// Whether a record's walk can tell that the record *fits* the type
+    /// the layout was planned from: the type is a record's, and no field
+    /// name holds a `.` — so every node is one field, a node with a
+    /// column is a scalar or spilled field, and a node without one is a
+    /// record-typed field.
+    verifiable: bool,
 }
 
 impl Plan {
-    fn from_layout(layout: &[(String, Slot)]) -> Plan {
+    fn from_layout(planned: &Planned, verifiable: bool) -> Plan {
         let root = PlanNode {
             name: "".into(),
             parent: usize::MAX,
             column: None,
             children: Vec::new(),
         };
-        let mut plan = Plan { nodes: vec![root] };
-        for (column, (path, _)) in layout.iter().enumerate() {
-            let mut node = 0;
-            for segment in path.split('.') {
-                node = plan.child_or_insert(node, segment);
-            }
+        let mut plan = Plan {
+            nodes: vec![root],
+            verifiable: verifiable && !planned.dotted,
+        };
+        for (column, (path, _)) in planned.layout.iter().enumerate() {
+            let node = plan.path_or_insert(path);
             // Two fields can flatten to one path (`{"a.b": 1}` next to
             // `{"a": {"b": 1}}`): the later column takes the cells.
             plan.nodes[node].column = Some(column);
         }
+        for path in &planned.hollow {
+            plan.path_or_insert(path);
+        }
         plan
+    }
+
+    fn path_or_insert(&mut self, path: &str) -> usize {
+        path.split('.')
+            .fold(0, |node, segment| self.child_or_insert(node, segment))
     }
 
     fn position(&self, node: usize, segment: &str) -> Result<usize, usize> {
@@ -594,15 +667,15 @@ impl Shredder {
     /// Schema-aware construction: derive the column layout from an
     /// inferred type (records flatten; arrays/unions become spill columns).
     pub fn from_type(ty: &JType) -> Shredder {
-        let mut layout = Vec::new();
-        plan(ty, String::new(), &mut layout);
+        let mut planned = Planned::default();
+        plan(ty, String::new(), &mut planned);
         let root_fields = match ty {
             JType::Record(rt) => Some(rt.fields.iter().map(|(name, _)| name.to_string()).collect()),
             _ => None,
         };
         Shredder {
-            plan: Plan::from_layout(&layout),
-            layout,
+            plan: Plan::from_layout(&planned, root_fields.is_some()),
+            layout: planned.layout,
             by_path: HashMap::new(),
             discovering: false,
             root_fields,
@@ -613,7 +686,7 @@ impl Shredder {
     pub fn discovering() -> Shredder {
         Shredder {
             layout: Vec::new(),
-            plan: Plan::from_layout(&[]),
+            plan: Plan::from_layout(&Planned::default(), false),
             by_path: HashMap::new(),
             discovering: true,
             root_fields: None,
@@ -675,8 +748,82 @@ impl Shredder {
             frames: Vec::new(),
             stamps: vec![0; self.plan.nodes.len()],
             serial: 0,
-            spill: ValueBuilder::new(),
+            spill: SpillText::default(),
         }
+    }
+
+    /// Re-lays `batch` — shredded under the layout of a type this
+    /// shredder's type [`lifts`] — into this layout: a column both
+    /// layouts have moves over, every other is all null.
+    pub fn lift(&self, batch: ColumnarBatch) -> ColumnarBatch {
+        let rows = batch.rows;
+        let mut had: HashMap<String, (ColumnData, Bitmap)> = batch
+            .columns
+            .into_iter()
+            .map(|c| (c.path, (c.data, c.validity)))
+            .collect();
+        let columns = self
+            .layout
+            .iter()
+            .map(|(path, slot)| {
+                let fresh = slot.storage(0, 0);
+                match had.remove(path) {
+                    Some((data, validity)) if data.type_name() == fresh.type_name() => Column {
+                        path: path.clone(),
+                        data,
+                        validity,
+                    },
+                    // New here, or a column nothing but a null fit.
+                    other => {
+                        debug_assert!(other.is_none_or(|(data, _)| data.is_empty()));
+                        let mut validity = Bitmap::new();
+                        validity.pad_to(rows);
+                        Column {
+                            path: path.clone(),
+                            data: fresh,
+                            validity,
+                        }
+                    }
+                }
+            })
+            .collect();
+        ColumnarBatch { columns, rows }
+    }
+
+    /// Concatenates batches of this layout row-wise, in order, into
+    /// storage reserved once from the parts' sizes. Equal to
+    /// [`ColumnarBatch::append`]ing them one by one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a part's layout is not this one.
+    pub fn concat(&self, parts: Vec<ColumnarBatch>) -> ColumnarBatch {
+        let rows = parts.iter().map(|p| p.rows).sum();
+        let columns = self
+            .layout
+            .iter()
+            .enumerate()
+            .map(|(i, (path, slot))| {
+                let data = || parts.iter().map(|p| &p.columns[i].data);
+                let dense = data().map(ColumnData::len).sum();
+                let bytes = data()
+                    .map(|data| match data {
+                        ColumnData::Strs(v) | ColumnData::Json(v) => v.byte_len(),
+                        _ => 0,
+                    })
+                    .sum();
+                Column {
+                    path: path.clone(),
+                    data: slot.storage(dense, bytes),
+                    validity: Bitmap::with_capacity(rows),
+                }
+            })
+            .collect();
+        let mut whole = ColumnarBatch { columns, rows: 0 };
+        for part in parts {
+            whole.append(part);
+        }
+        whole
     }
 
     fn builders(&self) -> Vec<TypedBuilder> {
@@ -816,6 +963,9 @@ pub enum Fallback {
     /// The record's root is not an object (the replay rejects it, so
     /// this reason is never returned).
     NotARecord,
+    /// The record does not fit the type the layout was planned from
+    /// ([`ShredStream::push_fitting`] only, which replays nothing).
+    Misfit,
 }
 
 impl Fallback {
@@ -825,6 +975,7 @@ impl Fallback {
             Fallback::DuplicateKey => "duplicate-key",
             Fallback::PathCollision => "path-collision",
             Fallback::NotARecord => "not-a-record",
+            Fallback::Misfit => "misfit",
         }
     }
 }
@@ -848,8 +999,8 @@ pub struct ShredStream<'s> {
     /// Serials only grow, so nothing is cleared between rows.
     stamps: Vec<u64>,
     serial: u64,
-    /// Rebuilds spill subtrees for the event walker.
-    spill: ValueBuilder,
+    /// The text of the spill subtree the event walker is inside.
+    spill: SpillText,
 }
 
 impl fmt::Debug for ShredStream<'_> {
@@ -893,21 +1044,7 @@ impl ShredStream<'_> {
         scratch: &mut D::Scratch,
         record: &str,
     ) -> Result<Option<Fallback>, ShredError> {
-        let mut walker = EventWalker {
-            plan: &self.shredder.plan,
-            order: &mut self.order,
-            builders: &mut self.builders,
-            row: self.rows,
-            frames: &mut self.frames,
-            stamps: &mut self.stamps,
-            serial: &mut self.serial,
-            spill: &mut self.spill,
-            target: None,
-            mode: Mode::Root,
-            bail: None,
-        };
-        let decoded = decoder.decode_events(scratch, record, &mut walker);
-        match (decoded, walker.bail) {
+        match self.walk(decoder, scratch, record, false) {
             (Ok(()), None) => {
                 self.rows += 1;
                 Ok(None)
@@ -927,6 +1064,76 @@ impl ShredStream<'_> {
         }
     }
 
+    /// [`push_record`](Self::push_record) for a layout planned from the
+    /// type of *other* records: shreds `record` from its events only if it
+    /// **fits** that type — fusing the record's type into it would leave
+    /// the layout as it is. `Ok(true)`: it fits, and its row is the one
+    /// the layout of the fused type gives. `Ok(false)`: no row; the
+    /// record
+    ///
+    /// * has a key, at a level the layout flattens, that the type has no
+    ///   field for, or that holds a `.`;
+    /// * puts a non-null value where a column's slot cannot hold it (a
+    ///   fraction in an `int64` column, a number in a `utf8` one, …; an
+    ///   integer in a `float64` column fits), an array or object where
+    ///   the layout has a scalar column, or anything but an object or
+    ///   `null` where it flattens;
+    /// * puts anything but `null` where the type has only seen `null`;
+    /// * is one the walk cannot vouch for (a [`Fallback`] bail), or has
+    ///   no object at its root;
+    ///
+    /// or the layout's type is no record's, or has a dotted field name,
+    /// and the walk cannot tell. Fitting is monotone: what fits a type
+    /// fits every fusion of that type with others. `Err`: the decoder
+    /// rejected the record; no row.
+    pub fn push_fitting<D: RecordDecoder>(
+        &mut self,
+        decoder: &D,
+        scratch: &mut D::Scratch,
+        record: &str,
+    ) -> Result<bool, ParseError> {
+        if !self.shredder.plan.verifiable {
+            return Ok(false);
+        }
+        let settled = match self.walk(decoder, scratch, record, true) {
+            (Ok(()), None) => {
+                self.rows += 1;
+                return Ok(true);
+            }
+            (Ok(()), Some(_)) => Ok(false),
+            (Err(e), _) => Err(e),
+        };
+        self.abort_row();
+        settled
+    }
+
+    /// Walks `record`'s events into the current row: what the decoder
+    /// made of the record, and why the walk gave up on it, if it did.
+    fn walk<D: RecordDecoder>(
+        &mut self,
+        decoder: &D,
+        scratch: &mut D::Scratch,
+        record: &str,
+        verify: bool,
+    ) -> (Result<(), ParseError>, Option<Fallback>) {
+        let mut walker = EventWalker {
+            plan: &self.shredder.plan,
+            order: &mut self.order,
+            builders: &mut self.builders,
+            row: self.rows,
+            frames: &mut self.frames,
+            stamps: &mut self.stamps,
+            serial: &mut self.serial,
+            spill: &mut self.spill,
+            target: None,
+            mode: Mode::Root,
+            verify,
+            bail: None,
+        };
+        let decoded = decoder.decode_events(scratch, record, &mut walker);
+        (decoded, walker.bail)
+    }
+
     /// Rolls every builder back to the start of the current row and
     /// resets the event walker's per-record state.
     fn abort_row(&mut self) {
@@ -934,7 +1141,7 @@ impl ShredStream<'_> {
             builder.truncate_to_row(self.rows);
         }
         self.frames.clear();
-        self.spill.take();
+        self.spill.clear();
     }
 
     /// Records pushed so far.
@@ -975,6 +1182,8 @@ enum Cell<'a> {
     Str(&'a str),
     /// An array or object.
     Tree(&'a Value),
+    /// An array or object, as the compact JSON text a spill column stores.
+    Json(&'a str),
 }
 
 impl<'a> Cell<'a> {
@@ -988,18 +1197,31 @@ impl<'a> Cell<'a> {
         }
     }
 
-    /// The compact JSON text a spill column stores — always
-    /// [`Value::to_json_string`], so both walkers store the same bytes.
-    fn json_text(self) -> String {
+    /// Appends the compact JSON text a spill column stores — always
+    /// [`Value::to_json_string`]'s, so both walkers store the same bytes.
+    fn write_json(self, out: &mut String) {
         match self {
-            Cell::Null => Value::Null,
-            Cell::Bool(b) => Value::Bool(b),
-            Cell::Num(n) => Value::Num(n),
-            Cell::Str(s) => Value::Str(s.to_owned()),
-            Cell::Tree(tree) => return tree.to_json_string(),
+            Cell::Null => out.push_str("null"),
+            Cell::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+            Cell::Num(n) => write!(out, "{n}").expect("writing to a String"),
+            Cell::Str(s) => write_escaped(s, out),
+            Cell::Tree(tree) => out.push_str(&tree.to_json_string()),
+            Cell::Json(text) => out.push_str(text),
         }
-        .to_json_string()
     }
+}
+
+/// What [`TypedBuilder::cell`] did with a cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Written {
+    /// Written as the layout of the fused type would have it: the value,
+    /// or a null for a `null`.
+    Fit,
+    /// Written as a null: the column's slot cannot hold the value, so
+    /// the value's type fused in would change the slot.
+    Misfit,
+    /// Not written: the column already has a cell for the row.
+    Collision,
 }
 
 /// Direct typed column construction for the schema-aware path.
@@ -1007,19 +1229,16 @@ impl<'a> Cell<'a> {
 struct TypedBuilder {
     data: ColumnData,
     validity: Bitmap,
+    /// Planned where only `null` had been seen ([`Slot::Null`]).
+    null_only: bool,
 }
 
 impl TypedBuilder {
     fn new(slot: Slot) -> TypedBuilder {
         TypedBuilder {
-            data: match slot {
-                Slot::Bool => ColumnData::Bools(Bitmap::new()),
-                Slot::Int => ColumnData::Ints(Vec::new()),
-                Slot::Float => ColumnData::Floats(Vec::new()),
-                Slot::Str => ColumnData::Strs(StrArena::new()),
-                Slot::Json => ColumnData::Json(StrArena::new()),
-            },
+            data: slot.storage(0, 0),
             validity: Bitmap::new(),
+            null_only: slot == Slot::Null,
         }
     }
 
@@ -1029,43 +1248,50 @@ impl TypedBuilder {
 
     /// The one place a cell enters a column: appends `cell` at `row`,
     /// null-padding skipped rows. A value that does not fit the column's
-    /// type is a null. Returns `false`, writing nothing, when the column
-    /// already has a cell — value or null — for `row` (a literal dotted
-    /// key collided with the nested path it spells: first write wins).
-    fn cell(&mut self, row: usize, cell: Cell<'_>) -> bool {
+    /// type is a null — and, unless it is a `null`, a
+    /// [misfit](Written::Misfit). Writes nothing when the column already
+    /// has a cell — value or null — for `row` (a literal dotted key
+    /// collided with the nested path it spells: first write wins).
+    fn cell(&mut self, row: usize, cell: Cell<'_>) -> Written {
         if self.validity.len() > row {
-            return false;
+            return Written::Collision;
         }
         self.validity.pad_to(row);
-        let valid = match (&mut self.data, cell) {
+        let (valid, fits) = match (&mut self.data, cell) {
+            (_, Cell::Null) => (false, true),
             (ColumnData::Bools(v), Cell::Bool(b)) => {
                 v.push(b);
-                true
+                (true, true)
             }
             (ColumnData::Ints(v), Cell::Num(n)) => match n.as_i64() {
                 Some(i) => {
                     v.push(i);
-                    true
+                    (true, true)
                 }
-                None => false,
+                // Typed `Int` all the same when it has no fraction
+                // (`1e300`): no cell, and nothing new.
+                None => (false, n.is_integer()),
             },
             (ColumnData::Floats(v), Cell::Num(n)) => {
                 v.push(n.as_f64());
-                true
+                (true, true)
             }
             (ColumnData::Strs(v), Cell::Str(s)) => {
                 v.push(s);
-                true
+                (true, true)
             }
-            (ColumnData::Json(_), Cell::Null) => false,
             (ColumnData::Json(v), cell) => {
-                v.push(&cell.json_text());
-                true
+                v.push_with(|out| cell.write_json(out));
+                (true, !self.null_only)
             }
-            _ => false,
+            _ => (false, false),
         };
         self.validity.push(valid);
-        true
+        if fits {
+            Written::Fit
+        } else {
+            Written::Misfit
+        }
     }
 
     /// Drops whatever was written at `row` and after (at most one cell:
@@ -1154,10 +1380,14 @@ struct EventWalker<'a> {
     frames: &'a mut Vec<Frame>,
     stamps: &'a mut [u64],
     serial: &'a mut u64,
-    spill: &'a mut ValueBuilder,
+    spill: &'a mut SpillText,
     /// The plan node the last key resolved to.
     target: Option<usize>,
     mode: Mode,
+    /// Give up on a record that does not fit the layout's type
+    /// ([`ShredStream::push_fitting`]); otherwise what does not fit is
+    /// dropped or nulled, as the layout says.
+    verify: bool,
     bail: Option<Fallback>,
 }
 
@@ -1172,9 +1402,23 @@ impl EventWalker<'_> {
         self.mode = Mode::Record;
     }
 
+    /// The record does not fit the layout's type here.
+    fn misfit(&mut self) {
+        if self.verify {
+            self.bail = Some(Fallback::Misfit);
+        }
+    }
+
     fn write(&mut self, column: usize, cell: Cell<'_>) {
-        if !self.builders[column].cell(self.row, cell) {
-            self.bail = Some(Fallback::PathCollision);
+        let written = self.builders[column].cell(self.row, cell);
+        self.settle(written);
+    }
+
+    fn settle(&mut self, written: Written) {
+        match written {
+            Written::Fit => {}
+            Written::Misfit => self.misfit(),
+            Written::Collision => self.bail = Some(Fallback::PathCollision),
         }
     }
 
@@ -1186,11 +1430,20 @@ impl EventWalker<'_> {
                 self.target = self
                     .order
                     .resolve(self.plan, frame.node, &mut frame.prev, key);
-                if let Some(at) = self.target {
-                    if self.stamps[at] == frame.serial {
-                        self.bail = Some(Fallback::DuplicateKey);
+                let known = match self.target {
+                    Some(at) => {
+                        if self.stamps[at] == frame.serial {
+                            self.bail = Some(Fallback::DuplicateKey);
+                        }
+                        self.stamps[at] = frame.serial;
+                        // One segment per level: a key that resolved
+                        // further down spelled a dotted path.
+                        self.plan.nodes[at].parent == frame.node
                     }
-                    self.stamps[at] = frame.serial;
+                    None => false,
+                };
+                if !known {
+                    self.misfit();
                 }
                 return;
             }
@@ -1207,15 +1460,15 @@ impl EventWalker<'_> {
         };
         let target = self.target.take().map(|at| (at, &self.plan.nodes[at]));
         match (cell, target) {
-            (Some(cell), Some((_, node))) => {
-                if let Some(column) = node.column {
-                    self.write(column, cell);
-                }
-            }
+            (Some(cell), Some((_, node))) => match node.column {
+                Some(column) => self.write(column, cell),
+                // Where the layout flattens a record, only a `null`
+                // adds nothing.
+                None if matches!(cell, Cell::Null) => {}
+                None => self.misfit(),
+            },
             (Some(_), None) => {}
-            (None, Some((at, node)))
-                if matches!(ev, RawEvent::StartObject) && !node.children.is_empty() =>
-            {
+            (None, Some((at, node))) if matches!(ev, RawEvent::StartObject) && node.flattens() => {
                 self.open_frame(at);
             }
             (None, Some((_, node))) => match node.column {
@@ -1223,16 +1476,123 @@ impl EventWalker<'_> {
                     self.spill.event(ev);
                     self.mode = Mode::Spill { column, depth: 1 };
                 }
-                Some(column) => {
+                column => {
                     // A container where the layout has a scalar column
-                    // is a null, like any other ill-typed value.
-                    self.write(column, Cell::Null);
+                    // is a null, like any other ill-typed value; an
+                    // array where it flattens is dropped.
+                    self.misfit();
+                    if let Some(column) = column {
+                        self.write(column, Cell::Null);
+                    }
                     self.mode = Mode::Skip { depth: 1 };
                 }
-                None => self.mode = Mode::Skip { depth: 1 },
             },
             (None, None) => self.mode = Mode::Skip { depth: 1 },
         }
+    }
+}
+
+/// The compact JSON text of one spilled array or object, written from
+/// its events with the serializer's own pieces — [`write_escaped`],
+/// [`Number`]'s `Display`, a comma before every member but the first — so
+/// it is [`Value::to_json_string`]'s text for any subtree in which no
+/// object repeats a key.
+#[derive(Debug, Default)]
+struct SpillText {
+    text: String,
+    /// The open containers, innermost last.
+    open: Vec<Open>,
+    /// Where in `text` each key of each open object sits, quotes
+    /// included, outermost object first.
+    keys: Vec<(usize, usize)>,
+}
+
+#[derive(Debug)]
+struct Open {
+    /// A member or element has been written.
+    filled: bool,
+    /// An object's first entry in [`SpillText::keys`]; `None`: an array.
+    keys_from: Option<usize>,
+}
+
+impl SpillText {
+    fn clear(&mut self) {
+        self.text.clear();
+        self.open.clear();
+        self.keys.clear();
+    }
+
+    /// Appends `ev`'s text. `false`: the object `ev` closes repeated a
+    /// key — the document keeps its last value in its first position,
+    /// which is not what has been written.
+    fn event(&mut self, ev: &RawEvent<'_>) -> bool {
+        let separate = |open: &mut Open, text: &mut String| {
+            if std::mem::replace(&mut open.filled, true) {
+                text.push(',');
+            }
+        };
+        match ev {
+            RawEvent::Key(key) => {
+                let object = self.open.last_mut().expect("keys arrive inside an object");
+                separate(object, &mut self.text);
+                let start = self.text.len();
+                write_escaped(key, &mut self.text);
+                self.keys.push((start, self.text.len()));
+                self.text.push(':');
+                return true;
+            }
+            RawEvent::EndArray => {
+                self.open.pop();
+                self.text.push(']');
+                return true;
+            }
+            RawEvent::EndObject => {
+                let object = self.open.pop().expect("balanced events");
+                let from = object.keys_from.expect("an object closes an object");
+                let text = &self.text;
+                let key = |&(start, end): &(usize, usize)| &text[start..end];
+                // Escaping is one-to-one, so equal keys are equal texts.
+                let keys = &mut self.keys[from..];
+                keys.sort_unstable_by(|a, b| key(a).cmp(key(b)));
+                let distinct = keys.windows(2).all(|pair| key(&pair[0]) != key(&pair[1]));
+                self.keys.truncate(from);
+                self.text.push('}');
+                return distinct;
+            }
+            _ => {}
+        }
+        // A value: an array's element, or the member whose key (and
+        // comma) came before it.
+        if let Some(
+            array @ Open {
+                keys_from: None, ..
+            },
+        ) = self.open.last_mut()
+        {
+            separate(array, &mut self.text);
+        }
+        match ev {
+            RawEvent::StartObject => {
+                self.text.push('{');
+                self.open.push(Open {
+                    filled: false,
+                    keys_from: Some(self.keys.len()),
+                });
+            }
+            RawEvent::StartArray => {
+                self.text.push('[');
+                self.open.push(Open {
+                    filled: false,
+                    keys_from: None,
+                });
+            }
+            RawEvent::Null => Cell::Null.write_json(&mut self.text),
+            RawEvent::Bool(b) => Cell::Bool(*b).write_json(&mut self.text),
+            RawEvent::Num(n) => Cell::Num(*n).write_json(&mut self.text),
+            RawEvent::Str(s) => Cell::Str(s).write_json(&mut self.text),
+            RawEvent::Key(_) | RawEvent::EndObject | RawEvent::EndArray => unreachable!(),
+        }
+        true
     }
 }
 
@@ -1259,11 +1619,16 @@ impl EventReceiver for EventWalker<'_> {
                 };
             }
             Mode::Spill { column, depth } => {
-                self.spill.event(ev);
+                if !self.spill.event(ev) {
+                    self.bail = Some(Fallback::DuplicateKey);
+                    return;
+                }
                 self.mode = match nested(depth, ev) {
                     0 => {
-                        let tree = self.spill.take();
-                        self.write(column, Cell::Tree(&tree));
+                        let text = Cell::Json(&self.spill.text);
+                        let written = self.builders[column].cell(self.row, text);
+                        self.settle(written);
+                        self.spill.clear();
                         Mode::Record
                     }
                     depth => Mode::Spill { column, depth },
@@ -1301,23 +1666,19 @@ fn widen(a: Slot, b: Slot) -> Slot {
     }
 }
 
-/// Plans columns from an inferred type.
-fn plan(ty: &JType, prefix: String, layout: &mut Vec<(String, Slot)>) {
+/// What the layout makes of one type: a record to flatten, or a column.
+enum Shape<'t> {
+    Record(&'t RecordType),
+    Column(Slot),
+}
+
+fn shape(ty: &JType) -> Shape<'_> {
     match ty {
-        JType::Record(rt) => {
-            for (name, field) in &rt.fields {
-                let path = if prefix.is_empty() {
-                    name.to_string()
-                } else {
-                    format!("{prefix}.{name}")
-                };
-                plan(&field.ty, path, layout);
-            }
-        }
-        JType::Bool { .. } => layout.push((prefix, Slot::Bool)),
-        JType::Int { .. } => layout.push((prefix, Slot::Int)),
-        JType::Float { .. } => layout.push((prefix, Slot::Float)),
-        JType::Str { .. } => layout.push((prefix, Slot::Str)),
+        JType::Record(rt) => Shape::Record(rt),
+        JType::Bool { .. } => Shape::Column(Slot::Bool),
+        JType::Int { .. } => Shape::Column(Slot::Int),
+        JType::Float { .. } => Shape::Column(Slot::Float),
+        JType::Str { .. } => Shape::Column(Slot::Str),
         // Unions of Int+Float widen to Float; Null+T takes T (validity
         // covers the nulls); everything else spills to JSON.
         JType::Union(ms) => {
@@ -1326,15 +1687,82 @@ fn plan(ty: &JType, prefix: String, layout: &mut Vec<(String, Slot)>) {
                 .filter(|m| !matches!(m, JType::Null { .. }))
                 .collect();
             match non_null.as_slice() {
-                [single] => plan(single, prefix, layout),
+                [single] => shape(single),
                 [JType::Int { .. }, JType::Float { .. }]
-                | [JType::Float { .. }, JType::Int { .. }] => layout.push((prefix, Slot::Float)),
-                _ => layout.push((prefix, Slot::Json)),
+                | [JType::Float { .. }, JType::Int { .. }] => Shape::Column(Slot::Float),
+                _ => Shape::Column(Slot::Json),
             }
         }
-        // Arrays, bare nulls and Bottom: spill (validity handles nulls).
-        _ => layout.push((prefix, Slot::Json)),
+        // Bare nulls and Bottom spill too, but say that nothing has been
+        // seen there.
+        JType::Null { .. } | JType::Bottom => Shape::Column(Slot::Null),
+        // Arrays: spill (validity handles nulls).
+        JType::Array(_) => Shape::Column(Slot::Json),
     }
+}
+
+fn join(prefix: &str, name: &str) -> String {
+    if prefix.is_empty() {
+        name.to_string()
+    } else {
+        format!("{prefix}.{name}")
+    }
+}
+
+/// Plans columns from an inferred type.
+fn plan(ty: &JType, prefix: String, planned: &mut Planned) {
+    match shape(ty) {
+        Shape::Record(rt) => {
+            if rt.fields.is_empty() && !prefix.is_empty() {
+                planned.hollow.push(prefix);
+                return;
+            }
+            for (name, field) in &rt.fields {
+                planned.dotted |= name.contains('.');
+                plan(&field.ty, join(&prefix, name), planned);
+            }
+        }
+        Shape::Column(slot) => planned.layout.push((prefix, slot)),
+    }
+}
+
+/// Whether every batch shredded under the layout of `old` from records
+/// that [fit](ShredStream::push_fitting) `old` is — once
+/// [lifted](Shredder::lift) — the batch the layout of `new` gives those
+/// records, for `new` a fusion of `old` with more types: every column
+/// `old` plans is planned by `new` with the same slot, and `new` adds
+/// columns only. `Err` names the first path where that fails.
+///
+/// A rule on types, not on layouts: a field `old` types as an empty
+/// record plans no column, yet `{}` fits it — and is a `json` cell once
+/// `new` types the field as a record or a number.
+pub fn lifts(old: &JType, new: &JType) -> Result<(), String> {
+    lifts_at(Some(old), new, "")
+}
+
+fn lifts_at(old: Option<&JType>, new: &JType, path: &str) -> Result<(), String> {
+    match (old.map(shape), shape(new)) {
+        // Nothing but nulls were there, if anything: whatever `new`
+        // plans here holds no cell of the old batches.
+        (None | Some(Shape::Column(Slot::Null)), Shape::Column(_)) => Ok(()),
+        (None | Some(Shape::Column(Slot::Null)), Shape::Record(rt)) => lifts_fields(None, rt, path),
+        (Some(Shape::Record(had)), Shape::Record(rt)) => lifts_fields(Some(had), rt, path),
+        (Some(Shape::Column(had)), Shape::Column(slot)) if had == slot => Ok(()),
+        _ => Err(path.to_string()),
+    }
+}
+
+fn lifts_fields(old: Option<&RecordType>, new: &RecordType, path: &str) -> Result<(), String> {
+    new.fields.iter().try_for_each(|(name, field)| {
+        let path = join(path, name);
+        if name.contains('.') {
+            // The plan resolves a dotted path to its last column, which
+            // may now be this one.
+            return Err(path);
+        }
+        let had = old.and_then(|rt| rt.field(name)).map(|f| &f.ty);
+        lifts_at(had, &field.ty, &path)
+    })
 }
 
 /// Rebuilds the scalar projection of row `row` from a batch (used by the
@@ -1607,12 +2035,44 @@ mod tests {
         assert_eq!(batch, push_values(&shredder, &clean));
         assert_eq!(routes, vec![Ok(None); clean.len()]);
 
+        // Spill cells are written from events: the text must be the
+        // serializer's, whatever the subtree holds.
+        let deep = format!("{{\"tags\": {}7{}}}", "[".repeat(64), "]".repeat(64));
+        let spilled = [
+            r#"{"tags": [], "v": {}}"#,
+            r#"{"tags": [[], {}, [{}], {"e": {}, "a": []}], "v": [null, true, false]}"#,
+            r#"{"tags": [-0, 0, -0.0, 1e2, 1.0, 1E-2, 2.5e300, 9223372036854775807, -9223372036854775808, 9223372036854775808]}"#,
+            r#"{"v": {"a\tb": "q\"uo\\te\u00e9\n\u0001", "\u0061c": "é😀", "": ""}}"#,
+            r#"{"v": "just a string \u0041", "tags": {"k": {"k": {"k": 1}}, "j": [{"k": 1}, {"k": 2}]}}"#,
+            deep.as_str(),
+        ];
+        let (batch, routes) = push_lines(&shredder, &spilled);
+        assert_eq!(batch, push_values(&shredder, &spilled));
+        assert_eq!(routes, vec![Ok(None); spilled.len()]);
+        let texts: Vec<&str> = match &batch.column("tags").unwrap().data {
+            ColumnData::Json(cells) => cells.iter().collect(),
+            other => panic!("tags spills, got {other:?}"),
+        };
+        assert_eq!(texts[1], r#"[[],{},[{}],{"e":{},"a":[]}]"#);
+        assert!(
+            texts[2].starts_with("[0,0,-0.0,100.0,1.0,0.01,25000"),
+            "{}",
+            texts[2]
+        );
+
         // Unsure rows replay, for the reason given; a non-record, and a
         // record the decoder rejects however far the walk got, leave no
         // row.
         let dup = Some(Some(Fallback::DuplicateKey));
         let collision = Some(Some(Fallback::PathCollision));
         let unsure = [
+            (r#"{"v": {"k": 1, "k": 2}}"#, dup),
+            (r#"{"v": {"a": 1, "b": 2, "\u0061": 3}}"#, dup),
+            (
+                r#"{"tags": [1, {"x": {"y": 1, "z": [2], "y": {"y": 3}}}]}"#,
+                dup,
+            ),
+            (r#"{"v": {"k": 1, "k": 2}, "tags": "cut"#, None),
             (r#"{"id": 1, "id": 2}"#, dup),
             (r#"{"a": {"b": 1}, "a": 5}"#, dup),
             (r#"{"geo": {"lat": 1, "lat": 2}}"#, dup),
@@ -1634,6 +2094,244 @@ mod tests {
             let routes: Vec<_> = routes.into_iter().map(Result::ok).collect();
             assert_eq!(routes, [Some(None), why, Some(None)], "{line}");
         }
+    }
+
+    /// Well-formed text no serializer writes — keys repeated plainly and
+    /// escaped-equal, at any depth, members shuffled, `3.0` for `3` —
+    /// inside spilled subtrees: the event walk's cell is the document's,
+    /// or the walk hands the record back.
+    #[test]
+    fn respelled_spill_subtrees_are_the_documents_text_or_handed_back() {
+        let doc = json!({
+            "id": 1,
+            "tags": [{"a": 1, "b": {"c": [1, 2.5], "d": "x\ty"}}, [3, {"e": null}], "s"],
+            "v": {"p": {"q": 1, "r": true}, "s": [{"t": null, "u": -7}]},
+        });
+        let ty = infer_collection(std::slice::from_ref(&doc), Equivalence::Kind);
+        let shredder = Shredder::from_type(&ty);
+        let (mut from_events, mut handed_back) = (0, 0);
+        for seed in 0..400 {
+            let line = jsonx_gen::respelled(&doc, seed);
+            let (batch, routes) = push_lines(&shredder, &[&line]);
+            assert_eq!(batch, push_values(&shredder, &[&line]), "{line}");
+            match routes[0] {
+                Ok(None) => from_events += 1,
+                Ok(Some(Fallback::DuplicateKey)) => handed_back += 1,
+                ref other => panic!("{other:?}: {line}"),
+            }
+        }
+        assert!(
+            from_events > 10 && handed_back > 10,
+            "{from_events} / {handed_back}"
+        );
+    }
+
+    fn planned(ty: &JType) -> Planned {
+        let mut planned = Planned::default();
+        plan(ty, String::new(), &mut planned);
+        planned
+    }
+
+    /// One row per clause of the definition of *fits*: the verdict, and
+    /// that a record fits only if fusing its type in plans the same
+    /// layout — and, but for the records the walk hands back whatever
+    /// they hold, whenever it does.
+    #[test]
+    fn a_record_fits_exactly_when_its_type_leaves_the_layout_alone() {
+        let taught = vec![
+            json!({"id": 1, "name": "a", "score": 1.5, "ok": true, "geo": {"lat": 1.5, "box": {"w": 1}},
+                   "tags": [1], "v": 1, "nil": null, "e": {}, "opt": null}),
+            json!({"id": 2, "v": "s", "opt": 3}),
+        ];
+        let ty = infer_collection(&taught, Equivalence::Kind);
+        let shredder = Shredder::from_type(&ty);
+        let decoder = jsonx_syntax::JsonDecoder::new();
+        // (record, fits, the walk hands it back unread)
+        let table = [
+            // Nothing, nulls anywhere, and every kind where it was seen.
+            (r#"{}"#, true, false),
+            (
+                r#"{"id": null, "geo": null, "tags": null, "nil": null, "e": null, "opt": null}"#,
+                true,
+                false,
+            ),
+            (
+                r#"{"id": 3, "name": "b", "score": 2.5, "ok": false, "opt": 4}"#,
+                true,
+                false,
+            ),
+            (
+                r#"{"geo": {"lat": 0.5, "box": {"w": 2}}, "e": {}}"#,
+                true,
+                false,
+            ),
+            (r#"{"geo": {"box": {}}}"#, true, false),
+            // An integer fits a float column; so does what types as one.
+            (r#"{"score": 2}"#, true, false),
+            (r#"{"id": 2.0}"#, true, false),
+            (r#"{"id": 1e300}"#, true, false),
+            // A spill column takes anything, dotted keys included.
+            (
+                r#"{"tags": {"a": {"b.c": 1}}, "v": [1, {"x.y": 2}]}"#,
+                true,
+                false,
+            ),
+            (r#"{"tags": 5, "v": true}"#, true, false),
+            // A key the type has no field for, at any flattened level.
+            (r#"{"fresh": 1}"#, false, false),
+            (r#"{"fresh": null}"#, false, false),
+            (r#"{"fresh": {}}"#, false, false),
+            (r#"{"geo": {"lon": 1}}"#, false, false),
+            (r#"{"geo": {"box": {"h": 1}}}"#, false, false),
+            (r#"{"e": {"k": 1}}"#, false, false),
+            // A dotted key: unknown, or spelling a path the type has.
+            (r#"{"a.b": 1}"#, false, false),
+            (r#"{"geo.lat": 1.5}"#, false, false),
+            (r#"{"geo": {"box.w": 1}}"#, false, false),
+            // A value the column's slot cannot hold.
+            (r#"{"id": 1.5}"#, false, false),
+            (r#"{"id": "x"}"#, false, false),
+            (r#"{"name": 5}"#, false, false),
+            (r#"{"ok": 1}"#, false, false),
+            (r#"{"score": "x"}"#, false, false),
+            (r#"{"opt": "x"}"#, false, false),
+            // A container where the layout has a scalar column.
+            (r#"{"id": [1]}"#, false, false),
+            (r#"{"name": {"a": 1}}"#, false, false),
+            // Anything but an object or null where it flattens.
+            (r#"{"geo": 7}"#, false, false),
+            (r#"{"geo": [1]}"#, false, false),
+            (r#"{"geo": {"box": "x"}}"#, false, false),
+            (r#"{"e": 5}"#, false, false),
+            (r#"{"e": []}"#, false, false),
+            // Anything but null where only null had been seen.
+            (r#"{"nil": 1}"#, false, false),
+            (r#"{"nil": [1]}"#, false, false),
+            (r#"{"nil": {}}"#, false, false),
+            // No object at the root.
+            (r#"[{"id": 1}]"#, false, false),
+            (r#"7"#, false, false),
+            // What the walk cannot vouch for, it hands back.
+            (r#"{"id": 1, "id": 2}"#, false, true),
+            (r#"{"v": {"k": 1, "k": 2}}"#, false, true),
+            (r#"{"geo": {"lat": 1, "lat": 2}}"#, false, true),
+        ];
+        let mut stream = shredder.stream();
+        let mut fitting = Vec::new();
+        for (line, fits, handed_back) in table {
+            let got = stream.push_fitting(&decoder, &mut (), line).unwrap();
+            assert_eq!(got, fits, "{line}");
+            let doc = jsonx_syntax::parse(line).unwrap();
+            let fused = jsonx_core::fuse(
+                ty.clone(),
+                jsonx_core::infer_value(&doc, Equivalence::Kind),
+                Equivalence::Kind,
+            );
+            let same = planned(&fused) == planned(&ty);
+            assert!(same || !fits, "{line} fits, yet changes the layout");
+            assert!(
+                same == fits || handed_back,
+                "{line}: fits {fits}, same layout {same}"
+            );
+            if fits {
+                fitting.push(line);
+            }
+        }
+        // What fit was shredded as ever; what did not left nothing.
+        assert_eq!(stream.finish(), push_values(&shredder, &fitting));
+        // A decoder's reject is a reject, however far the walk got.
+        let mut stream = shredder.stream();
+        for line in [
+            r#"{"fresh": 1"#,
+            r#"{"id": 1} x"#,
+            r#"[1"#,
+            r#"{"id": 1, "id": 2"#,
+        ] {
+            let want = jsonx_syntax::parse(line).unwrap_err();
+            assert_eq!(
+                stream.push_fitting(&decoder, &mut (), line),
+                Err(want),
+                "{line}"
+            );
+        }
+        assert_eq!(stream.rows(), 0);
+
+        // A type the walk cannot check against fits nothing: no record
+        // type at the root, or a dotted field name (`a.b` is then two
+        // fields' path).
+        for docs in [
+            vec![],
+            vec![json!({"a.b": 1, "a": {"b": 2}})],
+            vec![json!({"n": {"x.y": 1}})],
+        ] {
+            let unverifiable = Shredder::from_type(&infer_collection(&docs, Equivalence::Kind));
+            let mut stream = unverifiable.stream();
+            for line in ["{}", r#"{"a": {"b": 2}}"#] {
+                assert_eq!(
+                    stream.push_fitting(&decoder, &mut (), line),
+                    Ok(false),
+                    "{line}"
+                );
+            }
+        }
+    }
+
+    /// `lifts` on a type and its fusion with one more record: when it
+    /// says yes, lifting the old batch is shredding under the new layout.
+    #[test]
+    fn a_widened_layout_lifts_exactly_when_it_only_adds_columns() {
+        let taught = vec![
+            json!({"id": 1, "geo": {"lat": 1.5}, "tags": [1], "nil": null, "e": {}}),
+            json!({"id": 2, "geo": null, "e": {}}),
+        ];
+        let old = infer_collection(&taught, Equivalence::Kind);
+        let table = [
+            (json!({"id": 3}), Ok(())),
+            (json!({"fresh": "x", "geo": {"lon": 2.5}}), Ok(())),
+            (json!({"nil": 4}), Ok(())),
+            (json!({"nil": {"deep": {"er": [1]}}}), Ok(())),
+            (json!({"e": {"k": 1}}), Ok(())),
+            (json!({"tags": "s"}), Ok(())),
+            (json!({"id": 1.5}), Err("id")),
+            (json!({"id": "x"}), Err("id")),
+            (json!({"geo": 7}), Err("geo")),
+            (json!({"geo": {"lat": "x"}}), Err("geo.lat")),
+            (json!({"e": 5}), Err("e")),
+            (json!({"a.b": 1}), Err("a.b")),
+            (json!({"nil": {"x.y": 1}}), Err("nil.x.y")),
+        ];
+        for (late, want) in table {
+            let new = jsonx_core::fuse(
+                old.clone(),
+                jsonx_core::infer_value(&late, Equivalence::Kind),
+                Equivalence::Kind,
+            );
+            assert_eq!(lifts(&old, &new), want.map_err(str::to_string), "{late}");
+            if want.is_ok() {
+                let lifted = Shredder::from_type(&new)
+                    .lift(Shredder::from_type(&old).shred(&taught).unwrap());
+                assert_eq!(
+                    lifted,
+                    Shredder::from_type(&new).shred(&taught).unwrap(),
+                    "{late}"
+                );
+            }
+        }
+        // Nothing taught at all lifts into anything without a dotted name.
+        assert_eq!(lifts(&JType::Bottom, &old), Ok(()));
+    }
+
+    #[test]
+    fn concat_equals_appending_one_by_one() {
+        let ty = infer_collection(&docs(), Equivalence::Kind);
+        let shredder = Shredder::from_type(&ty);
+        let whole = shredder.clone().shred(&docs()).unwrap();
+        let parts: Vec<ColumnarBatch> = docs()
+            .iter()
+            .map(|doc| shredder.clone().shred(std::slice::from_ref(doc)).unwrap())
+            .collect();
+        assert_eq!(shredder.concat(parts), whole);
+        assert_eq!(shredder.concat(Vec::new()), shredder.stream().finish());
     }
 
     #[test]

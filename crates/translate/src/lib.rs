@@ -39,7 +39,7 @@ pub mod sink;
 
 pub use avro::{AvroCodec, AvroError, AvroField, AvroSchema};
 pub use columnar::{
-    Bitmap, ColumnData, ColumnarBatch, Fallback, ShredError, ShredStream, Shredder, StrArena,
+    lifts, Bitmap, ColumnData, ColumnarBatch, Fallback, ShredError, ShredStream, Shredder, StrArena,
 };
 pub use jxc::{
     flatten_rows, read_jxc, read_jxc_file, rows_as_values, write_jxc, write_jxc_file, Encoding,

@@ -94,7 +94,7 @@ const MAX_WORKERS: usize = 1024;
 /// `--no-fast-parse`, shared by the commands that accept it.
 const NO_FAST_PARSE_FLAG: FlagSpec = flag(
     "no-fast-parse",
-    "decode every record to a document with the full parser: no SWAR structural scan with projection pushdown, no validating from events — the reference route, same output (translate accepts it and nothing changes: its layout is inferred from the same corpus, so a projecting scan has no field to skip)",
+    "the reference route, same output — nothing speculates: validate decodes every record to a document with the full parser (no SWAR structural scan with projection pushdown, no validating from events); translate types the whole corpus, then shreds it (two passes, not a layout taught by the first chunk and verified per record)",
 );
 
 /// `--format json|csv`, shared by the engine commands.
@@ -878,6 +878,9 @@ fn print_routes(report: &RunReport, took: &str, slow: &str) {
             format!(" ({})", reasons.join(", "))
         },
     );
+    if let Some(layout) = &report.layout {
+        eprintln!("» {layout}");
+    }
 }
 
 /// Loads the whole corpus into memory — the in-memory path shared by
@@ -1283,14 +1286,18 @@ fn cmd_convert(opts: &Opts) -> Result<(), CliError> {
 /// Schema-driven columnar translation on the engine.
 ///
 /// Newline-bounded chunks are shredded into per-worker columnar batches
-/// concatenated in chunk order — the type is inferred from the same
-/// corpus by the engine's typing pass first, so no DOM for the whole
-/// collection ever exists. `--format csv` swaps the record decoder for
-/// the CSV front-end on the same engine; `--out FILE` persists the batch
-/// as binary `.jxc`; `--checkpoint` journals both passes into one file
-/// (the inferred type is sealed between them), so a resume lands in
-/// whichever pass the run died in. The Avro and relational targets are
-/// `convert`'s.
+/// concatenated in chunk order, under the layout of the corpus's own
+/// type — which the first chunk teaches and every record is checked
+/// against while it is shredded, a chunk whose records widen it being
+/// shredded again — so no DOM for the whole collection ever exists, and
+/// a corpus the first chunk describes is read once. `--no-fast-parse`
+/// is the reference route: the whole corpus is typed first, then
+/// shredded. `--format csv` swaps the record decoder for the CSV
+/// front-end on the same engine; `--out FILE` persists the batch as
+/// binary `.jxc`; `--checkpoint` journals the reference route's two
+/// passes into one file (the inferred type is sealed between them), so a
+/// resume lands in whichever pass the run died in. The Avro and
+/// relational targets are `convert`'s.
 fn cmd_translate(opts: &Opts) -> Result<(), CliError> {
     let sink = OutputSink::Columnar {
         out: opts.get("out").map(PathBuf::from),
@@ -1298,12 +1305,12 @@ fn cmd_translate(opts: &Opts) -> Result<(), CliError> {
     let (mut run, csv) = run_plan(opts)?;
     if opts.get("input") == Some("-") {
         return Err(CliError::usage(
-            "translate needs two passes over the corpus; --input - (stdin) cannot be \
-             re-read — pass a regular file",
+            "translate reads a chunk again when a record widens the layout the first chunk \
+             taught; --input - (stdin) cannot be read again — pass a regular file",
         ));
     }
     let mut corpus = open_corpus(opts, &mut run, csv)?;
-    let (_ty, batch, report) = run
+    let (batch, report) = run
         .translate_inferred(corpus.source(), Equivalence::Kind)
         .map_err(stream_err)?;
     let suffix = finish_run(opts, &report)?;

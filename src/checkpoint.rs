@@ -40,14 +40,14 @@
 //! committed [`Prefix`] before the engine call and supply its commit
 //! sink during it.
 
-use crate::streaming::{LineVerdict, ShardYield, StreamError};
+use crate::streaming::{LineVerdict, ShardYield, Shredded, StreamError};
 use jsonx_core::{parse_type, print_type, JType, PrintOptions};
 use jsonx_data::{Number, Object, Value};
 use jsonx_pipeline::{
     read_journal, ChunkJournal, ChunkMeta, ErrorSummary, JournalWriter, RecordDiagnostic,
 };
 use jsonx_syntax::parse;
-use jsonx_translate::{read_jxc, write_jxc, ColumnarBatch};
+use jsonx_translate::{read_jxc, write_jxc};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::AtomicBool;
@@ -280,13 +280,21 @@ pub(crate) fn validate_codec() -> OutCodec<Vec<(usize, LineVerdict)>> {
     }
 }
 
-pub(crate) fn translate_codec() -> OutCodec<ColumnarBatch> {
+pub(crate) fn translate_codec() -> OutCodec<Vec<Shredded>> {
     OutCodec {
         // A chunk's batch is journaled as its checksummed `.jxc` image;
         // decoding reconstructs the identical batch (layout included),
-        // and batches append in seq order exactly like live merging.
-        encode: |batch| Some(s(hex_encode(&write_jxc(batch)))),
-        decode: |v| Some(read_jxc(&hex_decode(v.as_str()?)?).ok()?.batch),
+        // and batches concatenate in seq order exactly like live merging.
+        // A journaled run's layout is the whole corpus's before the first
+        // row is durable: no chunk is ever voided.
+        encode: |chunk| match chunk.as_slice() {
+            [Shredded::Rows(batch)] => Some(s(hex_encode(&write_jxc(batch)))),
+            _ => None,
+        },
+        decode: |v| {
+            let batch = read_jxc(&hex_decode(v.as_str()?)?).ok()?.batch;
+            Some(vec![Shredded::Rows(batch)])
+        },
     }
 }
 
@@ -838,13 +846,12 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, StreamError::Interrupted);
 
-        let (ty, batch, report) = journaled(&plain, resume(&journal))
+        let (batch, report) = journaled(&plain, resume(&journal))
             .translate_inferred(Source::file(&input), Equivalence::Kind)
             .unwrap();
-        let (want_ty, want_batch, want_report) = plain
+        let (want_batch, want_report) = plain
             .translate_inferred(Source::slice(&text), Equivalence::Kind)
             .unwrap();
-        assert_eq!(ty, want_ty);
         assert_eq!(report.records, want_report.records);
         assert_eq!(
             write_jxc(&batch),
@@ -874,7 +881,7 @@ mod tests {
             ..Run::default()
         };
 
-        let (_, batch, _) = journaled(&plain, JournalControl::new(&journal))
+        let (batch, _) = journaled(&plain, JournalControl::new(&journal))
             .translate_inferred(Source::file(&input), Equivalence::Kind)
             .unwrap();
         assert_eq!(write_jxc(&batch), golden_jxc);
@@ -891,7 +898,7 @@ mod tests {
         assert_eq!(record_ends.len(), 8);
         for cut in record_ends.iter().flat_map(|end| [*end, end - 40]) {
             std::fs::write(&journal, &golden[..cut]).unwrap();
-            let (_, batch, report) = journaled(&plain, resume(&journal))
+            let (batch, report) = journaled(&plain, resume(&journal))
                 .translate_inferred(Source::file(&input), Equivalence::Kind)
                 .unwrap();
             assert_eq!(write_jxc(&batch), golden_jxc, "cut at {cut}");

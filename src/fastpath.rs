@@ -146,6 +146,18 @@ pub(crate) enum LineDecoder {
 }
 
 impl LineDecoder {
+    /// Whether `record`, if it decodes at all, decodes to an object: a
+    /// CSV row always does, a JSON document when `{` is its first
+    /// significant byte.
+    pub(crate) fn roots_an_object(&self, record: &str) -> bool {
+        match self {
+            LineDecoder::Json { .. } => {
+                record.bytes().find(|b| !b.is_ascii_whitespace()) == Some(b'{')
+            }
+            LineDecoder::Csv(_) => true,
+        }
+    }
+
     /// Whether [`decode_routed`](Self::decode_routed) has a projection
     /// plan to try.
     pub(crate) fn has_plan(&self) -> bool {

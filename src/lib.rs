@@ -38,7 +38,11 @@
 //! [`infer`](Run::infer), [`validate`](Run::validate),
 //! [`infer_validate`](Run::infer_validate), [`translate`](Run::translate),
 //! [`translate_inferred`](Run::translate_inferred) — execute it over a
-//! [`Source`] through one path (see [`run`]).
+//! [`Source`] through one path (see [`run`]). The last is a loop over that
+//! path, not a pass: the first chunk teaches the columnar layout, every
+//! chunk is shredded under it by walkers that verify each record against
+//! it, and a chunk whose records widen it is shredded again — the corpus
+//! is read once when the first chunk describes it.
 
 pub mod checkpoint;
 pub(crate) mod fastpath;
@@ -66,8 +70,8 @@ pub use checkpoint::JournalControl;
 pub use jsonx_data::{json, Kind, Number, Object, Pointer, Value};
 pub use jsonx_pipeline as pipeline;
 pub use jsonx_pipeline::{
-    ErrorPolicy, ErrorSummary, RecordDiagnostic, Route, RouteCounts, RunReport, ShardPanic,
-    WorkerTiming,
+    ErrorPolicy, ErrorSummary, LayoutAccount, RecordDiagnostic, Route, RouteCounts, RunReport,
+    ShardPanic, WorkerTiming,
 };
 pub use jsonx_syntax::{
     CsvDecoder, EventReceiver, JsonDecoder, ParseLimits, RecordDecoder, ValueBuilder,

@@ -24,8 +24,9 @@
 //! Whatever the parameters, the outputs are identical: every source,
 //! worker count, chunk size, fast-parse setting and interrupted-then-
 //! resumed journal yields the same value and the same
-//! [`RunReport`] (up to its dispatch-dependent `shards` / `timings`
-//! fields) — pinned as one matrix in `tests/run_plan.rs`.
+//! [`RunReport`] (up to its dispatch-dependent `shards` / `timings` /
+//! `routes` / `layout` fields) — pinned as one matrix in
+//! `tests/run_plan.rs`.
 
 use crate::checkpoint::{
     infer_codec, translate_codec, validate_codec, JournalControl, Phase, Prefix, Session,
@@ -33,19 +34,21 @@ use crate::checkpoint::{
 use crate::fastpath::{FastPlan, LineDecoder};
 use crate::streaming::{
     FaultFold, FaultOptions, Halt, InferStage, InferValidateStage, LineVerdict, RecordStage,
-    StreamError, TranslateStage, TypedVerdicts, ValidateStage,
+    Shredded, StreamError, TranslateStage, TypedVerdicts, ValidateStage, NOT_TAUGHT,
 };
-use jsonx_core::{Equivalence, JType};
+use jsonx_core::{fuse, Equivalence, JType};
 use jsonx_pipeline::{
-    run_source_controlled, CheckpointSink, ChunkSource, PipelineOptions, ReaderChunks, RunControl,
+    run_source_controlled, CheckpointSink, ChunkMeta, ChunkSource, ChunkSpan, FirstChunks,
+    LayoutAccount, ListedFile, ListedSlice, PipelineOptions, ReaderChunks, RouteCounts, RunControl,
     RunReport, SliceChunks,
 };
 use jsonx_schema::{CompiledSchema, ValidatorOptions};
 use jsonx_syntax::{CsvDecoder, JsonDecoder, ParseLimits};
-use jsonx_translate::{ColumnarBatch, Shredder};
+use jsonx_translate::{lifts, ColumnarBatch, Shredder};
 use std::fs::File;
 use std::io::{BufRead, BufReader, Seek, SeekFrom};
 use std::path::Path;
+use std::sync::Mutex;
 
 /// How record text becomes documents: which
 /// [`RecordDecoder`](jsonx_syntax::RecordDecoder) the run's stages decode
@@ -73,7 +76,8 @@ pub enum Source<'a, R = std::io::Empty> {
     /// Any buffered reader (socket, pipe, decompressor), streamed
     /// out-of-core through a bounded ring of chunk buffers: peak
     /// residency is about `workers × chunk_bytes` whatever the corpus
-    /// size. Cannot be re-read, so [`Run::translate_inferred`] refuses it.
+    /// size. Cannot be read again, so [`Run::translate_inferred`], which
+    /// may have to, refuses it.
     Reader(R),
     /// A regular file, streamed like a reader. The only source a
     /// checkpoint journal accepts (a resume seeks it by byte offset).
@@ -116,8 +120,11 @@ pub struct Run<'a> {
     /// pushdown (NDJSON only: validation under a schema that lets it skip
     /// fields, translation under a caller-supplied layout), and
     /// validation from a record's events where there is nothing to skip.
-    /// Every record a fast route cannot vouch for falls back, so results
-    /// never depend on it; `false` is the reference route.
+    /// Likewise [`translate_inferred`](Self::translate_inferred)'s
+    /// layout, taught by the first chunk and verified per record. Every
+    /// record a fast route cannot vouch for falls back, so results never
+    /// depend on it; `false` is the reference route, on which nothing
+    /// speculates.
     pub fast_parse: bool,
     /// The record decoder.
     pub format: Format,
@@ -145,6 +152,100 @@ impl Default for Run<'_> {
 
 fn input_err(e: impl std::fmt::Display) -> StreamError {
     StreamError::Input(e.to_string())
+}
+
+/// Which of its source's chunks a pass reads.
+#[derive(Clone, Copy)]
+pub(crate) enum Select<'a> {
+    All,
+    /// The first one.
+    First,
+    /// These, as an earlier pass over all of them recorded them.
+    Listed(&'a [ChunkSpan]),
+}
+
+/// Notes every chunk a pass folds, so a later pass can read some of them
+/// again.
+#[derive(Default)]
+struct ChunkLog(Mutex<Vec<ChunkMeta>>);
+
+impl<T> CheckpointSink<T> for ChunkLog {
+    fn chunk_done(&self, meta: &ChunkMeta, _out: &T) {
+        self.0.lock().expect("pushing cannot panic").push(*meta);
+    }
+}
+
+impl ChunkLog {
+    /// Where each chunk sits in the input. Only for a pass that folded
+    /// every chunk (none poisoned): offsets are running byte totals.
+    fn spans(self) -> Vec<ChunkSpan> {
+        let mut metas = self.0.into_inner().expect("pushing cannot panic");
+        metas.sort_unstable_by_key(|meta| meta.seq);
+        let mut offset = 0;
+        metas
+            .iter()
+            .map(|meta| {
+                let span = ChunkSpan {
+                    seq: meta.seq,
+                    first_line: meta.first_line,
+                    offset,
+                    bytes: meta.bytes,
+                };
+                offset += meta.bytes as u64;
+                span
+            })
+            .collect()
+    }
+}
+
+/// A source a run can read more than once.
+#[derive(Clone, Copy)]
+enum Again<'a> {
+    Slice(&'a str),
+    File(&'a Path),
+}
+
+impl<'a> Again<'a> {
+    fn source<R>(self) -> Source<'a, R> {
+        match self {
+            Again::Slice(text) => Source::Slice(text),
+            Again::File(path) => Source::File(path),
+        }
+    }
+}
+
+/// How many records a teaching pass typed: all it accepted but those it
+/// left to the shredder to reject. Counted only by a timed run.
+fn taught_by(routes: &RouteCounts) -> usize {
+    let typed = routes.fast + routes.replayed.values().sum::<u64>();
+    (typed - routes.replayed.get(NOT_TAUGHT).copied().unwrap_or(0)) as usize
+}
+
+/// One account of two passes over disjoint chunks of one input: `later`'s
+/// are chunks `kept` had voided, so rejects interleave by record, the
+/// earliest `cap` retained as one pass would have, and each worker's two
+/// stints add up.
+fn absorb(kept: &mut RunReport, later: RunReport, cap: usize) {
+    kept.records += later.records;
+    kept.errors.merge(later.errors, usize::MAX);
+    kept.errors.rejects.sort_by_key(|diag| diag.record);
+    let excess = kept.errors.rejects.len().saturating_sub(cap);
+    kept.errors.rejects.truncate(cap);
+    kept.errors.dropped += excess;
+    kept.poisoned.extend(later.poisoned);
+    kept.routes.merge(later.routes);
+    for stint in later.timings {
+        match kept.timings.iter_mut().find(|t| t.worker == stint.worker) {
+            Some(t) => {
+                t.chunks += stint.chunks;
+                t.records += stint.records;
+                t.bytes += stint.bytes;
+                t.busy += stint.busy;
+                t.steals += stint.steals;
+            }
+            None => kept.timings.push(stint),
+        }
+    }
 }
 
 impl Run<'_> {
@@ -267,72 +368,194 @@ impl Run<'_> {
         let stage = TranslateStage {
             shredder,
             decoder: self.decoder(|limits| FastPlan::for_translation(shredder, limits)),
+            teach: None,
         };
-        self.execute(source, &stage, None)
+        let (chunks, report) = self.execute(source, &stage, None)?;
+        let rows = chunks.into_iter().map(|chunk| match chunk {
+            Shredded::Rows(batch) => batch,
+            Shredded::Taught { .. } => unreachable!("only a teaching stage voids a chunk"),
+        });
+        Ok((shredder.concat(rows.collect()), report))
     }
 
-    /// The two passes of a translation from scratch: infer the collection
-    /// type, then shred under the layout it fixes. The report covers the
-    /// shredding pass. Both passes run under the same policy, so a record
-    /// the typer rejected is rejected again (and quarantined) by the
-    /// shredder.
+    /// A translation from scratch: infer a type, shred under the layout
+    /// it fixes ([`Shredder::from_type`]). The batch is the one the layout
+    /// of the *whole corpus's* type gives, at every worker count and
+    /// chunking, and the report counts each chunk's records, rejects and
+    /// routes once — from the shredding that produced its rows.
     ///
-    /// A journal holds both passes, phase-tagged, with a `type` marker
-    /// sealing the first — so an interrupted run resumes in whichever
-    /// pass it died in, and the layout is reconstructed from the journal
-    /// rather than re-inferred.
+    /// The layout is **taught** by the first chunk alone, and every chunk
+    /// is then shredded under it by walkers that also verify that each
+    /// record *fits* the taught type
+    /// ([`push_fitting`](jsonx_translate::ShredStream::push_fitting)): a
+    /// record that fits would not have changed the layout, so a corpus
+    /// whose records all fit is read once (and its first chunk twice). A
+    /// chunk with a record that does not fit yields no rows: it is voided,
+    /// and types its lines from that record on instead. After the pass
+    /// the taught type is fused with what the voided chunks taught — by
+    /// induction over the records that fit, that is a type with the whole
+    /// corpus's layout — and when it only *adds* columns
+    /// ([`lifts`](jsonx_translate::lifts)) the voided chunks alone are
+    /// read again and shredded under it, the other chunks' batches
+    /// null-filled into it; when it changes a column's slot, every chunk
+    /// is shredded again: the worst case is the cost of typing and
+    /// shredding everything, plus the first pass.
+    ///
+    /// The *whole corpus* teaches, and nothing is verified or voided —
+    /// the same passes, from a different first teach set — when nothing
+    /// may speculate ([`fast_parse`](Self::fast_parse) off), under
+    /// [`Equivalence::Label`] (fitting is an argument about `Kind`), and
+    /// with a journal, where the layout must be final before the first
+    /// row is durable: a journal holds a teaching pass and a shredding
+    /// pass, phase-tagged, with a `type` marker sealing the first — so an
+    /// interrupted run resumes in whichever it died in, the layout
+    /// reconstructed from the journal rather than taught again.
+    ///
+    /// Either teach set skips a record whose root is no object: the
+    /// shredder rejects it, under the run's policy, when it shreds its
+    /// chunk for good. So a malformed line anywhere still fails a
+    /// fail-fast run before a non-record does.
     pub fn translate_inferred<R: BufRead + Send>(
         &self,
         source: Source<'_, R>,
         equiv: Equivalence,
-    ) -> Result<(JType, ColumnarBatch, RunReport), StreamError> {
-        let (first, second): (Source<'_, R>, Source<'_, R>) = match source {
-            Source::Slice(text) => (Source::Slice(text), Source::Slice(text)),
-            Source::File(path) => (Source::File(path), Source::File(path)),
+    ) -> Result<(ColumnarBatch, RunReport), StreamError> {
+        let mut session = self.open_journal(&source, "translate", || {
+            format!("equiv={equiv:?} fault={:?}", self.fault)
+        })?;
+        let again = match source {
+            Source::Slice(text) => Again::Slice(text),
+            Source::File(path) => Again::File(path),
             Source::Reader(_) => {
                 return Err(StreamError::Input(
-                    "translate needs two passes over the corpus; a reader cannot be re-read — \
-                     pass a slice or a file"
+                    "translate reads a chunk again when a record widens the layout the first \
+                     chunk taught; a reader cannot be read again — pass a slice or a file"
                         .into(),
                 ))
             }
         };
-        let mut session = self.open_journal(&first, "translate", || {
-            format!("equiv={equiv:?} fault={:?}", self.fault)
-        })?;
+        let speculate = self.journal.is_none() && self.fast_parse && equiv == Equivalence::Kind;
         let sealed = match &session {
             Some(s) => s.sealed_type()?,
             None => None,
         };
-        let ty = match sealed {
+        let mut account = LayoutAccount::default();
+        let mut ty = match sealed {
             Some(ty) => ty,
             None => {
                 let journal = session.as_mut().map(|s| s.phase(1, infer_codec()));
-                let (ty, _report) = self.execute(first, &self.infer_stage(equiv), journal)?;
+                let stage = InferStage {
+                    records_only: true,
+                    ..self.infer_stage(equiv)
+                };
+                let teachers = if speculate {
+                    Select::First
+                } else {
+                    Select::All
+                };
+                let (ty, report) =
+                    self.execute_on(again.source::<R>(), teachers, &stage, journal, None)?;
                 if let Some(s) = &mut session {
                     s.seal_type(&ty)?;
                 }
+                account.taught = taught_by(&report.routes);
                 ty
             }
         };
-        let shredder = Shredder::from_type(&ty);
-        let journal = session.as_mut().map(|s| s.phase(2, translate_codec()));
-        let stage = TranslateStage {
-            shredder: &shredder,
+        let cap = self.fault.sample_cap();
+        let mut shredder = Shredder::from_type(&ty);
+        // Each chunk's rows under `shredder`'s layout, by sequence number.
+        let mut rows: Vec<(usize, ColumnarBatch)> = Vec::new();
+        let mut report: Option<RunReport> = None;
+        // The chunks still to shred; `None`: all of them.
+        let mut todo: Option<Vec<ChunkSpan>> = None;
+        let mut widened = false;
+        loop {
             // The layout was inferred from this very corpus: no accepted
             // record has a root field outside it, so a projecting scan
             // could skip nothing. No plan; records shred straight from
             // events.
-            decoder: self.decoder(|_| None),
-        };
-        let (batch, report) = self.execute(second, &stage, journal)?;
-        Ok((ty, batch, report))
+            let stage = TranslateStage {
+                shredder: &shredder,
+                decoder: self.decoder(|_| None),
+                teach: (speculate && !widened).then_some(equiv),
+            };
+            let journal = session.as_mut().map(|s| s.phase(2, translate_codec()));
+            let log = ChunkLog::default();
+            let select = todo.as_deref().map_or(Select::All, Select::Listed);
+            let (chunks, pass) =
+                self.execute_on(again.source::<R>(), select, &stage, journal, Some(&log))?;
+            // A yield per chunk the pass was to read, in order, but for
+            // those whose fold panicked.
+            let lost = |seq: &usize| pass.poisoned.iter().any(|p| p.shard == *seq);
+            let read: Vec<usize> = match &todo {
+                Some(spans) => spans.iter().map(|span| span.seq).collect(),
+                None => (0..pass.shards).collect(),
+            };
+            let mut taught = JType::Bottom;
+            let mut voided = Vec::new();
+            for (seq, chunk) in read.into_iter().filter(|seq| !lost(seq)).zip(chunks) {
+                match chunk {
+                    Shredded::Rows(batch) => {
+                        account.again += usize::from(widened);
+                        rows.push((seq, batch));
+                    }
+                    Shredded::Taught {
+                        ty,
+                        misfit,
+                        records,
+                    } => {
+                        taught = fuse(taught, ty, equiv);
+                        voided.push(seq);
+                        account.taught += records;
+                        account.misfit = Some(account.misfit.map_or(misfit, |m| m.min(misfit)));
+                    }
+                }
+            }
+            if voided.is_empty() {
+                match &mut report {
+                    Some(kept) => absorb(kept, pass, cap),
+                    None => report = Some(pass),
+                }
+                break;
+            }
+            // Every record shredded so far fits `ty`, so fits `wider`:
+            // `wider` has the layout of the whole corpus's type, and what
+            // is shredded under it needs no verifying.
+            let wider = fuse(ty.clone(), taught, equiv);
+            widened = true;
+            account.restructured = lifts(&ty, &wider).err();
+            shredder = Shredder::from_type(&wider);
+            ty = wider;
+            // Byte offsets are running totals: a chunk lost to a panic
+            // would have shifted every later one.
+            if account.restructured.is_none() && pass.poisoned.is_empty() {
+                rows = rows
+                    .into_iter()
+                    .map(|(seq, batch)| (seq, shredder.lift(batch)))
+                    .collect();
+                let mut spans = log.spans();
+                spans.retain(|span| voided.contains(&span.seq));
+                todo = Some(spans);
+                report = Some(pass);
+            } else {
+                rows.clear();
+            }
+        }
+        let mut report = report.expect("the loop ends on a pass it kept");
+        account.once = rows.len() - account.again;
+        report.layout = self.timing.then_some(account);
+        self.check_bound(&report)?;
+        rows.sort_unstable_by_key(|(seq, _)| *seq);
+        let rows = rows.into_iter().map(|(_, batch)| batch).collect();
+        Ok((shredder.concat(rows), report))
     }
 
     fn infer_stage(&self, equiv: Equivalence) -> InferStage {
         InferStage {
             equiv,
             decoder: self.decoder(|_| None),
+            records_only: false,
         }
     }
 
@@ -404,13 +627,33 @@ impl Run<'_> {
         &self,
         source: Source<'_, R>,
         stage: &S,
-        mut journal: Option<Phase<'_, '_, S::Out>>,
+        journal: Option<Phase<'_, '_, S::Out>>,
     ) -> Result<(S::Out, RunReport), StreamError>
     where
         R: BufRead + Send,
         S: RecordStage,
         S::Out: 'static,
     {
+        self.execute_on(source, Select::All, stage, journal, None)
+    }
+
+    /// [`execute`](Self::execute) over the chunks of `source` that
+    /// `select` names (all of them, under a journal), noting in `log`,
+    /// when there is one and no journal, every chunk folded.
+    fn execute_on<R, S>(
+        &self,
+        source: Source<'_, R>,
+        select: Select<'_>,
+        stage: &S,
+        mut journal: Option<Phase<'_, '_, S::Out>>,
+        log: Option<&ChunkLog>,
+    ) -> Result<(S::Out, RunReport), StreamError>
+    where
+        R: BufRead + Send,
+        S: RecordStage,
+        S::Out: 'static,
+    {
+        debug_assert!(journal.is_none() || matches!(select, Select::All));
         let fold = FaultFold::new(stage, self.fault, self.timing);
         let cap = fold.retention_cap();
         let prefix = match &journal {
@@ -422,46 +665,71 @@ impl Run<'_> {
         let chunk_bytes = opts.reader_chunk_bytes();
         // On the stack: boxed, a reader's per-line cursor lands beside the
         // decoder every worker reads per record (DESIGN.md §9).
-        let (slice, reader, file);
-        let chunks: &dyn ChunkSource = match source {
-            Source::Slice(text) => {
+        let (slice, reader, file, listed_slice, listed_file, first);
+        let mut chunks: &dyn ChunkSource = match (source, select) {
+            (Source::Slice(text), Select::Listed(spans)) => {
+                listed_slice = ListedSlice::new(text, spans);
+                &listed_slice
+            }
+            (Source::Slice(text), _) => {
                 slice = SliceChunks::new(text, opts.slice_chunk_bytes(text.len()));
                 // A worker with no chunk to claim is a thread for nothing.
                 workers = workers.min(slice.len()).max(1);
                 &slice
             }
-            Source::Reader(input) => {
+            (Source::Reader(_), Select::Listed(_)) => {
+                return Err(StreamError::Input("a reader cannot be read again".into()))
+            }
+            (Source::Reader(input), _) => {
                 reader = ReaderChunks::new(input, chunk_bytes, workers);
                 &reader
             }
-            Source::File(path) => {
+            (Source::File(path), select) => {
                 let input = File::open(path)
                     .map_err(|e| StreamError::Input(format!("reading {}: {e}", path.display())))?;
                 let mut input = BufReader::new(input);
+                let mut header = 0;
                 if matches!(self.format, Format::Csv(_)) {
-                    input.read_line(&mut String::new()).map_err(input_err)?;
+                    header = input.read_line(&mut String::new()).map_err(input_err)?;
                 }
-                // Chunk boundaries depend only on bytes and the chunk
-                // target, so seeking to the committed byte total lands
-                // exactly on the first uncommitted chunk's first byte.
-                if prefix.bytes > 0 {
-                    input
-                        .seek(SeekFrom::Start(prefix.bytes))
-                        .map_err(input_err)?;
+                if let Select::Listed(spans) = select {
+                    listed_file = ListedFile::new(input, header as u64, spans);
+                    &listed_file
+                } else {
+                    // Chunk boundaries depend only on bytes and the chunk
+                    // target, so seeking to the committed byte total lands
+                    // exactly on the first uncommitted chunk's first byte.
+                    if prefix.bytes > 0 {
+                        input
+                            .seek(SeekFrom::Start(prefix.bytes))
+                            .map_err(input_err)?;
+                    }
+                    file = ReaderChunks::with_offset(
+                        input,
+                        chunk_bytes,
+                        workers,
+                        prefix.chunks,
+                        prefix.lines,
+                    );
+                    &file
                 }
-                file = ReaderChunks::with_offset(
-                    input,
-                    chunk_bytes,
-                    workers,
-                    prefix.chunks,
-                    prefix.lines,
-                );
-                &file
             }
         };
+        match select {
+            Select::All => {}
+            Select::First => {
+                first = FirstChunks::new(chunks, 1);
+                chunks = &first;
+                workers = 1;
+            }
+            Select::Listed(spans) => workers = workers.min(spans.len()).max(1),
+        }
         let sink = journal.as_mut().map(|phase| phase.sink(prefix.chunks));
         let control = RunControl {
-            sink: sink.as_ref().map(|s| s as &dyn CheckpointSink<_>),
+            sink: match &sink {
+                Some(journal) => Some(journal as &dyn CheckpointSink<_>),
+                None => log.map(|log| log as &dyn CheckpointSink<_>),
+            },
             stop: journal.as_ref().and_then(|phase| phase.stop()),
         };
         let outcome = run_source_controlled(chunks, &fold, workers, self.timing, control)
@@ -484,6 +752,7 @@ impl Run<'_> {
             timings: outcome.timings,
             // Work, not results: this process's tail, tallied when timed.
             routes: tail.routes,
+            layout: None,
         };
         let policy = self.fault.policy;
         if !policy.tolerates() && !report.poisoned.is_empty() {
@@ -501,20 +770,23 @@ impl Run<'_> {
             }
             None => {}
         }
-        // The authoritative bound check is on the *merged* total: each
-        // chunk may be under the limit while the run is over it.
-        if let Some(limit) = policy.max_errors() {
-            if report.errors.total > limit {
-                return Err(StreamError::TooManyErrors {
-                    limit,
-                    seen: report.errors.total,
-                });
-            }
-        }
+        self.check_bound(&report)?;
         if outcome.interrupted {
             return Err(StreamError::Interrupted);
         }
         Ok((out, report))
+    }
+
+    /// The authoritative bound check is on the *merged* total: each chunk
+    /// — each pass — may be under the limit while the run is over it.
+    fn check_bound(&self, report: &RunReport) -> Result<(), StreamError> {
+        match self.fault.policy.max_errors() {
+            Some(limit) if report.errors.total > limit => Err(StreamError::TooManyErrors {
+                limit,
+                seen: report.errors.total,
+            }),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -650,7 +922,7 @@ mod tests {
                 Equivalence::Kind,
             )
             .unwrap_err();
-        assert!(matches!(err, StreamError::Input(msg) if msg.contains("two passes")));
+        assert!(matches!(err, StreamError::Input(msg) if msg.contains("cannot be read again")));
     }
 
     #[test]
@@ -665,12 +937,12 @@ mod tests {
         let from_file = run.translate_inferred(Source::file(&path), Equivalence::Kind);
         let _ = std::fs::remove_file(&path);
         let from_slice = run.translate_inferred(Source::slice("1,ada\n2,bob\n"), Equivalence::Kind);
-        let (ty, batch, report) = from_file.unwrap();
+        let (batch, report) = from_file.unwrap();
         assert_eq!(report.records, 2);
         assert_eq!(batch.rows, 2);
-        assert_eq!((ty, batch, report.records), {
-            let (ty, batch, report) = from_slice.unwrap();
-            (ty, batch, report.records)
+        assert_eq!((batch, report.records), {
+            let (batch, report) = from_slice.unwrap();
+            (batch, report.records)
         });
     }
 }

@@ -37,9 +37,14 @@
 //! * translation — §5's schema-driven translation: per-chunk Arrow-like
 //!   columnar batches ([`ShredStream`](jsonx_translate::ShredStream)),
 //!   shredded straight from each record's events (no DOM; a verified
-//!   per-record fallback replays what the event walk cannot vouch for)
-//!   and concatenated in chunk order into the batch a DOM
+//!   per-record fallback replays what the event walk cannot vouch for),
+//!   kept per chunk for the caller to concatenate, in chunk order, into
+//!   the batch a DOM
 //!   [`Shredder::shred`](jsonx_translate::Shredder::shred) would build.
+//!   Under a layout taught by a sample of the corpus the same walk also
+//!   verifies that each record *fits* the sample's type; a chunk with
+//!   one that does not yields the type of its remaining lines instead of
+//!   rows ([`Run::translate_inferred`](crate::Run::translate_inferred)).
 //!
 //! The massive-collection setting of §4.1 is exactly where building a
 //! [`Value`](jsonx_data::Value) per document hurts: the map step only
@@ -397,7 +402,8 @@ impl Default for FaultOptions {
 }
 
 impl FaultOptions {
-    fn sample_cap(&self) -> usize {
+    /// How many rejects' diagnostics a report retains.
+    pub(crate) fn sample_cap(&self) -> usize {
         if self.keep_rejects {
             usize::MAX
         } else {
@@ -435,6 +441,12 @@ pub(crate) trait RecordStage: Sync {
     /// expensive machinery (interners, validators, column builders)
     /// survives across chunks.
     fn take(&self, state: &mut Self::State) -> Self::Out;
+    /// Whether the chunk being fed has been given up: what
+    /// [`take`](Self::take) yields for it stands in for no record, and
+    /// whoever reads the yield runs the chunk again. Asked before `take`.
+    fn voided(&self, _state: &Self::State) -> bool {
+        false
+    }
 }
 
 /// Why a shard stopped feeding records early.
@@ -580,6 +592,14 @@ impl<'s, S: RecordStage> ShardFold<str> for FaultFold<'s, S> {
         // resets. A halt moves into the chunk's yield — the halted chunk
         // already stopped feeding, and the worker's next chunk starts
         // clean.
+        if self.stage.voided(&state.inner) && state.halt.is_none() {
+            // A voided chunk is accounted for — records, rejects, routes —
+            // by the run that does it again. One that halted is the run's
+            // outcome as it stands.
+            state.records = 0;
+            state.errors = ErrorSummary::new();
+            state.routes = RouteCounts::default();
+        }
         ShardYield {
             out: self.stage.take(&mut state.inner),
             records: std::mem::take(&mut state.records),
@@ -787,11 +807,37 @@ impl TypeFold {
     }
 }
 
+/// The route label of a record [`teach`] left untyped.
+pub(crate) const NOT_TAUGHT: &str = "not-a-record";
+
+/// Types one record into `fold` to teach a shredder's layout — unless
+/// its root is no object: the shredder rejects that record
+/// ([`RecordIssue::NotARecord`], when it has the layout and the policy to
+/// apply), so it teaches nothing, and is decoded here only for the
+/// decoder's own verdict, which comes first.
+fn teach(
+    fold: &mut TypeFold,
+    decoder: &LineDecoder,
+    scratch: &mut Scratch,
+    line: &str,
+) -> Result<Route, RecordIssue> {
+    if decoder.roots_an_object(line) {
+        fold.record(decoder, scratch, line)
+    } else {
+        decoder
+            .decode_events(scratch, line, &mut NullReceiver)
+            .map(|()| Route::Replayed(NOT_TAUGHT))
+    }
+    .map_err(RecordIssue::Parse)
+}
+
 /// The inference stage: one [`TypeFold`] per worker, chunk types fused
 /// with the §4.1 monoid.
 pub(crate) struct InferStage {
     pub(crate) equiv: Equivalence,
     pub(crate) decoder: LineDecoder,
+    /// Type records only ([`teach`]): the type is for a shredder.
+    pub(crate) records_only: bool,
 }
 
 impl RecordStage for InferStage {
@@ -809,6 +855,9 @@ impl RecordStage for InferStage {
         line: &str,
         _record: usize,
     ) -> Result<Route, RecordIssue> {
+        if self.records_only {
+            return teach(fold, &self.decoder, scratch, line);
+        }
         fold.record(&self.decoder, scratch, line)
             .map_err(RecordIssue::Parse)
     }
@@ -1111,13 +1160,19 @@ pub type TypedVerdicts = (JType, Vec<(usize, LineVerdict)>);
 
 /// The translation stage: one [`ShredStream`] per worker over a shared
 /// fixed layout ([`Shredder::from_type`], typically over a type the
-/// inference stage produced), per-chunk batches concatenated in chunk
-/// order. The batch is identical to parsing every line and shredding the
-/// whole collection with
-/// [`Shredder::shred`](jsonx_translate::Shredder::shred) —
+/// inference stage produced), one result per chunk, in chunk order — the
+/// rows are what parsing every line and shredding the whole collection
+/// with [`Shredder::shred`](jsonx_translate::Shredder::shred) gives,
 /// property-tested in `tests/pipeline_equivalence.rs`. Under a tolerant
 /// policy rejected records (malformed, non-record, over a limit) simply
 /// contribute no row.
+///
+/// When the layout's type is that of a *sample* of the corpus
+/// ([`teach`](Self::teach)), every record is shredded only if it
+/// [fits](ShredStream::push_fitting) that type. The first that does not
+/// voids its chunk: from that record on the chunk's lines are typed
+/// instead ([`teach`]) — so a malformed line is still rejected where it
+/// stands — and the chunk yields what it taught, not rows.
 pub(crate) struct TranslateStage<'t> {
     pub(crate) shredder: &'t Shredder,
     /// How record text becomes events or a document. When the decoder
@@ -1127,23 +1182,74 @@ pub(crate) struct TranslateStage<'t> {
     /// document and shredded from it; otherwise records are shredded
     /// straight from their events. Batches are row-identical either way.
     pub(crate) decoder: LineDecoder,
+    /// `Some`: shred only what fits the layout's type, and type — under
+    /// this equivalence — what does not. Never with a plan.
+    pub(crate) teach: Option<Equivalence>,
+}
+
+/// What translating one chunk came to.
+pub(crate) enum Shredded {
+    /// Every accepted record's row.
+    Rows(ColumnarBatch),
+    /// The chunk was voided at record `misfit`: the type of the
+    /// `records` accepted from there on.
+    Taught {
+        ty: JType,
+        misfit: usize,
+        records: usize,
+    },
+}
+
+/// What translation keeps per worker.
+pub(crate) struct Shredding<'t> {
+    stream: ShredStream<'t>,
+    scratch: Scratch,
+    /// Types the tail of a voided chunk ([`TranslateStage::teach`]).
+    fold: Option<TypeFold>,
+    /// Where the chunk being fed was voided, and the records it has
+    /// taught since.
+    voided: Option<(usize, usize)>,
 }
 
 impl<'t> RecordStage for TranslateStage<'t> {
-    type State = (ShredStream<'t>, Scratch);
-    type Out = ColumnarBatch;
+    type State = Shredding<'t>;
+    type Out = Vec<Shredded>;
 
     fn init(&self) -> Self::State {
-        (self.shredder.stream(), self.decoder.scratch())
+        Shredding {
+            stream: self.shredder.stream(),
+            scratch: self.decoder.scratch(),
+            fold: self.teach.map(TypeFold::new),
+            voided: None,
+        }
     }
 
     #[inline]
     fn record(
         &self,
-        (stream, scratch): &mut Self::State,
+        state: &mut Self::State,
         line: &str,
-        _record: usize,
+        record: usize,
     ) -> Result<Route, RecordIssue> {
+        let Shredding {
+            stream,
+            scratch,
+            fold,
+            voided,
+        } = state;
+        if let Some(fold) = fold {
+            if voided.is_none() {
+                match stream.push_fitting(&self.decoder, scratch, line) {
+                    Ok(true) => return Ok(Route::Fast),
+                    Ok(false) => {}
+                    Err(e) => return Err(RecordIssue::Parse(e)),
+                }
+            }
+            let (_, taught) = voided.get_or_insert((record, 0));
+            let route = teach(fold, &self.decoder, scratch, line)?;
+            *taught += usize::from(route != Route::Replayed(NOT_TAUGHT));
+            return Ok(route);
+        }
         let pushed = if self.decoder.has_plan() {
             let (doc, route) = self
                 .decoder
@@ -1161,15 +1267,27 @@ impl<'t> RecordStage for TranslateStage<'t> {
         })
     }
 
-    fn merge(&self, mut batch: ColumnarBatch, right: ColumnarBatch) -> ColumnarBatch {
-        batch.append(right);
-        batch
+    fn merge(&self, mut chunks: Self::Out, right: Self::Out) -> Self::Out {
+        chunks.extend(right);
+        chunks
     }
 
-    fn take(&self, (stream, _): &mut Self::State) -> ColumnarBatch {
+    fn take(&self, state: &mut Self::State) -> Self::Out {
         // Column builders reset inside `take_batch`; the decoder's
-        // scratch survives across chunks.
-        stream.take_batch()
+        // scratch and the fold's learnt structure survive across chunks.
+        let rows = state.stream.take_batch();
+        vec![match (state.voided.take(), &mut state.fold) {
+            (Some((misfit, records)), Some(fold)) => Shredded::Taught {
+                ty: fold.take(),
+                misfit,
+                records,
+            },
+            _ => Shredded::Rows(rows),
+        }]
+    }
+
+    fn voided(&self, state: &Self::State) -> bool {
+        state.voided.is_some()
     }
 }
 

@@ -1002,3 +1002,106 @@ fn translate_out_persists_jxc_and_cat_inspects_it() {
     let _ = std::fs::remove_file(&junk);
     let _ = std::fs::remove_file(&jxc);
 }
+
+/// Writes `text` under the CLI tests' scratch directory.
+fn corpus_file(name: &str, text: &str) -> String {
+    let dir = std::env::temp_dir().join("jsonx-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(name);
+    std::fs::write(&path, text).unwrap();
+    path.to_str().unwrap().to_string()
+}
+
+/// One stray scalar line used to erase every column — schema `:json`,
+/// rows `{}` `{}`: the typing pass typed what the shredder then rejected.
+/// It is one reject, on either route, journaled or not.
+#[test]
+fn a_stray_scalar_line_costs_one_reject_not_every_column() {
+    let input = corpus_file("stray-scalar.ndjson", "{\"a\":1}\n42\n{\"a\":2}\n");
+    let out = corpus_file("stray-scalar.jxc", "");
+    let sidecar = corpus_file("stray-scalar.quarantine", "");
+    let journal = corpus_file("stray-scalar.journal", "");
+    for extra in [
+        &["--workers", "1"][..],
+        &["--workers", "2"],
+        &["--workers", "2", "--no-fast-parse"],
+        &["--workers", "1", "--checkpoint", &journal],
+        &["--workers", "2", "--checkpoint", &journal],
+    ] {
+        let base = ["translate", "--out", &out, "--input", &input];
+        let tolerant = ["--on-error", "skip", "--quarantine", &sidecar];
+        let (_, err, ok) = run(&[&base[..], &tolerant, extra].concat(), "");
+        assert!(ok, "{extra:?}: {err}");
+        assert!(
+            err.contains("1 columns x 2 rows") && err.contains("1 rejected"),
+            "{extra:?}: {err}"
+        );
+        let (rows, _, ok) = run(&["cat", &out], "");
+        assert!(ok);
+        assert_eq!(rows, "a:int64\n{\"a\":1}\n{\"a\":2}\n", "{extra:?}");
+        let quarantined = std::fs::read_to_string(&sidecar).unwrap();
+        assert!(
+            quarantined.starts_with("{\"line\":2,") && quarantined.lines().count() == 1,
+            "{extra:?}: {quarantined}"
+        );
+        let (_, err, code) = run_code(&[&base[..], extra].concat(), "");
+        assert_eq!(code, Some(1), "{extra:?}");
+        assert_eq!(err, "jsonx: line 2: not a JSON object\n", "{extra:?}");
+    }
+    // A malformed line anywhere is found before a non-record is.
+    let (_, err, code) = run_code(&["translate", "-"], "{\"a\":1}\n42\n{\"a\":2}\n{\"a\":\n");
+    assert_eq!(code, Some(1));
+    assert!(err.starts_with("jsonx: line 4: "), "{err}");
+}
+
+/// `--report-timing` says what the speculation on the layout did: the
+/// first chunk's layout held; a late record added to it and its chunk
+/// alone was shredded again; a late record changed a column and every
+/// chunk was. The `.jxc` is the two-pass route's all three times.
+#[test]
+fn translate_report_timing_says_what_the_layout_speculation_did() {
+    let line =
+        |i: usize| format!("{{\"id\":{i},\"name\":\"row {i:04}\",\"geo\":{{\"lat\":{i}.5}}}}\n");
+    let corpus = |late: &str| -> String {
+        (0..60)
+            .map(|i| {
+                if i == 47 && !late.is_empty() {
+                    format!("{late}\n")
+                } else {
+                    line(i)
+                }
+            })
+            .collect()
+    };
+    let out = corpus_file("layout-account.jxc", "");
+    let reference = corpus_file("layout-account.ref.jxc", "");
+    for (name, late, account) in [
+        ("fits", "", "» layout taught by 6 records: 10 chunks shredded once\n"),
+        (
+            "adds",
+            r#"{"id":47,"geo":{"lat":1.5,"lon":2.5},"tags":["x"]}"#,
+            "» layout taught by 7 records: 9 chunks shredded once, 1 re-shredded after line 48 did not fit\n",
+        ),
+        (
+            "restructures",
+            r#"{"id":"abc","name":"late"}"#,
+            "» layout taught by 7 records: every chunk re-shredded: line 48 restructured column id\n",
+        ),
+    ] {
+        let input = corpus_file(&format!("layout-account-{name}.ndjson"), &corpus(late));
+        let fast = ["translate", "--out", &out, "--input", &input, "--workers", "2", "--chunk-bytes", "256"];
+        let (_, plain_err, ok) = run(&fast, "");
+        assert!(ok && !plain_err.contains("layout taught"), "{name}: {plain_err}");
+        let (_, err, ok) = run(&[&fast[..], &["--report-timing"]].concat(), "");
+        assert!(ok && err.contains(account), "{name}: {err}");
+        assert!(err.contains("» 60 records shredded from events, 0 replayed"), "{name}: {err}");
+        let slow = ["translate", "--out", &reference, "--no-fast-parse", "--workers", "1", "--report-timing", &input];
+        let (_, err, ok) = run(&slow, "");
+        assert!(ok && err.contains("» layout taught by 60 records: 1 chunks shredded once\n"), "{name}: {err}");
+        assert_eq!(std::fs::read(&out).unwrap(), std::fs::read(&reference).unwrap(), "{name}");
+    }
+    // What may have to be read again cannot come from a pipe.
+    let (_, err, code) = run_code(&["translate", "--input", "-"], &corpus(""));
+    assert_eq!(code, Some(2));
+    assert!(err.contains("cannot be read again"), "{err}");
+}

@@ -397,3 +397,190 @@ fn one_reject_has_one_diagnostic_whatever_the_route() {
         }
     }
 }
+
+/// The corpus the translate cases below share: one shape, 27 bytes a
+/// line, ten lines a chunk at `chunk_bytes` 256.
+fn uniform_lines(n: usize) -> Vec<String> {
+    (0..n)
+        .map(|i| format!("{{\"a\": {i}, \"s\": \"row {i:04}\"}}"))
+        .collect()
+}
+
+/// Both routes of `translate_inferred` — the layout taught by the first
+/// chunk and verified per record, and the whole corpus typed first — at
+/// 256-byte chunks.
+fn translate_routes(fault: FaultOptions) -> impl Iterator<Item = (String, Run<'static>)> {
+    [1usize, 2, 3].into_iter().flat_map(move |workers| {
+        [true, false].map(|fast_parse| {
+            let run = Run {
+                chunk_bytes: 256,
+                fast_parse,
+                ..plan(workers, fault)
+            };
+            (format!("workers {workers}, fast_parse {fast_parse}"), run)
+        })
+    })
+}
+
+/// One stray scalar line used to erase every column: the typing pass
+/// typed what the shredder then rejected, the root became `Int + {a, s}`,
+/// and the layout collapsed to one spill column. Teaching rejects what
+/// shredding rejects.
+#[test]
+fn a_stray_scalar_line_is_rejected_not_taught() {
+    let mut lines = uniform_lines(40);
+    lines[1] = "42".into();
+    lines[29] = "[1, 2]".into();
+    let text = lines.join("\n") + "\n";
+    let accepted: Vec<jsonx::Value> = lines
+        .iter()
+        .filter(|l| l.starts_with('{'))
+        .map(|l| jsonx::syntax::parse(l).unwrap())
+        .collect();
+    let ty = jsonx::core::infer_collection(&accepted, Equivalence::Kind);
+    let want = Shredder::from_type(&ty).shred(&accepted).unwrap();
+    assert_eq!(want.schema_string(), "a:int64, s:utf8");
+    for (context, run) in translate_routes(skip_all()) {
+        let (batch, report) = run
+            .translate_inferred(Source::slice(&text), Equivalence::Kind)
+            .unwrap();
+        assert_eq!(batch, want, "{context}");
+        assert_eq!(report.records, 40, "{context}");
+        let rejected: Vec<_> = diagnostics(&report)
+            .into_iter()
+            .map(|d| (d.0, d.2))
+            .collect();
+        assert_eq!(
+            rejected,
+            [(1, "not-a-record"), (29, "not-a-record")],
+            "{context}"
+        );
+    }
+    // Fail-fast names the first of them — unless a line anywhere is
+    // malformed, which is found first, as it always was.
+    for (context, run) in translate_routes(FaultOptions::default()) {
+        let err = run
+            .translate_inferred(Source::slice(&text), Equivalence::Kind)
+            .unwrap_err();
+        assert_eq!(err.to_string(), "line 2: not a JSON object", "{context}");
+        for at in [0, 20, 39] {
+            let mut lines = lines.clone();
+            lines[at] = "{\"a\": ".into();
+            let text = lines.join("\n") + "\n";
+            let err = run
+                .translate_inferred(Source::slice(&text), Equivalence::Kind)
+                .unwrap_err();
+            assert!(
+                matches!(err, StreamError::Record { record, ref issue } if record == at && issue.kind_label() == "unexpected-eof"),
+                "{context}, malformed at {at}: {err:?}"
+            );
+        }
+    }
+}
+
+/// A chunk whose record widens the layout is voided and shredded again:
+/// its lines are rejected, counted and routed once — whatever a malformed
+/// line's position relative to it — and a bounded policy trips where the
+/// two-pass route trips.
+#[test]
+fn a_voided_chunk_is_accounted_for_once() {
+    // Chunks of ten lines; line 24 (chunk 2) widens the layout and line
+    // 38 (chunk 3) is no record. The malformed line sits before the
+    // voided chunks, inside one before and after its misfit, and after
+    // them.
+    let widener = r#"{"a": 24, "s": "row 0024", "late": true}"#;
+    for bad_at in [3, 21, 27, 45] {
+        let mut lines = uniform_lines(50);
+        lines[24] = widener.into();
+        lines[bad_at] = "{\"a\": [1, ".into();
+        lines[38] = "7".into();
+        let text = lines.join("\n") + "\n";
+        let reference = Run {
+            fast_parse: false,
+            chunk_bytes: 256,
+            ..plan(1, FaultOptions::default())
+        };
+        let want_err = reference
+            .translate_inferred(Source::slice(&text), Equivalence::Kind)
+            .unwrap_err();
+        assert!(
+            matches!(want_err, StreamError::Record { record, .. } if record == bad_at),
+            "{want_err:?}"
+        );
+        for (context, run) in translate_routes(FaultOptions::default()) {
+            let err = run
+                .translate_inferred(Source::slice(&text), Equivalence::Kind)
+                .unwrap_err();
+            assert_eq!(err, want_err, "{context}, malformed at {bad_at}");
+        }
+
+        let mut routes = translate_routes(skip_all());
+        let (_, two_pass) = routes.find(|(_, run)| !run.fast_parse).unwrap();
+        let (want, want_report) = two_pass
+            .translate_inferred(Source::slice(&text), Equivalence::Kind)
+            .unwrap();
+        assert!(want.column("late").is_some());
+        assert_eq!(
+            (want.rows, want_report.records, want_report.errors.total),
+            (48, 50, 2)
+        );
+        for (context, run) in translate_routes(skip_all()) {
+            let timed = Run {
+                timing: true,
+                ..run.clone()
+            };
+            let (batch, report) = timed
+                .translate_inferred(Source::slice(&text), Equivalence::Kind)
+                .unwrap();
+            assert_eq!(batch, want, "{context}");
+            assert_eq!(report.records, want_report.records, "{context}");
+            assert_eq!(report.errors, want_report.errors, "{context}");
+            assert_eq!(
+                jsonx::quarantine::write_quarantine(&mut Vec::new(), &report).unwrap(),
+                2,
+                "{context}"
+            );
+            // Every accepted record was routed once, by the shredding
+            // that produced its row.
+            let routed = report.routes.fast + report.routes.replayed.values().sum::<u64>();
+            assert_eq!(routed, 48, "{context}");
+            let layout = report
+                .layout
+                .expect("a timed translation accounts for its layout");
+            match run.fast_parse {
+                // Chunk 2 for the new column, chunk 3 for the scalar line.
+                true => assert_eq!(
+                    (
+                        layout.once,
+                        layout.again,
+                        layout.misfit,
+                        &layout.restructured
+                    ),
+                    (3, 2, Some(24), &None),
+                    "{context}"
+                ),
+                false => assert_eq!(
+                    (layout.taught, layout.once, layout.again, layout.misfit),
+                    (48, 5, 0, None),
+                    "{context}"
+                ),
+            }
+            // One reject short of the bound: both routes pass; at the
+            // bound, both fail.
+            for (max_errors, passes) in [(2, true), (1, false)] {
+                let mut bounded = run.clone();
+                bounded.fault.policy = ErrorPolicy::Skip {
+                    max_errors: Some(max_errors),
+                };
+                let outcome = bounded.translate_inferred(Source::slice(&text), Equivalence::Kind);
+                match (passes, outcome) {
+                    (true, Ok((batch, _))) => assert_eq!(batch, want, "{context}"),
+                    (false, Err(StreamError::TooManyErrors { limit, seen })) => {
+                        assert_eq!((limit, seen), (1, 2), "{context}")
+                    }
+                    (_, other) => panic!("{context}, max_errors {max_errors}: {other:?}"),
+                }
+            }
+        }
+    }
+}

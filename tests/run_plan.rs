@@ -26,6 +26,8 @@ const WORKERS: [usize; 4] = [1, 2, 3, 8];
 /// Small enough that every corpus below spans several chunks (so journals
 /// commit several times and workers genuinely interleave).
 const CHUNK_BYTES: usize = 192;
+/// Cases of the cheap differential at the end.
+const SOAK: u32 = 200;
 
 type Reader = Cursor<Vec<u8>>;
 type Outcome<O> = Result<(O, RunReport), StreamError>;
@@ -53,6 +55,7 @@ fn normalize<O>(outcome: Outcome<O>) -> Outcome<O> {
         report.shards = 0;
         report.timings.clear();
         report.routes = Default::default();
+        report.layout = None;
         (out, report)
     })
 }
@@ -94,7 +97,7 @@ fn bad_line() -> impl Strategy<Value = String> {
 
 /// Half the corpora are clean; the other half have about a quarter of
 /// their lines replaced by bad ones.
-fn arb_corpus() -> impl Strategy<Value = String> {
+fn mixed_corpus() -> impl Strategy<Value = String> {
     let line = (clean_line(), bad_line(), 0u8..4);
     (any::<bool>(), prop::collection::vec(line, 4..28)).prop_map(|(dirty, lines)| {
         let lines: Vec<String> = lines
@@ -103,6 +106,70 @@ fn arb_corpus() -> impl Strategy<Value = String> {
             .collect();
         lines.join("\n") + "\n"
     })
+}
+
+/// What one line can do that no line before it did — each of them once a
+/// layout has been fixed from the lines before: fit it all the same, add
+/// to it, change a column it had, or be no record at all.
+const LATE: [&str; 20] = [
+    // A new root field, a new nested field.
+    r#"{"id": 1, "tag": "t", "fresh": true}"#,
+    r#"{"id": 1, "geo": {"lat": 1.5, "lon": 2.5}}"#,
+    // Int → Float, scalar → object, object → scalar.
+    r#"{"id": 1, "n": 1.5}"#,
+    r#"{"id": 1, "tag": {"x": 1}}"#,
+    r#"{"id": 1, "geo": 7}"#,
+    // Only-ever-null → typed, as a scalar and as a record.
+    r#"{"id": 1, "nil": 3}"#,
+    r#"{"id": 1, "nil": {"deep": [1]}}"#,
+    // A field that was always `{}`: a member, a scalar.
+    r#"{"id": 1, "e": {"k": 1}}"#,
+    r#"{"id": 1, "e": 5}"#,
+    // Array → scalar and an integer-valued float: both fit.
+    r#"{"id": 1, "tags": 5, "n": 2.0}"#,
+    // A literal dotted key beside the nested path; one that spells a
+    // path the layout has.
+    r#"{"a.b": 1, "a": {"b": 2}}"#,
+    r#"{"id": 1, "geo.lat": 2.5}"#,
+    // A key repeated outside and inside a spilled subtree.
+    r#"{"id": 1, "tag": "t", "id": 2}"#,
+    r#"{"id": 1, "tags": [{"k": 1, "k": 2}]}"#,
+    r#"{"id": 1, "tags": [{"k": 1, "\u006b": "x"}], "geo": {"lat": 1, "lat": "y"}}"#,
+    // No record; not JSON.
+    "42",
+    "[1, 2]",
+    "null",
+    r#"{"id":"#,
+    "not json",
+];
+
+/// A corpus that *widens late*: lines of one shape, and at a random
+/// position — the first line, the last, anywhere between — one or two of
+/// [`LATE`].
+fn widening_corpus() -> impl Strategy<Value = String> {
+    let base = (0i64..100).prop_map(|i| {
+        format!(
+            "{{\"id\": {i}, \"tag\": \"t{i}\", \"n\": {i}, \"geo\": {{\"lat\": {i}.5}}, \
+             \"nil\": null, \"e\": {{}}, \"tags\": [{i}, \"x\"]}}"
+        )
+    });
+    let late = || (prop::sample::select(LATE.to_vec()), 0usize..1000);
+    (
+        prop::collection::vec(base, 3..40),
+        late(),
+        late(),
+        any::<bool>(),
+    )
+        .prop_map(|(mut lines, first, second, both)| {
+            for (line, at) in [first, second].into_iter().take(1 + usize::from(both)) {
+                lines.insert(at % (lines.len() + 1), line.to_string());
+            }
+            lines.join("\n") + "\n"
+        })
+}
+
+fn arb_corpus() -> impl Strategy<Value = String> {
+    prop_oneof![mixed_corpus(), widening_corpus()]
 }
 
 fn tag_schema() -> CompiledSchema {
@@ -212,7 +279,7 @@ fn stopped_then_resumed<O: PartialEq + Debug>(
 /// Which sources a stage can read from.
 #[derive(Clone, Copy)]
 struct Sources {
-    /// A reader cannot be re-read for translation's second pass.
+    /// A reader cannot be read again, which translation may have to.
     reader: bool,
     /// Only stages with a journal codec can be journaled.
     journal: bool,
@@ -222,6 +289,18 @@ struct Sources {
 fn assert_matrix<O: PartialEq + Debug>(
     name: &str,
     text: &str,
+    stop_after: u64,
+    sources: Sources,
+    stage: impl Fn(&Run<'_>, Source<'_, Reader>) -> Outcome<O>,
+) {
+    assert_matrix_chunked(name, text, CHUNK_BYTES, stop_after, sources, stage)
+}
+
+/// [`assert_matrix`] at a chunk size of the caller's choosing.
+fn assert_matrix_chunked<O: PartialEq + Debug>(
+    name: &str,
+    text: &str,
+    chunk_bytes: usize,
     stop_after: u64,
     sources: Sources,
     stage: impl Fn(&Run<'_>, Source<'_, Reader>) -> Outcome<O>,
@@ -242,7 +321,7 @@ fn assert_matrix<O: PartialEq + Debug>(
             for (fast_parse, timing) in [(true, false), (false, false), (true, true)] {
                 let run = Run {
                     workers,
-                    chunk_bytes: CHUNK_BYTES,
+                    chunk_bytes,
                     fault,
                     fast_parse,
                     timing,
@@ -259,7 +338,8 @@ fn assert_matrix<O: PartialEq + Debug>(
                     assert_eq!(
                         normalize(got),
                         want,
-                        "{name}: {source}, workers {workers}, fast_parse {fast_parse}, {:?}",
+                        "{name}: {source}, workers {workers}, chunks of {chunk_bytes}, \
+                         fast_parse {fast_parse}, {:?}",
                         fault.policy
                     );
                 };
@@ -332,13 +412,52 @@ proptest! {
         });
     }
 
+    /// The reference cell (`fast_parse: false`) types the whole corpus,
+    /// then shreds it; the cells with `fast_parse` on and no journal let
+    /// the first chunk teach the layout and verify every record against
+    /// it. So this is one-pass ≡ two-pass at every worker count × source
+    /// × journal cell — and, from one line per chunk to one chunk per
+    /// corpus, over corpora where every record fits, where a late one
+    /// adds columns (only its chunk is shredded again), where it changes
+    /// a column (every chunk is), and where the first chunk, or every
+    /// chunk, holds a misfit.
     #[test]
-    fn translate_inferred_is_plan_invariant(text in arb_corpus(), stop_after in 1u64..12) {
+    fn translate_inferred_is_plan_invariant(
+        text in arb_corpus(),
+        chunk_bytes in prop::sample::select(vec![16usize, 100, 192, 1024, 4096]),
+        stop_after in 1u64..12,
+    ) {
         let rereadable = Sources { reader: false, journal: true };
-        assert_matrix("translate-inferred", &text, stop_after, rereadable, |run, source| {
+        assert_matrix_chunked("translate-inferred", &text, chunk_bytes, stop_after, rereadable, |run, source| {
             run.translate_inferred(source, Equivalence::Kind)
-                .map(|(ty, batch, report)| ((ty, batch), report))
         });
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(SOAK))]
+
+    /// The matrix's translate row again, on the cells where it is a
+    /// differential between two routes — slice and file, no journal —
+    /// so that many more corpora fit in the budget: one line per chunk to
+    /// one chunk per corpus.
+    #[test]
+    fn a_layout_taught_by_the_first_chunk_is_the_whole_corpus_layout(
+        text in arb_corpus(),
+        chunk_bytes in prop::sample::select(vec![1usize, 100, 192, 400, 1024, 4096]),
+    ) {
+        let disk = OnDisk::new("taught", &text);
+        for fault in policies() {
+            let reference = Run { workers: 1, fault, fast_parse: false, ..Run::default() };
+            let want = normalize(reference.translate_inferred(Source::slice(&text), Equivalence::Kind));
+            for workers in [1, 2, 3] {
+                let run = Run { workers, chunk_bytes, fault, ..Run::default() };
+                let slice = run.translate_inferred(Source::slice(&text), Equivalence::Kind);
+                prop_assert_eq!(&normalize(slice), &want, "slice, {} workers, chunks of {}", workers, chunk_bytes);
+                let file = run.translate_inferred(Source::<Reader>::File(&disk.input), Equivalence::Kind);
+                prop_assert_eq!(&normalize(file), &want, "file, {} workers, chunks of {}", workers, chunk_bytes);
+            }
+        }
     }
 }
 
@@ -364,10 +483,9 @@ fn reference_cell_matches_the_dom() {
         assert_eq!(dom.iter().filter(|valid| **valid).count(), valid);
         assert_eq!(report.records, 5);
     }
-    let (ty, batch, _) = run
+    let (batch, _) = run
         .translate_inferred(Source::slice(text), Equivalence::Kind)
         .unwrap();
     let dom_ty: JType = jsonx::core::infer_collection(&docs, Equivalence::Kind);
-    assert_eq!(ty, dom_ty);
     assert_eq!(batch, Shredder::from_type(&dom_ty).shred(&docs).unwrap());
 }
