@@ -13,14 +13,19 @@
 //! exact chunk boundaries and therefore the exact output.
 //!
 //! This module is format-blind: records are opaque payload strings
-//! (the facade crate encodes stage-specific results into them), and the
+//! (the facade crate encodes stage-specific results into them), each
+//! optionally with an opaque *attachment* — bytes too bulky to encode as
+//! text, kept in a second, append-only file beside the journal — and the
 //! commit protocol lives in [`ChunkJournal`]:
 //!
 //! * chunks complete in *any* order on the worker pool, but only the
-//!   contiguous prefix of successfully folded chunks is ever committed —
-//!   `chunk_done(seq=k)` is buffered until every seq `< k` committed;
-//! * each commit appends one framed record and fsyncs before the next,
-//!   so the journal on disk is always a valid prefix of the run;
+//!   prefix of successfully folded chunks, in the order the pass reads
+//!   them, is ever committed — `chunk_done(seq=k)` is buffered until every
+//!   chunk the pass reads before `k` committed;
+//! * each commit appends its attachment and fsyncs it, then appends one
+//!   framed record and fsyncs before the next, so the journal on disk is
+//!   always a valid prefix of the run and every attachment it names is
+//!   durable;
 //! * a chunk whose result cannot be encoded (or a poisoned chunk, which
 //!   never reports `chunk_done` at all) leaves a hole: nothing past it
 //!   commits, and the resumed run reprocesses from the hole.
@@ -72,6 +77,8 @@ pub trait CheckpointSink<Out>: Sync {
 /// returns the record survives a crash.
 pub struct JournalWriter {
     file: File,
+    /// Where [`append_attached`](Self::append_attached) puts attachments.
+    attachments: Option<File>,
 }
 
 impl JournalWriter {
@@ -79,6 +86,7 @@ impl JournalWriter {
     pub fn create(path: &Path) -> std::io::Result<JournalWriter> {
         Ok(JournalWriter {
             file: File::create(path)?,
+            attachments: None,
         })
     }
 
@@ -89,7 +97,33 @@ impl JournalWriter {
     pub fn resume(path: &Path, valid_bytes: u64) -> std::io::Result<JournalWriter> {
         let file = File::options().append(true).open(path)?;
         file.set_len(valid_bytes)?;
-        Ok(JournalWriter { file })
+        Ok(JournalWriter {
+            file,
+            attachments: None,
+        })
+    }
+
+    /// Gives the journal an attachment file, opened for appending and
+    /// already cut to the end of the last committed attachment (what a
+    /// torn one left past that is never read).
+    pub fn with_attachments(self, attachments: File) -> JournalWriter {
+        JournalWriter {
+            attachments: Some(attachments),
+            ..self
+        }
+    }
+
+    /// Appends `attachment` to the attachment file and fsyncs it, then
+    /// appends the record that names it: a crash between the two leaves
+    /// bytes no record names, never a record naming lost bytes.
+    pub fn append_attached(&mut self, payload: &str, attachment: &[u8]) -> std::io::Result<()> {
+        let file = self
+            .attachments
+            .as_mut()
+            .ok_or_else(|| std::io::Error::other("the journal has no attachment file"))?;
+        file.write_all(attachment)?;
+        file.sync_data()?;
+        self.append(payload)
     }
 
     /// Appends one framed record and fsyncs it.
@@ -124,15 +158,16 @@ pub struct JournalRead {
 }
 
 /// Reads a journal tail-tolerantly: stops at the first line that is
-/// incomplete (no trailing newline), malformed, or fails its CRC, and
-/// returns the intact prefix.
+/// incomplete (no trailing newline), malformed, fails its CRC or is not
+/// UTF-8, and returns the intact prefix. Frames are checked on bytes: a
+/// tail torn inside a multi-byte character is a torn tail like any other.
 pub fn read_journal(path: &Path) -> std::io::Result<JournalRead> {
-    let text = std::fs::read_to_string(path)?;
+    let bytes = std::fs::read(path)?;
     let mut records = Vec::new();
-    let mut rest = text.as_str();
+    let mut rest = bytes.as_slice();
     let mut valid_bytes = 0u64;
     loop {
-        let Some(nl) = rest.find('\n') else {
+        let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
             // A non-empty remainder is a record that never finished
             // writing.
             return Ok(JournalRead {
@@ -156,28 +191,41 @@ pub fn read_journal(path: &Path) -> std::io::Result<JournalRead> {
 }
 
 /// Checks one `crc32hex payload` frame; `Some(payload)` when intact.
-fn parse_frame(line: &str) -> Option<&str> {
+fn parse_frame(line: &[u8]) -> Option<&str> {
     let (crc_hex, payload) = line.split_at_checked(8)?;
-    let payload = payload.strip_prefix(' ')?;
-    let expected = u32::from_str_radix(crc_hex, 16).ok()?;
-    (crc32(payload.as_bytes()) == expected).then_some(payload)
+    let payload = payload.strip_prefix(b" ")?;
+    let expected = u32::from_str_radix(std::str::from_utf8(crc_hex).ok()?, 16).ok()?;
+    if crc32(payload) != expected {
+        return None;
+    }
+    std::str::from_utf8(payload).ok()
 }
 
 // ---------------------------------------------------------------------------
 // Ordered committer
 // ---------------------------------------------------------------------------
 
-type Encode<Out> = dyn Fn(&ChunkMeta, &Out) -> Option<String> + Send + Sync;
+/// One chunk's commit: its journal record, and the attachment, if any,
+/// made durable before it ([`JournalWriter::append_attached`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Commit {
+    /// The record payload.
+    pub payload: String,
+    /// Bytes for the attachment file.
+    pub attachment: Option<Vec<u8>>,
+}
+
+type Encode<Out> = dyn Fn(&ChunkMeta, &Out) -> Option<Commit> + Send + Sync;
 type AfterCommit = dyn Fn(u64) + Send + Sync;
 
 /// The commit protocol: buffers out-of-order `chunk_done` reports and
-/// appends exactly the contiguous prefix of encodable chunk results to
-/// the journal, in sequence order, fsyncing each.
+/// appends exactly the prefix of encodable chunk results, in the pass's
+/// commit order, to the journal, fsyncing each.
 ///
-/// The encoder returns the record payload for a chunk, or `None` for a
-/// result that must not commit (a halted shard, an unencodable value) —
-/// which latches the committer: nothing at or past that sequence number
-/// ever reaches the journal, so a resume reprocesses from there.
+/// The encoder returns the commit for a chunk, or `None` for a result
+/// that must not commit (a halted shard, an unencodable value) — which
+/// latches the committer: nothing at or past that chunk ever reaches the
+/// journal, so a resume reprocesses from there.
 /// I/O errors are latched too and surfaced by [`finish`](Self::finish);
 /// the engine's run continues (the in-memory result is still correct,
 /// only durability is lost).
@@ -189,10 +237,13 @@ pub struct ChunkJournal<Out> {
 
 struct CommitState {
     writer: JournalWriter,
-    /// Completed-but-not-yet-committed chunk payloads, keyed by seq.
-    pending: BTreeMap<usize, Option<String>>,
-    /// The next sequence number eligible to commit.
-    next: usize,
+    /// Completed-but-not-yet-committed chunk commits, keyed by seq.
+    pending: BTreeMap<usize, Option<Commit>>,
+    /// The sequence numbers after `next`, in commit order.
+    order: Box<dyn Iterator<Item = usize> + Send>,
+    /// The next sequence number eligible to commit; `None` once every
+    /// chunk of the order has.
+    next: Option<usize>,
     /// Total records committed through this committer.
     committed: u64,
     /// Set when an unencodable result closed the journal.
@@ -201,18 +252,26 @@ struct CommitState {
 }
 
 impl<Out> ChunkJournal<Out> {
-    /// Wraps `writer`, committing chunks from sequence number
-    /// `start_seq` upward (the resumed prefix is `0..start_seq`).
-    pub fn new(
+    /// Wraps `writer`, committing the chunks `order` lists — ascending
+    /// sequence numbers, in the order the pass reads them: `k..` for a
+    /// pass over the whole input whose prefix `0..k` was resumed, the
+    /// listed chunks for a pass over some of them.
+    pub fn new<I>(
         writer: JournalWriter,
-        start_seq: usize,
-        encode: impl Fn(&ChunkMeta, &Out) -> Option<String> + Send + Sync + 'static,
-    ) -> ChunkJournal<Out> {
+        order: I,
+        encode: impl Fn(&ChunkMeta, &Out) -> Option<Commit> + Send + Sync + 'static,
+    ) -> ChunkJournal<Out>
+    where
+        I: IntoIterator<Item = usize>,
+        I::IntoIter: Send + 'static,
+    {
+        let mut order = order.into_iter();
         ChunkJournal {
             inner: Mutex::new(CommitState {
                 writer,
                 pending: BTreeMap::new(),
-                next: start_seq,
+                next: order.next(),
+                order: Box::new(order),
                 committed: 0,
                 stopped: false,
                 error: None,
@@ -246,18 +305,22 @@ impl<Out> ChunkJournal<Out> {
 
     fn drain(&self, inner: &mut CommitState) {
         while !inner.stopped && inner.error.is_none() {
-            let Some(entry) = inner.pending.remove(&inner.next) else {
+            let Some(entry) = inner.next.and_then(|next| inner.pending.remove(&next)) else {
                 return;
             };
-            let Some(payload) = entry else {
+            let Some(commit) = entry else {
                 inner.stopped = true;
                 return;
             };
-            if let Err(err) = inner.writer.append(&payload) {
+            let appended = match &commit.attachment {
+                Some(bytes) => inner.writer.append_attached(&commit.payload, bytes),
+                None => inner.writer.append(&commit.payload),
+            };
+            if let Err(err) = appended {
                 inner.error = Some(err);
                 return;
             }
-            inner.next += 1;
+            inner.next = inner.order.next();
             inner.committed += 1;
             if let Some(hook) = &self.after_commit {
                 hook(inner.committed);
@@ -271,12 +334,13 @@ where
     Out: Send,
 {
     fn chunk_done(&self, meta: &ChunkMeta, out: &Out) {
-        let payload = (self.encode)(meta, out);
+        let commit = (self.encode)(meta, out);
         let mut inner = self.inner.lock().unwrap();
-        if inner.stopped || inner.error.is_some() || meta.seq < inner.next {
+        let stale = inner.next.is_none_or(|next| meta.seq < next);
+        if inner.stopped || inner.error.is_some() || stale {
             return;
         }
-        inner.pending.insert(meta.seq, payload);
+        inner.pending.insert(meta.seq, commit);
         self.drain(&mut inner);
     }
 }
@@ -289,6 +353,14 @@ mod tests {
         let dir = std::env::temp_dir().join("jsonx-checkpoint-tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(format!("{name}-{}", std::process::id()))
+    }
+
+    /// A commit with no attachment.
+    fn plain(payload: String) -> Commit {
+        Commit {
+            payload,
+            attachment: None,
+        }
     }
 
     #[test]
@@ -351,8 +423,9 @@ mod tests {
     fn committer_orders_out_of_order_chunks() {
         let path = tmp("ordered");
         let writer = JournalWriter::create(&path).unwrap();
-        let journal: ChunkJournal<String> =
-            ChunkJournal::new(writer, 0, |meta, out| Some(format!("{}:{out}", meta.seq)));
+        let journal: ChunkJournal<String> = ChunkJournal::new(writer, 0.., |meta, out| {
+            Some(plain(format!("{}:{out}", meta.seq)))
+        });
         let meta = |seq| ChunkMeta {
             seq,
             first_line: seq * 10,
@@ -377,8 +450,8 @@ mod tests {
         let path = tmp("latched");
         let writer = JournalWriter::create(&path).unwrap();
         let journal: ChunkJournal<Option<String>> =
-            ChunkJournal::new(writer, 0, |meta, out: &Option<String>| {
-                out.as_ref().map(|s| format!("{}:{s}", meta.seq))
+            ChunkJournal::new(writer, 0.., |meta, out: &Option<String>| {
+                out.as_ref().map(|s| plain(format!("{}:{s}", meta.seq)))
             });
         let meta = |seq| ChunkMeta {
             seq,
@@ -401,8 +474,9 @@ mod tests {
         // hole may commit.
         let path = tmp("gap");
         let writer = JournalWriter::create(&path).unwrap();
-        let journal: ChunkJournal<String> =
-            ChunkJournal::new(writer, 0, |meta, out| Some(format!("{}:{out}", meta.seq)));
+        let journal: ChunkJournal<String> = ChunkJournal::new(writer, 0.., |meta, out| {
+            Some(plain(format!("{}:{out}", meta.seq)))
+        });
         let meta = |seq| ChunkMeta {
             seq,
             first_line: 0,
@@ -424,7 +498,7 @@ mod tests {
         let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
         let seen2 = seen.clone();
         let journal: ChunkJournal<String> =
-            ChunkJournal::new(writer, 0, |_, out: &String| Some(out.clone()))
+            ChunkJournal::new(writer, 0.., |_, out: &String| Some(plain(out.clone())))
                 .with_after_commit(move |n| seen2.lock().unwrap().push(n));
         let meta = |seq| ChunkMeta {
             seq,
@@ -443,8 +517,9 @@ mod tests {
     fn resume_start_seq_skips_committed_prefix() {
         let path = tmp("resume-seq");
         let writer = JournalWriter::create(&path).unwrap();
-        let journal: ChunkJournal<String> =
-            ChunkJournal::new(writer, 2, |meta, out| Some(format!("{}:{out}", meta.seq)));
+        let journal: ChunkJournal<String> = ChunkJournal::new(writer, 2.., |meta, out| {
+            Some(plain(format!("{}:{out}", meta.seq)))
+        });
         let meta = |seq| ChunkMeta {
             seq,
             first_line: 0,
@@ -458,6 +533,122 @@ mod tests {
         let (_, committed) = journal.finish().unwrap();
         assert_eq!(committed, 2);
         assert_eq!(read_journal(&path).unwrap().records, vec!["2:c", "3:d"]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn listed_order_commits_only_the_listed_chunks_in_their_order() {
+        let path = tmp("listed");
+        let writer = JournalWriter::create(&path).unwrap();
+        let journal: ChunkJournal<String> =
+            ChunkJournal::new(writer, vec![1, 4, 6], |meta, out| {
+                Some(plain(format!("{}:{out}", meta.seq)))
+            });
+        let meta = |seq| ChunkMeta {
+            seq,
+            first_line: 0,
+            lines: 1,
+            bytes: 1,
+        };
+        journal.chunk_done(&meta(6), &"f".to_string());
+        journal.chunk_done(&meta(4), &"d".to_string());
+        assert!(read_journal(&path).unwrap().records.is_empty());
+        journal.chunk_done(&meta(1), &"a".to_string());
+        // Past the end of the order: nothing more commits.
+        journal.chunk_done(&meta(7), &"g".to_string());
+        let (_, committed) = journal.finish().unwrap();
+        assert_eq!(committed, 3);
+        assert_eq!(
+            read_journal(&path).unwrap().records,
+            vec!["1:a", "4:d", "6:f"]
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn an_attachment_is_durable_before_the_record_that_names_it() {
+        let (path, rows) = (tmp("attached"), tmp("attached.rows"));
+        let attachments = File::create(&rows).unwrap();
+        let writer = JournalWriter::create(&path)
+            .unwrap()
+            .with_attachments(attachments);
+        let journal: ChunkJournal<String> = ChunkJournal::new(writer, 0.., |meta, out: &String| {
+            Some(Commit {
+                payload: format!("{}:{}", meta.seq, out.len()),
+                attachment: (!out.is_empty()).then(|| out.clone().into_bytes()),
+            })
+        });
+        let meta = |seq| ChunkMeta {
+            seq,
+            first_line: 0,
+            lines: 1,
+            bytes: 1,
+        };
+        journal.chunk_done(&meta(1), &String::new());
+        journal.chunk_done(&meta(2), &"cc".to_string());
+        journal.chunk_done(&meta(0), &"aaa".to_string());
+        journal.finish().unwrap();
+        assert_eq!(
+            read_journal(&path).unwrap().records,
+            vec!["0:3", "1:0", "2:2"]
+        );
+        assert_eq!(std::fs::read(&rows).unwrap(), b"aaacc");
+        std::fs::remove_file(&rows).unwrap();
+
+        // An attachment that cannot be written commits no record.
+        #[cfg(target_os = "linux")]
+        {
+            let full = File::options().write(true).open("/dev/full").unwrap();
+            let writer = JournalWriter::create(&path).unwrap().with_attachments(full);
+            let journal: ChunkJournal<String> =
+                ChunkJournal::new(writer, 0.., |_, out: &String| {
+                    Some(Commit {
+                        payload: out.clone(),
+                        attachment: Some(out.clone().into_bytes()),
+                    })
+                });
+            journal.chunk_done(&meta(0), &"lost".to_string());
+            assert!(journal.finish().is_err());
+            assert!(read_journal(&path).unwrap().records.is_empty());
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A tail torn inside a multi-byte character is a torn tail: the
+    /// intact records before it are read, at every byte of the cut.
+    #[test]
+    fn a_tail_torn_inside_a_character_is_a_torn_tail() {
+        let path = tmp("utf8-tail");
+        let mut writer = JournalWriter::create(&path).unwrap();
+        for payload in ["{\"naïve\":1}", "{\"café\":\"ü2\"}"] {
+            writer.append(payload).unwrap();
+        }
+        drop(writer);
+        let whole = std::fs::read(&path).unwrap();
+        let last = whole[..whole.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
+        let record = &whole[last..];
+        let at = record.windows(2).position(|w| w == "é".as_bytes()).unwrap();
+        for cut in at..at + "é".len() {
+            let mut bytes = whole.clone();
+            bytes.extend_from_slice(&record[..cut]);
+            std::fs::write(&path, &bytes).unwrap();
+            let read = read_journal(&path).unwrap();
+            assert!(read.truncated, "cut at {cut}");
+            assert_eq!(read.records.len(), 2, "cut at {cut}");
+            assert_eq!(read.valid_bytes, whole.len() as u64, "cut at {cut}");
+        }
+        // A frame whose CRC holds but whose payload is no UTF-8 is torn.
+        let mut bytes = whole.clone();
+        bytes.extend_from_slice(format!("{:08x} ", crc32(b"\xc3")).as_bytes());
+        bytes.extend_from_slice(b"\xc3\n");
+        std::fs::write(&path, &bytes).unwrap();
+        let read = read_journal(&path).unwrap();
+        assert!(read.truncated);
+        assert_eq!(read.records.len(), 2);
         std::fs::remove_file(&path).unwrap();
     }
 }

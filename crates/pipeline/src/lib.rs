@@ -52,7 +52,7 @@ mod report;
 mod shard;
 
 pub use checkpoint::{
-    read_journal, CheckpointSink, ChunkJournal, ChunkMeta, JournalRead, JournalWriter,
+    read_journal, CheckpointSink, ChunkJournal, ChunkMeta, Commit, JournalRead, JournalWriter,
 };
 pub use chunk::{
     Chunk, ChunkError, ChunkSource, ChunkSpan, FirstChunks, ListedFile, ListedSlice, ReaderChunks,

@@ -495,6 +495,16 @@ pub fn write_jxc(batch: &ColumnarBatch) -> Vec<u8> {
     out
 }
 
+/// The footer checksum an image ends with — what tells one complete
+/// image from another without decoding it (a checkpoint journal names the
+/// images it committed by it). `None` when `image` does not end with a
+/// trailer: it is shorter than one, or has no finalize marker.
+pub fn footer_crc(image: &[u8]) -> Option<u32> {
+    let trailer = &image[image.len().checked_sub(16)?..];
+    (&trailer[12..] == MAGIC)
+        .then(|| u32::from_le_bytes(trailer[..4].try_into().expect("a trailer has 16 bytes")))
+}
+
 /// Writes a batch to `path` as `.jxc`; returns the file size in bytes.
 pub fn write_jxc_file(path: &Path, batch: &ColumnarBatch) -> std::io::Result<u64> {
     let bytes = write_jxc(batch);

@@ -144,7 +144,7 @@ const CHUNK_FLAGS: &[FlagSpec] = &[
     valued(
         "checkpoint",
         "FILE",
-        "journal every committed chunk to FILE (fsync'd, CRC-framed, committed in input order) so a crashed or interrupted run can be resumed; needs --input with a regular file",
+        "journal every committed chunk to FILE (fsync'd, CRC-framed, committed in input order) so a crashed or interrupted run can be resumed; needs --input with a regular file; translate also writes the chunks' rows to FILE.rows — keep both files to resume, delete both afterwards",
     ),
     flag(
         "resume",
@@ -970,8 +970,8 @@ impl PipeOut {
 /// A journaled run installs the SIGINT/SIGTERM stop latch and wires the
 /// deterministic crash injector (`JSONX_CRASHPOINT`) the kill-and-resume
 /// harness drives. The injector counts commits across the whole run —
-/// translate's two phases share one counter — so `commits:N` always
-/// means the Nth journal record.
+/// translate's phases share one counter — so `commits:N` always means
+/// the Nth chunk record.
 fn checkpoint_cli(opts: &Opts, csv: bool) -> Result<Option<JournalControl<'_>>, CliError> {
     let resume = opts.has("resume");
     let Some(journal) = opts.get("checkpoint") else {
@@ -1294,8 +1294,9 @@ fn cmd_convert(opts: &Opts) -> Result<(), CliError> {
 /// is the reference route: the whole corpus is typed first, then
 /// shredded. `--format csv` swaps the record decoder for the CSV
 /// front-end on the same engine; `--out FILE` persists the batch as
-/// binary `.jxc`; `--checkpoint` journals the reference route's two
-/// passes into one file (the inferred type is sealed between them), so a
+/// binary `.jxc`; `--checkpoint` journals each pass as a phase of one
+/// file (the type the next pass lays rows out under is sealed between
+/// them) and the chunks' rows, as `.jxc` images, to `FILE.rows`, so a
 /// resume lands in whichever pass the run died in. The Avro and
 /// relational targets are `convert`'s.
 fn cmd_translate(opts: &Opts) -> Result<(), CliError> {

@@ -3,23 +3,24 @@
 //!
 //! A journaled run writes one CRC-framed, fsync'd record per committed
 //! chunk to a [journal](jsonx_pipeline::JournalWriter) *before* the
-//! chunk's result is fused — and chunks commit strictly in input order
-//! (see [`ChunkJournal`]). Because chunk boundaries depend only on the
-//! byte stream and the chunk-size target (never on worker count or
-//! scheduling), the journal is a durable, deterministic prefix of the
-//! run: after a crash, a signal, or an operator stop, rerunning with the
-//! same journal skips every committed chunk, seeks the input to the
-//! first uncommitted byte, and merges fresh tail results onto the
-//! decoded prefix. The final output is byte-identical to an
+//! chunk's result is fused — and chunks commit strictly in the order the
+//! pass reads them (see [`ChunkJournal`]). Because chunk boundaries
+//! depend only on the byte stream and the chunk-size target (never on
+//! worker count or scheduling), the journal is a durable, deterministic
+//! prefix of the run: after a crash, a signal, or an operator stop,
+//! rerunning with the same journal skips every committed chunk, seeks the
+//! input to the first uncommitted byte, and merges fresh tail results
+//! onto the decoded prefix. The final output is byte-identical to an
 //! uninterrupted run at any worker count.
 //!
 //! What goes in a journal record is the chunk's **entire observable
 //! effect**: the stage output (an inferred [`JType`], a verdict vector,
-//! a columnar batch), the record count, and the full rejection account
-//! (including raw quarantined lines when the run keeps them). Final
-//! artifacts — stdout verdicts, the quarantine sidecar, the `.jxc` file
-//! — are only written at end-of-run, exactly like an unjournaled run,
-//! so the journal is the *only* durable state a resume needs.
+//! where a columnar batch is), the record count, and the full rejection
+//! account (including raw quarantined lines when the run keeps them).
+//! Final artifacts — stdout verdicts, the quarantine sidecar, the `.jxc`
+//! file — are only written at end-of-run, exactly like an unjournaled
+//! run, so the journal (and, for translation, its rows sidecar) is the
+//! *only* durable state a resume needs.
 //!
 //! Torn tails are expected, not fatal: [`read_journal`] stops at the
 //! first incomplete or CRC-failing record, and the resume path truncates
@@ -29,39 +30,79 @@
 //! journal belongs to a different run (input replaced, options changed,
 //! incompatible version) and the resume refuses instead of guessing.
 //!
-//! Translation journals both of its passes into one file, phase-tagged,
-//! with a `type` marker record sealing phase 1 — so a kill during either
-//! pass resumes precisely, and the shred layout is reconstructed from
-//! the journal rather than re-inferred.
+//! Translation (journal format v2) journals each pass of its one loop as
+//! a phase — the teach pass, the verifying shred pass, and the re-shred
+//! of what a widened layout needs again — each opened by a `type` marker
+//! holding the type its rows are laid out under. A shredded chunk's batch
+//! is never in the journal: its `.jxc` image goes to `FILE.rows` beside
+//! it, synced before the record that names it (`"rows"`: its length,
+//! `"crc"`: its footer CRC; offsets are implied by commit order).
 //!
 //! There is no journaled runner here: this module holds the journal's
-//! *format* (header fingerprint, chunk-record codecs) and hands the one
-//! executor in [`crate::run`] a [`Session`] whose [`Phase`]s replay a
-//! committed [`Prefix`] before the engine call and supply its commit
-//! sink during it.
+//! *format* (header fingerprint, chunk-record codecs, the rows sidecar)
+//! and hands the one executor in [`crate::run`] a [`Session`] whose
+//! [`Phase`]s replay a committed [`Prefix`] before the engine call and
+//! supply its commit sink during it.
 
+use crate::run::Select;
 use crate::streaming::{LineVerdict, ShardYield, Shredded, StreamError};
 use jsonx_core::{parse_type, print_type, JType, PrintOptions};
 use jsonx_data::{Number, Object, Value};
 use jsonx_pipeline::{
-    read_journal, ChunkJournal, ChunkMeta, ErrorSummary, JournalWriter, RecordDiagnostic,
+    read_journal, ChunkJournal, ChunkMeta, Commit, ErrorSummary, JournalWriter, RecordDiagnostic,
 };
 use jsonx_syntax::parse;
-use jsonx_translate::{read_jxc, write_jxc};
+use jsonx_translate::{footer_crc, read_jxc, write_jxc};
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Journal format version — bumped whenever record shapes change, so a
+/// The stages a journal records. Each names its journal format, so a
 /// stale journal refuses cleanly instead of decoding garbage.
-const JOURNAL_VERSION: i64 = 1;
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stage {
+    Infer,
+    Validate,
+    Translate,
+}
+
+impl Stage {
+    fn name(self) -> &'static str {
+        match self {
+            Stage::Infer => "infer",
+            Stage::Validate => "validate",
+            Stage::Translate => "translate",
+        }
+    }
+
+    /// The journal format the stage writes: v1 for infer and validate,
+    /// unchanged since it was frozen; v2 for translate, whose passes
+    /// became phases and whose chunk images moved to a rows sidecar.
+    fn version(self) -> i64 {
+        match self {
+            Stage::Translate => 2,
+            Stage::Infer | Stage::Validate => 1,
+        }
+    }
+}
+
+/// The rows sidecar of the journal at `journal`: `FILE.rows`.
+pub(crate) fn rows_path(journal: &Path) -> PathBuf {
+    let mut path = journal.as_os_str().to_owned();
+    path.push(".rows");
+    PathBuf::from(path)
+}
 
 /// How a journaled [`Run`](crate::Run) finds its journal and reacts to
 /// stop requests.
 #[derive(Clone)]
 pub struct JournalControl<'a> {
-    /// Path of the journal file.
+    /// Path of the journal file. A translation also writes its chunks'
+    /// rows beside it, to `FILE.rows`: a resume needs both files.
     pub journal: &'a Path,
     /// `false` starts a fresh run (truncating any prior journal); `true`
     /// resumes from the journal's committed prefix.
@@ -196,49 +237,17 @@ fn decode_errors(v: &Value) -> Option<ErrorSummary> {
     })
 }
 
-const HEX: &[u8; 16] = b"0123456789abcdef";
-
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(HEX[usize::from(b >> 4)] as char);
-        out.push(HEX[usize::from(b & 0xF)] as char);
-    }
-    out
-}
-
-/// The inverse of [`hex_encode`]: pairs of hex digits (either case) and
-/// nothing else.
-fn hex_decode(text: &str) -> Option<Vec<u8>> {
-    /// A hex digit's value, `0xFF` for any other byte.
-    const NIBBLE: [u8; 256] = {
-        let mut table = [0xFF; 256];
-        let mut i = 0;
-        while i < 16 {
-            table[HEX[i] as usize] = i as u8;
-            table[HEX[i].to_ascii_uppercase() as usize] = i as u8;
-            i += 1;
-        }
-        table
-    };
-    if !text.len().is_multiple_of(2) {
-        return None;
-    }
-    text.as_bytes()
-        .chunks_exact(2)
-        .map(|pair| {
-            let (hi, lo) = (NIBBLE[usize::from(pair[0])], NIBBLE[usize::from(pair[1])]);
-            ((hi | lo) < 16).then_some((hi << 4) | lo)
-        })
-        .collect()
-}
+/// A chunk record's `out`, and the image, if any, the rows sidecar holds
+/// for it.
+type Encoded = (Value, Option<Vec<u8>>);
 
 /// How one stage output round-trips through a journal record. Plain
 /// function pointers so the commit closure handed to [`ChunkJournal`]
 /// stays `'static` without capturing borrowed stage state.
 pub(crate) struct OutCodec<T> {
-    encode: fn(&T) -> Option<Value>,
-    decode: fn(&Value) -> Option<T>,
+    encode: fn(&T) -> Option<Encoded>,
+    /// The inverse, handed the image the record names.
+    decode: fn(&Value, Option<&[u8]>) -> Option<T>,
 }
 
 pub(crate) fn infer_codec() -> OutCodec<JType> {
@@ -246,8 +255,8 @@ pub(crate) fn infer_codec() -> OutCodec<JType> {
         // The counting printer/parser round-trip is exact (pinned by
         // `counting_round_trip_exact`), so the journaled prefix fuses to
         // the same type the live run computed.
-        encode: |ty| Some(s(print_type(ty, PrintOptions::with_counts()))),
-        decode: |v| parse_type(v.as_str()?).ok(),
+        encode: |ty| Some((s(print_type(ty, PrintOptions::with_counts())), None)),
+        decode: |v, _| parse_type(v.as_str()?).ok(),
     }
 }
 
@@ -262,9 +271,9 @@ pub(crate) fn validate_codec() -> OutCodec<Vec<(usize, LineVerdict)>> {
                 };
                 rows.push(Value::Arr(vec![num(*record), num(flag)]));
             }
-            Some(Value::Arr(rows))
+            Some((Value::Arr(rows), None))
         },
-        decode: |v| {
+        decode: |v, _| {
             let mut verdicts = Vec::new();
             for row in v.as_array()? {
                 let record = usize::try_from(row.get_index(0)?.as_i64()?).ok()?;
@@ -282,31 +291,67 @@ pub(crate) fn validate_codec() -> OutCodec<Vec<(usize, LineVerdict)>> {
 
 pub(crate) fn translate_codec() -> OutCodec<Vec<Shredded>> {
     OutCodec {
-        // A chunk's batch is journaled as its checksummed `.jxc` image;
-        // decoding reconstructs the identical batch (layout included),
-        // and batches concatenate in seq order exactly like live merging.
-        // A journaled run's layout is the whole corpus's before the first
-        // row is durable: no chunk is ever voided.
+        // A chunk's rows are its checksummed `.jxc` image, written to the
+        // rows sidecar as they are — no text encoding — and named in the
+        // record by length and footer CRC; `read_jxc` (every block CRC, the
+        // footer CRC, the finalize marker) gives back the identical batch,
+        // layout included. A voided chunk journals what it taught.
         encode: |chunk| match chunk.as_slice() {
-            [Shredded::Rows(batch)] => Some(s(hex_encode(&write_jxc(batch)))),
+            [Shredded::Rows(batch)] => {
+                let image = write_jxc(batch);
+                let crc = footer_crc(&image)?;
+                let out = obj(vec![
+                    ("rows", num(image.len())),
+                    ("crc", Value::Num(Number::Int(crc.into()))),
+                ]);
+                Some((out, Some(image)))
+            }
+            [Shredded::Taught {
+                ty,
+                misfit,
+                records,
+            }] => {
+                let out = obj(vec![
+                    ("taught", s(print_type(ty, PrintOptions::with_counts()))),
+                    ("misfit", num(*misfit)),
+                    ("records", num(*records)),
+                ]);
+                Some((out, None))
+            }
             _ => None,
         },
-        decode: |v| {
-            let batch = read_jxc(&hex_decode(v.as_str()?)?).ok()?.batch;
-            Some(vec![Shredded::Rows(batch)])
+        decode: |v, image| {
+            let chunk = match image {
+                Some(image) => Shredded::Rows(read_jxc(image).ok()?.batch),
+                None => Shredded::Taught {
+                    ty: parse_type(get_str(v, "taught")?).ok()?,
+                    misfit: get_usize(v, "misfit")?,
+                    records: get_usize(v, "records")?,
+                },
+            };
+            Some(vec![chunk])
         },
     }
+}
+
+/// The image a chunk record names in the rows sidecar: its length and
+/// footer CRC. A record whose `out` has `rows` owns the next that many
+/// bytes of the sidecar.
+fn named_image(record: &Value) -> Option<(u64, i64)> {
+    let out = record.get("out")?;
+    let len = u64::try_from(out.get("rows")?.as_i64()?).ok()?;
+    Some((len, out.get("crc")?.as_i64()?))
 }
 
 // ---------------------------------------------------------------------------
 // Journal session: header validation, prefix decoding
 // ---------------------------------------------------------------------------
 
-fn header_record(stage: &str, chunk_bytes: usize, input_bytes: u64, config: &str) -> Value {
+fn header_record(stage: Stage, chunk_bytes: usize, input_bytes: u64, config: &str) -> Value {
     obj(vec![
         ("kind", s("header")),
-        ("v", Value::Num(Number::Int(JOURNAL_VERSION))),
-        ("stage", s(stage)),
+        ("v", Value::Num(Number::Int(stage.version()))),
+        ("stage", s(stage.name())),
         ("chunk_bytes", num(chunk_bytes)),
         ("input_bytes", num(input_bytes as usize)),
         ("config", s(config)),
@@ -317,115 +362,211 @@ fn journal_err(context: &str, e: impl std::fmt::Display) -> StreamError {
     StreamError::Input(format!("checkpoint journal: {context}: {e}"))
 }
 
-/// Opens the journal for this run: fresh runs truncate and write the
-/// header; resumes read the intact prefix back, verify the header
-/// matches this invocation, cut any torn tail, and return the committed
-/// records for replay.
-fn open_session(
-    ctrl: &JournalControl<'_>,
-    header: Value,
-) -> Result<(JournalWriter, Vec<Value>), StreamError> {
-    let path = ctrl.journal;
-    if !ctrl.resume {
-        let mut writer =
-            JournalWriter::create(path).map_err(|e| journal_err(&path.display().to_string(), e))?;
-        writer
-            .append(&header.to_json_string())
-            .map_err(|e| journal_err("writing header", e))?;
-        return Ok((writer, Vec::new()));
-    }
-    let read = read_journal(path).map_err(|e| {
-        StreamError::Input(format!(
-            "--resume: cannot read checkpoint journal {}: {e}",
-            path.display()
-        ))
-    })?;
-    let mut records = Vec::with_capacity(read.records.len());
-    for (idx, line) in read.records.iter().enumerate() {
-        let value = parse(line).map_err(|e| {
-            journal_err(
-                &format!("record {idx} is framed correctly but is not JSON"),
-                e,
-            )
-        })?;
-        records.push(value);
-    }
-    let mut writer = JournalWriter::resume(path, read.valid_bytes)
-        .map_err(|e| journal_err("truncating torn tail", e))?;
-    match records.first() {
-        // A journal that died before its header committed holds no
-        // progress; restart it as a fresh run.
-        None => {
-            writer
-                .append(&header.to_json_string())
-                .map_err(|e| journal_err("writing header", e))?;
-            Ok((writer, Vec::new()))
+fn kind_is(record: &Value, kind: &str) -> bool {
+    record.get("kind").and_then(Value::as_str) == Some(kind)
+}
+
+/// Why a resume's journal is not this run's: one in another format
+/// version for the stage says so, anything else shows both headers.
+fn foreign_header(path: &Path, stage: Stage, header: &Value, found: &Value) -> StreamError {
+    let found_stage = found.get("stage").and_then(Value::as_str);
+    match found.get("v").and_then(Value::as_i64) {
+        Some(v) if v != stage.version() && found_stage == Some(stage.name()) => {
+            StreamError::Input(format!(
+                "--resume: checkpoint journal {} was written in journal format v{v}; this jsonx \
+                 writes v{} for {} — rerun without --resume",
+                path.display(),
+                stage.version(),
+                stage.name()
+            ))
         }
-        Some(found) if *found == header => {
-            records.remove(0);
-            Ok((writer, records))
-        }
-        Some(found) => Err(StreamError::Input(format!(
+        _ => StreamError::Input(format!(
             "--resume: checkpoint journal {} was written by a different run \
              (expected header {header}, found {found}); \
              pass a fresh --checkpoint path or drop --resume",
             path.display()
-        ))),
+        )),
     }
 }
 
-fn phase_chunks(records: &[Value], phase: usize) -> Vec<&Value> {
-    records
-        .iter()
-        .filter(|r| {
-            r.get("kind").and_then(Value::as_str) == Some("chunk")
-                && r.get("phase").and_then(Value::as_i64) == Some(phase as i64)
-        })
-        .collect()
+/// A committed record, and where the image it names sits in the rows
+/// sidecar.
+struct Committed {
+    record: Value,
+    image: Option<Range<u64>>,
 }
 
-fn type_marker(records: &[Value]) -> Option<&str> {
-    records
-        .iter()
-        .find(|r| r.get("kind").and_then(Value::as_str) == Some("type"))
-        .and_then(|r| r.get("type"))
-        .and_then(Value::as_str)
+/// Opens the journal for this run: fresh runs truncate and write the
+/// header (and create or truncate the rows sidecar); resumes read the
+/// intact prefix back, verify the header matches this invocation and the
+/// sidecar holds every image the records name — refusing before either
+/// file is written to — then cut any torn tail off both, and return the
+/// committed records for replay.
+fn open_session(
+    ctrl: &JournalControl<'_>,
+    stage: Stage,
+    header: Value,
+    rows: Option<&Path>,
+) -> Result<(JournalWriter, Vec<Committed>), StreamError> {
+    let path = ctrl.journal;
+    let mut records = Vec::new();
+    let mut valid_bytes = 0;
+    if ctrl.resume {
+        let read = read_journal(path).map_err(|e| {
+            StreamError::Input(format!(
+                "--resume: cannot read checkpoint journal {}: {e}",
+                path.display()
+            ))
+        })?;
+        for (idx, line) in read.records.iter().enumerate() {
+            let value = parse(line).map_err(|e| {
+                journal_err(
+                    &format!("record {idx} is framed correctly but is not JSON"),
+                    e,
+                )
+            })?;
+            records.push(value);
+        }
+        valid_bytes = read.valid_bytes;
+    }
+    match records.first() {
+        // A fresh run — or a journal that died before its header
+        // committed, which holds no progress.
+        None => {
+            let mut writer = JournalWriter::create(path)
+                .map_err(|e| journal_err(&path.display().to_string(), e))?;
+            if let Some(rows) = rows {
+                let file = File::create(rows).map_err(|e| rows_err(rows, e))?;
+                writer = writer.with_attachments(file);
+            }
+            writer
+                .append(&header.to_json_string())
+                .map_err(|e| journal_err("writing header", e))?;
+            return Ok((writer, Vec::new()));
+        }
+        Some(found) if *found == header => {}
+        Some(found) => return Err(foreign_header(path, stage, &header, found)),
+    }
+    let mut end = 0u64;
+    let committed: Vec<Committed> = records
+        .into_iter()
+        .skip(1)
+        .map(|record| {
+            let image = named_image(&record).map(|(len, _)| {
+                let start = end;
+                end = end.saturating_add(len);
+                start..end
+            });
+            Committed { record, image }
+        })
+        .collect();
+    let attachments = rows
+        .map(|rows| open_rows(rows, &committed, end))
+        .transpose()?;
+    let mut writer = JournalWriter::resume(path, valid_bytes)
+        .map_err(|e| journal_err("truncating torn tail", e))?;
+    if let Some(file) = attachments {
+        writer = writer.with_attachments(file);
+    }
+    Ok((writer, committed))
+}
+
+fn rows_err(rows: &Path, e: impl std::fmt::Display) -> StreamError {
+    StreamError::Input(format!("checkpoint rows file {}: {e}", rows.display()))
+}
+
+/// Opens a resumed journal's rows sidecar for appending. It must hold
+/// every image the committed records name, each ending in the footer CRC
+/// its record names — anything else is damage, or another run's file,
+/// and the resume refuses — and is then cut back to the last one's
+/// `end`: an image torn before its record was durable is dropped.
+fn open_rows(rows: &Path, committed: &[Committed], end: u64) -> Result<File, StreamError> {
+    let refuse = |why: String| {
+        StreamError::Input(format!(
+            "--resume: checkpoint rows file {} {why}; pass a fresh --checkpoint path or drop \
+             --resume",
+            rows.display()
+        ))
+    };
+    let mut file = File::options()
+        .read(true)
+        .append(true)
+        .create(end == 0)
+        .open(rows)
+        .map_err(|e| {
+            refuse(format!(
+                "cannot be opened ({e}), but the journal commits rows"
+            ))
+        })?;
+    let len = file.metadata().map_err(|e| rows_err(rows, e))?.len();
+    if len < end {
+        return Err(refuse(format!(
+            "holds {len} bytes, shorter than the {end} the journal commits"
+        )));
+    }
+    for (idx, c) in committed.iter().enumerate() {
+        let Some(image) = &c.image else { continue };
+        let mut trailer = [0; 16];
+        let read = image.end - image.start >= 16
+            && file.seek(SeekFrom::Start(image.end - 16)).is_ok()
+            && file.read_exact(&mut trailer).is_ok();
+        let named = named_image(&c.record).map(|(_, crc)| crc);
+        if !read || footer_crc(&trailer).map(i64::from) != named {
+            return Err(refuse(format!(
+                "does not hold the image committed record {idx} names (damaged, or another \
+                 run's rows)"
+            )));
+        }
+    }
+    file.set_len(end).map_err(|e| rows_err(rows, e))?;
+    Ok(file)
+}
+
+/// The bytes of one committed image, read back from the rows sidecar
+/// (which [`open_rows`] found long enough to hold it).
+fn read_image(rows: &Path, range: &Range<u64>) -> Result<Vec<u8>, StreamError> {
+    let len = usize::try_from(range.end - range.start).map_err(|e| rows_err(rows, e))?;
+    let mut image = vec![0; len];
+    let mut file = File::open(rows).map_err(|e| rows_err(rows, e))?;
+    file.seek(SeekFrom::Start(range.start))
+        .and_then(|_| file.read_exact(&mut image))
+        .map_err(|e| rows_err(rows, e))?;
+    Ok(image)
 }
 
 fn encode_chunk_record<T>(
     phase: usize,
-    encode: fn(&T) -> Option<Value>,
+    encode: fn(&T) -> Option<Encoded>,
     meta: &ChunkMeta,
     y: &ShardYield<T>,
-) -> Option<String> {
+) -> Option<Commit> {
     // A halted chunk stopped feeding mid-way; its partial output must
     // never become durable. Returning `None` latches the committer, so
     // nothing after this chunk commits either.
     if y.halt.is_some() {
         return None;
     }
-    let out = encode(&y.out)?;
-    Some(
-        obj(vec![
-            ("kind", s("chunk")),
-            ("phase", num(phase)),
-            ("seq", num(meta.seq)),
-            ("first", num(meta.first_line)),
-            ("lines", num(meta.lines)),
-            ("bytes", num(meta.bytes)),
-            ("records", num(y.records)),
-            ("errors", encode_errors(&y.errors)),
-            ("out", out),
-        ])
-        .to_json_string(),
-    )
+    let (out, image) = encode(&y.out)?;
+    let payload = obj(vec![
+        ("kind", s("chunk")),
+        ("phase", num(phase)),
+        ("seq", num(meta.seq)),
+        ("first", num(meta.first_line)),
+        ("lines", num(meta.lines)),
+        ("bytes", num(meta.bytes)),
+        ("records", num(y.records)),
+        ("errors", encode_errors(&y.errors)),
+        ("out", out),
+    ])
+    .to_json_string();
+    Some(Commit {
+        payload,
+        attachment: image,
+    })
 }
 
 struct DecodedChunk<T> {
-    seq: usize,
-    first_line: usize,
-    lines: usize,
-    bytes: usize,
+    meta: ChunkMeta,
     records: usize,
     errors: ErrorSummary,
     out: T,
@@ -433,16 +574,19 @@ struct DecodedChunk<T> {
 
 fn decode_chunk_record<T>(
     value: &Value,
-    decode: fn(&Value) -> Option<T>,
+    decode: fn(&Value, Option<&[u8]>) -> Option<T>,
+    image: Option<&[u8]>,
 ) -> Option<DecodedChunk<T>> {
     Some(DecodedChunk {
-        seq: get_usize(value, "seq")?,
-        first_line: get_usize(value, "first")?,
-        lines: get_usize(value, "lines")?,
-        bytes: get_usize(value, "bytes")?,
+        meta: ChunkMeta {
+            seq: get_usize(value, "seq")?,
+            first_line: get_usize(value, "first")?,
+            lines: get_usize(value, "lines")?,
+            bytes: get_usize(value, "bytes")?,
+        },
         records: get_usize(value, "records")?,
         errors: decode_errors(value.get("errors")?)?,
-        out: decode(value.get("out")?)?,
+        out: decode(value.get("out")?, image)?,
     })
 }
 
@@ -462,28 +606,39 @@ fn input_len(input: &Path) -> Result<u64, StreamError> {
 pub(crate) struct Session<'c> {
     ctrl: &'c JournalControl<'c>,
     writer: Option<JournalWriter>,
-    committed: Vec<Value>,
+    committed: Vec<Committed>,
+    /// The rows sidecar, for a stage whose chunks have images.
+    rows: Option<PathBuf>,
+    /// How many `type` markers are durable: committed, or sealed since.
+    markers: usize,
 }
 
 impl<'c> Session<'c> {
     /// Opens (or resumes) the journal for a run of `stage` over `input`.
     /// The header pins everything the committed chunks depend on — the
-    /// chunk target (`chunk_bytes`, which fixes chunk boundaries), the
-    /// input length, and `config` — so a resume under different settings
-    /// refuses instead of mixing two runs.
+    /// format version, the chunk target (`chunk_bytes`, which fixes chunk
+    /// boundaries), the input length, and `config` — so a resume under
+    /// different settings refuses instead of mixing two runs.
     pub(crate) fn open(
         ctrl: &'c JournalControl<'c>,
         input: &Path,
-        stage: &str,
+        stage: Stage,
         chunk_bytes: usize,
         config: &str,
     ) -> Result<Session<'c>, StreamError> {
         let header = header_record(stage, chunk_bytes, input_len(input)?, config);
-        let (writer, committed) = open_session(ctrl, header)?;
+        let rows = (stage == Stage::Translate).then(|| rows_path(ctrl.journal));
+        let (writer, committed) = open_session(ctrl, stage, header, rows.as_deref())?;
+        let markers = committed
+            .iter()
+            .filter(|c| kind_is(&c.record, "type"))
+            .count();
         Ok(Session {
             ctrl,
             writer: Some(writer),
             committed,
+            rows,
+            markers,
         })
     }
 
@@ -497,19 +652,28 @@ impl<'c> Session<'c> {
         }
     }
 
-    /// The type a previous run sealed between translation's two passes,
-    /// if it got that far.
-    pub(crate) fn sealed_type(&self) -> Result<Option<JType>, StreamError> {
-        type_marker(&self.committed)
-            .map(|printed| {
+    /// The types a previous run sealed between translation's passes, in
+    /// order: the taught one, then the widened one, as far as it got.
+    pub(crate) fn sealed_types(&self) -> Result<Vec<JType>, StreamError> {
+        self.committed
+            .iter()
+            .filter(|c| kind_is(&c.record, "type"))
+            .map(|c| {
+                let printed = get_str(&c.record, "type").unwrap_or_default();
                 parse_type(printed)
                     .map_err(|e| journal_err("type marker does not parse", format!("{e:?}")))
             })
-            .transpose()
+            .collect()
     }
 
-    /// Seals phase 1: once this marker is durable, a resume never
-    /// re-infers — the layout is pinned for phase 2 forever.
+    /// How many `type` markers are durable.
+    pub(crate) fn markers(&self) -> usize {
+        self.markers
+    }
+
+    /// Seals a pass: once this marker is durable, a resume never teaches
+    /// or widens again — the layout the next phase lays rows out under is
+    /// pinned for it forever.
     pub(crate) fn seal_type(&mut self, ty: &JType) -> Result<(), StreamError> {
         let marker = obj(vec![
             ("kind", s("type")),
@@ -519,7 +683,9 @@ impl<'c> Session<'c> {
             .as_mut()
             .expect("no pass holds the writer between phases")
             .append(&marker.to_json_string())
-            .map_err(|e| journal_err("writing type marker", e))
+            .map_err(|e| journal_err("writing type marker", e))?;
+        self.markers += 1;
+        Ok(())
     }
 }
 
@@ -528,7 +694,8 @@ pub(crate) struct Prefix<T> {
     /// The committed chunks' outputs folded in sequence order (`None`
     /// when nothing was committed).
     pub(crate) out: Option<T>,
-    pub(crate) chunks: usize,
+    /// Each committed chunk, in commit order.
+    pub(crate) metas: Vec<ChunkMeta>,
     pub(crate) bytes: u64,
     pub(crate) lines: usize,
     pub(crate) records: usize,
@@ -540,7 +707,7 @@ impl<T> Prefix<T> {
     pub(crate) fn empty() -> Prefix<T> {
         Prefix {
             out: None,
-            chunks: 0,
+            metas: Vec::new(),
             bytes: 0,
             lines: 0,
             records: 0,
@@ -562,34 +729,53 @@ impl<'c, T> Phase<'_, 'c, T> {
         self.session.ctrl.stop
     }
 
-    /// Replays the committed prefix: decodes this pass's chunk records
-    /// and folds their outputs in sequence order with `merge` — the
-    /// stage's own fusion, the same the live run applied — re-applying
-    /// the diagnostic retention `cap`.
+    /// Replays the committed prefix of a pass over the chunks `select`
+    /// names: decodes this phase's chunk records — reading each image
+    /// back from the rows sidecar — checks they are the pass's first
+    /// chunks in its order, and folds their outputs in that order with
+    /// `merge` — the stage's own fusion, the same the live run applied —
+    /// re-applying the diagnostic retention `cap`.
     pub(crate) fn replay(
         &self,
         merge: impl Fn(T, T) -> T,
         cap: usize,
+        select: Select<'_>,
     ) -> Result<Prefix<T>, StreamError> {
+        let session = &*self.session;
         let mut prefix = Prefix::empty();
-        for (idx, rec) in phase_chunks(&self.session.committed, self.phase)
-            .into_iter()
-            .enumerate()
-        {
-            let c = decode_chunk_record(rec, self.codec.decode).ok_or_else(|| {
-                StreamError::Input(format!(
-                    "checkpoint journal: committed chunk record {idx} cannot be decoded \
-                     (incompatible journal version?)"
-                ))
-            })?;
-            if c.seq != idx || c.first_line != prefix.lines {
+        let chunks = session.committed.iter().filter(|c| {
+            kind_is(&c.record, "chunk")
+                && c.record.get("phase").and_then(Value::as_i64) == Some(self.phase as i64)
+        });
+        for (idx, c) in chunks.enumerate() {
+            let image = match (&c.image, &session.rows) {
+                (Some(range), Some(rows)) => Some(read_image(rows, range)?),
+                _ => None,
+            };
+            let c = decode_chunk_record(&c.record, self.codec.decode, image.as_deref())
+                .ok_or_else(|| match &session.rows {
+                    Some(rows) if image.is_some() => StreamError::Input(format!(
+                        "--resume: checkpoint rows file {}: the image committed chunk record \
+                         {idx} names is damaged; pass a fresh --checkpoint path or drop --resume",
+                        rows.display()
+                    )),
+                    _ => StreamError::Input(format!(
+                        "checkpoint journal: committed chunk record {idx} cannot be decoded \
+                         (incompatible journal version?)"
+                    )),
+                })?;
+            let expected = match select {
+                Select::Listed(spans) => spans.get(idx).map(|span| (span.seq, span.first_line)),
+                Select::All | Select::First => Some((idx, prefix.lines)),
+            };
+            if expected != Some((c.meta.seq, c.meta.first_line)) {
                 return Err(StreamError::Input(format!(
                     "checkpoint journal: committed chunks are not contiguous at record {idx}"
                 )));
             }
-            prefix.chunks += 1;
-            prefix.bytes += c.bytes as u64;
-            prefix.lines += c.lines;
+            prefix.metas.push(c.meta);
+            prefix.bytes += c.meta.bytes as u64;
+            prefix.lines += c.meta.lines;
             prefix.records += c.records;
             prefix.errors.merge(c.errors, cap);
             prefix.out = Some(match prefix.out.take() {
@@ -600,12 +786,14 @@ impl<'c, T> Phase<'_, 'c, T> {
         Ok(prefix)
     }
 
-    /// The commit sink for the fresh tail of this pass, continuing the
-    /// chunk sequence after `resumed` replayed chunks. Borrows the
+    /// The commit sink for the fresh tail of this pass, committing the
+    /// chunks `order` lists (see [`ChunkJournal::new`]). Borrows the
     /// session's writer until [`close`](Self::close) returns it.
-    pub(crate) fn sink(&mut self, resumed: usize) -> ChunkJournal<ShardYield<T>>
+    pub(crate) fn sink<I>(&mut self, order: I) -> ChunkJournal<ShardYield<T>>
     where
         T: 'static,
+        I: IntoIterator<Item = usize>,
+        I::IntoIter: Send + 'static,
     {
         let writer = self
             .session
@@ -613,7 +801,7 @@ impl<'c, T> Phase<'_, 'c, T> {
             .take()
             .expect("one pass holds the writer at a time");
         let (phase, encode) = (self.phase, self.codec.encode);
-        let sink = ChunkJournal::new(writer, resumed, move |meta: &ChunkMeta, y| {
+        let sink = ChunkJournal::new(writer, order, move |meta: &ChunkMeta, y| {
             encode_chunk_record(phase, encode, meta, y)
         });
         match &self.session.ctrl.after_commit {
@@ -831,46 +1019,90 @@ mod tests {
         );
     }
 
+    /// The journal and rows sidecar a run left behind.
+    fn files(journal: &Path) -> (Vec<u8>, Vec<u8>) {
+        let rows = std::fs::read(rows_path(journal)).unwrap_or_default();
+        (std::fs::read(journal).unwrap(), rows)
+    }
+
+    fn chunk_records(journal: &Path) -> u64 {
+        let records = read_journal(journal).unwrap().records;
+        records
+            .iter()
+            .filter(|r| r.starts_with("{\"kind\":\"chunk\""))
+            .count() as u64
+    }
+
+    /// A journaled translation stopped after every commit in turn — in
+    /// the teach pass, the verifying pass, and the pass that shreds again
+    /// what a late record widened (one that adds a column: its chunk; one
+    /// that changes a column: every chunk) — resumes to the unjournaled
+    /// batch, and leaves the journal and rows sidecar an uninterrupted
+    /// journaled run writes.
     #[test]
     fn journaled_translate_two_phase_resume_is_batch_identical() {
         let dir = TempDir::new("translate");
-        let text = corpus(60);
-        let input = write_input(&dir, "in.ndjson", &text);
-        let journal = dir.path("run.journal");
         let plain = plan(2);
-
-        // Stop during phase 2: phase 1 commits ~13 chunks of 64B, so a
-        // threshold past that lands the interruption mid-shred.
-        let err = journaled(&plain, stop_after(&journal, 40))
-            .translate_inferred(Source::file(&input), Equivalence::Kind)
-            .unwrap_err();
-        assert_eq!(err, StreamError::Interrupted);
-
-        let (batch, report) = journaled(&plain, resume(&journal))
-            .translate_inferred(Source::file(&input), Equivalence::Kind)
-            .unwrap();
-        let (want_batch, want_report) = plain
-            .translate_inferred(Source::slice(&text), Equivalence::Kind)
-            .unwrap();
-        assert_eq!(report.records, want_report.records);
-        assert_eq!(
-            write_jxc(&batch),
-            write_jxc(&want_batch),
-            "resumed .jxc bytes identical to uninterrupted run"
-        );
+        let late = |line: &str| {
+            let mut lines: Vec<String> = corpus(60).lines().map(String::from).collect();
+            lines[40] = line.to_string();
+            lines.join("\n") + "\n"
+        };
+        for (name, text) in [
+            ("fits", corpus(60)),
+            (
+                "adds",
+                late(r#"{"id":40,"name":"row 40","flag":true,"late":{"x":1}}"#),
+            ),
+            (
+                "restructures",
+                late(r#"{"id":"forty","name":"row 40","flag":true}"#),
+            ),
+        ] {
+            let input = write_input(&dir, &format!("{name}.ndjson"), &text);
+            let journal = dir.path(&format!("{name}.journal"));
+            let (want, want_report) = plain
+                .translate_inferred(Source::slice(&text), Equivalence::Kind)
+                .unwrap();
+            let (batch, _) = journaled(&plain, JournalControl::new(&journal))
+                .translate_inferred(Source::file(&input), Equivalence::Kind)
+                .unwrap();
+            assert_eq!(write_jxc(&batch), write_jxc(&want), "{name}");
+            let uninterrupted = files(&journal);
+            let total = chunk_records(&journal);
+            assert!(total > 20, "{name}: {total} commits");
+            for stop in 1..=total {
+                let err = journaled(&plain, stop_after(&journal, stop))
+                    .translate_inferred(Source::file(&input), Equivalence::Kind)
+                    .unwrap_err();
+                assert_eq!(err, StreamError::Interrupted, "{name}: stop {stop}");
+                let (batch, report) = journaled(&plain, resume(&journal))
+                    .translate_inferred(Source::file(&input), Equivalence::Kind)
+                    .unwrap();
+                assert_eq!(report.records, want_report.records, "{name}: stop {stop}");
+                assert_eq!(write_jxc(&batch), write_jxc(&want), "{name}: stop {stop}");
+                assert!(files(&journal) == uninterrupted, "{name}: stop {stop}");
+            }
+        }
     }
 
-    /// `tests/fixtures/golden_translate.journal` was written by the
-    /// commit before the columns became arena-backed, from
-    /// `crates/translate/tests/fixtures/golden.ndjson` at `chunk_bytes`
-    /// 256. The journal format is frozen in both directions: this code
-    /// must write those bytes (so that commit can resume our journals)
-    /// and resume from any prefix of them (so we can resume its).
+    /// `tests/fixtures/golden_translate.journal` and its rows sidecar
+    /// `golden_translate.journal.rows` were written by the commit that
+    /// made a translate journal v2 (phases = passes, images in the
+    /// sidecar), from `crates/translate/tests/fixtures/golden.ndjson` at
+    /// `chunk_bytes` 256. This code must write those bytes and resume
+    /// from any prefix of them: cut after each record in turn and
+    /// mid-record, with every image still in the sidecar (those past the
+    /// cut are an image written before its record, cut off on resume);
+    /// and with the last record gone and its image cut at every byte.
+    /// (`golden_translate_v1.journal`, the v1 journal of the same run, is
+    /// refused — `tests/crash_resume.rs`.)
     #[test]
     fn parent_written_journal_is_reproduced_and_resumes() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"));
         let input = root.join("crates/translate/tests/fixtures/golden.ndjson");
-        let golden = std::fs::read(root.join("tests/fixtures/golden_translate.journal")).unwrap();
+        let fixture = root.join("tests/fixtures/golden_translate.journal");
+        let golden = files(&fixture);
         let golden_jxc =
             std::fs::read(root.join("crates/translate/tests/fixtures/golden.jxc")).unwrap();
         let dir = TempDir::new("golden-journal");
@@ -885,25 +1117,33 @@ mod tests {
             .translate_inferred(Source::file(&input), Equivalence::Kind)
             .unwrap();
         assert_eq!(write_jxc(&batch), golden_jxc);
-        assert_eq!(std::fs::read(&journal).unwrap(), golden);
+        assert!(files(&journal) == golden);
 
-        // A header, three phase-1 chunks, the type marker, three phase-2
-        // chunks: cut after each record in turn, and mid-record.
-        let record_ends: Vec<usize> = golden
+        // A header, the first chunk, the type marker, three chunks' rows.
+        let (text, rows) = &golden;
+        let record_ends: Vec<usize> = text
             .iter()
             .enumerate()
             .filter(|(_, b)| **b == b'\n')
             .map(|(i, _)| i + 1)
             .collect();
-        assert_eq!(record_ends.len(), 8);
-        for cut in record_ends.iter().flat_map(|end| [*end, end - 40]) {
-            std::fs::write(&journal, &golden[..cut]).unwrap();
+        assert_eq!(record_ends.len(), 6);
+        let last = read_journal(&fixture).unwrap().records.pop().unwrap();
+        let (len, _) = named_image(&parse(&last).unwrap()).unwrap();
+        let last_image = rows.len() - len as usize;
+        let cuts = record_ends
+            .iter()
+            .flat_map(|end| [(*end, rows.len()), (end - 40, rows.len())])
+            .chain((last_image..=rows.len()).map(|cut| (record_ends[4], cut)));
+        for (cut, rows_cut) in cuts {
+            std::fs::write(&journal, &text[..cut]).unwrap();
+            std::fs::write(rows_path(&journal), &rows[..rows_cut]).unwrap();
             let (batch, report) = journaled(&plain, resume(&journal))
                 .translate_inferred(Source::file(&input), Equivalence::Kind)
                 .unwrap();
-            assert_eq!(write_jxc(&batch), golden_jxc, "cut at {cut}");
-            assert_eq!(report.records, 11, "cut at {cut}");
-            assert_eq!(std::fs::read(&journal).unwrap(), golden, "cut at {cut}");
+            assert_eq!(write_jxc(&batch), golden_jxc, "cut at {cut}, {rows_cut}");
+            assert_eq!(report.records, 11, "cut at {cut}, {rows_cut}");
+            assert!(files(&journal) == golden, "cut at {cut}, {rows_cut}");
         }
     }
 
@@ -1045,22 +1285,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hex_codec_round_trips_and_rejects_non_hex() {
-        let bytes: Vec<u8> = (0..=255).collect();
-        let text = hex_encode(&bytes);
-        assert!(text.starts_with("000102") && text.ends_with("fdfeff"));
-        let reference: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(text, reference);
-        assert_eq!(hex_decode(&text), Some(bytes.clone()));
-        assert_eq!(hex_decode(&text.to_uppercase()), Some(bytes));
-        assert_eq!(hex_decode(""), Some(Vec::new()));
-        // `u8::from_str_radix` takes a sign; a hex codec must not.
-        for bad in ["+f", "-1", "0", "0g", "g0", " 1", "1 ", "0x", "é"] {
-            assert_eq!(hex_decode(bad), None, "{bad:?}");
-        }
-    }
-
     /// The header's `config` fingerprint embeds `Debug` output, so
     /// renaming a `FaultOptions` / `ValidatorOptions` / `ParseLimits`
     /// field would silently refuse every journal written before the
@@ -1112,13 +1336,18 @@ mod tests {
             )
         );
 
+        // Translate's journal is v2, and its route is part of it.
         let journal = dir.path("translate.journal");
         journaled(&plan(1), JournalControl::new(&journal))
             .translate_inferred(Source::file(&input), Equivalence::Label)
             .unwrap();
         assert_eq!(
             header_of(&journal),
-            expect("translate", format!("equiv=Label fault={FAULT}"))
+            expect(
+                "translate",
+                format!("equiv=Label fault={FAULT} route=reference")
+            )
+            .replace("\"v\":1", "\"v\":2")
         );
     }
 }

@@ -29,17 +29,17 @@
 //! `tests/run_plan.rs`.
 
 use crate::checkpoint::{
-    infer_codec, translate_codec, validate_codec, JournalControl, Phase, Prefix, Session,
+    infer_codec, translate_codec, validate_codec, JournalControl, Phase, Prefix, Session, Stage,
 };
 use crate::fastpath::{FastPlan, LineDecoder};
 use crate::streaming::{
     FaultFold, FaultOptions, Halt, InferStage, InferValidateStage, LineVerdict, RecordStage,
-    Shredded, StreamError, TranslateStage, TypedVerdicts, ValidateStage, NOT_TAUGHT,
+    Shredded, StreamError, TranslateStage, TypedVerdicts, ValidateStage,
 };
 use jsonx_core::{fuse, Equivalence, JType};
 use jsonx_pipeline::{
-    run_source_controlled, CheckpointSink, ChunkMeta, ChunkSource, ChunkSpan, FirstChunks,
-    LayoutAccount, ListedFile, ListedSlice, PipelineOptions, ReaderChunks, RouteCounts, RunControl,
+    run_source_controlled, CheckpointSink, ChunkJournal, ChunkMeta, ChunkSource, ChunkSpan,
+    FirstChunks, LayoutAccount, ListedFile, ListedSlice, PipelineOptions, ReaderChunks, RunControl,
     RunReport, SliceChunks,
 };
 use jsonx_schema::{CompiledSchema, ValidatorOptions};
@@ -132,7 +132,9 @@ pub struct Run<'a> {
     /// resume. Needs [`Source::File`] with [`Format::Ndjson`], and a
     /// stage with a journal codec: [`infer`](Self::infer),
     /// [`validate`](Self::validate) or
-    /// [`translate_inferred`](Self::translate_inferred).
+    /// [`translate_inferred`](Self::translate_inferred) — which also
+    /// writes its chunks' rows to a sidecar beside the journal
+    /// (`FILE.rows`).
     pub journal: Option<JournalControl<'a>>,
 }
 
@@ -164,37 +166,59 @@ pub(crate) enum Select<'a> {
     Listed(&'a [ChunkSpan]),
 }
 
-/// Notes every chunk a pass folds, so a later pass can read some of them
-/// again.
+/// Notes every chunk a pass folds — replayed from its journal or folded
+/// fresh — so its outputs can be told apart and a later pass can read
+/// some of the chunks again.
 #[derive(Default)]
 struct ChunkLog(Mutex<Vec<ChunkMeta>>);
 
-impl<T> CheckpointSink<T> for ChunkLog {
-    fn chunk_done(&self, meta: &ChunkMeta, _out: &T) {
+impl ChunkLog {
+    fn note(&self, meta: &ChunkMeta) {
         self.0.lock().expect("pushing cannot panic").push(*meta);
+    }
+
+    /// The chunks noted, in sequence order.
+    fn metas(self) -> Vec<ChunkMeta> {
+        let mut metas = self.0.into_inner().expect("pushing cannot panic");
+        metas.sort_unstable_by_key(|meta| meta.seq);
+        metas
     }
 }
 
-impl ChunkLog {
-    /// Where each chunk sits in the input. Only for a pass that folded
-    /// every chunk (none poisoned): offsets are running byte totals.
-    fn spans(self) -> Vec<ChunkSpan> {
-        let mut metas = self.0.into_inner().expect("pushing cannot panic");
-        metas.sort_unstable_by_key(|meta| meta.seq);
-        let mut offset = 0;
-        metas
-            .iter()
-            .map(|meta| {
-                let span = ChunkSpan {
-                    seq: meta.seq,
-                    first_line: meta.first_line,
-                    offset,
-                    bytes: meta.bytes,
-                };
-                offset += meta.bytes as u64;
-                span
-            })
-            .collect()
+/// Where each of a pass's chunks sits in the input. Only for a pass that
+/// folded every chunk (none poisoned): offsets are running byte totals.
+fn spans(metas: &[ChunkMeta]) -> Vec<ChunkSpan> {
+    let mut offset = 0;
+    metas
+        .iter()
+        .map(|meta| {
+            let span = ChunkSpan {
+                seq: meta.seq,
+                first_line: meta.first_line,
+                offset,
+                bytes: meta.bytes,
+            };
+            offset += meta.bytes as u64;
+            span
+        })
+        .collect()
+}
+
+/// Who hears of each chunk a pass folds: its journal, to commit it, and
+/// its log.
+struct Sinks<'a, T> {
+    journal: Option<&'a ChunkJournal<T>>,
+    log: Option<&'a ChunkLog>,
+}
+
+impl<T: Send> CheckpointSink<T> for Sinks<'_, T> {
+    fn chunk_done(&self, meta: &ChunkMeta, out: &T) {
+        if let Some(log) = self.log {
+            log.note(meta);
+        }
+        if let Some(journal) = self.journal {
+            journal.chunk_done(meta, out);
+        }
     }
 }
 
@@ -212,13 +236,6 @@ impl<'a> Again<'a> {
             Again::File(path) => Source::File(path),
         }
     }
-}
-
-/// How many records a teaching pass typed: all it accepted but those it
-/// left to the shredder to reject. Counted only by a timed run.
-fn taught_by(routes: &RouteCounts) -> usize {
-    let typed = routes.fast + routes.replayed.values().sum::<u64>();
-    (typed - routes.replayed.get(NOT_TAUGHT).copied().unwrap_or(0)) as usize
 }
 
 /// One account of two passes over disjoint chunks of one input: `later`'s
@@ -262,7 +279,7 @@ impl Run<'_> {
         source: Source<'_, R>,
         equiv: Equivalence,
     ) -> Result<(JType, RunReport), StreamError> {
-        let mut session = self.open_journal(&source, "infer", || {
+        let mut session = self.open_journal(&source, Stage::Infer, || {
             format!("equiv={equiv:?} fault={:?}", self.fault)
         })?;
         let journal = session.as_mut().map(|s| s.phase(1, infer_codec()));
@@ -278,7 +295,7 @@ impl Run<'_> {
         schema: &CompiledSchema,
         options: ValidatorOptions,
     ) -> Result<(Vec<(usize, LineVerdict)>, RunReport), StreamError> {
-        let mut session = self.open_journal(&source, "validate", || {
+        let mut session = self.open_journal(&source, Stage::Validate, || {
             // `fast_parse` is deliberately absent: the fast path is
             // verdict-identical, so a resume may toggle it freely.
             let tag = self.journal.as_ref().map_or(0, |j| j.schema_tag);
@@ -403,13 +420,16 @@ impl Run<'_> {
     ///
     /// The *whole corpus* teaches, and nothing is verified or voided —
     /// the same passes, from a different first teach set — when nothing
-    /// may speculate ([`fast_parse`](Self::fast_parse) off), under
-    /// [`Equivalence::Label`] (fitting is an argument about `Kind`), and
-    /// with a journal, where the layout must be final before the first
-    /// row is durable: a journal holds a teaching pass and a shredding
-    /// pass, phase-tagged, with a `type` marker sealing the first — so an
-    /// interrupted run resumes in whichever it died in, the layout
-    /// reconstructed from the journal rather than taught again.
+    /// may speculate ([`fast_parse`](Self::fast_parse) off) and under
+    /// [`Equivalence::Label`] (fitting is an argument about `Kind`).
+    ///
+    /// With a journal each pass is a phase of it — teach (1), shred and
+    /// verify (2), shred again what the widened layout needs (3) — opened
+    /// by a `type` marker holding the type its rows are laid out under,
+    /// so an interrupted run resumes in whichever pass it died in and
+    /// nothing is taught again: what the voided chunks taught, where they
+    /// are, and the rows already shredded (read back from the rows
+    /// sidecar) all come from the journal.
     ///
     /// Either teach set skips a record whose root is no object: the
     /// shredder rejects it, under the run's policy, when it shreds its
@@ -420,8 +440,15 @@ impl Run<'_> {
         source: Source<'_, R>,
         equiv: Equivalence,
     ) -> Result<(ColumnarBatch, RunReport), StreamError> {
-        let mut session = self.open_journal(&source, "translate", || {
-            format!("equiv={equiv:?} fault={:?}", self.fault)
+        let speculate = self.fast_parse && equiv == Equivalence::Kind;
+        let mut session = self.open_journal(&source, Stage::Translate, || {
+            // The route fixes which passes, so which phases, a journal holds.
+            let route = if speculate {
+                "speculative"
+            } else {
+                "reference"
+            };
+            format!("equiv={equiv:?} fault={:?} route={route}", self.fault)
         })?;
         let again = match source {
             Source::Slice(text) => Again::Slice(text),
@@ -434,14 +461,12 @@ impl Run<'_> {
                 ))
             }
         };
-        let speculate = self.journal.is_none() && self.fast_parse && equiv == Equivalence::Kind;
         let sealed = match &session {
-            Some(s) => s.sealed_type()?,
-            None => None,
+            Some(s) => s.sealed_types()?,
+            None => Vec::new(),
         };
-        let mut account = LayoutAccount::default();
-        let mut ty = match sealed {
-            Some(ty) => ty,
+        let mut ty = match sealed.first() {
+            Some(ty) => ty.clone(),
             None => {
                 let journal = session.as_mut().map(|s| s.phase(1, infer_codec()));
                 let stage = InferStage {
@@ -453,14 +478,18 @@ impl Run<'_> {
                 } else {
                     Select::All
                 };
-                let (ty, report) =
+                let (ty, _) =
                     self.execute_on(again.source::<R>(), teachers, &stage, journal, None)?;
                 if let Some(s) = &mut session {
                     s.seal_type(&ty)?;
                 }
-                account.taught = taught_by(&report.routes);
                 ty
             }
+        };
+        // The teach set's type counts every record it typed.
+        let mut account = LayoutAccount {
+            taught: ty.count() as usize,
+            ..LayoutAccount::default()
         };
         let cap = self.fault.sample_cap();
         let mut shredder = Shredder::from_type(&ty);
@@ -469,8 +498,11 @@ impl Run<'_> {
         let mut report: Option<RunReport> = None;
         // The chunks still to shred; `None`: all of them.
         let mut todo: Option<Vec<ChunkSpan>> = None;
-        let mut widened = false;
-        loop {
+        // Phase 2 shreds every chunk under the taught layout, verifying
+        // when it speculates; phase 3, if a chunk was voided, what the
+        // widened layout needs shredded again.
+        for phase in 2.. {
+            let widened = phase > 2;
             // The layout was inferred from this very corpus: no accepted
             // record has a root field outside it, so a projecting scan
             // could skip nothing. No plan; records shred straight from
@@ -480,25 +512,25 @@ impl Run<'_> {
                 decoder: self.decoder(|_| None),
                 teach: (speculate && !widened).then_some(equiv),
             };
-            let journal = session.as_mut().map(|s| s.phase(2, translate_codec()));
+            // A pass is journaled once the type it lays rows out under is.
+            let journal = session
+                .as_mut()
+                .filter(|s| s.markers() + 1 >= phase)
+                .map(|s| s.phase(phase, translate_codec()));
             let log = ChunkLog::default();
             let select = todo.as_deref().map_or(Select::All, Select::Listed);
             let (chunks, pass) =
                 self.execute_on(again.source::<R>(), select, &stage, journal, Some(&log))?;
-            // A yield per chunk the pass was to read, in order, but for
-            // those whose fold panicked.
-            let lost = |seq: &usize| pass.poisoned.iter().any(|p| p.shard == *seq);
-            let read: Vec<usize> = match &todo {
-                Some(spans) => spans.iter().map(|span| span.seq).collect(),
-                None => (0..pass.shards).collect(),
-            };
+            // One output per chunk folded, in order — and past them, when
+            // nothing was left to fold, the empty output of none.
+            let folded = log.metas();
             let mut taught = JType::Bottom;
             let mut voided = Vec::new();
-            for (seq, chunk) in read.into_iter().filter(|seq| !lost(seq)).zip(chunks) {
+            for (meta, chunk) in folded.iter().zip(chunks) {
                 match chunk {
                     Shredded::Rows(batch) => {
                         account.again += usize::from(widened);
-                        rows.push((seq, batch));
+                        rows.push((meta.seq, batch));
                     }
                     Shredded::Taught {
                         ty,
@@ -506,7 +538,7 @@ impl Run<'_> {
                         records,
                     } => {
                         taught = fuse(taught, ty, equiv);
-                        voided.push(seq);
+                        voided.push(meta.seq);
                         account.taught += records;
                         account.misfit = Some(account.misfit.map_or(misfit, |m| m.min(misfit)));
                     }
@@ -523,7 +555,19 @@ impl Run<'_> {
             // `wider` has the layout of the whole corpus's type, and what
             // is shredded under it needs no verifying.
             let wider = fuse(ty.clone(), taught, equiv);
-            widened = true;
+            match (sealed.get(1), &mut session) {
+                (Some(marker), _) if *marker != wider => {
+                    return Err(StreamError::Input(
+                        "checkpoint journal: its widened type is not what its voided chunks \
+                         taught; pass a fresh --checkpoint path or drop --resume"
+                            .into(),
+                    ))
+                }
+                // Sealed after a pass that lost no chunk only, so that a
+                // resume rebuilds it from what the pass committed.
+                (None, Some(s)) if pass.poisoned.is_empty() => s.seal_type(&wider)?,
+                _ => {}
+            }
             account.restructured = lifts(&ty, &wider).err();
             shredder = Shredder::from_type(&wider);
             ty = wider;
@@ -534,7 +578,7 @@ impl Run<'_> {
                     .into_iter()
                     .map(|(seq, batch)| (seq, shredder.lift(batch)))
                     .collect();
-                let mut spans = log.spans();
+                let mut spans = spans(&folded);
                 spans.retain(|span| voided.contains(&span.seq));
                 todo = Some(spans);
                 report = Some(pass);
@@ -595,7 +639,7 @@ impl Run<'_> {
     fn open_journal<'s, R>(
         &'s self,
         source: &Source<'_, R>,
-        stage: &str,
+        stage: Stage,
         config: impl FnOnce() -> String,
     ) -> Result<Option<Session<'s>>, StreamError> {
         let Some(ctrl) = &self.journal else {
@@ -638,8 +682,10 @@ impl Run<'_> {
     }
 
     /// [`execute`](Self::execute) over the chunks of `source` that
-    /// `select` names (all of them, under a journal), noting in `log`,
-    /// when there is one and no journal, every chunk folded.
+    /// `select` names, noting in `log`, when there is one, every chunk
+    /// folded — those a journal replays included. A journal commits the
+    /// chunks the pass reads in the order it reads them, and a resume
+    /// reads only those it has not committed.
     fn execute_on<R, S>(
         &self,
         source: Source<'_, R>,
@@ -653,12 +699,19 @@ impl Run<'_> {
         S: RecordStage,
         S::Out: 'static,
     {
-        debug_assert!(journal.is_none() || matches!(select, Select::All));
         let fold = FaultFold::new(stage, self.fault, self.timing);
         let cap = fold.retention_cap();
         let prefix = match &journal {
-            Some(phase) => phase.replay(|a, b| stage.merge(a, b), cap)?,
+            Some(phase) => phase.replay(|a, b| stage.merge(a, b), cap, select)?,
             None => Prefix::empty(),
+        };
+        if let Some(log) = log {
+            prefix.metas.iter().for_each(|meta| log.note(meta));
+        }
+        let committed = prefix.metas.len();
+        let select = match select {
+            Select::Listed(spans) => Select::Listed(&spans[committed..]),
+            select => select,
         };
         let opts = self.pipeline_options();
         let mut workers = opts.effective_workers();
@@ -708,7 +761,7 @@ impl Run<'_> {
                         input,
                         chunk_bytes,
                         workers,
-                        prefix.chunks,
+                        committed,
                         prefix.lines,
                     );
                     &file
@@ -718,18 +771,25 @@ impl Run<'_> {
         match select {
             Select::All => {}
             Select::First => {
-                first = FirstChunks::new(chunks, 1);
+                // Nothing, when a resumed journal committed the first.
+                first = FirstChunks::new(chunks, 1usize.saturating_sub(committed));
                 chunks = &first;
                 workers = 1;
             }
             Select::Listed(spans) => workers = workers.min(spans.len()).max(1),
         }
-        let sink = journal.as_mut().map(|phase| phase.sink(prefix.chunks));
+        let sink = journal.as_mut().map(|phase| match select {
+            Select::Listed(spans) => {
+                phase.sink(spans.iter().map(|span| span.seq).collect::<Vec<_>>())
+            }
+            Select::All | Select::First => phase.sink(committed..),
+        });
+        let sinks = Sinks {
+            journal: sink.as_ref(),
+            log,
+        };
         let control = RunControl {
-            sink: match &sink {
-                Some(journal) => Some(journal as &dyn CheckpointSink<_>),
-                None => log.map(|log| log as &dyn CheckpointSink<_>),
-            },
+            sink: (sink.is_some() || log.is_some()).then_some(&sinks as &dyn CheckpointSink<_>),
             stop: journal.as_ref().and_then(|phase| phase.stop()),
         };
         let outcome = run_source_controlled(chunks, &fold, workers, self.timing, control)
@@ -746,7 +806,7 @@ impl Run<'_> {
         };
         let mut report = RunReport {
             records: prefix.records + tail.records,
-            shards: prefix.chunks + outcome.shards,
+            shards: committed + outcome.shards,
             errors,
             poisoned: outcome.poisoned,
             timings: outcome.timings,

@@ -413,14 +413,16 @@ proptest! {
     }
 
     /// The reference cell (`fast_parse: false`) types the whole corpus,
-    /// then shreds it; the cells with `fast_parse` on and no journal let
-    /// the first chunk teach the layout and verify every record against
-    /// it. So this is one-pass ≡ two-pass at every worker count × source
-    /// × journal cell — and, from one line per chunk to one chunk per
-    /// corpus, over corpora where every record fits, where a late one
+    /// then shreds it; the cells with `fast_parse` on — journaled or not
+    /// — let the first chunk teach the layout and verify every record
+    /// against it. So this is one-pass ≡ two-pass at every worker count ×
+    /// source × journal cell — and, from one line per chunk to one chunk
+    /// per corpus, over corpora where every record fits, where a late one
     /// adds columns (only its chunk is shredded again), where it changes
     /// a column (every chunk is), and where the first chunk, or every
-    /// chunk, holds a misfit.
+    /// chunk, holds a misfit: `widening_corpus`'s arms, which the
+    /// journaled cells stop in any of the three phases (teach, verify,
+    /// shred again) and resume.
     #[test]
     fn translate_inferred_is_plan_invariant(
         text in arb_corpus(),
