@@ -29,16 +29,13 @@ pub enum ErrorPolicy {
     /// Skip rejected records and keep going; `max_errors` (when set)
     /// bounds how many rejections the whole run tolerates before it fails
     /// anyway.
+    ///
+    /// A summary retains the first [`DIAGNOSTIC_SAMPLES`] diagnostics;
+    /// a caller that needs every one (a quarantine sink) asks its stage
+    /// to keep them all.
     Skip {
         /// Abort once the *total* rejection count exceeds this.
         max_errors: Option<usize>,
-    },
-    /// Like `Skip`, but the summary retains a diagnostic for every
-    /// rejected record (up to `max_errors`) rather than just the first
-    /// few samples.
-    Collect {
-        /// Abort once the total rejection count exceeds this.
-        max_errors: usize,
     },
 }
 
@@ -53,18 +50,6 @@ impl ErrorPolicy {
         match self {
             ErrorPolicy::FailFast => None,
             ErrorPolicy::Skip { max_errors } => *max_errors,
-            ErrorPolicy::Collect { max_errors } => Some(*max_errors),
-        }
-    }
-
-    /// How many per-record diagnostics a shard summary should retain
-    /// under this policy (ignoring any quarantine sink, which needs them
-    /// all).
-    pub fn sample_cap(&self) -> usize {
-        match self {
-            ErrorPolicy::FailFast => DIAGNOSTIC_SAMPLES,
-            ErrorPolicy::Skip { .. } => DIAGNOSTIC_SAMPLES,
-            ErrorPolicy::Collect { max_errors } => *max_errors,
         }
     }
 }
@@ -397,10 +382,10 @@ mod tests {
         right.errors.push(diag(4, "b"), 2);
         right.errors.push(diag(6, "b"), 2);
         left.routes.fast = 3;
-        left.routes.count(Route::Replayed("declined"));
+        left.routes.count(Route::Replayed("uniqueItems"));
         right.routes.fast = 3;
         right.routes.count(Route::Fast);
-        right.routes.replayed.insert("declined", 2);
+        right.routes.replayed.insert("uniqueItems", 2);
         right.routes.count(Route::Replayed("duplicate-key"));
         right.poisoned.push(ShardPanic {
             shard: 1,
@@ -416,7 +401,7 @@ mod tests {
         assert_eq!(left.poisoned.len(), 1);
         assert!(!left.is_clean());
         assert_eq!(left.routes.fast, 7);
-        assert_eq!(left.routes.replayed["declined"], 3);
+        assert_eq!(left.routes.replayed["uniqueItems"], 3);
         assert_eq!(left.routes.replayed["duplicate-key"], 1);
     }
 
@@ -431,11 +416,7 @@ mod tests {
             .max_errors(),
             Some(5)
         );
-        assert_eq!(
-            ErrorPolicy::Collect { max_errors: 9 }.sample_cap(),
-            9,
-            "collect retains up to max_errors diagnostics"
-        );
+        assert_eq!(ErrorPolicy::FailFast.max_errors(), None);
         assert_eq!(ErrorPolicy::default(), ErrorPolicy::FailFast);
     }
 }

@@ -468,3 +468,36 @@ fn conditional_error_kinds() {
     assert!(schema.is_valid(&json!(12)));
     assert!(schema.is_valid(&json!("s")));
 }
+
+/// The root fields a verdict can depend on: what a caller that projects
+/// records before validating them may keep, skipping the rest.
+#[test]
+fn root_projection_names_the_fields_a_verdict_reads() {
+    let projection = |schema: &Value| {
+        let mut names = CompiledSchema::compile(schema).unwrap().root_projection()?;
+        names.sort();
+        names.dedup();
+        Some(names)
+    };
+    let envelope = json!({
+        "type": "object",
+        "properties": {"id": {"type": "integer"}, "name": {"type": "string"}},
+        "required": ["id"]
+    });
+    assert_eq!(
+        projection(&envelope),
+        Some(vec!["id".into(), "name".into()])
+    );
+    assert_eq!(projection(&json!(true)), Some(vec![]));
+    assert_eq!(projection(&json!({})), Some(vec![]));
+    // Combinators, a constraining `additionalProperties`, property counts
+    // and `patternProperties` read fields a projection would skip.
+    for schema in [
+        json!({"allOf": [{"type": "object"}]}),
+        json!({"type": "object", "additionalProperties": {"type": "string"}}),
+        json!({"type": "object", "minProperties": 2}),
+        json!({"type": "object", "patternProperties": {"^x": {"type": "integer"}}}),
+    ] {
+        assert_eq!(projection(&schema), None, "{schema}");
+    }
+}

@@ -107,3 +107,18 @@ proptest! {
         }
     }
 }
+
+/// Every column path's first segment is a root field: what a caller that
+/// projects records before shredding them must keep.
+#[test]
+fn root_fields_are_the_heads_of_the_column_paths() {
+    let docs = [
+        jsonx_data::json!({"id": 1, "geo": {"lat": 0.5}}),
+        jsonx_data::json!({"id": 2, "geo": {"lat": 1.5}}),
+    ];
+    let shredder = Shredder::from_type(&infer_collection(&docs, Equivalence::Kind));
+    let mut roots = shredder.root_fields().expect("a record layout").to_vec();
+    roots.sort();
+    assert_eq!(roots, ["geo", "id"]);
+    assert_eq!(Shredder::discovering().root_fields(), None);
+}

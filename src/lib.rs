@@ -38,14 +38,16 @@
 //! [`infer`](Run::infer), [`validate`](Run::validate),
 //! [`infer_validate`](Run::infer_validate), [`translate`](Run::translate),
 //! [`translate_inferred`](Run::translate_inferred) — execute it over a
-//! [`Source`] through one path (see [`run`]). The last is a loop over that
-//! path, not a pass: the first chunk teaches the columnar layout, every
-//! chunk is shredded under it by walkers that verify each record against
-//! it, and a chunk whose records widen it is shredded again — the corpus
-//! is read once when the first chunk describes it.
+//! [`Source`] through one path (see [`run`]). Every stage reads a record
+//! one way: from its events, verified per record, with a document built
+//! only for a record the walk hands back or a schema outside the
+//! streamable fragment (see [`streaming`]). The last method is a loop
+//! over that path, not a pass: the first chunk teaches the columnar
+//! layout, every chunk is shredded under it by walkers that verify each
+//! record against it, and a chunk whose records widen it is shredded
+//! again — the corpus is read once when the first chunk describes it.
 
 pub mod checkpoint;
-pub(crate) mod fastpath;
 pub mod quarantine;
 pub mod run;
 pub mod streaming;

@@ -1,8 +1,7 @@
 //! The record quarantine sink: rejected raw lines plus structured
 //! diagnostics, written as sidecar NDJSON.
 //!
-//! Under [`ErrorPolicy::Skip`](jsonx_pipeline::ErrorPolicy::Skip) /
-//! [`Collect`](jsonx_pipeline::ErrorPolicy::Collect) with
+//! Under [`ErrorPolicy::Skip`](jsonx_pipeline::ErrorPolicy::Skip) with
 //! [`FaultOptions::keep_rejects`](crate::FaultOptions) set, the
 //! [`RunReport`] retains one [`RecordDiagnostic`] — including the raw
 //! line — per rejected record. This module serialises them, one JSON

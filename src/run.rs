@@ -31,10 +31,9 @@
 use crate::checkpoint::{
     infer_codec, translate_codec, validate_codec, JournalControl, Phase, Prefix, Session, Stage,
 };
-use crate::fastpath::{FastPlan, LineDecoder};
 use crate::streaming::{
-    FaultFold, FaultOptions, Halt, InferStage, InferValidateStage, LineVerdict, RecordStage,
-    Shredded, StreamError, TranslateStage, TypedVerdicts, ValidateStage,
+    FaultFold, FaultOptions, Halt, InferStage, InferValidateStage, LineDecoder, LineVerdict,
+    RecordStage, Shredded, StreamError, TranslateStage, TypedVerdicts, ValidateStage,
 };
 use jsonx_core::{fuse, Equivalence, JType};
 use jsonx_pipeline::{
@@ -43,7 +42,7 @@ use jsonx_pipeline::{
     RunReport, SliceChunks,
 };
 use jsonx_schema::{CompiledSchema, ValidatorOptions};
-use jsonx_syntax::{CsvDecoder, JsonDecoder, ParseLimits};
+use jsonx_syntax::{CsvDecoder, JsonDecoder};
 use jsonx_translate::{lifts, ColumnarBatch, Shredder};
 use std::fs::File;
 use std::io::{BufRead, BufReader, Seek, SeekFrom};
@@ -116,15 +115,13 @@ pub struct Run<'a> {
     /// Error policy, reject retention and per-record limits.
     pub fault: FaultOptions,
     /// Speculate per record and verify, instead of decoding every record
-    /// to a document: the SWAR structural scanner with projection
-    /// pushdown (NDJSON only: validation under a schema that lets it skip
-    /// fields, translation under a caller-supplied layout), and
-    /// validation from a record's events where there is nothing to skip.
-    /// Likewise [`translate_inferred`](Self::translate_inferred)'s
-    /// layout, taught by the first chunk and verified per record. Every
-    /// record a fast route cannot vouch for falls back, so results never
-    /// depend on it; `false` is the reference route, on which nothing
-    /// speculates.
+    /// to a document: [`validate`](Self::validate) walks the schema over
+    /// a record's events, and
+    /// [`translate_inferred`](Self::translate_inferred) shreds under a
+    /// layout taught by the first chunk and verified per record. Every
+    /// record the walk cannot vouch for is replayed through the parser,
+    /// so results never depend on it; `false` is the reference route, on
+    /// which nothing speculates.
     pub fast_parse: bool,
     /// The record decoder.
     pub format: Format,
@@ -305,10 +302,7 @@ impl Run<'_> {
             )
         })?;
         let journal = session.as_mut().map(|s| s.phase(1, validate_codec()));
-        let stage = self.validate_stage(schema, options, |limits| {
-            FastPlan::for_validation(schema, limits)
-        });
-        self.execute(source, &stage, journal)
+        self.execute(source, &self.validate_stage(schema, options), journal)
     }
 
     /// Infers **and** validates in one pass: one decode per accepted
@@ -323,47 +317,29 @@ impl Run<'_> {
         self.refuse_journal("the combined infer+validate pass (journal one pass at a time)")?;
         let stage = InferValidateStage {
             equiv,
-            // The type fold reads every field: nothing to project away.
-            validate: self.validate_stage(schema, options, |_| None),
+            validate: self.validate_stage(schema, options),
         };
         self.execute(source, &stage, None)
     }
 
-    /// The name of the fast route [`validate`](Self::validate) takes for
-    /// `schema` under this plan — what `--report-timing` calls the records
-    /// [`RunReport::routes`] counts as `fast`.
-    pub fn validation_route(&self, schema: &CompiledSchema) -> &'static str {
-        let plan = |limits: &ParseLimits| FastPlan::for_validation(schema, limits);
-        if self.decoder(plan).has_plan() {
-            "projected"
-        } else {
-            "validated from events"
-        }
-    }
-
-    /// A validating stage over `schema`: the decoder with whatever `plan`
-    /// the caller can offer the scanner, and whether records are validated
-    /// from their events. Not under a plan — the scanner skips what a walk
-    /// would read; not with [`fast_parse`](Self::fast_parse) off — that is
-    /// the trusted route, nothing speculates on it; and not for a schema
-    /// outside the streamable fragment.
+    /// A validating stage over `schema`, and whether records are
+    /// validated from their events: not with
+    /// [`fast_parse`](Self::fast_parse) off — that is the trusted route,
+    /// nothing speculates on it — and not for a schema outside the
+    /// streamable fragment.
     fn validate_stage<'s>(
         &self,
         schema: &'s CompiledSchema,
         options: ValidatorOptions,
-        plan: impl FnOnce(&ParseLimits) -> Option<FastPlan>,
     ) -> ValidateStage<'s> {
-        let decoder = self.decoder(plan);
-        let events = if !self.fast_parse || decoder.has_plan() {
-            Err("no-plan")
-        } else {
-            schema.streamable()
-        };
         ValidateStage {
             schema,
             options,
-            decoder,
-            events,
+            decoder: self.decoder(),
+            events: match self.fast_parse {
+                true => schema.streamable(),
+                false => Err("no-plan"),
+            },
         }
     }
 
@@ -373,9 +349,11 @@ impl Run<'_> {
     /// [`Shredder::shred`](jsonx_translate::Shredder::shred) at every
     /// worker count.
     ///
-    /// The layout may be narrower than the records, so with
-    /// [`fast_parse`](Self::fast_parse) the structural scanner projects
-    /// each record to the layout's root fields before it is shredded.
+    /// The layout may be narrower than the records: each record is
+    /// shredded straight from its events, and the walker skips the root
+    /// keys the layout has no column under. A record the walk cannot
+    /// vouch for — a repeated key, or a literal dotted key that collides
+    /// with the nested path it spells — is replayed through its document.
     pub fn translate<R: BufRead + Send>(
         &self,
         source: Source<'_, R>,
@@ -384,7 +362,7 @@ impl Run<'_> {
         self.refuse_journal("translation under a caller-supplied layout (use translate_inferred)")?;
         let stage = TranslateStage {
             shredder,
-            decoder: self.decoder(|limits| FastPlan::for_translation(shredder, limits)),
+            decoder: self.decoder(),
             teach: None,
         };
         let (chunks, report) = self.execute(source, &stage, None)?;
@@ -503,13 +481,9 @@ impl Run<'_> {
         // widened layout needs shredded again.
         for phase in 2.. {
             let widened = phase > 2;
-            // The layout was inferred from this very corpus: no accepted
-            // record has a root field outside it, so a projecting scan
-            // could skip nothing. No plan; records shred straight from
-            // events.
             let stage = TranslateStage {
                 shredder: &shredder,
-                decoder: self.decoder(|_| None),
+                decoder: self.decoder(),
                 teach: (speculate && !widened).then_some(equiv),
             };
             // A pass is journaled once the type it lays rows out under is.
@@ -598,21 +572,16 @@ impl Run<'_> {
     fn infer_stage(&self, equiv: Equivalence) -> InferStage {
         InferStage {
             equiv,
-            decoder: self.decoder(|_| None),
+            decoder: self.decoder(),
             records_only: false,
         }
     }
 
-    /// The run's one decoder value: the format, the limits, and — for
-    /// NDJSON with [`fast_parse`](Self::fast_parse) on — whatever
-    /// projection `plan` the stage can offer the structural scanner.
-    fn decoder(&self, plan: impl FnOnce(&ParseLimits) -> Option<FastPlan>) -> LineDecoder {
+    /// The run's one decoder value: the format under the run's limits.
+    fn decoder(&self) -> LineDecoder {
         let limits = self.fault.limits;
         match &self.format {
-            Format::Ndjson => LineDecoder::Json {
-                full: JsonDecoder::new().with_limits(limits),
-                plan: self.fast_parse.then(|| plan(&limits)).flatten(),
-            },
+            Format::Ndjson => LineDecoder::Json(JsonDecoder::new().with_limits(limits)),
             Format::Csv(decoder) => LineDecoder::Csv(decoder.clone().with_limits(limits)),
         }
     }

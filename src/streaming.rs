@@ -7,11 +7,13 @@
 //! bookkeeping) and the one executor in [`crate::run`] drives it on the
 //! chunked engine of [`jsonx_pipeline`]. The stages are
 //! **source-agnostic**: each holds the run's one decoder value (the
-//! crate-private `LineDecoder`: NDJSON with or without the SWAR fast
-//! path, or CSV) and reaches it through the [`RecordDecoder`] seam the
-//! public pieces here ([`TypeFold`], [`StreamTyper`]) are generic over,
-//! so the engine's work stealing, fault tolerance and out-of-core layers
-//! never assume JSON. A stage answers each accepted record with the
+//! crate-private `LineDecoder`: NDJSON or CSV) and reaches it through the
+//! [`RecordDecoder`] seam the public pieces here ([`TypeFold`],
+//! [`StreamTyper`]) are generic over, so the engine's work stealing,
+//! fault tolerance and out-of-core layers never assume JSON. Every stage
+//! reads a record the same way: it speculates from the record's events,
+//! verifies per record, and replays through a document only what the
+//! walk cannot vouch for. A stage answers each accepted record with the
 //! [`Route`] it took, which the fault layer tallies. The stages differ
 //! only in their per-worker state and merge:
 //!
@@ -21,14 +23,12 @@
 //!   `Bottom` unit), so every worker count reproduces the sequential —
 //!   and DOM — result bit for bit.
 //! * validation — the compiled validation IR per worker, per-line verdict
-//!   vectors concatenated in chunk order. Under a schema that lets the
-//!   SWAR scanner skip fields the IR reads the projected document
-//!   ([`FastValidator`](jsonx_schema::FastValidator)); otherwise it is
-//!   walked **from the record's events**
-//!   ([`EventValidator`](jsonx_schema::EventValidator)), no document
-//!   built, verified per record — a repeated key, which only the
-//!   document's last-wins rule can judge, replays the record through the
-//!   parser.
+//!   vectors concatenated in chunk order. The IR is walked **from the
+//!   record's events** ([`EventValidator`]), no document built, verified
+//!   per record — a repeated key, which only the document's last-wins
+//!   rule can judge, replays the record through the parser to a document
+//!   ([`FastValidator`]), as does every record under a schema outside the
+//!   streamable fragment.
 //! * combined infer+validate — the single pass: **one tokenisation** per
 //!   line feeds both the type fold and the validator, each from the
 //!   events ([`TypeFold::record_beside`]); a [`Value`] is built only for
@@ -67,23 +67,63 @@
 //!   `Arc` refcount bump instead of a fresh `String`;
 //! - the container frame stack is reused across documents.
 
-use crate::fastpath::LineDecoder;
 use jsonx_core::{fuse, infer_value, Equivalence, JType, ScalarKind, TypeAccumulator};
 use jsonx_core::{ArrayType, FieldName, FieldType, RecordType};
 use jsonx_data::Value;
 use jsonx_pipeline::{
     ErrorPolicy, ErrorSummary, RecordDiagnostic, Route, RouteCounts, ShardFold, ShardPanic,
+    DIAGNOSTIC_SAMPLES,
 };
 use jsonx_schema::{CompiledSchema, EventValidator, FastValidator, ValidatorOptions};
 use jsonx_syntax::{
-    EventReceiver, NullReceiver, ParseError, ParseErrorKind, ParseLimits, RawEvent, RecordDecoder,
-    RecordLimit, Tee, ValueBuilder,
+    CsvDecoder, EventReceiver, JsonDecoder, NullReceiver, ParseError, ParseErrorKind, ParseLimits,
+    RawEvent, RecordDecoder, RecordLimit, Tee, ValueBuilder,
 };
 use jsonx_translate::{ColumnarBatch, ShredError, ShredStream, Shredder};
 use std::collections::HashSet;
 
-/// The per-worker state of the run's [`LineDecoder`].
-type Scratch = <LineDecoder as RecordDecoder>::Scratch;
+/// How one run's record text becomes events: what
+/// [`Format`](crate::Format) and the limits resolve to, once per run. The
+/// stages hold this value instead of a type parameter, so each is
+/// compiled once; the `match` runs once per record and every arm is a
+/// static call.
+pub(crate) enum LineDecoder {
+    /// One JSON document per line.
+    Json(JsonDecoder),
+    /// One CSV row per line.
+    Csv(CsvDecoder),
+}
+
+impl LineDecoder {
+    /// Whether `record`, if it decodes at all, decodes to an object: a
+    /// CSV row always does, a JSON document when `{` is its first
+    /// significant byte.
+    pub(crate) fn roots_an_object(&self, record: &str) -> bool {
+        match self {
+            LineDecoder::Json(_) => record.bytes().find(|b| !b.is_ascii_whitespace()) == Some(b'{'),
+            LineDecoder::Csv(_) => true,
+        }
+    }
+}
+
+impl RecordDecoder for LineDecoder {
+    type Scratch = ();
+
+    fn scratch(&self) {}
+
+    #[inline]
+    fn decode_events<R: EventReceiver + ?Sized>(
+        &self,
+        _scratch: &mut (),
+        record: &str,
+        recv: &mut R,
+    ) -> Result<(), ParseError> {
+        match self {
+            LineDecoder::Json(json) => json.decode_events(&mut (), record, recv),
+            LineDecoder::Csv(csv) => csv.decode_events(&mut (), record, recv),
+        }
+    }
+}
 
 /// A reusable event-stream typing engine.
 ///
@@ -205,7 +245,7 @@ impl StreamTyper {
 
     /// Types one record from the events an arbitrary [`RecordDecoder`]
     /// produces, without building a DOM: JSON text through
-    /// [`JsonDecoder`](jsonx_syntax::JsonDecoder), or any other source
+    /// [`JsonDecoder`], or any other source
     /// through the same fusion.
     pub fn type_decoded<D: RecordDecoder>(
         &mut self,
@@ -407,7 +447,7 @@ impl FaultOptions {
         if self.keep_rejects {
             usize::MAX
         } else {
-            self.policy.sample_cap()
+            DIAGNOSTIC_SAMPLES
         }
     }
 }
@@ -815,17 +855,12 @@ pub(crate) const NOT_TAUGHT: &str = "not-a-record";
 /// ([`RecordIssue::NotARecord`], when it has the layout and the policy to
 /// apply), so it teaches nothing, and is decoded here only for the
 /// decoder's own verdict, which comes first.
-fn teach(
-    fold: &mut TypeFold,
-    decoder: &LineDecoder,
-    scratch: &mut Scratch,
-    line: &str,
-) -> Result<Route, RecordIssue> {
+fn teach(fold: &mut TypeFold, decoder: &LineDecoder, line: &str) -> Result<Route, RecordIssue> {
     if decoder.roots_an_object(line) {
-        fold.record(decoder, scratch, line)
+        fold.record(decoder, &mut (), line)
     } else {
         decoder
-            .decode_events(scratch, line, &mut NullReceiver)
+            .decode_events(&mut (), line, &mut NullReceiver)
             .map(|()| Route::Replayed(NOT_TAUGHT))
     }
     .map_err(RecordIssue::Parse)
@@ -841,24 +876,24 @@ pub(crate) struct InferStage {
 }
 
 impl RecordStage for InferStage {
-    type State = (TypeFold, Scratch);
+    type State = TypeFold;
     type Out = JType;
 
-    fn init(&self) -> Self::State {
-        (TypeFold::new(self.equiv), self.decoder.scratch())
+    fn init(&self) -> TypeFold {
+        TypeFold::new(self.equiv)
     }
 
     #[inline]
     fn record(
         &self,
-        (fold, scratch): &mut Self::State,
+        fold: &mut TypeFold,
         line: &str,
         _record: usize,
     ) -> Result<Route, RecordIssue> {
         if self.records_only {
-            return teach(fold, &self.decoder, scratch, line);
+            return teach(fold, &self.decoder, line);
         }
-        fold.record(&self.decoder, scratch, line)
+        fold.record(&self.decoder, &mut (), line)
             .map_err(RecordIssue::Parse)
     }
 
@@ -866,7 +901,7 @@ impl RecordStage for InferStage {
         fuse(left, right, self.equiv)
     }
 
-    fn take(&self, (fold, _): &mut Self::State) -> JType {
+    fn take(&self, fold: &mut TypeFold) -> JType {
         fold.take()
     }
 }
@@ -912,36 +947,28 @@ impl LineVerdict {
 /// Malformed records are rejected to the fault layer, so the verdict
 /// vector covers exactly the records that decoded.
 ///
-/// A record reaches the IR one of three ways, fixed per run (`events`
-/// and the decoder's plan): under a projection plan the SWAR scanner
-/// hands [`FastValidator`] the few fields the verdict reads; otherwise
-/// an [`EventValidator`] checks the record's events as they are decoded,
-/// no document built — verified per record, one it cannot vouch for (a
+/// A record reaches the IR one of two ways, fixed per run (`events`): an
+/// [`EventValidator`] checks the record's events as they are decoded, no
+/// document built — verified per record, one it cannot vouch for (a
 /// duplicate key) is decoded again, to a document; and a run that may not
 /// speculate, or a schema outside the streamable fragment, decodes every
-/// record to a document.
+/// record to a document for [`FastValidator`].
 pub(crate) struct ValidateStage<'s> {
     pub(crate) schema: &'s CompiledSchema,
     pub(crate) options: ValidatorOptions,
-    /// How record text becomes events or a document. Under a projection
-    /// plan the decoder tries the SWAR scanner first and falls back to
-    /// the full parser — verdicts are identical either way (the scanner
-    /// never accepts a record the parser rejects) — and the record's
-    /// route says which it was.
+    /// How record text becomes events or a document.
     pub(crate) decoder: LineDecoder,
-    /// `Ok`: validate from events. `Err`: why every record the scanner
-    /// does not serve is decoded to a document — `no-plan` for a run with
-    /// the fast path off (or a plan, where the label goes unused), else
-    /// the keyword that keeps the schema out of the streamable fragment.
+    /// `Ok`: validate from events. `Err`: why every record is decoded to
+    /// a document — `no-plan` for a run with the fast path off, else the
+    /// keyword that keeps the schema out of the streamable fragment.
     pub(crate) events: Result<(), &'static str>,
 }
 
-/// What validation keeps per worker: the validator of documents, the
-/// validator of events when the stage walks them, the decoder's scratch.
+/// What validation keeps per worker: the validator of documents, and the
+/// validator of events — or why the stage does not walk them.
 pub(crate) struct Validators<'s> {
     documents: FastValidator<'s>,
-    events: Option<EventValidator<'s>>,
-    scratch: Scratch,
+    events: Result<EventValidator<'s>, &'static str>,
 }
 
 impl<'s> ValidateStage<'s> {
@@ -950,29 +977,23 @@ impl<'s> ValidateStage<'s> {
             documents: self.schema.fast_validator_with(self.options),
             events: self
                 .events
-                .and_then(|()| self.schema.event_validator_with(self.options))
-                .ok(),
-            scratch: self.decoder.scratch(),
+                .and_then(|()| self.schema.event_validator_with(self.options)),
         }
     }
 
-    /// The verdict on the record's document, and how it was decoded.
+    /// The verdict on the record's document, decoded for `why`.
     #[inline]
     fn document(
         &self,
-        state: &mut Validators<'s>,
+        documents: &mut FastValidator<'s>,
         line: &str,
+        why: &'static str,
     ) -> Result<(bool, Route), RecordIssue> {
-        let (doc, route) = self
+        let doc = self
             .decoder
-            .decode_routed(&mut state.scratch, line)
+            .decode_value(&mut (), line)
             .map_err(RecordIssue::Parse)?;
-        let route = match (route, self.events) {
-            // No plan to try: the reason is why events were not walked.
-            (Route::Replayed("no-plan"), Err(why)) => Route::Replayed(why),
-            (route, _) => route,
-        };
-        Ok((state.documents.is_valid(&doc), route))
+        Ok((documents.is_valid(&doc), Route::Replayed(why)))
     }
 
     /// The verdict on one record. From its events when the stage walks
@@ -985,32 +1006,30 @@ impl<'s> ValidateStage<'s> {
         state: &mut Validators<'s>,
         line: &str,
     ) -> Result<(bool, Route), RecordIssue> {
-        let Some(walk) = &mut state.events else {
-            return self.document(state, line);
+        let walk = match &mut state.events {
+            Ok(walk) => walk,
+            Err(why) => return self.document(&mut state.documents, line, why),
         };
         let decoded = self
             .decoder
-            .decode_events(&mut state.scratch, line, &mut Walking(walk));
+            .decode_events(&mut (), line, &mut Walking(walk));
         if let Err(e) = decoded {
             walk.reset();
             return Err(RecordIssue::Parse(e));
         }
         match walk.finish() {
             Some(valid) => Ok((valid, Route::Fast)),
-            None => self.replay(state, line),
+            None => self.replay(&mut state.documents, line),
         }
     }
 
     #[cold]
-    fn replay(&self, state: &mut Validators<'s>, line: &str) -> Result<(bool, Route), RecordIssue> {
-        let doc = self
-            .decoder
-            .decode_value(&mut state.scratch, line)
-            .map_err(RecordIssue::Parse)?;
-        Ok((
-            state.documents.is_valid(&doc),
-            Route::Replayed("duplicate-key"),
-        ))
+    fn replay(
+        &self,
+        documents: &mut FastValidator<'s>,
+        line: &str,
+    ) -> Result<(bool, Route), RecordIssue> {
+        self.document(documents, line, "duplicate-key")
     }
 }
 
@@ -1040,8 +1059,8 @@ impl<'s> RecordStage for ValidateStage<'s> {
     }
 
     fn take(&self, (_, verdicts): &mut Self::State) -> Self::Out {
-        // Validators and decoder scratch survive across chunks; verdicts
-        // are the chunk's output.
+        // Validators survive across chunks; verdicts are the chunk's
+        // output.
         std::mem::take(verdicts)
     }
 }
@@ -1082,7 +1101,7 @@ impl<'s> InferValidateStage<'s> {
         let doc = self
             .validate
             .decoder
-            .decode_value(&mut validators.scratch, line)
+            .decode_value(&mut (), line)
             .map_err(RecordIssue::Parse)?;
         let route = match typed {
             None => fold.replay(&doc),
@@ -1115,9 +1134,8 @@ impl<'s> RecordStage for InferValidateStage<'s> {
     ) -> Result<Route, RecordIssue> {
         let decoder = &self.validate.decoder;
         let (valid, route) = match &mut validators.events {
-            Some(walk) => {
-                let scratch = &mut validators.scratch;
-                let typed = fold.record_beside(decoder, scratch, line, &mut Walking(walk));
+            Ok(walk) => {
+                let typed = fold.record_beside(decoder, &mut (), line, &mut Walking(walk));
                 let typed = typed.map_err(|e| {
                     walk.reset();
                     RecordIssue::Parse(e)
@@ -1127,9 +1145,9 @@ impl<'s> RecordStage for InferValidateStage<'s> {
                     (typed, valid) => self.replay(fold, validators, line, typed, valid)?,
                 }
             }
-            None => {
+            Err(_) => {
                 let (doc, route) = fold
-                    .record_and_build(decoder, &mut validators.scratch, line)
+                    .record_and_build(decoder, &mut (), line)
                     .map_err(RecordIssue::Parse)?;
                 (validators.documents.is_valid(&doc), route)
             }
@@ -1175,15 +1193,11 @@ pub type TypedVerdicts = (JType, Vec<(usize, LineVerdict)>);
 /// stands — and the chunk yields what it taught, not rows.
 pub(crate) struct TranslateStage<'t> {
     pub(crate) shredder: &'t Shredder,
-    /// How record text becomes events or a document. When the decoder
-    /// has a plan — the shred plan's root fields: SWAR scan, dotted
-    /// skipped keys rejected so column paths can't alias, full-parser
-    /// fallback — every record is decoded to that, usually much smaller,
-    /// document and shredded from it; otherwise records are shredded
-    /// straight from their events. Batches are row-identical either way.
+    /// How record text becomes events: records are shredded straight
+    /// from them, and the walker skips the root keys the layout lacks.
     pub(crate) decoder: LineDecoder,
     /// `Some`: shred only what fits the layout's type, and type — under
-    /// this equivalence — what does not. Never with a plan.
+    /// this equivalence — what does not.
     pub(crate) teach: Option<Equivalence>,
 }
 
@@ -1203,7 +1217,6 @@ pub(crate) enum Shredded {
 /// What translation keeps per worker.
 pub(crate) struct Shredding<'t> {
     stream: ShredStream<'t>,
-    scratch: Scratch,
     /// Types the tail of a voided chunk ([`TranslateStage::teach`]).
     fold: Option<TypeFold>,
     /// Where the chunk being fed was voided, and the records it has
@@ -1218,7 +1231,6 @@ impl<'t> RecordStage for TranslateStage<'t> {
     fn init(&self) -> Self::State {
         Shredding {
             stream: self.shredder.stream(),
-            scratch: self.decoder.scratch(),
             fold: self.teach.map(TypeFold::new),
             voided: None,
         }
@@ -1233,38 +1245,27 @@ impl<'t> RecordStage for TranslateStage<'t> {
     ) -> Result<Route, RecordIssue> {
         let Shredding {
             stream,
-            scratch,
             fold,
             voided,
         } = state;
         if let Some(fold) = fold {
             if voided.is_none() {
-                match stream.push_fitting(&self.decoder, scratch, line) {
+                match stream.push_fitting(&self.decoder, &mut (), line) {
                     Ok(true) => return Ok(Route::Fast),
                     Ok(false) => {}
                     Err(e) => return Err(RecordIssue::Parse(e)),
                 }
             }
             let (_, taught) = voided.get_or_insert((record, 0));
-            let route = teach(fold, &self.decoder, scratch, line)?;
+            let route = teach(fold, &self.decoder, line)?;
             *taught += usize::from(route != Route::Replayed(NOT_TAUGHT));
             return Ok(route);
         }
-        let pushed = if self.decoder.has_plan() {
-            let (doc, route) = self
-                .decoder
-                .decode_routed(scratch, line)
-                .map_err(RecordIssue::Parse)?;
-            stream.push(&doc).map(|()| route)
-        } else {
-            stream
-                .push_record(&self.decoder, scratch, line)
-                .map(|replayed| replayed.map_or(Route::Fast, |why| Route::Replayed(why.label())))
-        };
-        pushed.map_err(|e| match e {
-            ShredError::NotARecord { .. } => RecordIssue::NotARecord,
-            ShredError::Parse(e) => RecordIssue::Parse(e),
-        })
+        match stream.push_record(&self.decoder, &mut (), line) {
+            Ok(replayed) => Ok(replayed.map_or(Route::Fast, |why| Route::Replayed(why.label()))),
+            Err(ShredError::NotARecord { .. }) => Err(RecordIssue::NotARecord),
+            Err(ShredError::Parse(e)) => Err(RecordIssue::Parse(e)),
+        }
     }
 
     fn merge(&self, mut chunks: Self::Out, right: Self::Out) -> Self::Out {
@@ -1273,8 +1274,8 @@ impl<'t> RecordStage for TranslateStage<'t> {
     }
 
     fn take(&self, state: &mut Self::State) -> Self::Out {
-        // Column builders reset inside `take_batch`; the decoder's
-        // scratch and the fold's learnt structure survive across chunks.
+        // Column builders reset inside `take_batch`; the fold's learnt
+        // structure survives across chunks.
         let rows = state.stream.take_batch();
         vec![match (state.voided.take(), &mut state.fold) {
             (Some((misfit, records)), Some(fold)) => Shredded::Taught {
@@ -1508,7 +1509,10 @@ mod tests {
             .infer_validate(Source::slice(ndjson), Equivalence::Kind, &schema, vopts)
             .unwrap_err();
         assert!(matches!(err, StreamError::Record { record: 1, .. }));
-        let ((_, verdicts), report) = tolerant(1, 0, ErrorPolicy::Collect { max_errors: 10 })
+        let bounded = ErrorPolicy::Skip {
+            max_errors: Some(10),
+        };
+        let ((_, verdicts), report) = tolerant(1, 0, bounded)
             .infer_validate(Source::slice(ndjson), Equivalence::Kind, &schema, vopts)
             .unwrap();
         assert_eq!(
@@ -1609,27 +1613,35 @@ mod tests {
         }
     }
 
+    /// The policy that collects every diagnostic is a bounded skip that
+    /// keeps its rejects: past the default sample cap, raw lines included.
     #[test]
     fn collect_policy_retains_all_diagnostics_up_to_bound() {
         let mut lines: Vec<String> = corpus_ndjson(40).lines().map(str::to_string).collect();
-        for i in [3, 9, 21] {
+        let bad: Vec<usize> = (1..40).step_by(3).collect();
+        assert!(bad.len() > DIAGNOSTIC_SAMPLES);
+        for &i in &bad {
             lines[i] = "nope!".into();
         }
         let ndjson = lines.join("\n") + "\n";
-        let run = Run {
-            fault: FaultOptions {
-                policy: ErrorPolicy::Collect { max_errors: 100 },
-                ..FaultOptions::default()
+        let run = tolerant(
+            1,
+            0,
+            ErrorPolicy::Skip {
+                max_errors: Some(100),
             },
-            ..plan(1, 0)
-        };
+        );
         let (_, report) = run
             .infer(Source::slice(&ndjson), Equivalence::Kind)
             .unwrap();
-        assert_eq!(report.errors.rejects.len(), 3);
+        let rejected: Vec<usize> = report.errors.rejects.iter().map(|d| d.record).collect();
+        assert_eq!(rejected, bad);
         assert_eq!(report.errors.dropped, 0);
-        // Without keep_rejects the raw lines are not retained.
-        assert!(report.errors.rejects.iter().all(|d| d.raw.is_none()));
+        assert!(report
+            .errors
+            .rejects
+            .iter()
+            .all(|d| d.raw.as_deref() == Some("nope!")));
     }
 
     fn skip_with_limits(limits: ParseLimits) -> Run<'static> {

@@ -77,9 +77,12 @@ fn plan(workers: usize, chunk_bytes: usize, fault: FaultOptions) -> Run<'static>
     }
 }
 
+/// Skips rejects, up to a bound, and collects every one's diagnostic.
 fn collect_fault() -> FaultOptions {
     FaultOptions {
-        policy: ErrorPolicy::Collect { max_errors: 1000 },
+        policy: ErrorPolicy::Skip {
+            max_errors: Some(1000),
+        },
         keep_rejects: true,
         ..FaultOptions::default()
     }

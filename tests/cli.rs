@@ -250,11 +250,12 @@ fn report_timing_accounts_for_how_records_were_typed() {
         "{err}"
     );
 
-    // Validate's account: an envelope schema projects; the schema
-    // `infer --schema` writes closes its records, so nothing can be
-    // skipped — it is validated from events instead; a schema outside the
-    // streamable fragment sends every record to the parser under the
-    // keyword's name; and with the fast path off nothing speculates.
+    // Validate's account: an open envelope and the closed schema `infer
+    // --schema` writes are both validated from events; a schema outside
+    // the streamable fragment, closed or open, sends every record to the
+    // parser under the keyword's name; and with the fast path off nothing
+    // speculates.
+    // Every route prints what the reference route prints.
     let envelope = schema_file("routes-envelope", r#"{"required": ["id"]}"#);
     let (inferred, _, _) = run(&["infer", "--schema", "-"], SAMPLE);
     let inferred = schema_file("routes-inferred", &inferred);
@@ -263,20 +264,19 @@ fn report_timing_accounts_for_how_records_were_typed() {
         r#"{"properties": {"id": {}, "name": {}, "geo": {}, "tags": {"uniqueItems": true}},
             "additionalProperties": false}"#,
     );
+    let open_unique = schema_file(
+        "routes-open-unique",
+        r#"{"properties": {"tags": {"uniqueItems": true}}}"#,
+    );
+    let events = "» 3 records validated from events, 0 replayed through the parser\n";
+    let replayed =
+        "» 0 records validated from events, 3 replayed through the parser (3 uniqueItems)\n";
     let none = "» 0 records validated from events, 3 replayed through the parser (3 no-plan)\n";
     for (args, account) in [
-        (
-            format!("validate --schema {envelope}"),
-            "» 3 records projected, 0 replayed through the parser\n",
-        ),
-        (
-            format!("validate --schema {inferred}"),
-            "» 3 records validated from events, 0 replayed through the parser\n",
-        ),
-        (
-            format!("validate --schema {unique}"),
-            "» 0 records validated from events, 3 replayed through the parser (3 uniqueItems)\n",
-        ),
+        (format!("validate --schema {envelope}"), events),
+        (format!("validate --schema {inferred}"), events),
+        (format!("validate --schema {unique}"), replayed),
+        (format!("validate --schema {open_unique}"), replayed),
         (
             format!("validate --schema {envelope} --no-fast-parse"),
             none,
@@ -287,8 +287,13 @@ fn report_timing_accounts_for_how_records_were_typed() {
         ),
     ] {
         let args: Vec<&str> = args.split(' ').collect();
-        let (plain_out, plain_err, _) = run(&[&args[..], &["-"]].concat(), SAMPLE);
+        let (plain_out, plain_err, plain_ok) = run(&[&args[..], &["-"]].concat(), SAMPLE);
         assert!(!plain_err.contains("replayed"), "{plain_err}");
+        let reference = [&args[..3], &["--no-fast-parse", "-"]].concat();
+        assert_eq!(
+            run(&reference, SAMPLE),
+            (plain_out.clone(), plain_err, plain_ok)
+        );
         let (out, err, ok) = run(&[&args[..], &["--report-timing", "-"]].concat(), SAMPLE);
         assert!(
             ok && out == plain_out && err.contains(account),
@@ -320,8 +325,7 @@ fn report_timing_accounts_for_how_records_were_typed() {
 }
 
 /// Validating from events is a route, not a mode: under closed schemas
-/// (what `infer --schema` writes — nothing for the scanner to skip)
-/// `validate` prints the same bytes, exits the same and quarantines the
+/// (what `infer --schema` writes) `validate` prints the same bytes, exits the same and quarantines the
 /// same sidecar as `--no-fast-parse`, which decodes every record to a
 /// document — on the dirty fixture under its own schema (all valid), and
 /// under the sample's (mostly not), with keys repeated in the text.

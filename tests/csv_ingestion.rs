@@ -109,8 +109,8 @@ fn csv_validation_is_worker_transparent() {
     }
 }
 
-/// CSV rows have no scanner route, so with the fast path on they are
-/// validated from their events — under the closed schema inferred from
+/// With the fast path on CSV rows are validated from their events —
+/// under the closed schema inferred from
 /// the corpus, and under the same schema with one column's type changed
 /// (rows with long names invalid). A header that names a column twice
 /// repeats a key in every row that reaches it: each is handed back and judged as the
@@ -266,10 +266,13 @@ fn csv_error_policies_and_quarantine_diagnostics() {
     let failed =
         plan(&decoder, 2, FaultOptions::default()).infer(Source::slice(rest), Equivalence::Kind);
     assert!(failed.is_err(), "extra cells must reject under fail-fast");
-    // Collect: the run survives, counts the three bad rows, and retains
-    // quarantine-ready diagnostics with the raw line and a stable kind.
+    // A bounded skip that keeps its rejects: the run survives, counts the
+    // three bad rows, and retains quarantine-ready diagnostics with the
+    // raw line and a stable kind.
     let fault = FaultOptions {
-        policy: ErrorPolicy::Collect { max_errors: 100 },
+        policy: ErrorPolicy::Skip {
+            max_errors: Some(100),
+        },
         keep_rejects: true,
         ..FaultOptions::default()
     };

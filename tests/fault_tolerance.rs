@@ -140,10 +140,10 @@ proptest! {
         }
     }
 
-    /// Under an envelope the scanner projects for, and under the closed
-    /// schema inferred from the clean twin, which is validated from events
-    /// — over text whose good lines repeat keys, so the walk hands records
-    /// back among the rejects. The fast path on and off, every worker
+    /// Under an open envelope and under the closed schema inferred from
+    /// the clean twin, both validated from events — over text whose good
+    /// lines repeat keys, so the walk hands records back among the
+    /// rejects. The fast path on and off, every worker
     /// count and chunk size: same verdicts, and the same quarantine
     /// sidecar byte for byte.
     #[test]
@@ -192,7 +192,7 @@ proptest! {
         let (want, _) = reference()
             .translate(Source::slice(&corpus.clean_text), &shredder)
             .unwrap();
-        // Projecting (fast parse) and straight from events (without).
+        // The fast path on and off.
         for (workers, fast_parse) in WORKERS.into_iter().flat_map(|w| [(w, true), (w, false)]) {
             let run = Run { fast_parse, ..plan(workers, skip_all()) };
             let (batch, report) = run
@@ -233,22 +233,27 @@ proptest! {
         }
     }
 
+    /// The policy that collects every diagnostic: a bounded skip that
+    /// keeps its rejects, each with its raw line.
     #[test]
     fn collect_policy_keeps_every_diagnostic(config in arb_config()) {
         let corpus = dirty_ndjson(&config);
         let fault = FaultOptions {
-            policy: ErrorPolicy::Collect {
-                max_errors: config.docs,
+            policy: ErrorPolicy::Skip {
+                max_errors: Some(config.docs),
             },
-            keep_rejects: false,
-            limits: ParseLimits::default(),
+            ..skip_all()
         };
         let (_, report) = plan(3, fault)
             .infer(Source::slice(&corpus.text), Equivalence::Kind)
             .unwrap();
         assert_rejects_match(&report, &corpus, ParseLimits::default());
-        // Collect without keep_rejects retains diagnostics but not raw lines.
-        prop_assert!(report.errors.rejects.iter().all(|d| d.raw.is_none()));
+        let lines: Vec<&str> = corpus.text.lines().collect();
+        prop_assert!(report
+            .errors
+            .rejects
+            .iter()
+            .all(|d| d.raw.as_deref() == Some(lines[d.record])));
     }
 }
 
@@ -333,7 +338,7 @@ fn one_reject_has_one_diagnostic_whatever_the_route() {
         (capped, "limit-exceeded-string-bytes", 19),
     ];
     let schema = CompiledSchema::compile(&json!({"type": "object", "required": ["id"]})).unwrap();
-    // Nothing to project under this one: it is validated from events.
+    // Open and closed: both are validated from events.
     let closed = CompiledSchema::compile(&json!({
         "properties": {"id": {"type": "integer"}, "name": {"type": "string"}, "tags": {}, "n": {}},
         "additionalProperties": false
@@ -347,11 +352,12 @@ fn one_reject_has_one_diagnostic_whatever_the_route() {
     let policies = [
         ErrorPolicy::FailFast,
         ErrorPolicy::Skip { max_errors: None },
-        ErrorPolicy::Collect { max_errors: 100 },
+        ErrorPolicy::Skip {
+            max_errors: Some(100),
+        },
     ];
     for (line, kind, offset) in table {
-        // A string cap turns the structural fast path off, so only the
-        // line that needs one runs under it.
+        // Only the line that needs a string cap runs under one.
         let limits = match line == capped {
             true => ParseLimits::new().with_max_string_bytes(16),
             false => ParseLimits::default(),

@@ -1,6 +1,7 @@
-//! Differential property tests for the fused SWAR fast path.
+//! Differential property tests for the fast path and the SWAR kernels
+//! beneath it.
 //!
-//! Beneath the two layers sits the grammar they both fall back to:
+//! Beneath the two layers sits the grammar every route decodes with:
 //!
 //! 0. **Fused grammar ≡ token grammar.** `parse_events` dispatches on
 //!    bytes and builds no token unless it has an error to word; the loop
@@ -11,25 +12,25 @@
 //!    at what the kernel does a word, a digit or a bit at a time, each
 //!    with an expectation worked out independently of the lexer.
 //!
-//! Then two layers, matching the two claims the fast path makes:
+//! Then two layers:
 //!
 //! 1. **Structural index ≡ lexer.** The word-parallel bitmaps of
-//!    `jsonx_syntax::structural` must agree with the recursive-descent
-//!    lexer about where every structural character sits — on serialized
-//!    arbitrary documents (escapes, multi-byte UTF-8, strings *containing*
-//!    `{`/`:`/`,`/quotes) exactly, and on corrupted inputs for every token
-//!    the lexer still produces before its first error.
+//!    `jsonx_syntax::structural` — a library the product's stages no
+//!    longer route records through — must agree with the
+//!    recursive-descent lexer about where every structural character
+//!    sits — on serialized arbitrary documents (escapes, multi-byte
+//!    UTF-8, strings *containing* `{`/`:`/`,`/quotes) exactly, and on
+//!    corrupted inputs for every token the lexer still produces before
+//!    its first error.
 //!
 //! 2. **Fast path ≡ slow path.** Validation and translation with
 //!    `fast_parse` on must be result-identical to `fast_parse` off at
 //!    every worker count: verdict vectors, reject diagnostics (with exact
 //!    error offsets), columnar batches, `RunReport`s and `StreamError`s,
 //!    on clean and dirty corpora under every error policy. The fast path
-//!    may *decline* records (verified fallback), never decide them
-//!    differently. For validation the fast path is one of two: the
-//!    projecting scanner under a schema that lets it skip, the walk over
-//!    events under one that does not (closed or inferred schemas) — so
-//!    the schema pool holds both kinds and the corpora hold text-level
+//!    — the walk over a record's events — may *hand records back*
+//!    (verified fallback), never decide them differently. The schema pool
+//!    holds open and closed schemas, and the corpora hold text-level
 //!    duplicate keys, the one thing the walk hands back.
 
 use jsonx::gen::{dirty_ndjson, respelled, DirtyConfig};
@@ -750,10 +751,9 @@ proptest! {
 // Layer 2: fast path vs slow path, clean corpora
 // ---------------------------------------------------------------------------
 
-/// A schema pool straddling both boundaries: some members project (the
-/// scanner route), some are closed — nothing to skip, so they are
-/// validated from events — and some are neither projectable nor
-/// streamable (every record decoded to a document). Behaviour must be
+/// A schema pool straddling the streamable fragment's boundary: open and
+/// closed members the walk validates from events, and members outside
+/// the fragment (every record decoded to a document). Behaviour must be
 /// identical everywhere.
 fn schema_pool() -> Vec<Value> {
     vec![
@@ -765,7 +765,7 @@ fn schema_pool() -> Vec<Value> {
         json!({"properties": {"a": {"minimum": 0}, "geo": {"properties": {"lat": {"type": "number"}}}}}),
         json!(true),
         json!({"type": "object"}),
-        // Non-projectable: the verdict can depend on skipped fields.
+        // The verdict reads every root field.
         json!({"type": "object", "additionalProperties": {"type": "string"}}),
         json!({"allOf": [{"required": ["a"]}]}),
         json!({"type": "object", "minProperties": 2}),
@@ -811,8 +811,9 @@ fn schema_at(idx: usize, docs: &[Value]) -> Value {
 }
 
 /// Record-shaped documents over a small key pool that includes dotted
-/// keys (exercising the translation plan's dotted-skip guard) and the
-/// schema pool's property names.
+/// keys (a skipped one must not alias a nested column, one the layout
+/// has must collide with it as the DOM shred does) and the schema
+/// pool's property names.
 fn arb_record() -> impl Strategy<Value = Value> {
     let key = prop_oneof![
         Just("a".to_string()),
@@ -865,8 +866,8 @@ fn to_respelled_ndjson(docs: &[Value], seed: u64) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Fast and slow validation verdicts are identical for projectable,
-    /// streamable and other schemas alike, at every worker count — and
+    /// Fast and slow validation verdicts are identical for open, closed
+    /// and non-streamable schemas alike, at every worker count — and
     /// they are the interpreter's on the parser's document.
     #[test]
     fn fast_validation_verdicts_equal_slow(
@@ -910,15 +911,9 @@ proptest! {
     }
 }
 
-/// Wide records under a two-field envelope: the case the fast path
-/// exists for. The scanner must *take* every record (declining them all
-/// would make fast ≡ slow hold vacuously), leave most bytes untouched,
-/// and both consumers — the envelope schema, a layout of the same two
-/// fields — must decide exactly as the full parser does.
-#[test]
-fn wide_records_take_the_fast_path_and_skip_most_bytes() {
-    use jsonx::syntax::structural::{FieldSet, ScanOptions, StructuralScanner};
-    let docs: Vec<Value> = (0..60i64)
+/// Wide records: 14 root fields, most of the bytes in long strings.
+fn wide_records() -> Vec<Value> {
+    (0..60i64)
         .map(|i| {
             let mut obj = Object::new();
             obj.insert("id", json!(i));
@@ -934,9 +929,15 @@ fn wide_records_take_the_fast_path_and_skip_most_bytes() {
             );
             Value::Obj(obj)
         })
-        .collect();
-    let ndjson = to_ndjson(&docs);
+        .collect()
+}
 
+/// The structural scanner, as a library: under a two-field envelope it
+/// must *take* every wide record and leave most of its bytes untouched.
+#[test]
+fn wide_records_scan_skips_most_bytes() {
+    use jsonx::syntax::structural::{FieldSet, ScanOptions, StructuralScanner};
+    let ndjson = to_ndjson(&wide_records());
     let envelope = FieldSet::new(["id".to_string(), "name".to_string()]);
     let mut scanner = StructuralScanner::new();
     let (mut total, mut projected) = (0, 0);
@@ -951,13 +952,29 @@ fn wide_records_take_the_fast_path_and_skip_most_bytes() {
         }
     }
     assert!(projected * 2 < total, "{projected} of {total} bytes parsed");
+}
 
+/// Wide records under a two-field envelope, and a layout of the same two
+/// fields: the event walk must take every record (handing them all back
+/// would make fast ≡ slow hold vacuously) and both consumers must decide
+/// exactly as the full parser does.
+#[test]
+fn wide_records_take_the_event_walk() {
+    let docs = wide_records();
+    let ndjson = to_ndjson(&docs);
     let schema = CompiledSchema::compile(&json!({
         "type": "object",
         "properties": {"id": {"type": "integer", "maximum": 49}, "name": {"type": "string"}},
         "required": ["id", "name"]
     }))
     .unwrap();
+    // Open, so the scanner could project it, but `uniqueItems` needs the
+    // array whole: every record is decoded to a document.
+    let open_unique =
+        CompiledSchema::compile(&json!({"properties": {"metrics": {"uniqueItems": true}}}))
+            .unwrap();
+    assert!(open_unique.root_projection().is_some());
+    assert_eq!(open_unique.streamable(), Err("uniqueItems"));
     let narrow: Vec<Value> = docs
         .iter()
         .map(
@@ -980,6 +997,11 @@ fn wide_records_take_the_fast_path_and_skip_most_bytes() {
         let (verdicts, _) = verdicts.unwrap();
         let invalid = verdicts.iter().filter(|(_, v)| !v.is_valid());
         assert_eq!(invalid.count(), 10, "ids 50..60 exceed the maximum");
+        assert_eq!(
+            fast.validate(Source::slice(&ndjson), &open_unique, vopts),
+            slow.validate(Source::slice(&ndjson), &open_unique, vopts),
+            "workers {workers}"
+        );
         let batch = fast.translate(Source::slice(&ndjson), &layout);
         assert_eq!(
             batch,
@@ -990,11 +1012,10 @@ fn wide_records_take_the_fast_path_and_skip_most_bytes() {
     }
 
     // The run's own account of the same thing, kept under `timing`: every
-    // record projected under the envelope; every record validated from
-    // its events when the schema closes the record (every field matters,
-    // so there is no plan, but the schema is streamable); every record
-    // decoded to a document under the keyword that keeps a schema out of
-    // the streamable fragment, and under `no-plan` with the fast path off.
+    // record validated from its events under a streamable schema, open or
+    // closed; every record decoded to a document under the keyword that
+    // keeps a schema out of the streamable fragment, and under `no-plan`
+    // with the fast path off.
     let closed = CompiledSchema::compile(&json!({"additionalProperties": false})).unwrap();
     let unique = CompiledSchema::compile(
         &json!({"properties": {"metrics": {"uniqueItems": true}}, "additionalProperties": false}),
@@ -1007,6 +1028,7 @@ fn wide_records_take_the_fast_path_and_skip_most_bytes() {
         (&fast, true, &schema, 60, BTreeMap::new()),
         (&fast, true, &closed, 60, BTreeMap::new()),
         (&fast, true, &unique, 0, all("uniqueItems")),
+        (&fast, true, &open_unique, 0, all("uniqueItems")),
         (&slow, true, &schema, 0, all("no-plan")),
         (&slow, true, &closed, 0, all("no-plan")),
         (&slow, true, &unique, 0, all("no-plan")),
@@ -1022,8 +1044,6 @@ fn wide_records_take_the_fast_path_and_skip_most_bytes() {
             .unwrap();
         assert_eq!(report.routes, RouteCounts { fast, replayed });
     }
-    assert_eq!(fast.validation_route(&schema), "projected");
-    assert_eq!(fast.validation_route(&closed), "validated from events");
 }
 
 // ---------------------------------------------------------------------------
@@ -1037,7 +1057,9 @@ fn policies() -> Vec<ErrorPolicy> {
         ErrorPolicy::Skip {
             max_errors: Some(10),
         },
-        ErrorPolicy::Collect { max_errors: 1000 },
+        ErrorPolicy::Skip {
+            max_errors: Some(1000),
+        },
     ]
 }
 
@@ -1052,9 +1074,9 @@ fn dirty_corpus() -> jsonx::gen::DirtyNdjson {
 }
 
 /// The dirty corpus with every third good line respelled (repeated keys
-/// among the rest), and the two schemas it is validated under: one the
-/// scanner projects for, and the closed one inferred from the corpus's
-/// clean twin, which is validated from events.
+/// among the rest), and the two schemas it is validated under, both from
+/// events: an open one, and the closed one inferred from the corpus's
+/// clean twin.
 fn dirty_validation_inputs() -> (jsonx::gen::DirtyNdjson, [CompiledSchema; 2]) {
     let mut corpus = dirty_corpus();
     let clean = jsonx::syntax::parse_ndjson(&corpus.clean_text).unwrap();
@@ -1081,9 +1103,8 @@ fn dirty_validation_inputs() -> (jsonx::gen::DirtyNdjson, [CompiledSchema; 2]) {
 
 /// On a dirty corpus every malformed line lands in the report with its
 /// diagnostic: fast and slow must agree on every entry, error kinds and
-/// offsets included (the declined record's diagnostics come from the
-/// same full parser on both paths, and the event walk's from the one
-/// grammar).
+/// offsets included (the event walk's diagnostics come from the one
+/// grammar the full parser is).
 #[test]
 fn fast_validation_matches_slow_on_dirty_corpus() {
     let (corpus, schemas) = dirty_validation_inputs();
@@ -1158,7 +1179,7 @@ fn fast_guarded_validation_matches_slow_on_dirty_corpus() {
 fn fast_guarded_translation_matches_slow_on_dirty_corpus() {
     let corpus = dirty_corpus();
     // Plan the layout from the clean twin so the shredder has a real
-    // record type to project to.
+    // record type to shred into.
     let docs = jsonx::syntax::parse_ndjson(&corpus.clean_text).unwrap();
     let ty = jsonx::core::infer_collection(&docs, jsonx::core::Equivalence::Kind);
     let shredder = Shredder::from_type(&ty);

@@ -160,12 +160,16 @@ fn assert_inference_matrix<D: RecordDecoder>(format: Format, decoder: &D, corpus
         })
     });
     let anything = CompiledSchema::compile(&jsonx::json!({})).unwrap();
+    // Each policy, and whether the run keeps every reject.
     let policies = [
-        ErrorPolicy::FailFast,
-        ErrorPolicy::Skip { max_errors: None },
-        ErrorPolicy::Collect {
-            max_errors: usize::MAX,
-        },
+        (ErrorPolicy::FailFast, false),
+        (ErrorPolicy::Skip { max_errors: None }, false),
+        (
+            ErrorPolicy::Skip {
+                max_errors: Some(usize::MAX),
+            },
+            true,
+        ),
     ];
     for equiv in [Equivalence::Kind, Equivalence::Label] {
         let want_ty = infer_collection(&accepted, equiv);
@@ -187,13 +191,14 @@ fn assert_inference_matrix<D: RecordDecoder>(format: Format, decoder: &D, corpus
         };
         for workers in [1, 2, 3, 8] {
             for chunk_bytes in [1, 48, 300, 0] {
-                for policy in policies {
+                for (policy, keep_rejects) in policies {
                     let run = Run {
                         workers,
                         chunk_bytes,
                         timing: true,
                         fault: FaultOptions {
                             policy,
+                            keep_rejects,
                             ..FaultOptions::default()
                         },
                         format: format.clone(),

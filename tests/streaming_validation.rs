@@ -3,11 +3,10 @@
 //! **verdict-identical** to sequential DOM validation
 //! (`jsonx_syntax::parse_ndjson` + `CompiledSchema::validate`) at every
 //! worker count, with per-line results in input order and malformed lines
-//! reported at their exact indices. The schema strategy reaches all three
-//! ways a record meets the IR — projected by the scanner, validated from
-//! its events (closed and inferred schemas), decoded to a document — and
-//! the corpora are text with repeated keys, which only the document route
-//! can judge.
+//! reported at their exact indices. The schema strategy reaches both
+//! ways a record meets the IR — validated from its events (open, closed
+//! and inferred schemas), decoded to a document — and the corpora are
+//! text with repeated keys, which only the document route can judge.
 
 use jsonx::core::{infer_collection, to_json_schema, Equivalence};
 use jsonx::gen::respelled;
@@ -37,8 +36,8 @@ fn arb_doc() -> impl Strategy<Value = Value> {
 }
 
 /// Schemas exercising types, bounds, patterns, combinators and `$ref`,
-/// open records (projectable), closed records and kind-discriminated
-/// unions (streamable), and the rest.
+/// open and closed records and kind-discriminated unions (streamable),
+/// and the rest.
 fn arb_schema() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
         Just(json!(true)),
@@ -223,7 +222,10 @@ fn malformed_lines_are_flagged_in_place() {
         // line numbers.
         let tolerant = Run {
             fault: FaultOptions {
-                policy: ErrorPolicy::Collect { max_errors: 10 },
+                policy: ErrorPolicy::Skip {
+                    max_errors: Some(10),
+                },
+                keep_rejects: true,
                 ..FaultOptions::default()
             },
             ..run
