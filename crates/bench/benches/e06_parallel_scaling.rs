@@ -2,15 +2,43 @@
 //!
 //! Claim operationalised: because fusion is a commutative monoid, the
 //! reduce distributes — inference throughput scales with workers, and the
-//! result is bit-identical to the sequential fold. Prints the scaling
-//! series and benches 1/2/4/8 workers.
+//! result is bit-identical to the sequential fold. The parallel side is
+//! the engine `jsonx infer` runs: `Run::infer` over the corpus rendered as
+//! NDJSON, typed in place per chunk and fused in input order. Prints the
+//! scaling series and benches 1/2/4/8 workers.
 
 use criterion::{black_box, BenchmarkId, Criterion, Throughput};
+use jsonx::{Run, Source};
 use jsonx_bench::{banner, criterion};
-use jsonx_core::{infer_collection, infer_collection_parallel, Equivalence, ParallelOptions};
-use jsonx_data::text_size;
+use jsonx_core::{infer_collection, Equivalence, JType};
 use jsonx_gen::Corpus;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+const WORKERS: [usize; 4] = [1, 2, 4, 8];
+
+/// The product's inference of `text` at `workers` workers.
+fn engine_infer(text: &str, workers: usize) -> JType {
+    let run = Run {
+        workers,
+        ..Run::default()
+    };
+    let (ty, _) = run
+        .infer(Source::slice(text), Equivalence::Kind)
+        .expect("the rendered corpus is clean NDJSON");
+    ty
+}
+
+/// The fastest of five runs of `f`: scheduling noise only ever adds time.
+fn best_of_five<T>(mut f: impl FnMut() -> T) -> Duration {
+    (0..5)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(f());
+            t.elapsed()
+        })
+        .min()
+        .expect("five runs")
+}
 
 fn main() {
     banner(
@@ -21,58 +49,45 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     println!("hardware parallelism available: {cores} core(s)");
-    if cores == 1 {
-        println!("NOTE: single-core substrate — the distributed-correctness property");
-        println!("(identical results at every worker count) is the measurable claim here;");
-        println!("wall-clock speedup requires multi-core hardware.\n");
-    }
     let docs = Corpus::Github.generate(40_000);
-    let bytes: usize = docs.iter().map(text_size).sum();
+    let text = jsonx_syntax::write_ndjson(&docs);
     println!(
-        "collection: {} documents, {:.1} MiB\n",
+        "collection: {} documents, {:.1} MiB of NDJSON\n",
         docs.len(),
-        bytes as f64 / (1024.0 * 1024.0)
+        text.len() as f64 / (1024.0 * 1024.0)
     );
-    // Warm up caches/allocator before the reference measurement.
-    let _ = infer_collection(&docs[..2_000], Equivalence::Kind);
-    let t = Instant::now();
     let sequential = infer_collection(&docs, Equivalence::Kind);
-    let seq_time = t.elapsed();
-    println!(
-        "{:>8} {:>12} {:>9} {:>10}",
-        "workers", "time", "speedup", "identical"
-    );
-    println!("{:>8} {:>12.2?} {:>8.2}x {:>10}", "seq", seq_time, 1.0, "-");
-    for workers in [1usize, 2, 4, 8] {
-        let opts = ParallelOptions {
-            workers,
-            min_chunk: 64,
-        };
-        let t = Instant::now();
-        let parallel = infer_collection_parallel(&docs, Equivalence::Kind, opts);
-        let elapsed = t.elapsed();
-        println!(
-            "{:>8} {:>12.2?} {:>8.2}x {:>10}",
-            workers,
-            elapsed,
-            seq_time.as_secs_f64() / elapsed.as_secs_f64(),
-            parallel == sequential
+    for workers in WORKERS {
+        assert_eq!(
+            engine_infer(&text, workers),
+            sequential,
+            "Run::infer at {workers} workers must equal infer_collection"
         );
-        assert_eq!(parallel, sequential, "parallel result must be identical");
+    }
+    println!("Run::infer == infer_collection at workers {WORKERS:?}\n");
+
+    let times = WORKERS.map(|workers| best_of_five(|| engine_infer(&text, workers)));
+    let base = times[0];
+    println!(
+        "{:>8} {:>12} {:>10} {:>9}",
+        "workers", "best of 5", "MiB/s", "speedup"
+    );
+    for (workers, time) in WORKERS.into_iter().zip(times) {
+        println!(
+            "{:>8} {:>12.2?} {:>10.1} {:>8.2}x",
+            workers,
+            time,
+            text.len() as f64 / (1024.0 * 1024.0) / time.as_secs_f64(),
+            base.as_secs_f64() / time.as_secs_f64()
+        );
     }
 
     let mut c: Criterion = criterion();
     let mut group = c.benchmark_group("e06_parallel");
-    let small = Corpus::Github.generate(8_000);
-    let small_bytes: usize = small.iter().map(text_size).sum();
-    group.throughput(Throughput::Bytes(small_bytes as u64));
-    for workers in [1usize, 2, 4, 8] {
+    group.throughput(Throughput::Bytes(text.len() as u64));
+    for workers in WORKERS {
         group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, &w| {
-            let opts = ParallelOptions {
-                workers: w,
-                min_chunk: 64,
-            };
-            b.iter(|| infer_collection_parallel(black_box(&small), Equivalence::Kind, opts))
+            b.iter(|| engine_infer(black_box(&text), w))
         });
     }
     group.finish();

@@ -18,9 +18,11 @@
 //!      the same field-name set — maximal precision, unions grow.
 //!
 //! Because fusion is a commutative monoid (with [`JType::Bottom`] as the
-//! unit), the reduce parallelises and distributes freely;
-//! [`infer_collection_parallel`] exploits that with scoped worker
-//! threads, standing in for the papers' Spark deployment.
+//! unit), the reduce parallelises and distributes freely. `jsonx::Run::infer`
+//! exploits that on the workspace's chunked, work-stealing engine
+//! (`jsonx-pipeline`), standing in for the papers' Spark deployment: each
+//! worker types its chunks in place and the chunk types are fused in input
+//! order.
 //!
 //! Types carry **counting annotations** (DBPL 2017): how many values were
 //! fused into each node and how often each record field was present, so the
@@ -46,7 +48,6 @@ pub mod export;
 pub mod fuse;
 pub mod infer;
 pub mod metrics;
-pub mod parallel;
 pub mod printer;
 pub mod simplify;
 pub mod type_parser;
@@ -58,7 +59,6 @@ pub use export::to_json_schema;
 pub use fuse::{fuse, fuse_all};
 pub use infer::{infer_collection, infer_value};
 pub use metrics::{false_acceptance_rate, measure, type_size, TypeMetrics};
-pub use parallel::{infer_collection_parallel, ParallelOptions};
 pub use printer::{print_type, PrintOptions};
 pub use simplify::{
     bound_union_width, collapse_below_depth, collapse_record_unions, widen_numeric,

@@ -2,9 +2,8 @@
 //! laws that make distributed/parallel inference correct.
 
 use jsonx_core::{
-    fuse, fuse_all, infer_collection, infer_collection_parallel, infer_value, parse_type,
-    print_type, to_json_schema, Equivalence, JType, ParallelOptions, PrintOptions, ScalarKind,
-    TypeAccumulator,
+    fuse, fuse_all, infer_collection, infer_value, parse_type, print_type, to_json_schema,
+    Equivalence, JType, PrintOptions, ScalarKind, TypeAccumulator,
 };
 use jsonx_data::{Number, Object, Value};
 use proptest::prelude::*;
@@ -177,18 +176,6 @@ proptest! {
     ) {
         let t = infer_collection(&docs, e);
         prop_assert_eq!(t.count(), docs.len() as u64);
-    }
-
-    #[test]
-    fn parallel_matches_sequential(
-        docs in prop::collection::vec(arb_value(), 0..64), e in arb_equiv(),
-        workers in 1usize..5
-    ) {
-        let seq = infer_collection(&docs, e);
-        let par = infer_collection_parallel(
-            &docs, e, ParallelOptions { workers, min_chunk: 4 }
-        );
-        prop_assert_eq!(seq, par);
     }
 
     #[test]

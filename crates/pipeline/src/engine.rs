@@ -9,8 +9,7 @@
 //! is byte-for-byte the order of a sequential scan — FailFast
 //! first-error-line selection and `RunReport` merging never depend on
 //! worker count or scheduling. [`run_source_controlled`] is that
-//! dispatcher, over whatever [`ChunkSource`] the caller built;
-//! [`run_slice`] is the same shape over an in-memory `&[T]`.
+//! dispatcher, over whatever [`ChunkSource`] the caller built.
 //!
 //! ## Record framing contract
 //!
@@ -27,24 +26,23 @@
 //! out of scope for the line-based entry points.
 
 use crate::checkpoint::{CheckpointSink, ChunkMeta};
-use crate::chunk::{ChunkError, ChunkSource, CHUNKS_PER_WORKER};
-use crate::options::SliceOptions;
+use crate::chunk::{ChunkError, ChunkSource};
 use crate::report::{ShardPanic, WorkerTiming};
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 /// A sharded fold: the contract every pipeline stage implements.
 ///
 /// The engine feeds one `Item` at a time (with its global index) into a
-/// per-worker `State`, finishes each worker's state into an `Out`, and
-/// fuses the `Out`s **in shard order** with [`merge`](Self::merge). When
-/// `merge` is commutative and associative (or when `Out` is
-/// order-sensitive but concatenation-shaped, like per-line verdicts), the
-/// sharded result is identical to the sequential fold for every worker
-/// count.
+/// per-worker `State`, [takes](Self::take) each chunk's result out of it
+/// as an `Out`, and fuses the `Out`s **in chunk order** with
+/// [`merge`](Self::merge). When `merge` is commutative and associative
+/// (or when `Out` is order-sensitive but concatenation-shaped, like
+/// per-line verdicts), the chunked result is identical to the sequential
+/// fold for every worker count and chunk size.
 ///
 /// The fold value itself is shared immutably across workers (`Sync`), so
 /// it is the right home for per-stage configuration: an equivalence, a
@@ -52,18 +50,19 @@ use std::time::Instant;
 pub trait ShardFold<Item: ?Sized>: Sync {
     /// Per-worker scratch state (typers, validators, column builders).
     type State;
-    /// Per-shard result, fused across shards.
+    /// Per-chunk result, fused across chunks.
     type Out: Send;
 
     /// Fresh state for one worker.
     fn init(&self) -> Self::State;
-    /// Folds one item (an NDJSON line or a slice element) into the state.
-    /// `index` is the item's global position (line number / document
-    /// index); blank-line skipping is the fold's own business.
+    /// Folds one item (a line of the input) into the state. `index` is
+    /// the item's global position (its 0-based line number); blank-line
+    /// skipping is the fold's own business.
     fn feed(&self, state: &mut Self::State, item: &Item, index: usize);
-    /// Converts a worker's final state into the shard result.
+    /// Converts a state into a result; the default [`take`](Self::take)
+    /// calls it on the chunk's state, and an empty run on a fresh one.
     fn finish(&self, state: Self::State) -> Self::Out;
-    /// Fuses two shard results, left shard first.
+    /// Fuses two chunk results, left chunk first.
     fn merge(&self, left: Self::Out, right: Self::Out) -> Self::Out;
 
     /// Extracts the current chunk's result from a worker state **without
@@ -320,97 +319,6 @@ pub fn run_source_controlled<S: ChunkSource + ?Sized, F: ShardFold<str>>(
     })
 }
 
-/// Runs `fold` over `items`, split into contiguous item chunks claimed by
-/// a work-stealing worker pool, failing cleanly (with shard provenance)
-/// if any worker panics.
-///
-/// Chunks hold roughly `len / (workers × CHUNKS_PER_WORKER)` items (never
-/// fewer than `min_chunk`) and are claimed through a shared atomic
-/// cursor; per-chunk results are [`ShardFold::take`]n and fused in chunk
-/// order, so the result matches the sequential fold for every worker
-/// count. Each chunk folds under `catch_unwind`; the first poisoned
-/// chunk (in chunk order) turns the whole run into an `Err` instead of
-/// unwinding the caller or surfacing a degraded result.
-pub fn run_slice<T: Sync, F: ShardFold<T>>(
-    items: &[T],
-    fold: &F,
-    opts: SliceOptions,
-) -> Result<F::Out, ShardPanic> {
-    if opts.should_run_sequential(items.len()) {
-        return catch_unwind(AssertUnwindSafe(|| {
-            let mut state = fold.init();
-            for (i, item) in items.iter().enumerate() {
-                fold.feed(&mut state, item, i);
-            }
-            fold.finish(state)
-        }))
-        .map_err(|payload| ShardPanic {
-            shard: 0,
-            first_record: 0,
-            message: panic_message(payload.as_ref()),
-        });
-    }
-    let workers = opts.effective_workers().max(1);
-    let chunk = items
-        .len()
-        .div_ceil(workers.saturating_mul(CHUNKS_PER_WORKER).max(1))
-        .max(opts.min_chunk.max(1));
-    let chunk_count = items.len().div_ceil(chunk);
-    let cursor = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<SeqResult<F::Out>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(chunk_count))
-            .map(|_| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut state: Option<F::State> = None;
-                    let mut results = Vec::new();
-                    loop {
-                        let part_no = cursor.fetch_add(1, Ordering::Relaxed);
-                        if part_no >= chunk_count {
-                            break;
-                        }
-                        let start = part_no * chunk;
-                        let part = &items[start..items.len().min(start + chunk)];
-                        let caught = catch_unwind(AssertUnwindSafe(|| {
-                            let st = state.get_or_insert_with(|| fold.init());
-                            for (i, item) in part.iter().enumerate() {
-                                fold.feed(st, item, start + i);
-                            }
-                            fold.take(st)
-                        }));
-                        match caught {
-                            Ok(out) => results.push((part_no, Ok(out))),
-                            Err(payload) => {
-                                state = None;
-                                results.push((
-                                    part_no,
-                                    Err(ShardPanic {
-                                        shard: part_no,
-                                        first_record: start,
-                                        message: panic_message(payload.as_ref()),
-                                    }),
-                                ));
-                            }
-                        }
-                    }
-                    results
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("dispatcher worker panicked outside a fold"))
-            .collect()
-    });
-    let mut results: Vec<SeqResult<F::Out>> = per_worker.into_iter().flatten().collect();
-    results.sort_unstable_by_key(|(seq, _)| *seq);
-    let outs = results
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(fuse_outs(fold, outs))
-}
-
 /// Shard-order fusion; an empty shard list folds an empty state so the
 /// engine returns the same value a sequential fold gives empty input.
 fn fuse_outs<Item: ?Sized, F: ShardFold<Item>>(fold: &F, outs: Vec<F::Out>) -> F::Out {
@@ -621,56 +529,6 @@ mod tests {
         }
     }
 
-    /// Slice engine: concatenation-shaped fold keeps input order.
-    struct CollectFold;
-
-    impl ShardFold<i32> for CollectFold {
-        type State = Vec<(usize, i32)>;
-        type Out = Vec<(usize, i32)>;
-
-        fn init(&self) -> Self::State {
-            Vec::new()
-        }
-
-        fn feed(&self, state: &mut Self::State, item: &i32, index: usize) {
-            state.push((index, *item));
-        }
-
-        fn finish(&self, state: Self::State) -> Self::Out {
-            state
-        }
-
-        fn merge(&self, mut left: Self::Out, right: Self::Out) -> Self::Out {
-            left.extend(right);
-            left
-        }
-    }
-
-    #[test]
-    fn slice_engine_preserves_order_and_indices() {
-        let items: Vec<i32> = (0..500).collect();
-        let expected: Vec<(usize, i32)> = items.iter().map(|&v| (v as usize, v)).collect();
-        for workers in [1, 2, 3, 8] {
-            let out = run_slice(
-                &items,
-                &CollectFold,
-                SliceOptions {
-                    workers,
-                    min_chunk: 16,
-                },
-            )
-            .unwrap();
-            assert_eq!(out, expected, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn slice_engine_small_inputs_fall_back() {
-        let items = [1, 2, 3];
-        let out = run_slice(&items, &CollectFold, SliceOptions::default()).unwrap();
-        assert_eq!(out, vec![(0, 1), (1, 2), (2, 3)]);
-    }
-
     /// The index of every line, panicking on a trigger line.
     fn panic_on_boom() -> impl ShardFold<str, Out = Vec<usize>> {
         Lines(|line: &str, index| {
@@ -754,42 +612,5 @@ mod tests {
         let err =
             run_source_controlled(&reader, &SumFold, 2, false, RunControl::default()).unwrap_err();
         assert!(matches!(err, ChunkError::NotUtf8 { .. }));
-    }
-
-    #[test]
-    fn slice_panic_fails_cleanly_with_provenance() {
-        struct PanicOnNegative;
-        impl ShardFold<i32> for PanicOnNegative {
-            type State = i64;
-            type Out = i64;
-            fn init(&self) -> i64 {
-                0
-            }
-            fn feed(&self, acc: &mut i64, item: &i32, _index: usize) {
-                assert!(*item >= 0, "negative item");
-                *acc += i64::from(*item);
-            }
-            fn finish(&self, acc: i64) -> i64 {
-                acc
-            }
-            fn merge(&self, a: i64, b: i64) -> i64 {
-                a + b
-            }
-        }
-        let mut items: Vec<i32> = (0..400).collect();
-        items[350] = -1;
-        for workers in [1, 4] {
-            let err = run_slice(
-                &items,
-                &PanicOnNegative,
-                SliceOptions {
-                    workers,
-                    min_chunk: 16,
-                },
-            )
-            .unwrap_err();
-            assert!(err.first_record <= 350);
-            assert!(err.message.contains("negative item"));
-        }
     }
 }

@@ -30,13 +30,9 @@
 //!   adds a per-chunk [`CheckpointSink`] commit hook and a graceful-stop
 //!   latch; [`ChunkJournal`] / [`JournalWriter`] / [`read_journal`] are
 //!   the durable journal built on that hook.
-//! * [`run_slice`] — the same engine shape over an in-memory `&[T]` (the
-//!   DOM inference path), chunked by item count instead of bytes.
-//! * [`PipelineOptions`] / [`SliceOptions`] — worker count, chunk size
-//!   and timing, with every default resolved in one place. Two structs
-//!   remain only because the line-framed and item-sharded engines
-//!   measure "too small to split" in different units (bytes vs
-//!   documents); [`resolve_workers`] is shared.
+//! * [`PipelineOptions`] — worker count and chunk size, with every
+//!   default resolved in one place ([`resolve_workers`] is the worker
+//!   count's).
 //! * [`ErrorPolicy`] / [`ErrorSummary`] / [`RunReport`] — the
 //!   fault-tolerance vocabulary tolerant stages fold per chunk and merge
 //!   in sequence order, so dirty collections degrade into an account of
@@ -58,10 +54,8 @@ pub use chunk::{
     Chunk, ChunkError, ChunkSource, ChunkSpan, FirstChunks, ListedFile, ListedSlice, ReaderChunks,
     SliceChunks, DEFAULT_CHUNK_BYTES,
 };
-pub use engine::{
-    panic_message, run_slice, run_source_controlled, RunControl, RunOutcome, ShardFold,
-};
-pub use options::{resolve_workers, PipelineOptions, SliceOptions};
+pub use engine::{panic_message, run_source_controlled, RunControl, RunOutcome, ShardFold};
+pub use options::{resolve_workers, PipelineOptions};
 pub use report::{
     ErrorPolicy, ErrorSummary, LayoutAccount, RecordDiagnostic, Route, RouteCounts, RunReport,
     ShardPanic, WorkerTiming, DIAGNOSTIC_SAMPLES,

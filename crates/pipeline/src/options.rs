@@ -1,5 +1,5 @@
-//! Worker-count, chunk-size and sequential-fallback options shared by
-//! every pipeline stage — the one place their defaults are resolved.
+//! Worker-count and chunk-size options shared by every pipeline stage —
+//! the one place their defaults are resolved.
 
 use crate::chunk::{CHUNKS_PER_WORKER, DEFAULT_CHUNK_BYTES};
 
@@ -73,40 +73,6 @@ impl PipelineOptions {
     }
 }
 
-/// Options for item-sharded (`&[T]`) pipeline stages — re-exported as
-/// `ParallelOptions` from `jsonx-core`.
-#[derive(Debug, Clone, Copy)]
-pub struct SliceOptions {
-    /// Number of worker threads (0 = number of available CPUs).
-    pub workers: usize,
-    /// Minimum **items** per partition; collections shorter than twice
-    /// this run sequentially.
-    pub min_chunk: usize,
-}
-
-impl Default for SliceOptions {
-    fn default() -> Self {
-        SliceOptions {
-            workers: 0,
-            min_chunk: 256,
-        }
-    }
-}
-
-impl SliceOptions {
-    /// The resolved worker count (see [`resolve_workers`]).
-    pub fn effective_workers(&self) -> usize {
-        resolve_workers(self.workers)
-    }
-
-    /// Whether a collection of `len` **items** should run on the
-    /// sequential path: a single worker, or a collection too small to be
-    /// worth splitting (under `2 × min_chunk` items).
-    pub fn should_run_sequential(&self, len: usize) -> bool {
-        self.effective_workers().max(1) == 1 || len < self.min_chunk.max(1) * 2
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,8 +88,6 @@ mod tests {
         let p = PipelineOptions::default();
         assert_eq!((p.workers, p.chunk_bytes), (0, 0));
         assert_eq!(p.reader_chunk_bytes(), DEFAULT_CHUNK_BYTES);
-        let s = SliceOptions::default();
-        assert_eq!((s.workers, s.min_chunk), (0, 256));
     }
 
     #[test]
@@ -157,11 +121,5 @@ mod tests {
             .slice_chunk_bytes(DEFAULT_CHUNK_BYTES),
             100
         );
-        let s = SliceOptions {
-            workers: 4,
-            min_chunk: 10,
-        };
-        assert!(s.should_run_sequential(19));
-        assert!(!s.should_run_sequential(20));
     }
 }

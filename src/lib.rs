@@ -16,7 +16,8 @@
 //! * [`jsound`] — JSound-style compact schema-by-example language.
 //! * [`skeleton`] — Wang et al. skeleton schemas (frequent-structure mining).
 //! * [`core`] — the type algebra and parametric schema inference (K/L
-//!   equivalences, counting types, parallel fusion).
+//!   equivalences, counting types, commutative fusion — what lets
+//!   [`Run::infer`] type chunks on several workers and fuse them).
 //! * [`baselines`] — Spark-style, Studio3T-naive, mongodb-schema-style and
 //!   Skinfer-style inference baselines.
 //! * [`typelang`] — a miniature TypeScript/Swift-flavoured structural type

@@ -377,9 +377,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn infer_is_plan_invariant(text in arb_corpus(), stop_after in 1u64..6) {
+    fn infer_is_plan_invariant(
+        text in arb_corpus(), stop_after in 1u64..6, label in any::<bool>()
+    ) {
+        let equiv = if label { Equivalence::Label } else { Equivalence::Kind };
         assert_matrix("infer", &text, stop_after, EVERY_SOURCE, |run, source| {
-            run.infer(source, Equivalence::Label)
+            run.infer(source, equiv)
         });
     }
 
