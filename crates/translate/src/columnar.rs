@@ -163,18 +163,25 @@ impl Bitmap {
 
     /// Appends all of `other`'s bits.
     pub fn extend_from(&mut self, other: &Bitmap) {
-        let shift = self.len % 8;
+        other.append_to(&mut self.bytes, self.len);
+        self.len += other.len;
+    }
+
+    /// Appends these bits to the `len`-bit packed bitmap that ends `out`
+    /// — a `.jxc` block continues one across parts this way.
+    pub(crate) fn append_to(&self, out: &mut Vec<u8>, len: usize) {
+        let start = out.len() - len.div_ceil(8);
+        let shift = len % 8;
         if shift == 0 {
-            self.bytes.extend_from_slice(&other.bytes);
+            out.extend_from_slice(&self.bytes);
         } else {
             // Each incoming byte straddles two of ours.
-            for &b in &other.bytes {
-                *self.bytes.last_mut().expect("shift != 0 implies a byte") |= b << shift;
-                self.bytes.push(b >> (8 - shift));
+            for &b in &self.bytes {
+                *out.last_mut().expect("shift != 0 implies a byte") |= b << shift;
+                out.push(b >> (8 - shift));
             }
         }
-        self.len += other.len;
-        self.bytes.truncate(self.len.div_ceil(8));
+        out.truncate(start + (len + self.len).div_ceil(8));
     }
 
     /// Grows to `len` bits with zeros (no-op when already that long).

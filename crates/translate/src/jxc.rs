@@ -39,9 +39,19 @@
 //! round-trip verification makes `read(write(batch)) == batch` exact by
 //! construction, pinned by `tests/prop_jxc.rs`.
 //!
-//! Counts (rows per column, dictionary entries, total list items) are
-//! bounded by `u32::MAX` per column block; the writer panics past that —
-//! a single batch that large should be written as multiple files.
+//! A file is written from **parts** — batches of one layout, in row
+//! order ([`write_jxc_parts`]) — one column block at a time, and holds
+//! exactly the bytes their concatenation would: bitmaps continue
+//! mid-byte across parts, a dictionary's first-appearance order runs
+//! across all of them, and a spill column is list-encoded only when
+//! every part's cells verify.
+//!
+//! Per column, the values, dictionary entries, list items and each
+//! entry's bytes are bounded by `u32::MAX`, counted over all parts: a
+//! total past that is an [`std::io::ErrorKind::InvalidInput`] error
+//! naming the column and the count from [`write_jxc_parts`] and
+//! [`write_jxc_file`], and a panic from the in-memory [`write_jxc`] —
+//! data that large should be written as multiple files.
 //!
 //! ## Integrity and crash semantics
 //!
@@ -65,7 +75,7 @@ use jsonx_data::{crc32, Number, Object, Value};
 use std::fmt;
 use std::fmt::Write as _;
 use std::hash::{BuildHasher, RandomState};
-use std::io::Write as _;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"JXC1";
@@ -191,8 +201,17 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn as_u32(n: usize, what: &str) -> u32 {
-    u32::try_from(n).unwrap_or_else(|_| panic!(".jxc writer: {what} ({n}) exceeds u32::MAX"))
+fn invalid(message: String) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!(".jxc writer: {message}"),
+    )
+}
+
+/// `n` as the u32 a block stores it in, or an `InvalidInput` error
+/// naming the column at `path` and the count.
+fn cap(n: usize, what: &str, path: &str) -> io::Result<u32> {
+    u32::try_from(n).map_err(|_| invalid(format!("column {path}: {what} ({n}) exceed u32::MAX")))
 }
 
 /// Appends `items` as fixed-width little-endian words in one pass over
@@ -205,11 +224,37 @@ fn put_words<T: Copy, const N: usize>(out: &mut Vec<u8>, items: &[T], le: impl F
     }
 }
 
-/// The shape a JSON spill column must verify against to earn a list
+/// The buffers a column block is built in, reused from column to column
+/// so that writing a file allocates one of each, not one per column.
+#[derive(Default)]
+struct Scratch {
+    /// The block being built.
+    block: Vec<u8>,
+    dict: Dict,
+    lists: Lists,
+}
+
+/// A dictionary under construction.
+#[derive(Default)]
+struct Dict {
+    /// Open-addressing table: a slot is 0 when empty, else the hash's
+    /// high half over the entry's code + 1.
+    slots: Vec<u64>,
+    /// Each entry, as the part and the index in it of the value that
+    /// introduced it.
+    entries: Vec<(u32, u32)>,
+    /// One code per value.
+    codes: Vec<u32>,
+}
+
+/// The shapes a JSON spill column is verified against to earn a list
 /// encoding: `offsets[i]..offsets[i + 1]` are cell `i`'s items.
-enum ListShape {
-    Ints { offsets: Vec<u32>, items: Vec<i64> },
-    Strs { offsets: Vec<u32>, items: StrArena },
+#[derive(Default)]
+struct Lists {
+    int_offsets: Vec<u32>,
+    ints: Vec<i64>,
+    str_offsets: Vec<u32>,
+    strs: StrArena,
 }
 
 /// Appends the items of `text` to `out` when it is the compact
@@ -287,38 +332,53 @@ fn reparse_str_list(text: &str, out: &mut StrArena) -> bool {
     true
 }
 
-/// Inspects a JSON spill column's texts: `Some(shape)` when every cell
-/// is an integer array (or, failing that, a string array) whose compact
-/// serialization reproduces the stored text exactly. The byte-equality
-/// is what lets the reader re-serialize lists without keeping the
-/// original text around.
-fn sniff_lists(texts: &StrArena) -> Option<ListShape> {
-    let mut ints = Some((vec![0u32], Vec::new()));
-    let mut strs = Some((vec![0u32], StrArena::new()));
-    for text in texts.iter() {
-        if let Some((offsets, items)) = &mut ints {
-            if scan_int_list(text, items) {
-                offsets.push(as_u32(items.len(), "list items"));
-            } else {
-                ints = None;
+/// The encoding a JSON spill column's cells — every part's, in order —
+/// earn: `ListInt` when every cell is an integer array (or, failing that,
+/// `ListStr` when every cell is a string array) whose compact
+/// serialization reproduces the stored text exactly, with its offsets
+/// and items left in `lists`; else `Dict`. The byte-equality is what
+/// lets the reader re-serialize lists without keeping the original text
+/// around.
+fn sniff_lists<'a>(
+    cells: impl Iterator<Item = &'a str>,
+    path: &str,
+    lists: &mut Lists,
+) -> io::Result<Encoding> {
+    let Lists {
+        int_offsets,
+        ints,
+        str_offsets,
+        strs,
+    } = lists;
+    int_offsets.clear();
+    int_offsets.push(0);
+    ints.clear();
+    str_offsets.clear();
+    str_offsets.push(0);
+    strs.truncate(0);
+    let (mut all_ints, mut all_strs) = (true, true);
+    for text in cells {
+        if all_ints {
+            all_ints = scan_int_list(text, ints);
+            if all_ints {
+                int_offsets.push(cap(ints.len(), "list items", path)?);
             }
         }
-        if let Some((offsets, items)) = &mut strs {
-            if scan_str_list(text, items) {
-                offsets.push(as_u32(items.len(), "list items"));
-            } else {
-                strs = None;
+        if all_strs {
+            all_strs = scan_str_list(text, strs);
+            if all_strs {
+                str_offsets.push(cap(strs.len(), "list items", path)?);
             }
         }
-        if ints.is_none() && strs.is_none() {
-            return None;
+        if !all_ints && !all_strs {
+            return Ok(Encoding::Dict);
         }
     }
-    match (ints, strs) {
-        (Some((offsets, items)), _) => Some(ListShape::Ints { offsets, items }),
-        (None, Some((offsets, items))) => Some(ListShape::Strs { offsets, items }),
-        (None, None) => None,
-    }
+    Ok(if all_ints {
+        Encoding::ListInt
+    } else {
+        Encoding::ListStr
+    })
 }
 
 /// Hashes a string for the dictionary table: a multiply-fold per 8-byte
@@ -344,85 +404,145 @@ fn hash_str(seed: u64, s: &str) -> u64 {
     fold(h, K)
 }
 
-/// Appends `values` dictionary-encoded: the unique strings in
-/// first-appearance order, then one u32 code per value.
-fn write_dict(values: &StrArena, seed: u64, out: &mut Vec<u8>) {
-    // Value indices and codes are stored as u32 below.
-    as_u32(values.len(), "value count");
-    // Open addressing over a table sized once for the worst case (every
-    // value distinct) at load <= 1/2. A slot is 0 when empty, else the
-    // hash's high half over the entry's code + 1.
-    let mask = (values.len() * 2).next_power_of_two().max(16) - 1;
-    let mut slots = vec![0u64; mask + 1];
-    // Each dictionary entry, as the index of the value that introduced it.
-    let mut entries: Vec<u32> = Vec::new();
-    let mut codes: Vec<u32> = Vec::with_capacity(values.len());
-    for (index, value) in values.iter().enumerate() {
-        let hash = hash_str(seed, value);
-        let tag = hash & !0xFFFF_FFFF;
-        let mut at = hash as usize & mask;
-        let code = loop {
-            let slot = slots[at];
-            if slot == 0 {
-                entries.push(index as u32);
-                slots[at] = tag | entries.len() as u64;
-                break entries.len() as u32 - 1;
-            }
-            let code = (slot & 0xFFFF_FFFF) as u32 - 1;
-            if slot & !0xFFFF_FFFF == tag && values.get(entries[code as usize] as usize) == value {
-                break code;
-            }
-            at = (at + 1) & mask;
-        };
-        codes.push(code);
+/// Appends the strings of `arenas`, in order, dictionary-encoded: the
+/// unique strings in first-appearance order, then one u32 code per
+/// string.
+fn put_dict(
+    arenas: &[&StrArena],
+    seed: u64,
+    path: &str,
+    dict: &mut Dict,
+    out: &mut Vec<u8>,
+) -> io::Result<()> {
+    // Part and value indices, and codes, are stored as u32 below.
+    cap(arenas.len(), "parts", path)?;
+    let values = arenas.iter().map(|arena| arena.len()).sum();
+    cap(values, "values", path)?;
+    // Open addressing over a table sized for the worst case (every value
+    // distinct) at load <= 1/2.
+    let mask = (values * 2).next_power_of_two().max(16) - 1;
+    let Dict {
+        slots,
+        entries,
+        codes,
+    } = dict;
+    slots.clear();
+    slots.resize(mask + 1, 0);
+    entries.clear();
+    codes.clear();
+    for (part, arena) in arenas.iter().enumerate() {
+        for (index, value) in arena.iter().enumerate() {
+            let hash = hash_str(seed, value);
+            let tag = hash & !0xFFFF_FFFF;
+            let mut at = hash as usize & mask;
+            let code = loop {
+                let slot = slots[at];
+                if slot == 0 {
+                    entries.push((part as u32, index as u32));
+                    slots[at] = tag | entries.len() as u64;
+                    break entries.len() as u32 - 1;
+                }
+                let code = (slot & 0xFFFF_FFFF) as u32 - 1;
+                if slot & !0xFFFF_FFFF == tag {
+                    let (p, i) = entries[code as usize];
+                    if arenas[p as usize].get(i as usize) == value {
+                        break code;
+                    }
+                }
+                at = (at + 1) & mask;
+            };
+            codes.push(code);
+        }
     }
     put_u32(out, entries.len() as u32);
-    for &first in &entries {
-        let entry = values.get(first as usize);
-        put_u32(out, as_u32(entry.len(), "dictionary entry size"));
+    for &(part, index) in entries.iter() {
+        let entry = arenas[part as usize].get(index as usize);
+        put_u32(out, cap(entry.len(), "bytes in a dictionary entry", path)?);
         out.extend_from_slice(entry.as_bytes());
     }
-    put_words(out, &codes, u32::to_le_bytes);
+    put_words(out, codes, u32::to_le_bytes);
+    Ok(())
 }
 
-/// Encodes one column's block (bitmap + dense values); returns the
-/// chosen encoding.
-fn write_block(col: &Column, seed: u64, out: &mut Vec<u8>) -> Encoding {
-    out.extend_from_slice(col.validity.as_bytes());
-    match &col.data {
-        ColumnData::Bools(v) => {
-            out.extend_from_slice(v.as_bytes());
+/// Where a part's storage is not the first part's: ruled out by the
+/// layout check [`write_jxc_parts`] makes before it builds a block.
+fn mismatch() -> ! {
+    unreachable!(".jxc writer: parts share each column's storage type")
+}
+
+/// Builds column `c` of every part as one block in `s.block` (bitmap +
+/// dense values); returns the chosen encoding.
+fn put_block(
+    parts: &[ColumnarBatch],
+    c: usize,
+    seed: u64,
+    s: &mut Scratch,
+) -> io::Result<Encoding> {
+    let Scratch { block, dict, lists } = s;
+    block.clear();
+    let mut rows = 0;
+    for part in parts {
+        part.columns[c].validity.append_to(block, rows);
+        rows += part.rows;
+    }
+    let path = &parts[0].columns[c].path;
+    let data = || parts.iter().map(|part| &part.columns[c].data);
+    let arenas = || -> Vec<&StrArena> {
+        data()
+            .map(|d| match d {
+                ColumnData::Strs(v) | ColumnData::Json(v) => v,
+                _ => mismatch(),
+            })
+            .collect()
+    };
+    Ok(match &parts[0].columns[c].data {
+        ColumnData::Bools(_) => {
+            let mut bits = 0;
+            for d in data() {
+                let ColumnData::Bools(v) = d else { mismatch() };
+                v.append_to(block, bits);
+                bits += v.len();
+            }
             Encoding::Plain
         }
-        ColumnData::Ints(v) => {
-            put_words(out, v, i64::to_le_bytes);
+        ColumnData::Ints(_) => {
+            for d in data() {
+                let ColumnData::Ints(v) = d else { mismatch() };
+                put_words(block, v, i64::to_le_bytes);
+            }
             Encoding::Plain
         }
-        ColumnData::Floats(v) => {
-            put_words(out, v, |f| f.to_bits().to_le_bytes());
+        ColumnData::Floats(_) => {
+            for d in data() {
+                let ColumnData::Floats(v) = d else { mismatch() };
+                put_words(block, v, |f| f.to_bits().to_le_bytes());
+            }
             Encoding::Plain
         }
-        ColumnData::Strs(v) => {
-            write_dict(v, seed, out);
+        ColumnData::Strs(_) => {
+            put_dict(&arenas(), seed, path, dict, block)?;
             Encoding::Dict
         }
-        ColumnData::Json(texts) => match sniff_lists(texts) {
-            Some(ListShape::Ints { offsets, items }) => {
-                put_words(out, &offsets, u32::to_le_bytes);
-                put_words(out, &items, i64::to_le_bytes);
-                Encoding::ListInt
+        ColumnData::Json(_) => {
+            let arenas = arenas();
+            match sniff_lists(arenas.iter().flat_map(|a| a.iter()), path, lists)? {
+                Encoding::ListInt => {
+                    put_words(block, &lists.int_offsets, u32::to_le_bytes);
+                    put_words(block, &lists.ints, i64::to_le_bytes);
+                    Encoding::ListInt
+                }
+                Encoding::ListStr => {
+                    put_words(block, &lists.str_offsets, u32::to_le_bytes);
+                    put_dict(&[&lists.strs], seed, path, dict, block)?;
+                    Encoding::ListStr
+                }
+                _ => {
+                    put_dict(&arenas, seed, path, dict, block)?;
+                    Encoding::Dict
+                }
             }
-            Some(ListShape::Strs { offsets, items }) => {
-                put_words(out, &offsets, u32::to_le_bytes);
-                write_dict(&items, seed, out);
-                Encoding::ListStr
-            }
-            None => {
-                write_dict(texts, seed, out);
-                Encoding::Dict
-            }
-        },
-    }
+        }
+    })
 }
 
 fn type_tag(data: &ColumnData) -> u8 {
@@ -435,7 +555,100 @@ fn type_tag(data: &ColumnData) -> u8 {
     }
 }
 
-/// Serializes a batch to `.jxc` bytes.
+/// Writes `parts` — batches of one layout, in row order — to `out` as
+/// one `.jxc` file: byte for byte the file of their concatenation, built
+/// without it. Each column block is built over every part in one reused
+/// buffer, checksummed, and written before the next; the footer follows.
+/// Returns the file size in bytes. No parts is a file of no columns.
+///
+/// # Errors
+///
+/// `out`'s errors, and [`io::ErrorKind::InvalidInput`] naming the column
+/// and the count when a column's total across the parts exceeds a u32
+/// field of the format, or its path is longer than 64 KiB.
+///
+/// # Panics
+///
+/// Panics when the parts disagree on the layout (column count, path or
+/// storage type), or a column's validity length disagrees with its
+/// part's row count or its dense data length with its valid count.
+pub fn write_jxc_parts(parts: &[ColumnarBatch], mut out: impl Write) -> io::Result<u64> {
+    let layout = parts
+        .first()
+        .map_or(&[][..], |part| part.columns.as_slice());
+    for part in parts {
+        assert_eq!(
+            part.columns.len(),
+            layout.len(),
+            ".jxc writer: parts disagree on the column count"
+        );
+    }
+    let rows: usize = parts.iter().map(|part| part.rows).sum();
+    let ncols = u32::try_from(layout.len())
+        .map_err(|_| invalid(format!("{} columns exceed u32::MAX", layout.len())))?;
+    let mut footer = Vec::new();
+    put_u64(&mut footer, rows as u64);
+    put_u32(&mut footer, ncols);
+    out.write_all(MAGIC)?;
+    let mut at = MAGIC.len() as u64;
+    let seed = RandomState::new().hash_one(0u8);
+    let mut scratch = Scratch::default();
+    for (c, col) in layout.iter().enumerate() {
+        let mut valid_count = 0;
+        for part in parts {
+            let own = &part.columns[c];
+            assert!(
+                own.path == col.path && type_tag(&own.data) == type_tag(&col.data),
+                ".jxc writer: parts disagree on column {}",
+                col.path
+            );
+            assert_eq!(
+                own.validity.len(),
+                part.rows,
+                ".jxc writer: validity length mismatch at {}",
+                col.path
+            );
+            let valid = own.validity.count_ones();
+            assert_eq!(
+                own.data.len(),
+                valid,
+                ".jxc writer: dense length mismatch at {}",
+                col.path
+            );
+            valid_count += valid;
+        }
+        let enc = put_block(parts, c, seed, &mut scratch)?;
+        let block = &scratch.block;
+        out.write_all(block)?;
+        let path = col.path.as_bytes();
+        let path_len = u16::try_from(path.len()).map_err(|_| {
+            invalid(format!(
+                "column path longer than 64 KiB ({} bytes)",
+                path.len()
+            ))
+        })?;
+        put_u16(&mut footer, path_len);
+        footer.extend_from_slice(path);
+        footer.push(type_tag(&col.data));
+        footer.push(enc.tag());
+        put_u64(&mut footer, at);
+        put_u64(&mut footer, block.len() as u64);
+        put_u64(&mut footer, valid_count as u64);
+        put_u32(&mut footer, crc32(block));
+        at += block.len() as u64;
+    }
+    let footer_crc = crc32(&footer);
+    put_u32(&mut footer, footer_crc);
+    put_u64(&mut footer, at);
+    // The trailing magic is the finalize marker: written last, so its
+    // presence certifies the file was completely written.
+    footer.extend_from_slice(MAGIC);
+    out.write_all(&footer)?;
+    Ok(at + footer.len() as u64)
+}
+
+/// Serializes a batch to `.jxc` bytes: [`write_jxc_parts`] of one part,
+/// in memory.
 ///
 /// # Panics
 ///
@@ -443,55 +656,8 @@ fn type_tag(data: &ColumnData) -> u8 {
 /// count or its dense data length disagrees with its valid count (layout
 /// invariant violations), or when a per-column count exceeds `u32::MAX`.
 pub fn write_jxc(batch: &ColumnarBatch) -> Vec<u8> {
-    // Room for every block when nothing deduplicates, so the image is
-    // not regrown (and copied) on its way to its final size.
-    let mut out = Vec::with_capacity(batch.columns.iter().map(block_bound).sum::<usize>() + 64);
-    out.extend_from_slice(MAGIC);
-    let seed = RandomState::new().hash_one(0u8);
-    let mut blocks: Vec<(usize, usize, Encoding, usize)> = Vec::with_capacity(batch.columns.len());
-    for col in &batch.columns {
-        assert_eq!(
-            col.validity.len(),
-            batch.rows,
-            ".jxc writer: validity length mismatch at {}",
-            col.path
-        );
-        let valid_count = col.validity.count_ones();
-        assert_eq!(
-            col.data.len(),
-            valid_count,
-            ".jxc writer: dense length mismatch at {}",
-            col.path
-        );
-        let off = out.len();
-        let enc = write_block(col, seed, &mut out);
-        blocks.push((off, out.len() - off, enc, valid_count));
-    }
-    let footer_off = out.len();
-    put_u64(&mut out, batch.rows as u64);
-    put_u32(&mut out, as_u32(batch.columns.len(), "column count"));
-    for (col, (off, len, enc, valid_count)) in batch.columns.iter().zip(&blocks) {
-        let block_crc = crc32(&out[*off..*off + *len]);
-        let path = col.path.as_bytes();
-        put_u16(
-            &mut out,
-            u16::try_from(path.len())
-                .unwrap_or_else(|_| panic!(".jxc writer: column path longer than 64 KiB")),
-        );
-        out.extend_from_slice(path);
-        out.push(type_tag(&col.data));
-        out.push(enc.tag());
-        put_u64(&mut out, *off as u64);
-        put_u64(&mut out, *len as u64);
-        put_u64(&mut out, *valid_count as u64);
-        put_u32(&mut out, block_crc);
-    }
-    let footer_crc = crc32(&out[footer_off..]);
-    put_u32(&mut out, footer_crc);
-    put_u64(&mut out, footer_off as u64);
-    // The trailing magic is the finalize marker: written last, so its
-    // presence certifies the file was completely written.
-    out.extend_from_slice(MAGIC);
+    let mut out = Vec::new();
+    write_jxc_parts(std::slice::from_ref(batch), &mut out).unwrap_or_else(|e| panic!("{e}"));
     out
 }
 
@@ -506,23 +672,16 @@ pub fn footer_crc(image: &[u8]) -> Option<u32> {
 }
 
 /// Writes a batch to `path` as `.jxc`; returns the file size in bytes.
-pub fn write_jxc_file(path: &Path, batch: &ColumnarBatch) -> std::io::Result<u64> {
-    let bytes = write_jxc(batch);
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(&bytes)?;
-    Ok(bytes.len() as u64)
+pub fn write_jxc_file(path: &Path, batch: &ColumnarBatch) -> io::Result<u64> {
+    write_parts_file(path, std::slice::from_ref(batch))
 }
 
-/// A capacity estimate for a column block: exact for plain encodings,
-/// the no-duplicates case for dictionaries.
-fn block_bound(col: &Column) -> usize {
-    let values = match &col.data {
-        ColumnData::Bools(v) => v.as_bytes().len(),
-        ColumnData::Ints(v) => v.len() * 8,
-        ColumnData::Floats(v) => v.len() * 8,
-        ColumnData::Strs(v) | ColumnData::Json(v) => 4 + v.byte_len() + v.len() * 8,
-    };
-    col.validity.as_bytes().len() + values
+/// [`write_jxc_parts`] to the file at `path`, through one buffer.
+pub(crate) fn write_parts_file(path: &Path, parts: &[ColumnarBatch]) -> io::Result<u64> {
+    let mut file = BufWriter::new(std::fs::File::create(path)?);
+    let bytes = write_jxc_parts(parts, &mut file)?;
+    file.flush()?;
+    Ok(bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -1068,6 +1227,18 @@ mod tests {
                 read_jxc(&bad)
             );
         }
+    }
+
+    #[test]
+    fn a_count_past_a_u32_field_is_an_error_naming_the_column() {
+        let max = u32::MAX as usize;
+        assert_eq!(cap(max, "values", "a.b").unwrap(), u32::MAX);
+        let err = cap(max + 1, "values", "a.b").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(
+            err.to_string(),
+            ".jxc writer: column a.b: values (4294967296) exceed u32::MAX"
+        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use columnar::{
 };
 pub use jxc::{
     flatten_rows, footer_crc, read_jxc, read_jxc_file, rows_as_values, write_jxc, write_jxc_file,
-    Encoding, JxcColumnInfo, JxcError, JxcFile,
+    write_jxc_parts, Encoding, JxcColumnInfo, JxcError, JxcFile,
 };
 pub use relational::{normalize, Relation};
 pub use sink::{OutputSink, SinkError, SinkReport};

@@ -5,14 +5,14 @@
 //! columnar, relation listing for relational — once in `convert`, again
 //! in `translate`. [`OutputSink`] centralises that: callers resolve a
 //! target name once ([`OutputSink::for_target`]) and hand over either a
-//! DOM collection ([`OutputSink::consume`]) or an already-shredded batch
-//! ([`OutputSink::consume_batch`]); the sink returns a [`SinkReport`]
+//! DOM collection ([`OutputSink::consume`]) or already-shredded batches
+//! ([`OutputSink::consume_batches`]); the sink returns a [`SinkReport`]
 //! with the stdout body and the one-line summary, and — for the columnar
 //! target with an output path — persists the batch as a `.jxc` file.
 
 use crate::avro::{AvroCodec, AvroSchema};
 use crate::columnar::{ColumnarBatch, Shredder};
-use crate::jxc::write_jxc_file;
+use crate::jxc::write_parts_file;
 use crate::relational::normalize;
 use jsonx_core::JType;
 use jsonx_data::Value;
@@ -27,6 +27,8 @@ pub struct SinkReport {
     pub body: String,
     /// One-line run summary without trailing newline (may be empty).
     pub summary: String,
+    /// The size in bytes of the file the sink wrote, when it wrote one.
+    pub written: Option<u64>,
 }
 
 /// Why a sink produced nothing.
@@ -92,13 +94,14 @@ impl OutputSink {
                         "{} documents encoded: {total} bytes binary (schema derived from inference)",
                         docs.len()
                     ),
+                    written: None,
                 })
             }
             OutputSink::Columnar { .. } => {
                 let batch = Shredder::from_type(ty)
                     .shred(docs)
                     .map_err(|e| SinkError::Data(e.to_string()))?;
-                self.consume_batch(&batch)
+                self.consume_batches(&[batch])
             }
             OutputSink::Relational => {
                 let lines: Vec<String> = normalize("root", docs)
@@ -115,30 +118,40 @@ impl OutputSink {
                 Ok(SinkReport {
                     body: lines.join("\n"),
                     summary: String::new(),
+                    written: None,
                 })
             }
         }
     }
 
-    /// Streaming path: consume an already-shredded batch. Only the
-    /// columnar sink accepts this — the other targets have no batch
-    /// representation and must go through [`OutputSink::consume`].
-    pub fn consume_batch(&self, batch: &ColumnarBatch) -> Result<SinkReport, SinkError> {
+    /// Streaming path: consume already-shredded batches of one layout,
+    /// in row order, as the one batch they make up — written as one
+    /// `.jxc` file straight from the parts ([`write_jxc_parts`](crate::write_jxc_parts)).
+    /// Only the columnar sink accepts this — the other targets have no
+    /// batch representation and must go through [`OutputSink::consume`].
+    pub fn consume_batches(&self, parts: &[ColumnarBatch]) -> Result<SinkReport, SinkError> {
         let OutputSink::Columnar { out } = self else {
             return Err(SinkError::Data(
                 "only the columnar target can consume a shredded batch".into(),
             ));
         };
-        let mut summary = format!("{} columns x {} rows", batch.columns.len(), batch.rows);
+        let columns = parts.first().map_or(0, |part| part.columns.len());
+        let rows: usize = parts.iter().map(|part| part.rows).sum();
+        let mut summary = format!("{columns} columns x {rows} rows");
+        let mut written = None;
         if let Some(path) = out {
-            let bytes = write_jxc_file(path, batch)
+            let bytes = write_parts_file(path, parts)
                 .map_err(|e| SinkError::Write(format!("writing {}: {e}", path.display())))?;
             write!(summary, ", {bytes} bytes -> {}", path.display())
                 .expect("writing to String cannot fail");
+            written = Some(bytes);
         }
         Ok(SinkReport {
-            body: batch.schema_string(),
+            body: parts
+                .first()
+                .map_or_else(String::new, ColumnarBatch::schema_string),
             summary,
+            written,
         })
     }
 }
@@ -203,10 +216,11 @@ mod tests {
     fn only_columnar_takes_batches() {
         let (ty, docs) = corpus();
         let batch = Shredder::from_type(&ty).shred(&docs).unwrap();
-        assert!(OutputSink::Avro.consume_batch(&batch).is_err());
-        assert!(OutputSink::Relational.consume_batch(&batch).is_err());
+        let parts = [batch];
+        assert!(OutputSink::Avro.consume_batches(&parts).is_err());
+        assert!(OutputSink::Relational.consume_batches(&parts).is_err());
         assert!(OutputSink::Columnar { out: None }
-            .consume_batch(&batch)
+            .consume_batches(&parts)
             .is_ok());
     }
 }

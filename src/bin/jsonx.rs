@@ -1318,16 +1318,17 @@ fn cmd_convert(opts: &Opts) -> Result<(), CliError> {
 
 /// Schema-driven columnar translation on the engine.
 ///
-/// Newline-bounded chunks are shredded into per-worker columnar batches
-/// concatenated in chunk order, under the layout of the corpus's own
-/// type — which the first chunk teaches and every record is checked
-/// against while it is shredded, a chunk whose records widen it being
-/// shredded again — so no DOM for the whole collection ever exists, and
-/// a corpus the first chunk describes is read once. `--no-fast-parse`
-/// is the reference route: the whole corpus is typed first, then
-/// shredded. `--format csv` swaps the record decoder for the CSV
-/// front-end on the same engine; `--out FILE` persists the batch as
-/// binary `.jxc`; `--checkpoint` journals each pass as a phase of one
+/// Newline-bounded chunks are shredded into one columnar batch each,
+/// under the layout of the corpus's own type — which the first chunk
+/// teaches and every record is checked against while it is shredded, a
+/// chunk whose records widen it being shredded again — so no DOM for
+/// the whole collection ever exists, and a corpus the first chunk
+/// describes is read once. `--no-fast-parse` is the reference route:
+/// the whole corpus is typed first, then shredded. `--format csv` swaps
+/// the record decoder for the CSV front-end on the same engine; `--out
+/// FILE` writes the chunks' batches, in chunk order, as one binary
+/// `.jxc` — one column block at a time, never concatenated; `--report-timing`
+/// says how long that took. `--checkpoint` journals each pass as a phase of one
 /// file (the type the next pass lays rows out under is sealed between
 /// them) and the chunks' rows, as `.jxc` images, to `FILE.rows`, so a
 /// resume lands in whichever pass the run died in. The Avro and
@@ -1344,12 +1345,21 @@ fn cmd_translate(opts: &Opts) -> Result<(), CliError> {
         ));
     }
     let mut corpus = open_corpus(opts, &mut run, csv)?;
-    let (batch, report) = run
+    let (parts, report) = run
         .translate_inferred(corpus.source(), Equivalence::Kind)
         .map_err(stream_err)?;
     let suffix = finish_run(opts, &report)?;
     print_routes(&report, "shredded from events", "the parser");
-    let out = sink.consume_batch(&batch)?;
+    let started = std::time::Instant::now();
+    let out = sink.consume_batches(&parts)?;
+    let timed = opts.has("report-timing");
+    if let (true, Some(bytes), Some(path)) = (timed, out.written, opts.get("out")) {
+        eprintln!(
+            "» wrote {path}: {} column blocks, {bytes} bytes in {:.1} ms",
+            parts[0].columns.len(),
+            started.elapsed().as_secs_f64() * 1e3
+        );
+    }
     println!("{}", out.body);
     eprintln!("» {} ({}){suffix}", out.summary, mode(csv));
     Ok(())

@@ -1025,6 +1025,13 @@ mod tests {
         (std::fs::read(journal).unwrap(), rows)
     }
 
+    /// The `.jxc` bytes a translation's parts make up.
+    fn image(parts: &[jsonx_translate::ColumnarBatch]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        jsonx_translate::write_jxc_parts(parts, &mut bytes).unwrap();
+        bytes
+    }
+
     fn chunk_records(journal: &Path) -> u64 {
         let records = read_journal(journal).unwrap().records;
         records
@@ -1064,10 +1071,11 @@ mod tests {
             let (want, want_report) = plain
                 .translate_inferred(Source::slice(&text), Equivalence::Kind)
                 .unwrap();
-            let (batch, _) = journaled(&plain, JournalControl::new(&journal))
+            let want = image(&want);
+            let (parts, _) = journaled(&plain, JournalControl::new(&journal))
                 .translate_inferred(Source::file(&input), Equivalence::Kind)
                 .unwrap();
-            assert_eq!(write_jxc(&batch), write_jxc(&want), "{name}");
+            assert_eq!(image(&parts), want, "{name}");
             let uninterrupted = files(&journal);
             let total = chunk_records(&journal);
             assert!(total > 20, "{name}: {total} commits");
@@ -1076,11 +1084,11 @@ mod tests {
                     .translate_inferred(Source::file(&input), Equivalence::Kind)
                     .unwrap_err();
                 assert_eq!(err, StreamError::Interrupted, "{name}: stop {stop}");
-                let (batch, report) = journaled(&plain, resume(&journal))
+                let (parts, report) = journaled(&plain, resume(&journal))
                     .translate_inferred(Source::file(&input), Equivalence::Kind)
                     .unwrap();
                 assert_eq!(report.records, want_report.records, "{name}: stop {stop}");
-                assert_eq!(write_jxc(&batch), write_jxc(&want), "{name}: stop {stop}");
+                assert_eq!(image(&parts), want, "{name}: stop {stop}");
                 assert!(files(&journal) == uninterrupted, "{name}: stop {stop}");
             }
         }
@@ -1113,10 +1121,10 @@ mod tests {
             ..Run::default()
         };
 
-        let (batch, _) = journaled(&plain, JournalControl::new(&journal))
+        let (parts, _) = journaled(&plain, JournalControl::new(&journal))
             .translate_inferred(Source::file(&input), Equivalence::Kind)
             .unwrap();
-        assert_eq!(write_jxc(&batch), golden_jxc);
+        assert_eq!(image(&parts), golden_jxc);
         assert!(files(&journal) == golden);
 
         // A header, the first chunk, the type marker, three chunks' rows.
@@ -1138,10 +1146,10 @@ mod tests {
         for (cut, rows_cut) in cuts {
             std::fs::write(&journal, &text[..cut]).unwrap();
             std::fs::write(rows_path(&journal), &rows[..rows_cut]).unwrap();
-            let (batch, report) = journaled(&plain, resume(&journal))
+            let (parts, report) = journaled(&plain, resume(&journal))
                 .translate_inferred(Source::file(&input), Equivalence::Kind)
                 .unwrap();
-            assert_eq!(write_jxc(&batch), golden_jxc, "cut at {cut}, {rows_cut}");
+            assert_eq!(image(&parts), golden_jxc, "cut at {cut}, {rows_cut}");
             assert_eq!(report.records, 11, "cut at {cut}, {rows_cut}");
             assert!(files(&journal) == golden, "cut at {cut}, {rows_cut}");
         }

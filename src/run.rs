@@ -374,10 +374,16 @@ impl Run<'_> {
     }
 
     /// A translation from scratch: infer a type, shred under the layout
-    /// it fixes ([`Shredder::from_type`]). The batch is the one the layout
-    /// of the *whole corpus's* type gives, at every worker count and
-    /// chunking, and the report counts each chunk's records, rejects and
-    /// routes once — from the shredding that produced its rows.
+    /// it fixes ([`Shredder::from_type`]). The rows are the ones the
+    /// layout of the *whole corpus's* type gives, at every worker count
+    /// and chunking, and the report counts each chunk's records, rejects
+    /// and routes once — from the shredding that produced its rows.
+    ///
+    /// They come back as the chunks' batches in input order, never
+    /// concatenated: at least one, so an empty corpus keeps its layout.
+    /// [`write_jxc_parts`](jsonx_translate::write_jxc_parts) writes them
+    /// as the one `.jxc` file their concatenation
+    /// ([`ColumnarBatch::append`]) would be.
     ///
     /// The layout is **taught** by the first chunk alone, and every chunk
     /// is then shredded under it by walkers that also verify that each
@@ -417,7 +423,7 @@ impl Run<'_> {
         &self,
         source: Source<'_, R>,
         equiv: Equivalence,
-    ) -> Result<(ColumnarBatch, RunReport), StreamError> {
+    ) -> Result<(Vec<ColumnarBatch>, RunReport), StreamError> {
         let speculate = self.fast_parse && equiv == Equivalence::Kind;
         let mut session = self.open_journal(&source, Stage::Translate, || {
             // The route fixes which passes, so which phases, a journal holds.
@@ -565,8 +571,11 @@ impl Run<'_> {
         report.layout = self.timing.then_some(account);
         self.check_bound(&report)?;
         rows.sort_unstable_by_key(|(seq, _)| *seq);
-        let rows = rows.into_iter().map(|(_, batch)| batch).collect();
-        Ok((shredder.concat(rows), report))
+        let mut parts: Vec<ColumnarBatch> = rows.into_iter().map(|(_, batch)| batch).collect();
+        if parts.is_empty() {
+            parts.push(shredder.stream().finish());
+        }
+        Ok((parts, report))
     }
 
     fn infer_stage(&self, equiv: Equivalence) -> InferStage {
@@ -966,12 +975,18 @@ mod tests {
         let from_file = run.translate_inferred(Source::file(&path), Equivalence::Kind);
         let _ = std::fs::remove_file(&path);
         let from_slice = run.translate_inferred(Source::slice("1,ada\n2,bob\n"), Equivalence::Kind);
-        let (batch, report) = from_file.unwrap();
+        let image = |parts: &[ColumnarBatch]| {
+            let mut bytes = Vec::new();
+            jsonx_translate::write_jxc_parts(parts, &mut bytes).unwrap();
+            jsonx_translate::read_jxc(&bytes).unwrap().batch
+        };
+        let (parts, report) = from_file.unwrap();
+        let batch = image(&parts);
         assert_eq!(report.records, 2);
         assert_eq!(batch.rows, 2);
         assert_eq!((batch, report.records), {
-            let (batch, report) = from_slice.unwrap();
-            (batch, report.records)
+            let (parts, report) = from_slice.unwrap();
+            (image(&parts), report.records)
         });
     }
 }

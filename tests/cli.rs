@@ -1079,6 +1079,14 @@ fn translate_report_timing_says_what_the_layout_speculation_did() {
     };
     let out = corpus_file("layout-account.jxc", "");
     let reference = corpus_file("layout-account.ref.jxc", "");
+    let journal = corpus_file("layout-account.journal", "");
+    // The sink's line follows the layout line, naming what it wrote.
+    let wrote = |account: &str| {
+        let file = jsonx::translate::read_jxc_file(std::path::Path::new(&out)).unwrap();
+        let bytes = std::fs::metadata(&out).unwrap().len();
+        let blocks = file.columns.len();
+        format!("{account}» wrote {out}: {blocks} column blocks, {bytes} bytes in ")
+    };
     for (name, late, account) in [
         ("fits", "", "» layout taught by 6 records: 10 chunks shredded once\n"),
         (
@@ -1095,14 +1103,20 @@ fn translate_report_timing_says_what_the_layout_speculation_did() {
         let input = corpus_file(&format!("layout-account-{name}.ndjson"), &corpus(late));
         let fast = ["translate", "--out", &out, "--input", &input, "--workers", "2", "--chunk-bytes", "256"];
         let (_, plain_err, ok) = run(&fast, "");
-        assert!(ok && !plain_err.contains("layout taught"), "{name}: {plain_err}");
+        assert!(ok && !plain_err.contains("layout taught") && !plain_err.contains("» wrote"), "{name}: {plain_err}");
         let (_, err, ok) = run(&[&fast[..], &["--report-timing"]].concat(), "");
-        assert!(ok && err.contains(account), "{name}: {err}");
+        assert!(ok && err.contains(&wrote(account)), "{name}: {err}");
         assert!(err.contains("» 60 records shredded from events, 0 replayed"), "{name}: {err}");
         let slow = ["translate", "--out", &reference, "--no-fast-parse", "--workers", "1", "--report-timing", &input];
         let (_, err, ok) = run(&slow, "");
         assert!(ok && err.contains("» layout taught by 60 records: 1 chunks shredded once\n"), "{name}: {err}");
         assert_eq!(std::fs::read(&out).unwrap(), std::fs::read(&reference).unwrap(), "{name}");
+        // A journaled run says the same, and writes the same bytes.
+        let _ = std::fs::remove_file(format!("{journal}.rows"));
+        let journaled = [&fast[..], &["--report-timing", "--checkpoint", &journal]].concat();
+        let (_, err, ok) = run(&journaled, "");
+        assert!(ok && err.contains(&wrote(account)), "{name}, journaled: {err}");
+        assert_eq!(std::fs::read(&out).unwrap(), std::fs::read(&reference).unwrap(), "{name}, journaled");
     }
     // What may have to be read again cannot come from a pipe.
     let (_, err, code) = run_code(&["translate", "--input", "-"], &corpus(""));

@@ -16,7 +16,7 @@ use jsonx::core::{to_json_schema, Equivalence, JType};
 use jsonx::gen::{dirty_ndjson, respelled, DirtyConfig, DirtyNdjson};
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::{JsonDecoder, RecordDecoder};
-use jsonx::translate::Shredder;
+use jsonx::translate::{ColumnarBatch, Shredder};
 use jsonx::{ErrorPolicy, FaultOptions, ParseLimits, Run, RunReport, Source, StreamError};
 use jsonx_data::json;
 use proptest::prelude::*;
@@ -412,6 +412,14 @@ fn uniform_lines(n: usize) -> Vec<String> {
         .collect()
 }
 
+/// A translation's chunk batches as the one batch they make up.
+fn whole(parts: Vec<ColumnarBatch>) -> ColumnarBatch {
+    let mut parts = parts.into_iter();
+    let mut batch = parts.next().expect("a translation returns a batch");
+    parts.for_each(|part| batch.append(part));
+    batch
+}
+
 /// Both routes of `translate_inferred` — the layout taught by the first
 /// chunk and verified per record, and the whole corpus typed first — at
 /// 256-byte chunks.
@@ -447,10 +455,10 @@ fn a_stray_scalar_line_is_rejected_not_taught() {
     let want = Shredder::from_type(&ty).shred(&accepted).unwrap();
     assert_eq!(want.schema_string(), "a:int64, s:utf8");
     for (context, run) in translate_routes(skip_all()) {
-        let (batch, report) = run
+        let (parts, report) = run
             .translate_inferred(Source::slice(&text), Equivalence::Kind)
             .unwrap();
-        assert_eq!(batch, want, "{context}");
+        assert_eq!(whole(parts), want, "{context}");
         assert_eq!(report.records, 40, "{context}");
         let rejected: Vec<_> = diagnostics(&report)
             .into_iter()
@@ -525,6 +533,7 @@ fn a_voided_chunk_is_accounted_for_once() {
         let (want, want_report) = two_pass
             .translate_inferred(Source::slice(&text), Equivalence::Kind)
             .unwrap();
+        let want = whole(want);
         assert!(want.column("late").is_some());
         assert_eq!(
             (want.rows, want_report.records, want_report.errors.total),
@@ -535,10 +544,10 @@ fn a_voided_chunk_is_accounted_for_once() {
                 timing: true,
                 ..run.clone()
             };
-            let (batch, report) = timed
+            let (parts, report) = timed
                 .translate_inferred(Source::slice(&text), Equivalence::Kind)
                 .unwrap();
-            assert_eq!(batch, want, "{context}");
+            assert_eq!(whole(parts), want, "{context}");
             assert_eq!(report.records, want_report.records, "{context}");
             assert_eq!(report.errors, want_report.errors, "{context}");
             assert_eq!(
@@ -580,7 +589,7 @@ fn a_voided_chunk_is_accounted_for_once() {
                 };
                 let outcome = bounded.translate_inferred(Source::slice(&text), Equivalence::Kind);
                 match (passes, outcome) {
-                    (true, Ok((batch, _))) => assert_eq!(batch, want, "{context}"),
+                    (true, Ok((parts, _))) => assert_eq!(whole(parts), want, "{context}"),
                     (false, Err(StreamError::TooManyErrors { limit, seen })) => {
                         assert_eq!((limit, seen), (1, 2), "{context}")
                     }

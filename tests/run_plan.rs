@@ -13,7 +13,7 @@
 use jsonx::core::{Equivalence, JType};
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::parse;
-use jsonx::translate::Shredder;
+use jsonx::translate::{ColumnarBatch, Shredder};
 use jsonx::{ErrorPolicy, FaultOptions, JournalControl, Run, RunReport, Source, StreamError};
 use proptest::prelude::*;
 use std::fmt::Debug;
@@ -59,6 +59,17 @@ fn normalize<O>(outcome: Outcome<O>) -> Outcome<O> {
         report.routes = Default::default();
         report.layout = None;
         (out, report)
+    })
+}
+
+/// A translation's chunk batches as the one batch they make up — what
+/// its `.jxc` holds.
+fn whole(outcome: Outcome<Vec<ColumnarBatch>>) -> Outcome<ColumnarBatch> {
+    outcome.map(|(parts, report)| {
+        let mut parts = parts.into_iter();
+        let mut batch = parts.next().expect("a translation returns a batch");
+        parts.for_each(|part| batch.append(part));
+        (batch, report)
     })
 }
 
@@ -436,7 +447,7 @@ proptest! {
     ) {
         let rereadable = Sources { reader: false, journal: true };
         assert_matrix_chunked("translate-inferred", &text, chunk_bytes, stop_after, rereadable, |run, source| {
-            run.translate_inferred(source, Equivalence::Kind)
+            whole(run.translate_inferred(source, Equivalence::Kind))
         });
     }
 }
@@ -456,12 +467,12 @@ proptest! {
         let disk = OnDisk::new("taught", &text);
         for fault in policies() {
             let reference = Run { workers: 1, fault, fast_parse: false, ..Run::default() };
-            let want = normalize(reference.translate_inferred(Source::slice(&text), Equivalence::Kind));
+            let want = normalize(whole(reference.translate_inferred(Source::slice(&text), Equivalence::Kind)));
             for workers in [1, 2, 3] {
                 let run = Run { workers, chunk_bytes, fault, ..Run::default() };
-                let slice = run.translate_inferred(Source::slice(&text), Equivalence::Kind);
+                let slice = whole(run.translate_inferred(Source::slice(&text), Equivalence::Kind));
                 prop_assert_eq!(&normalize(slice), &want, "slice, {} workers, chunks of {}", workers, chunk_bytes);
-                let file = run.translate_inferred(Source::<Reader>::File(&disk.input), Equivalence::Kind);
+                let file = whole(run.translate_inferred(Source::<Reader>::File(&disk.input), Equivalence::Kind));
                 prop_assert_eq!(&normalize(file), &want, "file, {} workers, chunks of {}", workers, chunk_bytes);
             }
         }
@@ -490,9 +501,7 @@ fn reference_cell_matches_the_dom() {
         assert_eq!(dom.iter().filter(|valid| **valid).count(), valid);
         assert_eq!(report.records, 5);
     }
-    let (batch, _) = run
-        .translate_inferred(Source::slice(text), Equivalence::Kind)
-        .unwrap();
+    let (batch, _) = whole(run.translate_inferred(Source::slice(text), Equivalence::Kind)).unwrap();
     let dom_ty: JType = jsonx::core::infer_collection(&docs, Equivalence::Kind);
     assert_eq!(batch, Shredder::from_type(&dom_ty).shred(&docs).unwrap());
 }
