@@ -53,6 +53,20 @@
 //! [`write_jxc_file`], and a panic from the in-memory [`write_jxc`] —
 //! data that large should be written as multiple files.
 //!
+//! ## Reading: verify in place, materialize a head
+//!
+//! One decoder reads a file in two steps per column block. First the
+//! whole block is checked where it lies — its CRC and validity count,
+//! every dictionary entry's UTF-8, every code's range, the list offsets,
+//! no trailing bytes — keeping borrowed spans of the file: dictionary
+//! entries as `&str`, codes, words and items as byte slices. No
+//! dictionary is copied. Then only the first `n` rows are copied out of
+//! those spans ([`read_jxc_head`]); [`read_jxc`] is the same decoder
+//! asked for every row. Because the checks never depend on `n`, a
+//! damaged file is the same [`JxcError`] however few rows are asked for,
+//! and the cost of a head read is the checks plus `n` rows, not the
+//! whole batch — `jsonx cat --head N` builds what it prints.
+//!
 //! ## Integrity and crash semantics
 //!
 //! Every column block and the footer carry a CRC-32
@@ -179,10 +193,14 @@ pub struct JxcColumnInfo {
 /// A decoded `.jxc` file: the batch plus the footer's per-column facts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JxcFile {
-    /// The reconstructed batch — equal to the batch that was written.
+    /// The reconstructed batch — equal to the batch that was written, or
+    /// to its first rows when read with [`read_jxc_head`].
     pub batch: ColumnarBatch,
-    /// Per-column encodings and sizes, in column order.
+    /// Per-column encodings and sizes, in column order — the whole
+    /// file's, however many rows `batch` holds.
     pub columns: Vec<JxcColumnInfo>,
+    /// The file's row count, from the footer.
+    pub rows: usize,
 }
 
 // ---------------------------------------------------------------------------
@@ -717,17 +735,9 @@ impl<'a> Cur<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// `n` fixed-width little-endian words, decoded in one pass.
-    fn words<T, const N: usize>(
-        &mut self,
-        n: usize,
-        le: impl Fn([u8; N]) -> T,
-    ) -> Result<Vec<T>, JxcError> {
-        let bytes = self.take(n.checked_mul(N).ok_or(JxcError::Truncated)?)?;
-        Ok(bytes
-            .chunks_exact(N)
-            .map(|word| le(word.try_into().expect("chunks_exact yields N bytes")))
-            .collect())
+    /// The bytes of `n` words of `N` bytes each.
+    fn words<const N: usize>(&mut self, n: usize) -> Result<&'a [u8], JxcError> {
+        self.take(n.checked_mul(N).ok_or(JxcError::Truncated)?)
     }
 
     fn bitmap(&mut self, bits: usize) -> Result<Bitmap, JxcError> {
@@ -736,47 +746,153 @@ impl<'a> Cur<'a> {
     }
 }
 
-fn read_dict(cur: &mut Cur<'_>) -> Result<StrArena, JxcError> {
+/// The fixed-width little-endian words of `bytes`, decoded.
+fn words<'a, const N: usize, T>(
+    bytes: &'a [u8],
+    le: impl Fn([u8; N]) -> T + 'a,
+) -> impl Iterator<Item = T> + 'a {
+    bytes
+        .chunks_exact(N)
+        .map(move |word| le(word.try_into().expect("chunks_exact yields N bytes")))
+}
+
+/// A dictionary's entries, each checked to be UTF-8 and borrowed from
+/// the block, not copied.
+fn read_dict<'a>(cur: &mut Cur<'a>) -> Result<Vec<&'a str>, JxcError> {
     let len = cur.u32()? as usize;
-    let mut dict = StrArena::with_capacity(len.min(1 << 16), 0);
+    // Every entry takes at least its 4-byte length.
+    let mut entries = Vec::with_capacity(len.min((cur.bytes.len() - cur.pos) / 4));
     for _ in 0..len {
         let bytes = cur.u32()? as usize;
         let entry = std::str::from_utf8(cur.take(bytes)?)
             .map_err(|_| JxcError::Corrupt("non-UTF-8 dictionary entry".into()))?;
-        dict.push(entry);
+        entries.push(entry);
     }
-    Ok(dict)
+    Ok(entries)
 }
 
-/// Reads `n` codes and expands them through `dict` into one arena,
-/// sized exactly before the first copy.
-fn read_codes(cur: &mut Cur<'_>, n: usize, dict: &StrArena) -> Result<StrArena, JxcError> {
-    let codes = cur.words(n, u32::from_le_bytes)?;
-    let mut bytes = 0usize;
-    for &code in &codes {
-        if code as usize >= dict.len() {
+/// The bytes of `n` codes, each checked to name one of `dict_len`
+/// dictionary entries.
+fn read_codes<'a>(cur: &mut Cur<'a>, n: usize, dict_len: usize) -> Result<&'a [u8], JxcError> {
+    let codes = cur.words::<4>(n)?;
+    if let Some(code) = words(codes, u32::from_le_bytes).find(|&code| code as usize >= dict_len) {
+        return Err(JxcError::Corrupt(format!(
+            "dictionary code {code} out of range"
+        )));
+    }
+    Ok(codes)
+}
+
+/// The bytes of `n + 1` list offsets, checked to start at 0 and never
+/// decrease, and the last one: the list items the block holds.
+fn read_offsets<'a>(cur: &mut Cur<'a>, n: usize) -> Result<(&'a [u8], usize), JxcError> {
+    let count = n.checked_add(1).ok_or(JxcError::Truncated)?;
+    let offsets = cur.words::<4>(count)?;
+    let mut last = 0;
+    for (i, offset) in words(offsets, u32::from_le_bytes).enumerate() {
+        if offset < last || (i == 0 && offset != 0) {
+            return Err(JxcError::Corrupt("non-monotone list offsets".into()));
+        }
+        last = offset;
+    }
+    Ok((offsets, last as usize))
+}
+
+/// A column block's dense values, checked in place: every valid cell of
+/// the column, as spans of the file's bytes (bools aside).
+enum Values<'a> {
+    /// Bools, one bit each.
+    Bools(Bitmap),
+    /// i64 words.
+    Ints(&'a [u8]),
+    /// f64 bit patterns.
+    Floats(&'a [u8]),
+    /// A dictionary and one code per cell; `json` for a spill column.
+    Dict {
+        entries: Vec<&'a str>,
+        codes: &'a [u8],
+        json: bool,
+    },
+    /// Offsets (one more than cells) and i64 items.
+    ListInt { offsets: &'a [u8], items: &'a [u8] },
+    /// Offsets (one more than cells), a dictionary, one code per item.
+    ListStr {
+        offsets: &'a [u8],
+        entries: Vec<&'a str>,
+        codes: &'a [u8],
+    },
+}
+
+/// A column block that passed every check: its bitmaps, and the rest of
+/// its values borrowed from the file.
+struct Block<'a> {
+    validity: Bitmap,
+    values: Values<'a>,
+}
+
+/// Checks a whole column block in place — the validity count, every
+/// dictionary entry's UTF-8, every code's range, the list offsets, no
+/// trailing bytes — and keeps its parts as spans of `block`.
+fn read_block<'a>(
+    block: &'a [u8],
+    rows: usize,
+    valid_count: usize,
+    type_tag: u8,
+    enc: Encoding,
+    path: &str,
+) -> Result<Block<'a>, JxcError> {
+    let mut cur = Cur {
+        bytes: block,
+        pos: 0,
+    };
+    let validity = cur.bitmap(rows)?;
+    if validity.count_ones() != valid_count {
+        return Err(JxcError::Corrupt(format!(
+            "validity bitmap of {path} disagrees with its valid count"
+        )));
+    }
+    let values = match (type_tag, enc) {
+        (0, Encoding::Plain) => Values::Bools(cur.bitmap(valid_count)?),
+        (1, Encoding::Plain) => Values::Ints(cur.words::<8>(valid_count)?),
+        (2, Encoding::Plain) => Values::Floats(cur.words::<8>(valid_count)?),
+        (3, Encoding::Dict) | (4, Encoding::Dict) => {
+            let entries = read_dict(&mut cur)?;
+            let codes = read_codes(&mut cur, valid_count, entries.len())?;
+            Values::Dict {
+                entries,
+                codes,
+                json: type_tag == 4,
+            }
+        }
+        (4, Encoding::ListInt) => {
+            let (offsets, total) = read_offsets(&mut cur, valid_count)?;
+            let items = cur.words::<8>(total)?;
+            Values::ListInt { offsets, items }
+        }
+        (4, Encoding::ListStr) => {
+            let (offsets, total) = read_offsets(&mut cur, valid_count)?;
+            let entries = read_dict(&mut cur)?;
+            let codes = read_codes(&mut cur, total, entries.len())?;
+            Values::ListStr {
+                offsets,
+                entries,
+                codes,
+            }
+        }
+        (tag, enc) => {
             return Err(JxcError::Corrupt(format!(
-                "dictionary code {code} out of range"
+                "type tag {tag} cannot carry encoding {}",
+                enc.label()
             )));
         }
-        bytes = bytes
-            .checked_add(dict.get(code as usize).len())
-            .ok_or_else(|| JxcError::Corrupt("dictionary codes expand past usize".into()))?;
+    };
+    if cur.pos != block.len() {
+        return Err(JxcError::Corrupt(format!(
+            "column block of {path} has {} trailing bytes",
+            block.len() - cur.pos
+        )));
     }
-    let mut out = StrArena::with_capacity(n, bytes);
-    for &code in &codes {
-        out.push(dict.get(code as usize));
-    }
-    Ok(out)
-}
-
-fn read_offsets(cur: &mut Cur<'_>, n: usize) -> Result<Vec<usize>, JxcError> {
-    let count = n.checked_add(1).ok_or(JxcError::Truncated)?;
-    let offsets = cur.words(count, |word| u32::from_le_bytes(word) as usize)?;
-    if offsets.windows(2).any(|w| w[0] > w[1]) || offsets[0] != 0 {
-        return Err(JxcError::Corrupt("non-monotone list offsets".into()));
-    }
-    Ok(offsets)
+    Ok(Block { validity, values })
 }
 
 /// Appends `item` as a JSON string literal. Only a string that needs an
@@ -810,87 +926,108 @@ fn list_texts(offsets: &[usize], mut push: impl FnMut(&mut String, usize)) -> St
     texts
 }
 
-fn read_block(
-    block: &[u8],
-    rows: usize,
-    valid_count: usize,
-    type_tag: u8,
-    enc: Encoding,
-    path: &str,
-) -> Result<(Column, Option<usize>, Option<usize>), JxcError> {
-    let mut cur = Cur {
-        bytes: block,
-        pos: 0,
-    };
-    let validity = cur.bitmap(rows)?;
-    if validity.count_ones() != valid_count {
-        return Err(JxcError::Corrupt(format!(
-            "validity bitmap of {path} disagrees with its valid count"
-        )));
+/// Expands `codes` through `entries` into one arena, sized exactly
+/// before the first copy.
+fn expand(entries: &[&str], codes: &[u8]) -> Result<StrArena, JxcError> {
+    let cells = || words(codes, |word| entries[u32::from_le_bytes(word) as usize]);
+    let mut bytes = 0usize;
+    for cell in cells() {
+        bytes = bytes
+            .checked_add(cell.len())
+            .ok_or_else(|| JxcError::Corrupt("dictionary codes expand past usize".into()))?;
     }
-    let mut dict_len = None;
-    let mut list_items = None;
-    let data = match (type_tag, enc) {
-        (0, Encoding::Plain) => ColumnData::Bools(cur.bitmap(valid_count)?),
-        (1, Encoding::Plain) => ColumnData::Ints(cur.words(valid_count, i64::from_le_bytes)?),
-        (2, Encoding::Plain) => ColumnData::Floats(
-            cur.words(valid_count, |word| f64::from_bits(u64::from_le_bytes(word)))?,
-        ),
-        (3, Encoding::Dict) | (4, Encoding::Dict) => {
-            let dict = read_dict(&mut cur)?;
-            dict_len = Some(dict.len());
-            let values = read_codes(&mut cur, valid_count, &dict)?;
-            if type_tag == 3 {
-                ColumnData::Strs(values)
-            } else {
-                ColumnData::Json(values)
+    let mut out = StrArena::with_capacity(codes.len() / 4, bytes);
+    for cell in cells() {
+        out.push(cell);
+    }
+    Ok(out)
+}
+
+impl Block<'_> {
+    /// Dictionary entry count, for dictionary-bearing encodings.
+    fn dict_len(&self) -> Option<usize> {
+        match &self.values {
+            Values::Dict { entries, .. } | Values::ListStr { entries, .. } => Some(entries.len()),
+            _ => None,
+        }
+    }
+
+    /// Total list items, for list encodings.
+    fn list_items(&self) -> Option<usize> {
+        match &self.values {
+            Values::ListInt { items, .. } => Some(items.len() / 8),
+            Values::ListStr { codes, .. } => Some(codes.len() / 4),
+            _ => None,
+        }
+    }
+
+    /// The column's first `rows` rows, copied out of the spans.
+    fn column(&self, path: &str, rows: usize) -> Result<Column, JxcError> {
+        let validity = Bitmap::from_bytes(self.validity.as_bytes(), rows)
+            .expect("the bitmap covers every row");
+        let cells = validity.count_ones();
+        let offsets = |offsets: &[u8]| -> Vec<usize> {
+            words(&offsets[..(cells + 1) * 4], |word| {
+                u32::from_le_bytes(word) as usize
+            })
+            .collect()
+        };
+        let data = match &self.values {
+            Values::Bools(bits) => ColumnData::Bools(
+                Bitmap::from_bytes(bits.as_bytes(), cells).expect("a bit per cell"),
+            ),
+            Values::Ints(items) => {
+                ColumnData::Ints(words(&items[..cells * 8], i64::from_le_bytes).collect())
             }
-        }
-        (4, Encoding::ListInt) => {
-            let offsets = read_offsets(&mut cur, valid_count)?;
-            let total = offsets[valid_count];
-            list_items = Some(total);
-            let items = cur.words(total, i64::from_le_bytes)?;
-            ColumnData::Json(list_texts(&offsets, |text, item| {
-                write!(text, "{}", Number::Int(items[item])).expect("writing to a String");
-            }))
-        }
-        (4, Encoding::ListStr) => {
-            let offsets = read_offsets(&mut cur, valid_count)?;
-            let total = offsets[valid_count];
-            list_items = Some(total);
-            let dict = read_dict(&mut cur)?;
-            dict_len = Some(dict.len());
-            let items = read_codes(&mut cur, total, &dict)?;
-            ColumnData::Json(list_texts(&offsets, |text, item| {
-                push_json_str(text, items.get(item));
-            }))
-        }
-        (tag, enc) => {
-            return Err(JxcError::Corrupt(format!(
-                "type tag {tag} cannot carry encoding {}",
-                enc.label()
-            )));
-        }
-    };
-    if cur.pos != block.len() {
-        return Err(JxcError::Corrupt(format!(
-            "column block of {path} has {} trailing bytes",
-            block.len() - cur.pos
-        )));
-    }
-    Ok((
-        Column {
+            Values::Floats(items) => ColumnData::Floats(
+                words(&items[..cells * 8], |word| {
+                    f64::from_bits(u64::from_le_bytes(word))
+                })
+                .collect(),
+            ),
+            Values::Dict {
+                entries,
+                codes,
+                json,
+            } => {
+                let texts = expand(entries, &codes[..cells * 4])?;
+                if *json {
+                    ColumnData::Json(texts)
+                } else {
+                    ColumnData::Strs(texts)
+                }
+            }
+            Values::ListInt { offsets: o, items } => {
+                let offsets = offsets(o);
+                let items: Vec<i64> =
+                    words(&items[..offsets[cells] * 8], i64::from_le_bytes).collect();
+                ColumnData::Json(list_texts(&offsets, |text, item| {
+                    write!(text, "{}", Number::Int(items[item])).expect("writing to a String");
+                }))
+            }
+            Values::ListStr {
+                offsets: o,
+                entries,
+                codes,
+            } => {
+                let offsets = offsets(o);
+                let codes: Vec<u32> =
+                    words(&codes[..offsets[cells] * 4], u32::from_le_bytes).collect();
+                ColumnData::Json(list_texts(&offsets, |text, item| {
+                    push_json_str(text, entries[codes[item] as usize]);
+                }))
+            }
+        };
+        Ok(Column {
             path: path.to_owned(),
             data,
             validity,
-        },
-        dict_len,
-        list_items,
-    ))
+        })
+    }
 }
 
-/// Decodes `.jxc` bytes back into the batch that was written.
+/// Decodes `.jxc` bytes back into the batch that was written:
+/// [`read_jxc_head`] of every row.
 ///
 /// Failure taxonomy: no leading magic → [`JxcError::BadMagic`] (not our
 /// file); leading magic but no complete trailer (footer CRC + offset +
@@ -898,6 +1035,15 @@ fn read_block(
 /// complete trailer whose checksums or structure disagree →
 /// [`JxcError::Corrupt`].
 pub fn read_jxc(bytes: &[u8]) -> Result<JxcFile, JxcError> {
+    read_jxc_head(bytes, usize::MAX)
+}
+
+/// Checks all of `.jxc` bytes and decodes the first `n` rows: the
+/// batch [`read_jxc`] returns, cut to `n` rows, with the same column
+/// facts and row count. Every check [`read_jxc`] makes runs over the
+/// whole file, in the same order, so a file one of them rejects is the
+/// same error at any `n`; only the copying is bounded by `n`.
+pub fn read_jxc_head(bytes: &[u8], n: usize) -> Result<JxcFile, JxcError> {
     if bytes.len() < 4 || &bytes[..4] != MAGIC {
         return Err(JxcError::BadMagic);
     }
@@ -926,6 +1072,7 @@ pub fn read_jxc(bytes: &[u8]) -> Result<JxcFile, JxcError> {
         pos: footer_off,
     };
     let rows = usize::try_from(cur.u64()?).map_err(|_| JxcError::Truncated)?;
+    let shown = rows.min(n);
     let ncols = cur.u32()? as usize;
     let mut columns = Vec::with_capacity(ncols.min(1 << 12));
     let mut infos = Vec::with_capacity(ncols.min(1 << 12));
@@ -956,7 +1103,7 @@ pub fn read_jxc(bytes: &[u8]) -> Result<JxcFile, JxcError> {
                 "column block of {path} fails its checksum"
             )));
         }
-        let (column, dict_len, list_items) = read_block(
+        let block = read_block(
             &bytes[block_off..block_end],
             rows,
             valid_count,
@@ -964,28 +1111,39 @@ pub fn read_jxc(bytes: &[u8]) -> Result<JxcFile, JxcError> {
             enc,
             &path,
         )?;
+        let column = block.column(&path, shown)?;
         infos.push(JxcColumnInfo {
             path,
             type_name: column.data.type_name(),
             encoding: enc,
             block_bytes: block_len,
             valid_count,
-            dict_len,
-            list_items,
+            dict_len: block.dict_len(),
+            list_items: block.list_items(),
         });
         columns.push(column);
     }
     Ok(JxcFile {
-        batch: ColumnarBatch { columns, rows },
+        batch: ColumnarBatch {
+            columns,
+            rows: shown,
+        },
         columns: infos,
+        rows,
     })
 }
 
 /// Reads a `.jxc` file from disk.
 pub fn read_jxc_file(path: &Path) -> Result<JxcFile, JxcError> {
+    read_jxc_file_head(path, usize::MAX)
+}
+
+/// Reads a `.jxc` file from disk, decoding its first `n` rows
+/// ([`read_jxc_head`]).
+pub fn read_jxc_file_head(path: &Path, n: usize) -> Result<JxcFile, JxcError> {
     let bytes =
         std::fs::read(path).map_err(|e| JxcError::Io(format!("{}: {e}", path.display())))?;
-    read_jxc(&bytes)
+    read_jxc_head(&bytes, n)
 }
 
 // ---------------------------------------------------------------------------
@@ -1073,14 +1231,14 @@ pub fn flatten_rows(file: &JxcFile, limit: usize) -> Vec<Value> {
         // Cartesian product over the list columns' elements.
         let mut idx = vec![0usize; variants.len()];
         loop {
+            if out.len() >= limit {
+                return out;
+            }
             let mut obj = base.clone();
             for (slot, (path, elems)) in idx.iter().zip(&variants) {
                 obj.insert(path.clone(), elems[*slot].clone());
             }
             out.push(Value::Obj(obj));
-            if out.len() >= limit {
-                return out;
-            }
             // Odometer increment; done when it wraps (or there are no
             // list columns at all — one combination per row).
             let mut carry = true;
@@ -1275,5 +1433,16 @@ mod tests {
             flat[4].to_json_string(),
             "{\"id\":2,\"tags\":\"c\",\"xs\":null}"
         );
+    }
+
+    #[test]
+    fn a_limit_of_zero_shows_no_rows_flattened_or_not() {
+        let batch = shred("{\"id\": 1, \"xs\": [1, 2]}\n{\"id\": 2, \"xs\": [3]}\n");
+        let file = round_trip(&batch);
+        assert_eq!(file.columns[1].encoding, Encoding::ListInt);
+        assert_eq!(flatten_rows(&file, 0), Vec::<Value>::new());
+        assert_eq!(rows_as_values(&file.batch, 0), Vec::<Value>::new());
+        assert_eq!(flatten_rows(&file, 1).len(), 1);
+        assert_eq!(flatten_rows(&file, 3).len(), 3);
     }
 }

@@ -42,8 +42,9 @@ pub use columnar::{
     lifts, Bitmap, ColumnData, ColumnarBatch, Fallback, ShredError, ShredStream, Shredder, StrArena,
 };
 pub use jxc::{
-    flatten_rows, footer_crc, read_jxc, read_jxc_file, rows_as_values, write_jxc, write_jxc_file,
-    write_jxc_parts, Encoding, JxcColumnInfo, JxcError, JxcFile,
+    flatten_rows, footer_crc, read_jxc, read_jxc_file, read_jxc_file_head, read_jxc_head,
+    rows_as_values, write_jxc, write_jxc_file, write_jxc_parts, Encoding, JxcColumnInfo, JxcError,
+    JxcFile,
 };
 pub use relational::{normalize, Relation};
 pub use sink::{OutputSink, SinkError, SinkReport};

@@ -46,7 +46,7 @@ use jsonx::mison::ProjectedParser;
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::skeleton::Skeleton;
 use jsonx::syntax::{parse, parse_ndjson, to_string, to_string_pretty, MAX_DEPTH_CEILING};
-use jsonx::translate::{flatten_rows, read_jxc_file, rows_as_values, OutputSink, SinkError};
+use jsonx::translate::{flatten_rows, read_jxc_file_head, rows_as_values, OutputSink, SinkError};
 use jsonx::Value;
 use jsonx::{
     write_quarantine_file, CsvDecoder, ErrorPolicy, FaultOptions, Format, JournalControl,
@@ -1367,7 +1367,9 @@ fn cmd_translate(opts: &Opts) -> Result<(), CliError> {
 
 /// `jsonx cat FILE.jxc`: schema and rows on stdout, per-column encoding
 /// summary on stderr. `--flatten` cross-joins list columns into flat
-/// rows; `--head N` bounds the rows shown.
+/// rows; `--head N` bounds the rows shown — and decoded: the whole file
+/// is checked, only its first N rows are built (a row flattens to at
+/// least one row, so N rows are enough for `--flatten` too).
 fn cmd_cat(opts: &Opts) -> Result<(), CliError> {
     use jsonx::translate::JxcError;
     let path = opts
@@ -1375,7 +1377,7 @@ fn cmd_cat(opts: &Opts) -> Result<(), CliError> {
         .as_deref()
         .ok_or_else(|| CliError::usage("cat needs a FILE.jxc argument"))?;
     let head: usize = parse_flag(opts, "head")?.unwrap_or(10);
-    let file = read_jxc_file(std::path::Path::new(path)).map_err(|e| match e {
+    let file = read_jxc_file_head(std::path::Path::new(path), head).map_err(|e| match e {
         JxcError::Io(_) => CliError::io(e.to_string()),
         _ => CliError::data(e.to_string()),
     })?;
@@ -1405,14 +1407,14 @@ fn cmd_cat(opts: &Opts) -> Result<(), CliError> {
             info.type_name,
             info.encoding.label(),
             info.valid_count,
-            file.batch.rows,
+            file.rows,
             info.block_bytes
         );
     }
     eprintln!(
         "» {} columns x {} rows, showing {}",
         file.columns.len(),
-        file.batch.rows,
+        file.rows,
         rows.len()
     );
     Ok(())

@@ -980,6 +980,13 @@ fn translate_out_persists_jxc_and_cat_inspects_it() {
     assert!(ok, "stderr: {err}");
     assert!(flat.contains("\"tags\":\"x\""), "{flat}");
     assert_eq!(flat.lines().count(), 3, "schema line + 2 rows: {flat}");
+    // --head 0 shows no row, flattened or not.
+    for flags in [&["--head", "0"][..], &["--head", "0", "--flatten"]] {
+        let (out, err, ok) = run(&[&["cat", jxc_path][..], flags].concat(), "");
+        assert!(ok, "stderr: {err}");
+        assert_eq!(out.lines().count(), 1, "schema line only: {out}");
+        assert!(err.contains("x 3 rows, showing 0"), "{flags:?}: {err}");
+    }
 
     // An --out that cannot be written is an I/O error; a corpus the sink
     // cannot shred is still the data's fault.
