@@ -136,6 +136,22 @@ impl MongoProfiler {
         }
     }
 
+    /// Folds in a profile of the documents observed after this one's —
+    /// the same profile as observing them all here, in order: counts add
+    /// up, and a path keeps its first-seen samples, this profile's first.
+    pub fn merge(&mut self, later: MongoProfiler) {
+        self.total_docs += later.total_docs;
+        for (path, profile) in later.paths {
+            let mine = self.paths.entry(path).or_insert_with(FieldProfile::new);
+            mine.present += profile.present;
+            for (kind, n) in profile.kinds {
+                *mine.kinds.entry(kind).or_insert(0) += n;
+            }
+            let room = self.sample_cap.saturating_sub(mine.samples.len());
+            mine.samples.extend(profile.samples.into_iter().take(room));
+        }
+    }
+
     /// Number of documents observed.
     pub fn total_docs(&self) -> u64 {
         self.total_docs
@@ -237,6 +253,25 @@ mod tests {
             )
         };
         assert_eq!(probs(&disjoint), probs(&mixed));
+    }
+
+    #[test]
+    fn merging_profiles_equals_observing_in_order() {
+        let docs: Vec<Value> = (0..9)
+            .map(|i| match i % 3 {
+                0 => json!({"a": i, "t": [1, "x"]}),
+                1 => json!({"a": "s", "u": {"v": null}, "t": []}),
+                _ => json!({"b": [i, i]}),
+            })
+            .collect();
+        let whole = profiler(&docs);
+        for cut in 0..=docs.len() {
+            let mut left = profiler(&docs[..cut]);
+            left.merge(profiler(&docs[cut..]));
+            assert_eq!(left.report(), whole.report(), "cut {cut}");
+            assert_eq!(left.total_docs(), whole.total_docs());
+            assert_eq!(left.paths, whole.paths, "cut {cut}");
+        }
     }
 
     #[test]

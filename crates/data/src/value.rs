@@ -89,24 +89,8 @@ impl Value {
         }
     }
 
-    /// The mutable element vector, if this is an array.
-    pub fn as_array_mut(&mut self) -> Option<&mut Vec<Value>> {
-        match self {
-            Value::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
     /// The object payload, if this is an object.
     pub fn as_object(&self) -> Option<&Object> {
-        match self {
-            Value::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    /// The mutable object payload, if this is an object.
-    pub fn as_object_mut(&mut self) -> Option<&mut Object> {
         match self {
             Value::Obj(o) => Some(o),
             _ => None,

@@ -7,13 +7,13 @@
 //!
 //! ## Role in the workspace
 //!
-//! Two roles. It is **product code**: `jsonx project --fields a,b.c`
-//! runs on [`ProjectedParser`], whose dotted paths reach into nested
-//! records — something the engine's root-field scanner in
-//! [`jsonx_syntax::structural`] cannot serve. And it is the **paper
-//! reproduction** of §4.2, where Mison's pipeline is rebuilt stage by
-//! stage so each stage can be measured in isolation (E9, E10, A1). The
-//! engine's own fast path — the fused structural scanner + projection
+//! It is the **paper reproduction** of §4.2, where Mison's pipeline is
+//! rebuilt stage by stage so each stage can be measured in isolation
+//! (E9, E10, A1). [`ProjectedParser`], whose dotted paths reach into
+//! nested records, is also the oracle `jsonx project` is tested against:
+//! the command itself selects its paths from each record's document on
+//! the engine (`jsonx::documents::ProjectFold`), so one decoder judges
+//! every line. The engine's own fast path — the fused structural scanner + projection
 //! pushdown `validate` and `translate` use unless `--no-fast-parse` is
 //! given — lives in `jsonx_syntax::structural`, where stage 1 (the
 //! bitmap builder) was promoted; the index here builds on those same

@@ -39,11 +39,19 @@ impl Skeleton {
     /// coverage is reached. That information loss is the documented
     /// design trade-off of skeletons.
     pub fn mine(docs: &[Value], coverage: f64) -> Skeleton {
-        let coverage = coverage.clamp(0.0, 1.0);
         let mut counts: HashMap<StructTree, u64> = HashMap::new();
         for doc in docs {
             *counts.entry(StructTree::of(doc)).or_insert(0) += 1;
         }
+        Skeleton::from_counts(counts, coverage)
+    }
+
+    /// Ranks counted structures and cuts them at `coverage` (0–1] of the
+    /// documents counted — [`mine`](Self::mine) after its count, for
+    /// counts summed over parts of a collection.
+    pub fn from_counts(counts: HashMap<StructTree, u64>, coverage: f64) -> Skeleton {
+        let coverage = coverage.clamp(0.0, 1.0);
+        let total = counts.values().sum::<u64>();
         let mut ranked: Vec<(StructTree, u64)> = counts.into_iter().collect();
         // Frequency descending; size ascending as tiebreak (prefer small
         // representative structures), then display order for determinism.
@@ -53,7 +61,6 @@ impl Skeleton {
                 .then_with(|| a.0.cmp(&b.0))
         });
 
-        let total = docs.len() as u64;
         let needed = (coverage * total as f64).ceil() as u64;
         let mut kept = Vec::new();
         let mut covered = 0;

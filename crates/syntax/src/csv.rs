@@ -114,12 +114,6 @@ impl CsvDecoder {
         })
     }
 
-    /// Replaces the delimiter (e.g. `b'\t'` for TSV).
-    pub fn with_delimiter(mut self, delimiter: u8) -> CsvDecoder {
-        self.delimiter = delimiter;
-        self
-    }
-
     /// Replaces the per-record resource limits (`max_input_bytes` bounds
     /// the row, `max_string_bytes` each cell; depth does not apply to the
     /// flat rows CSV produces).

@@ -700,11 +700,6 @@ impl Shredder {
         }
     }
 
-    /// Number of planned columns.
-    pub fn column_count(&self) -> usize {
-        self.layout.len()
-    }
-
     /// The top-level field names this plan reads from each record, or
     /// `None` when the plan requires whole records (non-record types,
     /// discovering mode). Every column path's first dotted segment is one

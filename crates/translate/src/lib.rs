@@ -27,9 +27,8 @@
 //! * [`jxc`] — `.jxc`, a binary columnar *file* format for
 //!   [`columnar::ColumnarBatch`]: dictionary-encoded strings, validity
 //!   bitmaps, nested-list offset arrays, schema footer.
-//! * [`sink`] — one [`sink::OutputSink`] interface over all three
-//!   targets, so callers dispatch on a target name instead of
-//!   re-implementing per-format plumbing.
+//! * [`sink`] — [`sink::OutputSink`], the columnar batches' schema line,
+//!   summary and optional `.jxc` file.
 
 pub mod avro;
 pub mod columnar;

@@ -8,7 +8,7 @@
 //! jsonx profile   [FILE]
 //! jsonx skeleton  [--coverage 0.9] [FILE]
 //! jsonx project   --fields a,b.c [FILE]
-//! jsonx convert   --to avro|columnar|relational [--out FILE.jxc] [FILE]
+//! jsonx convert   --to avro|relational [FILE]
 //! jsonx translate [--out FILE.jxc] [--workers N] [--no-fast-parse]
 //!                 [--format json|csv] [FILE]
 //! jsonx query     [--where-exists p] [--expand p] [--project a,b.c] [--top n] [FILE]
@@ -22,14 +22,20 @@
 //! `--format csv`, which routes the same corpus through the same typed
 //! pipeline via the CSV record decoder. `-` or no file reads stdin. A
 //! byte-order mark before the first line of either is skipped.
-//! `infer`, `validate` and `translate` always run on the chunked
-//! work-stealing engine and additionally accept the fault-tolerance
-//! flags (`--on-error fail|skip`, `--max-errors N`,
-//! `--quarantine FILE`, `--max-depth N`, `--max-line-bytes N`) and the
-//! out-of-core flags: `--input FILE` to process the corpus without
-//! loading it, `--chunk-bytes N` and `--report-timing` to tune and
-//! observe the dispatch, and `--checkpoint FILE` / `--resume` to journal
-//! chunk commits durably and continue an interrupted run.
+//! Every command that reads a corpus reads it through a [`Run`] on the
+//! chunked work-stealing engine, so one decoder, one set of limits and
+//! one fault layer judge every record: `infer`, `validate` and
+//! `translate` through their own stages, `profile`, `skeleton`, `query`,
+//! `project` and `convert` through the document stage
+//! ([`jsonx::documents`]), which hands each record's document to the
+//! command's fold. `infer`, `validate` and `translate` additionally
+//! accept the fault-tolerance flags (`--on-error fail|skip`,
+//! `--max-errors N`, `--quarantine FILE`, `--max-depth N`,
+//! `--max-line-bytes N`) and the out-of-core flags: `--input FILE` to
+//! process the corpus without loading it, `--chunk-bytes N` and
+//! `--report-timing` to tune and observe the dispatch, and
+//! `--checkpoint FILE` / `--resume` to journal chunk commits durably and
+//! continue an interrupted run.
 //!
 //! Every command's flags live in one [`FlagSpec`] table; `jsonx help`
 //! is generated from those tables, so value placeholders and help text
@@ -40,14 +46,14 @@
 //! verdicts), `2` usage error, `3` I/O error, `4` interrupted with a
 //! resumable checkpoint.
 
-use jsonx::baselines::MongoProfiler;
-use jsonx::core::{infer_collection, print_type, to_json_schema, Equivalence, PrintOptions};
-use jsonx::mison::ProjectedParser;
+use jsonx::core::{print_type, to_json_schema, Equivalence, PrintOptions};
+use jsonx::documents::{
+    AvroFold, CollectFold, DocumentFold, ProfileFold, ProjectFold, QueryFold, SkeletonFold,
+};
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::skeleton::Skeleton;
-use jsonx::syntax::{parse, parse_ndjson, to_string, to_string_pretty, MAX_DEPTH_CEILING};
+use jsonx::syntax::{parse, to_string, to_string_pretty, MAX_DEPTH_CEILING};
 use jsonx::translate::{flatten_rows, read_jxc_file_head, rows_as_values, OutputSink, SinkError};
-use jsonx::Value;
 use jsonx::{
     write_quarantine_file, CsvDecoder, ErrorPolicy, FaultOptions, Format, JournalControl,
     JsonDecoder, LineVerdict, ParseLimits, RecordDecoder, Run, RunReport, Source, StreamError,
@@ -181,14 +187,7 @@ const SKELETON_FLAGS: &[FlagSpec] = &[valued(
 
 const PROJECT_FLAGS: &[FlagSpec] = &[valued("fields", "a,b.c", "dotted field paths (required)")];
 
-const CONVERT_FLAGS: &[FlagSpec] = &[
-    valued("to", "TARGET", "avro | columnar | relational (required)"),
-    valued(
-        "out",
-        "FILE",
-        "persist the batch as a binary .jxc file (columnar only)",
-    ),
-];
+const CONVERT_FLAGS: &[FlagSpec] = &[valued("to", "TARGET", "avro | relational (required)")];
 
 const TRANSLATE_FLAGS: &[FlagSpec] = &[
     valued("out", "FILE", "persist the batch as a binary .jxc file"),
@@ -292,7 +291,7 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "profile",
-        summary: "mongodb-schema-style streaming field profile",
+        summary: "mongodb-schema-style field profile",
         flags: &[],
         guarded: false,
     },
@@ -310,7 +309,7 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "convert",
-        summary: "translate the collection, held in memory, to Avro, columnar or relational form",
+        summary: "translate the collection to Avro rows (sizes) or relational form (relations)",
         flags: CONVERT_FLAGS,
         guarded: false,
     },
@@ -322,7 +321,7 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "query",
-        summary: "run a Jaql-style pipeline and show its inferred output schema (stages apply in flag order)",
+        summary: "run a Jaql-style pipeline and show its inferred output schema (stages apply in a fixed order: where-exists, expand, project, top)",
         flags: QUERY_FLAGS,
         guarded: false,
     },
@@ -465,10 +464,8 @@ impl From<String> for CliError {
 
 impl From<SinkError> for CliError {
     fn from(e: SinkError) -> CliError {
-        match e {
-            SinkError::Data(msg) => CliError::Data(msg),
-            SinkError::Write(msg) => CliError::Io(msg),
-        }
+        let SinkError::Write(msg) = e;
+        CliError::Io(msg)
     }
 }
 
@@ -640,9 +637,12 @@ fn parse_opts(args: &[String], cmd: &CommandSpec) -> Result<Opts, CliError> {
         let a = &args[i];
         if let Some(name) = a.strip_prefix("--") {
             let Some(spec) = cmd.all_flags().find(|s| s.name == name) else {
-                return Err(CliError::usage(format!(
-                    "unknown flag --{name} (see `jsonx help`)"
-                )));
+                return Err(CliError::usage(match (cmd.name, name) {
+                    ("convert", "out") => "convert --out was removed: \
+                        `jsonx translate --out FILE` writes the .jxc file"
+                        .to_string(),
+                    _ => format!("unknown flag --{name} (see `jsonx help`)"),
+                }));
             };
             if spec.value.is_some() {
                 let v = args
@@ -942,9 +942,36 @@ fn read_text(file: Option<&str>) -> Result<String, CliError> {
     })
 }
 
-fn read_collection(file: Option<&str>) -> Result<Vec<Value>, CliError> {
-    let text = read_text(file)?;
-    parse_ndjson(&text).map_err(|(line, e)| CliError::data(format!("line {}: {e}", line + 1)))
+/// Folds every document of the positional FILE (or stdin) with `fold`,
+/// on the engine's defaults.
+fn fold_documents<F: DocumentFold>(text: &str, fold: &F) -> Result<F::Out, CliError>
+where
+    F::Out: 'static,
+{
+    let (out, _) = Run::default()
+        .documents(Source::slice(text), fold)
+        .map_err(stream_err)?;
+    Ok(out)
+}
+
+/// The type [`Run::infer`] gives the positional FILE (or stdin) under
+/// `Kind`, on the engine's defaults.
+fn infer_text(text: &str) -> Result<jsonx::core::JType, CliError> {
+    let (ty, _) = Run::default()
+        .infer(Source::slice(text), Equivalence::Kind)
+        .map_err(stream_err)?;
+    Ok(ty)
+}
+
+/// Prints `lines` to stdout, one each, until the reader goes away.
+fn print_lines<S: AsRef<str>>(lines: impl IntoIterator<Item = S>) -> Result<(), CliError> {
+    let mut out = PipeOut::new();
+    for line in lines {
+        if !out.line(line.as_ref())? {
+            break;
+        }
+    }
+    out.finish()
 }
 
 /// Stdout wrapped for pipeline use (`jsonx cat big.jxc | head`): a
@@ -1182,13 +1209,7 @@ fn print_inferred_type(opts: &Opts, ty: &jsonx::core::JType) -> Result<(), CliEr
         };
         print_type(ty, popts)
     };
-    let mut out = PipeOut::new();
-    for line in text.lines() {
-        if !out.line(line)? {
-            break;
-        }
-    }
-    out.finish()
+    print_lines(text.lines())
 }
 
 // ---------------------------------------------------------------------------
@@ -1236,33 +1257,26 @@ fn cmd_validate(opts: &Opts) -> Result<(), CliError> {
 // ---------------------------------------------------------------------------
 
 fn cmd_profile(opts: &Opts) -> Result<(), CliError> {
-    let docs = read_collection(opts.file.as_deref())?;
-    let mut profiler = MongoProfiler::default();
-    for d in &docs {
-        profiler.observe(d);
-    }
-    let mut out = PipeOut::new();
-    for line in profiler.report().lines() {
-        if !out.line(line)? {
-            break;
-        }
-    }
-    out.finish()?;
-    eprintln!("» {} documents, {} paths", docs.len(), profiler.size());
+    let text = read_text(opts.file.as_deref())?;
+    let profile = fold_documents(&text, &ProfileFold)?;
+    print_lines(profile.report().lines())?;
+    eprintln!(
+        "» {} documents, {} paths",
+        profile.total_docs(),
+        profile.size()
+    );
     Ok(())
 }
 
 fn cmd_skeleton(opts: &Opts) -> Result<(), CliError> {
     let coverage: f64 = parse_flag(opts, "coverage")?.unwrap_or(0.9);
-    let docs = read_collection(opts.file.as_deref())?;
-    let sk = Skeleton::mine(&docs, coverage);
-    let mut out = PipeOut::new();
-    for (tree, count) in &sk.structures {
-        if !out.line(&format!("{count:>8}  {tree}"))? {
-            break;
-        }
-    }
-    out.finish()?;
+    let text = read_text(opts.file.as_deref())?;
+    let sk = Skeleton::from_counts(fold_documents(&text, &SkeletonFold)?, coverage);
+    print_lines(
+        sk.structures
+            .iter()
+            .map(|(tree, count)| format!("{count:>8}  {tree}")),
+    )?;
     let stats = sk.stats();
     eprintln!(
         "» {} structures, {:.1}% coverage, {} queryable paths",
@@ -1278,42 +1292,64 @@ fn cmd_project(opts: &Opts) -> Result<(), CliError> {
         .get("fields")
         .ok_or_else(|| CliError::usage("project needs --fields a,b.c"))?;
     let fields: Vec<&str> = fields_arg.split(',').collect();
-    let parser = ProjectedParser::new(&fields).map_err(|e| e.to_string())?;
-    let docs_text = read_text(opts.file.as_deref())?;
-    let mut out = PipeOut::new();
-    for line in docs_text.lines().filter(|l| !l.trim().is_empty()) {
-        let projected = parser.parse(line.as_bytes()).map_err(|e| {
-            let prefix: String = line.chars().take(60).collect();
-            format!("{e} in document starting {prefix}...")
-        })?;
-        if !out.line(&to_string(&Value::Obj(projected)))? {
-            break;
+    let fold = ProjectFold::new(&fields).map_err(|e| e.to_string())?;
+    let text = read_text(opts.file.as_deref())?;
+    match Run::default().documents(Source::slice(&text), &fold) {
+        Ok((rows, _)) => print_lines(rows),
+        // A row per line, as far as the lines go well: the rows of the
+        // lines before the one that stopped the run print before its error.
+        Err(StreamError::Record { record, issue }) => {
+            let before = text.split_inclusive('\n').take(record).map(str::len).sum();
+            print_lines(fold_documents(&text[..before], &fold)?)?;
+            Err(stream_err(StreamError::Record { record, issue }))
         }
+        Err(e) => Err(stream_err(e)),
     }
-    out.finish()
 }
 
 // ---------------------------------------------------------------------------
 // convert / translate / cat
 // ---------------------------------------------------------------------------
 
-/// The paper's §5 three-target translation over the whole collection in
-/// memory: infer its type, hand both to the sink, print its report.
+/// The paper's §5 Avro and relational targets, on the document stage:
+/// Avro rows are encoded one document at a time under the collection's
+/// inferred type and only their sizes kept; the relational
+/// decomposition needs every document at once. The columnar target is
+/// `translate`'s.
 fn cmd_convert(opts: &Opts) -> Result<(), CliError> {
     let target = opts
         .get("to")
-        .ok_or_else(|| CliError::usage("convert needs --to avro|columnar|relational"))?;
-    let sink = OutputSink::for_target(target, opts.get("out")).map_err(CliError::Usage)?;
-    let docs = read_collection(opts.file.as_deref())?;
-    let ty = infer_collection(&docs, Equivalence::Kind);
-    let report = sink.consume(&ty, &docs)?;
-    if !report.body.is_empty() {
-        println!("{}", report.body);
+        .ok_or_else(|| CliError::usage("convert needs --to avro|relational"))?;
+    match target {
+        "avro" | "relational" => {}
+        "columnar" => {
+            return Err(CliError::usage(
+                "convert --to columnar was removed: `jsonx translate` prints the same \
+                 columnar batch, and `translate --out FILE` writes it as a .jxc file",
+            ))
+        }
+        other => return Err(CliError::usage(format!("unknown target '{other}'"))),
     }
-    if !report.summary.is_empty() {
-        eprintln!("» {}", report.summary);
+    let text = read_text(opts.file.as_deref())?;
+    if target == "avro" {
+        let fold = AvroFold::new(&infer_text(&text)?);
+        let (docs, bytes) = fold_documents(&text, &fold)?;
+        eprintln!(
+            "» {docs} documents encoded: {bytes} bytes binary (schema derived from inference)"
+        );
+        return Ok(());
     }
-    Ok(())
+    let docs = fold_documents(&text, &CollectFold)?;
+    drop(text);
+    let relations = jsonx::translate::normalize("root", &docs);
+    print_lines(relations.iter().map(|rel| {
+        format!(
+            "{}({})  -- {} rows",
+            rel.name,
+            rel.columns.join(", "),
+            rel.rows.len()
+        )
+    }))
 }
 
 /// Schema-driven columnar translation on the engine.
@@ -1334,7 +1370,7 @@ fn cmd_convert(opts: &Opts) -> Result<(), CliError> {
 /// resume lands in whichever pass the run died in. The Avro and
 /// relational targets are `convert`'s.
 fn cmd_translate(opts: &Opts) -> Result<(), CliError> {
-    let sink = OutputSink::Columnar {
+    let sink = OutputSink {
         out: opts.get("out").map(PathBuf::from),
     };
     let (mut run, csv) = run_plan(opts)?;
@@ -1474,6 +1510,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
 
 fn cmd_query(opts: &Opts) -> Result<(), CliError> {
     use jsonx::jaql::{expr, infer_output_type, Pipeline};
+    // The stages' order is fixed, whatever the flags' order.
     let mut q = Pipeline::new();
     if let Some(path) = opts.get("where-exists") {
         q = q.filter(expr::exists(expr::path(path)));
@@ -1494,20 +1531,15 @@ fn cmd_query(opts: &Opts) -> Result<(), CliError> {
     if let Some(n) = parse_flag::<usize>(opts, "top")? {
         q = q.top(n);
     }
-    let docs = read_collection(opts.file.as_deref())?;
+    let text = read_text(opts.file.as_deref())?;
     // Static output schema first — the Jaql §4.1 feature.
-    let input_ty = infer_collection(&docs, Equivalence::Kind);
-    let output_ty = infer_output_type(&q, &input_ty);
+    let output_ty = infer_output_type(&q, &infer_text(&text)?);
     eprintln!("» pipeline: {q}");
     eprintln!(
         "» inferred output type: {}",
         print_type(&output_ty, PrintOptions::plain())
     );
-    let mut out = PipeOut::new();
-    for row in q.eval(&docs) {
-        if !out.line(&to_string(&row))? {
-            break;
-        }
-    }
-    out.finish()
+    let fold = QueryFold::new(&q);
+    let rows = fold.finish(fold_documents(&text, &fold)?);
+    print_lines(rows.iter().map(to_string))
 }

@@ -38,17 +38,21 @@
 //! format, optional checkpoint journal) and its methods —
 //! [`infer`](Run::infer), [`validate`](Run::validate),
 //! [`infer_validate`](Run::infer_validate), [`translate`](Run::translate),
-//! [`translate_inferred`](Run::translate_inferred) — execute it over a
-//! [`Source`] through one path (see [`run`]). Every stage reads a record
-//! one way: from its events, verified per record, with a document built
-//! only for a record the walk hands back or a schema outside the
-//! streamable fragment (see [`streaming`]). The last method is a loop
-//! over that path, not a pass: the first chunk teaches the columnar
-//! layout, every chunk is shredded under it by walkers that verify each
-//! record against it, and a chunk whose records widen it is shredded
-//! again — the corpus is read once when the first chunk describes it.
+//! [`translate_inferred`](Run::translate_inferred),
+//! [`documents`](Run::documents) — execute it over a [`Source`] through
+//! one path (see [`run`]). Every stage reads a record one way: from its
+//! events, verified per record, with a document built only for a record
+//! the walk hands back or a schema outside the streamable fragment (see
+//! [`streaming`]) — except the document stage, which hands each record's
+//! document to a whole-collection tool's fold (see [`documents`]).
+//! `translate_inferred` is a loop over that path, not a pass: the first
+//! chunk teaches the columnar layout, every chunk is shredded under it by
+//! walkers that verify each record against it, and a chunk whose records
+//! widen it is shredded again — the corpus is read once when the first
+//! chunk describes it.
 
 pub mod checkpoint;
+pub mod documents;
 pub mod quarantine;
 pub mod run;
 pub mod streaming;

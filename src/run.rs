@@ -31,6 +31,7 @@
 use crate::checkpoint::{
     infer_codec, translate_codec, validate_codec, JournalControl, Phase, Prefix, Session, Stage,
 };
+use crate::documents::{DocumentFold, DocumentStage};
 use crate::streaming::{
     FaultFold, FaultOptions, Halt, InferStage, InferValidateStage, LineDecoder, LineVerdict,
     RecordStage, Shredded, StreamError, TranslateStage, TypedVerdicts, ValidateStage,
@@ -318,6 +319,29 @@ impl Run<'_> {
         let stage = InferValidateStage {
             equiv,
             validate: self.validate_stage(schema, options),
+        };
+        self.execute(source, &stage, None)
+    }
+
+    /// Folds every accepted record's document with `fold` (see
+    /// [`documents`](crate::documents)): the one way in for the tools
+    /// that read whole documents. Each record is decoded to a [`Value`]
+    /// by the run's decoder, under the run's limits and fault layer, and
+    /// the chunks' results merge in input order.
+    ///
+    /// [`Value`]: jsonx_data::Value
+    pub fn documents<R: BufRead + Send, F: DocumentFold>(
+        &self,
+        source: Source<'_, R>,
+        fold: &F,
+    ) -> Result<(F::Out, RunReport), StreamError>
+    where
+        F::Out: 'static,
+    {
+        self.refuse_journal("a document fold (journal infer, validate or translate)")?;
+        let stage = DocumentStage {
+            fold,
+            decoder: self.decoder(),
         };
         self.execute(source, &stage, None)
     }

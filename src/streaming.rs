@@ -334,6 +334,10 @@ pub enum RecordIssue {
     /// The record parsed but is not a JSON object (translation shreds
     /// records only).
     NotARecord,
+    /// The record parsed, but the run's
+    /// [`DocumentFold`](crate::documents::DocumentFold) refused its
+    /// document — a projection through a field that is no object, say.
+    Refused(String),
 }
 
 impl RecordIssue {
@@ -344,6 +348,7 @@ impl RecordIssue {
         match self {
             RecordIssue::Parse(e) => e.kind.label(),
             RecordIssue::NotARecord => "not-a-record",
+            RecordIssue::Refused(_) => "refused",
         }
     }
 
@@ -351,7 +356,7 @@ impl RecordIssue {
     pub fn offset(&self) -> usize {
         match self {
             RecordIssue::Parse(e) => e.offset,
-            RecordIssue::NotARecord => 0,
+            RecordIssue::NotARecord | RecordIssue::Refused(_) => 0,
         }
     }
 }
@@ -361,6 +366,7 @@ impl std::fmt::Display for RecordIssue {
         match self {
             RecordIssue::Parse(e) => write!(f, "{e}"),
             RecordIssue::NotARecord => write!(f, "not a JSON object"),
+            RecordIssue::Refused(why) => write!(f, "{why}"),
         }
     }
 }

@@ -1,6 +1,9 @@
 //! End-to-end tests of the `jsonx` CLI binary.
 
+use jsonx::core::{infer_collection, Equivalence};
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
+use jsonx::syntax::parse_ndjson;
+use jsonx::translate::Shredder;
 use std::io::Write;
 use std::process::{Command, Stdio};
 
@@ -114,8 +117,14 @@ fn every_route_to_the_engine_prints_the_same_bytes() {
             .collect();
         shrunk.dedup();
         let shrunk = shrunk.concat();
-        let (columnar, _, ok) = run(&["convert", "--to", "columnar", "-"], unmarked);
-        assert!(ok);
+        // translate prints the schema line of the batch the DOM shredder
+        // builds under the collection's type.
+        let docs = parse_ndjson(unmarked).unwrap();
+        let columnar = Shredder::from_type(&infer_collection(&docs, Equivalence::Kind))
+            .shred(&docs)
+            .unwrap()
+            .schema_string()
+            + "\n";
 
         let jobs: [(&[&str], &str, &str); 4] = [
             (&["infer"], kind_type, kind_type),
@@ -427,19 +436,95 @@ fn project_fields() {
     assert_eq!(lines[0], r#"{"id":1}"#);
     assert_eq!(lines[1], r#"{"id":2,"geo":{"lat":3.5}}"#);
     assert_eq!(lines[2], r#"{"id":"s3"}"#);
+
+    // A malformed line stops the run where it stands, as in every other
+    // command; the lines before it still print their rows.
+    for bad in [r#"{"a":1} trailing"#, r#"{"a":1,"b":tru}"#] {
+        let corpus = format!("{{\"a\":0}}\n{bad}\n{{\"a\":2}}\n");
+        let (out, err, code) = run_code(&["project", "--fields", "a", "-"], &corpus);
+        assert_eq!(code, Some(1), "{bad}: {err}");
+        assert!(err.contains("line 2: "), "{bad}: {err}");
+        assert_eq!(out, "{\"a\":0}\n", "{bad}");
+    }
+    // A repeated key resolves last-wins, and uses up no wanted field.
+    let (out, _, ok) = run(
+        &["project", "--fields", "a,b", "-"],
+        "{\"a\":1,\"a\":2,\"b\":3}\n",
+    );
+    assert!(ok);
+    assert_eq!(out, "{\"a\":2,\"b\":3}\n");
+    // Shape errors name their line; a bad path is refused before any input.
+    for (fields, input, want) in [
+        (
+            "id.sub",
+            SAMPLE,
+            "line 1: cannot descend into 'id': not an object",
+        ),
+        ("id", "{\"id\":1}\n[2]\n", "line 2: not a JSON object"),
+        ("a..b", SAMPLE, "bad field path 'a..b'"),
+    ] {
+        let (_, err, code) = run_code(&["project", "--fields", fields, "-"], input);
+        assert_eq!(code, Some(1), "{fields}: {err}");
+        assert!(err.contains(want), "{fields}: {err}");
+    }
 }
 
 #[test]
 fn convert_targets() {
-    let (out, _, ok) = run(&["convert", "--to", "columnar", "-"], SAMPLE);
-    assert!(ok);
-    assert!(out.contains("id:json") || out.contains("id:int64"), "{out}");
     let (out, _, ok) = run(&["convert", "--to", "relational", "-"], SAMPLE);
     assert!(ok);
     assert!(out.contains("root("));
     let (_, err, ok) = run(&["convert", "--to", "avro", "-"], SAMPLE);
     assert!(ok);
     assert!(err.contains("3 documents encoded"));
+    // The columnar target and its --out are translate's: both are usage
+    // errors that say so.
+    for args in [
+        &["convert", "--to", "columnar", "-"][..],
+        &["convert", "--to", "avro", "--out", "x.jxc", "-"],
+        &["convert", "--to", "columnar", "--out", "x.jxc", "-"],
+    ] {
+        let (out, err, code) = run_code(args, SAMPLE);
+        assert_eq!(code, Some(2), "{args:?}: {err}");
+        assert!(err.contains("translate"), "{args:?}: {err}");
+        assert!(out.is_empty());
+    }
+    let (help, _, _) = run(&["help"], "");
+    assert!(help.contains("avro | relational (required)"), "{help}");
+    assert!(!help.contains("columnar only"), "{help}");
+}
+
+/// Every command that reads a corpus skips a byte-order mark before its
+/// first line: stdout on a marked copy is stdout on the plain one.
+#[test]
+fn every_corpus_verb_skips_a_leading_byte_order_mark() {
+    let (schema, _, ok) = run(&["infer", "--schema", "-"], SAMPLE);
+    assert!(ok);
+    let schema_path = corpus_file("bom-schema.json", &schema);
+    let plain = corpus_file("bom-plain.ndjson", SAMPLE);
+    let marked = corpus_file("bom-marked.ndjson", &format!("\u{feff}{SAMPLE}"));
+    let verbs: [&[&str]; 11] = [
+        &["infer"],
+        &["validate", "--schema", &schema_path],
+        &["translate"],
+        &["profile"],
+        &["skeleton"],
+        &["project", "--fields", "id,geo.lat"],
+        &["query", "--project", "id,name", "--top", "2"],
+        &["query", "--where-exists", "tags", "--expand", "tags"],
+        &["convert", "--to", "avro"],
+        &["convert", "--to", "relational"],
+        &["infer", "--counts", "--equiv", "L"],
+    ];
+    for verb in verbs {
+        let (want, err, ok) = run(&[verb, &[plain.as_str()]].concat(), "");
+        assert!(ok, "{verb:?}: {err}");
+        for file in [&marked, "-"] {
+            let (out, err, ok) = run(&[verb, &[file]].concat(), &format!("\u{feff}{SAMPLE}"));
+            assert!(ok, "{verb:?} {file}: {err}");
+            assert_eq!(out, want, "{verb:?} {file}");
+        }
+    }
 }
 
 #[test]
@@ -529,6 +614,28 @@ fn query_pipeline_with_static_typing() {
     );
     assert!(ok);
     assert_eq!(out.trim(), r#""x""#);
+
+    // The stages apply in one order whatever the flags' order: the
+    // printed pipeline says which.
+    let (out, err, ok) = run(
+        &[
+            "query",
+            "--top",
+            "1",
+            "--project",
+            "id",
+            "--expand",
+            "tags",
+            "-",
+        ],
+        SAMPLE,
+    );
+    assert!(ok, "{err}");
+    assert!(
+        err.contains("» pipeline: $input -> expand $.tags -> transform {id: $.id} -> top 1\n"),
+        "{err}"
+    );
+    assert_eq!(out, "{\"id\":null}\n");
 
     // bad --top
     let (_, err, ok) = run(&["query", "--top", "many", "-"], SAMPLE);
@@ -990,21 +1097,14 @@ fn translate_out_persists_jxc_and_cat_inspects_it() {
 
     // An --out that cannot be written is an I/O error; a corpus the sink
     // cannot shred is still the data's fault.
-    let nowhere = "--out /nonexistent/dir/x.jxc -";
-    for (command, input, exit) in [
-        ("translate", SAMPLE, 3),
-        ("convert --to columnar", SAMPLE, 3),
-        ("convert --to columnar", "[1]\n", 1),
-    ] {
-        let args = format!("{command} {nowhere}");
-        let (_, err, code) = run_code(&args.split(' ').collect::<Vec<_>>(), input);
-        assert_eq!(code, Some(exit), "{args}: {err}");
+    let nowhere = "/nonexistent/dir/x.jxc";
+    for (input, exit) in [(SAMPLE, 3), ("[1]\n", 1)] {
+        let args = ["translate", "--out", nowhere, "-"];
+        let (_, err, code) = run_code(&args, input);
+        assert_eq!(code, Some(exit), "{input}: {err}");
     }
 
-    // --out is columnar-only; cat rejects non-.jxc bytes.
-    let (_, err, ok) = run(&["convert", "--to", "avro", "--out", jxc_path, "-"], SAMPLE);
-    assert!(!ok);
-    assert!(err.contains("--out"), "{err}");
+    // cat rejects non-.jxc bytes.
     let junk = dir.join("junk.jxc");
     std::fs::write(&junk, b"not a jxc file at all").unwrap();
     let (_, err, ok) = run(&["cat", junk.to_str().unwrap()], "");
