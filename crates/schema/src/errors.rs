@@ -58,7 +58,6 @@ pub enum ValidationErrorKind {
     ExclusiveMinimum,
     ExclusiveMaximum,
     MultipleOf,
-    Items,
     AdditionalItems,
     MinItems,
     MaxItems,
@@ -67,8 +66,6 @@ pub enum ValidationErrorKind {
     Required {
         missing: String,
     },
-    Properties,
-    PatternProperties,
     AdditionalProperties {
         key: String,
     },
@@ -116,15 +113,12 @@ impl ValidationErrorKind {
             ExclusiveMinimum => "exclusiveMinimum",
             ExclusiveMaximum => "exclusiveMaximum",
             MultipleOf => "multipleOf",
-            Items => "items",
             AdditionalItems => "additionalItems",
             MinItems => "minItems",
             MaxItems => "maxItems",
             UniqueItems => "uniqueItems",
             Contains => "contains",
             Required { .. } => "required",
-            Properties => "properties",
-            PatternProperties => "patternProperties",
             AdditionalProperties { .. } => "additionalProperties",
             MinProperties => "minProperties",
             MaxProperties => "maxProperties",

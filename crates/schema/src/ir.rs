@@ -1,4 +1,4 @@
-//! The flat validation IR and its fail-fast evaluator.
+//! The flat validation IR and the one walk that evaluates it.
 //!
 //! [`CompiledSchema::compile`](crate::CompiledSchema::compile) lowers the
 //! boxed [`Schema`] AST into an arena of [`IrNode`]s where every subschema
@@ -12,22 +12,28 @@
 //! fixed class sequence, class repetition) with the Pike VM — driven by
 //! one reusable [`Matcher`](jsonx_regex::Matcher) — as fallback.
 //!
-//! [`FastValidator`] walks that arena and answers *boolean* conformance
-//! only: it short-circuits on the first violation, builds no instance
-//! paths and renders no messages, and in steady state (validator reused
-//! across documents) performs no allocation. Diagnostics stay on the
-//! tree-walking error-collecting path in [`crate::validate`]; the two
-//! paths agree verdict-for-verdict (property-tested in
-//! `tests/prop_ir_agreement.rs`), which is the fail-fast contract: use
-//! `is_valid` to filter at full speed, re-run `validate` on the rare
-//! rejects when you need to know *why*.
+//! One walk over a [`Value`] evaluates that arena, written once and
+//! generic over what a failed keyword does (its *face*). The **verdict
+//! face** ([`FastValidator::is_valid`], [`CompiledSchema::is_valid`])
+//! stops at the first violation, builds no instance path and renders no
+//! message, and in steady state (validator reused across documents)
+//! allocates nothing. The **errors face** ([`CompiledSchema::validate`])
+//! records each violation with its instance path and goes on; the
+//! combinators, `contains`, `propertyNames` and schema `dependencies` it
+//! judges with the verdict face. A verdict and its diagnostics therefore
+//! come from the same arena, in the same keyword order. [`EventValidator`]
+//! evaluates the arena a third way, from a record's parse events.
+//!
+//! The AST interpreter this walk replaced is kept under `tests/oracle/`
+//! as the test suites' reference (`tests/prop_ir_agreement.rs` holds both
+//! faces to it, error for error).
 
 use crate::ast::{CompiledPattern, Dependency, Items, Schema, SchemaNode};
-use crate::errors::SchemaError;
+use crate::errors::{SchemaError, ValidationError, ValidationErrorKind};
 use crate::formats::check_format;
 use crate::parse::{resolve_and_compile, CompiledSchema};
 use crate::validate::ValidatorOptions;
-use jsonx_data::{all_unique, Kind, Number, Value};
+use jsonx_data::{all_unique, Kind, Number, Token, Value};
 use jsonx_regex::{MatchPlan, Matcher, Regex};
 use std::collections::{BTreeMap, HashMap};
 
@@ -54,6 +60,8 @@ pub(crate) struct Ir {
 struct IrPattern {
     regex: Regex,
     plan: MatchPlan,
+    /// The pattern as written, for the `pattern` error.
+    source: String,
 }
 
 impl IrPattern {
@@ -74,11 +82,15 @@ enum IrNode {
     Any,
     /// Rejects everything (`false`).
     Never,
-    /// A `$ref` site with its target pre-resolved to an arena index.
-    Ref { target: u32 },
-    /// A `$ref` whose target is missing or not a schema; always rejects
-    /// (the error-collecting path reports the details).
-    BadRef,
+    /// A `$ref` site with its target pre-resolved to an arena index, and
+    /// the reference as written (what a `RefCycle` error names).
+    Ref { target: u32, reference: Box<str> },
+    /// A `$ref` whose target is missing or not a schema; always rejects,
+    /// with the reference and why it failed to compile as the error.
+    BadRef {
+        reference: Box<str>,
+        error: Box<str>,
+    },
     /// A constraining keyword node.
     Node(Box<IrSchemaNode>),
 }
@@ -88,6 +100,8 @@ enum IrNode {
 struct IrSchemaNode {
     /// `type` as a bitmask over [`Kind`]s, subsumption pre-applied.
     types: Option<u8>,
+    /// `type` as listed, in schema order, for the `type` error.
+    type_names: Vec<Kind>,
     enumeration: Option<Vec<Value>>,
     const_value: Option<Value>,
 
@@ -170,7 +184,7 @@ fn deref(nodes: &[IrNode], mut idx: u32) -> &IrNode {
     let mut hops = 0usize;
     loop {
         match &nodes[idx as usize] {
-            IrNode::Ref { target } if hops <= nodes.len() => {
+            IrNode::Ref { target, .. } if hops <= nodes.len() => {
                 idx = *target;
                 hops += 1;
             }
@@ -198,7 +212,7 @@ impl Ir {
             // The verdict ignores document content entirely; every field
             // can be skipped.
             IrNode::Any | IrNode::Never => Some(Vec::new()),
-            IrNode::Ref { .. } | IrNode::BadRef => None,
+            IrNode::Ref { .. } | IrNode::BadRef { .. } => None,
             IrNode::Node(n) => {
                 let clean = n.enumeration.is_none()
                     && n.const_value.is_none()
@@ -267,9 +281,9 @@ struct Builder<'a> {
     patterns: Vec<IrPattern>,
     /// Pattern source → slot, so identical patterns share one automaton.
     pattern_slots: HashMap<String, u32>,
-    /// Reference text → arena slot of the compiled target body (or `Err`
-    /// for unresolvable references).
-    ref_slots: HashMap<String, Result<u32, ()>>,
+    /// Reference text → arena slot of the compiled target body (or, for
+    /// an unresolvable reference, the text of its compile error).
+    ref_slots: HashMap<String, Result<u32, String>>,
     ref_table: HashMap<String, Result<Schema, SchemaError>>,
 }
 
@@ -296,12 +310,17 @@ impl<'a> Builder<'a> {
             Schema::Any => IrNode::Any,
             Schema::Never => IrNode::Never,
             Schema::Node(node) => {
-                // `$ref` siblings are ignored (draft-04/06), mirroring the
-                // interpreter.
+                // `$ref` siblings are ignored (draft-04/06).
                 if let Some(reference) = &node.reference {
                     match self.ref_target(reference) {
-                        Ok(target) => IrNode::Ref { target },
-                        Err(()) => IrNode::BadRef,
+                        Ok(target) => IrNode::Ref {
+                            target,
+                            reference: reference.as_str().into(),
+                        },
+                        Err(error) => IrNode::BadRef {
+                            reference: reference.as_str().into(),
+                            error: error.into(),
+                        },
                     }
                 } else {
                     IrNode::Node(Box::new(self.lower_fields(node)))
@@ -313,9 +332,9 @@ impl<'a> Builder<'a> {
     /// The arena slot of `reference`'s compiled body, compiling it on
     /// first sight. A placeholder reserved *before* the recursive lowering
     /// lets cyclic references close over their own slot.
-    fn ref_target(&mut self, reference: &str) -> Result<u32, ()> {
+    fn ref_target(&mut self, reference: &str) -> Result<u32, String> {
         if let Some(slot) = self.ref_slots.get(reference) {
-            return *slot;
+            return slot.clone();
         }
         match resolve_and_compile(self.source, reference) {
             Ok(ast) => {
@@ -329,9 +348,11 @@ impl<'a> Builder<'a> {
                 Ok(slot)
             }
             Err(e) => {
-                self.ref_slots.insert(reference.to_string(), Err(()));
+                let error = e.to_string();
+                self.ref_slots
+                    .insert(reference.to_string(), Err(error.clone()));
                 self.ref_table.insert(reference.to_string(), Err(e));
-                Err(())
+                Err(error)
             }
         }
     }
@@ -344,6 +365,7 @@ impl<'a> Builder<'a> {
         self.patterns.push(IrPattern {
             plan: pattern.regex.plan(),
             regex: pattern.regex.clone(),
+            source: pattern.source.clone(),
         });
         self.pattern_slots.insert(pattern.source.clone(), slot);
         slot
@@ -369,6 +391,7 @@ impl<'a> Builder<'a> {
                 .types
                 .as_ref()
                 .map(|ts| ts.iter().fold(0u8, |m, t| m | subsumed_bits(*t))),
+            type_names: node.types.clone().unwrap_or_default(),
             enumeration: node.enumeration.clone(),
             const_value: node.const_value.clone(),
             all_of: self.lower_all(&node.all_of),
@@ -422,7 +445,7 @@ impl<'a> Builder<'a> {
     }
 }
 
-/// The reusable fail-fast validator.
+/// The reusable arena walker, and the fail-fast verdict over it.
 ///
 /// Holds the mutable scratch the arena walk needs — the `$ref` expansion
 /// stack, one regex [`Matcher`], and a string buffer for `propertyNames`
@@ -436,8 +459,9 @@ pub struct FastValidator<'s> {
     /// Active `$ref` expansions as (target slot, instance location). The
     /// instance location is identified by address: within one document
     /// walk, revisiting the same slot at the same address means the
-    /// reference recursed without consuming input — exactly the
-    /// (reference, instance path) cycle the interpreter detects.
+    /// reference recursed without consuming input. Each reference text
+    /// has its own slot, so this is the (reference, instance path) pair
+    /// a `RefCycle` error names.
     ref_stack: Vec<(u32, *const Value)>,
     matcher: Matcher,
     /// Reused `Value::Str` for `propertyNames` probes and the event
@@ -463,167 +487,356 @@ impl CompiledSchema {
     }
 }
 
+/// A failed keyword: `fail!(face, Kind, "message", args…)`, `Kind` a
+/// [`ValidationErrorKind`] variant, hands `face` the error to render —
+/// lazily: the verdict face renders nothing.
+macro_rules! fail {
+    ($face:expr, $kind:ident $({ $($field:tt)* })?, $($message:tt)+) => {
+        $face.fail(|| (ValidationErrorKind::$kind $({ $($field)* })?, format!($($message)+)))
+    };
+}
+
+/// How the walk goes on after a keyword: `Err` ends it.
+type Walked = Result<(), Stop>;
+
+/// A failed keyword under the verdict face: the walk unwinds.
+struct Stop;
+
+/// One step from a value to a member or element of it.
+#[derive(Clone, Copy)]
+enum Step<'v> {
+    Key(&'v str),
+    Index(usize),
+}
+
+/// What a failed keyword does — the one thing the verdict and the
+/// diagnostics of a `Value` differ in. The walk is written once, over
+/// this: it reports every failed keyword through [`fail`](Self::fail) and
+/// every step into a member or element through [`enter`](Self::enter) /
+/// [`leave`](Self::leave).
+trait Face<'v> {
+    /// The first failure is the answer: `oneOf` stops counting at two.
+    const FAIL_FAST: bool;
+    /// A keyword failed at the current instance location. `Err` ends the
+    /// walk; a face that goes on renders the error first.
+    fn fail(&mut self, error: impl FnOnce() -> (ValidationErrorKind, String)) -> Walked;
+    fn enter(&mut self, step: Step<'v>);
+    fn leave(&mut self);
+    /// How many errors are recorded: an object-level `additionalItems` /
+    /// `additionalProperties` error follows the member's own.
+    fn recorded(&self) -> usize;
+}
+
+/// The verdict face: no path, no message, nothing recorded.
+struct Verdict;
+
+impl Face<'_> for Verdict {
+    const FAIL_FAST: bool = true;
+
+    #[inline(always)]
+    fn fail(&mut self, _: impl FnOnce() -> (ValidationErrorKind, String)) -> Walked {
+        Err(Stop)
+    }
+
+    #[inline(always)]
+    fn enter(&mut self, _: Step<'_>) {}
+
+    #[inline(always)]
+    fn leave(&mut self) {}
+
+    #[inline(always)]
+    fn recorded(&self) -> usize {
+        0
+    }
+}
+
+/// The errors face: every failed keyword, at its instance path, in walk
+/// order. What `allOf`, `anyOf`, `oneOf`, `not`, `if`, `contains`,
+/// `propertyNames` and a schema `dependency` conclude is the verdict
+/// face's; their branches report nothing of their own.
+struct Errors<'v> {
+    path: Vec<Step<'v>>,
+    errors: Vec<ValidationError>,
+}
+
+impl<'v> Face<'v> for Errors<'v> {
+    const FAIL_FAST: bool = false;
+
+    fn fail(&mut self, error: impl FnOnce() -> (ValidationErrorKind, String)) -> Walked {
+        let (kind, message) = error();
+        let instance_path = self
+            .path
+            .iter()
+            .map(|step| match step {
+                Step::Key(key) => Token::Key(key.to_string()),
+                Step::Index(i) => Token::Index(*i),
+            })
+            .collect();
+        self.errors.push(ValidationError {
+            instance_path,
+            kind,
+            message,
+        });
+        Ok(())
+    }
+
+    fn enter(&mut self, step: Step<'v>) {
+        self.path.push(step);
+    }
+
+    fn leave(&mut self) {
+        self.path.pop();
+    }
+
+    fn recorded(&self) -> usize {
+        self.errors.len()
+    }
+}
+
 impl<'s> FastValidator<'s> {
-    /// True when `value` conforms. Verdict-identical to running the
-    /// error-collecting `validate` and checking for emptiness, but
-    /// short-circuiting and allocation-free.
+    /// True when `value` conforms: the walk's verdict face, which
+    /// short-circuits on the first violation and allocates nothing.
     pub fn is_valid(&mut self, value: &Value) -> bool {
         self.ref_stack.clear();
         let root = self.ir.root;
         self.probe(root, value)
     }
 
+    /// Every violation in `value`, in walk order: the errors face.
+    pub(crate) fn errors(&mut self, value: &Value) -> Vec<ValidationError> {
+        self.ref_stack.clear();
+        let mut face = Errors {
+            path: Vec::new(),
+            errors: Vec::new(),
+        };
+        let root = self.ir.root;
+        // The errors face goes on after every failure: never `Err`.
+        let _ = self.walk(&mut face, root, value);
+        face.errors
+    }
+
+    /// The verdict on `value` at arena index `idx`.
     fn probe(&mut self, idx: u32, value: &Value) -> bool {
+        self.walk(&mut Verdict, idx, value).is_ok()
+    }
+
+    fn walk<'v, F: Face<'v>>(&mut self, face: &mut F, idx: u32, value: &'v Value) -> Walked {
         let ir = self.ir;
         match &ir.nodes[idx as usize] {
-            IrNode::Any => true,
-            IrNode::Never => false,
-            IrNode::BadRef => false,
-            IrNode::Ref { target } => {
+            IrNode::Any => Ok(()),
+            IrNode::Never => fail!(face, Never, "schema 'false' accepts nothing"),
+            IrNode::BadRef { reference, error } => fail!(
+                face,
+                BadRef {
+                    reference: reference.to_string()
+                },
+                "{error}"
+            ),
+            IrNode::Ref { target, reference } => {
                 let key = (*target, value as *const Value);
                 if self.ref_stack.contains(&key) {
-                    // Unguarded recursion — the interpreter reports
-                    // RefCycle, i.e. invalid.
-                    return false;
+                    return fail!(
+                        face,
+                        RefCycle {
+                            reference: reference.to_string()
+                        },
+                        "reference '{reference}' loops without consuming input"
+                    );
                 }
                 self.ref_stack.push(key);
-                let ok = self.probe(*target, value);
+                let walked = self.walk(face, *target, value);
                 self.ref_stack.pop();
-                ok
+                walked
             }
-            IrNode::Node(node) => self.probe_node(node, value),
+            IrNode::Node(node) => self.walk_node(face, node, value),
         }
     }
 
-    fn probe_node(&mut self, node: &'s IrSchemaNode, value: &Value) -> bool {
+    /// The walk one step below the current instance location.
+    fn walk_member<'v, F: Face<'v>>(
+        &mut self,
+        face: &mut F,
+        step: Step<'v>,
+        idx: u32,
+        value: &'v Value,
+    ) -> Walked {
+        face.enter(step);
+        let walked = self.walk(face, idx, value);
+        face.leave();
+        walked
+    }
+
+    fn walk_node<'v, F: Face<'v>>(
+        &mut self,
+        face: &mut F,
+        node: &'s IrSchemaNode,
+        value: &'v Value,
+    ) -> Walked {
         if let Some(mask) = node.types {
             if mask & kind_bit(value.kind()) == 0 {
-                return false;
+                face.fail(|| {
+                    let names: Vec<&str> = node.type_names.iter().map(|t| t.name()).collect();
+                    (
+                        ValidationErrorKind::Type,
+                        format!("expected {}, found {}", names.join(" or "), value.kind()),
+                    )
+                })?;
             }
         }
         if let Some(options) = &node.enumeration {
             if !options.iter().any(|o| o == value) {
-                return false;
+                fail!(face, Enum, "{value} is not one of the permitted values")?;
             }
         }
         if let Some(expected) = &node.const_value {
             if expected != value {
-                return false;
+                fail!(face, Const, "expected {expected}, found {value}")?;
             }
         }
-        if !self.probe_combinators(node, value) {
-            return false;
-        }
+        self.walk_combinators(face, node, value)?;
         match value {
-            Value::Str(s) => self.probe_string(node, s),
-            Value::Num(n) => probe_number(node, *n),
-            Value::Arr(items) => self.probe_array(node, items),
-            Value::Obj(_) => self.probe_object(node, value),
-            _ => true,
+            Value::Str(s) => self.walk_string(face, node, s),
+            Value::Num(n) => walk_number(face, node, *n),
+            Value::Arr(items) => self.walk_array(face, node, items),
+            Value::Obj(_) => self.walk_object(face, node, value),
+            _ => Ok(()),
         }
     }
 
-    fn probe_combinators(&mut self, node: &'s IrSchemaNode, value: &Value) -> bool {
-        for &sub in &node.all_of {
+    fn walk_combinators<'v, F: Face<'v>>(
+        &mut self,
+        face: &mut F,
+        node: &'s IrSchemaNode,
+        value: &'v Value,
+    ) -> Walked {
+        for (i, &sub) in node.all_of.iter().enumerate() {
             if !self.probe(sub, value) {
-                return false;
+                fail!(face, AllOf, "does not satisfy allOf branch {i}")?;
             }
         }
         if !node.any_of.is_empty() && !node.any_of.iter().any(|&sub| self.probe(sub, value)) {
-            return false;
+            fail!(
+                face,
+                AnyOf,
+                "matches none of the {} anyOf branches",
+                node.any_of.len()
+            )?;
         }
         if !node.one_of.is_empty() {
             let mut matched = 0usize;
             for &sub in &node.one_of {
                 if self.probe(sub, value) {
                     matched += 1;
-                    if matched > 1 {
-                        return false;
+                    if F::FAIL_FAST && matched > 1 {
+                        break;
                     }
                 }
             }
             if matched != 1 {
-                return false;
+                fail!(
+                    face,
+                    OneOf { matched },
+                    "matches {matched} oneOf branches, expected exactly 1"
+                )?;
             }
         }
         if let Some(negated) = node.not {
             if self.probe(negated, value) {
-                return false;
+                fail!(face, Not, "matches the negated schema")?;
             }
         }
         if let Some(condition) = node.if_schema {
             if self.probe(condition, value) {
                 if let Some(then_schema) = node.then_schema {
                     if !self.probe(then_schema, value) {
-                        return false;
+                        fail!(
+                            face,
+                            Conditional { then_branch: true },
+                            "matches 'if' but violates 'then'"
+                        )?;
                     }
                 }
             } else if let Some(else_schema) = node.else_schema {
                 if !self.probe(else_schema, value) {
-                    return false;
+                    fail!(
+                        face,
+                        Conditional { then_branch: false },
+                        "fails 'if' and violates 'else'"
+                    )?;
                 }
             }
         }
-        true
+        Ok(())
     }
 
-    fn probe_string(&mut self, node: &IrSchemaNode, s: &str) -> bool {
+    fn walk_string<'v, F: Face<'v>>(
+        &mut self,
+        face: &mut F,
+        node: &IrSchemaNode,
+        s: &str,
+    ) -> Walked {
+        // Lengths count Unicode scalar values, not bytes, per spec.
         if node.min_length.is_some() || node.max_length.is_some() {
             let len = s.chars().count() as u64;
-            if node.min_length.is_some_and(|min| len < min) {
-                return false;
+            if let Some(min) = node.min_length.filter(|&min| len < min) {
+                fail!(face, MinLength, "length {len} < minLength {min}")?;
             }
-            if node.max_length.is_some_and(|max| len > max) {
-                return false;
+            if let Some(max) = node.max_length.filter(|&max| len > max) {
+                fail!(face, MaxLength, "length {len} > maxLength {max}")?;
             }
         }
         if let Some(slot) = node.pattern {
             let pattern = &self.ir.patterns[slot as usize];
             if !pattern.is_match(&mut self.matcher, s) {
-                return false;
+                fail!(face, Pattern, "does not match pattern '{}'", pattern.source)?;
             }
         }
         if self.options.enforce_formats {
             if let Some(format) = &node.format {
                 if !check_format(format, s) {
-                    return false;
+                    fail!(face, Format, "'{s}' is not a valid {format}")?;
                 }
             }
         }
-        true
+        Ok(())
     }
 
-    fn probe_array(&mut self, node: &'s IrSchemaNode, items: &[Value]) -> bool {
+    fn walk_array<'v, F: Face<'v>>(
+        &mut self,
+        face: &mut F,
+        node: &'s IrSchemaNode,
+        items: &'v [Value],
+    ) -> Walked {
         let len = items.len() as u64;
-        if node.min_items.is_some_and(|min| len < min) {
-            return false;
+        if let Some(min) = node.min_items.filter(|&min| len < min) {
+            fail!(face, MinItems, "{len} items < minItems {min}")?;
         }
-        if node.max_items.is_some_and(|max| len > max) {
-            return false;
+        if let Some(max) = node.max_items.filter(|&max| len > max) {
+            fail!(face, MaxItems, "{len} items > maxItems {max}")?;
         }
         if node.unique_items && !all_unique(items) {
-            return false;
+            fail!(face, UniqueItems, "array items are not unique")?;
         }
         match &node.items {
             Some(IrItems::All(schema)) => {
-                for item in items {
-                    if !self.probe(*schema, item) {
-                        return false;
-                    }
+                for (i, item) in items.iter().enumerate() {
+                    self.walk_member(face, Step::Index(i), *schema, item)?;
                 }
             }
             Some(IrItems::Tuple(schemas)) => {
                 for (i, item) in items.iter().enumerate() {
                     match schemas.get(i) {
-                        Some(&schema) => {
-                            if !self.probe(schema, item) {
-                                return false;
-                            }
-                        }
+                        Some(&schema) => self.walk_member(face, Step::Index(i), schema, item)?,
                         None => {
                             if let Some(extra) = node.additional_items {
-                                if !self.probe(extra, item) {
-                                    return false;
+                                let before = face.recorded();
+                                self.walk_member(face, Step::Index(i), extra, item)?;
+                                if face.recorded() > before {
+                                    fail!(
+                                        face,
+                                        AdditionalItems,
+                                        "item {i} violates additionalItems"
+                                    )?;
                                 }
                             }
                         }
@@ -634,24 +847,43 @@ impl<'s> FastValidator<'s> {
         }
         if let Some(contains) = node.contains {
             if !items.iter().any(|item| self.probe(contains, item)) {
-                return false;
+                fail!(face, Contains, "no element matches 'contains'")?;
             }
         }
-        true
+        Ok(())
     }
 
-    fn probe_object(&mut self, node: &'s IrSchemaNode, value: &Value) -> bool {
+    fn walk_object<'v, F: Face<'v>>(
+        &mut self,
+        face: &mut F,
+        node: &'s IrSchemaNode,
+        value: &'v Value,
+    ) -> Walked {
         let obj = value.as_object().expect("checked by caller");
         let len = obj.len() as u64;
-        if node.min_properties.is_some_and(|min| len < min) {
-            return false;
+        if let Some(min) = node.min_properties.filter(|&min| len < min) {
+            fail!(
+                face,
+                MinProperties,
+                "{len} properties < minProperties {min}"
+            )?;
         }
-        if node.max_properties.is_some_and(|max| len > max) {
-            return false;
+        if let Some(max) = node.max_properties.filter(|&max| len > max) {
+            fail!(
+                face,
+                MaxProperties,
+                "{len} properties > maxProperties {max}"
+            )?;
         }
         for required in &node.required {
             if !obj.contains_key(required) {
-                return false;
+                fail!(
+                    face,
+                    Required {
+                        missing: required.clone()
+                    },
+                    "missing required property '{required}'"
+                )?;
             }
         }
         for (key, member) in obj.iter() {
@@ -661,29 +893,38 @@ impl<'s> FastValidator<'s> {
                 .binary_search_by(|(name, _)| name.as_str().cmp(key))
             {
                 matched = true;
-                if !self.probe(node.properties[pos].1, member) {
-                    return false;
-                }
+                self.walk_member(face, Step::Key(key), node.properties[pos].1, member)?;
             }
             for &(pattern, schema) in &node.pattern_properties {
-                let hit = self.ir.patterns[pattern as usize].is_match(&mut self.matcher, key);
-                if hit {
+                if self.ir.patterns[pattern as usize].is_match(&mut self.matcher, key) {
                     matched = true;
-                    if !self.probe(schema, member) {
-                        return false;
-                    }
+                    self.walk_member(face, Step::Key(key), schema, member)?;
                 }
             }
             if !matched {
                 if let Some(additional) = node.additional_properties {
-                    if !self.probe(additional, member) {
-                        return false;
+                    let before = face.recorded();
+                    self.walk_member(face, Step::Key(key), additional, member)?;
+                    if face.recorded() > before {
+                        fail!(
+                            face,
+                            AdditionalProperties {
+                                key: key.to_string()
+                            },
+                            "property '{key}' violates additionalProperties"
+                        )?;
                     }
                 }
             }
             if let Some(name_schema) = node.property_names {
                 if !self.probe_str(name_schema, key) {
-                    return false;
+                    fail!(
+                        face,
+                        PropertyNames {
+                            key: key.to_string()
+                        },
+                        "property name '{key}' violates propertyNames"
+                    )?;
                 }
             }
         }
@@ -693,18 +934,32 @@ impl<'s> FastValidator<'s> {
             }
             match dep {
                 IrDependency::Keys(keys) => {
-                    if keys.iter().any(|needed| !obj.contains_key(needed)) {
-                        return false;
+                    for needed in keys {
+                        if !obj.contains_key(needed) {
+                            fail!(
+                                face,
+                                Dependencies {
+                                    key: trigger.clone()
+                                },
+                                "'{trigger}' requires '{needed}' to be present"
+                            )?;
+                        }
                     }
                 }
                 IrDependency::Schema(schema) => {
                     if !self.probe(*schema, value) {
-                        return false;
+                        fail!(
+                            face,
+                            Dependencies {
+                                key: trigger.clone()
+                            },
+                            "object violates the schema dependency of '{trigger}'"
+                        )?;
                     }
                 }
             }
         }
-        true
+        Ok(())
     }
 
     /// Probes a string — a property name for `propertyNames`, a string
@@ -726,25 +981,26 @@ impl<'s> FastValidator<'s> {
 }
 
 /// Numeric keyword checks (no scratch state needed).
-fn probe_number(node: &IrSchemaNode, n: Number) -> bool {
-    if node.minimum.is_some_and(|min| n < min) {
-        return false;
+fn walk_number<'v, F: Face<'v>>(face: &mut F, node: &IrSchemaNode, n: Number) -> Walked {
+    if let Some(min) = node.minimum.filter(|&min| n < min) {
+        fail!(face, Minimum, "{n} < minimum {min}")?;
     }
-    if node.maximum.is_some_and(|max| n > max) {
-        return false;
+    if let Some(max) = node.maximum.filter(|&max| n > max) {
+        fail!(face, Maximum, "{n} > maximum {max}")?;
     }
-    if node.exclusive_minimum.is_some_and(|min| n <= min) {
-        return false;
+    if let Some(min) = node.exclusive_minimum.filter(|&min| n <= min) {
+        fail!(face, ExclusiveMinimum, "{n} <= exclusiveMinimum {min}")?;
     }
-    if node.exclusive_maximum.is_some_and(|max| n >= max) {
-        return false;
+    if let Some(max) = node.exclusive_maximum.filter(|&max| n >= max) {
+        fail!(face, ExclusiveMaximum, "{n} >= exclusiveMaximum {max}")?;
     }
-    if let Some(divisor) = node.multiple_of {
-        if !n.is_multiple_of(&divisor) {
-            return false;
-        }
+    if let Some(divisor) = node
+        .multiple_of
+        .filter(|divisor| !n.is_multiple_of(divisor))
+    {
+        fail!(face, MultipleOf, "{n} is not a multiple of {divisor}")?;
     }
-    true
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -931,8 +1187,8 @@ impl<'a> Planner<'a> {
         let nodes = self.nodes;
         let slot = match &nodes[position as usize] {
             IrNode::Any => Slot::ANY,
-            IrNode::Never | IrNode::BadRef => Slot::NEVER,
-            IrNode::Ref { target } => self.slot(*target)?,
+            IrNode::Never | IrNode::BadRef { .. } => Slot::NEVER,
+            IrNode::Ref { target, .. } => self.slot(*target)?,
             IrNode::Node(node) => {
                 let (scalars, probed) = self.scalars(node);
                 Slot {
@@ -963,7 +1219,7 @@ impl<'a> Planner<'a> {
         for &branch in &node.any_of {
             match deref(self.nodes, branch) {
                 IrNode::Any => union = ALL_KINDS,
-                IrNode::Never | IrNode::BadRef => {}
+                IrNode::Never | IrNode::BadRef { .. } => {}
                 IrNode::Node(b) if !b.checks_scalars() && b.any_of.is_empty() => {
                     union |= b.types.unwrap_or(ALL_KINDS)
                 }
@@ -1020,7 +1276,7 @@ impl<'a> Planner<'a> {
         let mut taker = None;
         for &branch in &node.any_of {
             let admitted = match deref(self.nodes, branch) {
-                IrNode::Never | IrNode::BadRef => false,
+                IrNode::Never | IrNode::BadRef { .. } => false,
                 IrNode::Node(b) => !excludes(b),
                 IrNode::Any | IrNode::Ref { .. } => true,
             };
@@ -1054,7 +1310,7 @@ impl<'a> Planner<'a> {
         let extra = node.additional_properties;
         let open = match extra.map(|extra| deref(self.nodes, extra)) {
             None | Some(IrNode::Any) => true,
-            Some(IrNode::Never | IrNode::BadRef) => false,
+            Some(IrNode::Never | IrNode::BadRef { .. }) => false,
             Some(_) => return Err("additionalProperties"),
         };
         if open && node.properties.is_empty() && node.required.is_empty() {
@@ -1504,12 +1760,12 @@ mod tests {
         CompiledSchema::compile(&doc).unwrap()
     }
 
-    /// Both paths, asserted to agree; returns the verdict.
+    /// Both faces, asserted to agree; returns the verdict.
     fn agree(schema: &CompiledSchema, value: &Value) -> bool {
-        let fast = schema.fast_validator().is_valid(value);
-        let slow = schema.validate(value).is_ok();
-        assert_eq!(fast, slow, "paths disagree on {value}");
-        fast
+        let verdict = schema.fast_validator().is_valid(value);
+        let errors = schema.validate(value);
+        assert_eq!(verdict, errors.is_ok(), "faces disagree on {value}");
+        verdict
     }
 
     #[test]
@@ -1527,7 +1783,7 @@ mod tests {
             .nodes
             .iter()
             .filter_map(|n| match n {
-                IrNode::Ref { target } => Some(*target),
+                IrNode::Ref { target, .. } => Some(*target),
                 _ => None,
             })
             .collect();
@@ -1560,9 +1816,16 @@ mod tests {
     }
 
     #[test]
-    fn unguarded_cycle_rejects_like_interpreter() {
+    fn unguarded_cycle_is_a_ref_cycle() {
         let s = compile(json!({"$ref": "#"}));
         assert!(!agree(&s, &json!(1)));
+        assert!(matches!(
+            &s.validate(&json!(1)).unwrap_err()[..],
+            [ValidationError {
+                kind: ValidationErrorKind::RefCycle { reference },
+                ..
+            }] if reference == "#"
+        ));
         // Mutual recursion without consuming input.
         let s = compile(json!({
             "definitions": {
@@ -1580,6 +1843,42 @@ mod tests {
         assert!(!agree(&s, &json!(null)));
         let s = compile(json!({"$ref": "http://elsewhere"}));
         assert!(!agree(&s, &json!(null)));
+    }
+
+    /// What the messages need and a bitmask or a slot index loses is
+    /// lowered beside it: `type` names in schema order, a pattern's source,
+    /// a reference's text and its compile error. And the errors face counts
+    /// every `oneOf` match.
+    #[test]
+    fn the_errors_face_renders_what_the_arena_lowered() {
+        let s = compile(json!({
+            "definitions": {"a": {"$ref": "#/definitions/a"}},
+            "properties": {
+                "t": {"type": ["string", "null"]},
+                "p": {"pattern": "^[a-z]+$"},
+                "loop": {"$ref": "#/definitions/a"},
+                "bad": {"$ref": "#/nope"},
+                "one": {"oneOf": [{}, {"type": "integer"}, {"minimum": 0}]}
+            }
+        }));
+        let doc = json!({"t": 1, "p": "X", "loop": 0, "bad": 0, "one": 1});
+        assert!(!agree(&s, &doc));
+        let shown: Vec<String> = s
+            .validate(&doc)
+            .unwrap_err()
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(
+            shown,
+            [
+                "/t: [type] expected string or null, found integer",
+                "/p: [pattern] does not match pattern '^[a-z]+$'",
+                "/loop: [$ref] reference '#/definitions/a' loops without consuming input",
+                "/bad: [$ref] invalid schema at '#/nope': reference target not found",
+                "/one: [oneOf] matches 3 oneOf branches, expected exactly 1",
+            ]
+        );
     }
 
     #[test]

@@ -30,14 +30,14 @@
 //!   pre-compiled `pattern` regexes, then lower into a flat validation IR
 //!   ([`ir`]) with `$ref` targets pre-resolved to arena indices, sorted
 //!   `properties` tables, kind bitmasks, and deduplicated pattern slots.
-//! * Two validation paths share one verdict: the fail-fast boolean path
-//!   ([`CompiledSchema::is_valid`] / [`FastValidator`]) short-circuits
-//!   over the IR and allocates nothing; the error-collecting path
-//!   ([`CompiledSchema::validate`]) walks the AST and reports every
-//!   violation with instance paths. Unguarded reference cycles (schemas
-//!   that recurse without consuming input) are detected by both and
-//!   reported as [`ValidationErrorKind::RefCycle`].
-//! * A third evaluator reads no `Value` at all: [`EventValidator`] walks
+//! * One walk over the IR evaluates a `Value`, with two faces: the
+//!   fail-fast verdict ([`CompiledSchema::is_valid`] / [`FastValidator`])
+//!   short-circuits and allocates nothing; the errors face
+//!   ([`CompiledSchema::validate`]) reports every violation with its
+//!   instance path. Unguarded reference cycles (schemas that recurse
+//!   without consuming input) are reported as
+//!   [`ValidationErrorKind::RefCycle`].
+//! * A second evaluator reads no `Value` at all: [`EventValidator`] walks
 //!   the same IR from a record's parse events, for the *streamable*
 //!   fragment ([`CompiledSchema::streamable`]) every inferred schema is in.
 //! * `format` is an annotation by default (per spec); [`ValidatorOptions`]

@@ -1,12 +1,15 @@
-//! Property tests pinning the fail-fast contract: compiled-IR validation
-//! (`is_valid` / `FastValidator`) must be **verdict-identical** to the
-//! error-collecting interpreter (`validate`) for arbitrary schema/value
+//! Property tests pinning the compiled arena's one walk to the AST
+//! interpreter kept under `tests/oracle/`: for arbitrary schema/value
 //! pairs — including `$ref` chains, reference cycles and bad references —
-//! and the interpreter's error output (kinds and instance paths) must be
-//! deterministic across repeated runs and independent compilations, so
-//! compile-time reference memoization cannot change diagnostics. Over
-//! the same unrestricted vocabulary, `streamable()` must be sound:
-//! whatever it accepts, the event walk decides like the IR does.
+//! the errors face (`validate`) must produce the oracle's errors exactly
+//! (kind, instance path, message and order), and the verdict face
+//! (`is_valid` / `FastValidator`) must answer "no errors". The errors must
+//! also be deterministic across repeated runs and independent
+//! compilations, so compile-time reference memoization cannot change
+//! diagnostics. Over the same unrestricted vocabulary, `streamable()` must
+//! be sound: whatever it accepts, the event walk decides like the IR does.
+
+mod oracle;
 
 use jsonx_data::{json, Number, Object, Value};
 use jsonx_schema::{CompiledSchema, EventValidator, ValidatorOptions};
@@ -111,6 +114,10 @@ fn arb_schema() -> impl Strategy<Value = Value> {
                     json!({ "properties": { k: s } })
                 }
             }),
+            // One object failing `required` and a member at once: the
+            // errors face must report them in the oracle's order.
+            (arb_key(), inner.clone(), arb_key())
+                .prop_map(|(k, s, other)| json!({"properties": {k: s}, "required": [other]})),
             inner
                 .clone()
                 .prop_map(|s| json!({"patternProperties": {"^[ab]$": s}})),
@@ -149,17 +156,6 @@ fn arb_schema_document() -> impl Strategy<Value = Value> {
     })
 }
 
-/// (kind keyword, instance path) pairs — the stable identity of an error.
-fn error_shape(result: &Result<(), Vec<jsonx_schema::ValidationError>>) -> Vec<(String, String)> {
-    match result {
-        Ok(()) => Vec::new(),
-        Err(errors) => errors
-            .iter()
-            .map(|e| (e.kind.keyword().to_string(), e.instance_path.to_string()))
-            .collect(),
-    }
-}
-
 proptest! {
     #[test]
     fn compiled_ir_agrees_with_interpreter(
@@ -168,22 +164,27 @@ proptest! {
     ) {
         let compiled = CompiledSchema::compile(&doc)
             .unwrap_or_else(|e| panic!("strategy produced uncompilable schema {doc}: {e}"));
-        let slow = compiled.validate(&instance);
-        let fast = compiled.is_valid(&instance);
+        let errors = compiled.validate(&instance);
         prop_assert_eq!(
-            fast,
-            slow.is_ok(),
+            &errors,
+            &oracle::validate(&compiled, &instance),
+            "errors differ from the oracle's on schema {} instance {}",
+            doc,
+            instance
+        );
+        prop_assert_eq!(
+            compiled.is_valid(&instance),
+            errors.is_ok(),
             "verdict mismatch on schema {} instance {}",
             doc,
             instance
         );
 
-        // Error-path determinism: same kinds and paths on repeat, and on a
-        // fresh compilation (memoized vs recomputed reference resolution).
-        let again = compiled.validate(&instance);
-        prop_assert_eq!(error_shape(&slow), error_shape(&again));
+        // Determinism: the same errors on repeat, and on a fresh
+        // compilation (memoized vs recomputed reference resolution).
+        prop_assert_eq!(&errors, &compiled.validate(&instance));
         let recompiled = CompiledSchema::compile(&doc).unwrap();
-        prop_assert_eq!(error_shape(&slow), error_shape(&recompiled.validate(&instance)));
+        prop_assert_eq!(&errors, &recompiled.validate(&instance));
     }
 
     #[test]
@@ -193,9 +194,17 @@ proptest! {
     ) {
         let opts = ValidatorOptions { enforce_formats: true };
         let compiled = CompiledSchema::compile(&doc).unwrap();
+        let errors = compiled.validate_with(&instance, opts);
+        prop_assert_eq!(
+            &errors,
+            &oracle::validate_with(&compiled, &instance, opts),
+            "format-enforcing errors differ from the oracle's on schema {} instance {}",
+            doc,
+            instance
+        );
         prop_assert_eq!(
             compiled.is_valid_with(&instance, opts),
-            compiled.validate_with(&instance, opts).is_ok(),
+            errors.is_ok(),
             "format-enforcing verdict mismatch on schema {} instance {}",
             doc,
             instance
@@ -212,7 +221,7 @@ proptest! {
         for instance in &instances {
             prop_assert_eq!(
                 fv.is_valid(instance),
-                compiled.validate(instance).is_ok(),
+                oracle::validate(&compiled, instance).is_ok(),
                 "reused-validator mismatch on schema {} instance {}",
                 doc,
                 instance

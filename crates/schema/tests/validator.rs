@@ -1,6 +1,9 @@
 //! Keyword-by-keyword validator conformance tests, in the style of the
 //! official JSON-Schema-Test-Suite: each case is (schema, instance,
-//! expected validity).
+//! expected validity). Every verdict is also the errors face's and the
+//! oracle's (the AST interpreter under `tests/oracle/`).
+
+mod oracle;
 
 use jsonx_data::{json, Value};
 use jsonx_schema::CompiledSchema;
@@ -14,6 +17,9 @@ fn check(schema: Value, cases: &[(Value, bool)]) {
             got, *expected,
             "schema {schema} instance {instance}: expected valid={expected}"
         );
+        let errors = compiled.validate(instance);
+        assert_eq!(errors.is_ok(), got, "schema {schema} instance {instance}");
+        assert_eq!(errors, oracle::validate(&compiled, instance));
     }
 }
 
@@ -318,10 +324,10 @@ fn deeply_nested_error_paths() {
         }
     }))
     .unwrap();
-    let errs = compiled
-        .validate(&json!({"a": [{"b": 1}, {"b": "x"}]}))
-        .unwrap_err();
+    let instance = json!({"a": [{"b": 1}, {"b": "x"}]});
+    let errs = compiled.validate(&instance).unwrap_err();
     assert_eq!(errs[0].instance_path.to_string(), "/a/1/b");
+    assert_eq!(Err(errs), oracle::validate(&compiled, &instance));
 }
 
 #[test]
@@ -465,6 +471,12 @@ fn conditional_error_kinds() {
         errs[0].kind,
         ValidationErrorKind::Conditional { then_branch: false }
     ));
+    for instance in [json!(3), json!(null)] {
+        assert_eq!(
+            schema.validate(&instance),
+            oracle::validate(&schema, &instance)
+        );
+    }
     assert!(schema.is_valid(&json!(12)));
     assert!(schema.is_valid(&json!("s")));
 }

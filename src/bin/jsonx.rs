@@ -1088,11 +1088,11 @@ fn load_schema(path: &str) -> Result<(CompiledSchema, String), CliError> {
 
 /// The one verdict printer: one stdout line per diagnostic of every
 /// invalid document, returning how many documents were invalid. With the
-/// corpus text in memory (`ndjson`) the error-collecting interpreter
-/// re-runs on *just* the invalid lines — re-parsed under the run's own
-/// `limits` —, so every diagnostic is the interpreter's; an out-of-core
-/// or CSV run never holds a raw JSON line to re-validate and reports
-/// `doc N: invalid` instead.
+/// corpus text in memory (`ndjson`) the schema's errors face re-runs on
+/// *just* the invalid lines — re-parsed under the run's own `limits` —:
+/// the same arena walk that gave the verdict, so an invalid document
+/// always has diagnostics. An out-of-core or CSV run never holds a raw
+/// JSON line to re-validate and reports `doc N: invalid` instead.
 fn print_invalid(
     verdicts: &[(usize, LineVerdict)],
     ndjson: Option<&str>,
@@ -1225,7 +1225,7 @@ fn cmd_validate(opts: &Opts) -> Result<(), CliError> {
         enforce_formats: opts.has("formats"),
     };
     // Fail-fast probe per record on shared workers; diagnostics come
-    // from the interpreter on demand (see `print_invalid`).
+    // from the same walk's errors face on demand (see `print_invalid`).
     let (mut run, csv) = run_plan(opts)?;
     if let Some(journal) = &mut run.journal {
         // A resume with a different schema is refused instead of

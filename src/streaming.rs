@@ -946,10 +946,11 @@ impl LineVerdict {
 }
 
 /// The validation stage: per-record verdicts, concatenated in chunk
-/// order, from the compiled validation IR — **identical** to running the
-/// error-collecting interpreter per document (property-tested in
-/// `tests/streaming_validation.rs`), so callers wanting diagnostics can
-/// re-run [`CompiledSchema::validate`] on just the invalid lines.
+/// order, from the compiled validation IR — **identical** to validating
+/// each document on its own (property-tested against the oracle
+/// interpreter in `tests/streaming_validation.rs`), so callers wanting
+/// diagnostics can re-run [`CompiledSchema::validate`], the same walk's
+/// errors face, on just the invalid lines.
 /// Malformed records are rejected to the fault layer, so the verdict
 /// vector covers exactly the records that decoded.
 ///

@@ -1,5 +1,8 @@
 //! End-to-end tests of the `jsonx` CLI binary.
 
+#[path = "../crates/schema/tests/oracle/mod.rs"]
+mod oracle;
+
 use jsonx::core::{infer_collection, Equivalence};
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::parse_ndjson;
@@ -87,7 +90,7 @@ fn every_route_to_the_engine_prints_the_same_bytes() {
         std::fs::write(&file, corpus).unwrap();
         let file = file.to_str().unwrap();
 
-        // The interpreter's diagnostics, numbered by line.
+        // The oracle interpreter's diagnostics, numbered by line.
         let unmarked = corpus.trim_start_matches('\u{feff}');
         let mut diagnostics = String::new();
         for (line_no, line) in unmarked.lines().enumerate() {
@@ -95,7 +98,7 @@ fn every_route_to_the_engine_prints_the_same_bytes() {
                 continue;
             }
             let doc = jsonx::syntax::parse(line).unwrap();
-            if let Err(errors) = schema.validate_with(&doc, ValidatorOptions::default()) {
+            if let Err(errors) = oracle::validate_with(&schema, &doc, ValidatorOptions::default()) {
                 for e in errors {
                     diagnostics.push_str(&format!("doc {line_no}: {e}\n"));
                 }
@@ -1229,4 +1232,81 @@ fn translate_report_timing_says_what_the_layout_speculation_did() {
     let (_, err, code) = run_code(&["translate", "--input", "-"], &corpus(""));
     assert_eq!(code, Some(2));
     assert!(err.contains("cannot be read again"), "{err}");
+}
+
+fn fixture(name: &str) -> String {
+    format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// `validate`'s diagnostics, byte for byte: between them the fixture's
+/// documents draw every error kind (`format` only under `--formats`) —
+/// a `$ref` cycle, a missing `$ref`, a recursive tree, `propertyNames` and
+/// both forms of `dependencies` among them. The golden stdout was written
+/// by the last binary whose diagnostics came from the AST interpreter.
+#[test]
+fn validate_diagnostics_match_the_golden_output() {
+    let schema = fixture("golden_diagnostics.schema.json");
+    let input = fixture("golden_diagnostics.ndjson");
+    for (flags, golden) in [
+        (&[][..], "golden_diagnostics.out"),
+        (&["--formats"][..], "golden_diagnostics.formats.out"),
+    ] {
+        let want = std::fs::read_to_string(fixture(golden)).unwrap();
+        for route in [&[][..], &["--no-fast-parse"][..]] {
+            let args = [
+                &["validate", "--schema", &schema][..],
+                flags,
+                route,
+                &[&input],
+            ]
+            .concat();
+            let (out, err, code) = run_code(&args, "");
+            assert_eq!(code, Some(1), "{args:?}: {err}");
+            assert_eq!(out, want, "{args:?}");
+        }
+    }
+}
+
+/// Every document counted invalid prints its diagnostics, and no other
+/// does: the `doc N` numbers printed with the text in memory — by
+/// positional-FILE `validate` and by `infer --validate` — are the ones an
+/// `--input` run, which prints one `doc N: invalid` per verdict, counts.
+#[test]
+fn every_invalid_verdict_and_only_those_print_diagnostics() {
+    let dir = std::env::temp_dir().join("jsonx-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let schema = dir.join("verdict-prefixes-schema.json");
+    std::fs::write(
+        &schema,
+        r#"{"type": "object", "properties": {"id": {"type": "integer"}, "tags": {"items": {"type": "integer"}}}, "required": ["name"]}"#,
+    )
+    .unwrap();
+    let schema = schema.to_str().unwrap();
+    let docs = |args: &[&str]| {
+        let (out, err, _) = run_code(args, "");
+        let docs: std::collections::BTreeSet<String> = out
+            .lines()
+            .filter(|line| line.starts_with("doc "))
+            .map(|line| line.split(':').next().unwrap().to_string())
+            .collect();
+        (docs, err)
+    };
+    let skip = ["--on-error", "skip"];
+    let (verdicts, err) = docs(
+        &[
+            &["validate", "--schema", schema, "--input", DIRTY_FIXTURE][..],
+            &skip,
+        ]
+        .concat(),
+    );
+    assert!(
+        err.contains(&format!("{} invalid documents", verdicts.len())),
+        "{err}"
+    );
+    assert!(verdicts.len() > 1, "{verdicts:?}");
+    let (printed, _) =
+        docs(&[&["validate", "--schema", schema, DIRTY_FIXTURE][..], &skip].concat());
+    assert_eq!(printed, verdicts);
+    let (printed, _) = docs(&[&["infer", "--validate", schema, DIRTY_FIXTURE][..], &skip].concat());
+    assert_eq!(printed, verdicts);
 }

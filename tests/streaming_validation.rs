@@ -8,6 +8,9 @@
 //! and inferred schemas), decoded to a document — and the corpora are
 //! text with repeated keys, which only the document route can judge.
 
+#[path = "../crates/schema/tests/oracle/mod.rs"]
+mod oracle;
+
 use jsonx::core::{infer_collection, to_json_schema, Equivalence};
 use jsonx::gen::respelled;
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
@@ -129,12 +132,12 @@ fn stream_verdicts(
 }
 
 /// The reference result: parse every line into a DOM and run the
-/// error-collecting interpreter sequentially.
+/// oracle interpreter sequentially.
 fn dom_verdicts(ndjson: &str, schema: &CompiledSchema, opts: ValidatorOptions) -> Vec<bool> {
     parse_ndjson(ndjson)
         .unwrap()
         .iter()
-        .map(|doc| schema.validate_with(doc, opts).is_ok())
+        .map(|doc| oracle::validate_with(schema, doc, opts).is_ok())
         .collect()
 }
 
