@@ -12,7 +12,7 @@ use jsonx_bench::{banner, criterion};
 use jsonx_core::{infer_collection, Equivalence};
 use jsonx_data::text_size;
 use jsonx_gen::Corpus;
-use jsonx_translate::{normalize, AvroCodec, AvroSchema, Shredder};
+use jsonx_translate::{discover, normalize, AvroCodec, AvroSchema, Shredder};
 use std::time::Instant;
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
     let aware_batch = Shredder::from_type(&ty).shred(&docs).unwrap();
     let aware_time = t.elapsed();
     let t = Instant::now();
-    let blind_batch = Shredder::discovering().shred(&docs).unwrap();
+    let blind_batch = discover(&docs).unwrap();
     let blind_time = t.elapsed();
     println!(
         "columnar shredding ({} columns):",
@@ -97,7 +97,7 @@ fn main() {
         })
     });
     group.bench_function("shred_schema_blind", |b| {
-        b.iter(|| Shredder::discovering().shred(black_box(&sample)).unwrap())
+        b.iter(|| discover(black_box(&sample)).unwrap())
     });
     let sample_codec = AvroCodec::new(AvroSchema::from_type(&sample_ty));
     group.bench_function("avro_encode", |b| {

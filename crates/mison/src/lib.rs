@@ -13,13 +13,14 @@
 //! nested records, is also the oracle `jsonx project` is tested against:
 //! the command itself selects its paths from each record's document on
 //! the engine (`jsonx::documents::ProjectFold`), so one decoder judges
-//! every line. The engine's own fast path — the fused structural scanner + projection
-//! pushdown `validate` and `translate` use unless `--no-fast-parse` is
-//! given — lives in `jsonx_syntax::structural`, where stage 1 (the
-//! bitmap builder) was promoted; the index here builds on those same
-//! bitmaps. The fused scanner deliberately absorbs the *ideas* of the
-//! leveled index and pattern-tree speculation (skip-scanning, verified
-//! speculation) rather than their code.
+//! every line. No stage of the engine projects any more: `validate`,
+//! `infer` and `translate` each walk a record's events, verified per
+//! record. Stage 1 (the bitmap builder) was promoted to
+//! `jsonx_syntax::structural`, whose fused structural scanner absorbs
+//! the *ideas* of the leveled index and pattern-tree speculation
+//! (skip-scanning, verified speculation) rather than their code; the
+//! benchmark harness measures it as a layer, and the index here builds
+//! on the same bitmaps.
 //!
 //! The Mison pipeline, reproduced stage by stage:
 //!

@@ -195,8 +195,8 @@ fn deref(nodes: &[IrNode], mut idx: u32) -> &IrNode {
 
 impl Ir {
     /// The root-level field names the fail-fast validator's verdict can
-    /// depend on — the projection-pushdown source for the streaming fast
-    /// path.
+    /// depend on — what a projecting scan may keep (no product stage
+    /// projects; see [`CompiledSchema::root_projection`]).
     ///
     /// Returns `Some(names)` only when validating an **object** document
     /// provably reads nothing but the named fields: the root (after
@@ -205,8 +205,8 @@ impl Ir {
     /// dependency constraints over properties, and whose
     /// `additionalProperties` is absent or accepts everything. The names
     /// are the declared `properties` plus `required` (membership in
-    /// `required` must remain observable). `None` means the fast path
-    /// must hand whole records to the full parser + validator.
+    /// `required` must remain observable). `None` means a projecting
+    /// scan must hand whole records to the full parser + validator.
     pub(crate) fn root_projection(&self) -> Option<Vec<String>> {
         match deref(&self.nodes, self.root) {
             // The verdict ignores document content entirely; every field

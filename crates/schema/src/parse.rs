@@ -71,9 +71,12 @@ impl CompiledSchema {
     /// (combinators, enum/const, `patternProperties`, property counts,
     /// constraining `additionalProperties`, …).
     ///
-    /// This is the validation side of projection pushdown: a streaming
-    /// driver may skip-parse every root field outside the returned set
+    /// A caller may skip-parse every root field outside the returned set
     /// and still produce verdicts identical to validating full documents.
+    /// No stage of the product projects — validation walks each record's
+    /// events (see [`streamable`](Self::streamable)) — so only the
+    /// benchmark harness's per-layer pass (`benchmark/src/layers.rs`),
+    /// which measures a projecting scan, reads this.
     pub fn root_projection(&self) -> Option<Vec<String>> {
         self.ir.root_projection()
     }

@@ -1,13 +1,15 @@
 //! The worker pool: bounded-queue consumers running data-plane requests
 //! under deadlines, [`ParseLimits`], and `catch_unwind` panic isolation.
 //!
-//! Request semantics deliberately reuse the exact primitives the batch
-//! pipeline's stages are built from — [`JsonDecoder::decode_value`] under
-//! the configured limits, the compiled schema's fail-fast validator,
-//! [`infer_collection`] and the shredder — so a verdict from the daemon
-//! is identical to the batch CLI's for the same payload, and rejected
-//! payloads carry the same stable error labels the quarantine sidecar
-//! uses.
+//! A request is served from its document: [`JsonDecoder::decode_value`]
+//! under the configured limits, then the compiled schema's fail-fast
+//! verdict face, [`infer_collection`] or a DOM shred. The batch stages
+//! read the same record differently — they validate from its events,
+//! count its type in place and shred from its events — so a daemon
+//! verdict equals the batch CLI's by test, not by construction:
+//! `tests/serve_faults.rs::verdicts_match_the_batch_pipeline` holds the
+//! two to each other. Rejected payloads carry the stable error labels
+//! the quarantine sidecar uses.
 
 use crate::protocol::{Response, KIND_DEADLINE, KIND_NOT_A_RECORD, KIND_NO_SCHEMA, KIND_PANIC};
 use crate::{DataOp, Shared};
@@ -138,8 +140,7 @@ fn process(shared: &Shared, job: &Job) -> Response {
                 }
                 DataOp::Translate => {
                     let ty = infer_collection(std::slice::from_ref(&value), Equivalence::Kind);
-                    let mut shredder = Shredder::from_type(&ty);
-                    match shredder.shred(std::slice::from_ref(&value)) {
+                    match Shredder::from_type(&ty).shred(std::slice::from_ref(&value)) {
                         Ok(batch) => {
                             shared.stats.lock().unwrap().processed += 1;
                             Response::ok_translate(

@@ -6,14 +6,11 @@
 //! arrays and union-typed leaves spill into a JSON-text column (the same
 //! escape hatch production columnar stores use for "variant" data).
 //!
-//! The shredder has two constructions, which is exactly the E11 contrast:
-//!
-//! * [`Shredder::from_type`] — **schema-aware**: the column layout is
-//!   fixed up front from an inferred [`JType`], so each record dispatches
-//!   straight into pre-typed columns;
-//! * [`Shredder::discovering`] — **schema-blind**: columns are discovered
-//!   and retyped on the fly while scanning, the way a schema-less
-//!   converter must.
+//! A shredder's layout is **schema-aware**: [`Shredder::from_type`] fixes
+//! it up front from an inferred [`JType`], so each record dispatches
+//! straight into pre-typed columns. E11 contrasts it with [`discover`],
+//! **schema-blind** shredding: columns are discovered and retyped on the
+//! fly while scanning, the way a schema-less converter must.
 //!
 //! ## Storage
 //!
@@ -652,21 +649,15 @@ impl KeyOrder {
     }
 }
 
-/// The shredder: fixed or discovering layout.
+/// The shredder: a fixed column layout, planned from a type.
 #[derive(Debug, Clone)]
 pub struct Shredder {
     /// Layout: (path, slot type); columns in order.
     layout: Vec<(String, Slot)>,
-    /// The fixed layout's plan tree (just a root when discovering).
+    /// The layout's plan tree.
     plan: Plan,
-    /// path → layout index, for the discovering mode's growing layout.
-    by_path: HashMap<String, usize>,
-    /// Schema-blind mode grows/retypes the layout on the fly.
-    discovering: bool,
-    /// Top-level field names of the planned record type — the projection
-    /// a streaming fast path may push down. `None` when the plan was not
-    /// built from a record type (or is discovering), i.e. when every
-    /// record must be parsed in full.
+    /// Top-level field names of the planned record type. `None` when the
+    /// plan was not built from a record type.
     root_fields: Option<Vec<String>>,
 }
 
@@ -683,65 +674,42 @@ impl Shredder {
         Shredder {
             plan: Plan::from_layout(&planned, root_fields.is_some()),
             layout: planned.layout,
-            by_path: HashMap::new(),
-            discovering: false,
             root_fields,
         }
     }
 
-    /// Schema-blind construction: start empty, discover as you go.
-    pub fn discovering() -> Shredder {
-        Shredder {
-            layout: Vec::new(),
-            plan: Plan::from_layout(&Planned::default(), false),
-            by_path: HashMap::new(),
-            discovering: true,
-            root_fields: None,
-        }
-    }
-
     /// The top-level field names this plan reads from each record, or
-    /// `None` when the plan requires whole records (non-record types,
-    /// discovering mode). Every column path's first dotted segment is one
-    /// of these names, so a driver that parses only these fields shreds
-    /// identically — provided skipped records with literal dotted root
-    /// keys are routed to the full parser (they could alias a nested
-    /// column path).
+    /// `None` when the plan requires whole records (a non-record type).
+    /// Every column path's first dotted segment is one of these names, so
+    /// a caller that parses only these fields shreds identically —
+    /// provided skipped records with literal dotted root keys are routed
+    /// to the full parser (they could alias a nested column path).
+    ///
+    /// No stage of the product projects: translation shreds each record
+    /// from its events, and the walker skips the root keys the layout
+    /// lacks by itself. Only the benchmark harness's per-layer pass
+    /// (`benchmark/src/layers.rs`), which measures a projecting scan,
+    /// reads this.
     pub fn root_fields(&self) -> Option<&[String]> {
         self.root_fields.as_deref()
     }
 
-    /// Shreds a collection into one batch.
-    ///
-    /// Dispatches on the construction: the schema-aware path writes
-    /// straight into typed column storage (the layout is fixed, so every
-    /// cell's destination type is known before the scan); the discovering
-    /// path must buffer generic cells because columns can appear and
-    /// retype mid-stream — that architectural difference is what E11
-    /// measures.
-    pub fn shred(&mut self, docs: &[Value]) -> Result<ColumnarBatch, ShredError> {
-        if !self.discovering {
-            return self.shred_typed(docs);
+    /// Shreds a collection into one batch: one batch-sized
+    /// [`ShredStream`], the code path the streaming stage runs record by
+    /// record.
+    pub fn shred(&self, docs: &[Value]) -> Result<ColumnarBatch, ShredError> {
+        let mut stream = self.stream();
+        for doc in docs {
+            stream.push(doc)?;
         }
-        self.shred_generic(docs)
+        Ok(stream.finish())
     }
 
-    /// Begins incremental schema-aware shredding: records are pushed one
-    /// at a time and finished into a batch. This is the entry point the
-    /// streaming translation pipeline stage uses — each shard owns one
-    /// `ShredStream` and the per-shard batches concatenate with
-    /// [`ColumnarBatch::append`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a discovering shredder: a schema-blind layout can grow
-    /// and retype mid-stream, so it must scan the whole collection via
-    /// [`shred`](Self::shred).
+    /// Begins incremental shredding: records are pushed one at a time
+    /// and finished into a batch. This is the entry point the streaming
+    /// translation stage uses — each worker owns one `ShredStream`, and
+    /// the per-chunk batches concatenate with [`ColumnarBatch::append`].
     pub fn stream(&self) -> ShredStream<'_> {
-        assert!(
-            !self.discovering,
-            "ShredStream requires a fixed layout (Shredder::from_type)"
-        );
         ShredStream {
             shredder: self,
             builders: self.builders(),
@@ -792,63 +760,35 @@ impl Shredder {
         ColumnarBatch { columns, rows }
     }
 
-    /// Concatenates batches of this layout row-wise, in order, into
-    /// storage reserved once from the parts' sizes. Equal to
-    /// [`ColumnarBatch::append`]ing them one by one.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a part's layout is not this one.
-    pub fn concat(&self, parts: Vec<ColumnarBatch>) -> ColumnarBatch {
-        let rows = parts.iter().map(|p| p.rows).sum();
-        let columns = self
-            .layout
-            .iter()
-            .enumerate()
-            .map(|(i, (path, slot))| {
-                let data = || parts.iter().map(|p| &p.columns[i].data);
-                let dense = data().map(ColumnData::len).sum();
-                let bytes = data()
-                    .map(|data| match data {
-                        ColumnData::Strs(v) | ColumnData::Json(v) => v.byte_len(),
-                        _ => 0,
-                    })
-                    .sum();
-                Column {
-                    path: path.clone(),
-                    data: slot.storage(dense, bytes),
-                    validity: Bitmap::with_capacity(rows),
-                }
-            })
-            .collect();
-        let mut whole = ColumnarBatch { columns, rows: 0 };
-        for part in parts {
-            whole.append(part);
-        }
-        whole
-    }
-
     fn builders(&self) -> Vec<TypedBuilder> {
         self.layout
             .iter()
             .map(|(_, slot)| TypedBuilder::new(*slot))
             .collect()
     }
+}
 
-    /// Schema-aware fast path: typed builders, no intermediate cells.
-    /// One batch-sized [`ShredStream`] — the streaming stage uses the same
-    /// code path record by record.
-    fn shred_typed(&self, docs: &[Value]) -> Result<ColumnarBatch, ShredError> {
-        let mut stream = self.stream();
-        for doc in docs {
-            stream.push(doc)?;
-        }
-        Ok(stream.finish())
-    }
+/// Schema-blind shredding — what a converter with no schema must do,
+/// and the baseline E11 measures [`Shredder::from_type`] against: columns
+/// are discovered and retyped on the fly while scanning, so every cell is
+/// buffered as a generic value until the collection's layout is known.
+pub fn discover(docs: &[Value]) -> Result<ColumnarBatch, ShredError> {
+    Discovery::default().shred(docs)
+}
 
-    /// Schema-blind path: generic cell buffering with on-the-fly layout
-    /// growth and retyping.
-    fn shred_generic(&mut self, docs: &[Value]) -> Result<ColumnarBatch, ShredError> {
+/// [`discover`]'s growing layout.
+#[derive(Default)]
+struct Discovery {
+    /// Layout: (path, slot type); columns in order of discovery.
+    layout: Vec<(String, Slot)>,
+    /// path → layout index.
+    by_path: HashMap<String, usize>,
+}
+
+impl Discovery {
+    /// Generic cell buffering with on-the-fly layout growth and
+    /// retyping.
+    fn shred(&mut self, docs: &[Value]) -> Result<ColumnarBatch, ShredError> {
         // Cell buffer: per column, per row, an optional scalar.
         let mut cells: Vec<Vec<Option<Value>>> = vec![Vec::new(); self.layout.len()];
         for (row, doc) in docs.iter().enumerate() {
@@ -1864,9 +1804,9 @@ mod tests {
     }
 
     #[test]
-    fn discovering_matches_aware_on_layout_paths() {
+    fn discovery_matches_aware_on_layout_paths() {
         let aware = aware_batch();
-        let blind = Shredder::discovering().shred(&docs()).unwrap();
+        let blind = discover(&docs()).unwrap();
         let mut a: Vec<&str> = aware.columns.iter().map(|c| c.path.as_str()).collect();
         let mut d: Vec<&str> = blind.columns.iter().map(|c| c.path.as_str()).collect();
         a.sort_unstable();
@@ -1880,15 +1820,15 @@ mod tests {
     }
 
     #[test]
-    fn discovering_retypes_on_conflict() {
+    fn discovery_retypes_on_conflict() {
         let docs = vec![json!({"v": 1}), json!({"v": 2.5}), json!({"v": 3})];
-        let b = Shredder::discovering().shred(&docs).unwrap();
+        let b = discover(&docs).unwrap();
         assert_eq!(
             b.column("v").unwrap().data,
             ColumnData::Floats(vec![1.0, 2.5, 3.0])
         );
         let docs = vec![json!({"v": 1}), json!({"v": "s"})];
-        let b = Shredder::discovering().shred(&docs).unwrap();
+        let b = discover(&docs).unwrap();
         assert!(matches!(b.column("v").unwrap().data, ColumnData::Json(_)));
     }
 
@@ -1902,8 +1842,7 @@ mod tests {
 
     #[test]
     fn non_records_rejected() {
-        let mut s = Shredder::discovering();
-        let err = s.shred(&[json!([1])]).unwrap_err();
+        let err = discover(&[json!([1])]).unwrap_err();
         assert_eq!(err, ShredError::NotARecord { row: 0 });
     }
 
@@ -1911,7 +1850,7 @@ mod tests {
     fn stream_push_equals_batch_shred() {
         let ty = infer_collection(&docs(), Equivalence::Kind);
         let shredder = Shredder::from_type(&ty);
-        let batch = shredder.clone().shred(&docs()).unwrap();
+        let batch = shredder.shred(&docs()).unwrap();
         let mut stream = shredder.stream();
         for doc in &docs() {
             stream.push(doc).unwrap();
@@ -1923,12 +1862,12 @@ mod tests {
     fn append_equals_one_pass_shred() {
         let ty = infer_collection(&docs(), Equivalence::Kind);
         let shredder = Shredder::from_type(&ty);
-        let whole = shredder.clone().shred(&docs()).unwrap();
+        let whole = shredder.shred(&docs()).unwrap();
         for split in 0..=docs().len() {
             let all = docs();
             let (a, b) = all.split_at(split);
-            let mut left = shredder.clone().shred(a).unwrap();
-            let right = shredder.clone().shred(b).unwrap();
+            let mut left = shredder.shred(a).unwrap();
+            let right = shredder.shred(b).unwrap();
             left.append(right);
             assert_eq!(left, whole, "split at {split}");
         }
@@ -1942,12 +1881,6 @@ mod tests {
         stream.push(&docs()[0]).unwrap();
         let err = stream.push(&json!([1])).unwrap_err();
         assert_eq!(err, ShredError::NotARecord { row: 1 });
-    }
-
-    #[test]
-    #[should_panic(expected = "fixed layout")]
-    fn discovering_shredders_cannot_stream() {
-        let _ = Shredder::discovering().stream();
     }
 
     #[test]
@@ -2321,19 +2254,6 @@ mod tests {
         }
         // Nothing taught at all lifts into anything without a dotted name.
         assert_eq!(lifts(&JType::Bottom, &old), Ok(()));
-    }
-
-    #[test]
-    fn concat_equals_appending_one_by_one() {
-        let ty = infer_collection(&docs(), Equivalence::Kind);
-        let shredder = Shredder::from_type(&ty);
-        let whole = shredder.clone().shred(&docs()).unwrap();
-        let parts: Vec<ColumnarBatch> = docs()
-            .iter()
-            .map(|doc| shredder.clone().shred(std::slice::from_ref(doc)).unwrap())
-            .collect();
-        assert_eq!(shredder.concat(parts), whole);
-        assert_eq!(shredder.concat(Vec::new()), shredder.stream().finish());
     }
 
     #[test]

@@ -691,13 +691,8 @@ pub fn footer_crc(image: &[u8]) -> Option<u32> {
 
 /// Writes a batch to `path` as `.jxc`; returns the file size in bytes.
 pub fn write_jxc_file(path: &Path, batch: &ColumnarBatch) -> io::Result<u64> {
-    write_parts_file(path, std::slice::from_ref(batch))
-}
-
-/// [`write_jxc_parts`] to the file at `path`, through one buffer.
-pub(crate) fn write_parts_file(path: &Path, parts: &[ColumnarBatch]) -> io::Result<u64> {
     let mut file = BufWriter::new(std::fs::File::create(path)?);
-    let bytes = write_jxc_parts(parts, &mut file)?;
+    let bytes = write_jxc_parts(std::slice::from_ref(batch), &mut file)?;
     file.flush()?;
     Ok(bytes)
 }

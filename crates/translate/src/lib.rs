@@ -13,7 +13,7 @@
 //! * [`columnar`] — Arrow/Parquet-flavoured column batches: records are
 //!   shredded into typed columns with validity bitmaps; the schema decides
 //!   the column layout up front (the *schema-aware* path E11 measures
-//!   against a schema-blind discovery path).
+//!   against schema-blind discovery, [`columnar::discover`]).
 //! * [`avro`] — an Avro-flavoured binary row format: zig-zag varints,
 //!   length-prefixed strings, union branch indices — encoded and decoded
 //!   against a writer schema derived from the inferred type.
@@ -22,23 +22,21 @@
 //!   child tables with foreign keys, and functional dependencies split
 //!   out dimension tables.
 //!
-//! Two pieces close the loop from translation to storage:
-//!
-//! * [`jxc`] — `.jxc`, a binary columnar *file* format for
-//!   [`columnar::ColumnarBatch`]: dictionary-encoded strings, validity
-//!   bitmaps, nested-list offset arrays, schema footer.
-//! * [`sink`] — [`sink::OutputSink`], the columnar batches' schema line,
-//!   summary and optional `.jxc` file.
+//! [`jxc`] closes the loop from translation to storage: `.jxc`, a binary
+//! columnar *file* format for [`columnar::ColumnarBatch`] —
+//! dictionary-encoded strings, validity bitmaps, nested-list offset
+//! arrays, schema footer — written straight from a translation's chunk
+//! batches ([`write_jxc_parts`]).
 
 pub mod avro;
 pub mod columnar;
 pub mod jxc;
 pub mod relational;
-pub mod sink;
 
 pub use avro::{AvroCodec, AvroError, AvroField, AvroSchema};
 pub use columnar::{
-    lifts, Bitmap, ColumnData, ColumnarBatch, Fallback, ShredError, ShredStream, Shredder, StrArena,
+    discover, lifts, Bitmap, ColumnData, ColumnarBatch, Fallback, ShredError, ShredStream,
+    Shredder, StrArena,
 };
 pub use jxc::{
     flatten_rows, footer_crc, read_jxc, read_jxc_file, read_jxc_file_head, read_jxc_head,
@@ -46,4 +44,3 @@ pub use jxc::{
     JxcFile,
 };
 pub use relational::{normalize, Relation};
-pub use sink::{OutputSink, SinkError, SinkReport};

@@ -53,12 +53,14 @@ use jsonx::documents::{
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::skeleton::Skeleton;
 use jsonx::syntax::{parse, to_string, to_string_pretty, MAX_DEPTH_CEILING};
-use jsonx::translate::{flatten_rows, read_jxc_file_head, rows_as_values, OutputSink, SinkError};
+use jsonx::translate::{
+    flatten_rows, read_jxc_file_head, rows_as_values, write_jxc_parts, ColumnarBatch,
+};
 use jsonx::{
     write_quarantine_file, CsvDecoder, ErrorPolicy, FaultOptions, Format, JournalControl,
     JsonDecoder, LineVerdict, ParseLimits, RecordDecoder, Run, RunReport, Source, StreamError,
 };
-use std::io::{BufRead, BufReader, Read, Stdin, Write as _};
+use std::io::{BufRead, BufReader, BufWriter, Read, Stdin, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -462,13 +464,6 @@ impl From<String> for CliError {
     }
 }
 
-impl From<SinkError> for CliError {
-    fn from(e: SinkError) -> CliError {
-        let SinkError::Write(msg) = e;
-        CliError::Io(msg)
-    }
-}
-
 /// Classifies a streaming-run failure: input problems are I/O, a
 /// graceful stop is interrupted-resumable, everything else is bad data.
 fn stream_err(e: StreamError) -> CliError {
@@ -732,10 +727,11 @@ impl Corpus<'_> {
         }
     }
 
-    /// The raw NDJSON text, when it is in memory to re-validate lines of.
-    fn ndjson(&self, csv: bool) -> Option<&str> {
+    /// The records' text — past a CSV corpus's header — when it is in
+    /// memory to re-validate lines of.
+    fn records(&self) -> Option<&str> {
         match self {
-            Corpus::Text { text, .. } if !csv => Some(text),
+            Corpus::Text { text, body } => Some(&text[*body..]),
             _ => None,
         }
     }
@@ -1088,25 +1084,34 @@ fn load_schema(path: &str) -> Result<(CompiledSchema, String), CliError> {
 
 /// The one verdict printer: one stdout line per diagnostic of every
 /// invalid document, returning how many documents were invalid. With the
-/// corpus text in memory (`ndjson`) the schema's errors face re-runs on
-/// *just* the invalid lines — re-parsed under the run's own `limits` —:
-/// the same arena walk that gave the verdict, so an invalid document
-/// always has diagnostics. An out-of-core or CSV run never holds a raw
-/// JSON line to re-validate and reports `doc N: invalid` instead.
+/// records' text in memory the schema's errors face re-runs on *just* the
+/// invalid lines — decoded again by the run's own format under its own
+/// limits —: the same arena walk that gave the verdict, so an invalid
+/// document always has diagnostics. An out-of-core run never holds a
+/// line to re-validate and reports `doc N: invalid` instead.
 fn print_invalid(
     verdicts: &[(usize, LineVerdict)],
-    ndjson: Option<&str>,
+    records: Option<&str>,
+    run: &Run<'_>,
     schema: &CompiledSchema,
     vopts: ValidatorOptions,
-    limits: ParseLimits,
 ) -> Result<usize, CliError> {
-    let decoder = JsonDecoder::new().with_limits(limits);
+    let limits = run.fault.limits;
+    let json = JsonDecoder::new().with_limits(limits);
+    let csv = match &run.format {
+        Format::Ndjson => None,
+        Format::Csv(decoder) => Some(decoder.clone().with_limits(limits)),
+    };
+    let decode = |line: &str| match &csv {
+        None => json.decode_value(&mut (), line),
+        Some(csv) => csv.decode_value(&mut (), line),
+    };
     let mut out = PipeOut::new();
     let mut invalid = 0usize;
     // Verdicts come in line order, so one forward walk finds every line.
     // (Lines as the run read them: less the byte-order mark the first may
     // lead with.)
-    let mut lines = ndjson.map(|text| {
+    let mut lines = records.map(|text| {
         let text = text.strip_prefix('\u{feff}').unwrap_or(text);
         text.lines().enumerate()
     });
@@ -1122,7 +1127,7 @@ fn print_invalid(
         let (_, line) = lines
             .find(|(i, _)| i == line_no)
             .expect("verdict indices are line numbers of this text");
-        let Ok(doc) = decoder.decode_value(&mut (), line) else {
+        let Ok(doc) = decode(line) else {
             // Should the re-parse ever disagree with the run's decode.
             out.line(&format!("doc {line_no}: invalid"))?;
             continue;
@@ -1170,8 +1175,7 @@ fn cmd_infer(opts: &Opts) -> Result<(), CliError> {
             .map_err(stream_err)?;
         let suffix = finish_run(opts, &report)?;
         print_routes(&report, "typed in place", "the typer");
-        let limits = run.fault.limits;
-        let invalid = print_invalid(&verdicts, corpus.ndjson(csv), &schema, vopts, limits)?;
+        let invalid = print_invalid(&verdicts, corpus.records(), &run, &schema, vopts)?;
         print_inferred_type(opts, &ty)?;
         eprintln!(
             "» {}/{} documents valid (combined pass{}), equivalence {}, type size {} nodes{suffix}",
@@ -1238,8 +1242,7 @@ fn cmd_validate(opts: &Opts) -> Result<(), CliError> {
         .map_err(stream_err)?;
     let suffix = finish_run(opts, &report)?;
     print_routes(&report, "validated from events", "the parser");
-    let limits = run.fault.limits;
-    let invalid = print_invalid(&verdicts, corpus.ndjson(csv), &schema, vopts, limits)?;
+    let invalid = print_invalid(&verdicts, corpus.records(), &run, &schema, vopts)?;
     let total = verdicts.len();
     eprintln!(
         "» {}/{total} documents valid ({}){suffix}",
@@ -1370,9 +1373,6 @@ fn cmd_convert(opts: &Opts) -> Result<(), CliError> {
 /// resume lands in whichever pass the run died in. The Avro and
 /// relational targets are `convert`'s.
 fn cmd_translate(opts: &Opts) -> Result<(), CliError> {
-    let sink = OutputSink {
-        out: opts.get("out").map(PathBuf::from),
-    };
     let (mut run, csv) = run_plan(opts)?;
     if opts.get("input") == Some("-") {
         return Err(CliError::usage(
@@ -1381,24 +1381,37 @@ fn cmd_translate(opts: &Opts) -> Result<(), CliError> {
         ));
     }
     let mut corpus = open_corpus(opts, &mut run, csv)?;
-    let (parts, report) = run
-        .translate_inferred(corpus.source(), Equivalence::Kind)
-        .map_err(stream_err)?;
+    let (parts, report) = run.translate(corpus.source()).map_err(stream_err)?;
     let suffix = finish_run(opts, &report)?;
     print_routes(&report, "shredded from events", "the parser");
-    let started = std::time::Instant::now();
-    let out = sink.consume_batches(&parts)?;
-    let timed = opts.has("report-timing");
-    if let (true, Some(bytes), Some(path)) = (timed, out.written, opts.get("out")) {
-        eprintln!(
-            "» wrote {path}: {} column blocks, {bytes} bytes in {:.1} ms",
-            parts[0].columns.len(),
-            started.elapsed().as_secs_f64() * 1e3
-        );
+    // The run returns at least one part, so the layout is always known.
+    let columns = parts[0].columns.len();
+    let rows: usize = parts.iter().map(|part| part.rows).sum();
+    let mut summary = format!("{columns} columns x {rows} rows");
+    if let Some(path) = opts.get("out") {
+        let started = std::time::Instant::now();
+        let bytes = write_jxc_out(Path::new(path), &parts)
+            .map_err(|e| CliError::io(format!("writing {path}: {e}")))?;
+        if opts.has("report-timing") {
+            eprintln!(
+                "» wrote {path}: {columns} column blocks, {bytes} bytes in {:.1} ms",
+                started.elapsed().as_secs_f64() * 1e3
+            );
+        }
+        summary += &format!(", {bytes} bytes -> {path}");
     }
-    println!("{}", out.body);
-    eprintln!("» {} ({}){suffix}", out.summary, mode(csv));
+    println!("{}", parts[0].schema_string());
+    eprintln!("» {summary} ({}){suffix}", mode(csv));
     Ok(())
+}
+
+/// Writes a translation's chunk batches to `path` as one `.jxc` file,
+/// one column block at a time, through one buffer; returns its size.
+fn write_jxc_out(path: &Path, parts: &[ColumnarBatch]) -> std::io::Result<u64> {
+    let mut file = BufWriter::new(std::fs::File::create(path)?);
+    let bytes = write_jxc_parts(parts, &mut file)?;
+    file.flush()?;
+    Ok(bytes)
 }
 
 /// `jsonx cat FILE.jxc`: schema and rows on stdout, per-column encoding

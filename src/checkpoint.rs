@@ -1068,12 +1068,10 @@ mod tests {
         ] {
             let input = write_input(&dir, &format!("{name}.ndjson"), &text);
             let journal = dir.path(&format!("{name}.journal"));
-            let (want, want_report) = plain
-                .translate_inferred(Source::slice(&text), Equivalence::Kind)
-                .unwrap();
+            let (want, want_report) = plain.translate(Source::slice(&text)).unwrap();
             let want = image(&want);
             let (parts, _) = journaled(&plain, JournalControl::new(&journal))
-                .translate_inferred(Source::file(&input), Equivalence::Kind)
+                .translate(Source::file(&input))
                 .unwrap();
             assert_eq!(image(&parts), want, "{name}");
             let uninterrupted = files(&journal);
@@ -1081,11 +1079,11 @@ mod tests {
             assert!(total > 20, "{name}: {total} commits");
             for stop in 1..=total {
                 let err = journaled(&plain, stop_after(&journal, stop))
-                    .translate_inferred(Source::file(&input), Equivalence::Kind)
+                    .translate(Source::file(&input))
                     .unwrap_err();
                 assert_eq!(err, StreamError::Interrupted, "{name}: stop {stop}");
                 let (parts, report) = journaled(&plain, resume(&journal))
-                    .translate_inferred(Source::file(&input), Equivalence::Kind)
+                    .translate(Source::file(&input))
                     .unwrap();
                 assert_eq!(report.records, want_report.records, "{name}: stop {stop}");
                 assert_eq!(image(&parts), want, "{name}: stop {stop}");
@@ -1122,7 +1120,7 @@ mod tests {
         };
 
         let (parts, _) = journaled(&plain, JournalControl::new(&journal))
-            .translate_inferred(Source::file(&input), Equivalence::Kind)
+            .translate(Source::file(&input))
             .unwrap();
         assert_eq!(image(&parts), golden_jxc);
         assert!(files(&journal) == golden);
@@ -1147,7 +1145,7 @@ mod tests {
             std::fs::write(&journal, &text[..cut]).unwrap();
             std::fs::write(rows_path(&journal), &rows[..rows_cut]).unwrap();
             let (parts, report) = journaled(&plain, resume(&journal))
-                .translate_inferred(Source::file(&input), Equivalence::Kind)
+                .translate(Source::file(&input))
                 .unwrap();
             assert_eq!(image(&parts), golden_jxc, "cut at {cut}, {rows_cut}");
             assert_eq!(report.records, 11, "cut at {cut}, {rows_cut}");
@@ -1344,18 +1342,25 @@ mod tests {
             )
         );
 
-        // Translate's journal is v2, and its route is part of it.
-        let journal = dir.path("translate.journal");
-        journaled(&plan(1), JournalControl::new(&journal))
-            .translate_inferred(Source::file(&input), Equivalence::Label)
-            .unwrap();
-        assert_eq!(
-            header_of(&journal),
-            expect(
-                "translate",
-                format!("equiv=Label fault={FAULT} route=reference")
-            )
-            .replace("\"v\":1", "\"v\":2")
-        );
+        // Translate's journal is v2, and its route is part of it. Its
+        // type is always the `Kind` one, and the header still says so.
+        for (fast_parse, route) in [(true, "speculative"), (false, "reference")] {
+            let journal = dir.path(&format!("translate-{route}.journal"));
+            let run = Run {
+                fast_parse,
+                ..plan(1)
+            };
+            journaled(&run, JournalControl::new(&journal))
+                .translate(Source::file(&input))
+                .unwrap();
+            assert_eq!(
+                header_of(&journal),
+                expect(
+                    "translate",
+                    format!("equiv=Kind fault={FAULT} route={route}")
+                )
+                .replace("\"v\":1", "\"v\":2")
+            );
+        }
     }
 }

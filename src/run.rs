@@ -76,8 +76,8 @@ pub enum Source<'a, R = std::io::Empty> {
     /// Any buffered reader (socket, pipe, decompressor), streamed
     /// out-of-core through a bounded ring of chunk buffers: peak
     /// residency is about `workers × chunk_bytes` whatever the corpus
-    /// size. Cannot be read again, so [`Run::translate_inferred`], which
-    /// may have to, refuses it.
+    /// size. Cannot be read again, so [`Run::translate`], which may have
+    /// to, refuses it.
     Reader(R),
     /// A regular file, streamed like a reader. The only source a
     /// checkpoint journal accepts (a resume seeks it by byte offset).
@@ -117,9 +117,8 @@ pub struct Run<'a> {
     pub fault: FaultOptions,
     /// Speculate per record and verify, instead of decoding every record
     /// to a document: [`validate`](Self::validate) walks the schema over
-    /// a record's events, and
-    /// [`translate_inferred`](Self::translate_inferred) shreds under a
-    /// layout taught by the first chunk and verified per record. Every
+    /// a record's events, and [`translate`](Self::translate) shreds under
+    /// a layout taught by the first chunk and verified per record. Every
     /// record the walk cannot vouch for is replayed through the parser,
     /// so results never depend on it; `false` is the reference route, on
     /// which nothing speculates.
@@ -129,9 +128,8 @@ pub struct Run<'a> {
     /// Journal every committed chunk durably so an interrupted run can
     /// resume. Needs [`Source::File`] with [`Format::Ndjson`], and a
     /// stage with a journal codec: [`infer`](Self::infer),
-    /// [`validate`](Self::validate) or
-    /// [`translate_inferred`](Self::translate_inferred) — which also
-    /// writes its chunks' rows to a sidecar beside the journal
+    /// [`validate`](Self::validate) or [`translate`](Self::translate) —
+    /// which also writes its chunks' rows to a sidecar beside the journal
     /// (`FILE.rows`).
     pub journal: Option<JournalControl<'a>>,
 }
@@ -367,41 +365,17 @@ impl Run<'_> {
         }
     }
 
-    /// Shreds every record into one columnar batch under `shredder`'s
-    /// fixed layout ([`Shredder::from_type`]) — §5's schema-driven
-    /// translation. Row-identical to the DOM
-    /// [`Shredder::shred`](jsonx_translate::Shredder::shred) at every
-    /// worker count.
-    ///
-    /// The layout may be narrower than the records: each record is
-    /// shredded straight from its events, and the walker skips the root
-    /// keys the layout has no column under. A record the walk cannot
-    /// vouch for — a repeated key, or a literal dotted key that collides
-    /// with the nested path it spells — is replayed through its document.
-    pub fn translate<R: BufRead + Send>(
-        &self,
-        source: Source<'_, R>,
-        shredder: &Shredder,
-    ) -> Result<(ColumnarBatch, RunReport), StreamError> {
-        self.refuse_journal("translation under a caller-supplied layout (use translate_inferred)")?;
-        let stage = TranslateStage {
-            shredder,
-            decoder: self.decoder(),
-            teach: None,
-        };
-        let (chunks, report) = self.execute(source, &stage, None)?;
-        let rows = chunks.into_iter().map(|chunk| match chunk {
-            Shredded::Rows(batch) => batch,
-            Shredded::Taught { .. } => unreachable!("only a teaching stage voids a chunk"),
-        });
-        Ok((shredder.concat(rows.collect()), report))
-    }
-
-    /// A translation from scratch: infer a type, shred under the layout
-    /// it fixes ([`Shredder::from_type`]). The rows are the ones the
-    /// layout of the *whole corpus's* type gives, at every worker count
-    /// and chunking, and the report counts each chunk's records, rejects
-    /// and routes once — from the shredding that produced its rows.
+    /// §5's schema-driven translation, under the corpus's own type:
+    /// infer a type, shred under the layout it fixes
+    /// ([`Shredder::from_type`]). The rows are the ones the layout of the
+    /// *whole corpus's* type gives — row-identical to the DOM
+    /// [`Shredder::shred`] of every accepted record — at every worker
+    /// count and chunking, and the report counts each chunk's records,
+    /// rejects and routes once, from the shredding that produced its
+    /// rows. Each record is shredded straight from its events; one the
+    /// walk cannot vouch for (a repeated key, a literal dotted key that
+    /// collides with the nested path it spells) is replayed through its
+    /// document.
     ///
     /// They come back as the chunks' batches in input order, never
     /// concatenated: at least one, so an empty corpus keeps its layout.
@@ -428,8 +402,10 @@ impl Run<'_> {
     ///
     /// The *whole corpus* teaches, and nothing is verified or voided —
     /// the same passes, from a different first teach set — when nothing
-    /// may speculate ([`fast_parse`](Self::fast_parse) off) and under
-    /// [`Equivalence::Label`] (fitting is an argument about `Kind`).
+    /// may speculate ([`fast_parse`](Self::fast_parse) off).
+    ///
+    /// The type is always the [`Equivalence::Kind`] one: a shredder's
+    /// layout reads kinds, and fitting is an argument about `Kind`.
     ///
     /// With a journal each pass is a phase of it — teach (1), shred and
     /// verify (2), shred again what the widened layout needs (3) — opened
@@ -443,20 +419,20 @@ impl Run<'_> {
     /// shredder rejects it, under the run's policy, when it shreds its
     /// chunk for good. So a malformed line anywhere still fails a
     /// fail-fast run before a non-record does.
-    pub fn translate_inferred<R: BufRead + Send>(
+    pub fn translate<R: BufRead + Send>(
         &self,
         source: Source<'_, R>,
-        equiv: Equivalence,
     ) -> Result<(Vec<ColumnarBatch>, RunReport), StreamError> {
-        let speculate = self.fast_parse && equiv == Equivalence::Kind;
         let mut session = self.open_journal(&source, Stage::Translate, || {
-            // The route fixes which passes, so which phases, a journal holds.
-            let route = if speculate {
+            // The route fixes which passes, so which phases, a journal
+            // holds. `equiv=Kind` stays in the text so that journals
+            // written when translation took an equivalence still resume.
+            let route = if self.fast_parse {
                 "speculative"
             } else {
                 "reference"
             };
-            format!("equiv={equiv:?} fault={:?} route={route}", self.fault)
+            format!("equiv=Kind fault={:?} route={route}", self.fault)
         })?;
         let again = match source {
             Source::Slice(text) => Again::Slice(text),
@@ -479,9 +455,9 @@ impl Run<'_> {
                 let journal = session.as_mut().map(|s| s.phase(1, infer_codec()));
                 let stage = InferStage {
                     records_only: true,
-                    ..self.infer_stage(equiv)
+                    ..self.infer_stage(Equivalence::Kind)
                 };
-                let teachers = if speculate {
+                let teachers = if self.fast_parse {
                     Select::First
                 } else {
                     Select::All
@@ -514,7 +490,7 @@ impl Run<'_> {
             let stage = TranslateStage {
                 shredder: &shredder,
                 decoder: self.decoder(),
-                teach: (speculate && !widened).then_some(equiv),
+                verify: self.fast_parse && !widened,
             };
             // A pass is journaled once the type it lays rows out under is.
             let journal = session
@@ -541,7 +517,7 @@ impl Run<'_> {
                         misfit,
                         records,
                     } => {
-                        taught = fuse(taught, ty, equiv);
+                        taught = fuse(taught, ty, Equivalence::Kind);
                         voided.push(meta.seq);
                         account.taught += records;
                         account.misfit = Some(account.misfit.map_or(misfit, |m| m.min(misfit)));
@@ -558,7 +534,7 @@ impl Run<'_> {
             // Every record shredded so far fits `ty`, so fits `wider`:
             // `wider` has the layout of the whole corpus's type, and what
             // is shredded under it needs no verifying.
-            let wider = fuse(ty.clone(), taught, equiv);
+            let wider = fuse(ty.clone(), taught, Equivalence::Kind);
             match (sealed.get(1), &mut session) {
                 (Some(marker), _) if *marker != wider => {
                     return Err(StreamError::Input(
@@ -957,10 +933,16 @@ mod tests {
             )
             .map(|_| ()),
         );
-        let shredder = Shredder::from_type(&JType::Bottom);
         refused(
-            run.translate(Source::file(Path::new("unread")), &shredder)
+            run.translate(Source::Reader(std::io::Cursor::new("{}\n")))
                 .map(|_| ()),
+        );
+        refused(
+            run.documents(
+                Source::file(Path::new("unread")),
+                &crate::documents::CollectFold,
+            )
+            .map(|_| ()),
         );
         let csv = Run {
             format: Format::Csv(CsvDecoder::from_header("a,b").unwrap()),
@@ -977,12 +959,9 @@ mod tests {
     }
 
     #[test]
-    fn translate_inferred_refuses_a_source_it_cannot_reread() {
+    fn translate_refuses_a_source_it_cannot_reread() {
         let err = Run::default()
-            .translate_inferred(
-                Source::Reader(std::io::Cursor::new("{}\n")),
-                Equivalence::Kind,
-            )
+            .translate(Source::Reader(std::io::Cursor::new("{}\n")))
             .unwrap_err();
         assert!(matches!(err, StreamError::Input(msg) if msg.contains("cannot be read again")));
     }
@@ -996,9 +975,9 @@ mod tests {
             format: Format::Csv(CsvDecoder::from_header("id,name").unwrap()),
             ..Run::default()
         };
-        let from_file = run.translate_inferred(Source::file(&path), Equivalence::Kind);
+        let from_file = run.translate(Source::file(&path));
         let _ = std::fs::remove_file(&path);
-        let from_slice = run.translate_inferred(Source::slice("1,ada\n2,bob\n"), Equivalence::Kind);
+        let from_slice = run.translate(Source::slice("1,ada\n2,bob\n"));
         let image = |parts: &[ColumnarBatch]| {
             let mut bytes = Vec::new();
             jsonx_translate::write_jxc_parts(parts, &mut bytes).unwrap();

@@ -44,7 +44,7 @@
 //!   Under a layout taught by a sample of the corpus the same walk also
 //!   verifies that each record *fits* the sample's type; a chunk with
 //!   one that does not yields the type of its remaining lines instead of
-//!   rows ([`Run::translate_inferred`](crate::Run::translate_inferred)).
+//!   rows ([`Run::translate`](crate::Run::translate)).
 //!
 //! The massive-collection setting of §4.1 is exactly where building a
 //! [`Value`](jsonx_data::Value) per document hurts: the map step only
@@ -1184,8 +1184,8 @@ pub type TypedVerdicts = (JType, Vec<(usize, LineVerdict)>);
 // ---------------------------------------------------------------------------
 
 /// The translation stage: one [`ShredStream`] per worker over a shared
-/// fixed layout ([`Shredder::from_type`], typically over a type the
-/// inference stage produced), one result per chunk, in chunk order — the
+/// fixed layout ([`Shredder::from_type`] over a type the inference stage
+/// produced), one result per chunk, in chunk order — the
 /// rows are what parsing every line and shredding the whole collection
 /// with [`Shredder::shred`](jsonx_translate::Shredder::shred) gives,
 /// property-tested in `tests/pipeline_equivalence.rs`. Under a tolerant
@@ -1193,7 +1193,7 @@ pub type TypedVerdicts = (JType, Vec<(usize, LineVerdict)>);
 /// contribute no row.
 ///
 /// When the layout's type is that of a *sample* of the corpus
-/// ([`teach`](Self::teach)), every record is shredded only if it
+/// ([`verify`](Self::verify)), every record is shredded only if it
 /// [fits](ShredStream::push_fitting) that type. The first that does not
 /// voids its chunk: from that record on the chunk's lines are typed
 /// instead ([`teach`]) — so a malformed line is still rejected where it
@@ -1203,9 +1203,8 @@ pub(crate) struct TranslateStage<'t> {
     /// How record text becomes events: records are shredded straight
     /// from them, and the walker skips the root keys the layout lacks.
     pub(crate) decoder: LineDecoder,
-    /// `Some`: shred only what fits the layout's type, and type — under
-    /// this equivalence — what does not.
-    pub(crate) teach: Option<Equivalence>,
+    /// Shred only what fits the layout's type, and type what does not.
+    pub(crate) verify: bool,
 }
 
 /// What translating one chunk came to.
@@ -1224,7 +1223,7 @@ pub(crate) enum Shredded {
 /// What translation keeps per worker.
 pub(crate) struct Shredding<'t> {
     stream: ShredStream<'t>,
-    /// Types the tail of a voided chunk ([`TranslateStage::teach`]).
+    /// Types the tail of a voided chunk ([`TranslateStage::verify`]).
     fold: Option<TypeFold>,
     /// Where the chunk being fed was voided, and the records it has
     /// taught since.
@@ -1238,7 +1237,7 @@ impl<'t> RecordStage for TranslateStage<'t> {
     fn init(&self) -> Self::State {
         Shredding {
             stream: self.shredder.stream(),
-            fold: self.teach.map(TypeFold::new),
+            fold: self.verify.then(|| TypeFold::new(Equivalence::Kind)),
             voided: None,
         }
     }
@@ -1530,44 +1529,57 @@ mod tests {
         assert_eq!(rejected, vec![1, 2]);
     }
 
+    /// A translation's chunk batches as the one batch they make up.
+    fn whole(parts: Vec<ColumnarBatch>) -> ColumnarBatch {
+        let mut parts = parts.into_iter();
+        let mut batch = parts.next().expect("a translation returns a batch");
+        parts.for_each(|part| batch.append(part));
+        batch
+    }
+
     #[test]
     fn streaming_translation_matches_dom_shred() {
         let ndjson = corpus_ndjson(500);
         let docs = parse_ndjson(&ndjson).unwrap();
         let ty = infer_collection(&docs, Equivalence::Kind);
-        let shredder = Shredder::from_type(&ty);
-        let dom = shredder.clone().shred(&docs).unwrap();
+        let dom = Shredder::from_type(&ty).shred(&docs).unwrap();
         for workers in [1, 2, 3, 8] {
-            let (streamed, _) = plan(workers, 128)
-                .translate(Source::slice(&ndjson), &shredder)
+            let (parts, _) = plan(workers, 128)
+                .translate(Source::slice(&ndjson))
                 .unwrap();
-            assert_eq!(streamed, dom, "workers={workers}");
+            assert_eq!(whole(parts), dom, "workers={workers}");
         }
     }
 
     #[test]
     fn streaming_translation_reports_first_bad_line() {
         let mut lines: Vec<String> = corpus_ndjson(200).lines().map(str::to_string).collect();
-        lines[150] = "{oops".into();
         lines[20] = "[1, 2]".into(); // well-formed but not a record
-        let ndjson = lines.join("\n") + "\n";
-        let docs_ty = infer_collection(
-            &parse_ndjson(&corpus_ndjson(10)).unwrap(),
-            Equivalence::Kind,
-        );
-        let shredder = Shredder::from_type(&docs_ty);
-        for workers in [1, 4] {
-            let err = plan(workers, 64)
-                .translate(Source::slice(&ndjson), &shredder)
-                .unwrap_err();
-            assert_eq!(
-                err,
-                StreamError::Record {
-                    record: 20,
-                    issue: RecordIssue::NotARecord,
-                },
-                "workers={workers}"
-            );
+        let not_a_record = lines.join("\n") + "\n";
+        // A malformed line anywhere is found before a non-record: the
+        // typing pass that teaches the layout decodes every line it reads.
+        lines[150] = "{oops".into();
+        let malformed = lines.join("\n") + "\n";
+        let parse_error = jsonx_syntax::parse("{oops").unwrap_err();
+        for (ndjson, want) in [
+            (not_a_record, (20, RecordIssue::NotARecord)),
+            (malformed, (150, RecordIssue::Parse(parse_error))),
+        ] {
+            for (workers, fast_parse) in [(1, true), (4, true), (1, false), (4, false)] {
+                let run = Run {
+                    fast_parse,
+                    ..plan(workers, 64)
+                };
+                let err = run.translate(Source::slice(&ndjson)).unwrap_err();
+                assert_eq!(
+                    err,
+                    StreamError::Record {
+                        record: want.0,
+                        issue: want.1.clone(),
+                    },
+                    "workers={workers} fast_parse={fast_parse}"
+                );
+            }
         }
     }
 
@@ -1716,8 +1728,6 @@ mod tests {
     fn tolerant_translation_skips_non_records() {
         let ndjson = corpus_ndjson(30);
         let docs = parse_ndjson(&ndjson).unwrap();
-        let ty = infer_collection(&docs, Equivalence::Kind);
-        let shredder = Shredder::from_type(&ty);
         let mut lines: Vec<String> = ndjson.lines().map(str::to_string).collect();
         lines[10] = "[1, 2]".into();
         lines[17] = "{nope".into();
@@ -1726,13 +1736,20 @@ mod tests {
         clean[10].clear();
         clean[17].clear();
         let clean = clean.join("\n") + "\n";
-        let (reference, _) = plan(1, 0)
-            .translate(Source::slice(&clean), &shredder)
+        let accepted: Vec<Value> = docs
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| ![10, 17].contains(i))
+            .map(|(_, doc)| doc)
+            .collect();
+        let ty = infer_collection(&accepted, Equivalence::Kind);
+        let dom = Shredder::from_type(&ty).shred(&accepted).unwrap();
+        let (reference, _) = plan(1, 0).translate(Source::slice(&clean)).unwrap();
+        assert_eq!(whole(reference), dom);
+        let (parts, report) = tolerant(1, 0, ErrorPolicy::Skip { max_errors: None })
+            .translate(Source::slice(&dirty))
             .unwrap();
-        let (batch, report) = tolerant(1, 0, ErrorPolicy::Skip { max_errors: None })
-            .translate(Source::slice(&dirty), &shredder)
-            .unwrap();
-        assert_eq!(batch, reference);
+        assert_eq!(whole(parts), dom);
         assert_eq!(report.errors.total, 2);
         assert_eq!(report.errors.by_kind["not-a-record"], 1);
     }

@@ -8,7 +8,7 @@
 use jsonx::core::Equivalence;
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::parse;
-use jsonx::translate::Shredder;
+use jsonx::translate::{ColumnarBatch, Shredder};
 use jsonx::{ErrorPolicy, FaultOptions, Run, RunReport, Source};
 use jsonx_pipeline::{run_source_controlled, RunControl, ShardFold, SliceChunks};
 use proptest::prelude::*;
@@ -220,36 +220,48 @@ proptest! {
     }
 
     /// Columnar translation produces byte-identical batches across
-    /// dispatch configurations, including from an out-of-core reader.
+    /// dispatch configurations, including from an out-of-core file (a
+    /// translation may read a chunk again, so it takes no reader).
     #[test]
     fn translation_batches_are_dispatch_invariant(ndjson in arb_corpus(false)) {
         let fault = FaultOptions {
             policy: ErrorPolicy::Skip { max_errors: None },
             ..FaultOptions::default()
         };
-        let (ty, _) = plan(1, 0, fault)
-            .infer(Source::slice(&ndjson), Equivalence::Kind)
+        // The DOM shred of every record under the type of them all.
+        let docs: Vec<jsonx::Value> = ndjson.lines().filter_map(|l| parse(l).ok()).collect();
+        let ty = jsonx::core::infer_collection(&docs, Equivalence::Kind);
+        let dom = Shredder::from_type(&ty).shred(&docs).unwrap();
+        let (ref_parts, ref_report) = plan(1, 0, fault)
+            .translate(Source::slice(&ndjson))
             .unwrap();
-        let shredder = Shredder::from_type(&ty);
-        let (ref_batch, ref_report) = plan(1, 0, fault)
-            .translate(Source::slice(&ndjson), &shredder)
-            .unwrap();
+        prop_assert_eq!(&whole(ref_parts), &dom);
         for &w in &WORKERS[1..] {
             for &cb in &CHUNK_SIZES {
-                let (b, r) = plan(w, cb, fault)
-                    .translate(Source::slice(&ndjson), &shredder)
+                let (parts, r) = plan(w, cb, fault)
+                    .translate(Source::slice(&ndjson))
                     .unwrap();
-                prop_assert_eq!(&b, &ref_batch);
+                prop_assert_eq!(&whole(parts), &dom);
                 prop_assert_eq!(normalize(r), normalize(ref_report.clone()));
             }
         }
+        let path = std::env::temp_dir().join(format!("jsonx-chunk-streaming-{}.ndjson", std::process::id()));
+        std::fs::write(&path, &ndjson).unwrap();
         let slow_parse = Run { fast_parse: false, ..plan(8, 64, fault) };
-        let (b, r) = slow_parse
-            .translate(Source::Reader(Cursor::new(ndjson.clone())), &shredder)
-            .unwrap();
-        prop_assert_eq!(&b, &ref_batch);
+        let from_file = slow_parse.translate(Source::file(&path));
+        std::fs::remove_file(&path).unwrap();
+        let (parts, r) = from_file.unwrap();
+        prop_assert_eq!(&whole(parts), &dom);
         prop_assert_eq!(normalize(r), normalize(ref_report));
     }
+}
+
+/// A translation's chunk batches as the one batch they make up.
+fn whole(parts: Vec<ColumnarBatch>) -> ColumnarBatch {
+    let mut parts = parts.into_iter();
+    let mut batch = parts.next().expect("a translation returns a batch");
+    parts.for_each(|part| batch.append(part));
+    batch
 }
 
 /// A chunk target smaller than every record: each record becomes its

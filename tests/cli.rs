@@ -1061,6 +1061,52 @@ fn csv_format_flag_routes_through_the_typed_pipeline() {
     assert!(err.contains("--format"), "{err}");
 }
 
+/// An invalid CSV row gets the diagnostics an invalid NDJSON line gets:
+/// the row is decoded again by the run's own CSV decoder. Only an
+/// out-of-core run, which holds no row to decode, says `doc N: invalid`.
+#[test]
+fn an_invalid_csv_row_is_diagnosed_like_an_ndjson_line() {
+    let schema = schema_file(
+        "csv-id",
+        r#"{"type": "object", "properties": {"id": {"type": "integer"}}}"#,
+    );
+    let csv = "id,name\n1,ada\nx,bob\n3,cy\n";
+    let ndjson = "{\"id\": 1, \"name\": \"ada\"}\n{\"id\": \"x\", \"name\": \"bob\"}\n";
+    let diagnostic = "doc 1: /id: [type] expected integer, found string\n";
+    let (out, err, code) = run_code(&["validate", "--schema", &schema, "-"], ndjson);
+    assert_eq!((out.as_str(), code), (diagnostic, Some(1)), "{err}");
+    for fast in [&[][..], &["--no-fast-parse"]] {
+        let args = [
+            &["validate", "--format", "csv", "--schema", &schema][..],
+            fast,
+            &["-"],
+        ]
+        .concat();
+        let (out, err, code) = run_code(&args, csv);
+        assert_eq!((out.as_str(), code), (diagnostic, Some(1)), "{err}");
+        assert!(err.contains("2/3 documents valid (streaming csv)"), "{err}");
+    }
+    // The combined pass prints them before the type.
+    let (out, err, code) = run_code(
+        &["infer", "--validate", &schema, "--format", "csv", "-"],
+        csv,
+    );
+    assert_eq!(code, Some(0), "{err}");
+    assert_eq!(out, format!("{diagnostic}{{id: (Int + Str), name: Str}}\n"));
+    let path =
+        std::env::temp_dir().join(format!("jsonx-cli-test-invalid-{}.csv", std::process::id()));
+    std::fs::write(&path, csv).unwrap();
+    let input = path.to_str().unwrap();
+    let (out, err, code) = run_code(
+        &[
+            "validate", "--format", "csv", "--schema", &schema, "--input", input,
+        ],
+        "",
+    );
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!((out.as_str(), code), ("doc 1: invalid\n", Some(1)), "{err}");
+}
+
 #[test]
 fn translate_out_persists_jxc_and_cat_inspects_it() {
     let dir = std::env::temp_dir().join("jsonx-cli-test");

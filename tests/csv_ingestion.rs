@@ -233,21 +233,23 @@ fn csv_combined_infer_validate_matches_separate_passes() {
 fn csv_translation_is_worker_transparent() {
     let text = corpus();
     let (decoder, rest) = peel(&text);
-    let (ty, _) = plan(&decoder, 1, FaultOptions::default())
-        .infer(Source::slice(rest), Equivalence::Kind)
-        .unwrap();
-    let shredder = Shredder::from_type(&ty);
-    let mut reference = None;
+    // The DOM shred of every row under the type of them all.
+    let docs: Vec<jsonx::Value> = rest
+        .lines()
+        .map(|row| decoder.decode_value(&mut (), row).unwrap())
+        .collect();
+    let ty = jsonx::core::infer_collection(&docs, Equivalence::Kind);
+    let dom = Shredder::from_type(&ty).shred(&docs).unwrap();
+    assert_eq!(dom.rows, 240);
     for workers in WORKER_COUNTS {
-        let (batch, report) = plan(&decoder, workers, FaultOptions::default())
-            .translate(Source::slice(rest), &shredder)
+        let (parts, report) = plan(&decoder, workers, FaultOptions::default())
+            .translate(Source::slice(rest))
             .unwrap();
-        assert_eq!(batch.rows, 240);
+        let mut parts = parts.into_iter();
+        let mut batch = parts.next().expect("a translation returns a batch");
+        parts.for_each(|part| batch.append(part));
         assert_eq!(report.records, 240);
-        match &reference {
-            None => reference = Some(batch),
-            Some(r) => assert_eq!(&batch, r, "batch diverged at {workers} workers"),
-        }
+        assert_eq!(batch, dom, "batch diverged at {workers} workers");
     }
 }
 

@@ -188,17 +188,20 @@ proptest! {
         if matches!(ty, JType::Bottom) {
             return Ok(()); // every record was corrupted; nothing to shred
         }
-        let shredder = Shredder::from_type(&ty);
-        let (want, _) = reference()
-            .translate(Source::slice(&corpus.clean_text), &shredder)
+        // The DOM shred of the clean twin under its own type.
+        let docs = jsonx::syntax::parse_ndjson(&corpus.clean_text).unwrap();
+        let want = Shredder::from_type(&ty).shred(&docs).unwrap();
+        let (parts, _) = reference()
+            .translate(Source::slice(&corpus.clean_text))
             .unwrap();
+        prop_assert_eq!(&whole(parts), &want);
         // The fast path on and off.
         for (workers, fast_parse) in WORKERS.into_iter().flat_map(|w| [(w, true), (w, false)]) {
             let run = Run { fast_parse, ..plan(workers, skip_all()) };
-            let (batch, report) = run
-                .translate(Source::slice(&corpus.text), &shredder)
+            let (parts, report) = run
+                .translate(Source::slice(&corpus.text))
                 .unwrap();
-            prop_assert_eq!(&batch, &want, "workers={} fast={}", workers, fast_parse);
+            prop_assert_eq!(&whole(parts), &want, "workers={} fast={}", workers, fast_parse);
             assert_rejects_match(&report, &corpus, ParseLimits::default());
         }
     }
@@ -346,9 +349,6 @@ fn one_reject_has_one_diagnostic_whatever_the_route() {
     .unwrap();
     assert_eq!(closed.streamable(), Ok(()));
     let vopts = ValidatorOptions::default();
-    let layout = Source::slice(r#"{"id": 1, "name": "a"}"#);
-    let (ty, _) = reference().infer(layout, Equivalence::Kind).unwrap();
-    let shredder = Shredder::from_type(&ty);
     let policies = [
         ErrorPolicy::FailFast,
         ErrorPolicy::Skip { max_errors: None },
@@ -378,8 +378,8 @@ fn one_reject_has_one_diagnostic_whatever_the_route() {
                 run.infer(src(), Equivalence::Kind).map(|o| o.1),
                 run.validate(src(), &schema, vopts).map(|o| o.1),
                 slow.validate(src(), &schema, vopts).map(|o| o.1),
-                run.translate(src(), &shredder).map(|o| o.1),
-                slow.translate(src(), &shredder).map(|o| o.1),
+                run.translate(src()).map(|o| o.1),
+                slow.translate(src()).map(|o| o.1),
                 run.infer_validate(src(), Equivalence::Kind, &schema, vopts)
                     .map(|o| o.1),
                 run.validate(src(), &closed, vopts).map(|o| o.1),
@@ -420,7 +420,7 @@ fn whole(parts: Vec<ColumnarBatch>) -> ColumnarBatch {
     batch
 }
 
-/// Both routes of `translate_inferred` — the layout taught by the first
+/// Both routes of `translate` — the layout taught by the first
 /// chunk and verified per record, and the whole corpus typed first — at
 /// 256-byte chunks.
 fn translate_routes(fault: FaultOptions) -> impl Iterator<Item = (String, Run<'static>)> {
@@ -455,9 +455,7 @@ fn a_stray_scalar_line_is_rejected_not_taught() {
     let want = Shredder::from_type(&ty).shred(&accepted).unwrap();
     assert_eq!(want.schema_string(), "a:int64, s:utf8");
     for (context, run) in translate_routes(skip_all()) {
-        let (parts, report) = run
-            .translate_inferred(Source::slice(&text), Equivalence::Kind)
-            .unwrap();
+        let (parts, report) = run.translate(Source::slice(&text)).unwrap();
         assert_eq!(whole(parts), want, "{context}");
         assert_eq!(report.records, 40, "{context}");
         let rejected: Vec<_> = diagnostics(&report)
@@ -473,17 +471,13 @@ fn a_stray_scalar_line_is_rejected_not_taught() {
     // Fail-fast names the first of them — unless a line anywhere is
     // malformed, which is found first, as it always was.
     for (context, run) in translate_routes(FaultOptions::default()) {
-        let err = run
-            .translate_inferred(Source::slice(&text), Equivalence::Kind)
-            .unwrap_err();
+        let err = run.translate(Source::slice(&text)).unwrap_err();
         assert_eq!(err.to_string(), "line 2: not a JSON object", "{context}");
         for at in [0, 20, 39] {
             let mut lines = lines.clone();
             lines[at] = "{\"a\": ".into();
             let text = lines.join("\n") + "\n";
-            let err = run
-                .translate_inferred(Source::slice(&text), Equivalence::Kind)
-                .unwrap_err();
+            let err = run.translate(Source::slice(&text)).unwrap_err();
             assert!(
                 matches!(err, StreamError::Record { record, ref issue } if record == at && issue.kind_label() == "unexpected-eof"),
                 "{context}, malformed at {at}: {err:?}"
@@ -514,25 +508,19 @@ fn a_voided_chunk_is_accounted_for_once() {
             chunk_bytes: 256,
             ..plan(1, FaultOptions::default())
         };
-        let want_err = reference
-            .translate_inferred(Source::slice(&text), Equivalence::Kind)
-            .unwrap_err();
+        let want_err = reference.translate(Source::slice(&text)).unwrap_err();
         assert!(
             matches!(want_err, StreamError::Record { record, .. } if record == bad_at),
             "{want_err:?}"
         );
         for (context, run) in translate_routes(FaultOptions::default()) {
-            let err = run
-                .translate_inferred(Source::slice(&text), Equivalence::Kind)
-                .unwrap_err();
+            let err = run.translate(Source::slice(&text)).unwrap_err();
             assert_eq!(err, want_err, "{context}, malformed at {bad_at}");
         }
 
         let mut routes = translate_routes(skip_all());
         let (_, two_pass) = routes.find(|(_, run)| !run.fast_parse).unwrap();
-        let (want, want_report) = two_pass
-            .translate_inferred(Source::slice(&text), Equivalence::Kind)
-            .unwrap();
+        let (want, want_report) = two_pass.translate(Source::slice(&text)).unwrap();
         let want = whole(want);
         assert!(want.column("late").is_some());
         assert_eq!(
@@ -544,9 +532,7 @@ fn a_voided_chunk_is_accounted_for_once() {
                 timing: true,
                 ..run.clone()
             };
-            let (parts, report) = timed
-                .translate_inferred(Source::slice(&text), Equivalence::Kind)
-                .unwrap();
+            let (parts, report) = timed.translate(Source::slice(&text)).unwrap();
             assert_eq!(whole(parts), want, "{context}");
             assert_eq!(report.records, want_report.records, "{context}");
             assert_eq!(report.errors, want_report.errors, "{context}");
@@ -587,7 +573,7 @@ fn a_voided_chunk_is_accounted_for_once() {
                 bounded.fault.policy = ErrorPolicy::Skip {
                     max_errors: Some(max_errors),
                 };
-                let outcome = bounded.translate_inferred(Source::slice(&text), Equivalence::Kind);
+                let outcome = bounded.translate(Source::slice(&text));
                 match (passes, outcome) {
                     (true, Ok((parts, _))) => assert_eq!(whole(parts), want, "{context}"),
                     (false, Err(StreamError::TooManyErrors { limit, seen })) => {

@@ -42,8 +42,8 @@ use jsonx::syntax::{
     parse_events, to_string, Bitmaps, EventReceiver, JsonDecoder, Lexer, ParseError,
     ParseErrorKind, ParseLimits, ParserOptions, RawEvent, RawToken, RecordDecoder, RecordLimit,
 };
-use jsonx::translate::Shredder;
-use jsonx::{ErrorPolicy, FaultOptions, RouteCounts, Run, Source};
+use jsonx::translate::{ColumnarBatch, Shredder};
+use jsonx::{ErrorPolicy, FaultOptions, RouteCounts, Run, RunReport, Source, StreamError};
 use jsonx_data::{json, Number, Object, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -52,6 +52,18 @@ const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 /// The slow/fast twins of one plan; the explicit chunk size dispatches
 /// small corpora across `workers` threads.
+/// A translation's chunk batches as the one batch they make up.
+fn whole(
+    outcome: Result<(Vec<ColumnarBatch>, RunReport), StreamError>,
+) -> Result<(ColumnarBatch, RunReport), StreamError> {
+    outcome.map(|(parts, report)| {
+        let mut parts = parts.into_iter();
+        let mut batch = parts.next().expect("a translation returns a batch");
+        parts.for_each(|part| batch.append(part));
+        (batch, report)
+    })
+}
+
 fn twins(workers: usize, fault: FaultOptions) -> (Run<'static>, Run<'static>) {
     let slow = Run {
         workers,
@@ -904,12 +916,13 @@ proptest! {
     ) {
         let ndjson = to_ndjson(&docs);
         let ty = jsonx::core::infer_collection(&docs, jsonx::core::Equivalence::Kind);
-        let shredder = Shredder::from_type(&ty);
+        let dom = Shredder::from_type(&ty).shred(&docs).unwrap();
         for workers in WORKER_COUNTS {
             let (slow, fast) = twins(workers, FaultOptions::default());
-            let slow = slow.translate(Source::slice(&ndjson), &shredder);
-            let fast = fast.translate(Source::slice(&ndjson), &shredder);
+            let slow = whole(slow.translate(Source::slice(&ndjson)));
+            let fast = whole(fast.translate(Source::slice(&ndjson)));
             prop_assert_eq!(&fast, &slow, "workers {}", workers);
+            prop_assert_eq!(&fast.unwrap().0, &dom, "workers {}", workers);
         }
     }
 }
@@ -957,10 +970,11 @@ fn wide_records_scan_skips_most_bytes() {
     assert!(projected * 2 < total, "{projected} of {total} bytes parsed");
 }
 
-/// Wide records under a two-field envelope, and a layout of the same two
-/// fields: the event walk must take every record (handing them all back
-/// would make fast ≡ slow hold vacuously) and both consumers must decide
-/// exactly as the full parser does.
+/// Wide records under a two-field envelope: the event walk must take
+/// every record (handing them all back would make fast ≡ slow hold
+/// vacuously) and both consumers must decide exactly as the full parser
+/// does. (A layout narrower than the records is a `ShredStream` case:
+/// `crates/translate/tests/prop_translate.rs`.)
 #[test]
 fn wide_records_take_the_event_walk() {
     let docs = wide_records();
@@ -978,16 +992,8 @@ fn wide_records_take_the_event_walk() {
             .unwrap();
     assert!(open_unique.root_projection().is_some());
     assert_eq!(open_unique.streamable(), Err("uniqueItems"));
-    let narrow: Vec<Value> = docs
-        .iter()
-        .map(
-            |d| json!({"id": d.get("id").unwrap().clone(), "name": d.get("name").unwrap().clone()}),
-        )
-        .collect();
-    let layout = Shredder::from_type(&jsonx::core::infer_collection(
-        &narrow,
-        jsonx::core::Equivalence::Kind,
-    ));
+    let ty = jsonx::core::infer_collection(&docs, jsonx::core::Equivalence::Kind);
+    let dom = Shredder::from_type(&ty).shred(&docs).unwrap();
     for workers in WORKER_COUNTS {
         let (slow, fast) = twins(workers, FaultOptions::default());
         let vopts = ValidatorOptions::default();
@@ -1005,13 +1011,13 @@ fn wide_records_take_the_event_walk() {
             slow.validate(Source::slice(&ndjson), &open_unique, vopts),
             "workers {workers}"
         );
-        let batch = fast.translate(Source::slice(&ndjson), &layout);
+        let batch = whole(fast.translate(Source::slice(&ndjson)));
         assert_eq!(
             batch,
-            slow.translate(Source::slice(&ndjson), &layout),
+            whole(slow.translate(Source::slice(&ndjson))),
             "workers {workers}"
         );
-        assert_eq!(batch.unwrap().0, layout.clone().shred(&narrow).unwrap());
+        assert_eq!(batch.unwrap().0, dom);
     }
 
     // The run's own account of the same thing, kept under `timing`: every
@@ -1181,11 +1187,6 @@ fn fast_guarded_validation_matches_slow_on_dirty_corpus() {
 #[test]
 fn fast_guarded_translation_matches_slow_on_dirty_corpus() {
     let corpus = dirty_corpus();
-    // Plan the layout from the clean twin so the shredder has a real
-    // record type to shred into.
-    let docs = jsonx::syntax::parse_ndjson(&corpus.clean_text).unwrap();
-    let ty = jsonx::core::infer_collection(&docs, jsonx::core::Equivalence::Kind);
-    let shredder = Shredder::from_type(&ty);
     for policy in policies() {
         let fault = FaultOptions {
             policy,
@@ -1193,9 +1194,18 @@ fn fast_guarded_translation_matches_slow_on_dirty_corpus() {
         };
         for workers in WORKER_COUNTS {
             let (slow, fast) = twins(workers, fault);
-            let slow = slow.translate(Source::slice(&corpus.text), &shredder);
-            let fast = fast.translate(Source::slice(&corpus.text), &shredder);
-            assert_eq!(fast, slow, "workers {workers} policy {policy:?}");
+            let slow = whole(slow.translate(Source::slice(&corpus.text)));
+            let fast = whole(fast.translate(Source::slice(&corpus.text)));
+            match (&fast, &slow) {
+                // How many rejects a tripped run had counted depends on
+                // the pass it tripped in, and the routes' passes differ:
+                // the reference route types the whole corpus first.
+                (
+                    Err(StreamError::TooManyErrors { limit, .. }),
+                    Err(StreamError::TooManyErrors { limit: want, .. }),
+                ) => assert_eq!(limit, want, "workers {workers} policy {policy:?}"),
+                _ => assert_eq!(fast, slow, "workers {workers} policy {policy:?}"),
+            }
         }
     }
 }
@@ -1205,13 +1215,10 @@ fn fast_guarded_translation_matches_slow_on_dirty_corpus() {
 #[test]
 fn fast_translation_first_error_matches_slow_on_dirty_corpus() {
     let corpus = dirty_corpus();
-    let docs = jsonx::syntax::parse_ndjson(&corpus.clean_text).unwrap();
-    let ty = jsonx::core::infer_collection(&docs, jsonx::core::Equivalence::Kind);
-    let shredder = Shredder::from_type(&ty);
     for workers in WORKER_COUNTS {
         let (slow, fast) = twins(workers, FaultOptions::default());
-        let slow = slow.translate(Source::slice(&corpus.text), &shredder);
-        let fast = fast.translate(Source::slice(&corpus.text), &shredder);
+        let slow = whole(slow.translate(Source::slice(&corpus.text)));
+        let fast = whole(fast.translate(Source::slice(&corpus.text)));
         assert_eq!(fast, slow, "workers {workers}");
         assert!(
             fast.is_err(),

@@ -9,7 +9,7 @@ use jsonx::core::{infer_collection, to_json_schema, Equivalence};
 use jsonx::gen::respelled;
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::syntax::{parse_ndjson, to_string};
-use jsonx::translate::Shredder;
+use jsonx::translate::{ColumnarBatch, Shredder};
 use jsonx::{Run, Source};
 use jsonx_data::{json, Number, Object, Value};
 use proptest::prelude::*;
@@ -150,13 +150,20 @@ proptest! {
         // the reference batch.
         prop_assert_eq!(&parse_ndjson(&ndjson).unwrap(), &docs);
         let ty = infer_collection(&docs, Equivalence::Kind);
-        let shredder = Shredder::from_type(&ty);
-        let dom = shredder.clone().shred(&docs).unwrap();
-        let (seq, _) = plan(1, 0).translate(Source::slice(&ndjson), &shredder).unwrap();
-        prop_assert_eq!(&seq, &dom);
-        let (par, _) = plan(workers, 16).translate(Source::slice(&ndjson), &shredder).unwrap();
-        prop_assert_eq!(&par, &dom, "workers {}", workers);
+        let dom = Shredder::from_type(&ty).shred(&docs).unwrap();
+        let (seq, _) = plan(1, 0).translate(Source::slice(&ndjson)).unwrap();
+        prop_assert_eq!(&whole(seq), &dom);
+        let (par, _) = plan(workers, 16).translate(Source::slice(&ndjson)).unwrap();
+        prop_assert_eq!(&whole(par), &dom, "workers {}", workers);
     }
+}
+
+/// A translation's chunk batches as the one batch they make up.
+fn whole(parts: Vec<ColumnarBatch>) -> ColumnarBatch {
+    let mut parts = parts.into_iter();
+    let mut batch = parts.next().expect("a translation returns a batch");
+    parts.for_each(|part| batch.append(part));
+    batch
 }
 
 #[test]
@@ -179,10 +186,10 @@ fn tiny_inputs_fall_back_to_sequential_in_both_stages() {
 
     let docs = parse_ndjson(ndjson).unwrap();
     let ty = infer_collection(&docs, Equivalence::Kind);
-    let shredder = Shredder::from_type(&ty);
-    let dom = shredder.clone().shred(&docs).unwrap();
-    let (batch, _) = auto.translate(Source::slice(ndjson), &shredder).unwrap();
-    assert_eq!(batch, dom);
+    let dom = Shredder::from_type(&ty).shred(&docs).unwrap();
+    let (parts, report) = auto.translate(Source::slice(ndjson)).unwrap();
+    assert_eq!(report.shards, 1);
+    assert_eq!(whole(parts), dom);
 }
 
 #[test]
@@ -200,9 +207,13 @@ fn empty_input_yields_empty_outputs() {
     assert!(verdicts.is_empty());
     assert_eq!(report.records, 0);
 
-    let shredder = Shredder::from_type(&jsonx::core::JType::Bottom);
-    let (batch, _) = plan(1, 0).translate(Source::slice(""), &shredder).unwrap();
-    assert_eq!(batch.rows, 0);
+    let (parts, report) = plan(1, 0).translate(Source::slice("")).unwrap();
+    assert_eq!(report.records, 0);
+    // One part, so the empty corpus keeps its (empty) layout.
+    let empty = Shredder::from_type(&jsonx::core::JType::Bottom)
+        .shred(&[])
+        .unwrap();
+    assert_eq!(parts, [empty]);
 }
 
 // ---------------------------------------------------------------------------
@@ -218,7 +229,7 @@ mod event_shred {
     use super::*;
     use jsonx::pipeline::{ErrorPolicy, RecordDiagnostic, RunReport};
     use jsonx::syntax::{parse, CsvDecoder, ParseLimits, RecordDecoder};
-    use jsonx::translate::{write_jxc, ColumnarBatch, ShredError};
+    use jsonx::translate::{write_jxc, ShredError};
     use jsonx::{write_quarantine, FaultOptions, Format, StreamError};
 
     /// Records fixing a layout with nested records, a nested-nested
@@ -304,6 +315,20 @@ mod event_shred {
         Shredder::from_type(&infer_collection(&docs, Equivalence::Kind))
     }
 
+    /// The layout a translation of `text` shreds under: that of the type
+    /// of every record that decodes to an object.
+    fn inferred(
+        text: &str,
+        decode: impl Fn(&str) -> Result<Value, jsonx::syntax::ParseError>,
+    ) -> Shredder {
+        let records: Vec<Value> = text
+            .lines()
+            .filter_map(|line| decode(line).ok())
+            .filter(|doc| doc.as_object().is_some())
+            .collect();
+        Shredder::from_type(&infer_collection(&records, Equivalence::Kind))
+    }
+
     fn policies() -> Vec<ErrorPolicy> {
         vec![
             ErrorPolicy::FailFast,
@@ -371,43 +396,52 @@ mod event_shred {
         out
     }
 
-    /// Runs `text` through the event route under every policy, worker
-    /// count and a few chunk sizes, against the sequential oracle — and,
-    /// when `has_dom_route`, against the same plan with `fast_parse` on,
-    /// which a caller-supplied layout's translation must not depend on.
+    /// The error a fail-fast translation stops at: the first malformed
+    /// line anywhere — the typing pass that teaches the layout decodes
+    /// every line it reads — or else the first non-record.
+    fn first_failure(rejects: &[RecordDiagnostic]) -> &RecordDiagnostic {
+        rejects
+            .iter()
+            .find(|d| d.kind != "not-a-record")
+            .unwrap_or(&rejects[0])
+    }
+
+    /// Runs `text` through both routes — the layout taught by the first
+    /// chunk and verified per record, and the whole corpus typed first —
+    /// under every policy, worker count and a few chunk sizes: they must
+    /// agree with each other and with the sequential oracle.
     fn check_all_plans(
         text: &str,
-        shredder: &Shredder,
         format: &Format,
-        has_dom_route: bool,
         (want_batch, want_rejects): &(ColumnarBatch, Vec<RecordDiagnostic>),
     ) {
         for policy in policies() {
             for workers in [1, 2, 3, 8] {
                 for chunk_bytes in [1, 48, 300, 0] {
-                    let plan = |fast_parse| Run {
-                        format: format.clone(),
-                        ..run(workers, chunk_bytes, policy, fast_parse)
+                    let outcome = |fast_parse| {
+                        let plan = Run {
+                            format: format.clone(),
+                            ..run(workers, chunk_bytes, policy, fast_parse)
+                        };
+                        plan.translate(Source::slice(text))
+                            .map(|(parts, report)| (whole(parts), report))
                     };
-                    let events = plan(false).translate(Source::slice(text), shredder);
+                    let (events, reference) = (outcome(true), outcome(false));
                     let what = format!("{policy:?} workers={workers} chunk_bytes={chunk_bytes}");
-                    if has_dom_route {
-                        let dom = plan(true).translate(Source::slice(text), shredder);
-                        match (&events, &dom) {
-                            (Ok((eb, er)), Ok((db, dr))) => {
-                                assert_eq!(eb, db, "{what}");
-                                assert_eq!(er.errors, dr.errors, "{what}");
-                                assert_eq!(er.records, dr.records, "{what}");
-                                assert_eq!(quarantine_bytes(er), quarantine_bytes(dr), "{what}");
-                                assert_eq!(write_jxc(eb), write_jxc(db), "{what}");
-                            }
-                            (Err(e), Err(d)) => assert_eq!(e, d, "{what}"),
-                            _ => panic!("{what}: routes disagree: {events:?} vs {dom:?}"),
+                    match (&events, &reference) {
+                        (Ok((eb, er)), Ok((db, dr))) => {
+                            assert_eq!(eb, db, "{what}");
+                            assert_eq!(er.errors, dr.errors, "{what}");
+                            assert_eq!(er.records, dr.records, "{what}");
+                            assert_eq!(quarantine_bytes(er), quarantine_bytes(dr), "{what}");
+                            assert_eq!(write_jxc(eb), write_jxc(db), "{what}");
                         }
+                        (Err(e), Err(d)) => assert_eq!(e, d, "{what}"),
+                        _ => panic!("{what}: routes disagree: {events:?} vs {reference:?}"),
                     }
                     match (policy, events) {
                         (ErrorPolicy::FailFast, Err(StreamError::Record { record, issue })) => {
-                            let first = &want_rejects[0];
+                            let first = first_failure(want_rejects);
                             assert_eq!(record, first.record, "{what}");
                             assert_eq!(issue.kind_label(), first.kind, "{what}");
                             assert_eq!(issue.offset(), first.offset, "{what}");
@@ -431,16 +465,15 @@ mod event_shred {
 
     #[test]
     fn adversarial_records_shred_like_the_dom_route_under_every_plan() {
-        let shredder = layout();
         let text = lines(ADVERSARIAL);
-        let want = oracle(&shredder, &text, parse);
+        let want = oracle(&inferred(&text, parse), &text, parse);
         assert!(want.1.len() >= 15, "the corpus keeps its malformed lines");
-        check_all_plans(&text, &shredder, &Format::Ndjson, true, &want);
+        check_all_plans(&text, &Format::Ndjson, &want);
         // And a clean corpus, where fail-fast succeeds.
         let clean = lines(&ADVERSARIAL[..23]);
-        let want = oracle(&shredder, &clean, parse);
+        let want = oracle(&inferred(&clean, parse), &clean, parse);
         assert!(want.1.is_empty());
-        check_all_plans(&clean, &shredder, &Format::Ndjson, true, &want);
+        check_all_plans(&clean, &Format::Ndjson, &want);
     }
 
     #[test]
@@ -461,14 +494,10 @@ mod event_shred {
             "10,d,3,11,é😀",
         ];
         let text = rows.join("\n") + "\n";
-        let docs: Vec<Value> = text
-            .lines()
-            .filter_map(|row| decoder.decode_value(&mut (), row).ok())
-            .collect();
-        let shredder = Shredder::from_type(&infer_collection(&docs, Equivalence::Kind));
-        let want = oracle(&shredder, &text, |row| decoder.decode_value(&mut (), row));
+        let decode = |row: &str| decoder.decode_value(&mut (), row);
+        let want = oracle(&inferred(&text, decode), &text, decode);
         assert_eq!(want.1.len(), 3);
-        check_all_plans(&text, &shredder, &Format::Csv(decoder), false, &want);
+        check_all_plans(&text, &Format::Csv(decoder.clone()), &want);
     }
 
     #[test]
@@ -567,15 +596,15 @@ mod event_shred {
             workers in prop::sample::select(vec![1usize, 2, 3, 8]),
             chunk_bytes in prop::sample::select(vec![1usize, 40, 0]),
         ) {
-            let shredder = layout();
             let text = records.join("\n");
-            let (want_batch, want_rejects) = oracle(&shredder, &text, parse);
+            let (want_batch, want_rejects) = oracle(&inferred(&text, parse), &text, parse);
             for policy in [ErrorPolicy::Skip { max_errors: None }, ErrorPolicy::FailFast] {
-                let events = run(workers, chunk_bytes, policy, false)
-                    .translate(Source::slice(&text), &shredder);
-                let dom = run(workers, chunk_bytes, policy, true)
-                    .translate(Source::slice(&text), &shredder);
-                match (events, dom) {
+                let outcome = |fast_parse| {
+                    run(workers, chunk_bytes, policy, fast_parse)
+                        .translate(Source::slice(&text))
+                        .map(|(parts, report)| (whole(parts), report))
+                };
+                match (outcome(true), outcome(false)) {
                     (Ok((eb, er)), Ok((db, dr))) => {
                         prop_assert_eq!(&eb, &db);
                         prop_assert_eq!(&eb, &want_batch);

@@ -419,18 +419,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn translate_is_plan_invariant(text in arb_corpus()) {
-        // The layout every cell shreds under: the type of whatever the
-        // corpus holds that types at all.
-        let tolerant = Run { fault: policies()[1], ..Run::default() };
-        let (ty, _) = tolerant.infer(Source::slice(&text), Equivalence::Kind).unwrap();
-        let shredder = Shredder::from_type(&ty);
-        assert_matrix("translate", &text, 0, NO_JOURNAL, |run, source| {
-            run.translate(source, &shredder)
-        });
-    }
-
     /// The reference cell (`fast_parse: false`) types the whole corpus,
     /// then shreds it; the cells with `fast_parse` on — journaled or not
     /// — let the first chunk teach the layout and verify every record
@@ -442,15 +430,18 @@ proptest! {
     /// chunk, holds a misfit: `widening_corpus`'s arms, which the
     /// journaled cells stop in any of the three phases (teach, verify,
     /// shred again) and resume.
+    ///
+    /// A reader is no cell: translation may read a chunk again, so it
+    /// refuses one (`src/run.rs`'s unit tests).
     #[test]
-    fn translate_inferred_is_plan_invariant(
+    fn translate_is_plan_invariant(
         text in arb_corpus(),
-        chunk_bytes in prop::sample::select(vec![16usize, 100, 192, 1024, 4096]),
+        chunk_bytes in prop::sample::select(vec![16usize, 100, CHUNK_BYTES, 1024, 4096]),
         stop_after in 1u64..12,
     ) {
         let rereadable = Sources { reader: false, journal: true };
-        assert_matrix_chunked("translate-inferred", &text, chunk_bytes, stop_after, rereadable, |run, source| {
-            whole(run.translate_inferred(source, Equivalence::Kind))
+        assert_matrix_chunked("translate", &text, chunk_bytes, stop_after, rereadable, |run, source| {
+            whole(run.translate(source))
         });
     }
 }
@@ -470,12 +461,12 @@ proptest! {
         let disk = OnDisk::new("taught", &text);
         for fault in policies() {
             let reference = Run { workers: 1, fault, fast_parse: false, ..Run::default() };
-            let want = normalize(whole(reference.translate_inferred(Source::slice(&text), Equivalence::Kind)));
+            let want = normalize(whole(reference.translate(Source::slice(&text))));
             for workers in [1, 2, 3] {
                 let run = Run { workers, chunk_bytes, fault, ..Run::default() };
-                let slice = whole(run.translate_inferred(Source::slice(&text), Equivalence::Kind));
+                let slice = whole(run.translate(Source::slice(&text)));
                 prop_assert_eq!(&normalize(slice), &want, "slice, {} workers, chunks of {}", workers, chunk_bytes);
-                let file = whole(run.translate_inferred(Source::<Reader>::File(&disk.input), Equivalence::Kind));
+                let file = whole(run.translate(Source::<Reader>::File(&disk.input)));
                 prop_assert_eq!(&normalize(file), &want, "file, {} workers, chunks of {}", workers, chunk_bytes);
             }
         }
@@ -507,7 +498,7 @@ fn reference_cell_matches_the_dom() {
         assert_eq!(dom.iter().filter(|valid| **valid).count(), valid);
         assert_eq!(report.records, 5);
     }
-    let (batch, _) = whole(run.translate_inferred(Source::slice(text), Equivalence::Kind)).unwrap();
+    let (batch, _) = whole(run.translate(Source::slice(text))).unwrap();
     let dom_ty: JType = jsonx::core::infer_collection(&docs, Equivalence::Kind);
     assert_eq!(batch, Shredder::from_type(&dom_ty).shred(&docs).unwrap());
 }

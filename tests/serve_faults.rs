@@ -167,8 +167,9 @@ fn infer_and_translate_match_the_batch_primitives() {
         let doc = response_json(&resp);
         assert_eq!(field(&doc, "type").as_str(), Some(expected_ty.as_str()));
 
-        let mut shredder = Shredder::from_type(&ty);
-        let batch = shredder.shred(std::slice::from_ref(&value)).unwrap();
+        let batch = Shredder::from_type(&ty)
+            .shred(std::slice::from_ref(&value))
+            .unwrap();
         let resp = client
             .request(&format!("TRANSLATE {line}"))
             .unwrap()
@@ -258,9 +259,14 @@ fn oversized_payloads_reject_with_the_batch_label() {
     // Over the frame cap (limit + slack): the framer cuts the connection
     // before buffering the whole thing.
     let monster = format!("VALIDATE {{\"pad\": \"{}\"}}", "y".repeat(64 * 1024));
-    let resp = send_raw(addr, monster.as_bytes()).unwrap();
-    if let Some(resp) = resp {
-        assert!(resp.contains("limit-exceeded-input-bytes"), "{resp}");
+    match send_raw(addr, monster.as_bytes()) {
+        Ok(Some(resp)) => assert!(resp.contains("limit-exceeded-input-bytes"), "{resp}"),
+        Ok(None) => {}
+        // A server that closes a socket with the frame's tail still
+        // unread resets it: the client's write or read sees the cut as
+        // a reset instead of an end of stream, depending on timing.
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        Err(e) => panic!("{e}"),
     }
     let report = shutdown(addr, handle);
     assert_eq!(report.oversized_frames, 1);
