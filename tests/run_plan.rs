@@ -419,6 +419,27 @@ proptest! {
         }
     }
 
+    /// The layout every cell shreds under is the type of whatever records
+    /// the corpus holds: under a tolerant policy the reference cell's
+    /// batch is the DOM's — the records' `Kind` type shredding them — and
+    /// every cell at the default chunk size, unjournaled, is that cell.
+    #[test]
+    fn translate_is_plan_invariant(text in arb_corpus()) {
+        let records: Vec<_> = text
+            .lines()
+            .filter_map(|line| parse(line).ok())
+            .filter(|doc| doc.as_object().is_some())
+            .collect();
+        let ty: JType = jsonx::core::infer_collection(&records, Equivalence::Kind);
+        let tolerant = Run { workers: 1, fault: policies()[1], fast_parse: false, ..Run::default() };
+        let (batch, _) = whole(tolerant.translate(Source::slice(&text))).unwrap();
+        prop_assert_eq!(batch, Shredder::from_type(&ty).shred(&records).unwrap());
+        let unjournaled = Sources { reader: false, journal: false };
+        assert_matrix("translate", &text, 0, unjournaled, |run, source| {
+            whole(run.translate(source))
+        });
+    }
+
     /// The reference cell (`fast_parse: false`) types the whole corpus,
     /// then shreds it; the cells with `fast_parse` on — journaled or not
     /// — let the first chunk teach the layout and verify every record
@@ -434,13 +455,13 @@ proptest! {
     /// A reader is no cell: translation may read a chunk again, so it
     /// refuses one (`src/run.rs`'s unit tests).
     #[test]
-    fn translate_is_plan_invariant(
+    fn translate_inferred_is_plan_invariant(
         text in arb_corpus(),
         chunk_bytes in prop::sample::select(vec![16usize, 100, CHUNK_BYTES, 1024, 4096]),
         stop_after in 1u64..12,
     ) {
         let rereadable = Sources { reader: false, journal: true };
-        assert_matrix_chunked("translate", &text, chunk_bytes, stop_after, rereadable, |run, source| {
+        assert_matrix_chunked("translate-inferred", &text, chunk_bytes, stop_after, rereadable, |run, source| {
             whole(run.translate(source))
         });
     }
