@@ -18,7 +18,9 @@
 //! * [`metrics`] — structural size/depth/path statistics used by the
 //!   schema-size experiments (E7, E8),
 //! * [`hash::crc32`] — the CRC-32 checksum shared by the run journal's
-//!   record frames and the `.jxc` per-block integrity checks.
+//!   record frames, translate's `.rows` images and the `.jxc` per-block
+//!   integrity checks: carry-less-multiply folding on x86_64 CPUs that
+//!   have it, slice-by-8 tables everywhere else, one value either way.
 
 pub mod cmp;
 pub mod hash;

@@ -191,10 +191,20 @@ pub fn read_journal(path: &Path) -> std::io::Result<JournalRead> {
 }
 
 /// Checks one `crc32hex payload` frame; `Some(payload)` when intact.
+/// The header is exactly what the writer writes: eight lowercase hex
+/// digits, so a flipped bit that turns `f` into `F` is damage too.
 fn parse_frame(line: &[u8]) -> Option<&str> {
     let (crc_hex, payload) = line.split_at_checked(8)?;
     let payload = payload.strip_prefix(b" ")?;
-    let expected = u32::from_str_radix(std::str::from_utf8(crc_hex).ok()?, 16).ok()?;
+    let mut expected = 0u32;
+    for &digit in crc_hex {
+        let nibble = match digit {
+            b'0'..=b'9' => digit - b'0',
+            b'a'..=b'f' => digit - b'a' + 10,
+            _ => return None,
+        };
+        expected = expected << 4 | u32::from(nibble);
+    }
     if crc32(payload) != expected {
         return None;
     }
@@ -398,6 +408,29 @@ mod tests {
         assert!(read.truncated);
         assert!(read.records.is_empty());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A header the writer would not have written is damage even when
+    /// it spells the payload's CRC: upper-case digits, or a `+` in place
+    /// of a leading zero.
+    #[test]
+    fn a_frame_header_is_eight_lowercase_hex_digits() {
+        let (payload, lower) = (0..)
+            .map(|seq| format!("{{\"seq\":{seq}}}"))
+            .map(|payload| {
+                let lower = format!("{:08x}", crc32(payload.as_bytes()));
+                (payload, lower)
+            })
+            .find(|(_, lower)| lower.starts_with('0') && lower.contains(char::is_alphabetic))
+            .expect("some CRC has a leading zero and a letter");
+        let frame = |header: &str| format!("{header} {payload}");
+        assert_eq!(
+            parse_frame(frame(&lower).as_bytes()),
+            Some(payload.as_str())
+        );
+        for header in [lower.to_uppercase(), format!("+{}", &lower[1..])] {
+            assert_eq!(parse_frame(frame(&header).as_bytes()), None, "{header}");
+        }
     }
 
     #[test]

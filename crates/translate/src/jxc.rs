@@ -258,9 +258,9 @@ struct Dict {
     /// Open-addressing table: a slot is 0 when empty, else the hash's
     /// high half over the entry's code + 1.
     slots: Vec<u64>,
-    /// Each entry, as the part and the index in it of the value that
-    /// introduced it.
-    entries: Vec<(u32, u32)>,
+    /// Each entry, as where its `len:u32 + bytes` starts in the block
+    /// and its hash — what re-slotting a grown table needs.
+    entries: Vec<(usize, u64)>,
     /// One code per value.
     codes: Vec<u32>,
 }
@@ -424,7 +424,8 @@ fn hash_str(seed: u64, s: &str) -> u64 {
 
 /// Appends the strings of `arenas`, in order, dictionary-encoded: the
 /// unique strings in first-appearance order, then one u32 code per
-/// string.
+/// string. Each entry goes into `out` when it is first seen, and the
+/// table probes those bytes.
 fn put_dict(
     arenas: &[&StrArena],
     seed: u64,
@@ -432,54 +433,73 @@ fn put_dict(
     dict: &mut Dict,
     out: &mut Vec<u8>,
 ) -> io::Result<()> {
-    // Part and value indices, and codes, are stored as u32 below.
-    cap(arenas.len(), "parts", path)?;
-    let values = arenas.iter().map(|arena| arena.len()).sum();
-    cap(values, "values", path)?;
-    // Open addressing over a table sized for the worst case (every value
-    // distinct) at load <= 1/2.
-    let mask = (values * 2).next_power_of_two().max(16) - 1;
+    // Codes are stored as u32 below, and there are no more entries than
+    // values.
+    cap(arenas.iter().map(|arena| arena.len()).sum(), "values", path)?;
     let Dict {
         slots,
         entries,
         codes,
     } = dict;
+    // Open addressing at load <= 1/2, doubled as entries arrive.
     slots.clear();
-    slots.resize(mask + 1, 0);
+    slots.resize(16, 0);
     entries.clear();
     codes.clear();
-    for (part, arena) in arenas.iter().enumerate() {
-        for (index, value) in arena.iter().enumerate() {
-            let hash = hash_str(seed, value);
-            let tag = hash & !0xFFFF_FFFF;
-            let mut at = hash as usize & mask;
-            let code = loop {
-                let slot = slots[at];
-                if slot == 0 {
-                    entries.push((part as u32, index as u32));
-                    slots[at] = tag | entries.len() as u64;
-                    break entries.len() as u32 - 1;
+    let count_at = out.len();
+    put_u32(out, 0);
+    for value in arenas.iter().flat_map(|arena| arena.iter()) {
+        let hash = hash_str(seed, value);
+        let tag = hash & !0xFFFF_FFFF;
+        let mask = slots.len() - 1;
+        let mut at = hash as usize & mask;
+        let code = loop {
+            let slot = slots[at];
+            if slot == 0 {
+                let len = cap(value.len(), "bytes in a dictionary entry", path)?;
+                entries.push((out.len(), hash));
+                put_u32(out, len);
+                out.extend_from_slice(value.as_bytes());
+                slots[at] = tag | entries.len() as u64;
+                if entries.len() * 2 > slots.len() {
+                    reslot(slots, entries);
                 }
-                let code = (slot & 0xFFFF_FFFF) as u32 - 1;
-                if slot & !0xFFFF_FFFF == tag {
-                    let (p, i) = entries[code as usize];
-                    if arenas[p as usize].get(i as usize) == value {
-                        break code;
-                    }
-                }
-                at = (at + 1) & mask;
-            };
-            codes.push(code);
-        }
+                break entries.len() as u32 - 1;
+            }
+            let code = (slot & 0xFFFF_FFFF) as u32 - 1;
+            if slot & !0xFFFF_FFFF == tag
+                && entry(out, entries[code as usize].0) == value.as_bytes()
+            {
+                break code;
+            }
+            at = (at + 1) & mask;
+        };
+        codes.push(code);
     }
-    put_u32(out, entries.len() as u32);
-    for &(part, index) in entries.iter() {
-        let entry = arenas[part as usize].get(index as usize);
-        put_u32(out, cap(entry.len(), "bytes in a dictionary entry", path)?);
-        out.extend_from_slice(entry.as_bytes());
-    }
+    out[count_at..count_at + 4].copy_from_slice(&(entries.len() as u32).to_le_bytes());
     put_words(out, codes, u32::to_le_bytes);
     Ok(())
+}
+
+/// The bytes of the dictionary entry whose `len:u32` starts at `at`.
+fn entry(out: &[u8], at: usize) -> &[u8] {
+    let len = u32::from_le_bytes(out[at..at + 4].try_into().expect("4 bytes"));
+    &out[at + 4..at + 4 + len as usize]
+}
+
+/// Doubles the table and puts every entry back by its stored hash, so
+/// no entry's bytes are read again.
+fn reslot(slots: &mut Vec<u64>, entries: &[(usize, u64)]) {
+    let mask = slots.len() * 2 - 1;
+    slots.clear();
+    slots.resize(mask + 1, 0);
+    for (code, &(_, hash)) in entries.iter().enumerate() {
+        let mut at = hash as usize & mask;
+        while slots[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        slots[at] = (hash & !0xFFFF_FFFF) | (code as u64 + 1);
+    }
 }
 
 /// Where a part's storage is not the first part's: ruled out by the
@@ -1392,6 +1412,100 @@ mod tests {
             err.to_string(),
             ".jxc writer: column a.b: values (4294967296) exceed u32::MAX"
         );
+    }
+
+    /// The dictionary encoder before entries were built in place: a
+    /// table sized from the value count, entries as `(part, index)`
+    /// pairs into the arenas, the entries written after the last value.
+    fn put_dict_by_index(arenas: &[&StrArena], seed: u64, out: &mut Vec<u8>) {
+        let values: usize = arenas.iter().map(|arena| arena.len()).sum();
+        let mask = (values * 2).next_power_of_two().max(16) - 1;
+        let mut slots = vec![0u64; mask + 1];
+        let mut entries: Vec<(u32, u32)> = Vec::new();
+        let mut codes = Vec::new();
+        for (part, arena) in arenas.iter().enumerate() {
+            for (index, value) in arena.iter().enumerate() {
+                let hash = hash_str(seed, value);
+                let tag = hash & !0xFFFF_FFFF;
+                let mut at = hash as usize & mask;
+                let code = loop {
+                    let slot = slots[at];
+                    if slot == 0 {
+                        entries.push((part as u32, index as u32));
+                        slots[at] = tag | entries.len() as u64;
+                        break entries.len() as u32 - 1;
+                    }
+                    let code = (slot & 0xFFFF_FFFF) as u32 - 1;
+                    if slot & !0xFFFF_FFFF == tag {
+                        let (p, i) = entries[code as usize];
+                        if arenas[p as usize].get(i as usize) == value {
+                            break code;
+                        }
+                    }
+                    at = (at + 1) & mask;
+                };
+                codes.push(code);
+            }
+        }
+        put_u32(out, entries.len() as u32);
+        for &(part, index) in &entries {
+            let entry = arenas[part as usize].get(index as usize);
+            put_u32(out, entry.len() as u32);
+            out.extend_from_slice(entry.as_bytes());
+        }
+        put_words(out, &codes, u32::to_le_bytes);
+    }
+
+    /// Entries written into the block as they are first seen, probed
+    /// there, and re-slotted by their stored hashes as the table doubles
+    /// from 16 slots, give the bytes of the `(part, index)` loop — over
+    /// parts of uneven sizes (one empty), behind a block prefix, with a
+    /// table that grows at least five times, at several seeds.
+    #[test]
+    fn dictionaries_built_in_place_match_the_part_index_loop() {
+        for (round, seed) in [0u64, 1, 0x9E37_79B9_7F4A_7C15, u64::MAX]
+            .into_iter()
+            .enumerate()
+        {
+            let mut state = 0x2545_F491_4F6C_DD1D ^ seed;
+            let mut next = move |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let distinct = [40, 700, 3000, 20][round];
+            let arenas: Vec<StrArena> = [900, 0, 1, 2500, 300]
+                .into_iter()
+                .map(|len| {
+                    let mut arena = StrArena::new();
+                    for _ in 0..len {
+                        arena.push(&match next(distinct) {
+                            0 => String::new(),
+                            id if id % 5 == 0 => format!("é-{id}-a-longer-dictionary-entry"),
+                            id => format!("v{id}"),
+                        });
+                    }
+                    arena
+                })
+                .collect();
+            let arenas: Vec<&StrArena> = arenas.iter().collect();
+            let mut want = b"prefix".to_vec();
+            put_dict_by_index(&arenas, seed, &mut want);
+            let mut dict = Dict::default();
+            for _ in 0..2 {
+                // A second run reuses the grown table and buffers.
+                let mut got = b"prefix".to_vec();
+                put_dict(&arenas, seed, "v", &mut dict, &mut got).unwrap();
+                assert_eq!(got, want, "seed {seed:#x}");
+            }
+            let entries = u32::from_le_bytes(want[6..10].try_into().unwrap()) as usize;
+            assert_eq!(dict.entries.len(), entries);
+            assert!(dict.slots.len() >= 2 * entries);
+            if distinct >= 700 {
+                assert!(dict.slots.len() >= 16 << 5, "{} slots", dict.slots.len());
+            }
+        }
     }
 
     #[test]

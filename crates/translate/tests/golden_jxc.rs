@@ -1,6 +1,7 @@
 //! The `.jxc` format is frozen: these fixtures were written by the
 //! commit *before* the columns became arena-backed and the codec bulk
-//! (`fixtures/golden*.jxc`, from `fixtures/golden.ndjson`), and every
+//! (`fixtures/golden{,_empty,_handbuilt}.jxc`, from
+//! `fixtures/golden.ndjson` and [`handbuilt_batch`]), and every
 //! later writer must reproduce them byte for byte and every later reader
 //! must return the batch they hold.
 //!
@@ -9,6 +10,13 @@
 //! with nulls in every column, an all-null column, bitmaps that end
 //! mid-byte, a zero-row batch, and a batch assembled from several
 //! chunks (one of them empty) with `take_batch` + `append`.
+//!
+//! `fixtures/golden_large.jxc` was written later, by the last writer
+//! whose CRC was slice-by-8 and whose dictionaries were built from a
+//! table sized by the value count, from [`large_parts`]: blocks longer
+//! than the CRC's 64-byte fold stride, a dictionary of over a thousand
+//! entries, a string-list spill column, an all-null column and four
+//! parts. The kernels that replaced those two must reproduce it.
 //!
 //! The list recogniser was rewritten to scan instead of parse and
 //! re-serialize each cell; [`reference_encoding`] keeps the old
@@ -19,7 +27,8 @@ use jsonx_data::{Number, Value};
 use jsonx_syntax::parse_ndjson;
 use jsonx_translate::columnar::Column;
 use jsonx_translate::{
-    read_jxc, write_jxc, Bitmap, ColumnData, ColumnarBatch, Encoding, Shredder, StrArena,
+    read_jxc, write_jxc, write_jxc_parts, Bitmap, ColumnData, ColumnarBatch, Encoding, Shredder,
+    StrArena,
 };
 use proptest::prelude::*;
 
@@ -27,6 +36,7 @@ const CORPUS: &str = include_str!("fixtures/golden.ndjson");
 const GOLDEN: &[u8] = include_bytes!("fixtures/golden.jxc");
 const GOLDEN_EMPTY: &[u8] = include_bytes!("fixtures/golden_empty.jxc");
 const GOLDEN_HANDBUILT: &[u8] = include_bytes!("fixtures/golden_handbuilt.jxc");
+const GOLDEN_LARGE: &[u8] = include_bytes!("fixtures/golden_large.jxc");
 
 fn shredder() -> Shredder {
     let docs = parse_ndjson(CORPUS).unwrap();
@@ -89,6 +99,77 @@ fn handbuilt_batch() -> ColumnarBatch {
     }
 }
 
+/// A seeded corpus in four parts (one empty) whose blocks are longer
+/// than the fixtures above: `actor` has over a thousand distinct
+/// strings among repeats, some multi-byte; `tags` is a string-list
+/// spill column; `gone` is never set; `n` and `ok` are sparse scalars.
+fn large_parts() -> Vec<ColumnarBatch> {
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move |n: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % n
+    };
+    const TAGS: [&str; 6] = ["rust", "json", "schema", "types", "é", "日本"];
+    [600, 0, 1100, 700]
+        .into_iter()
+        .map(|rows| {
+            let (mut actor, mut tags) = (StrArena::new(), StrArena::new());
+            let (mut ns, mut oks) = (Vec::new(), Bitmap::new());
+            let mut valid: [Bitmap; 5] = Default::default();
+            for _ in 0..rows {
+                let has_actor = next(10) != 0;
+                if has_actor {
+                    let id = next(1300);
+                    actor.push(&match id % 7 {
+                        0 => format!("ü{id}"),
+                        1 => format!("a-somewhat-longer-login-{id}"),
+                        _ => format!("u{id}"),
+                    });
+                }
+                let has_tags = next(2) == 0;
+                if has_tags {
+                    let items: Vec<String> = (0..next(4))
+                        .map(|_| format!("\"{}\"", TAGS[next(6) as usize]))
+                        .collect();
+                    tags.push(&format!("[{}]", items.join(",")));
+                }
+                let has_n = next(8) == 0;
+                if has_n {
+                    ns.push(next(1 << 40) as i64 - (1 << 39));
+                }
+                let has_ok = next(3) == 0;
+                if has_ok {
+                    oks.push(next(2) == 0);
+                }
+                for (bits, bit) in valid
+                    .iter_mut()
+                    .zip([has_actor, has_tags, false, has_n, has_ok])
+                {
+                    bits.push(bit);
+                }
+            }
+            let [actor_valid, tags_valid, gone_valid, n_valid, ok_valid] = valid;
+            let column = |path: &str, data, validity| Column {
+                path: path.into(),
+                data,
+                validity,
+            };
+            ColumnarBatch {
+                columns: vec![
+                    column("actor", ColumnData::Strs(actor), actor_valid),
+                    column("tags", ColumnData::Json(tags), tags_valid),
+                    column("gone", ColumnData::Json(StrArena::new()), gone_valid),
+                    column("n", ColumnData::Ints(ns), n_valid),
+                    column("ok", ColumnData::Bools(oks), ok_valid),
+                ],
+                rows,
+            }
+        })
+        .collect()
+}
+
 #[test]
 fn writer_reproduces_the_parent_commits_bytes() {
     assert_eq!(write_jxc(&chunked_batch()), GOLDEN);
@@ -97,6 +178,9 @@ fn writer_reproduces_the_parent_commits_bytes() {
     // Chunking is invisible in the file.
     let docs = parse_ndjson(CORPUS).unwrap();
     assert_eq!(write_jxc(&shredder().shred(&docs).unwrap()), GOLDEN);
+    let mut large = Vec::new();
+    write_jxc_parts(&large_parts(), &mut large).unwrap();
+    assert_eq!(large, GOLDEN_LARGE);
 }
 
 #[test]
@@ -135,6 +219,27 @@ fn reader_returns_the_batch_the_parent_commit_wrote() {
     assert!(handbuilt.columns[..2]
         .iter()
         .all(|c| c.encoding == Encoding::Dict));
+
+    let large = read_jxc(GOLDEN_LARGE).unwrap();
+    let mut parts = large_parts().into_iter();
+    let mut whole = parts.next().unwrap();
+    parts.for_each(|part| whole.append(part));
+    assert_eq!(large.batch, whole);
+    let facts: Vec<(&str, Encoding, Option<usize>)> = large
+        .columns
+        .iter()
+        .map(|c| (c.path.as_str(), c.encoding, c.dict_len))
+        .collect();
+    assert_eq!(
+        facts,
+        [
+            ("actor", Encoding::Dict, Some(1086)),
+            ("tags", Encoding::ListStr, Some(6)),
+            ("gone", Encoding::ListInt, None),
+            ("n", Encoding::Plain, None),
+            ("ok", Encoding::Plain, None),
+        ]
+    );
 }
 
 /// What the writer chose for a spill column before the recogniser was
