@@ -1,24 +1,29 @@
 //! Per-connection handling: the defensive framer and the request loop.
 //!
-//! Each connection gets one thread and one [`Framer`] — a newline framer
-//! that polls with a short read timeout so it can notice the shutdown
-//! latch, caps the frame size (oversized frames are rejected before
-//! buffering grows without bound), and enforces a completion budget on
-//! partially received frames (the slow-loris guard: a client trickling
-//! one byte at a time gets `slow-frame` and the socket back, not a
-//! parked thread forever).
+//! Each connection gets one thread, which reads its frames, runs its
+//! requests and writes their answers — a request never leaves the thread
+//! that read it, so answers stay in request order per connection. The
+//! [`Framer`] is the socket loop around a [`LineBuffer`]: it polls with a
+//! short read timeout so it can notice the shutdown latch, caps the
+//! frame size (oversized frames are rejected before buffering grows
+//! without bound), and enforces a completion budget on partially
+//! received frames (the slow-loris guard: a client trickling one byte at
+//! a time gets `slow-frame` and the socket back, not a parked thread
+//! forever).
 //!
-//! Admin verbs (`PING`, `STATS`, `RELOAD`, `SHUTDOWN`) are answered on
-//! the connection thread — they must keep working while the data queue
-//! is saturated. Data verbs go through the bounded queue with `try_send`:
-//! a full queue answers `busy` immediately (explicit load-shedding), and
-//! the connection then blocks on its rendezvous reply channel, so
-//! responses stay in request order per connection.
+//! Admin verbs (`PING`, `STATS`, `RELOAD`, `SHUTDOWN`) are answered at
+//! once — they must keep working while the data plane is saturated. Data
+//! verbs first pass the admission gate ([`crate::gate`]): a full waiting
+//! room answers `busy` immediately (explicit load-shedding), a waiter
+//! past its deadline answers `deadline-exceeded`, and a request holding a
+//! permit runs under `catch_unwind` ([`engine::run`]).
 
 use crate::cache::handle_reload;
-use crate::engine::{Job, Work};
+use crate::engine::{self, Work};
+use crate::framing::{Frame, LineBuffer};
+use crate::gate::Admission;
 use crate::protocol::{
-    parse_request, Request, Response, KIND_BAD_FRAME, KIND_BUSY, KIND_RELOAD_FAILED,
+    parse_request, Request, Response, KIND_BAD_FRAME, KIND_BUSY, KIND_DEADLINE, KIND_RELOAD_FAILED,
     KIND_SHUTTING_DOWN, KIND_SLOW_FRAME,
 };
 use crate::Shared;
@@ -26,7 +31,6 @@ use jsonx_syntax::{ParseErrorKind, RecordLimit};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::time::{Duration, Instant};
 
 /// Read-timeout granularity: how often a blocked read re-checks the
@@ -34,9 +38,9 @@ use std::time::{Duration, Instant};
 const POLL: Duration = Duration::from_millis(25);
 
 /// What one call to [`Framer::next`] produced.
-pub(crate) enum FrameEvent {
+pub(crate) enum FrameEvent<'a> {
     /// A complete line (newline stripped).
-    Line(String),
+    Line(&'a str),
     /// A complete line that was not valid UTF-8.
     BadUtf8,
     /// The frame grew past the cap without a newline.
@@ -53,67 +57,54 @@ pub(crate) enum FrameEvent {
 }
 
 /// Newline framer over a polled, capped, budgeted socket read loop.
-pub(crate) struct Framer {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    cap: usize,
+pub(crate) struct Framer<'s> {
+    stream: &'s TcpStream,
+    lines: LineBuffer,
     budget: Duration,
 }
 
-impl Framer {
-    pub(crate) fn new(stream: TcpStream, cap: usize, budget: Duration) -> std::io::Result<Framer> {
-        stream.set_read_timeout(Some(POLL))?;
-        // A peer that stops reading its responses shouldn't park the
-        // handler forever either.
-        stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-        Ok(Framer {
+impl<'s> Framer<'s> {
+    pub(crate) fn new(stream: &'s TcpStream, cap: usize, budget: Duration) -> Framer<'s> {
+        Framer {
             stream,
-            buf: Vec::new(),
-            cap,
+            lines: LineBuffer::new(cap),
             budget,
-        })
+        }
     }
 
     /// Blocks until one frame completes (or fails to). Pipelined frames
     /// already buffered are returned without touching the socket.
-    pub(crate) fn next(&mut self, shutdown: &AtomicBool) -> FrameEvent {
-        let mut started: Option<Instant> = (!self.buf.is_empty()).then(Instant::now);
+    pub(crate) fn next(&mut self, shutdown: &AtomicBool) -> FrameEvent<'_> {
+        let mut started: Option<Instant> = (self.lines.pending() > 0).then(Instant::now);
+        let mut tmp = [0u8; 4096];
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let rest = self.buf.split_off(pos + 1);
-                let mut line = std::mem::replace(&mut self.buf, rest);
-                line.pop(); // the newline
-                return match String::from_utf8(line) {
-                    Ok(text) => FrameEvent::Line(text),
-                    Err(_) => FrameEvent::BadUtf8,
+            if let Some(found) = self.lines.find() {
+                return match self.lines.take(found) {
+                    Frame::Line(text) => FrameEvent::Line(text),
+                    Frame::BadUtf8 => FrameEvent::BadUtf8,
+                    Frame::Oversized => FrameEvent::Oversized,
                 };
-            }
-            if self.buf.len() > self.cap {
-                return FrameEvent::Oversized;
             }
             if let Some(t0) = started {
                 if t0.elapsed() > self.budget {
                     return FrameEvent::Slow;
                 }
             }
-            let mut tmp = [0u8; 4096];
             match self.stream.read(&mut tmp) {
                 Ok(0) => {
                     return FrameEvent::Closed {
-                        mid_frame: !self.buf.is_empty(),
+                        mid_frame: self.lines.pending() > 0,
                     }
                 }
                 Ok(n) => {
-                    if started.is_none() {
-                        started = Some(Instant::now());
-                    }
-                    self.buf.extend_from_slice(&tmp[..n]);
+                    started.get_or_insert_with(Instant::now);
+                    self.lines.push(&tmp[..n]);
                 }
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut =>
                 {
-                    if shutdown.load(Ordering::SeqCst) && self.buf.is_empty() {
+                    if shutdown.load(Ordering::SeqCst) && self.lines.pending() == 0 {
                         return FrameEvent::ShuttingDown;
                     }
                 }
@@ -122,43 +113,62 @@ impl Framer {
             }
         }
     }
+}
+
+/// The connection's write side: one reused buffer for the response line
+/// and its newline, written in one call.
+pub(crate) struct Responder<'s> {
+    stream: &'s TcpStream,
+    out: Vec<u8>,
+}
+
+impl<'s> Responder<'s> {
+    pub(crate) fn new(stream: &'s TcpStream) -> Responder<'s> {
+        Responder {
+            stream,
+            out: Vec::new(),
+        }
+    }
 
     /// Writes one response line. A failed write (peer gone) is reported
     /// so the handler can stop, but never panics the connection.
     pub(crate) fn send(&mut self, response: &Response) -> bool {
-        let mut line = response.line.clone().into_bytes();
-        line.push(b'\n');
-        self.stream.write_all(&line).is_ok()
+        self.out.clear();
+        self.out.extend_from_slice(response.line.as_bytes());
+        self.out.push(b'\n');
+        self.stream.write_all(&self.out).is_ok()
     }
 }
 
-/// Answers one over-cap connection with a structured `busy` line.
-pub(crate) fn refuse(mut stream: TcpStream) {
+/// Answers one connection the daemon will not serve with a structured
+/// `busy` line.
+pub(crate) fn refuse(mut stream: TcpStream, why: &str) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let resp = Response::err(KIND_BUSY, "connection limit reached");
+    let resp = Response::err(KIND_BUSY, why);
     let _ = stream.write_all(format!("{}\n", resp.line).as_bytes());
 }
 
 /// The per-connection request loop. Returns when the peer closes, a
 /// frame-level fault closes the connection, or the daemon drains.
-pub(crate) fn handle_conn(
-    shared: &std::sync::Arc<Shared>,
-    tx: &SyncSender<Job>,
-    stream: TcpStream,
-    conn_id: usize,
-) {
+pub(crate) fn handle_conn(shared: &Shared, stream: TcpStream, conn_id: usize) {
     let config = &shared.config;
-    let mut framer = match Framer::new(stream, config.frame_cap(), config.frame_budget) {
-        Ok(framer) => framer,
-        Err(_) => return,
-    };
+    // A peer that stops reading its responses shouldn't park the handler
+    // forever either.
+    if stream.set_read_timeout(Some(POLL)).is_err()
+        || stream
+            .set_write_timeout(Some(Duration::from_secs(5)))
+            .is_err()
+    {
+        return;
+    }
+    let mut framer = Framer::new(&stream, config.frame_cap(), config.frame_budget);
+    let mut out = Responder::new(&stream);
     loop {
-        let event = framer.next(&shared.shutdown);
-        let line = match event {
+        let line = match framer.next(&shared.shutdown) {
             FrameEvent::Line(line) => line,
             FrameEvent::BadUtf8 => {
                 shared.stats.lock().unwrap().bad_frames += 1;
-                framer.send(&Response::err_close(KIND_BAD_FRAME, "frame is not UTF-8"));
+                out.send(&Response::err_close(KIND_BAD_FRAME, "frame is not UTF-8"));
                 return;
             }
             FrameEvent::Oversized => {
@@ -166,7 +176,7 @@ pub(crate) fn handle_conn(
                 // Same stable label an oversized record gets in the batch
                 // pipeline, so clients see one vocabulary.
                 let kind = ParseErrorKind::LimitExceeded(RecordLimit::InputBytes).label();
-                framer.send(&Response::err_close(
+                out.send(&Response::err_close(
                     kind,
                     &format!("frame exceeds {} bytes", config.frame_cap()),
                 ));
@@ -174,7 +184,7 @@ pub(crate) fn handle_conn(
             }
             FrameEvent::Slow => {
                 shared.stats.lock().unwrap().slow_frames += 1;
-                framer.send(&Response::err_close(
+                out.send(&Response::err_close(
                     KIND_SLOW_FRAME,
                     &format!(
                         "frame did not complete within {} ms",
@@ -192,11 +202,11 @@ pub(crate) fn handle_conn(
             FrameEvent::ShuttingDown | FrameEvent::Io => return,
         };
         shared.stats.lock().unwrap().frames += 1;
-        let request = match parse_request(&line, config.debug_faults) {
+        let request = match parse_request(line, config.debug_faults) {
             Ok(request) => request,
             Err(resp) => {
                 shared.stats.lock().unwrap().malformed_requests += 1;
-                if !framer.send(&resp) {
+                if !out.send(&resp) {
                     return;
                 }
                 continue;
@@ -205,21 +215,20 @@ pub(crate) fn handle_conn(
         let work = match request {
             Request::Ping => {
                 let epoch = shared.cache.snapshot().epoch;
-                if !framer.send(&Response::ok_ping(epoch)) {
+                if !out.send(&Response::ok_ping(epoch)) {
                     return;
                 }
                 continue;
             }
             Request::Stats => {
-                let resp = {
-                    let stats = shared.stats.lock().unwrap();
-                    crate::stats::stats_response(
-                        &stats,
-                        shared.cache.snapshot().epoch,
-                        shared.config.effective_queue_depth(),
-                    )
-                };
-                if !framer.send(&resp) {
+                let books = shared.gate.books();
+                let resp = crate::stats::stats_response(
+                    &shared.stats.lock().unwrap(),
+                    books,
+                    shared.cache.snapshot().epoch,
+                    config.effective_queue_depth(),
+                );
+                if !out.send(&resp) {
                     return;
                 }
                 continue;
@@ -229,87 +238,64 @@ pub(crate) fn handle_conn(
                     Ok(epoch) => Response::ok_reload(epoch),
                     Err(message) => Response::err(KIND_RELOAD_FAILED, &message),
                 };
-                if !framer.send(&resp) {
+                if !out.send(&resp) {
                     return;
                 }
                 continue;
             }
             Request::Shutdown => {
-                framer.send(&Response::ok_shutdown());
+                out.send(&Response::ok_shutdown());
                 shared.begin_shutdown();
                 return;
             }
             Request::Boom => Work::Boom,
             Request::Sleep(ms) => Work::Sleep(ms),
-            Request::Data { op, payload } => {
-                let work = Work::Data(op);
-                if !enqueue(shared, tx, &mut framer, work, payload, conn_id) {
-                    return;
-                }
-                continue;
-            }
+            Request::Data { op, payload } => Work::Data(op, payload),
         };
-        if !enqueue(shared, tx, &mut framer, work, String::new(), conn_id) {
+        if !serve_data(shared, &mut out, work, conn_id) {
             return;
         }
     }
 }
 
-/// Admits one request to the bounded queue and relays its reply. Returns
-/// false when the connection must close (write failure or a poisoned
-/// request).
-fn enqueue(
-    shared: &std::sync::Arc<Shared>,
-    tx: &SyncSender<Job>,
-    framer: &mut Framer,
-    work: Work,
-    payload: String,
-    conn_id: usize,
-) -> bool {
+/// Runs one data request behind the admission gate and answers it.
+/// Returns false when the connection must close (write failure, a
+/// poisoned request, or the daemon draining).
+fn serve_data(shared: &Shared, out: &mut Responder, work: Work<'_>, conn_id: usize) -> bool {
     if shared.shutdown.load(Ordering::SeqCst) {
-        framer.send(&Response::err_close(
+        out.send(&Response::err_close(
             KIND_SHUTTING_DOWN,
             "daemon is draining",
         ));
         return false;
     }
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    let job = Job {
-        work,
-        payload,
-        seq: shared.next_seq(),
-        conn: conn_id,
-        enqueued: Instant::now(),
-        reply: reply_tx,
-    };
-    match tx.try_send(job) {
-        Ok(()) => {
-            shared.stats.lock().unwrap().enqueued += 1;
-            // The worker's catch_unwind guarantees exactly one reply per
-            // enqueued job; a dropped sender (impossible today) degrades
-            // to a panic response rather than a hang.
-            let response = reply_rx.recv().unwrap_or_else(|_| {
-                Response::err_close(crate::protocol::KIND_PANIC, "reply channel lost")
-            });
-            let close = response.close;
-            framer.send(&response) && !close
+    let config = &shared.config;
+    let response = match shared.gate.admit(config.deadline) {
+        Admission::Run(permit) => {
+            let response = engine::run(shared, work, conn_id);
+            // The next waiter may start while this answer is written.
+            drop(permit);
+            response
         }
-        Err(TrySendError::Full(_)) => {
+        Admission::Busy => {
             shared.stats.lock().unwrap().shed += 1;
-            framer.send(&Response::err(
+            Response::err(
                 KIND_BUSY,
                 &format!(
                     "request queue full (depth {})",
-                    shared.config.effective_queue_depth()
+                    config.effective_queue_depth()
                 ),
-            ))
+            )
         }
-        Err(TrySendError::Disconnected(_)) => {
-            framer.send(&Response::err_close(
-                KIND_SHUTTING_DOWN,
-                "daemon is draining",
-            ));
-            false
+        Admission::Expired => {
+            shared.stats.lock().unwrap().expired += 1;
+            let waited = config.deadline.unwrap_or_default();
+            Response::err(
+                KIND_DEADLINE,
+                &format!("queued longer than {} ms", waited.as_millis()),
+            )
         }
-    }
+    };
+    let close = response.close;
+    out.send(&response) && !close
 }

@@ -1,5 +1,6 @@
-//! The worker pool: bounded-queue consumers running data-plane requests
-//! under deadlines, [`ParseLimits`], and `catch_unwind` panic isolation.
+//! Running one data-plane request on its connection's thread: under the
+//! admission gate's permit (taken by the caller), [`ParseLimits`], and
+//! `catch_unwind` panic isolation.
 //!
 //! A request is served from its document: [`JsonDecoder::decode_value`]
 //! under the configured limits, then the compiled schema's fail-fast
@@ -10,8 +11,10 @@
 //! `tests/serve_faults.rs::verdicts_match_the_batch_pipeline` holds the
 //! two to each other. Rejected payloads carry the stable error labels
 //! the quarantine sidecar uses.
+//!
+//! [`ParseLimits`]: jsonx_syntax::ParseLimits
 
-use crate::protocol::{Response, KIND_DEADLINE, KIND_NOT_A_RECORD, KIND_NO_SCHEMA, KIND_PANIC};
+use crate::protocol::{Response, KIND_NOT_A_RECORD, KIND_NO_SCHEMA, KIND_PANIC};
 use crate::{DataOp, Shared};
 use jsonx_core::{infer_collection, print_type, Equivalence, PrintOptions};
 use jsonx_pipeline::{panic_message, RecordDiagnostic, ShardPanic, DIAGNOSTIC_SAMPLES};
@@ -19,92 +22,57 @@ use jsonx_schema::ValidatorOptions;
 use jsonx_syntax::{JsonDecoder, RecordDecoder};
 use jsonx_translate::Shredder;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-/// What a worker should do with one dequeued request.
+/// What one admitted request does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Work {
-    Data(DataOp),
-    /// Debug: panic inside the worker's `catch_unwind`.
+pub(crate) enum Work<'a> {
+    /// Run a stage over the payload.
+    Data(DataOp, &'a str),
+    /// Debug: panic inside the request's `catch_unwind`.
     Boom,
-    /// Debug: hold the worker for this many milliseconds.
+    /// Debug: hold the permit for this many milliseconds.
     Sleep(u64),
 }
 
-/// One enqueued request.
-pub(crate) struct Job {
-    pub(crate) work: Work,
-    pub(crate) payload: String,
-    /// Global request sequence number (reported as `first_record` in
-    /// panic provenance).
-    pub(crate) seq: usize,
-    /// Owning connection (reported as `shard` in panic provenance).
-    pub(crate) conn: usize,
-    pub(crate) enqueued: Instant,
-    /// Rendezvous channel back to the connection thread.
-    pub(crate) reply: SyncSender<Response>,
-}
-
-/// One worker: dequeue, enforce the deadline, process under
-/// `catch_unwind`, always reply. Exits when the queue's senders are gone
-/// and the queue is drained — the graceful-shutdown contract.
-pub(crate) fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<Job>>>) {
-    loop {
-        // Hold the lock only to dequeue; processing runs unlocked so the
-        // pool drains the queue concurrently.
-        let job = match rx.lock().unwrap().recv() {
-            Ok(job) => job,
-            Err(_) => return,
-        };
-        shared.stats.lock().unwrap().dequeued += 1;
-        if let Some(deadline) = shared.config.deadline {
-            if job.enqueued.elapsed() > deadline {
-                shared.stats.lock().unwrap().expired += 1;
-                let _ = job.reply.send(Response::err(
-                    KIND_DEADLINE,
-                    &format!("queued longer than {} ms", deadline.as_millis()),
-                ));
-                continue;
-            }
+/// Runs one admitted request under `catch_unwind` and always answers: a
+/// panic becomes a `panic` response that closes the connection, and lands
+/// in `poisoned` with the connection (`shard`) and the request's sequence
+/// number (`first_record`) as its provenance.
+pub(crate) fn run(shared: &Shared, work: Work<'_>, conn: usize) -> Response {
+    let seq = shared.next_seq();
+    match catch_unwind(AssertUnwindSafe(|| process(shared, work, seq))) {
+        Ok(response) => response,
+        Err(payload) => {
+            let message = panic_message(payload.as_ref());
+            shared.stats.lock().unwrap().poisoned.push(ShardPanic {
+                shard: conn,
+                first_record: seq,
+                message: message.clone(),
+            });
+            Response::err_close(KIND_PANIC, &format!("request panicked: {message}"))
         }
-        let response = match catch_unwind(AssertUnwindSafe(|| process(shared, &job))) {
-            Ok(response) => response,
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                let mut stats = shared.stats.lock().unwrap();
-                stats.poisoned.push(ShardPanic {
-                    shard: job.conn,
-                    first_record: job.seq,
-                    message: message.clone(),
-                });
-                Response::err_close(KIND_PANIC, &format!("request panicked: {message}"))
-            }
-        };
-        let _ = job.reply.send(response);
     }
 }
 
 /// Runs one data-plane request, updating the aggregate counters. Always
-/// returns a response; panics escape to the worker's `catch_unwind`.
-fn process(shared: &Shared, job: &Job) -> Response {
-    match job.work {
+/// returns a response; panics escape to [`run`]'s `catch_unwind`.
+fn process(shared: &Shared, work: Work<'_>, seq: usize) -> Response {
+    match work {
         Work::Boom => panic!("BOOM requested by client"),
         Work::Sleep(ms) => {
             std::thread::sleep(std::time::Duration::from_millis(ms));
             shared.stats.lock().unwrap().processed += 1;
             Response::ok_sleep(ms)
         }
-        Work::Data(op) => {
+        Work::Data(op, payload) => {
             // The batch pipeline's decoder under the daemon's limits (its
             // size guard runs before any parsing): a payload is rejected alike
             // whether it arrives over a socket or in an NDJSON corpus.
             let decoder = JsonDecoder::new().with_limits(shared.config.limits);
-            let value = match decoder.decode_value(&mut (), &job.payload) {
+            let value = match decoder.decode_value(&mut (), payload) {
                 Ok(value) => value,
                 Err(err) => {
-                    return reject(shared, job, err.kind.label(), err.offset, &err.to_string())
+                    return reject(shared, seq, err.kind.label(), err.offset, &err.to_string())
                 }
             };
             let response = match op {
@@ -113,7 +81,7 @@ fn process(shared: &Shared, job: &Job) -> Response {
                     let Some(schema) = &epoch.schema else {
                         return reject(
                             shared,
-                            job,
+                            seq,
                             KIND_NO_SCHEMA,
                             0,
                             "daemon started without --schema",
@@ -150,7 +118,7 @@ fn process(shared: &Shared, job: &Job) -> Response {
                             )
                         }
                         Err(err) => {
-                            return reject(shared, job, KIND_NOT_A_RECORD, 0, &err.to_string())
+                            return reject(shared, seq, KIND_NOT_A_RECORD, 0, &err.to_string())
                         }
                     }
                 }
@@ -166,7 +134,7 @@ fn process(shared: &Shared, job: &Job) -> Response {
 /// processed (the batch convention: accepted + rejected).
 fn reject(
     shared: &Shared,
-    job: &Job,
+    seq: usize,
     kind: &'static str,
     offset: usize,
     message: &str,
@@ -176,7 +144,7 @@ fn reject(
     stats.rejected += 1;
     stats.errors.push(
         RecordDiagnostic {
-            record: job.seq,
+            record: seq,
             offset,
             kind,
             message: message.to_string(),

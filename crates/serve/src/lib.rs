@@ -12,24 +12,26 @@
 //!   admin `RELOAD` verb recompiles off to the side and atomically swaps
 //!   the `Arc` in, so in-flight requests finish against the epoch they
 //!   started with and a failed recompile keeps the old epoch serving.
-//! * **Bounded queue with explicit load-shedding**: requests enter a
-//!   fixed-depth queue; when it is full the client gets a structured
-//!   `busy` response immediately instead of the daemon buffering without
-//!   bound.
+//! * **An admission gate with explicit load-shedding**: each request runs
+//!   on the thread of the connection that sent it, holding one of
+//!   `--workers` permits; at most `--queue-depth` requests wait for one,
+//!   in arrival order, and the next gets a structured `busy` response
+//!   immediately instead of the daemon buffering without bound.
 //! * **Per-request deadlines and [`ParseLimits`]**: a request that waited
-//!   in the queue past its deadline is answered `deadline-exceeded`
+//!   at the gate past its deadline is answered `deadline-exceeded`
 //!   without being parsed, and oversized / too-deep / string-bomb
 //!   payloads are rejected with the same stable error labels the batch
-//!   pipeline uses — a hostile payload can never wedge a worker.
+//!   pipeline uses — a hostile payload can never wedge a permit.
 //! * **Per-connection panic isolation**: each request runs under
 //!   `catch_unwind` (the engine's machinery, reporting through the same
 //!   [`ShardPanic`](jsonx_pipeline::ShardPanic) shape); a poisoned
-//!   request closes its own connection and the daemon keeps serving.
+//!   request closes its own connection, gives its permit back, and the
+//!   daemon keeps serving.
 //! * **Graceful shutdown**: `SHUTDOWN` stops the acceptor, lets every
-//!   connection finish its current frame, drains the queue, and emits a
-//!   final aggregated [`FinalReport`] whose embedded
-//!   [`RunReport`](jsonx_pipeline::RunReport) reconciles every accepted
-//!   request against every response sent.
+//!   connection finish its current frame — a request waiting at the gate
+//!   is still answered — and emits a final aggregated [`FinalReport`]
+//!   whose embedded [`RunReport`](jsonx_pipeline::RunReport) reconciles
+//!   every accepted request against every response sent.
 //!
 //! The protocol is deliberately minimal — one request per line, one JSON
 //! response line back (see [`protocol`]) — so the fault-injection harness
@@ -39,6 +41,8 @@
 mod cache;
 mod conn;
 mod engine;
+pub mod framing;
+mod gate;
 pub mod protocol;
 mod stats;
 
@@ -46,16 +50,15 @@ pub use cache::{SchemaCache, SchemaEpoch};
 pub use protocol::{DataOp, Request, Response};
 pub use stats::FinalReport;
 
-use engine::Job;
+use gate::Gate;
 use jsonx_syntax::ParseLimits;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::SyncSender;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Default bounded queue depth.
+/// Default number of requests that may wait at the admission gate.
 pub const DEFAULT_QUEUE_DEPTH: usize = 64;
 /// Default concurrent-connection cap.
 pub const DEFAULT_MAX_CONNS: usize = 64;
@@ -73,12 +76,14 @@ pub struct ServeConfig {
     /// Schema document to compile and serve; `None` runs schema-less
     /// (VALIDATE answers `no-schema`, INFER / TRANSLATE still work).
     pub schema_path: Option<PathBuf>,
-    /// Bounded request-queue depth (`0` = [`DEFAULT_QUEUE_DEPTH`]).
+    /// How many requests may wait for a permit at once (`0` =
+    /// [`DEFAULT_QUEUE_DEPTH`]); one more is answered `busy`.
     pub queue_depth: usize,
-    /// Worker threads (`0` = auto, like the pipeline engine).
+    /// How many requests may run at once, each on its connection's thread
+    /// (`0` = one per CPU, like the pipeline engine).
     pub workers: usize,
-    /// Per-request queue-wait deadline; a request still queued past this
-    /// is answered `deadline-exceeded` without being parsed.
+    /// How long a request may wait for a permit; one still waiting at this
+    /// deadline is answered `deadline-exceeded` without being parsed.
     pub deadline: Option<Duration>,
     /// Concurrent-connection cap (`0` = [`DEFAULT_MAX_CONNS`]); excess
     /// connections get one `busy` line and are closed.
@@ -150,8 +155,6 @@ pub enum ServeError {
     SchemaIo(PathBuf, std::io::Error),
     /// The schema file did not parse or compile.
     SchemaInvalid(PathBuf, String),
-    /// The OS refused even one worker thread.
-    Spawn(std::io::Error),
 }
 
 impl std::fmt::Display for ServeError {
@@ -162,18 +165,17 @@ impl std::fmt::Display for ServeError {
             ServeError::SchemaInvalid(p, msg) => {
                 write!(f, "compiling schema {}: {msg}", p.display())
             }
-            ServeError::Spawn(e) => write!(f, "starting the worker pool: {e}"),
         }
     }
 }
 
 impl std::error::Error for ServeError {}
 
-/// State shared by the acceptor, every connection thread, and the worker
-/// pool.
+/// State shared by the acceptor and every connection thread.
 pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     pub(crate) cache: SchemaCache,
+    pub(crate) gate: Gate,
     pub(crate) stats: Mutex<stats::Counters>,
     pub(crate) shutdown: AtomicBool,
     pub(crate) next_seq: AtomicUsize,
@@ -199,52 +201,33 @@ impl Shared {
 
 /// A bound (but not yet running) daemon.
 ///
-/// [`bind`](Server::bind) compiles the schema, binds the socket and
-/// starts the (idle) worker pool, so configuration errors surface before
-/// the caller commits;
+/// [`bind`](Server::bind) compiles the schema and binds the socket, so
+/// configuration errors surface before the caller commits;
 /// [`run`](Server::run) blocks serving requests until a `SHUTDOWN` verb
 /// arrives, then drains and returns the final [`FinalReport`].
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
-    tx: SyncSender<Job>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
     /// Compiles the schema (if any), binds the listen socket, and sets up
-    /// the bounded queue with its worker pool — or as much of it as the
-    /// OS grants — waiting on it. Nothing is served until
-    /// [`run`](Server::run).
+    /// the admission gate. Nothing is served until [`run`](Server::run).
     pub fn bind(config: ServeConfig) -> Result<Server, ServeError> {
         let cache = SchemaCache::load(config.schema_path.clone())?;
         let listener = TcpListener::bind(&config.listen).map_err(ServeError::Bind)?;
         let local = listener.local_addr().ok();
-        let (tx, rx) = mpsc::sync_channel(config.effective_queue_depth());
+        let gate = Gate::new(config.effective_workers(), config.effective_queue_depth());
         let shared = Arc::new(Shared {
             config,
             cache,
+            gate,
             stats: Mutex::new(stats::Counters::default()),
             shutdown: AtomicBool::new(false),
             next_seq: AtomicUsize::new(0),
             local_addr: Mutex::new(local),
         });
-        let rx = Arc::new(Mutex::new(rx));
-        let mut workers = Vec::new();
-        for _ in 0..shared.config.effective_workers() {
-            let (shared, rx) = (Arc::clone(&shared), Arc::clone(&rx));
-            match std::thread::Builder::new().spawn(move || engine::worker_loop(&shared, &rx)) {
-                Ok(handle) => workers.push(handle),
-                Err(e) if workers.is_empty() => return Err(ServeError::Spawn(e)),
-                Err(_) => break,
-            }
-        }
-        Ok(Server {
-            listener,
-            shared,
-            tx,
-            workers,
-        })
+        Ok(Server { listener, shared })
     }
 
     /// The bound listen address (useful with port `0`).
@@ -254,16 +237,11 @@ impl Server {
 
     /// Serves until a `SHUTDOWN` verb arrives: accepts connections,
     /// spawns one handler thread per connection, then drains — the
-    /// acceptor stops, connection threads finish their current frames,
-    /// the worker pool empties the queue — and returns the aggregated
-    /// final report.
+    /// acceptor stops, connection threads finish their current frames
+    /// (requests waiting at the gate included) — and returns the
+    /// aggregated final report.
     pub fn run(self) -> FinalReport {
-        let Server {
-            listener,
-            shared,
-            tx,
-            workers,
-        } = self;
+        let Server { listener, shared } = self;
         let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
         let max_conns = shared.config.effective_max_conns();
         let mut next_conn = 0usize;
@@ -283,30 +261,37 @@ impl Server {
             conns.retain(|h| !h.is_finished());
             if conns.len() >= max_conns {
                 shared.stats.lock().unwrap().refused += 1;
-                conn::refuse(stream);
+                conn::refuse(stream, "connection limit reached");
                 continue;
             }
-            shared.stats.lock().unwrap().connections += 1;
+            // A second handle on the socket, to refuse the connection with
+            // when the OS refuses its thread (the first moves into it).
+            let spare = stream.try_clone();
             let conn_id = next_conn;
-            next_conn += 1;
-            let shared = Arc::clone(&shared);
-            let tx = tx.clone();
-            conns.push(std::thread::spawn(move || {
-                conn::handle_conn(&shared, &tx, stream, conn_id);
-            }));
+            let handler = Arc::clone(&shared);
+            let spawned = std::thread::Builder::new()
+                .spawn(move || conn::handle_conn(&handler, stream, conn_id));
+            match spawned {
+                Ok(handle) => {
+                    next_conn += 1;
+                    shared.stats.lock().unwrap().connections += 1;
+                    conns.push(handle);
+                }
+                Err(_) => {
+                    shared.stats.lock().unwrap().refused += 1;
+                    if let Ok(spare) = spare {
+                        conn::refuse(spare, "no thread for the connection");
+                    }
+                }
+            }
         }
-        // Drain: the acceptor's sender drops first, each connection
-        // thread notices the latch (or finishes its last frame) and drops
-        // its clone, and only then does the workers' recv() run dry —
-        // after the queue has fully emptied.
-        drop(tx);
+        // Drain: each connection thread notices the latch (or finishes
+        // its last frame, waiting at the gate for a permit if it must).
         for h in conns {
             let _ = h.join();
         }
-        for h in workers {
-            let _ = h.join();
-        }
         let counters = std::mem::take(&mut *shared.stats.lock().unwrap());
-        stats::FinalReport::from_counters(counters, shared.cache.snapshot().epoch)
+        let books = shared.gate.books();
+        stats::FinalReport::from_counters(counters, books, shared.cache.snapshot().epoch)
     }
 }

@@ -25,14 +25,16 @@
 //! ```
 //!
 //! When the daemon runs with `--debug-faults`, two extra verbs exist for
-//! deterministic fault injection: `BOOM` (panics inside a worker, proving
-//! the isolation boundary) and `SLEEP <ms>` (occupies a worker, filling
-//! queues on demand). Without the flag they answer `unknown-verb` like
-//! any other typo.
+//! deterministic fault injection: `BOOM` (panics inside a request,
+//! proving the isolation boundary) and `SLEEP <ms>` (holds one of the
+//! admission gate's permits, filling the gate on demand). Without the
+//! flag they answer `unknown-verb` like any other typo.
 
-/// Structured overload response kind (queue full or connection cap hit).
+/// Structured overload response kind (the admission gate's waiting room
+/// full, or the connection cap hit).
 pub const KIND_BUSY: &str = "busy";
-/// The request waited in the queue past the configured deadline.
+/// The request waited at the admission gate past the configured
+/// deadline.
 pub const KIND_DEADLINE: &str = "deadline-exceeded";
 /// The verb is not part of the protocol (or a debug verb without
 /// `--debug-faults`).
@@ -42,8 +44,7 @@ pub const KIND_UNKNOWN_VERB: &str = "unknown-verb";
 pub const KIND_BAD_FRAME: &str = "bad-frame";
 /// `VALIDATE` was sent to a daemon started without `--schema`.
 pub const KIND_NO_SCHEMA: &str = "no-schema";
-/// The request panicked a worker; the connection closes, the daemon
-/// survives.
+/// The request panicked; its connection closes, the daemon survives.
 pub const KIND_PANIC: &str = "panic";
 /// `RELOAD` failed; the previous schema epoch keeps serving.
 pub const KIND_RELOAD_FAILED: &str = "reload-failed";
@@ -56,7 +57,7 @@ pub const KIND_SLOW_FRAME: &str = "slow-frame";
 /// the batch translation stage's label).
 pub const KIND_NOT_A_RECORD: &str = "not-a-record";
 
-/// A data-plane operation, processed on the worker pool.
+/// A data-plane operation, run behind the admission gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataOp {
     /// Validate one JSON document against the cached schema.
@@ -78,15 +79,15 @@ impl DataOp {
     }
 }
 
-/// One parsed request frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+/// One parsed request frame, borrowing its payload from the frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Request<'a> {
     /// A data-plane request with its raw JSON payload.
     Data {
         /// Which stage to run.
         op: DataOp,
         /// The payload text after the verb, unparsed.
-        payload: String,
+        payload: &'a str,
     },
     /// Liveness probe; answered inline.
     Ping,
@@ -96,9 +97,9 @@ pub enum Request {
     Reload,
     /// Begin graceful drain.
     Shutdown,
-    /// Debug: panic inside a worker.
+    /// Debug: panic inside the request's `catch_unwind`.
     Boom,
-    /// Debug: hold a worker for the given milliseconds.
+    /// Debug: hold a permit for the given milliseconds.
     Sleep(u64),
 }
 
@@ -197,7 +198,7 @@ impl Response {
 
 /// Parses one frame. `Err` carries the response to send instead (the
 /// connection stays open — a typo'd verb shouldn't cost a reconnect).
-pub fn parse_request(line: &str, debug_faults: bool) -> Result<Request, Response> {
+pub fn parse_request(line: &str, debug_faults: bool) -> Result<Request<'_>, Response> {
     let line = line.trim_end_matches('\r');
     let (verb, rest) = match line.find(' ') {
         Some(pos) => (&line[..pos], line[pos + 1..].trim()),
@@ -210,10 +211,7 @@ pub fn parse_request(line: &str, debug_faults: bool) -> Result<Request, Response
                 &format!("{} requires a JSON payload", op.label().to_uppercase()),
             ))
         } else {
-            Ok(Request::Data {
-                op,
-                payload: rest.to_string(),
-            })
+            Ok(Request::Data { op, payload: rest })
         }
     };
     match verb {
@@ -247,7 +245,7 @@ mod tests {
             parse_request("VALIDATE {\"a\": 1}", false),
             Ok(Request::Data {
                 op: DataOp::Validate,
-                payload: "{\"a\": 1}".to_string()
+                payload: "{\"a\": 1}"
             })
         );
         assert_eq!(parse_request("PING\r", false), Ok(Request::Ping));

@@ -5,12 +5,14 @@
 //! every data request processed (accepted + rejected), `shards` is the
 //! connection count, rejected payloads carry the same
 //! [`RecordDiagnostic`](jsonx_pipeline::RecordDiagnostic) shape the batch
-//! quarantine uses, and worker panics land in `poisoned` with connection
+//! quarantine uses, and request panics land in `poisoned` with connection
 //! / request-sequence provenance. Around it sit the service-only
-//! counters (shed, expired, refused connections, frame-level faults), and
+//! counters (shed, expired, refused connections, frame-level faults) and
+//! the admission gate's own books ([`GateBooks`]), and
 //! [`FinalReport::reconciled`] checks the books balance: every admitted
 //! request is accounted for exactly once.
 
+use crate::gate::GateBooks;
 use jsonx_data::Value;
 use jsonx_pipeline::{ErrorSummary, RunReport, ShardPanic};
 
@@ -19,18 +21,14 @@ use jsonx_pipeline::{ErrorSummary, RunReport, ShardPanic};
 pub(crate) struct Counters {
     /// Connections accepted and handled.
     pub connections: usize,
-    /// Connections turned away at the connection cap.
+    /// Connections turned away at the connection cap, or because the
+    /// OS refused their thread.
     pub refused: usize,
     /// Complete frames received (before verb parsing).
     pub frames: usize,
     /// Frames that parsed to no request (unknown verb, missing payload).
     pub malformed_requests: usize,
-    /// Data requests admitted to the queue.
-    pub enqueued: usize,
-    /// Data requests a worker has pulled off the queue (including ones
-    /// that then expired); `enqueued - dequeued` is the live queue depth.
-    pub dequeued: usize,
-    /// Data requests a worker finished (accepted + rejected).
+    /// Data requests finished (accepted + rejected).
     pub processed: usize,
     /// `VALIDATE` verdicts.
     pub valid: usize,
@@ -38,9 +36,9 @@ pub(crate) struct Counters {
     pub invalid: usize,
     /// Data requests rejected (parse error, limit, not-a-record).
     pub rejected: usize,
-    /// Data requests shed with `busy` at the full queue.
+    /// Data requests shed with `busy` at the gate's full waiting room.
     pub shed: usize,
-    /// Data requests expired in the queue past the deadline.
+    /// Data requests that waited at the gate past the deadline.
     pub expired: usize,
     /// Frames that were not UTF-8.
     pub bad_frames: usize,
@@ -56,7 +54,7 @@ pub(crate) struct Counters {
     pub reload_failures: usize,
     /// Rejected-payload diagnostics, batch-shaped.
     pub errors: ErrorSummary,
-    /// Caught worker panics, batch-shaped.
+    /// Caught request panics, batch-shaped.
     pub poisoned: Vec<ShardPanic>,
 }
 
@@ -68,13 +66,14 @@ pub struct FinalReport {
     /// `shards` = connections handled, `errors` = rejected payloads,
     /// `poisoned` = caught request panics.
     pub report: RunReport,
-    /// Connections turned away at the connection cap.
+    /// Connections turned away at the connection cap, or because the OS
+    /// refused their thread.
     pub refused: usize,
     /// Complete frames received.
     pub frames: usize,
     /// Frames that parsed to no request.
     pub malformed_requests: usize,
-    /// Data requests admitted to the queue.
+    /// Data requests admitted to the admission gate (not shed).
     pub enqueued: usize,
     /// `VALIDATE` verdict counts.
     pub valid: usize,
@@ -84,7 +83,7 @@ pub struct FinalReport {
     pub rejected: usize,
     /// Data requests shed with `busy`.
     pub shed: usize,
-    /// Data requests expired past the deadline.
+    /// Data requests that waited past the deadline.
     pub expired: usize,
     /// Non-UTF-8 frames.
     pub bad_frames: usize,
@@ -103,7 +102,7 @@ pub struct FinalReport {
 }
 
 impl FinalReport {
-    pub(crate) fn from_counters(c: Counters, epoch: u64) -> FinalReport {
+    pub(crate) fn from_counters(c: Counters, books: GateBooks, epoch: u64) -> FinalReport {
         FinalReport {
             report: RunReport {
                 records: c.processed,
@@ -115,7 +114,7 @@ impl FinalReport {
             refused: c.refused,
             frames: c.frames,
             malformed_requests: c.malformed_requests,
-            enqueued: c.enqueued,
+            enqueued: books.enqueued,
             valid: c.valid,
             invalid: c.invalid,
             rejected: c.rejected,
@@ -178,19 +177,26 @@ impl FinalReport {
     }
 }
 
-/// The `STATS` verb's inline snapshot: live queue occupancy next to the
-/// shed/expired/poisoned counters and the serving schema epoch, so an
-/// operator can tell back-pressure (depth near capacity, shed rising)
-/// from a stall (depth pinned, processed flat) without restarting.
-pub(crate) fn stats_response(c: &Counters, epoch: u64, queue_capacity: usize) -> crate::Response {
+/// The `STATS` verb's inline snapshot: the requests waiting at the
+/// admission gate (`queue_depth`) next to the shed/expired/poisoned
+/// counters and the serving schema epoch, so an operator can tell
+/// back-pressure (depth near capacity, shed rising) from a stall (depth
+/// pinned, processed flat) without restarting.
+pub(crate) fn stats_response(
+    c: &Counters,
+    books: GateBooks,
+    epoch: u64,
+    queue_capacity: usize,
+) -> crate::Response {
     let line = jsonx_syntax::to_string(&jsonx_data::json!({
         "ok": true,
         "op": "stats",
         "connections": (c.connections as i64),
         "frames": (c.frames as i64),
-        "enqueued": (c.enqueued as i64),
+        "enqueued": (books.enqueued as i64),
+        "dequeued": (books.dequeued as i64),
         "processed": (c.processed as i64),
-        "queue_depth": (c.enqueued.saturating_sub(c.dequeued) as i64),
+        "queue_depth": (books.waiting as i64),
         "queue_capacity": (queue_capacity as i64),
         "valid": (c.valid as i64),
         "invalid": (c.invalid as i64),

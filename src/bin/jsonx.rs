@@ -235,19 +235,23 @@ const SERVE_FLAGS: &[FlagSpec] = &[
     valued(
         "queue-depth",
         "N",
-        "bounded request-queue depth; a full queue sheds load with a structured busy response instead of buffering (default 64)",
+        "how many data requests may wait while --workers of them run; one more is shed with a structured busy response instead of buffered (default 64)",
     ),
     valued(
         "deadline-ms",
         "N",
-        "answer deadline-exceeded when a request waited in the queue longer than N ms",
+        "answer deadline-exceeded, at the deadline, to a data request that has waited N ms to run",
     ),
     valued(
         "max-conns",
         "N",
         "concurrent-connection cap; excess connections get one busy line and are closed (default 64)",
     ),
-    valued("workers", "N", "worker threads (0 = one per CPU)"),
+    valued(
+        "workers",
+        "N",
+        "how many data requests may run at once, each on its connection's thread (0 = one per CPU)",
+    ),
     valued(
         "max-depth",
         "N",

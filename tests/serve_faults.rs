@@ -591,3 +591,175 @@ fn connection_cap_refuses_with_busy() {
     let report = shutdown(addr, handle);
     assert_eq!(report.refused, 1);
 }
+
+#[test]
+fn a_frame_near_the_cap_in_one_write_gets_its_verdict() {
+    use std::io::{BufRead, BufReader, Write};
+    // Under the 8 MiB default cap, and read in a few thousand pieces: a
+    // framer that searched the whole buffer again after every read would
+    // spend seconds on it, far past the budget.
+    let (addr, handle) = start(ServeConfig {
+        frame_budget: Duration::from_millis(500),
+        ..ServeConfig::default()
+    });
+    let frame = format!("INFER {{\"a\":\"{}\"}}\n", "x".repeat(7 << 20));
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    // A daemon that gives up on the frame closes the socket under the
+    // write.
+    if let Err(e) = stream.write_all(frame.as_bytes()) {
+        panic!("the daemon cut the frame off: {e}");
+    }
+    let mut resp = String::new();
+    BufReader::new(&stream).read_line(&mut resp).unwrap();
+    let doc = response_json(&resp);
+    assert_eq!(field(&doc, "type").as_str(), Some("{a: Str}"), "{resp}");
+    drop(stream);
+    let report = shutdown(addr, handle);
+    assert_eq!(report.slow_frames, 0);
+    assert_eq!(report.report.records, 1);
+}
+
+/// One `STATS` snapshot on a fresh connection.
+fn stats(addr: SocketAddr) -> Value {
+    let mut client = LineClient::connect(addr).unwrap();
+    response_json(&client.request("STATS").unwrap().unwrap())
+}
+
+/// Polls `STATS` until `done` holds of it (or fails after five seconds).
+fn await_stats(addr: SocketAddr, done: impl Fn(&Value) -> bool) -> Value {
+    let t0 = std::time::Instant::now();
+    loop {
+        let snapshot = stats(addr);
+        if done(&snapshot) {
+            return snapshot;
+        }
+        assert!(t0.elapsed() < Duration::from_secs(5), "{snapshot:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+fn count(doc: &Value, key: &str) -> i64 {
+    field(doc, key).as_i64().unwrap()
+}
+
+#[test]
+fn two_permits_run_two_sleeps_at_once_and_a_third_waits() {
+    let (addr, handle) = start(ServeConfig {
+        workers: 2,
+        debug_faults: true,
+        ..ServeConfig::default()
+    });
+    let mut clients: Vec<LineClient> = (0..3).map(|_| LineClient::connect(addr).unwrap()).collect();
+    for client in &mut clients {
+        client.send("SLEEP 500").unwrap();
+    }
+    // Both permits taken, nothing finished yet, and the third request in
+    // the waiting room: the two sleeps overlap.
+    let snapshot = await_stats(addr, |s| {
+        count(s, "dequeued") == 2 && count(s, "queue_depth") == 1
+    });
+    assert_eq!(count(&snapshot, "processed"), 0, "{snapshot:?}");
+    assert_eq!(count(&snapshot, "enqueued"), 3, "{snapshot:?}");
+    for client in &mut clients {
+        let resp = client.read_response().unwrap().unwrap();
+        assert!(resp.contains("\"op\":\"sleep\""), "{resp}");
+    }
+    let snapshot = stats(addr);
+    assert_eq!(count(&snapshot, "queue_depth"), 0, "{snapshot:?}");
+    assert_eq!(count(&snapshot, "dequeued"), 3, "{snapshot:?}");
+    let report = shutdown(addr, handle);
+    assert_eq!(report.report.records, 3);
+}
+
+#[test]
+fn a_waiter_expires_at_its_deadline_not_when_the_permit_frees() {
+    let (addr, handle) = start(ServeConfig {
+        workers: 1,
+        deadline: Some(Duration::from_millis(100)),
+        debug_faults: true,
+        ..ServeConfig::default()
+    });
+    let mut sleeper = LineClient::connect(addr).unwrap();
+    sleeper.send("SLEEP 1500").unwrap();
+    await_stats(addr, |s| count(s, "dequeued") == 1);
+    let mut waiter = LineClient::connect(addr).unwrap();
+    let resp = waiter.request(r#"INFER {"a": 1}"#).unwrap().unwrap();
+    let doc = response_json(&resp);
+    assert_eq!(
+        field(&doc, "kind").as_str(),
+        Some("deadline-exceeded"),
+        "{resp}"
+    );
+    // The sleeper still holds the permit: the waiter was answered before
+    // it, and left the waiting room without a permit.
+    let snapshot = stats(addr);
+    assert_eq!(count(&snapshot, "processed"), 0, "{snapshot:?}");
+    assert_eq!(count(&snapshot, "queue_depth"), 0, "{snapshot:?}");
+    assert_eq!(count(&snapshot, "dequeued"), 1, "{snapshot:?}");
+    assert_eq!(count(&snapshot, "expired"), 1, "{snapshot:?}");
+    assert!(sleeper
+        .read_response()
+        .unwrap()
+        .unwrap()
+        .contains("\"ok\":true"));
+    let report = shutdown(addr, handle);
+    assert_eq!(report.expired, 1);
+    assert_eq!(report.report.records, 1);
+}
+
+#[test]
+fn a_request_waiting_at_shutdown_is_answered() {
+    let (addr, handle) = start(ServeConfig {
+        workers: 1,
+        debug_faults: true,
+        ..ServeConfig::default()
+    });
+    let mut sleeper = LineClient::connect(addr).unwrap();
+    sleeper.send("SLEEP 300").unwrap();
+    await_stats(addr, |s| count(s, "dequeued") == 1);
+    let mut waiter = LineClient::connect(addr).unwrap();
+    waiter.send(r#"INFER {"a": 1}"#).unwrap();
+    await_stats(addr, |s| count(s, "queue_depth") == 1);
+    let report = shutdown(addr, handle);
+    assert_eq!(report.report.records, 2, "{report:?}");
+    assert_eq!(report.enqueued, 2, "{report:?}");
+    assert!(sleeper
+        .read_response()
+        .unwrap()
+        .unwrap()
+        .contains("\"ok\":true"));
+    let resp = waiter.read_response().unwrap().unwrap();
+    assert_eq!(
+        field(&response_json(&resp), "type").as_str(),
+        Some("{a: Int}"),
+        "{resp}"
+    );
+}
+
+#[test]
+fn a_panicked_request_gives_its_permit_back() {
+    let (addr, handle) = start(ServeConfig {
+        workers: 1,
+        // A permit kept by the panic would make the next request expire
+        // here instead of hanging the test.
+        deadline: Some(Duration::from_secs(2)),
+        debug_faults: true,
+        ..ServeConfig::default()
+    });
+    for _ in 0..2 {
+        let mut victim = LineClient::connect(addr).unwrap();
+        let resp = victim.request("BOOM").unwrap().unwrap();
+        assert!(resp.contains("\"panic\""), "{resp}");
+        assert!(victim.is_closed());
+    }
+    let mut next = LineClient::connect(addr).unwrap();
+    let resp = next.request(r#"INFER {"a": 1}"#).unwrap().unwrap();
+    assert!(resp.contains("\"ok\":true"), "{resp}");
+    let report = shutdown(addr, handle);
+    assert_eq!(report.report.poisoned.len(), 2);
+    assert_eq!(report.expired, 0);
+    assert_eq!(report.report.records, 1);
+}
