@@ -19,7 +19,7 @@
 //! oversized record, since chunks are never split mid-line) regardless of
 //! corpus size.
 
-use crate::shard::chunk_lines;
+use crate::shard::{chunk_lines, count_newlines};
 use std::borrow::Cow;
 use std::fmt;
 use std::io::{BufRead, Read, Seek, SeekFrom};
@@ -154,11 +154,16 @@ impl ChunkSource for SliceChunks<'_> {
 /// Incremental chunk source over any [`BufRead`]: corpora much larger
 /// than RAM stream through a bounded ring of reusable chunk buffers.
 ///
-/// Each claim reads whole lines until the buffer reaches the target
-/// size (or EOF), so chunks are newline-aligned by construction and the
-/// chunk's line count is exact without a rescan. Reads are serialised
-/// behind a mutex — the reader is effectively a single producer — while
-/// chunk *processing* runs unlocked on the claiming worker.
+/// A claim reads the chunk target's bytes straight into the chunk buffer
+/// in bulk, then the rest of the line the target falls in
+/// (`read_until`, which leaves the bytes past that newline in the
+/// reader's own buffer for the next claim). So a chunk ends at the first
+/// newline at or past the target, or at EOF — the rule [`chunk_lines`]
+/// cuts an in-memory input by — and a record longer than the target is
+/// one larger chunk. Each chunk's UTF-8 is checked once and its lines
+/// counted eight bytes at a time. Reads are serialised behind a mutex —
+/// the reader is effectively a single producer — while chunk
+/// *processing* runs unlocked on the claiming worker.
 pub struct ReaderChunks<R> {
     inner: Mutex<ReaderState<R>>,
     chunk_bytes: usize,
@@ -167,7 +172,9 @@ pub struct ReaderChunks<R> {
 
 struct ReaderState<R> {
     reader: R,
-    pool: Vec<String>,
+    /// Spent chunk buffers, their old bytes kept: a claim overwrites them
+    /// instead of zeroing a fresh target's worth.
+    pool: Vec<Vec<u8>>,
     seq: usize,
     next_line: usize,
     done: bool,
@@ -208,79 +215,101 @@ impl<R: BufRead> ReaderChunks<R> {
     }
 }
 
-/// `read_line` with `ErrorKind::Interrupted` retried instead of surfaced.
-///
-/// A signal landing mid-read (`EINTR`) is a transient condition, not data
-/// loss: `read_line` appends nothing for the interrupted call, so retrying
-/// resumes exactly where the read left off. Std's default `read_until`
-/// already swallows `Interrupted` internally, but `BufRead` implementors
-/// may override `read_line` (network streams, test doubles, instrumented
-/// readers), so the engine guards here rather than trusting every `R` —
-/// without this, one stray signal would poison the whole run as a fatal
-/// [`ChunkError::Io`].
-fn read_line_retrying<R: BufRead>(reader: &mut R, buf: &mut String) -> std::io::Result<usize> {
-    loop {
-        match reader.read_line(buf) {
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            other => return other,
+/// Room a chunk buffer is given past the target for the line the target
+/// falls in, capped at the target itself so the buffer stays under the
+/// recycle cap of twice the target.
+const TAIL_ROOM: usize = 64 << 10;
+
+/// How far a claim reserves and zero-fills its buffer ahead of the bytes
+/// it has read: a target far past the input costs no more memory than
+/// the input.
+const READ_STEP: usize = 1 << 20;
+
+/// Reads until `buf` holds `want` bytes or the input ends, retrying
+/// `ErrorKind::Interrupted` — a signal landing mid-read is not data loss.
+/// Returns whether `want` bytes arrived; `buf` holds exactly what was read.
+fn fill<R: Read>(reader: &mut R, buf: &mut Vec<u8>, want: usize) -> std::io::Result<bool> {
+    // A recycled buffer's old bytes are overwritten, not zeroed first.
+    buf.truncate(want);
+    let mut len = 0;
+    let result = loop {
+        if len == want {
+            break Ok(true);
         }
-    }
+        if len == buf.len() {
+            buf.resize(want.min(len + READ_STEP), 0);
+        }
+        match reader.read(&mut buf[len..]) {
+            Ok(0) => break Ok(false),
+            Ok(n) => len += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => break Err(e),
+        }
+    };
+    buf.truncate(len);
+    result
 }
 
 impl<R: BufRead + Send> ChunkSource for ReaderChunks<R> {
     fn next_chunk(&self) -> Result<Option<Chunk<'_>>, ChunkError> {
-        let mut st = self.inner.lock().unwrap();
+        let mut guard = self
+            .inner
+            .lock()
+            .expect("no claim panics with the lock held");
+        let st = &mut *guard;
         if st.done {
             return Ok(None);
         }
+        // Reserved once, so a recycled buffer does not regrow.
         let mut buf = st.pool.pop().unwrap_or_default();
-        buf.clear();
-        let first_line = st.next_line;
-        let mut lines = 0usize;
-        while buf.len() < self.chunk_bytes {
-            // `read_line` appends up to and including the next newline and
-            // validates UTF-8, so the chunk stays newline-aligned and a
-            // bad byte sequence surfaces as a clean diagnostic.
-            match read_line_retrying(&mut st.reader, &mut buf) {
-                Ok(0) => {
-                    st.done = true;
-                    break;
-                }
-                Ok(_) => lines += 1,
-                Err(e) => {
-                    // Latch exhaustion so the other workers drain out
-                    // cleanly while this claim carries the error.
-                    st.done = true;
-                    return Err(if e.kind() == std::io::ErrorKind::InvalidData {
-                        ChunkError::NotUtf8 {
-                            line: first_line + lines,
-                        }
-                    } else {
-                        ChunkError::Io {
-                            chunk: st.seq,
-                            source: e,
-                        }
-                    });
-                }
+        let room = self.chunk_bytes.min(READ_STEP) + TAIL_ROOM.min(self.chunk_bytes);
+        buf.reserve_exact(room.saturating_sub(buf.len()));
+        let read = fill(&mut st.reader, &mut buf, self.chunk_bytes).and_then(|full| {
+            // The target ends mid-line: the chunk takes the rest of it.
+            if full && buf.last() != Some(&b'\n') {
+                st.reader.read_until(b'\n', &mut buf)?;
             }
-        }
+            Ok(full && buf.last() == Some(&b'\n'))
+        });
+        let more = match read {
+            Ok(more) => more,
+            Err(source) => {
+                // Latch exhaustion so the other workers drain out
+                // cleanly while this claim carries the error.
+                st.done = true;
+                return Err(ChunkError::Io {
+                    chunk: st.seq,
+                    source,
+                });
+            }
+        };
+        st.done = !more;
         if buf.is_empty() {
             if st.pool.len() < self.ring {
                 st.pool.push(buf);
             }
             return Ok(None);
         }
-        st.next_line += lines;
+        let first_line = st.next_line;
+        let text = String::from_utf8(buf).map_err(|e| {
+            st.done = true;
+            let valid = &e.as_bytes()[..e.utf8_error().valid_up_to()];
+            ChunkError::NotUtf8 {
+                line: first_line + count_newlines(valid),
+            }
+        })?;
+        // An unterminated last line is a line too.
+        st.next_line += count_newlines(text.as_bytes()) + usize::from(!text.ends_with('\n'));
         let seq = st.seq;
         st.seq += 1;
         Ok(Some(Chunk {
             seq,
             first_line,
-            text: Cow::Owned(buf),
+            text: Cow::Owned(text),
         }))
     }
 
-    fn recycle(&self, mut buf: String) {
+    fn recycle(&self, buf: String) {
         // A chunk that swallowed one giant record would pin its capacity
         // forever; let oversized buffers drop instead.
         if buf.capacity() > self.chunk_bytes.saturating_mul(2) {
@@ -288,8 +317,7 @@ impl<R: BufRead + Send> ChunkSource for ReaderChunks<R> {
         }
         let mut st = self.inner.lock().unwrap();
         if st.pool.len() < self.ring {
-            buf.clear();
-            st.pool.push(buf);
+            st.pool.push(buf.into_bytes());
         }
     }
 }
@@ -439,7 +467,7 @@ impl<R: Read + Seek + Send> ChunkSource for ListedFile<'_, R> {
         let text = String::from_utf8(bytes).map_err(|e| {
             let valid = &e.as_bytes()[..e.utf8_error().valid_up_to()];
             ChunkError::NotUtf8 {
-                line: span.first_line + valid.iter().filter(|&&b| b == b'\n').count(),
+                line: span.first_line + count_newlines(valid),
             }
         })?;
         Ok(Some(Chunk {
@@ -591,29 +619,16 @@ mod tests {
         assert!(matches!(reader.next_chunk(), Ok(None)));
     }
 
-    /// A reader whose `read_line` fails with `Interrupted` on every other
-    /// call — the EINTR shape `read_line_retrying` must absorb.
+    /// A reader whose `read` and `fill_buf` fail with `Interrupted` on
+    /// every other call — the EINTR shape the bulk read and the line tail
+    /// must absorb.
     struct FlakyReader {
         inner: Cursor<Vec<u8>>,
         calls: usize,
     }
 
-    impl std::io::Read for FlakyReader {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.inner.read(buf)
-        }
-    }
-
-    impl BufRead for FlakyReader {
-        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-            self.inner.fill_buf()
-        }
-
-        fn consume(&mut self, amt: usize) {
-            self.inner.consume(amt)
-        }
-
-        fn read_line(&mut self, buf: &mut String) -> std::io::Result<usize> {
+    impl FlakyReader {
+        fn interrupt(&mut self) -> std::io::Result<()> {
             self.calls += 1;
             if self.calls % 2 == 1 {
                 return Err(std::io::Error::new(
@@ -621,22 +636,41 @@ mod tests {
                     "signal landed mid-read",
                 ));
             }
-            self.inner.read_line(buf)
+            Ok(())
+        }
+    }
+
+    impl std::io::Read for FlakyReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.interrupt()?;
+            self.inner.read(buf)
+        }
+    }
+
+    impl BufRead for FlakyReader {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            self.interrupt()?;
+            self.inner.fill_buf()
+        }
+
+        fn consume(&mut self, amt: usize) {
+            self.inner.consume(amt)
         }
     }
 
     #[test]
     fn interrupted_reads_are_retried_not_fatal() {
         let input = corpus(50);
+        // 1 and 16 end most targets mid-line, so the tail read is
+        // interrupted too.
         for target in [1usize, 16, 1 << 20] {
             let flaky = FlakyReader {
                 inner: Cursor::new(input.clone().into_bytes()),
                 calls: 0,
             };
             let reader = ReaderChunks::new(flaky, target, 2);
-            let chunks = drain(&reader);
-            let rejoined: String = chunks.iter().map(|(_, _, t)| t.as_str()).collect();
-            assert_eq!(rejoined, input, "target={target}");
+            let want = drain(&SliceChunks::new(&input, target));
+            assert_eq!(drain(&reader), want, "target={target}");
         }
     }
 
@@ -660,6 +694,13 @@ mod tests {
             other => panic!("expected Io error, got {other:?}"),
         }
         assert!(matches!(reader.next_chunk(), Ok(None)));
+    }
+
+    #[test]
+    fn a_target_past_the_input_reads_what_is_there() {
+        let input = corpus(3);
+        let reader = ReaderChunks::new(Cursor::new(input.clone().into_bytes()), usize::MAX, 2);
+        assert_eq!(drain(&reader), [(0, 0, input)]);
     }
 
     #[test]

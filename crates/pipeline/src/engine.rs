@@ -196,7 +196,12 @@ pub fn run_source_controlled<S: ChunkSource + ?Sized, F: ShardFold<str>>(
             ..WorkerTiming::default()
         };
         while !halted.load(Ordering::SeqCst) && !stopped() {
-            let chunk = match source.next_chunk() {
+            let claimed = timing.then(Instant::now);
+            let next = source.next_chunk();
+            if let Some(t0) = claimed {
+                acct.read += t0.elapsed();
+            }
+            let chunk = match next {
                 Ok(Some(chunk)) => chunk,
                 Ok(None) => break,
                 Err(e) => {

@@ -169,6 +169,10 @@ pub struct WorkerTiming {
     /// over the worker's chunks. Stored as a [`std::time::Duration`] so
     /// the report stays `Eq`; derive rates at display time.
     pub busy: std::time::Duration,
+    /// Time spent claiming chunks (`next_chunk`), waiting for the source's
+    /// lock included: for a reader, the reads, UTF-8 checks and line
+    /// counts.
+    pub read: std::time::Duration,
     /// Chunks claimed beyond this worker's fair share
     /// (`chunks - ceil(total_chunks / workers)`, floored at 0) — a direct
     /// count of work stolen from slower workers' shares.

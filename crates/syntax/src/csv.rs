@@ -29,7 +29,12 @@
 //!   `true`/`false` → booleans, then an `i64` parse, then a finite `f64`
 //!   parse, else a string. (Number sniffing is as lenient as Rust's
 //!   numeric `FromStr` — `+5`, `05`, `1e3`, `.5` all read as numbers;
-//!   quote a cell to opt out.)
+//!   quote a cell to opt out.) The sniffer decides by the first byte past
+//!   an optional sign before it parses anything: `FromStr` reads no number
+//!   that starts with another byte than an ASCII digit or `.` — only
+//!   `inf`, `infinity` and `nan`, which are not finite and stay strings —
+//!   so a cell like `user123` is a string at once, and only an all-digit
+//!   cell is tried as an `i64`. The verdicts are `FromStr`'s exactly.
 //! * Rows shorter than the header simply omit the trailing fields — under
 //!   inference those fields become optional, exactly like absent keys in
 //!   heterogeneous NDJSON. Rows with *extra* fields are malformed
@@ -59,10 +64,13 @@ pub struct CsvDecoder {
     limits: ParseLimits,
 }
 
-/// One parsed cell: where it started, its unescaped text, and whether it
-/// was quoted (quoted cells skip scalar sniffing).
+/// One parsed cell: where it started and ended, its unescaped text, and
+/// whether it was quoted (quoted cells skip scalar sniffing).
 struct Cell<'a> {
     start: usize,
+    /// Just past the cell: its delimiter's position, or the line's length
+    /// when the cell is last.
+    end: usize,
     text: Cow<'a, str>,
     quoted: bool,
 }
@@ -100,10 +108,9 @@ impl CsvDecoder {
         let bytes = header.as_bytes();
         loop {
             let cell = template.take_cell(header, pos)?;
-            let end = cell_end(bytes, &cell, delimiter);
             fields.push(cell.text.into_owned());
-            match bytes.get(end) {
-                Some(_) => pos = end + 1,
+            match bytes.get(cell.end) {
+                Some(_) => pos = cell.end + 1,
                 None => break,
             }
         }
@@ -127,9 +134,8 @@ impl CsvDecoder {
         &self.fields
     }
 
-    /// Parses the cell starting at `start`, returning its unescaped text
-    /// and quoting. The cell's end is recomputed by [`cell_end`] (closing
-    /// delimiter position or end-of-line).
+    /// Parses the cell starting at `start`, returning its unescaped text,
+    /// its quoting and its end — found by the one scan that reads it.
     fn take_cell<'a>(&self, record: &'a str, start: usize) -> Result<Cell<'a>, ParseError> {
         let bytes = record.as_bytes();
         if bytes.get(start) == Some(&b'"') {
@@ -176,6 +182,7 @@ impl CsvDecoder {
                         };
                         return Ok(Cell {
                             start,
+                            end: i + 1,
                             text,
                             quoted: true,
                         });
@@ -191,6 +198,7 @@ impl CsvDecoder {
                 .unwrap_or(bytes.len());
             Ok(Cell {
                 start,
+                end,
                 text: Cow::Borrowed(&record[start..end]),
                 quoted: false,
             })
@@ -199,42 +207,35 @@ impl CsvDecoder {
 
     /// Sniffs an unquoted cell's scalar type. Quoted cells are always
     /// strings; this is only called for unquoted text.
-    fn sniff<'a>(text: &Cow<'a, str>) -> RawEvent<'a> {
-        let t: &str = text;
-        if t.is_empty() {
-            return RawEvent::Null;
-        }
-        match t {
+    ///
+    /// The first byte past an optional sign decides most cells: numeric
+    /// `FromStr` reads nothing that starts with anything but an ASCII
+    /// digit or `.`, except `inf`, `infinity` and `nan`, which are not
+    /// finite and so stay strings anyway. Only an all-digit cell can be an
+    /// `i64`; the rest keep the order `i64` → finite `f64` → string.
+    fn sniff(text: &str) -> RawEvent<'_> {
+        match text {
+            "" => return RawEvent::Null,
             "true" => return RawEvent::Bool(true),
             "false" => return RawEvent::Bool(false),
             _ => {}
         }
-        if let Ok(i) = t.parse::<i64>() {
-            return RawEvent::Num(Number::Int(i));
+        let digits = match text.as_bytes() {
+            [b'+' | b'-', rest @ ..] => rest,
+            all => all,
+        };
+        if !matches!(digits.first(), Some(b'0'..=b'9' | b'.')) {
+            return RawEvent::Str(Cow::Borrowed(text));
         }
-        if let Ok(f) = t.parse::<f64>() {
-            if let Some(n) = Number::from_f64(f) {
-                return RawEvent::Num(n);
+        if digits.iter().all(u8::is_ascii_digit) {
+            if let Ok(i) = text.parse::<i64>() {
+                return RawEvent::Num(Number::Int(i));
             }
         }
-        RawEvent::Str(text.clone())
-    }
-}
-
-/// The byte position just past `cell`'s content (the delimiter position,
-/// or the line length when the cell is last).
-fn cell_end(bytes: &[u8], cell: &Cell<'_>, delimiter: u8) -> usize {
-    if cell.quoted {
-        // start + opening quote + content (escaped "" doubles back to two
-        // source bytes per produced quote) + closing quote.
-        let escaped_quotes = cell.text.matches('"').count();
-        cell.start + 1 + cell.text.len() + escaped_quotes + 1
-    } else {
-        bytes[cell.start..]
-            .iter()
-            .position(|&b| b == delimiter)
-            .map(|p| cell.start + p)
-            .unwrap_or(bytes.len())
+        match text.parse::<f64>().ok().and_then(Number::from_f64) {
+            Some(n) => RawEvent::Num(n),
+            None => RawEvent::Str(Cow::Borrowed(text)),
+        }
     }
 }
 
@@ -281,15 +282,13 @@ impl RecordDecoder for CsvDecoder {
                 }
             }
             recv.event(&RawEvent::Key(Cow::Borrowed(&self.fields[idx])));
-            if cell.quoted {
-                recv.event(&RawEvent::Str(cell.text.clone()));
-            } else {
-                recv.event(&Self::sniff(&cell.text));
-            }
+            recv.event(&match cell.text {
+                Cow::Borrowed(text) if !cell.quoted => Self::sniff(text),
+                text => RawEvent::Str(text),
+            });
             idx += 1;
-            let end = cell_end(bytes, &cell, self.delimiter);
-            match bytes.get(end) {
-                Some(_) => pos = end + 1,
+            match bytes.get(cell.end) {
+                Some(_) => pos = cell.end + 1,
                 None => break,
             }
         }

@@ -9,10 +9,17 @@
 //! * an error's offset lies inside the row (at most its length);
 //! * a decoded row's events are one flat object — a key and a scalar per
 //!   cell, keys in header order — that rebuilds, last key winning in
-//!   place, exactly the document `decode_value` gives.
+//!   place, exactly the document `decode_value` gives;
+//! * the decoder agrees with the reference in `csv_reference/` — the
+//!   decoder as it was before each cell was scanned once and sniffed by
+//!   its first byte: the same events, in order, up to the same error, and
+//!   the same error (kind, offset, line, column).
 //!
 //! `PROPTEST_SEED=N` draws a fresh set of rows; a failure names its seed.
 
+mod csv_reference;
+
+use csv_reference::Reference;
 use jsonx_data::{Object, Value};
 use jsonx_syntax::{CsvDecoder, EventReceiver, ParseLimits, RawEvent, RecordDecoder};
 use proptest::prelude::*;
@@ -20,11 +27,46 @@ use proptest::prelude::*;
 /// Duplicate and dotted names, as a spreadsheet may export them.
 const HEADER: &str = "id,name,id,note,a.b";
 
-/// One piece of a cell: what the dialect's state machine turns on.
+/// One piece of a cell: what the dialect's state machine turns on, and
+/// the edges of the sniffer's first-byte rule — a bare sign or point, a
+/// signed fraction, a signed infinity, digits `FromStr` refuses, an
+/// integer past `i64`, a capitalised literal.
 fn arb_piece() -> impl Strategy<Value = &'static str> {
     prop::sample::select(vec![
-        "\"", "\"\"", ",", "\r", "\\", "\\\"", "é", "😀", "\"é", "é\"", ",😀", "😀,", "true",
-        "false", "-0", "1e999", "NaN", "inf", "5", "+5", ".5", "0x1", "a", " ", "",
+        "\"",
+        "\"\"",
+        ",",
+        "\r",
+        "\\",
+        "\\\"",
+        "é",
+        "😀",
+        "\"é",
+        "é\"",
+        ",😀",
+        "😀,",
+        "true",
+        "false",
+        "-0",
+        "1e999",
+        "NaN",
+        "inf",
+        "5",
+        "+5",
+        ".5",
+        "0x1",
+        "a",
+        " ",
+        "",
+        "+",
+        "-",
+        ".",
+        "-.5",
+        "+inf",
+        "1_0",
+        "٣",
+        "123456789012345678901234567890",
+        "True",
     ])
 }
 
@@ -146,5 +188,23 @@ proptest! {
                 prop_assert_eq!(rebuilt, Ok(decoder.decode_value(&mut (), &row).unwrap()), "{:?}", row);
             }
         }
+    }
+
+    #[test]
+    fn the_csv_decoder_agrees_with_the_reference(
+        row in arb_row(),
+        limits in arb_limits(),
+    ) {
+        let decoder = CsvDecoder::from_header(HEADER).unwrap().with_limits(limits);
+        let reference = Reference {
+            fields: decoder.fields().to_vec(),
+            delimiter: b',',
+            limits,
+        };
+        let (mut events, mut want) = (Recorded::default(), Recorded::default());
+        let result = decoder.decode_events(&mut (), &row, &mut events);
+        let expected = reference.decode_events(&mut (), &row, &mut want);
+        prop_assert_eq!(result, expected, "{:?}", row);
+        prop_assert_eq!(events.0, want.0, "{:?}", row);
     }
 }

@@ -873,13 +873,14 @@ fn finish_run(opts: &Opts, report: &RunReport) -> Result<String, CliError> {
     }
     for t in &report.timings {
         eprintln!(
-            "» worker {}: {} chunks ({} stolen), {} records, {} bytes, {:.3}s busy ({:.0} rec/s, {:.2} MB/s)",
+            "» worker {}: {} chunks ({} stolen), {} records, {} bytes, {:.3}s busy, {:.3}s reading ({:.0} rec/s, {:.2} MB/s)",
             t.worker,
             t.chunks,
             t.steals,
             t.records,
             t.bytes,
             t.busy.as_secs_f64(),
+            t.read.as_secs_f64(),
             t.records_per_sec(),
             t.bytes_per_sec() / 1e6,
         );

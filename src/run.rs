@@ -254,6 +254,7 @@ fn absorb(kept: &mut RunReport, later: RunReport, cap: usize) {
                 t.records += stint.records;
                 t.bytes += stint.bytes;
                 t.busy += stint.busy;
+                t.read += stint.read;
                 t.steals += stint.steals;
             }
             None => kept.timings.push(stint),
