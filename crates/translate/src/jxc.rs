@@ -85,7 +85,9 @@
 //!   an interrupted write. Resuming cannot help; the file is bad.
 
 use crate::columnar::{Bitmap, Column, ColumnData, ColumnarBatch, StrArena};
-use jsonx_data::{crc32, Number, Object, Value};
+use jsonx_data::{crc32, write_escaped, Number, Object, Value};
+use jsonx_syntax::{append_compact, to_string};
+use std::collections::HashSet;
 use std::fmt;
 use std::fmt::Write as _;
 use std::hash::{BuildHasher, RandomState};
@@ -772,8 +774,15 @@ fn words<'a, const N: usize, T>(
 }
 
 /// A dictionary's entries, each checked to be UTF-8 and borrowed from
-/// the block, not copied.
+/// the block, not copied: in one check over the whole dictionary when
+/// [`ascii_prefixed_entries`] can prove every entry with it, else entry
+/// by entry — the route that names what is wrong.
 fn read_dict<'a>(cur: &mut Cur<'a>) -> Result<Vec<&'a str>, JxcError> {
+    let start = cur.pos;
+    if let Some(entries) = ascii_prefixed_entries(cur) {
+        return Ok(entries);
+    }
+    cur.pos = start;
     let len = cur.u32()? as usize;
     // Every entry takes at least its 4-byte length.
     let mut entries = Vec::with_capacity(len.min((cur.bytes.len() - cur.pos) / 4));
@@ -784,6 +793,42 @@ fn read_dict<'a>(cur: &mut Cur<'a>) -> Result<Vec<&'a str>, JxcError> {
         entries.push(entry);
     }
     Ok(entries)
+}
+
+/// A dictionary's entries from one UTF-8 check over all of its
+/// `len:u32 + bytes` pairs, when every byte of every length is ASCII;
+/// `None` (with `cur` moved anywhere) when one is not, or when the
+/// dictionary is truncated or not UTF-8.
+///
+/// Exact: an ASCII byte is a whole character, so a region that is UTF-8
+/// has a character boundary on either side of each of its length bytes,
+/// which is where every entry starts and ends — each entry is UTF-8 on
+/// its own. A length byte of `0x80` or more could be the middle of a
+/// character that runs across an entry boundary, so such a dictionary is
+/// checked entry by entry.
+fn ascii_prefixed_entries<'a>(cur: &mut Cur<'a>) -> Option<Vec<&'a str>> {
+    let len = cur.u32().ok()? as usize;
+    let first = cur.pos;
+    for _ in 0..len {
+        let bytes = cur.u32().ok()?;
+        if bytes & 0x8080_8080 != 0 {
+            return None;
+        }
+        cur.take(bytes as usize).ok()?;
+    }
+    let region = std::str::from_utf8(&cur.bytes[first..cur.pos]).ok()?;
+    let mut walk = Cur {
+        bytes: region.as_bytes(),
+        pos: 0,
+    };
+    let mut entries = Vec::with_capacity(len);
+    for _ in 0..len {
+        let bytes = walk.u32().ok()? as usize;
+        let start = walk.pos;
+        walk.take(bytes).ok()?;
+        entries.push(region.get(start..walk.pos)?);
+    }
+    Some(entries)
 }
 
 /// The bytes of `n` codes, each checked to name one of `dict_len`
@@ -910,18 +955,6 @@ fn read_block<'a>(
     Ok(Block { validity, values })
 }
 
-/// Appends `item` as a JSON string literal. Only a string that needs an
-/// escape takes the serializer's (allocating) route.
-fn push_json_str(text: &mut String, item: &str) {
-    if item.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
-        text.push_str(&Value::Str(item.to_owned()).to_json_string());
-    } else {
-        text.push('"');
-        text.push_str(item);
-        text.push('"');
-    }
-}
-
 /// Rebuilds a list column's texts — what serializing each row's array
 /// compactly yields — from its offsets, writing every item with `push`.
 fn list_texts(offsets: &[usize], mut push: impl FnMut(&mut String, usize)) -> StrArena {
@@ -1029,7 +1062,7 @@ impl Block<'_> {
                 let codes: Vec<u32> =
                     words(&codes[..offsets[cells] * 4], u32::from_le_bytes).collect();
                 ColumnData::Json(list_texts(&offsets, |text, item| {
-                    push_json_str(text, entries[codes[item] as usize]);
+                    write_escaped(entries[codes[item] as usize], text);
                 }))
             }
         };
@@ -1273,6 +1306,188 @@ pub fn flatten_rows(file: &JxcFile, limit: usize) -> Vec<Value> {
     out
 }
 
+/// Writes the text `to_string` gives [`cell_value`] of the cell: the
+/// same rules, with no value built for a scalar or — when the column is
+/// `listed` (list-encoded) — a list cell.
+fn write_cell(data: &ColumnData, dense: usize, listed: bool, out: &mut String) {
+    match data {
+        ColumnData::Bools(v) => out.push_str(if v.get(dense) { "true" } else { "false" }),
+        ColumnData::Ints(v) => {
+            write!(out, "{}", Number::Int(v[dense])).expect("writing to a String")
+        }
+        ColumnData::Floats(v) => match Number::from_f64(v[dense]) {
+            Some(n) => write!(out, "{n}").expect("writing to a String"),
+            None => out.push_str("null"),
+        },
+        ColumnData::Strs(v) => write_escaped(v.get(dense), out),
+        // The reader rebuilt a list column's text with the serializer's
+        // escaper and integer format: it is what parsing and serializing
+        // it again would print.
+        ColumnData::Json(v) if listed => out.push_str(v.get(dense)),
+        ColumnData::Json(_) => append_compact(out, &cell_value(data, dense)),
+    }
+}
+
+/// Appends the items of a list cell's text — the reader's rebuild of a
+/// [`Encoding::ListInt`] or [`Encoding::ListStr`] cell: integers or
+/// escaped string literals, comma-separated in brackets.
+fn push_list_items<'t>(text: &'t str, items: &mut Vec<&'t str>) {
+    let inner = &text[1..text.len() - 1];
+    if inner.is_empty() {
+        return;
+    }
+    let (mut start, mut quoted, mut escaped) = (0, false, false);
+    for (i, b) in inner.bytes().enumerate() {
+        if escaped {
+            escaped = false;
+        } else if quoted {
+            escaped = b == b'\\';
+            quoted = b != b'"';
+        } else if b == b'"' {
+            quoted = true;
+        } else if b == b',' {
+            items.push(&inner[start..i]);
+            start = i + 1;
+        }
+    }
+    items.push(&inner[start..]);
+}
+
+/// Appends `"key":` to a row's text, after a comma unless the row holds
+/// only its `{`.
+fn push_key(text: &mut String, key: &str) {
+    if text.len() > 1 {
+        text.push(',');
+    }
+    text.push_str(key);
+}
+
+/// Renders the rows `jsonx cat` prints — [`rows_as_values`] of the
+/// file's batch, or [`flatten_rows`] of the file when `flatten`, cut to
+/// `limit` — each as the text `to_string` gives that row's value, with
+/// no value built: every cell is written from its column into one line
+/// buffer, under each column's `"path":` escaped once.
+///
+/// `line` is handed each row's text in order and returns whether to go
+/// on; once it says stop, the remaining rows are counted, not handed
+/// over. Returns the number of rows — the length of the `Vec` the DOM
+/// route returns.
+///
+/// A file whose column paths repeat (no writer of ours makes one, and
+/// the reader does not refuse it) takes the DOM route: a row object
+/// keeps the first position of a repeated key with its last value.
+pub fn render_rows<E>(
+    file: &JxcFile,
+    limit: usize,
+    flatten: bool,
+    mut line: impl FnMut(&str) -> Result<bool, E>,
+) -> Result<usize, E> {
+    let batch = &file.batch;
+    let mut paths = HashSet::with_capacity(batch.columns.len());
+    if !batch
+        .columns
+        .iter()
+        .all(|col| paths.insert(col.path.as_str()))
+    {
+        let rows = if flatten {
+            flatten_rows(file, limit)
+        } else {
+            rows_as_values(batch, limit)
+        };
+        for row in &rows {
+            if !line(&to_string(row))? {
+                break;
+            }
+        }
+        return Ok(rows.len());
+    }
+    let keys: Vec<String> = batch
+        .columns
+        .iter()
+        .map(|col| {
+            let mut key = String::new();
+            write_escaped(&col.path, &mut key);
+            key.push(':');
+            key
+        })
+        .collect();
+    let listed: Vec<bool> = file
+        .columns
+        .iter()
+        .map(|info| matches!(info.encoding, Encoding::ListInt | Encoding::ListStr))
+        .collect();
+    let mut dense = vec![0usize; batch.columns.len()];
+    let mut text = String::new();
+    // Each list column's items, and its span of them.
+    let mut items: Vec<&str> = Vec::new();
+    let mut lists: Vec<(usize, usize, usize)> = Vec::new();
+    let mut odometer: Vec<usize> = Vec::new();
+    let (mut shown, mut open) = (0, true);
+    for row in 0..batch.rows {
+        text.clear();
+        text.push('{');
+        items.clear();
+        lists.clear();
+        for (c, col) in batch.columns.iter().enumerate() {
+            let valid = col.validity.get(row);
+            if flatten && listed[c] {
+                let ColumnData::Json(texts) = &col.data else {
+                    unreachable!("a list-encoded column reads back as JSON text")
+                };
+                let start = items.len();
+                if valid {
+                    push_list_items(texts.get(dense[c]), &mut items);
+                }
+                if items.len() == start {
+                    items.push("null");
+                }
+                lists.push((c, start, items.len()));
+            } else if valid && open {
+                push_key(&mut text, &keys[c]);
+                write_cell(&col.data, dense[c], listed[c], &mut text);
+            }
+            if valid {
+                dense[c] += 1;
+            }
+        }
+        // The base cells stay; each combination of list items follows
+        // them — the key order `flatten_rows` inserts in.
+        let base = text.len();
+        odometer.clear();
+        odometer.resize(lists.len(), 0);
+        loop {
+            if shown >= limit {
+                return Ok(shown);
+            }
+            if open {
+                text.truncate(base);
+                for (&(c, start, _), slot) in lists.iter().zip(&odometer) {
+                    push_key(&mut text, &keys[c]);
+                    text.push_str(items[start + slot]);
+                }
+                text.push('}');
+                open = line(&text)?;
+            }
+            shown += 1;
+            // Odometer increment; done when it wraps (or there are no
+            // list columns at all — one combination per row).
+            let mut carry = true;
+            for (slot, &(_, start, end)) in odometer.iter_mut().zip(&lists).rev() {
+                *slot += 1;
+                if start + *slot < end {
+                    carry = false;
+                    break;
+                }
+                *slot = 0;
+            }
+            if carry {
+                break;
+            }
+        }
+    }
+    Ok(shown)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1506,6 +1721,116 @@ mod tests {
                 assert!(dict.slots.len() >= 16 << 5, "{} slots", dict.slots.len());
             }
         }
+    }
+
+    /// The dictionary reader before it checked a dictionary's UTF-8 in
+    /// one pass: entry by entry, each checked on its own.
+    fn per_entry_dict<'a>(cur: &mut Cur<'a>) -> Result<Vec<&'a str>, JxcError> {
+        let len = cur.u32()? as usize;
+        let mut entries = Vec::with_capacity(len.min((cur.bytes.len() - cur.pos) / 4));
+        for _ in 0..len {
+            let bytes = cur.u32()? as usize;
+            let entry = std::str::from_utf8(cur.take(bytes)?)
+                .map_err(|_| JxcError::Corrupt("non-UTF-8 dictionary entry".into()))?;
+            entries.push(entry);
+        }
+        Ok(entries)
+    }
+
+    /// `dict_len:u32`, then `len:u32 + bytes` per entry, then `tail`.
+    fn dict_image(entries: &[&[u8]], tail: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u32(&mut out, entries.len() as u32);
+        for entry in entries {
+            put_u32(&mut out, entry.len() as u32);
+            out.extend_from_slice(entry);
+        }
+        out.extend_from_slice(tail);
+        out
+    }
+
+    /// `read_dict` and the per-entry reference over `bytes`: the same
+    /// entries and cursor position, or the same error.
+    fn assert_reads_as_per_entry(bytes: &[u8], what: &str) {
+        let mut bulk = Cur { bytes, pos: 0 };
+        let mut each = Cur { bytes, pos: 0 };
+        let (got, want) = (read_dict(&mut bulk), per_entry_dict(&mut each));
+        assert_eq!(got, want, "{what}");
+        if want.is_ok() {
+            assert_eq!(bulk.pos, each.pos, "{what}");
+        }
+    }
+
+    /// The one-pass UTF-8 rule reads every dictionary as the per-entry
+    /// loop does — clean ones, ones with a length byte of `0x80` or more
+    /// (entries of 128 to 300 bytes), invalid UTF-8 in the first, middle
+    /// or last entry, an entry ending in a lead byte whose next length
+    /// starts with a continuation byte (UTF-8 across the boundary), every
+    /// truncation and every single-byte flip.
+    #[test]
+    fn one_utf8_check_per_dictionary_reads_as_the_per_entry_loop() {
+        let long: Vec<Vec<u8>> = [128, 169, 200, 255, 256, 300]
+            .into_iter()
+            .map(|n| {
+                "é".repeat(n / 2)
+                    .into_bytes()
+                    .into_iter()
+                    .chain([b'x'])
+                    .take(n)
+                    .collect()
+            })
+            .collect();
+        let mut cases: Vec<(&str, Vec<u8>)> = vec![
+            ("empty", dict_image(&[], b"")),
+            (
+                "clean",
+                dict_image(&[b"a", b"", "é".as_bytes(), "😀x".as_bytes()], b"tail"),
+            ),
+            ("bad first", dict_image(&[b"\xFFa", b"b", b"c"], b"")),
+            ("bad middle", dict_image(&[b"a", b"b\xC3", b"c"], b"")),
+            ("bad last", dict_image(&[b"a", b"b", b"\xED\xA0\x80"], b"")),
+            (
+                "lead byte, continuation length",
+                dict_image(&[b"ab\xC3", &long[1]], b""),
+            ),
+            ("count past the entries", {
+                let mut image = dict_image(&[b"a"], b"");
+                image[0] = 2;
+                image
+            }),
+        ];
+        let long_refs: Vec<&[u8]> = long.iter().map(Vec::as_slice).collect();
+        cases.push(("long entries", dict_image(&long_refs, b"")));
+        let mut mixed = long_refs.clone();
+        mixed.insert(2, b"short");
+        cases.push(("long and short", dict_image(&mixed, b"!")));
+        for (what, image) in &cases {
+            assert_reads_as_per_entry(image, what);
+            for cut in 0..image.len() {
+                assert_reads_as_per_entry(&image[..cut], &format!("{what} cut at {cut}"));
+            }
+            for pos in 0..image.len() {
+                for mask in [0x01u8, 0x40, 0x80, 0xFF] {
+                    let mut bad = image.clone();
+                    bad[pos] ^= mask;
+                    assert_reads_as_per_entry(&bad, &format!("{what} flip {mask:#x} at {pos}"));
+                }
+            }
+        }
+        // The clean dictionary takes the one-pass route; the long one
+        // cannot.
+        let clean = &cases[1].1;
+        assert!(ascii_prefixed_entries(&mut Cur {
+            bytes: clean,
+            pos: 0
+        })
+        .is_some());
+        let long = &cases.last().unwrap().1;
+        assert!(ascii_prefixed_entries(&mut Cur {
+            bytes: long,
+            pos: 0
+        })
+        .is_none());
     }
 
     #[test]

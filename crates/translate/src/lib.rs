@@ -40,7 +40,7 @@ pub use columnar::{
 };
 pub use jxc::{
     flatten_rows, footer_crc, read_jxc, read_jxc_file, read_jxc_file_head, read_jxc_head,
-    rows_as_values, write_jxc, write_jxc_file, write_jxc_parts, Encoding, JxcColumnInfo, JxcError,
-    JxcFile,
+    render_rows, rows_as_values, write_jxc, write_jxc_file, write_jxc_parts, Encoding,
+    JxcColumnInfo, JxcError, JxcFile,
 };
 pub use relational::{normalize, Relation};

@@ -17,13 +17,21 @@
 //! * `read_jxc_head(bytes, n)` is `read_jxc(bytes)` cut to its first `n`
 //!   rows, with the same column facts and row count — and, on a damaged
 //!   file, the same error: every check covers the whole file at any `n`.
+//! * `render_rows` writes the text `to_string` gives each row
+//!   `rows_as_values` builds — or, flattened, each row `flatten_rows`
+//!   builds — line for line, with the same count, and without building
+//!   them.
+//!
+//! `PROPTEST_SEED=N` draws fresh documents and cuts; a failure names its
+//! seed.
 
 use jsonx_core::{infer_collection, Equivalence};
 use jsonx_data::{crc32, Number, Object, Value};
+use jsonx_syntax::to_string;
 use jsonx_translate::columnar::Column;
 use jsonx_translate::{
-    flatten_rows, read_jxc, read_jxc_head, rows_as_values, write_jxc, write_jxc_parts, Bitmap,
-    ColumnData, ColumnarBatch, Encoding, JxcError, JxcFile, Shredder, StrArena,
+    flatten_rows, read_jxc, read_jxc_head, render_rows, rows_as_values, write_jxc, write_jxc_parts,
+    Bitmap, ColumnData, ColumnarBatch, Encoding, JxcError, JxcFile, Shredder, StrArena,
 };
 use proptest::prelude::*;
 
@@ -129,6 +137,52 @@ fn assert_head_is_prefix(bytes: &[u8], n: usize) -> Result<(), TestCaseError> {
             prop_assert_eq!(flatten_rows(&head, n), flatten_rows(&full, n));
         }
         (head, full) => prop_assert!(false, "n = {}: head {:?}, full {:?}", n, head, full),
+    }
+    Ok(())
+}
+
+/// The lines `render_rows` hands over for `file` cut to `limit`, and
+/// the count it returns.
+fn rendered(file: &JxcFile, limit: usize, flatten: bool) -> (Vec<String>, usize) {
+    let mut lines = Vec::new();
+    let shown = render_rows(file, limit, flatten, |line| {
+        lines.push(line.to_owned());
+        Ok::<_, ()>(true)
+    })
+    .unwrap();
+    (lines, shown)
+}
+
+/// Holds `render_rows` to the DOM rows it stands in for —
+/// `rows_as_values`, or `flatten_rows` when flattening, each through
+/// `to_string` — line for line and in count. A reader that stops after
+/// the first line is handed only that line, and the count stays; a
+/// reader's error ends the rendering with that error.
+fn assert_renders_as_the_dom(file: &JxcFile, limit: usize) -> Result<(), TestCaseError> {
+    for flatten in [false, true] {
+        let dom = if flatten {
+            flatten_rows(file, limit)
+        } else {
+            rows_as_values(&file.batch, limit)
+        };
+        let want: Vec<String> = dom.iter().map(to_string).collect();
+        let (lines, shown) = rendered(file, limit, flatten);
+        prop_assert_eq!(
+            lines.join("\n"),
+            want.join("\n"),
+            "limit {}, flatten {}",
+            limit,
+            flatten
+        );
+        prop_assert_eq!(shown, dom.len());
+        let mut handed = 0;
+        let stopped = render_rows(file, limit, flatten, |_| {
+            handed += 1;
+            Ok::<_, ()>(false)
+        });
+        prop_assert_eq!((handed, stopped), (dom.len().min(1), Ok(dom.len())));
+        let failed = render_rows(file, limit, flatten, |_| Err("sink"));
+        prop_assert_eq!(failed, if dom.is_empty() { Ok(0) } else { Err("sink") });
     }
     Ok(())
 }
@@ -381,6 +435,20 @@ proptest! {
     }
 
     #[test]
+    fn rendered_rows_are_the_dom_rows_text(
+        docs in prop::collection::vec(arb_encoded_record(), 0..24),
+        raw_cuts in prop::collection::vec(0usize..25, 0..4),
+    ) {
+        let bytes = parts_bytes(&shred_parts(&docs, &raw_cuts));
+        let full = read_jxc(&bytes).unwrap();
+        let rows = docs.len();
+        for n in [0, 1, 7, 8, 9, rows.saturating_sub(1), rows, rows + 1, usize::MAX] {
+            assert_renders_as_the_dom(&read_jxc_head(&bytes, n).unwrap(), n)?;
+            assert_renders_as_the_dom(&full, n)?;
+        }
+    }
+
+    #[test]
     fn jxc_write_read_reproduces_the_batch(
         docs in prop::collection::vec(arb_record(), 0..10)
     ) {
@@ -451,4 +519,197 @@ proptest! {
         prop_assert_eq!(parts_bytes(&parts), want.clone(), "{} parts", parts.len());
         prop_assert_eq!(parts_bytes(std::slice::from_ref(&whole)), want);
     }
+}
+
+/// A column `path` holding `data` in the rows `validity` marks `1`.
+fn column(path: &str, data: ColumnData, validity: &str) -> Column {
+    Column {
+        path: path.into(),
+        data,
+        validity: validity.bytes().map(|bit| bit == b'1').collect(),
+    }
+}
+
+/// `columns` over `rows` rows, written and read back.
+fn file_of(columns: Vec<Column>, rows: usize) -> JxcFile {
+    read_jxc(&write_jxc(&ColumnarBatch { columns, rows })).unwrap()
+}
+
+/// Renders `file` at limits around its size, flattened or not.
+fn assert_renders_as_the_dom_at_every_limit(file: &JxcFile) {
+    for n in [0, 1, 2, 3, file.rows, file.rows + 1, usize::MAX] {
+        assert_renders_as_the_dom(file, n).unwrap();
+    }
+}
+
+/// A file whose paths repeat — one our writers never make, but the
+/// reader accepts — renders as the DOM does: a repeated key stays at its
+/// first position with its last value, in plain and in list columns.
+#[test]
+fn repeated_column_paths_render_as_the_dom_row() {
+    let file = file_of(
+        vec![
+            column("a", ColumnData::Ints(vec![1, 2]), "110"),
+            column("b", ColumnData::Strs(StrArena::from_iter(["x"])), "100"),
+            column(
+                "a",
+                ColumnData::Strs(StrArena::from_iter(["y", "z"])),
+                "101",
+            ),
+            column(
+                "xs",
+                ColumnData::Json(StrArena::from_iter(["[1,2]", "[]"])),
+                "110",
+            ),
+            column("xs", ColumnData::Bools([true].into_iter().collect()), "010"),
+            column(
+                "b",
+                ColumnData::Json(StrArena::from_iter(["[\"p\",\"q\"]"])),
+                "001",
+            ),
+        ],
+        3,
+    );
+    assert_eq!(file.columns[3].encoding, Encoding::ListInt);
+    assert_eq!(file.columns[5].encoding, Encoding::ListStr);
+    let (lines, _) = rendered(&file, usize::MAX, false);
+    assert_eq!(lines[0], r#"{"a":"y","b":"x","xs":[1,2]}"#);
+    assert_renders_as_the_dom_at_every_limit(&file);
+}
+
+/// Floats by `Number`'s rules: NaN and the infinities as `null` (JSON
+/// has no such number), `-0.0`, a `.0` kept below `1e15` and dropped
+/// from there on; integers at both ends of `i64`, plain and in lists.
+#[test]
+fn numbers_render_as_the_dom_prints_them() {
+    let floats = vec![
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        999_999_999_999_999.0,
+        1e15,
+        -1e15,
+        1e15 + 2.0,
+        0.1,
+        -2.5e-300,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+    ];
+    let rows = floats.len();
+    let ints = [i64::MIN, i64::MAX, 0, -1];
+    let ends = format!("[{},{}]", i64::MIN, i64::MAX);
+    let file = file_of(
+        vec![
+            column("f", ColumnData::Floats(floats), &"1".repeat(rows)),
+            column("i", ColumnData::Ints(ints.to_vec()), "1111000000000"),
+            column(
+                "xs",
+                ColumnData::Json(StrArena::from_iter([ends.as_str(), "[0,-1]"])),
+                "1010000000000",
+            ),
+        ],
+        rows,
+    );
+    assert_eq!(file.columns[2].encoding, Encoding::ListInt);
+    let (lines, _) = rendered(&file, usize::MAX, false);
+    assert_eq!(
+        lines[..3],
+        [
+            format!("{{\"f\":null,\"i\":{},\"xs\":{ends}}}", i64::MIN),
+            format!("{{\"f\":null,\"i\":{}}}", i64::MAX),
+            "{\"f\":null,\"i\":0,\"xs\":[0,-1]}".to_string(),
+        ]
+    );
+    assert_renders_as_the_dom_at_every_limit(&file);
+}
+
+/// Every escape class, non-ASCII text and empty strings — in string
+/// cells, in list items and in column paths.
+#[test]
+fn escapes_and_non_ascii_text_render_as_the_dom_writes_them() {
+    let nasty = "q\"b\\n\nr\rt\tb\u{8}f\u{c}c\u{1}\u{1f}d\u{7f}/é😀";
+    let items = [nasty, "", "a,b", "x\"],[y", "ü"];
+    let mut list = String::from("[");
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            list.push(',');
+        }
+        jsonx_data::write_escaped(item, &mut list);
+    }
+    list.push(']');
+    let file = file_of(
+        vec![
+            column(
+                nasty,
+                ColumnData::Strs(StrArena::from_iter([nasty, "", "é"])),
+                "111",
+            ),
+            column("", ColumnData::Strs(StrArena::from_iter(["", "x"])), "101"),
+            column(
+                "tags\t😀",
+                ColumnData::Json(StrArena::from_iter([list.as_str(), "[\"\"]", "[]"])),
+                "111",
+            ),
+        ],
+        3,
+    );
+    assert_eq!(file.columns[2].encoding, Encoding::ListStr);
+    assert_renders_as_the_dom_at_every_limit(&file);
+    let (flat, shown) = rendered(&file, usize::MAX, true);
+    assert_eq!((flat.len(), shown), (7, 7));
+}
+
+/// Spill text that is not the compact serialization — spacing, an
+/// exponent, an escaped letter, a repeated key, text that does not
+/// parse — is parsed and serialized again (or printed as a string), as
+/// the DOM route does.
+#[test]
+fn dict_spill_cells_render_through_the_parser() {
+    let texts = [
+        "{\"a\" : 1}",
+        "1e2",
+        "\"\\u00e9\"",
+        "{\"a\":1,\"a\":2}",
+        "{",
+        "[1, 2]",
+        "",
+    ];
+    let file = file_of(
+        vec![
+            column("j", ColumnData::Json(StrArena::from_iter(texts)), "1111111"),
+            column(
+                "k",
+                ColumnData::Json(StrArena::from_iter(["[1,2]"])),
+                "1000000",
+            ),
+        ],
+        texts.len(),
+    );
+    assert_eq!(file.columns[0].encoding, Encoding::Dict);
+    let (lines, _) = rendered(&file, usize::MAX, false);
+    assert_eq!(
+        lines,
+        [
+            r#"{"j":{"a":1},"k":[1,2]}"#,
+            r#"{"j":100.0}"#,
+            r#"{"j":"é"}"#,
+            r#"{"j":{"a":2}}"#,
+            r#"{"j":"{"}"#,
+            r#"{"j":[1,2]}"#,
+            r#"{"j":""}"#,
+        ]
+    );
+    assert_renders_as_the_dom_at_every_limit(&file);
+}
+
+/// A file of rows and no columns renders `{}` per row, flattened or not.
+#[test]
+fn zero_columns_render_empty_objects() {
+    let file = file_of(Vec::new(), 3);
+    assert_eq!(rendered(&file, 10, false), (vec!["{}".to_string(); 3], 3));
+    assert_eq!(rendered(&file, 2, true), (vec!["{}".to_string(); 2], 2));
+    assert_renders_as_the_dom_at_every_limit(&file);
+    assert_renders_as_the_dom_at_every_limit(&file_of(Vec::new(), 0));
 }

@@ -53,9 +53,7 @@ use jsonx::documents::{
 use jsonx::schema::{CompiledSchema, ValidatorOptions};
 use jsonx::skeleton::Skeleton;
 use jsonx::syntax::{parse, to_string, to_string_pretty, MAX_DEPTH_CEILING};
-use jsonx::translate::{
-    flatten_rows, read_jxc_file_head, rows_as_values, write_jxc_parts, ColumnarBatch,
-};
+use jsonx::translate::{read_jxc_file_head, render_rows, write_jxc_parts, ColumnarBatch};
 use jsonx::{
     write_quarantine_file, CsvDecoder, ErrorPolicy, FaultOptions, Format, JournalControl,
     JsonDecoder, LineVerdict, ParseLimits, RecordDecoder, Run, RunReport, Source, StreamError,
@@ -1423,9 +1421,11 @@ fn write_jxc_out(path: &Path, parts: &[ColumnarBatch]) -> std::io::Result<u64> {
 /// summary on stderr. `--flatten` cross-joins list columns into flat
 /// rows; `--head N` bounds the rows shown — and decoded: the whole file
 /// is checked, only its first N rows are built (a row flattens to at
-/// least one row, so N rows are enough for `--flatten` too).
+/// least one row, so N rows are enough for `--flatten` too), and each
+/// row is rendered from its columns (`render_rows`), not built.
 fn cmd_cat(opts: &Opts) -> Result<(), CliError> {
     use jsonx::translate::JxcError;
+    use std::fmt::Write as _;
     let path = opts
         .file
         .as_deref()
@@ -1437,17 +1437,10 @@ fn cmd_cat(opts: &Opts) -> Result<(), CliError> {
     })?;
     let mut out = PipeOut::new();
     out.line(&file.batch.schema_string())?;
-    let rows = if opts.has("flatten") {
-        flatten_rows(&file, head)
-    } else {
-        rows_as_values(&file.batch, head)
-    };
-    for row in &rows {
-        if !out.line(&to_string(row))? {
-            break;
-        }
-    }
+    let shown = render_rows(&file, head, opts.has("flatten"), |row| out.line(row))?;
     out.finish()?;
+    // One write for the whole report: stderr is unbuffered.
+    let mut report = String::new();
     for info in &file.columns {
         let detail = match (info.dict_len, info.list_items) {
             (Some(d), Some(items)) => format!(" ({items} items, dict {d})"),
@@ -1455,7 +1448,8 @@ fn cmd_cat(opts: &Opts) -> Result<(), CliError> {
             (None, Some(items)) => format!(" ({items} items)"),
             (None, None) => String::new(),
         };
-        eprintln!(
+        writeln!(
+            report,
             "» {}: {} {}{detail}, {}/{} valid, {} bytes",
             info.path,
             info.type_name,
@@ -1463,14 +1457,17 @@ fn cmd_cat(opts: &Opts) -> Result<(), CliError> {
             info.valid_count,
             file.rows,
             info.block_bytes
-        );
+        )
+        .expect("writing to a String");
     }
-    eprintln!(
-        "» {} columns x {} rows, showing {}",
+    writeln!(
+        report,
+        "» {} columns x {} rows, showing {shown}",
         file.columns.len(),
         file.rows,
-        rows.len()
-    );
+    )
+    .expect("writing to a String");
+    eprint!("{report}");
     Ok(())
 }
 
