@@ -495,7 +495,7 @@ impl Slot {
 /// depends on.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Planned {
-    /// (path, slot type); columns in order.
+    /// (path, slot type); columns in order, one per path.
     layout: Vec<(String, Slot)>,
     /// Paths of record-typed fields that have no field of their own yet:
     /// no column, but an object there flattens (to nothing).
@@ -561,9 +561,9 @@ impl Plan {
             verifiable: verifiable && !planned.dotted,
         };
         for (column, (path, _)) in planned.layout.iter().enumerate() {
+            // [`plan`] gives each path one column, so no node is named
+            // twice.
             let node = plan.path_or_insert(path);
-            // Two fields can flatten to one path (`{"a.b": 1}` next to
-            // `{"a": {"b": 1}}`): the later column takes the cells.
             plan.nodes[node].column = Some(column);
         }
         for path in &planned.hollow {
@@ -1602,6 +1602,7 @@ fn slot_of(value: &Value) -> Slot {
 
 fn widen(a: Slot, b: Slot) -> Slot {
     match (a, b) {
+        (Slot::Null, x) | (x, Slot::Null) => x,
         (Slot::Int, Slot::Float) | (Slot::Float, Slot::Int) => Slot::Float,
         (x, y) if x == y => x,
         _ => Slot::Json,
@@ -1664,7 +1665,21 @@ fn plan(ty: &JType, prefix: String, planned: &mut Planned) {
                 plan(&field.ty, join(&prefix, name), planned);
             }
         }
-        Shape::Column(slot) => planned.layout.push((prefix, slot)),
+        Shape::Column(slot) => {
+            // A literal dotted key and a nested path can spell one path
+            // (`{"a.b": 1}` next to `{"a": {"b": "x"}}`), and by the
+            // second of two such fields a dotted name has been planned.
+            // One column holds both, its slot widened as `discover`
+            // widens a retyped column.
+            let same = match planned.dotted {
+                true => planned.layout.iter_mut().find(|(path, _)| *path == prefix),
+                false => None,
+            };
+            match same {
+                Some((_, had)) => *had = widen(*had, slot),
+                None => planned.layout.push((prefix, slot)),
+            }
+        }
     }
 }
 

@@ -1373,9 +1373,12 @@ fn push_key(text: &mut String, key: &str) {
 /// over. Returns the number of rows — the length of the `Vec` the DOM
 /// route returns.
 ///
-/// A file whose column paths repeat (no writer of ours makes one, and
-/// the reader does not refuse it) takes the DOM route: a row object
-/// keeps the first position of a repeated key with its last value.
+/// A file whose column paths repeat takes the DOM route: a row object
+/// keeps the first position of a repeated key with its last value. The
+/// writer names each path once, but files it wrote before the layout
+/// gave a literal dotted key and the nested path it spells one column,
+/// and files from other writers, may repeat one, and the reader does
+/// not refuse them.
 pub fn render_rows<E>(
     file: &JxcFile,
     limit: usize,

@@ -13,10 +13,12 @@
 //! to several KiB (every length modulo the CRC's 16-byte fold), some
 //! with dictionaries of over a thousand entries.
 
-use jsonx_data::{Number, Object, Value};
+use jsonx_core::{infer_collection, Equivalence};
+use jsonx_data::{json, Number, Object, Value};
 use jsonx_translate::columnar::Column;
 use jsonx_translate::{
-    read_jxc, rows_as_values, write_jxc_parts, Bitmap, ColumnData, ColumnarBatch, StrArena,
+    read_jxc, rows_as_values, write_jxc_parts, Bitmap, ColumnData, ColumnarBatch, Shredder,
+    StrArena,
 };
 use proptest::prelude::*;
 
@@ -510,6 +512,30 @@ fn the_spec_reader_reads_dictionaries_of_over_a_thousand_entries() {
         assert!(dict_len > Some(1000), "seed {seed}: {dict_len:?}");
         assert_spec_agrees(&file);
     }
+}
+
+/// A literal dotted key and the nested path it spells are one column,
+/// its slot widened to hold both fields' values: the writer names no
+/// path twice, and a record holding both keys keeps the first.
+#[test]
+fn the_spec_reader_reads_a_dotted_key_beside_the_path_it_spells() {
+    let docs = [
+        json!({"a.b": 1}),
+        json!({"a": {"b": "x"}}),
+        json!({"a.b": 2, "a": {"b": "y"}}),
+    ];
+    let ty = infer_collection(&docs, Equivalence::Kind);
+    let file = parts_file(&[Shredder::from_type(&ty).shred(&docs).unwrap()]);
+    let paths: Vec<String> = read_jxc(&file)
+        .unwrap()
+        .columns
+        .iter()
+        .map(|col| col.path.clone())
+        .collect();
+    assert_eq!(paths, ["a.b"]);
+    assert_spec_agrees(&file);
+    let rows = [json!({"a.b": 1}), json!({"a.b": "x"}), json!({"a.b": 2})];
+    assert_eq!(spec_rows(&file), Ok(rows.to_vec()));
 }
 
 proptest! {

@@ -542,9 +542,11 @@ fn assert_renders_as_the_dom_at_every_limit(file: &JxcFile) {
     }
 }
 
-/// A file whose paths repeat — one our writers never make, but the
-/// reader accepts — renders as the DOM does: a repeated key stays at its
-/// first position with its last value, in plain and in list columns.
+/// A file whose paths repeat — as the writer made before a dotted key
+/// and the nested path it spells shared a column, or as another writer
+/// may, and the reader accepts — renders as the DOM does: a repeated key
+/// stays at its first position with its last value, in plain and in
+/// list columns.
 #[test]
 fn repeated_column_paths_render_as_the_dom_row() {
     let file = file_of(

@@ -1214,6 +1214,46 @@ fn a_stray_scalar_line_costs_one_reject_not_every_column() {
     assert!(err.starts_with("jsonx: line 4: "), "{err}");
 }
 
+/// A literal dotted key and the nested path it spells write one column
+/// (translate used to plan two `a.b` columns and null the first): both
+/// routes, one worker or two, write the same bytes, and `cat` shows each
+/// record's value. A record holding both keys keeps the first.
+#[test]
+fn a_dotted_key_and_the_nested_path_it_spells_share_one_column() {
+    for (name, corpus, rows) in [
+        (
+            "dotted",
+            "{\"a.b\":1}\n{\"a\":{\"b\":\"x\"}}\n",
+            "a.b:json\n{\"a.b\":1}\n{\"a.b\":\"x\"}\n",
+        ),
+        (
+            "dotted-both",
+            "{\"a.b\":1}\n{\"a\":{\"b\":\"x\"}}\n{\"a\":{\"b\":\"y\"},\"a.b\":2}\n",
+            "a.b:json\n{\"a.b\":1}\n{\"a.b\":\"x\"}\n{\"a.b\":\"y\"}\n",
+        ),
+    ] {
+        let input = corpus_file(&format!("{name}.ndjson"), corpus);
+        let out = corpus_file(&format!("{name}.jxc"), "");
+        let mut written = Vec::new();
+        for extra in [
+            &["--workers", "1"][..],
+            &["--workers", "2"],
+            &["--workers", "1", "--no-fast-parse"],
+            &["--workers", "2", "--no-fast-parse"],
+        ] {
+            let base = ["translate", "--out", &out, "--input", &input];
+            let (_, err, ok) = run(&[&base[..], extra].concat(), "");
+            assert!(ok && err.contains("1 columns x"), "{name} {extra:?}: {err}");
+            assert!(err.contains("0 rejected"), "{name} {extra:?}: {err}");
+            written.push(std::fs::read(&out).unwrap());
+            let (shown, err, ok) = run(&["cat", &out], "");
+            assert!(ok, "{err}");
+            assert_eq!(shown, rows, "{name} {extra:?}");
+        }
+        assert!(written.windows(2).all(|w| w[0] == w[1]), "{name}");
+    }
+}
+
 /// `--report-timing` says what the speculation on the layout did: the
 /// first chunk's layout held; a late record added to it and its chunk
 /// alone was shredded again; a late record changed a column and every

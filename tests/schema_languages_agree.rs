@@ -76,6 +76,111 @@ fn all_three_languages_agree_on_profiles() {
     }
 }
 
+/// The tweet record of the generated Twitter corpus in each language.
+/// JSound has no bounds, patterns or nested requirements, so its `user`
+/// is `any` and its `text` has no length.
+fn tweet_scenario() -> Scenario {
+    let json_schema = CompiledSchema::compile(&json!({
+        "type": "object",
+        "required": ["id", "created_at", "user"],
+        "properties": {
+            "id": {"type": "integer", "minimum": 0},
+            "created_at": {"type": "string"},
+            "text": {"type": "string", "maxLength": 280},
+            "full_text": {"type": "string"},
+            "display_text_range": {"type": "array", "items": {"type": "integer"}},
+            "user": {"type": "object", "required": ["id", "screen_name"],
+                      "properties": {
+                          "id": {"type": "integer"},
+                          "screen_name": {"type": "string"},
+                          "verified": {"type": "boolean"},
+                          "followers_count": {"type": "integer"},
+                          "location": {"type": "string"}}},
+            "coordinates": {"anyOf": [{"type": "null"}, {"type": "object"}]},
+            "entities": {"type": "object"},
+            "retweet_count": {"type": "integer"},
+            "favorite_count": {"type": "integer"},
+            "retweeted_status": {"type": "object"}
+        }
+    }))
+    .unwrap();
+    let user = joi::object()
+        .key("id", joi::integer().required())
+        .key("screen_name", joi::string().required())
+        .key("verified", joi::boolean())
+        .key("followers_count", joi::integer())
+        .key("location", joi::string())
+        .build();
+    let joi_schema = joi::object()
+        .key("id", joi::integer().min(0.0).required())
+        .key("created_at", joi::string().required())
+        .key("text", joi::string().max_len(280))
+        .key("full_text", joi::string())
+        .key("display_text_range", joi::array().items(joi::integer()))
+        .key("user", user.required())
+        .key(
+            "coordinates",
+            joi::alternatives([joi::object().unknown(true).build()]).allow_null(),
+        )
+        .key("entities", joi::object().unknown(true).build())
+        .key("retweet_count", joi::integer())
+        .key("favorite_count", joi::integer())
+        .key("retweeted_status", joi::object().unknown(true).build())
+        .build();
+    let jsound_schema = JSoundSchema::compile(&json!({
+        "!id": "integer",
+        "!created_at": "string",
+        "text": "string",
+        "full_text": "string",
+        "display_text_range": ["integer"],
+        "user": "any",
+        "coordinates": "any",
+        "entities": "any",
+        "retweet_count": "integer",
+        "favorite_count": "integer",
+        "retweeted_status": "any"
+    }))
+    .unwrap();
+    Scenario {
+        json_schema,
+        joi_schema,
+        jsound_schema,
+    }
+}
+
+/// E1 in EXPERIMENTS.md: on every generated tweet, and on each tweet
+/// broken where all three languages constrain it, the three verdicts
+/// are one.
+#[test]
+fn all_three_languages_agree_on_generated_tweets() {
+    let s = tweet_scenario();
+    let breaks: [(&str, Option<Value>); 4] = [
+        ("id", None),
+        ("id", Some(json!("1"))),
+        ("created_at", None),
+        ("retweet_count", Some(json!("many"))),
+    ];
+    for tweet in jsonx::gen::Corpus::Twitter.generate(500) {
+        let mut cases = vec![(tweet.clone(), true)];
+        for (key, value) in &breaks {
+            let mut broken = tweet.as_object().unwrap().clone();
+            match value {
+                Some(value) => broken.insert(*key, value.clone()),
+                None => broken.remove(key),
+            };
+            cases.push((Value::Obj(broken), false));
+        }
+        for (instance, expected) in cases {
+            let verdicts = [
+                s.json_schema.is_valid(&instance),
+                s.joi_schema.is_valid(&instance),
+                s.jsound_schema.is_valid(&instance),
+            ];
+            assert_eq!(verdicts, [expected; 3], "{instance}");
+        }
+    }
+}
+
 #[test]
 fn jsound_compiles_into_equivalent_json_schema() {
     let s = profile_scenario();
