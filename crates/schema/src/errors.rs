@@ -83,11 +83,6 @@ pub enum ValidationErrorKind {
     BadRef {
         reference: String,
     },
-    /// Unguarded `$ref` recursion: the same reference re-entered on the
-    /// same instance location without consuming input.
-    RefCycle {
-        reference: String,
-    },
 }
 
 impl ValidationErrorKind {
@@ -125,7 +120,7 @@ impl ValidationErrorKind {
             PropertyNames { .. } => "propertyNames",
             Dependencies { .. } => "dependencies",
             Never => "false",
-            BadRef { .. } | RefCycle { .. } => "$ref",
+            BadRef { .. } => "$ref",
         }
     }
 }

@@ -83,7 +83,7 @@ enum IrNode {
     /// Rejects everything (`false`).
     Never,
     /// A `$ref` site with its target pre-resolved to an arena index, and
-    /// the reference as written (what a `RefCycle` error names).
+    /// the reference as written (what a refused cycle names).
     Ref { target: u32, reference: Box<str> },
     /// A `$ref` whose target is missing or not a schema; always rejects,
     /// with the reference and why it failed to compile as the error.
@@ -177,20 +177,14 @@ fn subsumed_bits(declared: Kind) -> u8 {
     }
 }
 
-/// Follows `Ref` chains from `idx` to a non-reference node, with a hop
-/// cap so reference cycles terminate (the node returned is then still a
-/// `Ref`, which callers treat conservatively).
+/// Follows `Ref` chains from `idx` to a non-reference node. Every chain
+/// ends: a cycle of references alone consumes no input, and `build`
+/// refuses those.
 fn deref(nodes: &[IrNode], mut idx: u32) -> &IrNode {
-    let mut hops = 0usize;
-    loop {
-        match &nodes[idx as usize] {
-            IrNode::Ref { target, .. } if hops <= nodes.len() => {
-                idx = *target;
-                hops += 1;
-            }
-            node => return node,
-        }
+    while let IrNode::Ref { target, .. } = &nodes[idx as usize] {
+        idx = *target;
     }
+    &nodes[idx as usize]
 }
 
 impl Ir {
@@ -212,7 +206,8 @@ impl Ir {
             // The verdict ignores document content entirely; every field
             // can be skipped.
             IrNode::Any | IrNode::Never => Some(Vec::new()),
-            IrNode::Ref { .. } | IrNode::BadRef { .. } => None,
+            IrNode::BadRef { .. } => None,
+            IrNode::Ref { .. } => unreachable!("deref follows every reference"),
             IrNode::Node(n) => {
                 let clean = n.enumeration.is_none()
                     && n.const_value.is_none()
@@ -247,14 +242,15 @@ impl Ir {
     }
 }
 
+/// The tables [`build`] returns: the arena, and every reachable reference
+/// resolved (or failed), which [`CompiledSchema::resolve_ref`] serves
+/// lookups from.
+type Built = (Ir, HashMap<String, Result<Schema, SchemaError>>);
+
 /// Lowers a compiled AST into the IR, resolving every reachable `$ref`
-/// against `source` exactly once. Returns the arena plus the table of
-/// resolved (or failed) reference targets, which
-/// [`CompiledSchema::resolve_ref`] serves lookups from.
-pub(crate) fn build(
-    root: &Schema,
-    source: &Value,
-) -> (Ir, HashMap<String, Result<Schema, SchemaError>>) {
+/// against `source` exactly once, and refuses a schema that is not well
+/// formed (see [`refuse_unguarded_cycles`]).
+pub(crate) fn build(root: &Schema, source: &Value) -> Result<Built, SchemaError> {
     let mut b = Builder {
         source,
         nodes: vec![IrNode::Any, IrNode::Never],
@@ -264,7 +260,8 @@ pub(crate) fn build(
         ref_table: HashMap::new(),
     };
     let root_idx = b.lower(root);
-    (
+    refuse_unguarded_cycles(&b.nodes)?;
+    Ok((
         Ir {
             walk: plan_walk(&b.nodes, root_idx),
             nodes: b.nodes,
@@ -272,7 +269,96 @@ pub(crate) fn build(
             root: root_idx,
         },
         b.ref_table,
-    )
+    ))
+}
+
+/// The positions that judge the very value `node` judges: a reference's
+/// target, the combinators' branches, `if` / `then` / `else` and schema
+/// `dependencies`. Every other subschema edge moves to a member, an
+/// element or a property name.
+fn same_instance(node: &IrNode) -> Vec<u32> {
+    match node {
+        IrNode::Ref { target, .. } => vec![*target],
+        IrNode::Node(n) => {
+            let conditional = [n.not, n.if_schema, n.then_schema, n.else_schema];
+            let dependencies = n.dependencies.iter().filter_map(|(_, dep)| match dep {
+                IrDependency::Schema(schema) => Some(*schema),
+                IrDependency::Keys(_) => None,
+            });
+            n.all_of
+                .iter()
+                .chain(&n.any_of)
+                .chain(&n.one_of)
+                .copied()
+                .chain(conditional.into_iter().flatten())
+                .chain(dependencies)
+                .collect()
+        }
+        IrNode::Any | IrNode::Never | IrNode::BadRef { .. } => Vec::new(),
+    }
+}
+
+/// Refuses a schema that recurses without consuming input: a cycle of
+/// [`same_instance`] edges. Pezoa et al. give meaning only to well-formed
+/// schemas, where every cycle of references passes through a keyword
+/// that moves to a sub-instance; the evaluators rely on it to end. The
+/// arena is a tree except at `Ref`, so such a cycle holds a reference,
+/// and the error names the cycle's references in order.
+fn refuse_unguarded_cycles(nodes: &[IrNode]) -> Result<(), SchemaError> {
+    #[derive(Clone, Copy, PartialEq)]
+    enum Mark {
+        Unseen,
+        OnPath,
+        Finished,
+    }
+    let mut marks = vec![Mark::Unseen; nodes.len()];
+    // A depth-first path of positions, each with the edges not yet taken.
+    let mut path: Vec<(u32, std::vec::IntoIter<u32>)> = Vec::new();
+    for start in 0..nodes.len() as u32 {
+        if marks[start as usize] != Mark::Unseen {
+            continue;
+        }
+        marks[start as usize] = Mark::OnPath;
+        path.push((start, same_instance(&nodes[start as usize]).into_iter()));
+        while let Some((position, edges)) = path.last_mut() {
+            let Some(next) = edges.next() else {
+                marks[*position as usize] = Mark::Finished;
+                path.pop();
+                continue;
+            };
+            match marks[next as usize] {
+                Mark::Finished => {}
+                Mark::Unseen => {
+                    marks[next as usize] = Mark::OnPath;
+                    path.push((next, same_instance(&nodes[next as usize]).into_iter()));
+                }
+                Mark::OnPath => {
+                    let from = path.iter().position(|(p, _)| *p == next);
+                    let mut cycle: Vec<&str> = path[from.expect("on the path")..]
+                        .iter()
+                        .filter_map(|(p, _)| match &nodes[*p as usize] {
+                            IrNode::Ref { reference, .. } => Some(&**reference),
+                            _ => None,
+                        })
+                        .collect();
+                    // Begin and end with the reference that closes the cycle.
+                    let closing = *cycle.last().expect("a cycle passes a reference");
+                    cycle.insert(0, closing);
+                    return Err(SchemaError::new(
+                        closing,
+                        format!(
+                            "the schema recurses without consuming input: {} \
+                             (a well-formed schema's every cycle of references passes through \
+                             properties, patternProperties, additionalProperties, items, \
+                             additionalItems, contains or propertyNames)",
+                            cycle.join(" → ")
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 struct Builder<'a> {
@@ -447,22 +533,14 @@ impl<'a> Builder<'a> {
 
 /// The reusable arena walker, and the fail-fast verdict over it.
 ///
-/// Holds the mutable scratch the arena walk needs — the `$ref` expansion
-/// stack, one regex [`Matcher`], and a string buffer for `propertyNames`
-/// probes (and the strings [`EventValidator`] hands over) — so validating
-/// many documents through one `FastValidator` allocates nothing in steady
-/// state. Create one per worker thread; it is deliberately `!Sync` (cheap
+/// Holds the mutable scratch the arena walk needs — one regex
+/// [`Matcher`], and a string buffer for `propertyNames` probes (and the
+/// strings [`EventValidator`] hands over) — so validating many documents
+/// through one `FastValidator` allocates nothing in steady state. Create one per worker thread; it is deliberately `!Sync` (cheap
 /// to construct, not to share).
 pub struct FastValidator<'s> {
     ir: &'s Ir,
     options: ValidatorOptions,
-    /// Active `$ref` expansions as (target slot, instance location). The
-    /// instance location is identified by address: within one document
-    /// walk, revisiting the same slot at the same address means the
-    /// reference recursed without consuming input. Each reference text
-    /// has its own slot, so this is the (reference, instance path) pair
-    /// a `RefCycle` error names.
-    ref_stack: Vec<(u32, *const Value)>,
     matcher: Matcher,
     /// Reused `Value::Str` for `propertyNames` probes and the event
     /// walk's string scalars.
@@ -480,7 +558,6 @@ impl CompiledSchema {
         FastValidator {
             ir: self.ir(),
             options,
-            ref_stack: Vec::new(),
             matcher: Matcher::new(),
             key_scratch: Value::Str(String::new()),
         }
@@ -597,14 +674,12 @@ impl<'s> FastValidator<'s> {
     /// True when `value` conforms: the walk's verdict face, which
     /// short-circuits on the first violation and allocates nothing.
     pub fn is_valid(&mut self, value: &Value) -> bool {
-        self.ref_stack.clear();
         let root = self.ir.root;
         self.probe(root, value)
     }
 
     /// Every violation in `value`, in walk order: the errors face.
     pub(crate) fn errors(&mut self, value: &Value) -> Vec<ValidationError> {
-        self.ref_stack.clear();
         let mut face = Errors {
             path: Vec::new(),
             errors: Vec::new(),
@@ -632,22 +707,7 @@ impl<'s> FastValidator<'s> {
                 },
                 "{error}"
             ),
-            IrNode::Ref { target, reference } => {
-                let key = (*target, value as *const Value);
-                if self.ref_stack.contains(&key) {
-                    return fail!(
-                        face,
-                        RefCycle {
-                            reference: reference.to_string()
-                        },
-                        "reference '{reference}' loops without consuming input"
-                    );
-                }
-                self.ref_stack.push(key);
-                let walked = self.walk(face, *target, value);
-                self.ref_stack.pop();
-                walked
-            }
+            IrNode::Ref { target, .. } => self.walk(face, *target, value),
             IrNode::Node(node) => self.walk_node(face, node, value),
         }
     }
@@ -1017,8 +1077,7 @@ fn walk_number<'v, F: Face<'v>>(face: &mut F, node: &IrSchemaNode, n: Number) ->
 // * `properties`, `required`, and `additionalProperties` absent, `true` or
 //   `false`;
 // * `items` (both forms), `additionalItems`, `minItems`, `maxItems`;
-// * `$ref`, unless the chain closes on itself without passing a keyword
-//   node;
+// * `$ref`;
 // * `anyOf` beside no other container keyword where, for each of `array`
 //   and `object`, at most one branch's `type` admits it — what
 //   `to_json_schema` emits for a `Kind` union (the walk descends into that
@@ -1129,7 +1188,7 @@ struct Walk {
 fn plan_walk(nodes: &[IrNode], root: u32) -> Result<Walk, &'static str> {
     let mut planner = Planner {
         nodes,
-        visits: vec![Visit::New; nodes.len()],
+        slots: vec![None; nodes.len()],
         todo: vec![root],
         objects: Vec::new(),
         keys: Vec::new(),
@@ -1141,12 +1200,9 @@ fn plan_walk(nodes: &[IrNode], root: u32) -> Result<Walk, &'static str> {
     Ok(Walk {
         root,
         slots: planner
-            .visits
+            .slots
             .into_iter()
-            .map(|visit| match visit {
-                Visit::Done(slot) => slot,
-                _ => Slot::ANY,
-            })
+            .map(|slot| slot.unwrap_or(Slot::ANY))
             .collect(),
         objects: planner.objects,
         keys: planner.keys,
@@ -1154,21 +1210,15 @@ fn plan_walk(nodes: &[IrNode], root: u32) -> Result<Walk, &'static str> {
     })
 }
 
-#[derive(Clone, Copy)]
-enum Visit {
-    New,
-    /// Being resolved further up the `$ref` / `anyOf` chain.
-    Open,
-    Done(Slot),
-}
-
 struct Planner<'a> {
     nodes: &'a [IrNode],
-    visits: Vec<Visit>,
+    /// Each position's slot, once resolved.
+    slots: Vec<Option<Slot>>,
     /// Member positions still to resolve. They wait here instead of on the
-    /// call stack because a member may legitimately lead back to a
-    /// position that is still open (a recursive schema consumes input on
-    /// the way); only `$ref` and `anyOf` edges must not.
+    /// call stack because a member may lead back to a position still being
+    /// resolved (a recursive schema consumes input on the way). `$ref` and
+    /// `anyOf` edges, which are resolved on the call stack, cannot: `build`
+    /// refused every cycle of them.
     todo: Vec<u32>,
     objects: Vec<ObjectTable>,
     keys: Vec<WalkKey>,
@@ -1177,13 +1227,9 @@ struct Planner<'a> {
 
 impl<'a> Planner<'a> {
     fn slot(&mut self, position: u32) -> Result<Slot, &'static str> {
-        match self.visits[position as usize] {
-            Visit::Done(slot) => return Ok(slot),
-            // Back where we started without a keyword node in between.
-            Visit::Open => return Err("$ref"),
-            Visit::New => {}
+        if let Some(slot) = self.slots[position as usize] {
+            return Ok(slot);
         }
-        self.visits[position as usize] = Visit::Open;
         let nodes = self.nodes;
         let slot = match &nodes[position as usize] {
             IrNode::Any => Slot::ANY,
@@ -1199,7 +1245,7 @@ impl<'a> Planner<'a> {
                 }
             }
         };
-        self.visits[position as usize] = Visit::Done(slot);
+        self.slots[position as usize] = Some(slot);
         Ok(slot)
     }
 
@@ -1278,7 +1324,8 @@ impl<'a> Planner<'a> {
             let admitted = match deref(self.nodes, branch) {
                 IrNode::Never | IrNode::BadRef { .. } => false,
                 IrNode::Node(b) => !excludes(b),
-                IrNode::Any | IrNode::Ref { .. } => true,
+                IrNode::Any => true,
+                IrNode::Ref { .. } => unreachable!("deref follows every reference"),
             };
             if admitted && taker.replace(branch).is_some() {
                 return Err("anyOf");
@@ -1815,26 +1862,29 @@ mod tests {
         assert!(!agree(&s, &json!({"value": 1, "children": [{}]})));
     }
 
+    /// A schema that recurses without consuming input does not compile;
+    /// the error names the cycle's references in order, from the one that
+    /// closes it (`tests/conformance/wellformed.json` has one per keyword).
+    /// Through a consuming keyword the same recursion compiles.
     #[test]
-    fn unguarded_cycle_is_a_ref_cycle() {
-        let s = compile(json!({"$ref": "#"}));
-        assert!(!agree(&s, &json!(1)));
-        assert!(matches!(
-            &s.validate(&json!(1)).unwrap_err()[..],
-            [ValidationError {
-                kind: ValidationErrorKind::RefCycle { reference },
-                ..
-            }] if reference == "#"
-        ));
-        // Mutual recursion without consuming input.
-        let s = compile(json!({
+    fn unguarded_cycles_are_refused_naming_their_references() {
+        let error = CompiledSchema::compile(&json!({
             "definitions": {
                 "a": {"$ref": "#/definitions/b"},
-                "b": {"$ref": "#/definitions/a"}
+                "b": {"allOf": [{"$ref": "#/definitions/a"}]}
             },
             "$ref": "#/definitions/a"
-        }));
-        assert!(!agree(&s, &json!("x")));
+        }))
+        .unwrap_err()
+        .to_string();
+        assert!(
+            error.starts_with("invalid schema at '#/definitions/a'")
+                && error.contains("#/definitions/a → #/definitions/b → #/definitions/a"),
+            "{error}"
+        );
+        let guarded = compile(json!({"properties": {"a": {"not": {"$ref": "#"}}}}));
+        assert!(!agree(&guarded, &json!({"a": 1})));
+        assert!(agree(&guarded, &json!({"a": {"a": 1}})));
     }
 
     #[test]
@@ -1852,16 +1902,14 @@ mod tests {
     #[test]
     fn the_errors_face_renders_what_the_arena_lowered() {
         let s = compile(json!({
-            "definitions": {"a": {"$ref": "#/definitions/a"}},
             "properties": {
                 "t": {"type": ["string", "null"]},
                 "p": {"pattern": "^[a-z]+$"},
-                "loop": {"$ref": "#/definitions/a"},
                 "bad": {"$ref": "#/nope"},
                 "one": {"oneOf": [{}, {"type": "integer"}, {"minimum": 0}]}
             }
         }));
-        let doc = json!({"t": 1, "p": "X", "loop": 0, "bad": 0, "one": 1});
+        let doc = json!({"t": 1, "p": "X", "bad": 0, "one": 1});
         assert!(!agree(&s, &doc));
         let shown: Vec<String> = s
             .validate(&doc)
@@ -1874,7 +1922,6 @@ mod tests {
             [
                 "/t: [type] expected string or null, found integer",
                 "/p: [pattern] does not match pattern '^[a-z]+$'",
-                "/loop: [$ref] reference '#/definitions/a' loops without consuming input",
                 "/bad: [$ref] invalid schema at '#/nope': reference target not found",
                 "/one: [oneOf] matches 3 oneOf branches, expected exactly 1",
             ]
@@ -2291,11 +2338,6 @@ mod tests {
             (
                 json!({"required": ["a"], "anyOf": [{"type": "object"}]}),
                 "anyOf",
-            ),
-            (json!({"$ref": "#"}), "$ref"),
-            (
-                json!({"anyOf": [{"$ref": "#"}, {"type": "string"}]}),
-                "$ref",
             ),
             (
                 json!({"definitions": {"u": {"items": {"uniqueItems": true}}}, "properties": {"deep": {"$ref": "#/definitions/u"}}}),

@@ -4,7 +4,7 @@
 //! following the formal semantics of Pezoa et al. (*Foundations of JSON
 //! Schema*, WWW 2016): the draft-04/06 validation vocabulary including the
 //! boolean combinators (`allOf`, `anyOf`, `oneOf`, and **negation** via
-//! `not`), intra-document `$ref` with cycle detection, `definitions`,
+//! `not`), intra-document `$ref` (recursion included), `definitions`,
 //! per-kind keyword sets, and `uniqueItems`/`enum`/`const` under canonical
 //! value equality.
 //!
@@ -34,9 +34,13 @@
 //!   fail-fast verdict ([`CompiledSchema::is_valid`] / [`FastValidator`])
 //!   short-circuits and allocates nothing; the errors face
 //!   ([`CompiledSchema::validate`]) reports every violation with its
-//!   instance path. Unguarded reference cycles (schemas that recurse
-//!   without consuming input) are reported as
-//!   [`ValidationErrorKind::RefCycle`].
+//!   instance path.
+//! * Only well-formed schemas compile (Pezoa et al.): every cycle of
+//!   references must pass through a keyword that moves to a sub-instance
+//!   (`properties`, `items`, `contains`, …). A schema that recurses
+//!   without consuming input — `{"not": {"$ref": "#"}}` — is a
+//!   [`SchemaError`] naming the cycle's references, so no evaluator ever
+//!   meets such a cycle.
 //! * A second evaluator reads no `Value` at all: [`EventValidator`] walks
 //!   the same IR from a record's parse events, for the *streamable*
 //!   fragment ([`CompiledSchema::streamable`]) every inferred schema is in.

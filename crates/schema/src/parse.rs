@@ -45,7 +45,7 @@ impl CompiledSchema {
     pub fn compile(document: &Value) -> Result<CompiledSchema, SchemaError> {
         refuse_unsupported(document, document, "#")?;
         let root = compile_schema(document, "#")?;
-        let (ir, ref_table) = ir::build(&root, document);
+        let (ir, ref_table) = ir::build(&root, document)?;
         Ok(CompiledSchema {
             root,
             source: document.clone(),

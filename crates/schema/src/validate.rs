@@ -113,13 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn ref_cycle_detected() {
-        let s = compile(json!({"$ref": "#"}));
-        let err = s.validate(&json!(1)).unwrap_err();
-        assert!(matches!(err[0].kind, ValidationErrorKind::RefCycle { .. }));
-    }
-
-    #[test]
     fn guarded_recursion_works() {
         // A recursive tree schema: recursion consumes input, so no cycle.
         let s = compile(json!({

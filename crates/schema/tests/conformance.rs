@@ -9,9 +9,13 @@
 //! schema is `streamable()` — as compact and as respelled text — and the
 //! oracle (the AST interpreter under `tests/oracle/`), whose errors must be
 //! the errors face's exactly. A group marked `"refused": true` is a
-//! schema in a later draft's vocabulary (Attouche et al.) that `compile`
-//! must refuse instead of validating more permissively than written.
-//! Together the cases produce every [`ValidationErrorKind`].
+//! schema that `compile` must refuse: one in a later draft's vocabulary
+//! (Attouche et al.), which it would otherwise validate more permissively
+//! than written, or — with a `"cycle"`, the references `compile`'s error
+//! must name — one that is not well formed (Pezoa et al.: it recurses
+//! without consuming input). The oracle's own well-formedness check must
+//! call exactly the groups with a `"cycle"` ill formed. Together the cases
+//! produce every [`ValidationErrorKind`].
 
 mod oracle;
 
@@ -22,7 +26,7 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Every kind, by the name [`label`] gives it.
-const KINDS: [&str; 31] = [
+const KINDS: [&str; 30] = [
     "Type",
     "Enum",
     "Const",
@@ -53,7 +57,6 @@ const KINDS: [&str; 31] = [
     "Dependencies",
     "Never",
     "BadRef",
-    "RefCycle",
 ];
 
 /// A kind as the corpus spells it: its name, then its payload, if any, in
@@ -94,7 +97,6 @@ fn label(kind: &ValidationErrorKind) -> String {
         Dependencies { key } => ("Dependencies", Some(key.clone())),
         Never => ("Never", None),
         BadRef { reference } => ("BadRef", Some(reference.clone())),
-        RefCycle { reference } => ("RefCycle", Some(reference.clone())),
     };
     match payload {
         Some(payload) => format!("{name}({payload})"),
@@ -156,11 +158,22 @@ fn every_case_gets_its_verdict_and_kinds_from_every_evaluator() {
         for (g, group) in groups.iter().enumerate() {
             let at = format!("{name} group {g}");
             let schema_doc = field(group, "schema", &at);
+            let cycle = group.get("cycle").and_then(Value::as_str);
+            if oracle::well_formed(schema_doc).is_ok() != cycle.is_none() {
+                failures.push(format!(
+                    "{at}: the oracle's well-formedness check answers {:?} on {schema_doc}",
+                    oracle::well_formed(schema_doc)
+                ));
+            }
             if group.get("refused").and_then(Value::as_bool) == Some(true) {
                 let why = field(group, "why", &at).as_str().unwrap();
                 assert!(!why.is_empty(), "{at}: a refusal needs its why");
-                if CompiledSchema::compile(schema_doc).is_ok() {
-                    failures.push(format!("{at}: {schema_doc} compiled ({why})"));
+                match (CompiledSchema::compile(schema_doc), cycle) {
+                    (Ok(_), _) => failures.push(format!("{at}: {schema_doc} compiled ({why})")),
+                    (Err(e), Some(cycle)) if !e.message.contains(cycle) => {
+                        failures.push(format!("{at}: the refusal does not name {cycle}: {e}"))
+                    }
+                    _ => {}
                 }
                 continue;
             }

@@ -10,10 +10,12 @@
 
 use jsonx_data::{all_unique, Pointer, Value};
 use jsonx_schema::formats::check_format;
+use jsonx_schema::parse::compile_schema;
 use jsonx_schema::{
     CompiledSchema, Dependency, Items, Schema, SchemaNode, ValidationError, ValidationErrorKind,
     ValidatorOptions,
 };
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Validates `value`, returning every violation found.
 pub fn validate(schema: &CompiledSchema, value: &Value) -> Result<(), Vec<ValidationError>> {
@@ -30,7 +32,6 @@ pub fn validate_with(
         doc: schema,
         options,
         errors: Vec::new(),
-        ref_stack: Vec::new(),
     };
     ctx.check(schema.root(), value, &Pointer::root());
     if ctx.errors.is_empty() {
@@ -40,13 +41,123 @@ pub fn validate_with(
     }
 }
 
+/// The well-formedness rule of Pezoa et al., decided without `compile`:
+/// from the schema document and the public AST alone. A schema is ill
+/// formed when a cycle of references passes no keyword that moves to a
+/// sub-instance (`properties`, `patternProperties`, `additionalProperties`,
+/// `items`, `additionalItems`, `contains`, `propertyNames`). Returns one
+/// such cycle's references, the first repeated at the end.
+///
+/// References are resolved here as plain JSON pointers behind `#` (no
+/// percent-escapes: the suites' schemas use none); one that resolves to
+/// nothing, or to no schema, ends its chain.
+pub fn well_formed(document: &Value) -> Result<(), Vec<String>> {
+    // Each reference reached, with those its target reaches in place.
+    let mut edges: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    let mut todo = Vec::new();
+    if let Ok(root) = compile_schema(document, "#") {
+        refs_of(&root, true, &mut Vec::new(), &mut todo);
+    }
+    while let Some(reference) = todo.pop() {
+        if edges.contains_key(&reference) {
+            continue;
+        }
+        let (mut same, mut all) = (Vec::new(), Vec::new());
+        let target = reference
+            .strip_prefix('#')
+            .and_then(|pointer| Pointer::parse(pointer).ok())
+            .and_then(|pointer| pointer.resolve(document));
+        if let Some(Ok(ast)) = target.map(|target| compile_schema(target, &reference)) {
+            refs_of(&ast, true, &mut same, &mut all);
+        }
+        todo.extend(all);
+        edges.insert(reference, same);
+    }
+    let mut finished = BTreeSet::new();
+    for reference in edges.keys() {
+        if let Some(cycle) = cycle_from(&edges, reference, &mut Vec::new(), &mut finished) {
+            return Err(cycle);
+        }
+    }
+    Ok(())
+}
+
+/// A depth-first search of the in-place reference edges from `reference`.
+fn cycle_from(
+    edges: &BTreeMap<String, Vec<String>>,
+    reference: &str,
+    path: &mut Vec<String>,
+    finished: &mut BTreeSet<String>,
+) -> Option<Vec<String>> {
+    if let Some(at) = path.iter().position(|r| r == reference) {
+        let mut cycle = path[at..].to_vec();
+        cycle.push(reference.to_string());
+        return Some(cycle);
+    }
+    if finished.contains(reference) {
+        return None;
+    }
+    path.push(reference.to_string());
+    for next in &edges[reference] {
+        if let Some(cycle) = cycle_from(edges, next, path, finished) {
+            return Some(cycle);
+        }
+    }
+    path.pop();
+    finished.insert(reference.to_string());
+    None
+}
+
+/// The references `schema` holds: into `same` those it reaches without
+/// moving to a sub-instance (when `here`), into `all` every one.
+fn refs_of(schema: &Schema, here: bool, same: &mut Vec<String>, all: &mut Vec<String>) {
+    let Schema::Node(node) = schema else { return };
+    if let Some(reference) = &node.reference {
+        // Siblings of `$ref` are ignored (draft-04/06).
+        if here {
+            same.push(reference.clone());
+        }
+        all.push(reference.clone());
+        return;
+    }
+    let in_place = node
+        .all_of
+        .iter()
+        .chain(&node.any_of)
+        .chain(&node.one_of)
+        .chain(&node.not)
+        .chain(&node.if_schema)
+        .chain(&node.then_schema)
+        .chain(&node.else_schema)
+        .chain(node.dependencies.iter().filter_map(|(_, dep)| match dep {
+            Dependency::Schema(schema) => Some(schema),
+            Dependency::Keys(_) => None,
+        }));
+    for sub in in_place {
+        refs_of(sub, here, same, all);
+    }
+    let items: Vec<&Schema> = match &node.items {
+        Some(Items::All(schema)) => vec![schema],
+        Some(Items::Tuple(schemas)) => schemas.iter().collect(),
+        None => Vec::new(),
+    };
+    let below = items
+        .into_iter()
+        .chain(&node.additional_items)
+        .chain(&node.contains)
+        .chain(node.properties.iter().map(|(_, schema)| schema))
+        .chain(node.pattern_properties.iter().map(|(_, schema)| schema))
+        .chain(&node.additional_properties)
+        .chain(&node.property_names);
+    for sub in below {
+        refs_of(sub, false, same, all);
+    }
+}
+
 struct Ctx<'a> {
     doc: &'a CompiledSchema,
     options: ValidatorOptions,
     errors: Vec<ValidationError>,
-    /// Active `$ref` expansions: (reference, instance path) pairs, used to
-    /// detect unguarded recursion that would never consume input.
-    ref_stack: Vec<(String, Pointer)>,
 }
 
 impl<'a> Ctx<'a> {
@@ -98,28 +209,8 @@ impl<'a> Ctx<'a> {
     }
 
     fn check_ref(&mut self, reference: &str, value: &Value, path: &Pointer) {
-        // Compare borrowed before owning: the cycle check itself must not
-        // allocate — only an actual expansion pays for the owned frame.
-        let cycles = self
-            .ref_stack
-            .iter()
-            .any(|(r, p)| r == reference && p == path);
-        if cycles {
-            self.emit(
-                path,
-                ValidationErrorKind::RefCycle {
-                    reference: reference.to_string(),
-                },
-                format!("reference '{reference}' loops without consuming input"),
-            );
-            return;
-        }
         match self.doc.resolve_ref(reference) {
-            Ok(target) => {
-                self.ref_stack.push((reference.to_string(), path.clone()));
-                self.check(&target, value, path);
-                self.ref_stack.pop();
-            }
+            Ok(target) => self.check(&target, value, path),
             Err(e) => self.emit(
                 path,
                 ValidationErrorKind::BadRef {

@@ -250,7 +250,11 @@ fn offender() -> impl Strategy<Value = (&'static str, Value)> {
     ])
 }
 
+/// Every `$ref` of the fragment sits under `properties` or `items`, so
+/// every document is well formed: `compile` and the oracle's own check
+/// must both say so.
 fn compile(doc: &Value) -> CompiledSchema {
+    assert_eq!(oracle::well_formed(doc), Ok(()), "{doc}");
     CompiledSchema::compile(doc).unwrap_or_else(|e| panic!("uncompilable schema {doc}: {e}"))
 }
 

@@ -1,13 +1,16 @@
 //! Property tests pinning the compiled arena's one walk to the AST
-//! interpreter kept under `tests/oracle/`: for arbitrary schema/value
-//! pairs — including `$ref` chains, reference cycles and bad references —
-//! the errors face (`validate`) must produce the oracle's errors exactly
-//! (kind, instance path, message and order), and the verdict face
-//! (`is_valid` / `FastValidator`) must answer "no errors". The errors must
-//! also be deterministic across repeated runs and independent
-//! compilations, so compile-time reference memoization cannot change
-//! diagnostics. Over the same unrestricted vocabulary, `streamable()` must
-//! be sound: whatever it accepts, the event walk decides like the IR does.
+//! interpreter kept under `tests/oracle/`. The generator draws `$ref`
+//! chains, bad references and reference cycles, guarded and not:
+//! `compile` must refuse a document exactly when the oracle's own
+//! well-formedness check finds a cycle that consumes no input. On every
+//! document it accepts, for arbitrary values, the errors face
+//! (`validate`) must produce the oracle's errors exactly (kind, instance
+//! path, message and order), and the verdict face (`is_valid` /
+//! `FastValidator`) must answer "no errors". The errors must also be
+//! deterministic across repeated runs and independent compilations, so
+//! compile-time reference memoization cannot change diagnostics. Over the
+//! same unrestricted vocabulary, `streamable()` must be sound: whatever it
+//! accepts, the event walk decides like the IR does.
 
 mod oracle;
 
@@ -15,6 +18,7 @@ use jsonx_data::{json, Number, Object, Value};
 use jsonx_schema::{CompiledSchema, EventValidator, ValidatorOptions};
 use jsonx_syntax::{EventReceiver, JsonDecoder, RawEvent, RecordDecoder};
 use proptest::prelude::*;
+use proptest::test_runner::{run_seed, TestRng};
 
 /// Arbitrary JSON instances. Object keys are drawn from a pool that
 /// overlaps the property names the schema strategy uses ("a", "b", …),
@@ -156,14 +160,123 @@ fn arb_schema_document() -> impl Strategy<Value = Value> {
     })
 }
 
+/// A document of references into itself, each placed under one keyword —
+/// one that judges the same instance or one that moves to a member, an
+/// element or a name — so that cycles consuming no input are common, not
+/// the rare draw they are in [`arb_schema_document`].
+fn arb_reference_web() -> impl Strategy<Value = Value> {
+    let reference = prop_oneof![
+        Just("#"),
+        Just("#/definitions/d0"),
+        Just("#/definitions/d1"),
+        Just("#/definitions/d2")
+    ]
+    .prop_map(|r| json!({ "$ref": r }));
+    let placed = prop_oneof![
+        reference.clone(),
+        (reference.clone(), arb_leaf_schema()).prop_map(|(r, s)| json!({"allOf": [s, r]})),
+        (reference.clone(), arb_leaf_schema()).prop_map(|(r, s)| json!({"anyOf": [s, r]})),
+        (reference.clone(), arb_leaf_schema()).prop_map(|(r, s)| json!({"oneOf": [r, s]})),
+        reference.clone().prop_map(|r| json!({ "not": r })),
+        reference.clone().prop_map(|r| json!({ "if": r })),
+        reference
+            .clone()
+            .prop_map(|r| json!({"if": {"type": "object"}, "then": r})),
+        reference
+            .clone()
+            .prop_map(|r| json!({"if": {"type": "object"}, "else": r})),
+        reference
+            .clone()
+            .prop_map(|r| json!({"dependencies": {"a": r}})),
+        reference
+            .clone()
+            .prop_map(|r| json!({"properties": {"a": r}})),
+        reference.clone().prop_map(|r| json!({ "items": r })),
+        reference
+            .clone()
+            .prop_map(|r| json!({"items": [{}], "additionalItems": r})),
+        reference
+            .clone()
+            .prop_map(|r| json!({ "additionalProperties": r })),
+        reference
+            .clone()
+            .prop_map(|r| json!({"patternProperties": {"^[ab]$": r}})),
+        reference.clone().prop_map(|r| json!({ "contains": r })),
+        reference.prop_map(|r| json!({ "propertyNames": r })),
+        arb_leaf_schema(),
+    ];
+    (placed.clone(), placed.clone(), placed.clone(), placed).prop_map(|(root, d0, d1, d2)| {
+        let definitions = json!({"d0": d0, "d1": d1, "d2": d2});
+        match root {
+            Value::Obj(mut obj) => {
+                obj.insert("definitions", definitions);
+                Value::Obj(obj)
+            }
+            other => json!({"allOf": [other], "definitions": definitions}),
+        }
+    })
+}
+
+/// `doc` compiled, or `None` when it is not well formed — which `compile`
+/// must decide exactly as the oracle's independent check does.
+fn compiled(doc: &Value) -> Option<CompiledSchema> {
+    let compiled = CompiledSchema::compile(doc);
+    let well_formed = oracle::well_formed(doc);
+    assert_eq!(
+        compiled.is_ok(),
+        well_formed.is_ok(),
+        "compile and the oracle disagree on {doc}: {:?} / {:?}",
+        compiled.as_ref().err(),
+        well_formed
+    );
+    compiled.ok()
+}
+
+/// How many of `cases` documents drawn from `documents` are refused.
+fn refused(documents: impl Strategy<Value = Value>, name: &str, cases: usize) -> usize {
+    let mut rng = TestRng::for_run(name, run_seed());
+    let refused = (0..cases)
+        .filter(|_| compiled(&documents.generate(&mut rng)).is_none())
+        .count();
+    eprintln!("{name}: {refused} of {cases} documents refused as ill formed");
+    refused
+}
+
+/// The refused documents are skipped, so most of the agreement sample
+/// must compile; and the reference web must land on both sides of the
+/// rule, or its equivalence with the oracle is checked on one.
+#[test]
+fn the_generators_draw_both_well_formed_and_ill_formed_documents() {
+    let cases = ProptestConfig::default().run_cases() as usize;
+    let share = refused(arb_schema_document(), "arb_schema_document", cases);
+    assert!(share * 2 <= cases, "{share} of {cases} refused");
+    let share = refused(arb_reference_web(), "arb_reference_web", cases);
+    assert!(
+        share * 8 >= cases && share * 8 <= cases * 7,
+        "{share} of {cases} refused"
+    );
+}
+
 proptest! {
+    /// Where cycles are common: `compile` refuses what the oracle calls ill
+    /// formed, and the walk of what it accepts ends, with the oracle's errors.
+    #[test]
+    fn compile_refuses_exactly_what_the_oracle_calls_ill_formed(
+        doc in arb_reference_web(),
+        instance in arb_instance(),
+    ) {
+        let Some(compiled) = compiled(&doc) else { return Ok(()) };
+        let errors = compiled.validate(&instance);
+        prop_assert_eq!(&errors, &oracle::validate(&compiled, &instance), "schema {} instance {}", doc, instance);
+        prop_assert_eq!(compiled.is_valid(&instance), errors.is_ok());
+    }
+
     #[test]
     fn compiled_ir_agrees_with_interpreter(
         doc in arb_schema_document(),
         instance in arb_instance(),
     ) {
-        let compiled = CompiledSchema::compile(&doc)
-            .unwrap_or_else(|e| panic!("strategy produced uncompilable schema {doc}: {e}"));
+        let Some(compiled) = compiled(&doc) else { return Ok(()) };
         let errors = compiled.validate(&instance);
         prop_assert_eq!(
             &errors,
@@ -193,7 +306,7 @@ proptest! {
         instance in arb_instance(),
     ) {
         let opts = ValidatorOptions { enforce_formats: true };
-        let compiled = CompiledSchema::compile(&doc).unwrap();
+        let Some(compiled) = compiled(&doc) else { return Ok(()) };
         let errors = compiled.validate_with(&instance, opts);
         prop_assert_eq!(
             &errors,
@@ -216,7 +329,7 @@ proptest! {
         doc in arb_schema_document(),
         instances in prop::collection::vec(arb_instance(), 1..8),
     ) {
-        let compiled = CompiledSchema::compile(&doc).unwrap();
+        let Some(compiled) = compiled(&doc) else { return Ok(()) };
         let mut fv = compiled.fast_validator();
         for instance in &instances {
             prop_assert_eq!(
@@ -239,7 +352,7 @@ proptest! {
         doc in arb_schema_document(),
         instances in prop::collection::vec((arb_instance(), any::<u64>()), 1..6),
     ) {
-        let compiled = CompiledSchema::compile(&doc).unwrap();
+        let Some(compiled) = compiled(&doc) else { return Ok(()) };
         let mut walk = match compiled.event_validator_with(ValidatorOptions::default()) {
             Ok(walk) => walk,
             Err(keyword) => {

@@ -307,7 +307,7 @@ const COMMANDS: &[CommandSpec] = &[
     },
     CommandSpec {
         name: "project",
-        summary: "parse only selected fields (Mison-style)",
+        summary: "parse each record whole, then keep only the selected fields",
         flags: PROJECT_FLAGS,
         guarded: false,
     },

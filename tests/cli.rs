@@ -203,7 +203,9 @@ fn removed_flags_are_unknown_and_help_names_one_mode() {
 fn a_schema_with_an_unsupported_keyword_fails_before_any_document() {
     let dir = std::env::temp_dir().join("jsonx-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
-    // At the root, and reached only through a `$ref` into a vendor key.
+    // At the root, and reached only through a `$ref` into a vendor key;
+    // then a schema that is not well formed: it recurses without consuming
+    // input, and the refusal names the cycle.
     for (name, text, at) in [
         (
             "prefix-items-schema.json",
@@ -215,12 +217,18 @@ fn a_schema_with_an_unsupported_keyword_fails_before_any_document() {
             r##"{"$ref": "#/components/pair", "components": {"pair": {"prefixItems": [{"type": "string"}]}}}"##,
             "#/components/pair/prefixItems",
         ),
+        (
+            "unguarded-cycle-schema.json",
+            r##"{"definitions": {"a": {"$ref": "#/definitions/b"}, "b": {"not": {"$ref": "#/definitions/a"}}}, "$ref": "#/definitions/a"}"##,
+            "#/definitions/a → #/definitions/b → #/definitions/a",
+        ),
     ] {
         let schema_path = dir.join(name);
         std::fs::write(&schema_path, text).unwrap();
         let schema = schema_path.to_str().unwrap();
         for args in [
             &["validate", "--schema", schema, "-"][..],
+            &["validate", "--schema", schema, "--no-fast-parse", "-"][..],
             &["infer", "--validate", schema, "-"][..],
         ] {
             let (out, err, code) = run_code(args, "[1, \"x\"]\n");
@@ -1326,9 +1334,11 @@ fn fixture(name: &str) -> String {
 
 /// `validate`'s diagnostics, byte for byte: between them the fixture's
 /// documents draw every error kind (`format` only under `--formats`) —
-/// a `$ref` cycle, a missing `$ref`, a recursive tree, `propertyNames` and
-/// both forms of `dependencies` among them. The golden stdout was written
-/// by the last binary whose diagnostics came from the AST interpreter.
+/// a missing `$ref`, a recursive tree, `propertyNames` and both forms of
+/// `dependencies` among them. The golden stdout was written by the last
+/// binary whose diagnostics came from the AST interpreter; the one line
+/// removed since was a `$ref` cycle's, when a schema that recurses without
+/// consuming input became one `compile` refuses.
 #[test]
 fn validate_diagnostics_match_the_golden_output() {
     let schema = fixture("golden_diagnostics.schema.json");

@@ -479,10 +479,15 @@ fn reload_swaps_epochs_without_interrupting_traffic() {
     );
 
     // A broken reload keeps the old epoch serving — whether the file is
-    // not JSON or uses a keyword the validator would have to ignore.
+    // not JSON, uses a keyword the validator would have to ignore, or
+    // recurses without consuming input.
     for (broken, names) in [
         ("{\"type\": [not json", "reload-failed"),
         (r#"{"prefixItems": [{"type": "string"}]}"#, "#/prefixItems"),
+        (
+            r##"{"anyOf": [{"$ref": "#"}, {"type": "object"}]}"##,
+            "# → #",
+        ),
     ] {
         std::fs::write(&path, broken).unwrap();
         let resp = client.request("RELOAD").unwrap().unwrap();
@@ -499,7 +504,7 @@ fn reload_swaps_epochs_without_interrupting_traffic() {
 
     let report = shutdown(addr, handle);
     assert_eq!(report.reloads, 1);
-    assert_eq!(report.reload_failures, 2);
+    assert_eq!(report.reload_failures, 3);
     assert_eq!(report.epoch, 2);
     let _ = std::fs::remove_file(&path);
 }

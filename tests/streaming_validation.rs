@@ -144,6 +144,9 @@ fn dom_verdicts(ndjson: &str, schema: &CompiledSchema, opts: ValidatorOptions) -
 /// Streamed verdicts on `ndjson` ≡ the interpreter's on the parser's
 /// documents, sequentially and at every worker count.
 fn assert_streaming_equals_dom(ndjson: &str, schema_doc: &Value) -> Result<(), TestCaseError> {
+    // The strategy's one reference target is a leaf: every schema is well
+    // formed, by `compile` and by the oracle's own check.
+    prop_assert_eq!(oracle::well_formed(schema_doc), Ok(()), "{}", schema_doc);
     let schema = CompiledSchema::compile(schema_doc).unwrap();
     let opts = ValidatorOptions::default();
     let reference = dom_verdicts(ndjson, &schema, opts);
