@@ -54,7 +54,9 @@
 
 use jsonx_core::{JType, RecordType};
 use jsonx_data::{write_escaped, Number, Value};
-use jsonx_syntax::{EventReceiver, ParseError, RawEvent, RecordDecoder};
+use jsonx_syntax::{
+    parse_events, EventReceiver, ParseError, ParserOptions, RawEvent, RecordDecoder,
+};
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
@@ -1440,7 +1442,7 @@ impl EventWalker<'_> {
 /// it is [`Value::to_json_string`]'s text for any subtree in which no
 /// object repeats a key.
 #[derive(Debug, Default)]
-struct SpillText {
+pub(crate) struct SpillText {
     text: String,
     /// The open containers, innermost last.
     open: Vec<Open>,
@@ -1462,6 +1464,28 @@ impl SpillText {
         self.text.clear();
         self.open.clear();
         self.keys.clear();
+    }
+
+    /// The compact text of the JSON document `text` — what serializing
+    /// its parse compactly writes — from its events; `None` when it does
+    /// not parse, or an object in it repeats a key.
+    pub(crate) fn compact(&mut self, text: &str) -> Option<&str> {
+        struct Distinct<'s> {
+            spill: &'s mut SpillText,
+            keys: bool,
+        }
+        impl EventReceiver for Distinct<'_> {
+            fn event(&mut self, ev: &RawEvent<'_>) {
+                self.keys &= self.spill.event(ev);
+            }
+        }
+        self.clear();
+        let mut walk = Distinct {
+            spill: self,
+            keys: true,
+        };
+        parse_events(text.as_bytes(), ParserOptions::default(), &mut walk).ok()?;
+        walk.keys.then_some(self.text.as_str())
     }
 
     /// Appends `ev`'s text. `false`: the object `ev` closes repeated a

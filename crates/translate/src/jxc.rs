@@ -55,17 +55,22 @@
 //!
 //! ## Reading: verify in place, materialize a head
 //!
-//! One decoder reads a file in two steps per column block. First the
+//! One decoder reads a file from a block source: bytes in memory, which
+//! lend each block where it lies ([`read_jxc_head`]), or a file on disk,
+//! read one block at a time through one reused buffer
+//! ([`read_jxc_file_head`]) — either way the same [`JxcFile`] or the
+//! same [`JxcError`]. It takes each column block in two steps. First the
 //! whole block is checked where it lies — its CRC and validity count,
 //! every dictionary entry's UTF-8, every code's range, the list offsets,
-//! no trailing bytes — keeping borrowed spans of the file: dictionary
+//! no trailing bytes — keeping borrowed spans of the block: dictionary
 //! entries as `&str`, codes, words and items as byte slices. No
 //! dictionary is copied. Then only the first `n` rows are copied out of
-//! those spans ([`read_jxc_head`]); [`read_jxc`] is the same decoder
-//! asked for every row. Because the checks never depend on `n`, a
-//! damaged file is the same [`JxcError`] however few rows are asked for,
-//! and the cost of a head read is the checks plus `n` rows, not the
-//! whole batch — `jsonx cat --head N` builds what it prints.
+//! those spans, before the next block is read; [`read_jxc`] is the same
+//! decoder asked for every row. Because the checks never depend on `n`,
+//! a damaged file is the same [`JxcError`] however few rows are asked
+//! for, and the cost of a head read is the checks plus `n` rows, not the
+//! whole batch — `jsonx cat --head N` holds one block and builds what it
+//! prints.
 //!
 //! ## Integrity and crash semantics
 //!
@@ -84,14 +89,15 @@
 //!   checksum or structural invariant fails: bit rot or foul play, not
 //!   an interrupted write. Resuming cannot help; the file is bad.
 
-use crate::columnar::{Bitmap, Column, ColumnData, ColumnarBatch, StrArena};
-use jsonx_data::{crc32, write_escaped, Number, Object, Value};
+use crate::columnar::{Bitmap, Column, ColumnData, ColumnarBatch, SpillText, StrArena};
+use jsonx_data::{crc32, crc32_update, write_escaped, Number, Object, Value};
 use jsonx_syntax::{append_compact, to_string};
 use std::collections::HashSet;
 use std::fmt;
 use std::fmt::Write as _;
+use std::fs::File;
 use std::hash::{BuildHasher, RandomState};
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"JXC1";
@@ -1091,33 +1097,100 @@ pub fn read_jxc(bytes: &[u8]) -> Result<JxcFile, JxcError> {
 /// facts and row count. Every check [`read_jxc`] makes runs over the
 /// whole file, in the same order, so a file one of them rejects is the
 /// same error at any `n`; only the copying is bounded by `n`.
-pub fn read_jxc_head(bytes: &[u8], n: usize) -> Result<JxcFile, JxcError> {
-    if bytes.len() < 4 || &bytes[..4] != MAGIC {
+pub fn read_jxc_head(mut bytes: &[u8], n: usize) -> Result<JxcFile, JxcError> {
+    decode(&mut bytes, n)
+}
+
+/// Where [`decode`] takes a file's bytes from: a slice already in memory,
+/// which lends its blocks where they lie, or a [`FileBlocks`].
+trait Source {
+    /// The file's length in bytes.
+    fn size(&self) -> usize;
+
+    /// Fills `out` with the file's bytes from `off` on; they lie inside
+    /// the file.
+    fn read_at(&mut self, off: usize, out: &mut [u8]) -> Result<(), JxcError>;
+
+    /// The CRC-32 of the `len` bytes at `off` (inside the file), taken
+    /// without holding more of them than a block read would: the footer
+    /// is checked before it is held, however far back a damaged trailer
+    /// points.
+    fn crc_at(&mut self, off: usize, len: usize) -> Result<u32, JxcError>;
+
+    /// The `len` bytes at `off` (inside the file) of the column block the
+    /// footer gives `path` and the checksum `crc`, once they match it;
+    /// lent until the next call.
+    fn block(&mut self, off: usize, len: usize, crc: u32, path: &str) -> Result<&[u8], JxcError>;
+}
+
+/// `block`, when it matches the checksum `crc` the footer gives the
+/// column at `path`.
+fn checksummed<'b>(block: &'b [u8], crc: u32, path: &str) -> Result<&'b [u8], JxcError> {
+    if crc32(block) != crc {
+        return Err(JxcError::Corrupt(format!(
+            "column block of {path} fails its checksum"
+        )));
+    }
+    Ok(block)
+}
+
+impl Source for &[u8] {
+    fn size(&self) -> usize {
+        <[u8]>::len(self)
+    }
+
+    fn read_at(&mut self, off: usize, out: &mut [u8]) -> Result<(), JxcError> {
+        out.copy_from_slice(&self[off..off + out.len()]);
+        Ok(())
+    }
+
+    fn crc_at(&mut self, off: usize, len: usize) -> Result<u32, JxcError> {
+        Ok(crc32(&self[off..off + len]))
+    }
+
+    fn block(&mut self, off: usize, len: usize, crc: u32, path: &str) -> Result<&[u8], JxcError> {
+        checksummed(&self[off..off + len], crc, path)
+    }
+}
+
+/// The one `.jxc` decoder. It reads the magic, the trailer and the
+/// footer, then each column's block in footer order — checked, then cut
+/// to its first `n` rows before the next block is asked for — so it holds
+/// one block at a time and whatever `src` keeps of it.
+fn decode(src: &mut impl Source, n: usize) -> Result<JxcFile, JxcError> {
+    let size = src.size();
+    let mut magic = [0; 4];
+    if size >= magic.len() {
+        src.read_at(0, &mut magic)?;
+    }
+    if &magic != MAGIC {
         return Err(JxcError::BadMagic);
     }
     // The trailer is footer_crc:u32 + footer_off:u64 + finalize magic;
     // anything shorter — or a missing finalize marker — is a file whose
     // writer never got to the end.
-    if bytes.len() < 4 + 4 + 8 + 4 || &bytes[bytes.len() - 4..] != MAGIC {
+    let mut trailer = [0; 16];
+    if size >= magic.len() + trailer.len() {
+        src.read_at(size - trailer.len(), &mut trailer)?;
+    }
+    if &trailer[12..] != MAGIC {
         return Err(JxcError::Truncated);
     }
-    let footer_off =
-        u64::from_le_bytes(bytes[bytes.len() - 12..bytes.len() - 4].try_into().unwrap());
+    let footer_off = u64::from_le_bytes(trailer[4..12].try_into().unwrap());
     let footer_off = usize::try_from(footer_off).map_err(|_| JxcError::Truncated)?;
-    if footer_off < 4 || footer_off > bytes.len() - 16 {
+    if footer_off < 4 || footer_off > size - 16 {
         return Err(JxcError::Corrupt("footer offset out of range".into()));
     }
-    let footer_crc = u32::from_le_bytes(
-        bytes[bytes.len() - 16..bytes.len() - 12]
-            .try_into()
-            .unwrap(),
-    );
-    if crc32(&bytes[footer_off..bytes.len() - 16]) != footer_crc {
+    let footer_crc = u32::from_le_bytes(trailer[..4].try_into().unwrap());
+    let footer_len = size - 16 - footer_off;
+    if src.crc_at(footer_off, footer_len)? != footer_crc {
         return Err(JxcError::Corrupt("footer checksum mismatch".into()));
     }
+    let mut footer = vec![0; footer_len];
+    src.read_at(footer_off, &mut footer)?;
     let mut cur = Cur {
-        bytes: &bytes[..bytes.len() - 16],
-        pos: footer_off,
+        bytes: &footer,
+        pos: 0,
     };
     let rows = usize::try_from(cur.u64()?).map_err(|_| JxcError::Truncated)?;
     let shown = rows.min(n);
@@ -1142,23 +1215,16 @@ pub fn read_jxc_head(bytes: &[u8], n: usize) -> Result<JxcFile, JxcError> {
                 "column {path} claims more valid cells than rows"
             )));
         }
-        let block_end = block_off
+        if !block_off
             .checked_add(block_len)
-            .filter(|end| *end <= footer_off && block_off >= 4)
-            .ok_or_else(|| JxcError::Corrupt(format!("column block of {path} out of range")))?;
-        if crc32(&bytes[block_off..block_end]) != block_crc {
+            .is_some_and(|end| end <= footer_off && block_off >= 4)
+        {
             return Err(JxcError::Corrupt(format!(
-                "column block of {path} fails its checksum"
+                "column block of {path} out of range"
             )));
         }
-        let block = read_block(
-            &bytes[block_off..block_end],
-            rows,
-            valid_count,
-            type_tag,
-            enc,
-            &path,
-        )?;
+        let bytes = src.block(block_off, block_len, block_crc, &path)?;
+        let block = read_block(bytes, rows, valid_count, type_tag, enc, &path)?;
         let column = block.column(&path, shown)?;
         infos.push(JxcColumnInfo {
             path,
@@ -1181,17 +1247,124 @@ pub fn read_jxc_head(bytes: &[u8], n: usize) -> Result<JxcFile, JxcError> {
     })
 }
 
-/// Reads a `.jxc` file from disk.
+/// How many bytes [`FileBlocks`] asks the file for at least, so that
+/// small blocks cost one read between them.
+const WINDOW: usize = 256 << 10;
+
+/// A `.jxc` file on disk, read in pieces: the magic, the trailer and the
+/// footer exactly, the column blocks through one buffer reused from
+/// block to block. A block the buffer does not hold yet is read with the
+/// blocks after it, `window` bytes in all or the block if it is longer,
+/// so the buffer grows to the larger of the two and is zero-filled only
+/// when it grows.
+struct FileBlocks<'p> {
+    file: File,
+    path: &'p Path,
+    size: usize,
+    window: usize,
+    buf: Vec<u8>,
+    /// The file offset of `buf[0]`, and how many bytes from there `buf`
+    /// holds.
+    at: usize,
+    held: usize,
+}
+
+/// An I/O error reading `path`, as the reader reports it.
+fn io_error(path: &Path, e: io::Error) -> JxcError {
+    JxcError::Io(format!("{}: {e}", path.display()))
+}
+
+/// Fills `out` with `file`'s bytes from `off` on.
+fn read_exact_at(mut file: &File, off: usize, out: &mut [u8]) -> io::Result<()> {
+    file.seek(SeekFrom::Start(off as u64))?;
+    file.read_exact(out)
+}
+
+impl Source for FileBlocks<'_> {
+    fn size(&self) -> usize {
+        self.size
+    }
+
+    fn read_at(&mut self, off: usize, out: &mut [u8]) -> Result<(), JxcError> {
+        read_exact_at(&self.file, off, out).map_err(|e| io_error(self.path, e))
+    }
+
+    fn crc_at(&mut self, off: usize, len: usize) -> Result<u32, JxcError> {
+        let mut state = 0xFFFF_FFFF;
+        let mut at = off;
+        while at < off + len {
+            let piece = (off + len - at).min(self.window);
+            if self.buf.len() < piece {
+                self.buf.resize(piece, 0);
+            }
+            read_exact_at(&self.file, at, &mut self.buf[..piece])
+                .map_err(|e| io_error(self.path, e))?;
+            state = crc32_update(state, &self.buf[..piece]);
+            at += piece;
+        }
+        // The buffer no longer holds the bytes from `self.at` on.
+        self.held = 0;
+        Ok(state ^ 0xFFFF_FFFF)
+    }
+
+    fn block(&mut self, off: usize, len: usize, crc: u32, path: &str) -> Result<&[u8], JxcError> {
+        if off < self.at || off + len > self.at + self.held {
+            let want = len.max(self.window).min(self.size - off);
+            if self.buf.len() < want {
+                self.buf.resize(want, 0);
+            }
+            read_exact_at(&self.file, off, &mut self.buf[..want])
+                .map_err(|e| io_error(self.path, e))?;
+            (self.at, self.held) = (off, want);
+        }
+        checksummed(&self.buf[off - self.at..][..len], crc, path)
+    }
+}
+
+/// Reads a `.jxc` file from disk: [`read_jxc_file_head`] of every row.
 pub fn read_jxc_file(path: &Path) -> Result<JxcFile, JxcError> {
     read_jxc_file_head(path, usize::MAX)
 }
 
-/// Reads a `.jxc` file from disk, decoding its first `n` rows
-/// ([`read_jxc_head`]).
+/// Reads a `.jxc` file from disk, decoding its first `n` rows: the
+/// [`JxcFile`] or the [`JxcError`] that [`read_jxc_head`] gives for the
+/// file's bytes.
+///
+/// A regular file is read one column block at a time, through one buffer
+/// reused from block to block, so the reader holds at most the largest
+/// block (or 256 KiB of small ones), the footer and the `n` rows — a file
+/// larger than memory reads too. Anything else — a pipe, `/dev/stdin` on
+/// one — cannot seek, and is read whole and decoded in memory.
 pub fn read_jxc_file_head(path: &Path, n: usize) -> Result<JxcFile, JxcError> {
-    let bytes =
-        std::fs::read(path).map_err(|e| JxcError::Io(format!("{}: {e}", path.display())))?;
-    read_jxc_head(&bytes, n)
+    read_file_head(path, n, WINDOW)
+}
+
+/// [`read_jxc_file_head`], reading blocks `window` bytes at a time.
+fn read_file_head(path: &Path, n: usize, window: usize) -> Result<JxcFile, JxcError> {
+    let io = |e| io_error(path, e);
+    let mut file = File::open(path).map_err(io)?;
+    let meta = file.metadata().map_err(io)?;
+    if !meta.is_file() {
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes).map_err(io)?;
+        return read_jxc_head(&bytes, n);
+    }
+    let size = usize::try_from(meta.len()).map_err(|_| {
+        io(io::Error::new(
+            io::ErrorKind::FileTooLarge,
+            "file too large",
+        ))
+    })?;
+    let mut blocks = FileBlocks {
+        file,
+        path,
+        size,
+        window,
+        buf: Vec::new(),
+        at: 0,
+        held: 0,
+    };
+    decode(&mut blocks, n)
 }
 
 // ---------------------------------------------------------------------------
@@ -1307,9 +1480,16 @@ pub fn flatten_rows(file: &JxcFile, limit: usize) -> Vec<Value> {
 }
 
 /// Writes the text `to_string` gives [`cell_value`] of the cell: the
-/// same rules, with no value built for a scalar or — when the column is
-/// `listed` (list-encoded) — a list cell.
-fn write_cell(data: &ColumnData, dense: usize, listed: bool, out: &mut String) {
+/// same rules, with no value built for a scalar, a list cell of a
+/// `listed` (list-encoded) column, or a spill text `spill` can write
+/// from its events.
+fn write_cell(
+    data: &ColumnData,
+    dense: usize,
+    listed: bool,
+    spill: &mut SpillText,
+    out: &mut String,
+) {
     match data {
         ColumnData::Bools(v) => out.push_str(if v.get(dense) { "true" } else { "false" }),
         ColumnData::Ints(v) => {
@@ -1324,7 +1504,14 @@ fn write_cell(data: &ColumnData, dense: usize, listed: bool, out: &mut String) {
         // escaper and integer format: it is what parsing and serializing
         // it again would print.
         ColumnData::Json(v) if listed => out.push_str(v.get(dense)),
-        ColumnData::Json(_) => append_compact(out, &cell_value(data, dense)),
+        // A stored text need not be compact (another writer's), so it is
+        // written again from its events; a repeated key keeps its first
+        // position with its last value, and a text that does not parse
+        // shows as a string: the value's own rules.
+        ColumnData::Json(v) => match spill.compact(v.get(dense)) {
+            Some(text) => out.push_str(text),
+            None => append_compact(out, &cell_value(data, dense)),
+        },
     }
 }
 
@@ -1421,6 +1608,7 @@ pub fn render_rows<E>(
         .collect();
     let mut dense = vec![0usize; batch.columns.len()];
     let mut text = String::new();
+    let mut spill = SpillText::default();
     // Each list column's items, and its span of them.
     let mut items: Vec<&str> = Vec::new();
     let mut lists: Vec<(usize, usize, usize)> = Vec::new();
@@ -1447,7 +1635,7 @@ pub fn render_rows<E>(
                 lists.push((c, start, items.len()));
             } else if valid && open {
                 push_key(&mut text, &keys[c]);
-                write_cell(&col.data, dense[c], listed[c], &mut text);
+                write_cell(&col.data, dense[c], listed[c], &mut spill, &mut text);
             }
             if valid {
                 dense[c] += 1;
@@ -1591,6 +1779,76 @@ mod tests {
         for cut in [good.len() - 1, good.len() - 9, 10] {
             assert!(read_jxc(&good[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    /// `bytes` with the footer's column entries in reverse order, the
+    /// footer checksum made again: the blocks are read back to front.
+    fn footer_reversed(bytes: &[u8]) -> Vec<u8> {
+        let len = bytes.len();
+        let footer = u64::from_le_bytes(bytes[len - 12..len - 4].try_into().unwrap()) as usize;
+        let mut entries = Vec::new();
+        let mut at = footer + 12;
+        while at < len - 16 {
+            let path_len = u16::from_le_bytes([bytes[at], bytes[at + 1]]) as usize;
+            let end = at + 2 + path_len + 2 + 28;
+            entries.push(&bytes[at..end]);
+            at = end;
+        }
+        let mut out = bytes[..footer + 12].to_vec();
+        for entry in entries.iter().rev() {
+            out.extend_from_slice(entry);
+        }
+        let crc = crc32(&out[footer..]);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out.extend_from_slice(&bytes[len - 12..]);
+        out
+    }
+
+    /// The file route reads what the slice route reads however its window
+    /// cuts the blocks — one byte at a time, a few blocks at a time, all
+    /// of them — and in whatever order the footer lists them.
+    #[test]
+    fn every_window_reads_a_file_as_the_slice() {
+        let batch = shred(
+            "{\"id\": 1, \"name\": \"ada\", \"xs\": [1, 2], \"tags\": [\"a\"], \"ok\": true}\n\
+             {\"id\": 2, \"name\": \"bob\", \"xs\": [], \"score\": 1.5}\n\
+             {\"id\": 3, \"tags\": [\"b\", \"c\"], \"ok\": false}\n",
+        );
+        let good = write_jxc(&batch);
+        let reversed = footer_reversed(&good);
+        let read = read_jxc(&reversed).unwrap();
+        let mut want = read_jxc(&good).unwrap();
+        want.batch.columns.reverse();
+        want.columns.reverse();
+        assert_eq!(read, want);
+        let large = std::fs::read(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/golden_large.jxc"
+        ))
+        .unwrap();
+        let mut images = vec![good.clone(), reversed, large];
+        images.extend((0..good.len()).map(|cut| good[..cut].to_vec()));
+        images.extend((4..good.len()).map(|at| {
+            let mut bad = good.clone();
+            bad[at] ^= 0x10;
+            bad
+        }));
+        let path =
+            std::env::temp_dir().join(format!("jsonx-jxc-window-{}.jxc", std::process::id()));
+        for bytes in &images {
+            std::fs::write(&path, bytes).unwrap();
+            for n in [0, 2, usize::MAX] {
+                let want = read_jxc_head(bytes, n);
+                for window in [1, 7, 64, WINDOW] {
+                    assert_eq!(
+                        read_file_head(&path, n, window),
+                        want,
+                        "window {window}, n {n}"
+                    );
+                }
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

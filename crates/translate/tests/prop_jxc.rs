@@ -17,6 +17,11 @@
 //! * `read_jxc_head(bytes, n)` is `read_jxc(bytes)` cut to its first `n`
 //!   rows, with the same column facts and row count — and, on a damaged
 //!   file, the same error: every check covers the whole file at any `n`.
+//! * `read_jxc_file_head(path, n)`, which reads a file one column block
+//!   at a time, is `read_jxc_head(bytes, n)` of the file's bytes: the
+//!   same file or the same error, on every cut and flip of a small image,
+//!   the frozen fixtures, and arbitrary bytes with and without a valid
+//!   magic and trailer around them.
 //! * `render_rows` writes the text `to_string` gives each row
 //!   `rows_as_values` builds — or, flattened, each row `flatten_rows`
 //!   builds — line for line, with the same count, and without building
@@ -30,10 +35,12 @@ use jsonx_data::{crc32, Number, Object, Value};
 use jsonx_syntax::to_string;
 use jsonx_translate::columnar::Column;
 use jsonx_translate::{
-    flatten_rows, read_jxc, read_jxc_head, render_rows, rows_as_values, write_jxc, write_jxc_parts,
-    Bitmap, ColumnData, ColumnarBatch, Encoding, JxcError, JxcFile, Shredder, StrArena,
+    flatten_rows, read_jxc, read_jxc_file_head, read_jxc_head, render_rows, rows_as_values,
+    write_jxc, write_jxc_parts, Bitmap, ColumnData, ColumnarBatch, Encoding, JxcError, JxcFile,
+    Shredder, StrArena,
 };
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
 
 /// What `write_jxc_parts` writes for `parts`.
 fn parts_bytes(parts: &[ColumnarBatch]) -> Vec<u8> {
@@ -400,6 +407,79 @@ fn damage_past_the_head_is_corrupt_at_one_row() {
     }
 }
 
+/// A file of this test process's own under the temp directory, named
+/// after the test that writes it.
+fn temp_jxc(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("jsonx-prop-jxc-{}-{name}.jxc", std::process::id()))
+}
+
+/// Writes `bytes` to `path` and holds the file route to the slice route
+/// at n ∈ {0, 1, 3, rows, usize::MAX}: the same file (floats compared by
+/// their bits, through `Debug`) or the same error.
+fn assert_file_reads_as_slice(path: &Path, bytes: &[u8], rows: usize) -> Result<(), TestCaseError> {
+    std::fs::write(path, bytes).unwrap();
+    for n in [0, 1, 3, rows, usize::MAX] {
+        let (file, slice) = (read_jxc_file_head(path, n), read_jxc_head(bytes, n));
+        prop_assert!(
+            file == slice || format!("{file:?}") == format!("{slice:?}"),
+            "n = {}: file {:?}, slice {:?}",
+            n,
+            file,
+            slice
+        );
+    }
+    Ok(())
+}
+
+/// Every cut and every flip of a small image — checksums as written, and
+/// remade after a flip inside a column block — and the four frozen
+/// fixtures read the same from a file as from memory.
+#[test]
+fn a_file_reads_as_its_bytes_on_every_cut_and_flip() {
+    let path = temp_jxc("cuts-and-flips");
+    let good = small_image();
+    let file = read_jxc(&good).unwrap();
+    let rows = file.rows;
+    let blocks_end = 4 + file.columns.iter().map(|i| i.block_bytes).sum::<usize>();
+    let check = |bytes: &[u8], rows| assert_file_reads_as_slice(&path, bytes, rows).unwrap();
+    for cut in 0..good.len() {
+        check(&good[..cut], rows);
+    }
+    for pos in 0..good.len() {
+        for mask in [0x01u8, 0x80, 0xFF] {
+            let mut bad = good.clone();
+            bad[pos] ^= mask;
+            check(&bad, rows);
+            if (4..blocks_end).contains(&pos) {
+                reseal(&mut bad);
+                check(&bad, rows);
+            }
+        }
+    }
+    for fixture in ["golden", "golden_empty", "golden_handbuilt", "golden_large"] {
+        let bytes = std::fs::read(format!(
+            "{}/tests/fixtures/{fixture}.jxc",
+            env!("CARGO_MANIFEST_DIR")
+        ))
+        .unwrap();
+        check(&bytes, read_jxc(&bytes).unwrap().rows);
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// `body` between a leading magic and a trailer that passes: its footer
+/// is `body[footer..]` (`footer` taken modulo the body's length plus
+/// one), under the checksum it has.
+fn sealed(body: &[u8], footer: usize) -> Vec<u8> {
+    let footer = footer % (body.len() + 1);
+    let mut bytes = b"JXC1".to_vec();
+    bytes.extend_from_slice(body);
+    bytes.extend_from_slice(&crc32(&body[footer..]).to_le_bytes());
+    bytes.extend_from_slice(&(4 + footer as u64).to_le_bytes());
+    bytes.extend_from_slice(b"JXC1");
+    bytes
+}
+
 /// Docs cut into parts at `raw_cuts` and shredded part by part.
 fn shred_parts(docs: &[Value], raw_cuts: &[usize]) -> Vec<ColumnarBatch> {
     let mut cuts: Vec<usize> = raw_cuts.iter().map(|c| c % (docs.len() + 1)).collect();
@@ -432,6 +512,17 @@ proptest! {
         for n in [0, 1, 7, 8, 9, rows.saturating_sub(1), rows, rows + 1, usize::MAX] {
             assert_head_is_prefix(&bytes, n)?;
         }
+    }
+
+    #[test]
+    fn a_file_reads_as_its_bytes_on_arbitrary_bytes(
+        body in prop::collection::vec(any::<u8>(), 0..160),
+        footer in any::<usize>(),
+    ) {
+        let path = temp_jxc("arbitrary");
+        assert_file_reads_as_slice(&path, &body, 2)?;
+        assert_file_reads_as_slice(&path, &sealed(&body, footer), 2)?;
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -664,9 +755,10 @@ fn escapes_and_non_ascii_text_render_as_the_dom_writes_them() {
 }
 
 /// Spill text that is not the compact serialization — spacing, an
-/// exponent, an escaped letter, a repeated key, text that does not
-/// parse — is parsed and serialized again (or printed as a string), as
-/// the DOM route does.
+/// exponent, an escaped letter, a repeated key (at the top or nested),
+/// text that does not parse — is parsed and serialized again (or printed
+/// as a string), as the DOM route does; a key that repeats only across
+/// objects is no repeat.
 #[test]
 fn dict_spill_cells_render_through_the_parser() {
     let texts = [
@@ -677,14 +769,21 @@ fn dict_spill_cells_render_through_the_parser() {
         "{",
         "[1, 2]",
         "",
+        "[{\"b\":1,\"b\":2}, {\"c\":[]}]",
+        "{\"a\":1, \"b\":{\"a\":2, \"c\":{}}}",
+        "[ true , null ,\"x\\u0041\"]",
     ];
     let file = file_of(
         vec![
-            column("j", ColumnData::Json(StrArena::from_iter(texts)), "1111111"),
+            column(
+                "j",
+                ColumnData::Json(StrArena::from_iter(texts)),
+                "1111111111",
+            ),
             column(
                 "k",
                 ColumnData::Json(StrArena::from_iter(["[1,2]"])),
-                "1000000",
+                "1000000000",
             ),
         ],
         texts.len(),
@@ -701,6 +800,9 @@ fn dict_spill_cells_render_through_the_parser() {
             r#"{"j":"{"}"#,
             r#"{"j":[1,2]}"#,
             r#"{"j":""}"#,
+            r#"{"j":[{"b":2},{"c":[]}]}"#,
+            r#"{"j":{"a":1,"b":{"a":2,"c":{}}}}"#,
+            r#"{"j":[true,null,"xA"]}"#,
         ]
     );
     assert_renders_as_the_dom_at_every_limit(&file);

@@ -1422,7 +1422,10 @@ fn write_jxc_out(path: &Path, parts: &[ColumnarBatch]) -> std::io::Result<u64> {
 /// rows; `--head N` bounds the rows shown — and decoded: the whole file
 /// is checked, only its first N rows are built (a row flattens to at
 /// least one row, so N rows are enough for `--flatten` too), and each
-/// row is rendered from its columns (`render_rows`), not built.
+/// row is rendered from its columns (`render_rows`), not built. The file
+/// is read one column block at a time (`read_jxc_file_head`), so `cat`
+/// holds one block plus the rows it prints; a pipe (`/dev/stdin` on one)
+/// cannot seek and is read whole, with the same output.
 fn cmd_cat(opts: &Opts) -> Result<(), CliError> {
     use jsonx::translate::JxcError;
     use std::fmt::Write as _;

@@ -1171,6 +1171,51 @@ fn translate_out_persists_jxc_and_cat_inspects_it() {
     let _ = std::fs::remove_file(&jxc);
 }
 
+/// `cat /dev/stdin` prints what `cat FILE` prints, whether stdin is a pipe
+/// (which cannot seek, so the file is read whole) or the file itself
+/// (`< FILE`, read block by block): the golden bytes of the fixture.
+#[cfg(unix)]
+#[test]
+fn cat_reads_a_piped_or_redirected_jxc_as_the_file() {
+    let jxc = format!(
+        "{}/crates/translate/tests/fixtures/golden_large.jxc",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let bytes = std::fs::read(&jxc).unwrap();
+    for (mode, flags) in [("default", &[][..]), ("head3", &["--head", "3"])] {
+        let golden = |stream: &str| {
+            std::fs::read(fixture(&format!("golden_cat/golden_large.{mode}.{stream}"))).unwrap()
+        };
+        let cat = || {
+            let mut cmd = Command::new(BIN);
+            cmd.arg("cat").arg("/dev/stdin").args(flags);
+            cmd.stdout(Stdio::piped()).stderr(Stdio::piped());
+            cmd
+        };
+        let mut piped = cat().stdin(Stdio::piped()).spawn().expect("spawn jsonx");
+        let mut stdin = piped.stdin.take().expect("stdin piped");
+        let writer = {
+            let bytes = bytes.clone();
+            std::thread::spawn(move || stdin.write_all(&bytes))
+        };
+        let piped = piped.wait_with_output().expect("wait");
+        writer.join().unwrap().unwrap();
+        let redirected = cat()
+            .stdin(std::fs::File::open(&jxc).unwrap())
+            .output()
+            .expect("spawn jsonx");
+        for (how, run) in [("pipe", piped), ("redirect", redirected)] {
+            assert_eq!(run.status.code(), Some(0), "{how} {mode}");
+            assert!(run.stdout == golden("out"), "{how} {mode} stdout");
+            assert!(
+                run.stderr == golden("err"),
+                "{how} {mode} stderr: {}",
+                String::from_utf8_lossy(&run.stderr)
+            );
+        }
+    }
+}
+
 /// Writes `text` under the CLI tests' scratch directory.
 fn corpus_file(name: &str, text: &str) -> String {
     let dir = std::env::temp_dir().join("jsonx-cli-test");
