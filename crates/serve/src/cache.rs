@@ -35,10 +35,11 @@ pub struct SchemaCache {
     reload_gate: Mutex<()>,
 }
 
-/// Reads and compiles the schema document at `path`.
+/// Reads and compiles the schema document at `path`, past one leading
+/// byte-order mark (RFC 8259 §8.1).
 fn compile_path(path: &PathBuf) -> Result<CompiledSchema, ServeError> {
     let text = std::fs::read_to_string(path).map_err(|e| ServeError::SchemaIo(path.clone(), e))?;
-    let doc = jsonx_syntax::parse(&text)
+    let doc = jsonx_syntax::parse(text.strip_prefix('\u{feff}').unwrap_or(&text))
         .map_err(|e| ServeError::SchemaInvalid(path.clone(), e.to_string()))?;
     CompiledSchema::compile(&doc)
         .map_err(|e| ServeError::SchemaInvalid(path.clone(), e.to_string()))

@@ -1746,21 +1746,6 @@ fn lifts_fields(old: Option<&RecordType>, new: &RecordType, path: &str) -> Resul
     })
 }
 
-/// Rebuilds the scalar projection of row `row` from a batch (used by the
-/// round-trip tests; arrays/unions come back as JSON text).
-pub fn row_scalar(batch: &ColumnarBatch, path: &str, row: usize) -> Option<Number> {
-    let col = batch.column(path)?;
-    if row >= col.validity.len() || !col.validity.get(row) {
-        return None;
-    }
-    let dense_idx = col.validity.rank(row);
-    match &col.data {
-        ColumnData::Ints(v) => Some(Number::Int(v[dense_idx])),
-        ColumnData::Floats(v) => Number::from_f64(v[dense_idx]),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1869,14 +1854,6 @@ mod tests {
         let docs = vec![json!({"v": 1}), json!({"v": "s"})];
         let b = discover(&docs).unwrap();
         assert!(matches!(b.column("v").unwrap().data, ColumnData::Json(_)));
-    }
-
-    #[test]
-    fn row_scalar_reads_back() {
-        let b = aware_batch();
-        assert_eq!(row_scalar(&b, "id", 1), Some(Number::Int(2)));
-        assert_eq!(row_scalar(&b, "geo.lat", 2), Number::from_f64(-1.0));
-        assert_eq!(row_scalar(&b, "name", 1), None); // invalid slot
     }
 
     #[test]

@@ -1076,11 +1076,13 @@ fn checkpoint_cli(opts: &Opts, csv: bool) -> Result<Option<JournalControl<'_>>, 
 }
 
 /// Reads and compiles a schema file; also returns its text, which
-/// fingerprints the schema in a checkpoint journal's header.
+/// fingerprints the schema in a checkpoint journal's header. A leading
+/// byte-order mark is not part of the document (RFC 8259 §8.1).
 fn load_schema(path: &str) -> Result<(CompiledSchema, String), CliError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| CliError::io(format!("reading {path}: {e}")))?;
-    let doc = parse(&text).map_err(|e| CliError::data(format!("{path}: {e}")))?;
+    let doc = parse(text.strip_prefix('\u{feff}').unwrap_or(&text))
+        .map_err(|e| CliError::data(format!("{path}: {e}")))?;
     let schema = CompiledSchema::compile(&doc).map_err(|e| e.to_string())?;
     Ok((schema, text))
 }

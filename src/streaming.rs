@@ -8,14 +8,13 @@
 //! chunked engine of [`jsonx_pipeline`]. The stages are
 //! **source-agnostic**: each holds the run's one decoder value (the
 //! crate-private `LineDecoder`: NDJSON or CSV) and reaches it through the
-//! [`RecordDecoder`] seam the public pieces here ([`TypeFold`],
-//! [`StreamTyper`]) are generic over, so the engine's work stealing,
-//! fault tolerance and out-of-core layers never assume JSON. Every stage
-//! reads a record the same way: it speculates from the record's events,
-//! verifies per record, and replays through a document only what the
-//! walk cannot vouch for. A stage answers each accepted record with the
-//! [`Route`] it took, which the fault layer tallies. The stages differ
-//! only in their per-worker state and merge:
+//! [`RecordDecoder`] seam the public [`TypeFold`] is generic over, so the
+//! engine's work stealing, fault tolerance and out-of-core layers never
+//! assume JSON. Every stage reads a record the same way: it speculates
+//! from the record's events, verifies per record, and replays through a
+//! document only what the walk cannot vouch for. A stage answers each
+//! accepted record with the [`Route`] it took, which the fault layer
+//! tallies. The stages differ only in their per-worker state and merge:
 //!
 //! * inference — a [`TypeFold`] per worker: under `Kind` a counting type
 //!   that each record's events update in place, verified per record;
@@ -55,20 +54,12 @@
 //! keys resolved by guessing last time's order, no allocation once a shape
 //! has been seen), every increment logged so that a record the decoder
 //! rejects — or one with a duplicate key, which only the DOM's last-wins
-//! rule can type — is taken back. The latter, and every record under
-//! `Label`, go through [`StreamTyper`], which fuses a document's type
-//! directly from the decoder's events, with memory bounded by document
-//! depth rather than document size:
-//!
-//! - events borrow escape-free keys and strings from the input
-//!   ([`RawEvent`]'s `Cow` payloads), so scalar strings never allocate —
-//!   typing only needs their *kind*;
-//! - field names are interned per [`StreamTyper`]: a repeated key costs an
-//!   `Arc` refcount bump instead of a fresh `String`;
-//! - the container frame stack is reused across documents.
+//! rule can type — is taken back. Label and repeated keys take the
+//! document route: the record is decoded to its [`Value`] and typed by
+//! [`infer_value`], the same map step serve, the baselines and every
+//! oracle use, and the type is fused beside the in-place count.
 
 use jsonx_core::{fuse, infer_value, Equivalence, JType, ScalarKind, TypeAccumulator};
-use jsonx_core::{ArrayType, FieldName, FieldType, RecordType};
 use jsonx_data::Value;
 use jsonx_pipeline::{
     ErrorPolicy, ErrorSummary, RecordDiagnostic, Route, RouteCounts, ShardFold, ShardPanic,
@@ -80,7 +71,6 @@ use jsonx_syntax::{
     RawEvent, RecordDecoder, RecordLimit, Tee, ValueBuilder,
 };
 use jsonx_translate::{ColumnarBatch, ShredError, ShredStream, Shredder};
-use std::collections::HashSet;
 
 /// How one run's record text becomes events: what
 /// [`Format`](crate::Format) and the limits resolve to, once per run. The
@@ -125,199 +115,29 @@ impl RecordDecoder for LineDecoder {
     }
 }
 
-/// A reusable event-stream typing engine.
-///
-/// One `StreamTyper` types many documents in sequence: its frame stack and
-/// field-name interner persist across [`type_decoded`](Self::type_decoded)
-/// calls. Each worker of a streaming inference run owns one.
+/// Types one record from its document: decoded, then [`infer_value`] —
+/// what [`TypeFold`] does with a record it cannot count in place, kept
+/// as a free-standing typer for the benchmark harness's layer probe.
+#[doc(hidden)]
 pub struct StreamTyper {
     equiv: Equivalence,
-    stack: Vec<Frame>,
-    interner: HashSet<FieldName>,
-}
-
-/// The typing logic as an [`EventReceiver`]: splits mutable borrows of a
-/// [`StreamTyper`]'s frame stack and interner so any
-/// [`RecordDecoder`]'s event stream — JSON, CSV, whatever comes next —
-/// can drive the same §4.1 type fusion. Typing is infallible; decode
-/// errors belong to the decoder, and on error the abandoned sink's frames
-/// are cleared by the typer.
-struct TypeSink<'t> {
-    equiv: Equivalence,
-    stack: &'t mut Vec<Frame>,
-    interner: &'t mut HashSet<FieldName>,
-    result: Option<JType>,
-}
-
-impl<'t> TypeSink<'t> {
-    fn new(
-        equiv: Equivalence,
-        stack: &'t mut Vec<Frame>,
-        interner: &'t mut HashSet<FieldName>,
-    ) -> Self {
-        stack.clear();
-        TypeSink {
-            equiv,
-            stack,
-            interner,
-            result: None,
-        }
-    }
-
-    /// Returns the interned name for `key`, allocating only on first sight.
-    fn intern(&mut self, key: &str) -> FieldName {
-        match self.interner.get(key) {
-            Some(name) => name.clone(),
-            None => {
-                let name = FieldName::from(key);
-                self.interner.insert(name.clone());
-                name
-            }
-        }
-    }
-
-    fn attach(&mut self, ty: JType) {
-        match self.stack.last_mut() {
-            Some(Frame::Record {
-                fields,
-                pending_key,
-            }) => {
-                let key = pending_key.take().expect("key precedes value");
-                // Duplicate keys resolve in `Frame::finish` (last wins);
-                // appending here keeps attachment O(1) per field.
-                fields.push((key, FieldType { ty, presence: 1 }));
-            }
-            Some(Frame::Array { item, len }) => {
-                let current = std::mem::replace(item, JType::Bottom);
-                *item = fuse(current, ty, self.equiv);
-                *len += 1;
-            }
-            None => self.result = Some(ty),
-        }
-    }
-
-    /// The typed document ([`JType::Bottom`] when no value event arrived).
-    fn finish(self) -> JType {
-        self.result.unwrap_or(JType::Bottom)
-    }
-}
-
-impl EventReceiver for TypeSink<'_> {
-    fn event(&mut self, ev: &RawEvent<'_>) {
-        match ev {
-            RawEvent::StartObject => self.stack.push(Frame::Record {
-                fields: Vec::new(),
-                pending_key: None,
-            }),
-            RawEvent::StartArray => self.stack.push(Frame::Array {
-                item: JType::Bottom,
-                len: 0,
-            }),
-            RawEvent::EndObject | RawEvent::EndArray => {
-                let frame = self.stack.pop().expect("balanced events");
-                let ty = frame.finish();
-                self.attach(ty);
-            }
-            RawEvent::Key(k) => {
-                let name = self.intern(k);
-                if let Some(Frame::Record { pending_key, .. }) = self.stack.last_mut() {
-                    *pending_key = Some(name);
-                }
-            }
-            RawEvent::Null => self.attach(JType::Null { count: 1 }),
-            RawEvent::Bool(_) => self.attach(JType::Bool { count: 1 }),
-            RawEvent::Num(n) if n.is_integer() => self.attach(JType::Int { count: 1 }),
-            RawEvent::Num(_) => self.attach(JType::Float { count: 1 }),
-            RawEvent::Str(_) => self.attach(JType::Str { count: 1 }),
-        }
-    }
 }
 
 impl StreamTyper {
     /// Creates a typer for the given equivalence.
     pub fn new(equiv: Equivalence) -> Self {
-        StreamTyper {
-            equiv,
-            stack: Vec::new(),
-            interner: HashSet::new(),
-        }
+        StreamTyper { equiv }
     }
 
-    /// Types one record from the events an arbitrary [`RecordDecoder`]
-    /// produces, without building a DOM: JSON text through
-    /// [`JsonDecoder`], or any other source
-    /// through the same fusion.
+    /// The type of the document `decoder` decodes `record` to.
     pub fn type_decoded<D: RecordDecoder>(
         &mut self,
         decoder: &D,
         scratch: &mut D::Scratch,
         record: &str,
     ) -> Result<JType, ParseError> {
-        self.type_beside(decoder, scratch, record, &mut NullReceiver)
-    }
-
-    /// [`type_decoded`](Self::type_decoded) while `beside` receives the
-    /// same events — one tokenisation feeding two consumers: with a
-    /// [`ValueBuilder`] beside it the record's DOM is rebuilt from the
-    /// decode that types it (identical to [`jsonx_syntax::parse`] on the
-    /// same bytes), with a validator of events the combined pass needs no
-    /// DOM at all.
-    pub fn type_beside<D: RecordDecoder, R: EventReceiver + ?Sized>(
-        &mut self,
-        decoder: &D,
-        scratch: &mut D::Scratch,
-        record: &str,
-        beside: &mut R,
-    ) -> Result<JType, ParseError> {
-        let outcome = {
-            let mut sink = TypeSink::new(self.equiv, &mut self.stack, &mut self.interner);
-            decoder
-                .decode_events(scratch, record, &mut Tee(&mut sink, beside))
-                .map(|()| sink.finish())
-        };
-        outcome.inspect_err(|_| {
-            // Leave the typer reusable after malformed input.
-            self.stack.clear();
-        })
-    }
-}
-
-enum Frame {
-    Record {
-        fields: Vec<(FieldName, FieldType)>,
-        pending_key: Option<FieldName>,
-    },
-    Array {
-        item: JType,
-        len: u64,
-    },
-}
-
-impl Frame {
-    fn finish(self) -> JType {
-        match self {
-            Frame::Record { mut fields, .. } => {
-                // Sort is stable, so among equal names insertion order
-                // survives; dedup then keeps the *last* occurrence —
-                // mirroring the DOM parser — in one linear pass (the old
-                // per-key `retain` was quadratic in the duplicate case).
-                fields.sort_by(|(a, _), (b, _)| a.cmp(b));
-                fields.dedup_by(|next, prev| {
-                    if next.0 == prev.0 {
-                        std::mem::swap(next, prev);
-                        true
-                    } else {
-                        false
-                    }
-                });
-                JType::Record(RecordType { fields, count: 1 })
-            }
-            Frame::Array { item, len } => JType::Array(ArrayType {
-                item: Box::new(item),
-                count: 1,
-                total_items: len,
-            }),
-        }
+        let doc = decoder.decode_value(scratch, record)?;
+        Ok(infer_value(&doc, self.equiv))
     }
 }
 
@@ -737,17 +557,16 @@ impl EventReceiver for Walking<'_, '_> {
 /// here accumulates one. Under [`Equivalence::Kind`] records are counted
 /// **in place**: their events walk a [`TypeAccumulator`], verified per
 /// record — one the decoder rejects is taken back and rejected, one the
-/// walk cannot vouch for (a duplicate key) is taken back and replayed
-/// through the [`StreamTyper`] route into `replayed`. Under
-/// [`Equivalence::Label`] every record takes that route. Each record's
-/// [`Route`] is returned to the caller; [`take`] fuses the two parts, so
-/// `fuse` runs per chunk and per replayed record.
+/// walk cannot vouch for (a duplicate key) is taken back and typed from
+/// its document ([`infer_value`]) into `replayed`. Under
+/// [`Equivalence::Label`] every record takes that document route. Each
+/// record's [`Route`] is returned to the caller; [`take`] fuses the two
+/// parts, so `fuse` runs per chunk and per replayed record.
 ///
 /// [`take`]: TypeFold::take
 pub struct TypeFold {
     equiv: Equivalence,
     in_place: TypeAccumulator,
-    typer: StreamTyper,
     replayed: JType,
 }
 
@@ -757,7 +576,6 @@ impl TypeFold {
         TypeFold {
             equiv,
             in_place: TypeAccumulator::new(),
-            typer: StreamTyper::new(equiv),
             replayed: JType::Bottom,
         }
     }
@@ -775,14 +593,15 @@ impl TypeFold {
                 return Ok(Route::Fast);
             }
         }
-        let ty = self.typer.type_decoded(decoder, scratch, line)?;
-        Ok(self.fuse_replayed(ty))
+        let doc = decoder.decode_value(scratch, line)?;
+        Ok(self.replay(&doc))
     }
 
     /// [`record`](Self::record) while `beside` receives the same events:
-    /// one decode, two consumers. `Ok(None)`: the record was taken back
-    /// for replay, and the caller — who has, or is about to build, its
-    /// [`Value`] — hands that to [`replay`](Self::replay).
+    /// one decode, two consumers (under `Label` the fold's consumer is the
+    /// [`ValueBuilder`] the record is typed from). `Ok(None)`: the record
+    /// was taken back for replay, and the caller — who has, or is about
+    /// to build, its [`Value`] — hands that to [`replay`](Self::replay).
     pub fn record_beside<D: RecordDecoder, R: EventReceiver + ?Sized>(
         &mut self,
         decoder: &D,
@@ -791,18 +610,29 @@ impl TypeFold {
         beside: &mut R,
     ) -> Result<Option<Route>, ParseError> {
         if self.equiv != Equivalence::Kind {
-            let ty = self.typer.type_beside(decoder, scratch, line, beside)?;
-            return Ok(Some(self.fuse_replayed(ty)));
+            let mut builder = ValueBuilder::new();
+            decoder.decode_events(scratch, line, &mut Tee(&mut builder, beside))?;
+            return Ok(Some(self.replay(&builder.take())));
         }
         let mut walk = InPlace(&mut self.in_place);
         let decoded = decoder.decode_events(scratch, line, &mut Tee(&mut walk, beside));
         Ok(self.settle(decoded)?.then_some(Route::Fast))
     }
 
-    /// Types a record [`record_beside`](Self::record_beside) took back,
-    /// from its document.
+    /// Types a record from its document: one
+    /// [`record_beside`](Self::record_beside) took back, or any record
+    /// under `Label`.
     pub fn replay(&mut self, doc: &Value) -> Route {
-        self.fuse_replayed(infer_value(doc, self.equiv))
+        let current = std::mem::replace(&mut self.replayed, JType::Bottom);
+        self.replayed = fuse(current, infer_value(doc, self.equiv), self.equiv);
+        // One reason per equivalence: under `Label` the union member a
+        // record joins is known only once its last key has arrived, so no
+        // record is typed in place; under `Kind` only a key repeated
+        // inside one object sends a record back.
+        Route::Replayed(match self.equiv {
+            Equivalence::Kind => "duplicate-key",
+            Equivalence::Label => "label-equivalence",
+        })
     }
 
     /// [`record`](Self::record), also rebuilding the record's DOM from
@@ -814,7 +644,13 @@ impl TypeFold {
         line: &str,
     ) -> Result<(Value, Route), ParseError> {
         let mut builder = ValueBuilder::new();
-        let typed = self.record_beside(decoder, scratch, line, &mut builder)?;
+        let typed = match self.equiv {
+            Equivalence::Kind => self.record_beside(decoder, scratch, line, &mut builder)?,
+            Equivalence::Label => {
+                decoder.decode_events(scratch, line, &mut builder)?;
+                None
+            }
+        };
         let doc = builder.take();
         let route = typed.unwrap_or_else(|| self.replay(&doc));
         Ok((doc, route))
@@ -831,22 +667,8 @@ impl TypeFold {
         Ok(self.in_place.commit())
     }
 
-    fn fuse_replayed(&mut self, ty: JType) -> Route {
-        let current = std::mem::replace(&mut self.replayed, JType::Bottom);
-        self.replayed = fuse(current, ty, self.equiv);
-        // One reason per equivalence: under `Label` the union member a
-        // record joins is known only once its last key has arrived, so no
-        // record is typed in place; under `Kind` only a key repeated
-        // inside one object sends a record back.
-        Route::Replayed(match self.equiv {
-            Equivalence::Kind => "duplicate-key",
-            Equivalence::Label => "label-equivalence",
-        })
-    }
-
     /// The type of every record accepted since the last `take`; counting
-    /// restarts from zero while the learnt structure, names, frame stacks
-    /// and interner survive.
+    /// restarts from zero while the learnt structure and names survive.
     pub fn take(&mut self) -> JType {
         let replayed = std::mem::replace(&mut self.replayed, JType::Bottom);
         fuse(self.in_place.take(), replayed, self.equiv)
@@ -1306,8 +1128,14 @@ mod tests {
     use jsonx_data::json;
     use jsonx_syntax::parse_ndjson;
 
-    fn type_json(typer: &mut StreamTyper, doc: &str) -> Result<JType, ParseError> {
-        typer.type_decoded(&jsonx_syntax::JsonDecoder::new(), &mut (), doc)
+    /// Types `docs` through one fold, with each record's route.
+    fn fold_json(equiv: Equivalence, docs: &[&str]) -> (JType, Vec<Result<Route, ParseError>>) {
+        let mut fold = TypeFold::new(equiv);
+        let routes = docs
+            .iter()
+            .map(|doc| fold.record(&JsonDecoder::new(), &mut (), doc))
+            .collect();
+        (fold.take(), routes)
     }
 
     /// A plan with `workers` threads; a nonzero `chunk_bytes` forces
@@ -1357,49 +1185,52 @@ mod tests {
     #[test]
     fn duplicate_keys_last_wins_like_dom() {
         let doc = r#"{"a": 1, "b": true, "a": "s", "a": null}"#;
-        let streamed = type_json(&mut StreamTyper::new(Equivalence::Kind), doc).unwrap();
         let dom = jsonx_syntax::parse(doc).unwrap();
-        assert_eq!(streamed, jsonx_core::infer_value(&dom, Equivalence::Kind));
-        match streamed {
-            JType::Record(rt) => {
-                assert_eq!(rt.fields.len(), 2);
-                assert!(matches!(rt.field("a").unwrap().ty, JType::Null { .. }));
+        for (equiv, why) in [
+            (Equivalence::Kind, "duplicate-key"),
+            (Equivalence::Label, "label-equivalence"),
+        ] {
+            let (streamed, routes) = fold_json(equiv, &[doc]);
+            assert_eq!(routes, vec![Ok(Route::Replayed(why))]);
+            assert_eq!(streamed, infer_value(&dom, equiv));
+            match streamed {
+                JType::Record(rt) => {
+                    assert_eq!(rt.fields.len(), 2);
+                    assert!(matches!(rt.field("a").unwrap().ty, JType::Null { .. }));
+                }
+                other => panic!("expected record, got {other:?}"),
             }
-            other => panic!("expected record, got {other:?}"),
         }
     }
 
     #[test]
     fn type_and_build_rebuilds_the_dom_value() {
-        let mut typer = StreamTyper::new(Equivalence::Kind);
-        for doc in [
-            r#"{"a": 1, "b": [true, null, {"c": "x\ny"}], "geo": {"lat": 1.5}}"#,
-            r#"{"dup": 1, "dup": "last-wins", "keep": 0}"#,
-            r#"[[], {}, [1, "s"]]"#,
-            "42",
-            "\"plain\"",
-            "null",
-        ] {
-            let mut builder = ValueBuilder::new();
-            let ty = typer
-                .type_beside(
-                    &jsonx_syntax::JsonDecoder::new(),
-                    &mut (),
-                    doc,
-                    &mut builder,
-                )
-                .unwrap();
-            let built = builder.take();
-            let dom = jsonx_syntax::parse(doc).unwrap();
-            assert_eq!(built, dom, "doc {doc}");
-            assert_eq!(ty, jsonx_core::infer_value(&dom, Equivalence::Kind));
+        for equiv in [Equivalence::Kind, Equivalence::Label] {
+            let mut fold = TypeFold::new(equiv);
+            let mut dom_type = JType::Bottom;
+            for doc in [
+                r#"{"a": 1, "b": [true, null, {"c": "x\ny"}], "geo": {"lat": 1.5}}"#,
+                r#"{"dup": 1, "dup": "last-wins", "keep": 0}"#,
+                r#"[[], {}, [1, "s"]]"#,
+                "42",
+                "\"plain\"",
+                "null",
+            ] {
+                let (built, _) = fold
+                    .record_and_build(&JsonDecoder::new(), &mut (), doc)
+                    .unwrap();
+                let dom = jsonx_syntax::parse(doc).unwrap();
+                assert_eq!(built, dom, "doc {doc}");
+                dom_type = fuse(dom_type, infer_value(&dom, equiv), equiv);
+            }
+            assert_eq!(fold.take(), dom_type, "equiv {equiv:?}");
         }
     }
 
     #[test]
     fn failfast_reports_the_parsers_own_error_with_its_line() {
         let err = infer_seq("{\"a\":1}\n{bad\n", Equivalence::Kind).unwrap_err();
-        let parser_err = type_json(&mut StreamTyper::new(Equivalence::Kind), "{bad").unwrap_err();
+        let parser_err = jsonx_syntax::parse("{bad").unwrap_err();
         assert_eq!(
             err,
             StreamError::Record {
@@ -1417,10 +1248,15 @@ mod tests {
 
     #[test]
     fn typer_is_reusable_after_error() {
-        let mut typer = StreamTyper::new(Equivalence::Kind);
-        assert!(type_json(&mut typer, "{broken").is_err());
-        let ty = type_json(&mut typer, r#"{"ok": 1}"#).unwrap();
-        assert!(matches!(ty, JType::Record(_)));
+        for equiv in [Equivalence::Kind, Equivalence::Label] {
+            let (ty, routes) = fold_json(
+                equiv,
+                &["{broken", r#"{"ok": 1, "ok": [1,"#, r#"{"ok": 1}"#],
+            );
+            assert!(routes[0].is_err() && routes[1].is_err(), "equiv {equiv:?}");
+            let ok = jsonx_syntax::parse(r#"{"ok": 1}"#).unwrap();
+            assert_eq!(ty, infer_value(&ok, equiv), "equiv {equiv:?}");
+        }
     }
 
     fn corpus_ndjson(n: usize) -> String {
@@ -1752,16 +1588,5 @@ mod tests {
         assert_eq!(whole(parts), dom);
         assert_eq!(report.errors.total, 2);
         assert_eq!(report.errors.by_kind["not-a-record"], 1);
-    }
-
-    #[test]
-    fn interner_shares_repeated_keys() {
-        let mut typer = StreamTyper::new(Equivalence::Kind);
-        let a = type_json(&mut typer, r#"{"hot": 1}"#).unwrap();
-        let b = type_json(&mut typer, r#"{"hot": 2}"#).unwrap();
-        let (JType::Record(ra), JType::Record(rb)) = (a, b) else {
-            panic!("expected records");
-        };
-        assert!(FieldName::ptr_eq(&ra.fields[0].0, &rb.fields[0].0));
     }
 }

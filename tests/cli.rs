@@ -538,6 +538,27 @@ fn every_corpus_verb_skips_a_leading_byte_order_mark() {
     }
 }
 
+/// A schema file may lead with a byte-order mark (RFC 8259 §8.1): both
+/// commands that read one print what they print for the unmarked file.
+#[test]
+fn a_schema_file_may_lead_with_a_byte_order_mark() {
+    let (schema, _, ok) = run(&["infer", "--schema", "-"], SAMPLE);
+    assert!(ok);
+    let plain = schema_file("bom-plain", &schema);
+    let marked = schema_file("bom-marked", &format!("\u{feff}{schema}"));
+    let corpus = format!("{SAMPLE}{{\"id\": true}}\n");
+    for verb in [["validate", "--schema"], ["infer", "--validate"]] {
+        let want = run_code(&[&verb[..], &[plain.as_str(), "-"]].concat(), &corpus);
+        assert!(
+            want.1.contains("3/4 documents valid"),
+            "{verb:?}: {}",
+            want.1
+        );
+        let got = run_code(&[&verb[..], &[marked.as_str(), "-"]].concat(), &corpus);
+        assert_eq!(got, want, "{verb:?}");
+    }
+}
+
 #[test]
 fn translate_summarises_rows_and_refuses_non_records() {
     let (_, err, ok) = run(&["translate", "-"], SAMPLE);

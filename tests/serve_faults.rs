@@ -509,6 +509,34 @@ fn reload_swaps_epochs_without_interrupting_traffic() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A schema file that leads with a byte-order mark (RFC 8259 §8.1) is
+/// served from start-up, and a marked file reloads like any other.
+#[test]
+fn a_schema_file_with_a_byte_order_mark_starts_and_reloads() {
+    let path = schema_file("bom", &format!("\u{feff}{SCHEMA}"));
+    let (addr, handle) = start(ServeConfig {
+        schema_path: Some(path.clone()),
+        ..ServeConfig::default()
+    });
+    let mut client = LineClient::connect(addr).unwrap();
+    let resp = client.request(r#"VALIDATE {"id": 7}"#).unwrap().unwrap();
+    assert!(
+        resp.contains("\"valid\"") && resp.contains("\"epoch\":1"),
+        "{resp}"
+    );
+    std::fs::write(&path, format!("\u{feff}{STRICT_SCHEMA}")).unwrap();
+    let resp = client.request("RELOAD").unwrap().unwrap();
+    assert!(resp.contains("\"epoch\":2"), "{resp}");
+    let resp = client.request(r#"VALIDATE {"id": 7}"#).unwrap().unwrap();
+    assert!(
+        resp.contains("\"invalid\"") && resp.contains("\"epoch\":2"),
+        "{resp}"
+    );
+    let report = shutdown(addr, handle);
+    assert_eq!((report.reloads, report.reload_failures), (1, 0));
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn a_poisoned_request_kills_one_connection_not_the_daemon() {
     let (addr, handle) = start(ServeConfig {
